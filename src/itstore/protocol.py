@@ -267,6 +267,20 @@ def _expect(reader: _Reader, code: int) -> None:
                             % (code, got))
 
 
+def _renew_header(raw: bytes, code: int, sid: bytes, round_no: int,
+                  sender: int, n_tracks: int) -> _Reader:
+    """Reader past a renew-commits/renew-pairs header, which must name
+    the secret, round, sender and track count the recipient expects."""
+    reader = _Reader(raw)
+    _expect(reader, code)
+    got = (reader.take(_SID_BYTES), reader.u32(), reader.u8(), reader.u32())
+    if got != (sid, round_no, sender, n_tracks):
+        raise ProtocolError("renewal header mismatch: expected sid=%s "
+                            "round=%d sender=%d tracks=%d"
+                            % (sid.hex(), round_no, sender, n_tracks))
+    return reader
+
+
 class Transport:
     """Moves one payload between two role endpoints and keeps the books.
 
@@ -1068,6 +1082,9 @@ class TpvSession:
         everything, and a single accusation aborts the round with no
         share changed anywhere. pair_tamper(sender, recipient, track,
         (s1, s2)) -> (s1, s2) lets tests model a corrupted contribution.
+        A message whose header names another secret, round, sender or
+        track count raises ProtocolError with no share changed. Each
+        distinct commitment's subgroup check runs once per round.
         The password shares are untouched: renewal re-randomizes the
         stored payload sharings only.
         """
@@ -1123,17 +1140,11 @@ class TpvSession:
                 delivered = self.transport.send(
                     self._holder_ep(d), self._holder_ep(j), "renew-commits",
                     commit_msg, sid=sid)
-                cr = _Reader(delivered)
-                _expect(cr, _RENEW_COMMITS)
-                cr.take(_SID_BYTES)
-                got_round = cr.u32()
-                sender = cr.u8()
-                got_tracks = cr.u32()
-                if got_round != round_no or got_tracks != n_tracks:
-                    raise ProtocolError("renewal round window mismatch")
+                cr = _renew_header(delivered, _RENEW_COMMITS, sid, round_no,
+                                   d, n_tracks)
                 seen_commits = [
                     tuple(cr.element(p_width) for _ in range(degree))
-                    for _ in range(got_tracks)
+                    for _ in range(n_tracks)
                 ]
                 cr.done()
                 pair_parts = [bytes([_RENEW_PAIRS]), sid,
@@ -1147,26 +1158,23 @@ class TpvSession:
                 delivered = self.transport.send(
                     self._holder_ep(d), self._holder_ep(j), "renew-pairs",
                     b"".join(pair_parts), sid=sid)
-                pr = _Reader(delivered)
-                _expect(pr, _RENEW_PAIRS)
-                pr.take(_SID_BYTES)
-                pr.u32()
-                pr.u8()
-                pr.u32()
+                pr = _renew_header(delivered, _RENEW_PAIRS, sid, round_no,
+                                   d, n_tracks)
                 seen_pairs = [(pr.element(q_width), pr.element(q_width))
                               for _ in range(n_tracks)]
                 pr.done()
-                pairs[j][sender] = (seen_commits, seen_pairs)
+                pairs[j][d] = (seen_commits, seen_pairs)
 
         accusations = []
+        members = set()  # commitments proven to be subgroup members this round
         for j in holders:
             for d in holders:
                 seen_commits, seen_pairs = pairs[j][d]
                 for track in range(n_tracks):
                     packet = RenewalPacket(d, round_no,
                                            tuple(seen_commits[track]), {})
-                    if not verify_renewal_share(j, packet,
-                                                seen_pairs[track], group):
+                    if not verify_renewal_share(j, packet, seen_pairs[track],
+                                                group, members):
                         accusations.append(Accusation(
                             j, d, "commitment check failed on track %d"
                             % track))

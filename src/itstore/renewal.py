@@ -24,11 +24,29 @@ why the shipped groups derive g and h from tiny public constants by
 cofactor exponentiation. Transport concerns (one-time-pad wrapping of the
 evaluation pairs, tags on broadcasts) belong to the protocol layer; this
 module works on the cleartext values.
+
+Cost model. g and h are fixed, so commit() reads g^a h^b off fixed-base
+window tables (Brickell-Gordon-McCurley-Wilson, EUROCRYPT 1992): one row
+of 256 powers per 8-bit digit of the exponent and base, so a commitment
+is 2 * ceil(bits(q) / 8) table look-ups and mulmods instead of two full
+exponentiations. The tables are built on a group's first commit and kept
+on the group object (mersenne127: 32 rows, about 8,000 mulmods and 0.5 MB).
+A commitment's subgroup membership (0 < eps < p and eps^q == 1) is checked
+once per distinct value per round: verify_renewal_share takes a per-round
+set of values already proven members, and only values that pass enter it.
+With n holders, degree t and T tracks, a TpvSession.renew round (where
+every holder also checks its own packet) therefore costs n*T*(t + n)
+commitments, all from the tables, and n*T*t*(n + 1) calls of mod_exp:
+n*T*t full-width membership checks plus n^2*T*t right-hand-side powers
+whose exponents are the recipient's index powers c^j (at most 16 in a
+(3,4) layout). renewal_round skips the self-checks: n*(n - 1) in place
+of n^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .errors import ConfigurationError, ProtocolError
 from .field import PrimeField, is_probable_prime, mod_exp, random_polynomial
@@ -82,8 +100,29 @@ class RenewalGroupConfig:
 
     def commit(self, a: int, b: int) -> int:
         """g^a h^b mod p with exponents reduced into the subgroup order."""
-        return (mod_exp(self.g, a % self.q, self.p)
-                * mod_exp(self.h, b % self.q, self.p)) % self.p
+        rows, width = self._window_tables
+        p = self.p
+        digits = ((a % self.q).to_bytes(width, "little")
+                  + (b % self.q).to_bytes(width, "little"))
+        acc = 1
+        for row, digit in zip(rows, digits):
+            acc = acc * row[digit] % p
+        return acc
+
+    @cached_property
+    def _window_tables(self) -> tuple:
+        """(rows, width): rows[i][d] = g^(d * 256^i) for the width byte
+        digits of an exponent, then the same rows for h."""
+        width = (self.q.bit_length() + 7) // 8
+        rows = []
+        for base in (self.g, self.h):
+            for _ in range(width):
+                row = [1] * 256
+                for d in range(1, 256):
+                    row[d] = row[d - 1] * base % self.p
+                rows.append(row)
+                base = row[255] * base % self.p
+        return rows, width
 
     def share_field(self) -> PrimeField:
         return PrimeField(self.q, check_prime=False)
@@ -203,14 +242,25 @@ def gen_renewal(sender: int, recipients, degree: int,
 
 
 def verify_renewal_share(recipient: int, packet: RenewalPacket,
-                         pair, config: RenewalGroupConfig) -> bool:
-    """Check one evaluation pair against the sender's commitments."""
+                         pair, config: RenewalGroupConfig,
+                         members: "set | None" = None) -> bool:
+    """Check one evaluation pair against the sender's commitments.
+
+    members holds commitments already proven to lie in the order-q
+    subgroup this round; their check is skipped, and every commitment
+    that passes its check is added. Pass one set per round and group.
+    """
     if recipient < 1:
         raise ConfigurationError("recipient index must be >= 1")
+    if members is None:
+        members = set()
     s1, s2 = pair
     for eps in packet.commitments:
+        if eps in members:
+            continue
         if not 0 < eps < config.p or mod_exp(eps, config.q, config.p) != 1:
             return False
+        members.add(eps)
     lhs = config.commit(s1, s2)
     rhs = 1
     exponent = 1
@@ -258,12 +308,14 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
         packets = [gen_renewal(j, holders, degree, config, source_for(j),
                                round_no) for j in holders]
     accusations = []
+    members = set()
     for packet in packets:
         for c in holders:
             if c == packet.sender:
                 continue
             pair = packet.share_pairs.get(c)
-            if pair is None or not verify_renewal_share(c, packet, pair, config):
+            if pair is None or not verify_renewal_share(c, packet, pair,
+                                                        config, members):
                 accusations.append(Accusation(c, packet.sender))
     if accusations:
         return RenewalOutcome(accepted=False, accusations=tuple(accusations))

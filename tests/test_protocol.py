@@ -374,6 +374,43 @@ def test_renewal_corruption_is_accused_and_changes_nothing(tmp_path):
     assert session.renew(sid).accepted
 
 
+# renew-commits and renew-pairs start: code u8, sid16, u32 round, u8 sender,
+# u32 n_tracks. Each case rewrites one field of holder 1's messages before
+# they are authenticated, so only the header check can catch it.
+@pytest.mark.parametrize("kind,offset,field_bytes", [
+    ("renew-commits", 21, b"\x02"),            # labelled as holder 2
+    ("renew-pairs", 21, b"\x02"),
+    ("renew-commits", 17, b"\x00\x00\x00\x01"),  # round 1 instead of 0
+    ("renew-pairs", 17, b"\x00\x00\x00\x01"),
+    ("renew-pairs", 22, b"\x00\x00\x00\x01"),    # one track
+    ("renew-pairs", 1, b"\xff" * 16),             # another secret
+], ids=["commits-sender", "pairs-sender", "commits-round", "pairs-round",
+        "pairs-tracks", "pairs-sid"])
+def test_renewal_mislabelled_header_fails_closed(tmp_path, kind, offset,
+                                                 field_bytes):
+    session = make_session(tmp_path)
+    sid, _, _ = register_and_stock(session)
+    before = {j: session.holder_stores[j].get_secret(sid).data_shares
+              for j in session.params.holder_indices}
+    send = session.transport.send
+
+    def relabel(sender, receiver, msg_kind, payload, sid=None):
+        if msg_kind == kind and payload[21] == 1:
+            payload = (payload[:offset] + field_bytes
+                       + payload[offset + len(field_bytes):])
+        return send(sender, receiver, msg_kind, payload, sid=sid)
+
+    session.transport.send = relabel
+    with pytest.raises(ProtocolError):
+        session.renew(sid)
+    for j in session.params.holder_indices:
+        assert session.holder_stores[j].get_secret(sid).data_shares == before[j]
+        assert session.holder_stores[j].renewal_rounds(sid) == ()
+
+    session.transport.send = send
+    assert session.renew(sid).accepted
+
+
 # ------------------------------------------------- computational alternative
 
 

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import itstore.renewal
 from itstore.entropy import SeededEntropy
 from itstore.errors import ConfigurationError, ProtocolError
 from itstore.field import PrimeField, interpolate_at_zero, random_polynomial
@@ -18,6 +19,7 @@ from itstore.renewal import (
     RFC5114_GROUP,
     TOY_GROUP,
     RenewalGroupConfig,
+    Accusation,
     RenewalPacket,
     apply_renewal,
     derive_subgroup_element,
@@ -94,6 +96,23 @@ def test_commit_matches_oracle_randomized():
         assert TOY_GROUP.commit(a, b) == commit_oracle(TOY_GROUP, a, b)
 
 
+@pytest.mark.parametrize("group", [TOY_GROUP, MERSENNE127_GROUP, RFC5114_GROUP],
+                         ids=lambda g: g.name)
+def test_commit_tables_match_pow_oracle(group):
+    p, q = group.p, group.q
+
+    def oracle(a, b):
+        return pow(group.g, a % q, p) * pow(group.h, b % q, p) % p
+
+    edges = (0, 1, q - 1, q, q + 1, 2 * q + 5, -1, -q, -q - 3, -(3 * q) + 7)
+    cases = list(itertools.product(edges, repeat=2))
+    rng = random.Random(0x5eed ^ q)
+    cases += [(rng.randrange(-q, 3 * q), rng.randrange(-q, 3 * q))
+              for _ in range(200)]
+    for a, b in cases:
+        assert group.commit(a, b) == oracle(a, b), (a, b)
+
+
 def test_verify_frozen_toy():
     # sender polynomials P1 = 5x, P2 = 7x; recipient 3 gets (4, 10);
     # check: 2^4 * 8^10 = 2 = 16^3 mod 23
@@ -115,6 +134,80 @@ def test_verify_rejects_elements_outside_subgroup():
     packet = RenewalPacket(sender=1, round_no=0, commitments=(5,),
                            share_pairs={2: (0, 0)})
     assert not verify_renewal_share(2, packet, (0, 0), TOY_GROUP)
+
+
+def honest_packets(group, label, holders=(1, 2, 3, 4), degree=2):
+    rng = SeededEntropy(label)
+    return [gen_renewal(j, holders, degree, group, rng) for j in holders]
+
+
+def accusations_without_shared_set(packets, holders, group):
+    """What renewal_round must accuse, each check made with no shared set."""
+    return tuple(Accusation(c, packet.sender)
+                 for packet in packets for c in holders
+                 if c != packet.sender and not verify_renewal_share(
+                     c, packet, packet.share_pairs[c], group))
+
+
+def test_non_member_commitments_are_accused_by_every_recipient():
+    # p - eps has order 2q: in range, but its q-th power is -1. For even
+    # recipients the sign cancels on the right-hand side (c^j is even),
+    # so only the membership check rejects them. eps + p is congruent to
+    # eps, so only the range check rejects it, for every recipient.
+    group = MERSENNE127_GROUP
+    holders = (1, 2, 3, 4)
+    packets = honest_packets(group, b"non-member")
+    first, second = packets[0], packets[2]
+    twisted = group.p - first.commitments[0]
+    out_of_range = second.commitments[1] + group.p
+    first.commitments = (twisted,) + first.commitments[1:]
+    second.commitments = second.commitments[:1] + (out_of_range,)
+    for c in (2, 4):
+        rhs = pow(twisted, c, group.p) * pow(first.commitments[1], c * c,
+                                             group.p) % group.p
+        assert rhs == group.commit(*first.share_pairs[c])
+
+    expected = accusations_without_shared_set(packets, holders, group)
+    assert {(a.accuser, a.accused) for a in expected} == {
+        (2, 1), (3, 1), (4, 1), (1, 3), (2, 3), (4, 3)}
+    shares = {j: 0 for j in holders}
+    outcome = renewal_round(shares, 2, group, packets=packets)
+    assert not outcome.accepted and outcome.new_shares is None
+    assert outcome.accusations == expected
+
+    members = set()
+    for packet in packets:
+        for c in holders:
+            verify_renewal_share(c, packet, packet.share_pairs[c], group,
+                                 members)
+    assert twisted not in members and out_of_range not in members
+    assert all(0 < eps < group.p and pow(eps, group.q, group.p) == 1
+               for eps in members)
+    assert {eps for packet in (packets[1], packets[3])
+            for eps in packet.commitments} <= members
+    for c in (2, 4):
+        assert not verify_renewal_share(c, first, first.share_pairs[c],
+                                        group, members)
+
+
+def test_round_checks_each_commitment_once(monkeypatch):
+    group = MERSENNE127_GROUP
+    holders = (1, 2, 3, 4)
+    packets = honest_packets(group, b"check-once")
+    exponents = []
+
+    def counting_mod_exp(base, exponent, modulus):
+        exponents.append(exponent)
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(itstore.renewal, "mod_exp", counting_mod_exp)
+    outcome = renewal_round({j: 0 for j in holders}, 2, group, packets=packets)
+    assert outcome.accepted
+    # 4 packets x 2 commitments checked once each; 4 x 3 recipients x 2
+    # right-hand-side powers with exponents c^j <= 16
+    assert exponents.count(group.q) == 8
+    assert len(exponents) == 8 + 24
+    assert max(e for e in exponents if e != group.q) == 16
 
 
 def test_single_coordinate_perturbations_all_rejected():

@@ -462,10 +462,20 @@ def _inspect_calculator(path: Path) -> None:
 
 
 def _inspect_holder(path: Path) -> None:
-    from .stores import HolderStore
+    from .stores import HolderStore, holder_record_files
+    # read before opening: the open finishes any save a crash interrupted
+    files = holder_record_files(path)
     store = HolderStore(path)
     ids = store.secret_ids()
-    print("holder %d store %s: %d secrets" % (store.holder, path, len(ids)))
+    print("holder %d store %s: %d secrets, %d records, %d record bytes"
+          % (store.holder, path, len(ids), len(files),
+             sum(sum(sizes.values()) for sizes in files.values())))
+    for sid, sizes in sorted(files.items()):
+        filled = sorted(s for s, size in sizes.items() if size or s == "new")
+        if len(filled) > 1 or "new" in filled:
+            print("  sid=%s: leftover slot (%s) from an interrupted save; the "
+                  "open kept the newest valid record and erased the rest"
+                  % (sid.hex(), "+".join(filled)))
     for sid in ids:
         share_set = store.get_secret(sid)
         consumed = store.consumed_rounds(sid)
@@ -512,7 +522,7 @@ def _inspect_store_dir(path: Path) -> None:
         _inspect_verifier(path)
     elif (path / "meta.bin").exists() or path.name == "calculator":
         _inspect_calculator(path)
-    elif (path / "state.bin").exists() or path.name.startswith("holder"):
+    elif (path / "holder.bin").exists() or path.name.startswith("holder"):
         _inspect_holder(path)
     else:
         raise ConfigurationError(

@@ -178,6 +178,9 @@ def toeplitz_tag_bits(seed: int, message: int, message_bits: int, k: int) -> int
     """
     if message_bits:
         message &= (1 << message_bits) - 1
+        # row i reads seed bits i .. i + message_bits - 1 only, so wider
+        # bits would just be shifted k times for nothing
+        seed &= (1 << (message_bits + k - 1)) - 1
     out = 0
     for i in range(k):
         out = (out << 1) | (((seed >> i) & message).bit_count() & 1)

@@ -677,7 +677,7 @@ class TpvSession:
                                  for d in params.holder_indices)
                 share_set.tuples[rid] = PrecomputedTuple(rid, r_shares,
                                                          z_shares)
-            self.holder_stores[j].save()
+            self.holder_stores[j].save(sid)
         self.transcript.append("precompute sid=%s rounds=%d first=%d"
                                % (sid.hex(), rounds, start))
         return new_ids

@@ -2,8 +2,9 @@
 
 Each protocol role owns one directory and is the only writer to it:
 
-  HolderStore      -- a holder's share sets plus a consumption journal so a
-                      masking tuple is spent at most once across crashes.
+  HolderStore      -- a holder's share sets, one record per secret, plus a
+                      consumption journal so a masking tuple is spent at
+                      most once across crashes.
   VerifierStore    -- the append-only registration record log; any byte of
                       an existing record is covered by a rolling hash chain
                       and a flipped bit is detected on load.
@@ -17,6 +18,31 @@ place and flushed before the space is released, so dropped share values and
 seeds do not linger in the store files. The journal entry claiming a tuple
 is written before the tuple values are released to the caller; a crash
 between the two costs the tuple but can never hand it out twice.
+
+Holder layout. `holder.bin` holds the holder index; it is written with the
+first save, never by the constructor. Each secret has two record slots,
+`<sid-hex>.a` and `<sid-hex>.b`; one holds the live record, the other is
+empty. A record is a 4-byte sequence number, the share set (layout, shares,
+masking tuples), and SHA-256 over the holder index, the secret id and those
+bytes; the id itself is only the file name. That is 36 bytes per secret
+beyond the share set. A save rewrites only the secret that changed:
+
+  1. write the record, with the next sequence number, into the empty
+     slot and fsync it;
+  2. zero the old slot and fsync;
+  3. truncate the old slot and fsync.
+
+A secret's first record instead goes to `<sid-hex>.new`, is fsynced,
+renamed to slot a next to a new empty slot b, and the directory is fsynced
+(2 fsyncs), so no crash leaves a torn record as the only copy.
+
+Opening keeps, per secret, the valid slot with the higher sequence number
+and zeroes every other non-empty slot, which finishes any erasure a crash
+interrupted; a leftover `.new` is erased, and a secret whose slots are all
+empty was never saved. So a crash at any point leaves the store openable
+with each secret's old or new record, never a mix, and once a new record
+is durable no superseded share bytes survive the next open. A secret with
+non-empty slots but no valid record raises TamperDetectedError.
 """
 
 from __future__ import annotations
@@ -44,6 +70,7 @@ __all__ = [
     "CalculatorStore",
     "HolderStore",
     "contains_window",
+    "holder_record_files",
     "directory_contains_window",
     "secure_erase",
     "erase_and_rewrite",
@@ -51,48 +78,63 @@ __all__ = [
 
 _CHAIN_GENESIS = b"\x00" * 32
 _CHAIN_BYTES = 32
-_HOLDER_MAGIC = b"ITHS1\n"
+_HOLDER_MAGIC = b"ITHS2\n"
+_HOLDER_META = "holder.bin"
+_SLOTS = ("a", "b")
+_RECORD_SUFFIXES = _SLOTS + ("new",)
+_SEQ = struct.Struct(">I")
+_DIGEST_BYTES = 32
+_MAX_SID_BYTES = 64  # the hex id plus suffix must fit a 255-byte file name
 _CALC_MAGIC = b"ITCS1\n"
 
 
 # -------------------------------------------------------------- erasure
 
-def secure_erase(path) -> None:
-    """Destroy a file's content before unlinking it."""
-    path = Path(path)
-    size = path.stat().st_size
-    with open(path, "r+b") as fh:
-        if size:
+def _zero_and_truncate(path) -> bool:
+    """Overwrite a file's bytes with zeros, flush, then empty it and flush
+    again. Returns False when there is no such file."""
+    try:
+        size = os.stat(path).st_size
+    except FileNotFoundError:
+        return False
+    if size:
+        with open(path, "r+b") as fh:
             fh.write(b"\x00" * size)
             fh.flush()
             os.fsync(fh.fileno())
-        fh.seek(0)
-        fh.truncate()
-        fh.flush()
-        os.fsync(fh.fileno())
-    path.unlink()
+            fh.seek(0)
+            fh.truncate()
+            fh.flush()
+            os.fsync(fh.fileno())
+    return True
+
+
+def secure_erase(path) -> None:
+    """Destroy a file's content before unlinking it."""
+    _zero_and_truncate(path)
+    Path(path).unlink()
 
 
 def erase_and_rewrite(path, content: bytes) -> None:
     """Replace a file so the previous bytes are overwritten, not orphaned."""
-    path = Path(path)
-    if path.exists():
-        size = path.stat().st_size
-        with open(path, "r+b") as fh:
-            if size:
-                fh.write(b"\x00" * size)
-                fh.flush()
-                os.fsync(fh.fileno())
-            fh.seek(0)
-            fh.truncate()
-            fh.write(content)
-            fh.flush()
-            os.fsync(fh.fileno())
-        return
+    _zero_and_truncate(path)
+    _write_synced(path, content)
+
+
+def _write_synced(path, content: bytes) -> None:
     with open(path, "wb") as fh:
         fh.write(content)
         fh.flush()
         os.fsync(fh.fileno())
+
+
+def _fsync_directory(directory) -> None:
+    """Make the directory's entries (created or renamed files) durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def contains_window(haystack: bytes, needle: bytes, window: int = 8) -> bool:
@@ -347,33 +389,27 @@ class CalculatorStore:
 
 # ---------------------------------------------------------- holder store
 
-def _encode_holder_state(holder: int, secrets: dict) -> bytes:
-    out = bytearray(_HOLDER_MAGIC)
-    out += struct.pack(">II", holder, len(secrets))
-    for sid in sorted(secrets):
-        ss = secrets[sid]
-        field = ss.params.field
-        width = field.byte_width
-        q_bytes = field.q.to_bytes(width, "big")
-        out += struct.pack(">B", len(sid)) + sid
-        out += struct.pack(">BBH", ss.params.t_sh, ss.params.n_sh, width)
-        out += q_bytes
-        out += struct.pack(">I", len(ss.data_shares))
-        for v in ss.data_shares:
-            out += v.to_bytes(width, "big")
-        out += ss.password_share.to_bytes(width, "big")
-        out += struct.pack(">I", len(ss.tuples))
-        for rid in sorted(ss.tuples):
-            tup = ss.tuples[rid]
-            out += struct.pack(">IB", rid, 1 if tup.consumed else 0)
-            if not tup.consumed:
-                out += struct.pack(">B", len(tup.r_shares))
-                for v in tup.r_shares:
-                    out += v.to_bytes(width, "big")
-                for v in tup.z_shares:
-                    out += v.to_bytes(width, "big")
-    digest = hashlib.sha256(bytes(out)).digest()
-    return bytes(out) + digest
+def _encode_share_set(ss: HolderShareSet) -> bytes:
+    """One secret's holder state, without its id (the record's file name)."""
+    field = ss.params.field
+    width = field.byte_width
+    out = bytearray(struct.pack(">BBH", ss.params.t_sh, ss.params.n_sh, width))
+    out += field.q.to_bytes(width, "big")
+    out += struct.pack(">I", len(ss.data_shares))
+    for v in ss.data_shares:
+        out += v.to_bytes(width, "big")
+    out += ss.password_share.to_bytes(width, "big")
+    out += struct.pack(">I", len(ss.tuples))
+    for rid in sorted(ss.tuples):
+        tup = ss.tuples[rid]
+        out += struct.pack(">IB", rid, 1 if tup.consumed else 0)
+        if not tup.consumed:
+            out += struct.pack(">B", len(tup.r_shares))
+            for v in tup.r_shares:
+                out += v.to_bytes(width, "big")
+            for v in tup.z_shares:
+                out += v.to_bytes(width, "big")
+    return bytes(out)
 
 
 class _StateReader:
@@ -393,47 +429,60 @@ class _StateReader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def _decode_holder_state(raw: bytes, path):
-    if len(raw) < len(_HOLDER_MAGIC) + 32:
-        raise TamperDetectedError("%s: state file too short" % path)
-    body, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise TamperDetectedError("%s: state digest mismatch" % path)
+def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
     rd = _StateReader(body, path)
-    if rd.take(len(_HOLDER_MAGIC)) != _HOLDER_MAGIC:
-        raise TamperDetectedError("%s: bad state magic" % path)
-    holder, n_secrets = rd.unpack(">II")
-    secrets = {}
-    for _ in range(n_secrets):
-        (idlen,) = rd.unpack(">B")
-        sid = rd.take(idlen)
-        t_sh, n_sh, width = rd.unpack(">BBH")
-        q = int.from_bytes(rd.take(width), "big")
-        # the digest above already proves these bytes are ours, so the
-        # modulus does not need a fresh primality run on every load
-        params = SpssParams(t_sh, n_sh, PrimeField(q, check_prime=False))
-        (n_shares,) = rd.unpack(">I")
-        data_shares = tuple(int.from_bytes(rd.take(width), "big")
-                            for _ in range(n_shares))
-        password_share = int.from_bytes(rd.take(width), "big")
-        (n_tuples,) = rd.unpack(">I")
-        tuples = {}
-        for _ in range(n_tuples):
-            rid, consumed = rd.unpack(">IB")
-            if consumed:
-                tuples[rid] = PrecomputedTuple(rid, (), (), True)
-            else:
-                (members,) = rd.unpack(">B")
-                r_shares = tuple(int.from_bytes(rd.take(width), "big")
-                                 for _ in range(members))
-                z_shares = tuple(int.from_bytes(rd.take(width), "big")
-                                 for _ in range(members))
-                tuples[rid] = PrecomputedTuple(rid, r_shares, z_shares)
-        secrets[sid] = HolderShareSet(holder, params, data_shares,
-                                      password_share, tuples)
+    t_sh, n_sh, width = rd.unpack(">BBH")
+    q = int.from_bytes(rd.take(width), "big")
+    # the record digest already proves these bytes are ours, so the
+    # modulus does not need a fresh primality run on every load
+    params = SpssParams(t_sh, n_sh, PrimeField(q, check_prime=False))
+    (n_shares,) = rd.unpack(">I")
+    data_shares = tuple(int.from_bytes(rd.take(width), "big")
+                        for _ in range(n_shares))
+    password_share = int.from_bytes(rd.take(width), "big")
+    (n_tuples,) = rd.unpack(">I")
+    tuples = {}
+    for _ in range(n_tuples):
+        rid, consumed = rd.unpack(">IB")
+        if consumed:
+            tuples[rid] = PrecomputedTuple(rid, (), (), True)
+        else:
+            (members,) = rd.unpack(">B")
+            r_shares = tuple(int.from_bytes(rd.take(width), "big")
+                             for _ in range(members))
+            z_shares = tuple(int.from_bytes(rd.take(width), "big")
+                             for _ in range(members))
+            tuples[rid] = PrecomputedTuple(rid, r_shares, z_shares)
     if rd.off != len(body):
-        raise TamperDetectedError("%s: trailing bytes in state" % path)
-    return holder, secrets
+        raise TamperDetectedError("%s: trailing bytes in record" % path)
+    return HolderShareSet(holder, params, data_shares, password_share, tuples)
+
+
+def _record_digest(holder: int, secret_id: bytes, body: bytes) -> bytes:
+    """SHA-256 binding a record body to its holder and secret id, neither
+    of which is stored in the body."""
+    h = hashlib.sha256(struct.pack(">HB", holder, len(secret_id)))
+    h.update(secret_id)
+    h.update(body)
+    return h.digest()
+
+
+def holder_record_files(directory) -> dict:
+    """Record files of a holder directory, read without opening the store:
+    secret id -> {suffix: size in bytes}, suffix "a" or "b" for the two
+    slots and "new" for a first record that was never published."""
+    out = {}
+    for entry in os.scandir(directory):
+        stem, dot, suffix = entry.name.rpartition(".")
+        if not dot or suffix not in _RECORD_SUFFIXES or not entry.is_file():
+            continue
+        try:
+            sid = bytes.fromhex(stem)
+        except ValueError:
+            raise TamperDetectedError(
+                "%s: unexpected file %s" % (directory, entry.name))
+        out.setdefault(sid, {})[suffix] = entry.stat().st_size
+    return out
 
 
 def _consume_record(secret_id: bytes, round_ids) -> bytes:
@@ -469,39 +518,115 @@ def _parse_journal_record(payload: bytes):
 
 
 class HolderStore:
-    """One holder's durable state: share sets plus the consumption journal.
+    """One holder's durable state: one record per secret plus the
+    consumption journal.
 
     The journal is the source of truth for which masking tuples are spent.
-    Spending order is journal first, then the state rewrite, then release
-    to the caller; replaying the journal over a stale state (a crash
+    Spending order is journal first, then the record rewrite, then release
+    to the caller; replaying the journal over a stale record (a crash
     between the first two steps) re-marks the claimed tuples consumed, so
     no tuple is ever issued twice. Renewal goes the other way around --
-    the old shares are destroyed by the state rewrite before the journal
+    the old shares are destroyed by the record rewrite before the journal
     notes the round -- because stale *new* shares are harmless while stale
     old ones defeat the renewal.
+
+    The constructor writes nothing to a new store: the holder index reaches
+    disk with the first save.
     """
 
     def __init__(self, directory, holder: "int | None" = None):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._state_path = self.directory / "state.bin"
+        self._meta_path = self.directory / _HOLDER_META
         self._log = ChainedLog(self.directory / "journal.log")
         self._journaled = {}  # secret id -> set of consumed round ids
-        if self._state_path.exists():
-            self.holder, self._secrets = _decode_holder_state(
-                self._state_path.read_bytes(), self._state_path)
-            if holder is not None and holder != self.holder:
-                raise ConfigurationError(
-                    "store belongs to holder %d" % self.holder)
-        else:
-            if holder is None:
-                raise ConfigurationError("a new holder store needs its index")
-            self.holder = holder
-            self._secrets = {}
-        self._replay_journal()
+        self._secrets = {}
+        self._live = {}  # secret id -> (slot suffix of the live record, seq)
+        # a new store's directory is empty, and then nothing more is read
+        existing = bool(os.listdir(self.directory))
+        stored = self._read_meta() if existing else None
+        if stored is not None and holder is not None and holder != stored:
+            raise ConfigurationError("store belongs to holder %d" % stored)
+        if stored is None and holder is None:
+            raise ConfigurationError("a new holder store needs its index")
+        self.holder = stored if stored is not None else holder
+        if not 0 <= self.holder < (1 << 16):
+            raise ConfigurationError("holder index out of range")
+        self._meta_durable = stored is not None
+        if existing:
+            self._load_records()
+            self._replay_journal()
+
+    def _read_meta(self) -> "int | None":
+        if (self.directory / "state.bin").exists():
+            raise ConfigurationError(
+                "%s holds a single-snapshot state.bin, a layout this "
+                "version no longer reads" % self.directory)
+        try:
+            raw = self._meta_path.read_bytes()
+        except FileNotFoundError:
+            return None
+        if not raw:  # created, then a crash before its content was durable
+            return None
+        if len(raw) != len(_HOLDER_MAGIC) + 2 or not raw.startswith(_HOLDER_MAGIC):
+            raise TamperDetectedError("%s is malformed" % self._meta_path)
+        (holder,) = struct.unpack_from(">H", raw, len(_HOLDER_MAGIC))
+        return holder
+
+    def _record_path(self, secret_id: bytes, suffix: str) -> Path:
+        return self.directory / ("%s.%s" % (secret_id.hex(), suffix))
+
+    def _load_records(self) -> None:
+        """Take each secret's valid slot with the higher sequence number and
+        erase every other slot, which finishes a save a crash interrupted."""
+        files = holder_record_files(self.directory)
+        if files and not self._meta_durable:
+            raise TamperDetectedError(
+                "%s: records without the holder index" % self.directory)
+        for sid, sizes in sorted(files.items()):
+            if "new" in sizes:  # a first record that was never published
+                secure_erase(self._record_path(sid, "new"))
+            valid = []  # (seq, suffix, share set)
+            for suffix in _SLOTS:
+                if sizes.get(suffix):
+                    path = self._record_path(sid, suffix)
+                    record = self._parse_record(sid, path.read_bytes(), path)
+                    if record is not None:
+                        valid.append((record[0], suffix, record[1]))
+            if not valid:
+                if any(sizes.get(suffix) for suffix in _SLOTS):
+                    raise TamperDetectedError(
+                        "%s: no valid record for secret %s"
+                        % (self.directory, sid.hex()))
+                # only empty slots: the first save never completed
+                for suffix in _SLOTS:
+                    if suffix in sizes:
+                        self._record_path(sid, suffix).unlink()
+                continue
+            valid.sort(key=lambda record: record[0])
+            if len(valid) == 2 and valid[0][0] == valid[1][0]:
+                raise TamperDetectedError(
+                    "%s: two records for secret %s share sequence number %d"
+                    % (self.directory, sid.hex(), valid[0][0]))
+            seq, suffix, share_set = valid[-1]
+            for other in _SLOTS:
+                if other != suffix and sizes.get(other):
+                    _zero_and_truncate(self._record_path(sid, other))
+            self._secrets[sid] = share_set
+            self._live[sid] = (suffix, seq)
+
+    def _parse_record(self, secret_id: bytes, raw: bytes, path):
+        """(seq, share set), or None when the digest does not match."""
+        if len(raw) < _SEQ.size + _DIGEST_BYTES:
+            return None
+        body, digest = raw[:-_DIGEST_BYTES], raw[-_DIGEST_BYTES:]
+        if _record_digest(self.holder, secret_id, body) != digest:
+            return None
+        (seq,) = _SEQ.unpack_from(body)
+        return seq, _decode_share_set(body[_SEQ.size:], self.holder, path)
 
     def _replay_journal(self) -> None:
-        stale = False
+        stale = set()
         for payload in self._log.payloads():
             kind, sid, extra = _parse_journal_record(payload)
             if kind != "consume":
@@ -515,12 +640,12 @@ class HolderStore:
                 tup = tuples.get(rid)
                 if tup is None:
                     tuples[rid] = PrecomputedTuple(rid, (), (), True)
-                    stale = True
+                    stale.add(sid)
                 elif not tup.consumed:
                     tup.discard()
-                    stale = True
-        if stale:
-            self.save()
+                    stale.add(sid)
+        for sid in sorted(stale):
+            self.save(sid)
 
     # ------------------------------------------------------------ content
 
@@ -529,12 +654,13 @@ class HolderStore:
             raise ProtocolError(
                 "share set for holder %d in holder %d's store"
                 % (share_set.holder, self.holder))
-        if not 1 <= len(secret_id) <= 255:
-            raise ConfigurationError("secret id must be 1..255 bytes")
+        if not 1 <= len(secret_id) <= _MAX_SID_BYTES:
+            raise ConfigurationError(
+                "secret id must be 1..%d bytes" % _MAX_SID_BYTES)
         if secret_id in self._secrets:
             raise ProtocolError("secret %s already stored" % secret_id.hex())
         self._secrets[secret_id] = share_set
-        self.save()
+        self.save(secret_id)
 
     def get_secret(self, secret_id: bytes) -> HolderShareSet:
         try:
@@ -545,20 +671,56 @@ class HolderStore:
     def secret_ids(self) -> tuple:
         return tuple(sorted(self._secrets))
 
-    def save(self) -> None:
-        """Erase-and-rewrite the state snapshot from the live share sets."""
-        for sid, spent in self._journaled.items():
-            if sid not in self._secrets:
-                continue
-            tuples = self._secrets[sid].tuples
-            for rid in spent:
+    def save(self, secret_id: "bytes | None" = None) -> None:
+        """Persist one secret's live share set, or every secret's when no
+        id is given. Other secrets' records are not touched."""
+        sids = self.secret_ids() if secret_id is None else (secret_id,)
+        for sid in sids:
+            tuples = self.get_secret(sid).tuples
+            for rid in self._journaled.get(sid, ()):
                 tup = tuples.get(rid)
                 if tup is not None and not tup.consumed:
                     raise ProtocolError(
                         "round %d of %s is journaled consumed but live"
                         % (rid, sid.hex()))
-        erase_and_rewrite(self._state_path,
-                          _encode_holder_state(self.holder, self._secrets))
+        if not self._meta_durable:
+            _write_synced(self._meta_path,
+                          _HOLDER_MAGIC + struct.pack(">H", self.holder))
+            _fsync_directory(self.directory)
+            self._meta_durable = True
+        for sid in sids:
+            self._write_record(sid)
+
+    def _write_record(self, secret_id: bytes) -> None:
+        """Write the new record into the idle slot, then erase the old one.
+
+        A secret's first record is written under a temporary name and
+        renamed into slot a, so no crash can leave a torn first record;
+        an empty slot b is created beside it, so later saves never add a
+        directory entry.
+        """
+        live = self._live.get(secret_id)
+        seq = live[1] + 1 if live else 1
+        body = _SEQ.pack(seq) + _encode_share_set(self._secrets[secret_id])
+        record = body + _record_digest(self.holder, secret_id, body)
+        if live is None:
+            pending = self._record_path(secret_id, "new")
+            _write_synced(pending, record)
+            os.replace(pending, self._record_path(secret_id, "a"))
+            with open(self._record_path(secret_id, "b"), "wb"):
+                pass
+            _fsync_directory(self.directory)
+            self._live[secret_id] = ("a", seq)
+            return
+        old = live[0]
+        new = "b" if old == "a" else "a"
+        path = self._record_path(secret_id, new)
+        existed = _zero_and_truncate(path)  # a no-op unless a save failed
+        _write_synced(path, record)
+        if not existed:
+            _fsync_directory(self.directory)
+        self._live[secret_id] = (new, seq)
+        _zero_and_truncate(self._record_path(secret_id, old))
 
     # -------------------------------------------------------- consumption
 
@@ -590,7 +752,7 @@ class HolderStore:
         out = PrecomputedTuple(tup.round_id, tup.r_shares, tup.z_shares)
         self._journal_consume(secret_id, (tup.round_id,))
         tup.discard()
-        self.save()
+        self.save(secret_id)
         return out
 
     def respond(self, secret_id: bytes, request):
@@ -616,7 +778,7 @@ class HolderStore:
                     "holder %d cannot spend round %r" % (self.holder, rid))
         self._journal_consume(secret_id, ids)
         response = holder_respond(ss, request)
-        self.save()
+        self.save(secret_id)
         return response
 
     def consumed_rounds(self, secret_id: bytes) -> tuple:
@@ -629,7 +791,7 @@ class HolderStore:
                       round_no: int,
                       new_password_share: "int | None" = None) -> None:
         """Swap in renewed shares; the rewrite destroys the old values in
-        the state file before the journal records the round."""
+        the secret's record before the journal records the round."""
         ss = self.get_secret(secret_id)
         shares = tuple(new_data_shares)
         if len(shares) != len(ss.data_shares):
@@ -639,7 +801,7 @@ class HolderStore:
         ss.data_shares = shares
         if new_password_share is not None:
             ss.password_share = new_password_share
-        self.save()
+        self.save(secret_id)
         self._log.append(_renew_record(secret_id, round_no))
 
     def renewal_rounds(self, secret_id: bytes) -> tuple:

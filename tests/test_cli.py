@@ -344,6 +344,29 @@ def test_inspect_detects_store_tampering(tmp_path, capsys):
     assert "TAMPER DETECTED" in out
 
 
+def test_inspect_flags_and_finishes_an_interrupted_holder_save(tmp_path,
+                                                                capsys):
+    ws = tmp_path / "ws"
+    sid = register(capsys, ws)
+    holder = ws / "stores" / "holder-2"
+    stale = (holder / (sid + ".a")).read_bytes()
+    run_cli(capsys, "reconstruct", "--workspace", str(ws),
+            "--password", PASSWORD)
+    code, out, _ = run_cli(capsys, "inspect", str(holder))
+    assert code == 0 and "holder 2 store" in out
+    assert "1 secrets, 1 records" in out and "leftover" not in out
+
+    # the state a crash leaves between writing a new record and erasing
+    # the old one: both slots hold a valid record
+    (idle,) = [p for p in holder.glob(sid + ".*") if p.stat().st_size == 0]
+    idle.write_bytes(stale)
+    code, out, _ = run_cli(capsys, "inspect", str(holder))
+    assert code == 0 and "leftover slot (a+b)" in out
+    assert idle.stat().st_size == 0
+    code, out, _ = run_cli(capsys, "inspect", str(holder))
+    assert code == 0 and "leftover" not in out
+
+
 def test_inspect_missing_path(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "inspect", str(tmp_path / "ghost"))
     assert code == 3

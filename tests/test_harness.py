@@ -17,6 +17,7 @@ from itstore.harness import (
     run_bench,
     run_scenario,
 )
+from itstore.stores import holder_record_files
 
 PAYLOAD_TEXT = "forty-two bytes of archival payload text.."
 
@@ -179,7 +180,8 @@ def test_transcript_never_mentions_the_storage_location(tmp_path):
     assert str(root) not in result.transcript
     assert (root / "verifier" / "verifier.log").exists()
     assert (root / "calculator" / "meta.bin").exists()
-    assert (root / "holder-1" / "state.bin").exists()
+    assert (root / "holder-1" / "holder.bin").exists()
+    assert bytes.fromhex(result.secret_id) in holder_record_files(root / "holder-1")
 
 
 def test_transcript_output_file(tmp_path):

@@ -172,6 +172,30 @@ def test_toeplitz_is_linear():
     assert toeplitz_tag_bits(rng.getrandbits(k + length - 1), 0, length, k) == 0
 
 
+def toeplitz_unmasked(seed, message, message_bits, k):
+    """Reference tag that shifts the whole seed on every row."""
+    if message_bits:
+        message &= (1 << message_bits) - 1
+    out = 0
+    for i in range(k):
+        out = (out << 1) | (((seed >> i) & message).bit_count() & 1)
+    return out
+
+
+@pytest.mark.parametrize("message_bits", [0, 1, 64, 8256])
+def test_toeplitz_ignores_seed_bits_beyond_the_message(message_bits):
+    # channel seeds grow to the longest message, so most tags are taken
+    # with a seed much wider than message_bits + k - 1
+    rng = random.Random(0x5eed + message_bits)
+    for k in (1, 8, 256):
+        need = message_bits + k - 1
+        for extra in (1, 64, 3 * need + 1000):
+            seed = rng.getrandbits(need + extra) | (1 << (need + extra - 1))
+            message = rng.getrandbits(max(message_bits, 64)) | 1
+            assert toeplitz_tag_bits(seed, message, message_bits, k) == \
+                toeplitz_unmasked(seed, message, message_bits, k)
+
+
 def test_toeplitz_collision_fraction_exhaustive():
     # Over all seeds, distinct equal-length messages collide on exactly
     # a 2^-k fraction (the tag of the difference is uniform).

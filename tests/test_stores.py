@@ -1,9 +1,15 @@
 """Tests for durable stores: hash-chained logs, erasure, crash consistency."""
 
+import copy
 import hashlib
+import os
 import struct
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
+
+import itstore.stores as stores_mod
 
 from itstore.entropy import SeededEntropy
 from itstore.errors import (
@@ -37,6 +43,7 @@ from itstore.stores import (
     contains_window,
     directory_contains_window,
     erase_and_rewrite,
+    holder_record_files,
     secure_erase,
 )
 
@@ -357,10 +364,17 @@ def test_journal_replay_is_idempotent(tmp_path):
     assert once.consumed_rounds(sid) == (0,)
 
 
+def live_record_path(holder_dir, sid):
+    """The one non-empty record slot of a secret."""
+    (suffix,) = [s for s, size in holder_record_files(holder_dir)[sid].items()
+                 if size]
+    return holder_dir / ("%s.%s" % (sid.hex(), suffix))
+
+
 def test_holder_store_detects_tampering(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
     stores[1].consume_tuple(secrets[0][0])
-    state_path = tmp_path / "holder-1" / "state.bin"
+    state_path = live_record_path(tmp_path / "holder-1", secrets[0][0])
     corrupt = bytearray(state_path.read_bytes())
     corrupt[len(corrupt) // 2] ^= 0x10
     state_path.write_bytes(bytes(corrupt))
@@ -448,15 +462,15 @@ def test_renewal_destroys_old_share_bytes(tmp_path):
     store.put_secret(sid, holders[1])
     old_shares = list(holders[1].data_shares)
     old_bytes = [field.encode(v) for v in old_shares]
-    state_path = tmp_path / "holder-1" / "state.bin"
+    holder_dir = tmp_path / "holder-1"
     for raw in old_bytes:
-        assert contains_window(state_path.read_bytes(), raw, window=16)
+        assert directory_contains_window(holder_dir, raw, window=16)
 
     new_shares = [field.add(v, 1 + i) for i, v in enumerate(old_shares)]
     store.apply_renewal(sid, new_shares, round_no=1)
-    state = state_path.read_bytes()
     for raw in old_bytes:
-        assert not contains_window(state, raw, window=16)
+        assert not directory_contains_window(holder_dir, raw, window=16)
+    state = live_record_path(holder_dir, sid).read_bytes()
     for v in new_shares:
         assert field.encode(v) in state
     assert store.renewal_rounds(sid) == (1,)
@@ -487,3 +501,234 @@ def test_empty_holder_store_round_trip(tmp_path):
     HolderStore(tmp_path / "empty", holder=2).save()
     again = HolderStore(tmp_path / "empty")
     assert again.holder == 2 and again.secret_ids() == ()
+
+
+# ------------------------------------------------- crash safety and O(secret)
+
+CRASH_PARAMS = SpssParams()  # 127-bit field: 16-byte share encodings
+SID_A = b"\xa1" * 16
+SID_B = b"\xb2" * 16
+
+
+class SimulatedCrash(Exception):
+    """The process dies at an fsync; the bytes written before it stay."""
+
+
+class CrashingOs:
+    """Stand-in for `os` inside itstore.stores that counts fsyncs and
+    raises SimulatedCrash in place of the crash_at-th one."""
+
+    def __init__(self, crash_at=None):
+        self.calls = 0
+        self.crash_at = crash_at
+
+    def fsync(self, fd):
+        os.fsync(fd)
+        self.calls += 1
+        if self.calls == self.crash_at:
+            raise SimulatedCrash("after fsync %d" % self.calls)
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+
+@contextmanager
+def fsyncs(crash_at=None):
+    proxy = CrashingOs(crash_at)
+    stores_mod.os = proxy
+    try:
+        yield proxy
+    finally:
+        stores_mod.os = os
+
+
+def crash_case(directory, op):
+    """Build holder 1's store for one operation; returns the store and the
+    operation as a closure. Every call rebuilds the same bytes."""
+    source = rng("crash-" + op)
+    holders, secret = spss_register(bytes(source.take_bytes(40)), 777,
+                                    CRASH_PARAMS, source)
+    for _ in range(secret.block_count + 1):
+        precompute_round(holders, source)
+    other, _ = spss_register(bytes(source.take_bytes(30)), 778,
+                             CRASH_PARAMS, source)
+    store = HolderStore(directory, holder=1)
+    if op == "put-first":
+        return store, lambda: store.put_secret(SID_A, holders[1])
+    store.put_secret(SID_A, holders[1])
+    if op == "put":
+        return store, lambda: store.put_secret(SID_B, other[1])
+    if op == "precompute":
+        def precompute():
+            precompute_round(holders, source)
+            store.save(SID_A)
+        return store, precompute
+    if op == "respond":
+        request = spss_request(777, (1, 2, 3), CRASH_PARAMS, source)[1]
+        return store, lambda: store.respond(SID_A, request)
+    field = CRASH_PARAMS.field
+    renewed = [field.add(v, 1 + i)
+               for i, v in enumerate(holders[1].data_shares)]
+    return store, lambda: store.apply_renewal(SID_A, renewed, round_no=1)
+
+
+def disk_state(directory) -> dict:
+    store = HolderStore(directory, holder=1)
+    return {sid: store.get_secret(sid) for sid in store.secret_ids()}
+
+
+def slot_records(directory) -> set:
+    """Contents of every non-empty record slot."""
+    return {p.read_bytes() for p in directory.iterdir()
+            if p.suffix in (".a", ".b") and p.stat().st_size}
+
+
+def share_values(share_set) -> set:
+    values = set(share_set.data_shares) | {share_set.password_share}
+    for tup in share_set.tuples.values():
+        values.update(tup.r_shares + tup.z_shares)
+    return values
+
+
+@pytest.mark.parametrize("op", ["put-first", "put", "precompute", "respond",
+                                "renew"])
+def test_crash_at_every_fsync_leaves_an_openable_consistent_store(tmp_path, op):
+    """Crash at each fsync of one operation, reopen (crashing again at each
+    fsync of the recovery until it completes) and check the guarantees."""
+    ref = tmp_path / "ref"
+    store, action = crash_case(ref, op)
+    old = disk_state(ref)
+    old_records = slot_records(ref)
+    with fsyncs() as counter:
+        action()
+    total = counter.calls
+    new = disk_state(ref)
+    new_records = slot_records(ref) - old_records
+    assert total >= 2 and new != old
+    field = CRASH_PARAMS.field
+    dropped = set()
+    if SID_A in old and SID_A in new:
+        dropped = share_values(old[SID_A]) - share_values(new[SID_A])
+    if op in ("respond", "renew"):
+        assert dropped
+
+    for k in range(1, total + 1):
+        directory = tmp_path / ("crash-%d" % k)
+        store, action = crash_case(directory, op)
+        with fsyncs(crash_at=k), pytest.raises(SimulatedCrash):
+            action()
+        del store
+        new_written = bool(slot_records(directory) & new_records)
+        for j in range(1, 50):
+            with fsyncs(crash_at=j):
+                try:
+                    HolderStore(directory, holder=1)
+                    break
+                except SimulatedCrash:
+                    continue
+        else:
+            pytest.fail("recovery after a crash at fsync %d never ends" % k)
+
+        again = HolderStore(directory, holder=1)
+        state = {sid: again.get_secret(sid) for sid in again.secret_ids()}
+        assert state in (old, new), "crash at fsync %d mixed old and new" % k
+        if new_written:
+            assert state == new, "crash at fsync %d revived old shares" % k
+        for payload in ChainedLog(directory / "journal.log").payloads():
+            kind, sid, rounds = stores_mod._parse_journal_record(payload)
+            if kind == "consume":
+                for rid in rounds:
+                    assert rid in again.consumed_rounds(sid)
+                    with pytest.raises(PrecomputationExhaustedError):
+                        again.consume_tuple(sid, round_id=rid)
+        for sid, sizes in holder_record_files(directory).items():
+            assert "new" not in sizes
+            assert sum(1 for size in sizes.values() if size) == 1, sizes
+        if state == new:
+            for v in dropped:
+                assert not directory_contains_window(
+                    directory, field.encode(v), window=16), \
+                    "crash at fsync %d left a dropped share on disk" % k
+
+
+def test_holder_store_slot_states_on_open(tmp_path):
+    stores, secrets = registered_stores(tmp_path, n_secrets=2,
+                                        rounds_per_secret=[1, 1])
+    sid_a, sid_b = secrets[0][0], secrets[1][0]
+    stores[1].consume_tuple(sid_a)  # sid_a now lives in slot b
+    holder_dir = tmp_path / "holder-1"
+    live = (holder_dir / (sid_a.hex() + ".b")).read_bytes()
+
+    # the same sequence number in both slots is no state a save leaves
+    (holder_dir / (sid_a.hex() + ".a")).write_bytes(live)
+    with pytest.raises(TamperDetectedError):
+        HolderStore(holder_dir)
+    (holder_dir / (sid_a.hex() + ".a")).write_bytes(b"")
+
+    # only empty slots: the secret's first save never completed
+    (holder_dir / (sid_b.hex() + ".a")).write_bytes(b"")
+    reopened = HolderStore(holder_dir)
+    assert reopened.secret_ids() == (sid_a,)
+    assert sid_b not in holder_record_files(holder_dir)
+    assert reopened.consumed_rounds(sid_a) == (0,)
+
+
+class CountingFile:
+    def __init__(self, fh, log, path):
+        self._fh, self._log, self._path = fh, log, path
+
+    def write(self, data):
+        n = self._fh.write(data)
+        self._log.append((self._path, n))
+        return n
+
+    def __enter__(self):
+        self._fh.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def file_bytes(directory) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_saving_one_secret_writes_only_its_record(tmp_path, monkeypatch):
+    writes = []
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        return CountingFile(open(path, mode, *args, **kwargs), writes,
+                            Path(path).name)
+
+    monkeypatch.setattr(stores_mod, "open", counting_open, raising=False)
+    source = rng("o-secret")
+    holders, _ = spss_register(bytes(source.take_bytes(1024)), 99,
+                               CRASH_PARAMS, source)
+    template = holders[1]
+    cost = {}
+    for stored in (1, 100):
+        directory = tmp_path / ("stored-%d" % stored)
+        store = HolderStore(directory, holder=1)
+        for i in range(stored):
+            store.put_secret(struct.pack(">I", i) * 4, copy.deepcopy(template))
+        before = file_bytes(directory)
+        del writes[:]
+        store.put_secret(b"\xee" * 16, copy.deepcopy(template))
+        cost[stored] = sum(n for _path, n in writes)
+        assert {path for path, _n in writes} <= {"ee" * 16 + ".new"}
+        after = file_bytes(directory)
+        assert {name: after[name] for name in before} == before
+
+    # a rewrite of one secret leaves every other record byte-identical
+    sid = struct.pack(">I", 7) * 4
+    store.get_secret(sid).password_share = 5
+    before = file_bytes(directory)
+    store.save(sid)
+    after = file_bytes(directory)
+    changed = {name for name in after if after[name] != before.get(name)}
+    assert changed and all(name.startswith(sid.hex()) for name in changed)
+    assert cost[1] == cost[100] > 1024

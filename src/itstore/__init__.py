@@ -2,6 +2,7 @@
 
 The package layers, bottom up:
 
+- wire        -- message schema and codec, and the strict byte cursor
 - field       -- prime fields, polynomials, Lagrange interpolation
 - entropy     -- deterministic seeded randomness for simulation runs
 - mac         -- almost-universal hashing and one-time-pad MACs

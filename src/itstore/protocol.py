@@ -20,44 +20,14 @@ Roles and their duties:
 Every cross-node exchange rides the key network's one-time-pad channels;
 endpoints sharing a node hand bytes over locally (same trust domain, no
 key spent). Message payloads are length-checked binary with a one-byte
-type code:
+type code; the layout of every kind is in itstore.wire.SCHEMA, and each
+receiver checks that a message names the secret id of its exchange (and
+for precomp and renewal messages the round, sender and count it expects).
 
-    code  kind              layout after the code byte
-    ----  ----------------  -------------------------------------------
-    0x01  register-data     u16 pw_len, pw, u32 data_len, data
-    0x02  shares            sid16, u32 n_blocks, n_blocks*W share,
-                            W password_share
-    0x03  tag-report        sid16, u64 t1, k/8 tag
-    0x04  receipt           sid16, u64 t1
-    0x05  precomp           sid16, u32 first_round, u32 n_rounds,
-                            u8 contributor, n_rounds*(W r, W z)
-    0x06  recon-request     sid16, u32 byte_length, u16 pw_len, pw
-    0x07  avail-query       sid16
-    0x08  avail-reply       sid16, u32 n_blocks, u32 n_ids, n_ids*u32
-    0x09  recon-ask         sid16, u8 subset_len, subset bytes,
-                            W password_share, u32 n_ids, n_ids*u32
-    0x0a  recon-response    sid16, u32 n_values, n_values*W
-    0x0b  recon-result      sid16, u32 data_len, data
-    0x0c  release           sid16, u64 t1, u32 data_len, data
-    0x0d  check-request     sid16, u64 t1, u32 data_len, data
-    0x0e  check-tag         sid16, u64 t1, k/8 tag
-    0x0f  verdict           sid16, u8 phase, u8 outcome
-    0x10  refute-request    sid16, u64 t1, u32 data_len, data
-    0x11  refute-tag        sid16, u64 t1, k/8 tag
-    0x12  cs-tag            sid16, u64 t1, tag_bytes digest
-    0x13  cs-check          sid16, u64 t1, tag_bytes digest
-    0x14  abort-notice      sid16, u8 reason
-    0x15  renew-commits     sid16, u32 round, u8 sender, u32 n_tracks,
-                            n_tracks*degree*P commitments
-    0x16  renew-pairs       sid16, u32 round, u8 sender, u32 n_tracks,
-                            n_tracks*(Q s1, Q s2)
-
-W is the share field's encoding width, P and Q the commitment group's
-modulus widths. Timestamps are per-role logical clocks (network time plus
-a configurable per-role skew); t1 is stamped by the calculator at
-registration, t2 by the verifier when the tag row is recorded, and the
-verifier's acceptance rule is tag equality plus t1 <= t2 on its own
-record.
+Timestamps are per-role logical clocks (network time plus a configurable
+per-role skew); t1 is stamped by the calculator at registration, t2 by the
+verifier when the tag row is recorded, and the verifier's acceptance rule
+is tag equality plus t1 <= t2 on its own record.
 
 Key exhaustion during registration aborts before any share leaves the
 calculator: the full outgoing message list is checked against simulated
@@ -70,7 +40,6 @@ untouched by such aborts.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -99,6 +68,7 @@ from .renewal import (
     Accusation,
     RenewalGroupConfig,
     RenewalPacket,
+    apply_renewal,
     gen_renewal,
     verify_renewal_share,
 )
@@ -115,6 +85,7 @@ from .spss import (
     spss_request,
 )
 from .stores import CalculatorStore, HolderStore, VerifierRecord, VerifierStore
+from .wire import SID_BYTES, Codec
 
 __all__ = [
     "Phase",
@@ -142,40 +113,13 @@ class Outcome(Enum):
 
 
 _PHASE_CODE = {p: i + 1 for i, p in enumerate(Phase)}
-_PHASE_FROM_CODE = {v: k for k, v in _PHASE_CODE.items()}
 _OUTCOME_CODE = {o: i + 1 for i, o in enumerate(Outcome)}
-_OUTCOME_FROM_CODE = {v: k for k, v in _OUTCOME_CODE.items()}
-
-# message type codes
-_REGISTER_DATA = 0x01
-_SHARES = 0x02
-_TAG_REPORT = 0x03
-_RECEIPT = 0x04
-_PRECOMP = 0x05
-_RECON_REQUEST = 0x06
-_AVAIL_QUERY = 0x07
-_AVAIL_REPLY = 0x08
-_RECON_ASK = 0x09
-_RECON_RESPONSE = 0x0A
-_RECON_RESULT = 0x0B
-_RELEASE = 0x0C
-_CHECK_REQUEST = 0x0D
-_CHECK_TAG = 0x0E
-_VERDICT = 0x0F
-_REFUTE_REQUEST = 0x10
-_REFUTE_TAG = 0x11
-_CS_TAG = 0x12
-_CS_CHECK = 0x13
-_ABORT_NOTICE = 0x14
-_RENEW_COMMITS = 0x15
-_RENEW_PAIRS = 0x16
-
-_SID_BYTES = 16
 
 # abort-notice reason codes
 _ABORT_THRESHOLD = 1
 _ABORT_PRECOMPUTATION = 2
 _ABORT_AUTHENTICATOR = 3
+_ABORT_REASONS = (_ABORT_THRESHOLD, _ABORT_PRECOMPUTATION, _ABORT_AUTHENTICATOR)
 
 
 @dataclass(frozen=True)
@@ -224,61 +168,9 @@ class RolePlacement:
     holders: tuple = ("Koganei-1", "Koganei-2", "Koganei-3", "Koganei-4")
 
 
-class _Reader:
-    """Strict cursor over a message body; short reads are protocol errors."""
-
-    __slots__ = ("raw", "pos")
-
-    def __init__(self, raw: bytes, pos: int = 0):
-        self.raw = raw
-        self.pos = pos
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise ProtocolError("truncated protocol message")
-        out = self.raw[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def element(self, width: int) -> int:
-        return int.from_bytes(self.take(width), "big")
-
-    def done(self):
-        if self.pos != len(self.raw):
-            raise ProtocolError("trailing bytes in protocol message")
-
-
-def _expect(reader: _Reader, code: int) -> None:
-    got = reader.u8()
-    if got != code:
-        raise ProtocolError("expected message code %#04x, got %#04x"
-                            % (code, got))
-
-
-def _renew_header(raw: bytes, code: int, sid: bytes, round_no: int,
-                  sender: int, n_tracks: int) -> _Reader:
-    """Reader past a renew-commits/renew-pairs header, which must name
-    the secret, round, sender and track count the recipient expects."""
-    reader = _Reader(raw)
-    _expect(reader, code)
-    got = (reader.take(_SID_BYTES), reader.u32(), reader.u8(), reader.u32())
-    if got != (sid, round_no, sender, n_tracks):
-        raise ProtocolError("renewal header mismatch: expected sid=%s "
-                            "round=%d sender=%d tracks=%d"
-                            % (sid.hex(), round_no, sender, n_tracks))
-    return reader
+def _stamped(t1: int, data: bytes) -> bytes:
+    """What a tag or digest covers: the 8-byte time t1, then the data."""
+    return t1.to_bytes(8, "big") + data
 
 
 class Transport:
@@ -408,6 +300,11 @@ class TpvSession:
             renewal_group = MERSENNE127_GROUP
         self.renewal_group = renewal_group
         self._group_checked = False
+        self.codec = Codec(
+            W=self.params.field.byte_width,
+            P=(renewal_group.p.bit_length() + 7) // 8 if renewal_group else 0,
+            tag=self.k // 8, digest=cs_tag_bits // 8,
+            degree=self.params.data_degree)
 
         self.net = net if net is not None else KeyNetwork(
             DEFAULT_TOPOLOGY, master_seed=master_seed)
@@ -464,7 +361,23 @@ class TpvSession:
     def verifier_registration_budget(self) -> int:
         """Exact bytes the verifier receives per registration: one code
         byte, the secret id, the timestamp and the tag."""
-        return 1 + _SID_BYTES + 8 + self.k // 8
+        return 1 + SID_BYTES + 8 + self.k // 8
+
+    def _send(self, sender: str, receiver: str, kind: str, header,
+              *body) -> tuple:
+        """Encode one message (header fields, then body fields), deliver
+        it, and return the body fields as the receiver decodes them."""
+        payload = self.codec.encode(kind, *header, *body)
+        return self._deliver(sender, receiver, kind, payload, header)
+
+    def _deliver(self, sender: str, receiver: str, kind: str,
+                 payload: bytes, header=()) -> tuple:
+        """Deliver encoded bytes; the receiver decodes them and checks
+        that their leading fields equal header, the sid of the exchange
+        first (register-data alone has no header and no sid)."""
+        delivered = self.transport.send(sender, receiver, kind, payload,
+                                        sid=header[0] if header else None)
+        return self.codec.decode(kind, delivered, header)
 
     def _verdict(self, sid: bytes, phase: Phase, outcome: Outcome,
                  detail: str = "") -> VerdictEvent:
@@ -477,19 +390,9 @@ class TpvSession:
 
     def _announce(self, sid: bytes, phase: Phase, outcome: Outcome):
         """Verifier tells both interested parties the verdict."""
-        payload = (bytes([_VERDICT]) + sid
-                   + bytes([_PHASE_CODE[phase], _OUTCOME_CODE[outcome]]))
         for party in (self.OWNER, self.END_USER):
-            delivered = self.transport.send(self.VERIFIER, party, "verdict",
-                                            payload, sid=sid)
-            r = _Reader(delivered)
-            _expect(r, _VERDICT)
-            r.take(_SID_BYTES)
-            got_phase = _PHASE_FROM_CODE.get(r.u8())
-            got_outcome = _OUTCOME_FROM_CODE.get(r.u8())
-            r.done()
-            if got_phase is not phase or got_outcome is not outcome:
-                raise ProtocolError("verdict announcement corrupted")
+            self._send(self.VERIFIER, party, "verdict",
+                       (sid, _PHASE_CODE[phase], _OUTCOME_CODE[outcome]))
 
     def _plan_or_abort(self, sid: bytes, messages) -> None:
         """Refuse a registration atomically when keys cannot cover it."""
@@ -519,44 +422,27 @@ class TpvSession:
         if not data:
             raise ConfigurationError("cannot register empty data")
         field = self.params.field
-        width = field.byte_width
-
-        payload = (bytes([_REGISTER_DATA])
-                   + struct.pack(">H", len(password)) + password
-                   + struct.pack(">I", len(data)) + data)
-        delivered = self.transport.send(self.OWNER, self.CALCULATOR,
-                                        "register-data", payload)
+        pw, body = self._send(self.OWNER, self.CALCULATOR, "register-data",
+                              (), password, data)
 
         # calculator side
-        reader = _Reader(delivered)
-        _expect(reader, _REGISTER_DATA)
-        pw = reader.take(reader.u16())
-        body = reader.take(reader.u32())
-        reader.done()
-
         t1 = self.clock(self.CALCULATOR)
-        sid = self.net.supply_randomness(self.CALCULATOR, _SID_BYTES * 8)
-        sid = sid.to_bytes(_SID_BYTES, "big")
+        sid = self.net.supply_randomness(self.CALCULATOR, SID_BYTES * 8)
+        sid = sid.to_bytes(SID_BYTES, "big")
         entropy = self.net.entropy_source(self.CALCULATOR)
 
         pw_element = password_to_element(pw, field)
         seed = make_seed(self.scheme, self.k, entropy,
                          width_bits=64 + (8 + len(body)) * 8)
-        tag = au2_hash(seed, struct.pack(">Q", t1) + body)
+        tag = au2_hash(seed, _stamped(t1, body))
         holder_sets, _secret = spss_register(body, pw_element, self.params,
                                              entropy, t1)
 
-        share_msgs = {}
-        for j in self.params.holder_indices:
-            ss = holder_sets[j]
-            parts = [bytes([_SHARES]), sid,
-                     struct.pack(">I", ss.block_count)]
-            parts.extend(field.encode(v) for v in ss.data_shares)
-            parts.append(field.encode(ss.password_share))
-            share_msgs[j] = b"".join(parts)
-        tag_msg = (bytes([_TAG_REPORT]) + sid + struct.pack(">Q", t1)
-                   + tag.to_bytes())
-        receipt_msg = bytes([_RECEIPT]) + sid + struct.pack(">Q", t1)
+        share_msgs = {j: self.codec.encode("shares", sid, ss.data_shares,
+                                           ss.password_share)
+                      for j, ss in holder_sets.items()}
+        tag_msg = self.codec.encode("tag-report", sid, t1, tag.to_bytes())
+        receipt_msg = self.codec.encode("receipt", sid, t1)
 
         plan = [(self.CALCULATOR, self._holder_ep(j), len(share_msgs[j]))
                 for j in self.params.holder_indices]
@@ -565,43 +451,26 @@ class TpvSession:
         self._plan_or_abort(sid, plan)
 
         for j in self.params.holder_indices:
-            delivered = self.transport.send(
-                self.CALCULATOR, self._holder_ep(j), "shares",
-                share_msgs[j], sid=sid)
-            r = _Reader(delivered)
-            _expect(r, _SHARES)
-            got_sid = r.take(_SID_BYTES)
-            count = r.u32()
-            shares = tuple(r.element(width) for _ in range(count))
-            pw_share = r.element(width)
-            r.done()
+            shares, pw_share = self._deliver(
+                self.CALCULATOR, self._holder_ep(j), "shares", share_msgs[j],
+                (sid,))
             self.holder_stores[j].put_secret(
-                got_sid, HolderShareSet(j, self.params, shares, pw_share))
+                sid, HolderShareSet(j, self.params, shares, pw_share))
 
-        delivered = self.transport.send(self.CALCULATOR, self.VERIFIER,
-                                        "tag-report", tag_msg, sid=sid)
-        r = _Reader(delivered)
-        _expect(r, _TAG_REPORT)
-        v_sid = r.take(_SID_BYTES)
-        v_t1 = r.u64()
-        v_tag = MacTag.from_bytes(r.take(self.k // 8))
-        r.done()
+        v_t1, v_tag = self._deliver(self.CALCULATOR, self.VERIFIER,
+                                    "tag-report", tag_msg, (sid,))
         t2 = self.clock(self.VERIFIER)
-        self.verifier_store.append(VerifierRecord(v_sid, v_t1, v_tag, t2))
+        self.verifier_store.append(
+            VerifierRecord(sid, v_t1, MacTag.from_bytes(v_tag), t2))
 
         self.calculator_store.put(sid, t1, seed)
         budget = len(sid) + 8 + seed.byte_count
         if self.calculator_store.record_bytes(sid) != budget:
             raise ProtocolError("calculator record exceeds its byte budget")
 
-        delivered = self.transport.send(self.CALCULATOR, self.OWNER,
-                                        "receipt", receipt_msg, sid=sid)
-        r = _Reader(delivered)
-        _expect(r, _RECEIPT)
-        o_sid = r.take(_SID_BYTES)
-        o_t1 = r.u64()
-        r.done()
-        self.owner_receipts[o_sid] = (o_t1, len(data))
+        (o_t1,) = self._deliver(self.CALCULATOR, self.OWNER, "receipt",
+                                receipt_msg, (sid,))
+        self.owner_receipts[sid] = (o_t1, len(data))
 
         self._verdict(sid, Phase.REGISTRATION, Outcome.SUCCESS,
                       "blocks=%d" % holder_sets[1].block_count)
@@ -620,7 +489,6 @@ class TpvSession:
             raise ConfigurationError("need at least one precompute round")
         params = self.params
         field = params.field
-        width = field.byte_width
         sets = {j: self.holder_stores[j].get_secret(sid)
                 for j in params.holder_indices}
         starts = {max(s.tuples) + 1 if s.tuples else 0 for s in sets.values()}
@@ -628,7 +496,8 @@ class TpvSession:
             raise ProtocolError("holders disagree on the next round id")
         start = starts.pop()
 
-        # pending[j][d] = list of (r, z) from contributor d, one per round
+        # pending[j][d] = list of (r, z) from contributor d, one per round;
+        # every message is checked before any holder saves
         pending = {j: {} for j in params.holder_indices}
         for d in params.holder_indices:
             src = self.net.entropy_source(self._holder_ep(d))
@@ -642,30 +511,13 @@ class TpvSession:
             for j in params.holder_indices:
                 evals = [(r_poly.evaluate(j), z_poly.evaluate(j))
                          for r_poly, z_poly in polys]
-                if j == d:
-                    pending[j][d] = evals
-                    continue
-                parts = [bytes([_PRECOMP]), sid,
-                         struct.pack(">II", start, rounds), bytes([d])]
-                for r_val, z_val in evals:
-                    parts.append(field.encode(r_val))
-                    parts.append(field.encode(z_val))
-                delivered = self.transport.send(
-                    self._holder_ep(d), self._holder_ep(j), "precomp",
-                    b"".join(parts), sid=sid)
-                rd = _Reader(delivered)
-                _expect(rd, _PRECOMP)
-                rd.take(_SID_BYTES)
-                got_start = rd.u32()
-                got_rounds = rd.u32()
-                contributor = rd.u8()
-                if got_start != start or got_rounds != rounds:
-                    raise ProtocolError("precompute round window mismatch")
-                pending[j][contributor] = [
-                    (rd.element(width), rd.element(width))
-                    for _ in range(got_rounds)
-                ]
-                rd.done()
+                if j != d:
+                    (flat,) = self._send(
+                        self._holder_ep(d), self._holder_ep(j), "precomp",
+                        (sid, start, rounds, d),
+                        [v for pair in evals for v in pair])
+                    evals = list(zip(flat[0::2], flat[1::2]))
+                pending[j][d] = evals
 
         new_ids = tuple(range(start, start + rounds))
         for j in params.holder_indices:
@@ -701,21 +553,11 @@ class TpvSession:
         t1, byte_length = self.owner_receipts[sid]
         params = self.params
         field = params.field
-        width = field.byte_width
         tampers = holder_response_tamper or {}
 
-        request_msg = (bytes([_RECON_REQUEST]) + sid
-                       + struct.pack(">I", byte_length)
-                       + struct.pack(">H", len(password_attempt))
-                       + password_attempt)
-        delivered = self.transport.send(self.OWNER, self.CALCULATOR,
-                                        "recon-request", request_msg, sid=sid)
-        r = _Reader(delivered)
-        _expect(r, _RECON_REQUEST)
-        c_sid = r.take(_SID_BYTES)
-        c_len = r.u32()
-        attempt = r.take(r.u16())
-        r.done()
+        c_len, attempt = self._send(self.OWNER, self.CALCULATOR,
+                                    "recon-request", (sid,), byte_length,
+                                    password_attempt)
 
         live = [j for j in params.holder_indices if j not in set(offline)]
         if subset is not None:
@@ -742,29 +584,12 @@ class TpvSession:
         expected_blocks = data_block_count(c_len, params) + 1
         id_sets = []
         for j in chosen:
-            q_msg = bytes([_AVAIL_QUERY]) + c_sid
-            delivered = self.transport.send(self.CALCULATOR,
-                                            self._holder_ep(j),
-                                            "avail-query", q_msg, sid=sid)
-            qr = _Reader(delivered)
-            _expect(qr, _AVAIL_QUERY)
-            h_sid = qr.take(_SID_BYTES)
-            qr.done()
-            share_set = self.holder_stores[j].get_secret(h_sid)
-            rounds = share_set.unconsumed_rounds()
-            parts = [bytes([_AVAIL_REPLY]), h_sid,
-                     struct.pack(">II", share_set.block_count, len(rounds))]
-            parts.extend(struct.pack(">I", rid) for rid in rounds)
-            delivered = self.transport.send(self._holder_ep(j),
-                                            self.CALCULATOR, "avail-reply",
-                                            b"".join(parts), sid=sid)
-            ar = _Reader(delivered)
-            _expect(ar, _AVAIL_REPLY)
-            ar.take(_SID_BYTES)
-            blocks = ar.u32()
-            n_ids = ar.u32()
-            ids = [ar.u32() for _ in range(n_ids)]
-            ar.done()
+            holder = self._holder_ep(j)
+            self._send(self.CALCULATOR, holder, "avail-query", (sid,))
+            share_set = self.holder_stores[j].get_secret(sid)
+            blocks, ids = self._send(holder, self.CALCULATOR, "avail-reply",
+                                     (sid,), share_set.block_count,
+                                     share_set.unconsumed_rounds())
             if blocks != expected_blocks:
                 return self._abort_reconstruction(
                     sid, _ABORT_THRESHOLD,
@@ -791,38 +616,17 @@ class TpvSession:
                                 tuple_ids=tuple_ids)
         responses = []
         for j in chosen:
-            req = requests[j]
-            parts = [bytes([_RECON_ASK]), c_sid, bytes([len(chosen)]),
-                     bytes(chosen), field.encode(req.password_share),
-                     struct.pack(">I", len(tuple_ids))]
-            parts.extend(struct.pack(">I", rid) for rid in tuple_ids)
-            delivered = self.transport.send(self.CALCULATOR,
-                                            self._holder_ep(j), "recon-ask",
-                                            b"".join(parts), sid=sid)
-            kr = _Reader(delivered)
-            _expect(kr, _RECON_ASK)
-            h_sid = kr.take(_SID_BYTES)
-            members = tuple(kr.take(kr.u8()))
-            pw_share = kr.element(width)
-            ids = tuple(kr.u32() for _ in range(kr.u32()))
-            kr.done()
+            holder = self._holder_ep(j)
+            members, pw_share, ids = self._send(
+                self.CALCULATOR, holder, "recon-ask", (sid,), bytes(chosen),
+                requests[j].password_share, tuple_ids)
             response = self.holder_stores[j].respond(
-                h_sid, SpssRequest(members, pw_share, ids))
+                sid, SpssRequest(tuple(members), pw_share, ids))
             values = response.values
             if j in tampers:
                 values = tuple(tampers[j](values))
-            parts = [bytes([_RECON_RESPONSE]), h_sid,
-                     struct.pack(">I", len(values))]
-            parts.extend(field.encode(v) for v in values)
-            delivered = self.transport.send(self._holder_ep(j),
-                                            self.CALCULATOR,
-                                            "recon-response",
-                                            b"".join(parts), sid=sid)
-            rr = _Reader(delivered)
-            _expect(rr, _RECON_RESPONSE)
-            rr.take(_SID_BYTES)
-            got = tuple(rr.element(width) for _ in range(rr.u32()))
-            rr.done()
+            (got,) = self._send(holder, self.CALCULATOR, "recon-response",
+                                (sid,), values)
             responses.append(MaskedResponse(j, got))
 
         try:
@@ -837,15 +641,8 @@ class TpvSession:
         except ReconstructionAbortError as exc:
             return self._abort_reconstruction(sid, _ABORT_THRESHOLD, str(exc))
 
-        result_msg = (bytes([_RECON_RESULT]) + sid
-                      + struct.pack(">I", len(recovered)) + recovered)
-        delivered = self.transport.send(self.CALCULATOR, self.OWNER,
-                                        "recon-result", result_msg, sid=sid)
-        orr = _Reader(delivered)
-        _expect(orr, _RECON_RESULT)
-        orr.take(_SID_BYTES)
-        released = orr.take(orr.u32())
-        orr.done()
+        (released,) = self._send(self.CALCULATOR, self.OWNER, "recon-result",
+                                 (sid,), recovered)
         if owner_tamper is not None:
             released = bytes(owner_tamper(released))
 
@@ -854,26 +651,19 @@ class TpvSession:
             raise ProtocolError(
                 "end user already saw bytes for %s before release"
                 % sid.hex())
-        release_msg = (bytes([_RELEASE]) + sid + struct.pack(">Q", t1)
-                       + struct.pack(">I", len(released)) + released)
-        delivered = self.transport.send(self.OWNER, self.END_USER, "release",
-                                        release_msg, sid=sid)
-        er = _Reader(delivered)
-        _expect(er, _RELEASE)
-        e_sid = er.take(_SID_BYTES)
-        e_t1 = er.u64()
-        e_data = er.take(er.u32())
-        er.done()
-        self.end_user_received[e_sid] = (e_data, e_t1)
+        e_t1, e_data = self._send(self.OWNER, self.END_USER, "release",
+                                  (sid,), t1, released)
+        self.end_user_received[sid] = (e_data, e_t1)
 
         self._verdict(sid, Phase.RECONSTRUCTION, Outcome.SUCCESS,
                       "released %d bytes" % len(released))
         return ReleaseResult(sid, Outcome.SUCCESS, "released", released)
 
     def _send_abort(self, sid: bytes, reason: int):
-        payload = bytes([_ABORT_NOTICE]) + sid + bytes([reason])
-        self.transport.send(self.CALCULATOR, self.OWNER, "abort-notice",
-                            payload, sid=sid)
+        (got,) = self._send(self.CALCULATOR, self.OWNER, "abort-notice",
+                            (sid,), reason)
+        if got not in _ABORT_REASONS:
+            raise ProtocolError("abort notice with unknown reason %d" % got)
 
     def _abort_reconstruction(self, sid: bytes, reason: int,
                               detail: str) -> ReleaseResult:
@@ -901,37 +691,20 @@ class TpvSession:
             claim_data = got_data if claim_data is None else claim_data
             claim_t1 = got_t1 if claim_t1 is None else claim_t1
 
-        check_msg = (bytes([_CHECK_REQUEST]) + sid
-                     + struct.pack(">Q", claim_t1)
-                     + struct.pack(">I", len(claim_data)) + claim_data)
-        delivered = self.transport.send(self.END_USER, self.CALCULATOR,
-                                        "check-request", check_msg, sid=sid)
-        r = _Reader(delivered)
-        _expect(r, _CHECK_REQUEST)
-        c_sid = r.take(_SID_BYTES)
-        c_t1 = r.u64()
-        c_data = r.take(r.u32())
-        r.done()
-
-        t1_stored, seed = self.calculator_store.get(c_sid)
+        c_t1, c_data = self._send(self.END_USER, self.CALCULATOR,
+                                  "check-request", (sid,), claim_t1,
+                                  claim_data)
+        t1_stored, seed = self.calculator_store.get(sid)
         if t1_stored != c_t1:
             raise ProtocolError(
                 "calculator has no tag record for (%s, t1=%d)"
-                % (c_sid.hex(), c_t1))
-        tag2 = recompute_tag(seed, struct.pack(">Q", c_t1) + c_data)
+                % (sid.hex(), c_t1))
+        tag2 = recompute_tag(seed, _stamped(c_t1, c_data))
+        v_t1, v_tag = self._send(self.CALCULATOR, self.VERIFIER, "check-tag",
+                                 (sid,), c_t1, tag2.to_bytes())
+        v_tag = MacTag.from_bytes(v_tag)
 
-        tag_msg = (bytes([_CHECK_TAG]) + c_sid + struct.pack(">Q", c_t1)
-                   + tag2.to_bytes())
-        delivered = self.transport.send(self.CALCULATOR, self.VERIFIER,
-                                        "check-tag", tag_msg, sid=sid)
-        vr = _Reader(delivered)
-        _expect(vr, _CHECK_TAG)
-        v_sid = vr.take(_SID_BYTES)
-        v_t1 = vr.u64()
-        v_tag = MacTag.from_bytes(vr.take(self.k // 8))
-        vr.done()
-
-        row = self.verifier_store.find(v_sid, v_t1)
+        row = self.verifier_store.find(sid, v_t1)
         if row is None:
             outcome, detail = Outcome.FAIL, "no verifier record"
         elif row.tag != v_tag:
@@ -963,38 +736,21 @@ class TpvSession:
             claim_data = got_data if claim_data is None else claim_data
             claim_t1 = got_t1 if claim_t1 is None else claim_t1
 
-        refute_msg = (bytes([_REFUTE_REQUEST]) + sid
-                      + struct.pack(">Q", claim_t1)
-                      + struct.pack(">I", len(claim_data)) + claim_data)
-        delivered = self.transport.send(self.OWNER, self.CALCULATOR,
-                                        "refute-request", refute_msg, sid=sid)
-        r = _Reader(delivered)
-        _expect(r, _REFUTE_REQUEST)
-        c_sid = r.take(_SID_BYTES)
-        c_t1 = r.u64()
-        c_data = r.take(r.u32())
-        r.done()
-
+        c_t1, c_data = self._send(self.OWNER, self.CALCULATOR,
+                                  "refute-request", (sid,), claim_t1,
+                                  claim_data)
         try:
-            _t1_stored, seed = self.calculator_store.get(c_sid)
+            _t1_stored, seed = self.calculator_store.get(sid)
         except ProtocolError:
             self._announce(sid, Phase.REFUTATION, Outcome.ABORT)
             return self._verdict(sid, Phase.REFUTATION, Outcome.ABORT,
                                  "calculator holds no tag seed")
-        tag2 = recompute_tag(seed, struct.pack(">Q", c_t1) + c_data)
+        tag2 = recompute_tag(seed, _stamped(c_t1, c_data))
+        v_t1, v_tag = self._send(self.CALCULATOR, self.VERIFIER, "refute-tag",
+                                 (sid,), c_t1, tag2.to_bytes())
+        v_tag = MacTag.from_bytes(v_tag)
 
-        tag_msg = (bytes([_REFUTE_TAG]) + c_sid + struct.pack(">Q", c_t1)
-                   + tag2.to_bytes())
-        delivered = self.transport.send(self.CALCULATOR, self.VERIFIER,
-                                        "refute-tag", tag_msg, sid=sid)
-        vr = _Reader(delivered)
-        _expect(vr, _REFUTE_TAG)
-        v_sid = vr.take(_SID_BYTES)
-        v_t1 = vr.u64()
-        v_tag = MacTag.from_bytes(vr.take(self.k // 8))
-        vr.done()
-
-        row = self.verifier_store.find(v_sid, v_t1)
+        row = self.verifier_store.find(sid, v_t1)
         if row is None:
             outcome, detail = (Outcome.ABORT,
                                "no verifier record, cannot adjudicate")
@@ -1008,7 +764,7 @@ class TpvSession:
     # ------------------------------------------------- computational option
 
     def _cs_digest(self, t1: int, data: bytes) -> bytes:
-        return cr_hash(struct.pack(">Q", t1) + data)[:self.cs_tag_bits // 8]
+        return cr_hash(_stamped(t1, data))[:self.cs_tag_bits // 8]
 
     def cs_register(self, sid: bytes, data: bytes) -> None:
         """Computationally-secure option: the owner hashes (t1 | data)
@@ -1018,18 +774,11 @@ class TpvSession:
             raise ProtocolError("owner holds no receipt for %s" % sid.hex())
         t1, _length = self.owner_receipts[sid]
         digest = self._cs_digest(t1, data)
-        msg = bytes([_CS_TAG]) + sid + struct.pack(">Q", t1) + digest
-        delivered = self.transport.send(self.OWNER, self.VERIFIER, "cs-tag",
-                                        msg, sid=sid)
-        r = _Reader(delivered)
-        _expect(r, _CS_TAG)
-        v_sid = r.take(_SID_BYTES)
-        v_t1 = r.u64()
-        v_digest = r.take(self.cs_tag_bits // 8)
-        r.done()
+        v_t1, v_digest = self._send(self.OWNER, self.VERIFIER, "cs-tag",
+                                    (sid,), t1, digest)
         t2 = self.clock(self.VERIFIER)
         self.verifier_store.append(
-            VerifierRecord(v_sid, v_t1, MacTag.from_bytes(v_digest), t2))
+            VerifierRecord(sid, v_t1, MacTag.from_bytes(v_digest), t2))
         self._verdict(sid, Phase.REGISTRATION, Outcome.SUCCESS,
                       "computational digest filed")
 
@@ -1043,19 +792,13 @@ class TpvSession:
                     "end user received nothing for %s" % sid.hex())
             claim_t1 = self.end_user_received[sid][1]
         digest = self._cs_digest(claim_t1, data)
-        msg = bytes([_CS_CHECK]) + sid + struct.pack(">Q", claim_t1) + digest
-        delivered = self.transport.send(self.END_USER, self.VERIFIER,
-                                        "cs-check", msg, sid=sid)
-        r = _Reader(delivered)
-        _expect(r, _CS_CHECK)
-        v_sid = r.take(_SID_BYTES)
-        v_t1 = r.u64()
-        v_digest = MacTag.from_bytes(r.take(self.cs_tag_bits // 8))
-        r.done()
+        v_t1, v_digest = self._send(self.END_USER, self.VERIFIER, "cs-check",
+                                    (sid,), claim_t1, digest)
+        v_digest = MacTag.from_bytes(v_digest)
 
         row = None
         for rec in self.verifier_store.records():
-            if (rec.secret_id == v_sid and rec.t1 == v_t1
+            if (rec.secret_id == sid and rec.t1 == v_t1
                     and rec.tag.k == self.cs_tag_bits):
                 row = rec
                 break
@@ -1099,9 +842,6 @@ class TpvSession:
                     % group.q)
             self._group_checked = True
         params = self.params
-        field = params.field
-        q_width = field.byte_width
-        p_width = (group.p.bit_length() + 7) // 8
         degree = params.data_degree
         holders = list(params.holder_indices)
 
@@ -1117,67 +857,56 @@ class TpvSession:
         history = rounds_seen.pop()
         round_no = (max(history) + 1) if history else 0
 
-        # commitments[d][i] and pairs[j][d][i] as verified by recipient j
-        commitments = {}
-        pairs = {j: {} for j in holders}
+        # received[j][d] = (commitments, pairs) per track, as j decoded them
+        received = {j: {} for j in holders}
         for d in holders:
             src = self.net.entropy_source(self._holder_ep(d))
             packets = [gen_renewal(d, holders, degree, group, src, round_no)
                        for _ in range(n_tracks)]
-            commitments[d] = [p.commitments for p in packets]
-            commit_parts = [bytes([_RENEW_COMMITS]), sid,
-                            struct.pack(">I", round_no), bytes([d]),
-                            struct.pack(">I", n_tracks)]
-            for packet in packets:
-                for eps in packet.commitments:
-                    commit_parts.append(eps.to_bytes(p_width, "big"))
-            commit_msg = b"".join(commit_parts)
+            header = (sid, round_no, d, n_tracks)
+            commit_msg = self.codec.encode(
+                "renew-commits", *header,
+                [eps for packet in packets for eps in packet.commitments])
             for j in holders:
-                own = [packet.share_pairs[j] for packet in packets]
+                pairs = [packet.share_pairs[j] for packet in packets]
                 if j == d:
-                    pairs[j][d] = (commitments[d], own)
-                    continue
-                delivered = self.transport.send(
-                    self._holder_ep(d), self._holder_ep(j), "renew-commits",
-                    commit_msg, sid=sid)
-                cr = _renew_header(delivered, _RENEW_COMMITS, sid, round_no,
-                                   d, n_tracks)
-                seen_commits = [
-                    tuple(cr.element(p_width) for _ in range(degree))
-                    for _ in range(n_tracks)
-                ]
-                cr.done()
-                pair_parts = [bytes([_RENEW_PAIRS]), sid,
-                              struct.pack(">I", round_no), bytes([d]),
-                              struct.pack(">I", n_tracks)]
-                for track, (s1, s2) in enumerate(own):
+                    commits = [packet.commitments for packet in packets]
+                else:
+                    (flat,) = self._deliver(
+                        self._holder_ep(d), self._holder_ep(j),
+                        "renew-commits", commit_msg, header)
+                    commits = [flat[i:i + degree]
+                               for i in range(0, len(flat), degree)]
                     if pair_tamper is not None:
-                        s1, s2 = pair_tamper(d, j, track, (s1, s2))
-                    pair_parts.append(s1.to_bytes(q_width, "big"))
-                    pair_parts.append(s2.to_bytes(q_width, "big"))
-                delivered = self.transport.send(
-                    self._holder_ep(d), self._holder_ep(j), "renew-pairs",
-                    b"".join(pair_parts), sid=sid)
-                pr = _renew_header(delivered, _RENEW_PAIRS, sid, round_no,
-                                   d, n_tracks)
-                seen_pairs = [(pr.element(q_width), pr.element(q_width))
-                              for _ in range(n_tracks)]
-                pr.done()
-                pairs[j][d] = (seen_commits, seen_pairs)
+                        pairs = [pair_tamper(d, j, track, pair)
+                                 for track, pair in enumerate(pairs)]
+                    (flat,) = self._send(
+                        self._holder_ep(d), self._holder_ep(j), "renew-pairs",
+                        header, [v for pair in pairs for v in pair])
+                    pairs = list(zip(flat[0::2], flat[1::2]))
+                received[j][d] = (commits, pairs)
 
+        # every holder checks every packet it received, its own included,
+        # and folds them into its shares; the shares are stored only if
+        # nobody accuses anybody
         accusations = []
         members = set()  # commitments proven to be subgroup members this round
+        renewed = {}
         for j in holders:
-            for d in holders:
-                seen_commits, seen_pairs = pairs[j][d]
-                for track in range(n_tracks):
-                    packet = RenewalPacket(d, round_no,
-                                           tuple(seen_commits[track]), {})
-                    if not verify_renewal_share(j, packet, seen_pairs[track],
-                                                group, members):
+            shares = []
+            for track, share in enumerate(sets[j].data_shares):
+                packets = [RenewalPacket(d, round_no, received[j][d][0][track],
+                                         {j: received[j][d][1][track]})
+                           for d in holders]
+                for packet in packets:
+                    if not verify_renewal_share(j, packet,
+                                                packet.share_pairs[j], group,
+                                                members):
                         accusations.append(Accusation(
-                            j, d, "commitment check failed on track %d"
-                            % track))
+                            j, packet.sender,
+                            "commitment check failed on track %d" % track))
+                shares.append(apply_renewal(share, j, packets, group))
+            renewed[j] = tuple(shares)
         if accusations:
             self.transcript.append(
                 "renewal sid=%s round=%d rejected accusations=%d"
@@ -1186,16 +915,7 @@ class TpvSession:
                                  n_tracks)
 
         for j in holders:
-            share_set = sets[j]
-            new_shares = []
-            for track in range(n_tracks):
-                total = share_set.data_shares[track]
-                for d in holders:
-                    s1, s2 = pairs[j][d][1][track]
-                    total = field.add(total, field.add(s1, s2))
-                new_shares.append(total)
-            self.holder_stores[j].apply_renewal(sid, tuple(new_shares),
-                                                round_no)
+            self.holder_stores[j].apply_renewal(sid, renewed[j], round_no)
         self.transcript.append("renewal sid=%s round=%d accepted tracks=%d"
                                % (sid.hex(), round_no, n_tracks))
         return RenewalReport(sid, round_no, True, (), n_tracks)

@@ -62,6 +62,7 @@ from .errors import (
 from .field import PrimeField
 from .mac import MacScheme, MacSeed, MacTag, seed_from_bytes, seed_to_bytes
 from .spss import HolderShareSet, PrecomputedTuple, SpssParams, holder_respond
+from .wire import Cursor
 
 __all__ = [
     "ChainedLog",
@@ -258,16 +259,14 @@ def _encode_verifier_record(rec: VerifierRecord) -> bytes:
 
 
 def _decode_verifier_record(payload: bytes) -> VerifierRecord:
-    try:
-        idlen = payload[0]
-        sid = payload[1:1 + idlen]
-        t1, t2, k = struct.unpack_from(">QQH", payload, 1 + idlen)
-        tag_raw = payload[1 + idlen + 18:]
-        if len(sid) != idlen or len(tag_raw) != k // 8 or k % 8:
-            raise ValueError
-    except (IndexError, ValueError, struct.error):
+    rd = Cursor(payload, TamperDetectedError, "verifier record")
+    sid = rd.take(rd.uint(1))
+    t1, t2, k = rd.uint(8), rd.uint(8), rd.uint(2)
+    if k % 8:
         raise TamperDetectedError("malformed verifier record")
-    return VerifierRecord(sid, t1, MacTag.from_bytes(tag_raw), t2)
+    tag = MacTag.from_bytes(rd.take(k // 8))
+    rd.done()
+    return VerifierRecord(sid, t1, tag, t2)
 
 
 class VerifierStore:
@@ -412,49 +411,25 @@ def _encode_share_set(ss: HolderShareSet) -> bytes:
     return bytes(out)
 
 
-class _StateReader:
-    def __init__(self, raw: bytes, path):
-        self.raw = raw
-        self.off = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.raw):
-            raise TamperDetectedError("%s: truncated state" % self.path)
-        piece = self.raw[self.off:self.off + n]
-        self.off += n
-        return piece
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
-    rd = _StateReader(body, path)
-    t_sh, n_sh, width = rd.unpack(">BBH")
-    q = int.from_bytes(rd.take(width), "big")
+    rd = Cursor(body, TamperDetectedError, "%s record" % path)
+    t_sh, n_sh, width = rd.uint(1), rd.uint(1), rd.uint(2)
+    q = rd.uint(width)
     # the record digest already proves these bytes are ours, so the
     # modulus does not need a fresh primality run on every load
     params = SpssParams(t_sh, n_sh, PrimeField(q, check_prime=False))
-    (n_shares,) = rd.unpack(">I")
-    data_shares = tuple(int.from_bytes(rd.take(width), "big")
-                        for _ in range(n_shares))
-    password_share = int.from_bytes(rd.take(width), "big")
-    (n_tuples,) = rd.unpack(">I")
+    data_shares = rd.uints(rd.uint(4), width)
+    password_share = rd.uint(width)
     tuples = {}
-    for _ in range(n_tuples):
-        rid, consumed = rd.unpack(">IB")
+    for _ in range(rd.uint(4)):
+        rid, consumed = rd.uint(4), rd.uint(1)
         if consumed:
             tuples[rid] = PrecomputedTuple(rid, (), (), True)
         else:
-            (members,) = rd.unpack(">B")
-            r_shares = tuple(int.from_bytes(rd.take(width), "big")
-                             for _ in range(members))
-            z_shares = tuple(int.from_bytes(rd.take(width), "big")
-                             for _ in range(members))
-            tuples[rid] = PrecomputedTuple(rid, r_shares, z_shares)
-    if rd.off != len(body):
-        raise TamperDetectedError("%s: trailing bytes in record" % path)
+            members = rd.uint(1)
+            tuples[rid] = PrecomputedTuple(rid, rd.uints(members, width),
+                                           rd.uints(members, width))
+    rd.done()
     return HolderShareSet(holder, params, data_shares, password_share, tuples)
 
 
@@ -498,23 +473,17 @@ def _renew_record(secret_id: bytes, round_no: int) -> bytes:
 
 
 def _parse_journal_record(payload: bytes):
-    try:
-        kind = payload[0:1]
-        idlen = payload[1]
-        sid = payload[2:2 + idlen]
-        if len(sid) != idlen or kind not in (b"C", b"R"):
-            raise ValueError
-        rest = payload[2 + idlen:]
-        if kind == b"C":
-            (count,) = struct.unpack_from(">I", rest)
-            ids = struct.unpack_from(">%dI" % count, rest, 4)
-            if len(rest) != 4 + 4 * count:
-                raise ValueError
-            return ("consume", sid, tuple(ids))
-        (round_no,) = struct.unpack(">I", rest)
-        return ("renew", sid, round_no)
-    except (IndexError, ValueError, struct.error):
+    rd = Cursor(payload, TamperDetectedError, "journal record")
+    kind = rd.take(1)
+    sid = rd.take(rd.uint(1))
+    if kind == b"C":
+        record = ("consume", sid, rd.uints(rd.uint(4), 4))
+    elif kind == b"R":
+        record = ("renew", sid, rd.uint(4))
+    else:
         raise TamperDetectedError("malformed journal record")
+    rd.done()
+    return record
 
 
 class HolderStore:

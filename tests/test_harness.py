@@ -6,9 +6,13 @@ the documented process exit code.  Benchmark tests check report shape,
 transcript traceability and the output formats, not absolute timings.
 """
 
+import hashlib
+import re
+from pathlib import Path
+
 import pytest
 
-from itstore.config import parse_scenario
+from itstore.config import load_scenario, parse_scenario
 from itstore.harness import (
     EXIT_ABORT,
     EXIT_EXPECTATION,
@@ -20,6 +24,7 @@ from itstore.harness import (
 from itstore.stores import holder_record_files
 
 PAYLOAD_TEXT = "forty-two bytes of archival payload text.."
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def scenario(**overrides):
@@ -297,3 +302,53 @@ def test_bench_modulus_comparison_mode():
     assert set(report.compare_medians) == {"mersenne", "general"}
     assert isinstance(report.mersenne_faster, bool)
     assert "mersenne_registration_faster=" in report.gnuplot_text()
+
+
+# ------------------------------------------------------------- wire bytes
+
+
+# SHA-256 over the ordered (kind, bytes, sha) fields of each transcript
+# line of the shipped scenarios. seq= and cost= are left out, so key
+# accounting may change without touching these; any change to a message
+# layout or to the bytes a phase sends changes them.
+WIRE_DIGESTS = {
+    "bench": "2cac69f22ee7a69f4cf1274fff064f70e4ddc3a04b23664d65d025b81b8ff3da",
+    "bit-flip-channel":
+        "f705a6d0ce0d0d29f521dc534c4daba891fb841b3e10e6c1588b0e6b04912656",
+    "corrupt-holder":
+        "6f55cc0947cdf1fe67b78ce20a53bdfc4051d3ba0179ee3fb2da241852e992eb",
+    "drop-holder":
+        "30dd5117db03b78dc7b93576965b5356314272adcbcdaec7e0c3becece63cb41",
+    "false-claim-user":
+        "fd13b37d2278bec133d90076c5b48bac992d9ccea61d0ce4499368feebcc1b8a",
+    "honest": "87edfffc3513e04f6df15c724cfa6c06396684d0aa3b8798c9d09c3f32ca9b45",
+    "renewal":
+        "dd25fbd2fd979a70ed50b1f3a107f6bd60401e32e4370f31ec30d6fe2531586c",
+    "tamper-owner":
+        "5f5eda1f14b3a498f8395658159c8c59c2bc497d53dc4eeecb113e067af6895a",
+    "wrong-password":
+        "5cdcbf24bb729365171daed622d06b724a6b2395417a01671d91c9dca5772b42",
+}
+
+_WIRE_FIELDS = re.compile(r" kind=(\S+) bytes=(\d+)(?: sha=(\S+))?")
+
+
+def wire_digest(transcript: str) -> str:
+    h = hashlib.sha256()
+    for line in transcript.splitlines():
+        m = _WIRE_FIELDS.search(line)
+        if m:
+            h.update(("%s %s %s\n" % (m.group(1), m.group(2),
+                                      m.group(3) or "-")).encode())
+    return h.hexdigest()
+
+
+def test_every_shipped_scenario_has_a_pinned_wire_digest():
+    assert sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")) \
+        == sorted(WIRE_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_DIGESTS))
+def test_shipped_scenarios_keep_their_wire_bytes(name):
+    result = run_scenario(load_scenario(SCENARIO_DIR / (name + ".yaml")))
+    assert wire_digest(result.transcript) == WIRE_DIGESTS[name]

@@ -18,6 +18,7 @@ from itstore.errors import (
 from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork
 from itstore.protocol import Outcome, Phase, RolePlacement, TpvSession
 from itstore.stores import directory_contains_window
+from itstore.wire import SCHEMA, SID
 
 DATA = b"Important archival payload: " + bytes(range(200))
 PASSWORD = b"correct horse battery staple"
@@ -409,6 +410,97 @@ def test_renewal_mislabelled_header_fails_closed(tmp_path, kind, offset,
 
     session.transport.send = send
     assert session.renew(sid).accepted
+
+
+# ------------------------------------------------------ relabelled messages
+
+
+def relabel_on_send(session, match, rewrite):
+    """Rewrite the payloads that match(sender, receiver, kind) accepts
+    before they are authenticated; returns the list of rewritten kinds."""
+    send = session.transport.send
+    fired = []
+
+    def relabel(sender, receiver, kind, payload, sid=None):
+        if match(sender, receiver, kind):
+            fired.append(kind)
+            payload = rewrite(payload)
+        return send(sender, receiver, kind, payload, sid=sid)
+
+    session.transport.send = relabel
+    return fired
+
+
+def test_precompute_mislabelled_contributor_fails_closed(tmp_path):
+    session = make_session(tmp_path)
+    sid, _t1 = session.register(DATA, PASSWORD)
+    send = session.transport.send
+    # precomp: code u8, sid16, u32 first_round, u32 n_rounds, u8 contributor
+    fired = relabel_on_send(
+        session,
+        lambda s, r, kind: (kind, s, r) == ("precomp", "holder-2", "holder-3"),
+        lambda payload: payload[:25] + b"\x03" + payload[26:])
+    with pytest.raises(ProtocolError):
+        session.precompute(sid, rounds=2)
+    assert fired == ["precomp"]
+    for j in session.params.holder_indices:
+        assert session.holder_stores[j].get_secret(sid).tuples == {}
+
+    session.transport.send = send
+    assert session.precompute(sid, rounds=2) == (0, 1)
+    for j in session.params.holder_indices:
+        assert sorted(session.holder_stores[j].get_secret(sid).tuples) == [0, 1]
+
+
+def run_every_phase(session):
+    sid, _t1, _blocks = register_and_stock(session)
+    session.cs_register(sid, DATA)
+    session.reconstruct_and_release(sid, PASSWORD)
+    session.integrity_check(sid)
+    session.cs_check(sid, DATA)
+    session.refute(sid)
+    session.renew(sid)
+    session.reconstruct_and_release(sid, PASSWORD, offline=(1, 2))
+
+
+SID_KINDS = sorted(kind for kind, (_code, fields) in SCHEMA.items()
+                   if fields[0][1] == SID)
+
+
+def test_every_phase_sends_every_kind(tmp_path):
+    session = make_session(tmp_path)
+    run_every_phase(session)
+    sent = {line.split(" kind=")[1].split()[0]
+            for line in session.transcript if " kind=" in line}
+    assert sent == set(SCHEMA)
+
+
+@pytest.mark.parametrize("kind", SID_KINDS)
+def test_message_naming_another_sid_fails_closed(tmp_path, kind):
+    session = make_session(tmp_path)
+    wrong = b"\xee" * 16
+    fired = relabel_on_send(session, lambda s, r, k: k == kind,
+                            lambda payload: payload[:1] + wrong + payload[17:])
+    with pytest.raises(ProtocolError):
+        run_every_phase(session)
+    assert fired
+    for j in session.params.holder_indices:
+        assert wrong not in session.holder_stores[j].secret_ids()
+    assert wrong not in session.calculator_store.ids()
+    assert all(r.secret_id != wrong for r in session.verifier_store.records())
+    assert wrong not in session.owner_receipts
+    assert wrong not in session.end_user_received
+
+
+@pytest.mark.parametrize("reason", [0, 4])
+def test_abort_notice_with_unknown_reason_is_refused(tmp_path, reason):
+    session = make_session(tmp_path)
+    sid, _t1, _blocks = register_and_stock(session)
+    fired = relabel_on_send(session, lambda s, r, k: k == "abort-notice",
+                            lambda payload: payload[:17] + bytes([reason]))
+    with pytest.raises(ProtocolError):
+        session.reconstruct_and_release(sid, PASSWORD, offline=(1, 2))
+    assert fired == ["abort-notice"]
 
 
 # ------------------------------------------------- computational alternative

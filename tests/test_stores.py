@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import os
+import re
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -388,6 +389,19 @@ def test_holder_store_detects_tampering(tmp_path):
     journal_path.write_bytes(bytes(corrupt))
     with pytest.raises(TamperDetectedError):
         HolderStore(tmp_path / "holder-2")
+
+
+@pytest.mark.parametrize("edit", [lambda body: body[:-1],
+                                  lambda body: body + b"\x00"],
+                         ids=["short", "long"])
+def test_holder_record_of_the_wrong_length_names_its_path(tmp_path, edit):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
+    sid = secrets[0][0]
+    path = live_record_path(tmp_path / "holder-1", sid)
+    body = edit(path.read_bytes()[:-32])
+    path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+        HolderStore(tmp_path / "holder-1")
 
 
 def test_save_guard_refuses_resurrected_tuple(tmp_path):

@@ -35,12 +35,15 @@ class PrfBits:
 
     Block i is BLAKE2b(key, i); reads may span blocks. Random access is
     what lets a receiver re-read the exact key range a sender consumed.
+    The last block read is kept, so a run of small sequential reads hashes
+    each block once.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_last")
 
     def __init__(self, key: bytes):
         self._key = key
+        self._last = (-1, b"")  # (index, bytes) of the last block read
 
     def _block(self, index: int) -> bytes:
         return hashlib.blake2b(
@@ -52,7 +55,10 @@ class PrfBits:
             return b""
         first = byte_offset // _BLOCK_BYTES
         last = (byte_offset + nbytes - 1) // _BLOCK_BYTES
-        chunks = [self._block(i) for i in range(first, last + 1)]
+        kept, kept_block = self._last
+        chunks = [kept_block if i == kept else self._block(i)
+                  for i in range(first, last + 1)]
+        self._last = (last, chunks[-1])
         raw = b"".join(chunks)
         start = byte_offset - first * _BLOCK_BYTES
         return raw[start:start + nbytes]

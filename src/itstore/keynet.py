@@ -16,12 +16,16 @@ a bit index is handed out at most once ever, which is the entire one-time
 deployed key-management interfaces carry key ids, and receivers re-read
 those ranges instead of allocating.
 
-Channels between registered endpoints encrypt with fresh pad bits, tag
-with a Toeplitz hash whose per-channel seed grows lazily with the longest
-message seen, and spend k fresh bits per message to one-time-pad the tag
-(Wegman-Carter style: seed reuse is safe because tags never leave without
-fresh pad). Sequence numbers are strictly increasing per directed pair;
-a replayed or reordered envelope is rejected before any pad is touched.
+Channels between registered endpoints encrypt with fresh pad bits and
+carry a Wegman-Carter tag. Each directed channel draws one tag_bits-bit
+hash key r from its pair stream on its first send, reduced mod p, the
+largest prime below 2^tag_bits, and keeps it for good. A message's tag is
+(h_r(seq || ciphertext) + s) mod p: h_r is the PolyEval hash of
+mac.polyeval_hash_bytes and s is tag_bits fresh pair-stream bits. Reusing r
+is safe because no tag leaves without a fresh pad. A channel thus spends
+tag_bits bits once, then 8 * nbytes + tag_bits bits per message. Sequence
+numbers are strictly increasing per directed pair; a replayed or reordered
+envelope is rejected before any pad is touched.
 
 Rates, lengths and losses in the default topology are simulation
 parameters chosen to look like the published link classes, not
@@ -41,7 +45,8 @@ from .errors import (
     ProtocolError,
     ReplayError,
 )
-from .mac import toeplitz_tag_bits
+from .mac import polyeval_hash_bytes, polyeval_modulus
+from .mac import toeplitz_tag_bits  # noqa: F401 -- perfbench's tracer hooks this name
 
 __all__ = [
     "LinkSpec",
@@ -185,7 +190,7 @@ class SecureEnvelope:
     receiver: str
     seq: int
     ciphertext: bytes
-    tag: int  # CHANNEL_TAG_BITS-wide integer
+    tag: int  # below the channel modulus p < 2^tag_bits
     pad_offset: int  # bit offset of the body pad in the pair stream
     tag_pad_offset: int  # bit offset of the tag pad
 
@@ -285,13 +290,18 @@ class KsaSource:
 
 
 class _ChannelState:
-    """Directed-channel bookkeeping shared by both simulated ends."""
+    """Directed-channel bookkeeping shared by both simulated ends.
 
-    __slots__ = ("seed_bits", "seed_width", "next_seq", "last_recv_seq")
+    seed_width is 0 until the hash key is drawn and 1 after, so that a key
+    draw spends tag_bits + seed_width - 1 bits, the count perfbench's tracer
+    reconciles; a Toeplitz-era snapshot recorded its seed's width there.
+    """
+
+    __slots__ = ("hash_key", "seed_width", "next_seq", "last_recv_seq")
 
     def __init__(self):
-        self.seed_bits = 0  # Toeplitz seed value grown so far
-        self.seed_width = 0  # widest MAC input (bits) the seed covers
+        self.hash_key = 0  # r, reduced mod the channel modulus
+        self.seed_width = 0
         self.next_seq = 0
         self.last_recv_seq = -1
 
@@ -302,11 +312,13 @@ class KeyNetwork:
     def __init__(self, topology: NetworkTopology = DEFAULT_TOPOLOGY,
                  master_seed: bytes = b"\x00" * 32,
                  tag_bits: int = CHANNEL_TAG_BITS):
-        if tag_bits < 8 or tag_bits % 8:
-            raise ConfigurationError("tag width must be a positive byte multiple")
+        if tag_bits < 16 or tag_bits % 8:
+            raise ConfigurationError(
+                "tag width must be a byte multiple of at least 16 bits")
         self.topology = topology
         self.master = derive_key(master_seed, "keynet")
         self.tag_bits = tag_bits
+        self.modulus = polyeval_modulus(tag_bits)
         self.now_ms = 0
         self.links = {l.name: _LinkState(l) for l in topology.links}
         self.pools = {n.name: KsaSource(n, self.master) for n in topology.nodes}
@@ -410,18 +422,21 @@ class KeyNetwork:
             self.channels[key] = _ChannelState()
         return self.channels[key]
 
-    def _mac_input(self, seq: int, ciphertext: bytes):
-        width = _SEQ_FIELD_BITS + len(ciphertext) * 8
-        value = (seq << (len(ciphertext) * 8)) | int.from_bytes(ciphertext, "big")
-        return value, width
+    def _key_cost(self, keyed: bool, nbytes: int) -> int:
+        """Pair-stream bits one send spends: the hash key on a channel's
+        first send, then the body pad and the tag pad."""
+        return (0 if keyed else self.tag_bits) + nbytes * 8 + self.tag_bits
+
+    def _tag(self, r: int, seq: int, ciphertext: bytes, tag_pad: int) -> int:
+        message = seq.to_bytes(_SEQ_FIELD_BITS // 8, "big") + ciphertext
+        return (polyeval_hash_bytes(r, message, self.modulus)
+                + tag_pad) % self.modulus
 
     def message_key_cost(self, sender: str, receiver: str, nbytes: int) -> int:
-        """Bits a send of nbytes will consume: pad + tag pad + seed growth."""
-        chan = self._channel(sender, receiver)
-        width = _SEQ_FIELD_BITS + nbytes * 8
-        need = self.tag_bits + width - 1
-        have = self.tag_bits + chan.seed_width - 1 if chan.seed_width else 0
-        return max(0, need - have) + nbytes * 8 + self.tag_bits
+        """Bits a send of nbytes will consume: pad + tag pad, plus the hash
+        key on the channel's first send."""
+        chan = self.channels.get((sender, receiver))
+        return self._key_cost(chan is not None and chan.seed_width > 0, nbytes)
 
     def check_sendable(self, messages) -> None:
         """Raise KeySupplyError unless the whole message sequence could be
@@ -431,7 +446,7 @@ class KeyNetwork:
         by protocol phases that must refuse atomically before the first
         message leaves. messages: iterable of (sender, receiver, nbytes).
         """
-        widths = {}
+        keyed = {}
         avail = {}
         buffered = {name: st.buffered for name, st in self.links.items()}
         for sender, receiver, nbytes in messages:
@@ -440,18 +455,14 @@ class KeyNetwork:
             if node_s == node_r:
                 continue  # local handoff, no key spent
             ck = (sender, receiver)
-            if ck not in widths:
+            if ck not in keyed:
                 chan = self.channels.get(ck)
-                widths[ck] = chan.seed_width if chan else 0
+                keyed[ck] = chan is not None and chan.seed_width > 0
             pair = self._pair(node_s, node_r)
             if pair not in avail:
                 stream = self.streams.get(pair)
                 avail[pair] = stream.available if stream else 0
-            w = widths[ck]
-            need_w = _SEQ_FIELD_BITS + nbytes * 8
-            have_seed = self.tag_bits + w - 1 if w else 0
-            growth = max(0, (self.tag_bits + need_w - 1) - have_seed)
-            cost = growth + nbytes * 8 + self.tag_bits
+            cost = self._key_cost(keyed[ck], nbytes)
             if avail[pair] < cost:
                 shortfall = cost - avail[pair]
                 path = self.topology.shortest_path(*pair)
@@ -466,13 +477,13 @@ class KeyNetwork:
                     buffered[link.name] -= shortfall
                 avail[pair] += shortfall
             avail[pair] -= cost
-            if need_w > w:
-                widths[ck] = need_w
+            keyed[ck] = True
 
     def secure_send(self, sender: str, receiver: str, plaintext: bytes) -> SecureEnvelope:
         """Encrypt, tag and sequence one message. Key cost: one pad bit per
-        plaintext bit, tag_bits of tag pad, plus any seed growth. A short
-        stream refuses the send atomically: no bit is allocated."""
+        plaintext bit and tag_bits of tag pad, plus the hash key on the
+        channel's first send. A short stream refuses the send atomically:
+        no bit is allocated."""
         node_s = self._endpoint_node(sender)
         node_r = self._endpoint_node(receiver)
         if node_s == node_r:
@@ -481,19 +492,15 @@ class KeyNetwork:
         stream = self.pair_stream(node_s, node_r)
         chan = self._channel(sender, receiver)
 
-        _, width = self._mac_input(0, plaintext)
-        need_seed = self.tag_bits + width - 1
-        have_seed = self.tag_bits + chan.seed_width - 1 if chan.seed_width else 0
-        growth = max(0, need_seed - have_seed)
-        total = growth + len(plaintext) * 8 + self.tag_bits
+        total = self._key_cost(chan.seed_width > 0, len(plaintext))
         if stream.available < total:
             raise KeySupplyError(
                 "send needs %d key bits, pair %s|%s has %d"
                 % (total, stream.pair[0], stream.pair[1], stream.available))
-        if growth:
-            _, fresh = stream.allocate(growth)
-            chan.seed_bits |= fresh << have_seed
-            chan.seed_width = width
+        if not chan.seed_width:
+            _, r = stream.allocate(self.tag_bits)
+            chan.hash_key = r % self.modulus
+            chan.seed_width = 1
         pad_offset, pad = stream.allocate(len(plaintext) * 8)
         tag_pad_offset, tag_pad = stream.allocate(self.tag_bits)
 
@@ -501,8 +508,7 @@ class KeyNetwork:
         chan.next_seq += 1
         ciphertext = (int.from_bytes(plaintext, "big") ^ pad).to_bytes(
             len(plaintext), "big")
-        value, width = self._mac_input(seq, ciphertext)
-        tag = toeplitz_tag_bits(chan.seed_bits, value, width, self.tag_bits) ^ tag_pad
+        tag = self._tag(chan.hash_key, seq, ciphertext, tag_pad)
         self.messages_sent += 1
         return SecureEnvelope(sender, receiver, seq, ciphertext, tag,
                               pad_offset, tag_pad_offset)
@@ -520,13 +526,13 @@ class KeyNetwork:
                 "sequence %d not above %d on %s->%s"
                 % (envelope.seq, chan.last_recv_seq,
                    envelope.sender, envelope.receiver))
-        value, width = self._mac_input(envelope.seq, envelope.ciphertext)
-        if width > chan.seed_width:
-            raise ChannelIntegrityError("message wider than the channel seed")
+        if not chan.seed_width:
+            raise ChannelIntegrityError("no hash key drawn on this channel")
+        if envelope.seq >> _SEQ_FIELD_BITS:
+            raise ChannelIntegrityError("sequence number wider than its field")
         tag_pad = stream.read(envelope.tag_pad_offset, self.tag_bits)
-        expect = toeplitz_tag_bits(chan.seed_bits, value, width,
-                                   self.tag_bits) ^ tag_pad
-        if expect != envelope.tag:
+        if self._tag(chan.hash_key, envelope.seq, envelope.ciphertext,
+                     tag_pad) != envelope.tag:
             raise ChannelIntegrityError(
                 "tag mismatch on %s->%s seq %d"
                 % (envelope.sender, envelope.receiver, envelope.seq))
@@ -602,7 +608,7 @@ class KeyNetwork:
             },
             "endpoints": dict(self.endpoints),
             "channels": {
-                "%s|%s" % key: ["%x" % chan.seed_bits, chan.seed_width,
+                "%s|%s" % key: ["%x" % chan.hash_key, chan.seed_width,
                                 chan.next_seq, chan.last_recv_seq]
                 for key, chan in self.channels.items()
             },
@@ -629,9 +635,13 @@ class KeyNetwork:
         for endpoint, node in state["endpoints"].items():
             net.register_endpoint(endpoint, node)
         for key, row in state["channels"].items():
+            if row[1] > 1:
+                raise ConfigurationError(
+                    "channel %s holds a Toeplitz seed from an older snapshot;"
+                    " it cannot serve as a hash key" % key)
             sender, receiver = key.split("|")
             chan = net._channel(sender, receiver)
-            chan.seed_bits = int(row[0], 16)
+            chan.hash_key = int(row[0], 16)
             chan.seed_width, chan.next_seq, chan.last_recv_seq = row[1:]
         net.relay_overhead = state["relay_overhead"]
         net.messages_sent = state["messages_sent"]

@@ -10,8 +10,8 @@ Two hash families:
                XOR-universal with collision fraction exactly 2^-k.
 
 On top of them sit the registration MAC (au2_hash, with length framing so
-padding cannot be forged) and Wegman-Carter one-time tags (raw hash XOR a
-fresh k-bit pad; wc_tag and wc_verify).
+padding cannot be forged) and the byte-string PolyEval hash that the key
+network's channels pad into Wegman-Carter tags (polyeval_hash_bytes).
 
 Bit conventions, fixed so tags are bit-exact across platforms:
   - message bit j (wire order, MSB first) is bit (L-1-j) of the big-endian
@@ -34,9 +34,9 @@ __all__ = [
     "MacScheme",
     "MacTag",
     "MacSeed",
-    "WcKey",
     "polyeval_modulus",
     "polyeval_tag_blocks",
+    "polyeval_hash_bytes",
     "split_blocks",
     "toeplitz_tag_bits",
     "au2_hash",
@@ -44,9 +44,6 @@ __all__ = [
     "make_seed",
     "seed_to_bytes",
     "seed_from_bytes",
-    "make_wc_key",
-    "wc_tag",
-    "wc_verify",
     "cr_hash",
     "DEFAULT_K",
 ]
@@ -170,6 +167,25 @@ def polyeval_tag_blocks(r: int, blocks, q: int) -> int:
     return acc * r % q
 
 
+def polyeval_hash_bytes(r: int, message: bytes, q: int) -> int:
+    """PolyEval hash of a byte string, for any message length.
+
+    The message is cut into byte-aligned blocks of (q.bit_length() - 2) // 8
+    bytes, the last one possibly shorter, and each block is read big-endian
+    behind a 0x01 byte, as Poly1305 marks its blocks. The marker records
+    each block's width, so every block is non-zero and below q, and distinct
+    messages give distinct polynomials: an appended or dropped zero byte
+    changes the hash. For distinct messages of at most L blocks,
+    h_r(m) - h_r(m') takes any one value for at most L of the q keys r.
+    """
+    step = (q.bit_length() - 2) // 8
+    if step < 1:
+        raise ConfigurationError("modulus too small for byte blocks")
+    blocks = [int.from_bytes(b"\x01" + message[i:i + step], "big")
+              for i in range(0, len(message), step)]
+    return polyeval_tag_blocks(r, blocks, q)
+
+
 def toeplitz_tag_bits(seed: int, message: int, message_bits: int, k: int) -> int:
     """Raw Toeplitz tag of a message_bits-wide input under a seed integer.
 
@@ -250,60 +266,6 @@ def seed_from_bytes(raw: bytes, scheme: MacScheme, k: int) -> MacSeed:
         raise ConfigurationError("stored seed shorter than k bits")
     return MacSeed(MacScheme.TOEPLITZ, k, int.from_bytes(raw, "big"), width,
                    consumed=True)
-
-
-# ---------------------------------------------------------------- Wegman-Carter
-
-@dataclass
-class WcKey:
-    """One-time Wegman-Carter key: hash seed part plus a k-bit tag pad.
-
-    The raw (unframed) hash is used here: the seed covers exactly the
-    message width, and an empty message hashes to zero, so its tag is the
-    pad itself.
-    """
-
-    seed: MacSeed
-    pad: int
-    k: int
-    consumed: bool = dc_field(default=False)
-
-
-def make_wc_key(k: int, message_bits: int, randomness,
-                scheme: MacScheme = MacScheme.TOEPLITZ) -> WcKey:
-    if scheme is MacScheme.POLYEVAL:
-        seed = make_seed(MacScheme.POLYEVAL, k, randomness)
-    else:
-        nbits = max(k + message_bits - 1, 0)
-        seed = MacSeed(MacScheme.TOEPLITZ, k, randomness.take_bits(nbits), message_bits)
-    return WcKey(seed, randomness.take_bits(k), k)
-
-
-def _wc_hash(key: WcKey, message: bytes) -> int:
-    if key.seed.scheme is MacScheme.POLYEVAL:
-        q = key.seed.q_u
-        block_bits = max(q.bit_length() - 2, 1)
-        blocks, _ = split_blocks(message, block_bits)
-        return polyeval_tag_blocks(key.seed.value, blocks, q)
-    nbits = len(message) * 8
-    if nbits != key.seed.width_bits:
-        raise ConfigurationError(
-            "WC key sized for %d message bits, got %d" % (key.seed.width_bits, nbits))
-    return toeplitz_tag_bits(key.seed.value, int.from_bytes(message, "big"), nbits, key.k)
-
-
-def wc_tag(key: WcKey, message: bytes) -> MacTag:
-    if key.consumed:
-        raise SingleUseError("Wegman-Carter key already used")
-    key.consumed = True
-    return MacTag(_wc_hash(key, message) ^ key.pad, key.k)
-
-
-def wc_verify(key: WcKey, message: bytes, tag: MacTag) -> bool:
-    """Receiver-side check with the shared key copy; never consumes."""
-    if tag.k != key.k:
-        return False
-    return (_wc_hash(key, message) ^ key.pad) == tag.value
 
 
 def cr_hash(message: bytes) -> bytes:

@@ -19,12 +19,14 @@ SCHEMA lists for its kind, big-endian and without padding. Field types:
              field of the message and times is a number or "degree"
 
 The widths W, P, tag, digest and the renewal degree are the session's
-(Codec's constructor takes them); none is configured separately.
+(Codec's constructor takes them); none is configured separately. A value
+too long for its length prefix (a password over 65,535 bytes, say) is
+refused with ConfigurationError before any byte is encoded.
 """
 
 from __future__ import annotations
 
-from .errors import ProtocolError
+from .errors import ConfigurationError, ProtocolError
 
 __all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor"]
 
@@ -122,6 +124,14 @@ SCHEMA = {
 }
 
 
+def _length_prefix(kind: str, name: str, length: int, width: int) -> bytes:
+    if length >> (8 * width):
+        raise ConfigurationError(
+            "%s field %s holds %d items; its %d-byte length prefix allows %d"
+            % (kind, name, length, width, (1 << (8 * width)) - 1))
+    return length.to_bytes(width, "big")
+
+
 class Codec:
     """Encoder and decoder for the SCHEMA kinds under one session's widths:
     W share-field bytes, P commitment-modulus bytes, the tag and digest
@@ -136,19 +146,19 @@ class Codec:
         """The message bytes: the kind's code, then each field in order."""
         code, fields = SCHEMA[kind]
         out = [bytes((code,))]
-        for (_name, (category, key, *_count)), value in zip(fields, values,
-                                                            strict=True):
+        for (name, (category, key, *_count)), value in zip(fields, values,
+                                                           strict=True):
             width = self.sizes[key]
             if category == "int":
                 out.append(value.to_bytes(width, "big"))
             elif category == "raw":
                 out.append(value)
             elif category == "bytes":
-                out.append(len(value).to_bytes(width, "big"))
+                out.append(_length_prefix(kind, name, len(value), width))
                 out.append(value)
             else:
                 if category == "list":
-                    out.append(len(value).to_bytes(4, "big"))
+                    out.append(_length_prefix(kind, name, len(value), 4))
                 out.extend(v.to_bytes(width, "big") for v in value)
         return b"".join(out)
 

@@ -24,7 +24,7 @@ from itstore.entropy import SeededEntropy
 from itstore.errors import PasswordFailureError
 from itstore.field import PrimeField, interpolate_at_zero, random_polynomial
 from itstore.harness import run_bench, run_scenario
-from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork
+from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork, _PairStream
 from itstore.mac import (
     MacScheme,
     make_seed,
@@ -275,7 +275,9 @@ def test_renewal_preserves_the_secret_and_rejects_every_perturbation():
 # ---------------------------------------------------------------------------
 # 6. Key-supply books: every shipped scenario ends with exact conservation
 #    (generated = buffered + consumed + relay overhead) and no two
-#    encrypted messages ever share a single pad bit.
+#    encrypted messages ever share a single pad bit. Every pair-stream
+#    allocation, channel hash keys included, is recorded too, and no two
+#    allocations share a bit.
 
 
 def test_shipped_scenarios_conserve_keys_and_never_reuse_pad_bits(
@@ -294,11 +296,22 @@ def test_shipped_scenarios_conserve_keys_and_never_reuse_pad_bits(
 
     monkeypatch.setattr(KeyNetwork, "secure_send", recording_send)
 
+    original_allocate = _PairStream.allocate
+    drawn = []
+
+    def recording_allocate(self, nbits):
+        offset, value = original_allocate(self, nbits)
+        drawn.append((self.pair, offset, nbits))
+        return offset, value
+
+    monkeypatch.setattr(_PairStream, "allocate", recording_allocate)
+
     scenario_files = sorted(p for p in SCENARIO_DIR.glob("*.yaml")
                             if p.stem != "bench")
     assert len(scenario_files) == 8
     for path in scenario_files:
         allocations.clear()
+        drawn.clear()
         result = run_scenario(load_scenario(path))
         assert result.conservation_ok, path.name
         assert result.failures == (), path.name  # shipped verdicts hold
@@ -310,6 +323,17 @@ def test_shipped_scenarios_conserve_keys_and_never_reuse_pad_bits(
             spans.sort()
             for (_, end_a), (start_b, _) in zip(spans, spans[1:]):
                 assert end_a <= start_b, (path.name, pair)
+        # every allocation, hash-key draws included, is disjoint from all
+        # others on its pair, and the envelopes' pads are among them
+        assert len(drawn) > len(allocations), path.name  # keys were drawn
+        all_spans = {}
+        for pair, start, bits in drawn:
+            all_spans.setdefault(pair, []).append((start, start + bits))
+        for pair, spans in all_spans.items():
+            spans.sort()
+            for (_, end_a), (start_b, _) in zip(spans, spans[1:]):
+                assert end_a <= start_b, (path.name, pair)
+            assert set(by_pair.get(pair, [])) <= set(spans), (path.name, pair)
 
 
 # ---------------------------------------------------------------------------

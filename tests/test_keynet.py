@@ -1,9 +1,11 @@
 """Tests for the simulated key network: generation, relay, channels, ledger."""
 
+import dataclasses
 import random
 
 import pytest
 
+from itstore.entropy import PrfBits
 from itstore.errors import (
     ChannelIntegrityError,
     ConfigurationError,
@@ -19,6 +21,7 @@ from itstore.keynet import (
     NodeSpec,
     SecureEnvelope,
 )
+from itstore.mac import polyeval_hash_bytes
 
 
 def line_topology(rate=1000, capacity=1_000_000):
@@ -238,6 +241,154 @@ def test_forgery_rate_statistical_small_tag():
     assert accepted <= 2
 
 
+def small_tag_net(master=b"test-net", receivers=("carol",)):
+    """fresh_net at tag_bits=16 (p = 65521, 1-byte hash blocks)."""
+    net = KeyNetwork(line_topology(), master_seed=master, tag_bits=16)
+    net.register_endpoint("alice", "A")
+    for name in receivers:
+        net.register_endpoint(name, "C")
+    net.advance(10_000)
+    return net
+
+
+def test_channel_tag_round_trip_and_verify_never_consumes():
+    net = small_tag_net()
+    net.relay_keys("A", "C", 6000)
+    stream = net.pair_stream("A", "C")
+    env = net.secure_send("alice", "carol", b"12345678")
+    cursor = stream.cursor
+    assert env.tag >> 8  # so truncating it to 8 bits changes it
+    for bad in (dataclasses.replace(env, ciphertext=env.ciphertext[:-1] + bytes(
+                    [env.ciphertext[-1] ^ 1])),
+                dataclasses.replace(env, tag=env.tag ^ 1),
+                dataclasses.replace(env, tag=env.tag & 0xff)):
+        with pytest.raises(ChannelIntegrityError):
+            net.secure_recv(bad)
+    # rejected checks consume nothing: the genuine envelope still opens
+    assert net.secure_recv(env) == b"12345678"
+    assert stream.cursor == cursor  # receiving allocates no key
+    # every message is tagged under a fresh tag pad, never a reused one
+    again = net.secure_send("alice", "carol", b"12345678")
+    assert again.tag_pad_offset >= env.tag_pad_offset + net.tag_bits
+    assert net.secure_recv(again) == b"12345678"
+
+
+def test_channel_tag_of_empty_payload_is_sequence_hash_plus_pad():
+    net = small_tag_net()
+    net.relay_keys("A", "C", 6000)
+    env = net.secure_send("alice", "carol", b"")
+    pad = net.pair_stream("A", "C").read(env.tag_pad_offset, net.tag_bits)
+    r = net.channels[("alice", "carol")].hash_key
+    assert env.tag == (polyeval_hash_bytes(r, bytes(8), net.modulus)
+                       + pad) % net.modulus
+    assert net.secure_recv(env) == b""
+
+
+def test_channel_pad_hides_hash():
+    # The tag is the hash plus the tag pad mod p, not the hash alone: one
+    # seq and ciphertext, checked against another tag pad, needs a tag
+    # moved by exactly the difference of the two pads.
+    net = small_tag_net()
+    net.relay_keys("A", "C", 6000)
+    stream = net.pair_stream("A", "C")
+    env = net.secure_send("alice", "carol", bytes(8))
+    other = net.secure_send("alice", "carol", bytes(8))
+    p = net.modulus
+    s1 = stream.read(env.tag_pad_offset, net.tag_bits) % p
+    s2 = stream.read(other.tag_pad_offset, net.tag_bits) % p
+    assert s1 != s2
+    moved = dataclasses.replace(env, tag_pad_offset=other.tag_pad_offset)
+    with pytest.raises(ChannelIntegrityError):
+        net.secure_recv(moved)
+    assert net.secure_recv(dataclasses.replace(
+        moved, tag=(env.tag - s1 + s2) % p)) == bytes(8)
+
+
+def test_channel_forgery_census_with_fresh_keys():
+    # One bit flipped after tagging, each trial on a channel of its own so
+    # that every trial draws a fresh hash key: acceptance should be about
+    # 2^-15 (only r = 0 forgives a flip). 10^4 trials, threshold a few
+    # sigma above the bound.
+    topo = NetworkTopology(
+        nodes=(NodeSpec("A"), NodeSpec("B")),
+        links=(LinkSpec("ab", "A", "B", rate_bps=1000,
+                        capacity_bits=2_000_000),))
+    net = KeyNetwork(topo, master_seed=b"wc-forgery", tag_bits=16)
+    senders = ["s%d" % i for i in range(100)]
+    receivers = ["r%d" % i for i in range(100)]
+    for name in senders:
+        net.register_endpoint(name, "A")
+    for name in receivers:
+        net.register_endpoint(name, "B")
+    net.advance(1_000_000)
+    net.relay_keys("A", "B", 10_000 * (16 + 64 + 16))
+    structure = random.Random(0x57a7)
+    accepted = 0
+    for sender in senders:
+        for receiver in receivers:
+            msg = structure.getrandbits(64).to_bytes(8, "big")
+            env = net.secure_send(sender, receiver, msg)
+            flipped = structure.randrange(64)
+            forged = (int.from_bytes(env.ciphertext, "big")
+                      ^ (1 << flipped)).to_bytes(8, "big")
+            try:
+                net.secure_recv(dataclasses.replace(env, ciphertext=forged))
+                accepted += 1
+            except ChannelIntegrityError:
+                pass
+    assert len(net.channels) == 10_000
+    assert accepted <= 4
+
+
+def test_receive_on_a_channel_without_a_hash_key_fails_closed():
+    net = small_tag_net(receivers=("carol", "dave"))
+    net.relay_keys("A", "C", 6000)
+    env = net.secure_send("alice", "carol", b"addressed to carol")
+    pad = net.pair_stream("A", "C").read(env.tag_pad_offset, net.tag_bits)
+    # alice->dave has no key: its unset r = 0 would hash anything to 0
+    for tag in (env.tag, pad % net.modulus):
+        with pytest.raises(ChannelIntegrityError):
+            net.secure_recv(dataclasses.replace(env, receiver="dave", tag=tag))
+    assert net.secure_recv(env) == b"addressed to carol"
+
+
+def test_every_single_bit_flip_is_rejected():
+    net = small_tag_net()
+    net.relay_keys("A", "C", 6000)
+    env = net.secure_send("alice", "carol", bytes(range(100)))
+    value = int.from_bytes(env.ciphertext, "big")
+    for bit in range(len(env.ciphertext) * 8):
+        bad = dataclasses.replace(env, ciphertext=(value ^ (1 << bit)).to_bytes(
+            len(env.ciphertext), "big"))
+        with pytest.raises(ChannelIntegrityError):
+            net.secure_recv(bad)
+    assert net.secure_recv(env) == bytes(range(100))
+
+
+@pytest.mark.parametrize("edit", ["append-zero", "drop-last"])
+def test_changing_the_ciphertext_length_is_rejected(edit):
+    # Sends until a ciphertext ends in 0x00: with 1-byte blocks, a hash
+    # that did not encode the length would read c, c || 0x00 and c minus
+    # its last byte alike.
+    net = small_tag_net()
+    net.advance(100_000)
+    net.relay_keys("A", "C", 100_000)
+    for i in range(2000):
+        payload = b"length %d" % i
+        env = net.secure_send("alice", "carol", payload)
+        if env.ciphertext[-1] == 0:
+            break
+        assert net.secure_recv(env) == payload
+    assert env.ciphertext[-1] == 0
+    if edit == "append-zero":
+        changed = env.ciphertext + b"\x00"
+    else:
+        changed = env.ciphertext[:-1]
+    with pytest.raises(ChannelIntegrityError):
+        net.secure_recv(dataclasses.replace(env, ciphertext=changed))
+    assert net.secure_recv(env) == payload
+
+
 def test_bogus_offsets_rejected():
     net = fresh_net()
     net.relay_keys("A", "C", 5000)
@@ -273,6 +424,33 @@ def test_message_key_cost_is_exact():
         assert stream.cursor - before == cost
 
 
+def test_growing_sends_cost_one_key_then_pads():
+    net = fresh_net()
+    net.relay_keys("A", "C", 9000)
+    stream = net.pair_stream("A", "C")
+    sizes = (0, 1, 5, 31, 32, 100, 300)
+    for n in sizes:
+        net.secure_recv(net.secure_send("alice", "carol", bytes(n)))
+    assert stream.cursor == net.tag_bits + sum(8 * n + net.tag_bits
+                                               for n in sizes)
+
+
+def test_tag_width_floor():
+    for bits in (0, 8, 12, 20):
+        with pytest.raises(ConfigurationError):
+            KeyNetwork(line_topology(), tag_bits=bits)
+    assert KeyNetwork(line_topology(), tag_bits=16).modulus == 65521
+
+
+def test_sequence_number_wider_than_its_field_is_rejected():
+    net = fresh_net()
+    net.relay_keys("A", "C", 4000)
+    env = net.secure_send("alice", "carol", b"seq")
+    with pytest.raises(ChannelIntegrityError):
+        net.secure_recv(dataclasses.replace(env, seq=env.seq + (1 << 64)))
+    assert net.secure_recv(env) == b"seq"
+
+
 def test_endpoint_rules():
     net = fresh_net()
     net.register_endpoint("alice", "A")  # same node again: fine
@@ -302,6 +480,21 @@ def test_supply_randomness_accounting():
         net.supply_randomness("alice", pool.available + 1)
     with pytest.raises(ProtocolError):
         net.entropy_source("nowhere")
+
+
+def test_sequential_draws_hash_each_prf_block_once(monkeypatch):
+    net = fresh_net()
+    pool = net.entropy_source("alice")
+    hashed = []
+    block = PrfBits._block
+    monkeypatch.setattr(PrfBits, "_block",
+                        lambda prf, i: hashed.append(i) or block(prf, i))
+    values = [pool.take_bits(127) for _ in range(100)]
+    assert hashed == list(range(-(-100 * 127 // 512)))  # 25 blocks, once each
+    joined = 0
+    for v in values:
+        joined = (joined << 127) | v
+    assert joined == PrfBits(pool.prf._key).read_bits(0, 100 * 127)
 
 
 def test_entropy_pool_regrows_with_time():
@@ -372,6 +565,18 @@ def test_state_snapshot_round_trip():
     a = net.secure_send("alice", "carol", b"after snapshot")
     b = restored.secure_send("alice", "carol", b"after snapshot")
     assert a == b
+
+
+def test_snapshot_with_a_toeplitz_seed_is_refused():
+    net = fresh_net()
+    net.relay_keys("A", "C", 6000)
+    net.secure_send("alice", "carol", b"before snapshot")
+    state = net.to_state()
+    assert state["channels"]["alice|carol"][1] == 1
+    # a Toeplitz-era row: the seed value and the widest MAC input it covered
+    state["channels"]["alice|carol"] = ["%x" % (1 << 300), 64 + 8 * 15, 1, -1]
+    with pytest.raises(ConfigurationError):
+        KeyNetwork.from_state(state, line_topology(), b"test-net")
 
 
 def test_conservation_through_busy_schedule():

@@ -292,6 +292,21 @@ def test_channel_tamper_aborts_delivery(tmp_path):
     assert any(line.startswith("drop ") for line in session.transcript)
 
 
+def test_oversized_password_is_refused_before_anything_is_sent(tmp_path):
+    session = make_session(tmp_path)
+    long_password = b"p" * 70_000  # over the u16 length prefix
+    with pytest.raises(ConfigurationError, match="password"):
+        session.register(DATA, long_password)
+    assert session.transcript == [] and session.verdicts == []
+    sid, _t1, _ = register_and_stock(session)
+    sent = len(session.transcript)
+    with pytest.raises(ConfigurationError, match="recon-request"):
+        session.reconstruct_and_release(sid, long_password)
+    assert len(session.transcript) == sent
+    result = session.reconstruct_and_release(sid, PASSWORD)
+    assert result.outcome is Outcome.SUCCESS and result.data == DATA
+
+
 def test_registration_aborts_before_any_share_leaves(tmp_path):
     # enough key for the owner's upload, not enough to fan the shares out
     session = make_session(tmp_path, advance_ms=1_500)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from itstore.errors import ProtocolError, TamperDetectedError
+from itstore.errors import ConfigurationError, ProtocolError, TamperDetectedError
 from itstore.wire import SCHEMA, Codec, Cursor
 
 CODEC = Codec(W=16, P=33, tag=8, digest=64, degree=3)
@@ -55,6 +55,22 @@ def test_decode_checks_the_code_byte_and_the_expected_header(kind):
     wrong = (b"\x00" * 16,) if SCHEMA[kind][1][0][0] == "sid" else (b"x",)
     with pytest.raises(ProtocolError):
         CODEC.decode(kind, raw, wrong)
+
+
+@pytest.mark.parametrize("prefix,kind,field", [
+    (1, "recon-ask", "subset"), (2, "register-data", "password"),
+    (2, "recon-request", "password")])
+def test_a_value_too_long_for_its_length_prefix_is_refused(prefix, kind,
+                                                           field):
+    names = [name for name, _ftype in SCHEMA[kind][1]]
+    values = list(sample_values(kind))
+    at_limit = bytes((1 << (8 * prefix)) - 1)
+    values[names.index(field)] = at_limit
+    assert CODEC.decode(kind, CODEC.encode(kind, *values))[
+        names.index(field)] == at_limit
+    values[names.index(field)] = at_limit + b"x"
+    with pytest.raises(ConfigurationError, match=field):
+        CODEC.encode(kind, *values)
 
 
 def test_codes_are_distinct():

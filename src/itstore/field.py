@@ -2,7 +2,8 @@
 
 Provides:
 
-  PrimeField      -- field configuration plus int-level modular ops
+  PrimeField      -- field configuration plus int-level modular ops, and
+                     the column kernels random_ints and eval_columns
   FieldElement    -- immutable typed wrapper with operator overloads
   Polynomial      -- coefficient vector (constant term first) over a field
   poly_eval, random_polynomial, lagrange_at_zero, mod_exp
@@ -222,6 +223,50 @@ class PrimeField:
             v = randomness.take_bits(n)
             if v < self.q:
                 return v
+
+    def random_ints(self, randomness, count: int) -> list:
+        """count uniform elements: the values, in order, and the bits of
+        count sequential random_int calls.
+
+        Each pass draws the missing elements' n = bit_length(q) bits with
+        one take_bits call and cuts them into n-bit chunks, each read from
+        a short slice of one byte string. Chunks >= q are dropped in order
+        and only the shortfall is drawn again, which is sequential
+        rejection sampling. A pass the source cannot supply raises (a
+        KsaSource's KeySupplyError) before any bit of that pass is taken.
+        """
+        q = self.q
+        n = q.bit_length()
+        mask = (1 << n) - 1
+        from_bytes = int.from_bytes
+        out = []
+        while len(out) < count:
+            nbits = (count - len(out)) * n
+            nbytes = (nbits + 7) // 8
+            drawn = randomness.take_bits(nbits)
+            raw = (drawn << (nbytes * 8 - nbits)).to_bytes(nbytes, "big")
+            # the chunk ending at stream bit e spans bytes (e-n)//8 .. (e+7)//8
+            out += [v for e in range(n, nbits + 1, n)
+                    if (v := from_bytes(raw[(e - n) >> 3:(e + 7) >> 3], "big")
+                        >> (-e & 7) & mask) < q]
+        return out
+
+    def eval_columns(self, columns: Sequence[Sequence[int]], x: int) -> list:
+        """Many polynomials at one point: [sum_i columns[i][k] * x^i mod q
+        for every k], where columns[i] lists the degree-i coefficients of
+        all of them, constant column first.
+
+        Horner's rule runs over whole columns and reduces each result once
+        at the end, so it suits small x such as holder indices: the
+        unreduced value of a degree-d polynomial is below q * (x+1)^d.
+        """
+        q = self.q
+        if len(columns) == 1:
+            return [c % q for c in columns[0]]
+        acc = columns[-1]
+        for col in columns[-2:0:-1]:
+            acc = [a * x + c for a, c in zip(acc, col)]
+        return [(a * x + c) % q for a, c in zip(acc, columns[0])]
 
     # -- typed wrappers --
 

@@ -431,34 +431,38 @@ def _bench_compare(config: ScenarioConfig, reps: int):
     pseudorandom passphrase) so the authenticator Horner products exercise
     double-width reduction — the regime where the modulus kind matters.
     """
-    rows = []
     transcripts = {}
-    medians = {}
     passphrase = derive_payload(config.seed + "|compare-passphrase", 600)
     payload = derive_payload(config.seed + "|compare-payload",
                              _COMPARE_PAYLOAD_BYTES)
     fields = dict(zip(("mersenne", "general"), _compare_field_pair()))
+    params = {kind: SpssParams(t_sh=config.params.t_sh,
+                               n_sh=config.params.n_sh, field=fld)
+              for kind, fld in fields.items()}
+    passwords = {kind: password_to_element(passphrase, fld)
+                 for kind, fld in fields.items()}
+    kind_rows = {kind: [] for kind in fields}
     times = {kind: [] for kind in fields}
-    for kind, fld in fields.items():
-        params = SpssParams(t_sh=config.params.t_sh,
-                            n_sh=config.params.n_sh, field=fld)
-        password = password_to_element(passphrase, fld)
-        for rep in range(reps):
+    # the kinds alternate rep by rep, so drift in the host's speed during
+    # the comparison slows both of them alike
+    for rep in range(reps):
+        for kind, fld in fields.items():
             rnd = SeededEntropy("%s|compare|%s|%d" % (config.seed, kind, rep),
                                 "bench-compare")
             t0 = time.perf_counter()
-            holders, secret = spss_register(payload, password, params, rnd,
-                                            t1=rep + 1)
+            holders, secret = spss_register(payload, passwords[kind],
+                                            params[kind], rnd, t1=rep + 1)
             dt = time.perf_counter() - t0
             text = ("compare-register kind=%s q_bits=%d rep=%d blocks=%d "
                     "holders=%d\n" % (kind, fld.q.bit_length(), rep,
                                       len(secret.blocks), len(holders)))
             tid = _transcript_id(text)
             transcripts[tid] = text
-            rows.append(BenchRow("compare-%s-registration" % kind,
-                                 len(payload), rep, dt, tid))
+            kind_rows[kind].append(BenchRow("compare-%s-registration" % kind,
+                                            len(payload), rep, dt, tid))
             times[kind].append(dt)
-        medians[kind] = statistics.median(times[kind])
+    rows = [row for kind in fields for row in kind_rows[kind]]
+    medians = {kind: statistics.median(times[kind]) for kind in fields}
     return rows, transcripts, medians
 
 

@@ -25,7 +25,9 @@ mac.polyeval_hash_bytes and s is tag_bits fresh pair-stream bits. Reusing r
 is safe because no tag leaves without a fresh pad. A channel thus spends
 tag_bits bits once, then 8 * nbytes + tag_bits bits per message. Sequence
 numbers are strictly increasing per directed pair; a replayed or reordered
-envelope is rejected before any pad is touched.
+envelope is rejected before any pad is touched. The tag pad sits right after
+the body pad, and a receiver refuses an envelope that places them otherwise,
+so the authenticated tag pad also fixes where the body pad is read from.
 
 Rates, lengths and losses in the default topology are simulation
 parameters chosen to look like the published link classes, not
@@ -537,6 +539,13 @@ class KeyNetwork:
                 "tag mismatch on %s->%s seq %d"
                 % (envelope.sender, envelope.receiver, envelope.seq))
         pad = stream.read(envelope.pad_offset, len(envelope.ciphertext) * 8)
+        # secure_send allocates the tag pad right after the body pad, so the
+        # authenticated tag pad pins where the body pad is read from
+        if envelope.tag_pad_offset != (envelope.pad_offset
+                                       + 8 * len(envelope.ciphertext)):
+            raise ChannelIntegrityError(
+                "body pad at bit %d does not end where the tag pad at bit %d"
+                " starts" % (envelope.pad_offset, envelope.tag_pad_offset))
         chan.last_recv_seq = envelope.seq
         return (int.from_bytes(envelope.ciphertext, "big") ^ pad).to_bytes(
             len(envelope.ciphertext), "big")

@@ -147,6 +147,8 @@ def split_blocks(message: bytes, block_bits: int):
     """Message bits into block_bits-wide integers, final block zero-padded.
 
     Returns (blocks, original bit length). Bits are consumed MSB-first.
+    Linear time: eight blocks fill exactly block_bits bytes, so each run
+    of block_bits bytes is read as one integer and cut into eight blocks.
     """
     if block_bits < 1:
         raise ConfigurationError("block_bits must be >= 1")
@@ -154,9 +156,17 @@ def split_blocks(message: bytes, block_bits: int):
     if nbits == 0:
         return [], 0
     nblocks = -(-nbits // block_bits)
-    big = int.from_bytes(message, "big") << (nblocks * block_bits - nbits)
+    step = block_bits  # bytes per group of eight blocks
+    padded = message + bytes(-len(message) % step)
     mask = (1 << block_bits) - 1
-    return [(big >> (block_bits * (nblocks - 1 - i))) & mask for i in range(nblocks)], nbits
+    shifts = [block_bits * (7 - i) for i in range(8)]
+    from_bytes = int.from_bytes
+    blocks = [(group >> s) & mask
+              for group in [from_bytes(padded[i:i + step], "big")
+                            for i in range(0, len(padded), step)]
+              for s in shifts]
+    del blocks[nblocks:]
+    return blocks, nbits
 
 
 def polyeval_tag_blocks(r: int, blocks, q: int) -> int:

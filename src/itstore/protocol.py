@@ -52,7 +52,7 @@ from .errors import (
     ProtocolError,
     ReconstructionAbortError,
 )
-from .field import FieldElement, random_polynomial
+from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
 from .keynet import DEFAULT_TOPOLOGY, KeyNetwork
 from .mac import (
     DEFAULT_K,
@@ -79,6 +79,7 @@ from .spss import (
     SpssParams,
     SpssRequest,
     data_block_count,
+    masking_columns,
     password_to_element,
     spss_recover,
     spss_register,
@@ -496,37 +497,31 @@ class TpvSession:
             raise ProtocolError("holders disagree on the next round id")
         start = starts.pop()
 
-        # pending[j][d] = list of (r, z) from contributor d, one per round;
-        # every message is checked before any holder saves
+        # pending[j][d] = (r values, z values) from contributor d, one
+        # value per round; every message is checked before any holder saves
         pending = {j: {} for j in params.holder_indices}
         for d in params.holder_indices:
-            src = self.net.entropy_source(self._holder_ep(d))
-            polys = []
-            for _ in range(rounds):
-                r_poly = random_polynomial(params.password_degree,
-                                           field.random_element(src), src)
-                z_poly = random_polynomial(params.data_degree,
-                                           FieldElement(0, field), src)
-                polys.append((r_poly, z_poly))
+            r_cols, z_cols = masking_columns(
+                params, self.net.entropy_source(self._holder_ep(d)), rounds)
             for j in params.holder_indices:
-                evals = [(r_poly.evaluate(j), z_poly.evaluate(j))
-                         for r_poly, z_poly in polys]
+                r_vals = field.eval_columns(r_cols, j)
+                z_vals = field.eval_columns(z_cols, j)
                 if j != d:
+                    flat = [0] * (2 * rounds)
+                    flat[0::2], flat[1::2] = r_vals, z_vals
                     (flat,) = self._send(
                         self._holder_ep(d), self._holder_ep(j), "precomp",
-                        (sid, start, rounds, d),
-                        [v for pair in evals for v in pair])
-                    evals = list(zip(flat[0::2], flat[1::2]))
-                pending[j][d] = evals
+                        (sid, start, rounds, d), flat)
+                    r_vals, z_vals = flat[0::2], flat[1::2]
+                pending[j][d] = (r_vals, z_vals)
 
         new_ids = tuple(range(start, start + rounds))
         for j in params.holder_indices:
             share_set = sets[j]
-            for offset, rid in enumerate(new_ids):
-                r_shares = tuple(pending[j][d][offset][0]
-                                 for d in params.holder_indices)
-                z_shares = tuple(pending[j][d][offset][1]
-                                 for d in params.holder_indices)
+            received = [pending[j][d] for d in params.holder_indices]
+            r_rows = zip(*(r for r, _ in received))
+            z_rows = zip(*(z for _, z in received))
+            for rid, r_shares, z_shares in zip(new_ids, r_rows, z_rows):
                 share_set.tuples[rid] = PrecomputedTuple(rid, r_shares,
                                                          z_shares)
             self.holder_stores[j].save(sid)

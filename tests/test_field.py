@@ -24,6 +24,9 @@ from itstore.field import (
     random_polynomial,
     zero_coefficients,
 )
+from itstore.harness import COMPARE_EXPONENT, COMPARE_GENERAL_Q
+from itstore.keynet import KsaSource, NodeSpec
+from itstore.renewal import TOY_GROUP
 
 # ---------------------------------------------------------------- oracles
 
@@ -247,6 +250,66 @@ def test_rejection_sampling_uniform_range():
     assert min(counts) > 0
     # crude uniformity: no value takes more than triple its fair share
     assert max(counts) < 3 * 5000 / 31
+
+
+# ---------------------------------------------------------------- column kernels
+
+# q just above 2^127: 128-bit draws, about half of them rejected
+ABOVE_2_127 = PrimeField((1 << 127) + 29)
+
+
+@pytest.mark.parametrize("field", [PrimeField.mersenne(127), ABOVE_2_127],
+                         ids=["mersenne127", "2^127+29"])
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 300])
+def test_random_ints_equals_sequential_random_int(field, count):
+    one, many = SeededEntropy(7, "draws"), SeededEntropy(7, "draws")
+    pool_one = KsaSource(NodeSpec("A"), b"kernel")
+    pool_many = KsaSource(NodeSpec("A"), b"kernel")
+    assert field.random_ints(many, count) == [field.random_int(one)
+                                              for _ in range(count)]
+    assert many.bits_drawn == one.bits_drawn
+    assert field.random_ints(pool_many, count) == [field.random_int(pool_one)
+                                                   for _ in range(count)]
+    assert pool_many.consumed == pool_one.consumed
+    assert pool_many._cursor == pool_one._cursor
+    assert pool_many.available == pool_one.available
+
+
+def test_random_ints_redraws_only_the_shortfall():
+    field = ABOVE_2_127
+    src = SeededEntropy(7, "draws")
+    drawn = field.random_ints(src, 300)
+    chunks = src.bits_drawn // 128
+    assert 450 < chunks < 750  # about half of all 128-bit chunks rejected
+    stream = SeededEntropy(7, "draws")
+    kept = [v for v in (stream.take_bits(128) for _ in range(chunks))
+            if v < field.q]
+    assert kept == drawn  # exactly the accepted chunks, none beyond the last
+
+
+def test_random_ints_short_pool_raises_and_consumes_nothing():
+    field = PrimeField.mersenne(127)
+    pool = KsaSource(NodeSpec("A", initial_entropy_bits=1000), b"kernel")
+    with pytest.raises(KeySupplyError):
+        field.random_ints(pool, 8)  # 1016 bits, 16 more than the pool holds
+    assert (pool.available, pool.consumed, pool._cursor) == (1000, 0, 0)
+    assert len(field.random_ints(pool, 7)) == 7
+    assert pool.consumed == 7 * 127
+
+
+@pytest.mark.parametrize("field", [
+    TOY_GROUP.share_field(), PrimeField.mersenne(127),
+    PrimeField.mersenne(COMPARE_EXPONENT), PrimeField(COMPARE_GENERAL_Q)],
+    ids=["toy", "mersenne127", "mersenne2203", "general2203"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 4])
+def test_eval_columns_matches_polynomial_evaluate(field, degree):
+    rng = random.Random(field.q.bit_length() * 10 + degree)
+    polys = [Polynomial(tuple(rng.randrange(field.q) for _ in range(degree + 1)),
+                        field) for _ in range(25)]
+    columns = [[p.coeffs[i] for p in polys] for i in range(degree + 1)]
+    for x in (1, 2, 3, 4, 5, 11, 1000):
+        assert field.eval_columns(columns, x) == [p.evaluate(x) for p in polys]
+    assert field.eval_columns([[] for _ in range(degree + 1)], 3) == []
 
 
 # ---------------------------------------------------------------- reduction paths

@@ -300,8 +300,14 @@ def test_channel_pad_hides_hash():
     moved = dataclasses.replace(env, tag_pad_offset=other.tag_pad_offset)
     with pytest.raises(ChannelIntegrityError):
         net.secure_recv(moved)
-    assert net.secure_recv(dataclasses.replace(
-        moved, tag=(env.tag - s1 + s2) % p)) == bytes(8)
+    r = net.channels[("alice", "carol")].hash_key
+    h = polyeval_hash_bytes(r, env.seq.to_bytes(8, "big") + env.ciphertext, p)
+    assert (h + s2) % p == (env.tag - s1 + s2) % p
+    # that tag passes the tag check, but the tag pad no longer starts where
+    # env's body pad ends, so the receiver still refuses the envelope
+    with pytest.raises(ChannelIntegrityError, match="does not end where"):
+        net.secure_recv(dataclasses.replace(moved, tag=(env.tag - s1 + s2) % p))
+    assert net.secure_recv(env) == bytes(8)
 
 
 def test_channel_forgery_census_with_fresh_keys():
@@ -401,6 +407,22 @@ def test_bogus_offsets_rejected():
                              env.tag, env.pad_offset, env.pad_offset)
     with pytest.raises(ChannelIntegrityError):
         net.secure_recv(shifted)
+
+
+def test_body_pad_must_end_where_the_tag_pad_starts():
+    # The tag covers seq || ciphertext, not the offsets; an envelope whose
+    # body pad is pointed at an earlier message's pad still carries a valid
+    # tag, and would decrypt to garbage if it were accepted.
+    net = fresh_net()
+    net.relay_keys("A", "C", 5000)
+    first = net.secure_send("alice", "carol", b"first message, 18B")
+    second = net.secure_send("alice", "carol", b"other message, 18B")
+    assert second.tag_pad_offset == second.pad_offset + 8 * 18
+    assert net.secure_recv(first) == b"first message, 18B"
+    moved = dataclasses.replace(second, pad_offset=first.pad_offset)
+    with pytest.raises(ChannelIntegrityError):
+        net.secure_recv(moved)
+    assert net.secure_recv(second) == b"other message, 18B"  # nothing spent
 
 
 def test_send_exhaustion_is_atomic():

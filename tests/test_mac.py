@@ -6,6 +6,7 @@ hand from the definitions and are asserted against both oracle and
 implementation.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -66,6 +67,13 @@ def tag_int_to_bits(value, k):
     return [(value >> (k - 1 - i)) & 1 for i in range(k)]
 
 
+def split_blocks_oracle(message, width):
+    """Cut the message's bit string, zero-padded to whole blocks."""
+    bits = "".join(format(byte, "08b") for byte in message)
+    bits += "0" * (-len(bits) % width)
+    return [int(bits[i:i + width], 2) for i in range(0, len(bits), width)]
+
+
 # ----------------------------------------------------------------- polyeval
 
 def test_polyeval_toy_frozen():
@@ -119,6 +127,37 @@ def test_split_blocks_reassembles():
         big >>= len(blocks) * width - nbits
         assert big == int.from_bytes(msg, "big")
         assert all(0 <= b < (1 << width) for b in blocks)
+
+
+SPLIT_WIDTHS = [1, 7, 8, 126, 2202]
+
+
+@pytest.mark.parametrize("width", SPLIT_WIDTHS)
+def test_split_blocks_matches_bit_string_oracle(width):
+    rng = random.Random(width)
+    messages = [rng.randbytes(n) for n in range(41)]
+    messages.append(rng.randbytes(100 * 1024))
+    for msg in messages:
+        blocks, nbits = split_blocks(msg, width)
+        assert nbits == 8 * len(msg)
+        assert blocks == split_blocks_oracle(msg, width)
+
+
+def test_registration_tags_are_pinned():
+    # Tags of a fixed 1001-byte message under both registration schemes,
+    # computed while split_blocks (which cuts the PolyEval hash's input)
+    # was still quadratic; neither may move.
+    msg = hashlib.shake_256(b"registration tag pin").digest(1001)
+    expected = {
+        MacScheme.TOEPLITZ: "126a536a6be5faf1fabfabf39a4b5404"
+                            "c7b0c95729e29c877fef04a51de2c186",
+        MacScheme.POLYEVAL: "2f5a74ae55cc3e3126d855d3a5b95518"
+                            "711373ee75b964fb0f439c9b1361e93d",
+    }
+    for scheme, tag_hex in expected.items():
+        seed = make_seed(scheme, 256, SeededEntropy(11, "tag-pin"),
+                         width_bits=64 + 8 * len(msg))
+        assert au2_hash(seed, msg).to_bytes().hex() == tag_hex
 
 
 # ----------------------------------------------------------------- toeplitz

@@ -38,6 +38,7 @@ from itstore.spss import (
     spss_register,
     spss_request,
 )
+from itstore.mac import split_blocks
 
 F31 = PrimeField.mersenne(5)
 F31_PARAMS = SpssParams(field=F31)
@@ -140,6 +141,85 @@ def test_block_count_and_reassembly():
     data = b"block reassembly check"
     holders, secret = spss_register(data, 9, params, SeededEntropy(b"asm"))
     assert reassemble_blocks(secret.blocks, secret.byte_length, params) == data
+
+
+RAGGED_WIDTH_FIELDS = {1: PrimeField(3), 7: PrimeField(251), 8: PrimeField(257),
+                       126: PrimeField.mersenne(127),
+                       2202: PrimeField.mersenne(2203)}
+
+
+def reassemble_oracle(blocks_by_index, byte_length, width):
+    """Concatenate the wire-order blocks as a bit string, keep the payload."""
+    bits = "".join(format(b, "0%db" % width) for b in reversed(blocks_by_index))
+    bits = bits[:8 * byte_length]
+    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+
+
+@pytest.mark.parametrize("width", sorted(RAGGED_WIDTH_FIELDS))
+def test_reassemble_blocks_matches_bit_string_oracle(width):
+    params = SpssParams(field=RAGGED_WIDTH_FIELDS[width])
+    assert params.block_bits == width
+    rng = random.Random(width)
+    for n in list(range(41)) + [100 * 1024]:
+        data = rng.randbytes(n)
+        wire, _ = split_blocks(data, width)
+        blocks = wire[::-1]  # index order, D_1 first
+        out = reassemble_blocks(blocks, n, params)
+        assert out == data  # round trip
+        assert out == reassemble_oracle(blocks, n, width)
+        # random in-range blocks, not only ones that came from a split
+        noise = [rng.getrandbits(width) for _ in blocks]
+        assert (reassemble_blocks(noise, n, params)
+                == reassemble_oracle(noise, n, width))
+
+
+def test_reassemble_blocks_rejects_bad_input():
+    with pytest.raises(ConfigurationError):
+        reassemble_blocks([1, 2], 9, F31_PARAMS)  # 8 bits hold no 9 bytes
+    with pytest.raises(ConfigurationError):
+        reassemble_blocks([1, 1 << F31_PARAMS.block_bits], 1, F31_PARAMS)
+
+
+def register_oracle(data, password, params, rnd):
+    """spss_register with one random_polynomial per block, evaluated at
+    every holder, then the password polynomial."""
+    field = params.field
+    wire, _ = split_blocks(data, params.block_bits)
+    blocks = wire[::-1]
+    values = blocks + [mac_block_value(blocks, password, field)]
+    polys = [random_polynomial(params.data_degree, field.element(v), rnd)
+             for v in values]
+    f_p = random_polynomial(params.password_degree, field.element(password),
+                            rnd)
+    return {j: (tuple(p.evaluate(j) for p in polys), f_p.evaluate(j))
+            for j in params.holder_indices}
+
+
+@pytest.mark.parametrize("params", [
+    F31_PARAMS, SpssParams(), SpssParams(t_sh=2, n_sh=3),
+    SpssParams(field=PrimeField((1 << 127) + 29))],
+    ids=["f31", "mersenne127", "t2", "2^127+29"])
+def test_register_and_precompute_draw_like_one_polynomial_per_block(params):
+    field = params.field
+    data = bytes(range(256)) * 3
+    new, old = SeededEntropy(b"cols"), SeededEntropy(b"cols")
+    holders, _ = spss_register(data, 29, params, new)
+    expect = register_oracle(data, 29, params, old)
+    for j, (shares, pw_share) in expect.items():
+        assert holders[j].data_shares == shares
+        assert holders[j].password_share == pw_share
+    assert new.bits_drawn == old.bits_drawn
+
+    precompute_round(holders, new)
+    for contributor in params.holder_indices:
+        r_poly = random_polynomial(params.password_degree,
+                                   field.random_element(old), old)
+        z_poly = random_polynomial(params.data_degree, field.element(0), old)
+        for j in params.holder_indices:
+            tup = holders[j].tuples[0]
+            assert tup.r_shares[contributor - 1] == r_poly.evaluate(j)
+            assert tup.z_shares[contributor - 1] == z_poly.evaluate(j)
+    assert new.bits_drawn == old.bits_drawn
 
 
 def test_registration_is_replayable():

@@ -35,20 +35,22 @@ class PrfBits:
 
     Block i is BLAKE2b(key, i); reads may span blocks. Random access is
     what lets a receiver re-read the exact key range a sender consumed.
-    The last block read is kept, so a run of small sequential reads hashes
-    each block once.
+    The keyed hash state is built once and copied for every block, and the
+    last block read is kept, so a run of small sequential reads hashes each
+    block once.
     """
 
-    __slots__ = ("_key", "_last")
+    __slots__ = ("_key", "_keyed", "_last")
 
     def __init__(self, key: bytes):
         self._key = key
+        self._keyed = hashlib.blake2b(key=key, digest_size=_BLOCK_BYTES)
         self._last = (-1, b"")  # (index, bytes) of the last block read
 
     def _block(self, index: int) -> bytes:
-        return hashlib.blake2b(
-            index.to_bytes(8, "big"), key=self._key, digest_size=_BLOCK_BYTES
-        ).digest()
+        h = self._keyed.copy()
+        h.update(index.to_bytes(8, "big"))
+        return h.digest()
 
     def read_bytes(self, byte_offset: int, nbytes: int) -> bytes:
         if nbytes <= 0:
@@ -56,8 +58,8 @@ class PrfBits:
         first = byte_offset // _BLOCK_BYTES
         last = (byte_offset + nbytes - 1) // _BLOCK_BYTES
         kept, kept_block = self._last
-        chunks = [kept_block if i == kept else self._block(i)
-                  for i in range(first, last + 1)]
+        chunks = [kept_block] if first == kept else []
+        chunks += map(self._block, range(first + len(chunks), last + 1))
         self._last = (last, chunks[-1])
         raw = b"".join(chunks)
         start = byte_offset - first * _BLOCK_BYTES

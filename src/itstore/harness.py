@@ -29,6 +29,7 @@ of modulus — not interpreter overhead — is what gets measured.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import shutil
 import statistics
@@ -415,7 +416,10 @@ def _bench_one(config: ScenarioConfig, size_bytes: int, rep: int,
         run.net.ledger())
 
 
+@functools.cache
 def _compare_field_pair() -> tuple:
+    """The two comparison fields. Their 2203-bit moduli are constants, so
+    the primality checks run once per process."""
     mersenne = PrimeField.mersenne(COMPARE_EXPONENT)
     general = PrimeField(COMPARE_GENERAL_Q)  # primality re-checked here
     if general.q.bit_length() != mersenne.q.bit_length():

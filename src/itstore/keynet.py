@@ -14,7 +14,9 @@ any byte range can be re-read by offset. Allocation is a monotone cursor:
 a bit index is handed out at most once ever, which is the entire one-time
 -pad discipline; envelopes carry the offsets their pads came from the way
 deployed key-management interfaces carry key ids, and receivers re-read
-those ranges instead of allocating.
+those ranges instead of allocating. A stream keeps its last two
+allocations, a send's body pad and tag pad, until the receiver has read
+them, so the receiver's reads are a shift and a mask, not PRF blocks.
 
 Channels between registered endpoints encrypt with fresh pad bits and
 carry a Wegman-Carter tag. Each directed channel draws one tag_bits-bit
@@ -22,12 +24,14 @@ hash key r from its pair stream on its first send, reduced mod p, the
 largest prime below 2^tag_bits, and keeps it for good. A message's tag is
 (h_r(seq || ciphertext) + s) mod p: h_r is the PolyEval hash of
 mac.polyeval_hash_bytes and s is tag_bits fresh pair-stream bits. Reusing r
-is safe because no tag leaves without a fresh pad. A channel thus spends
-tag_bits bits once, then 8 * nbytes + tag_bits bits per message. Sequence
-numbers are strictly increasing per directed pair; a replayed or reordered
-envelope is rejected before any pad is touched. The tag pad sits right after
-the body pad, and a receiver refuses an envelope that places them otherwise,
-so the authenticated tag pad also fixes where the body pad is read from.
+is safe because no tag leaves without a fresh pad. The channel keeps the
+powers r, ..., r^64 mod p beside r, so h_r runs as 64-block dot products.
+A channel thus spends tag_bits bits once, then 8 * nbytes + tag_bits bits
+per message. Sequence numbers are strictly increasing per directed pair; a
+replayed or reordered envelope is rejected before any pad is touched. The
+tag pad sits right after the body pad, and a receiver refuses an envelope
+that places them otherwise, so the authenticated tag pad also fixes where
+the body pad is read from.
 
 Rates, lengths and losses in the default topology are simulation
 parameters chosen to look like the published link classes, not
@@ -47,7 +51,7 @@ from .errors import (
     ProtocolError,
     ReplayError,
 )
-from .mac import polyeval_hash_bytes, polyeval_modulus
+from .mac import polyeval_hash_bytes, polyeval_modulus, polyeval_powers
 from .mac import toeplitz_tag_bits  # noqa: F401 -- perfbench's tracer hooks this name
 
 __all__ = [
@@ -109,6 +113,7 @@ class NetworkTopology:
                     "link %s references an unknown node" % link.name)
         if names and len(self._reachable(names[0])) != len(names):
             raise ConfigurationError("topology is not connected")
+        object.__setattr__(self, "_paths", {})  # (a, b) -> path, filled on use
 
     def _neighbours(self, node):
         out = []
@@ -135,7 +140,14 @@ class NetworkTopology:
 
     def shortest_path(self, a: str, b: str):
         """Minimum-hop link path from a to b, ties broken by node name so
-        replays pick the same route."""
+        replays pick the same route. The topology is frozen, so each
+        pair's path is searched once and kept."""
+        path = self._paths.get((a, b))
+        if path is None:
+            path = self._paths[(a, b)] = tuple(self._bfs_path(a, b))
+        return list(path)
+
+    def _bfs_path(self, a: str, b: str):
         if a == b:
             return []
         parents = {a: None}
@@ -220,15 +232,21 @@ class _LinkState:
 
 
 class _PairStream:
-    """Application key between one node pair: PRF content, monotone cursor."""
+    """Application key between one node pair: PRF content, monotone cursor.
 
-    __slots__ = ("pair", "prf", "credited", "cursor")
+    The last two allocations are kept as (offset, nbits, value), so a
+    receiver re-reading the body pad and tag pad a sender just drew gets
+    them by shift and mask instead of re-deriving them from the PRF.
+    """
+
+    __slots__ = ("pair", "prf", "credited", "cursor", "_kept")
 
     def __init__(self, pair, master: bytes):
         self.pair = pair
         self.prf = PrfBits(derive_key(master, "pair|%s|%s" % pair))
         self.credited = 0  # total bits ever relayed in
         self.cursor = 0  # total bits ever allocated out
+        self._kept = ()  # (offset, nbits, value) of the last two allocations
 
     @property
     def available(self) -> int:
@@ -242,13 +260,23 @@ class _PairStream:
                 % (self.pair + (self.available, nbits)))
         offset = self.cursor
         self.cursor += nbits
-        return offset, self.prf.read_bits(offset, nbits)
+        value = self.prf.read_bits(offset, nbits)
+        self._kept = self._kept[-1:] + ((offset, nbits, value),)
+        return offset, value
 
     def read(self, offset: int, nbits: int) -> int:
         """Re-read an already-allocated range (receiver side)."""
         if offset < 0 or offset + nbits > self.cursor:
             raise ProtocolError("read outside the allocated key range")
+        for start, width, value in self._kept:
+            below = start + width - offset - nbits  # kept bits after the range
+            if offset >= start and below >= 0:
+                return (value >> below) & ((1 << nbits) - 1)
         return self.prf.read_bits(offset, nbits)
+
+    def release(self):
+        """Drop the kept allocations once their receiver has read them."""
+        self._kept = ()
 
 
 class KsaSource:
@@ -299,13 +327,19 @@ class _ChannelState:
     reconciles; a Toeplitz-era snapshot recorded its seed's width there.
     """
 
-    __slots__ = ("hash_key", "seed_width", "next_seq", "last_recv_seq")
+    __slots__ = ("hash_key", "powers", "seed_width", "next_seq", "last_recv_seq")
 
     def __init__(self):
         self.hash_key = 0  # r, reduced mod the channel modulus
+        self.powers = None  # mac.polyeval_powers(r, modulus), built with r
         self.seed_width = 0
         self.next_seq = 0
         self.last_recv_seq = -1
+
+    def set_hash_key(self, r: int, modulus: int):
+        self.hash_key = r % modulus
+        self.powers = polyeval_powers(self.hash_key, modulus)
+        self.seed_width = 1
 
 
 class KeyNetwork:
@@ -429,10 +463,11 @@ class KeyNetwork:
         first send, then the body pad and the tag pad."""
         return (0 if keyed else self.tag_bits) + nbytes * 8 + self.tag_bits
 
-    def _tag(self, r: int, seq: int, ciphertext: bytes, tag_pad: int) -> int:
+    def _tag(self, chan: _ChannelState, seq: int, ciphertext: bytes,
+             tag_pad: int) -> int:
         message = seq.to_bytes(_SEQ_FIELD_BITS // 8, "big") + ciphertext
-        return (polyeval_hash_bytes(r, message, self.modulus)
-                + tag_pad) % self.modulus
+        return (polyeval_hash_bytes(chan.hash_key, message, self.modulus,
+                                    chan.powers) + tag_pad) % self.modulus
 
     def message_key_cost(self, sender: str, receiver: str, nbytes: int) -> int:
         """Bits a send of nbytes will consume: pad + tag pad, plus the hash
@@ -500,9 +535,7 @@ class KeyNetwork:
                 "send needs %d key bits, pair %s|%s has %d"
                 % (total, stream.pair[0], stream.pair[1], stream.available))
         if not chan.seed_width:
-            _, r = stream.allocate(self.tag_bits)
-            chan.hash_key = r % self.modulus
-            chan.seed_width = 1
+            chan.set_hash_key(stream.allocate(self.tag_bits)[1], self.modulus)
         pad_offset, pad = stream.allocate(len(plaintext) * 8)
         tag_pad_offset, tag_pad = stream.allocate(self.tag_bits)
 
@@ -510,7 +543,7 @@ class KeyNetwork:
         chan.next_seq += 1
         ciphertext = (int.from_bytes(plaintext, "big") ^ pad).to_bytes(
             len(plaintext), "big")
-        tag = self._tag(chan.hash_key, seq, ciphertext, tag_pad)
+        tag = self._tag(chan, seq, ciphertext, tag_pad)
         self.messages_sent += 1
         return SecureEnvelope(sender, receiver, seq, ciphertext, tag,
                               pad_offset, tag_pad_offset)
@@ -533,7 +566,7 @@ class KeyNetwork:
         if envelope.seq >> _SEQ_FIELD_BITS:
             raise ChannelIntegrityError("sequence number wider than its field")
         tag_pad = stream.read(envelope.tag_pad_offset, self.tag_bits)
-        if self._tag(chan.hash_key, envelope.seq, envelope.ciphertext,
+        if self._tag(chan, envelope.seq, envelope.ciphertext,
                      tag_pad) != envelope.tag:
             raise ChannelIntegrityError(
                 "tag mismatch on %s->%s seq %d"
@@ -547,6 +580,7 @@ class KeyNetwork:
                 "body pad at bit %d does not end where the tag pad at bit %d"
                 " starts" % (envelope.pad_offset, envelope.tag_pad_offset))
         chan.last_recv_seq = envelope.seq
+        stream.release()
         return (int.from_bytes(envelope.ciphertext, "big") ^ pad).to_bytes(
             len(envelope.ciphertext), "big")
 
@@ -650,8 +684,9 @@ class KeyNetwork:
                     " it cannot serve as a hash key" % key)
             sender, receiver = key.split("|")
             chan = net._channel(sender, receiver)
-            chan.hash_key = int(row[0], 16)
-            chan.seed_width, chan.next_seq, chan.last_recv_seq = row[1:]
+            if row[1]:
+                chan.set_hash_key(int(row[0], 16), net.modulus)
+            chan.next_seq, chan.last_recv_seq = row[2:]
         net.relay_overhead = state["relay_overhead"]
         net.messages_sent = state["messages_sent"]
         return net

@@ -13,6 +13,13 @@ On top of them sit the registration MAC (au2_hash, with length framing so
 padding cannot be forged) and the byte-string PolyEval hash that the key
 network's channels pad into Wegman-Carter tags (polyeval_hash_bytes).
 
+Both PolyEval hashes run through one evaluator, polyeval_tag_blocks, which
+works as Poly1305 implementations do (Bernstein, FSE 2005): a chunk of
+POLY_CHUNK blocks is one dot product with the precomputed powers
+[r, ..., r^POLY_CHUNK] mod q, and the chunks are joined by Horner's rule in
+r^POLY_CHUNK with one reduction per chunk. The value is the same sum of
+D_i * r^i the block-by-block Horner rule gives, so tags are unchanged.
+
 Bit conventions, fixed so tags are bit-exact across platforms:
   - message bit j (wire order, MSB first) is bit (L-1-j) of the big-endian
     message integer;
@@ -24,8 +31,11 @@ Bit conventions, fixed so tags are bit-exact across platforms:
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from itertools import repeat
+from operator import mul
 
 from .errors import ConfigurationError, SingleUseError
 from .field import largest_prime_at_most
@@ -35,6 +45,7 @@ __all__ = [
     "MacTag",
     "MacSeed",
     "polyeval_modulus",
+    "polyeval_powers",
     "polyeval_tag_blocks",
     "polyeval_hash_bytes",
     "split_blocks",
@@ -49,6 +60,8 @@ __all__ = [
 ]
 
 DEFAULT_K = 256
+
+POLY_CHUNK = 64  # blocks per dot product in polyeval_tag_blocks
 
 _LENGTH_FIELD_BITS = 64  # Toeplitz frame prefix: message bit-length, big-endian
 
@@ -169,15 +182,45 @@ def split_blocks(message: bytes, block_bits: int):
     return blocks, nbits
 
 
-def polyeval_tag_blocks(r: int, blocks, q: int) -> int:
-    """sum blocks[i-1] * r^i mod q, blocks in wire order (first block is D_1)."""
-    acc = 0
-    for b in reversed(blocks):
-        acc = (acc * r + b) % q
-    return acc * r % q
+def polyeval_powers(r: int, q: int, count: int = POLY_CHUNK) -> list:
+    """[r, r^2, ..., r^count] mod q: the key powers polyeval_tag_blocks
+    takes. A channel builds them once per hash key."""
+    r %= q
+    powers = [r]
+    for _ in range(count - 1):
+        powers.append(powers[-1] * r % q)
+    return powers
 
 
-def polyeval_hash_bytes(r: int, message: bytes, q: int) -> int:
+def polyeval_tag_blocks(r: int, blocks, q: int, powers=None,
+                        marker: int = 0) -> int:
+    """sum (blocks[i-1] + marker) * r^i mod q, blocks in wire order (first
+    block is D_1).
+
+    powers is polyeval_powers(r, q); it is built here when not passed. Each
+    chunk of POLY_CHUNK blocks is one dot product with powers, plus marker
+    times the sum of the powers it used; chunks are joined by Horner's rule
+    in r^POLY_CHUNK, last chunk first, with one reduction each.
+    """
+    n = len(blocks)
+    if not n:
+        return 0
+    if powers is None:
+        powers = polyeval_powers(r, q, min(n, POLY_CHUNK))
+    start = (n - 1) // POLY_CHUNK * POLY_CHUNK  # first block of the last chunk
+    last = blocks[start:]
+    acc = (sum(map(mul, last, powers))
+           + marker * sum(powers[:len(last)])) % q
+    if start:
+        step = powers[POLY_CHUNK - 1]  # r^POLY_CHUNK
+        chunk_marker = marker * sum(powers)
+        for i in range(start - POLY_CHUNK, -1, -POLY_CHUNK):
+            acc = (acc * step + sum(map(mul, blocks[i:i + POLY_CHUNK], powers))
+                   + chunk_marker) % q
+    return acc
+
+
+def polyeval_hash_bytes(r: int, message: bytes, q: int, powers=None) -> int:
     """PolyEval hash of a byte string, for any message length.
 
     The message is cut into byte-aligned blocks of (q.bit_length() - 2) // 8
@@ -187,13 +230,23 @@ def polyeval_hash_bytes(r: int, message: bytes, q: int) -> int:
     messages give distinct polynomials: an appended or dropped zero byte
     changes the hash. For distinct messages of at most L blocks,
     h_r(m) - h_r(m') takes any one value for at most L of the q keys r.
+
+    The full blocks are cut by one regular-expression split and their
+    markers enter as polyeval_tag_blocks' marker term, 2^(8 * step) per
+    block; only a short last block is built with its own marker.
     """
     step = (q.bit_length() - 2) // 8
     if step < 1:
         raise ConfigurationError("modulus too small for byte blocks")
-    blocks = [int.from_bytes(b"\x01" + message[i:i + step], "big")
-              for i in range(0, len(message), step)]
-    return polyeval_tag_blocks(r, blocks, q)
+    blocks = list(map(int.from_bytes, re.findall(b".{%d}" % step, message, re.S),
+                      repeat("big")))
+    marker = 1 << (8 * step)
+    tail = message[len(blocks) * step:]
+    if tail:
+        # the short block carries its own, narrower marker, so it enters
+        # less the full-width one the evaluator adds to every block
+        blocks.append(int.from_bytes(b"\x01" + tail, "big") - marker)
+    return polyeval_tag_blocks(r, blocks, q, powers, marker)
 
 
 def toeplitz_tag_bits(seed: int, message: int, message_bits: int, k: int) -> int:

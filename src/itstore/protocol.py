@@ -40,6 +40,7 @@ untouched by such aborts.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -192,30 +193,24 @@ class Transport:
         self.transcript = transcript
         self.advance_on_exhaustion_ms = advance_on_exhaustion_ms
         self.max_waits = max_waits
-        self.counts = {}  # (receiver, sid hex, kind) -> delivered bytes
+        # receiver -> sid hex -> kind -> delivered bytes
+        self.counts = defaultdict(lambda: defaultdict(Counter))
         self.tamper = None  # one-shot hook: SecureEnvelope -> SecureEnvelope
 
     # -- byte accounting ----------------------------------------------------
 
     def _count(self, receiver: str, sid_hex: str, kind: str, n: int):
-        key = (receiver, sid_hex, kind)
-        self.counts[key] = self.counts.get(key, 0) + n
+        self.counts[receiver][sid_hex][kind] += n
 
     def received_bytes(self, receiver: str, sid: "bytes | None" = None,
                        kind: "str | None" = None) -> int:
         """Total payload bytes delivered to an endpoint, optionally
         filtered by secret and message kind."""
-        want_sid = sid.hex() if sid is not None else None
-        total = 0
-        for (rcv, s, k), n in self.counts.items():
-            if rcv != receiver:
-                continue
-            if want_sid is not None and s != want_sid:
-                continue
-            if kind is not None and k != kind:
-                continue
-            total += n
-        return total
+        by_sid = self.counts.get(receiver, {})
+        groups = by_sid.values() if sid is None else [by_sid.get(sid.hex(), {})]
+        if kind is None:
+            return sum(sum(kinds.values()) for kinds in groups)
+        return sum(kinds.get(kind, 0) for kinds in groups)
 
     # -- delivery -----------------------------------------------------------
 

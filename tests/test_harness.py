@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from itstore import field, harness
 from itstore.config import load_scenario, parse_scenario
 from itstore.harness import (
     EXIT_ABORT,
@@ -302,6 +303,25 @@ def test_bench_modulus_comparison_mode():
     assert set(report.compare_medians) == {"mersenne", "general"}
     assert isinstance(report.mersenne_faster, bool)
     assert "mersenne_registration_faster=" in report.gnuplot_text()
+
+
+def test_comparison_moduli_are_checked_once_per_process(monkeypatch):
+    config = scenario(bench={"sizes_kb": [1], "repetitions": 1,
+                             "compare_general_prime": True})
+    checked = []
+    real_check = field.is_probable_prime
+
+    def counting_check(n, rounds=64):
+        checked.append(n)
+        return real_check(n, 2)  # the same two primes, fewer rounds
+
+    monkeypatch.setattr(field, "is_probable_prime", counting_check)
+    harness._compare_field_pair.cache_clear()
+    first = harness._bench_compare(config, 1)
+    second = harness._bench_compare(config, 1)
+    assert sorted(checked) == sorted([harness.COMPARE_GENERAL_Q,
+                                      (1 << harness.COMPARE_EXPONENT) - 1])
+    assert first[1] == second[1]  # same rows, same transcripts
 
 
 # ------------------------------------------------------------- wire bytes

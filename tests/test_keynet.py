@@ -1,11 +1,13 @@
 """Tests for the simulated key network: generation, relay, channels, ledger."""
 
 import dataclasses
+import hashlib
+import itertools
 import random
 
 import pytest
 
-from itstore.entropy import PrfBits
+from itstore.entropy import PrfBits, derive_key
 from itstore.errors import (
     ChannelIntegrityError,
     ConfigurationError,
@@ -21,7 +23,7 @@ from itstore.keynet import (
     NodeSpec,
     SecureEnvelope,
 )
-from itstore.mac import polyeval_hash_bytes
+from itstore.mac import polyeval_hash_bytes, polyeval_powers
 
 
 def line_topology(rate=1000, capacity=1_000_000):
@@ -70,6 +72,23 @@ def test_default_topology_shape_and_paths():
     assert [l.name for l in two_hop] == ["NTT-NICT", "Toshiba"]
     assert [l.name for l in topo.shortest_path("Koganei-4", "Koganei-1")] == [
         "SeQureNet", "Toshiba"]
+
+
+def test_memoized_paths_equal_fresh_bfs_paths_for_every_pair(monkeypatch):
+    topo = DEFAULT_TOPOLOGY
+    fresh = NetworkTopology(topo.nodes, topo.links)  # an empty path memo
+    pairs = list(itertools.product(topo.node_names(), repeat=2))
+    searched = {pair: fresh._bfs_path(*pair) for pair in pairs}
+    for pair in pairs:
+        assert topo.shortest_path(*pair) == searched[pair], pair
+    topo.shortest_path(*pairs[1]).append("scribble")  # callers get a copy
+
+    def no_search(self, a, b):
+        raise AssertionError("searched %s-%s again" % (a, b))
+
+    monkeypatch.setattr(NetworkTopology, "_bfs_path", no_search)
+    for pair in pairs:
+        assert topo.shortest_path(*pair) == searched[pair], pair
 
 
 # --------------------------------------------------------------- generation
@@ -425,6 +444,80 @@ def test_body_pad_must_end_where_the_tag_pad_starts():
     assert net.secure_recv(second) == b"other message, 18B"  # nothing spent
 
 
+@pytest.mark.parametrize("tag_bits", [16, 256])
+def test_pads_and_tag_are_prf_reads_of_adjacent_allocations(tag_bits):
+    net = fresh_net(tag_bits=tag_bits)
+    net.relay_keys("A", "C", 9000)
+    stream = net.pair_stream("A", "C")
+    p = net.modulus
+    r = stream.prf.read_bits(0, tag_bits) % p  # the first send draws the key
+    for payload in (b"", b"x", bytes(range(70))):
+        env = net.secure_send("alice", "carol", payload)
+        nbits = 8 * len(payload)
+        assert env.tag_pad_offset == env.pad_offset + nbits
+        assert stream.cursor == env.tag_pad_offset + tag_bits
+        pad = stream.prf.read_bits(env.pad_offset, nbits)
+        assert int.from_bytes(env.ciphertext, "big") == \
+            int.from_bytes(payload, "big") ^ pad
+        tag_pad = stream.prf.read_bits(env.tag_pad_offset, tag_bits)
+        message = env.seq.to_bytes(8, "big") + env.ciphertext
+        assert env.tag == (polyeval_hash_bytes(r, message, p) + tag_pad) % p
+        assert net.secure_recv(env) == payload
+    assert net.channels[("alice", "carol")].powers == polyeval_powers(r, p)
+
+
+def test_every_sub_range_read_of_the_kept_allocations_equals_the_prf(
+        monkeypatch):
+    net = fresh_net()
+    net.relay_keys("A", "C", 1000)
+    stream = net.pair_stream("A", "C")
+    stream.allocate(5)  # not kept: two allocations follow it
+    kept = [stream.allocate(13), stream.allocate(90)]  # off byte edges
+    end = stream.cursor
+    assert all(value == stream.prf.read_bits(offset, nbits)
+               for (offset, value), nbits in zip(kept, (13, 90)))
+    want = {(a, b): stream.prf.read_bits(a, b - a)
+            for a in range(end + 1) for b in range(a, end + 1)}
+    inside = [(a, b) for a, b in want
+              if any(o <= a and b <= o + n
+                     for (o, _), n in zip(kept, (13, 90)))]
+    hashed = []
+    block = PrfBits._block
+    monkeypatch.setattr(PrfBits, "_block",
+                        lambda prf, i: hashed.append(i) or block(prf, i))
+    for a, b in inside:
+        assert stream.read(a, b - a) == want[(a, b)], (a, b)
+    assert hashed == []  # served from the kept allocations
+    for (a, b), bits in want.items():  # the rest reads the PRF
+        assert stream.read(a, b - a) == bits, (a, b)
+    stream.release()
+    assert stream.read(kept[1][0], 90) == kept[1][1]
+
+
+def test_moved_or_out_of_range_pad_offsets_fail_as_before():
+    # The receiver reads the tag pad, checks the tag, reads the body pad and
+    # checks adjacency, in that order; each moved offset fails at its step.
+    net = fresh_net()
+    net.relay_keys("A", "C", 5000)
+    env = net.secure_send("alice", "carol", b"eighteen byte body")
+    end = net.pair_stream("A", "C").cursor
+    cases = [
+        (dict(tag_pad_offset=end - 8), ProtocolError, "outside the allocated"),
+        (dict(tag_pad_offset=-1), ProtocolError, "outside the allocated"),
+        (dict(tag_pad_offset=env.tag_pad_offset - 1), ChannelIntegrityError,
+         "tag mismatch"),
+        (dict(pad_offset=end), ProtocolError, "outside the allocated"),
+        (dict(pad_offset=-8), ProtocolError, "outside the allocated"),
+        (dict(pad_offset=env.pad_offset + 8), ChannelIntegrityError,
+         "does not end where"),
+        (dict(pad_offset=0), ChannelIntegrityError, "does not end where"),
+    ]
+    for change, error, match in cases:
+        with pytest.raises(error, match=match):
+            net.secure_recv(dataclasses.replace(env, **change))
+    assert net.secure_recv(env) == b"eighteen byte body"
+
+
 def test_send_exhaustion_is_atomic():
     net = fresh_net()
     net.relay_keys("A", "C", 64)  # far too little for seed + pads
@@ -517,6 +610,23 @@ def test_sequential_draws_hash_each_prf_block_once(monkeypatch):
     for v in values:
         joined = (joined << 127) | v
     assert joined == PrfBits(pool.prf._key).read_bits(0, 100 * 127)
+
+
+def test_prf_blocks_equal_one_shot_keyed_blake2b():
+    key = derive_key(b"prf-check", "blocks")
+
+    def one_shot(i):
+        return hashlib.blake2b(i.to_bytes(8, "big"), key=key,
+                               digest_size=64).digest()
+
+    prf = PrfBits(key)
+    for i in (0, 1, 2, 255, 2 ** 40 + 3):
+        assert prf._block(i) == one_shot(i)
+    stream = b"".join(one_shot(i) for i in range(5))
+    for start, nbytes in ((0, 320), (1, 200), (63, 2), (100, 150), (64, 64)):
+        assert prf.read_bytes(start, nbytes) == stream[start:start + nbytes]
+        assert PrfBits(key).read_bytes(start, nbytes) == \
+            stream[start:start + nbytes]
 
 
 def test_entropy_pool_regrows_with_time():

@@ -21,7 +21,9 @@ from itstore.mac import (
     cr_hash,
     make_seed,
     polyeval_hash_bytes,
+    POLY_CHUNK,
     polyeval_modulus,
+    polyeval_powers,
     polyeval_tag_blocks,
     recompute_tag,
     seed_from_bytes,
@@ -36,6 +38,20 @@ from itstore.mac import (
 def polyeval_oracle(r, blocks, q):
     """sum_{i>=1} blocks[i-1] * r^i mod q, one term at a time."""
     return sum(b * pow(r, i, q) for i, b in enumerate(blocks, start=1)) % q
+
+
+def horner_oracle(r, blocks, q):
+    """The same sum by Horner's rule, one block and one reduction a step."""
+    acc = 0
+    for b in reversed(blocks):
+        acc = (acc * r + b) % q
+    return acc * r % q
+
+
+def marked_blocks(message, step):
+    """Byte-hash blocks cut one by one, each behind its 0x01 marker."""
+    return [int.from_bytes(b"\x01" + message[i:i + step], "big")
+            for i in range(0, len(message), step)]
 
 
 def toeplitz_matrix(seed_bits, k, length):
@@ -96,6 +112,47 @@ def test_polyeval_matches_oracle_randomized():
         r = rng.randrange(q)
         blocks = [rng.randrange(q) for _ in range(rng.randrange(1, 9))]
         assert polyeval_tag_blocks(r, blocks, q) == polyeval_oracle(r, blocks, q)
+
+
+@pytest.mark.parametrize("tag_bits", [16, 24, 256])
+def test_chunked_byte_hash_equals_horner_oracle_at_every_length(tag_bits):
+    # Every message length from 0 to three chunks of blocks plus a byte,
+    # so each chunk edge is crossed with full, short and missing last
+    # blocks; the keys include 0, 1 and q - 1.
+    q = polyeval_modulus(tag_bits)
+    step = (q.bit_length() - 2) // 8
+    rng = random.Random(tag_bits)
+    message = rng.randbytes(3 * POLY_CHUNK * step + 1)
+    keys = (0, 1, q - 1, rng.randrange(q))
+    for n in range(len(message) + 1):
+        blocks = marked_blocks(message[:n], step)
+        r = keys[n % len(keys)]
+        powers = polyeval_powers(r, q)
+        want = horner_oracle(r, blocks, q)
+        assert polyeval_hash_bytes(r, message[:n], q) == want, n
+        assert polyeval_hash_bytes(r, message[:n], q, powers) == want, n
+
+
+def test_chunked_evaluator_equals_horner_oracle_around_chunk_edges():
+    q = polyeval_modulus(256)
+    rng = random.Random(0xC4)
+    edges = {POLY_CHUNK * c + d for c in range(4) for d in (-1, 0, 1)}
+    for n in sorted(e for e in edges if e >= 0):
+        blocks = [rng.randrange(q) for _ in range(n)]
+        r = rng.randrange(q)
+        marker = rng.randrange(1 << 248)
+        want = horner_oracle(r, blocks, q)
+        assert polyeval_tag_blocks(r, blocks, q) == want, n
+        assert polyeval_tag_blocks(r, blocks, q, polyeval_powers(r, q)) == want
+        assert polyeval_tag_blocks(r, blocks, q, marker=marker) == \
+            horner_oracle(r, [b + marker for b in blocks], q), n
+
+
+def test_polyeval_powers_are_the_key_powers():
+    q = polyeval_modulus(256)
+    r = 0x1234567 ** 9
+    assert polyeval_powers(r, q) == [pow(r, i, q) for i in range(1, POLY_CHUNK + 1)]
+    assert polyeval_powers(r, q, 3) == [pow(r, i, q) for i in (1, 2, 3)]
 
 
 def test_polyeval_modulus_values():

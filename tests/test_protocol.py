@@ -131,6 +131,33 @@ def test_end_user_sees_nothing_before_release(tmp_path):
     assert session.received_bytes(session.END_USER, sid=sid, kind="release") > 0
 
 
+def test_received_bytes_equals_a_transcript_sum_for_every_filter(tmp_path):
+    session = make_session(tmp_path)
+    sids = [register_and_stock(session, data=data)[0]
+            for data in (DATA, DATA[::-1])]
+    assert session.reconstruct_and_release(sids[0], PASSWORD).data == DATA
+    delivered = []  # (receiver, sid hex, kind, bytes) of every delivery
+    for line in session.transcript_text().splitlines():
+        words = line.split()
+        if words[0] in ("otp", "local"):
+            fields = dict(w.split("=", 1) for w in words[2:])
+            delivered.append((words[1].split("->")[1], fields["sid"],
+                              fields["kind"], int(fields["bytes"])))
+    receivers = {row[0] for row in delivered} | {"nobody"}
+    kinds = {row[2] for row in delivered} | {None, "no-such-kind"}
+    for receiver in receivers:
+        for sid in (None, *sids, bytes(16)):
+            for kind in kinds:
+                want = sum(n for rcv, s, k, n in delivered
+                           if rcv == receiver
+                           and (sid is None or s == sid.hex())
+                           and (kind is None or k == kind))
+                assert session.received_bytes(receiver, sid, kind) == want, \
+                    (receiver, sid, kind)
+    assert session.received_bytes(session.END_USER, sids[0]) > 0
+    assert session.received_bytes(session.END_USER, sids[1]) == 0
+
+
 # ------------------------------------------------------------ dispute paths
 
 

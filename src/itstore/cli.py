@@ -451,6 +451,11 @@ def _inspect_verifier(path: Path) -> None:
 
 def _inspect_calculator(path: Path) -> None:
     from .stores import CalculatorStore
+    if not (path / "meta.bin").exists() and not any(path.glob("*.rec")):
+        # the meta file is written with the store's first record
+        print("calculator store %s: 0 records (scheme and k not yet recorded)"
+              % path)
+        return
     store = CalculatorStore(path)
     ids = store.ids()
     print("calculator store %s: %d records (scheme=%s, k=%d)"

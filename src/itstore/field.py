@@ -17,6 +17,7 @@ must agree bit for bit, which the test suite checks on random inputs.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -39,11 +40,15 @@ __all__ = [
 _MR_ROUNDS = 64
 
 
+@functools.lru_cache(maxsize=256)
 def is_probable_prime(n: int, rounds: int = _MR_ROUNDS) -> bool:
     """Miller-Rabin primality test with pseudorandom witnesses.
 
     Witnesses are drawn from a PRNG seeded by ``n`` so repeated runs agree.
     With the default round count the error probability is below 2^-128.
+    The answer is a pure function of (n, rounds), so it is memoized: each
+    modulus a process uses is tested once, however many fields and groups
+    are built on it.
     """
     if n < 2:
         return False
@@ -101,9 +106,9 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
 class PrimeField:
     """A prime field F_q with int-level arithmetic helpers.
 
-    The constructor verifies primality probabilistically (error < 2^-100)
-    unless check_prime=False, which is reserved for fields whose modulus
-    was already vetted (e.g. frozen group constants).
+    The constructor verifies primality with is_probable_prime (error
+    < 4^-64 = 2^-128); the test is memoized, so a modulus is tested once
+    per process, not once per field.
 
     Attributes:
         q: the modulus.
@@ -115,10 +120,10 @@ class PrimeField:
 
     __slots__ = ("q", "mersenne_exponent", "block_bits", "byte_width", "_mask")
 
-    def __init__(self, q: int, check_prime: bool = True):
+    def __init__(self, q: int):
         if q < 2:
             raise ConfigurationError("field modulus must be >= 2, got %d" % q)
-        if check_prime and not is_probable_prime(q):
+        if not is_probable_prime(q):
             raise ConfigurationError("field modulus %d is not prime" % q)
         self.q = q
         m = q.bit_length()

@@ -126,7 +126,7 @@ class RenewalGroupConfig:
         return rows, width
 
     def share_field(self) -> PrimeField:
-        return PrimeField(self.q, check_prime=False)
+        return PrimeField(self.q)
 
 
 def derive_subgroup_element(x: int, p: int, q: int) -> int:

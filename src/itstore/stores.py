@@ -308,8 +308,10 @@ class CalculatorStore:
     One file per secret, named by the hex id, holding exactly the 8-byte
     receipt time followed by the raw seed bytes -- so the marginal bytes on
     disk per secret are len(id) + 8 + len(seed), nothing more. The hash
-    scheme and tag width are store-wide configuration written once to a
-    meta file, because every registration in a run shares them.
+    scheme and tag width are store-wide configuration, because every
+    registration in a run shares them: a new store keeps them in memory
+    and writes them to `meta.bin` with its first record, so building a
+    deployment writes nothing here.
     """
 
     _META = "meta.bin"
@@ -319,7 +321,8 @@ class CalculatorStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         meta_path = self.directory / self._META
-        if meta_path.exists():
+        self._meta_written = meta_path.exists()
+        if self._meta_written:
             raw = meta_path.read_bytes()
             if len(raw) != len(_CALC_MAGIC) + 3 or not raw.startswith(_CALC_MAGIC):
                 raise TamperDetectedError("calculator meta file is malformed")
@@ -337,9 +340,6 @@ class CalculatorStore:
                 raise ConfigurationError(
                     "a new calculator store needs scheme and k")
             self.scheme, self.k = scheme, k
-            code = 0 if scheme is MacScheme.TOEPLITZ else 1
-            erase_and_rewrite(meta_path,
-                              _CALC_MAGIC + bytes([code]) + struct.pack(">H", k))
 
     def _record_path(self, secret_id: bytes) -> Path:
         if not 1 <= len(secret_id) <= 64:
@@ -354,6 +354,11 @@ class CalculatorStore:
         path = self._record_path(secret_id)
         if path.exists():
             raise ProtocolError("secret %s already registered" % secret_id.hex())
+        if not self._meta_written:
+            code = 0 if self.scheme is MacScheme.TOEPLITZ else 1
+            _write_synced(self.directory / self._META, _CALC_MAGIC
+                          + bytes([code]) + struct.pack(">H", self.k))
+            self._meta_written = True
         erase_and_rewrite(path, struct.pack(">Q", t1) + seed_to_bytes(seed))
 
     def get(self, secret_id: bytes):
@@ -415,9 +420,7 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
     rd = Cursor(body, TamperDetectedError, "%s record" % path)
     t_sh, n_sh, width = rd.uint(1), rd.uint(1), rd.uint(2)
     q = rd.uint(width)
-    # the record digest already proves these bytes are ours, so the
-    # modulus does not need a fresh primality run on every load
-    params = SpssParams(t_sh, n_sh, PrimeField(q, check_prime=False))
+    params = SpssParams(t_sh, n_sh, PrimeField(q))
     data_shares = rd.uints(rd.uint(4), width)
     password_share = rd.uint(width)
     tuples = {}

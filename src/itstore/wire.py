@@ -26,6 +26,9 @@ refused with ConfigurationError before any byte is encoded.
 
 from __future__ import annotations
 
+import re
+from itertools import repeat
+
 from .errors import ConfigurationError, ProtocolError
 
 __all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor"]
@@ -60,8 +63,8 @@ class Cursor:
     def uints(self, count: int, width: int) -> tuple:
         """count unsigned integers of one width, with one length check."""
         raw = self.take(count * width)
-        return tuple([int.from_bytes(raw[i:i + width], "big")
-                      for i in range(0, len(raw), width)])
+        return tuple(map(int.from_bytes, re.findall(b".{%d}" % width, raw, re.S),
+                         repeat("big")))
 
     def done(self) -> None:
         if self.pos != len(self.raw):
@@ -159,7 +162,8 @@ class Codec:
             else:
                 if category == "list":
                     out.append(_length_prefix(kind, name, len(value), 4))
-                out.extend(v.to_bytes(width, "big") for v in value)
+                out.append(b"".join(map(int.to_bytes, value, repeat(width),
+                                        repeat("big"))))
         return b"".join(out)
 
     def decode(self, kind: str, raw: bytes, expect=()) -> tuple:

@@ -12,6 +12,7 @@ import re
 import pytest
 
 from itstore.cli import main
+from itstore.protocol import TpvSession
 
 PASSWORD = "open sesame"
 SECRET_TEXT = "the archive payload, version 1"
@@ -327,6 +328,16 @@ def test_inspect_workspace_and_stores(tmp_path, capsys):
 
     code, out, _ = run_cli(capsys, "inspect", str(ws / "transcript.log"))
     assert code == 0 and "transcript" in out
+
+
+def test_inspect_a_calculator_store_before_its_first_registration(tmp_path,
+                                                                 capsys):
+    TpvSession(tmp_path)  # writes no calculator meta until a registration
+    calculator = tmp_path / "calculator"
+    assert not (calculator / "meta.bin").exists()
+    code, out, _ = run_cli(capsys, "inspect", str(calculator))
+    assert code == 0
+    assert "0 records" in out
 
 
 def test_inspect_detects_store_tampering(tmp_path, capsys):

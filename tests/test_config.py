@@ -19,6 +19,7 @@ from itstore.config import (
     parse_scenario,
 )
 from itstore.errors import ConfigurationError
+from itstore.field import is_probable_prime
 from itstore.keynet import DEFAULT_TOPOLOGY
 from itstore.mac import MacScheme
 
@@ -431,6 +432,13 @@ def test_load_scenario_name_defaults_to_stem(tmp_path):
     path = tmp_path / "stem-case.yaml"
     path.write_text("seed: zzz\n", encoding="utf-8")
     assert load_scenario(path).name == "stem-case"
+
+
+def test_repeated_parses_test_the_field_modulus_once():
+    is_probable_prime.cache_clear()
+    load_scenario(SCENARIO_DIR / "bench.yaml")
+    load_scenario(SCENARIO_DIR / "bench.yaml")
+    assert is_probable_prime.cache_info().misses == 1
 
 
 def test_all_shipped_scenarios_parse():

@@ -370,6 +370,20 @@ def test_is_probable_prime_known_values():
     assert not is_probable_prime(1 << 31)
 
 
+PRIMES = (2, 31, (1 << 61) - 1, (1 << 127) - 1, (1 << 127) + 29)
+COMPOSITES = (
+    561, 41041, 825265,  # Carmichael numbers
+    3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+    (1 << 11) - 1,  # 23 * 89
+)
+
+
+def test_memoized_primality_agrees_with_the_plain_test():
+    plain = is_probable_prime.__wrapped__
+    for n in PRIMES + COMPOSITES:
+        assert is_probable_prime(n) == plain(n) == (n in PRIMES), n
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(ConfigurationError):
         PrimeField(15)

@@ -20,6 +20,7 @@ from itstore.errors import (
     TamperDetectedError,
 )
 from itstore.field import PrimeField
+from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork
 from itstore.mac import (
     MacScheme,
     MacTag,
@@ -28,6 +29,7 @@ from itstore.mac import (
     make_seed,
     recompute_tag,
 )
+from itstore.protocol import TpvSession
 from itstore.spss import (
     SpssParams,
     precompute_round,
@@ -746,3 +748,45 @@ def test_saving_one_secret_writes_only_its_record(tmp_path, monkeypatch):
     changed = {name for name in after if after[name] != before.get(name)}
     assert changed and all(name.startswith(sid.hex()) for name in changed)
     assert cost[1] == cost[100] > 1024
+
+
+# ------------------------------------------------- deferred calculator meta
+
+
+def test_building_a_session_makes_no_fsync_and_meta_comes_with_register(
+        tmp_path):
+    net = KeyNetwork(DEFAULT_TOPOLOGY, master_seed=b"store-suite")
+    net.advance(3_600_000)
+    with fsyncs() as counter:
+        session = TpvSession(tmp_path, net=net)
+    assert counter.calls == 0
+    meta = tmp_path / "calculator" / "meta.bin"
+    assert not meta.exists()
+    session.register(b"the first secret of a new deployment", b"pw")
+    reopened = CalculatorStore(tmp_path / "calculator")
+    assert meta.exists() and len(reopened) == 1
+    assert (reopened.scheme, reopened.k) == (session.scheme, session.k)
+
+
+def test_crash_in_a_new_calculator_stores_first_put(tmp_path):
+    """Crash at each fsync of a new store's first put: the store reopens
+    without parameters, with its scheme and k, and holds either no record
+    or exactly that one."""
+    seed = calc_seed(b"first")
+    sid = b"\x0c" * 16
+    with fsyncs() as counter:
+        CalculatorStore(tmp_path / "ref", MacScheme.TOEPLITZ, 256).put(
+            sid, 12, seed)
+    assert counter.calls == 2  # the meta file, then the record
+    for k in range(1, counter.calls + 1):
+        directory = tmp_path / ("crash-%d" % k)
+        store = CalculatorStore(directory, MacScheme.TOEPLITZ, 256)
+        with fsyncs(crash_at=k), pytest.raises(SimulatedCrash):
+            store.put(sid, 12, seed)
+        reopened = CalculatorStore(directory)
+        assert (reopened.scheme, reopened.k) == (MacScheme.TOEPLITZ, 256)
+        assert reopened.ids() == (() if k == 1 else (sid,))
+        if reopened.ids():
+            t1, restored = reopened.get(sid)
+            assert (t1, restored.value, restored.width_bits) == (
+                12, seed.value, seed.width_bits)

@@ -1,5 +1,7 @@
 """Tests for the message schema, its codec and the strict cursor."""
 
+import random
+
 import pytest
 
 from itstore.errors import ConfigurationError, ProtocolError, TamperDetectedError
@@ -85,3 +87,39 @@ def test_cursor_reports_its_error_and_subject():
         rd.done()
     with pytest.raises(TamperDetectedError, match="truncated /store/x.a"):
         rd.take(2)
+
+
+def oracle_uints(values, width):
+    """The per-element encoding the column codec must reproduce."""
+    return b"".join(v.to_bytes(width, "big") for v in values)
+
+
+@pytest.mark.parametrize("count", [0, 1, 1000])
+@pytest.mark.parametrize("width", [1, 4, 16, 33])
+def test_lists_and_runs_match_a_per_element_oracle(width, count):
+    codec = Codec(W=width, P=width, tag=8, digest=64, degree=3)
+    gen = random.Random("wire-%d-%d" % (width, count))
+    values = tuple(gen.getrandbits(8 * width) for _ in range(count))
+    if count:
+        values = ((1 << (8 * width)) - 1,) + values[1:]
+    sid = bytes(range(16))
+    body = oracle_uints(values, width)
+    assert Cursor(body).uints(count, width) == tuple(
+        int.from_bytes(body[i:i + width], "big")
+        for i in range(0, len(body), width))
+
+    raw = codec.encode("recon-response", sid, values)
+    assert raw == b"\x0a" + sid + count.to_bytes(4, "big") + body
+    assert codec.decode("recon-response", raw) == (sid, values)
+
+    pairs = values + values
+    ran = codec.encode("renew-pairs", sid, 7, 2, count, pairs)
+    assert ran == (b"\x16" + sid + (7).to_bytes(4, "big") + b"\x02"
+                   + count.to_bytes(4, "big") + oracle_uints(pairs, width))
+    assert codec.decode("renew-pairs", ran) == (sid, 7, 2, count, pairs)
+
+    for kind, message in (("recon-response", raw), ("renew-pairs", ran)):
+        with pytest.raises(ProtocolError):
+            codec.decode(kind, message[:-1])
+        with pytest.raises(ProtocolError):
+            codec.decode(kind, message + b"\x00")

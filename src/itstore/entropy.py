@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .errors import KeySupplyError
-
-__all__ = ["RandomSource", "SeededEntropy", "BudgetedSource", "PrfBits", "derive_key"]
+__all__ = ["RandomSource", "SeededEntropy", "PrfBits", "derive_key"]
 
 _BLOCK_BYTES = 64
 
@@ -102,21 +100,3 @@ class SeededEntropy(RandomSource):
         self._cursor += nbits
         return v
 
-
-class BudgetedSource(RandomSource):
-    """Wraps a source with a hard bit budget.
-
-    Raises KeySupplyError once the budget would be exceeded; the underlying
-    source is not touched for a draw that cannot be honored (atomicity).
-    """
-
-    def __init__(self, inner: RandomSource, budget_bits: int):
-        self._inner = inner
-        self.remaining = budget_bits
-
-    def take_bits(self, nbits: int) -> int:
-        if nbits > self.remaining:
-            raise KeySupplyError(
-                "randomness exhausted: need %d bits, %d left" % (nbits, self.remaining))
-        self.remaining -= nbits
-        return self._inner.take_bits(nbits)

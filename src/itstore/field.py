@@ -4,10 +4,13 @@ Provides:
 
   PrimeField      -- field configuration plus int-level modular ops, and
                      the column kernels random_ints and eval_columns
-  FieldElement    -- immutable typed wrapper with operator overloads
   Polynomial      -- coefficient vector (constant term first) over a field
-  poly_eval, random_polynomial, lagrange_at_zero, mod_exp
+  random_polynomial, zero_coefficients, interpolate_at_zero, mod_exp
   is_probable_prime, largest_prime_at_most
+
+Elements are plain ints in [0, q); zero_coefficients holds the one
+Lagrange-at-zero implementation, and interpolate_at_zero is its weighted
+sum.
 
 Moduli of the form 2^m - 1 get a fold-based reduction path
 ((x & q) + (x >> m), congruence-preserving for any x) that is measurably
@@ -20,17 +23,16 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConfigurationError, ProtocolError
 
 __all__ = [
     "PrimeField",
-    "FieldElement",
     "Polynomial",
-    "poly_eval",
     "random_polynomial",
-    "lagrange_at_zero",
+    "zero_coefficients",
+    "interpolate_at_zero",
     "mod_exp",
     "is_probable_prime",
     "largest_prime_at_most",
@@ -138,10 +140,6 @@ class PrimeField:
 
     # -- int-level ops (hot paths work on plain ints) --
 
-    def reduce(self, x: int) -> int:
-        """Canonical representative of x mod q (general path)."""
-        return x % self.q
-
     def mersenne_reduce(self, x: int) -> int:
         """Canonical representative via shift-and-add folding.
 
@@ -177,12 +175,6 @@ class PrimeField:
         if a % self.q == 0:
             raise ZeroDivisionError("inverse of zero in F_%d" % self.q)
         return pow(a, -1, self.q)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.q)
-
-    def neg(self, a: int) -> int:
-        return (self.q - a) % self.q
 
     def poly_eval_int(self, coeffs: Sequence[int], x: int) -> int:
         """Horner evaluation of sum coeffs[i] * x^i at x, canonical result.
@@ -273,13 +265,7 @@ class PrimeField:
             acc = [a * x + c for a, c in zip(acc, col)]
         return [(a * x + c) % q for a, c in zip(acc, columns[0])]
 
-    # -- typed wrappers --
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.q, self)
-
-    def random_element(self, randomness) -> "FieldElement":
-        return FieldElement(self.random_int(randomness), self)
+    # -- serialization --
 
     def encode(self, value: int) -> bytes:
         return value.to_bytes(self.byte_width, "big")
@@ -300,95 +286,6 @@ class PrimeField:
         if self.mersenne_exponent:
             return "PrimeField(2^%d - 1)" % self.mersenne_exponent
         return "PrimeField(%d)" % self.q
-
-
-class FieldElement:
-    """Immutable element of a PrimeField with operator overloads.
-
-    Mixing elements of different fields raises ConfigurationError; ints are
-    accepted on the right-hand side and reduced into the field.
-    """
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        object.__setattr__(self, "value", value % field.q)
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldElement is immutable")
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ConfigurationError(
-                    "field mismatch: %r vs %r" % (self.field, other.field))
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.q
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.add(self.value, v), self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.sub(self.value, v), self.field)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.sub(v, self.value), self.field)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.mul(self.value, v), self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.mul(self.value, self.field.inv(v)), self.field)
-
-    def __neg__(self):
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.field.q))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return "FieldElement(%d mod %d)" % (self.value, self.field.q)
-
-    def to_bytes(self) -> bytes:
-        return self.field.encode(self.value)
 
 
 @dataclass(frozen=True)
@@ -414,30 +311,14 @@ class Polynomial:
     def degree_bound(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def constant(self) -> int:
-        return self.coeffs[0]
-
     def evaluate(self, x: int) -> int:
         return self.field.poly_eval_int(self.coeffs, x)
 
-    def __call__(self, x: int) -> int:
-        return self.evaluate(x)
 
-
-def poly_eval(p: Polynomial, x: "FieldElement | int") -> FieldElement:
-    """Evaluate p at x, returning a typed element of p's field."""
-    if isinstance(x, FieldElement):
-        if x.field != p.field:
-            raise ConfigurationError("field mismatch between polynomial and point")
-        xv = x.value
-    else:
-        xv = x % p.field.q
-    return FieldElement(p.evaluate(xv), p.field)
-
-
-def random_polynomial(degree: int, constant_term: FieldElement, randomness) -> Polynomial:
-    """Fresh polynomial of declared degree with the given constant term.
+def random_polynomial(degree: int, constant: int, field: PrimeField,
+                      randomness) -> Polynomial:
+    """Fresh polynomial over field of declared degree with the given
+    constant term, which must already lie in [0, q).
 
     The degree non-constant coefficients are uniform (so the effective
     degree may be lower; the declared bound is what matters to callers).
@@ -445,56 +326,10 @@ def random_polynomial(degree: int, constant_term: FieldElement, randomness) -> P
     """
     if degree < 0:
         raise ConfigurationError("degree must be >= 0")
-    field = constant_term.field
-    coeffs = [constant_term.value]
+    coeffs = [constant]
     for _ in range(degree):
         coeffs.append(field.random_int(randomness))
     return Polynomial(tuple(coeffs), field)
-
-
-def lagrange_at_zero(points: Iterable) -> FieldElement:
-    """Interpolate f(0) from (index, value) pairs of field elements.
-
-    Indices must be distinct and nonzero: a zero index would be the secret
-    position itself and a duplicate makes the system singular. Accepts
-    FieldElement or int coordinates; all must share one field.
-    """
-    pts = list(points)
-    if not pts:
-        raise ProtocolError("no points to interpolate")
-    field = None
-    for x, y in pts:
-        for v in (x, y):
-            if isinstance(v, FieldElement):
-                if field is None:
-                    field = v.field
-                elif v.field != field:
-                    raise ConfigurationError("interpolation points from mixed fields")
-    if field is None:
-        raise ConfigurationError("at least one coordinate must be a FieldElement")
-    xs = [int(x) % field.q for x, _ in pts]
-    ys = [int(y) % field.q for _, y in pts]
-    return FieldElement(interpolate_at_zero(list(zip(xs, ys)), field), field)
-
-
-def interpolate_at_zero(pairs: Sequence, field: PrimeField) -> int:
-    """Int-level Lagrange interpolation at zero. pairs: [(x, y), ...]."""
-    xs = [x for x, _ in pairs]
-    if 0 in xs:
-        raise ProtocolError("interpolation index 0 is the secret position")
-    if len(set(xs)) != len(xs):
-        raise ProtocolError("duplicate interpolation indices")
-    acc = 0
-    for i, (xi, yi) in enumerate(pairs):
-        num = 1
-        den = 1
-        for j, (xj, _) in enumerate(pairs):
-            if i == j:
-                continue
-            num = field.mul(num, xj)
-            den = field.mul(den, field.sub(xj, xi))
-        acc = field.add(acc, field.mul(yi, field.mul(num, field.inv(den))))
-    return acc
 
 
 def zero_coefficients(indices: Sequence[int], field: PrimeField) -> list:
@@ -519,3 +354,10 @@ def zero_coefficients(indices: Sequence[int], field: PrimeField) -> list:
             den = field.mul(den, field.sub(xj, xi))
         out.append(field.mul(num, field.inv(den)))
     return out
+
+
+def interpolate_at_zero(pairs: Sequence, field: PrimeField) -> int:
+    """f(0) from [(x, y), ...]: the zero_coefficients-weighted sum of the
+    y values."""
+    weights = zero_coefficients([x for x, _ in pairs], field)
+    return sum(w * y for w, (_, y) in zip(weights, pairs)) % field.q

@@ -68,6 +68,7 @@ from .renewal import (
     MERSENNE127_GROUP,
     Accusation,
     RenewalGroupConfig,
+    RenewalOutcome,
     RenewalPacket,
     apply_renewal,
     gen_renewal,
@@ -76,12 +77,11 @@ from .renewal import (
 from .spss import (
     HolderShareSet,
     MaskedResponse,
-    PrecomputedTuple,
     SpssParams,
     SpssRequest,
     data_block_count,
-    masking_columns,
     password_to_element,
+    precompute_round,
     spss_recover,
     spss_register,
     spss_request,
@@ -98,6 +98,7 @@ __all__ = [
     "RolePlacement",
     "Transport",
     "TpvSession",
+    "renewal_round",
 ]
 
 
@@ -257,6 +258,70 @@ class Transport:
                    envelope.seq, cost))
         self._count(receiver, sid_hex, kind, len(delivered))
         return delivered
+
+
+def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
+                  sources: dict, round_no: int = 0,
+                  deliver=None) -> RenewalOutcome:
+    """One verified renewal round over every share track.
+
+    shares maps each holder index to its tuple of track shares in F_q and
+    sources maps it to the holder's randomness. Holder by holder, in index
+    order, sender d generates one packet per track and hands the packets
+    to deliver(d, packets) -> {j: (commitments per track, pair per
+    track)}, which returns what every other holder j received; without
+    deliver they arrive unchanged. Then every holder checks every other
+    holder's pair on every track against its commitments. A holder does
+    not check its own packet: nothing can alter it on the way. A failed
+    check, or a pair that is None (never received), rejects the round
+    with accusations and no new shares; otherwise every holder folds all
+    pairs into its shares. Each distinct commitment's subgroup check runs
+    once per round.
+    """
+    holders = sorted(shares)
+    if not set(holders) <= set(sources):
+        raise ConfigurationError("renewal needs every holder's randomness")
+
+    def as_sent(packets, j):
+        return ([packet.commitments for packet in packets],
+                [packet.share_pairs.get(j) for packet in packets])
+
+    # received[j][d] = (commitments, pairs) per track, as j got them from d
+    received = {j: {} for j in holders}
+    for d in holders:
+        packets = [gen_renewal(d, holders, degree, config, sources[d],
+                               round_no) for _ in shares[d]]
+        others = [j for j in holders if j != d]
+        got = (deliver(d, packets) if deliver is not None
+               else {j: as_sent(packets, j) for j in others})
+        for j in others:
+            received[j][d] = got[j]
+        received[d][d] = as_sent(packets, d)
+
+    accusations = []
+    members = set()  # commitments proven to be subgroup members this round
+    new_shares = {}
+    for j in holders:
+        renewed = []
+        for track, share in enumerate(shares[j]):
+            packets = [RenewalPacket(d, round_no, received[j][d][0][track],
+                                     {j: received[j][d][1][track]})
+                       for d in holders]
+            for packet in packets:
+                if packet.sender == j:
+                    continue
+                pair = packet.share_pairs[j]
+                if pair is None or not verify_renewal_share(
+                        j, packet, pair, config, members):
+                    accusations.append(Accusation(
+                        j, packet.sender,
+                        "commitment check failed on track %d" % track))
+            if not accusations:
+                renewed.append(apply_renewal(share, j, packets, config))
+        new_shares[j] = tuple(renewed)
+    if accusations:
+        return RenewalOutcome(accepted=False, accusations=tuple(accusations))
+    return RenewalOutcome(accepted=True, new_shares=new_shares)
 
 
 class TpvSession:
@@ -477,48 +542,28 @@ class TpvSession:
     def precompute(self, sid: bytes, rounds: int = 1) -> tuple:
         """Holders jointly stock `rounds` masking tuples for one secret.
 
-        Each holder contributes one random sharing and one zero sharing
-        per round, sending every other holder its evaluations in a single
-        batched message. Returns the new round ids.
+        spss.precompute_round runs the round; each holder sends every
+        other holder its contributions in a single batched precomp
+        message, and every message is checked before any holder saves.
+        Returns the new round ids.
         """
-        if rounds < 1:
-            raise ConfigurationError("need at least one precompute round")
-        params = self.params
-        field = params.field
         sets = {j: self.holder_stores[j].get_secret(sid)
-                for j in params.holder_indices}
-        starts = {max(s.tuples) + 1 if s.tuples else 0 for s in sets.values()}
-        if len(starts) != 1:
-            raise ProtocolError("holders disagree on the next round id")
-        start = starts.pop()
+                for j in self.params.holder_indices}
+        # precompute_round refuses the round before any send unless every
+        # holder agrees on this id
+        start = max(sets[1].tuples, default=-1) + 1
 
-        # pending[j][d] = (r values, z values) from contributor d, one
-        # value per round; every message is checked before any holder saves
-        pending = {j: {} for j in params.holder_indices}
-        for d in params.holder_indices:
-            r_cols, z_cols = masking_columns(
-                params, self.net.entropy_source(self._holder_ep(d)), rounds)
-            for j in params.holder_indices:
-                r_vals = field.eval_columns(r_cols, j)
-                z_vals = field.eval_columns(z_cols, j)
-                if j != d:
-                    flat = [0] * (2 * rounds)
-                    flat[0::2], flat[1::2] = r_vals, z_vals
-                    (flat,) = self._send(
-                        self._holder_ep(d), self._holder_ep(j), "precomp",
-                        (sid, start, rounds, d), flat)
-                    r_vals, z_vals = flat[0::2], flat[1::2]
-                pending[j][d] = (r_vals, z_vals)
+        def deliver(d, j, r_vals, z_vals):
+            flat = [0] * (2 * rounds)
+            flat[0::2], flat[1::2] = r_vals, z_vals
+            (flat,) = self._send(self._holder_ep(d), self._holder_ep(j),
+                                 "precomp", (sid, start, rounds, d), flat)
+            return flat[0::2], flat[1::2]
 
-        new_ids = tuple(range(start, start + rounds))
-        for j in params.holder_indices:
-            share_set = sets[j]
-            received = [pending[j][d] for d in params.holder_indices]
-            r_rows = zip(*(r for r, _ in received))
-            z_rows = zip(*(z for _, z in received))
-            for rid, r_shares, z_shares in zip(new_ids, r_rows, z_rows):
-                share_set.tuples[rid] = PrecomputedTuple(rid, r_shares,
-                                                         z_shares)
+        sources = {j: self.net.entropy_source(self._holder_ep(j))
+                   for j in sets}
+        new_ids = precompute_round(sets, sources, rounds, deliver)
+        for j in sets:
             self.holder_stores[j].save(sid)
         self.transcript.append("precompute sid=%s rounds=%d first=%d"
                                % (sid.hex(), rounds, start))
@@ -810,16 +855,15 @@ class TpvSession:
     def renew(self, sid: bytes, pair_tamper=None) -> RenewalReport:
         """One verifiable renewal round over every data-share track.
 
-        Each holder broadcasts coefficient commitments and sends every
-        other holder an evaluation pair per track; everyone verifies
-        everything, and a single accusation aborts the round with no
-        share changed anywhere. pair_tamper(sender, recipient, track,
-        (s1, s2)) -> (s1, s2) lets tests model a corrupted contribution.
-        A message whose header names another secret, round, sender or
-        track count raises ProtocolError with no share changed. Each
-        distinct commitment's subgroup check runs once per round.
-        The password shares are untouched: renewal re-randomizes the
-        stored payload sharings only.
+        renewal_round runs the round. Each holder sends every other holder
+        its coefficient commitments and an evaluation pair per track;
+        every holder verifies everything it received, and a single
+        accusation aborts the round with no share changed anywhere.
+        pair_tamper(sender, recipient, track, (s1, s2)) -> (s1, s2) lets
+        tests model a corrupted contribution. A message whose header names
+        another secret, round, sender or track count raises ProtocolError
+        with no share changed. The password shares are untouched: renewal
+        re-randomizes the stored payload sharings only.
         """
         group = self.renewal_group
         if group is None:
@@ -847,65 +891,44 @@ class TpvSession:
         history = rounds_seen.pop()
         round_no = (max(history) + 1) if history else 0
 
-        # received[j][d] = (commitments, pairs) per track, as j decoded them
-        received = {j: {} for j in holders}
-        for d in holders:
-            src = self.net.entropy_source(self._holder_ep(d))
-            packets = [gen_renewal(d, holders, degree, group, src, round_no)
-                       for _ in range(n_tracks)]
+        def deliver(d, packets):
             header = (sid, round_no, d, n_tracks)
             commit_msg = self.codec.encode(
                 "renew-commits", *header,
                 [eps for packet in packets for eps in packet.commitments])
+            received = {}
             for j in holders:
-                pairs = [packet.share_pairs[j] for packet in packets]
                 if j == d:
-                    commits = [packet.commitments for packet in packets]
-                else:
-                    (flat,) = self._deliver(
-                        self._holder_ep(d), self._holder_ep(j),
-                        "renew-commits", commit_msg, header)
-                    commits = [flat[i:i + degree]
-                               for i in range(0, len(flat), degree)]
-                    if pair_tamper is not None:
-                        pairs = [pair_tamper(d, j, track, pair)
-                                 for track, pair in enumerate(pairs)]
-                    (flat,) = self._send(
-                        self._holder_ep(d), self._holder_ep(j), "renew-pairs",
-                        header, [v for pair in pairs for v in pair])
-                    pairs = list(zip(flat[0::2], flat[1::2]))
-                received[j][d] = (commits, pairs)
+                    continue
+                (flat,) = self._deliver(
+                    self._holder_ep(d), self._holder_ep(j),
+                    "renew-commits", commit_msg, header)
+                commits = [flat[i:i + degree]
+                           for i in range(0, len(flat), degree)]
+                pairs = [packet.share_pairs[j] for packet in packets]
+                if pair_tamper is not None:
+                    pairs = [pair_tamper(d, j, track, pair)
+                             for track, pair in enumerate(pairs)]
+                (flat,) = self._send(
+                    self._holder_ep(d), self._holder_ep(j), "renew-pairs",
+                    header, [v for pair in pairs for v in pair])
+                received[j] = (commits, list(zip(flat[0::2], flat[1::2])))
+            return received
 
-        # every holder checks every packet it received, its own included,
-        # and folds them into its shares; the shares are stored only if
-        # nobody accuses anybody
-        accusations = []
-        members = set()  # commitments proven to be subgroup members this round
-        renewed = {}
-        for j in holders:
-            shares = []
-            for track, share in enumerate(sets[j].data_shares):
-                packets = [RenewalPacket(d, round_no, received[j][d][0][track],
-                                         {j: received[j][d][1][track]})
-                           for d in holders]
-                for packet in packets:
-                    if not verify_renewal_share(j, packet,
-                                                packet.share_pairs[j], group,
-                                                members):
-                        accusations.append(Accusation(
-                            j, packet.sender,
-                            "commitment check failed on track %d" % track))
-                shares.append(apply_renewal(share, j, packets, group))
-            renewed[j] = tuple(shares)
-        if accusations:
+        sources = {j: self.net.entropy_source(self._holder_ep(j))
+                   for j in holders}
+        outcome = renewal_round({j: sets[j].data_shares for j in holders},
+                                degree, group, sources, round_no, deliver)
+        if not outcome.accepted:
             self.transcript.append(
                 "renewal sid=%s round=%d rejected accusations=%d"
-                % (sid.hex(), round_no, len(accusations)))
-            return RenewalReport(sid, round_no, False, tuple(accusations),
+                % (sid.hex(), round_no, len(outcome.accusations)))
+            return RenewalReport(sid, round_no, False, outcome.accusations,
                                  n_tracks)
 
         for j in holders:
-            self.holder_stores[j].apply_renewal(sid, renewed[j], round_no)
+            self.holder_stores[j].apply_renewal(sid, outcome.new_shares[j],
+                                                round_no)
         self.transcript.append("renewal sid=%s round=%d accepted tracks=%d"
                                % (sid.hex(), round_no, n_tracks))
         return RenewalReport(sid, round_no, True, (), n_tracks)

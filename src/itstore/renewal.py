@@ -34,18 +34,19 @@ on the group object (mersenne127: 32 rows, about 8,000 mulmods and 0.5 MB).
 A commitment's subgroup membership (0 < eps < p and eps^q == 1) is checked
 once per distinct value per round: verify_renewal_share takes a per-round
 set of values already proven members, and only values that pass enter it.
-With n holders, degree t and T tracks, a TpvSession.renew round (where
-every holder also checks its own packet) therefore costs n*T*(t + n)
-commitments, all from the tables, and n*T*t*(n + 1) calls of mod_exp:
-n*T*t full-width membership checks plus n^2*T*t right-hand-side powers
-whose exponents are the recipient's index powers c^j (at most 16 in a
-(3,4) layout). renewal_round skips the self-checks: n*(n - 1) in place
-of n^2.
+A round (protocol.renewal_round, which TpvSession.renew runs over its
+transport) has every holder check every other holder's packet; its own
+cannot be altered on the way. With n holders, degree t and T tracks it
+therefore costs n*T*t commitments to generate and n*(n - 1)*T to verify,
+all from the tables, and n^2*T*t calls of mod_exp: n*T*t full-width
+membership checks plus n*(n - 1)*T*t right-hand-side powers whose
+exponents are the recipient's index powers c^j (at most 16 in a (3,4)
+layout).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ConfigurationError, ProtocolError
@@ -61,7 +62,6 @@ __all__ = [
     "gen_renewal",
     "verify_renewal_share",
     "apply_renewal",
-    "renewal_round",
     "TOY_GROUP",
     "MERSENNE127_GROUP",
     "RFC5114_GROUP",
@@ -204,11 +204,6 @@ class RenewalPacket:
     round_no: int
     commitments: tuple  # eps_{sender,1} .. eps_{sender,degree}
     share_pairs: dict  # recipient -> (P_1(recipient), P_2(recipient))
-    tag: object = None  # transport authentication, attached by the envelope layer
-
-    @property
-    def degree(self) -> int:
-        return len(self.commitments)
 
 
 @dataclass(frozen=True)
@@ -283,42 +278,3 @@ def apply_renewal(share: int, holder: int, packets,
         total = (total + s1 + s2) % config.q
     return total
 
-
-def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
-                  randomness=None, round_no: int = 0,
-                  packets=None) -> RenewalOutcome:
-    """One synchronous renewal round over a single share track.
-
-    shares maps holder index to its current share in F_q. Packets are
-    normally generated here (randomness may be one source or a per-holder
-    dict); pre-built ones can be injected for fault testing. Every holder
-    verifies every other holder's pair; one failure aborts the round with
-    accusations and no share budges. An empty holder set is a no-op.
-    """
-    holders = sorted(shares)
-    if not holders:
-        return RenewalOutcome(accepted=True, new_shares={})
-    if packets is None:
-        if randomness is None:
-            raise ConfigurationError("renewal_round needs randomness or packets")
-
-        def source_for(j):
-            return randomness[j] if isinstance(randomness, dict) else randomness
-
-        packets = [gen_renewal(j, holders, degree, config, source_for(j),
-                               round_no) for j in holders]
-    accusations = []
-    members = set()
-    for packet in packets:
-        for c in holders:
-            if c == packet.sender:
-                continue
-            pair = packet.share_pairs.get(c)
-            if pair is None or not verify_renewal_share(c, packet, pair,
-                                                        config, members):
-                accusations.append(Accusation(c, packet.sender))
-    if accusations:
-        return RenewalOutcome(accepted=False, accusations=tuple(accusations))
-    new_shares = {j: apply_renewal(shares[j], j, packets, config)
-                  for j in holders}
-    return RenewalOutcome(accepted=True, new_shares=new_shares)

@@ -41,7 +41,7 @@ from .errors import (
     ProtocolError,
     ReconstructionAbortError,
 )
-from .field import FieldElement, PrimeField, random_polynomial, zero_coefficients
+from .field import PrimeField, random_polynomial, zero_coefficients
 from .mac import split_blocks
 
 __all__ = [
@@ -203,8 +203,9 @@ def spss_register(data: bytes, password: int, params: SpssParams,
     """Split, authenticate and share a byte string.
 
     Returns ({holder j: HolderShareSet}, RegisteredSecret). The share sets
-    start with no precomputed tuples; run precompute_round before
-    reconstructing.
+    start with no precomputed tuples: precompute_round, which
+    TpvSession.precompute runs over its transport, stocks them before a
+    reconstruction.
     """
     if not data:
         raise ConfigurationError("cannot register empty data")
@@ -234,44 +235,57 @@ def spss_register(data: bytes, password: int, params: SpssParams,
     return holders, secret
 
 
-def precompute_round(holders: dict, randomness) -> int:
-    """One masking round: every holder contributes a random sharing and a
-    zero sharing; every holder's tuple stock grows by one.
+def precompute_round(holders: dict, randomness, rounds: int = 1,
+                     deliver=None) -> tuple:
+    """`rounds` masking rounds: per round every holder contributes a random
+    sharing and a zero sharing, and every holder's tuple stock grows by one.
 
     randomness is either a single RandomSource or {holder: RandomSource},
     matching how the simulation gives each holder its own entropy pool.
-    Returns the new round id (uniform across holders by construction).
+    Contributors go in index order; each draws all its rounds with one
+    masking_columns call and hands every other holder j, in index order,
+    its values (one per round) through deliver(d, j, r_vals, z_vals) ->
+    (r_vals, z_vals), which returns them as j received them. Without
+    deliver they are handed over directly. No share set changes before
+    every contribution has arrived. Returns the new round ids, which are
+    the same at every holder by construction.
     """
+    if rounds < 1:
+        raise ConfigurationError("need at least one precompute round")
     if not holders:
         raise ConfigurationError("no holders to run a round over")
     sets = sorted(holders.values(), key=lambda s: s.holder)
     params = sets[0].params
     field = params.field
-    if [s.holder for s in sets] != list(params.holder_indices):
+    indices = list(params.holder_indices)
+    if [s.holder for s in sets] != indices:
         raise ProtocolError("precomputation requires every holder present")
     if any(k != s.holder for k, s in holders.items()):
         raise ProtocolError("holder map keys must equal holder indices")
-    existing = {max(s.tuples) + 1 if s.tuples else 0 for s in sets}
-    if len(existing) != 1:
+    starts = {max(s.tuples) + 1 if s.tuples else 0 for s in sets}
+    if len(starts) != 1:
         raise ProtocolError("holders disagree on the next round id")
-    round_id = existing.pop()
+    start = starts.pop()
 
-    def source_for(j):
-        return randomness[j] if isinstance(randomness, dict) else randomness
+    # received[j] lists (r values, z values) per contributor, index order
+    received = {j: [] for j in indices}
+    for d in indices:
+        src = randomness[d] if isinstance(randomness, dict) else randomness
+        r_cols, z_cols = masking_columns(params, src, rounds)
+        for j in indices:
+            vals = (field.eval_columns(r_cols, j),
+                    field.eval_columns(z_cols, j))
+            if j != d and deliver is not None:
+                vals = deliver(d, j, *vals)
+            received[j].append(vals)
 
-    r_rows = {j: [] for j in holders}
-    z_rows = {j: [] for j in holders}
-    for contributor in sets:
-        src = source_for(contributor.holder)
-        r_cols, z_cols = masking_columns(params, src, 1)
-        for j in holders:
-            r_rows[j] += field.eval_columns(r_cols, j)
-            z_rows[j] += field.eval_columns(z_cols, j)
-
-    for j, share_set in holders.items():
-        share_set.tuples[round_id] = PrecomputedTuple(
-            round_id, tuple(r_rows[j]), tuple(z_rows[j]))
-    return round_id
+    new_ids = tuple(range(start, start + rounds))
+    for j in indices:
+        r_rows = zip(*(r for r, _ in received[j]))
+        z_rows = zip(*(z for _, z in received[j]))
+        for rid, r_shares, z_shares in zip(new_ids, r_rows, z_rows):
+            holders[j].tuples[rid] = PrecomputedTuple(rid, r_shares, z_shares)
+    return new_ids
 
 
 def masking_columns(params: SpssParams, randomness, rounds: int):
@@ -312,7 +326,7 @@ def spss_request(password_attempt: int, subset, params: SpssParams,
         raise ImproperRequestError("holder index out of range")
     field = params.field
     attempt = password_attempt % field.q
-    f_pp = random_polynomial(params.password_degree, FieldElement(attempt, field),
+    f_pp = random_polynomial(params.password_degree, attempt, field,
                              randomness)
     ids = tuple(tuple_ids) if tuple_ids is not None else None
     return {j: SpssRequest(chosen, f_pp.evaluate(j), ids) for j in chosen}

@@ -336,6 +336,12 @@ class CalculatorStore:
                 raise ConfigurationError("store created with k = %d" % stored_k)
             self.scheme, self.k = stored_scheme, stored_k
         else:
+            # the meta file is fsynced before the first record, so records
+            # without it can only mean the file was removed
+            if any(name.endswith(".rec")
+                   for name in os.listdir(self.directory)):
+                raise TamperDetectedError(
+                    "calculator records without their meta file")
             if scheme is None or k is None:
                 raise ConfigurationError(
                     "a new calculator store needs scheme and k")

@@ -32,12 +32,11 @@ from itstore.mac import (
     polyeval_tag_blocks,
     recompute_tag,
 )
-from itstore.protocol import TpvSession
+from itstore.protocol import TpvSession, renewal_round
 from itstore.renewal import (
     MERSENNE127_GROUP,
     TOY_GROUP,
     gen_renewal,
-    renewal_round,
     verify_renewal_share,
 )
 from itstore.spss import (
@@ -54,7 +53,7 @@ from tests.test_config import SCENARIO_DIR
 
 
 def reconstruct_once(holders, secret, params, attempt, subset, rng):
-    ids = [precompute_round(holders, rng)
+    ids = [precompute_round(holders, rng)[0]
            for _ in range(secret.block_count + 1)]
     requests = spss_request(attempt, subset, params, rng, tuple_ids=ids)
     responses = [holder_respond(holders[j], requests[j]) for j in subset]
@@ -235,16 +234,17 @@ def test_renewal_preserves_the_secret_and_rejects_every_perturbation():
     field = group.share_field()
     rng = SeededEntropy(b"acceptance-renewal")
     secret = 0x1234567890ABCDEF
-    poly = random_polynomial(2, field.element(secret), rng)
-    shares = {j: poly.evaluate(j) for j in (1, 2, 3, 4)}
+    poly = random_polynomial(2, secret, field, rng)
+    shares = {j: (poly.evaluate(j),) for j in (1, 2, 3, 4)}
     initial = dict(shares)
     for round_no in range(100):
-        outcome = renewal_round(shares, 2, group, randomness=rng,
+        outcome = renewal_round(shares, 2, group, {j: rng for j in shares},
                                 round_no=round_no)
         assert outcome.accepted and not outcome.accusations
         shares = outcome.new_shares
     assert shares != initial  # the shares themselves must have moved
-    assert interpolate_at_zero(sorted(shares.items()), field) == secret
+    pts = [(j, track) for j, (track,) in sorted(shares.items())]
+    assert interpolate_at_zero(pts, field) == secret
 
     toy = TOY_GROUP.validate()
     packet = gen_renewal(1, (1, 2, 3), 2, toy, SeededEntropy(b"toy-packet"))

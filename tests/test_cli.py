@@ -355,6 +355,15 @@ def test_inspect_detects_store_tampering(tmp_path, capsys):
     assert "TAMPER DETECTED" in out
 
 
+def test_inspect_detects_a_removed_calculator_meta_file(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    calculator = ws / "stores" / "calculator"
+    (calculator / "meta.bin").unlink()
+    code, out, _ = run_cli(capsys, "inspect", str(calculator))
+    assert code == 1
+    assert "TAMPER DETECTED" in out
+
 def test_inspect_flags_and_finishes_an_interrupted_holder_save(tmp_path,
                                                                 capsys):
     ws = tmp_path / "ws"

@@ -10,17 +10,15 @@ import random
 
 import pytest
 
-from itstore.entropy import BudgetedSource, SeededEntropy
+from itstore.entropy import SeededEntropy
 from itstore.errors import ConfigurationError, KeySupplyError, ProtocolError
 from itstore.field import (
-    FieldElement,
     Polynomial,
     PrimeField,
+    interpolate_at_zero,
     is_probable_prime,
-    lagrange_at_zero,
     largest_prime_at_most,
     mod_exp,
-    poly_eval,
     random_polynomial,
     zero_coefficients,
 )
@@ -79,14 +77,14 @@ def test_poly_eval_linear_example():
     assert expected == 11
     f = PrimeField(q)
     p = Polynomial((3, 2), f)
-    assert poly_eval(p, f.element(4)) == FieldElement(11, f)
+    assert p.evaluate(4) == 11
 
 
 def test_poly_eval_zero_polynomial():
     f = PrimeField(31)
     p = Polynomial((0,), f)
     for x in range(31):
-        assert poly_eval(p, f.element(x)).value == 0
+        assert p.evaluate(x) == 0
 
 
 def test_poly_eval_quadratic_example():
@@ -120,12 +118,6 @@ def test_poly_eval_sampled_below_1024():
         assert f.poly_eval_int(coeffs, x) == term_sum_eval(coeffs, x, q)
 
 
-def test_poly_eval_field_mismatch():
-    p = Polynomial((1, 2), PrimeField(31))
-    with pytest.raises(ConfigurationError):
-        poly_eval(p, FieldElement(3, PrimeField(37)))
-
-
 # ---------------------------------------------------------------- lagrange
 
 def test_lagrange_frozen_example():
@@ -136,34 +128,26 @@ def test_lagrange_frozen_example():
         assert term_sum_eval([5, 2, 1], x, q) == y
     fits = brute_force_fit_at_zero(points, q, degree=2)
     assert fits == [5]
-    f = PrimeField(q)
-    pts = [(f.element(x), f.element(y)) for x, y in points]
-    assert lagrange_at_zero(pts).value == 5
+    assert interpolate_at_zero(points, PrimeField(q)) == 5
 
 
 def test_lagrange_single_point():
-    f = PrimeField(31)
-    assert lagrange_at_zero([(f.element(1), f.element(17))]).value == 17
+    assert interpolate_at_zero([(1, 17)], PrimeField(31)) == 17
 
 
 def test_lagrange_zero_polynomial():
-    f = PrimeField(31)
-    pts = [(f.element(x), f.element(0)) for x in (1, 2, 3)]
-    assert lagrange_at_zero(pts).value == 0
+    pts = [(x, 0) for x in (1, 2, 3)]
+    assert interpolate_at_zero(pts, PrimeField(31)) == 0
 
 
 def test_lagrange_rejects_duplicate_indices():
-    f = PrimeField(31)
-    pts = [(f.element(1), f.element(4)), (f.element(1), f.element(9))]
     with pytest.raises(ProtocolError):
-        lagrange_at_zero(pts)
+        interpolate_at_zero([(1, 4), (1, 9)], PrimeField(31))
 
 
 def test_lagrange_rejects_zero_index():
-    f = PrimeField(31)
-    pts = [(f.element(0), f.element(4)), (f.element(2), f.element(9))]
     with pytest.raises(ProtocolError):
-        lagrange_at_zero(pts)
+        interpolate_at_zero([(0, 4), (2, 9)], PrimeField(31))
 
 
 def test_lagrange_round_trip_small_and_mersenne():
@@ -176,8 +160,8 @@ def test_lagrange_round_trip_small_and_mersenne():
             d = rng.randrange(1, 4)
             coeffs = tuple(rng.randrange(q) for _ in range(d + 1))
             xs = rng.sample([1, 2, 3, 4], d + 1)
-            pts = [(f.element(x), f.element(f.poly_eval_int(coeffs, x))) for x in xs]
-            assert lagrange_at_zero(pts).value == coeffs[0]
+            pts = [(x, f.poly_eval_int(coeffs, x)) for x in xs]
+            assert interpolate_at_zero(pts, f) == coeffs[0]
 
 
 def test_zero_coefficient_weights_match_direct_interpolation():
@@ -215,10 +199,10 @@ def test_mod_exp_rejects_bad_modulus():
 def test_random_polynomial_forced_constant():
     f = PrimeField(31)
     src = SeededEntropy(123, "poly")
-    p = random_polynomial(2, f.element(0), src)
+    p = random_polynomial(2, 0, f, src)
     assert p.degree_bound == 2
     assert p.evaluate(0) == 0
-    p2 = random_polynomial(1, f.element(17), src)
+    p2 = random_polynomial(1, 17, f, src)
     assert p2.degree_bound == 1
     assert p2.evaluate(0) == 17
 
@@ -229,16 +213,16 @@ def test_random_polynomial_distinct_draws():
     src = SeededEntropy(5, "draws")
     seen = set()
     for _ in range(200):
-        p = random_polynomial(2, f.element(1), src)
+        p = random_polynomial(2, 1, f, src)
         seen.add(p.coeffs)
     assert len(seen) == 200
 
 
 def test_random_polynomial_exhausted_source():
     f = PrimeField((1 << 31) - 1)
-    src = BudgetedSource(SeededEntropy(5, "tiny"), budget_bits=40)
+    src = KsaSource(NodeSpec("A", initial_entropy_bits=40), b"tiny")
     with pytest.raises(KeySupplyError):
-        random_polynomial(2, f.element(1), src)
+        random_polynomial(2, 1, f, src)
 
 
 def test_rejection_sampling_uniform_range():
@@ -346,16 +330,10 @@ def test_canonical_closure():
         f = PrimeField(q)
         rng = random.Random(q + 1)
         for _ in range(2000):
-            a, b = f.element(rng.randrange(q)), f.element(rng.randrange(1, q))
-            for r in (a + b, a - b, a * b, a / b, -a, a**5, b.inverse()):
-                assert 0 <= r.value < q
-
-
-def test_field_element_mismatch_raises():
-    a = FieldElement(3, PrimeField(31))
-    b = FieldElement(3, PrimeField(37))
-    with pytest.raises(ConfigurationError):
-        _ = a + b
+            a, b = rng.randrange(q), rng.randrange(1, q)
+            for r in (f.add(a, b), f.sub(a, b), f.mul(a, b),
+                      f.mul(a, f.inv(b)), f.inv(b)):
+                assert 0 <= r < q
 
 
 # ---------------------------------------------------------------- primality

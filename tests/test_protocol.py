@@ -9,6 +9,9 @@ import dataclasses
 
 import pytest
 
+import itstore.protocol
+import itstore.renewal
+
 from itstore.errors import (
     ChannelIntegrityError,
     ConfigurationError,
@@ -393,6 +396,42 @@ def test_renewal_destroys_previous_share_bytes(tmp_path):
     holder_dir = session.holder_stores[1].directory
     for raw in old_encoded:
         assert not directory_contains_window(holder_dir, raw, window=16)
+
+
+def test_session_renewal_checks_each_packet_of_another_holder_once(
+        tmp_path, monkeypatch):
+    session = make_session(tmp_path)
+    sid, _, _ = register_and_stock(session)
+    assert session.renew(sid).accepted  # the group is validated once, here
+    group = session.renewal_group
+    n = session.params.n_sh
+    tracks = session.holder_stores[1].get_secret(sid).block_count
+    degree = session.params.data_degree
+    calls = {"gen": 0, "verify": 0}
+    exponents = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counting_mod_exp(base, exponent, modulus):
+        exponents.append(exponent)
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(itstore.protocol, "gen_renewal",
+                        counted("gen", itstore.protocol.gen_renewal))
+    monkeypatch.setattr(itstore.protocol, "verify_renewal_share",
+                        counted("verify",
+                                itstore.protocol.verify_renewal_share))
+    monkeypatch.setattr(itstore.renewal, "mod_exp", counting_mod_exp)
+    assert session.renew(sid).accepted
+    # a holder never checks its own packet: n(n - 1) checks per track,
+    # each commitment's membership once, n(n - 1) t right-hand-side powers
+    assert calls == {"gen": n * tracks, "verify": n * (n - 1) * tracks}
+    assert exponents.count(group.q) == n * tracks * degree
+    assert len(exponents) == n * tracks * degree * n
 
 
 def test_renewal_corruption_is_accused_and_changes_nothing(tmp_path):

@@ -14,6 +14,7 @@ import itstore.renewal
 from itstore.entropy import SeededEntropy
 from itstore.errors import ConfigurationError, ProtocolError
 from itstore.field import PrimeField, interpolate_at_zero, random_polynomial
+from itstore.protocol import renewal_round
 from itstore.renewal import (
     MERSENNE127_GROUP,
     RFC5114_GROUP,
@@ -25,7 +26,6 @@ from itstore.renewal import (
     derive_subgroup_element,
     gen_renewal,
     group_by_name,
-    renewal_round,
     verify_renewal_share,
 )
 
@@ -41,8 +41,22 @@ def commit_oracle(group, a, b):
 
 
 def make_shares(secret, degree, field, rng, holders=(1, 2, 3, 4)):
-    poly = random_polynomial(degree, field.element(secret), rng)
-    return {j: poly.evaluate(j) for j in holders}
+    """One-track shares of secret: {holder: (share,)}."""
+    poly = random_polynomial(degree, secret, field, rng)
+    return {j: (poly.evaluate(j),) for j in holders}
+
+
+def one_source(rng, holders=(1, 2, 3, 4)):
+    """Every holder draws from rng, in index order."""
+    return {j: rng for j in holders}
+
+
+def forward(d, packets, holders=(1, 2, 3, 4)):
+    """What every holder other than d receives from d's packets when the
+    transport changes nothing; None for a pair a packet does not carry."""
+    return {j: ([packet.commitments for packet in packets],
+                [packet.share_pairs.get(j) for packet in packets])
+            for j in holders if j != d}
 
 
 F11 = PrimeField(11)
@@ -136,15 +150,12 @@ def test_verify_rejects_elements_outside_subgroup():
     assert not verify_renewal_share(2, packet, (0, 0), TOY_GROUP)
 
 
-def honest_packets(group, label, holders=(1, 2, 3, 4), degree=2):
-    rng = SeededEntropy(label)
-    return [gen_renewal(j, holders, degree, group, rng) for j in holders]
-
-
 def accusations_without_shared_set(packets, holders, group):
-    """What renewal_round must accuse, each check made with no shared set."""
-    return tuple(Accusation(c, packet.sender)
-                 for packet in packets for c in holders
+    """What a one-track renewal_round must accuse, recipient by recipient
+    and sender by sender, each check made with no shared set."""
+    return tuple(Accusation(c, packet.sender,
+                            "commitment check failed on track 0")
+                 for c in holders for packet in packets
                  if c != packet.sender and not verify_renewal_share(
                      c, packet, packet.share_pairs[c], group))
 
@@ -156,12 +167,27 @@ def test_non_member_commitments_are_accused_by_every_recipient():
     # eps, so only the range check rejects it, for every recipient.
     group = MERSENNE127_GROUP
     holders = (1, 2, 3, 4)
-    packets = honest_packets(group, b"non-member")
+    sent = {}
+
+    def corrupt(d, packets):
+        (packet,) = packets
+        if d == 1:
+            twisted = group.p - packet.commitments[0]
+            packet.commitments = (twisted,) + packet.commitments[1:]
+        if d == 3:
+            out_of_range = packet.commitments[1] + group.p
+            packet.commitments = packet.commitments[:1] + (out_of_range,)
+        sent[d] = packet
+        return forward(d, packets)
+
+    shares = {j: (0,) for j in holders}
+    outcome = renewal_round(shares, 2, group,
+                            one_source(SeededEntropy(b"non-member")),
+                            deliver=corrupt)
+    packets = [sent[d] for d in holders]
     first, second = packets[0], packets[2]
-    twisted = group.p - first.commitments[0]
-    out_of_range = second.commitments[1] + group.p
-    first.commitments = (twisted,) + first.commitments[1:]
-    second.commitments = second.commitments[:1] + (out_of_range,)
+    twisted = first.commitments[0]
+    out_of_range = second.commitments[1]
     for c in (2, 4):
         rhs = pow(twisted, c, group.p) * pow(first.commitments[1], c * c,
                                              group.p) % group.p
@@ -170,8 +196,6 @@ def test_non_member_commitments_are_accused_by_every_recipient():
     expected = accusations_without_shared_set(packets, holders, group)
     assert {(a.accuser, a.accused) for a in expected} == {
         (2, 1), (3, 1), (4, 1), (1, 3), (2, 3), (4, 3)}
-    shares = {j: 0 for j in holders}
-    outcome = renewal_round(shares, 2, group, packets=packets)
     assert not outcome.accepted and outcome.new_shares is None
     assert outcome.accusations == expected
 
@@ -193,7 +217,6 @@ def test_non_member_commitments_are_accused_by_every_recipient():
 def test_round_checks_each_commitment_once(monkeypatch):
     group = MERSENNE127_GROUP
     holders = (1, 2, 3, 4)
-    packets = honest_packets(group, b"check-once")
     exponents = []
 
     def counting_mod_exp(base, exponent, modulus):
@@ -201,7 +224,8 @@ def test_round_checks_each_commitment_once(monkeypatch):
         return pow(base, exponent, modulus)
 
     monkeypatch.setattr(itstore.renewal, "mod_exp", counting_mod_exp)
-    outcome = renewal_round({j: 0 for j in holders}, 2, group, packets=packets)
+    outcome = renewal_round({j: (0,) for j in holders}, 2, group,
+                            one_source(SeededEntropy(b"check-once")))
     assert outcome.accepted
     # 4 packets x 2 commitments checked once each; 4 x 3 recipients x 2
     # right-hand-side powers with exponents c^j <= 16
@@ -279,10 +303,10 @@ def test_honest_round_preserves_secret_randomized():
     for _ in range(100):
         secret = picks.randrange(11)
         shares = make_shares(secret, 2, F11, rng)
-        outcome = renewal_round(shares, 2, TOY_GROUP, rng)
+        outcome = renewal_round(shares, 2, TOY_GROUP, one_source(rng))
         assert outcome.accepted and not outcome.accusations
         for subset in itertools.combinations((1, 2, 3, 4), 3):
-            pts = [(j, outcome.new_shares[j]) for j in subset]
+            pts = [(j, outcome.new_shares[j][0]) for j in subset]
             assert interpolate_at_zero(pts, F11) == secret
 
 
@@ -292,9 +316,9 @@ def test_honest_round_large_group():
     rng = SeededEntropy(b"large-round")
     secret = field.random_int(rng)
     shares = make_shares(secret, 2, field, rng)
-    outcome = renewal_round(shares, 2, group, rng)
+    outcome = renewal_round(shares, 2, group, one_source(rng))
     assert outcome.accepted
-    pts = [(j, outcome.new_shares[j]) for j in (1, 3, 4)]
+    pts = [(j, outcome.new_shares[j][0]) for j in (1, 3, 4)]
     assert interpolate_at_zero(pts, field) == secret
     assert outcome.new_shares != shares
 
@@ -305,9 +329,9 @@ def test_mixed_old_new_shares_break_reconstruction():
     trials = 200
     for _ in range(trials):
         shares = make_shares(6, 2, F11, rng)
-        outcome = renewal_round(shares, 2, TOY_GROUP, rng)
-        pts = [(1, shares[1]), (2, outcome.new_shares[2]),
-               (3, outcome.new_shares[3])]
+        outcome = renewal_round(shares, 2, TOY_GROUP, one_source(rng))
+        pts = [(1, shares[1][0]), (2, outcome.new_shares[2][0]),
+               (3, outcome.new_shares[3][0])]
         mismatches += interpolate_at_zero(pts, F11) != 6
     # each mix misses except when the renewal offsets cancel (prob 1/11);
     # 165 is four sigma below the binomial mean of 181.8
@@ -317,37 +341,52 @@ def test_mixed_old_new_shares_break_reconstruction():
 def test_tampered_pair_triggers_accusation_and_no_update():
     rng = SeededEntropy(b"tamper")
     shares = make_shares(9, 2, F11, rng)
-    holders = sorted(shares)
-    packets = [gen_renewal(j, holders, 2, TOY_GROUP, rng) for j in holders]
-    s1, s2 = packets[1].share_pairs[4]
-    packets[1].share_pairs[4] = ((s1 + 1) % 11, s2)
-    outcome = renewal_round(shares, 2, TOY_GROUP, packets=packets)
+    sent = {}
+
+    def tamper(d, packets):
+        (packet,) = packets
+        sent[d] = packet
+        if d == 2:
+            s1, s2 = packet.share_pairs[4]
+            packet.share_pairs[4] = ((s1 + 1) % 11, s2)
+        return forward(d, packets)
+
+    outcome = renewal_round(shares, 2, TOY_GROUP, one_source(rng),
+                            deliver=tamper)
     assert not outcome.accepted
     assert outcome.new_shares is None
-    assert any(a.accuser == 4 and a.accused == packets[1].sender
+    assert any(a.accuser == 4 and a.accused == sent[2].sender
                for a in outcome.accusations)
 
 
 def test_missing_pair_triggers_accusation():
     rng = SeededEntropy(b"missing-pair")
     shares = make_shares(3, 2, F11, rng)
-    holders = sorted(shares)
-    packets = [gen_renewal(j, holders, 2, TOY_GROUP, rng) for j in holders]
-    del packets[0].share_pairs[2]
-    outcome = renewal_round(shares, 2, TOY_GROUP, packets=packets)
+    sent = {}
+
+    def drop(d, packets):
+        (packet,) = packets
+        sent[d] = packet
+        if d == 1:
+            del packet.share_pairs[2]
+        return forward(d, packets)
+
+    outcome = renewal_round(shares, 2, TOY_GROUP, one_source(rng),
+                            deliver=drop)
     assert not outcome.accepted
-    assert any(a.accuser == 2 and a.accused == packets[0].sender
+    assert any(a.accuser == 2 and a.accused == sent[1].sender
                for a in outcome.accusations)
 
 
 def test_zero_participant_round_is_noop():
-    outcome = renewal_round({}, 2, TOY_GROUP, SeededEntropy(b"empty"))
+    outcome = renewal_round({}, 2, TOY_GROUP, {})
     assert outcome.accepted and outcome.new_shares == {}
 
 
 def test_round_needs_randomness_or_packets():
     with pytest.raises(ConfigurationError):
-        renewal_round({1: 4, 2: 5, 3: 6}, 2, TOY_GROUP)
+        renewal_round({1: (4,), 2: (5,), 3: (6,)}, 2, TOY_GROUP,
+                      {1: SeededEntropy(b"one-source")})
 
 
 def test_round_with_per_holder_randomness():
@@ -355,8 +394,44 @@ def test_round_with_per_holder_randomness():
     sources = {j: SeededEntropy(b"holder-rng-%d" % j) for j in shares}
     outcome = renewal_round(shares, 2, TOY_GROUP, sources)
     assert outcome.accepted
-    pts = [(j, outcome.new_shares[j]) for j in (1, 2, 4)]
+    pts = [(j, outcome.new_shares[j][0]) for j in (1, 2, 4)]
     assert interpolate_at_zero(pts, F11) == 2
+
+
+def test_multi_track_round_renews_every_track_and_names_a_failed_one():
+    rng = SeededEntropy(b"tracks")
+    secrets = (3, 7, 10)
+    polys = [random_polynomial(2, secret, F11, rng) for secret in secrets]
+    shares = {j: tuple(poly.evaluate(j) for poly in polys)
+              for j in (1, 2, 3, 4)}
+    senders = []
+
+    def deliver(d, packets):
+        senders.append((d, len(packets)))
+        return forward(d, packets)
+
+    outcome = renewal_round(shares, 2, TOY_GROUP, one_source(rng),
+                            deliver=deliver)
+    assert senders == [(d, 3) for d in (1, 2, 3, 4)]
+    assert outcome.accepted
+    for track, secret in enumerate(secrets):
+        for subset in itertools.combinations((1, 2, 3, 4), 3):
+            pts = [(j, outcome.new_shares[j][track]) for j in subset]
+            assert interpolate_at_zero(pts, F11) == secret
+
+    def tamper(d, packets):
+        got = forward(d, packets)
+        if d == 3:
+            s1, s2 = got[1][1][2]
+            got[1][1][2] = ((s1 + 1) % 11, s2)
+        return got
+
+    renewed = outcome.new_shares
+    outcome = renewal_round(renewed, 2, TOY_GROUP, one_source(rng),
+                            round_no=1, deliver=tamper)
+    assert not outcome.accepted and outcome.new_shares is None
+    assert outcome.accusations == (
+        Accusation(1, 3, "commitment check failed on track 2"),)
 
 
 def test_apply_renewal_missing_recipient():

@@ -1,8 +1,9 @@
 """Tests for password-authenticated secret sharing.
 
-The interpolation oracle is lagrange_at_zero / interpolate_at_zero from the
-field layer, itself pinned against a brute-force fit in test_field. Frozen
-values here were computed by hand in F_31.
+The interpolation oracle is interpolate_at_zero from the field layer, itself
+pinned against a brute-force fit in test_field. The draw-order oracles
+build one random_polynomial per block. Frozen values here were computed by
+hand in F_31.
 """
 
 import itertools
@@ -19,12 +20,7 @@ from itstore.errors import (
     ProtocolError,
     ReconstructionAbortError,
 )
-from itstore.field import (
-    PrimeField,
-    interpolate_at_zero,
-    lagrange_at_zero,
-    random_polynomial,
-)
+from itstore.field import PrimeField, interpolate_at_zero, random_polynomial
 from itstore.spss import (
     MaskedResponse,
     SpssParams,
@@ -52,7 +48,8 @@ def mac_oracle(blocks, p, q):
 
 def reconstruct(holders, secret, params, attempt, subset, rng, pin=True):
     """Full reconstruction path: precompute, request, respond, recover."""
-    ids = [precompute_round(holders, rng) for _ in range(secret.block_count + 1)]
+    ids = [precompute_round(holders, rng)[0]
+           for _ in range(secret.block_count + 1)]
     requests = spss_request(attempt, subset, params, rng,
                             tuple_ids=ids if pin else None)
     responses = [holder_respond(holders[j], requests[j]) for j in subset]
@@ -187,10 +184,9 @@ def register_oracle(data, password, params, rnd):
     wire, _ = split_blocks(data, params.block_bits)
     blocks = wire[::-1]
     values = blocks + [mac_block_value(blocks, password, field)]
-    polys = [random_polynomial(params.data_degree, field.element(v), rnd)
+    polys = [random_polynomial(params.data_degree, v, field, rnd)
              for v in values]
-    f_p = random_polynomial(params.password_degree, field.element(password),
-                            rnd)
+    f_p = random_polynomial(params.password_degree, password, field, rnd)
     return {j: (tuple(p.evaluate(j) for p in polys), f_p.evaluate(j))
             for j in params.holder_indices}
 
@@ -213,8 +209,8 @@ def test_register_and_precompute_draw_like_one_polynomial_per_block(params):
     precompute_round(holders, new)
     for contributor in params.holder_indices:
         r_poly = random_polynomial(params.password_degree,
-                                   field.random_element(old), old)
-        z_poly = random_polynomial(params.data_degree, field.element(0), old)
+                                   field.random_int(old), field, old)
+        z_poly = random_polynomial(params.data_degree, 0, field, old)
         for j in params.holder_indices:
             tup = holders[j].tuples[0]
             assert tup.r_shares[contributor - 1] == r_poly.evaluate(j)
@@ -237,8 +233,8 @@ def test_precompute_round_accounting():
     params = SpssParams(field=F31)
     holders, _ = spss_register(b"ab", 3, params, SeededEntropy(b"acct"))
     rng = SeededEntropy(b"acct-rounds")
-    assert precompute_round(holders, rng) == 0
-    assert precompute_round(holders, rng) == 1
+    assert precompute_round(holders, rng) == (0,)
+    assert precompute_round(holders, rng) == (1,)
     for share_set in holders.values():
         assert share_set.unconsumed_rounds() == [0, 1]
         for tup in share_set.tuples.values():
@@ -275,6 +271,69 @@ def test_precompute_per_holder_randomness():
     sources = {j: SeededEntropy(b"holder-%d" % j) for j in holders}
     precompute_round(holders, sources)
     assert all(0 in s.tuples for s in holders.values())
+
+
+def test_rounds_draw_like_one_polynomial_pair_per_round():
+    # one masking_columns draw per contributor covers all its rounds, in
+    # the order of an R and a Z polynomial per round
+    params = SpssParams()
+    field = params.field
+    holders, _ = spss_register(b"rounds", 5, params, SeededEntropy(b"reg"))
+    new, old = SeededEntropy(b"rounds"), SeededEntropy(b"rounds")
+    assert precompute_round(holders, new, rounds=3) == (0, 1, 2)
+    for contributor in params.holder_indices:
+        for rid in range(3):
+            r_poly = random_polynomial(params.password_degree,
+                                       field.random_int(old), field, old)
+            z_poly = random_polynomial(params.data_degree, 0, field, old)
+            for j in params.holder_indices:
+                tup = holders[j].tuples[rid]
+                assert tup.r_shares[contributor - 1] == r_poly.evaluate(j)
+                assert tup.z_shares[contributor - 1] == z_poly.evaluate(j)
+    assert new.bits_drawn == old.bits_drawn
+    assert precompute_round(holders, new, rounds=2) == (3, 4)
+    with pytest.raises(ConfigurationError):
+        precompute_round(holders, new, rounds=0)
+
+
+def test_precompute_delivers_every_other_holders_values_in_order():
+    params = SpssParams(field=F31)
+    direct, _ = spss_register(b"dv", 3, params, SeededEntropy(b"deliver"))
+    routed, _ = spss_register(b"dv", 3, params, SeededEntropy(b"deliver"))
+    calls = []
+
+    def deliver(d, j, r_vals, z_vals):
+        calls.append((d, j, len(r_vals), len(z_vals)))
+        # what j receives: d's values plus d, so every routed value shows
+        return ([(r + d) % 31 for r in r_vals], [(z + d) % 31 for z in z_vals])
+
+    assert precompute_round(direct, SeededEntropy(b"dv-round"), 2) == (0, 1)
+    assert precompute_round(routed, SeededEntropy(b"dv-round"), 2,
+                            deliver) == (0, 1)
+    assert calls == [(d, j, 2, 2) for d in (1, 2, 3, 4)
+                     for j in (1, 2, 3, 4) if j != d]
+    for j in (1, 2, 3, 4):
+        for rid in (0, 1):
+            want, got = direct[j].tuples[rid], routed[j].tuples[rid]
+            for d in (1, 2, 3, 4):
+                shift = 0 if d == j else d
+                m = d - 1
+                assert got.r_shares[m] == (want.r_shares[m] + shift) % 31
+                assert got.z_shares[m] == (want.z_shares[m] + shift) % 31
+
+
+def test_a_failed_delivery_changes_no_share_set():
+    params = SpssParams(field=F31)
+    holders, _ = spss_register(b"fd", 3, params, SeededEntropy(b"fail"))
+
+    def deliver(d, j, r_vals, z_vals):
+        if (d, j) == (4, 3):  # the last but one message
+            raise ProtocolError("dropped")
+        return r_vals, z_vals
+
+    with pytest.raises(ProtocolError):
+        precompute_round(holders, SeededEntropy(b"fail-round"), 2, deliver)
+    assert all(not s.tuples for s in holders.values())
 
 
 def test_precompute_requires_all_holders():
@@ -329,7 +388,7 @@ def test_out_of_range_blocks_rejected_even_past_authenticator():
     attempt = 9
     blocks = [17, 3]  # 17 does not fit a 4-bit block
     mac = mac_block_value(blocks, attempt, F31)
-    polys = [random_polynomial(2, F31.element(t), rng)  # one per track
+    polys = [random_polynomial(2, t, F31, rng)  # one per track
              for t in blocks + [mac]]
     responses = [
         MaskedResponse(holder=j, values=tuple(p.evaluate(j) for p in polys))
@@ -349,7 +408,7 @@ def test_wrong_password_offsets_are_uniform():
     counts = [0] * 31
     trials = 1000
     for _ in range(trials):
-        ids = [precompute_round(holders, rng)
+        ids = [precompute_round(holders, rng)[0]
                for _ in range(secret.block_count + 1)]
         requests = spss_request(17, (1, 2, 3), params, rng, tuple_ids=ids)
         responses = [holder_respond(holders[j], requests[j]) for j in (1, 2, 3)]
@@ -421,8 +480,8 @@ def test_tuples_are_single_use():
     rng = SeededEntropy(b"single")
     holders, secret = spss_register(b"\xc0", 5, params, rng)
     need = secret.block_count + 1
-    first = [precompute_round(holders, rng) for _ in range(need)]
-    second = [precompute_round(holders, rng) for _ in range(need)]
+    first = [precompute_round(holders, rng)[0] for _ in range(need)]
+    second = [precompute_round(holders, rng)[0] for _ in range(need)]
 
     req1 = spss_request(5, (1, 2, 3), params, rng, tuple_ids=first)
     resp1 = [holder_respond(holders[j], req1[j]) for j in (1, 2, 3)]
@@ -458,7 +517,8 @@ def test_recover_validation():
     params = SpssParams(field=F31)
     rng = SeededEntropy(b"recover")
     holders, secret = spss_register(b"\xc0", 5, params, rng)
-    ids = [precompute_round(holders, rng) for _ in range(secret.block_count + 1)]
+    ids = [precompute_round(holders, rng)[0]
+           for _ in range(secret.block_count + 1)]
     requests = spss_request(5, (1, 2, 3), params, rng, tuple_ids=ids)
     responses = [holder_respond(holders[j], requests[j]) for j in (1, 2, 3)]
     with pytest.raises(ReconstructionAbortError):

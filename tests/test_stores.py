@@ -280,6 +280,21 @@ def test_calculator_store_validation(tmp_path):
         store.put(b"\x03" * 16, 3, wrong_k)
 
 
+def test_calculator_records_without_meta_file_are_tampering(tmp_path):
+    # the meta file is fsynced before the first record, so a directory
+    # holding records without it has been tampered with, whatever
+    # parameters the opener brings
+    store = CalculatorStore(tmp_path / "calc", MacScheme.TOEPLITZ, 256)
+    store.put(b"\x01" * 16, 1, calc_seed(b"meta"))
+    (tmp_path / "calc" / "meta.bin").unlink()
+    with pytest.raises(TamperDetectedError):
+        CalculatorStore(tmp_path / "calc", MacScheme.TOEPLITZ, 256)
+    with pytest.raises(TamperDetectedError):
+        CalculatorStore(tmp_path / "calc", MacScheme.POLYEVAL, 128)
+    with pytest.raises(TamperDetectedError):
+        CalculatorStore(tmp_path / "calc")
+
+
 # ------------------------------------------------------------- holder store
 
 def registered_stores(tmp_path, n_secrets=1, rounds_per_secret=None,
@@ -423,7 +438,8 @@ def test_reconstruction_through_stores(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
     sid, data, password, secret = secrets[0]
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    ids = [precompute_round(live, source) for _ in range(secret.block_count + 1)]
+    ids = [precompute_round(live, source)[0]
+           for _ in range(secret.block_count + 1)]
     for j in PARAMS_2311.holder_indices:
         stores[j].save()
 
@@ -450,7 +466,8 @@ def test_respond_failure_leaves_journal_clean(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
     sid, data, password, secret = secrets[0]
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    ids = [precompute_round(live, source) for _ in range(secret.block_count + 1)]
+    ids = [precompute_round(live, source)[0]
+           for _ in range(secret.block_count + 1)]
     for j in PARAMS_2311.holder_indices:
         stores[j].save()
 

@@ -468,6 +468,9 @@ def _inspect_calculator(path: Path) -> None:
 
 def _inspect_holder(path: Path) -> None:
     from .stores import HolderStore, holder_record_files
+    if not path.exists():  # the store makes its directory at its first save
+        print("holder store %s: 0 secrets (nothing saved yet)" % path)
+        return
     # read before opening: the open finishes any save a crash interrupted
     files = holder_record_files(path)
     store = HolderStore(path)
@@ -534,9 +537,18 @@ def _inspect_store_dir(path: Path) -> None:
             "%s does not look like an itstore store" % path)
 
 
+def _unwritten_store(path: Path) -> bool:
+    """A store directory its store has not created yet: a missing
+    calculator, verifier or holder-N directory whose parent exists."""
+    name = path.name
+    return (not path.exists() and path.parent.is_dir()
+            and (name in ("calculator", "verifier")
+                 or (name.startswith("holder-") and name[7:].isdigit())))
+
+
 def _cmd_inspect(args) -> int:
     path = Path(args.path)
-    if not path.exists():
+    if not path.exists() and not _unwritten_store(path):
         raise ConfigurationError("%s does not exist" % path)
     try:
         if path.is_file():

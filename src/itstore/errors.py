@@ -19,7 +19,9 @@ class ProtocolError(ItstoreError):
 
 
 class ImproperRequestError(ProtocolError):
-    """Reconstruction request with a holder subset of the wrong size."""
+    """Malformed reconstruction request: a holder subset of the wrong size,
+    or a round-id list that names an id twice or is not in canonical
+    runs."""
 
 
 class KeySupplyError(ItstoreError):

@@ -382,7 +382,11 @@ class TpvSession:
             self.net.register_endpoint(self._holder_ep(j),
                                        self.placement.holders[j - 1])
 
+        # the stores create their directories at their first write; the
+        # root exists from the start, so a deployment that has written
+        # nothing yet can still be listed and removed
         root = Path(storage_root)
+        root.mkdir(parents=True, exist_ok=True)
         self.calculator_store = CalculatorStore(root / "calculator",
                                                 scheme=self.scheme, k=self.k)
         self.verifier_store = VerifierStore(root / "verifier")
@@ -542,22 +546,24 @@ class TpvSession:
     def precompute(self, sid: bytes, rounds: int = 1) -> tuple:
         """Holders jointly stock `rounds` masking tuples for one secret.
 
-        spss.precompute_round runs the round; each holder sends every
-        other holder its contributions in a single batched precomp
-        message, and every message is checked before any holder saves.
-        Returns the new round ids.
+        spss.precompute_round runs the round over params.batch_count(rounds)
+        extraction batches; each holder sends every other holder its
+        contributions, one pair per batch, in a single precomp message.
+        The receiver checks its header (first round, batch count,
+        contributor) before any holder saves. Returns the new round ids.
         """
         sets = {j: self.holder_stores[j].get_secret(sid)
                 for j in self.params.holder_indices}
         # precompute_round refuses the round before any send unless every
         # holder agrees on this id
         start = max(sets[1].tuples, default=-1) + 1
+        batches = self.params.batch_count(rounds)
 
         def deliver(d, j, r_vals, z_vals):
-            flat = [0] * (2 * rounds)
+            flat = [0] * (2 * batches)
             flat[0::2], flat[1::2] = r_vals, z_vals
             (flat,) = self._send(self._holder_ep(d), self._holder_ep(j),
-                                 "precomp", (sid, start, rounds, d), flat)
+                                 "precomp", (sid, start, batches, d), flat)
             return flat[0::2], flat[1::2]
 
         sources = {j: self.net.entropy_source(self._holder_ep(j))

@@ -13,19 +13,39 @@ interpolates with t points.
 Reconstruction never moves raw shares. A requester shares its password
 attempt P' at degree t-2 and each contacted holder j answers, per block,
 
-    F_ji = (f_P(j) - f_P'(j)) * R + Z + f_Di(j)
+    F_ji = (f_P(j) - f_P'(j)) * r + z + f_Di(j)
 
-with R the sum of its shares of fresh random values contributed by the
-holders in the subset, and Z the sum of shares of zero. With the right
-password the difference vanishes and F_i(0) = D_i; with a wrong one every
-block comes back uniformly offset by (P - P') * R_i for an unknown fresh
-R_i, and the authenticator equation
+with (r, z) holder j's shares of one masking tuple: R, a sharing of a
+fresh uniform value at degree t-2, and Z, a sharing of zero at degree
+t-1. With the right password the difference vanishes and F_i(0) = D_i;
+with a wrong one every block comes back uniformly offset by (P - P') * R_i
+for an unknown fresh R_i, and the authenticator equation
 
     F_{l+1}(0) == sum_i F_i(0) P'^i
 
 accepts with probability 1/q at most (one linear constraint on the fresh
-offsets). The (R, Z) masking tuples come from precomputation rounds and
-are consumed by exactly one response each.
+offsets). Each tuple is consumed by exactly one response.
+
+Masking tuples come from precomputation batches with randomness
+extraction (Damgard-Nielsen, CRYPTO 2007). In a batch every holder d
+contributes a random sharing s_d of each kind, and every holder applies
+rows k = 0..w-1 of the Vandermonde matrix V[k][d] = d^k mod q to the n
+values it received, w = n - t + 1:
+
+    R_k = sum_d d^k * R-contribution of d,  Z_k likewise,
+
+which gives w tuples per batch and costs one contribution per holder pair
+per w tuples. Privacy and the wrong-password bound are unchanged from
+tuples that sum fresh contributions. At most t-1 contributors are corrupt, so
+at least w are honest; the w columns of V at honest indices form a w x w
+Vandermonde matrix with distinct nonzero nodes, which is invertible. For
+any values the corrupt contributors send, the map from the honest
+contributions to (R_0..R_{w-1}) is therefore a bijection, so the
+extracted values are uniform and independent of each other, of every
+other batch and of everything the adversary holds; the same holds for
+Z's coefficients. Every extracted R is a linear combination of degree
+t-2 sharings, so it keeps degree t-2, and every extracted Z is a
+combination of sharings of zero, so it still shares zero.
 """
 
 from __future__ import annotations
@@ -57,6 +77,8 @@ __all__ = [
     "spss_register",
     "precompute_round",
     "masking_columns",
+    "extract",
+    "check_distinct_ids",
     "spss_request",
     "holder_respond",
     "spss_recover",
@@ -101,6 +123,15 @@ class SpssParams:
     def holder_indices(self) -> range:
         return range(1, self.n_sh + 1)
 
+    @property
+    def extraction_width(self) -> int:
+        """w = n - t + 1: masking tuples extracted from one batch."""
+        return self.n_sh - self.t_sh + 1
+
+    def batch_count(self, rounds: int) -> int:
+        """Batches that yield `rounds` masking tuples."""
+        return -(-rounds // self.extraction_width)
+
 
 @dataclass(frozen=True)
 class RegisteredSecret:
@@ -123,21 +154,18 @@ class RegisteredSecret:
 
 @dataclass
 class PrecomputedTuple:
-    """One holder's slice of a precomputation round.
-
-    r_shares[m-1] is this holder's share of the random value contributed by
-    holder m; z_shares[m-1] its share of holder m's sharing of zero.
-    """
+    """One holder's masking tuple: its share r of an extracted random
+    value R (degree t-2) and its share z of an extracted sharing Z of zero
+    (degree t-1). A spent tuple keeps neither."""
 
     round_id: int
-    r_shares: tuple
-    z_shares: tuple
+    r: "int | None"
+    z: "int | None"
     consumed: bool = False
 
     def discard(self):
         self.consumed = True
-        self.r_shares = ()
-        self.z_shares = ()
+        self.r = self.z = None
 
 
 @dataclass
@@ -237,18 +265,23 @@ def spss_register(data: bytes, password: int, params: SpssParams,
 
 def precompute_round(holders: dict, randomness, rounds: int = 1,
                      deliver=None) -> tuple:
-    """`rounds` masking rounds: per round every holder contributes a random
-    sharing and a zero sharing, and every holder's tuple stock grows by one.
+    """Stock `rounds` masking tuples at every holder.
+
+    The tuples come from params.batch_count(rounds) batches: per batch
+    every holder contributes a random sharing and a zero sharing, and
+    every holder extracts w = n - t + 1 tuples from the n contributions it
+    holds (see the module docstring), keeping the first `rounds`.
 
     randomness is either a single RandomSource or {holder: RandomSource},
     matching how the simulation gives each holder its own entropy pool.
-    Contributors go in index order; each draws all its rounds with one
+    Contributors go in index order; each draws all its batches with one
     masking_columns call and hands every other holder j, in index order,
-    its values (one per round) through deliver(d, j, r_vals, z_vals) ->
+    its values (one per batch) through deliver(d, j, r_vals, z_vals) ->
     (r_vals, z_vals), which returns them as j received them. Without
     deliver they are handed over directly. No share set changes before
     every contribution has arrived. Returns the new round ids, which are
-    the same at every holder by construction.
+    the same at every holder by construction; round id start + b*w + k is
+    row k of batch b.
     """
     if rounds < 1:
         raise ConfigurationError("need at least one precompute round")
@@ -266,44 +299,66 @@ def precompute_round(holders: dict, randomness, rounds: int = 1,
     if len(starts) != 1:
         raise ProtocolError("holders disagree on the next round id")
     start = starts.pop()
+    batches = params.batch_count(rounds)
 
     # received[j] lists (r values, z values) per contributor, index order
     received = {j: [] for j in indices}
     for d in indices:
         src = randomness[d] if isinstance(randomness, dict) else randomness
-        r_cols, z_cols = masking_columns(params, src, rounds)
+        r_cols, z_cols = masking_columns(params, src, batches)
         for j in indices:
             vals = (field.eval_columns(r_cols, j),
                     field.eval_columns(z_cols, j))
             if j != d and deliver is not None:
                 vals = deliver(d, j, *vals)
+                if any(len(v) != batches for v in vals):
+                    raise ProtocolError(
+                        "holder %d got %s values from %d, expected %d each"
+                        % (j, "/".join(str(len(v)) for v in vals), d,
+                           batches))
             received[j].append(vals)
 
     new_ids = tuple(range(start, start + rounds))
     for j in indices:
-        r_rows = zip(*(r for r, _ in received[j]))
-        z_rows = zip(*(z for _, z in received[j]))
-        for rid, r_shares, z_shares in zip(new_ids, r_rows, z_rows):
-            holders[j].tuples[rid] = PrecomputedTuple(rid, r_shares, z_shares)
+        r_out = extract(params, [r for r, _ in received[j]])
+        z_out = extract(params, [z for _, z in received[j]])
+        for rid, r, z in zip(new_ids, r_out, z_out):
+            holders[j].tuples[rid] = PrecomputedTuple(rid, r, z)
     return new_ids
 
 
-def masking_columns(params: SpssParams, randomness, rounds: int):
-    """One holder's contributions to `rounds` masking rounds, as
-    coefficient columns for PrimeField.eval_columns: (r_columns,
-    z_columns), each column holding one coefficient of every round.
+def extract(params: SpssParams, contributions) -> list:
+    """Apply rows k = 0..w-1 of V[k][d] = d^k to one holder's received
+    values: contributions[d-1] lists contributor d's value per batch, and
+    the result lists sum_d d^k * contributions[d-1][b] mod q in the order
+    (b, k), batch-major."""
+    q = params.field.q
+    w = params.extraction_width
+    per_batch = list(zip(*contributions))
+    out = [0] * (len(per_batch) * w)
+    for k in range(w):
+        row = [pow(d, k, q) for d in params.holder_indices]
+        out[k::w] = [sum(map(mul, row, vals)) % q for vals in per_batch]
+    return out
 
-    A round's contribution is a sharing R of a uniform value at the
-    password degree and a sharing Z of zero at the data degree. All
-    coefficients come from one random_ints draw, in the order R's
-    constant, R's other coefficients, then Z's, round after round.
+
+def masking_columns(params: SpssParams, randomness, batches: int):
+    """One holder's contributions to `batches` precomputation batches, as
+    coefficient columns for PrimeField.eval_columns: (r_columns,
+    z_columns), each column holding one coefficient of every batch.
+
+    A batch's contribution is a sharing of a uniform value at the
+    password degree and a sharing of zero at the data degree. All
+    coefficients come from one random_ints draw, in the order the first
+    sharing's constant, its other coefficients, then the zero sharing's,
+    batch after batch.
     """
     pw_degree = params.password_degree
     stride = 1 + pw_degree + params.data_degree
-    drawn = params.field.random_ints(randomness, rounds * stride)
+    drawn = params.field.random_ints(randomness, batches * stride)
     r_cols = [drawn[i::stride] for i in range(pw_degree + 1)]
-    z_cols = [[0] * rounds] + [drawn[i::stride]
-                               for i in range(pw_degree + 1, stride)]
+    z_cols = [[0] * batches] + [drawn[i::stride]
+                                for i in range(pw_degree + 1, stride)]
     return r_cols, z_cols
 
 
@@ -312,8 +367,9 @@ def spss_request(password_attempt: int, subset, params: SpssParams,
     """Start a reconstruction: share the password attempt toward the chosen
     holders. Returns {holder j: SpssRequest} for j in the subset.
 
-    tuple_ids, when given, pins which precomputation rounds the holders
-    must spend (one id per block, the same ids for every holder); without
+    tuple_ids, when given, pins which masking tuples the holders must
+    spend (one distinct id per block, the same ids for every holder; a
+    holder refuses an id named twice); without
     it each holder takes its oldest unconsumed rounds, which is only safe
     while every reconstruction contacts the same subset.
     """
@@ -334,8 +390,10 @@ def spss_request(password_attempt: int, subset, params: SpssParams,
 
 def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedResponse:
     """Build the masked response for one holder, spending one precomputed
-    tuple per block. The password difference, R and Z exist only inside
-    this call; spent tuples are blanked in place.
+    tuple per block. Pinned ids must be distinct: one tuple masking two
+    blocks would hand a wrong-password requester D_i - D_j. The password
+    difference exists only inside this call; spent tuples are blanked in
+    place.
     """
     j = share_set.holder
     if j not in request.subset:
@@ -349,6 +407,7 @@ def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedRes
         if len(ids) != needed:
             raise ImproperRequestError(
                 "request pins %d tuples, %d blocks to mask" % (len(ids), needed))
+        check_distinct_ids(ids)
     else:
         ids = share_set.unconsumed_rounds()[:needed]
     if len(ids) < needed:
@@ -363,19 +422,19 @@ def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedRes
                 "holder %d cannot spend round %r" % (j, rid))
         tuples.append(tup)
 
-    # R and Z of every block are sums of the subset's contributor columns
-    members = [m - 1 for m in request.subset]
-    r_sums = map(sum, zip(*[[tup.r_shares[m] for tup in tuples]
-                            for m in members]))
-    z_sums = map(sum, zip(*[[tup.z_shares[m] for tup in tuples]
-                            for m in members]))
     diff = field.sub(share_set.password_share, request.password_share)
     q = field.q
-    values = tuple([(diff * r + z + data_share) % q for data_share, r, z
-                    in zip(share_set.data_shares, r_sums, z_sums)])
+    values = tuple([(diff * tup.r + tup.z + data_share) % q
+                    for data_share, tup in zip(share_set.data_shares, tuples)])
     for tup in tuples:
         tup.discard()
     return MaskedResponse(j, values)
+
+
+def check_distinct_ids(ids) -> None:
+    """Refuse a list of pinned round ids that names one id twice."""
+    if len(set(ids)) != len(ids):
+        raise ImproperRequestError("request pins a masking round twice")
 
 
 def spss_recover(responses, password_attempt: int, params: SpssParams,

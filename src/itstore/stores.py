@@ -1,6 +1,8 @@
 """Durable role-local storage: tamper-evident logs and share persistence.
 
-Each protocol role owns one directory and is the only writer to it:
+Each protocol role owns one directory and is the only writer to it. A
+store creates its directory with its first write, and opens a missing one
+as an empty store, so building a deployment creates no directory:
 
   HolderStore      -- a holder's share sets, one record per secret, plus a
                       consumption journal so a masking tuple is spent at
@@ -23,9 +25,13 @@ Holder layout. `holder.bin` holds the holder index; it is written with the
 first save, never by the constructor. Each secret has two record slots,
 `<sid-hex>.a` and `<sid-hex>.b`; one holds the live record, the other is
 empty. A record is a 4-byte sequence number, the share set (layout, shares,
-masking tuples), and SHA-256 over the holder index, the secret id and those
-bytes; the id itself is only the file name. That is 36 bytes per secret
-beyond the share set. A save rewrites only the secret that changed:
+masking tuples), and SHA-256 over a record-layout label, the holder index,
+the secret id and those bytes; the id itself is only the file name. That
+is 36 bytes per secret beyond the share set. A masking tuple takes 37
+bytes while unspent (round id, spent flag, its r and z shares) and 5 once
+spent. Records of the earlier layout, which kept every contributor's r and
+z share per tuple, fail the digest and are refused as tampered. A save
+rewrites only the secret that changed:
 
   1. write the record, with the next sequence number, into the empty
      slot and fsync it;
@@ -61,7 +67,13 @@ from .errors import (
 )
 from .field import PrimeField
 from .mac import MacScheme, MacSeed, MacTag, seed_from_bytes, seed_to_bytes
-from .spss import HolderShareSet, PrecomputedTuple, SpssParams, holder_respond
+from .spss import (
+    HolderShareSet,
+    PrecomputedTuple,
+    SpssParams,
+    check_distinct_ids,
+    holder_respond,
+)
 from .wire import Cursor
 
 __all__ = [
@@ -80,6 +92,8 @@ __all__ = [
 _CHAIN_GENESIS = b"\x00" * 32
 _CHAIN_BYTES = 32
 _HOLDER_MAGIC = b"ITHS2\n"
+# bound into every record digest: records of another layout never verify
+_RECORD_LAYOUT = b"ITHR folded-tuples\n"
 _HOLDER_META = "holder.bin"
 _SLOTS = ("a", "b")
 _RECORD_SUFFIXES = _SLOTS + ("new",)
@@ -275,7 +289,6 @@ class VerifierStore:
 
     def __init__(self, directory):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self._log = ChainedLog(self.directory / "verifier.log")
         self._records = [_decode_verifier_record(p) for p in self._log.payloads()]
 
@@ -284,6 +297,8 @@ class VerifierStore:
             raise ProtocolError(
                 "receipt times must be non-decreasing: %d after %d"
                 % (record.t2, self._records[-1].t2))
+        if not self._records:
+            self.directory.mkdir(parents=True, exist_ok=True)
         self._log.append(_encode_verifier_record(record))
         self._records.append(record)
 
@@ -311,7 +326,7 @@ class CalculatorStore:
     scheme and tag width are store-wide configuration, because every
     registration in a run shares them: a new store keeps them in memory
     and writes them to `meta.bin` with its first record, so building a
-    deployment writes nothing here.
+    deployment writes nothing here, not even the directory.
     """
 
     _META = "meta.bin"
@@ -319,7 +334,6 @@ class CalculatorStore:
     def __init__(self, directory, scheme: "MacScheme | None" = None,
                  k: "int | None" = None):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         meta_path = self.directory / self._META
         self._meta_written = meta_path.exists()
         if self._meta_written:
@@ -338,8 +352,11 @@ class CalculatorStore:
         else:
             # the meta file is fsynced before the first record, so records
             # without it can only mean the file was removed
-            if any(name.endswith(".rec")
-                   for name in os.listdir(self.directory)):
+            try:
+                names = os.listdir(self.directory)
+            except FileNotFoundError:
+                names = ()
+            if any(name.endswith(".rec") for name in names):
                 raise TamperDetectedError(
                     "calculator records without their meta file")
             if scheme is None or k is None:
@@ -361,6 +378,7 @@ class CalculatorStore:
         if path.exists():
             raise ProtocolError("secret %s already registered" % secret_id.hex())
         if not self._meta_written:
+            self.directory.mkdir(parents=True, exist_ok=True)
             code = 0 if self.scheme is MacScheme.TOEPLITZ else 1
             _write_synced(self.directory / self._META, _CALC_MAGIC
                           + bytes([code]) + struct.pack(">H", self.k))
@@ -414,11 +432,7 @@ def _encode_share_set(ss: HolderShareSet) -> bytes:
         tup = ss.tuples[rid]
         out += struct.pack(">IB", rid, 1 if tup.consumed else 0)
         if not tup.consumed:
-            out += struct.pack(">B", len(tup.r_shares))
-            for v in tup.r_shares:
-                out += v.to_bytes(width, "big")
-            for v in tup.z_shares:
-                out += v.to_bytes(width, "big")
+            out += tup.r.to_bytes(width, "big") + tup.z.to_bytes(width, "big")
     return bytes(out)
 
 
@@ -433,19 +447,18 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
     for _ in range(rd.uint(4)):
         rid, consumed = rd.uint(4), rd.uint(1)
         if consumed:
-            tuples[rid] = PrecomputedTuple(rid, (), (), True)
+            tuples[rid] = PrecomputedTuple(rid, None, None, True)
         else:
-            members = rd.uint(1)
-            tuples[rid] = PrecomputedTuple(rid, rd.uints(members, width),
-                                           rd.uints(members, width))
+            tuples[rid] = PrecomputedTuple(rid, rd.uint(width), rd.uint(width))
     rd.done()
     return HolderShareSet(holder, params, data_shares, password_share, tuples)
 
 
 def _record_digest(holder: int, secret_id: bytes, body: bytes) -> bytes:
-    """SHA-256 binding a record body to its holder and secret id, neither
-    of which is stored in the body."""
-    h = hashlib.sha256(struct.pack(">HB", holder, len(secret_id)))
+    """SHA-256 binding a record body to its layout, its holder and its
+    secret id, none of which is stored in the body."""
+    h = hashlib.sha256(_RECORD_LAYOUT)
+    h.update(struct.pack(">HB", holder, len(secret_id)))
     h.update(secret_id)
     h.update(body)
     return h.digest()
@@ -508,20 +521,23 @@ class HolderStore:
     notes the round -- because stale *new* shares are harmless while stale
     old ones defeat the renewal.
 
-    The constructor writes nothing to a new store: the holder index reaches
-    disk with the first save.
+    The constructor writes nothing to a new store: the directory and the
+    holder index reach disk with the first save.
     """
 
     def __init__(self, directory, holder: "int | None" = None):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self._meta_path = self.directory / _HOLDER_META
         self._log = ChainedLog(self.directory / "journal.log")
         self._journaled = {}  # secret id -> set of consumed round ids
         self._secrets = {}
         self._live = {}  # secret id -> (slot suffix of the live record, seq)
-        # a new store's directory is empty, and then nothing more is read
-        existing = bool(os.listdir(self.directory))
+        # a new store's directory is missing or empty, and then nothing
+        # more is read
+        try:
+            existing = bool(os.listdir(self.directory))
+        except FileNotFoundError:
+            existing = False
         stored = self._read_meta() if existing else None
         if stored is not None and holder is not None and holder != stored:
             raise ConfigurationError("store belongs to holder %d" % stored)
@@ -572,10 +588,12 @@ class HolderStore:
                     if record is not None:
                         valid.append((record[0], suffix, record[1]))
             if not valid:
-                if any(sizes.get(suffix) for suffix in _SLOTS):
+                filled = [str(self._record_path(sid, suffix))
+                          for suffix in _SLOTS if sizes.get(suffix)]
+                if filled:
                     raise TamperDetectedError(
-                        "%s: no valid record for secret %s"
-                        % (self.directory, sid.hex()))
+                        "no valid record for secret %s in %s"
+                        % (sid.hex(), " or ".join(filled)))
                 # only empty slots: the first save never completed
                 for suffix in _SLOTS:
                     if suffix in sizes:
@@ -617,7 +635,7 @@ class HolderStore:
             for rid in extra:
                 tup = tuples.get(rid)
                 if tup is None:
-                    tuples[rid] = PrecomputedTuple(rid, (), (), True)
+                    tuples[rid] = PrecomputedTuple(rid, None, None, True)
                     stale.add(sid)
                 elif not tup.consumed:
                     tup.discard()
@@ -662,6 +680,7 @@ class HolderStore:
                         "round %d of %s is journaled consumed but live"
                         % (rid, sid.hex()))
         if not self._meta_durable:
+            self.directory.mkdir(parents=True, exist_ok=True)
             _write_synced(self._meta_path,
                           _HOLDER_MAGIC + struct.pack(">H", self.holder))
             _fsync_directory(self.directory)
@@ -727,7 +746,7 @@ class HolderStore:
         """Spend one tuple (oldest first unless pinned) and return its
         values. The journal entry lands before the values leave."""
         ss, tup = self._spendable(secret_id, round_id)
-        out = PrecomputedTuple(tup.round_id, tup.r_shares, tup.z_shares)
+        out = PrecomputedTuple(tup.round_id, tup.r, tup.z)
         self._journal_consume(secret_id, (tup.round_id,))
         tup.discard()
         self.save(secret_id)
@@ -743,6 +762,7 @@ class HolderStore:
         needed = ss.block_count
         if request.tuple_ids is not None:
             ids = tuple(request.tuple_ids)
+            check_distinct_ids(ids)
         else:
             ids = tuple(ss.unconsumed_rounds()[:needed])
         if len(ids) != needed:

@@ -12,7 +12,15 @@ SCHEMA lists for its kind, big-endian and without padding. Field types:
     digest   a cs_tag_bits/8-byte computational digest
     bytes8, bytes16, bytes32
              bytes after a u8, u16 or u32 length
-    W*, u32* a u32 count, then that many W elements or u32 ids
+    W*       a u32 count, then that many W elements
+    ids      a strictly increasing list of u32 round ids, sent as a u32
+             run count and then (first, count) u32 pairs: canonical runs,
+             each nonempty and starting past the end of the one before
+             plus one, so that touching runs are merged and one id list
+             has one encoding. An encoder given ids that do not increase,
+             and a decoder given runs that are empty, out of order,
+             overlapping, touching, past 2^32 - 1 or naming more than
+             MAX_IDS ids, raise ImproperRequestError (a ProtocolError)
     run(X, field, times)
              field * times values of width X (W, or P, the commitment
              group modulus width), where field names an earlier count
@@ -28,12 +36,18 @@ from __future__ import annotations
 
 import re
 from itertools import repeat
+from operator import sub
 
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError, ImproperRequestError, ProtocolError
 
-__all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor"]
+__all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor", "id_runs",
+           "ids_from_runs"]
 
 SID_BYTES = 16
+# Most ids one decoded id list may name: a 12-byte run could otherwise
+# make the receiver build billions of ints. 2^22 masking tuples cover a
+# payload of 66 MB in 126-bit blocks.
+MAX_IDS = 1 << 22
 
 
 class Cursor:
@@ -88,7 +102,7 @@ BYTES8 = ("bytes", "u8")
 BYTES16 = ("bytes", "u16")
 BYTES32 = ("bytes", "u32")
 W_LIST = ("list", "W")
-U32_LIST = ("list", "u32")
+ID_RUNS = ("ids", "u32")
 
 # kind -> (type code, ((field name, field type), ...))
 SCHEMA = {
@@ -98,15 +112,15 @@ SCHEMA = {
     "tag-report": (0x03, (("sid", SID), ("t1", U64), ("tag", TAG))),
     "receipt": (0x04, (("sid", SID), ("t1", U64))),
     "precomp": (0x05, (("sid", SID), ("first_round", U32),
-                       ("n_rounds", U32), ("contributor", U8),
-                       ("r_z_pairs", run("W", "n_rounds", 2)))),
+                       ("n_batches", U32), ("contributor", U8),
+                       ("r_z_pairs", run("W", "n_batches", 2)))),
     "recon-request": (0x06, (("sid", SID), ("byte_length", U32),
                              ("password", BYTES16))),
     "avail-query": (0x07, (("sid", SID),)),
     "avail-reply": (0x08, (("sid", SID), ("n_blocks", U32),
-                           ("round_ids", U32_LIST))),
+                           ("round_ids", ID_RUNS))),
     "recon-ask": (0x09, (("sid", SID), ("subset", BYTES8),
-                         ("password_share", W), ("round_ids", U32_LIST))),
+                         ("password_share", W), ("round_ids", ID_RUNS))),
     "recon-response": (0x0A, (("sid", SID), ("values", W_LIST))),
     "recon-result": (0x0B, (("sid", SID), ("data", BYTES32))),
     "release": (0x0C, (("sid", SID), ("t1", U64), ("data", BYTES32))),
@@ -125,6 +139,48 @@ SCHEMA = {
                            ("n_tracks", U32),
                            ("s1_s2_pairs", run("W", "n_tracks", 2)))),
 }
+
+
+def id_runs(ids) -> list:
+    """The canonical (first, count) runs of a strictly increasing list of
+    u32 ids, flattened: [first, count, first, count, ...]."""
+    ids = list(ids)
+    if not ids:
+        return []
+    steps = list(map(sub, ids[1:], ids))
+    if any(step <= 0 for step in steps):
+        raise ImproperRequestError("round ids must strictly increase")
+    if ids[0] < 0 or ids[-1] >> 32:
+        raise ImproperRequestError("round id outside the u32 range")
+    starts = [0] + [k for k, step in enumerate(steps, 1) if step != 1]
+    flat = []
+    for a, b in zip(starts, starts[1:] + [len(ids)]):
+        flat += (ids[a], b - a)
+    return flat
+
+
+def ids_from_runs(flat) -> tuple:
+    """Inverse of id_runs; refuses any run list id_runs cannot produce,
+    and one naming more than MAX_IDS ids, before expanding any run."""
+    firsts, counts = flat[0::2], flat[1::2]
+    after = -1  # the next run must start above this id
+    for first, count in zip(firsts, counts):
+        if not count:
+            raise ImproperRequestError("empty round-id run")
+        if first <= after:
+            raise ImproperRequestError(
+                "round-id run at %d overlaps, touches or precedes the one "
+                "before" % first)
+        after = first + count
+    if after > 1 << 32:
+        raise ImproperRequestError("round-id run passes 2^32 - 1")
+    if sum(counts) > MAX_IDS:
+        raise ImproperRequestError("round-id runs name more than %d ids"
+                                   % MAX_IDS)
+    ids = []
+    for first, count in zip(firsts, counts):
+        ids += range(first, first + count)
+    return tuple(ids)
 
 
 def _length_prefix(kind: str, name: str, length: int, width: int) -> bytes:
@@ -160,7 +216,10 @@ class Codec:
                 out.append(_length_prefix(kind, name, len(value), width))
                 out.append(value)
             else:
-                if category == "list":
+                if category == "ids":
+                    value = id_runs(value)
+                    out.append((len(value) // 2).to_bytes(4, "big"))
+                elif category == "list":
                     out.append(_length_prefix(kind, name, len(value), 4))
                 out.append(b"".join(map(int.to_bytes, value, repeat(width),
                                         repeat("big"))))
@@ -189,6 +248,8 @@ class Codec:
                 values.append(rd.take(rd.uint(width)))
             elif category == "list":
                 values.append(rd.uints(rd.uint(4), width))
+            elif category == "ids":
+                values.append(ids_from_runs(rd.uints(2 * rd.uint(4), width)))
             else:
                 count_field, times = count
                 n = values[[f[0] for f in fields].index(count_field)]

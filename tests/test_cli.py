@@ -391,3 +391,13 @@ def test_inspect_missing_path(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "inspect", str(tmp_path / "ghost"))
     assert code == 3
     assert "does not exist" in err
+
+
+def test_inspect_stores_a_new_session_has_not_written(tmp_path, capsys):
+    TpvSession(tmp_path)  # each store makes its directory at its first write
+    for name, want in (("verifier", "0 records"), ("holder-1", "0 secrets")):
+        assert not (tmp_path / name).exists()
+        code, out, _ = run_cli(capsys, "inspect", str(tmp_path / name))
+        assert code == 0 and want in out
+    code, _out, _err = run_cli(capsys, "inspect", str(tmp_path / "holder-x"))
+    assert code == 3

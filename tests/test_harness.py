@@ -332,22 +332,22 @@ def test_comparison_moduli_are_checked_once_per_process(monkeypatch):
 # accounting may change without touching these; any change to a message
 # layout or to the bytes a phase sends changes them.
 WIRE_DIGESTS = {
-    "bench": "2cac69f22ee7a69f4cf1274fff064f70e4ddc3a04b23664d65d025b81b8ff3da",
+    "bench": "e5418c0890926ce1153083c2d9fe270c640efc6901b38f13ea0fee69c818ece8",
     "bit-flip-channel":
-        "f705a6d0ce0d0d29f521dc534c4daba891fb841b3e10e6c1588b0e6b04912656",
+        "5f86c9df067ee621a43a4846ad96202f9dbdde1553919565d0507916ab5a93ac",
     "corrupt-holder":
-        "6f55cc0947cdf1fe67b78ce20a53bdfc4051d3ba0179ee3fb2da241852e992eb",
+        "e3dd3ff3d642f43a961739a873257d2b72d7a800ef9824f117447be30edf9e1f",
     "drop-holder":
-        "30dd5117db03b78dc7b93576965b5356314272adcbcdaec7e0c3becece63cb41",
+        "5a0f7b97716cfce1beb0a6a99b5922ed07b9d84ddf12786a70c62d13a20b9ec9",
     "false-claim-user":
-        "fd13b37d2278bec133d90076c5b48bac992d9ccea61d0ce4499368feebcc1b8a",
-    "honest": "87edfffc3513e04f6df15c724cfa6c06396684d0aa3b8798c9d09c3f32ca9b45",
+        "05c0e626767660599ceb30c4d0b90af64cff411974ea2799e5e36d07e0635da4",
+    "honest": "eabb1af9acfb09a9253b42bd38a27ddafacae7adc44fab4d2b0f3cdcda4938b1",
     "renewal":
-        "dd25fbd2fd979a70ed50b1f3a107f6bd60401e32e4370f31ec30d6fe2531586c",
+        "1fc40d520d57db16b1055aee2e80c32dce71ff92fe07a6fc58f98b689d290aab",
     "tamper-owner":
-        "5f5eda1f14b3a498f8395658159c8c59c2bc497d53dc4eeecb113e067af6895a",
+        "eda478cf1109cb5fc61b3dcded9503fa3c5bd6bf1b34e0164d9b3c1133635ba3",
     "wrong-password":
-        "5cdcbf24bb729365171daed622d06b724a6b2395417a01671d91c9dca5772b42",
+        "696cd33f2692565f1ba34b6c9bb85b10bf1175f8c1705b11f5a47e9f8c9c58a7",
 }
 
 _WIRE_FIELDS = re.compile(r" kind=(\S+) bytes=(\d+)(?: sha=(\S+))?")

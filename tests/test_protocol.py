@@ -15,6 +15,7 @@ import itstore.renewal
 from itstore.errors import (
     ChannelIntegrityError,
     ConfigurationError,
+    ImproperRequestError,
     KeySupplyError,
     ProtocolError,
 )
@@ -531,6 +532,55 @@ def test_precompute_mislabelled_contributor_fails_closed(tmp_path):
     assert session.precompute(sid, rounds=2) == (0, 1)
     for j in session.params.holder_indices:
         assert sorted(session.holder_stores[j].get_secret(sid).tuples) == [0, 1]
+
+
+def test_precompute_sends_one_pair_per_batch_and_checks_the_first_round(
+        tmp_path):
+    session = make_session(tmp_path)
+    sid, _t1 = session.register(DATA, PASSWORD)
+    lines = len(session.transcript)
+    assert session.precompute(sid, rounds=5) == (0, 1, 2, 3, 4)
+    # 5 tuples from 3 batches of w = 2: code, header (sid, first round,
+    # batch count, contributor) and 3 pairs of 16-byte values
+    sizes = {int(line.split(" bytes=")[1].split()[0])
+             for line in session.transcript[lines:]
+             if " kind=precomp " in line}
+    assert sizes == {1 + 16 + 4 + 4 + 1 + 3 * 2 * 16}
+    # precomp: code u8, sid16, u32 first_round, u32 n_batches, u8 contributor
+    fired = relabel_on_send(
+        session,
+        lambda s, r, kind: (kind, s, r) == ("precomp", "holder-3", "holder-1"),
+        lambda payload: payload[:17] + (4).to_bytes(4, "big") + payload[21:])
+    with pytest.raises(ProtocolError):
+        session.precompute(sid, rounds=2)
+    assert fired == ["precomp"]
+    for j in session.params.holder_indices:
+        assert sorted(session.holder_stores[j].get_secret(sid).tuples) == [
+            0, 1, 2, 3, 4]
+
+
+def test_a_recon_ask_that_repeats_a_round_id_spends_nothing(tmp_path):
+    session = make_session(tmp_path)
+    sid, _t1, blocks = register_and_stock(session)
+    store = session.holder_stores[1]
+    journal = len(store._log)
+    calculator, holder = session.CALCULATOR, "holder-1"
+    lines = len(session.transcript)
+    # the calculator cannot even encode such a list
+    with pytest.raises(ImproperRequestError):
+        session._send(calculator, holder, "recon-ask", (sid,),
+                      bytes((1, 2, 3)), 5, (0,) * blocks)
+    assert len(session.transcript) == lines
+    # and runs that name an id twice are refused when the holder decodes
+    head = session.codec.encode("recon-ask", sid, bytes((1, 2, 3)), 5, ())
+    runs = [(0, blocks - 1), (0, 1)]
+    raw = head[:-4] + len(runs).to_bytes(4, "big") + b"".join(
+        f.to_bytes(4, "big") + c.to_bytes(4, "big") for f, c in runs)
+    with pytest.raises(ImproperRequestError):
+        session._deliver(calculator, holder, "recon-ask", raw, (sid,))
+    assert len(store._log) == journal
+    assert store.get_secret(sid).unconsumed_rounds() == list(range(blocks))
+    assert session.reconstruct_and_release(sid, PASSWORD).data == DATA
 
 
 def run_every_phase(session):

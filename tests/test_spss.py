@@ -2,8 +2,9 @@
 
 The interpolation oracle is interpolate_at_zero from the field layer, itself
 pinned against a brute-force fit in test_field. The draw-order oracles
-build one random_polynomial per block. Frozen values here were computed by
-hand in F_31.
+build one random_polynomial per block, and the extraction oracle sums
+d^k times contributor d's value term by term. Frozen values here were
+computed by hand in F_31.
 """
 
 import itertools
@@ -25,6 +26,7 @@ from itstore.spss import (
     MaskedResponse,
     SpssParams,
     data_block_count,
+    extract,
     holder_respond,
     mac_block_value,
     password_to_element,
@@ -44,6 +46,21 @@ F2311 = PrimeField.mersenne(31)
 def mac_oracle(blocks, p, q):
     """sum D_i * P^i term by term, blocks in index order (blocks[0] = D_1)."""
     return sum(b * pow(p, i, q) for i, b in enumerate(blocks, start=1)) % q
+
+
+def extraction_oracle(values_by_contributor, k, q):
+    """sum_d d^k * value of contributor d, contributors 1..n in order."""
+    return sum(pow(d, k) * v for d, v in
+               enumerate(values_by_contributor, start=1)) % q
+
+
+def recording(carried):
+    """A deliver callback that records what each (d, j) message carries
+    and hands it over unchanged."""
+    def deliver(d, j, r_vals, z_vals):
+        carried[d, j] = (list(r_vals), list(z_vals))
+        return r_vals, z_vals
+    return deliver
 
 
 def reconstruct(holders, secret, params, attempt, subset, rng, pin=True):
@@ -206,15 +223,25 @@ def test_register_and_precompute_draw_like_one_polynomial_per_block(params):
         assert holders[j].password_share == pw_share
     assert new.bits_drawn == old.bits_drawn
 
-    precompute_round(holders, new)
+    carried = {}
+    precompute_round(holders, new, deliver=recording(carried))
+    # j's values from every contributor, own ones from the oracle
+    held = {j: [] for j in params.holder_indices}
     for contributor in params.holder_indices:
         r_poly = random_polynomial(params.password_degree,
                                    field.random_int(old), field, old)
         z_poly = random_polynomial(params.data_degree, 0, field, old)
         for j in params.holder_indices:
-            tup = holders[j].tuples[0]
-            assert tup.r_shares[contributor - 1] == r_poly.evaluate(j)
-            assert tup.z_shares[contributor - 1] == z_poly.evaluate(j)
+            want = ([r_poly.evaluate(j)], [z_poly.evaluate(j)])
+            if j != contributor:
+                assert carried[contributor, j] == want
+            held[j].append(want)
+    for j in params.holder_indices:
+        tup = holders[j].tuples[0]  # row k = 0 of the one batch
+        assert tup.r == extraction_oracle([r[0] for r, _ in held[j]], 0,
+                                          field.q)
+        assert tup.z == extraction_oracle([z[0] for _, z in held[j]], 0,
+                                          field.q)
     assert new.bits_drawn == old.bits_drawn
 
 
@@ -233,22 +260,33 @@ def test_precompute_round_accounting():
     params = SpssParams(field=F31)
     holders, _ = spss_register(b"ab", 3, params, SeededEntropy(b"acct"))
     rng = SeededEntropy(b"acct-rounds")
-    assert precompute_round(holders, rng) == (0,)
+    carried = {}
+    assert precompute_round(holders, rng, deliver=recording(carried)) == (0,)
     assert precompute_round(holders, rng) == (1,)
+    # every other holder gets one R and one Z value per batch from each
+    # contributor, and every holder keeps one folded r and z per tuple
+    assert sorted(carried) == [(d, j) for d in range(1, 5)
+                               for j in range(1, 5) if j != d]
+    for r_vals, z_vals in carried.values():
+        assert len(r_vals) == 1 and len(z_vals) == 1
     for share_set in holders.values():
         assert share_set.unconsumed_rounds() == [0, 1]
         for tup in share_set.tuples.values():
-            assert len(tup.r_shares) == 4 and len(tup.z_shares) == 4
+            assert isinstance(tup.r, int) and isinstance(tup.z, int)
 
 
 def test_precompute_zero_shares_interpolate_to_zero():
     params = SpssParams()
     holders, _ = spss_register(b"zz", 5, params, SeededEntropy(b"z-shares"))
-    precompute_round(holders, SeededEntropy(b"z-round"))
-    for m in range(4):  # each contributor's zero sharing
-        for subset in itertools.combinations((1, 2, 3, 4), 3):
-            pts = [(j, holders[j].tuples[0].z_shares[m]) for j in subset]
-            assert interpolate_at_zero(pts, params.field) == 0
+    carried = {}
+    precompute_round(holders, SeededEntropy(b"z-round"),
+                     deliver=recording(carried))
+    for d in range(1, 5):  # each contributor's zero sharing, as carried
+        pts = [(j, carried[d, j][1][0]) for j in range(1, 5) if j != d]
+        assert interpolate_at_zero(pts, params.field) == 0
+    for subset in itertools.combinations((1, 2, 3, 4), 3):
+        pts = [(j, holders[j].tuples[0].z) for j in subset]
+        assert interpolate_at_zero(pts, params.field) == 0
 
 
 def test_precompute_random_shares_have_low_degree():
@@ -256,13 +294,21 @@ def test_precompute_random_shares_have_low_degree():
     # polynomials, so any two shares already pin the constant
     params = SpssParams()
     holders, _ = spss_register(b"rr", 5, params, SeededEntropy(b"r-shares"))
-    precompute_round(holders, SeededEntropy(b"r-round"))
-    for m in range(4):
+    carried = {}
+    precompute_round(holders, SeededEntropy(b"r-round"),
+                     deliver=recording(carried))
+    for d in range(1, 5):  # each contributor's random sharing, as carried
+        others = [j for j in range(1, 5) if j != d]
         constants = set()
-        for pair in itertools.combinations((1, 2, 3, 4), 2):
-            pts = [(j, holders[j].tuples[0].r_shares[m]) for j in pair]
+        for pair in itertools.combinations(others, 2):
+            pts = [(j, carried[d, j][0][0]) for j in pair]
             constants.add(interpolate_at_zero(pts, params.field))
         assert len(constants) == 1
+    constants = set()
+    for pair in itertools.combinations((1, 2, 3, 4), 2):
+        pts = [(j, holders[j].tuples[0].r) for j in pair]
+        constants.add(interpolate_at_zero(pts, params.field))
+    assert len(constants) == 1
 
 
 def test_precompute_per_holder_randomness():
@@ -274,22 +320,38 @@ def test_precompute_per_holder_randomness():
 
 
 def test_rounds_draw_like_one_polynomial_pair_per_round():
-    # one masking_columns draw per contributor covers all its rounds, in
-    # the order of an R and a Z polynomial per round
+    # one masking_columns draw per contributor covers all its batches, in
+    # the order of an R and a Z polynomial per batch; three rounds take
+    # two batches of w = 2, and round id b*w + k is row k of batch b
     params = SpssParams()
     field = params.field
     holders, _ = spss_register(b"rounds", 5, params, SeededEntropy(b"reg"))
     new, old = SeededEntropy(b"rounds"), SeededEntropy(b"rounds")
-    assert precompute_round(holders, new, rounds=3) == (0, 1, 2)
+    carried = {}
+    assert precompute_round(holders, new, rounds=3,
+                            deliver=recording(carried)) == (0, 1, 2)
+    held = {j: [] for j in params.holder_indices}
     for contributor in params.holder_indices:
-        for rid in range(3):
+        sent = {j: ([], []) for j in params.holder_indices}
+        for _batch in range(2):
             r_poly = random_polynomial(params.password_degree,
                                        field.random_int(old), field, old)
             z_poly = random_polynomial(params.data_degree, 0, field, old)
             for j in params.holder_indices:
-                tup = holders[j].tuples[rid]
-                assert tup.r_shares[contributor - 1] == r_poly.evaluate(j)
-                assert tup.z_shares[contributor - 1] == z_poly.evaluate(j)
+                sent[j][0].append(r_poly.evaluate(j))
+                sent[j][1].append(z_poly.evaluate(j))
+        for j in params.holder_indices:
+            if j != contributor:
+                assert carried[contributor, j] == sent[j]
+            held[j].append(sent[j])
+    for j in params.holder_indices:
+        for rid in range(3):
+            batch, k = divmod(rid, 2)
+            tup = holders[j].tuples[rid]
+            assert tup.r == extraction_oracle(
+                [r[batch] for r, _ in held[j]], k, field.q)
+            assert tup.z == extraction_oracle(
+                [z[batch] for _, z in held[j]], k, field.q)
     assert new.bits_drawn == old.bits_drawn
     assert precompute_round(holders, new, rounds=2) == (3, 4)
     with pytest.raises(ConfigurationError):
@@ -310,16 +372,17 @@ def test_precompute_delivers_every_other_holders_values_in_order():
     assert precompute_round(direct, SeededEntropy(b"dv-round"), 2) == (0, 1)
     assert precompute_round(routed, SeededEntropy(b"dv-round"), 2,
                             deliver) == (0, 1)
-    assert calls == [(d, j, 2, 2) for d in (1, 2, 3, 4)
+    # two rounds are one batch of w = 2: one value of each kind per message
+    assert calls == [(d, j, 1, 1) for d in (1, 2, 3, 4)
                      for j in (1, 2, 3, 4) if j != d]
     for j in (1, 2, 3, 4):
         for rid in (0, 1):
             want, got = direct[j].tuples[rid], routed[j].tuples[rid]
-            for d in (1, 2, 3, 4):
-                shift = 0 if d == j else d
-                m = d - 1
-                assert got.r_shares[m] == (want.r_shares[m] + shift) % 31
-                assert got.z_shares[m] == (want.z_shares[m] + shift) % 31
+            # row k = rid of the batch: each routed value adds d^k * d
+            shift = extraction_oracle([0 if d == j else d
+                                       for d in (1, 2, 3, 4)], rid, 31)
+            assert got.r == (want.r + shift) % 31
+            assert got.z == (want.z + shift) % 31
 
 
 def test_a_failed_delivery_changes_no_share_set():
@@ -334,6 +397,117 @@ def test_a_failed_delivery_changes_no_share_set():
     with pytest.raises(ProtocolError):
         precompute_round(holders, SeededEntropy(b"fail-round"), 2, deliver)
     assert all(not s.tuples for s in holders.values())
+
+
+    def short(d, j, r_vals, z_vals):  # a value missing on the way
+        return (r_vals[:-1], z_vals) if (d, j) == (2, 1) else (r_vals, z_vals)
+
+    with pytest.raises(ProtocolError, match="expected 2 each"):
+        precompute_round(holders, SeededEntropy(b"fail-round"), 3, short)
+    assert all(not s.tuples for s in holders.values())
+
+
+F7_PARAMS = SpssParams(field=PrimeField(7))  # (3,4): w = 2
+
+
+@pytest.mark.parametrize("corrupt",
+                         list(itertools.combinations(range(1, 5), 2)))
+def test_extraction_is_a_bijection_for_every_corrupt_pair(corrupt):
+    # For every value the two corrupt contributors send, the honest
+    # contributions (enumerated as batches) map onto all q^2 output pairs.
+    # A contribution is a sharing's constant (R) or one coefficient of a
+    # zero sharing (Z); extraction is applied to each such coordinate alike.
+    q = F7_PARAMS.field.q
+    honest = [d for d in range(1, 5) if d not in corrupt]
+    grid = list(itertools.product(range(q), repeat=2))
+    for sent in grid:
+        contributions = [None] * 4
+        for d, v in zip(corrupt, sent):
+            contributions[d - 1] = [v] * len(grid)
+        for pos, d in enumerate(honest):
+            contributions[d - 1] = [h[pos] for h in grid]
+        out = extract(F7_PARAMS, contributions)
+        pairs = set(zip(out[0::2], out[1::2]))
+        assert len(pairs) == q * q
+        for b, values in enumerate(zip(*contributions)):
+            assert out[2 * b:2 * b + 2] == [extraction_oracle(values, 0, q),
+                                            extraction_oracle(values, 1, q)]
+
+
+def test_extraction_commutes_with_sharing_on_z_coefficients():
+    # the extracted Z held by the holders is the zero sharing whose
+    # coefficients are the extraction of the contributors' coefficients,
+    # so the bijection above holds for Z's coefficients too
+    params = F7_PARAMS
+    q = params.field.q
+    gen = random.Random(0x7e)
+    for _ in range(50):
+        coeffs = [[0, gen.randrange(q), gen.randrange(q)] for _d in range(4)]
+        shares = {j: [sum(c * pow(j, i) for i, c in enumerate(poly)) % q
+                      for poly in coeffs] for j in range(1, 5)}
+        extracted = [extract(params, [[poly[i]] for poly in coeffs])
+                     for i in range(3)]  # per coefficient: (k = 0, k = 1)
+        for j in range(1, 5):
+            got = extract(params, [[v] for v in shares[j]])
+            for k in range(2):
+                want = sum(extracted[i][k] * pow(j, i) for i in range(3)) % q
+                assert got[k] == want
+        assert extracted[0] == [0, 0]
+
+
+def test_extracted_tuples_share_zero_and_a_low_degree_value():
+    params = SpssParams()
+    field = params.field
+    holders, _ = spss_register(b"xt", 5, params, SeededEntropy(b"x-reg"))
+    ids = precompute_round(holders, SeededEntropy(b"x-round"), rounds=7)
+    for rid in ids:
+        for subset in itertools.combinations((1, 2, 3, 4), 3):
+            pts = [(j, holders[j].tuples[rid].z) for j in subset]
+            assert interpolate_at_zero(pts, field) == 0
+        # degree <= t - 2 = 1: every pair of r shares names one constant
+        constants = {interpolate_at_zero(
+            [(j, holders[j].tuples[rid].r) for j in pair], field)
+            for pair in itertools.combinations((1, 2, 3, 4), 2)}
+        assert len(constants) == 1
+    # the tuples of one batch and of two batches are distinct values
+    assert len({holders[1].tuples[rid].r for rid in ids}) == len(ids)
+
+
+@pytest.mark.parametrize("rounds", [1, 3, 67, 6503])
+def test_rounds_stock_exactly_that_many_tuples_from_ceil_rounds_over_w_draws(
+        rounds):
+    params = SpssParams()
+    holders, _ = spss_register(b"count", 5, params, SeededEntropy(b"c-reg"))
+    sources = {j: SeededEntropy(b"c-%d" % j) for j in holders}
+    carried = {}
+    ids = precompute_round(holders, sources, rounds, recording(carried))
+    assert ids == tuple(range(rounds))
+    batches = -(-rounds // 2)
+    assert params.batch_count(rounds) == batches
+    for share_set in holders.values():
+        assert sorted(share_set.tuples) == list(ids)
+    for r_vals, z_vals in carried.values():
+        assert len(r_vals) == len(z_vals) == batches
+    # one R (degree 1) and one Z (two nonzero coefficients) per batch;
+    # a 127-bit Mersenne draw is rejected with probability 2^-127
+    per_pair = (params.password_degree + 1 + params.data_degree) * 127
+    for source in sources.values():
+        assert source.bits_drawn == batches * per_pair
+
+
+def test_a_pinned_id_named_twice_is_refused_before_any_tuple_is_spent():
+    # one tuple masking two blocks would give a wrong-password requester
+    # the difference of the two blocks
+    params = SpssParams(field=F31)
+    rng = SeededEntropy(b"twice")
+    holders, secret = spss_register(b"\xc0", 5, params, rng)
+    need = secret.block_count + 1  # the data blocks and the authenticator
+    precompute_round(holders, rng, rounds=need)
+    for ids in ((0,) * need, (0, 1, 0), (2, 1, 1)):
+        request = spss_request(9, (1, 2, 3), params, rng, tuple_ids=ids)
+        with pytest.raises(ImproperRequestError, match="twice"):
+            holder_respond(holders[1], request[1])
+        assert holders[1].unconsumed_rounds() == list(range(need))
 
 
 def test_precompute_requires_all_holders():
@@ -489,7 +663,7 @@ def test_tuples_are_single_use():
     for j in (1, 2, 3):
         assert holders[j].unconsumed_rounds() == second
         spent = holders[j].tuples[first[0]]
-        assert spent.consumed and spent.r_shares == ()
+        assert spent.consumed and spent.r is None and spent.z is None
 
     # replaying the spent ids fails; the fresh ids still work, and the two
     # reconstructions trivially share no tuple

@@ -15,6 +15,7 @@ import itstore.stores as stores_mod
 from itstore.entropy import SeededEntropy
 from itstore.errors import (
     ConfigurationError,
+    ImproperRequestError,
     PrecomputationExhaustedError,
     ProtocolError,
     TamperDetectedError,
@@ -326,7 +327,7 @@ def test_holder_store_round_trip_with_consumption(tmp_path):
     first = store.consume_tuple(sid_a)
     second = store.consume_tuple(sid_b, round_id=1)
     assert first.round_id == 0 and second.round_id == 1
-    assert first.r_shares and second.z_shares
+    assert first.r is not None and second.z is not None
 
     again = HolderStore(tmp_path / "holder-1")
     assert again.holder == 1
@@ -345,7 +346,7 @@ def test_consume_tuple_order_and_exhaustion(tmp_path):
     a = store.consume_tuple(sid)
     b = store.consume_tuple(sid)
     assert (a.round_id, b.round_id) == (0, 1)
-    assert a.r_shares != b.r_shares
+    assert a.r != b.r
     with pytest.raises(PrecomputationExhaustedError):
         store.consume_tuple(sid)
     with pytest.raises(PrecomputationExhaustedError):
@@ -363,7 +364,7 @@ def test_crash_between_journal_and_state(tmp_path):
     recovered = HolderStore(tmp_path / "holder-3")
     assert recovered.consumed_rounds(sid) == (0,)
     tup = recovered.get_secret(sid).tuples[0]
-    assert tup.consumed and tup.r_shares == ()
+    assert tup.consumed and tup.r is None and tup.z is None
     with pytest.raises(PrecomputationExhaustedError):
         recovered.consume_tuple(sid, round_id=0)
     # the remaining tuple is still issuable exactly once
@@ -421,14 +422,69 @@ def test_holder_record_of_the_wrong_length_names_its_path(tmp_path, edit):
         HolderStore(tmp_path / "holder-1")
 
 
+def per_contributor_body(share_set, seq):
+    """A record body in the earlier layout, where an unspent tuple kept a
+    contributor count and every contributor's r and z share."""
+    field = share_set.params.field
+    width = field.byte_width
+    out = bytearray(struct.pack(">IBBH", seq, share_set.params.t_sh,
+                                share_set.params.n_sh, width))
+    out += field.q.to_bytes(width, "big")
+    out += struct.pack(">I", len(share_set.data_shares))
+    for v in share_set.data_shares + (share_set.password_share,):
+        out += v.to_bytes(width, "big")
+    out += struct.pack(">I", len(share_set.tuples))
+    n = share_set.params.n_sh
+    for rid, tup in sorted(share_set.tuples.items()):
+        out += struct.pack(">IBB", rid, 0, n)
+        for v in [tup.r] * n + [tup.z] * n:
+            out += v.to_bytes(width, "big")
+    return bytes(out)
+
+
+def test_a_record_of_the_per_contributor_layout_fails_closed(tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[2])
+    sid = secrets[0][0]
+    path = live_record_path(tmp_path / "holder-1", sid)
+    body = per_contributor_body(stores[1].get_secret(sid), 1)
+    # as the earlier version wrote it: a digest without the layout label
+    old = hashlib.sha256(struct.pack(">HB", 1, len(sid)) + sid + body)
+    path.write_bytes(body + old.digest())
+    with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+        HolderStore(tmp_path / "holder-1")
+    # and its tuples would not parse under the current digest either
+    path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+        HolderStore(tmp_path / "holder-1")
+
+
+def test_respond_refuses_a_round_id_named_twice_before_journaling(tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid, data, password, secret = secrets[0]
+    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
+    need = secret.block_count + 1
+    ids = precompute_round(live, rng("twice"), rounds=need)
+    for j in PARAMS_2311.holder_indices:
+        stores[j].save()
+    journal_len = len(stores[1]._log)
+    twice = (ids[0],) * need
+    request = spss_request(password, (1, 2, 3), PARAMS_2311, rng("twice"),
+                           tuple_ids=twice)
+    with pytest.raises(ImproperRequestError):
+        stores[1].respond(sid, request[1])
+    assert len(stores[1]._log) == journal_len
+    reopened = HolderStore(tmp_path / "holder-1")
+    assert reopened.get_secret(sid).unconsumed_rounds() == list(ids)
+    assert reopened.consumed_rounds(sid) == ()
+
+
 def test_save_guard_refuses_resurrected_tuple(tmp_path):
     from itstore.spss import PrecomputedTuple
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
     sid = secrets[0][0]
     store = stores[1]
     store.consume_tuple(sid)
-    store.get_secret(sid).tuples[0] = PrecomputedTuple(0, (1, 2, 3, 4),
-                                                       (5, 6, 7, 8))
+    store.get_secret(sid).tuples[0] = PrecomputedTuple(0, 1, 5)
     with pytest.raises(ProtocolError):
         store.save()
 
@@ -612,6 +668,8 @@ def disk_state(directory) -> dict:
 
 def slot_records(directory) -> set:
     """Contents of every non-empty record slot."""
+    if not directory.exists():  # a new store makes it at its first write
+        return set()
     return {p.read_bytes() for p in directory.iterdir()
             if p.suffix in (".a", ".b") and p.stat().st_size}
 
@@ -619,7 +677,8 @@ def slot_records(directory) -> set:
 def share_values(share_set) -> set:
     values = set(share_set.data_shares) | {share_set.password_share}
     for tup in share_set.tuples.values():
-        values.update(tup.r_shares + tup.z_shares)
+        if not tup.consumed:
+            values.update((tup.r, tup.z))
     return values
 
 
@@ -807,3 +866,56 @@ def test_crash_in_a_new_calculator_stores_first_put(tmp_path):
             t1, restored = reopened.get(sid)
             assert (t1, restored.value, restored.width_bits) == (
                 12, seed.value, seed.width_bits)
+
+
+# ------------------------------------------------ directories at first write
+
+
+def first_writes(directory):
+    """The first write of each store kind opened at `directory`."""
+    holders, _ = spss_register(b"first write", 5, PARAMS_2311, rng("dirs"))
+    holder = HolderStore(directory / "holder", holder=1)
+    calculator = CalculatorStore(directory / "calculator",
+                                 MacScheme.TOEPLITZ, 256)
+    verifier = VerifierStore(directory / "verifier")
+    return {
+        "holder": lambda: holder.put_secret(SID_A, holders[1]),
+        "calculator": lambda: calculator.put(SID_A, 7, calc_seed(b"x")),
+        "verifier": lambda: verifier.append(make_record(1, 2, 3)),
+    }
+
+
+def test_stores_create_no_directory_before_their_first_write(tmp_path):
+    root = tmp_path / "deployment"
+    writes = first_writes(root)
+    assert not root.exists()
+    # a missing directory opens as an empty store, and still is not made
+    assert HolderStore(root / "holder", holder=1).secret_ids() == ()
+    assert len(CalculatorStore(root / "calculator", MacScheme.TOEPLITZ,
+                               256)) == 0
+    assert len(VerifierStore(root / "verifier")) == 0
+    assert not root.exists()
+    for name, write in writes.items():
+        write()
+        assert (root / name).is_dir()
+    assert HolderStore(root / "holder").secret_ids() == (SID_A,)
+    assert CalculatorStore(root / "calculator").ids() == (SID_A,)
+    assert len(VerifierStore(root / "verifier")) == 1
+
+    net = KeyNetwork(DEFAULT_TOPOLOGY, master_seed=b"store-suite")
+    TpvSession(tmp_path / "session", net=net)
+    assert list((tmp_path / "session").iterdir()) == []
+
+
+def test_a_directory_made_at_the_first_write_costs_no_fsync(tmp_path):
+    made = tmp_path / "made"
+    for name in ("holder", "calculator", "verifier"):
+        (made / name).mkdir(parents=True)
+    calls = {}
+    for label, root in (("made", made), ("lazy", tmp_path / "lazy")):
+        for name, write in first_writes(root).items():
+            with fsyncs() as counter:
+                write()
+            calls[label, name] = counter.calls
+    for name in ("holder", "calculator", "verifier"):
+        assert calls["lazy", name] == calls["made", name] > 0

@@ -4,8 +4,14 @@ import random
 
 import pytest
 
-from itstore.errors import ConfigurationError, ProtocolError, TamperDetectedError
-from itstore.wire import SCHEMA, Codec, Cursor
+from itstore.errors import (
+    ConfigurationError,
+    ImproperRequestError,
+    ProtocolError,
+    TamperDetectedError,
+)
+import itstore.wire as wire
+from itstore.wire import SCHEMA, Codec, Cursor, id_runs, ids_from_runs
 
 CODEC = Codec(W=16, P=33, tag=8, digest=64, degree=3)
 
@@ -27,6 +33,8 @@ def sample_values(kind):
             values.append(b"payload " * 5)
         elif category == "list":
             values.append(tuple(top - i for i in range(5)))
+        elif category == "ids":  # three runs, the last ending at the top
+            values.append((0, 1, 2, 9, top - 1, top))
         else:
             _count_field, times = count
             n = 2 * (CODEC.sizes[times] if isinstance(times, str) else times)
@@ -123,3 +131,66 @@ def test_lists_and_runs_match_a_per_element_oracle(width, count):
             codec.decode(kind, message[:-1])
         with pytest.raises(ProtocolError):
             codec.decode(kind, message + b"\x00")
+
+
+def runs_message(runs, sid=bytes(16)):
+    """An avail-reply whose round ids are the given (first, count) runs."""
+    body = b"".join(f.to_bytes(4, "big") + c.to_bytes(4, "big")
+                    for f, c in runs)
+    return (b"\x08" + sid + (3).to_bytes(4, "big")
+            + len(runs).to_bytes(4, "big") + body)
+
+
+@pytest.mark.parametrize("ids,runs", [
+    ((), []),
+    ((5,), [(5, 1)]),
+    (tuple(range(6503)), [(0, 6503)]),
+    ((0, 2, 4), [(0, 1), (2, 1), (4, 1)]),
+    ((1, 2, 3, 7, 8, 100, (1 << 32) - 1), [(1, 3), (7, 2), (100, 1),
+                                          ((1 << 32) - 1, 1)]),
+])
+def test_round_ids_travel_as_canonical_runs(ids, runs):
+    flat = [v for run in runs for v in run]
+    assert id_runs(ids) == flat
+    assert ids_from_runs(flat) == ids
+    raw = CODEC.encode("avail-reply", bytes(16), 3, ids)
+    assert raw == runs_message(runs)
+    assert CODEC.decode("avail-reply", raw) == (bytes(16), 3, ids)
+
+
+def test_an_id_list_expands_to_at_most_max_ids(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_IDS", 10)
+    assert ids_from_runs([3, 4, 9, 6]) == (3, 4, 5, 6, 9, 10, 11, 12, 13, 14)
+    with pytest.raises(ImproperRequestError, match="more than 10"):
+        ids_from_runs([3, 4, 9, 7])
+
+
+def test_non_contiguous_id_sets_round_trip():
+    gen = random.Random("runs")
+    for _ in range(200):
+        ids = tuple(sorted(gen.sample(range(300), gen.randrange(60))))
+        raw = CODEC.encode("recon-ask", bytes(16), b"\x01\x02\x03", 7, ids)
+        assert CODEC.decode("recon-ask", raw)[-1] == ids
+
+
+@pytest.mark.parametrize("runs", [
+    [(4, 0)],                       # an empty run
+    [(9, 2), (1, 2)],               # out of order
+    [(1, 3), (2, 4)],               # overlapping
+    [(5, 1), (5, 1)],               # one id named twice
+    [(1, 3), (4, 2)],               # touching: one run written as two
+    [((1 << 32) - 1, 2)],           # past 2^32 - 1
+    [(0, 1 << 31), (1 << 31, 0)],   # empty after a long run
+    [(0, 1 << 22), (5 << 22, 1)],   # more ids than a list may expand to
+], ids=["empty", "unsorted", "overlap", "repeat", "touching", "overflow",
+        "empty-after", "too-many"])
+def test_malformed_id_runs_fail_closed(runs):
+    with pytest.raises(ImproperRequestError):
+        CODEC.decode("avail-reply", runs_message(runs))
+
+
+@pytest.mark.parametrize("ids", [(3, 3), (4, 2), (0, 5, 1), (1 << 32,),
+                                 (-1, 0)])
+def test_an_id_list_that_is_not_a_u32_set_is_not_encoded(ids):
+    with pytest.raises(ImproperRequestError):
+        CODEC.encode("avail-reply", bytes(16), 1, ids)

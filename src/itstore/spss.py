@@ -106,6 +106,12 @@ class SpssParams:
         # masking algebra caps the threshold at 3.
         if 2 * (self.t_sh - 2) > self.t_sh - 1:
             raise ConfigurationError("masked reconstruction requires t_sh <= 3")
+        # Holder indices are the sharing nodes and the extraction's
+        # Vandermonde columns: both need them distinct and nonzero mod q.
+        if self.field.q <= self.n_sh:
+            raise ConfigurationError(
+                "holder indices 1..%d are not distinct and nonzero mod %d"
+                % (self.n_sh, self.field.q))
 
     @property
     def block_bits(self) -> int:

@@ -19,24 +19,33 @@ Erasure here means overwrite-then-truncate: the file's bytes are zeroed in
 place and flushed before the space is released, so dropped share values and
 seeds do not linger in the store files. The journal entry claiming a tuple
 is written before the tuple values are released to the caller; a crash
-between the two costs the tuple but can never hand it out twice.
+between the two costs the tuple but can never hand it out twice. A write
+that creates a store file fsyncs the directory before it returns, so the
+new name is as durable as the bytes.
 
 Holder layout. `holder.bin` holds the holder index; it is written with the
 first save, never by the constructor. Each secret has two record slots,
 `<sid-hex>.a` and `<sid-hex>.b`; one holds the live record, the other is
-empty. A record is a 4-byte sequence number, the share set (layout, shares,
-masking tuples), and SHA-256 over a record-layout label, the holder index,
-the secret id and those bytes; the id itself is only the file name. That
-is 36 bytes per secret beyond the share set. A masking tuple takes 37
-bytes while unspent (round id, spent flag, its r and z shares) and 5 once
-spent. Records of the earlier layout, which kept every contributor's r and
-z share per tuple, fail the digest and are refused as tampered. A save
-rewrites only the secret that changed:
+empty. A record is a 4-byte sequence number, the share set, and SHA-256
+over a record-layout label, the holder index, the secret id and those
+bytes; the id itself is only the file name. The share set is the layout
+(t, n, the field), the data shares and the password share, then
+`next_round` (a u32 one past the highest round id ever stocked), the live
+round ids as canonical (first, count) runs, and the live tuples' r column
+and z column, in the runs' order. That is 32 bytes per live tuple in
+the 127-bit field and nothing per spent one: round ids are stocked
+contiguously from 0, so opening rebuilds every id below `next_round` that
+is not live as spent. A journal consume record names its rounds as runs
+too. Records of earlier layouts, which kept a round id and a spent flag
+per tuple (or every contributor's r and z), fail the digest and are
+refused as tampered; so is a record whose runs are malformed, name an id
+at or past `next_round`, or disagree with its column lengths. A save
+rewrites only the secret that changed, with 2 fsyncs:
 
   1. write the record, with the next sequence number, into the empty
      slot and fsync it;
-  2. zero the old slot and fsync;
-  3. truncate the old slot and fsync.
+  2. zero the old slot and fsync, then truncate it. The truncation is not
+     fsynced: if it is lost, opening finds a zeroed slot and empties it.
 
 A secret's first record instead goes to `<sid-hex>.new`, is fsynced,
 renamed to slot a next to a new empty slot b, and the directory is fsynced
@@ -57,10 +66,12 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .errors import (
     ConfigurationError,
+    ImproperRequestError,
     PrecomputationExhaustedError,
     ProtocolError,
     TamperDetectedError,
@@ -74,7 +85,7 @@ from .spss import (
     check_distinct_ids,
     holder_respond,
 )
-from .wire import Cursor
+from .wire import Cursor, id_runs, ids_from_runs
 
 __all__ = [
     "ChainedLog",
@@ -93,7 +104,7 @@ _CHAIN_GENESIS = b"\x00" * 32
 _CHAIN_BYTES = 32
 _HOLDER_MAGIC = b"ITHS2\n"
 # bound into every record digest: records of another layout never verify
-_RECORD_LAYOUT = b"ITHR folded-tuples\n"
+_RECORD_LAYOUT = b"ITHR live-tuple-runs\n"
 _HOLDER_META = "holder.bin"
 _SLOTS = ("a", "b")
 _RECORD_SUFFIXES = _SLOTS + ("new",)
@@ -105,9 +116,10 @@ _CALC_MAGIC = b"ITCS1\n"
 
 # -------------------------------------------------------------- erasure
 
-def _zero_and_truncate(path) -> bool:
-    """Overwrite a file's bytes with zeros, flush, then empty it and flush
-    again. Returns False when there is no such file."""
+def _zero_and_truncate(path, sync_truncate: bool = True) -> bool:
+    """Overwrite a file's bytes with zeros, flush, then empty it and, unless
+    sync_truncate is False, flush again. Returns False when there is no
+    such file."""
     try:
         size = os.stat(path).st_size
     except FileNotFoundError:
@@ -119,8 +131,9 @@ def _zero_and_truncate(path) -> bool:
             os.fsync(fh.fileno())
             fh.seek(0)
             fh.truncate()
-            fh.flush()
-            os.fsync(fh.fileno())
+            if sync_truncate:
+                fh.flush()
+                os.fsync(fh.fileno())
     return True
 
 
@@ -196,7 +209,8 @@ class ChainedLog:
         self.path = Path(path)
         self._payloads = []
         self._tail = _CHAIN_GENESIS
-        if self.path.exists():
+        self._created = self.path.exists()
+        if self._created:
             self._load()
 
     def _load(self) -> None:
@@ -235,6 +249,9 @@ class ChainedLog:
             fh.write(link)
             fh.flush()
             os.fsync(fh.fileno())
+        if not self._created:
+            _fsync_directory(self.path.parent)
+            self._created = True
         self._payloads.append(payload)
         self._tail = link
         return len(self._payloads) - 1
@@ -384,6 +401,7 @@ class CalculatorStore:
                           + bytes([code]) + struct.pack(">H", self.k))
             self._meta_written = True
         erase_and_rewrite(path, struct.pack(">Q", t1) + seed_to_bytes(seed))
+        _fsync_directory(self.directory)
 
     def get(self, secret_id: bytes):
         """Returns (t1, seed). The restored seed is recompute-only."""
@@ -417,23 +435,30 @@ class CalculatorStore:
 
 # ---------------------------------------------------------- holder store
 
+def _column(values, width: int) -> bytes:
+    return b"".join(map(int.to_bytes, values, repeat(width), repeat("big")))
+
+
 def _encode_share_set(ss: HolderShareSet) -> bytes:
-    """One secret's holder state, without its id (the record's file name)."""
+    """One secret's holder state, without its id (the record's file name).
+    Spent tuples leave no trace beyond next_round: opening rebuilds every
+    id below it that is not live as spent."""
     field = ss.params.field
     width = field.byte_width
-    out = bytearray(struct.pack(">BBH", ss.params.t_sh, ss.params.n_sh, width))
-    out += field.q.to_bytes(width, "big")
-    out += struct.pack(">I", len(ss.data_shares))
-    for v in ss.data_shares:
-        out += v.to_bytes(width, "big")
-    out += ss.password_share.to_bytes(width, "big")
-    out += struct.pack(">I", len(ss.tuples))
-    for rid in sorted(ss.tuples):
-        tup = ss.tuples[rid]
-        out += struct.pack(">IB", rid, 1 if tup.consumed else 0)
-        if not tup.consumed:
-            out += tup.r.to_bytes(width, "big") + tup.z.to_bytes(width, "big")
-    return bytes(out)
+    tuples = ss.tuples
+    live = ss.unconsumed_rounds()
+    runs = id_runs(live)
+    return b"".join((
+        struct.pack(">BBH", ss.params.t_sh, ss.params.n_sh, width),
+        field.q.to_bytes(width, "big"),
+        struct.pack(">I", len(ss.data_shares)),
+        _column(ss.data_shares, width),
+        ss.password_share.to_bytes(width, "big"),
+        struct.pack(">II", max(tuples) + 1 if tuples else 0, len(runs) // 2),
+        _column(runs, 4),
+        _column([tuples[rid].r for rid in live], width),
+        _column([tuples[rid].z for rid in live], width),
+    ))
 
 
 def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
@@ -443,15 +468,33 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
     params = SpssParams(t_sh, n_sh, PrimeField(q))
     data_shares = rd.uints(rd.uint(4), width)
     password_share = rd.uint(width)
-    tuples = {}
-    for _ in range(rd.uint(4)):
-        rid, consumed = rd.uint(4), rd.uint(1)
-        if consumed:
-            tuples[rid] = PrecomputedTuple(rid, None, None, True)
-        else:
-            tuples[rid] = PrecomputedTuple(rid, rd.uint(width), rd.uint(width))
+    next_round = rd.uint(4)
+    runs = rd.uints(2 * rd.uint(4), 4)
+    # the columns hold one value per id the runs name, so a column of
+    # another length leaves the record short or long
+    live_count = sum(runs[1::2])
+    r_column = rd.uints(live_count, width)
+    z_column = rd.uints(live_count, width)
     rd.done()
+    # every check comes before any run is expanded
+    if any(first + count > next_round
+           for first, count in zip(runs[0::2], runs[1::2])):
+        raise TamperDetectedError("%s: a live round id at or past next "
+                                  "round %d" % (path, next_round))
+    live = _expand_runs(runs, path)
+    tuples = dict(zip(live, map(PrecomputedTuple, live, r_column, z_column)))
+    for rid in range(next_round):
+        if rid not in tuples:
+            tuples[rid] = PrecomputedTuple(rid, None, None, True)
     return HolderShareSet(holder, params, data_shares, password_share, tuples)
+
+
+def _expand_runs(runs, path) -> tuple:
+    """ids_from_runs, refusing malformed runs as tampering with `path`."""
+    try:
+        return ids_from_runs(runs)
+    except ImproperRequestError as exc:
+        raise TamperDetectedError("%s: %s" % (path, exc)) from None
 
 
 def _record_digest(holder: int, secret_id: bytes, body: bytes) -> bytes:
@@ -483,10 +526,9 @@ def holder_record_files(directory) -> dict:
 
 
 def _consume_record(secret_id: bytes, round_ids) -> bytes:
-    ids = tuple(round_ids)
+    runs = id_runs(sorted(round_ids))
     return (b"C" + struct.pack(">B", len(secret_id)) + secret_id
-            + struct.pack(">I", len(ids))
-            + b"".join(struct.pack(">I", r) for r in ids))
+            + struct.pack(">I", len(runs) // 2) + _column(runs, 4))
 
 
 def _renew_record(secret_id: bytes, round_no: int) -> bytes:
@@ -494,18 +536,21 @@ def _renew_record(secret_id: bytes, round_no: int) -> bytes:
             + struct.pack(">I", round_no))
 
 
-def _parse_journal_record(payload: bytes):
-    rd = Cursor(payload, TamperDetectedError, "journal record")
+def _parse_journal_record(payload: bytes, path="journal"):
+    """(kind, secret id, extra): the consumed round ids, expanded from
+    their runs, or the renewal round number."""
+    rd = Cursor(payload, TamperDetectedError, "%s record" % path)
     kind = rd.take(1)
     sid = rd.take(rd.uint(1))
     if kind == b"C":
-        record = ("consume", sid, rd.uints(rd.uint(4), 4))
-    elif kind == b"R":
-        record = ("renew", sid, rd.uint(4))
-    else:
-        raise TamperDetectedError("malformed journal record")
-    rd.done()
-    return record
+        runs = rd.uints(2 * rd.uint(4), 4)
+        rd.done()
+        return "consume", sid, _expand_runs(runs, path)
+    if kind == b"R":
+        round_no = rd.uint(4)
+        rd.done()
+        return "renew", sid, round_no
+    raise TamperDetectedError("%s: malformed record" % path)
 
 
 class HolderStore:
@@ -624,13 +669,16 @@ class HolderStore:
     def _replay_journal(self) -> None:
         stale = set()
         for payload in self._log.payloads():
-            kind, sid, extra = _parse_journal_record(payload)
+            kind, sid, extra = _parse_journal_record(payload, self._log.path)
             if kind != "consume":
                 continue
             self._journaled.setdefault(sid, set()).update(extra)
             if sid not in self._secrets:
                 raise TamperDetectedError(
                     "journal names unknown secret %s" % sid.hex())
+            # a journaled round is normally spent in the record already; one
+            # still live (a crash between the journal and the rewrite), or
+            # one the record never stocked, makes the record stale
             tuples = self._secrets[sid].tuples
             for rid in extra:
                 tup = tuples.get(rid)
@@ -717,7 +765,9 @@ class HolderStore:
         if not existed:
             _fsync_directory(self.directory)
         self._live[secret_id] = (new, seq)
-        _zero_and_truncate(self._record_path(secret_id, old))
+        # a lost truncation leaves a zeroed slot, which opening empties
+        _zero_and_truncate(self._record_path(secret_id, old),
+                           sync_truncate=False)
 
     # -------------------------------------------------------- consumption
 
@@ -805,7 +855,7 @@ class HolderStore:
     def renewal_rounds(self, secret_id: bytes) -> tuple:
         out = []
         for payload in self._log.payloads():
-            kind, sid, extra = _parse_journal_record(payload)
+            kind, sid, extra = _parse_journal_record(payload, self._log.path)
             if kind == "renew" and sid == secret_id:
                 out.append(extra)
         return tuple(out)

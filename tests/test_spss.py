@@ -171,7 +171,7 @@ def reassemble_oracle(blocks_by_index, byte_length, width):
 
 @pytest.mark.parametrize("width", sorted(RAGGED_WIDTH_FIELDS))
 def test_reassemble_blocks_matches_bit_string_oracle(width):
-    params = SpssParams(field=RAGGED_WIDTH_FIELDS[width])
+    params = SpssParams(2, 2, RAGGED_WIDTH_FIELDS[width])
     assert params.block_bits == width
     rng = random.Random(width)
     for n in list(range(41)) + [100 * 1024]:
@@ -725,6 +725,12 @@ def test_params_validation():
     p = SpssParams(t_sh=3, n_sh=6, field=F31)
     assert p.data_degree == 2 and p.password_degree == 1
     assert list(p.holder_indices) == [1, 2, 3, 4, 5, 6]
+    # with q <= n_sh two holder indices coincide mod q (or one is 0), so
+    # interpolation divides by zero and the extraction columns repeat
+    for q, n_sh in ((5, 6), (5, 5), (7, 7), (7, 9)):
+        with pytest.raises(ConfigurationError):
+            SpssParams(t_sh=3, n_sh=n_sh, field=PrimeField(q))
+    assert SpssParams(t_sh=3, n_sh=6, field=PrimeField(7)).n_sh == 6
 
 
 def test_round_trip_wider_holder_pool():

@@ -458,6 +458,207 @@ def test_a_record_of_the_per_contributor_layout_fails_closed(tmp_path):
         HolderStore(tmp_path / "holder-1")
 
 
+def folded_tuple_body(share_set, seq):
+    """A record body in the earlier layout, where every tuple ever stocked
+    kept its round id and a spent flag, and an unspent one its r and z."""
+    field = share_set.params.field
+    width = field.byte_width
+    out = bytearray(struct.pack(">IBBH", seq, share_set.params.t_sh,
+                                share_set.params.n_sh, width))
+    out += field.q.to_bytes(width, "big")
+    out += struct.pack(">I", len(share_set.data_shares))
+    for v in share_set.data_shares + (share_set.password_share,):
+        out += v.to_bytes(width, "big")
+    out += struct.pack(">I", len(share_set.tuples))
+    for rid, tup in sorted(share_set.tuples.items()):
+        out += struct.pack(">IB", rid, 1 if tup.consumed else 0)
+        if not tup.consumed:
+            out += tup.r.to_bytes(width, "big") + tup.z.to_bytes(width, "big")
+    return bytes(out)
+
+
+def test_a_record_of_the_folded_tuple_layout_fails_closed(tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[3])
+    sid = secrets[0][0]
+    stores[1].consume_tuple(sid)
+    path = live_record_path(tmp_path / "holder-1", sid)
+    body = folded_tuple_body(stores[1].get_secret(sid), 2)
+    # as the earlier version wrote it, under its own layout label
+    old = hashlib.sha256(b"ITHR folded-tuples\n"
+                         + struct.pack(">HB", 1, len(sid)) + sid + body)
+    path.write_bytes(body + old.digest())
+    with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+        HolderStore(tmp_path / "holder-1")
+    # and its tuples would not parse under the current digest either
+    path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+        HolderStore(tmp_path / "holder-1")
+
+
+def live_runs_body(share_set, seq, next_round, runs, r_column, z_column):
+    """A record body in the current layout, from its parts: the header,
+    the data and password shares, next_round, the live ids' (first, count)
+    runs, then the live tuples' r column and z column."""
+    params = share_set.params
+    width = params.field.byte_width
+
+    def column(values):
+        return b"".join(v.to_bytes(width, "big") for v in values)
+
+    return b"".join((
+        struct.pack(">IBBH", seq, params.t_sh, params.n_sh, width),
+        params.field.q.to_bytes(width, "big"),
+        struct.pack(">I", len(share_set.data_shares)),
+        column(share_set.data_shares + (share_set.password_share,)),
+        struct.pack(">II", next_round, len(runs)),
+        b"".join(struct.pack(">II", first, count) for first, count in runs),
+        column(r_column), column(z_column),
+    ))
+
+
+def test_a_record_is_its_parts_and_nothing_per_spent_tuple(tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[6])
+    sid = secrets[0][0]
+    for rid in (0, 1, 4):
+        stores[1].consume_tuple(sid, round_id=rid)
+    tuples = stores[1].get_secret(sid).tuples
+    path = live_record_path(tmp_path / "holder-1", sid)
+    body = live_runs_body(stores[1].get_secret(sid), 4, 6, [(2, 2), (5, 1)],
+                          [tuples[rid].r for rid in (2, 3, 5)],
+                          [tuples[rid].z for rid in (2, 3, 5)])
+    assert path.read_bytes() == body + stores_mod._record_digest(1, sid, body)
+
+
+RECORD_FAULTS = {
+    "runs-name-more-ids-than-the-columns": (6, [(0, 3)], 2, 2),
+    "r-column-longer": (6, [(0, 2)], 3, 2),
+    "z-column-shorter": (6, [(0, 2)], 2, 1),
+    "live-id-at-next-round": (2, [(0, 3)], 3, 3),
+    "live-id-past-next-round": (3, [(0, 1), (3, 1)], 2, 2),
+    "touching-runs": (6, [(0, 1), (1, 1)], 2, 2),
+    "overlapping-runs": (6, [(0, 2), (1, 1)], 3, 3),
+    "runs-out-of-order": (6, [(3, 1), (0, 1)], 2, 2),
+    "empty-run": (6, [(0, 0)], 0, 0),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
+def test_a_record_whose_runs_and_columns_disagree_fails_closed(tmp_path,
+                                                               fault):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
+    sid = secrets[0][0]
+    path = live_record_path(tmp_path / "holder-1", sid)
+    next_round, runs, n_r, n_z = RECORD_FAULTS[fault]
+    body = live_runs_body(stores[1].get_secret(sid), 2, next_round, runs,
+                          [1] * n_r, [2] * n_z)
+    path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+        HolderStore(tmp_path / "holder-1")
+
+
+@pytest.mark.parametrize("runs", [[(0, 0)], [(2, 1), (0, 1)], [(0, 1), (1, 1)],
+                                  [(0, 3), (2, 1)], [(0xFFFFFFFF, 2)]],
+                         ids=["empty", "out-of-order", "touching",
+                              "overlapping", "past-u32"])
+def test_malformed_journal_runs_fail_closed(tmp_path, runs):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[3])
+    sid = secrets[0][0]
+    journal = tmp_path / "holder-1" / "journal.log"
+    ChainedLog(journal).append(
+        b"C" + bytes([len(sid)]) + sid + struct.pack(">I", len(runs))
+        + b"".join(struct.pack(">II", first, count) for first, count in runs))
+    with pytest.raises(TamperDetectedError, match=re.escape(str(journal))):
+        HolderStore(tmp_path / "holder-1")
+
+
+def test_a_journal_record_names_spent_rounds_as_runs(tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid, data, password, secret = secrets[0]
+    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
+    need = secret.block_count + 1
+    precompute_round(live, rng("runs"), rounds=2 * need)
+    for j in PARAMS_2311.holder_indices:
+        stores[j].save()
+    ids = tuple(reversed(range(need, 2 * need)))  # any order, one run
+    request = spss_request(password, (1, 2, 3), PARAMS_2311, rng("runs"),
+                           tuple_ids=ids)
+    stores[1].respond(sid, request[1])
+    (payload,) = stores[1]._log.payloads()
+    assert payload == (b"C" + bytes([len(sid)]) + sid
+                       + struct.pack(">III", 1, need, need))
+    assert stores_mod._parse_journal_record(payload) == (
+        "consume", sid, tuple(range(need, 2 * need)))
+
+
+def spend_cycles(tmp_path, cycles):
+    """Register one secret in the 127-bit field with two reconstructions'
+    worth of tuples, then run `cycles` times: spend the oldest tuples at
+    holders 1-3 and stock as many again. Yields after each cycle."""
+    source = rng("cycles")
+    stores = {j: HolderStore(tmp_path / ("holder-%d" % j), holder=j)
+              for j in CRASH_PARAMS.holder_indices}
+    holders, secret = spss_register(bytes(source.take_bytes(100)), 31337,
+                                    CRASH_PARAMS, source)
+    need = secret.block_count + 1
+    precompute_round(holders, source, rounds=2 * need)
+    for j, share_set in holders.items():
+        stores[j].put_secret(SID_A, share_set)
+    for cycle in range(cycles):
+        requests = spss_request(31337, (1, 2, 3), CRASH_PARAMS, source)
+        for j in (1, 2, 3):
+            stores[j].respond(SID_A, requests[j])
+        sets = {j: stores[j].get_secret(SID_A)
+                for j in CRASH_PARAMS.holder_indices}
+        precompute_round(sets, source, rounds=need)
+        for j in CRASH_PARAMS.holder_indices:
+            stores[j].save(SID_A)
+        yield stores, need, cycle
+
+
+def test_a_responders_record_holds_32_bytes_per_live_tuple_and_stops_growing(
+        tmp_path):
+    holder_dir = tmp_path / "holder-1"
+    sizes = []
+    for stores, need, cycle in spend_cycles(tmp_path, 10):
+        share_set = stores[1].get_secret(SID_A)
+        assert share_set.unconsumed_rounds() == list(
+            range((cycle + 1) * need, (cycle + 3) * need))
+        assert stores[1].consumed_rounds(SID_A) == tuple(
+            range((cycle + 1) * need))
+        size = live_record_path(holder_dir, SID_A).stat().st_size
+        fixed = (4 + 4 + 16  # sequence number, layout, q
+                 + 4 + 16 * (need + 1)  # data shares and password share
+                 + 4 + 4 + 8  # next_round and one (first, count) run
+                 + 32)  # digest
+        assert size == fixed + 32 * 2 * need
+        sizes.append(size)
+    assert len(set(sizes)) == 1
+
+
+def test_reopened_stores_keep_spent_rounds_and_never_reuse_an_id(tmp_path):
+    for stores, need, cycle in spend_cycles(tmp_path, 2):
+        pass
+    consumed = {j: stores[j].consumed_rounds(SID_A) for j in stores}
+    assert consumed[1] == tuple(range(2 * need)) and consumed[4] == ()
+    # spend every tuple holders 1-3 have left
+    for _ in range(2):
+        requests = spss_request(31337, (1, 2, 3), CRASH_PARAMS, rng("all"))
+        for j in (1, 2, 3):
+            stores[j].respond(SID_A, requests[j])
+    for j in (1, 2, 3):
+        assert stores[j].get_secret(SID_A).unconsumed_rounds() == []
+    reopened = {j: HolderStore(tmp_path / ("holder-%d" % j))
+                for j in CRASH_PARAMS.holder_indices}
+    for j in (1, 2, 3):
+        assert reopened[j].consumed_rounds(SID_A) == tuple(range(4 * need))
+    assert reopened[4].consumed_rounds(SID_A) == ()
+    for j in reopened:
+        assert reopened[j].get_secret(SID_A) == stores[j].get_secret(SID_A)
+    sets = {j: reopened[j].get_secret(SID_A) for j in reopened}
+    assert precompute_round(sets, rng("next"), rounds=2) == (
+        4 * need, 4 * need + 1)
+
+
 def test_respond_refuses_a_round_id_named_twice_before_journaling(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
     sid, data, password, secret = secrets[0]
@@ -765,6 +966,30 @@ def test_holder_store_slot_states_on_open(tmp_path):
     assert reopened.consumed_rounds(sid_a) == (0,)
 
 
+def test_an_old_slot_zeroed_but_never_truncated_is_emptied_on_open(tmp_path):
+    directory = tmp_path / "holder"
+    store, respond = crash_case(directory, "respond")
+    with fsyncs() as counter:
+        store.save(SID_A)
+    assert counter.calls == 2  # the new record, then the zeroed old slot
+    old = disk_state(directory)[SID_A]
+    old_path = live_record_path(directory, SID_A)
+    old_size = old_path.stat().st_size
+    respond()
+    new = store.get_secret(SID_A)
+    dropped = share_values(old) - share_values(new)
+    assert dropped and old_path.stat().st_size == 0
+    # the old slot's zeroes reached disk but its truncation was lost
+    old_path.write_bytes(b"\x00" * old_size)
+    reopened = HolderStore(directory)
+    assert reopened.get_secret(SID_A) == new
+    assert old_path.stat().st_size == 0
+    field = CRASH_PARAMS.field
+    for v in dropped:
+        assert not directory_contains_window(directory, field.encode(v),
+                                             window=16)
+
+
 class CountingFile:
     def __init__(self, fh, log, path):
         self._fh, self._log, self._path = fh, log, path
@@ -853,7 +1078,7 @@ def test_crash_in_a_new_calculator_stores_first_put(tmp_path):
     with fsyncs() as counter:
         CalculatorStore(tmp_path / "ref", MacScheme.TOEPLITZ, 256).put(
             sid, 12, seed)
-    assert counter.calls == 2  # the meta file, then the record
+    assert counter.calls == 3  # the meta file, the record, the directory
     for k in range(1, counter.calls + 1):
         directory = tmp_path / ("crash-%d" % k)
         store = CalculatorStore(directory, MacScheme.TOEPLITZ, 256)
@@ -866,6 +1091,19 @@ def test_crash_in_a_new_calculator_stores_first_put(tmp_path):
             t1, restored = reopened.get(sid)
             assert (t1, restored.value, restored.width_bits) == (
                 12, seed.value, seed.width_bits)
+
+
+def test_a_new_log_file_makes_its_directory_entry_durable(tmp_path):
+    log = ChainedLog(tmp_path / "verifier.log")
+    with fsyncs() as counter:
+        log.append(b"first")
+    assert counter.calls == 2  # the record, then the directory
+    with fsyncs() as counter:
+        log.append(b"second")
+        ChainedLog(tmp_path / "verifier.log").append(b"third")
+    assert counter.calls == 2  # one per append, the file already named
+    assert ChainedLog(tmp_path / "verifier.log").payloads() == (
+        b"first", b"second", b"third")
 
 
 # ------------------------------------------------ directories at first write

@@ -39,7 +39,13 @@ is not live as spent. A journal consume record names its rounds as runs
 too. Records of earlier layouts, which kept a round id and a spent flag
 per tuple (or every contributor's r and z), fail the digest and are
 refused as tampered; so is a record whose runs are malformed, name an id
-at or past `next_round`, or disagree with its column lengths. A save
+at or past `next_round`, or disagree with its column lengths, and one
+whose spent ids below `next_round` outnumber the ids the journal names
+for that secret below it (every spend is journaled first). A journal
+consume record naming more rounds than its secret has blocks, or a
+secret the store lacks, is refused too. So what opening builds in memory
+is bounded by what the files honestly describe, before anything is
+expanded. A save
 rewrites only the secret that changed, with 2 fsyncs:
 
   1. write the record, with the next sequence number, into the empty
@@ -66,12 +72,10 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 from .errors import (
     ConfigurationError,
-    ImproperRequestError,
     PrecomputationExhaustedError,
     ProtocolError,
     TamperDetectedError,
@@ -85,7 +89,7 @@ from .spss import (
     check_distinct_ids,
     holder_respond,
 )
-from .wire import Cursor, id_runs, ids_from_runs
+from .wire import Cursor, column, encode_ids
 
 __all__ = [
     "ChainedLog",
@@ -435,10 +439,6 @@ class CalculatorStore:
 
 # ---------------------------------------------------------- holder store
 
-def _column(values, width: int) -> bytes:
-    return b"".join(map(int.to_bytes, values, repeat(width), repeat("big")))
-
-
 def _encode_share_set(ss: HolderShareSet) -> bytes:
     """One secret's holder state, without its id (the record's file name).
     Spent tuples leave no trace beyond next_round: opening rebuilds every
@@ -447,21 +447,23 @@ def _encode_share_set(ss: HolderShareSet) -> bytes:
     width = field.byte_width
     tuples = ss.tuples
     live = ss.unconsumed_rounds()
-    runs = id_runs(live)
     return b"".join((
         struct.pack(">BBH", ss.params.t_sh, ss.params.n_sh, width),
         field.q.to_bytes(width, "big"),
         struct.pack(">I", len(ss.data_shares)),
-        _column(ss.data_shares, width),
+        column(ss.data_shares, width),
         ss.password_share.to_bytes(width, "big"),
-        struct.pack(">II", max(tuples) + 1 if tuples else 0, len(runs) // 2),
-        _column(runs, 4),
-        _column([tuples[rid].r for rid in live], width),
-        _column([tuples[rid].z for rid in live], width),
+        struct.pack(">I", max(tuples) + 1 if tuples else 0),
+        encode_ids(live),
+        column([tuples[rid].r for rid in live], width),
+        column([tuples[rid].z for rid in live], width),
     ))
 
 
-def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
+def _decode_share_set(body: bytes, holder: int, path):
+    """(share set, next_round). The share set holds only the live tuples:
+    the spent ones below next_round are rebuilt once the journal vouches
+    for them (HolderStore._replay_journal)."""
     rd = Cursor(body, TamperDetectedError, "%s record" % path)
     t_sh, n_sh, width = rd.uint(1), rd.uint(1), rd.uint(2)
     q = rd.uint(width)
@@ -469,32 +471,19 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
     data_shares = rd.uints(rd.uint(4), width)
     password_share = rd.uint(width)
     next_round = rd.uint(4)
-    runs = rd.uints(2 * rd.uint(4), 4)
-    # the columns hold one value per id the runs name, so a column of
-    # another length leaves the record short or long
-    live_count = sum(runs[1::2])
-    r_column = rd.uints(live_count, width)
-    z_column = rd.uints(live_count, width)
+    # each live id has an r and a z after the runs, which bounds the runs
+    # before any is expanded
+    live = rd.ids(limit=(len(body) - rd.pos) // (2 * width))
+    r_column = rd.uints(len(live), width)
+    z_column = rd.uints(len(live), width)
     rd.done()
-    # every check comes before any run is expanded
-    if any(first + count > next_round
-           for first, count in zip(runs[0::2], runs[1::2])):
+    if live and live[-1] >= next_round:
         raise TamperDetectedError("%s: a live round id at or past next "
                                   "round %d" % (path, next_round))
-    live = _expand_runs(runs, path)
     tuples = dict(zip(live, map(PrecomputedTuple, live, r_column, z_column)))
-    for rid in range(next_round):
-        if rid not in tuples:
-            tuples[rid] = PrecomputedTuple(rid, None, None, True)
-    return HolderShareSet(holder, params, data_shares, password_share, tuples)
-
-
-def _expand_runs(runs, path) -> tuple:
-    """ids_from_runs, refusing malformed runs as tampering with `path`."""
-    try:
-        return ids_from_runs(runs)
-    except ImproperRequestError as exc:
-        raise TamperDetectedError("%s: %s" % (path, exc)) from None
+    share_set = HolderShareSet(holder, params, data_shares, password_share,
+                               tuples)
+    return share_set, next_round
 
 
 def _record_digest(holder: int, secret_id: bytes, body: bytes) -> bytes:
@@ -526,9 +515,8 @@ def holder_record_files(directory) -> dict:
 
 
 def _consume_record(secret_id: bytes, round_ids) -> bytes:
-    runs = id_runs(sorted(round_ids))
     return (b"C" + struct.pack(">B", len(secret_id)) + secret_id
-            + struct.pack(">I", len(runs) // 2) + _column(runs, 4))
+            + encode_ids(sorted(round_ids)))
 
 
 def _renew_record(secret_id: bytes, round_no: int) -> bytes:
@@ -536,21 +524,26 @@ def _renew_record(secret_id: bytes, round_no: int) -> bytes:
             + struct.pack(">I", round_no))
 
 
-def _parse_journal_record(payload: bytes, path="journal"):
+def _parse_journal_record(payload: bytes, limits=None):
     """(kind, secret id, extra): the consumed round ids, expanded from
-    their runs, or the renewal round number."""
-    rd = Cursor(payload, TamperDetectedError, "%s record" % path)
+    their runs, or the renewal round number. A consume record may name at
+    most limits[secret id] rounds, and with `limits` only a secret it
+    holds; without it, at most wire.MAX_IDS."""
+    rd = Cursor(payload, TamperDetectedError, "journal record")
     kind = rd.take(1)
     sid = rd.take(rd.uint(1))
     if kind == b"C":
-        runs = rd.uints(2 * rd.uint(4), 4)
+        if limits is not None and sid not in limits:
+            raise TamperDetectedError(
+                "journal names unknown secret %s" % sid.hex())
+        ids = rd.ids(None if limits is None else limits[sid])
         rd.done()
-        return "consume", sid, _expand_runs(runs, path)
+        return "consume", sid, ids
     if kind == b"R":
         round_no = rd.uint(4)
         rd.done()
         return "renew", sid, round_no
-    raise TamperDetectedError("%s: malformed record" % path)
+    raise TamperDetectedError("malformed journal record")
 
 
 class HolderStore:
@@ -593,8 +586,7 @@ class HolderStore:
             raise ConfigurationError("holder index out of range")
         self._meta_durable = stored is not None
         if existing:
-            self._load_records()
-            self._replay_journal()
+            self._replay_journal(self._load_records())
 
     def _read_meta(self) -> "int | None":
         if (self.directory / "state.bin").exists():
@@ -615,9 +607,11 @@ class HolderStore:
     def _record_path(self, secret_id: bytes, suffix: str) -> Path:
         return self.directory / ("%s.%s" % (secret_id.hex(), suffix))
 
-    def _load_records(self) -> None:
+    def _load_records(self) -> dict:
         """Take each secret's valid slot with the higher sequence number and
-        erase every other slot, which finishes a save a crash interrupted."""
+        erase every other slot, which finishes a save a crash interrupted.
+        Returns each loaded secret's next_round."""
+        next_rounds = {}
         files = holder_record_files(self.directory)
         if files and not self._meta_durable:
             raise TamperDetectedError(
@@ -649,15 +643,17 @@ class HolderStore:
                 raise TamperDetectedError(
                     "%s: two records for secret %s share sequence number %d"
                     % (self.directory, sid.hex(), valid[0][0]))
-            seq, suffix, share_set = valid[-1]
+            seq, suffix, (share_set, next_rounds[sid]) = valid[-1]
             for other in _SLOTS:
                 if other != suffix and sizes.get(other):
                     _zero_and_truncate(self._record_path(sid, other))
             self._secrets[sid] = share_set
             self._live[sid] = (suffix, seq)
+        return next_rounds
 
     def _parse_record(self, secret_id: bytes, raw: bytes, path):
-        """(seq, share set), or None when the digest does not match."""
+        """(seq, (share set, next_round)), or None when the digest does not
+        match."""
         if len(raw) < _SEQ.size + _DIGEST_BYTES:
             return None
         body, digest = raw[:-_DIGEST_BYTES], raw[-_DIGEST_BYTES:]
@@ -666,21 +662,48 @@ class HolderStore:
         (seq,) = _SEQ.unpack_from(body)
         return seq, _decode_share_set(body[_SEQ.size:], self.holder, path)
 
-    def _replay_journal(self) -> None:
-        stale = set()
+    def _journal_records(self):
+        """The journal's records, as _parse_journal_record reads them. A
+        consume record names a secret of this store and spends at most as
+        many rounds as that secret has blocks (one, for a single tuple)."""
+        limits = {sid: max(1, ss.block_count)
+                  for sid, ss in self._secrets.items()}
         for payload in self._log.payloads():
-            kind, sid, extra = _parse_journal_record(payload, self._log.path)
-            if kind != "consume":
-                continue
-            self._journaled.setdefault(sid, set()).update(extra)
-            if sid not in self._secrets:
+            try:
+                yield _parse_journal_record(payload, limits)
+            except TamperDetectedError as exc:
                 raise TamperDetectedError(
-                    "journal names unknown secret %s" % sid.hex())
+                    "%s: %s" % (self._log.path, exc)) from None
+
+    def _replay_journal(self, next_rounds) -> None:
+        """Rebuild each secret's spent tuples below its next_round and
+        re-spend every journaled round a crash left live.
+
+        Every spend is journaled before the record that drops it, so a
+        record spending more ids below its next_round than the journal
+        names is refused before any tombstone is built: next_round is a
+        u32 that would otherwise size the tombstones alone."""
+        for kind, sid, extra in self._journal_records():
+            if kind == "consume":
+                self._journaled.setdefault(sid, set()).update(extra)
+        stale = set()
+        for sid, next_round in next_rounds.items():
+            tuples = self._secrets[sid].tuples
+            journaled = self._journaled.get(sid, set())
+            vouched = sum(1 for rid in journaled if rid < next_round)
+            if next_round - len(tuples) > vouched:
+                raise TamperDetectedError(
+                    "%s: %d rounds below next round %d are spent, the "
+                    "journal names %d" % (
+                        self._record_path(sid, self._live[sid][0]),
+                        next_round - len(tuples), next_round, vouched))
+            for rid in range(next_round):
+                if rid not in tuples:
+                    tuples[rid] = PrecomputedTuple(rid, None, None, True)
             # a journaled round is normally spent in the record already; one
             # still live (a crash between the journal and the rewrite), or
             # one the record never stocked, makes the record stale
-            tuples = self._secrets[sid].tuples
-            for rid in extra:
+            for rid in journaled:
                 tup = tuples.get(rid)
                 if tup is None:
                     tuples[rid] = PrecomputedTuple(rid, None, None, True)
@@ -854,8 +877,7 @@ class HolderStore:
 
     def renewal_rounds(self, secret_id: bytes) -> tuple:
         out = []
-        for payload in self._log.payloads():
-            kind, sid, extra = _parse_journal_record(payload, self._log.path)
+        for kind, sid, extra in self._journal_records():
             if kind == "renew" and sid == secret_id:
                 out.append(extra)
         return tuple(out)

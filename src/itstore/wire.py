@@ -40,8 +40,8 @@ from operator import sub
 
 from .errors import ConfigurationError, ImproperRequestError, ProtocolError
 
-__all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor", "id_runs",
-           "ids_from_runs"]
+__all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor", "column", "encode_ids",
+           "id_runs", "ids_from_runs"]
 
 SID_BYTES = 16
 # Most ids one decoded id list may name: a 12-byte run could otherwise
@@ -79,6 +79,20 @@ class Cursor:
         raw = self.take(count * width)
         return tuple(map(int.from_bytes, re.findall(b".{%d}" % width, raw, re.S),
                          repeat("big")))
+
+    def ids(self, limit: "int | None" = None) -> tuple:
+        """A list of round ids sent as encode_ids writes it, expanded.
+        Runs id_runs cannot produce, or naming more than `limit` ids
+        (MAX_IDS by default), are refused before any run is expanded: with
+        ImproperRequestError, or with this cursor's error naming what it
+        reads when that error is not a ProtocolError."""
+        flat = self.uints(2 * self.uint(4), 4)
+        try:
+            return ids_from_runs(flat, limit)
+        except ImproperRequestError as exc:
+            if isinstance(exc, self.error):
+                raise
+            raise self.error("%s: %s" % (self.what, exc)) from None
 
     def done(self) -> None:
         if self.pos != len(self.raw):
@@ -159,9 +173,10 @@ def id_runs(ids) -> list:
     return flat
 
 
-def ids_from_runs(flat) -> tuple:
+def ids_from_runs(flat, limit: "int | None" = None) -> tuple:
     """Inverse of id_runs; refuses any run list id_runs cannot produce,
-    and one naming more than MAX_IDS ids, before expanding any run."""
+    and one naming more than `limit` ids (MAX_IDS by default), before
+    expanding any run."""
     firsts, counts = flat[0::2], flat[1::2]
     after = -1  # the next run must start above this id
     for first, count in zip(firsts, counts):
@@ -174,13 +189,26 @@ def ids_from_runs(flat) -> tuple:
         after = first + count
     if after > 1 << 32:
         raise ImproperRequestError("round-id run passes 2^32 - 1")
-    if sum(counts) > MAX_IDS:
+    limit = MAX_IDS if limit is None else limit
+    if sum(counts) > limit:
         raise ImproperRequestError("round-id runs name more than %d ids"
-                                   % MAX_IDS)
+                                   % limit)
     ids = []
     for first, count in zip(firsts, counts):
         ids += range(first, first + count)
     return tuple(ids)
+
+
+def column(values, width: int) -> bytes:
+    """Unsigned integers of one width, big-endian, back to back."""
+    return b"".join(map(int.to_bytes, values, repeat(width), repeat("big")))
+
+
+def encode_ids(ids) -> bytes:
+    """A strictly increasing list of u32 round ids as its id_runs runs:
+    a u32 run count, then the (first, count) u32 pairs."""
+    runs = id_runs(ids)
+    return (len(runs) // 2).to_bytes(4, "big") + column(runs, 4)
 
 
 def _length_prefix(kind: str, name: str, length: int, width: int) -> bytes:
@@ -215,14 +243,12 @@ class Codec:
             elif category == "bytes":
                 out.append(_length_prefix(kind, name, len(value), width))
                 out.append(value)
+            elif category == "ids":
+                out.append(encode_ids(value))
             else:
-                if category == "ids":
-                    value = id_runs(value)
-                    out.append((len(value) // 2).to_bytes(4, "big"))
-                elif category == "list":
+                if category == "list":
                     out.append(_length_prefix(kind, name, len(value), 4))
-                out.append(b"".join(map(int.to_bytes, value, repeat(width),
-                                        repeat("big"))))
+                out.append(column(value, width))
         return b"".join(out)
 
     def decode(self, kind: str, raw: bytes, expect=()) -> tuple:
@@ -249,7 +275,7 @@ class Codec:
             elif category == "list":
                 values.append(rd.uints(rd.uint(4), width))
             elif category == "ids":
-                values.append(ids_from_runs(rd.uints(2 * rd.uint(4), width)))
+                values.append(rd.ids())
             else:
                 count_field, times = count
                 n = values[[f[0] for f in fields].index(count_field)]

@@ -5,12 +5,14 @@ import hashlib
 import os
 import re
 import struct
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import itstore.stores as stores_mod
+import itstore.wire as wire
 
 from itstore.entropy import SeededEntropy
 from itstore.errors import (
@@ -569,6 +571,95 @@ def test_malformed_journal_runs_fail_closed(tmp_path, runs):
         + b"".join(struct.pack(">II", first, count) for first, count in runs))
     with pytest.raises(TamperDetectedError, match=re.escape(str(journal))):
         HolderStore(tmp_path / "holder-1")
+
+
+def rewrite_record(holder_dir, sid, share_set, next_round, runs):
+    """Replace a secret's live record by one with the given next_round and
+    live runs, taking the shares and the live tuples' values from
+    `share_set`."""
+    tuples = share_set.tuples
+    live = [rid for first, count in runs for rid in range(first, first + count)]
+    path = live_record_path(holder_dir, sid)
+    body = live_runs_body(share_set, 9, next_round, runs,
+                          [tuples[rid].r for rid in live],
+                          [tuples[rid].z for rid in live])
+    path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    return path
+
+
+def test_a_record_spending_rounds_the_journal_never_named_fails_closed(
+        tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[3])
+    sid = secrets[0][0]
+    stores[1].consume_tuple(sid)  # round 0, journaled
+    share_set = stores[1].get_secret(sid)
+    holder_dir = tmp_path / "holder-1"
+    # round 0 spent, rounds 1 and 2 live: what the store wrote
+    rewrite_record(holder_dir, sid, share_set, 3, [(1, 2)])
+    assert HolderStore(holder_dir).consumed_rounds(sid) == (0,)
+    # round 2 spent too, or a round 3 stocked and spent: the journal
+    # names neither
+    for next_round, runs in ((3, [(1, 1)]), (4, [(1, 2)])):
+        path = rewrite_record(holder_dir, sid, share_set, next_round, runs)
+        with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+            HolderStore(holder_dir)
+
+
+def test_a_record_claiming_four_billion_spent_rounds_fails_closed_at_once(
+        tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
+    sid = secrets[0][0]
+    stores[1].consume_tuple(sid)
+    holder_dir = tmp_path / "holder-1"
+    path = rewrite_record(holder_dir, sid, stores[1].get_secret(sid),
+                          (1 << 32) - 1, [])
+    assert path.stat().st_size < 100
+    tracemalloc.start()
+    try:
+        with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+            HolderStore(holder_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_journal_spend_of_more_rounds_than_blocks_fails_closed(tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid = secrets[0][0]
+    need = stores[1].get_secret(sid).block_count
+    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
+    precompute_round(live, rng("blocks"), rounds=2 * need + 1)
+    stores[1].save()
+    journal = tmp_path / "holder-1" / "journal.log"
+    # as much as one reconstruction spends: replayed as a crash left it
+    ChainedLog(journal).append(stores_mod._consume_record(sid, range(need)))
+    assert HolderStore(tmp_path / "holder-1").consumed_rounds(sid) == tuple(
+        range(need))
+    ChainedLog(journal).append(
+        stores_mod._consume_record(sid, range(need, 2 * need + 1)))
+    with pytest.raises(TamperDetectedError, match=re.escape(str(journal))):
+        HolderStore(tmp_path / "holder-1")
+
+
+def test_spends_and_stocks_past_max_ids_reopen(tmp_path, monkeypatch):
+    # MAX_IDS bounds id lists on the wire; a store names as many rounds as
+    # its own records and spends hold
+    monkeypatch.setattr(wire, "MAX_IDS", 2)
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid, data, password, secret = secrets[0]
+    need = stores[1].get_secret(sid).block_count
+    assert need > 2
+    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
+    precompute_round(live, rng("max-ids"), rounds=3 * need)
+    for j in (1, 2, 3):
+        stores[j].save()
+        stores[j].respond(sid, spss_request(password, (1, 2, 3), PARAMS_2311,
+                                            rng("max-ids"))[j])
+    for j in (1, 2, 3):
+        reopened = HolderStore(tmp_path / ("holder-%d" % j))
+        assert reopened.consumed_rounds(sid) == tuple(range(need))
+        assert reopened.get_secret(sid) == stores[j].get_secret(sid)
 
 
 def test_a_journal_record_names_spent_rounds_as_runs(tmp_path):

@@ -28,21 +28,20 @@ import os
 import sys
 from pathlib import Path
 
-import yaml
-
-from .config import ScenarioConfig, derive_payload, load_scenario, parse_scenario
+from .config import (ScenarioConfig, derive_payload, parse_scenario,
+                     read_scenario)
 from .errors import (ConfigurationError, ItstoreError, ProtocolError,
                      TamperDetectedError)
 from .field import PrimeField
 from .harness import (COMPARE_EXPONENT, EXIT_ABORT, EXIT_CONFIG, EXIT_FAIL,
-                      EXIT_SUCCESS, run_bench, run_scenario)
+                      EXIT_SUCCESS, WAIT_STEP_MS, build_session, run_bench,
+                      run_scenario)
 from .keynet import KeyNetwork, LinkSpec, NetworkTopology, NodeSpec
 from .mac import MacScheme
 from .protocol import Outcome, RolePlacement, TpvSession
 from .renewal import group_by_name
 from .spss import SpssParams, data_block_count
 
-_WAIT_STEP_MS = 60_000
 _STATE_FILE = "state.json"
 
 
@@ -60,22 +59,9 @@ def _load_config(path: "str | None", seed_override: "str | None",
     """Load a scenario file (or defaults) with the seed resolved first,
     so seed-derived payloads stay consistent with the effective seed."""
     if path is None:
-        data = {}
-        name = name_default
+        data, name = {}, name_default
     else:
-        p = Path(path)
-        try:
-            data = yaml.safe_load(p.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigurationError("cannot read scenario file %s: %s" % (p, exc))
-        except yaml.YAMLError as exc:
-            raise ConfigurationError("scenario file %s is not valid YAML: %s"
-                                     % (p, exc))
-        if data is None:
-            data = {}
-        if not isinstance(data, dict):
-            raise ConfigurationError("scenario: expected a mapping")
-        name = p.stem
+        data, name = read_scenario(path), Path(path).stem
     if seed_override:
         data = dict(data, seed=seed_override)
     return parse_scenario(data, name_default=name)
@@ -113,16 +99,8 @@ class Workspace:
             raise ConfigurationError(
                 "workspace %s already exists; omit --config to reuse it" % root)
         root.mkdir(parents=True, exist_ok=True)
-        seed = config.seed.encode("utf-8")
-        net = KeyNetwork(config.topology, master_seed=seed)
-        net.advance(config.warmup_ms)
-        session = TpvSession(
-            root / "stores", net=net, params=config.params,
-            scheme=config.scheme, k=config.k, placement=config.placement,
-            clock_skews=config.clock_skews,
-            renewal_group=config.renewal_group,
-            cs_tag_bits=config.cs_tag_bits, master_seed=seed,
-            advance_on_exhaustion_ms=_WAIT_STEP_MS)
+        session = build_session(config, root / "stores")
+        session.advance(config.warmup_ms)
         meta = {
             "version": 1,
             "seed": config.seed,
@@ -169,7 +147,7 @@ class Workspace:
             scheme=MacScheme(meta["scheme"]), k=meta["k"],
             placement=placement, clock_skews=meta["clock_skews"],
             renewal_group=group, cs_tag_bits=meta["cs_tag_bits"],
-            master_seed=seed, advance_on_exhaustion_ms=_WAIT_STEP_MS)
+            master_seed=seed, advance_on_exhaustion_ms=WAIT_STEP_MS)
         for sid_hex, (t1, length) in state["receipts"].items():
             session.owner_receipts[bytes.fromhex(sid_hex)] = (t1, length)
         for sid_hex, (t1, data_hex) in state["end_user"].items():
@@ -368,8 +346,12 @@ def _cmd_reconstruct(args) -> int:
     sid = _sid_from_args(ws, args)
     _t1, byte_length = session.owner_receipts[sid]
     tracks = data_block_count(byte_length, session.params) + 1
-    store = next(iter(session.holder_stores.values()))
-    have = len(store.get_secret(sid).unconsumed_rounds())
+    # precompute stocks every holder, so count the rounds live at all of
+    # them: a round one holder spent in an earlier reconstruction is
+    # still live at the holders that did not serve it
+    have = len(set.intersection(*(
+        set(store.get_secret(sid).tuples)
+        for store in session.holder_stores.values())))
     if have < tracks:
         session.precompute(sid, rounds=tracks - have)
     result = session.reconstruct_and_release(
@@ -486,13 +468,12 @@ def _inspect_holder(path: Path) -> None:
                   % (sid.hex(), "+".join(filled)))
     for sid in ids:
         share_set = store.get_secret(sid)
-        consumed = store.consumed_rounds(sid)
+        live = len(share_set.tuples)
         renewed = store.renewal_rounds(sid)
         print("  sid=%s tracks=%d masking(unconsumed=%d consumed=%d) "
               "renewal_rounds=%s"
-              % (sid.hex(), share_set.block_count,
-                 len(share_set.unconsumed_rounds()), len(consumed),
-                 list(renewed) or "[]"))
+              % (sid.hex(), share_set.block_count, live,
+                 share_set.next_round - live, list(renewed) or "[]"))
 
 
 def _inspect_workspace(root: Path) -> None:

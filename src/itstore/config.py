@@ -79,6 +79,7 @@ __all__ = [
     "derive_payload",
     "load_scenario",
     "parse_scenario",
+    "read_scenario",
 ]
 
 ATTACK_KINDS = (
@@ -594,8 +595,9 @@ def parse_scenario(mapping, name_default: str = "scenario") -> ScenarioConfig:
         bench=bench, outputs=outputs, expect=expect)
 
 
-def load_scenario(path) -> ScenarioConfig:
-    """Load and validate a scenario file (YAML)."""
+def read_scenario(path) -> dict:
+    """The mapping a scenario file (YAML) holds, unvalidated; an empty
+    file holds {}."""
     p = Path(path)
     try:
         raw = p.read_text(encoding="utf-8")
@@ -606,6 +608,9 @@ def load_scenario(path) -> ScenarioConfig:
     except yaml.YAMLError as exc:
         raise ConfigurationError("scenario file %s is not valid YAML: %s"
                                  % (p, exc))
-    if data is None:
-        data = {}
-    return parse_scenario(data, name_default=p.stem)
+    return _as_mapping(data, "scenario")
+
+
+def load_scenario(path) -> ScenarioConfig:
+    """Load and validate a scenario file (YAML)."""
+    return parse_scenario(read_scenario(path), name_default=Path(path).stem)

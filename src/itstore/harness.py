@@ -58,6 +58,8 @@ __all__ = [
     "EXIT_FAIL",
     "EXIT_SUCCESS",
     "ScenarioResult",
+    "WAIT_STEP_MS",
+    "build_session",
     "run_bench",
     "run_scenario",
 ]
@@ -74,7 +76,7 @@ COMPARE_EXPONENT = 2203
 COMPARE_GENERAL_Q = (1 << 2203) - 2511
 _COMPARE_PAYLOAD_BYTES = 16 * 1024
 
-_WAIT_STEP_MS = 60_000  # simulated-time step while waiting for key material
+WAIT_STEP_MS = 60_000  # simulated-time step while waiting for key material
 
 
 # ----------------------------------------------------------------- results
@@ -162,26 +164,32 @@ def _envelope_bit_flip(envelope):
     return dataclasses.replace(envelope, ciphertext=mutated)
 
 
+def build_session(config: ScenarioConfig, storage_root) -> TpvSession:
+    """A deployment as the scenario describes it, on a new key network
+    seeded by the scenario's seed (not yet warmed up)."""
+    seed = config.seed.encode("utf-8")
+    return TpvSession(
+        storage_root,
+        net=KeyNetwork(config.topology, master_seed=seed),
+        params=config.params,
+        scheme=config.scheme,
+        k=config.k,
+        placement=config.placement,
+        clock_skews=config.clock_skews,
+        renewal_group=config.renewal_group,
+        cs_tag_bits=config.cs_tag_bits,
+        master_seed=seed,
+        advance_on_exhaustion_ms=WAIT_STEP_MS,
+    )
+
+
 class _Run:
     """Mutable state while one scenario executes."""
 
     def __init__(self, config: ScenarioConfig, storage_root: Path):
         self.config = config
-        seed = config.seed.encode("utf-8")
-        self.net = KeyNetwork(config.topology, master_seed=seed)
-        self.session = TpvSession(
-            storage_root,
-            net=self.net,
-            params=config.params,
-            scheme=config.scheme,
-            k=config.k,
-            placement=config.placement,
-            clock_skews=config.clock_skews,
-            renewal_group=config.renewal_group,
-            cs_tag_bits=config.cs_tag_bits,
-            master_seed=seed,
-            advance_on_exhaustion_ms=_WAIT_STEP_MS,
-        )
+        self.session = build_session(config, storage_root)
+        self.net = self.session.net
         self.observed: dict = {}
         self.renewal_reports: list = []
         self.released: "bytes | None" = None

@@ -556,7 +556,7 @@ class TpvSession:
                 for j in self.params.holder_indices}
         # precompute_round refuses the round before any send unless every
         # holder agrees on this id
-        start = max(sets[1].tuples, default=-1) + 1
+        start = sets[1].next_round
         batches = self.params.batch_count(rounds)
 
         def deliver(d, j, r_vals, z_vals):

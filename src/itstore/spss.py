@@ -78,8 +78,8 @@ __all__ = [
     "precompute_round",
     "masking_columns",
     "extract",
-    "check_distinct_ids",
     "spss_request",
+    "spend_ids",
     "holder_respond",
     "spss_recover",
     "reassemble_blocks",
@@ -160,36 +160,37 @@ class RegisteredSecret:
 
 @dataclass
 class PrecomputedTuple:
-    """One holder's masking tuple: its share r of an extracted random
+    """One holder's live masking tuple: its share r of an extracted random
     value R (degree t-2) and its share z of an extracted sharing Z of zero
-    (degree t-1). A spent tuple keeps neither."""
+    (degree t-1). Spending it removes it from its share set."""
 
     round_id: int
-    r: "int | None"
-    z: "int | None"
-    consumed: bool = False
-
-    def discard(self):
-        self.consumed = True
-        self.r = self.z = None
+    r: int
+    z: int
 
 
 @dataclass
 class HolderShareSet:
-    """Everything holder j keeps for one registered secret."""
+    """Everything holder j keeps for one registered secret.
+
+    tuples holds the live masking tuples only. Round ids are stocked
+    contiguously from 0 and next_round is one past the highest ever
+    stocked, so a spent round is an id below next_round that is absent.
+    """
 
     holder: int
     params: SpssParams
     data_shares: tuple  # f_{D_i}(j) for i = 1..l+1, index order
     password_share: int  # f_P(j)
     tuples: dict = dc_field(default_factory=dict)  # round_id -> PrecomputedTuple
+    next_round: int = 0
 
     @property
     def block_count(self) -> int:
         return len(self.data_shares)
 
     def unconsumed_rounds(self):
-        return sorted(r for r, tup in self.tuples.items() if not tup.consumed)
+        return sorted(self.tuples)
 
 
 @dataclass(frozen=True)
@@ -301,7 +302,7 @@ def precompute_round(holders: dict, randomness, rounds: int = 1,
         raise ProtocolError("precomputation requires every holder present")
     if any(k != s.holder for k, s in holders.items()):
         raise ProtocolError("holder map keys must equal holder indices")
-    starts = {max(s.tuples) + 1 if s.tuples else 0 for s in sets}
+    starts = {s.next_round for s in sets}
     if len(starts) != 1:
         raise ProtocolError("holders disagree on the next round id")
     start = starts.pop()
@@ -330,6 +331,7 @@ def precompute_round(holders: dict, randomness, rounds: int = 1,
         z_out = extract(params, [z for _, z in received[j]])
         for rid, r, z in zip(new_ids, r_out, z_out):
             holders[j].tuples[rid] = PrecomputedTuple(rid, r, z)
+        holders[j].next_round = start + rounds
     return new_ids
 
 
@@ -376,7 +378,7 @@ def spss_request(password_attempt: int, subset, params: SpssParams,
     tuple_ids, when given, pins which masking tuples the holders must
     spend (one distinct id per block, the same ids for every holder; a
     holder refuses an id named twice); without
-    it each holder takes its oldest unconsumed rounds, which is only safe
+    it each holder takes its oldest live rounds, which is only safe
     while every reconstruction contacts the same subset.
     """
     asked = tuple(subset)
@@ -394,53 +396,59 @@ def spss_request(password_attempt: int, subset, params: SpssParams,
     return {j: SpssRequest(chosen, f_pp.evaluate(j), ids) for j in chosen}
 
 
-def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedResponse:
-    """Build the masked response for one holder, spending one precomputed
-    tuple per block. Pinned ids must be distinct: one tuple masking two
-    blocks would hand a wrong-password requester D_i - D_j. The password
-    difference exists only inside this call; spent tuples are blanked in
-    place.
+def spend_ids(share_set: HolderShareSet, request: SpssRequest) -> tuple:
+    """The round ids a request spends at this holder: the ids it pins, or
+    else the holder's oldest live ones, one per block.
+
+    Refuses, in this order, a holder outside the subset
+    (ImproperRequestError), then too few live tuples for an unpinned
+    request (PrecomputationExhaustedError), or for pinned ids: an id
+    named twice (ImproperRequestError; one tuple masking two blocks would
+    hand a wrong-password requester D_i - D_j), an id that is not live
+    (PrecomputationExhaustedError), a count other than the block count
+    (ImproperRequestError).
     """
     j = share_set.holder
     if j not in request.subset:
         raise ImproperRequestError("holder %d is not in the requested subset" % j)
-    params = share_set.params
-    field = params.field
     needed = share_set.block_count
-
-    if request.tuple_ids is not None:
-        ids = list(request.tuple_ids)
-        if len(ids) != needed:
-            raise ImproperRequestError(
-                "request pins %d tuples, %d blocks to mask" % (len(ids), needed))
-        check_distinct_ids(ids)
-    else:
-        ids = share_set.unconsumed_rounds()[:needed]
-    if len(ids) < needed:
-        raise PrecomputationExhaustedError(
-            "holder %d has %d unconsumed tuples, needs %d" % (j, len(ids), needed))
-
-    tuples = []
+    live = share_set.tuples
+    if request.tuple_ids is None:
+        ids = tuple(sorted(live)[:needed])
+        if len(ids) < needed:
+            raise PrecomputationExhaustedError(
+                "holder %d has %d unconsumed tuples, needs %d"
+                % (j, len(ids), needed))
+        return ids
+    ids = tuple(request.tuple_ids)
+    if len(set(ids)) != len(ids):
+        raise ImproperRequestError("request pins a masking round twice")
     for rid in ids:
-        tup = share_set.tuples.get(rid)
-        if tup is None or tup.consumed:
+        if rid not in live:
             raise PrecomputationExhaustedError(
                 "holder %d cannot spend round %r" % (j, rid))
-        tuples.append(tup)
+    if len(ids) != needed:
+        raise ImproperRequestError(
+            "request pins %d tuples, %d blocks to mask" % (len(ids), needed))
+    return ids
 
+
+def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedResponse:
+    """Build the masked response for one holder, spending one precomputed
+    tuple per block (the ids spend_ids picks). The password difference
+    exists only inside this call; the spent tuples leave the share set.
+    """
+    ids = spend_ids(share_set, request)
+    tuples = share_set.tuples
+    field = share_set.params.field
     diff = field.sub(share_set.password_share, request.password_share)
     q = field.q
     values = tuple([(diff * tup.r + tup.z + data_share) % q
-                    for data_share, tup in zip(share_set.data_shares, tuples)])
-    for tup in tuples:
-        tup.discard()
-    return MaskedResponse(j, values)
-
-
-def check_distinct_ids(ids) -> None:
-    """Refuse a list of pinned round ids that names one id twice."""
-    if len(set(ids)) != len(ids):
-        raise ImproperRequestError("request pins a masking round twice")
+                    for data_share, tup in zip(share_set.data_shares,
+                                               map(tuples.get, ids))])
+    for rid in ids:
+        del tuples[rid]
+    return MaskedResponse(share_set.holder, values)
 
 
 def spss_recover(responses, password_attempt: int, params: SpssParams,

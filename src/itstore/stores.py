@@ -34,19 +34,19 @@ bytes; the id itself is only the file name. The share set is the layout
 round ids as canonical (first, count) runs, and the live tuples' r column
 and z column, in the runs' order. That is 32 bytes per live tuple in
 the 127-bit field and nothing per spent one: round ids are stocked
-contiguously from 0, so opening rebuilds every id below `next_round` that
-is not live as spent. A journal consume record names its rounds as runs
-too. Records of earlier layouts, which kept a round id and a spent flag
-per tuple (or every contributor's r and z), fail the digest and are
-refused as tampered; so is a record whose runs are malformed, name an id
+contiguously from 0, so an id below `next_round` that is not live is
+spent. Spent ids are never materialized, on disk or in memory: a share
+set holds its live tuples and `next_round`, nothing more. A journal
+consume record names its rounds as runs too. Records of earlier layouts,
+which kept a round id and a spent flag per tuple (or every contributor's
+r and z), fail the digest and are refused as tampered; so is a record whose runs are malformed, name an id
 at or past `next_round`, or disagree with its column lengths, and one
 whose spent ids below `next_round` outnumber the ids the journal names
 for that secret below it (every spend is journaled first). A journal
 consume record naming more rounds than its secret has blocks, or a
 secret the store lacks, is refused too. So what opening builds in memory
 is bounded by what the files honestly describe, before anything is
-expanded. A save
-rewrites only the secret that changed, with 2 fsyncs:
+expanded. A save rewrites only the secret that changed, with 2 fsyncs:
 
   1. write the record, with the next sequence number, into the empty
      slot and fsync it;
@@ -86,8 +86,8 @@ from .spss import (
     HolderShareSet,
     PrecomputedTuple,
     SpssParams,
-    check_distinct_ids,
     holder_respond,
+    spend_ids,
 )
 from .wire import Cursor, column, encode_ids
 
@@ -441,8 +441,7 @@ class CalculatorStore:
 
 def _encode_share_set(ss: HolderShareSet) -> bytes:
     """One secret's holder state, without its id (the record's file name).
-    Spent tuples leave no trace beyond next_round: opening rebuilds every
-    id below it that is not live as spent."""
+    Spent tuples leave no trace beyond next_round."""
     field = ss.params.field
     width = field.byte_width
     tuples = ss.tuples
@@ -453,17 +452,17 @@ def _encode_share_set(ss: HolderShareSet) -> bytes:
         struct.pack(">I", len(ss.data_shares)),
         column(ss.data_shares, width),
         ss.password_share.to_bytes(width, "big"),
-        struct.pack(">I", max(tuples) + 1 if tuples else 0),
+        struct.pack(">I", ss.next_round),
         encode_ids(live),
         column([tuples[rid].r for rid in live], width),
         column([tuples[rid].z for rid in live], width),
     ))
 
 
-def _decode_share_set(body: bytes, holder: int, path):
-    """(share set, next_round). The share set holds only the live tuples:
-    the spent ones below next_round are rebuilt once the journal vouches
-    for them (HolderStore._replay_journal)."""
+def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
+    """The share set a record body holds: its live tuples and next_round.
+    Spent ids are never materialized; HolderStore._replay_journal checks
+    that the journal vouches for them."""
     rd = Cursor(body, TamperDetectedError, "%s record" % path)
     t_sh, n_sh, width = rd.uint(1), rd.uint(1), rd.uint(2)
     q = rd.uint(width)
@@ -481,9 +480,8 @@ def _decode_share_set(body: bytes, holder: int, path):
         raise TamperDetectedError("%s: a live round id at or past next "
                                   "round %d" % (path, next_round))
     tuples = dict(zip(live, map(PrecomputedTuple, live, r_column, z_column)))
-    share_set = HolderShareSet(holder, params, data_shares, password_share,
-                               tuples)
-    return share_set, next_round
+    return HolderShareSet(holder, params, data_shares, password_share,
+                          tuples, next_round)
 
 
 def _record_digest(holder: int, secret_id: bytes, body: bytes) -> bytes:
@@ -553,8 +551,8 @@ class HolderStore:
     The journal is the source of truth for which masking tuples are spent.
     Spending order is journal first, then the record rewrite, then release
     to the caller; replaying the journal over a stale record (a crash
-    between the first two steps) re-marks the claimed tuples consumed, so
-    no tuple is ever issued twice. Renewal goes the other way around --
+    between the first two steps) drops the claimed tuples again, so no
+    tuple is ever issued twice. Renewal goes the other way around --
     the old shares are destroyed by the record rewrite before the journal
     notes the round -- because stale *new* shares are harmless while stale
     old ones defeat the renewal.
@@ -586,7 +584,8 @@ class HolderStore:
             raise ConfigurationError("holder index out of range")
         self._meta_durable = stored is not None
         if existing:
-            self._replay_journal(self._load_records())
+            self._load_records()
+            self._replay_journal()
 
     def _read_meta(self) -> "int | None":
         if (self.directory / "state.bin").exists():
@@ -607,11 +606,9 @@ class HolderStore:
     def _record_path(self, secret_id: bytes, suffix: str) -> Path:
         return self.directory / ("%s.%s" % (secret_id.hex(), suffix))
 
-    def _load_records(self) -> dict:
+    def _load_records(self) -> None:
         """Take each secret's valid slot with the higher sequence number and
-        erase every other slot, which finishes a save a crash interrupted.
-        Returns each loaded secret's next_round."""
-        next_rounds = {}
+        erase every other slot, which finishes a save a crash interrupted."""
         files = holder_record_files(self.directory)
         if files and not self._meta_durable:
             raise TamperDetectedError(
@@ -643,17 +640,15 @@ class HolderStore:
                 raise TamperDetectedError(
                     "%s: two records for secret %s share sequence number %d"
                     % (self.directory, sid.hex(), valid[0][0]))
-            seq, suffix, (share_set, next_rounds[sid]) = valid[-1]
+            seq, suffix, share_set = valid[-1]
             for other in _SLOTS:
                 if other != suffix and sizes.get(other):
                     _zero_and_truncate(self._record_path(sid, other))
             self._secrets[sid] = share_set
             self._live[sid] = (suffix, seq)
-        return next_rounds
 
     def _parse_record(self, secret_id: bytes, raw: bytes, path):
-        """(seq, (share set, next_round)), or None when the digest does not
-        match."""
+        """(seq, share set), or None when the digest does not match."""
         if len(raw) < _SEQ.size + _DIGEST_BYTES:
             return None
         body, digest = raw[:-_DIGEST_BYTES], raw[-_DIGEST_BYTES:]
@@ -675,41 +670,36 @@ class HolderStore:
                 raise TamperDetectedError(
                     "%s: %s" % (self._log.path, exc)) from None
 
-    def _replay_journal(self, next_rounds) -> None:
-        """Rebuild each secret's spent tuples below its next_round and
-        re-spend every journaled round a crash left live.
+    def _replay_journal(self) -> None:
+        """Re-spend every journaled round a crash left live.
 
-        Every spend is journaled before the record that drops it, so a
-        record spending more ids below its next_round than the journal
-        names is refused before any tombstone is built: next_round is a
-        u32 that would otherwise size the tombstones alone."""
+        Spent ids are never materialized: a share set's spent rounds are
+        the ids below its next_round that are not live. Every spend is
+        journaled before the record that drops it, so a record spending
+        more ids below its next_round than the journal names is refused
+        (next_round is a u32 the record alone cannot vouch for)."""
         for kind, sid, extra in self._journal_records():
             if kind == "consume":
                 self._journaled.setdefault(sid, set()).update(extra)
         stale = set()
-        for sid, next_round in next_rounds.items():
-            tuples = self._secrets[sid].tuples
+        for sid, ss in self._secrets.items():
             journaled = self._journaled.get(sid, set())
-            vouched = sum(1 for rid in journaled if rid < next_round)
-            if next_round - len(tuples) > vouched:
+            vouched = sum(1 for rid in journaled if rid < ss.next_round)
+            if ss.next_round - len(ss.tuples) > vouched:
                 raise TamperDetectedError(
                     "%s: %d rounds below next round %d are spent, the "
                     "journal names %d" % (
                         self._record_path(sid, self._live[sid][0]),
-                        next_round - len(tuples), next_round, vouched))
-            for rid in range(next_round):
-                if rid not in tuples:
-                    tuples[rid] = PrecomputedTuple(rid, None, None, True)
-            # a journaled round is normally spent in the record already; one
-            # still live (a crash between the journal and the rewrite), or
-            # one the record never stocked, makes the record stale
+                        ss.next_round - len(ss.tuples), ss.next_round,
+                        vouched))
+            # a journaled round is normally absent from the record already;
+            # one still live (a crash between the journal and the rewrite),
+            # or one at or past next_round, makes the record stale
             for rid in journaled:
-                tup = tuples.get(rid)
-                if tup is None:
-                    tuples[rid] = PrecomputedTuple(rid, None, None, True)
+                if ss.tuples.pop(rid, None) is not None:
                     stale.add(sid)
-                elif not tup.consumed:
-                    tup.discard()
+                elif rid >= ss.next_round:
+                    ss.next_round = rid + 1
                     stale.add(sid)
         for sid in sorted(stale):
             self.save(sid)
@@ -745,8 +735,7 @@ class HolderStore:
         for sid in sids:
             tuples = self.get_secret(sid).tuples
             for rid in self._journaled.get(sid, ()):
-                tup = tuples.get(rid)
-                if tup is not None and not tup.consumed:
+                if rid in tuples:
                     raise ProtocolError(
                         "round %d of %s is journaled consumed but live"
                         % (rid, sid.hex()))
@@ -799,62 +788,36 @@ class HolderStore:
         self._log.append(_consume_record(secret_id, ids))
         self._journaled.setdefault(secret_id, set()).update(ids)
 
-    def _spendable(self, secret_id: bytes, round_id: "int | None"):
-        ss = self.get_secret(secret_id)
-        if round_id is None:
-            avail = ss.unconsumed_rounds()
-            if not avail:
-                raise PrecomputationExhaustedError(
-                    "holder %d has no tuples left for %s"
-                    % (self.holder, secret_id.hex()))
-            round_id = avail[0]
-        tup = ss.tuples.get(round_id)
-        if tup is None or tup.consumed:
-            raise PrecomputationExhaustedError(
-                "holder %d cannot spend round %r" % (self.holder, round_id))
-        return ss, tup
-
     def consume_tuple(self, secret_id: bytes,
                       round_id: "int | None" = None) -> PrecomputedTuple:
-        """Spend one tuple (oldest first unless pinned) and return its
-        values. The journal entry lands before the values leave."""
-        ss, tup = self._spendable(secret_id, round_id)
-        out = PrecomputedTuple(tup.round_id, tup.r, tup.z)
-        self._journal_consume(secret_id, (tup.round_id,))
-        tup.discard()
+        """Spend one tuple (oldest first unless pinned) and return it. The
+        journal entry lands before the values leave."""
+        tuples = self.get_secret(secret_id).tuples
+        if round_id is None:
+            round_id = min(tuples, default=None)
+        if round_id not in tuples:
+            raise PrecomputationExhaustedError(
+                "holder %d has no live round %s of %s" % (
+                    self.holder, "left" if round_id is None else round_id,
+                    secret_id.hex()))
+        self._journal_consume(secret_id, (round_id,))
+        tup = tuples.pop(round_id)
         self.save(secret_id)
-        return out
+        return tup
 
     def respond(self, secret_id: bytes, request):
         """Journal the masking rounds a reconstruction request will spend,
         build the masked response, persist, return it."""
         ss = self.get_secret(secret_id)
-        if self.holder not in request.subset:
-            raise ProtocolError(
-                "holder %d asked to respond outside the subset" % self.holder)
-        needed = ss.block_count
-        if request.tuple_ids is not None:
-            ids = tuple(request.tuple_ids)
-            check_distinct_ids(ids)
-        else:
-            ids = tuple(ss.unconsumed_rounds()[:needed])
-        if len(ids) != needed:
-            raise PrecomputationExhaustedError(
-                "holder %d has %d spendable rounds, needs %d"
-                % (self.holder, len(ids), needed))
-        for rid in ids:
-            tup = ss.tuples.get(rid)
-            if tup is None or tup.consumed:
-                raise PrecomputationExhaustedError(
-                    "holder %d cannot spend round %r" % (self.holder, rid))
-        self._journal_consume(secret_id, ids)
+        self._journal_consume(secret_id, spend_ids(ss, request))
         response = holder_respond(ss, request)
         self.save(secret_id)
         return response
 
     def consumed_rounds(self, secret_id: bytes) -> tuple:
         ss = self.get_secret(secret_id)
-        return tuple(sorted(r for r, t in ss.tuples.items() if t.consumed))
+        return tuple(rid for rid in range(ss.next_round)
+                     if rid not in ss.tuples)
 
     # ------------------------------------------------------------ renewal
 

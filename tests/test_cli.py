@@ -106,6 +106,21 @@ def test_reconstruct_with_explicit_subset(tmp_path, capsys):
     assert "reconstruction success" in out
 
 
+def test_reconstruct_tops_up_the_rounds_live_at_every_holder(tmp_path,
+                                                             capsys):
+    # holders 2-4 spend rounds that holder 1 still holds, so a top-up
+    # that counts holder 1's rounds alone stocks too few for holders 1-3
+    ws = tmp_path / "ws"
+    register(capsys, ws, "hello world this is a test payload")
+    for subset in (("--subset", "2,3,4"), ()):
+        code, out, _ = run_cli(capsys, "reconstruct", "--workspace", str(ws),
+                               "--password", PASSWORD, *subset)
+        assert code == 0, out
+        assert "reconstruction success" in out
+    _code, out, _ = run_cli(capsys, "inspect", str(ws / "stores" / "holder-1"))
+    assert re.search(r"masking\(unconsumed=\d+ consumed=[1-9]", out), out
+
+
 def test_sid_optional_only_with_a_single_secret(tmp_path, capsys):
     ws = tmp_path / "ws"
     first = register(capsys, ws, "first secret")

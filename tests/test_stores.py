@@ -35,6 +35,7 @@ from itstore.mac import (
 from itstore.protocol import TpvSession
 from itstore.spss import (
     SpssParams,
+    holder_respond,
     precompute_round,
     spss_recover,
     spss_register,
@@ -365,8 +366,7 @@ def test_crash_between_journal_and_state(tmp_path):
 
     recovered = HolderStore(tmp_path / "holder-3")
     assert recovered.consumed_rounds(sid) == (0,)
-    tup = recovered.get_secret(sid).tuples[0]
-    assert tup.consumed and tup.r is None and tup.z is None
+    assert 0 not in recovered.get_secret(sid).tuples
     with pytest.raises(PrecomputationExhaustedError):
         recovered.consume_tuple(sid, round_id=0)
     # the remaining tuple is still issuable exactly once
@@ -471,10 +471,11 @@ def folded_tuple_body(share_set, seq):
     out += struct.pack(">I", len(share_set.data_shares))
     for v in share_set.data_shares + (share_set.password_share,):
         out += v.to_bytes(width, "big")
-    out += struct.pack(">I", len(share_set.tuples))
-    for rid, tup in sorted(share_set.tuples.items()):
-        out += struct.pack(">IB", rid, 1 if tup.consumed else 0)
-        if not tup.consumed:
+    out += struct.pack(">I", share_set.next_round)
+    for rid in range(share_set.next_round):
+        tup = share_set.tuples.get(rid)
+        out += struct.pack(">IB", rid, tup is None)
+        if tup is not None:
             out += tup.r.to_bytes(width, "big") + tup.z.to_bytes(width, "big")
     return bytes(out)
 
@@ -832,6 +833,62 @@ def test_respond_failure_leaves_journal_clean(tmp_path):
     assert stores[4].get_secret(sid).unconsumed_rounds() == sorted(ids)
 
 
+def test_a_pinned_request_one_id_short_is_improper_at_the_store_too(tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid, data, password, secret = secrets[0]
+    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
+    ids = precompute_round(live, rng("short"), rounds=secret.block_count + 1)
+    for j in PARAMS_2311.holder_indices:
+        stores[j].save()
+    request = spss_request(password, (1, 2, 3), PARAMS_2311, rng("short"),
+                           tuple_ids=ids[:-1])[1]
+    journal_len = len(stores[1]._log)
+    with pytest.raises(ImproperRequestError):
+        stores[1].respond(sid, request)
+    assert len(stores[1]._log) == journal_len
+    with pytest.raises(ImproperRequestError):
+        holder_respond(stores[1].get_secret(sid), request)
+    assert stores[1].get_secret(sid).unconsumed_rounds() == list(ids)
+
+
+def test_a_spent_round_is_absent_in_memory_and_after_reopening(tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid, data, password, secret = secrets[0]
+    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
+    need = secret.block_count + 1
+    precompute_round(live, rng("absent"), rounds=need + 2)
+    for j in PARAMS_2311.holder_indices:
+        stores[j].save()
+    store = stores[1]
+    store.respond(sid, spss_request(password, (1, 2, 3), PARAMS_2311,
+                                    rng("absent"))[1])
+    assert store.consume_tuple(sid).round_id == need
+    share_set = store.get_secret(sid)
+    assert sorted(share_set.tuples) == [need + 1]
+    assert share_set.next_round == need + 2
+    reopened = HolderStore(tmp_path / "holder-1").get_secret(sid)
+    assert reopened == share_set and reopened.next_round == need + 2
+    assert store.consumed_rounds(sid) == tuple(range(need + 1))
+
+
+def test_a_journaled_round_is_absent_after_a_crash_and_never_reused(tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[3])
+    sid = secrets[0][0]
+    holder_dir = tmp_path / "holder-2"
+    # the journal names round 1, the record rewrite never runs
+    stores[2]._journal_consume(sid, (1,))
+    reopened = HolderStore(holder_dir).get_secret(sid)
+    assert sorted(reopened.tuples) == [0, 2] and reopened.next_round == 3
+    # a journaled round at next_round (stocked by a save that was lost)
+    # moves next_round past it, durably, so the id is never stocked again
+    HolderStore(holder_dir)._journal_consume(sid, (3,))
+    for _ in range(2):
+        again = HolderStore(holder_dir)
+        assert sorted(again.get_secret(sid).tuples) == [0, 2]
+        assert again.get_secret(sid).next_round == 4
+        assert again.consumed_rounds(sid) == (1, 3)
+
+
 def test_renewal_destroys_old_share_bytes(tmp_path):
     params = SpssParams()  # 127-bit field: 16-byte share encodings
     field = params.field
@@ -969,8 +1026,7 @@ def slot_records(directory) -> set:
 def share_values(share_set) -> set:
     values = set(share_set.data_shares) | {share_set.password_share}
     for tup in share_set.tuples.values():
-        if not tup.consumed:
-            values.update((tup.r, tup.z))
+        values.update((tup.r, tup.z))
     return values
 
 

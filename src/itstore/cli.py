@@ -445,7 +445,7 @@ def _inspect_calculator(path: Path) -> None:
     for sid in ids:
         t1, seed = store.get(sid)
         print("  sid=%s t1=%d stored_bytes=%d seed_bits=%d"
-              % (sid.hex(), t1, store.record_bytes(sid), seed.width_bits))
+              % (sid.hex(), t1, store.record_bytes(sid), seed.bit_count))
 
 
 def _inspect_holder(path: Path) -> None:

@@ -12,8 +12,8 @@ configuration errors with a precise dotted path.
       holders: 4
       field: mersenne127          # mersenne127 | mersenne31 | decimal prime
     mac:
-      scheme: toeplitz            # toeplitz | polyeval
-      k: 256                      # information-theoretic tag bits
+      scheme: polyeval            # polyeval | toeplitz
+      k: 256                      # tag bits; polyeval needs k >= 16
       cs_tag_bits: 512            # computational-mode digest width
     renewal:
       group: mersenne127          # toy | mersenne127 | rfc5114
@@ -65,7 +65,7 @@ from .entropy import PrfBits, derive_key
 from .errors import ConfigurationError
 from .field import PrimeField
 from .keynet import DEFAULT_TOPOLOGY, LinkSpec, NetworkTopology, NodeSpec
-from .mac import DEFAULT_K, MacScheme
+from .mac import DEFAULT_K, MacScheme, check_k
 from .protocol import RolePlacement
 from .renewal import RenewalGroupConfig, group_by_name
 from .spss import SpssParams
@@ -265,13 +265,17 @@ def _parse_layout(section, path: str) -> SpssParams:
 def _parse_mac(section, path: str):
     sec = _as_mapping(section, path)
     _check_keys(sec, ("scheme", "k", "cs_tag_bits"), path)
-    raw = _as_str(sec.get("scheme"), path + ".scheme", default="toeplitz")
+    raw = _as_str(sec.get("scheme"), path + ".scheme", default="polyeval")
     try:
         scheme = MacScheme(raw)
     except ValueError:
         _fail(path + ".scheme", "expected one of: %s"
               % ", ".join(s.value for s in MacScheme))
     k = _as_int(sec.get("k"), path + ".k", default=DEFAULT_K, minimum=1)
+    try:
+        check_k(scheme, k)
+    except ConfigurationError as exc:
+        _fail(path + ".k", str(exc))
     cs_tag_bits = _as_int(sec.get("cs_tag_bits"), path + ".cs_tag_bits",
                           default=512, minimum=8, maximum=512)
     if cs_tag_bits % 8:

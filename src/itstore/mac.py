@@ -9,9 +9,29 @@ Two hash families:
                constant diagonals filled from a (k + L - 1)-bit seed.
                XOR-universal with collision fraction exactly 2^-k.
 
-On top of them sit the registration MAC (au2_hash, with length framing so
-padding cannot be forged) and the byte-string PolyEval hash that the key
-network's channels pad into Wegman-Carter tags (polyeval_hash_bytes).
+Both key the registration MAC (au2_hash). PolyEval is the default: its key
+is one k-bit element of F_{q_u}, so the calculator keeps 32 bytes per
+secret at k = 256 whatever the payload size. Its hash is
+polyeval_hash_bytes, the same byte-string hash the key network's channels
+pad into Wegman-Carter tags: 31-byte blocks at k = 256, each read behind a
+0x01 marker, so messages of every length hash to distinct polynomials and
+no separate length block is needed.
+
+Registration bound. For a registered (t1, data) and any other claim, the
+two tags agree for at most l of the q_u keys, l the block count of the
+longer message; a forgery attempt succeeds with probability <= l / q_u.
+A 100 KB payload is about 3,300 blocks, so at k = 256 the bound is below
+2^-244; Toeplitz gives 2^-256. Both are negligible.
+
+That bound assumes no forger sees the registered tag. Once tag and data
+are both known, the key is narrowed to the <= l roots of one polynomial,
+so the tag is confined to the calculator -> verifier messages (tag-report,
+check-tag, refute-tag) and never reaches the owner or the end user.
+Toeplitz keeps its 2^-k bound even for a forger who has seen a registered
+tag, at the price of a seed as long as the framed payload and k bit-passes
+over it per tag. It stays selectable (mac: {scheme: toeplitz}) for that
+property, and because the perfbench tracer wraps toeplitz_tag_bits here
+and through keynet's re-import.
 
 Both PolyEval hashes run through one evaluator, polyeval_tag_blocks, which
 works as Poly1305 implementations do (Bernstein, FSE 2005): a chunk of
@@ -44,6 +64,8 @@ __all__ = [
     "MacScheme",
     "MacTag",
     "MacSeed",
+    "MIN_POLYEVAL_K",
+    "check_k",
     "polyeval_modulus",
     "polyeval_powers",
     "polyeval_tag_blocks",
@@ -63,6 +85,10 @@ DEFAULT_K = 256
 
 POLY_CHUNK = 64  # blocks per dot product in polyeval_tag_blocks
 
+# polyeval_hash_bytes cuts whole-byte blocks, which needs q_u >= 2^10, and
+# tags serialize in whole bytes: 16 is the least k that does both
+MIN_POLYEVAL_K = 16
+
 _LENGTH_FIELD_BITS = 64  # Toeplitz frame prefix: message bit-length, big-endian
 
 
@@ -72,6 +98,15 @@ class MacScheme(Enum):
 
 
 _POLYEVAL_MODULI: dict = {}
+
+
+def check_k(scheme: MacScheme, k: int) -> None:
+    """Refuse a tag width the scheme cannot key: PolyEval needs
+    k >= MIN_POLYEVAL_K."""
+    if scheme is MacScheme.POLYEVAL and k < MIN_POLYEVAL_K:
+        raise ConfigurationError(
+            "PolyEval needs k >= %d for whole-byte blocks, got %d"
+            % (MIN_POLYEVAL_K, k))
 
 
 def polyeval_modulus(k: int) -> int:
@@ -146,6 +181,7 @@ class MacSeed:
 def make_seed(scheme: MacScheme, k: int, randomness, width_bits: int = 0) -> MacSeed:
     """Draw a fresh seed. width_bits is the Toeplitz frame width (ignored
     for PolyEval); the registration layer passes 64 + 8*len(D)."""
+    check_k(scheme, k)
     if scheme is MacScheme.POLYEVAL:
         q_u = polyeval_modulus(k)
         while True:
@@ -280,17 +316,14 @@ def _toeplitz_frame(message: bytes, width_bits: int) -> int:
 
 def _hash_for_seed(seed: MacSeed, message: bytes) -> int:
     if seed.scheme is MacScheme.POLYEVAL:
-        q = seed.q_u
-        block_bits = max(q.bit_length() - 1 - 1, 1)  # floor(log2 q) - 1
-        blocks, nbits = split_blocks(message, block_bits)
-        blocks.append(nbits & ((1 << block_bits) - 1))
-        return polyeval_tag_blocks(seed.value, blocks, q)
+        return polyeval_hash_bytes(seed.value, message, seed.q_u)
     frame = _toeplitz_frame(message, seed.width_bits)
     return toeplitz_tag_bits(seed.value, frame, seed.width_bits, seed.k)
 
 
 def au2_hash(seed: MacSeed, message: bytes) -> MacTag:
-    """Registration MAC: framed almost-universal hash of the message.
+    """Registration MAC: almost-universal hash of the message, framed so
+    messages of different lengths cannot collide by padding.
 
     Consumes the seed; a second tagging call raises SingleUseError. The
     verification side recomputes the same binding via recompute_tag.

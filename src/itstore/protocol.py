@@ -60,6 +60,7 @@ from .mac import (
     MacScheme,
     MacTag,
     au2_hash,
+    check_k,
     cr_hash,
     make_seed,
     recompute_tag,
@@ -340,7 +341,7 @@ class TpvSession:
 
     def __init__(self, storage_root, net: "KeyNetwork | None" = None,
                  params: "SpssParams | None" = None,
-                 scheme: MacScheme = MacScheme.TOEPLITZ, k: int = DEFAULT_K,
+                 scheme: MacScheme = MacScheme.POLYEVAL, k: int = DEFAULT_K,
                  placement: "RolePlacement | None" = None,
                  clock_skews: "dict | None" = None,
                  renewal_group: "RenewalGroupConfig | None" = None,
@@ -350,6 +351,7 @@ class TpvSession:
         self.params = params if params is not None else SpssParams()
         self.scheme = scheme
         self.k = int(k)
+        check_k(scheme, self.k)
         self.placement = placement if placement is not None else RolePlacement()
         self.skews = dict(clock_skews or {})
         if cs_tag_bits % 8 or not 8 <= cs_tag_bits <= 512:

@@ -115,6 +115,9 @@ _RECORD_SUFFIXES = _SLOTS + ("new",)
 _SEQ = struct.Struct(">I")
 _DIGEST_BYTES = 32
 _MAX_SID_BYTES = 64  # the hex id plus suffix must fit a 255-byte file name
+# a journal replay may journal at most this many consume records' worth of
+# rounds that were stocked but never saved; a wider gap is refused
+_REPLAY_GAP_RECORDS = 64
 _CALC_MAGIC = b"ITCS1\n"
 
 
@@ -416,7 +419,14 @@ class CalculatorStore:
         if len(raw) < 8:
             raise TamperDetectedError("record %s is truncated" % path.name)
         (t1,) = struct.unpack_from(">Q", raw)
-        return t1, seed_from_bytes(raw[8:], self.scheme, self.k)
+        seed = seed_from_bytes(raw[8:], self.scheme, self.k)
+        # a PolyEval record is t1 and one key below q_u, nothing else
+        if seed.scheme is MacScheme.POLYEVAL and (
+                len(raw) != 8 + seed.byte_count or seed.value >= seed.q_u):
+            raise TamperDetectedError(
+                "record %s does not hold one %d-bit key"
+                % (path.name, self.k))
+        return t1, seed
 
     def remove(self, secret_id: bytes) -> None:
         """Erase the seed bytes and drop the record."""
@@ -510,6 +520,12 @@ def holder_record_files(directory) -> dict:
                 "%s: unexpected file %s" % (directory, entry.name))
         out.setdefault(sid, {})[suffix] = entry.stat().st_size
     return out
+
+
+def _spend_limit(ss: HolderShareSet) -> int:
+    """The most rounds one consume record may name for a share set: one
+    reconstruction spends one per block."""
+    return max(1, ss.block_count)
 
 
 def _consume_record(secret_id: bytes, round_ids) -> bytes:
@@ -661,8 +677,7 @@ class HolderStore:
         """The journal's records, as _parse_journal_record reads them. A
         consume record names a secret of this store and spends at most as
         many rounds as that secret has blocks (one, for a single tuple)."""
-        limits = {sid: max(1, ss.block_count)
-                  for sid, ss in self._secrets.items()}
+        limits = {sid: _spend_limit(ss) for sid, ss in self._secrets.items()}
         for payload in self._log.payloads():
             try:
                 yield _parse_journal_record(payload, limits)
@@ -677,7 +692,13 @@ class HolderStore:
         the ids below its next_round that are not live. Every spend is
         journaled before the record that drops it, so a record spending
         more ids below its next_round than the journal names is refused
-        (next_round is a u32 the record alone cannot vouch for)."""
+        (next_round is a u32 the record alone cannot vouch for).
+
+        A journaled round at or past next_round was stocked after the
+        record's last save. The rounds stocked with it that the journal
+        does not name are lost with the crash: they are journaled spent
+        before next_round moves past them, so the rewritten record
+        reopens."""
         for kind, sid, extra in self._journal_records():
             if kind == "consume":
                 self._journaled.setdefault(sid, set()).update(extra)
@@ -698,9 +719,20 @@ class HolderStore:
             for rid in journaled:
                 if ss.tuples.pop(rid, None) is not None:
                     stale.add(sid)
-                elif rid >= ss.next_round:
-                    ss.next_round = rid + 1
-                    stale.add(sid)
+            top = max(journaled, default=-1)
+            if top >= ss.next_round:
+                limit = _spend_limit(ss)
+                if top - ss.next_round > _REPLAY_GAP_RECORDS * limit:
+                    raise TamperDetectedError(
+                        "%s: journal spends round %d, %d past next round %d"
+                        % (self._log.path, top, top - ss.next_round,
+                           ss.next_round))
+                lost = [rid for rid in range(ss.next_round, top)
+                        if rid not in journaled]
+                for i in range(0, len(lost), limit):
+                    self._journal_consume(sid, lost[i:i + limit])
+                ss.next_round = top + 1
+                stale.add(sid)
         for sid in sorted(stale):
             self.save(sid)
 

@@ -402,6 +402,42 @@ def test_inspect_flags_and_finishes_an_interrupted_holder_save(tmp_path,
     assert code == 0 and "leftover" not in out
 
 
+TOEPLITZ_YAML = "mac: {scheme: toeplitz}\n"
+
+
+@pytest.mark.parametrize("scheme", ["polyeval", "toeplitz"])
+def test_inspect_prints_the_stored_seed_bits(tmp_path, capsys, scheme):
+    cfg = write_scenario(tmp_path, scheme, "mac: {scheme: %s}\n" % scheme)
+    ws = tmp_path / "ws"
+    register(capsys, ws, SECRET_TEXT, "--config", cfg)
+    code, out, _ = run_cli(capsys, "inspect", str(ws / "stores" / "calculator"))
+    assert code == 0 and "scheme=%s, k=256" % scheme in out
+    # PolyEval keeps one k-bit key; Toeplitz k + w - 1 bits for a frame of
+    # w = 64 length bits plus the 8-byte t1 and the payload
+    width = 64 + 8 * (8 + len(SECRET_TEXT))
+    want = 256 if scheme == "polyeval" else 256 + width - 1
+    (bits,) = re.findall(r"seed_bits=(\d+)", out)
+    assert int(bits) == want
+
+
+def test_a_toeplitz_workspace_reopens_and_verifies(tmp_path, capsys):
+    # a workspace keeps the scheme it was made with: later commands pass
+    # no config, so the session reads toeplitz from the workspace meta
+    cfg = write_scenario(tmp_path, "toeplitz", TOEPLITZ_YAML)
+    ws = tmp_path / "ws"
+    sid = register(capsys, ws, SECRET_TEXT, "--config", cfg)
+    code, out, _ = run_cli(capsys, "reconstruct", "--workspace", str(ws),
+                           "--password", PASSWORD)
+    assert code == 0 and "reconstruction success" in out
+    code, out, _ = run_cli(capsys, "verify", "--workspace", str(ws))
+    assert code == 0 and "integrity check success" in out
+    code, out, _ = run_cli(capsys, "refute", "--workspace", str(ws),
+                           "--text", "a forged claim", "--sid", sid)
+    assert code == 0 and "refutation success" in out
+    code, out, _ = run_cli(capsys, "inspect", str(ws))
+    assert code == 0 and "mac=toeplitz k=256" in out
+
+
 def test_inspect_missing_path(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "inspect", str(tmp_path / "ghost"))
     assert code == 3

@@ -36,7 +36,7 @@ def test_empty_mapping_yields_full_defaults():
     assert cfg.warmup_ms == DEFAULT_WARMUP_MS
     assert (cfg.params.t_sh, cfg.params.n_sh) == (3, 4)
     assert cfg.params.field.q == (1 << 127) - 1
-    assert cfg.scheme is MacScheme.TOEPLITZ
+    assert cfg.scheme is MacScheme.POLYEVAL
     assert cfg.k == 256
     assert cfg.cs_tag_bits == 512
     assert cfg.renewal_group is None and cfg.renewal_rounds == 0
@@ -151,6 +151,13 @@ def test_mac_section():
     assert cfg.scheme is MacScheme.POLYEVAL
     assert cfg.k == 64
     assert cfg.cs_tag_bits == 256
+
+
+def test_mac_polyeval_needs_k_of_16():
+    with pytest.raises(ConfigurationError, match=r"^mac\.k: .*k >= 16"):
+        parse_scenario({"mac": {"k": 8}})
+    assert parse_scenario({"mac": {"k": 16}}).k == 16
+    assert parse_scenario({"mac": {"scheme": "toeplitz", "k": 8}}).k == 8
 
 
 def test_mac_bad_scheme_rejected():

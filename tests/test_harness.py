@@ -332,22 +332,22 @@ def test_comparison_moduli_are_checked_once_per_process(monkeypatch):
 # accounting may change without touching these; any change to a message
 # layout or to the bytes a phase sends changes them.
 WIRE_DIGESTS = {
-    "bench": "e5418c0890926ce1153083c2d9fe270c640efc6901b38f13ea0fee69c818ece8",
+    "bench": "5c6a7fd6c35f59291ea18799636f6703bc3a7006ba8723c169923d0564a2bc7f",
     "bit-flip-channel":
-        "5f86c9df067ee621a43a4846ad96202f9dbdde1553919565d0507916ab5a93ac",
+        "1189770f8cc632170bbc80d4a3717c0b8213d64d0936bfeb6f41d1a8b7ecf53b",
     "corrupt-holder":
-        "e3dd3ff3d642f43a961739a873257d2b72d7a800ef9824f117447be30edf9e1f",
+        "80e9aab011059c4114e5a722fd826ccd4e08f4bc7fc9862786cfb747e53d335f",
     "drop-holder":
-        "5a0f7b97716cfce1beb0a6a99b5922ed07b9d84ddf12786a70c62d13a20b9ec9",
+        "f8c19f8f6f9770327c1302bece3cd1c994cd45395f416624b78b335827793f5d",
     "false-claim-user":
-        "05c0e626767660599ceb30c4d0b90af64cff411974ea2799e5e36d07e0635da4",
-    "honest": "eabb1af9acfb09a9253b42bd38a27ddafacae7adc44fab4d2b0f3cdcda4938b1",
+        "32051e9472113b681b2c3638c677f98142c0c3fbe23dea3be495f019de1035e5",
+    "honest": "a025e09171d68447d25cd8745f99801c7c89a024b3c31b50a56d0fc2bd6da3ea",
     "renewal":
-        "1fc40d520d57db16b1055aee2e80c32dce71ff92fe07a6fc58f98b689d290aab",
+        "5cbfb42fff2987fd531ee372c83d2bfd1c490e562a122dc40e3b888beee39816",
     "tamper-owner":
-        "eda478cf1109cb5fc61b3dcded9503fa3c5bd6bf1b34e0164d9b3c1133635ba3",
+        "c8ca8c577aa47ca3cf51a4ab6c88edbe105696022b2d2daf4479e0319e0a9f67",
     "wrong-password":
-        "696cd33f2692565f1ba34b6c9bb85b10bf1175f8c1705b11f5a47e9f8c9c58a7",
+        "e436c1fd9571f478a406cafbdeec74cfe6e8fd1c85f3373726bc8f798fe268fd",
 }
 
 _WIRE_FIELDS = re.compile(r" kind=(\S+) bytes=(\d+)(?: sha=(\S+))?")

@@ -201,15 +201,15 @@ def test_split_blocks_matches_bit_string_oracle(width):
 
 
 def test_registration_tags_are_pinned():
-    # Tags of a fixed 1001-byte message under both registration schemes,
-    # computed while split_blocks (which cuts the PolyEval hash's input)
-    # was still quadratic; neither may move.
+    # Tags of a fixed 1001-byte message under both registration schemes;
+    # neither may move. The PolyEval tag is polyeval_hash_bytes over
+    # 31-byte marked blocks, the Toeplitz tag one over the framed bits.
     msg = hashlib.shake_256(b"registration tag pin").digest(1001)
     expected = {
         MacScheme.TOEPLITZ: "126a536a6be5faf1fabfabf39a4b5404"
                             "c7b0c95729e29c877fef04a51de2c186",
-        MacScheme.POLYEVAL: "2f5a74ae55cc3e3126d855d3a5b95518"
-                            "711373ee75b964fb0f439c9b1361e93d",
+        MacScheme.POLYEVAL: "b9c2a85e12e89b664fcbd683c21510fd"
+                            "063faeecaddca43ca7a8687fbe5ac858",
     }
     for scheme, tag_hex in expected.items():
         seed = make_seed(scheme, 256, SeededEntropy(11, "tag-pin"),
@@ -307,6 +307,9 @@ def test_toeplitz_collision_fraction_exhaustive():
 # ------------------------------------------------- universality with framing
 
 def framed_polyeval_blocks(message, q):
+    # split_blocks' bit blocks plus an explicit length block: a second
+    # framing of the PolyEval family, narrow enough for exhaustive k = 8
+    # censuses (polyeval_hash_bytes needs k >= 10)
     width = q.bit_length() - 2
     blocks, nbits = split_blocks(message, width)
     blocks.append(nbits & ((1 << width) - 1))
@@ -448,7 +451,7 @@ def test_au2_single_use_and_recompute():
 
 def test_au2_rejects_empty_message():
     rng = SeededEntropy(b"empty")
-    seed = make_seed(MacScheme.POLYEVAL, 8, rng)
+    seed = make_seed(MacScheme.POLYEVAL, 16, rng)
     with pytest.raises(ConfigurationError):
         au2_hash(seed, b"")
 
@@ -472,6 +475,25 @@ def test_make_seed_properties():
     # determinism: a fresh source with the same master replays the draw
     again = make_seed(MacScheme.POLYEVAL, 16, SeededEntropy(b"seed-props"))
     assert again.value == pe.value
+
+
+def test_registration_polyeval_is_the_channel_hash():
+    # one PolyEval hash: the registration tag of (t1 || data) is
+    # polyeval_hash_bytes under the seed, for every length around a block
+    rng = SeededEntropy(b"one-hash")
+    message = bytes(range(256)) * 2
+    for n in (1, 30, 31, 32, 62, 63, 500):
+        seed = make_seed(MacScheme.POLYEVAL, 256, rng)
+        assert recompute_tag(seed, message[:n]).value == \
+            polyeval_hash_bytes(seed.value, message[:n], seed.q_u)
+
+
+def test_polyeval_needs_k_of_16_and_toeplitz_does_not():
+    for k in (2, 8, 15):
+        with pytest.raises(ConfigurationError, match="k >= 16"):
+            make_seed(MacScheme.POLYEVAL, k, SeededEntropy(b"narrow"))
+    make_seed(MacScheme.TOEPLITZ, 8, SeededEntropy(b"narrow"), width_bits=72)
+    assert make_seed(MacScheme.POLYEVAL, 16, SeededEntropy(b"narrow")).k == 16
 
 
 def test_seed_serialization_roundtrip():

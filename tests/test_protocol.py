@@ -20,6 +20,7 @@ from itstore.errors import (
     ProtocolError,
 )
 from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork
+from itstore.mac import MacScheme
 from itstore.protocol import Outcome, Phase, RolePlacement, TpvSession
 from itstore.stores import directory_contains_window
 from itstore.wire import SCHEMA, SID
@@ -302,6 +303,79 @@ def test_refutation_without_records_cannot_adjudicate(tmp_path):
     event = session.refute(bytes(16), claim_data=DATA, claim_t1=t1)
     assert event.outcome is Outcome.ABORT
     assert "calculator" in event.detail
+
+
+# ------------------------------------------------------- registration MAC
+
+def record_deliveries(session):
+    """Every delivery as (sender, receiver, kind, delivered bytes)."""
+    send = session.transport.send
+    log = []
+
+    def recording(sender, receiver, kind, payload, sid=None):
+        delivered = send(sender, receiver, kind, payload, sid=sid)
+        log.append((sender, receiver, kind, delivered))
+        return delivered
+
+    session.transport.send = recording
+    return log
+
+
+def test_the_registered_tag_reaches_the_verifier_only(tmp_path):
+    # PolyEval's l / q_u forgery bound holds while no forger sees the
+    # registered tag: with tag and data known, the key is one of <= l roots
+    session = make_session(tmp_path)
+    log = record_deliveries(session)
+    sid, t1, _ = register_and_stock(session)
+    session.reconstruct_and_release(sid, PASSWORD)
+    forged = DATA[:-3] + b"abc"
+    verdicts = [session.integrity_check(sid).outcome,                 # honest
+                session.integrity_check(sid, claim_data=forged).outcome,
+                session.refute(sid, claim_data=forged).outcome,
+                session.refute(sid).outcome]
+    assert verdicts == [Outcome.SUCCESS, Outcome.FAIL, Outcome.SUCCESS,
+                        Outcome.FAIL]
+    tag = session.verifier_store.find(sid, t1).tag.to_bytes()
+    carriers = [(s, r, k) for s, r, k, raw in log if tag in raw]
+    assert {k for _s, _r, k in carriers} == {"tag-report", "check-tag",
+                                             "refute-tag"}
+    assert {(s, r) for s, r, _k in carriers} == {(session.CALCULATOR,
+                                                  session.VERIFIER)}
+    for _s, receiver, _k, raw in log:
+        if receiver in (session.OWNER, session.END_USER):
+            assert tag not in raw
+
+
+def test_the_calculator_record_does_not_grow_with_the_payload(tmp_path):
+    session = make_session(tmp_path, advance_on_exhaustion_ms=60_000)
+    sizes = set()
+    for size in (1024, 100 * 1024):
+        sid, _t1 = session.register(bytes(range(256)) * (size // 256),
+                                    PASSWORD)
+        sizes.add(session.calculator_store.record_bytes(sid))
+    assert sizes == {16 + 8 + session.k // 8}
+
+
+def test_toeplitz_registration_stays_selectable(tmp_path):
+    session = make_session(tmp_path, scheme=MacScheme.TOEPLITZ)
+    sid, _t1, _ = register_and_stock(session)
+    # a seed of k + w - 1 bits for a frame of 64 length bits, t1 and data
+    width = 64 + 8 * (8 + len(DATA))
+    assert session.calculator_store.record_bytes(sid) == \
+        16 + 8 + (session.k + width - 1 + 7) // 8
+    assert session.reconstruct_and_release(sid, PASSWORD).data == DATA
+    forged = DATA[:-3] + b"abc"
+    assert session.integrity_check(sid).outcome is Outcome.SUCCESS
+    assert session.integrity_check(sid, claim_data=forged).outcome \
+        is Outcome.FAIL
+    assert session.refute(sid, claim_data=forged).outcome is Outcome.SUCCESS
+    assert session.refute(sid).outcome is Outcome.FAIL
+
+
+def test_polyeval_with_too_narrow_a_tag_is_refused_up_front(tmp_path):
+    with pytest.raises(ConfigurationError, match="k >= 16"):
+        make_session(tmp_path, k=8)
+    make_session(tmp_path, subdir="toeplitz", scheme=MacScheme.TOEPLITZ, k=8)
 
 
 # ------------------------------------------------------------ channel faults

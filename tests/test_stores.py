@@ -284,6 +284,25 @@ def test_calculator_store_validation(tmp_path):
         store.put(b"\x03" * 16, 3, wrong_k)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw[:-1],
+    lambda raw: raw + b"\x00",
+    lambda raw: raw[:8] + b"\xff" * 32,
+], ids=["short", "long", "key-above-q"])
+def test_a_polyeval_record_that_is_not_one_key_is_tampering(tmp_path, edit):
+    # a wrong key would only make every later check read "tag mismatch",
+    # blaming the data for what was done to the store
+    store = CalculatorStore(tmp_path / "calc", MacScheme.POLYEVAL, 256)
+    sid = b"\x07" * 16
+    seed = make_seed(MacScheme.POLYEVAL, 256, rng("one-key"))
+    store.put(sid, 7, seed)
+    assert store.get(sid)[1].value == seed.value
+    path = tmp_path / "calc" / (sid.hex() + ".rec")
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(TamperDetectedError, match=sid.hex()):
+        store.get(sid)
+
+
 def test_calculator_records_without_meta_file_are_tampering(tmp_path):
     # the meta file is fsynced before the first record, so a directory
     # holding records without it has been tampered with, whatever
@@ -887,6 +906,34 @@ def test_a_journaled_round_is_absent_after_a_crash_and_never_reused(tmp_path):
         assert sorted(again.get_secret(sid).tuples) == [0, 2]
         assert again.get_secret(sid).next_round == 4
         assert again.consumed_rounds(sid) == (1, 3)
+
+
+def test_a_replay_journals_the_unsaved_rounds_it_moves_past(tmp_path):
+    # fails at the parent commit: the first open moved next_round to 5
+    # without journaling round 3, and the second open refused the record
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[3])
+    sid = secrets[0][0]
+    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
+    precompute_round(live, rng("unsaved"), rounds=2)  # rounds 3 and 4
+    stores[1]._journal_consume(sid, (4,))  # then a crash: nothing saved
+    del stores
+    holder_dir = tmp_path / "holder-1"
+    for _ in range(2):
+        again = HolderStore(holder_dir)
+        share_set = again.get_secret(sid)
+        assert sorted(share_set.tuples) == [0, 1, 2]
+        assert share_set.next_round == 5
+        assert again.consumed_rounds(sid) == (3, 4)
+    assert len(again._log) == 2
+
+
+def test_a_journal_spend_far_past_next_round_fails_closed(tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
+    sid = secrets[0][0]
+    stores[1]._journal_consume(sid, ((1 << 32) - 2,))
+    journal = tmp_path / "holder-1" / "journal.log"
+    with pytest.raises(TamperDetectedError, match=re.escape(str(journal))):
+        HolderStore(tmp_path / "holder-1")
 
 
 def test_renewal_destroys_old_share_bytes(tmp_path):

@@ -13,7 +13,7 @@ configuration errors with a precise dotted path.
       field: mersenne127          # mersenne127 | mersenne31 | decimal prime
     mac:
       scheme: polyeval            # polyeval | toeplitz
-      k: 256                      # tag bits; polyeval needs k >= 16
+      k: 256                      # tag bits, multiple of 8; polyeval >= 16
       cs_tag_bits: 512            # computational-mode digest width
     renewal:
       group: mersenne127          # toy | mersenne127 | rfc5114

@@ -30,8 +30,7 @@ check-tag, refute-tag) and never reaches the owner or the end user.
 Toeplitz keeps its 2^-k bound even for a forger who has seen a registered
 tag, at the price of a seed as long as the framed payload and k bit-passes
 over it per tag. It stays selectable (mac: {scheme: toeplitz}) for that
-property, and because the perfbench tracer wraps toeplitz_tag_bits here
-and through keynet's re-import.
+property.
 
 Both PolyEval hashes run through one evaluator, polyeval_tag_blocks, which
 works as Poly1305 implementations do (Bernstein, FSE 2005): a chunk of
@@ -85,8 +84,8 @@ DEFAULT_K = 256
 
 POLY_CHUNK = 64  # blocks per dot product in polyeval_tag_blocks
 
-# polyeval_hash_bytes cuts whole-byte blocks, which needs q_u >= 2^10, and
-# tags serialize in whole bytes: 16 is the least k that does both
+# polyeval_hash_bytes cuts whole-byte blocks, which needs q_u >= 2^10; with
+# whole-byte tags 16 is the least such k
 MIN_POLYEVAL_K = 16
 
 _LENGTH_FIELD_BITS = 64  # Toeplitz frame prefix: message bit-length, big-endian
@@ -101,12 +100,15 @@ _POLYEVAL_MODULI: dict = {}
 
 
 def check_k(scheme: MacScheme, k: int) -> None:
-    """Refuse a tag width the scheme cannot key: PolyEval needs
-    k >= MIN_POLYEVAL_K."""
+    """Refuse a tag width the scheme cannot key: tags and seeds are stored
+    in whole bytes, so k % 8 == 0, and PolyEval needs k >= MIN_POLYEVAL_K."""
     if scheme is MacScheme.POLYEVAL and k < MIN_POLYEVAL_K:
         raise ConfigurationError(
             "PolyEval needs k >= %d for whole-byte blocks, got %d"
             % (MIN_POLYEVAL_K, k))
+    if k % 8:
+        raise ConfigurationError(
+            "tags are whole bytes, so k must be a multiple of 8, got %d" % k)
 
 
 def polyeval_modulus(k: int) -> int:

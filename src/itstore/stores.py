@@ -119,6 +119,11 @@ _MAX_SID_BYTES = 64  # the hex id plus suffix must fit a 255-byte file name
 # rounds that were stocked but never saved; a wider gap is refused
 _REPLAY_GAP_RECORDS = 64
 _CALC_MAGIC = b"ITCS1\n"
+# the calculator meta's scheme byte; it names the hash framing as well as
+# the family, so a store keyed under one framing is never checked under
+# another
+_CALC_SCHEMES = {0: MacScheme.TOEPLITZ, 2: MacScheme.POLYEVAL}
+_CALC_POLYEVAL_SPLIT_BLOCKS = 1  # bit blocks plus a length block; refused
 
 
 # -------------------------------------------------------------- erasure
@@ -364,8 +369,15 @@ class CalculatorStore:
             raw = meta_path.read_bytes()
             if len(raw) != len(_CALC_MAGIC) + 3 or not raw.startswith(_CALC_MAGIC):
                 raise TamperDetectedError("calculator meta file is malformed")
-            stored_scheme = MacScheme.TOEPLITZ if raw[len(_CALC_MAGIC)] == 0 \
-                else MacScheme.POLYEVAL
+            code = raw[len(_CALC_MAGIC)]
+            if code == _CALC_POLYEVAL_SPLIT_BLOCKS:
+                raise ConfigurationError(
+                    "%s was made with PolyEval over bit blocks and a length "
+                    "block, a framing this version no longer computes; its "
+                    "tags cannot be checked" % self.directory)
+            if code not in _CALC_SCHEMES:
+                raise TamperDetectedError("calculator meta file is malformed")
+            stored_scheme = _CALC_SCHEMES[code]
             (stored_k,) = struct.unpack_from(">H", raw, len(_CALC_MAGIC) + 1)
             if scheme is not None and scheme is not stored_scheme:
                 raise ConfigurationError(
@@ -403,7 +415,7 @@ class CalculatorStore:
             raise ProtocolError("secret %s already registered" % secret_id.hex())
         if not self._meta_written:
             self.directory.mkdir(parents=True, exist_ok=True)
-            code = 0 if self.scheme is MacScheme.TOEPLITZ else 1
+            code = {v: c for c, v in _CALC_SCHEMES.items()}[self.scheme]
             _write_synced(self.directory / self._META, _CALC_MAGIC
                           + bytes([code]) + struct.pack(">H", self.k))
             self._meta_written = True

@@ -420,6 +420,24 @@ def test_inspect_prints_the_stored_seed_bits(tmp_path, capsys, scheme):
     assert int(bits) == want
 
 
+def test_a_split_block_polyeval_workspace_is_refused(tmp_path, capsys):
+    # a PolyEval workspace whose calculator meta carries scheme byte 1 was
+    # keyed under the bit-block framing: verify and refute would compare
+    # honest data against tags of another hash, so both stop at exit 3
+    ws = tmp_path / "ws"
+    sid = register(capsys, ws)
+    meta = ws / "stores" / "calculator" / "meta.bin"
+    raw = bytearray(meta.read_bytes())
+    raw[6] = 1
+    meta.write_bytes(bytes(raw))
+    for argv in (["verify"], ["refute", "--text", "a forged claim",
+                              "--sid", sid]):
+        code, out, err = run_cli(capsys, argv[0], "--workspace", str(ws),
+                                 *argv[1:])
+        assert code == 3 and "length block" in out + err
+        assert "success" not in out
+
+
 def test_a_toeplitz_workspace_reopens_and_verifies(tmp_path, capsys):
     # a workspace keeps the scheme it was made with: later commands pass
     # no config, so the session reads toeplitz from the workspace meta

@@ -158,6 +158,11 @@ def test_mac_polyeval_needs_k_of_16():
         parse_scenario({"mac": {"k": 8}})
     assert parse_scenario({"mac": {"k": 16}}).k == 16
     assert parse_scenario({"mac": {"scheme": "toeplitz", "k": 8}}).k == 8
+    # tags and seeds are stored in whole bytes, under either scheme
+    for scheme in ("polyeval", "toeplitz"):
+        with pytest.raises(ConfigurationError,
+                           match=r"^mac\.k: .*multiple of 8, got 20"):
+            parse_scenario({"mac": {"scheme": scheme, "k": 20}})
 
 
 def test_mac_bad_scheme_rejected():

@@ -494,6 +494,9 @@ def test_polyeval_needs_k_of_16_and_toeplitz_does_not():
             make_seed(MacScheme.POLYEVAL, k, SeededEntropy(b"narrow"))
     make_seed(MacScheme.TOEPLITZ, 8, SeededEntropy(b"narrow"), width_bits=72)
     assert make_seed(MacScheme.POLYEVAL, 16, SeededEntropy(b"narrow")).k == 16
+    for scheme in MacScheme:
+        with pytest.raises(ConfigurationError, match="multiple of 8"):
+            make_seed(scheme, 20, SeededEntropy(b"narrow"), width_bits=72)
 
 
 def test_seed_serialization_roundtrip():

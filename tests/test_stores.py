@@ -31,6 +31,7 @@ from itstore.mac import (
     cr_hash,
     make_seed,
     recompute_tag,
+    seed_to_bytes,
 )
 from itstore.protocol import TpvSession
 from itstore.spss import (
@@ -301,6 +302,27 @@ def test_a_polyeval_record_that_is_not_one_key_is_tampering(tmp_path, edit):
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(TamperDetectedError, match=sid.hex()):
         store.get(sid)
+
+
+def test_a_calculator_store_of_split_block_polyeval_is_refused(tmp_path):
+    # scheme byte 1 is PolyEval over bit blocks and a length block, as
+    # stores were once written; its keys would tag honest data as a
+    # mismatch under the marked-block hash, so the store is not opened
+    directory = tmp_path / "calc"
+    directory.mkdir()
+    (directory / "meta.bin").write_bytes(
+        b"ITCS1\n" + bytes([1]) + struct.pack(">H", 256))
+    key = make_seed(MacScheme.POLYEVAL, 256, rng("split-blocks"))
+    (directory / ("05" * 16 + ".rec")).write_bytes(
+        struct.pack(">Q", 5) + seed_to_bytes(key))
+    for scheme, k in ((None, None), (MacScheme.POLYEVAL, 256)):
+        with pytest.raises(ConfigurationError, match="length block"):
+            CalculatorStore(directory, scheme, k)
+    # a scheme byte no version wrote is tampering
+    (directory / "meta.bin").write_bytes(
+        b"ITCS1\n" + bytes([3]) + struct.pack(">H", 256))
+    with pytest.raises(TamperDetectedError, match="meta"):
+        CalculatorStore(directory)
 
 
 def test_calculator_records_without_meta_file_are_tampering(tmp_path):

@@ -372,11 +372,6 @@ def _cmd_verify(args) -> int:
     sid = _sid_from_args(ws, args)
     claim = _claim_from_args(args)
     if args.computational:
-        if claim is None and sid in ws.session.end_user_received:
-            claim = ws.session.end_user_received[sid][0]
-        if claim is None:
-            raise ConfigurationError(
-                "--computational needs --data/--text or a released secret")
         verdict = ws.session.cs_check(sid, claim, claim_t1=args.t1)
     else:
         verdict = ws.session.integrity_check(sid, claim_data=claim,

@@ -280,6 +280,9 @@ def _parse_mac(section, path: str):
                           default=512, minimum=8, maximum=512)
     if cs_tag_bits % 8:
         _fail(path + ".cs_tag_bits", "must be a multiple of 8")
+    if cs_tag_bits == k:
+        _fail(path + ".cs_tag_bits", "must differ from k = %d: the verifier "
+              "tells a digest row from a tag row by width" % k)
     return scheme, k, cs_tag_bits
 
 

@@ -12,10 +12,10 @@ Elements are plain ints in [0, q); zero_coefficients holds the one
 Lagrange-at-zero implementation, and interpolate_at_zero is its weighted
 sum.
 
-Moduli of the form 2^m - 1 get a fold-based reduction path
-((x & q) + (x >> m), congruence-preserving for any x) that is measurably
-faster than `%` in CPython; everything else uses plain `%`. Both paths
-must agree bit for bit, which the test suite checks on random inputs.
+On moduli of the form 2^m - 1, `mul` reduces by folding ((x & q) +
+(x >> m), congruence-preserving for any x), which is measurably faster
+than `%` in CPython; everything else uses plain `%`. Both paths must
+agree bit for bit, which the test suite checks on random inputs.
 """
 
 from __future__ import annotations
@@ -140,20 +140,6 @@ class PrimeField:
 
     # -- int-level ops (hot paths work on plain ints) --
 
-    def mersenne_reduce(self, x: int) -> int:
-        """Canonical representative via shift-and-add folding.
-
-        Each fold maps x to (x & q) + (x >> m), which preserves x mod q
-        because 2^m = q + 1. Only valid when q = 2^m - 1; x must be >= 0.
-        """
-        m = self.mersenne_exponent
-        if m is None:
-            raise ConfigurationError("mersenne_reduce on a non-Mersenne field")
-        q = self.q
-        while x > q:
-            x = (x & q) + (x >> m)
-        return 0 if x == q else x
-
     def add(self, a: int, b: int) -> int:
         s = a + b
         return s - self.q if s >= self.q else s
@@ -177,33 +163,10 @@ class PrimeField:
         return pow(a, -1, self.q)
 
     def poly_eval_int(self, coeffs: Sequence[int], x: int) -> int:
-        """Horner evaluation of sum coeffs[i] * x^i at x, canonical result.
-
-        On Mersenne fields with a wide evaluation point the accumulator
-        stays lazily reduced with a single shift-and-add fold per step and
-        is canonicalized once at the end.  With x < q and acc <= B*q, the
-        step value t = acc*x + c satisfies t < (B+1)*2^m, so t >> m <= B
-        and the folded accumulator is at most (B+1)*q: the slack grows by
-        one modulus per step, i.e. the accumulator never exceeds
-        len(coeffs)*q.  Folding beats division exactly when the per-step
-        product is near double width; for narrow x (share indices and the
-        like) the quotient is short and a plain `%` loop is faster, so the
-        strategy is chosen per call from the width of x.
-        """
-        if not coeffs:
-            return 0
-        m = self.mersenne_exponent
+        """Horner evaluation of sum coeffs[i] * x^i at x, canonical result;
+        at holder indices, the only points used, `%` beats folding."""
         q = self.q
         acc = 0
-        if m is not None and x.bit_length() * 2 > m:
-            if x >= q or x < 0:
-                x %= q
-            for c in reversed(coeffs):
-                t = acc * x + c
-                acc = (t & q) + (t >> m)
-            while acc > q:
-                acc = (acc & q) + (acc >> m)
-            return 0 if acc == q else acc
         for c in reversed(coeffs):
             acc = (acc * x + c) % q
         return acc

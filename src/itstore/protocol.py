@@ -26,8 +26,13 @@ for precomp and renewal messages the round, sender and count it expects).
 
 Timestamps are per-role logical clocks (network time plus a configurable
 per-role skew); t1 is stamped by the calculator at registration, t2 by the
-verifier when the tag row is recorded, and the verifier's acceptance rule
-is tag equality plus t1 <= t2 on its own record.
+verifier when it files a row. Every verdict is taken on the verifier's
+row for the claim's (id, t1) whose tag has the width of the value
+compared: a k-bit tag, or a cs_tag_bits digest, so the two widths differ.
+* Integrity rule (integrity_check, cs_check): fail with no row, with a
+  differing tag or digest, or with t1 > t2; otherwise success.
+* Refutation (refute) has no t1 <= t2 condition: abort with no calculator
+  seed or no row; success (refuted) when the tag differs; else fail.
 
 Key exhaustion during registration aborts before any share leaves the
 calculator: the full outgoing message list is checked against simulated
@@ -125,6 +130,9 @@ _ABORT_PRECOMPUTATION = 2
 _ABORT_AUTHENTICATOR = 3
 _ABORT_REASONS = (_ABORT_THRESHOLD, _ABORT_PRECOMPUTATION, _ABORT_AUTHENTICATOR)
 
+# how many times one send or registration plan may wait for key material
+MAX_KEY_WAITS = 100_000
+
 
 @dataclass(frozen=True)
 class VerdictEvent:
@@ -186,15 +194,14 @@ class Transport:
     which is what the leakage budgets are asserted against.
 
     advance_on_exhaustion_ms > 0 lets a send wait for key material by
-    advancing simulated time instead of failing, up to max_waits steps.
+    advancing simulated time instead of failing, up to MAX_KEY_WAITS steps.
     """
 
     def __init__(self, net: KeyNetwork, transcript: list,
-                 advance_on_exhaustion_ms: int = 0, max_waits: int = 100_000):
+                 advance_on_exhaustion_ms: int = 0):
         self.net = net
         self.transcript = transcript
         self.advance_on_exhaustion_ms = advance_on_exhaustion_ms
-        self.max_waits = max_waits
         # receiver -> sid hex -> kind -> delivered bytes
         self.counts = defaultdict(lambda: defaultdict(Counter))
         self.tamper = None  # one-shot hook: SecureEnvelope -> SecureEnvelope
@@ -216,17 +223,17 @@ class Transport:
 
     # -- delivery -----------------------------------------------------------
 
-    def _ensure(self, node_a: str, node_b: str, bits: int):
-        waits = 0
-        while True:
+    def wait_for_key(self, attempt, *args):
+        """Return attempt(*args). While it raises KeySupplyError and
+        advance_on_exhaustion_ms > 0, advance simulated time by that much
+        and try again, at most MAX_KEY_WAITS times; then let it raise."""
+        wait_ms = self.advance_on_exhaustion_ms
+        for _ in range(MAX_KEY_WAITS if wait_ms else 0):
             try:
-                self.net.ensure_pair_key(node_a, node_b, bits)
-                return
+                return attempt(*args)
             except KeySupplyError:
-                if not self.advance_on_exhaustion_ms or waits >= self.max_waits:
-                    raise
-                waits += 1
-                self.net.advance(self.advance_on_exhaustion_ms)
+                self.net.advance(wait_ms)
+        return attempt(*args)
 
     def send(self, sender: str, receiver: str, kind: str, payload: bytes,
              sid: "bytes | None" = None) -> bytes:
@@ -241,7 +248,8 @@ class Transport:
                 % (sender, receiver, kind, len(payload), digest, sid_hex))
         else:
             cost = self.net.message_key_cost(sender, receiver, len(payload))
-            self._ensure(node_s, node_r, cost)
+            self.wait_for_key(self.net.ensure_pair_key, node_s, node_r,
+                              cost)
             envelope = self.net.secure_send(sender, receiver, payload)
             if self.tamper is not None:
                 hook, self.tamper = self.tamper, None
@@ -357,6 +365,10 @@ class TpvSession:
         if cs_tag_bits % 8 or not 8 <= cs_tag_bits <= 512:
             raise ConfigurationError(
                 "cs_tag_bits must be a multiple of 8 in [8, 512]")
+        if cs_tag_bits == self.k:
+            raise ConfigurationError(
+                "cs_tag_bits must differ from k = %d: the verifier tells a "
+                "digest row from a tag row by width" % self.k)
         self.cs_tag_bits = cs_tag_bits
 
         if renewal_group is None and self.params.field.q == (1 << 127) - 1:
@@ -455,27 +467,56 @@ class TpvSession:
             % (sid.hex(), phase.value, outcome.value, detail or "-"))
         return event
 
-    def _announce(self, sid: bytes, phase: Phase, outcome: Outcome):
-        """Verifier tells both interested parties the verdict."""
+    def _announce(self, sid: bytes, phase: Phase, outcome: Outcome,
+                  detail: str) -> VerdictEvent:
+        """The verifier announces the outcome to owner and end user."""
         for party in (self.OWNER, self.END_USER):
             self._send(self.VERIFIER, party, "verdict",
                        (sid, _PHASE_CODE[phase], _OUTCOME_CODE[outcome]))
+        return self._verdict(sid, phase, outcome, detail)
 
-    def _plan_or_abort(self, sid: bytes, messages) -> None:
-        """Refuse a registration atomically when keys cannot cover it."""
-        waits = 0
-        while True:
-            try:
-                self.net.check_sendable(messages)
-                return
-            except KeySupplyError as exc:
-                wait_ms = self.transport.advance_on_exhaustion_ms
-                if not wait_ms or waits >= self.transport.max_waits:
-                    self._verdict(sid, Phase.REGISTRATION, Outcome.ABORT,
-                                  "key supply exhausted: %s" % exc)
-                    raise
-                waits += 1
-                self.net.advance(wait_ms)
+    def _claim(self, sid: bytes, data: "bytes | None",
+               t1: "int | None") -> tuple:
+        """(data, t1) of a claim, filled in from the end user's copy."""
+        if data is None or t1 is None:
+            if sid not in self.end_user_received:
+                raise ProtocolError(
+                    "end user received nothing for %s" % sid.hex())
+            got_data, got_t1 = self.end_user_received[sid]
+            data = got_data if data is None else data
+            t1 = got_t1 if t1 is None else t1
+        return data, t1
+
+    def _file(self, sender: str, kind: str, payload: bytes,
+              sid: bytes) -> None:
+        """sender files an encoded (sid, t1, tag) with the verifier, which
+        appends the row stamped t2 on its own clock."""
+        v_t1, v_tag = self._deliver(sender, self.VERIFIER, kind, payload,
+                                    (sid,))
+        t2 = self.clock(self.VERIFIER)
+        self.verifier_store.append(
+            VerifierRecord(sid, v_t1, MacTag.from_bytes(v_tag), t2))
+
+    def _compare(self, sender: str, kind: str, sid: bytes, t1: int,
+                 tag: bytes) -> tuple:
+        """Send (t1, tag) to the verifier; return its row for (sid, t1)
+        of the tag's width, or None, and the tag as it arrived."""
+        v_t1, v_tag = self._send(sender, self.VERIFIER, kind, (sid,), t1, tag)
+        v_tag = MacTag.from_bytes(v_tag)
+        return self.verifier_store.find(sid, v_t1, v_tag.k), v_tag
+
+    def _integrity(self, sender: str, kind: str, sid: bytes, t1: int,
+                   tag: bytes, what: str) -> tuple:
+        """The integrity rule over a comparison: (outcome, detail), where
+        what names the compared value in the detail."""
+        row, v_tag = self._compare(sender, kind, sid, t1, tag)
+        if row is None:
+            return Outcome.FAIL, "no verifier record"
+        if row.tag != v_tag:
+            return Outcome.FAIL, what + " mismatch"
+        if row.t1 > row.t2:
+            return Outcome.FAIL, "claimed time is after the recorded time"
+        return Outcome.SUCCESS, what + " match and t1 <= t2"
 
     # ---------------------------------------------------------- registration
 
@@ -515,7 +556,13 @@ class TpvSession:
                 for j in self.params.holder_indices]
         plan.append((self.CALCULATOR, self.VERIFIER, len(tag_msg)))
         plan.append((self.CALCULATOR, self.OWNER, len(receipt_msg)))
-        self._plan_or_abort(sid, plan)
+        # refuse the registration atomically when keys cannot cover it
+        try:
+            self.transport.wait_for_key(self.net.check_sendable, plan)
+        except KeySupplyError as exc:
+            self._verdict(sid, Phase.REGISTRATION, Outcome.ABORT,
+                          "key supply exhausted: %s" % exc)
+            raise
 
         for j in self.params.holder_indices:
             shares, pw_share = self._deliver(
@@ -524,11 +571,7 @@ class TpvSession:
             self.holder_stores[j].put_secret(
                 sid, HolderShareSet(j, self.params, shares, pw_share))
 
-        v_t1, v_tag = self._deliver(self.CALCULATOR, self.VERIFIER,
-                                    "tag-report", tag_msg, (sid,))
-        t2 = self.clock(self.VERIFIER)
-        self.verifier_store.append(
-            VerifierRecord(sid, v_t1, MacTag.from_bytes(v_tag), t2))
+        self._file(self.CALCULATOR, "tag-report", tag_msg, sid)
 
         self.calculator_store.put(sid, t1, seed)
         budget = len(sid) + 8 + seed.byte_count
@@ -722,18 +765,10 @@ class TpvSession:
 
         The claimed payload travels to the calculator, which recomputes
         the tag under its retained seed and forwards only the tag to the
-        verifier. A timestamp the calculator has no record of is a
-        protocol error; a record the verifier lacks is a plain failed
-        verdict.
+        verifier, which applies the integrity rule. A timestamp the
+        calculator has no record of is a protocol error.
         """
-        if claim_data is None or claim_t1 is None:
-            if sid not in self.end_user_received:
-                raise ProtocolError(
-                    "end user received nothing for %s" % sid.hex())
-            got_data, got_t1 = self.end_user_received[sid]
-            claim_data = got_data if claim_data is None else claim_data
-            claim_t1 = got_t1 if claim_t1 is None else claim_t1
-
+        claim_data, claim_t1 = self._claim(sid, claim_data, claim_t1)
         c_t1, c_data = self._send(self.END_USER, self.CALCULATOR,
                                   "check-request", (sid,), claim_t1,
                                   claim_data)
@@ -743,22 +778,9 @@ class TpvSession:
                 "calculator has no tag record for (%s, t1=%d)"
                 % (sid.hex(), c_t1))
         tag2 = recompute_tag(seed, _stamped(c_t1, c_data))
-        v_t1, v_tag = self._send(self.CALCULATOR, self.VERIFIER, "check-tag",
-                                 (sid,), c_t1, tag2.to_bytes())
-        v_tag = MacTag.from_bytes(v_tag)
-
-        row = self.verifier_store.find(sid, v_t1)
-        if row is None:
-            outcome, detail = Outcome.FAIL, "no verifier record"
-        elif row.tag != v_tag:
-            outcome, detail = Outcome.FAIL, "tag mismatch"
-        elif v_t1 > row.t2:
-            outcome, detail = (Outcome.FAIL,
-                               "claimed time is after the recorded time")
-        else:
-            outcome, detail = Outcome.SUCCESS, "tag match and t1 <= t2"
-        self._announce(sid, Phase.INTEGRITY_CHECK, outcome)
-        return self._verdict(sid, Phase.INTEGRITY_CHECK, outcome, detail)
+        outcome, detail = self._integrity(self.CALCULATOR, "check-tag", sid,
+                                          c_t1, tag2.to_bytes(), "tag")
+        return self._announce(sid, Phase.INTEGRITY_CHECK, outcome, detail)
 
     # ------------------------------------------------------------ refutation
 
@@ -766,34 +788,21 @@ class TpvSession:
                claim_t1: "int | None" = None) -> VerdictEvent:
         """Owner disputes a claimed delivery (id, t1, data).
 
-        Success means the claim is refuted (its tag differs from the
-        registered one). Failure means the claim checks out. If either
-        referee lacks a matching record the dispute cannot be adjudicated
-        and the verdict is an abort.
+        The calculator recomputes the claim's tag as in integrity_check,
+        and the verifier applies refutation's mapping (module docstring).
         """
-        if claim_data is None or claim_t1 is None:
-            if sid not in self.end_user_received:
-                raise ProtocolError(
-                    "no delivered claim to dispute for %s" % sid.hex())
-            got_data, got_t1 = self.end_user_received[sid]
-            claim_data = got_data if claim_data is None else claim_data
-            claim_t1 = got_t1 if claim_t1 is None else claim_t1
-
+        claim_data, claim_t1 = self._claim(sid, claim_data, claim_t1)
         c_t1, c_data = self._send(self.OWNER, self.CALCULATOR,
                                   "refute-request", (sid,), claim_t1,
                                   claim_data)
         try:
             _t1_stored, seed = self.calculator_store.get(sid)
         except ProtocolError:
-            self._announce(sid, Phase.REFUTATION, Outcome.ABORT)
-            return self._verdict(sid, Phase.REFUTATION, Outcome.ABORT,
-                                 "calculator holds no tag seed")
+            return self._announce(sid, Phase.REFUTATION, Outcome.ABORT,
+                                  "calculator holds no tag seed")
         tag2 = recompute_tag(seed, _stamped(c_t1, c_data))
-        v_t1, v_tag = self._send(self.CALCULATOR, self.VERIFIER, "refute-tag",
-                                 (sid,), c_t1, tag2.to_bytes())
-        v_tag = MacTag.from_bytes(v_tag)
-
-        row = self.verifier_store.find(sid, v_t1)
+        row, v_tag = self._compare(self.CALCULATOR, "refute-tag", sid, c_t1,
+                                   tag2.to_bytes())
         if row is None:
             outcome, detail = (Outcome.ABORT,
                                "no verifier record, cannot adjudicate")
@@ -801,8 +810,7 @@ class TpvSession:
             outcome, detail = Outcome.SUCCESS, "claim refuted: tag differs"
         else:
             outcome, detail = Outcome.FAIL, "claim is authentic"
-        self._announce(sid, Phase.REFUTATION, outcome)
-        return self._verdict(sid, Phase.REFUTATION, outcome, detail)
+        return self._announce(sid, Phase.REFUTATION, outcome, detail)
 
     # ------------------------------------------------- computational option
 
@@ -817,46 +825,23 @@ class TpvSession:
             raise ProtocolError("owner holds no receipt for %s" % sid.hex())
         t1, _length = self.owner_receipts[sid]
         digest = self._cs_digest(t1, data)
-        v_t1, v_digest = self._send(self.OWNER, self.VERIFIER, "cs-tag",
-                                    (sid,), t1, digest)
-        t2 = self.clock(self.VERIFIER)
-        self.verifier_store.append(
-            VerifierRecord(sid, v_t1, MacTag.from_bytes(v_digest), t2))
+        self._file(self.OWNER, "cs-tag",
+                   self.codec.encode("cs-tag", sid, t1, digest), sid)
         self._verdict(sid, Phase.REGISTRATION, Outcome.SUCCESS,
                       "computational digest filed")
 
-    def cs_check(self, sid: bytes, data: bytes,
+    def cs_check(self, sid: bytes, data: "bytes | None" = None,
                  claim_t1: "int | None" = None) -> VerdictEvent:
         """End user's integrity check in the computational option: it
-        hashes its copy and the verifier compares digests directly."""
-        if claim_t1 is None:
-            if sid not in self.end_user_received:
-                raise ProtocolError(
-                    "end user received nothing for %s" % sid.hex())
-            claim_t1 = self.end_user_received[sid][1]
-        digest = self._cs_digest(claim_t1, data)
-        v_t1, v_digest = self._send(self.END_USER, self.VERIFIER, "cs-check",
-                                    (sid,), claim_t1, digest)
-        v_digest = MacTag.from_bytes(v_digest)
-
-        row = None
-        for rec in self.verifier_store.records():
-            if (rec.secret_id == sid and rec.t1 == v_t1
-                    and rec.tag.k == self.cs_tag_bits):
-                row = rec
-                break
-        if row is None:
-            outcome, detail = Outcome.FAIL, "no verifier record"
-        elif row.tag != v_digest:
-            outcome, detail = Outcome.FAIL, "digest mismatch"
-        elif v_t1 > row.t2:
-            outcome, detail = (Outcome.FAIL,
-                               "claimed time is after the recorded time")
-        else:
-            outcome, detail = Outcome.SUCCESS, "digest match and t1 <= t2"
-        self._announce(sid, Phase.INTEGRITY_CHECK, outcome)
-        return self._verdict(sid, Phase.INTEGRITY_CHECK, outcome,
-                             "computational: " + detail)
+        hashes its copy and the verifier applies the integrity rule to
+        the digests directly."""
+        data, claim_t1 = self._claim(sid, data, claim_t1)
+        outcome, detail = self._integrity(self.END_USER, "cs-check", sid,
+                                          claim_t1,
+                                          self._cs_digest(claim_t1, data),
+                                          "digest")
+        return self._announce(sid, Phase.INTEGRITY_CHECK, outcome,
+                              "computational: " + detail)
 
     # --------------------------------------------------------------- renewal
 

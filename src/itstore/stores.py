@@ -334,9 +334,13 @@ class VerifierStore:
     def records(self) -> tuple:
         return tuple(self._records)
 
-    def find(self, secret_id: bytes, t1: int) -> "VerifierRecord | None":
+    def find(self, secret_id: bytes, t1: int,
+             width: int) -> "VerifierRecord | None":
+        """The row for (secret_id, t1) whose tag is width bits wide: a
+        registration tag and a computational digest differ in width."""
         for rec in self._records:
-            if rec.secret_id == secret_id and rec.t1 == t1:
+            if (rec.secret_id == secret_id and rec.t1 == t1
+                    and rec.tag.k == width):
                 return rec
         return None
 

@@ -175,6 +175,15 @@ def test_mac_tag_bits_must_be_byte_aligned():
         parse_scenario({"mac": {"cs_tag_bits": 100}})
 
 
+def test_mac_cs_tag_bits_must_differ_from_k():
+    # the verifier tells a digest row from a tag row by width alone
+    with pytest.raises(ConfigurationError,
+                       match=r"^mac\.cs_tag_bits: must differ from k = 256"):
+        parse_scenario({"mac": {"cs_tag_bits": 256}})
+    with pytest.raises(ConfigurationError, match=r"^mac\.cs_tag_bits: "):
+        parse_scenario({"mac": {"k": 64, "cs_tag_bits": 64}})
+
+
 # ------------------------------------------------------------------ renewal
 
 

@@ -87,8 +87,8 @@ def test_identical_payloads_get_independent_tags(tmp_path):
     session.advance(1000)
     sid_b, t1_b = session.register(DATA, PASSWORD)
     assert sid_a != sid_b
-    rec_a = session.verifier_store.find(sid_a, t1_a)
-    rec_b = session.verifier_store.find(sid_b, t1_b)
+    rec_a = session.verifier_store.find(sid_a, t1_a, session.k)
+    rec_b = session.verifier_store.find(sid_b, t1_b, session.k)
     assert rec_a is not None and rec_b is not None
     # same payload, fresh one-time seed: the filed tags differ
     assert rec_a.tag != rec_b.tag
@@ -225,7 +225,7 @@ def test_threshold_abort_keeps_registration_intact(tmp_path):
 
     # abort terminated the reconstruction only: records all survive
     assert session.calculator_store.get(sid)[0] == t1
-    assert session.verifier_store.find(sid, t1) is not None
+    assert session.verifier_store.find(sid, t1, session.k) is not None
     for store in session.holder_stores.values():
         assert sid in store.secret_ids()
         assert store.consumed_rounds(sid) == ()
@@ -305,6 +305,74 @@ def test_refutation_without_records_cannot_adjudicate(tmp_path):
     assert "calculator" in event.detail
 
 
+# ------------------------------------------------------------ verdict table
+
+FORGED = DATA[:-3] + b"abc"
+
+
+def check_unfiled_t1(session, sid, t1):
+    # re-key the calculator's record to a t1 the verifier never filed
+    _t1, seed = session.calculator_store.get(sid)
+    session.calculator_store.remove(sid)
+    session.calculator_store.put(sid, t1 + 5, seed)
+    return session.integrity_check(sid, claim_t1=t1 + 5)
+
+
+def cs_register_then_check(data):
+    def act(session, sid, _t1):
+        session.cs_register(sid, DATA)
+        return session.cs_check(sid, data)
+    return act
+
+
+CHECK, REFUTE = Phase.INTEGRITY_CHECK, Phase.REFUTATION
+VERDICTS = [
+    pytest.param({}, lambda s, sid, t1: s.integrity_check(sid),
+                 CHECK, Outcome.SUCCESS, "tag match and t1 <= t2",
+                 id="honest"),
+    pytest.param({}, lambda s, sid, t1: s.integrity_check(sid, FORGED),
+                 CHECK, Outcome.FAIL, "tag mismatch", id="altered"),
+    pytest.param({"clock_skews": {"verifier": -10_000}},
+                 lambda s, sid, t1: s.integrity_check(sid),
+                 CHECK, Outcome.FAIL, "claimed time is after the recorded time",
+                 id="t1-after-t2"),
+    pytest.param({}, check_unfiled_t1,
+                 CHECK, Outcome.FAIL, "no verifier record", id="no-row"),
+    pytest.param({}, lambda s, sid, t1: s.refute(sid, FORGED),
+                 REFUTE, Outcome.SUCCESS, "claim refuted: tag differs",
+                 id="refute-altered"),
+    pytest.param({}, lambda s, sid, t1: s.refute(sid),
+                 REFUTE, Outcome.FAIL, "claim is authentic",
+                 id="refute-honest"),
+    pytest.param({}, lambda s, sid, t1: s.refute(sid, claim_t1=t1 + 1),
+                 REFUTE, Outcome.ABORT, "no verifier record, cannot adjudicate",
+                 id="refute-no-row"),
+    pytest.param({}, lambda s, sid, t1: s.refute(bytes(16), DATA, t1),
+                 REFUTE, Outcome.ABORT, "calculator holds no tag seed",
+                 id="refute-no-seed"),
+    pytest.param({}, lambda s, sid, t1: s.cs_check(sid, DATA),
+                 CHECK, Outcome.FAIL, "computational: no verifier record",
+                 id="cs-no-row"),
+    pytest.param({}, cs_register_then_check(DATA),
+                 CHECK, Outcome.SUCCESS,
+                 "computational: digest match and t1 <= t2", id="cs-honest"),
+    pytest.param({}, cs_register_then_check(FORGED),
+                 CHECK, Outcome.FAIL, "computational: digest mismatch",
+                 id="cs-altered"),
+]
+
+
+@pytest.mark.parametrize("kwargs,act,phase,outcome,detail", VERDICTS)
+def test_verdict_table(tmp_path, kwargs, act, phase, outcome, detail):
+    session = make_session(tmp_path, **kwargs)
+    sid, t1, _ = register_and_stock(session)
+    session.reconstruct_and_release(sid, PASSWORD)
+    event = act(session, sid, t1)
+    assert (event.phase, event.outcome, event.detail) == (phase, outcome,
+                                                          detail)
+    assert session.verdicts[-1] == event
+
+
 # ------------------------------------------------------- registration MAC
 
 def record_deliveries(session):
@@ -335,7 +403,7 @@ def test_the_registered_tag_reaches_the_verifier_only(tmp_path):
                 session.refute(sid).outcome]
     assert verdicts == [Outcome.SUCCESS, Outcome.FAIL, Outcome.SUCCESS,
                         Outcome.FAIL]
-    tag = session.verifier_store.find(sid, t1).tag.to_bytes()
+    tag = session.verifier_store.find(sid, t1, session.k).tag.to_bytes()
     carriers = [(s, r, k) for s, r, k, raw in log if tag in raw]
     assert {k for _s, _r, k in carriers} == {"tag-report", "check-tag",
                                              "refute-tag"}
@@ -743,6 +811,11 @@ def test_cs_tag_width_validation(tmp_path):
         make_session(tmp_path, cs_tag_bits=12)
     with pytest.raises(ConfigurationError):
         make_session(tmp_path, subdir="b", cs_tag_bits=1024)
+    # the verifier tells a digest row from a tag row by width alone: at
+    # equal widths an honest cs_check met the registration tag's row
+    for k in (256, 64):
+        with pytest.raises(ConfigurationError, match="differ from k"):
+            make_session(tmp_path, subdir="k%d" % k, k=k, cs_tag_bits=k)
 
 
 # ---------------------------------------------------------- bookkeeping

@@ -173,9 +173,12 @@ def test_verifier_store_round_trip(tmp_path):
         store.append(rec)
     again = VerifierStore(tmp_path / "verifier")
     assert again.records() == tuple(recs)
-    assert again.find(recs[1].secret_id, 200) == recs[1]
-    assert again.find(recs[1].secret_id, 201) is None
-    assert again.find(b"\x99" * 16, 200) is None
+    width = recs[1].tag.k
+    assert again.find(recs[1].secret_id, 200, width) == recs[1]
+    assert again.find(recs[1].secret_id, 201, width) is None
+    assert again.find(b"\x99" * 16, 200, width) is None
+    # a row is found by the width of its tag too
+    assert again.find(recs[1].secret_id, 200, width + 8) is None
 
 
 def test_verifier_store_t2_monotonic(tmp_path):

@@ -346,9 +346,9 @@ def _cmd_reconstruct(args) -> int:
     sid = _sid_from_args(ws, args)
     _t1, byte_length = session.owner_receipts[sid]
     tracks = data_block_count(byte_length, session.params) + 1
-    # precompute stocks every holder, so count the rounds live at all of
-    # them: a round one holder spent in an earlier reconstruction is
-    # still live at the holders that did not serve it
+    # count the rounds live at every holder: a round an earlier
+    # reconstruction spent stays live at the holders it did not contact
+    # until the next precompute, which retires it there
     have = len(set.intersection(*(
         set(store.get_secret(sid).tuples)
         for store in session.holder_stores.values())))

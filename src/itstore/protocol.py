@@ -23,6 +23,9 @@ key spent). Message payloads are length-checked binary with a one-byte
 type code; the layout of every kind is in itstore.wire.SCHEMA, and each
 receiver checks that a message names the secret id of its exchange (and
 for precomp and renewal messages the round, sender and count it expects).
+A precomp message also carries its sender's live round ids, which must
+all lie below the round it starts; each holder retires the rounds it
+holds that another holder has spent (TpvSession.precompute).
 
 Timestamps are per-role logical clocks (network time plus a configurable
 per-role skew); t1 is stamped by the calculator at registration, t2 by the
@@ -88,6 +91,7 @@ from .spss import (
     data_block_count,
     password_to_element,
     precompute_round,
+    retired_rounds,
     spss_recover,
     spss_register,
     spss_request,
@@ -589,13 +593,22 @@ class TpvSession:
     # ---------------------------------------------------------- precompute
 
     def precompute(self, sid: bytes, rounds: int = 1) -> tuple:
-        """Holders jointly stock `rounds` masking tuples for one secret.
+        """Holders jointly stock `rounds` masking tuples for one secret,
+        and retire the rounds some holder has spent.
 
         spss.precompute_round runs the round over params.batch_count(rounds)
         extraction batches; each holder sends every other holder its
         contributions, one pair per batch, in a single precomp message.
-        The receiver checks its header (first round, batch count,
-        contributor) before any holder saves. Returns the new round ids.
+        The message also carries the sender's live round ids (all below
+        the first new round) in its live_rounds field. The receiver checks
+        the header (first round, batch count, contributor) and that
+        live_rounds names no id at or past the first round, before any
+        holder changes. Once every contribution has arrived, each holder
+        retires the rounds it holds that some other holder does not
+        (spss.retired_rounds; a reconstruction spends rounds at the t
+        holders it contacts only) and journals them with
+        HolderStore.retire, then saves. So after a precompute every holder
+        holds the same live rounds. Returns the new round ids.
         """
         sets = {j: self.holder_stores[j].get_secret(sid)
                 for j in self.params.holder_indices}
@@ -603,19 +616,29 @@ class TpvSession:
         # holder agrees on this id
         start = sets[1].next_round
         batches = self.params.batch_count(rounds)
+        live = {j: sets[j].unconsumed_rounds() for j in sets}
+        reported = {j: [] for j in sets}  # live ids each holder was sent
 
         def deliver(d, j, r_vals, z_vals):
             flat = [0] * (2 * batches)
             flat[0::2], flat[1::2] = r_vals, z_vals
-            (flat,) = self._send(self._holder_ep(d), self._holder_ep(j),
-                                 "precomp", (sid, start, batches, d), flat)
+            held, flat = self._send(self._holder_ep(d), self._holder_ep(j),
+                                    "precomp", (sid, start, batches, d),
+                                    live[d], flat)
+            if held and held[-1] >= start:
+                raise ProtocolError(
+                    "holder %d reports live round %d at or past first "
+                    "round %d" % (d, held[-1], start))
+            reported[j].append(held)
             return flat[0::2], flat[1::2]
 
         sources = {j: self.net.entropy_source(self._holder_ep(j))
                    for j in sets}
         new_ids = precompute_round(sets, sources, rounds, deliver)
         for j in sets:
-            self.holder_stores[j].save(sid)
+            store = self.holder_stores[j]
+            store.retire(sid, retired_rounds(live[j], reported[j]))
+            store.save(sid)
         self.transcript.append("precompute sid=%s rounds=%d first=%d"
                                % (sid.hex(), rounds, start))
         return new_ids

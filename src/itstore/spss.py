@@ -76,6 +76,7 @@ __all__ = [
     "mac_block_value",
     "spss_register",
     "precompute_round",
+    "retired_rounds",
     "masking_columns",
     "extract",
     "spss_request",
@@ -158,7 +159,7 @@ class RegisteredSecret:
         return len(self.blocks)
 
 
-@dataclass
+@dataclass(slots=True)
 class PrecomputedTuple:
     """One holder's live masking tuple: its share r of an extracted random
     value R (degree t-2) and its share z of an extracted sharing Z of zero
@@ -333,6 +334,23 @@ def precompute_round(holders: dict, randomness, rounds: int = 1,
             holders[j].tuples[rid] = PrecomputedTuple(rid, r, z)
         holders[j].next_round = start + rounds
     return new_ids
+
+
+def retired_rounds(live, reported) -> tuple:
+    """The rounds a holder retires at a precompute: each id of `live`, its
+    live rounds before the precompute in increasing order, that some other
+    holder does not hold. reported lists every other holder's live ids,
+    as each sent them with its precomp contribution.
+
+    A round spent at any holder masked a released response, so no
+    t-subset may spend it again: the holders that served it no longer
+    hold it, and a subset without them would reuse a mask that already
+    hid one response. Retiring can only lose tuples, never revive one.
+    """
+    keep = set(live)
+    for ids in reported:
+        keep.intersection_update(ids)
+    return tuple(rid for rid in live if rid not in keep)
 
 
 def extract(params: SpssParams, contributions) -> list:

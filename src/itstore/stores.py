@@ -37,10 +37,15 @@ the 127-bit field and nothing per spent one: round ids are stocked
 contiguously from 0, so an id below `next_round` that is not live is
 spent. Spent ids are never materialized, on disk or in memory: a share
 set holds its live tuples and `next_round`, nothing more. A journal
-consume record names its rounds as runs too. Records of earlier layouts,
-which kept a round id and a spent flag per tuple (or every contributor's
-r and z), fail the digest and are refused as tampered; so is a record whose runs are malformed, name an id
-at or past `next_round`, or disagree with its column lengths, and one
+consume record names its rounds as runs too, and the store keeps each
+secret's journaled ids in memory as merged (first, end) runs
+(`_SpentRuns`), so what it holds, and what a save's check against the
+journal costs, follows the live tuples and the runs, not every round
+ever spent. Records of earlier layouts, which kept a round id and a
+spent flag per tuple (or every contributor's r and z), fail the digest
+and are refused as tampered; so is a record whose runs are malformed,
+name an id at or past `next_round`, or disagree with its column
+lengths, and one
 whose spent ids below `next_round` outnumber the ids the journal names
 for that secret below it (every spend is journaled first). A journal
 consume record naming more rounds than its secret has blocks, or a
@@ -64,6 +69,16 @@ empty was never saved. So a crash at any point leaves the store openable
 with each secret's old or new record, never a mix, and once a new record
 is durable no superseded share bytes survive the next open. A secret with
 non-empty slots but no valid record raises TamperDetectedError.
+
+A reconstruction spends rounds only at the t holders it contacts. The
+others retire those rounds at the secret's next precompute
+(`HolderStore.retire`, called by `TpvSession.precompute`): a holder
+journals every round it holds that another holder no longer does, in
+consume records of at most one reconstruction's worth of ids each, and
+the save that follows erases their values. So after a precompute every
+holder's record holds the same live tuples. A crash between the journal
+append and that save leaves the rounds journaled, and opening drops them
+again.
 """
 
 from __future__ import annotations
@@ -71,6 +86,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,7 +105,7 @@ from .spss import (
     holder_respond,
     spend_ids,
 )
-from .wire import Cursor, column, encode_ids
+from .wire import Cursor, column, encode_ids, expand_runs, id_runs
 
 __all__ = [
     "ChainedLog",
@@ -538,6 +554,70 @@ def holder_record_files(directory) -> dict:
     return out
 
 
+class _SpentRuns:
+    """A set of round ids kept as sorted, disjoint, non-touching (first,
+    end) runs, so its memory follows the number of runs, not of ids: a
+    holder's journaled spends, which grow by whole reconstructions."""
+
+    __slots__ = ("firsts", "ends")
+
+    def __init__(self):
+        self.firsts = []
+        self.ends = []
+
+    def add(self, first: int, end: int) -> None:
+        """Add the ids first..end-1, merging every run they overlap or
+        touch."""
+        i = bisect_left(self.ends, first)
+        k = bisect_right(self.firsts, end)
+        if i < k:
+            first = min(first, self.firsts[i])
+            end = max(end, self.ends[k - 1])
+        self.firsts[i:k] = [first]
+        self.ends[i:k] = [end]
+
+    def add_ids(self, ids) -> None:
+        flat = id_runs(sorted(ids))
+        for first, count in zip(flat[0::2], flat[1::2]):
+            self.add(first, first + count)
+
+    def __contains__(self, rid: int) -> bool:
+        i = bisect_right(self.firsts, rid) - 1
+        return i >= 0 and rid < self.ends[i]
+
+    def __len__(self) -> int:
+        return len(self.firsts)
+
+    def count_below(self, bound: int) -> int:
+        """How many ids are below bound."""
+        return sum(min(end, bound) - first
+                   for first, end in zip(self.firsts, self.ends)
+                   if first < bound)
+
+    def top(self) -> int:
+        """The highest id, or -1 when there is none."""
+        return self.ends[-1] - 1 if self.ends else -1
+
+    def members(self, ids) -> list:
+        """The ids of an increasing list that are in the set, found with
+        two binary searches per run rather than one lookup per id."""
+        out = []
+        for first, end in zip(self.firsts, self.ends):
+            out += ids[bisect_left(ids, first):bisect_left(ids, end)]
+        return out
+
+    def gaps(self, lo: int, hi: int) -> list:
+        """The ids in lo..hi-1 that are not in the set."""
+        out = []
+        for first, end in zip(self.firsts + [hi], self.ends + [hi]):
+            if first > lo:
+                out += range(lo, min(first, hi))
+            lo = max(lo, end)
+            if lo >= hi:
+                break
+        return out
+
+
 def _spend_limit(ss: HolderShareSet) -> int:
     """The most rounds one consume record may name for a share set: one
     reconstruction spends one per block."""
@@ -554,11 +634,12 @@ def _renew_record(secret_id: bytes, round_no: int) -> bytes:
             + struct.pack(">I", round_no))
 
 
-def _parse_journal_record(payload: bytes, limits=None):
+def _parse_journal_record(payload: bytes, limits=None, expand=True):
     """(kind, secret id, extra): the consumed round ids, expanded from
-    their runs, or the renewal round number. A consume record may name at
-    most limits[secret id] rounds, and with `limits` only a secret it
-    holds; without it, at most wire.MAX_IDS."""
+    their runs (as (first, end) ranges unless `expand`), or the renewal
+    round number. A consume record may name at most limits[secret id]
+    rounds, and with `limits` only a secret it holds; without it, at most
+    wire.MAX_IDS."""
     rd = Cursor(payload, TamperDetectedError, "journal record")
     kind = rd.take(1)
     sid = rd.take(rd.uint(1))
@@ -566,9 +647,9 @@ def _parse_journal_record(payload: bytes, limits=None):
         if limits is not None and sid not in limits:
             raise TamperDetectedError(
                 "journal names unknown secret %s" % sid.hex())
-        ids = rd.ids(None if limits is None else limits[sid])
+        runs = rd.runs(None if limits is None else limits[sid])
         rd.done()
-        return "consume", sid, ids
+        return "consume", sid, expand_runs(runs) if expand else runs
     if kind == b"R":
         round_no = rd.uint(4)
         rd.done()
@@ -597,7 +678,7 @@ class HolderStore:
         self.directory = Path(directory)
         self._meta_path = self.directory / _HOLDER_META
         self._log = ChainedLog(self.directory / "journal.log")
-        self._journaled = {}  # secret id -> set of consumed round ids
+        self._journaled = {}  # secret id -> _SpentRuns of journaled ids
         self._secrets = {}
         self._live = {}  # secret id -> (slot suffix of the live record, seq)
         # a new store's directory is missing or empty, and then nothing
@@ -690,13 +771,14 @@ class HolderStore:
         return seq, _decode_share_set(body[_SEQ.size:], self.holder, path)
 
     def _journal_records(self):
-        """The journal's records, as _parse_journal_record reads them. A
-        consume record names a secret of this store and spends at most as
-        many rounds as that secret has blocks (one, for a single tuple)."""
+        """The journal's records, as _parse_journal_record reads them, a
+        consume record's rounds as (first, end) ranges. A consume record
+        names a secret of this store and spends at most as many rounds as
+        that secret has blocks (one, for a single tuple)."""
         limits = {sid: _spend_limit(ss) for sid, ss in self._secrets.items()}
         for payload in self._log.payloads():
             try:
-                yield _parse_journal_record(payload, limits)
+                yield _parse_journal_record(payload, limits, expand=False)
             except TamperDetectedError as exc:
                 raise TamperDetectedError(
                     "%s: %s" % (self._log.path, exc)) from None
@@ -714,14 +796,19 @@ class HolderStore:
         record's last save. The rounds stocked with it that the journal
         does not name are lost with the crash: they are journaled spent
         before next_round moves past them, so the rewritten record
-        reopens."""
+        reopens.
+
+        The journaled ids are kept as merged runs, so every step here
+        costs O(live tuples + runs), however many rounds were spent."""
         for kind, sid, extra in self._journal_records():
             if kind == "consume":
-                self._journaled.setdefault(sid, set()).update(extra)
+                runs = self._journaled.setdefault(sid, _SpentRuns())
+                for first, end in extra:
+                    runs.add(first, end)
         stale = set()
         for sid, ss in self._secrets.items():
-            journaled = self._journaled.get(sid, set())
-            vouched = sum(1 for rid in journaled if rid < ss.next_round)
+            journaled = self._journaled.get(sid, _SpentRuns())
+            vouched = journaled.count_below(ss.next_round)
             if ss.next_round - len(ss.tuples) > vouched:
                 raise TamperDetectedError(
                     "%s: %d rounds below next round %d are spent, the "
@@ -732,10 +819,10 @@ class HolderStore:
             # a journaled round is normally absent from the record already;
             # one still live (a crash between the journal and the rewrite),
             # or one at or past next_round, makes the record stale
-            for rid in journaled:
-                if ss.tuples.pop(rid, None) is not None:
-                    stale.add(sid)
-            top = max(journaled, default=-1)
+            for rid in journaled.members(ss.unconsumed_rounds()):
+                del ss.tuples[rid]
+                stale.add(sid)
+            top = journaled.top()
             if top >= ss.next_round:
                 limit = _spend_limit(ss)
                 if top - ss.next_round > _REPLAY_GAP_RECORDS * limit:
@@ -743,8 +830,7 @@ class HolderStore:
                         "%s: journal spends round %d, %d past next round %d"
                         % (self._log.path, top, top - ss.next_round,
                            ss.next_round))
-                lost = [rid for rid in range(ss.next_round, top)
-                        if rid not in journaled]
+                lost = journaled.gaps(ss.next_round, top)
                 for i in range(0, len(lost), limit):
                     self._journal_consume(sid, lost[i:i + limit])
                 ss.next_round = top + 1
@@ -781,12 +867,13 @@ class HolderStore:
         id is given. Other secrets' records are not touched."""
         sids = self.secret_ids() if secret_id is None else (secret_id,)
         for sid in sids:
-            tuples = self.get_secret(sid).tuples
-            for rid in self._journaled.get(sid, ()):
-                if rid in tuples:
-                    raise ProtocolError(
-                        "round %d of %s is journaled consumed but live"
-                        % (rid, sid.hex()))
+            ss = self.get_secret(sid)
+            spent = self._journaled.get(sid)
+            resurrected = spent.members(ss.unconsumed_rounds()) if spent else ()
+            if resurrected:
+                raise ProtocolError(
+                    "round %d of %s is journaled consumed but live"
+                    % (resurrected[0], sid.hex()))
         if not self._meta_durable:
             self.directory.mkdir(parents=True, exist_ok=True)
             _write_synced(self._meta_path,
@@ -834,7 +921,7 @@ class HolderStore:
     def _journal_consume(self, secret_id: bytes, round_ids) -> None:
         ids = tuple(round_ids)
         self._log.append(_consume_record(secret_id, ids))
-        self._journaled.setdefault(secret_id, set()).update(ids)
+        self._journaled.setdefault(secret_id, _SpentRuns()).add_ids(ids)
 
     def consume_tuple(self, secret_id: bytes,
                       round_id: "int | None" = None) -> PrecomputedTuple:
@@ -861,6 +948,24 @@ class HolderStore:
         response = holder_respond(ss, request)
         self.save(secret_id)
         return response
+
+    def retire(self, secret_id: bytes, round_ids) -> None:
+        """Spend live rounds that will never be served: journal them, at
+        most _spend_limit ids per consume record so the journal reopens,
+        and drop them. The caller's next save erases their values from the
+        record; a crash before it leaves them journaled, and opening drops
+        them again."""
+        ss = self.get_secret(secret_id)
+        ids = sorted(round_ids)
+        for rid in ids:
+            if rid not in ss.tuples:
+                raise ProtocolError("holder %d cannot retire round %d of %s"
+                                    % (self.holder, rid, secret_id.hex()))
+        limit = _spend_limit(ss)
+        for i in range(0, len(ids), limit):
+            self._journal_consume(secret_id, ids[i:i + limit])
+        for rid in ids:
+            del ss.tuples[rid]
 
     def consumed_rounds(self, secret_id: bytes) -> tuple:
         ss = self.get_secret(secret_id)

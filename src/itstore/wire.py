@@ -40,8 +40,8 @@ from operator import sub
 
 from .errors import ConfigurationError, ImproperRequestError, ProtocolError
 
-__all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor", "column", "encode_ids",
-           "id_runs", "ids_from_runs"]
+__all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor", "check_runs", "column",
+           "encode_ids", "expand_runs", "id_runs", "ids_from_runs"]
 
 SID_BYTES = 16
 # Most ids one decoded id list may name: a 12-byte run could otherwise
@@ -80,19 +80,23 @@ class Cursor:
         return tuple(map(int.from_bytes, re.findall(b".{%d}" % width, raw, re.S),
                          repeat("big")))
 
-    def ids(self, limit: "int | None" = None) -> tuple:
-        """A list of round ids sent as encode_ids writes it, expanded.
-        Runs id_runs cannot produce, or naming more than `limit` ids
-        (MAX_IDS by default), are refused before any run is expanded: with
-        ImproperRequestError, or with this cursor's error naming what it
-        reads when that error is not a ProtocolError."""
+    def runs(self, limit: "int | None" = None) -> list:
+        """A list of round ids sent as encode_ids writes it, as its
+        (first, end) ranges, unexpanded. Runs id_runs cannot produce, or
+        naming more than `limit` ids (MAX_IDS by default), are refused:
+        with ImproperRequestError, or with this cursor's error naming what
+        it reads when that error is not a ProtocolError."""
         flat = self.uints(2 * self.uint(4), 4)
         try:
-            return ids_from_runs(flat, limit)
+            return check_runs(flat, limit)
         except ImproperRequestError as exc:
             if isinstance(exc, self.error):
                 raise
             raise self.error("%s: %s" % (self.what, exc)) from None
+
+    def ids(self, limit: "int | None" = None) -> tuple:
+        """The ids of self.runs(limit), expanded once they are checked."""
+        return expand_runs(self.runs(limit))
 
     def done(self) -> None:
         if self.pos != len(self.raw):
@@ -127,6 +131,7 @@ SCHEMA = {
     "receipt": (0x04, (("sid", SID), ("t1", U64))),
     "precomp": (0x05, (("sid", SID), ("first_round", U32),
                        ("n_batches", U32), ("contributor", U8),
+                       ("live_rounds", ID_RUNS),
                        ("r_z_pairs", run("W", "n_batches", 2)))),
     "recon-request": (0x06, (("sid", SID), ("byte_length", U32),
                              ("password", BYTES16))),
@@ -173,10 +178,10 @@ def id_runs(ids) -> list:
     return flat
 
 
-def ids_from_runs(flat, limit: "int | None" = None) -> tuple:
-    """Inverse of id_runs; refuses any run list id_runs cannot produce,
-    and one naming more than `limit` ids (MAX_IDS by default), before
-    expanding any run."""
+def check_runs(flat, limit: "int | None" = None) -> list:
+    """The (first, end) ranges of a flat run list id_runs can produce.
+    Refuses any other run list, and one naming more than `limit` ids
+    (MAX_IDS by default)."""
     firsts, counts = flat[0::2], flat[1::2]
     after = -1  # the next run must start above this id
     for first, count in zip(firsts, counts):
@@ -193,10 +198,22 @@ def ids_from_runs(flat, limit: "int | None" = None) -> tuple:
     if sum(counts) > limit:
         raise ImproperRequestError("round-id runs name more than %d ids"
                                    % limit)
+    return [(first, first + count) for first, count in zip(firsts, counts)]
+
+
+def expand_runs(ranges) -> tuple:
+    """Every id of a list of (first, end) ranges, in order."""
     ids = []
-    for first, count in zip(firsts, counts):
-        ids += range(first, first + count)
+    for first, end in ranges:
+        ids += range(first, end)
     return tuple(ids)
+
+
+def ids_from_runs(flat, limit: "int | None" = None) -> tuple:
+    """Inverse of id_runs; refuses any run list id_runs cannot produce,
+    and one naming more than `limit` ids (MAX_IDS by default), before
+    expanding any run."""
+    return expand_runs(check_runs(flat, limit))
 
 
 def column(values, width: int) -> bytes:

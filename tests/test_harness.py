@@ -332,22 +332,22 @@ def test_comparison_moduli_are_checked_once_per_process(monkeypatch):
 # accounting may change without touching these; any change to a message
 # layout or to the bytes a phase sends changes them.
 WIRE_DIGESTS = {
-    "bench": "5c6a7fd6c35f59291ea18799636f6703bc3a7006ba8723c169923d0564a2bc7f",
+    "bench": "0806daacb1e26542bba225ddb57a640b724c5cc49fe7369197a263544634a244",
     "bit-flip-channel":
-        "1189770f8cc632170bbc80d4a3717c0b8213d64d0936bfeb6f41d1a8b7ecf53b",
+        "77fb875ce4c266c9c72367342b06462b025f710d1ec66b2b540ffef5e4245e5e",
     "corrupt-holder":
-        "80e9aab011059c4114e5a722fd826ccd4e08f4bc7fc9862786cfb747e53d335f",
+        "7b6786c3c97e668501eead339ece6d94576b26693eee8be9630a2cb81a62ff9e",
     "drop-holder":
-        "f8c19f8f6f9770327c1302bece3cd1c994cd45395f416624b78b335827793f5d",
+        "1d57e787e009084168a4a1fa5c727ba9e97b5edc81421c9e8cd961f0617dc77f",
     "false-claim-user":
-        "32051e9472113b681b2c3638c677f98142c0c3fbe23dea3be495f019de1035e5",
-    "honest": "a025e09171d68447d25cd8745f99801c7c89a024b3c31b50a56d0fc2bd6da3ea",
+        "03dac9af92487d0ae52ce9335005c11953c1e3d73198451e2a685f7c7a4f02f7",
+    "honest": "ead857c71e6f73ddc0d934497cc4215794b01c2b3dd200435c1d767fd487b05c",
     "renewal":
-        "5cbfb42fff2987fd531ee372c83d2bfd1c490e562a122dc40e3b888beee39816",
+        "3a62940d5fe0bf83a2411e43c82b8c036c33113ad28ba2919f9ad897fe8eb2c7",
     "tamper-owner":
-        "c8ca8c577aa47ca3cf51a4ab6c88edbe105696022b2d2daf4479e0319e0a9f67",
+        "d729c9bed602465eb3d498941dffddad7bd95a5c46e02f0a81e586362b44cd2a",
     "wrong-password":
-        "e436c1fd9571f478a406cafbdeec74cfe6e8fd1c85f3373726bc8f798fe268fd",
+        "82fb684c0a4f0d6c0392254f72a24fc13a1c38991033562a95edffcbae73838e",
 }
 
 _WIRE_FIELDS = re.compile(r" kind=(\S+) bytes=(\d+)(?: sha=(\S+))?")

@@ -22,7 +22,11 @@ from itstore.errors import (
 from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork
 from itstore.mac import MacScheme
 from itstore.protocol import Outcome, Phase, RolePlacement, TpvSession
-from itstore.stores import directory_contains_window
+from itstore.stores import (
+    HolderStore,
+    directory_contains_window,
+    holder_record_files,
+)
 from itstore.wire import SCHEMA, SID
 
 DATA = b"Important archival payload: " + bytes(range(200))
@@ -683,11 +687,12 @@ def test_precompute_sends_one_pair_per_batch_and_checks_the_first_round(
     lines = len(session.transcript)
     assert session.precompute(sid, rounds=5) == (0, 1, 2, 3, 4)
     # 5 tuples from 3 batches of w = 2: code, header (sid, first round,
-    # batch count, contributor) and 3 pairs of 16-byte values
+    # batch count, contributor), no live round (a u32 run count of 0) and
+    # 3 pairs of 16-byte values
     sizes = {int(line.split(" bytes=")[1].split()[0])
              for line in session.transcript[lines:]
              if " kind=precomp " in line}
-    assert sizes == {1 + 16 + 4 + 4 + 1 + 3 * 2 * 16}
+    assert sizes == {1 + 16 + 4 + 4 + 1 + 4 + 3 * 2 * 16}
     # precomp: code u8, sid16, u32 first_round, u32 n_batches, u8 contributor
     fired = relabel_on_send(
         session,
@@ -699,6 +704,136 @@ def test_precompute_sends_one_pair_per_batch_and_checks_the_first_round(
     for j in session.params.holder_indices:
         assert sorted(session.holder_stores[j].get_secret(sid).tuples) == [
             0, 1, 2, 3, 4]
+
+
+# ------------------------------------------------ retiring spent rounds
+
+
+def live_ids(session, sid, j):
+    return session.holder_stores[j].get_secret(sid).unconsumed_rounds()
+
+
+def tuple_values(session, sid, j, ids):
+    """Holder j's r and z values of the given rounds, as stored bytes."""
+    tuples = session.holder_stores[j].get_secret(sid).tuples
+    width = session.params.field.byte_width
+    return [v.to_bytes(width, "big")
+            for rid in ids for v in (tuples[rid].r, tuples[rid].z)]
+
+
+@pytest.mark.parametrize("idle,kwargs", [
+    (4, {"subset": (1, 2, 3)}),
+    (2, {"offline": (2,)}),
+], ids=["subset-123", "offline-2"])
+def test_the_next_precompute_retires_rounds_spent_elsewhere(tmp_path, idle,
+                                                            kwargs):
+    session = make_session(tmp_path)
+    sid, _t1, blocks = register_and_stock(session)
+    stocked = live_ids(session, sid, idle)
+    values = tuple_values(session, sid, idle, stocked)
+    result = session.reconstruct_and_release(sid, PASSWORD, **kwargs)
+    assert result.data == DATA
+    assert live_ids(session, sid, idle) == stocked  # not asked, nothing spent
+    session.precompute(sid, rounds=blocks)
+    fresh = list(range(blocks, 2 * blocks))
+    for j in session.params.holder_indices:
+        assert live_ids(session, sid, j) == fresh
+    holder_dir = tmp_path / "run" / ("holder-%d" % idle)
+    for value in values:
+        assert not directory_contains_window(holder_dir, value, len(value))
+    assert session.holder_stores[idle].consumed_rounds(sid) == tuple(stocked)
+    assert session.reconstruct_and_release(sid, PASSWORD).data == DATA
+
+
+def test_a_live_rounds_header_past_the_first_round_fails_closed(tmp_path):
+    session = make_session(tmp_path)
+    sid, _t1 = session.register(DATA, PASSWORD)
+    assert session.precompute(sid, rounds=2) == (0, 1)
+    journals = {j: len(store._log)
+                for j, store in session.holder_stores.items()}
+    send = session.transport.send
+    # precomp: code u8, sid16, u32 first_round, u32 n_batches, u8
+    # contributor, then live_rounds: a u32 run count and (first, count)
+    # pairs. Holder 2 says rounds 0-2 are live; the round starts at 2.
+    fired = relabel_on_send(
+        session,
+        lambda s, r, kind: (kind, s, r) == ("precomp", "holder-2", "holder-3"),
+        lambda payload: payload[:34] + (3).to_bytes(4, "big") + payload[38:])
+    with pytest.raises(ProtocolError, match="at or past first round 2"):
+        session.precompute(sid, rounds=2)
+    assert fired == ["precomp"]
+    for j, store in session.holder_stores.items():
+        share_set = store.get_secret(sid)
+        assert sorted(share_set.tuples) == [0, 1]
+        assert share_set.next_round == 2
+        assert len(store._log) == journals[j]
+
+    session.transport.send = send
+    assert session.precompute(sid, rounds=2) == (2, 3)
+    for j in session.params.holder_indices:
+        assert live_ids(session, sid, j) == [0, 1, 2, 3]
+
+
+def test_a_crash_after_the_retirement_is_journaled_keeps_it(tmp_path):
+    session = make_session(tmp_path)
+    sid, _t1, blocks = register_and_stock(session)
+    stranded = live_ids(session, sid, 4)
+    values = tuple_values(session, sid, 4, stranded)
+    session.reconstruct_and_release(sid, PASSWORD, subset=(1, 2, 3))
+
+    class Crash(Exception):
+        pass
+
+    def crash(secret_id=None):
+        raise Crash()
+
+    store = session.holder_stores[4]
+    store.save = crash  # the process dies before holder 4's record moves
+    with pytest.raises(Crash):
+        session.precompute(sid, rounds=blocks)
+    holder_dir = tmp_path / "run" / "holder-4"
+    reopened = HolderStore(holder_dir)
+    share_set = reopened.get_secret(sid)
+    assert not set(stranded) & set(share_set.tuples)
+    assert reopened.consumed_rounds(sid) == tuple(stranded)
+    for value in values:
+        assert not directory_contains_window(holder_dir, value, len(value))
+
+
+def test_an_idle_holders_record_stays_as_small_as_a_responders(tmp_path):
+    session = make_session(tmp_path)
+    sid, _t1 = session.register(DATA, PASSWORD)
+    blocks = session.holder_stores[1].get_secret(sid).block_count
+    root = tmp_path / "run"
+
+    def record_bytes(j):
+        return sum(holder_record_files(root / ("holder-%d" % j))[sid].values())
+
+    for _cycle in range(20):
+        session.precompute(sid, rounds=blocks)
+        assert abs(record_bytes(4) - record_bytes(1)) <= 0.05 * record_bytes(1)
+        assert session.reconstruct_and_release(sid, PASSWORD).data == DATA
+
+
+def test_stranded_stock_wider_than_one_spend_retires_in_chunks(tmp_path):
+    session = make_session(tmp_path)
+    sid, _t1, blocks = register_and_stock(session, extra_rounds=0)
+    session.precompute(sid, rounds=2 * blocks)
+    for _ in range(3):
+        result = session.reconstruct_and_release(sid, PASSWORD,
+                                                 subset=(1, 2, 3))
+        assert result.data == DATA
+    assert len(live_ids(session, sid, 4)) == 3 * blocks
+    journal = len(session.holder_stores[4]._log)
+    session.precompute(sid, rounds=blocks)
+    reopened = {j: HolderStore(tmp_path / "run" / ("holder-%d" % j))
+                for j in session.params.holder_indices}
+    for j, store in reopened.items():
+        assert store.get_secret(sid).unconsumed_rounds() == list(
+            range(3 * blocks, 4 * blocks))
+    spends = [payload for payload in reopened[4]._log.payloads()[journal:]
+              if payload[:1] == b"C"]
+    assert len(spends) == 3
 
 
 def test_a_recon_ask_that_repeats_a_round_id_spends_nothing(tmp_path):

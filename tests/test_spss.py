@@ -32,6 +32,7 @@ from itstore.spss import (
     password_to_element,
     precompute_round,
     reassemble_blocks,
+    retired_rounds,
     spss_recover,
     spss_register,
     spss_request,
@@ -273,6 +274,16 @@ def test_precompute_round_accounting():
         assert share_set.unconsumed_rounds() == [0, 1]
         for tup in share_set.tuples.values():
             assert isinstance(tup.r, int) and isinstance(tup.z, int)
+
+
+def test_retired_rounds_are_those_some_other_holder_lacks():
+    live = [0, 1, 2, 3, 5, 8]
+    # one holder spent 0-1, another also 8; 9 is not held here at all
+    reported = [(0, 1, 2, 3, 5, 8, 9), (2, 3, 5, 8), (2, 3, 5)]
+    assert retired_rounds(live, reported) == (0, 1, 8)
+    assert retired_rounds(live, [tuple(live)] * 3) == ()
+    assert retired_rounds(live, [()]) == tuple(live)
+    assert retired_rounds([], reported) == ()
 
 
 def test_precompute_zero_shares_interpolate_to_zero():

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import os
+import random
 import re
 import struct
 import tracemalloc
@@ -826,6 +827,106 @@ def test_save_guard_refuses_resurrected_tuple(tmp_path):
         store.save()
 
 
+def test_spent_runs_match_a_set_oracle():
+    rnd = random.Random("spent-runs")
+    for span in (6, 40, 500):
+        for _trial in range(40):
+            runs, oracle = stores_mod._SpentRuns(), set()
+            assert runs.top() == -1 and runs.count_below(span) == 0
+            assert runs.gaps(0, 5) == [0, 1, 2, 3, 4]
+            for _step in range(rnd.randrange(1, 25)):
+                if rnd.random() < 0.5:
+                    first = rnd.randrange(span)
+                    end = first + rnd.randrange(1, 8)
+                    runs.add(first, end)
+                    oracle.update(range(first, end))
+                else:
+                    ids = rnd.sample(range(span), rnd.randrange(1, 6))
+                    runs.add_ids(ids)
+                    oracle.update(ids)
+                pairs = list(zip(runs.firsts, runs.ends))
+                assert all(first < end for first, end in pairs)
+                assert all(a[1] < b[0] for a, b in zip(pairs, pairs[1:]))
+                probe = range(-1, span + 9)
+                assert [rid in runs for rid in probe] == [
+                    rid in oracle for rid in probe]
+                bound = rnd.randrange(span + 9)
+                assert runs.count_below(bound) == sum(
+                    1 for rid in oracle if rid < bound)
+                assert runs.top() == max(oracle)
+                live = sorted(rnd.sample(probe, rnd.randrange(len(probe))))
+                assert runs.members(live) == [
+                    rid for rid in live if rid in oracle]
+                lo, hi = sorted(rnd.sample(probe, 2))
+                assert runs.gaps(lo, hi) == [
+                    rid for rid in range(lo, hi) if rid not in oracle]
+
+
+def test_spent_runs_of_fragmented_spends_merge():
+    runs = stores_mod._SpentRuns()
+    for rid in range(0, 1000, 2):
+        runs.add_ids((rid,))
+    assert len(runs) == 500 and 998 in runs and 999 not in runs
+    assert runs.count_below(1000) == 500
+    for rid in range(999, 0, -2):
+        runs.add_ids((rid,))
+    assert (runs.firsts, runs.ends) == ([0], [1000])
+    runs.add(1000, 1001)
+    runs.add(2000, 2001)
+    assert (runs.firsts, runs.ends) == ([0, 2000], [1001, 2001])
+
+
+def test_replay_of_scattered_single_spends_matches_a_set_replay(tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid = secrets[0][0]
+    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
+    precompute_round(live, rng("scatter"), rounds=60)
+    stores[1].save(sid)
+    limit = live[1].block_count
+    rnd = random.Random("scatter")
+    # spends journaled by a crash before their record rewrite: some below
+    # next_round, some of rounds stocked after the last save
+    spent = rnd.sample(range(60), 25) + rnd.sample(range(60, 60 + 3 * limit),
+                                                   3)
+    journal = ChainedLog(tmp_path / "holder-1" / "journal.log")
+    for rid in spent:
+        journal.append(stores_mod._consume_record(sid, (rid,)))
+    # what replaying the journal as a set of every spent id gives
+    next_round = max(spent) + 1
+    expect_live = [rid for rid in range(60) if rid not in spent]
+    for _reopen in range(2):
+        reopened = HolderStore(tmp_path / "holder-1")
+        share_set = reopened.get_secret(sid)
+        assert share_set.unconsumed_rounds() == expect_live
+        assert share_set.next_round == next_round
+        assert reopened.consumed_rounds(sid) == tuple(
+            rid for rid in range(next_round) if rid not in expect_live)
+    # the ids between 60 and the top spend that no one spent are journaled
+    # lost, so a third open still vouches for every absent id
+    assert len(ChainedLog(tmp_path / "holder-1" / "journal.log")) > len(spent)
+
+
+def test_retire_journals_chunks_of_one_spend_and_refuses_a_dead_round(
+        tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid = secrets[0][0]
+    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
+    limit = live[4].block_count
+    precompute_round(live, rng("retire"), rounds=3 * limit + 1)
+    store = stores[4]
+    store.save(sid)
+    with pytest.raises(ProtocolError):
+        store.retire(sid, (0, 3 * limit + 1))
+    assert len(store._log) == 0
+    store.retire(sid, range(3 * limit))
+    assert len(store._log) == 3  # one consume record per `limit` ids
+    assert live[4].unconsumed_rounds() == [3 * limit]
+    store.save(sid)
+    reopened = HolderStore(tmp_path / "holder-4")
+    assert reopened.get_secret(sid).unconsumed_rounds() == [3 * limit]
+    assert reopened.consumed_rounds(sid) == tuple(range(3 * limit))
+
+
 def test_reconstruction_through_stores(tmp_path):
     source = rng("recon")
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
@@ -1076,6 +1177,13 @@ def crash_case(directory, op):
     if op == "respond":
         request = spss_request(777, (1, 2, 3), CRASH_PARAMS, source)[1]
         return store, lambda: store.respond(SID_A, request)
+    if op == "retire":
+        stranded = holders[1].unconsumed_rounds()
+
+        def retire():
+            store.retire(SID_A, stranded)
+            store.save(SID_A)
+        return store, retire
     field = CRASH_PARAMS.field
     renewed = [field.add(v, 1 + i)
                for i, v in enumerate(holders[1].data_shares)]
@@ -1103,7 +1211,7 @@ def share_values(share_set) -> set:
 
 
 @pytest.mark.parametrize("op", ["put-first", "put", "precompute", "respond",
-                                "renew"])
+                                "retire", "renew"])
 def test_crash_at_every_fsync_leaves_an_openable_consistent_store(tmp_path, op):
     """Crash at each fsync of one operation, reopen (crashing again at each
     fsync of the recovery until it completes) and check the guarantees."""

@@ -105,7 +105,7 @@ from .spss import (
     holder_respond,
     spend_ids,
 )
-from .wire import Cursor, column, encode_ids, expand_runs, id_runs
+from .wire import Cursor, column, encode_ids, id_runs
 
 __all__ = [
     "ChainedLog",
@@ -581,10 +581,6 @@ class _SpentRuns:
         for first, count in zip(flat[0::2], flat[1::2]):
             self.add(first, first + count)
 
-    def __contains__(self, rid: int) -> bool:
-        i = bisect_right(self.firsts, rid) - 1
-        return i >= 0 and rid < self.ends[i]
-
     def __len__(self) -> int:
         return len(self.firsts)
 
@@ -634,12 +630,11 @@ def _renew_record(secret_id: bytes, round_no: int) -> bytes:
             + struct.pack(">I", round_no))
 
 
-def _parse_journal_record(payload: bytes, limits=None, expand=True):
-    """(kind, secret id, extra): the consumed round ids, expanded from
-    their runs (as (first, end) ranges unless `expand`), or the renewal
-    round number. A consume record may name at most limits[secret id]
-    rounds, and with `limits` only a secret it holds; without it, at most
-    wire.MAX_IDS."""
+def _parse_journal_record(payload: bytes, limits=None):
+    """(kind, secret id, extra): the consumed round ids as checked
+    (first, end) ranges, or the renewal round number. A consume record may
+    name at most limits[secret id] rounds, and with `limits` only a secret
+    it holds; without it, at most wire.MAX_IDS."""
     rd = Cursor(payload, TamperDetectedError, "journal record")
     kind = rd.take(1)
     sid = rd.take(rd.uint(1))
@@ -649,7 +644,7 @@ def _parse_journal_record(payload: bytes, limits=None, expand=True):
                 "journal names unknown secret %s" % sid.hex())
         runs = rd.runs(None if limits is None else limits[sid])
         rd.done()
-        return "consume", sid, expand_runs(runs) if expand else runs
+        return "consume", sid, runs
     if kind == b"R":
         round_no = rd.uint(4)
         rd.done()
@@ -771,14 +766,13 @@ class HolderStore:
         return seq, _decode_share_set(body[_SEQ.size:], self.holder, path)
 
     def _journal_records(self):
-        """The journal's records, as _parse_journal_record reads them, a
-        consume record's rounds as (first, end) ranges. A consume record
-        names a secret of this store and spends at most as many rounds as
-        that secret has blocks (one, for a single tuple)."""
+        """The journal's records, as _parse_journal_record reads them. A
+        consume record names a secret of this store and spends at most as
+        many rounds as that secret has blocks (one, for a single tuple)."""
         limits = {sid: _spend_limit(ss) for sid, ss in self._secrets.items()}
         for payload in self._log.payloads():
             try:
-                yield _parse_journal_record(payload, limits, expand=False)
+                yield _parse_journal_record(payload, limits)
             except TamperDetectedError as exc:
                 raise TamperDetectedError(
                     "%s: %s" % (self._log.path, exc)) from None
@@ -830,9 +824,7 @@ class HolderStore:
                         "%s: journal spends round %d, %d past next round %d"
                         % (self._log.path, top, top - ss.next_round,
                            ss.next_round))
-                lost = journaled.gaps(ss.next_round, top)
-                for i in range(0, len(lost), limit):
-                    self._journal_consume(sid, lost[i:i + limit])
+                self._journal_spends(sid, journaled.gaps(ss.next_round, top))
                 ss.next_round = top + 1
                 stale.add(sid)
         for sid in sorted(stale):
@@ -923,6 +915,13 @@ class HolderStore:
         self._log.append(_consume_record(secret_id, ids))
         self._journaled.setdefault(secret_id, _SpentRuns()).add_ids(ids)
 
+    def _journal_spends(self, secret_id: bytes, round_ids: list) -> None:
+        """Journal spends of any number of rounds, at most _spend_limit
+        ids per consume record, so the journal still reopens."""
+        limit = _spend_limit(self.get_secret(secret_id))
+        for i in range(0, len(round_ids), limit):
+            self._journal_consume(secret_id, round_ids[i:i + limit])
+
     def consume_tuple(self, secret_id: bytes,
                       round_id: "int | None" = None) -> PrecomputedTuple:
         """Spend one tuple (oldest first unless pinned) and return it. The
@@ -950,20 +949,17 @@ class HolderStore:
         return response
 
     def retire(self, secret_id: bytes, round_ids) -> None:
-        """Spend live rounds that will never be served: journal them, at
-        most _spend_limit ids per consume record so the journal reopens,
-        and drop them. The caller's next save erases their values from the
-        record; a crash before it leaves them journaled, and opening drops
-        them again."""
+        """Spend live rounds that will never be served: journal them with
+        _journal_spends and drop them. The caller's next save erases their
+        values from the record; a crash before it leaves them journaled,
+        and opening drops them again."""
         ss = self.get_secret(secret_id)
         ids = sorted(round_ids)
         for rid in ids:
             if rid not in ss.tuples:
                 raise ProtocolError("holder %d cannot retire round %d of %s"
                                     % (self.holder, rid, secret_id.hex()))
-        limit = _spend_limit(ss)
-        for i in range(0, len(ids), limit):
-            self._journal_consume(secret_id, ids[i:i + limit])
+        self._journal_spends(secret_id, ids)
         for rid in ids:
             del ss.tuples[rid]
 

@@ -41,7 +41,7 @@ from operator import sub
 from .errors import ConfigurationError, ImproperRequestError, ProtocolError
 
 __all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor", "check_runs", "column",
-           "encode_ids", "expand_runs", "id_runs", "ids_from_runs"]
+           "encode_ids", "expand_runs", "id_runs"]
 
 SID_BYTES = 16
 # Most ids one decoded id list may name: a 12-byte run could otherwise
@@ -207,13 +207,6 @@ def expand_runs(ranges) -> tuple:
     for first, end in ranges:
         ids += range(first, end)
     return tuple(ids)
-
-
-def ids_from_runs(flat, limit: "int | None" = None) -> tuple:
-    """Inverse of id_runs; refuses any run list id_runs cannot produce,
-    and one naming more than `limit` ids (MAX_IDS by default), before
-    expanding any run."""
-    return expand_runs(check_runs(flat, limit))
 
 
 def column(values, width: int) -> bytes:

@@ -11,7 +11,8 @@ from itstore.errors import (
     TamperDetectedError,
 )
 import itstore.wire as wire
-from itstore.wire import SCHEMA, Codec, Cursor, id_runs, ids_from_runs
+from itstore.wire import (SCHEMA, Codec, Cursor, check_runs, expand_runs,
+                          id_runs)
 
 CODEC = Codec(W=16, P=33, tag=8, digest=64, degree=3)
 
@@ -152,7 +153,7 @@ def runs_message(runs, sid=bytes(16)):
 def test_round_ids_travel_as_canonical_runs(ids, runs):
     flat = [v for run in runs for v in run]
     assert id_runs(ids) == flat
-    assert ids_from_runs(flat) == ids
+    assert expand_runs(check_runs(flat)) == ids
     raw = CODEC.encode("avail-reply", bytes(16), 3, ids)
     assert raw == runs_message(runs)
     assert CODEC.decode("avail-reply", raw) == (bytes(16), 3, ids)
@@ -160,9 +161,10 @@ def test_round_ids_travel_as_canonical_runs(ids, runs):
 
 def test_an_id_list_expands_to_at_most_max_ids(monkeypatch):
     monkeypatch.setattr(wire, "MAX_IDS", 10)
-    assert ids_from_runs([3, 4, 9, 6]) == (3, 4, 5, 6, 9, 10, 11, 12, 13, 14)
+    assert expand_runs(check_runs([3, 4, 9, 6])) == (
+        3, 4, 5, 6, 9, 10, 11, 12, 13, 14)
     with pytest.raises(ImproperRequestError, match="more than 10"):
-        ids_from_runs([3, 4, 9, 7])
+        check_runs([3, 4, 9, 7])
 
 
 def test_non_contiguous_id_sets_round_trip():

@@ -177,6 +177,8 @@ class HolderShareSet:
     tuples holds the live masking tuples only. Round ids are stocked
     contiguously from 0 and next_round is one past the highest ever
     stocked, so a spent round is an id below next_round that is absent.
+    renewal_runs holds the renewal rounds applied to data_shares as
+    increasing, non-touching (first, end) ranges.
     """
 
     holder: int
@@ -185,6 +187,7 @@ class HolderShareSet:
     password_share: int  # f_P(j)
     tuples: dict = dc_field(default_factory=dict)  # round_id -> PrecomputedTuple
     next_round: int = 0
+    renewal_runs: list = dc_field(default_factory=list)
 
     @property
     def block_count(self) -> int:

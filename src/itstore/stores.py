@@ -5,8 +5,8 @@ store creates its directory with its first write, and opens a missing one
 as an empty store, so building a deployment creates no directory:
 
   HolderStore      -- a holder's share sets, one record per secret, plus a
-                      consumption journal so a masking tuple is spent at
-                      most once across crashes.
+                      spend journal so a masking tuple is spent at most
+                      once across crashes.
   VerifierStore    -- the append-only registration record log; any byte of
                       an existing record is covered by a rolling hash chain
                       and a flipped bit is detected on load.
@@ -29,29 +29,36 @@ first save, never by the constructor. Each secret has two record slots,
 empty. A record is a 4-byte sequence number, the share set, and SHA-256
 over a record-layout label, the holder index, the secret id and those
 bytes; the id itself is only the file name. The share set is the layout
-(t, n, the field), the data shares and the password share, then
-`next_round` (a u32 one past the highest round id ever stocked), the live
-round ids as canonical (first, count) runs, and the live tuples' r column
-and z column, in the runs' order. That is 32 bytes per live tuple in
-the 127-bit field and nothing per spent one: round ids are stocked
+(t, n, the field), the data shares and the password share, the renewal
+rounds applied to the data shares as canonical (first, count) runs
+(`wire.encode_ids`), then `next_round` (a u32 one past the highest round
+id ever stocked), the live round ids as runs too, and the live tuples' r
+column and z column, in the runs' order. That is 32 bytes per live tuple
+in the 127-bit field and nothing per spent one: round ids are stocked
 contiguously from 0, so an id below `next_round` that is not live is
 spent. Spent ids are never materialized, on disk or in memory: a share
-set holds its live tuples and `next_round`, nothing more. A journal
-consume record names its rounds as runs too, and the store keeps each
-secret's journaled ids in memory as merged (first, end) runs
-(`_SpentRuns`), so what it holds, and what a save's check against the
-journal costs, follows the live tuples and the runs, not every round
-ever spent. Records of earlier layouts, which kept a round id and a
-spent flag per tuple (or every contributor's r and z), fail the digest
-and are refused as tampered; so is a record whose runs are malformed,
-name an id at or past `next_round`, or disagree with its column
-lengths, and one
-whose spent ids below `next_round` outnumber the ids the journal names
-for that secret below it (every spend is journaled first). A journal
-consume record naming more rounds than its secret has blocks, or a
-secret the store lacks, is refused too. So what opening builds in memory
-is bounded by what the files honestly describe, before anything is
-expanded. A save rewrites only the secret that changed, with 2 fsyncs:
+set holds its live tuples and `next_round`, nothing more, and its
+renewal rounds as runs.
+
+`journal.log` is a ChainedLog of consume records, the spends, and
+nothing else. Each names one secret's rounds as runs. It is read once,
+when the store opens, and the store keeps each secret's journaled ids
+in memory as merged (first, end) runs (`_SpentRuns`), so what it holds,
+and what a save's check against the journal costs, follows the live
+tuples and the runs, not every round ever spent.
+
+Records of earlier layouts, which kept the renewal rounds in the
+journal, a round id and a spent flag per tuple, or every contributor's r
+and z, fail the digest and are refused as tampered; so is a record whose
+runs are malformed, name an id at or past `next_round`, or disagree with
+its column lengths, and one whose spent ids below `next_round` outnumber
+the ids the journal names for that secret below it (every spend is
+journaled first). A journal consume record naming more rounds than its
+secret has blocks, or a secret the store lacks, is refused too. So what
+opening builds in memory is bounded by what the files honestly
+describe, before anything is expanded.
+
+A save rewrites only the secret that changed, with 2 fsyncs:
 
   1. write the record, with the next sequence number, into the empty
      slot and fsync it;
@@ -92,7 +99,6 @@ from pathlib import Path
 
 from .errors import (
     ConfigurationError,
-    PrecomputationExhaustedError,
     ProtocolError,
     TamperDetectedError,
 )
@@ -105,7 +111,7 @@ from .spss import (
     holder_respond,
     spend_ids,
 )
-from .wire import Cursor, column, encode_ids, id_runs
+from .wire import Cursor, column, encode_ids, expand_runs, id_runs
 
 __all__ = [
     "ChainedLog",
@@ -124,7 +130,7 @@ _CHAIN_GENESIS = b"\x00" * 32
 _CHAIN_BYTES = 32
 _HOLDER_MAGIC = b"ITHS2\n"
 # bound into every record digest: records of another layout never verify
-_RECORD_LAYOUT = b"ITHR live-tuple-runs\n"
+_RECORD_LAYOUT = b"ITHR renewal-rounds\n"
 _HOLDER_META = "holder.bin"
 _SLOTS = ("a", "b")
 _RECORD_SUFFIXES = _SLOTS + ("new",)
@@ -228,33 +234,40 @@ class ChainedLog:
 
     Layout per record: 4-byte big-endian payload length, payload, then
     SHA-256(previous chain value || payload). The first record chains from
-    32 zero bytes. Loading verifies every link; any flipped byte or
-    truncation raises TamperDetectedError. Appends never touch existing
-    bytes, so every prior byte range is preserved verbatim.
+    32 zero bytes. `ChainedLog.open` verifies every link once and hands
+    the payloads to its caller; any flipped byte or truncation raises
+    TamperDetectedError. The log itself keeps only its chain tail. Appends
+    never touch existing bytes, so every prior byte range is preserved
+    verbatim.
     """
 
-    def __init__(self, path):
-        self.path = Path(path)
-        self._payloads = []
-        self._tail = _CHAIN_GENESIS
-        self._created = self.path.exists()
-        if self._created:
-            self._load()
+    def __init__(self, path: Path, tail: bytes, created: bool):
+        """A log whose file, at `path`, ends at chain value `tail`; only
+        `open` knows those, so open a log with it."""
+        self.path = path
+        self._tail = tail
+        self._created = created
 
-    def _load(self) -> None:
-        raw = self.path.read_bytes()
+    @classmethod
+    def open(cls, path) -> tuple:
+        """(the log, its verified payloads as a tuple). A missing file is
+        an empty log and costs one existence check."""
+        path = Path(path)
+        if not path.exists():
+            return cls(path, _CHAIN_GENESIS, False), ()
+        raw = path.read_bytes()
         off = 0
         tail = _CHAIN_GENESIS
         payloads = []
         while off < len(raw):
             if off + 4 > len(raw):
                 raise TamperDetectedError(
-                    "%s: truncated length field at byte %d" % (self.path, off))
+                    "%s: truncated length field at byte %d" % (path, off))
             (n,) = struct.unpack_from(">I", raw, off)
             off += 4
             if off + n + _CHAIN_BYTES > len(raw):
                 raise TamperDetectedError(
-                    "%s: truncated record %d" % (self.path, len(payloads)))
+                    "%s: truncated record %d" % (path, len(payloads)))
             payload = raw[off:off + n]
             off += n
             link = raw[off:off + _CHAIN_BYTES]
@@ -262,14 +275,13 @@ class ChainedLog:
             expect = hashlib.sha256(tail + payload).digest()
             if link != expect:
                 raise TamperDetectedError(
-                    "%s: hash chain break at record %d" % (self.path, len(payloads)))
+                    "%s: hash chain break at record %d" % (path, len(payloads)))
             payloads.append(payload)
             tail = link
-        self._payloads = payloads
-        self._tail = tail
+        return cls(path, tail, True), tuple(payloads)
 
-    def append(self, payload: bytes) -> int:
-        """Append one record; returns its index."""
+    def append(self, payload: bytes) -> None:
+        """Append one record."""
         link = hashlib.sha256(self._tail + payload).digest()
         with open(self.path, "ab") as fh:
             fh.write(struct.pack(">I", len(payload)))
@@ -280,15 +292,7 @@ class ChainedLog:
         if not self._created:
             _fsync_directory(self.path.parent)
             self._created = True
-        self._payloads.append(payload)
         self._tail = link
-        return len(self._payloads) - 1
-
-    def payloads(self) -> tuple:
-        return tuple(self._payloads)
-
-    def __len__(self) -> int:
-        return len(self._payloads)
 
 
 # -------------------------------------------------------- verifier store
@@ -334,8 +338,8 @@ class VerifierStore:
 
     def __init__(self, directory):
         self.directory = Path(directory)
-        self._log = ChainedLog(self.directory / "verifier.log")
-        self._records = [_decode_verifier_record(p) for p in self._log.payloads()]
+        self._log, payloads = ChainedLog.open(self.directory / "verifier.log")
+        self._records = [_decode_verifier_record(p) for p in payloads]
 
     def append(self, record: VerifierRecord) -> None:
         if self._records and record.t2 < self._records[-1].t2:
@@ -494,6 +498,7 @@ def _encode_share_set(ss: HolderShareSet) -> bytes:
         struct.pack(">I", len(ss.data_shares)),
         column(ss.data_shares, width),
         ss.password_share.to_bytes(width, "big"),
+        encode_ids(expand_runs(ss.renewal_runs)),
         struct.pack(">I", ss.next_round),
         encode_ids(live),
         column([tuples[rid].r for rid in live], width),
@@ -511,6 +516,7 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
     params = SpssParams(t_sh, n_sh, PrimeField(q))
     data_shares = rd.uints(rd.uint(4), width)
     password_share = rd.uint(width)
+    renewal_runs = rd.runs()
     next_round = rd.uint(4)
     # each live id has an r and a z after the runs, which bounds the runs
     # before any is expanded
@@ -523,7 +529,7 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
                                   "round %d" % (path, next_round))
     tuples = dict(zip(live, map(PrecomputedTuple, live, r_column, z_column)))
     return HolderShareSet(holder, params, data_shares, password_share,
-                          tuples, next_round)
+                          tuples, next_round, renewal_runs)
 
 
 def _record_digest(holder: int, secret_id: bytes, body: bytes) -> bytes:
@@ -621,49 +627,41 @@ def _spend_limit(ss: HolderShareSet) -> int:
 
 
 def _consume_record(secret_id: bytes, round_ids) -> bytes:
+    """A journal record spending increasing round ids of one secret."""
     return (b"C" + struct.pack(">B", len(secret_id)) + secret_id
-            + encode_ids(sorted(round_ids)))
+            + encode_ids(round_ids))
 
 
-def _renew_record(secret_id: bytes, round_no: int) -> bytes:
-    return (b"R" + struct.pack(">B", len(secret_id)) + secret_id
-            + struct.pack(">I", round_no))
-
-
-def _parse_journal_record(payload: bytes, limits=None):
-    """(kind, secret id, extra): the consumed round ids as checked
-    (first, end) ranges, or the renewal round number. A consume record may
-    name at most limits[secret id] rounds, and with `limits` only a secret
-    it holds; without it, at most wire.MAX_IDS."""
+def _parse_journal_record(payload: bytes, limits: dict) -> tuple:
+    """(secret id, the consumed round ids as checked (first, end) ranges)
+    of a consume record, the journal's one kind. It may name only a
+    secret in `limits`, and at most limits[secret id] rounds."""
     rd = Cursor(payload, TamperDetectedError, "journal record")
-    kind = rd.take(1)
+    if rd.take(1) != b"C":
+        raise TamperDetectedError("malformed journal record")
     sid = rd.take(rd.uint(1))
-    if kind == b"C":
-        if limits is not None and sid not in limits:
-            raise TamperDetectedError(
-                "journal names unknown secret %s" % sid.hex())
-        runs = rd.runs(None if limits is None else limits[sid])
-        rd.done()
-        return "consume", sid, runs
-    if kind == b"R":
-        round_no = rd.uint(4)
-        rd.done()
-        return "renew", sid, round_no
-    raise TamperDetectedError("malformed journal record")
+    if sid not in limits:
+        raise TamperDetectedError(
+            "journal names unknown secret %s" % sid.hex())
+    runs = rd.runs(limits[sid])
+    rd.done()
+    return sid, runs
 
 
 class HolderStore:
-    """One holder's durable state: one record per secret plus the
-    consumption journal.
+    """One holder's durable state: one record per secret plus the spend
+    journal.
 
-    The journal is the source of truth for which masking tuples are spent.
-    Spending order is journal first, then the record rewrite, then release
-    to the caller; replaying the journal over a stale record (a crash
-    between the first two steps) drops the claimed tuples again, so no
-    tuple is ever issued twice. Renewal goes the other way around --
-    the old shares are destroyed by the record rewrite before the journal
-    notes the round -- because stale *new* shares are harmless while stale
-    old ones defeat the renewal.
+    A secret's record holds every fact about it that changes together:
+    its shares, its live masking tuples and the renewal rounds applied to
+    it. The journal holds spends only, and is the source of truth for
+    which masking tuples are spent. A tuple leaves only by `respond` or
+    `retire`: the journal first, then the record rewrite, then release to
+    the caller; replaying the journal over a stale record (a crash between
+    the first two steps) drops the claimed tuples again, so no tuple is
+    ever issued twice. A renewal is one record rewrite, which destroys the
+    old share values and notes the round together, so a crash leaves the
+    old shares with the old rounds or the new shares with the new.
 
     The constructor writes nothing to a new store: the directory and the
     holder index reach disk with the first save.
@@ -672,7 +670,7 @@ class HolderStore:
     def __init__(self, directory, holder: "int | None" = None):
         self.directory = Path(directory)
         self._meta_path = self.directory / _HOLDER_META
-        self._log = ChainedLog(self.directory / "journal.log")
+        self._log, payloads = ChainedLog.open(self.directory / "journal.log")
         self._journaled = {}  # secret id -> _SpentRuns of journaled ids
         self._secrets = {}
         self._live = {}  # secret id -> (slot suffix of the live record, seq)
@@ -693,7 +691,7 @@ class HolderStore:
         self._meta_durable = stored is not None
         if existing:
             self._load_records()
-            self._replay_journal()
+            self._replay_journal(payloads)
 
     def _read_meta(self) -> "int | None":
         if (self.directory / "state.bin").exists():
@@ -765,20 +763,12 @@ class HolderStore:
         (seq,) = _SEQ.unpack_from(body)
         return seq, _decode_share_set(body[_SEQ.size:], self.holder, path)
 
-    def _journal_records(self):
-        """The journal's records, as _parse_journal_record reads them. A
-        consume record names a secret of this store and spends at most as
-        many rounds as that secret has blocks (one, for a single tuple)."""
-        limits = {sid: _spend_limit(ss) for sid, ss in self._secrets.items()}
-        for payload in self._log.payloads():
-            try:
-                yield _parse_journal_record(payload, limits)
-            except TamperDetectedError as exc:
-                raise TamperDetectedError(
-                    "%s: %s" % (self._log.path, exc)) from None
-
-    def _replay_journal(self) -> None:
+    def _replay_journal(self, payloads) -> None:
         """Re-spend every journaled round a crash left live.
+
+        `payloads` are the journal's records, read once at open. Each
+        names a secret of this store and spends at most as many rounds as
+        that secret has blocks.
 
         Spent ids are never materialized: a share set's spent rounds are
         the ids below its next_round that are not live. Every spend is
@@ -794,11 +784,16 @@ class HolderStore:
 
         The journaled ids are kept as merged runs, so every step here
         costs O(live tuples + runs), however many rounds were spent."""
-        for kind, sid, extra in self._journal_records():
-            if kind == "consume":
-                runs = self._journaled.setdefault(sid, _SpentRuns())
-                for first, end in extra:
-                    runs.add(first, end)
+        limits = {sid: _spend_limit(ss) for sid, ss in self._secrets.items()}
+        for payload in payloads:
+            try:
+                sid, ranges = _parse_journal_record(payload, limits)
+            except TamperDetectedError as exc:
+                raise TamperDetectedError(
+                    "%s: %s" % (self._log.path, exc)) from None
+            runs = self._journaled.setdefault(sid, _SpentRuns())
+            for first, end in ranges:
+                runs.add(first, end)
         stale = set()
         for sid, ss in self._secrets.items():
             journaled = self._journaled.get(sid, _SpentRuns())
@@ -854,26 +849,23 @@ class HolderStore:
     def secret_ids(self) -> tuple:
         return tuple(sorted(self._secrets))
 
-    def save(self, secret_id: "bytes | None" = None) -> None:
-        """Persist one secret's live share set, or every secret's when no
-        id is given. Other secrets' records are not touched."""
-        sids = self.secret_ids() if secret_id is None else (secret_id,)
-        for sid in sids:
-            ss = self.get_secret(sid)
-            spent = self._journaled.get(sid)
-            resurrected = spent.members(ss.unconsumed_rounds()) if spent else ()
-            if resurrected:
-                raise ProtocolError(
-                    "round %d of %s is journaled consumed but live"
-                    % (resurrected[0], sid.hex()))
+    def save(self, secret_id: bytes) -> None:
+        """Persist one secret's share set. Other secrets' records are not
+        touched."""
+        ss = self.get_secret(secret_id)
+        spent = self._journaled.get(secret_id)
+        resurrected = spent.members(ss.unconsumed_rounds()) if spent else ()
+        if resurrected:
+            raise ProtocolError(
+                "round %d of %s is journaled consumed but live"
+                % (resurrected[0], secret_id.hex()))
         if not self._meta_durable:
             self.directory.mkdir(parents=True, exist_ok=True)
             _write_synced(self._meta_path,
                           _HOLDER_MAGIC + struct.pack(">H", self.holder))
             _fsync_directory(self.directory)
             self._meta_durable = True
-        for sid in sids:
-            self._write_record(sid)
+        self._write_record(secret_id)
 
     def _write_record(self, secret_id: bytes) -> None:
         """Write the new record into the idle slot, then erase the old one.
@@ -910,40 +902,22 @@ class HolderStore:
 
     # -------------------------------------------------------- consumption
 
-    def _journal_consume(self, secret_id: bytes, round_ids) -> None:
-        ids = tuple(round_ids)
-        self._log.append(_consume_record(secret_id, ids))
-        self._journaled.setdefault(secret_id, _SpentRuns()).add_ids(ids)
-
-    def _journal_spends(self, secret_id: bytes, round_ids: list) -> None:
+    def _journal_spends(self, secret_id: bytes, round_ids) -> None:
         """Journal spends of any number of rounds, at most _spend_limit
         ids per consume record, so the journal still reopens."""
+        ids = sorted(round_ids)
         limit = _spend_limit(self.get_secret(secret_id))
-        for i in range(0, len(round_ids), limit):
-            self._journal_consume(secret_id, round_ids[i:i + limit])
-
-    def consume_tuple(self, secret_id: bytes,
-                      round_id: "int | None" = None) -> PrecomputedTuple:
-        """Spend one tuple (oldest first unless pinned) and return it. The
-        journal entry lands before the values leave."""
-        tuples = self.get_secret(secret_id).tuples
-        if round_id is None:
-            round_id = min(tuples, default=None)
-        if round_id not in tuples:
-            raise PrecomputationExhaustedError(
-                "holder %d has no live round %s of %s" % (
-                    self.holder, "left" if round_id is None else round_id,
-                    secret_id.hex()))
-        self._journal_consume(secret_id, (round_id,))
-        tup = tuples.pop(round_id)
-        self.save(secret_id)
-        return tup
+        runs = self._journaled.setdefault(secret_id, _SpentRuns())
+        for i in range(0, len(ids), limit):
+            chunk = ids[i:i + limit]
+            self._log.append(_consume_record(secret_id, chunk))
+            runs.add_ids(chunk)
 
     def respond(self, secret_id: bytes, request):
         """Journal the masking rounds a reconstruction request will spend,
         build the masked response, persist, return it."""
         ss = self.get_secret(secret_id)
-        self._journal_consume(secret_id, spend_ids(ss, request))
+        self._journal_spends(secret_id, spend_ids(ss, request))
         response = holder_respond(ss, request)
         self.save(secret_id)
         return response
@@ -954,7 +928,7 @@ class HolderStore:
         values from the record; a crash before it leaves them journaled,
         and opening drops them again."""
         ss = self.get_secret(secret_id)
-        ids = sorted(round_ids)
+        ids = list(round_ids)
         for rid in ids:
             if rid not in ss.tuples:
                 raise ProtocolError("holder %d cannot retire round %d of %s"
@@ -963,33 +937,34 @@ class HolderStore:
         for rid in ids:
             del ss.tuples[rid]
 
-    def consumed_rounds(self, secret_id: bytes) -> tuple:
-        ss = self.get_secret(secret_id)
-        return tuple(rid for rid in range(ss.next_round)
-                     if rid not in ss.tuples)
-
     # ------------------------------------------------------------ renewal
 
     def apply_renewal(self, secret_id: bytes, new_data_shares,
                       round_no: int,
                       new_password_share: "int | None" = None) -> None:
-        """Swap in renewed shares; the rewrite destroys the old values in
-        the secret's record before the journal records the round."""
+        """Swap in renewed shares and note the round, in one record
+        rewrite that also destroys the old share values. Rounds must
+        increase."""
         ss = self.get_secret(secret_id)
         shares = tuple(new_data_shares)
         if len(shares) != len(ss.data_shares):
             raise ProtocolError(
                 "renewal carries %d shares, secret has %d"
                 % (len(shares), len(ss.data_shares)))
+        runs = ss.renewal_runs
+        end = runs[-1][1] if runs else 0  # one past the last round
+        if not end <= round_no < 1 << 32:
+            raise ProtocolError("renewal round %d of %s is not a u32 of at "
+                                "least %d" % (round_no, secret_id.hex(), end))
         ss.data_shares = shares
         if new_password_share is not None:
             ss.password_share = new_password_share
+        if runs and end == round_no:
+            runs[-1] = (runs[-1][0], round_no + 1)
+        else:
+            runs.append((round_no, round_no + 1))
         self.save(secret_id)
-        self._log.append(_renew_record(secret_id, round_no))
 
     def renewal_rounds(self, secret_id: bytes) -> tuple:
-        out = []
-        for kind, sid, extra in self._journal_records():
-            if kind == "renew" and sid == secret_id:
-                out.append(extra)
-        return tuple(out)
+        """The renewal rounds applied to a secret, oldest first."""
+        return expand_runs(self.get_secret(secret_id).renewal_runs)

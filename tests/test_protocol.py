@@ -23,6 +23,7 @@ from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork
 from itstore.mac import MacScheme
 from itstore.protocol import Outcome, Phase, RolePlacement, TpvSession
 from itstore.stores import (
+    ChainedLog,
     HolderStore,
     directory_contains_window,
     holder_record_files,
@@ -45,6 +46,18 @@ def register_and_stock(session, data=DATA, password=PASSWORD, extra_rounds=0):
     blocks = session.holder_stores[1].get_secret(sid).block_count
     session.precompute(sid, rounds=blocks + extra_rounds)
     return sid, t1, blocks
+
+
+def spent_rounds(store, sid) -> tuple:
+    """The ids below a secret's next_round that are not live."""
+    share_set = store.get_secret(sid)
+    return tuple(rid for rid in range(share_set.next_round)
+                 if rid not in share_set.tuples)
+
+
+def journal_records(store) -> tuple:
+    """The payloads of a holder store's journal, as reopening reads them."""
+    return ChainedLog.open(store.directory / "journal.log")[1]
 
 
 # --------------------------------------------------------------- happy path
@@ -216,7 +229,7 @@ def test_corrupt_holder_fails_check_and_releases_nothing(tmp_path):
     assert sid not in session.end_user_received
     # the cheating attempt still spent everyone's masks
     for j in (1, 2, 3):
-        assert len(session.holder_stores[j].consumed_rounds(sid)) == blocks
+        assert len(spent_rounds(session.holder_stores[j], sid)) == blocks
 
 
 def test_threshold_abort_keeps_registration_intact(tmp_path):
@@ -232,7 +245,7 @@ def test_threshold_abort_keeps_registration_intact(tmp_path):
     assert session.verifier_store.find(sid, t1, session.k) is not None
     for store in session.holder_stores.values():
         assert sid in store.secret_ids()
-        assert store.consumed_rounds(sid) == ()
+        assert spent_rounds(store, sid) == ()
 
     # one holder down is tolerated
     result = session.reconstruct_and_release(sid, PASSWORD, offline={4})
@@ -533,6 +546,36 @@ def test_renewal_preserves_payload_and_rerandomizes_shares(tmp_path):
     assert result.data == DATA
 
 
+def test_a_crash_after_the_last_holders_renewal_save_keeps_holders_in_step(
+        tmp_path):
+    # fails at the parent commit: the round reached holder 4's journal only
+    # after its record, so holders 1-3 read (0,), holder 4 read (), and
+    # every later renew raised "holders disagree on renewal history"
+    session = make_session(tmp_path)
+    sid, _t1, _blocks = register_and_stock(session)
+
+    class Crash(Exception):
+        pass
+
+    store = session.holder_stores[4]
+    save = store.save
+
+    def save_then_crash(secret_id):
+        save(secret_id)
+        raise Crash()  # the process dies once holder 4's record is durable
+
+    store.save = save_then_crash
+    with pytest.raises(Crash):
+        session.renew(sid)
+    reopened = TpvSession(tmp_path / "run", net=session.net)
+    reopened.owner_receipts.update(session.owner_receipts)
+    for j in reopened.params.holder_indices:
+        assert reopened.holder_stores[j].renewal_rounds(sid) == (0,)
+    report = reopened.renew(sid)
+    assert report.accepted and report.round_no == 1
+    assert reopened.reconstruct_and_release(sid, PASSWORD).data == DATA
+
+
 def test_renewal_destroys_previous_share_bytes(tmp_path):
     session = make_session(tmp_path)
     sid, _, _ = register_and_stock(session)
@@ -741,7 +784,7 @@ def test_the_next_precompute_retires_rounds_spent_elsewhere(tmp_path, idle,
     holder_dir = tmp_path / "run" / ("holder-%d" % idle)
     for value in values:
         assert not directory_contains_window(holder_dir, value, len(value))
-    assert session.holder_stores[idle].consumed_rounds(sid) == tuple(stocked)
+    assert spent_rounds(session.holder_stores[idle], sid) == tuple(stocked)
     assert session.reconstruct_and_release(sid, PASSWORD).data == DATA
 
 
@@ -749,7 +792,7 @@ def test_a_live_rounds_header_past_the_first_round_fails_closed(tmp_path):
     session = make_session(tmp_path)
     sid, _t1 = session.register(DATA, PASSWORD)
     assert session.precompute(sid, rounds=2) == (0, 1)
-    journals = {j: len(store._log)
+    journals = {j: len(journal_records(store))
                 for j, store in session.holder_stores.items()}
     send = session.transport.send
     # precomp: code u8, sid16, u32 first_round, u32 n_batches, u8
@@ -766,7 +809,7 @@ def test_a_live_rounds_header_past_the_first_round_fails_closed(tmp_path):
         share_set = store.get_secret(sid)
         assert sorted(share_set.tuples) == [0, 1]
         assert share_set.next_round == 2
-        assert len(store._log) == journals[j]
+        assert len(journal_records(store)) == journals[j]
 
     session.transport.send = send
     assert session.precompute(sid, rounds=2) == (2, 3)
@@ -795,7 +838,7 @@ def test_a_crash_after_the_retirement_is_journaled_keeps_it(tmp_path):
     reopened = HolderStore(holder_dir)
     share_set = reopened.get_secret(sid)
     assert not set(stranded) & set(share_set.tuples)
-    assert reopened.consumed_rounds(sid) == tuple(stranded)
+    assert spent_rounds(reopened, sid) == tuple(stranded)
     for value in values:
         assert not directory_contains_window(holder_dir, value, len(value))
 
@@ -824,14 +867,14 @@ def test_stranded_stock_wider_than_one_spend_retires_in_chunks(tmp_path):
                                                  subset=(1, 2, 3))
         assert result.data == DATA
     assert len(live_ids(session, sid, 4)) == 3 * blocks
-    journal = len(session.holder_stores[4]._log)
+    journal = len(journal_records(session.holder_stores[4]))
     session.precompute(sid, rounds=blocks)
     reopened = {j: HolderStore(tmp_path / "run" / ("holder-%d" % j))
                 for j in session.params.holder_indices}
     for j, store in reopened.items():
         assert store.get_secret(sid).unconsumed_rounds() == list(
             range(3 * blocks, 4 * blocks))
-    spends = [payload for payload in reopened[4]._log.payloads()[journal:]
+    spends = [payload for payload in journal_records(reopened[4])[journal:]
               if payload[:1] == b"C"]
     assert len(spends) == 3
 
@@ -840,7 +883,7 @@ def test_a_recon_ask_that_repeats_a_round_id_spends_nothing(tmp_path):
     session = make_session(tmp_path)
     sid, _t1, blocks = register_and_stock(session)
     store = session.holder_stores[1]
-    journal = len(store._log)
+    journal = len(journal_records(store))
     calculator, holder = session.CALCULATOR, "holder-1"
     lines = len(session.transcript)
     # the calculator cannot even encode such a list
@@ -855,7 +898,7 @@ def test_a_recon_ask_that_repeats_a_round_id_spends_nothing(tmp_path):
         f.to_bytes(4, "big") + c.to_bytes(4, "big") for f, c in runs)
     with pytest.raises(ImproperRequestError):
         session._deliver(calculator, holder, "recon-ask", raw, (sid,))
-    assert len(store._log) == journal
+    assert len(journal_records(store)) == journal
     assert store.get_secret(sid).unconsumed_rounds() == list(range(blocks))
     assert session.reconstruct_and_release(sid, PASSWORD).data == DATA
 
@@ -967,11 +1010,11 @@ def test_precompute_round_ids_stay_synchronized(tmp_path):
     session.precompute(sid, rounds=blocks)
     result = session.reconstruct_and_release(sid, PASSWORD, subset=(1, 2, 4))
     assert result.data == DATA
-    spent = session.holder_stores[1].consumed_rounds(sid)
+    spent = spent_rounds(session.holder_stores[1], sid)
     for j in (2, 4):
-        assert session.holder_stores[j].consumed_rounds(sid) == spent
+        assert spent_rounds(session.holder_stores[j], sid) == spent
     # the uncontacted holder kept all its masks
-    assert session.holder_stores[3].consumed_rounds(sid) == ()
+    assert spent_rounds(session.holder_stores[3], sid) == ()
 
 
 def test_transcript_is_deterministic_across_replays(tmp_path):

@@ -68,17 +68,17 @@ def rng(label="store-tests"):
 
 def test_chained_log_round_trip(tmp_path):
     path = tmp_path / "log.bin"
-    log = ChainedLog(path)
-    assert len(log) == 0
+    log, payloads = ChainedLog.open(path)
+    assert len(payloads) == 0
     for payload in (b"first", b"", b"third record with more bytes"):
         log.append(payload)
-    again = ChainedLog(path)
-    assert again.payloads() == (b"first", b"", b"third record with more bytes")
+    _again, payloads = ChainedLog.open(path)
+    assert payloads == (b"first", b"", b"third record with more bytes")
 
 
 def test_chained_log_appends_preserve_prefix(tmp_path):
     path = tmp_path / "log.bin"
-    log = ChainedLog(path)
+    log, _ = ChainedLog.open(path)
     log.append(b"one")
     before = path.read_bytes()
     log.append(b"two")
@@ -88,7 +88,7 @@ def test_chained_log_appends_preserve_prefix(tmp_path):
 
 def test_chained_log_detects_any_flipped_byte(tmp_path):
     path = tmp_path / "log.bin"
-    log = ChainedLog(path)
+    log, _ = ChainedLog.open(path)
     log.append(b"alpha")
     log.append(b"beta")
     clean = path.read_bytes()
@@ -97,27 +97,27 @@ def test_chained_log_detects_any_flipped_byte(tmp_path):
         corrupt[pos] ^= 0x01
         path.write_bytes(bytes(corrupt))
         with pytest.raises(TamperDetectedError):
-            ChainedLog(path)
+            ChainedLog.open(path)
     path.write_bytes(clean)
-    assert ChainedLog(path).payloads() == (b"alpha", b"beta")
+    assert ChainedLog.open(path)[1] == (b"alpha", b"beta")
 
 
 def test_chained_log_detects_truncation(tmp_path):
     path = tmp_path / "log.bin"
-    log = ChainedLog(path)
+    log, _ = ChainedLog.open(path)
     log.append(b"only record")
     clean = path.read_bytes()
     path.write_bytes(clean[:-5])
     with pytest.raises(TamperDetectedError):
-        ChainedLog(path)
+        ChainedLog.open(path)
 
 
 def test_chained_log_continues_after_reload(tmp_path):
     path = tmp_path / "log.bin"
-    ChainedLog(path).append(b"one")
-    reloaded = ChainedLog(path)
+    ChainedLog.open(path)[0].append(b"one")
+    reloaded, _ = ChainedLog.open(path)
     reloaded.append(b"two")
-    assert ChainedLog(path).payloads() == (b"one", b"two")
+    assert ChainedLog.open(path)[1] == (b"one", b"two")
 
 
 # ------------------------------------------------------------ erasure tools
@@ -366,14 +366,46 @@ def registered_stores(tmp_path, n_secrets=1, rounds_per_secret=None,
     return stores, secrets
 
 
+def spend_one(store, sid, round_id=None):
+    """Spend one live tuple, the oldest unless pinned, as a holder that
+    no reconstruction asked does: retire it, then save. Returns it."""
+    tuples = store.get_secret(sid).tuples
+    if round_id is None:
+        round_id = min(tuples)
+    tup = tuples[round_id]
+    store.retire(sid, (round_id,))
+    store.save(sid)
+    return tup
+
+
+def spent_rounds(store, sid) -> tuple:
+    """The ids below a secret's next_round that are not live."""
+    share_set = store.get_secret(sid)
+    return tuple(rid for rid in range(share_set.next_round)
+                 if rid not in share_set.tuples)
+
+
+def journal_records(store) -> tuple:
+    """The payloads of a holder store's journal, as reopening reads them."""
+    return ChainedLog.open(store.directory / "journal.log")[1]
+
+
+def respond_to(store, sid, password, tuple_ids=None, params=PARAMS_2311):
+    """The store's answer to a reconstruction by holders 1-3, pinned to
+    tuple_ids when they are given."""
+    request = spss_request(password, (1, 2, 3), params, rng("pinned"),
+                           tuple_ids=tuple_ids)
+    return store.respond(sid, request[store.holder])
+
+
 def test_holder_store_round_trip_with_consumption(tmp_path):
     # three secrets; 3 + 2 + 2 = 7 tuples per holder, two of them consumed
     stores, secrets = registered_stores(tmp_path, n_secrets=3,
                                         rounds_per_secret=[3, 2, 2])
     store = stores[1]
     sid_a, sid_b = secrets[0][0], secrets[1][0]
-    first = store.consume_tuple(sid_a)
-    second = store.consume_tuple(sid_b, round_id=1)
+    first = spend_one(store, sid_a)
+    second = spend_one(store, sid_b, round_id=1)
     assert first.round_id == 0 and second.round_id == 1
     assert first.r is not None and second.z is not None
 
@@ -383,51 +415,51 @@ def test_holder_store_round_trip_with_consumption(tmp_path):
     for sid in again.secret_ids():
         assert again.get_secret(sid) == store.get_secret(sid)
     assert again.get_secret(sid_a).unconsumed_rounds() == [1, 2]
-    assert again.consumed_rounds(sid_a) == (0,)
-    assert again.consumed_rounds(sid_b) == (1,)
+    assert spent_rounds(again, sid_a) == (0,)
+    assert spent_rounds(again, sid_b) == (1,)
 
 
-def test_consume_tuple_order_and_exhaustion(tmp_path):
+def test_spends_take_the_oldest_round_and_then_exhaust(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[2])
-    sid = secrets[0][0]
+    sid, _data, password, _secret = secrets[0]
     store = stores[2]
-    a = store.consume_tuple(sid)
-    b = store.consume_tuple(sid)
+    a = spend_one(store, sid)
+    b = spend_one(store, sid)
     assert (a.round_id, b.round_id) == (0, 1)
     assert a.r != b.r
     with pytest.raises(PrecomputationExhaustedError):
-        store.consume_tuple(sid)
+        respond_to(store, sid, password)
     with pytest.raises(PrecomputationExhaustedError):
-        store.consume_tuple(sid, round_id=0)  # already spent
+        respond_to(store, sid, password, (0,))  # already spent
 
 
 def test_crash_between_journal_and_state(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[2])
-    sid = secrets[0][0]
+    sid, _data, password, _secret = secrets[0]
     store = stores[3]
     # simulate the crash: the journal entry lands, the state rewrite never runs
-    store._journal_consume(sid, (0,))
+    store._journal_spends(sid, (0,))
     del store
 
     recovered = HolderStore(tmp_path / "holder-3")
-    assert recovered.consumed_rounds(sid) == (0,)
+    assert spent_rounds(recovered, sid) == (0,)
     assert 0 not in recovered.get_secret(sid).tuples
     with pytest.raises(PrecomputationExhaustedError):
-        recovered.consume_tuple(sid, round_id=0)
+        respond_to(recovered, sid, password, (0,))
     # the remaining tuple is still issuable exactly once
-    assert recovered.consume_tuple(sid).round_id == 1
+    assert spend_one(recovered, sid).round_id == 1
     with pytest.raises(PrecomputationExhaustedError):
-        recovered.consume_tuple(sid)
+        respond_to(recovered, sid, password)
 
 
 def test_journal_replay_is_idempotent(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
     sid = secrets[0][0]
-    stores[1].consume_tuple(sid)
+    spend_one(stores[1], sid)
     once = HolderStore(tmp_path / "holder-1")
     twice = HolderStore(tmp_path / "holder-1")
     assert once.get_secret(sid) == twice.get_secret(sid)
-    assert once.consumed_rounds(sid) == (0,)
+    assert spent_rounds(once, sid) == (0,)
 
 
 def live_record_path(holder_dir, sid):
@@ -439,7 +471,7 @@ def live_record_path(holder_dir, sid):
 
 def test_holder_store_detects_tampering(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
-    stores[1].consume_tuple(secrets[0][0])
+    spend_one(stores[1], secrets[0][0])
     state_path = live_record_path(tmp_path / "holder-1", secrets[0][0])
     corrupt = bytearray(state_path.read_bytes())
     corrupt[len(corrupt) // 2] ^= 0x10
@@ -448,7 +480,7 @@ def test_holder_store_detects_tampering(tmp_path):
         HolderStore(tmp_path / "holder-1")
 
     journal_path = tmp_path / "holder-2" / "journal.log"
-    stores[2].consume_tuple(secrets[0][0])
+    spend_one(stores[2], secrets[0][0])
     corrupt = bytearray(journal_path.read_bytes())
     corrupt[10] ^= 0x01
     journal_path.write_bytes(bytes(corrupt))
@@ -528,7 +560,7 @@ def folded_tuple_body(share_set, seq):
 def test_a_record_of_the_folded_tuple_layout_fails_closed(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[3])
     sid = secrets[0][0]
-    stores[1].consume_tuple(sid)
+    spend_one(stores[1], sid)
     path = live_record_path(tmp_path / "holder-1", sid)
     body = folded_tuple_body(stores[1].get_secret(sid), 2)
     # as the earlier version wrote it, under its own layout label
@@ -543,10 +575,18 @@ def test_a_record_of_the_folded_tuple_layout_fails_closed(tmp_path):
         HolderStore(tmp_path / "holder-1")
 
 
-def live_runs_body(share_set, seq, next_round, runs, r_column, z_column):
+def id_run_list(runs) -> bytes:
+    return struct.pack(">I", len(runs)) + b"".join(
+        struct.pack(">II", first, count) for first, count in runs)
+
+
+def live_runs_body(share_set, seq, next_round, runs, r_column, z_column,
+                   renewals=()):
     """A record body in the current layout, from its parts: the header,
-    the data and password shares, next_round, the live ids' (first, count)
-    runs, then the live tuples' r column and z column."""
+    the data and password shares, the renewal rounds' (first, count) runs,
+    next_round, the live ids' runs, then the live tuples' r column and z
+    column. With renewals=None, the earlier live-tuple-runs layout, which
+    kept no renewal rounds."""
     params = share_set.params
     width = params.field.byte_width
 
@@ -558,8 +598,8 @@ def live_runs_body(share_set, seq, next_round, runs, r_column, z_column):
         params.field.q.to_bytes(width, "big"),
         struct.pack(">I", len(share_set.data_shares)),
         column(share_set.data_shares + (share_set.password_share,)),
-        struct.pack(">II", next_round, len(runs)),
-        b"".join(struct.pack(">II", first, count) for first, count in runs),
+        b"" if renewals is None else id_run_list(renewals),
+        struct.pack(">I", next_round), id_run_list(runs),
         column(r_column), column(z_column),
     ))
 
@@ -568,7 +608,7 @@ def test_a_record_is_its_parts_and_nothing_per_spent_tuple(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[6])
     sid = secrets[0][0]
     for rid in (0, 1, 4):
-        stores[1].consume_tuple(sid, round_id=rid)
+        spend_one(stores[1], sid, round_id=rid)
     tuples = stores[1].get_secret(sid).tuples
     path = live_record_path(tmp_path / "holder-1", sid)
     body = live_runs_body(stores[1].get_secret(sid), 4, 6, [(2, 2), (5, 1)],
@@ -612,7 +652,7 @@ def test_malformed_journal_runs_fail_closed(tmp_path, runs):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[3])
     sid = secrets[0][0]
     journal = tmp_path / "holder-1" / "journal.log"
-    ChainedLog(journal).append(
+    ChainedLog.open(journal)[0].append(
         b"C" + bytes([len(sid)]) + sid + struct.pack(">I", len(runs))
         + b"".join(struct.pack(">II", first, count) for first, count in runs))
     with pytest.raises(TamperDetectedError, match=re.escape(str(journal))):
@@ -637,12 +677,12 @@ def test_a_record_spending_rounds_the_journal_never_named_fails_closed(
         tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[3])
     sid = secrets[0][0]
-    stores[1].consume_tuple(sid)  # round 0, journaled
+    spend_one(stores[1], sid)  # round 0, journaled
     share_set = stores[1].get_secret(sid)
     holder_dir = tmp_path / "holder-1"
     # round 0 spent, rounds 1 and 2 live: what the store wrote
     rewrite_record(holder_dir, sid, share_set, 3, [(1, 2)])
-    assert HolderStore(holder_dir).consumed_rounds(sid) == (0,)
+    assert spent_rounds(HolderStore(holder_dir), sid) == (0,)
     # round 2 spent too, or a round 3 stocked and spent: the journal
     # names neither
     for next_round, runs in ((3, [(1, 1)]), (4, [(1, 2)])):
@@ -655,7 +695,7 @@ def test_a_record_claiming_four_billion_spent_rounds_fails_closed_at_once(
         tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
     sid = secrets[0][0]
-    stores[1].consume_tuple(sid)
+    spend_one(stores[1], sid)
     holder_dir = tmp_path / "holder-1"
     path = rewrite_record(holder_dir, sid, stores[1].get_secret(sid),
                           (1 << 32) - 1, [])
@@ -676,13 +716,14 @@ def test_a_journal_spend_of_more_rounds_than_blocks_fails_closed(tmp_path):
     need = stores[1].get_secret(sid).block_count
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
     precompute_round(live, rng("blocks"), rounds=2 * need + 1)
-    stores[1].save()
+    stores[1].save(sid)
     journal = tmp_path / "holder-1" / "journal.log"
     # as much as one reconstruction spends: replayed as a crash left it
-    ChainedLog(journal).append(stores_mod._consume_record(sid, range(need)))
-    assert HolderStore(tmp_path / "holder-1").consumed_rounds(sid) == tuple(
+    ChainedLog.open(journal)[0].append(
+        stores_mod._consume_record(sid, range(need)))
+    assert spent_rounds(HolderStore(tmp_path / "holder-1"), sid) == tuple(
         range(need))
-    ChainedLog(journal).append(
+    ChainedLog.open(journal)[0].append(
         stores_mod._consume_record(sid, range(need, 2 * need + 1)))
     with pytest.raises(TamperDetectedError, match=re.escape(str(journal))):
         HolderStore(tmp_path / "holder-1")
@@ -699,12 +740,12 @@ def test_spends_and_stocks_past_max_ids_reopen(tmp_path, monkeypatch):
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
     precompute_round(live, rng("max-ids"), rounds=3 * need)
     for j in (1, 2, 3):
-        stores[j].save()
+        stores[j].save(sid)
         stores[j].respond(sid, spss_request(password, (1, 2, 3), PARAMS_2311,
                                             rng("max-ids"))[j])
     for j in (1, 2, 3):
         reopened = HolderStore(tmp_path / ("holder-%d" % j))
-        assert reopened.consumed_rounds(sid) == tuple(range(need))
+        assert spent_rounds(reopened, sid) == tuple(range(need))
         assert reopened.get_secret(sid) == stores[j].get_secret(sid)
 
 
@@ -715,17 +756,17 @@ def test_a_journal_record_names_spent_rounds_as_runs(tmp_path):
     need = secret.block_count + 1
     precompute_round(live, rng("runs"), rounds=2 * need)
     for j in PARAMS_2311.holder_indices:
-        stores[j].save()
+        stores[j].save(sid)
     ids = tuple(reversed(range(need, 2 * need)))  # any order, one run
     request = spss_request(password, (1, 2, 3), PARAMS_2311, rng("runs"),
                            tuple_ids=ids)
     stores[1].respond(sid, request[1])
-    (payload,) = stores[1]._log.payloads()
+    (payload,) = journal_records(stores[1])
     assert payload == (b"C" + bytes([len(sid)]) + sid
                        + struct.pack(">III", 1, need, need))
-    kind, named, rounds = stores_mod._parse_journal_record(payload)
-    assert (kind, named, wire.expand_runs(rounds)) == (
-        "consume", sid, tuple(range(need, 2 * need)))
+    named, rounds = stores_mod._parse_journal_record(payload, {sid: need})
+    assert (named, wire.expand_runs(rounds)) == (
+        sid, tuple(range(need, 2 * need)))
 
 
 def spend_cycles(tmp_path, cycles):
@@ -761,11 +802,12 @@ def test_a_responders_record_holds_32_bytes_per_live_tuple_and_stops_growing(
         share_set = stores[1].get_secret(SID_A)
         assert share_set.unconsumed_rounds() == list(
             range((cycle + 1) * need, (cycle + 3) * need))
-        assert stores[1].consumed_rounds(SID_A) == tuple(
+        assert spent_rounds(stores[1], SID_A) == tuple(
             range((cycle + 1) * need))
         size = live_record_path(holder_dir, SID_A).stat().st_size
         fixed = (4 + 4 + 16  # sequence number, layout, q
                  + 4 + 16 * (need + 1)  # data shares and password share
+                 + 4  # no renewal round: an empty run list
                  + 4 + 4 + 8  # next_round and one (first, count) run
                  + 32)  # digest
         assert size == fixed + 32 * 2 * need
@@ -776,7 +818,7 @@ def test_a_responders_record_holds_32_bytes_per_live_tuple_and_stops_growing(
 def test_reopened_stores_keep_spent_rounds_and_never_reuse_an_id(tmp_path):
     for stores, need, cycle in spend_cycles(tmp_path, 2):
         pass
-    consumed = {j: stores[j].consumed_rounds(SID_A) for j in stores}
+    consumed = {j: spent_rounds(stores[j], SID_A) for j in stores}
     assert consumed[1] == tuple(range(2 * need)) and consumed[4] == ()
     # spend every tuple holders 1-3 have left
     for _ in range(2):
@@ -788,8 +830,8 @@ def test_reopened_stores_keep_spent_rounds_and_never_reuse_an_id(tmp_path):
     reopened = {j: HolderStore(tmp_path / ("holder-%d" % j))
                 for j in CRASH_PARAMS.holder_indices}
     for j in (1, 2, 3):
-        assert reopened[j].consumed_rounds(SID_A) == tuple(range(4 * need))
-    assert reopened[4].consumed_rounds(SID_A) == ()
+        assert spent_rounds(reopened[j], SID_A) == tuple(range(4 * need))
+    assert spent_rounds(reopened[4], SID_A) == ()
     for j in reopened:
         assert reopened[j].get_secret(SID_A) == stores[j].get_secret(SID_A)
     sets = {j: reopened[j].get_secret(SID_A) for j in reopened}
@@ -804,17 +846,17 @@ def test_respond_refuses_a_round_id_named_twice_before_journaling(tmp_path):
     need = secret.block_count + 1
     ids = precompute_round(live, rng("twice"), rounds=need)
     for j in PARAMS_2311.holder_indices:
-        stores[j].save()
-    journal_len = len(stores[1]._log)
+        stores[j].save(sid)
+    journal_len = len(journal_records(stores[1]))
     twice = (ids[0],) * need
     request = spss_request(password, (1, 2, 3), PARAMS_2311, rng("twice"),
                            tuple_ids=twice)
     with pytest.raises(ImproperRequestError):
         stores[1].respond(sid, request[1])
-    assert len(stores[1]._log) == journal_len
+    assert len(journal_records(stores[1])) == journal_len
     reopened = HolderStore(tmp_path / "holder-1")
     assert reopened.get_secret(sid).unconsumed_rounds() == list(ids)
-    assert reopened.consumed_rounds(sid) == ()
+    assert spent_rounds(reopened, sid) == ()
 
 
 def test_save_guard_refuses_resurrected_tuple(tmp_path):
@@ -822,10 +864,10 @@ def test_save_guard_refuses_resurrected_tuple(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
     sid = secrets[0][0]
     store = stores[1]
-    store.consume_tuple(sid)
+    spend_one(store, sid)
     store.get_secret(sid).tuples[0] = PrecomputedTuple(0, 1, 5)
     with pytest.raises(ProtocolError):
-        store.save()
+        store.save(sid)
 
 
 def test_spent_runs_match_a_set_oracle():
@@ -889,7 +931,7 @@ def test_replay_of_scattered_single_spends_matches_a_set_replay(tmp_path):
     # next_round, some of rounds stocked after the last save
     spent = rnd.sample(range(60), 25) + rnd.sample(range(60, 60 + 3 * limit),
                                                    3)
-    journal = ChainedLog(tmp_path / "holder-1" / "journal.log")
+    journal, _ = ChainedLog.open(tmp_path / "holder-1" / "journal.log")
     for rid in spent:
         journal.append(stores_mod._consume_record(sid, (rid,)))
     # what replaying the journal as a set of every spent id gives
@@ -900,11 +942,11 @@ def test_replay_of_scattered_single_spends_matches_a_set_replay(tmp_path):
         share_set = reopened.get_secret(sid)
         assert share_set.unconsumed_rounds() == expect_live
         assert share_set.next_round == next_round
-        assert reopened.consumed_rounds(sid) == tuple(
+        assert spent_rounds(reopened, sid) == tuple(
             rid for rid in range(next_round) if rid not in expect_live)
     # the ids between 60 and the top spend that no one spent are journaled
     # lost, so a third open still vouches for every absent id
-    assert len(ChainedLog(tmp_path / "holder-1" / "journal.log")) > len(spent)
+    assert len(journal_records(reopened)) > len(spent)
 
 
 def test_retire_journals_chunks_of_one_spend_and_refuses_a_dead_round(
@@ -918,14 +960,14 @@ def test_retire_journals_chunks_of_one_spend_and_refuses_a_dead_round(
     store.save(sid)
     with pytest.raises(ProtocolError):
         store.retire(sid, (0, 3 * limit + 1))
-    assert len(store._log) == 0
+    assert len(journal_records(store)) == 0
     store.retire(sid, range(3 * limit))
-    assert len(store._log) == 3  # one consume record per `limit` ids
+    assert len(journal_records(store)) == 3  # one consume record per `limit` ids
     assert live[4].unconsumed_rounds() == [3 * limit]
     store.save(sid)
     reopened = HolderStore(tmp_path / "holder-4")
     assert reopened.get_secret(sid).unconsumed_rounds() == [3 * limit]
-    assert reopened.consumed_rounds(sid) == tuple(range(3 * limit))
+    assert spent_rounds(reopened, sid) == tuple(range(3 * limit))
 
 
 def test_reconstruction_through_stores(tmp_path):
@@ -936,7 +978,7 @@ def test_reconstruction_through_stores(tmp_path):
     ids = [precompute_round(live, source)[0]
            for _ in range(secret.block_count + 1)]
     for j in PARAMS_2311.holder_indices:
-        stores[j].save()
+        stores[j].save(sid)
 
     subset = (1, 3, 4)
     requests = spss_request(password, subset, PARAMS_2311, source,
@@ -953,7 +995,7 @@ def test_reconstruction_through_stores(tmp_path):
     # every spent round is journaled in each contacted store
     for j in subset:
         reloaded = HolderStore(tmp_path / ("holder-%d" % j))
-        assert reloaded.consumed_rounds(sid) == tuple(sorted(ids))
+        assert spent_rounds(reloaded, sid) == tuple(sorted(ids))
 
 
 def test_respond_failure_leaves_journal_clean(tmp_path):
@@ -964,18 +1006,18 @@ def test_respond_failure_leaves_journal_clean(tmp_path):
     ids = [precompute_round(live, source)[0]
            for _ in range(secret.block_count + 1)]
     for j in PARAMS_2311.holder_indices:
-        stores[j].save()
+        stores[j].save(sid)
 
     requests = spss_request(password, (1, 2, 3), PARAMS_2311, source,
                             tuple_ids=tuple(ids))
-    journal_len = len(stores[4]._log)
+    journal_len = len(journal_records(stores[4]))
     with pytest.raises(ProtocolError):
         stores[4].respond(sid, requests[1])  # holder 4 is outside the subset
     missing = spss_request(password, (1, 2, 4), PARAMS_2311, source,
                            tuple_ids=tuple(ids) + (99,))
     with pytest.raises(PrecomputationExhaustedError):
         stores[4].respond(sid, missing[4])
-    assert len(stores[4]._log) == journal_len
+    assert len(journal_records(stores[4])) == journal_len
     assert stores[4].get_secret(sid).unconsumed_rounds() == sorted(ids)
 
 
@@ -985,13 +1027,13 @@ def test_a_pinned_request_one_id_short_is_improper_at_the_store_too(tmp_path):
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
     ids = precompute_round(live, rng("short"), rounds=secret.block_count + 1)
     for j in PARAMS_2311.holder_indices:
-        stores[j].save()
+        stores[j].save(sid)
     request = spss_request(password, (1, 2, 3), PARAMS_2311, rng("short"),
                            tuple_ids=ids[:-1])[1]
-    journal_len = len(stores[1]._log)
+    journal_len = len(journal_records(stores[1]))
     with pytest.raises(ImproperRequestError):
         stores[1].respond(sid, request)
-    assert len(stores[1]._log) == journal_len
+    assert len(journal_records(stores[1])) == journal_len
     with pytest.raises(ImproperRequestError):
         holder_respond(stores[1].get_secret(sid), request)
     assert stores[1].get_secret(sid).unconsumed_rounds() == list(ids)
@@ -1004,17 +1046,17 @@ def test_a_spent_round_is_absent_in_memory_and_after_reopening(tmp_path):
     need = secret.block_count + 1
     precompute_round(live, rng("absent"), rounds=need + 2)
     for j in PARAMS_2311.holder_indices:
-        stores[j].save()
+        stores[j].save(sid)
     store = stores[1]
     store.respond(sid, spss_request(password, (1, 2, 3), PARAMS_2311,
                                     rng("absent"))[1])
-    assert store.consume_tuple(sid).round_id == need
+    assert spend_one(store, sid).round_id == need
     share_set = store.get_secret(sid)
     assert sorted(share_set.tuples) == [need + 1]
     assert share_set.next_round == need + 2
     reopened = HolderStore(tmp_path / "holder-1").get_secret(sid)
     assert reopened == share_set and reopened.next_round == need + 2
-    assert store.consumed_rounds(sid) == tuple(range(need + 1))
+    assert spent_rounds(store, sid) == tuple(range(need + 1))
 
 
 def test_a_journaled_round_is_absent_after_a_crash_and_never_reused(tmp_path):
@@ -1022,17 +1064,17 @@ def test_a_journaled_round_is_absent_after_a_crash_and_never_reused(tmp_path):
     sid = secrets[0][0]
     holder_dir = tmp_path / "holder-2"
     # the journal names round 1, the record rewrite never runs
-    stores[2]._journal_consume(sid, (1,))
+    stores[2]._journal_spends(sid, (1,))
     reopened = HolderStore(holder_dir).get_secret(sid)
     assert sorted(reopened.tuples) == [0, 2] and reopened.next_round == 3
     # a journaled round at next_round (stocked by a save that was lost)
     # moves next_round past it, durably, so the id is never stocked again
-    HolderStore(holder_dir)._journal_consume(sid, (3,))
+    HolderStore(holder_dir)._journal_spends(sid, (3,))
     for _ in range(2):
         again = HolderStore(holder_dir)
         assert sorted(again.get_secret(sid).tuples) == [0, 2]
         assert again.get_secret(sid).next_round == 4
-        assert again.consumed_rounds(sid) == (1, 3)
+        assert spent_rounds(again, sid) == (1, 3)
 
 
 def test_a_replay_journals_the_unsaved_rounds_it_moves_past(tmp_path):
@@ -1042,7 +1084,7 @@ def test_a_replay_journals_the_unsaved_rounds_it_moves_past(tmp_path):
     sid = secrets[0][0]
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
     precompute_round(live, rng("unsaved"), rounds=2)  # rounds 3 and 4
-    stores[1]._journal_consume(sid, (4,))  # then a crash: nothing saved
+    stores[1]._journal_spends(sid, (4,))  # then a crash: nothing saved
     del stores
     holder_dir = tmp_path / "holder-1"
     for _ in range(2):
@@ -1050,14 +1092,14 @@ def test_a_replay_journals_the_unsaved_rounds_it_moves_past(tmp_path):
         share_set = again.get_secret(sid)
         assert sorted(share_set.tuples) == [0, 1, 2]
         assert share_set.next_round == 5
-        assert again.consumed_rounds(sid) == (3, 4)
-    assert len(again._log) == 2
+        assert spent_rounds(again, sid) == (3, 4)
+    assert len(journal_records(again)) == 2
 
 
 def test_a_journal_spend_far_past_next_round_fails_closed(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
     sid = secrets[0][0]
-    stores[1]._journal_consume(sid, ((1 << 32) - 2,))
+    stores[1]._journal_spends(sid, ((1 << 32) - 2,))
     journal = tmp_path / "holder-1" / "journal.log"
     with pytest.raises(TamperDetectedError, match=re.escape(str(journal))):
         HolderStore(tmp_path / "holder-1")
@@ -1092,6 +1134,87 @@ def test_renewal_destroys_old_share_bytes(tmp_path):
     assert reloaded.renewal_rounds(sid) == (1,)
 
 
+def test_renewal_rounds_live_in_the_record_and_read_no_file(tmp_path,
+                                                            monkeypatch):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
+    sid = secrets[0][0]
+    store = stores[1]
+    shares = store.get_secret(sid).data_shares
+    for round_no in (0, 1, 3):
+        store.apply_renewal(sid, shares, round_no)
+    with pytest.raises(ProtocolError):
+        store.apply_renewal(sid, shares, 3)  # rounds must increase
+    with pytest.raises(ProtocolError):
+        store.apply_renewal(sid, shares, 1 << 32)
+    assert store.get_secret(sid).renewal_runs == [(0, 2), (3, 4)]
+    assert journal_records(store) == ()  # the journal holds spends only
+    reopened = HolderStore(tmp_path / "holder-1")
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("renewal_rounds opened a file")
+
+    monkeypatch.setattr(stores_mod, "open", no_open, raising=False)
+    assert reopened.renewal_rounds(sid) == (0, 1, 3)
+    assert stores[2].renewal_rounds(sid) == ()
+
+
+def test_a_record_of_the_live_tuple_runs_layout_fails_closed(tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[3])
+    sid = secrets[0][0]
+    spend_one(stores[1], sid)
+    share_set = stores[1].get_secret(sid)
+    tuples = share_set.tuples
+    path = live_record_path(tmp_path / "holder-1", sid)
+    # the layout before renewal rounds moved into the record, as that
+    # version wrote it: no renewal runs, under its own layout label
+    body = live_runs_body(share_set, 3, 3, [(1, 2)],
+                          [tuples[rid].r for rid in (1, 2)],
+                          [tuples[rid].z for rid in (1, 2)], renewals=None)
+    old = hashlib.sha256(b"ITHR live-tuple-runs\n"
+                         + struct.pack(">HB", 1, len(sid)) + sid + body)
+    path.write_bytes(body + old.digest())
+    with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+        HolderStore(tmp_path / "holder-1")
+    # and its next_round would be read as an empty renewal run list, and
+    # its runs as next_round, under the current digest
+    path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+        HolderStore(tmp_path / "holder-1")
+
+
+@pytest.mark.parametrize("renewals", [[(0, 0)], [(2, 1), (0, 1)],
+                                      [(0, 1), (1, 1)], [(0xFFFFFFFF, 2)],
+                                      [(0, wire.MAX_IDS + 1)]],
+                         ids=["empty", "out-of-order", "touching", "past-u32",
+                              "past-max-ids"])
+def test_malformed_renewal_runs_fail_closed(tmp_path, renewals):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid = secrets[0][0]
+    path = live_record_path(tmp_path / "holder-1", sid)
+    body = live_runs_body(stores[1].get_secret(sid), 2, 0, [], [], [],
+                          renewals=renewals)
+    path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+        HolderStore(tmp_path / "holder-1")
+
+
+def test_a_long_renewal_history_opens_without_being_expanded(tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid = secrets[0][0]
+    path = live_record_path(tmp_path / "holder-1", sid)
+    body = live_runs_body(stores[1].get_secret(sid), 2, 0, [], [], [],
+                          renewals=[(0, wire.MAX_IDS)])
+    path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    tracemalloc.start()
+    try:
+        reopened = HolderStore(tmp_path / "holder-1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert reopened.get_secret(sid).renewal_runs == [(0, wire.MAX_IDS)]
+
+
 def test_holder_store_validation(tmp_path):
     stores, secrets = registered_stores(tmp_path)
     sid = secrets[0][0]
@@ -1110,7 +1233,11 @@ def test_holder_store_validation(tmp_path):
 
 
 def test_empty_holder_store_round_trip(tmp_path):
-    HolderStore(tmp_path / "empty", holder=2).save()
+    # the holder index reaches disk with a first save; one whose record
+    # never completed leaves a store with its index and no secret
+    holders, _ = spss_register(b"never saved", 3, PARAMS_2311, rng("empty"))
+    HolderStore(tmp_path / "empty", holder=2).put_secret(SID_A, holders[2])
+    (tmp_path / "empty" / (SID_A.hex() + ".a")).write_bytes(b"")
     again = HolderStore(tmp_path / "empty")
     assert again.holder == 2 and again.secret_ids() == ()
 
@@ -1255,13 +1382,19 @@ def test_crash_at_every_fsync_leaves_an_openable_consistent_store(tmp_path, op):
         assert state in (old, new), "crash at fsync %d mixed old and new" % k
         if new_written:
             assert state == new, "crash at fsync %d revived old shares" % k
-        for payload in ChainedLog(directory / "journal.log").payloads():
-            kind, sid, rounds = stores_mod._parse_journal_record(payload)
-            if kind == "consume":
-                for rid in wire.expand_runs(rounds):
-                    assert rid in again.consumed_rounds(sid)
-                    with pytest.raises(PrecomputationExhaustedError):
-                        again.consume_tuple(sid, round_id=rid)
+        if op == "renew":
+            # the renewal round is noted with the shares it installed
+            assert (state[SID_A].data_shares, again.renewal_rounds(SID_A)) in (
+                (old[SID_A].data_shares, ()), (new[SID_A].data_shares, (1,))
+            ), "crash at fsync %d split shares from renewal rounds" % k
+        limits = {sid: stores_mod._spend_limit(share_set)
+                  for sid, share_set in state.items()}
+        for payload in journal_records(again):
+            sid, rounds = stores_mod._parse_journal_record(payload, limits)
+            for rid in wire.expand_runs(rounds):
+                assert rid in spent_rounds(again, sid)
+                with pytest.raises(PrecomputationExhaustedError):
+                    respond_to(again, sid, 777, (rid,), CRASH_PARAMS)
         for sid, sizes in holder_record_files(directory).items():
             assert "new" not in sizes
             assert sum(1 for size in sizes.values() if size) == 1, sizes
@@ -1276,7 +1409,7 @@ def test_holder_store_slot_states_on_open(tmp_path):
     stores, secrets = registered_stores(tmp_path, n_secrets=2,
                                         rounds_per_secret=[1, 1])
     sid_a, sid_b = secrets[0][0], secrets[1][0]
-    stores[1].consume_tuple(sid_a)  # sid_a now lives in slot b
+    spend_one(stores[1], sid_a)  # sid_a now lives in slot b
     holder_dir = tmp_path / "holder-1"
     live = (holder_dir / (sid_a.hex() + ".b")).read_bytes()
 
@@ -1291,7 +1424,7 @@ def test_holder_store_slot_states_on_open(tmp_path):
     reopened = HolderStore(holder_dir)
     assert reopened.secret_ids() == (sid_a,)
     assert sid_b not in holder_record_files(holder_dir)
-    assert reopened.consumed_rounds(sid_a) == (0,)
+    assert spent_rounds(reopened, sid_a) == (0,)
 
 
 def test_an_old_slot_zeroed_but_never_truncated_is_emptied_on_open(tmp_path):
@@ -1422,15 +1555,15 @@ def test_crash_in_a_new_calculator_stores_first_put(tmp_path):
 
 
 def test_a_new_log_file_makes_its_directory_entry_durable(tmp_path):
-    log = ChainedLog(tmp_path / "verifier.log")
+    log, _ = ChainedLog.open(tmp_path / "verifier.log")
     with fsyncs() as counter:
         log.append(b"first")
     assert counter.calls == 2  # the record, then the directory
     with fsyncs() as counter:
         log.append(b"second")
-        ChainedLog(tmp_path / "verifier.log").append(b"third")
+        ChainedLog.open(tmp_path / "verifier.log")[0].append(b"third")
     assert counter.calls == 2  # one per append, the file already named
-    assert ChainedLog(tmp_path / "verifier.log").payloads() == (
+    assert ChainedLog.open(tmp_path / "verifier.log")[1] == (
         b"first", b"second", b"third")
 
 

@@ -606,8 +606,10 @@ class TpvSession:
         holder changes. Once every contribution has arrived, each holder
         retires the rounds it holds that some other holder does not
         (spss.retired_rounds; a reconstruction spends rounds at the t
-        holders it contacts only) and journals them with
-        HolderStore.retire, then saves. So after a precompute every holder
+        holders it contacts only) and drops them with HolderStore.retire,
+        then saves. That one save erases the retired rounds and writes the
+        new stock; a holder that crashes before it reopens with its record
+        from before the precompute. So after a precompute every holder
         holds the same live rounds. Returns the new round ids.
         """
         sets = {j: self.holder_stores[j].get_secret(sid)
@@ -900,12 +902,11 @@ class TpvSession:
         if len(tracks) != 1:
             raise ProtocolError("holders disagree on the track count")
         n_tracks = tracks.pop()
-        rounds_seen = {self.holder_stores[j].renewal_rounds(sid)
-                       for j in holders}
-        if len(rounds_seen) != 1:
+        histories = {tuple(sets[j].renewal_runs) for j in holders}
+        if len(histories) != 1:
             raise ProtocolError("holders disagree on renewal history")
-        history = rounds_seen.pop()
-        round_no = (max(history) + 1) if history else 0
+        history = histories.pop()
+        round_no = history[-1][1] if history else 0  # one past the last
 
         def deliver(d, packets):
             header = (sid, round_no, d, n_tracks)

@@ -289,10 +289,11 @@ def precompute_round(holders: dict, randomness, rounds: int = 1,
     masking_columns call and hands every other holder j, in index order,
     its values (one per batch) through deliver(d, j, r_vals, z_vals) ->
     (r_vals, z_vals), which returns them as j received them. Without
-    deliver they are handed over directly. No share set changes before
-    every contribution has arrived. Returns the new round ids, which are
-    the same at every holder by construction; round id start + b*w + k is
-    row k of batch b.
+    deliver they are handed over directly. A round whose next_round
+    would pass 2^32 - 1 is refused with ProtocolError before any draw or
+    send, and no share set changes before every contribution has arrived.
+    Returns the new round ids, which are the same at every holder by
+    construction; round id start + b*w + k is row k of batch b.
     """
     if rounds < 1:
         raise ConfigurationError("need at least one precompute round")
@@ -310,6 +311,10 @@ def precompute_round(holders: dict, randomness, rounds: int = 1,
     if len(starts) != 1:
         raise ProtocolError("holders disagree on the next round id")
     start = starts.pop()
+    if start + rounds >> 32:  # next_round is stored as a u32
+        raise ProtocolError(
+            "%d rounds from round %d pass the u32 round ids"
+            % (rounds, start))
     batches = params.batch_count(rounds)
 
     # received[j] lists (r values, z values) per contributor, index order

@@ -4,9 +4,9 @@ Each protocol role owns one directory and is the only writer to it. A
 store creates its directory with its first write, and opens a missing one
 as an empty store, so building a deployment creates no directory:
 
-  HolderStore      -- a holder's share sets, one record per secret, plus a
-                      spend journal so a masking tuple is spent at most
-                      once across crashes.
+  HolderStore      -- a holder's share sets, one record per secret. The
+                      record save that drops a masking tuple is its spend,
+                      so a tuple masks at most one response across crashes.
   VerifierStore    -- the append-only registration record log; any byte of
                       an existing record is covered by a rolling hash chain
                       and a flipped bit is detected on load.
@@ -17,11 +17,12 @@ as an empty store, so building a deployment creates no directory:
 
 Erasure here means overwrite-then-truncate: the file's bytes are zeroed in
 place and flushed before the space is released, so dropped share values and
-seeds do not linger in the store files. The journal entry claiming a tuple
-is written before the tuple values are released to the caller; a crash
-between the two costs the tuple but can never hand it out twice. A write
-that creates a store file fsyncs the directory before it returns, so the
-new name is as durable as the bytes.
+seeds do not linger in the store files. A holder's masked response leaves
+the store only once the record save that drops its tuples is fsynced; a
+crash before that releases nothing, and reopening finds the old record,
+whose tuples masked no released value. A write that creates a store file
+fsyncs the directory before it returns, so the new name is as durable as
+the bytes.
 
 Holder layout. `holder.bin` holds the holder index; it is written with the
 first save, never by the constructor. Each secret has two record slots,
@@ -31,32 +32,29 @@ over a record-layout label, the holder index, the secret id and those
 bytes; the id itself is only the file name. The share set is the layout
 (t, n, the field), the data shares and the password share, the renewal
 rounds applied to the data shares as canonical (first, count) runs
-(`wire.encode_ids`), then `next_round` (a u32 one past the highest round
+(`wire.encode_runs`), then `next_round` (a u32 one past the highest round
 id ever stocked), the live round ids as runs too, and the live tuples' r
 column and z column, in the runs' order. That is 32 bytes per live tuple
 in the 127-bit field and nothing per spent one: round ids are stocked
 contiguously from 0, so an id below `next_round` that is not live is
 spent. Spent ids are never materialized, on disk or in memory: a share
 set holds its live tuples and `next_round`, nothing more, and its
-renewal rounds as runs.
+renewal rounds as runs, which are written back as runs too.
 
-`journal.log` is a ChainedLog of consume records, the spends, and
-nothing else. Each names one secret's rounds as runs. It is read once,
-when the store opens, and the store keeps each secret's journaled ids
-in memory as merged (first, end) runs (`_SpentRuns`), so what it holds,
-and what a save's check against the journal costs, follows the live
-tuples and the runs, not every round ever spent.
+A holder keeps no log. The spend journal that earlier versions wrote
+beside the records is neither opened nor written; the record layout
+is unchanged, so such a store opens from its records alone, and a spend
+that reached only that file was never released, because its response
+waited for the record save.
 
 Records of earlier layouts, which kept the renewal rounds in the
 journal, a round id and a spent flag per tuple, or every contributor's r
 and z, fail the digest and are refused as tampered; so is a record whose
 runs are malformed, name an id at or past `next_round`, or disagree with
-its column lengths, and one whose spent ids below `next_round` outnumber
-the ids the journal names for that secret below it (every spend is
-journaled first). A journal consume record naming more rounds than its
-secret has blocks, or a secret the store lacks, is refused too. So what
-opening builds in memory is bounded by what the files honestly
-describe, before anything is expanded.
+its column lengths. Opening builds nothing per spent id, so what it holds
+in memory is bounded by what the record files describe. A `next_round`
+near 2^32 opens; `spss.precompute_round` refuses to stock past the u32
+range before anything changes.
 
 A save rewrites only the secret that changed, with 2 fsyncs:
 
@@ -79,13 +77,12 @@ non-empty slots but no valid record raises TamperDetectedError.
 
 A reconstruction spends rounds only at the t holders it contacts. The
 others retire those rounds at the secret's next precompute
-(`HolderStore.retire`, called by `TpvSession.precompute`): a holder
-journals every round it holds that another holder no longer does, in
-consume records of at most one reconstruction's worth of ids each, and
-the save that follows erases their values. So after a precompute every
-holder's record holds the same live tuples. A crash between the journal
-append and that save leaves the rounds journaled, and opening drops them
-again.
+(`HolderStore.retire`, called by `TpvSession.precompute`): a holder drops
+every round it holds that another holder no longer does, and the save
+that follows, which also writes the new stock, erases their values. So
+after a precompute every holder's record holds the same live tuples. A
+crash before that save leaves the holder with its record from before the
+precompute, retired rounds included, as with any unsaved change.
 """
 
 from __future__ import annotations
@@ -93,7 +90,6 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,9 +105,8 @@ from .spss import (
     PrecomputedTuple,
     SpssParams,
     holder_respond,
-    spend_ids,
 )
-from .wire import Cursor, column, encode_ids, expand_runs, id_runs
+from .wire import Cursor, column, encode_ids, encode_runs, expand_runs
 
 __all__ = [
     "ChainedLog",
@@ -137,9 +132,6 @@ _RECORD_SUFFIXES = _SLOTS + ("new",)
 _SEQ = struct.Struct(">I")
 _DIGEST_BYTES = 32
 _MAX_SID_BYTES = 64  # the hex id plus suffix must fit a 255-byte file name
-# a journal replay may journal at most this many consume records' worth of
-# rounds that were stocked but never saved; a wider gap is refused
-_REPLAY_GAP_RECORDS = 64
 _CALC_MAGIC = b"ITCS1\n"
 # the calculator meta's scheme byte; it names the hash framing as well as
 # the family, so a store keyed under one framing is never checked under
@@ -498,7 +490,7 @@ def _encode_share_set(ss: HolderShareSet) -> bytes:
         struct.pack(">I", len(ss.data_shares)),
         column(ss.data_shares, width),
         ss.password_share.to_bytes(width, "big"),
-        encode_ids(expand_runs(ss.renewal_runs)),
+        encode_runs(ss.renewal_runs),
         struct.pack(">I", ss.next_round),
         encode_ids(live),
         column([tuples[rid].r for rid in live], width),
@@ -507,9 +499,8 @@ def _encode_share_set(ss: HolderShareSet) -> bytes:
 
 
 def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
-    """The share set a record body holds: its live tuples and next_round.
-    Spent ids are never materialized; HolderStore._replay_journal checks
-    that the journal vouches for them."""
+    """The share set a record body holds: its live tuples, next_round and
+    renewal runs. Spent ids are never materialized."""
     rd = Cursor(body, TamperDetectedError, "%s record" % path)
     t_sh, n_sh, width = rd.uint(1), rd.uint(1), rd.uint(2)
     q = rd.uint(width)
@@ -560,108 +551,19 @@ def holder_record_files(directory) -> dict:
     return out
 
 
-class _SpentRuns:
-    """A set of round ids kept as sorted, disjoint, non-touching (first,
-    end) runs, so its memory follows the number of runs, not of ids: a
-    holder's journaled spends, which grow by whole reconstructions."""
-
-    __slots__ = ("firsts", "ends")
-
-    def __init__(self):
-        self.firsts = []
-        self.ends = []
-
-    def add(self, first: int, end: int) -> None:
-        """Add the ids first..end-1, merging every run they overlap or
-        touch."""
-        i = bisect_left(self.ends, first)
-        k = bisect_right(self.firsts, end)
-        if i < k:
-            first = min(first, self.firsts[i])
-            end = max(end, self.ends[k - 1])
-        self.firsts[i:k] = [first]
-        self.ends[i:k] = [end]
-
-    def add_ids(self, ids) -> None:
-        flat = id_runs(sorted(ids))
-        for first, count in zip(flat[0::2], flat[1::2]):
-            self.add(first, first + count)
-
-    def __len__(self) -> int:
-        return len(self.firsts)
-
-    def count_below(self, bound: int) -> int:
-        """How many ids are below bound."""
-        return sum(min(end, bound) - first
-                   for first, end in zip(self.firsts, self.ends)
-                   if first < bound)
-
-    def top(self) -> int:
-        """The highest id, or -1 when there is none."""
-        return self.ends[-1] - 1 if self.ends else -1
-
-    def members(self, ids) -> list:
-        """The ids of an increasing list that are in the set, found with
-        two binary searches per run rather than one lookup per id."""
-        out = []
-        for first, end in zip(self.firsts, self.ends):
-            out += ids[bisect_left(ids, first):bisect_left(ids, end)]
-        return out
-
-    def gaps(self, lo: int, hi: int) -> list:
-        """The ids in lo..hi-1 that are not in the set."""
-        out = []
-        for first, end in zip(self.firsts + [hi], self.ends + [hi]):
-            if first > lo:
-                out += range(lo, min(first, hi))
-            lo = max(lo, end)
-            if lo >= hi:
-                break
-        return out
-
-
-def _spend_limit(ss: HolderShareSet) -> int:
-    """The most rounds one consume record may name for a share set: one
-    reconstruction spends one per block."""
-    return max(1, ss.block_count)
-
-
-def _consume_record(secret_id: bytes, round_ids) -> bytes:
-    """A journal record spending increasing round ids of one secret."""
-    return (b"C" + struct.pack(">B", len(secret_id)) + secret_id
-            + encode_ids(round_ids))
-
-
-def _parse_journal_record(payload: bytes, limits: dict) -> tuple:
-    """(secret id, the consumed round ids as checked (first, end) ranges)
-    of a consume record, the journal's one kind. It may name only a
-    secret in `limits`, and at most limits[secret id] rounds."""
-    rd = Cursor(payload, TamperDetectedError, "journal record")
-    if rd.take(1) != b"C":
-        raise TamperDetectedError("malformed journal record")
-    sid = rd.take(rd.uint(1))
-    if sid not in limits:
-        raise TamperDetectedError(
-            "journal names unknown secret %s" % sid.hex())
-    runs = rd.runs(limits[sid])
-    rd.done()
-    return sid, runs
-
-
 class HolderStore:
-    """One holder's durable state: one record per secret plus the spend
-    journal.
+    """One holder's durable state: one record per secret.
 
     A secret's record holds every fact about it that changes together:
     its shares, its live masking tuples and the renewal rounds applied to
-    it. The journal holds spends only, and is the source of truth for
-    which masking tuples are spent. A tuple leaves only by `respond` or
-    `retire`: the journal first, then the record rewrite, then release to
-    the caller; replaying the journal over a stale record (a crash between
-    the first two steps) drops the claimed tuples again, so no tuple is
-    ever issued twice. A renewal is one record rewrite, which destroys the
-    old share values and notes the round together, so a crash leaves the
-    old shares with the old rounds or the new shares with the new.
+    it, and it is the only record of which tuples are spent. A tuple
+    leaves only by `respond` or `retire`, and the record save that drops
+    it is the spend: `respond` saves before it returns the response, so a
+    crash before the save is durable releases nothing, and the reopened
+    record's tuples masked no released value. A renewal is one record
+    rewrite, which destroys the old share values and notes the round
+    together, so a crash leaves the old shares with the old rounds or the
+    new shares with the new.
 
     The constructor writes nothing to a new store: the directory and the
     holder index reach disk with the first save.
@@ -670,8 +572,6 @@ class HolderStore:
     def __init__(self, directory, holder: "int | None" = None):
         self.directory = Path(directory)
         self._meta_path = self.directory / _HOLDER_META
-        self._log, payloads = ChainedLog.open(self.directory / "journal.log")
-        self._journaled = {}  # secret id -> _SpentRuns of journaled ids
         self._secrets = {}
         self._live = {}  # secret id -> (slot suffix of the live record, seq)
         # a new store's directory is missing or empty, and then nothing
@@ -691,7 +591,6 @@ class HolderStore:
         self._meta_durable = stored is not None
         if existing:
             self._load_records()
-            self._replay_journal(payloads)
 
     def _read_meta(self) -> "int | None":
         if (self.directory / "state.bin").exists():
@@ -763,68 +662,6 @@ class HolderStore:
         (seq,) = _SEQ.unpack_from(body)
         return seq, _decode_share_set(body[_SEQ.size:], self.holder, path)
 
-    def _replay_journal(self, payloads) -> None:
-        """Re-spend every journaled round a crash left live.
-
-        `payloads` are the journal's records, read once at open. Each
-        names a secret of this store and spends at most as many rounds as
-        that secret has blocks.
-
-        Spent ids are never materialized: a share set's spent rounds are
-        the ids below its next_round that are not live. Every spend is
-        journaled before the record that drops it, so a record spending
-        more ids below its next_round than the journal names is refused
-        (next_round is a u32 the record alone cannot vouch for).
-
-        A journaled round at or past next_round was stocked after the
-        record's last save. The rounds stocked with it that the journal
-        does not name are lost with the crash: they are journaled spent
-        before next_round moves past them, so the rewritten record
-        reopens.
-
-        The journaled ids are kept as merged runs, so every step here
-        costs O(live tuples + runs), however many rounds were spent."""
-        limits = {sid: _spend_limit(ss) for sid, ss in self._secrets.items()}
-        for payload in payloads:
-            try:
-                sid, ranges = _parse_journal_record(payload, limits)
-            except TamperDetectedError as exc:
-                raise TamperDetectedError(
-                    "%s: %s" % (self._log.path, exc)) from None
-            runs = self._journaled.setdefault(sid, _SpentRuns())
-            for first, end in ranges:
-                runs.add(first, end)
-        stale = set()
-        for sid, ss in self._secrets.items():
-            journaled = self._journaled.get(sid, _SpentRuns())
-            vouched = journaled.count_below(ss.next_round)
-            if ss.next_round - len(ss.tuples) > vouched:
-                raise TamperDetectedError(
-                    "%s: %d rounds below next round %d are spent, the "
-                    "journal names %d" % (
-                        self._record_path(sid, self._live[sid][0]),
-                        ss.next_round - len(ss.tuples), ss.next_round,
-                        vouched))
-            # a journaled round is normally absent from the record already;
-            # one still live (a crash between the journal and the rewrite),
-            # or one at or past next_round, makes the record stale
-            for rid in journaled.members(ss.unconsumed_rounds()):
-                del ss.tuples[rid]
-                stale.add(sid)
-            top = journaled.top()
-            if top >= ss.next_round:
-                limit = _spend_limit(ss)
-                if top - ss.next_round > _REPLAY_GAP_RECORDS * limit:
-                    raise TamperDetectedError(
-                        "%s: journal spends round %d, %d past next round %d"
-                        % (self._log.path, top, top - ss.next_round,
-                           ss.next_round))
-                self._journal_spends(sid, journaled.gaps(ss.next_round, top))
-                ss.next_round = top + 1
-                stale.add(sid)
-        for sid in sorted(stale):
-            self.save(sid)
-
     # ------------------------------------------------------------ content
 
     def put_secret(self, secret_id: bytes, share_set: HolderShareSet) -> None:
@@ -852,13 +689,7 @@ class HolderStore:
     def save(self, secret_id: bytes) -> None:
         """Persist one secret's share set. Other secrets' records are not
         touched."""
-        ss = self.get_secret(secret_id)
-        spent = self._journaled.get(secret_id)
-        resurrected = spent.members(ss.unconsumed_rounds()) if spent else ()
-        if resurrected:
-            raise ProtocolError(
-                "round %d of %s is journaled consumed but live"
-                % (resurrected[0], secret_id.hex()))
+        self.get_secret(secret_id)
         if not self._meta_durable:
             self.directory.mkdir(parents=True, exist_ok=True)
             _write_synced(self._meta_path,
@@ -902,38 +733,24 @@ class HolderStore:
 
     # -------------------------------------------------------- consumption
 
-    def _journal_spends(self, secret_id: bytes, round_ids) -> None:
-        """Journal spends of any number of rounds, at most _spend_limit
-        ids per consume record, so the journal still reopens."""
-        ids = sorted(round_ids)
-        limit = _spend_limit(self.get_secret(secret_id))
-        runs = self._journaled.setdefault(secret_id, _SpentRuns())
-        for i in range(0, len(ids), limit):
-            chunk = ids[i:i + limit]
-            self._log.append(_consume_record(secret_id, chunk))
-            runs.add_ids(chunk)
-
     def respond(self, secret_id: bytes, request):
-        """Journal the masking rounds a reconstruction request will spend,
-        build the masked response, persist, return it."""
-        ss = self.get_secret(secret_id)
-        self._journal_spends(secret_id, spend_ids(ss, request))
-        response = holder_respond(ss, request)
+        """Build the masked response, which drops the tuples it spends (a
+        bad request is refused before anything changes), then save, and
+        only then return it."""
+        response = holder_respond(self.get_secret(secret_id), request)
         self.save(secret_id)
         return response
 
     def retire(self, secret_id: bytes, round_ids) -> None:
-        """Spend live rounds that will never be served: journal them with
-        _journal_spends and drop them. The caller's next save erases their
-        values from the record; a crash before it leaves them journaled,
-        and opening drops them again."""
+        """Spend live rounds that will never be served: check that each is
+        live, then drop them. The caller's next save erases their values
+        from the record."""
         ss = self.get_secret(secret_id)
         ids = list(round_ids)
         for rid in ids:
             if rid not in ss.tuples:
                 raise ProtocolError("holder %d cannot retire round %d of %s"
                                     % (self.holder, rid, secret_id.hex()))
-        self._journal_spends(secret_id, ids)
         for rid in ids:
             del ss.tuples[rid]
 

@@ -41,7 +41,7 @@ from operator import sub
 from .errors import ConfigurationError, ImproperRequestError, ProtocolError
 
 __all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor", "check_runs", "column",
-           "encode_ids", "expand_runs", "id_runs"]
+           "encode_ids", "encode_runs", "expand_runs", "id_runs"]
 
 SID_BYTES = 16
 # Most ids one decoded id list may name: a 12-byte run could otherwise
@@ -81,7 +81,7 @@ class Cursor:
                          repeat("big")))
 
     def runs(self, limit: "int | None" = None) -> list:
-        """A list of round ids sent as encode_ids writes it, as its
+        """A list of round ids sent as encode_runs writes it, as its
         (first, end) ranges, unexpanded. Runs id_runs cannot produce, or
         naming more than `limit` ids (MAX_IDS by default), are refused:
         with ImproperRequestError, or with this cursor's error naming what
@@ -214,11 +214,22 @@ def column(values, width: int) -> bytes:
     return b"".join(map(int.to_bytes, values, repeat(width), repeat("big")))
 
 
+def encode_runs(ranges) -> bytes:
+    """Canonical (first, end) ranges, as check_runs returns them, written
+    without expanding them: a u32 run count, then the (first, count) u32
+    pairs. Cursor.runs reads them back."""
+    flat = []
+    for first, end in ranges:
+        flat += (first, end - first)
+    return (len(flat) // 2).to_bytes(4, "big") + column(flat, 4)
+
+
 def encode_ids(ids) -> bytes:
-    """A strictly increasing list of u32 round ids as its id_runs runs:
-    a u32 run count, then the (first, count) u32 pairs."""
-    runs = id_runs(ids)
-    return (len(runs) // 2).to_bytes(4, "big") + column(runs, 4)
+    """A strictly increasing list of u32 round ids as its id_runs runs,
+    written by encode_runs."""
+    flat = id_runs(ids)
+    return encode_runs((first, first + count)
+                       for first, count in zip(flat[0::2], flat[1::2]))
 
 
 def _length_prefix(kind: str, name: str, length: int, width: int) -> bytes:

@@ -23,7 +23,6 @@ from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork
 from itstore.mac import MacScheme
 from itstore.protocol import Outcome, Phase, RolePlacement, TpvSession
 from itstore.stores import (
-    ChainedLog,
     HolderStore,
     directory_contains_window,
     holder_record_files,
@@ -55,9 +54,11 @@ def spent_rounds(store, sid) -> tuple:
                  if rid not in share_set.tuples)
 
 
-def journal_records(store) -> tuple:
-    """The payloads of a holder store's journal, as reopening reads them."""
-    return ChainedLog.open(store.directory / "journal.log")[1]
+def live_record(store, sid) -> bytes:
+    """The bytes of a secret's live record slot in a holder store."""
+    (suffix,) = [suffix for suffix, size
+                 in holder_record_files(store.directory)[sid].items() if size]
+    return (store.directory / ("%s.%s" % (sid.hex(), suffix))).read_bytes()
 
 
 # --------------------------------------------------------------- happy path
@@ -792,8 +793,8 @@ def test_a_live_rounds_header_past_the_first_round_fails_closed(tmp_path):
     session = make_session(tmp_path)
     sid, _t1 = session.register(DATA, PASSWORD)
     assert session.precompute(sid, rounds=2) == (0, 1)
-    journals = {j: len(journal_records(store))
-                for j, store in session.holder_stores.items()}
+    records = {j: live_record(store, sid)
+               for j, store in session.holder_stores.items()}
     send = session.transport.send
     # precomp: code u8, sid16, u32 first_round, u32 n_batches, u8
     # contributor, then live_rounds: a u32 run count and (first, count)
@@ -809,7 +810,7 @@ def test_a_live_rounds_header_past_the_first_round_fails_closed(tmp_path):
         share_set = store.get_secret(sid)
         assert sorted(share_set.tuples) == [0, 1]
         assert share_set.next_round == 2
-        assert len(journal_records(store)) == journals[j]
+        assert live_record(store, sid) == records[j]
 
     session.transport.send = send
     assert session.precompute(sid, rounds=2) == (2, 3)
@@ -817,12 +818,17 @@ def test_a_live_rounds_header_past_the_first_round_fails_closed(tmp_path):
         assert live_ids(session, sid, j) == [0, 1, 2, 3]
 
 
-def test_a_crash_after_the_retirement_is_journaled_keeps_it(tmp_path):
+def test_a_crash_before_the_idle_holders_save_keeps_its_old_record(
+        tmp_path):
+    # the retirement is durable only through the save that also writes
+    # the new stock; at the parent commit it was journaled first, and
+    # holder 4 reopened without the stranded rounds
     session = make_session(tmp_path)
     sid, _t1, blocks = register_and_stock(session)
-    stranded = live_ids(session, sid, 4)
-    values = tuple_values(session, sid, 4, stranded)
     session.reconstruct_and_release(sid, PASSWORD, subset=(1, 2, 3))
+    store = session.holder_stores[4]
+    before = live_record(store, sid)
+    old = HolderStore(store.directory).get_secret(sid)
 
     class Crash(Exception):
         pass
@@ -830,17 +836,35 @@ def test_a_crash_after_the_retirement_is_journaled_keeps_it(tmp_path):
     def crash(secret_id=None):
         raise Crash()
 
-    store = session.holder_stores[4]
     store.save = crash  # the process dies before holder 4's record moves
     with pytest.raises(Crash):
         session.precompute(sid, rounds=blocks)
-    holder_dir = tmp_path / "run" / "holder-4"
-    reopened = HolderStore(holder_dir)
-    share_set = reopened.get_secret(sid)
-    assert not set(stranded) & set(share_set.tuples)
-    assert spent_rounds(reopened, sid) == tuple(stranded)
-    for value in values:
-        assert not directory_contains_window(holder_dir, value, len(value))
+    reopened = {j: HolderStore(tmp_path / "run" / ("holder-%d" % j))
+                for j in session.params.holder_indices}
+    assert live_record(reopened[4], sid) == before
+    assert reopened[4].get_secret(sid) == old
+    assert old.unconsumed_rounds() == list(range(blocks))  # stranded too
+    for j in (1, 2, 3):
+        share_set = reopened[j].get_secret(sid)
+        assert share_set.unconsumed_rounds() == list(range(blocks, 2 * blocks))
+        assert share_set.next_round == 2 * blocks
+
+
+def test_a_holder_directory_holds_its_index_and_record_slots_only(tmp_path):
+    # fails at the parent commit: holders kept a journal.log of spends too
+    session = make_session(tmp_path)
+    sid, _t1, blocks = register_and_stock(session)
+    result = session.reconstruct_and_release(sid, PASSWORD, subset=(1, 2, 3))
+    assert result.data == DATA
+    session.precompute(sid, rounds=blocks)
+    assert session.renew(sid).accepted
+    for j in session.params.holder_indices:
+        holder_dir = tmp_path / "run" / ("holder-%d" % j)
+        slots = {"%s.%s" % (secret.hex(), suffix)
+                 for secret, sizes in holder_record_files(holder_dir).items()
+                 for suffix in sizes}
+        assert slots
+        assert {p.name for p in holder_dir.iterdir()} == {"holder.bin"} | slots
 
 
 def test_an_idle_holders_record_stays_as_small_as_a_responders(tmp_path):
@@ -867,23 +891,19 @@ def test_stranded_stock_wider_than_one_spend_retires_in_chunks(tmp_path):
                                                  subset=(1, 2, 3))
         assert result.data == DATA
     assert len(live_ids(session, sid, 4)) == 3 * blocks
-    journal = len(journal_records(session.holder_stores[4]))
     session.precompute(sid, rounds=blocks)
     reopened = {j: HolderStore(tmp_path / "run" / ("holder-%d" % j))
                 for j in session.params.holder_indices}
     for j, store in reopened.items():
         assert store.get_secret(sid).unconsumed_rounds() == list(
             range(3 * blocks, 4 * blocks))
-    spends = [payload for payload in journal_records(reopened[4])[journal:]
-              if payload[:1] == b"C"]
-    assert len(spends) == 3
 
 
 def test_a_recon_ask_that_repeats_a_round_id_spends_nothing(tmp_path):
     session = make_session(tmp_path)
     sid, _t1, blocks = register_and_stock(session)
     store = session.holder_stores[1]
-    journal = len(journal_records(store))
+    record = live_record(store, sid)
     calculator, holder = session.CALCULATOR, "holder-1"
     lines = len(session.transcript)
     # the calculator cannot even encode such a list
@@ -898,7 +918,7 @@ def test_a_recon_ask_that_repeats_a_round_id_spends_nothing(tmp_path):
         f.to_bytes(4, "big") + c.to_bytes(4, "big") for f, c in runs)
     with pytest.raises(ImproperRequestError):
         session._deliver(calculator, holder, "recon-ask", raw, (sid,))
-    assert len(journal_records(store)) == journal
+    assert live_record(store, sid) == record
     assert store.get_secret(sid).unconsumed_rounds() == list(range(blocks))
     assert session.reconstruct_and_release(sid, PASSWORD).data == DATA
 

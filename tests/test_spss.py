@@ -7,6 +7,7 @@ d^k times contributor d's value term by term. Frozen values here were
 computed by hand in F_31.
 """
 
+import copy
 import itertools
 import random
 
@@ -416,6 +417,29 @@ def test_a_failed_delivery_changes_no_share_set():
     with pytest.raises(ProtocolError, match="expected 2 each"):
         precompute_round(holders, SeededEntropy(b"fail-round"), 3, short)
     assert all(not s.tuples for s in holders.values())
+
+
+def test_a_round_past_the_u32_round_ids_is_refused_before_any_send():
+    # fails at the parent commit: the round was stocked, and a store's
+    # save of next_round 2^32 + 1 then raised struct.error
+    holders, _ = spss_register(b"top", 3, F31_PARAMS, SeededEntropy(b"top"))
+    top = (1 << 32) - 1
+    for share_set in holders.values():
+        share_set.next_round = top - 1
+    before = copy.deepcopy(holders)
+    calls = []
+
+    def deliver(d, j, r_vals, z_vals):
+        calls.append((d, j))
+        return r_vals, z_vals
+
+    with pytest.raises(ProtocolError, match="u32"):
+        precompute_round(holders, SeededEntropy(b"top-round"), 3, deliver)
+    assert calls == [] and holders == before
+    # the last round id that leaves next_round a u32 is still stocked
+    assert precompute_round(holders, SeededEntropy(b"top-round"), 1,
+                            deliver) == (top - 1,)
+    assert all(s.next_round == top for s in holders.values())
 
 
 F7_PARAMS = SpssParams(field=PrimeField(7))  # (3,4): w = 2

@@ -3,7 +3,6 @@
 import copy
 import hashlib
 import os
-import random
 import re
 import struct
 import tracemalloc
@@ -385,11 +384,6 @@ def spent_rounds(store, sid) -> tuple:
                  if rid not in share_set.tuples)
 
 
-def journal_records(store) -> tuple:
-    """The payloads of a holder store's journal, as reopening reads them."""
-    return ChainedLog.open(store.directory / "journal.log")[1]
-
-
 def respond_to(store, sid, password, tuple_ids=None, params=PARAMS_2311):
     """The store's answer to a reconstruction by holders 1-3, pinned to
     tuple_ids when they are given."""
@@ -433,25 +427,6 @@ def test_spends_take_the_oldest_round_and_then_exhaust(tmp_path):
         respond_to(store, sid, password, (0,))  # already spent
 
 
-def test_crash_between_journal_and_state(tmp_path):
-    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[2])
-    sid, _data, password, _secret = secrets[0]
-    store = stores[3]
-    # simulate the crash: the journal entry lands, the state rewrite never runs
-    store._journal_spends(sid, (0,))
-    del store
-
-    recovered = HolderStore(tmp_path / "holder-3")
-    assert spent_rounds(recovered, sid) == (0,)
-    assert 0 not in recovered.get_secret(sid).tuples
-    with pytest.raises(PrecomputationExhaustedError):
-        respond_to(recovered, sid, password, (0,))
-    # the remaining tuple is still issuable exactly once
-    assert spend_one(recovered, sid).round_id == 1
-    with pytest.raises(PrecomputationExhaustedError):
-        respond_to(recovered, sid, password)
-
-
 def test_journal_replay_is_idempotent(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
     sid = secrets[0][0]
@@ -479,13 +454,37 @@ def test_holder_store_detects_tampering(tmp_path):
     with pytest.raises(TamperDetectedError):
         HolderStore(tmp_path / "holder-1")
 
-    journal_path = tmp_path / "holder-2" / "journal.log"
-    spend_one(stores[2], secrets[0][0])
-    corrupt = bytearray(journal_path.read_bytes())
-    corrupt[10] ^= 0x01
-    journal_path.write_bytes(bytes(corrupt))
-    with pytest.raises(TamperDetectedError):
-        HolderStore(tmp_path / "holder-2")
+
+def test_a_journal_left_by_an_earlier_version_is_never_read_or_written(
+        tmp_path, monkeypatch):
+    # fails at the parent commit: opening replayed the journal and dropped
+    # round 0, which the record still held live
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[2])
+    sid = secrets[0][0]
+    holder_dir = tmp_path / "holder-1"
+    journal = holder_dir / "journal.log"
+    # the earlier versions' consume record: "C", the sid, then id runs
+    ChainedLog.open(journal)[0].append(
+        b"C" + bytes([len(sid)]) + sid + wire.encode_ids((0,)))
+    left = journal.read_bytes()
+    seen = []
+
+    def spy(function):
+        def call(path, *args, **kwargs):
+            seen.append(Path(path).name)
+            return function(path, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(stores_mod, "open", spy(open), raising=False)
+    monkeypatch.setattr(Path, "open", spy(Path.open))
+    monkeypatch.setattr(Path, "stat", spy(Path.stat))
+    reopened = HolderStore(holder_dir)
+    assert reopened.get_secret(sid).unconsumed_rounds() == [0, 1]
+    assert spend_one(reopened, sid).round_id == 0
+    assert seen and "journal.log" not in seen
+    monkeypatch.undo()
+    assert journal.read_bytes() == left
+    assert HolderStore(holder_dir).get_secret(sid).unconsumed_rounds() == [1]
 
 
 @pytest.mark.parametrize("edit", [lambda body: body[:-1],
@@ -644,21 +643,6 @@ def test_a_record_whose_runs_and_columns_disagree_fails_closed(tmp_path,
         HolderStore(tmp_path / "holder-1")
 
 
-@pytest.mark.parametrize("runs", [[(0, 0)], [(2, 1), (0, 1)], [(0, 1), (1, 1)],
-                                  [(0, 3), (2, 1)], [(0xFFFFFFFF, 2)]],
-                         ids=["empty", "out-of-order", "touching",
-                              "overlapping", "past-u32"])
-def test_malformed_journal_runs_fail_closed(tmp_path, runs):
-    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[3])
-    sid = secrets[0][0]
-    journal = tmp_path / "holder-1" / "journal.log"
-    ChainedLog.open(journal)[0].append(
-        b"C" + bytes([len(sid)]) + sid + struct.pack(">I", len(runs))
-        + b"".join(struct.pack(">II", first, count) for first, count in runs))
-    with pytest.raises(TamperDetectedError, match=re.escape(str(journal))):
-        HolderStore(tmp_path / "holder-1")
-
-
 def rewrite_record(holder_dir, sid, share_set, next_round, runs):
     """Replace a secret's live record by one with the given next_round and
     live runs, taking the shares and the live tuples' values from
@@ -673,60 +657,32 @@ def rewrite_record(holder_dir, sid, share_set, next_round, runs):
     return path
 
 
-def test_a_record_spending_rounds_the_journal_never_named_fails_closed(
-        tmp_path):
-    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[3])
-    sid = secrets[0][0]
-    spend_one(stores[1], sid)  # round 0, journaled
-    share_set = stores[1].get_secret(sid)
-    holder_dir = tmp_path / "holder-1"
-    # round 0 spent, rounds 1 and 2 live: what the store wrote
-    rewrite_record(holder_dir, sid, share_set, 3, [(1, 2)])
-    assert spent_rounds(HolderStore(holder_dir), sid) == (0,)
-    # round 2 spent too, or a round 3 stocked and spent: the journal
-    # names neither
-    for next_round, runs in ((3, [(1, 1)]), (4, [(1, 2)])):
-        path = rewrite_record(holder_dir, sid, share_set, next_round, runs)
-        with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
-            HolderStore(holder_dir)
-
-
 def test_a_record_claiming_four_billion_spent_rounds_fails_closed_at_once(
         tmp_path):
+    # opening builds nothing per spent id, and the next precompute
+    # refuses before any draw: next_round is a u32 with no room left
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
     sid = secrets[0][0]
     spend_one(stores[1], sid)
     holder_dir = tmp_path / "holder-1"
-    path = rewrite_record(holder_dir, sid, stores[1].get_secret(sid),
-                          (1 << 32) - 1, [])
+    top = (1 << 32) - 1
+    path = rewrite_record(holder_dir, sid, stores[1].get_secret(sid), top, [])
     assert path.stat().st_size < 100
     tracemalloc.start()
     try:
-        with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
-            HolderStore(holder_dir)
+        reopened = HolderStore(holder_dir)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-
-
-def test_a_journal_spend_of_more_rounds_than_blocks_fails_closed(tmp_path):
-    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
-    sid = secrets[0][0]
-    need = stores[1].get_secret(sid).block_count
-    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    precompute_round(live, rng("blocks"), rounds=2 * need + 1)
-    stores[1].save(sid)
-    journal = tmp_path / "holder-1" / "journal.log"
-    # as much as one reconstruction spends: replayed as a crash left it
-    ChainedLog.open(journal)[0].append(
-        stores_mod._consume_record(sid, range(need)))
-    assert spent_rounds(HolderStore(tmp_path / "holder-1"), sid) == tuple(
-        range(need))
-    ChainedLog.open(journal)[0].append(
-        stores_mod._consume_record(sid, range(need, 2 * need + 1)))
-    with pytest.raises(TamperDetectedError, match=re.escape(str(journal))):
-        HolderStore(tmp_path / "holder-1")
+    sets = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
+    sets[1] = reopened.get_secret(sid)
+    assert sets[1].next_round == top and sets[1].tuples == {}
+    for share_set in sets.values():
+        share_set.next_round = top
+    with pytest.raises(ProtocolError, match="u32"):
+        precompute_round(sets, rng("u32"))
+    assert sets[1].next_round == top and sets[1].tuples == {}
 
 
 def test_spends_and_stocks_past_max_ids_reopen(tmp_path, monkeypatch):
@@ -747,26 +703,6 @@ def test_spends_and_stocks_past_max_ids_reopen(tmp_path, monkeypatch):
         reopened = HolderStore(tmp_path / ("holder-%d" % j))
         assert spent_rounds(reopened, sid) == tuple(range(need))
         assert reopened.get_secret(sid) == stores[j].get_secret(sid)
-
-
-def test_a_journal_record_names_spent_rounds_as_runs(tmp_path):
-    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
-    sid, data, password, secret = secrets[0]
-    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    need = secret.block_count + 1
-    precompute_round(live, rng("runs"), rounds=2 * need)
-    for j in PARAMS_2311.holder_indices:
-        stores[j].save(sid)
-    ids = tuple(reversed(range(need, 2 * need)))  # any order, one run
-    request = spss_request(password, (1, 2, 3), PARAMS_2311, rng("runs"),
-                           tuple_ids=ids)
-    stores[1].respond(sid, request[1])
-    (payload,) = journal_records(stores[1])
-    assert payload == (b"C" + bytes([len(sid)]) + sid
-                       + struct.pack(">III", 1, need, need))
-    named, rounds = stores_mod._parse_journal_record(payload, {sid: need})
-    assert (named, wire.expand_runs(rounds)) == (
-        sid, tuple(range(need, 2 * need)))
 
 
 def spend_cycles(tmp_path, cycles):
@@ -847,106 +783,16 @@ def test_respond_refuses_a_round_id_named_twice_before_journaling(tmp_path):
     ids = precompute_round(live, rng("twice"), rounds=need)
     for j in PARAMS_2311.holder_indices:
         stores[j].save(sid)
-    journal_len = len(journal_records(stores[1]))
+    record = live_record_path(tmp_path / "holder-1", sid).read_bytes()
     twice = (ids[0],) * need
     request = spss_request(password, (1, 2, 3), PARAMS_2311, rng("twice"),
                            tuple_ids=twice)
     with pytest.raises(ImproperRequestError):
         stores[1].respond(sid, request[1])
-    assert len(journal_records(stores[1])) == journal_len
+    assert live_record_path(tmp_path / "holder-1", sid).read_bytes() == record
     reopened = HolderStore(tmp_path / "holder-1")
     assert reopened.get_secret(sid).unconsumed_rounds() == list(ids)
     assert spent_rounds(reopened, sid) == ()
-
-
-def test_save_guard_refuses_resurrected_tuple(tmp_path):
-    from itstore.spss import PrecomputedTuple
-    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
-    sid = secrets[0][0]
-    store = stores[1]
-    spend_one(store, sid)
-    store.get_secret(sid).tuples[0] = PrecomputedTuple(0, 1, 5)
-    with pytest.raises(ProtocolError):
-        store.save(sid)
-
-
-def test_spent_runs_match_a_set_oracle():
-    rnd = random.Random("spent-runs")
-    for span in (6, 40, 500):
-        for _trial in range(40):
-            runs, oracle = stores_mod._SpentRuns(), set()
-            assert runs.top() == -1 and runs.count_below(span) == 0
-            assert runs.gaps(0, 5) == [0, 1, 2, 3, 4]
-            for _step in range(rnd.randrange(1, 25)):
-                if rnd.random() < 0.5:
-                    first = rnd.randrange(span)
-                    end = first + rnd.randrange(1, 8)
-                    runs.add(first, end)
-                    oracle.update(range(first, end))
-                else:
-                    ids = rnd.sample(range(span), rnd.randrange(1, 6))
-                    runs.add_ids(ids)
-                    oracle.update(ids)
-                pairs = list(zip(runs.firsts, runs.ends))
-                assert all(first < end for first, end in pairs)
-                assert all(a[1] < b[0] for a, b in zip(pairs, pairs[1:]))
-                probe = range(-1, span + 9)
-                assert runs.members(list(probe)) == [
-                    rid for rid in probe if rid in oracle]
-                bound = rnd.randrange(span + 9)
-                assert runs.count_below(bound) == sum(
-                    1 for rid in oracle if rid < bound)
-                assert runs.top() == max(oracle)
-                live = sorted(rnd.sample(probe, rnd.randrange(len(probe))))
-                assert runs.members(live) == [
-                    rid for rid in live if rid in oracle]
-                lo, hi = sorted(rnd.sample(probe, 2))
-                assert runs.gaps(lo, hi) == [
-                    rid for rid in range(lo, hi) if rid not in oracle]
-
-
-def test_spent_runs_of_fragmented_spends_merge():
-    runs = stores_mod._SpentRuns()
-    for rid in range(0, 1000, 2):
-        runs.add_ids((rid,))
-    assert len(runs) == 500 and runs.members([997, 998, 999]) == [998]
-    assert runs.count_below(1000) == 500
-    for rid in range(999, 0, -2):
-        runs.add_ids((rid,))
-    assert (runs.firsts, runs.ends) == ([0], [1000])
-    runs.add(1000, 1001)
-    runs.add(2000, 2001)
-    assert (runs.firsts, runs.ends) == ([0, 2000], [1001, 2001])
-
-
-def test_replay_of_scattered_single_spends_matches_a_set_replay(tmp_path):
-    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
-    sid = secrets[0][0]
-    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    precompute_round(live, rng("scatter"), rounds=60)
-    stores[1].save(sid)
-    limit = live[1].block_count
-    rnd = random.Random("scatter")
-    # spends journaled by a crash before their record rewrite: some below
-    # next_round, some of rounds stocked after the last save
-    spent = rnd.sample(range(60), 25) + rnd.sample(range(60, 60 + 3 * limit),
-                                                   3)
-    journal, _ = ChainedLog.open(tmp_path / "holder-1" / "journal.log")
-    for rid in spent:
-        journal.append(stores_mod._consume_record(sid, (rid,)))
-    # what replaying the journal as a set of every spent id gives
-    next_round = max(spent) + 1
-    expect_live = [rid for rid in range(60) if rid not in spent]
-    for _reopen in range(2):
-        reopened = HolderStore(tmp_path / "holder-1")
-        share_set = reopened.get_secret(sid)
-        assert share_set.unconsumed_rounds() == expect_live
-        assert share_set.next_round == next_round
-        assert spent_rounds(reopened, sid) == tuple(
-            rid for rid in range(next_round) if rid not in expect_live)
-    # the ids between 60 and the top spend that no one spent are journaled
-    # lost, so a third open still vouches for every absent id
-    assert len(journal_records(reopened)) > len(spent)
 
 
 def test_retire_journals_chunks_of_one_spend_and_refuses_a_dead_round(
@@ -960,9 +806,8 @@ def test_retire_journals_chunks_of_one_spend_and_refuses_a_dead_round(
     store.save(sid)
     with pytest.raises(ProtocolError):
         store.retire(sid, (0, 3 * limit + 1))
-    assert len(journal_records(store)) == 0
+    assert live[4].unconsumed_rounds() == list(range(3 * limit + 1))
     store.retire(sid, range(3 * limit))
-    assert len(journal_records(store)) == 3  # one consume record per `limit` ids
     assert live[4].unconsumed_rounds() == [3 * limit]
     store.save(sid)
     reopened = HolderStore(tmp_path / "holder-4")
@@ -992,7 +837,7 @@ def test_reconstruction_through_stores(tmp_path):
                              byte_length=len(data))
     assert recovered == data
 
-    # every spent round is journaled in each contacted store
+    # every spent round is absent from each contacted store's record
     for j in subset:
         reloaded = HolderStore(tmp_path / ("holder-%d" % j))
         assert spent_rounds(reloaded, sid) == tuple(sorted(ids))
@@ -1010,14 +855,14 @@ def test_respond_failure_leaves_journal_clean(tmp_path):
 
     requests = spss_request(password, (1, 2, 3), PARAMS_2311, source,
                             tuple_ids=tuple(ids))
-    journal_len = len(journal_records(stores[4]))
+    record = live_record_path(tmp_path / "holder-4", sid).read_bytes()
     with pytest.raises(ProtocolError):
         stores[4].respond(sid, requests[1])  # holder 4 is outside the subset
     missing = spss_request(password, (1, 2, 4), PARAMS_2311, source,
                            tuple_ids=tuple(ids) + (99,))
     with pytest.raises(PrecomputationExhaustedError):
         stores[4].respond(sid, missing[4])
-    assert len(journal_records(stores[4])) == journal_len
+    assert live_record_path(tmp_path / "holder-4", sid).read_bytes() == record
     assert stores[4].get_secret(sid).unconsumed_rounds() == sorted(ids)
 
 
@@ -1030,10 +875,10 @@ def test_a_pinned_request_one_id_short_is_improper_at_the_store_too(tmp_path):
         stores[j].save(sid)
     request = spss_request(password, (1, 2, 3), PARAMS_2311, rng("short"),
                            tuple_ids=ids[:-1])[1]
-    journal_len = len(journal_records(stores[1]))
+    record = live_record_path(tmp_path / "holder-1", sid).read_bytes()
     with pytest.raises(ImproperRequestError):
         stores[1].respond(sid, request)
-    assert len(journal_records(stores[1])) == journal_len
+    assert live_record_path(tmp_path / "holder-1", sid).read_bytes() == record
     with pytest.raises(ImproperRequestError):
         holder_respond(stores[1].get_secret(sid), request)
     assert stores[1].get_secret(sid).unconsumed_rounds() == list(ids)
@@ -1057,52 +902,6 @@ def test_a_spent_round_is_absent_in_memory_and_after_reopening(tmp_path):
     reopened = HolderStore(tmp_path / "holder-1").get_secret(sid)
     assert reopened == share_set and reopened.next_round == need + 2
     assert spent_rounds(store, sid) == tuple(range(need + 1))
-
-
-def test_a_journaled_round_is_absent_after_a_crash_and_never_reused(tmp_path):
-    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[3])
-    sid = secrets[0][0]
-    holder_dir = tmp_path / "holder-2"
-    # the journal names round 1, the record rewrite never runs
-    stores[2]._journal_spends(sid, (1,))
-    reopened = HolderStore(holder_dir).get_secret(sid)
-    assert sorted(reopened.tuples) == [0, 2] and reopened.next_round == 3
-    # a journaled round at next_round (stocked by a save that was lost)
-    # moves next_round past it, durably, so the id is never stocked again
-    HolderStore(holder_dir)._journal_spends(sid, (3,))
-    for _ in range(2):
-        again = HolderStore(holder_dir)
-        assert sorted(again.get_secret(sid).tuples) == [0, 2]
-        assert again.get_secret(sid).next_round == 4
-        assert spent_rounds(again, sid) == (1, 3)
-
-
-def test_a_replay_journals_the_unsaved_rounds_it_moves_past(tmp_path):
-    # fails at the parent commit: the first open moved next_round to 5
-    # without journaling round 3, and the second open refused the record
-    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[3])
-    sid = secrets[0][0]
-    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    precompute_round(live, rng("unsaved"), rounds=2)  # rounds 3 and 4
-    stores[1]._journal_spends(sid, (4,))  # then a crash: nothing saved
-    del stores
-    holder_dir = tmp_path / "holder-1"
-    for _ in range(2):
-        again = HolderStore(holder_dir)
-        share_set = again.get_secret(sid)
-        assert sorted(share_set.tuples) == [0, 1, 2]
-        assert share_set.next_round == 5
-        assert spent_rounds(again, sid) == (3, 4)
-    assert len(journal_records(again)) == 2
-
-
-def test_a_journal_spend_far_past_next_round_fails_closed(tmp_path):
-    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
-    sid = secrets[0][0]
-    stores[1]._journal_spends(sid, ((1 << 32) - 2,))
-    journal = tmp_path / "holder-1" / "journal.log"
-    with pytest.raises(TamperDetectedError, match=re.escape(str(journal))):
-        HolderStore(tmp_path / "holder-1")
 
 
 def test_renewal_destroys_old_share_bytes(tmp_path):
@@ -1147,7 +946,6 @@ def test_renewal_rounds_live_in_the_record_and_read_no_file(tmp_path,
     with pytest.raises(ProtocolError):
         store.apply_renewal(sid, shares, 1 << 32)
     assert store.get_secret(sid).renewal_runs == [(0, 2), (3, 4)]
-    assert journal_records(store) == ()  # the journal holds spends only
     reopened = HolderStore(tmp_path / "holder-1")
 
     def no_open(*args, **kwargs):
@@ -1212,6 +1010,29 @@ def test_a_long_renewal_history_opens_without_being_expanded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert reopened.get_secret(sid).renewal_runs == [(0, wire.MAX_IDS)]
+
+
+def test_a_long_renewal_history_is_saved_without_being_expanded(tmp_path):
+    # fails at the parent commit: a save wrote the renewal rounds through
+    # encode_ids of every round, 2^22 ints for this one run
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid = secrets[0][0]
+    holder_dir = tmp_path / "holder-1"
+    path = live_record_path(holder_dir, sid)
+    body = live_runs_body(stores[1].get_secret(sid), 2, 0, [], [], [],
+                          renewals=[(0, wire.MAX_IDS)])
+    path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    store = HolderStore(holder_dir)
+    tracemalloc.start()
+    try:
+        store.save(sid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    reopened = HolderStore(holder_dir)
+    assert reopened.get_secret(sid) == store.get_secret(sid)
     assert reopened.get_secret(sid).renewal_runs == [(0, wire.MAX_IDS)]
 
 
@@ -1387,14 +1208,6 @@ def test_crash_at_every_fsync_leaves_an_openable_consistent_store(tmp_path, op):
             assert (state[SID_A].data_shares, again.renewal_rounds(SID_A)) in (
                 (old[SID_A].data_shares, ()), (new[SID_A].data_shares, (1,))
             ), "crash at fsync %d split shares from renewal rounds" % k
-        limits = {sid: stores_mod._spend_limit(share_set)
-                  for sid, share_set in state.items()}
-        for payload in journal_records(again):
-            sid, rounds = stores_mod._parse_journal_record(payload, limits)
-            for rid in wire.expand_runs(rounds):
-                assert rid in spent_rounds(again, sid)
-                with pytest.raises(PrecomputationExhaustedError):
-                    respond_to(again, sid, 777, (rid,), CRASH_PARAMS)
         for sid, sizes in holder_record_files(directory).items():
             assert "new" not in sizes
             assert sum(1 for size in sizes.values() if size) == 1, sizes

@@ -464,11 +464,14 @@ def _inspect_holder(path: Path) -> None:
     for sid in ids:
         share_set = store.get_secret(sid)
         live = len(share_set.tuples)
-        renewed = store.renewal_rounds(sid)
+        # as runs: a renewal history may name up to 2^32 - 1 rounds
+        renewed = ", ".join(str(first) if end == first + 1
+                            else "%d-%d" % (first, end - 1)
+                            for first, end in share_set.renewal_runs)
         print("  sid=%s tracks=%d masking(unconsumed=%d consumed=%d) "
-              "renewal_rounds=%s"
+              "renewal_rounds=[%s]"
               % (sid.hex(), share_set.block_count, live,
-                 share_set.next_round - live, list(renewed) or "[]"))
+                 share_set.next_round - live, renewed))
 
 
 def _inspect_workspace(root: Path) -> None:

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from .entropy import SeededEntropy
 from .errors import (
     ChannelIntegrityError,
     ConfigurationError,
@@ -81,6 +82,7 @@ from .renewal import (
     RenewalPacket,
     apply_renewal,
     gen_renewal,
+    subgroup_members,
     verify_renewal_share,
 )
 from .spss import (
@@ -275,7 +277,7 @@ class Transport:
 
 def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
                   sources: dict, round_no: int = 0,
-                  deliver=None) -> RenewalOutcome:
+                  deliver=None, check_source=None) -> RenewalOutcome:
     """One verified renewal round over every share track.
 
     shares maps each holder index to its tuple of track shares in F_q and
@@ -288,8 +290,13 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
     not check its own packet: nothing can alter it on the way. A failed
     check, or a pair that is None (never received), rejects the round
     with accusations and no new shares; otherwise every holder folds all
-    pairs into its shares. Each distinct commitment's subgroup check runs
-    once per round.
+    pairs into its shares. Before any pair is checked, subgroup_members
+    settles once per round the subgroup membership of every distinct
+    commitment any holder received from another, as received: one power
+    each for up to 96 of them, else one random-subset batch whose bits
+    come from check_source(received commitments), by default the lowest
+    holder's source after the round's draws. The source must be private
+    to the checkers.
     """
     holders = sorted(shares)
     if not set(holders) <= set(sources):
@@ -311,8 +318,14 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
             received[j][d] = got[j]
         received[d][d] = as_sent(packets, d)
 
+    received_commitments = [eps for j in holders for d in holders if d != j
+                            for track in received[j][d][0] for eps in track]
+    if check_source is not None:
+        randomness = check_source(received_commitments)
+    else:  # a round of no holders receives nothing and draws nothing
+        randomness = sources[holders[0]] if holders else None
+    members = subgroup_members(received_commitments, config, randomness)
     accusations = []
-    members = set()  # commitments proven to be subgroup members this round
     new_shares = {}
     for j in holders:
         renewed = []
@@ -932,10 +945,22 @@ class TpvSession:
                 received[j] = (commits, list(zip(flat[0::2], flat[1::2])))
             return received
 
+        def check_source(commitments):
+            # Bits no node's pool pays for and no message carries, drawn
+            # once everything has arrived: a retried round that received
+            # other commitments gets other bits.
+            width = self.codec.sizes["P"]
+            digest = hashlib.sha256()
+            for eps in commitments:  # one at a time: no 15,000-value copy
+                digest.update(eps.to_bytes(width, "big"))
+            return SeededEntropy(self.net.master, "renewal-check|%s|%d|%s"
+                                 % (sid.hex(), round_no, digest.hexdigest()))
+
         sources = {j: self.net.entropy_source(self._holder_ep(j))
                    for j in holders}
         outcome = renewal_round({j: sets[j].data_shares for j in holders},
-                                degree, group, sources, round_no, deliver)
+                                degree, group, sources, round_no, deliver,
+                                check_source)
         if not outcome.accepted:
             self.transcript.append(
                 "renewal sid=%s round=%d rejected accusations=%d"

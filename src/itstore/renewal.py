@@ -31,17 +31,34 @@ of 256 powers per 8-bit digit of the exponent and base, so a commitment
 is 2 * ceil(bits(q) / 8) table look-ups and mulmods instead of two full
 exponentiations. The tables are built on a group's first commit and kept
 on the group object (mersenne127: 32 rows, about 8,000 mulmods and 0.5 MB).
-A commitment's subgroup membership (0 < eps < p and eps^q == 1) is checked
-once per distinct value per round: verify_renewal_share takes a per-round
-set of values already proven members, and only values that pass enter it.
+A commitment's subgroup membership (0 < eps < p and eps^q == 1) is
+settled once per round for every distinct value received, by
+subgroup_members before any pair is checked; verify_renewal_share skips
+the values it proved. Up to EXACT_CHECKS = 96 distinct values are
+checked one full-width power each. Above that, one random-subset batch
+(Bellare-Garay-Rabin, EUROCRYPT 1998) checks them all: each value gets
+64 private random bits, bit r putting it in subset r, and each of the 64
+subset products must have a q-th power of 1. The members form a
+subgroup, so for a value x outside it, with every other bit fixed, a
+product with x and the same product without x cannot both be members:
+each test passes x with probability at most 1/2, and a round holding a
+non-member passes the batch with probability at most 2^-64, whatever
+the group and the order of x. (The small-exponent test gives no such
+bound here: mersenne127's cofactor 2 * 7 * 41^2 * 577 * 65407 *
+(90-bit prime) has small factors; Boyd-Pavlovski, ASIACRYPT 2000.) A
+failed batch falls back to one power per value, so the values proven
+members, and hence every accusation, are the ones the exact check gives.
+The batch costs 64 powers, 8 bucket mulmods per value and 4,080 mulmods
+to fold the buckets, against one power per value.
 A round (protocol.renewal_round, which TpvSession.renew runs over its
 transport) has every holder check every other holder's packet; its own
-cannot be altered on the way. With n holders, degree t and T tracks it
-therefore costs n*T*t commitments to generate and n*(n - 1)*T to verify,
-all from the tables, and n^2*T*t calls of mod_exp: n*T*t full-width
-membership checks plus n*(n - 1)*T*t right-hand-side powers whose
+cannot be altered on the way. With n holders, degree t and T tracks, so
+K = n*T*t commitments, it costs K commitments to generate and
+n*(n - 1)*T pair checks, all from the tables, plus
+n*(n - 1)*T*t calls of mod_exp for the right-hand-side powers, whose
 exponents are the recipient's index powers c^j (at most 16 in a (3,4)
-layout).
+layout), and the membership check: K full-width powers when K <= 96,
+else 64.
 """
 
 from __future__ import annotations
@@ -61,6 +78,10 @@ __all__ = [
     "derive_subgroup_element",
     "gen_renewal",
     "verify_renewal_share",
+    "subgroup_members",
+    "subset_products",
+    "SUBSET_TESTS",
+    "EXACT_CHECKS",
     "apply_renewal",
     "TOY_GROUP",
     "MERSENNE127_GROUP",
@@ -263,6 +284,70 @@ def verify_renewal_share(recipient: int, packet: RenewalPacket,
         exponent = exponent * recipient % config.q
         rhs = rhs * mod_exp(eps, exponent, config.p) % config.p
     return lhs == rhs
+
+
+# Subset tests in one membership batch: a round holding a non-member
+# passes them all with probability at most 2^-SUBSET_TESTS.
+SUBSET_TESTS = 64
+# Most distinct values checked one full-width power each. The batch costs
+# SUBSET_TESTS powers, 8 mulmods per value and 4,080 to fold the buckets;
+# timed on a 2-core x86-64 host under CPython 3.11, it breaks even with
+# one power per value at 80-88 values in mersenne127 and rfc5114 alike.
+EXACT_CHECKS = 96
+
+
+def subset_products(values, selectors: bytes, p: int) -> list:
+    """The SUBSET_TESTS products mod p of the subsets of values that the
+    selectors pick: product r multiplies every values[i] whose selector,
+    the little-endian integer in bytes [w*i, w*(i + 1)) of selectors with
+    w = SUBSET_TESTS // 8, has bit r set.
+
+    Each byte position of the selectors sorts the values into 256
+    buckets by their byte there; folding the buckets in half, top bit
+    first, yields that byte's 8 products in 510 mulmods.
+    """
+    width = SUBSET_TESTS // 8
+    products = []
+    for b in range(width):
+        buckets = [1] * 256
+        for eps, byte in zip(values, selectors[b::width]):
+            buckets[byte] = buckets[byte] * eps % p
+        by_bit = []  # bits 7 .. 0 of this byte
+        half = 128
+        while half:
+            top = 1
+            for x in buckets[half:]:
+                top = top * x % p
+            by_bit.append(top)
+            buckets = [buckets[v] * buckets[v + half] % p
+                       for v in range(half)]
+            half >>= 1
+        products += reversed(by_bit)
+    return products
+
+
+def subgroup_members(values, config: RenewalGroupConfig,
+                     randomness) -> set:
+    """The distinct values that lie in the order-q subgroup: 0 < eps < p
+    and eps^q == 1 mod p.
+
+    Up to EXACT_CHECKS candidates are checked one by one. More are
+    checked as one random-subset batch whose selectors, SUBSET_TESTS
+    bits per candidate in increasing order, are drawn from randomness,
+    which must be private to the checker and drawn after the values are
+    fixed. If any subset test fails, every candidate is checked one by
+    one. So the result is the exact one, except with probability at most
+    2^-SUBSET_TESTS when a non-member is present.
+    """
+    p, q = config.p, config.q
+    candidates = sorted({eps for eps in values if 0 < eps < p})
+    if len(candidates) > EXACT_CHECKS:
+        selectors = randomness.take_bytes(SUBSET_TESTS // 8
+                                          * len(candidates))
+        if all(mod_exp(product, q, p) == 1
+               for product in subset_products(candidates, selectors, p)):
+            return set(candidates)
+    return {eps for eps in candidates if mod_exp(eps, q, p) == 1}
 
 
 def apply_renewal(share: int, holder: int, packets,

@@ -507,7 +507,9 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
     params = SpssParams(t_sh, n_sh, PrimeField(q))
     data_shares = rd.uints(rd.uint(4), width)
     password_share = rd.uint(width)
-    renewal_runs = rd.runs()
+    # renewal rounds are never expanded, so only the u32 id space bounds
+    # them; the record's length bounds how many runs it holds
+    renewal_runs = rd.runs(limit=1 << 32)
     next_round = rd.uint(4)
     # each live id has an r and a z after the runs, which bounds the runs
     # before any is expanded
@@ -761,7 +763,7 @@ class HolderStore:
                       new_password_share: "int | None" = None) -> None:
         """Swap in renewed shares and note the round, in one record
         rewrite that also destroys the old share values. Rounds must
-        increase."""
+        increase, and a run of them must keep a u32 count."""
         ss = self.get_secret(secret_id)
         shares = tuple(new_data_shares)
         if len(shares) != len(ss.data_shares):
@@ -770,14 +772,16 @@ class HolderStore:
                 % (len(shares), len(ss.data_shares)))
         runs = ss.renewal_runs
         end = runs[-1][1] if runs else 0  # one past the last round
-        if not end <= round_no < 1 << 32:
+        first = runs[-1][0] if runs and end == round_no else round_no
+        if not end <= round_no < 1 << 32 or (round_no + 1 - first) >> 32:
             raise ProtocolError("renewal round %d of %s is not a u32 of at "
-                                "least %d" % (round_no, secret_id.hex(), end))
+                                "least %d, or its run would pass a u32 count"
+                                % (round_no, secret_id.hex(), end))
         ss.data_shares = shares
         if new_password_share is not None:
             ss.password_share = new_password_share
-        if runs and end == round_no:
-            runs[-1] = (runs[-1][0], round_no + 1)
+        if first < round_no:
+            runs[-1] = (first, round_no + 1)
         else:
             runs.append((round_no, round_no + 1))
         self.save(secret_id)

@@ -8,11 +8,14 @@ several invocations: all state must round-trip through the directory.
 """
 
 import re
+import tracemalloc
 
 import pytest
 
 from itstore.cli import main
 from itstore.protocol import TpvSession
+from itstore.stores import HolderStore
+from itstore.wire import MAX_IDS
 
 PASSWORD = "open sesame"
 SECRET_TEXT = "the archive payload, version 1"
@@ -400,6 +403,27 @@ def test_inspect_flags_and_finishes_an_interrupted_holder_save(tmp_path,
     assert idle.stat().st_size == 0
     code, out, _ = run_cli(capsys, "inspect", str(holder))
     assert code == 0 and "leftover" not in out
+
+
+def test_inspect_prints_renewal_rounds_as_runs(tmp_path, capsys):
+    # fails at the parent commit, which listed every round and refused a
+    # record naming more than 2^22 of them
+    ws = tmp_path / "ws"
+    sid = bytes.fromhex(register(capsys, ws))
+    holder = ws / "stores" / "holder-3"
+    store = HolderStore(holder)
+    share_set = store.get_secret(sid)
+    share_set.renewal_runs = [(0, 3), (5, 6), (7, 7 + MAX_IDS)]
+    store.save(sid)
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "inspect", str(holder))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "renewal_rounds=[0-2, 5, 7-%d]" % (6 + MAX_IDS) in out
+    assert peak < 1 << 20
 
 
 TOEPLITZ_YAML = "mac: {scheme: toeplitz}\n"

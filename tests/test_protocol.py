@@ -22,6 +22,7 @@ from itstore.errors import (
 from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork
 from itstore.mac import MacScheme
 from itstore.protocol import Outcome, Phase, RolePlacement, TpvSession
+from itstore.renewal import EXACT_CHECKS, SUBSET_TESTS
 from itstore.stores import (
     HolderStore,
     directory_contains_window,
@@ -618,11 +619,14 @@ def test_session_renewal_checks_each_packet_of_another_holder_once(
                                 itstore.protocol.verify_renewal_share))
     monkeypatch.setattr(itstore.renewal, "mod_exp", counting_mod_exp)
     assert session.renew(sid).accepted
-    # a holder never checks its own packet: n(n - 1) checks per track,
-    # each commitment's membership once, n(n - 1) t right-hand-side powers
+    # a holder never checks its own packet: n(n - 1) checks per track and
+    # n(n - 1) t right-hand-side powers. The n T t commitments are more
+    # than EXACT_CHECKS, so one batch of SUBSET_TESTS powers proves them
+    # all members
     assert calls == {"gen": n * tracks, "verify": n * (n - 1) * tracks}
-    assert exponents.count(group.q) == n * tracks * degree
-    assert len(exponents) == n * tracks * degree * n
+    assert n * tracks * degree > EXACT_CHECKS
+    assert exponents.count(group.q) == SUBSET_TESTS
+    assert len(exponents) == SUBSET_TESTS + n * (n - 1) * tracks * degree
 
 
 def test_renewal_corruption_is_accused_and_changes_nothing(tmp_path):

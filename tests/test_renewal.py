@@ -5,6 +5,7 @@ The commitment oracle multiplies out g^a h^b by repeated multiplication,
 independent of mod_exp.
 """
 
+import functools
 import itertools
 import random
 
@@ -16,8 +17,10 @@ from itstore.errors import ConfigurationError, ProtocolError
 from itstore.field import PrimeField, interpolate_at_zero, random_polynomial
 from itstore.protocol import renewal_round
 from itstore.renewal import (
+    EXACT_CHECKS,
     MERSENNE127_GROUP,
     RFC5114_GROUP,
+    SUBSET_TESTS,
     TOY_GROUP,
     RenewalGroupConfig,
     Accusation,
@@ -26,6 +29,8 @@ from itstore.renewal import (
     derive_subgroup_element,
     gen_renewal,
     group_by_name,
+    subgroup_members,
+    subset_products,
     verify_renewal_share,
 )
 
@@ -150,12 +155,14 @@ def test_verify_rejects_elements_outside_subgroup():
     assert not verify_renewal_share(2, packet, (0, 0), TOY_GROUP)
 
 
-def accusations_without_shared_set(packets, holders, group):
-    """What a one-track renewal_round must accuse, recipient by recipient
-    and sender by sender, each check made with no shared set."""
+def accusations_without_shared_set(tracks, holders, group):
+    """What renewal_round must accuse, recipient by recipient, track by
+    track and sender by sender, each check made with no shared set;
+    tracks[k] holds every sender's packet on track k."""
     return tuple(Accusation(c, packet.sender,
-                            "commitment check failed on track 0")
-                 for c in holders for packet in packets
+                            "commitment check failed on track %d" % k)
+                 for c in holders for k, packets in enumerate(tracks)
+                 for packet in packets
                  if c != packet.sender and not verify_renewal_share(
                      c, packet, packet.share_pairs[c], group))
 
@@ -193,7 +200,7 @@ def test_non_member_commitments_are_accused_by_every_recipient():
                                              group.p) % group.p
         assert rhs == group.commit(*first.share_pairs[c])
 
-    expected = accusations_without_shared_set(packets, holders, group)
+    expected = accusations_without_shared_set([packets], holders, group)
     assert {(a.accuser, a.accused) for a in expected} == {
         (2, 1), (3, 1), (4, 1), (1, 3), (2, 3), (4, 3)}
     assert not outcome.accepted and outcome.new_shares is None
@@ -232,6 +239,138 @@ def test_round_checks_each_commitment_once(monkeypatch):
     assert exponents.count(group.q) == 8
     assert len(exponents) == 8 + 24
     assert max(e for e in exponents if e != group.q) == 16
+
+
+def in_subgroup(group, x):
+    return pow(x, group.q, group.p) == 1
+
+
+def test_subset_products_match_a_product_per_subset():
+    group = MERSENNE127_GROUP
+    rng = random.Random(0x5b5e7)
+    values = [group.commit(rng.getrandbits(127), rng.getrandbits(127))
+              for _ in range(300)]
+    selectors = rng.randbytes(8 * len(values))
+    products = subset_products(values, selectors, group.p)
+    assert len(products) == SUBSET_TESTS
+    for r, product in enumerate(products):
+        expected = 1
+        for i, eps in enumerate(values):
+            if int.from_bytes(selectors[8 * i:8 * i + 8], "little") >> r & 1:
+                expected = expected * eps % group.p
+        assert product == expected, r
+
+
+@pytest.mark.parametrize("outsiders", [1, 2, 3])
+def test_a_non_member_passes_at_most_half_of_every_subset_choice(outsiders):
+    # Six values give 2^6 = 64 subset choices, one per subset test: value
+    # i is in subset r when bit i of r is set. Every mix of members and
+    # 1-3 non-members of Z_23^* passes at most 32 of the 64.
+    group = TOY_GROUP
+    members = [x for x in range(1, group.p) if in_subgroup(group, x)]
+    others = [x for x in range(1, group.p) if not in_subgroup(group, x)]
+    assert len(members) == group.q and len(others) == group.p - 1 - group.q
+    selectors = b"".join(
+        sum(1 << r for r in range(64) if r >> i & 1).to_bytes(8, "little")
+        for i in range(6))
+    rng = random.Random(outsiders)
+    for _ in range(200):
+        values = (rng.sample(others, outsiders)
+                  + rng.sample(members, 6 - outsiders))
+        rng.shuffle(values)
+        products = subset_products(values, selectors, group.p)
+        for r, product in enumerate(products):
+            chosen = [x for i, x in enumerate(values) if r >> i & 1]
+            assert product == functools.reduce(
+                lambda a, b: a * b % group.p, chosen, 1)
+        assert sum(in_subgroup(group, x) for x in products) <= 32
+
+
+def test_subgroup_members_drops_values_out_of_range():
+    group = TOY_GROUP
+    values = [0, 1, 2, 5, group.p, group.p + 2, -3]
+    assert subgroup_members(values, group, None) == {1, 2}
+
+
+def test_subgroup_members_is_exact_either_side_of_the_batch():
+    group = MERSENNE127_GROUP
+    rng = random.Random(0xba7c)
+    honest = [group.commit(rng.getrandbits(127), rng.getrandbits(127))
+              for _ in range(EXACT_CHECKS + 40)]
+    for values in (honest[:EXACT_CHECKS], honest):
+        source = SeededEntropy(b"members-%d" % len(values))
+        assert subgroup_members(values, group, source) == set(values)
+        batched = len(values) > EXACT_CHECKS
+        assert source.bits_drawn == batched * SUBSET_TESTS * len(values)
+        tainted = values[:-1] + [group.p - values[-1], values[0] + group.p]
+        assert (subgroup_members(tainted, group, source)
+                == set(values[:-1]))
+
+
+def test_an_honest_batched_round_makes_subset_tests_powers_of_q(
+        monkeypatch):
+    group = MERSENNE127_GROUP
+    holders = (1, 2, 3, 4)
+    tracks = 16  # 4 * 16 * 2 = 128 commitments
+    assert len(holders) * tracks * 2 > EXACT_CHECKS
+    exponents = []
+
+    def counting_mod_exp(base, exponent, modulus):
+        exponents.append(exponent)
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(itstore.renewal, "mod_exp", counting_mod_exp)
+    outcome = renewal_round({j: (0,) * tracks for j in holders}, 2, group,
+                            one_source(SeededEntropy(b"batched")))
+    assert outcome.accepted
+    assert exponents.count(group.q) == SUBSET_TESTS
+    assert len(exponents) == SUBSET_TESTS + 4 * 3 * tracks * 2
+
+
+@pytest.mark.parametrize("group", [MERSENNE127_GROUP, RFC5114_GROUP],
+                         ids=lambda g: g.name)
+def test_a_batched_round_accuses_exactly_what_the_exact_checks_do(
+        group, monkeypatch):
+    # 13 tracks of 4 holders at degree 2: 104 commitments, more than
+    # EXACT_CHECKS. A twisted p - eps and an out-of-range eps + p ride in
+    # it; the failed batch falls back to one check per value.
+    holders = (1, 2, 3, 4)
+    tracks = 13
+    sent = {}
+    powers_of_q = []
+
+    def corrupt(d, packets):
+        if d == 1:
+            packet = packets[4]
+            packet.commitments = ((group.p - packet.commitments[0],)
+                                  + packet.commitments[1:])
+        if d == 3:
+            packet = packets[11]
+            packet.commitments = (packet.commitments[:1]
+                                  + (packet.commitments[1] + group.p,))
+        sent[d] = packets
+        return forward(d, packets)
+
+    def counting_mod_exp(base, exponent, modulus):
+        powers_of_q.append(exponent == group.q)
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(itstore.renewal, "mod_exp", counting_mod_exp)
+    outcome = renewal_round({j: (0,) * tracks for j in holders}, 2, group,
+                            one_source(SeededEntropy(b"batched-accusal")),
+                            deliver=corrupt)
+    monkeypatch.undo()
+    in_range = {eps for packets in sent.values() for packet in packets
+                for eps in packet.commitments if eps < group.p}
+    assert len(in_range) > EXACT_CHECKS
+    assert sum(powers_of_q) > len(in_range)  # a batch ran, then the fallback
+    expected = accusations_without_shared_set(
+        [[sent[d][k] for d in holders] for k in range(tracks)], holders,
+        group)
+    assert {(a.accuser, a.accused) for a in expected} == {
+        (2, 1), (3, 1), (4, 1), (1, 3), (2, 3), (4, 3)}
+    assert not outcome.accepted and outcome.new_shares is None
+    assert outcome.accusations == expected
 
 
 def test_single_coordinate_perturbations_all_rejected():

@@ -981,10 +981,8 @@ def test_a_record_of_the_live_tuple_runs_layout_fails_closed(tmp_path):
 
 
 @pytest.mark.parametrize("renewals", [[(0, 0)], [(2, 1), (0, 1)],
-                                      [(0, 1), (1, 1)], [(0xFFFFFFFF, 2)],
-                                      [(0, wire.MAX_IDS + 1)]],
-                         ids=["empty", "out-of-order", "touching", "past-u32",
-                              "past-max-ids"])
+                                      [(0, 1), (1, 1)], [(0xFFFFFFFF, 2)]],
+                         ids=["empty", "out-of-order", "touching", "past-u32"])
 def test_malformed_renewal_runs_fail_closed(tmp_path, renewals):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
     sid = secrets[0][0]
@@ -994,6 +992,45 @@ def test_malformed_renewal_runs_fail_closed(tmp_path, renewals):
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
         HolderStore(tmp_path / "holder-1")
+
+
+def test_a_renewal_history_past_max_ids_reopens_after_its_save(tmp_path):
+    # fails at the parent commit: apply_renewal saved the run of 2^22 + 1
+    # rounds, and the reopen refused it as naming more than MAX_IDS ids
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid = secrets[0][0]
+    holder_dir = tmp_path / "holder-1"
+    path = live_record_path(holder_dir, sid)
+    body = live_runs_body(stores[1].get_secret(sid), 2, 0, [], [], [],
+                          renewals=[(0, wire.MAX_IDS)])
+    path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    store = HolderStore(holder_dir)
+    shares = store.get_secret(sid).data_shares
+    store.apply_renewal(sid, shares, wire.MAX_IDS)
+    reopened = HolderStore(holder_dir)
+    assert reopened.get_secret(sid).renewal_runs == [(0, wire.MAX_IDS + 1)]
+
+
+def test_renewal_runs_span_the_u32_round_ids(tmp_path):
+    # one run holds at most 2^32 - 1 rounds (its count is a u32), so a
+    # round that would lengthen such a run is refused before any change
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid = secrets[0][0]
+    holder_dir = tmp_path / "holder-1"
+    path = live_record_path(holder_dir, sid)
+    full = [(0, 0xFFFFFFFF)]
+    body = live_runs_body(stores[1].get_secret(sid), 2, 0, [], [], [],
+                          renewals=full)
+    path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    store = HolderStore(holder_dir)
+    before = store.get_secret(sid)
+    shares = tuple(v + 1 for v in before.data_shares)
+    with pytest.raises(ProtocolError):
+        store.apply_renewal(sid, shares, 0xFFFFFFFF)
+    assert store.get_secret(sid).renewal_runs == full
+    assert store.get_secret(sid).data_shares == before.data_shares
+    assert path.read_bytes()[:len(body)] == body
+    assert HolderStore(holder_dir).get_secret(sid) == store.get_secret(sid)
 
 
 def test_a_long_renewal_history_opens_without_being_expanded(tmp_path):

@@ -32,17 +32,19 @@ from .config import (ScenarioConfig, derive_payload, parse_scenario,
                      read_scenario)
 from .errors import (ConfigurationError, ItstoreError, ProtocolError,
                      TamperDetectedError)
-from .field import PrimeField
 from .harness import (COMPARE_EXPONENT, EXIT_ABORT, EXIT_CONFIG, EXIT_FAIL,
-                      EXIT_SUCCESS, WAIT_STEP_MS, build_session, run_bench,
-                      run_scenario)
-from .keynet import KeyNetwork, LinkSpec, NetworkTopology, NodeSpec
-from .mac import MacScheme
-from .protocol import Outcome, RolePlacement, TpvSession
-from .renewal import group_by_name
-from .spss import SpssParams, data_block_count
+                      EXIT_SUCCESS, build_session, run_bench, run_scenario)
+from .keynet import KeyNetwork
+from .protocol import Outcome, TpvSession
+from .spss import data_block_count
+from .stores import _fsync_directory, _write_synced
 
 _STATE_FILE = "state.json"
+_STATE_KEYS = ("scenario", "network", "receipts", "end_user")
+# the scenario sections that describe a deployment: a workspace keeps these,
+# never the scenario's payload or password
+_DEPLOYMENT_KEYS = ("seed", "warmup_ms", "layout", "mac", "renewal",
+                    "topology", "placement", "clock_skews")
 
 
 # ------------------------------------------------------------ seed & config
@@ -54,111 +56,108 @@ def _resolve_seed(cli_seed: "str | None") -> "str | None":
     return os.environ.get("ITSTORE_SEED") or None
 
 
-def _load_config(path: "str | None", seed_override: "str | None",
-                 name_default: str = "cli") -> ScenarioConfig:
-    """Load a scenario file (or defaults) with the seed resolved first,
-    so seed-derived payloads stay consistent with the effective seed."""
-    if path is None:
-        data, name = {}, name_default
-    else:
-        data, name = read_scenario(path), Path(path).stem
-    if seed_override:
-        data = dict(data, seed=seed_override)
-    return parse_scenario(data, name_default=name)
+def _scenario_data(path: "str | None", seed_override: "str | None") -> dict:
+    """The mapping a scenario file (or the defaults) holds, with the seed
+    resolved first, so seed-derived payloads follow the effective seed."""
+    data = {} if path is None else read_scenario(path)
+    return dict(data, seed=seed_override) if seed_override else data
+
+
+def _load_config(path: "str | None",
+                 seed_override: "str | None") -> ScenarioConfig:
+    return parse_scenario(_scenario_data(path, seed_override),
+                          name_default=Path(path).stem if path else "cli")
 
 
 # --------------------------------------------------------------- workspace
 
 
-def _topology_to_json(topology: NetworkTopology) -> dict:
-    return {
-        "nodes": [dataclasses.asdict(n) for n in topology.nodes],
-        "links": [dataclasses.asdict(l) for l in topology.links],
-    }
-
-
-def _topology_from_json(data: dict) -> NetworkTopology:
-    return NetworkTopology(
-        nodes=tuple(NodeSpec(**row) for row in data["nodes"]),
-        links=tuple(LinkSpec(**row) for row in data["links"]),
-    )
+def _read_state(root: Path) -> tuple:
+    """A workspace's saved state and the scenario it was made from."""
+    path = root / _STATE_FILE
+    if not path.exists():
+        raise ConfigurationError(
+            "%s is not a workspace (no %s); create one with "
+            "`itstore register --workspace %s ...`" % (root, _STATE_FILE, root))
+    try:
+        state = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, ValueError) as exc:
+        raise ConfigurationError("cannot read workspace state %s: %s"
+                                 % (path, exc))
+    if isinstance(state, dict) and "meta" in state:
+        raise ConfigurationError(
+            "%s has the old `meta` layout, which kept its own copy of the "
+            "deployment; this version reads only the `scenario` layout"
+            % path)
+    missing = [key for key in _STATE_KEYS
+               if not isinstance(state, dict) or key not in state]
+    if missing:
+        raise ConfigurationError("workspace state %s lacks %s"
+                                 % (path, ", ".join(missing)))
+    try:
+        config = parse_scenario(state["scenario"])
+    except ConfigurationError as exc:
+        raise ConfigurationError("workspace state %s: %s" % (path, exc))
+    return state, config
 
 
 class Workspace:
-    """A directory holding one persistent protocol deployment."""
+    """A directory holding one persistent protocol deployment: the stores,
+    and in state.json the scenario sections that describe the deployment,
+    the key network's state and the owner's and end user's records.
 
-    def __init__(self, root: Path, session: TpvSession, meta: dict):
+    As a context manager it saves on every exit, so a command that raises
+    still records the key it spent and the lines it produced. A new
+    workspace is saved only once its deployment has drawn key: a first
+    register refused before that leaves no state.json, and may be retried
+    with another --config.
+    """
+
+    def __init__(self, root: Path, scenario: dict, config: ScenarioConfig,
+                 session: TpvSession, unspent: "dict | None" = None):
         self.root = root
+        self.scenario = scenario  # the deployment sections, as saved
+        self.config = config
         self.session = session
-        self.meta = meta
+        self._unspent = unspent  # a new network's state until its first save
 
     @classmethod
-    def initialize(cls, root, config: ScenarioConfig) -> "Workspace":
-        root = Path(root)
-        if (root / _STATE_FILE).exists():
-            raise ConfigurationError(
-                "workspace %s already exists; omit --config to reuse it" % root)
-        root.mkdir(parents=True, exist_ok=True)
+    def initialize(cls, root: Path, data: dict) -> "Workspace":
+        """A new, warmed-up deployment of the scenario mapping data."""
+        config = parse_scenario(data)
+        scenario = {key: data[key] for key in _DEPLOYMENT_KEYS if key in data}
+        scenario["seed"] = config.seed
         session = build_session(config, root / "stores")
         session.advance(config.warmup_ms)
-        meta = {
-            "version": 1,
-            "seed": config.seed,
-            "scheme": config.scheme.value,
-            "k": config.k,
-            "cs_tag_bits": config.cs_tag_bits,
-            "t_sh": config.params.t_sh,
-            "n_sh": config.params.n_sh,
-            "field_q": str(config.params.field.q),
-            "renewal_group": (config.renewal_group.name
-                              if config.renewal_group else None),
-            "placement": dataclasses.asdict(config.placement),
-            "clock_skews": dict(config.clock_skews),
-            "topology": _topology_to_json(config.topology),
-        }
-        return cls(root, session, meta)
+        return cls(root, scenario, config, session, session.net.to_state())
 
     @classmethod
-    def load(cls, root) -> "Workspace":
-        root = Path(root)
-        state_path = root / _STATE_FILE
-        if not state_path.exists():
-            raise ConfigurationError(
-                "%s is not a workspace (no %s); create one with "
-                "`itstore register --workspace %s --config ...`"
-                % (root, _STATE_FILE, root))
-        state = json.loads(state_path.read_text(encoding="utf-8"))
-        meta = state["meta"]
-        topology = _topology_from_json(meta["topology"])
-        seed = meta["seed"].encode("utf-8")
-        net = KeyNetwork.from_state(state["network"], topology, seed)
-        placement = RolePlacement(
-            owner=meta["placement"]["owner"],
-            end_user=meta["placement"]["end_user"],
-            calculator=meta["placement"]["calculator"],
-            verifier=meta["placement"]["verifier"],
-            holders=tuple(meta["placement"]["holders"]))
-        params = SpssParams(t_sh=meta["t_sh"], n_sh=meta["n_sh"],
-                            field=PrimeField(int(meta["field_q"])))
-        group = (group_by_name(meta["renewal_group"])
-                 if meta["renewal_group"] else None)
-        session = TpvSession(
-            root / "stores", net=net, params=params,
-            scheme=MacScheme(meta["scheme"]), k=meta["k"],
-            placement=placement, clock_skews=meta["clock_skews"],
-            renewal_group=group, cs_tag_bits=meta["cs_tag_bits"],
-            master_seed=seed, advance_on_exhaustion_ms=WAIT_STEP_MS)
+    def load(cls, root: Path) -> "Workspace":
+        state, config = _read_state(root)
+        net = KeyNetwork.from_state(state["network"], config.topology,
+                                    config.seed.encode("utf-8"))
+        session = build_session(config, root / "stores", net=net)
         for sid_hex, (t1, length) in state["receipts"].items():
             session.owner_receipts[bytes.fromhex(sid_hex)] = (t1, length)
         for sid_hex, (t1, data_hex) in state["end_user"].items():
             session.end_user_received[bytes.fromhex(sid_hex)] = (
                 bytes.fromhex(data_hex), t1)
-        return cls(root, session, meta)
+        return cls(root, state["scenario"], config, session)
+
+    def __enter__(self) -> "Workspace":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if (self._unspent is None
+                or self.session.net.to_state() != self._unspent):
+            self.save()
 
     def save(self) -> None:
+        """Replace state.json atomically and durably, then append the
+        session's transcript lines and verdicts to their logs."""
         session = self.session
         state = {
-            "meta": self.meta,
+            "scenario": self.scenario,
             "network": session.net.to_state(),
             "receipts": {sid.hex(): [t1, length]
                          for sid, (t1, length)
@@ -167,8 +166,13 @@ class Workspace:
                          for sid, (data, t1)
                          in sorted(session.end_user_received.items())},
         }
-        (self.root / _STATE_FILE).write_text(
-            json.dumps(state, indent=1, sort_keys=True), encoding="utf-8")
+        path = self.root / _STATE_FILE
+        pending = path.with_name(_STATE_FILE + ".new")
+        _write_synced(pending, json.dumps(
+            state, indent=1, sort_keys=True).encode("utf-8"))
+        os.replace(pending, path)
+        _fsync_directory(self.root)
+        self._unspent = None
         if session.transcript:
             with open(self.root / "transcript.log", "a", encoding="utf-8") as fh:
                 fh.write(session.transcript_text())
@@ -183,18 +187,15 @@ class Workspace:
 def _workspace_for(args, allow_init: bool) -> Workspace:
     root = Path(args.workspace)
     exists = (root / _STATE_FILE).exists()
-    if exists:
-        if getattr(args, "config", None):
-            raise ConfigurationError(
-                "workspace %s already exists; omit --config to reuse it" % root)
-        return Workspace.load(root)
-    if not allow_init:
+    if allow_init and not exists:
+        return Workspace.initialize(
+            root, _scenario_data(args.config, _resolve_seed(args.seed)))
+    given = [flag for flag in ("config", "seed") if getattr(args, flag, None)]
+    if given:
         raise ConfigurationError(
-            "%s is not a workspace (no %s); create one with "
-            "`itstore register --workspace %s ...`" % (root, _STATE_FILE, root))
-    config = _load_config(getattr(args, "config", None),
-                          _resolve_seed(args.seed))
-    return Workspace.initialize(root, config)
+            "workspace %s already exists; omit %s to reuse it"
+            % (root, " and ".join("--" + flag for flag in given)))
+    return Workspace.load(root)
 
 
 # ----------------------------------------------------------- input helpers
@@ -327,13 +328,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_register(args) -> int:
-    ws = _workspace_for(args, allow_init=True)
-    payload = _payload_from_args(args, ws.meta["seed"])
-    password = args.password.encode("utf-8")
-    sid, t1 = ws.session.register(payload, password)
-    if args.computational:
-        ws.session.cs_register(sid, payload)
-    ws.save()
+    with _workspace_for(args, allow_init=True) as ws:
+        payload = _payload_from_args(args, ws.config.seed)
+        sid, t1 = ws.session.register(payload, args.password.encode("utf-8"))
+        if args.computational:
+            ws.session.cs_register(sid, payload)
     print("registered %d bytes" % len(payload))
     print("  secret id: %s" % sid.hex())
     print("  owner timestamp t1: %d" % t1)
@@ -341,23 +340,22 @@ def _cmd_register(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    ws = _workspace_for(args, allow_init=False)
-    session = ws.session
-    sid = _sid_from_args(ws, args)
-    _t1, byte_length = session.owner_receipts[sid]
-    tracks = data_block_count(byte_length, session.params) + 1
-    # count the rounds live at every holder: a round an earlier
-    # reconstruction spent stays live at the holders it did not contact
-    # until the next precompute, which retires it there
-    have = len(set.intersection(*(
-        set(store.get_secret(sid).tuples)
-        for store in session.holder_stores.values())))
-    if have < tracks:
-        session.precompute(sid, rounds=tracks - have)
-    result = session.reconstruct_and_release(
-        sid, args.password.encode("utf-8"),
-        subset=_indices(args.subset), offline=_indices(args.offline) or ())
-    ws.save()
+    with _workspace_for(args, allow_init=False) as ws:
+        session = ws.session
+        sid = _sid_from_args(ws, args)
+        _t1, byte_length = session.owner_receipts[sid]
+        tracks = data_block_count(byte_length, session.params) + 1
+        # count the rounds live at every holder: a round an earlier
+        # reconstruction spent stays live at the holders it did not contact
+        # until the next precompute, which retires it there
+        have = len(set.intersection(*(
+            set(store.get_secret(sid).tuples)
+            for store in session.holder_stores.values())))
+        if have < tracks:
+            session.precompute(sid, rounds=tracks - have)
+        result = session.reconstruct_and_release(
+            sid, args.password.encode("utf-8"),
+            subset=_indices(args.subset), offline=_indices(args.offline) or ())
     print("reconstruction %s: %s" % (result.outcome.value, result.detail))
     if result.data is not None and args.out:
         Path(args.out).write_bytes(result.data)
@@ -368,48 +366,43 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ws = _workspace_for(args, allow_init=False)
-    sid = _sid_from_args(ws, args)
-    claim = _claim_from_args(args)
-    if args.computational:
-        verdict = ws.session.cs_check(sid, claim, claim_t1=args.t1)
-    else:
-        verdict = ws.session.integrity_check(sid, claim_data=claim,
-                                             claim_t1=args.t1)
-    ws.save()
+    with _workspace_for(args, allow_init=False) as ws:
+        sid = _sid_from_args(ws, args)
+        claim = _claim_from_args(args)
+        if args.computational:
+            verdict = ws.session.cs_check(sid, claim, claim_t1=args.t1)
+        else:
+            verdict = ws.session.integrity_check(sid, claim_data=claim,
+                                                 claim_t1=args.t1)
     print("integrity check %s: %s" % (verdict.outcome.value, verdict.detail))
     return _outcome_exit(verdict.outcome)
 
 
 def _cmd_refute(args) -> int:
-    ws = _workspace_for(args, allow_init=False)
-    sid = _sid_from_args(ws, args)
-    claim = _claim_from_args(args)
-    verdict = ws.session.refute(sid, claim_data=claim, claim_t1=args.t1)
-    ws.save()
+    with _workspace_for(args, allow_init=False) as ws:
+        sid = _sid_from_args(ws, args)
+        claim = _claim_from_args(args)
+        verdict = ws.session.refute(sid, claim_data=claim, claim_t1=args.t1)
     print("refutation %s: %s" % (verdict.outcome.value, verdict.detail))
     return _outcome_exit(verdict.outcome)
 
 
 def _cmd_renew(args) -> int:
-    ws = _workspace_for(args, allow_init=False)
-    sid = _sid_from_args(ws, args)
     if args.rounds <= 0:
         raise ConfigurationError("--rounds must be positive")
-    code = EXIT_SUCCESS
-    for _ in range(args.rounds):
-        report = ws.session.renew(sid)
-        print("renewal round %d: %s (%d tracks)"
-              % (report.round_no,
-                 "accepted" if report.accepted else "REJECTED",
-                 report.tracks))
-        for accusation in report.accusations:
-            print("  accusation: %s" % (accusation,))
-        if not report.accepted:
-            code = EXIT_FAIL
-            break
-    ws.save()
-    return code
+    with _workspace_for(args, allow_init=False) as ws:
+        sid = _sid_from_args(ws, args)
+        for _ in range(args.rounds):
+            report = ws.session.renew(sid)
+            print("renewal round %d: %s (%d tracks)"
+                  % (report.round_no,
+                     "accepted" if report.accepted else "REJECTED",
+                     report.tracks))
+            for accusation in report.accusations:
+                print("  accusation: %s" % (accusation,))
+            if not report.accepted:
+                return EXIT_FAIL
+    return EXIT_SUCCESS
 
 
 # ---------------------------------------------------------------- inspect
@@ -475,21 +468,25 @@ def _inspect_holder(path: Path) -> None:
 
 
 def _inspect_workspace(root: Path) -> None:
-    state = json.loads((root / _STATE_FILE).read_text(encoding="utf-8"))
-    meta = state["meta"]
-    print("workspace %s" % root)
-    print("  layout: %d-of-%d over a %d-bit field, mac=%s k=%d"
-          % (meta["t_sh"], meta["n_sh"],
-             int(meta["field_q"]).bit_length(), meta["scheme"], meta["k"]))
-    placement = meta["placement"]
-    print("  placement: owner=%s end_user=%s calculator=%s verifier=%s"
-          % (placement["owner"], placement["end_user"],
-             placement["calculator"], placement["verifier"]))
-    print("  holders: %s" % ", ".join(placement["holders"]))
-    print("  network time: %d ms; registered secrets: %d"
-          % (state["network"]["now_ms"], len(state["receipts"])))
-    for sid_hex, (t1, length) in sorted(state["receipts"].items()):
-        print("    sid=%s t1=%d bytes=%d" % (sid_hex, t1, length))
+    if not (root / _STATE_FILE).exists():
+        # left by a first register that failed before its deployment drew
+        # key, or by a process killed before its first save
+        print("workspace %s: no %s (no deployment saved)" % (root, _STATE_FILE))
+    else:
+        state, config = _read_state(root)
+        params, placement = config.params, config.placement
+        print("workspace %s" % root)
+        print("  layout: %d-of-%d over a %d-bit field, mac=%s k=%d"
+              % (params.t_sh, params.n_sh, params.field.q.bit_length(),
+                 config.scheme.value, config.k))
+        print("  placement: owner=%s end_user=%s calculator=%s verifier=%s"
+              % (placement.owner, placement.end_user,
+                 placement.calculator, placement.verifier))
+        print("  holders: %s" % ", ".join(placement.holders))
+        print("  network time: %d ms; registered secrets: %d"
+              % (state["network"]["now_ms"], len(state["receipts"])))
+        for sid_hex, (t1, length) in sorted(state["receipts"].items()):
+            print("    sid=%s t1=%d bytes=%d" % (sid_hex, t1, length))
     for name in ("calculator", "verifier"):
         sub = root / "stores" / name
         if sub.exists():
@@ -534,10 +531,8 @@ def _cmd_inspect(args) -> int:
             text = path.read_text(encoding="utf-8")
             print("transcript %s: %d lines" % (path, len(text.splitlines())))
             sys.stdout.write(text)
-        elif (path / _STATE_FILE).exists():
+        elif (path / _STATE_FILE).exists() or (path / "stores").exists():
             _inspect_workspace(path)
-        elif (path / "stores").exists():
-            _inspect_workspace(path)  # partially built workspace
         else:
             _inspect_store_dir(path)
     except TamperDetectedError as exc:

@@ -164,13 +164,17 @@ def _envelope_bit_flip(envelope):
     return dataclasses.replace(envelope, ciphertext=mutated)
 
 
-def build_session(config: ScenarioConfig, storage_root) -> TpvSession:
-    """A deployment as the scenario describes it, on a new key network
-    seeded by the scenario's seed (not yet warmed up)."""
+def build_session(config: ScenarioConfig, storage_root,
+                  net: "KeyNetwork | None" = None) -> TpvSession:
+    """A deployment as the scenario describes it, on net (a saved
+    workspace's restored key network) or else on a new key network seeded
+    by the scenario's seed (not yet warmed up)."""
     seed = config.seed.encode("utf-8")
+    if net is None:
+        net = KeyNetwork(config.topology, master_seed=seed)
     return TpvSession(
         storage_root,
-        net=KeyNetwork(config.topology, master_seed=seed),
+        net=net,
         params=config.params,
         scheme=config.scheme,
         k=config.k,

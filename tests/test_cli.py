@@ -7,15 +7,24 @@ error, 4 expectation mismatch).  Workspace tests intentionally span
 several invocations: all state must round-trip through the directory.
 """
 
+import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from itstore.cli import main
+from itstore import cli
+from itstore.cli import Workspace, main
+from itstore.config import load_scenario
+from itstore.errors import ConfigurationError
+from itstore.harness import build_session
+from itstore.keynet import _PairStream
 from itstore.protocol import TpvSession
 from itstore.stores import HolderStore
 from itstore.wire import MAX_IDS
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 PASSWORD = "open sesame"
 SECRET_TEXT = "the archive payload, version 1"
@@ -494,3 +503,160 @@ def test_inspect_stores_a_new_session_has_not_written(tmp_path, capsys):
         assert code == 0 and want in out
     code, _out, _err = run_cli(capsys, "inspect", str(tmp_path / "holder-x"))
     assert code == 3
+
+
+# ------------------------------------------------------- workspace state
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """Every pair-stream range handed out, across main() calls."""
+    ranges = []
+    original = _PairStream.allocate
+
+    def recording_allocate(self, nbits):
+        offset, value = original(self, nbits)
+        ranges.append((self.pair, offset, offset + nbits))
+        return offset, value
+
+    monkeypatch.setattr(_PairStream, "allocate", recording_allocate)
+    return ranges
+
+
+def assert_no_pad_bit_reused(ranges):
+    by_pair = {}
+    for pair, start, end in ranges:
+        by_pair.setdefault(pair, []).append((start, end))
+    for pair, spans in by_pair.items():
+        spans.sort()
+        for (_, end_a), (start_b, _) in zip(spans, spans[1:]):
+            assert end_a <= start_b, pair
+
+
+def test_failed_verify_runs_never_reuse_pad_bits(tmp_path, capsys, drawn):
+    # each check-request is sent before the calculator finds no tag for
+    # the claimed t1; the command raises, and its cursors must still be
+    # saved, or the next run sends under the same pads and hash key
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    code, out, _ = run_cli(capsys, "reconstruct", "--workspace", str(ws),
+                           "--password", PASSWORD)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", "--workspace", str(ws))
+    assert code == 0 and "integrity check success" in out
+    for claim, t1 in (("first claim", "5"), ("second claim", "7")):
+        code, _out, err = run_cli(capsys, "verify", "--workspace", str(ws),
+                                  "--text", claim, "--t1", t1)
+        assert code == 2 and "no tag record" in err
+    assert_no_pad_bit_reused(drawn)
+    transcript = (ws / "transcript.log").read_text(encoding="utf-8")
+    assert transcript.count("kind=check-request") == 3
+
+
+def test_a_failed_first_register_keeps_what_it_sent(tmp_path, capsys, drawn):
+    # an empty password is refused after register-data has left, so the
+    # retry must open the saved deployment, not rebuild it from the seed
+    ws = tmp_path / "ws"
+    code, _out, err = run_cli(capsys, "register", "--workspace", str(ws),
+                              "--text", SECRET_TEXT, "--password", "")
+    assert code == 3 and "password" in err
+    sent = len(drawn)
+    assert sent
+    register(capsys, ws)
+    assert len(drawn) > sent
+    assert_no_pad_bit_reused(drawn)
+
+
+def test_a_first_register_refused_before_sending_saves_nothing(tmp_path,
+                                                               capsys, drawn):
+    ws = tmp_path / "ws"
+    code, _out, err = run_cli(capsys, "register", "--workspace", str(ws),
+                              "--text", "")
+    assert code == 3 and "must not be empty" in err
+    assert drawn == [] and not (ws / "state.json").exists()
+    code, out, _ = run_cli(capsys, "inspect", str(ws))
+    assert code == 0 and "no state.json" in out
+    # so it may be retried under another scenario
+    cfg = write_scenario(tmp_path, "toeplitz", TOEPLITZ_YAML)
+    register(capsys, ws, SECRET_TEXT, "--config", cfg)
+    code, out, _ = run_cli(capsys, "inspect", str(ws))
+    assert code == 0 and "mac=toeplitz k=256" in out
+
+
+def test_an_interrupted_save_leaves_the_previous_state(tmp_path, capsys,
+                                                       monkeypatch):
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    before = (ws / "state.json").read_bytes()
+    real_write = cli._write_synced
+
+    def torn_write(path, content):
+        real_write(path, content[:len(content) // 2])
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(cli, "_write_synced", torn_write)
+    with pytest.raises(OSError, match="interrupted"):
+        main(["reconstruct", "--workspace", str(ws), "--password", PASSWORD])
+    monkeypatch.undo()
+    assert (ws / "state.json").read_bytes() == before
+    reopened = Workspace.load(ws)
+    assert reopened.session.end_user_received == {}
+    assert json.loads(json.dumps(reopened.session.net.to_state())) == (
+        json.loads(before)["network"])
+
+
+def test_an_unreadable_state_file_is_a_configuration_error(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    state = ws / "state.json"
+    state.write_text('{"scenario": {', encoding="utf-8")
+    for argv in (["verify", "--workspace", str(ws)], ["inspect", str(ws)]):
+        code, _out, err = run_cli(capsys, *argv)
+        assert code == 3 and str(state) in err
+
+
+def test_a_state_file_of_the_meta_layout_is_refused(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    state_path = ws / "state.json"
+    state = json.loads(state_path.read_text(encoding="utf-8"))
+    del state["scenario"]
+    state["meta"] = {"version": 1, "seed": "itstore", "scheme": "polyeval"}
+    state_path.write_text(json.dumps(state), encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="old `meta` layout"):
+        Workspace.load(ws)
+    code, _out, err = run_cli(capsys, "verify", "--workspace", str(ws))
+    assert code == 3 and "`meta` layout" in err
+
+
+def test_existing_workspace_rejects_seed(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    register(capsys, ws, SECRET_TEXT, "--seed", "one")
+    code, _out, err = run_cli(capsys, "register", "--workspace", str(ws),
+                              "--text", "more", "--seed", "two")
+    assert code == 3 and "omit --seed" in err
+    assert Workspace.load(ws).config.seed == "one"
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")),
+                         ids=lambda p: p.stem)
+def test_a_shipped_scenario_workspace_reopens_as_saved(tmp_path, capsys,
+                                                       path):
+    ws = tmp_path / "ws"
+    register(capsys, ws, SECRET_TEXT, "--config", str(path))
+    config = load_scenario(path)
+    want = build_session(config, tmp_path / "fresh")
+    got = Workspace.load(ws).session
+    assert (got.params, got.scheme, got.k, got.cs_tag_bits) == (
+        want.params, want.scheme, want.k, want.cs_tag_bits)
+    assert got.renewal_group == want.renewal_group
+    assert got.placement == want.placement
+    assert got.skews == want.skews
+    assert got.net.topology == want.net.topology
+    raw = (ws / "state.json").read_text(encoding="utf-8")
+    state = json.loads(raw)
+    assert json.loads(json.dumps(got.net.to_state())) == state["network"]
+    assert config.password.decode() not in raw
+    assert config.payload.hex() not in raw
+    assert "payload" not in state["scenario"]
+    assert "password" not in state["scenario"]

@@ -37,7 +37,7 @@ from .harness import (COMPARE_EXPONENT, EXIT_ABORT, EXIT_CONFIG, EXIT_FAIL,
 from .keynet import KeyNetwork
 from .protocol import Outcome, TpvSession
 from .spss import data_block_count
-from .stores import _fsync_directory, _write_synced
+from .stores import DISK
 
 _STATE_FILE = "state.json"
 _STATE_KEYS = ("scenario", "network", "receipts", "end_user")
@@ -166,22 +166,17 @@ class Workspace:
                          for sid, (data, t1)
                          in sorted(session.end_user_received.items())},
         }
-        path = self.root / _STATE_FILE
-        pending = path.with_name(_STATE_FILE + ".new")
-        _write_synced(pending, json.dumps(
+        DISK.publish(self.root / _STATE_FILE, json.dumps(
             state, indent=1, sort_keys=True).encode("utf-8"))
-        os.replace(pending, path)
-        _fsync_directory(self.root)
         self._unspent = None
         if session.transcript:
-            with open(self.root / "transcript.log", "a", encoding="utf-8") as fh:
-                fh.write(session.transcript_text())
+            DISK.append(self.root / "transcript.log",
+                        session.transcript_text().encode("utf-8"))
         if session.verdicts:
-            with open(self.root / "verdicts.log", "a", encoding="utf-8") as fh:
-                for v in session.verdicts:
-                    fh.write("sid=%s phase=%s outcome=%s detail=%s\n"
-                             % (v.secret_id.hex(), v.phase.value,
-                                v.outcome.value, v.detail))
+            DISK.append(self.root / "verdicts.log", "".join(
+                "sid=%s phase=%s outcome=%s detail=%s\n"
+                % (v.secret_id.hex(), v.phase.value, v.outcome.value, v.detail)
+                for v in session.verdicts).encode("utf-8"))
 
 
 def _workspace_for(args, allow_init: bool) -> Workspace:

@@ -15,14 +15,19 @@ as an empty store, so building a deployment creates no directory:
                       time, and the raw MAC seed. Nothing derived from the
                       payload data ever touches this directory.
 
-Erasure here means overwrite-then-truncate: the file's bytes are zeroed in
-place and flushed before the space is released, so dropped share values and
-seeds do not linger in the store files. A holder's masked response leaves
-the store only once the record save that drops its tuples is fsynced; a
-crash before that releases nothing, and reopening finds the old record,
-whose tuples masked no released value. A write that creates a store file
-fsyncs the directory before it returns, so the new name is as durable as
-the bytes.
+Disk. `DISK`, a `FileLayer`, is the only code that reads or changes a
+store or workspace file. It offers three durable writes and an erasure:
+
+  publish    -- a whole file: write `<stem>.new`, fsync, rename it over
+                the target, fsync the directory. A crash leaves the old
+                file or the new one, and a pending `.new` at worst.
+  overwrite  -- an idle file in place: erase it, write, fsync.
+  append     -- bytes at the end of a file, fsync.
+  erase      -- zero the bytes and fsync, then truncate (not fsynced) and
+                unlink when asked, so dropped share values and seeds do
+                not linger; a lost truncation leaves zeros.
+
+A write that creates a name fsyncs its directory before it returns.
 
 Holder layout. `holder.bin` holds the holder index; it is written with the
 first save, never by the constructor. Each secret has two record slots,
@@ -41,11 +46,9 @@ spent. Spent ids are never materialized, on disk or in memory: a share
 set holds its live tuples and `next_round`, nothing more, and its
 renewal rounds as runs, which are written back as runs too.
 
-A holder keeps no log. The spend journal that earlier versions wrote
-beside the records is neither opened nor written; the record layout
-is unchanged, so such a store opens from its records alone, and a spend
-that reached only that file was never released, because its response
-waited for the record save.
+A holder keeps no log. The spend journal of earlier versions is never
+opened: a spend that reached only that file was never released, because
+its response waited for the record save.
 
 Records of earlier layouts, which kept the renewal rounds in the
 journal, a round id and a spent flag per tuple, or every contributor's r
@@ -56,16 +59,12 @@ in memory is bounded by what the record files describe. A `next_round`
 near 2^32 opens; `spss.precompute_round` refuses to stock past the u32
 range before anything changes.
 
-A save rewrites only the secret that changed, with 2 fsyncs:
-
-  1. write the record, with the next sequence number, into the empty
-     slot and fsync it;
-  2. zero the old slot and fsync, then truncate it. The truncation is not
-     fsynced: if it is lost, opening finds a zeroed slot and empties it.
-
-A secret's first record instead goes to `<sid-hex>.new`, is fsynced,
-renamed to slot a next to a new empty slot b, and the directory is fsynced
-(2 fsyncs), so no crash leaves a torn record as the only copy.
+A save rewrites only the secret that changed, with 2 fsyncs: it
+overwrites the idle slot with the record and its next sequence number,
+then erases the old slot. A secret's first record is published to slot a
+beside a new empty slot b, so no crash leaves a torn record as the only
+copy. A holder's masked response leaves the store only once the save
+that drops its tuples is fsynced; a crash before that releases nothing.
 
 Opening keeps, per secret, the valid slot with the higher sequence number
 and zeroes every other non-empty slot, which finishes any erasure a crash
@@ -93,31 +92,17 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    ConfigurationError,
-    ProtocolError,
-    TamperDetectedError,
-)
+from .errors import ConfigurationError, ProtocolError, TamperDetectedError
 from .field import PrimeField
 from .mac import MacScheme, MacSeed, MacTag, seed_from_bytes, seed_to_bytes
-from .spss import (
-    HolderShareSet,
-    PrecomputedTuple,
-    SpssParams,
-    holder_respond,
-)
+from .spss import (HolderShareSet, PrecomputedTuple, SpssParams,
+                   holder_respond)
 from .wire import Cursor, column, encode_ids, encode_runs, expand_runs
 
 __all__ = [
-    "ChainedLog",
-    "VerifierRecord",
-    "VerifierStore",
-    "CalculatorStore",
-    "HolderStore",
-    "contains_window",
-    "holder_record_files",
-    "directory_contains_window",
-    "secure_erase",
+    "DISK", "FileLayer", "ChainedLog", "VerifierRecord", "VerifierStore",
+    "CalculatorStore", "HolderStore", "contains_window",
+    "holder_record_files", "directory_contains_window", "secure_erase",
     "erase_and_rewrite",
 ]
 
@@ -140,55 +125,125 @@ _CALC_SCHEMES = {0: MacScheme.TOEPLITZ, 2: MacScheme.POLYEVAL}
 _CALC_POLYEVAL_SPLIT_BLOCKS = 1  # bit blocks plus a length block; refused
 
 
-# -------------------------------------------------------------- erasure
+# ----------------------------------------------------------- file layer
 
-def _zero_and_truncate(path, sync_truncate: bool = True) -> bool:
-    """Overwrite a file's bytes with zeros, flush, then empty it and, unless
-    sync_truncate is False, flush again. Returns False when there is no
-    such file."""
-    try:
-        size = os.stat(path).st_size
-    except FileNotFoundError:
-        return False
-    if size:
-        with open(path, "r+b") as fh:
-            fh.write(b"\x00" * size)
-            fh.flush()
-            os.fsync(fh.fileno())
-            fh.seek(0)
-            fh.truncate()
-            if sync_truncate:
+class FileLayer:
+    """The one object that touches a store or workspace file. Its
+    primitives, read to sync_directory, each make one change through this
+    module's `open` and `os`; the stores use the reads, the three durable
+    writes (publish, overwrite, append) and erase, composed of them."""
+
+    def read(self, path) -> "bytes | None":
+        try:
+            with open(path, "rb") as fh:
+                return fh.read()
+        except FileNotFoundError:
+            return None
+
+    def listing(self, directory) -> dict:
+        """name -> size, None for a directory; empty if there is none."""
+        try:
+            with os.scandir(directory) as entries:
+                return {e.name: None if e.is_dir() else e.stat().st_size
+                        for e in entries}
+        except FileNotFoundError:
+            return {}
+
+    def size(self, path) -> "int | None":
+        try:
+            return os.stat(path).st_size
+        except FileNotFoundError:
+            return None
+
+    def write(self, path, data: bytes, mode: str = "wb", at: int = 0,
+              sync: bool = True) -> None:
+        """Write whole ("wb"), at the end ("ab") or at offset `at`
+        ("r+b"), then fsync unless sync is False."""
+        with open(path, mode) as fh:
+            fh.seek(at)
+            if data:
+                fh.write(data)
+            if sync:
                 fh.flush()
                 os.fsync(fh.fileno())
-    return True
+
+    def truncate(self, path, size: int) -> None:
+        os.truncate(path, size)
+
+    def rename(self, source, target) -> None:
+        os.replace(source, target)
+
+    def unlink(self, path) -> None:
+        os.unlink(path)
+
+    def make_directory(self, directory) -> None:
+        os.makedirs(directory, exist_ok=True)
+
+    def sync_directory(self, directory) -> None:
+        fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    def publish(self, path, data: bytes, *empty) -> None:
+        """Write `<stem>.new`, fsync, create the files `empty` names, rename
+        the pending file over `path`, fsync the directory."""
+        path = Path(path)
+        pending = path.with_suffix(".new")
+        self._create(pending, data, "wb")
+        for name in empty:
+            self.write(name, b"", sync=False)
+        self.rename(pending, path)
+        self.sync_directory(path.parent)
+
+    def overwrite(self, path, data: bytes) -> None:
+        """Erase an idle file, write it in place and fsync; a new name is
+        made durable too."""
+        existed = self.erase(path)
+        self._create(path, data, "wb")
+        if not existed:
+            self.sync_directory(Path(path).parent)
+
+    def append(self, path, data: bytes) -> None:
+        """Add data at the end and fsync; a new name is made durable too."""
+        new = self.size(path) is None
+        self._create(path, data, "ab")
+        if new:
+            self.sync_directory(Path(path).parent)
+
+    def erase(self, path, keep: int = 0, unlink: bool = False) -> bool:
+        """Zero the bytes past `keep` and fsync, truncate to `keep` (not
+        fsynced), unlink when asked. False if there is no such file."""
+        size = self.size(path)
+        if size is None:
+            return False
+        if size > keep:
+            self.write(path, bytes(size - keep), "r+b", at=keep)
+            self.truncate(path, keep)
+        if unlink:
+            self.unlink(path)
+        return True
+
+    def _create(self, path, data: bytes, mode: str) -> None:
+        try:
+            self.write(path, data, mode)
+        except FileNotFoundError:  # a store's first write makes its directory
+            self.make_directory(Path(path).parent)
+            self.write(path, data, mode)
+
+
+DISK = FileLayer()
 
 
 def secure_erase(path) -> None:
     """Destroy a file's content before unlinking it."""
-    _zero_and_truncate(path)
-    Path(path).unlink()
+    DISK.erase(path, unlink=True)
 
 
 def erase_and_rewrite(path, content: bytes) -> None:
     """Replace a file so the previous bytes are overwritten, not orphaned."""
-    _zero_and_truncate(path)
-    _write_synced(path, content)
-
-
-def _write_synced(path, content: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(content)
-        fh.flush()
-        os.fsync(fh.fileno())
-
-
-def _fsync_directory(directory) -> None:
-    """Make the directory's entries (created or renamed files) durable."""
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    DISK.overwrite(path, content)
 
 
 def contains_window(haystack: bytes, needle: bytes, window: int = 8) -> bool:
@@ -198,23 +253,18 @@ def contains_window(haystack: bytes, needle: bytes, window: int = 8) -> bool:
     of a supposedly destroyed value counts as a leak. Needles shorter than
     the window are searched for whole.
     """
-    if not needle or not haystack:
-        return False
     w = min(window, len(needle))
-    if len(haystack) < w:
-        return False
     targets = {needle[i:i + w] for i in range(len(needle) - w + 1)}
-    for i in range(len(haystack) - w + 1):
-        if haystack[i:i + w] in targets:
-            return True
-    return False
+    return bool(needle) and any(haystack[i:i + w] in targets
+                                for i in range(len(haystack) - w + 1))
 
 
 def directory_contains_window(directory, needle: bytes, window: int = 8) -> bool:
     """Scan every regular file under a directory for windows of needle."""
-    root = Path(directory)
-    for path in sorted(root.rglob("*")):
-        if path.is_file() and contains_window(path.read_bytes(), needle, window):
+    for name, size in sorted(DISK.listing(directory).items()):
+        path = Path(directory, name)
+        if (directory_contains_window(path, needle, window) if size is None
+                else contains_window(DISK.read(path), needle, window)):
             return True
     return False
 
@@ -233,57 +283,39 @@ class ChainedLog:
     verbatim.
     """
 
-    def __init__(self, path: Path, tail: bytes, created: bool):
+    def __init__(self, path: Path, tail: bytes):
         """A log whose file, at `path`, ends at chain value `tail`; only
         `open` knows those, so open a log with it."""
         self.path = path
         self._tail = tail
-        self._created = created
 
     @classmethod
     def open(cls, path) -> tuple:
         """(the log, its verified payloads as a tuple). A missing file is
-        an empty log and costs one existence check."""
+        an empty log."""
         path = Path(path)
-        if not path.exists():
-            return cls(path, _CHAIN_GENESIS, False), ()
-        raw = path.read_bytes()
-        off = 0
-        tail = _CHAIN_GENESIS
-        payloads = []
+        raw = DISK.read(path) or b""
+        off, tail, payloads = 0, _CHAIN_GENESIS, []
         while off < len(raw):
             if off + 4 > len(raw):
                 raise TamperDetectedError(
                     "%s: truncated length field at byte %d" % (path, off))
-            (n,) = struct.unpack_from(">I", raw, off)
-            off += 4
-            if off + n + _CHAIN_BYTES > len(raw):
+            end = off + 4 + struct.unpack_from(">I", raw, off)[0]
+            if end + _CHAIN_BYTES > len(raw):
                 raise TamperDetectedError(
                     "%s: truncated record %d" % (path, len(payloads)))
-            payload = raw[off:off + n]
-            off += n
-            link = raw[off:off + _CHAIN_BYTES]
-            off += _CHAIN_BYTES
-            expect = hashlib.sha256(tail + payload).digest()
-            if link != expect:
+            payload, link = raw[off + 4:end], raw[end:end + _CHAIN_BYTES]
+            if link != hashlib.sha256(tail + payload).digest():
                 raise TamperDetectedError(
                     "%s: hash chain break at record %d" % (path, len(payloads)))
             payloads.append(payload)
-            tail = link
-        return cls(path, tail, True), tuple(payloads)
+            tail, off = link, end + _CHAIN_BYTES
+        return cls(path, tail), tuple(payloads)
 
     def append(self, payload: bytes) -> None:
         """Append one record."""
         link = hashlib.sha256(self._tail + payload).digest()
-        with open(self.path, "ab") as fh:
-            fh.write(struct.pack(">I", len(payload)))
-            fh.write(payload)
-            fh.write(link)
-            fh.flush()
-            os.fsync(fh.fileno())
-        if not self._created:
-            _fsync_directory(self.path.parent)
-            self._created = True
+        DISK.append(self.path, struct.pack(">I", len(payload)) + payload + link)
         self._tail = link
 
 
@@ -338,8 +370,6 @@ class VerifierStore:
             raise ProtocolError(
                 "receipt times must be non-decreasing: %d after %d"
                 % (record.t2, self._records[-1].t2))
-        if not self._records:
-            self.directory.mkdir(parents=True, exist_ok=True)
         self._log.append(_encode_verifier_record(record))
         self._records.append(record)
 
@@ -379,10 +409,9 @@ class CalculatorStore:
     def __init__(self, directory, scheme: "MacScheme | None" = None,
                  k: "int | None" = None):
         self.directory = Path(directory)
-        meta_path = self.directory / self._META
-        self._meta_written = meta_path.exists()
+        raw = DISK.read(self.directory / self._META)
+        self._meta_written = raw is not None
         if self._meta_written:
-            raw = meta_path.read_bytes()
             if len(raw) != len(_CALC_MAGIC) + 3 or not raw.startswith(_CALC_MAGIC):
                 raise TamperDetectedError("calculator meta file is malformed")
             code = raw[len(_CALC_MAGIC)]
@@ -404,11 +433,8 @@ class CalculatorStore:
         else:
             # the meta file is fsynced before the first record, so records
             # without it can only mean the file was removed
-            try:
-                names = os.listdir(self.directory)
-            except FileNotFoundError:
-                names = ()
-            if any(name.endswith(".rec") for name in names):
+            if any(name.endswith(".rec")
+                   for name in DISK.listing(self.directory)):
                 raise TamperDetectedError(
                     "calculator records without their meta file")
             if scheme is None or k is None:
@@ -427,23 +453,21 @@ class CalculatorStore:
         if not 0 <= t1 < (1 << 64):
             raise ConfigurationError("t1 out of 64-bit range")
         path = self._record_path(secret_id)
-        if path.exists():
+        if DISK.size(path) is not None:
             raise ProtocolError("secret %s already registered" % secret_id.hex())
         if not self._meta_written:
-            self.directory.mkdir(parents=True, exist_ok=True)
             code = {v: c for c, v in _CALC_SCHEMES.items()}[self.scheme]
-            _write_synced(self.directory / self._META, _CALC_MAGIC
-                          + bytes([code]) + struct.pack(">H", self.k))
+            DISK.overwrite(self.directory / self._META, _CALC_MAGIC
+                           + bytes([code]) + struct.pack(">H", self.k))
             self._meta_written = True
         erase_and_rewrite(path, struct.pack(">Q", t1) + seed_to_bytes(seed))
-        _fsync_directory(self.directory)
 
     def get(self, secret_id: bytes):
         """Returns (t1, seed). The restored seed is recompute-only."""
         path = self._record_path(secret_id)
-        if not path.exists():
+        raw = DISK.read(path)
+        if raw is None:
             raise ProtocolError("no record for secret %s" % secret_id.hex())
-        raw = path.read_bytes()
         if len(raw) < 8:
             raise TamperDetectedError("record %s is truncated" % path.name)
         (t1,) = struct.unpack_from(">Q", raw)
@@ -458,18 +482,17 @@ class CalculatorStore:
 
     def remove(self, secret_id: bytes) -> None:
         """Erase the seed bytes and drop the record."""
-        path = self._record_path(secret_id)
-        if not path.exists():
+        if not DISK.erase(self._record_path(secret_id), unlink=True):
             raise ProtocolError("no record for secret %s" % secret_id.hex())
-        secure_erase(path)
 
     def ids(self) -> tuple:
-        return tuple(sorted(
-            bytes.fromhex(p.stem) for p in self.directory.glob("*.rec")))
+        return tuple(sorted(bytes.fromhex(name[:-4])
+                            for name in DISK.listing(self.directory)
+                            if name.endswith(".rec")))
 
     def record_bytes(self, secret_id: bytes) -> int:
         """Persistent bytes attributable to one secret: id + file content."""
-        return len(secret_id) + self._record_path(secret_id).stat().st_size
+        return len(secret_id) + DISK.size(self._record_path(secret_id))
 
     def __len__(self) -> int:
         return len(self.ids())
@@ -535,21 +558,24 @@ def _record_digest(holder: int, secret_id: bytes, body: bytes) -> bytes:
     return h.digest()
 
 
-def holder_record_files(directory) -> dict:
+def holder_record_files(directory, listing: "dict | None" = None) -> dict:
     """Record files of a holder directory, read without opening the store:
     secret id -> {suffix: size in bytes}, suffix "a" or "b" for the two
-    slots and "new" for a first record that was never published."""
+    slots and "new" for a first record that was never published. listing
+    is the directory's `FileLayer.listing` when the caller has it."""
     out = {}
-    for entry in os.scandir(directory):
-        stem, dot, suffix = entry.name.rpartition(".")
-        if not dot or suffix not in _RECORD_SUFFIXES or not entry.is_file():
+    if listing is None:
+        listing = DISK.listing(directory)
+    for name, size in listing.items():
+        stem, dot, suffix = name.rpartition(".")
+        if not dot or suffix not in _RECORD_SUFFIXES or size is None:
             continue
         try:
             sid = bytes.fromhex(stem)
         except ValueError:
             raise TamperDetectedError(
-                "%s: unexpected file %s" % (directory, entry.name))
-        out.setdefault(sid, {})[suffix] = entry.stat().st_size
+                "%s: unexpected file %s" % (directory, name))
+        out.setdefault(sid, {})[suffix] = size
     return out
 
 
@@ -578,10 +604,12 @@ class HolderStore:
         self._live = {}  # secret id -> (slot suffix of the live record, seq)
         # a new store's directory is missing or empty, and then nothing
         # more is read
-        try:
-            existing = bool(os.listdir(self.directory))
-        except FileNotFoundError:
-            existing = False
+        names = DISK.listing(self.directory)
+        if "state.bin" in names:
+            raise ConfigurationError(
+                "%s holds a single-snapshot state.bin, a layout this "
+                "version no longer reads" % self.directory)
+        existing = bool(names)
         stored = self._read_meta() if existing else None
         if stored is not None and holder is not None and holder != stored:
             raise ConfigurationError("store belongs to holder %d" % stored)
@@ -592,17 +620,10 @@ class HolderStore:
             raise ConfigurationError("holder index out of range")
         self._meta_durable = stored is not None
         if existing:
-            self._load_records()
+            self._load_records(names)
 
     def _read_meta(self) -> "int | None":
-        if (self.directory / "state.bin").exists():
-            raise ConfigurationError(
-                "%s holds a single-snapshot state.bin, a layout this "
-                "version no longer reads" % self.directory)
-        try:
-            raw = self._meta_path.read_bytes()
-        except FileNotFoundError:
-            return None
+        raw = DISK.read(self._meta_path)
         if not raw:  # created, then a crash before its content was durable
             return None
         if len(raw) != len(_HOLDER_MAGIC) + 2 or not raw.startswith(_HOLDER_MAGIC):
@@ -613,10 +634,10 @@ class HolderStore:
     def _record_path(self, secret_id: bytes, suffix: str) -> Path:
         return self.directory / ("%s.%s" % (secret_id.hex(), suffix))
 
-    def _load_records(self) -> None:
+    def _load_records(self, names: dict) -> None:
         """Take each secret's valid slot with the higher sequence number and
         erase every other slot, which finishes a save a crash interrupted."""
-        files = holder_record_files(self.directory)
+        files = holder_record_files(self.directory, names)
         if files and not self._meta_durable:
             raise TamperDetectedError(
                 "%s: records without the holder index" % self.directory)
@@ -627,7 +648,7 @@ class HolderStore:
             for suffix in _SLOTS:
                 if sizes.get(suffix):
                     path = self._record_path(sid, suffix)
-                    record = self._parse_record(sid, path.read_bytes(), path)
+                    record = self._parse_record(sid, DISK.read(path), path)
                     if record is not None:
                         valid.append((record[0], suffix, record[1]))
             if not valid:
@@ -638,9 +659,8 @@ class HolderStore:
                         "no valid record for secret %s in %s"
                         % (sid.hex(), " or ".join(filled)))
                 # only empty slots: the first save never completed
-                for suffix in _SLOTS:
-                    if suffix in sizes:
-                        self._record_path(sid, suffix).unlink()
+                for suffix in set(_SLOTS) & set(sizes):
+                    DISK.erase(self._record_path(sid, suffix), unlink=True)
                 continue
             valid.sort(key=lambda record: record[0])
             if len(valid) == 2 and valid[0][0] == valid[1][0]:
@@ -650,7 +670,7 @@ class HolderStore:
             seq, suffix, share_set = valid[-1]
             for other in _SLOTS:
                 if other != suffix and sizes.get(other):
-                    _zero_and_truncate(self._record_path(sid, other))
+                    DISK.erase(self._record_path(sid, other))
             self._secrets[sid] = share_set
             self._live[sid] = (suffix, seq)
 
@@ -693,45 +713,30 @@ class HolderStore:
         touched."""
         self.get_secret(secret_id)
         if not self._meta_durable:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            _write_synced(self._meta_path,
-                          _HOLDER_MAGIC + struct.pack(">H", self.holder))
-            _fsync_directory(self.directory)
+            DISK.overwrite(self._meta_path,
+                           _HOLDER_MAGIC + struct.pack(">H", self.holder))
             self._meta_durable = True
         self._write_record(secret_id)
 
     def _write_record(self, secret_id: bytes) -> None:
-        """Write the new record into the idle slot, then erase the old one.
-
-        A secret's first record is written under a temporary name and
-        renamed into slot a, so no crash can leave a torn first record;
-        an empty slot b is created beside it, so later saves never add a
-        directory entry.
-        """
+        """Overwrite the idle slot with the new record, then erase the old
+        one. A first record is published to slot a with an empty slot b,
+        so later saves never add a directory entry."""
         live = self._live.get(secret_id)
         seq = live[1] + 1 if live else 1
         body = _SEQ.pack(seq) + _encode_share_set(self._secrets[secret_id])
         record = body + _record_digest(self.holder, secret_id, body)
         if live is None:
-            pending = self._record_path(secret_id, "new")
-            _write_synced(pending, record)
-            os.replace(pending, self._record_path(secret_id, "a"))
-            with open(self._record_path(secret_id, "b"), "wb"):
-                pass
-            _fsync_directory(self.directory)
+            DISK.publish(self._record_path(secret_id, "a"), record,
+                         self._record_path(secret_id, "b"))
             self._live[secret_id] = ("a", seq)
             return
         old = live[0]
         new = "b" if old == "a" else "a"
-        path = self._record_path(secret_id, new)
-        existed = _zero_and_truncate(path)  # a no-op unless a save failed
-        _write_synced(path, record)
-        if not existed:
-            _fsync_directory(self.directory)
+        DISK.overwrite(self._record_path(secret_id, new), record)
         self._live[secret_id] = (new, seq)
         # a lost truncation leaves a zeroed slot, which opening empties
-        _zero_and_truncate(self._record_path(secret_id, old),
-                           sync_truncate=False)
+        DISK.erase(self._record_path(secret_id, old))
 
     # -------------------------------------------------------- consumption
 

@@ -14,14 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from itstore import cli
 from itstore.cli import Workspace, main
 from itstore.config import load_scenario
 from itstore.errors import ConfigurationError
 from itstore.harness import build_session
 from itstore.keynet import _PairStream
 from itstore.protocol import TpvSession
-from itstore.stores import HolderStore
+from itstore.stores import DISK, HolderStore
 from itstore.wire import MAX_IDS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -588,13 +587,15 @@ def test_an_interrupted_save_leaves_the_previous_state(tmp_path, capsys,
     ws = tmp_path / "ws"
     register(capsys, ws)
     before = (ws / "state.json").read_bytes()
-    real_write = cli._write_synced
+    real_write = DISK.write
 
-    def torn_write(path, content):
-        real_write(path, content[:len(content) // 2])
+    def torn_write(path, content, *args, **kwargs):
+        if Path(path).parent != ws:  # the stores' writes go through
+            return real_write(path, content, *args, **kwargs)
+        real_write(path, content[:len(content) // 2], *args, **kwargs)
         raise OSError("interrupted")
 
-    monkeypatch.setattr(cli, "_write_synced", torn_write)
+    monkeypatch.setattr(DISK, "write", torn_write)
     with pytest.raises(OSError, match="interrupted"):
         main(["reconstruct", "--workspace", str(ws), "--password", PASSWORD])
     monkeypatch.undo()

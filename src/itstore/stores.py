@@ -27,7 +27,16 @@ store or workspace file. It offers three durable writes and an erasure:
                 unlink when asked, so dropped share values and seeds do
                 not linger; a lost truncation leaves zeros.
 
-A write that creates a name fsyncs its directory before it returns.
+A write that creates a name fsyncs its directory before it returns, and
+a store's first write, which creates its directory, fsyncs the storage
+root. The whole files -- `holder.bin`, the calculator's `meta.bin` and
+`<sid-hex>.rec`, a holder's first record, the workspace's `state.json` --
+are published, so their pending names are `holder.new`, `meta.new` and
+`<sid-hex>.new` (`state.new`); opening a store erases any it finds.
+`meta.bin` is published before the first record, under its own directory
+fsync. Holder records are overwritten in their idle slot; `verifier.log`
+and the workspace logs are appended to. A torn append of `verifier.log`
+is dropped on open (`ChainedLog`).
 
 Holder layout. `holder.bin` holds the holder index; it is written with the
 first save, never by the constructor. Each secret has two record slots,
@@ -112,6 +121,7 @@ _HOLDER_MAGIC = b"ITHS2\n"
 # bound into every record digest: records of another layout never verify
 _RECORD_LAYOUT = b"ITHR renewal-rounds\n"
 _HOLDER_META = "holder.bin"
+_HOLDER_PENDING = "holder.new"  # holder.bin's name until it is published
 _SLOTS = ("a", "b")
 _RECORD_SUFFIXES = _SLOTS + ("new",)
 _SEQ = struct.Struct(">I")
@@ -131,7 +141,8 @@ class FileLayer:
     """The one object that touches a store or workspace file. Its
     primitives, read to sync_directory, each make one change through this
     module's `open` and `os`; the stores use the reads, the three durable
-    writes (publish, overwrite, append) and erase, composed of them."""
+    writes (publish, overwrite, append) and erase, composed of them, and
+    `ChainedLog.open` truncates a torn append."""
 
     def read(self, path) -> "bytes | None":
         try:
@@ -155,12 +166,11 @@ class FileLayer:
         except FileNotFoundError:
             return None
 
-    def write(self, path, data: bytes, mode: str = "wb", at: int = 0,
+    def write(self, path, data: bytes, mode: str = "wb",
               sync: bool = True) -> None:
-        """Write whole ("wb"), at the end ("ab") or at offset `at`
+        """Write whole ("wb"), at the end ("ab") or over the first bytes
         ("r+b"), then fsync unless sync is False."""
         with open(path, mode) as fh:
-            fh.seek(at)
             if data:
                 fh.write(data)
             if sync:
@@ -206,30 +216,36 @@ class FileLayer:
             self.sync_directory(Path(path).parent)
 
     def append(self, path, data: bytes) -> None:
-        """Add data at the end and fsync; a new name is made durable too."""
-        new = self.size(path) is None
+        """Add data at the end and fsync; the name of a new or empty file,
+        which a torn first append may leave, is made durable too."""
+        new = not self.size(path)
         self._create(path, data, "ab")
         if new:
             self.sync_directory(Path(path).parent)
 
-    def erase(self, path, keep: int = 0, unlink: bool = False) -> bool:
-        """Zero the bytes past `keep` and fsync, truncate to `keep` (not
-        fsynced), unlink when asked. False if there is no such file."""
+    def erase(self, path, unlink: bool = False) -> bool:
+        """Zero the bytes and fsync, truncate (not fsynced), unlink when
+        asked. False if there is no such file."""
         size = self.size(path)
         if size is None:
             return False
-        if size > keep:
-            self.write(path, bytes(size - keep), "r+b", at=keep)
-            self.truncate(path, keep)
+        if size:
+            self.write(path, bytes(size), "r+b")
+            self.truncate(path, 0)
         if unlink:
             self.unlink(path)
         return True
 
     def _create(self, path, data: bytes, mode: str) -> None:
+        """Write and fsync; a store's first write makes its directory and
+        fsyncs the storage root, so the directory is as durable as the
+        file."""
         try:
             self.write(path, data, mode)
-        except FileNotFoundError:  # a store's first write makes its directory
-            self.make_directory(Path(path).parent)
+        except FileNotFoundError:
+            directory = Path(path).parent
+            self.make_directory(directory)
+            self.sync_directory(directory.parent)
             self.write(path, data, mode)
 
 
@@ -242,8 +258,10 @@ def secure_erase(path) -> None:
 
 
 def erase_and_rewrite(path, content: bytes) -> None:
-    """Replace a file so the previous bytes are overwritten, not orphaned."""
-    DISK.overwrite(path, content)
+    """Replace a file so the previous bytes are overwritten, not orphaned:
+    erase it, then publish the new content."""
+    DISK.erase(path)
+    DISK.publish(path, content)
 
 
 def contains_window(haystack: bytes, needle: bytes, window: int = 8) -> bool:
@@ -271,16 +289,31 @@ def directory_contains_window(directory, needle: bytes, window: int = 8) -> bool
 
 # ----------------------------------------------------------- chained log
 
+def _starts_with_record(rest: bytes, tail: bytes) -> bool:
+    """True when some prefix of rest is a whole record chaining from tail,
+    whatever its length field says: rest then is no torn append but a
+    record whose length was altered."""
+    h = hashlib.sha256(tail)
+    for n in range(len(rest) - 4 - _CHAIN_BYTES + 1):
+        if h.digest() == rest[4 + n:4 + n + _CHAIN_BYTES]:
+            return True
+        h.update(rest[4 + n:5 + n])
+    return False
+
+
 class ChainedLog:
     """Append-only record file with a rolling hash chain.
 
     Layout per record: 4-byte big-endian payload length, payload, then
     SHA-256(previous chain value || payload). The first record chains from
     32 zero bytes. `ChainedLog.open` verifies every link once and hands
-    the payloads to its caller; any flipped byte or truncation raises
-    TamperDetectedError. The log itself keeps only its chain tail. Appends
-    never touch existing bytes, so every prior byte range is preserved
-    verbatim.
+    the payloads to its caller; a flipped byte or a cut inside an earlier
+    record raises TamperDetectedError. Bytes after the last whole record
+    that end before the record their length field announces, and hold no
+    whole record under another length, are a torn append: opening drops
+    them and truncates the file. The log itself keeps only its chain
+    tail. Appends never touch existing bytes, so every prior byte range
+    is preserved verbatim.
     """
 
     def __init__(self, path: Path, tail: bytes):
@@ -297,13 +330,16 @@ class ChainedLog:
         raw = DISK.read(path) or b""
         off, tail, payloads = 0, _CHAIN_GENESIS, []
         while off < len(raw):
-            if off + 4 > len(raw):
-                raise TamperDetectedError(
-                    "%s: truncated length field at byte %d" % (path, off))
-            end = off + 4 + struct.unpack_from(">I", raw, off)[0]
+            end = off + 4 + (struct.unpack_from(">I", raw, off)[0]
+                             if off + 4 <= len(raw) else 0)
             if end + _CHAIN_BYTES > len(raw):
-                raise TamperDetectedError(
-                    "%s: truncated record %d" % (path, len(payloads)))
+                if _starts_with_record(raw[off:], tail):
+                    raise TamperDetectedError(
+                        "%s: truncated record %d" % (path, len(payloads)))
+                # a strict prefix of one record: an append a crash tore.
+                # Cut it off, so the next append chains on.
+                DISK.truncate(path, off)
+                break
             payload, link = raw[off + 4:end], raw[end:end + _CHAIN_BYTES]
             if link != hashlib.sha256(tail + payload).digest():
                 raise TamperDetectedError(
@@ -409,7 +445,12 @@ class CalculatorStore:
     def __init__(self, directory, scheme: "MacScheme | None" = None,
                  k: "int | None" = None):
         self.directory = Path(directory)
-        raw = DISK.read(self.directory / self._META)
+        names = DISK.listing(self.directory)
+        for name in names:
+            if name.endswith(".new"):  # a publish a crash interrupted
+                secure_erase(self.directory / name)
+        meta = self.directory / self._META
+        raw = DISK.read(meta) if self._META in names else None
         self._meta_written = raw is not None
         if self._meta_written:
             if len(raw) != len(_CALC_MAGIC) + 3 or not raw.startswith(_CALC_MAGIC):
@@ -433,8 +474,7 @@ class CalculatorStore:
         else:
             # the meta file is fsynced before the first record, so records
             # without it can only mean the file was removed
-            if any(name.endswith(".rec")
-                   for name in DISK.listing(self.directory)):
+            if any(name.endswith(".rec") for name in names):
                 raise TamperDetectedError(
                     "calculator records without their meta file")
             if scheme is None or k is None:
@@ -457,8 +497,8 @@ class CalculatorStore:
             raise ProtocolError("secret %s already registered" % secret_id.hex())
         if not self._meta_written:
             code = {v: c for c, v in _CALC_SCHEMES.items()}[self.scheme]
-            DISK.overwrite(self.directory / self._META, _CALC_MAGIC
-                           + bytes([code]) + struct.pack(">H", self.k))
+            DISK.publish(self.directory / self._META, _CALC_MAGIC
+                         + bytes([code]) + struct.pack(">H", self.k))
             self._meta_written = True
         erase_and_rewrite(path, struct.pack(">Q", t1) + seed_to_bytes(seed))
 
@@ -568,7 +608,8 @@ def holder_record_files(directory, listing: "dict | None" = None) -> dict:
         listing = DISK.listing(directory)
     for name, size in listing.items():
         stem, dot, suffix = name.rpartition(".")
-        if not dot or suffix not in _RECORD_SUFFIXES or size is None:
+        if (not dot or suffix not in _RECORD_SUFFIXES or size is None
+                or name == _HOLDER_PENDING):
             continue
         try:
             sid = bytes.fromhex(stem)
@@ -605,6 +646,9 @@ class HolderStore:
         # a new store's directory is missing or empty, and then nothing
         # more is read
         names = DISK.listing(self.directory)
+        if _HOLDER_PENDING in names:  # a publish a crash interrupted
+            secure_erase(self.directory / _HOLDER_PENDING)
+            del names[_HOLDER_PENDING]
         if "state.bin" in names:
             raise ConfigurationError(
                 "%s holds a single-snapshot state.bin, a layout this "
@@ -713,8 +757,8 @@ class HolderStore:
         touched."""
         self.get_secret(secret_id)
         if not self._meta_durable:
-            DISK.overwrite(self._meta_path,
-                           _HOLDER_MAGIC + struct.pack(">H", self.holder))
+            DISK.publish(self._meta_path,
+                         _HOLDER_MAGIC + struct.pack(">H", self.holder))
             self._meta_durable = True
         self._write_record(secret_id)
 

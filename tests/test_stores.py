@@ -102,13 +102,49 @@ def test_chained_log_detects_any_flipped_byte(tmp_path):
 
 
 def test_chained_log_detects_truncation(tmp_path):
+    """Bytes cut out of a record that later records follow are tampering;
+    only a cut into the last record reads as a torn append."""
     path = tmp_path / "log.bin"
     log, _ = ChainedLog.open(path)
-    log.append(b"only record")
+    for payload in (b"first record", b"second", b"third"):
+        log.append(payload)
     clean = path.read_bytes()
-    path.write_bytes(clean[:-5])
-    with pytest.raises(TamperDetectedError):
-        ChainedLog.open(path)
+    for cut in range(4, 4 + len(b"first record") + 32):
+        path.write_bytes(clean[:cut] + clean[cut + 5:])
+        with pytest.raises(TamperDetectedError):
+            ChainedLog.open(path)
+        assert len(path.read_bytes()) == len(clean) - 5
+
+
+def test_a_torn_final_log_record_is_dropped_and_the_next_append_chains_on(
+        tmp_path):
+    path = tmp_path / "log.bin"
+    log, _ = ChainedLog.open(path)
+    log.append(b"kept")
+    kept = path.read_bytes()
+    log.append(b"torn by a crash")
+    clean = path.read_bytes()
+    for size in range(len(kept) + 1, len(clean)):
+        path.write_bytes(clean[:size])
+        log, payloads = ChainedLog.open(path)
+        assert payloads == (b"kept",)
+        assert path.read_bytes() == kept
+        log.append(b"next")
+        assert ChainedLog.open(path)[1] == (b"kept", b"next")
+
+
+def test_a_whole_last_record_with_an_altered_length_is_tampering(tmp_path):
+    path = tmp_path / "log.bin"
+    log, _ = ChainedLog.open(path)
+    log.append(b"first")
+    log.append(b"last record")
+    clean = path.read_bytes()
+    start = len(clean) - (4 + len(b"last record") + 32)
+    for length in (len(b"last record") + 1, 1 << 20):
+        path.write_bytes(clean[:start] + struct.pack(">I", length)
+                         + clean[start + 4:])
+        with pytest.raises(TamperDetectedError):
+            ChainedLog.open(path)
 
 
 def test_chained_log_continues_after_reload(tmp_path):
@@ -1389,16 +1425,23 @@ def test_crash_in_a_new_calculator_stores_first_put(tmp_path):
     with fsyncs() as counter:
         CalculatorStore(tmp_path / "ref", MacScheme.TOEPLITZ, 256).put(
             sid, 12, seed)
-    # the meta file and its name, then the record and its name
-    assert counter.calls == 4
+    # the new directory's entry in the root; the meta file, published;
+    # then the record, published
+    assert counter.calls == 5
     for k in range(1, counter.calls + 1):
         directory = tmp_path / ("crash-%d" % k)
         store = CalculatorStore(directory, MacScheme.TOEPLITZ, 256)
         with fsyncs(crash_at=k), pytest.raises(SimulatedCrash):
             store.put(sid, 12, seed)
-        reopened = CalculatorStore(directory)
+        if k < 3:  # the meta file is renamed into place at fsync 3
+            with pytest.raises(ConfigurationError):
+                CalculatorStore(directory)
+            reopened = CalculatorStore(directory, MacScheme.TOEPLITZ, 256)
+        else:
+            reopened = CalculatorStore(directory)
         assert (reopened.scheme, reopened.k) == (MacScheme.TOEPLITZ, 256)
-        assert reopened.ids() == (() if k <= 2 else (sid,))
+        assert reopened.ids() == (() if k < 5 else (sid,))
+        assert not list(directory.glob("*.new"))
         if reopened.ids():
             t1, restored = reopened.get(sid)
             assert (t1, restored.value, restored.width_bits) == (
@@ -1457,7 +1500,26 @@ def test_stores_create_no_directory_before_their_first_write(tmp_path):
     assert list((tmp_path / "session").iterdir()) == []
 
 
-def test_a_directory_made_at_the_first_write_costs_no_fsync(tmp_path):
+def test_pending_names_a_crash_left_are_erased_on_open(tmp_path):
+    holders, _ = spss_register(b"pending", 5, PARAMS_2311, rng("pending"))
+    holder_dir, calc_dir = tmp_path / "holder", tmp_path / "calculator"
+    HolderStore(holder_dir, holder=1).put_secret(SID_A, holders[1])
+    CalculatorStore(calc_dir, MacScheme.TOEPLITZ, 256).put(
+        SID_A, 7, calc_seed(b"x"))
+    for pending in (holder_dir / "holder.new",
+                    holder_dir / (SID_B.hex() + ".new"),
+                    calc_dir / "meta.new", calc_dir / (SID_B.hex() + ".new")):
+        pending.write_bytes(b"torn")
+    assert set(holder_record_files(holder_dir)) == {SID_A, SID_B}
+    assert HolderStore(holder_dir).secret_ids() == (SID_A,)
+    assert CalculatorStore(calc_dir).ids() == (SID_A,)
+    assert sorted(p.name for p in holder_dir.iterdir()) == [
+        SID_A.hex() + ".a", SID_A.hex() + ".b", "holder.bin"]
+    assert sorted(p.name for p in calc_dir.iterdir()) == [
+        SID_A.hex() + ".rec", "meta.bin"]
+
+
+def test_a_directory_made_at_the_first_write_costs_one_root_fsync(tmp_path):
     made = tmp_path / "made"
     for name in ("holder", "calculator", "verifier"):
         (made / name).mkdir(parents=True)
@@ -1468,4 +1530,4 @@ def test_a_directory_made_at_the_first_write_costs_no_fsync(tmp_path):
                 write()
             calls[label, name] = counter.calls
     for name in ("holder", "calculator", "verifier"):
-        assert calls["lazy", name] == calls["made", name] > 0
+        assert calls["lazy", name] == calls["made", name] + 1 > 1

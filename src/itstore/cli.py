@@ -423,12 +423,12 @@ def _inspect_calculator(path: Path) -> None:
         return
     store = CalculatorStore(path)
     ids = store.ids()
-    print("calculator store %s: %d records (scheme=%s, k=%d)"
-          % (path, len(ids), store.scheme.value, store.k))
+    print("calculator store %s: %d records (scheme=polyeval, k=%d)"
+          % (path, len(ids), store.k))
     for sid in ids:
         t1, seed = store.get(sid)
         print("  sid=%s t1=%d stored_bytes=%d seed_bits=%d"
-              % (sid.hex(), t1, store.record_bytes(sid), seed.bit_count))
+              % (sid.hex(), t1, store.record_bytes(sid), seed.k))
 
 
 def _inspect_holder(path: Path) -> None:

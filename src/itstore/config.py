@@ -12,8 +12,8 @@ configuration errors with a precise dotted path.
       holders: 4
       field: mersenne127          # mersenne127 | mersenne31 | decimal prime
     mac:
-      scheme: polyeval            # polyeval | toeplitz
-      k: 256                      # tag bits, multiple of 8; polyeval >= 16
+      scheme: polyeval            # the only registration MAC
+      k: 256                      # tag bits, multiple of 8, >= 16
       cs_tag_bits: 512            # computational-mode digest width
     renewal:
       group: mersenne127          # toy | mersenne127 | rfc5114
@@ -143,7 +143,7 @@ class ScenarioConfig:
     seed: str
     warmup_ms: int
     params: SpssParams
-    scheme: MacScheme
+    scheme: MacScheme  # one member; perfbench passes it to TpvSession
     k: int
     cs_tag_bits: int
     renewal_group: "RenewalGroupConfig | None"
@@ -273,7 +273,7 @@ def _parse_mac(section, path: str):
               % ", ".join(s.value for s in MacScheme))
     k = _as_int(sec.get("k"), path + ".k", default=DEFAULT_K, minimum=1)
     try:
-        check_k(scheme, k)
+        check_k(k)
     except ConfigurationError as exc:
         _fail(path + ".k", str(exc))
     cs_tag_bits = _as_int(sec.get("cs_tag_bits"), path + ".cs_tag_bits",

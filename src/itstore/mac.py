@@ -1,36 +1,29 @@
 """Almost-universal hashing and one-time MACs.
 
-Two hash families:
+One hash family keys both MACs:
 
   PolyEval  -- message blocks as coefficients of a polynomial evaluated at
-               the seed over F_{q_u}, q_u the largest prime <= 2^k.
+               the key over F_{q_u}, q_u the largest prime <= 2^k.
                Collision fraction for fixed distinct messages <= l / q_u.
-  Toeplitz  -- GF(2) matrix-vector product where the k x L matrix has
-               constant diagonals filled from a (k + L - 1)-bit seed.
-               XOR-universal with collision fraction exactly 2^-k.
 
-Both key the registration MAC (au2_hash). PolyEval is the default: its key
-is one k-bit element of F_{q_u}, so the calculator keeps 32 bytes per
-secret at k = 256 whatever the payload size. Its hash is
-polyeval_hash_bytes, the same byte-string hash the key network's channels
-pad into Wegman-Carter tags: 31-byte blocks at k = 256, each read behind a
-0x01 marker, so messages of every length hash to distinct polynomials and
-no separate length block is needed.
+The registration MAC (au2_hash) is keyed by one k-bit element of F_{q_u},
+so the calculator keeps 32 bytes per secret at k = 256 whatever the
+payload size. Its hash is polyeval_hash_bytes, the same byte-string hash
+the key network's channels pad into Wegman-Carter tags: 31-byte blocks at
+k = 256, each read behind a 0x01 marker, so messages of every length hash
+to distinct polynomials and no separate length block is needed.
 
 Registration bound. For a registered (t1, data) and any other claim, the
-two tags agree for at most l of the q_u keys, l the block count of the
-longer message; a forgery attempt succeeds with probability <= l / q_u.
+two tags agree for at most l of the q_u - 1 keys, l the block count of the
+longer message; a forgery attempt succeeds with probability
+<= l / (q_u - 1).
 A 100 KB payload is about 3,300 blocks, so at k = 256 the bound is below
-2^-244; Toeplitz gives 2^-256. Both are negligible.
+2^-244.
 
 That bound assumes no forger sees the registered tag. Once tag and data
 are both known, the key is narrowed to the <= l roots of one polynomial,
 so the tag is confined to the calculator -> verifier messages (tag-report,
 check-tag, refute-tag) and never reaches the owner or the end user.
-Toeplitz keeps its 2^-k bound even for a forger who has seen a registered
-tag, at the price of a seed as long as the framed payload and k bit-passes
-over it per tag. It stays selectable (mac: {scheme: toeplitz}) for that
-property.
 
 Both PolyEval hashes run through one evaluator, polyeval_tag_blocks, which
 works as Poly1305 implementations do (Bernstein, FSE 2005): a chunk of
@@ -38,13 +31,6 @@ POLY_CHUNK blocks is one dot product with the precomputed powers
 [r, ..., r^POLY_CHUNK] mod q, and the chunks are joined by Horner's rule in
 r^POLY_CHUNK with one reduction per chunk. The value is the same sum of
 D_i * r^i the block-by-block Horner rule gives, so tags are unchanged.
-
-Bit conventions, fixed so tags are bit-exact across platforms:
-  - message bit j (wire order, MSB first) is bit (L-1-j) of the big-endian
-    message integer;
-  - Toeplitz seed bit p is bit p of the seed integer;
-  - tag bit i is tag[i] = parity((seed >> i) & message_int), packed MSB
-    first into k bits.
 """
 
 from __future__ import annotations
@@ -88,21 +74,21 @@ POLY_CHUNK = 64  # blocks per dot product in polyeval_tag_blocks
 # whole-byte tags 16 is the least such k
 MIN_POLYEVAL_K = 16
 
-_LENGTH_FIELD_BITS = 64  # Toeplitz frame prefix: message bit-length, big-endian
-
 
 class MacScheme(Enum):
-    TOEPLITZ = "toeplitz"
+    """The registration MAC, of which there is one. Kept because
+    perfbench's workloads pass TpvSession(scheme=config.scheme)."""
+
     POLYEVAL = "polyeval"
 
 
 _POLYEVAL_MODULI: dict = {}
 
 
-def check_k(scheme: MacScheme, k: int) -> None:
-    """Refuse a tag width the scheme cannot key: tags and seeds are stored
-    in whole bytes, so k % 8 == 0, and PolyEval needs k >= MIN_POLYEVAL_K."""
-    if scheme is MacScheme.POLYEVAL and k < MIN_POLYEVAL_K:
+def check_k(k: int) -> None:
+    """Refuse a tag width PolyEval cannot key: tags and keys are stored in
+    whole bytes, so k % 8 == 0, and byte blocks need k >= MIN_POLYEVAL_K."""
+    if k < MIN_POLYEVAL_K:
         raise ConfigurationError(
             "PolyEval needs k >= %d for whole-byte blocks, got %d"
             % (MIN_POLYEVAL_K, k))
@@ -147,32 +133,21 @@ class MacTag:
 
 @dataclass
 class MacSeed:
-    """One-time hash seed drawn from the key supply.
-
-    PolyEval: value is one uniform element of F_{q_u}, width_bits == k.
-    Toeplitz: value holds k + width_bits - 1 seed bits, where width_bits is
-    the widest hashed input this seed can cover.
+    """One-time registration key drawn from the key supply: value is one
+    element of F_{q_u}, never 0, stored in k/8 bytes.
 
     consumed flips when the seed tags its one registered datum; recomputing
     the same binding for verification does not consume (see recompute_tag).
     """
 
-    scheme: MacScheme
     k: int
     value: int
-    width_bits: int
-    q_u: "int | None" = None
+    q_u: int
     consumed: bool = dc_field(default=False)
 
     @property
-    def bit_count(self) -> int:
-        if self.scheme is MacScheme.TOEPLITZ:
-            return self.k + self.width_bits - 1 if self.width_bits else max(self.k - 1, 0)
-        return self.k
-
-    @property
     def byte_count(self) -> int:
-        return (self.bit_count + 7) // 8
+        return self.k // 8
 
     def consume(self):
         if self.consumed:
@@ -180,18 +155,16 @@ class MacSeed:
         self.consumed = True
 
 
-def make_seed(scheme: MacScheme, k: int, randomness, width_bits: int = 0) -> MacSeed:
-    """Draw a fresh seed. width_bits is the Toeplitz frame width (ignored
-    for PolyEval); the registration layer passes 64 + 8*len(D)."""
-    check_k(scheme, k)
-    if scheme is MacScheme.POLYEVAL:
-        q_u = polyeval_modulus(k)
-        while True:
-            v = randomness.take_bits(k)
-            if v < q_u:
-                return MacSeed(MacScheme.POLYEVAL, k, v, k, q_u=q_u)
-    nbits = k + width_bits - 1 if width_bits else max(k - 1, 0)
-    return MacSeed(MacScheme.TOEPLITZ, k, randomness.take_bits(nbits), width_bits)
+def make_seed(k: int, randomness) -> MacSeed:
+    """Draw a fresh key, uniform on [1, q_u): k-bit draws are redrawn until
+    one lands there. Key 0 would tag every message 0, and a zeroed record
+    reads as 0, so it is never drawn and a stored 0 is refused."""
+    check_k(k)
+    q_u = polyeval_modulus(k)
+    while True:
+        v = randomness.take_bits(k)
+        if 0 < v < q_u:
+            return MacSeed(k, v, q_u)
 
 
 def split_blocks(message: bytes, block_bits: int):
@@ -288,10 +261,14 @@ def polyeval_hash_bytes(r: int, message: bytes, q: int, powers=None) -> int:
 
 
 def toeplitz_tag_bits(seed: int, message: int, message_bits: int, k: int) -> int:
-    """Raw Toeplitz tag of a message_bits-wide input under a seed integer.
+    """Toeplitz tag of a message_bits-wide input under a seed integer: the
+    k x message_bits GF(2) matrix with constant diagonals read from seed
+    bits. Message bit j (MSB first) is bit message_bits - 1 - j of message;
+    tag bit i is parity((seed >> i) & message), packed MSB first.
 
-    The seed must carry at least k + message_bits - 1 bits of entropy; the
-    caller is responsible for that budget (MacSeed paths enforce it).
+    Nothing in itstore tags with it since the registration MAC is PolyEval
+    only; it is kept because perfbench's tracer hooks this name, here and
+    as keynet's re-import.
     """
     if message_bits:
         message &= (1 << message_bits) - 1
@@ -304,37 +281,16 @@ def toeplitz_tag_bits(seed: int, message: int, message_bits: int, k: int) -> int
     return out
 
 
-def _toeplitz_frame(message: bytes, width_bits: int) -> int:
-    """[64-bit big-endian bit length || message bits], zero-padded to width."""
-    nbits = len(message) * 8
-    need = _LENGTH_FIELD_BITS + nbits
-    if need > width_bits:
-        raise ConfigurationError(
-            "message needs a %d-bit frame but the seed covers %d" % (need, width_bits))
-    length_value, message_width = nbits, nbits
-    frame = (length_value << message_width) | int.from_bytes(message, "big")
-    return frame << (width_bits - need)
-
-
-def _hash_for_seed(seed: MacSeed, message: bytes) -> int:
-    if seed.scheme is MacScheme.POLYEVAL:
-        return polyeval_hash_bytes(seed.value, message, seed.q_u)
-    frame = _toeplitz_frame(message, seed.width_bits)
-    return toeplitz_tag_bits(seed.value, frame, seed.width_bits, seed.k)
-
-
 def au2_hash(seed: MacSeed, message: bytes) -> MacTag:
-    """Registration MAC: almost-universal hash of the message, framed so
-    messages of different lengths cannot collide by padding.
+    """Registration MAC: polyeval_hash_bytes of the message, whose marked
+    blocks keep messages of different lengths from colliding by padding.
 
     Consumes the seed; a second tagging call raises SingleUseError. The
     verification side recomputes the same binding via recompute_tag.
     """
-    if not message:
-        raise ConfigurationError("au2_hash requires a non-empty message")
     if seed.consumed:
         raise SingleUseError("MAC seed already used for a registration")
-    tag = MacTag(_hash_for_seed(seed, message), seed.k)
+    tag = recompute_tag(seed, message)
     seed.consume()
     return tag
 
@@ -343,7 +299,7 @@ def recompute_tag(seed: MacSeed, message: bytes) -> MacTag:
     """Recompute the tag for an existing binding (integrity check, refute)."""
     if not message:
         raise ConfigurationError("recompute_tag requires a non-empty message")
-    return MacTag(_hash_for_seed(seed, message), seed.k)
+    return MacTag(polyeval_hash_bytes(seed.value, message, seed.q_u), seed.k)
 
 
 def seed_to_bytes(seed: MacSeed) -> bytes:
@@ -352,17 +308,9 @@ def seed_to_bytes(seed: MacSeed) -> bytes:
     return seed.value.to_bytes(seed.byte_count, "big")
 
 
-def seed_from_bytes(raw: bytes, scheme: MacScheme, k: int) -> MacSeed:
-    """Rebuild a seed from storage. For Toeplitz the frame width is implied
-    by the byte count: ceil((k + w - 1)/8) == (k + w)/8 when both are
-    byte-aligned, so w = 8*len(raw) - k."""
-    if scheme is MacScheme.POLYEVAL:
-        return MacSeed(MacScheme.POLYEVAL, k, int.from_bytes(raw, "big"), k,
-                       q_u=polyeval_modulus(k), consumed=True)
-    width = len(raw) * 8 - k
-    if width < 0:
-        raise ConfigurationError("stored seed shorter than k bits")
-    return MacSeed(MacScheme.TOEPLITZ, k, int.from_bytes(raw, "big"), width,
+def seed_from_bytes(raw: bytes, k: int) -> MacSeed:
+    """Rebuild a stored key; the caller checks it is one key in [1, q_u)."""
+    return MacSeed(k, int.from_bytes(raw, "big"), polyeval_modulus(k),
                    consumed=True)
 
 

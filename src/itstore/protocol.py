@@ -374,9 +374,10 @@ class TpvSession:
                  master_seed: bytes = b"tpv-session",
                  advance_on_exhaustion_ms: int = 0):
         self.params = params if params is not None else SpssParams()
+        # one MAC; scheme= stays because perfbench's workloads pass it
         self.scheme = scheme
         self.k = int(k)
-        check_k(scheme, self.k)
+        check_k(self.k)
         self.placement = placement if placement is not None else RolePlacement()
         self.skews = dict(clock_skews or {})
         if cs_tag_bits % 8 or not 8 <= cs_tag_bits <= 512:
@@ -418,8 +419,7 @@ class TpvSession:
         # nothing yet can still be listed and removed
         root = Path(storage_root)
         root.mkdir(parents=True, exist_ok=True)
-        self.calculator_store = CalculatorStore(root / "calculator",
-                                                scheme=self.scheme, k=self.k)
+        self.calculator_store = CalculatorStore(root / "calculator", k=self.k)
         self.verifier_store = VerifierStore(root / "verifier")
         self.holder_stores = {
             j: HolderStore(root / ("holder-%d" % j), holder=j)
@@ -557,8 +557,7 @@ class TpvSession:
         entropy = self.net.entropy_source(self.CALCULATOR)
 
         pw_element = password_to_element(pw, field)
-        seed = make_seed(self.scheme, self.k, entropy,
-                         width_bits=64 + (8 + len(body)) * 8)
+        seed = make_seed(self.k, entropy)
         tag = au2_hash(seed, _stamped(t1, body))
         holder_sets, _secret = spss_register(body, pw_element, self.params,
                                              entropy, t1)

@@ -24,8 +24,9 @@ store or workspace file. It offers three durable writes and an erasure:
   overwrite  -- an idle file in place: erase it, write, fsync.
   append     -- bytes at the end of a file, fsync.
   erase      -- zero the bytes and fsync, then truncate (not fsynced) and
-                unlink when asked, so dropped share values and seeds do
-                not linger; a lost truncation leaves zeros.
+                unlink when asked, fsyncing the directory, so dropped
+                share values and seeds do not linger and an unlinked name
+                stays gone; a lost truncation leaves zeros.
 
 A write that creates a name fsyncs its directory before it returns, and
 a store's first write, which creates its directory, fsyncs the storage
@@ -103,7 +104,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError, ProtocolError, TamperDetectedError
 from .field import PrimeField
-from .mac import MacScheme, MacSeed, MacTag, seed_from_bytes, seed_to_bytes
+from .mac import MacSeed, MacTag, seed_from_bytes, seed_to_bytes
 from .spss import (HolderShareSet, PrecomputedTuple, SpssParams,
                    holder_respond)
 from .wire import Cursor, column, encode_ids, encode_runs, expand_runs
@@ -128,11 +129,15 @@ _SEQ = struct.Struct(">I")
 _DIGEST_BYTES = 32
 _MAX_SID_BYTES = 64  # the hex id plus suffix must fit a 255-byte file name
 _CALC_MAGIC = b"ITCS1\n"
-# the calculator meta's scheme byte; it names the hash framing as well as
-# the family, so a store keyed under one framing is never checked under
-# another
-_CALC_SCHEMES = {0: MacScheme.TOEPLITZ, 2: MacScheme.POLYEVAL}
-_CALC_POLYEVAL_SPLIT_BLOCKS = 1  # bit blocks plus a length block; refused
+# the calculator meta's scheme byte names the hash and its framing, so a
+# store keyed under another is never checked under this one
+_CALC_POLYEVAL = 2  # marked byte blocks (mac.polyeval_hash_bytes)
+_CALC_RETIRED = {
+    0: "the Toeplitz registration MAC, which this version no longer "
+       "computes",
+    1: "PolyEval over bit blocks and a length block, a framing this "
+       "version no longer computes",
+}
 
 
 # ----------------------------------------------------------- file layer
@@ -225,7 +230,7 @@ class FileLayer:
 
     def erase(self, path, unlink: bool = False) -> bool:
         """Zero the bytes and fsync, truncate (not fsynced), unlink when
-        asked. False if there is no such file."""
+        asked and fsync the directory. False if there is no such file."""
         size = self.size(path)
         if size is None:
             return False
@@ -234,6 +239,7 @@ class FileLayer:
             self.truncate(path, 0)
         if unlink:
             self.unlink(path)
+            self.sync_directory(Path(path).parent)
         return True
 
     def _create(self, path, data: bytes, mode: str) -> None:
@@ -429,21 +435,20 @@ class VerifierStore:
 # ------------------------------------------------------ calculator store
 
 class CalculatorStore:
-    """Per-secret persistence capped at id + timestamp + seed.
+    """Per-secret persistence capped at id + timestamp + key.
 
     One file per secret, named by the hex id, holding exactly the 8-byte
-    receipt time followed by the raw seed bytes -- so the marginal bytes on
-    disk per secret are len(id) + 8 + len(seed), nothing more. The hash
-    scheme and tag width are store-wide configuration, because every
-    registration in a run shares them: a new store keeps them in memory
-    and writes them to `meta.bin` with its first record, so building a
+    receipt time followed by one k/8-byte PolyEval key below q_u -- so the
+    marginal bytes on disk per secret are len(id) + 8 + k/8, nothing more.
+    The tag width is store-wide configuration, because every registration
+    in a run shares it: a new store keeps it in memory and writes it to
+    `meta.bin` with its first record, after the scheme byte, so building a
     deployment writes nothing here, not even the directory.
     """
 
     _META = "meta.bin"
 
-    def __init__(self, directory, scheme: "MacScheme | None" = None,
-                 k: "int | None" = None):
+    def __init__(self, directory, k: "int | None" = None):
         self.directory = Path(directory)
         names = DISK.listing(self.directory)
         for name in names:
@@ -456,31 +461,25 @@ class CalculatorStore:
             if len(raw) != len(_CALC_MAGIC) + 3 or not raw.startswith(_CALC_MAGIC):
                 raise TamperDetectedError("calculator meta file is malformed")
             code = raw[len(_CALC_MAGIC)]
-            if code == _CALC_POLYEVAL_SPLIT_BLOCKS:
+            if code in _CALC_RETIRED:
                 raise ConfigurationError(
-                    "%s was made with PolyEval over bit blocks and a length "
-                    "block, a framing this version no longer computes; its "
-                    "tags cannot be checked" % self.directory)
-            if code not in _CALC_SCHEMES:
+                    "%s was made with %s; its tags cannot be checked"
+                    % (self.directory, _CALC_RETIRED[code]))
+            if code != _CALC_POLYEVAL:
                 raise TamperDetectedError("calculator meta file is malformed")
-            stored_scheme = _CALC_SCHEMES[code]
             (stored_k,) = struct.unpack_from(">H", raw, len(_CALC_MAGIC) + 1)
-            if scheme is not None and scheme is not stored_scheme:
-                raise ConfigurationError(
-                    "store created with scheme %s" % stored_scheme.value)
             if k is not None and k != stored_k:
                 raise ConfigurationError("store created with k = %d" % stored_k)
-            self.scheme, self.k = stored_scheme, stored_k
+            self.k = stored_k
         else:
             # the meta file is fsynced before the first record, so records
             # without it can only mean the file was removed
             if any(name.endswith(".rec") for name in names):
                 raise TamperDetectedError(
                     "calculator records without their meta file")
-            if scheme is None or k is None:
-                raise ConfigurationError(
-                    "a new calculator store needs scheme and k")
-            self.scheme, self.k = scheme, k
+            if k is None:
+                raise ConfigurationError("a new calculator store needs k")
+            self.k = k
 
     def _record_path(self, secret_id: bytes) -> Path:
         if not 1 <= len(secret_id) <= 64:
@@ -488,17 +487,16 @@ class CalculatorStore:
         return self.directory / (secret_id.hex() + ".rec")
 
     def put(self, secret_id: bytes, t1: int, seed: MacSeed) -> None:
-        if seed.scheme is not self.scheme or seed.k != self.k:
-            raise ConfigurationError("seed does not match the store's scheme/k")
+        if seed.k != self.k:
+            raise ConfigurationError("seed does not match the store's k")
         if not 0 <= t1 < (1 << 64):
             raise ConfigurationError("t1 out of 64-bit range")
         path = self._record_path(secret_id)
         if DISK.size(path) is not None:
             raise ProtocolError("secret %s already registered" % secret_id.hex())
         if not self._meta_written:
-            code = {v: c for c, v in _CALC_SCHEMES.items()}[self.scheme]
             DISK.publish(self.directory / self._META, _CALC_MAGIC
-                         + bytes([code]) + struct.pack(">H", self.k))
+                         + bytes([_CALC_POLYEVAL]) + struct.pack(">H", self.k))
             self._meta_written = True
         erase_and_rewrite(path, struct.pack(">Q", t1) + seed_to_bytes(seed))
 
@@ -508,22 +506,27 @@ class CalculatorStore:
         raw = DISK.read(path)
         if raw is None:
             raise ProtocolError("no record for secret %s" % secret_id.hex())
-        if len(raw) < 8:
-            raise TamperDetectedError("record %s is truncated" % path.name)
-        (t1,) = struct.unpack_from(">Q", raw)
-        seed = seed_from_bytes(raw[8:], self.scheme, self.k)
-        # a PolyEval record is t1 and one key below q_u, nothing else
-        if seed.scheme is MacScheme.POLYEVAL and (
-                len(raw) != 8 + seed.byte_count or seed.value >= seed.q_u):
+        # a record is t1 and one key in [1, q_u), nothing else; key 0 is
+        # what an erasure leaves, and it would tag every message 0
+        seed = seed_from_bytes(raw[8:], self.k)
+        if len(raw) != 8 + seed.byte_count or not 0 < seed.value < seed.q_u:
             raise TamperDetectedError(
                 "record %s does not hold one %d-bit key"
                 % (path.name, self.k))
+        (t1,) = struct.unpack_from(">Q", raw)
         return t1, seed
 
     def remove(self, secret_id: bytes) -> None:
-        """Erase the seed bytes and drop the record."""
-        if not DISK.erase(self._record_path(secret_id), unlink=True):
+        """Erase the key and drop the record. The record first takes its
+        pending name under a directory fsync, so a crash leaves it whole
+        or under a name the next open erases, never half zeroed."""
+        path = self._record_path(secret_id)
+        if DISK.size(path) is None:
             raise ProtocolError("no record for secret %s" % secret_id.hex())
+        pending = path.with_suffix(".new")
+        DISK.rename(path, pending)
+        DISK.sync_directory(self.directory)
+        secure_erase(pending)
 
     def ids(self) -> tuple:
         return tuple(sorted(bytes.fromhex(name[:-4])

@@ -26,7 +26,6 @@ from itstore.field import PrimeField, interpolate_at_zero, random_polynomial
 from itstore.harness import run_bench, run_scenario
 from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork, _PairStream
 from itstore.mac import (
-    MacScheme,
     make_seed,
     polyeval_modulus,
     polyeval_tag_blocks,
@@ -120,7 +119,7 @@ def test_tamper_acceptance_and_false_claim_rates_within_tolerance():
 
     tamper_hits = 0
     for _ in range(trials):
-        seed = make_seed(MacScheme.POLYEVAL, k, seeds)
+        seed = make_seed(k, seeds)
         message = rnd.randbytes(message_bytes)
         tag = recompute_tag(seed, message)
         bit = rnd.randrange(message_bytes * 8)
@@ -132,7 +131,7 @@ def test_tamper_acceptance_and_false_claim_rates_within_tolerance():
 
     claim_hits = 0
     for _ in range(trials):
-        seed = make_seed(MacScheme.POLYEVAL, k, seeds)
+        seed = make_seed(k, seeds)
         message = rnd.randbytes(message_bytes)
         claim = rnd.randbytes(message_bytes)
         while claim == message:

@@ -14,8 +14,6 @@ import pytest
 from itstore.entropy import SeededEntropy
 from itstore.errors import ConfigurationError, SingleUseError
 from itstore.mac import (
-    MacScheme,
-    MacSeed,
     MacTag,
     au2_hash,
     cr_hash,
@@ -201,20 +199,12 @@ def test_split_blocks_matches_bit_string_oracle(width):
 
 
 def test_registration_tags_are_pinned():
-    # Tags of a fixed 1001-byte message under both registration schemes;
-    # neither may move. The PolyEval tag is polyeval_hash_bytes over
-    # 31-byte marked blocks, the Toeplitz tag one over the framed bits.
+    # The tag of a fixed 1001-byte message may not move: polyeval_hash_bytes
+    # over 31-byte marked blocks.
     msg = hashlib.shake_256(b"registration tag pin").digest(1001)
-    expected = {
-        MacScheme.TOEPLITZ: "126a536a6be5faf1fabfabf39a4b5404"
-                            "c7b0c95729e29c877fef04a51de2c186",
-        MacScheme.POLYEVAL: "b9c2a85e12e89b664fcbd683c21510fd"
-                            "063faeecaddca43ca7a8687fbe5ac858",
-    }
-    for scheme, tag_hex in expected.items():
-        seed = make_seed(scheme, 256, SeededEntropy(11, "tag-pin"),
-                         width_bits=64 + 8 * len(msg))
-        assert au2_hash(seed, msg).to_bytes().hex() == tag_hex
+    seed = make_seed(256, SeededEntropy(11, "tag-pin"))
+    assert au2_hash(seed, msg).to_bytes().hex() == (
+        "b9c2a85e12e89b664fcbd683c21510fd063faeecaddca43ca7a8687fbe5ac858")
 
 
 # ----------------------------------------------------------------- toeplitz
@@ -423,22 +413,11 @@ def test_byte_hash_difference_bound_exhaustive():
                 assert hits <= limit, (m1, m2, delta)
 
 
-def test_toeplitz_framing_separates_lengths():
-    rng = SeededEntropy(b"frame-check")
-    collisions = 0
-    for _ in range(50):
-        seed = make_seed(MacScheme.TOEPLITZ, 8, rng, width_bits=64 + 16)
-        t1 = recompute_tag(seed, b"\x5a")
-        t2 = recompute_tag(seed, b"\x5a\x00")
-        collisions += t1 == t2
-    assert collisions <= 5
-
-
 # ------------------------------------------------------------ seed handling
 
 def test_au2_single_use_and_recompute():
     rng = SeededEntropy(b"single-use")
-    seed = make_seed(MacScheme.POLYEVAL, 16, rng)
+    seed = make_seed(16, rng)
     tag = au2_hash(seed, b"hello")
     assert seed.consumed
     with pytest.raises(SingleUseError):
@@ -451,30 +430,36 @@ def test_au2_single_use_and_recompute():
 
 def test_au2_rejects_empty_message():
     rng = SeededEntropy(b"empty")
-    seed = make_seed(MacScheme.POLYEVAL, 16, rng)
+    seed = make_seed(16, rng)
     with pytest.raises(ConfigurationError):
         au2_hash(seed, b"")
 
 
-def test_toeplitz_rejects_overlong_message():
-    rng = SeededEntropy(b"overlong")
-    seed = make_seed(MacScheme.TOEPLITZ, 16, rng, width_bits=64 + 8)
-    au2_hash(seed, b"\x01")
-    with pytest.raises(ConfigurationError):
-        recompute_tag(seed, b"\x01\x02")
-
-
 def test_make_seed_properties():
     rng = SeededEntropy(b"seed-props")
-    pe = make_seed(MacScheme.POLYEVAL, 16, rng)
-    assert 0 <= pe.value < polyeval_modulus(16)
-    assert pe.bit_count == 16
-    tp = make_seed(MacScheme.TOEPLITZ, 16, rng, width_bits=64 + 32)
-    assert tp.bit_count == 16 + 96 - 1
-    assert 0 <= tp.value < (1 << tp.bit_count)
+    pe = make_seed(16, rng)
+    assert 0 < pe.value < polyeval_modulus(16)
+    assert pe.k == 16 and pe.byte_count == 2
     # determinism: a fresh source with the same master replays the draw
-    again = make_seed(MacScheme.POLYEVAL, 16, SeededEntropy(b"seed-props"))
+    again = make_seed(16, SeededEntropy(b"seed-props"))
     assert again.value == pe.value
+
+
+def test_make_seed_redraws_key_zero_and_keys_past_q():
+    # key 0 tags every message 0, and a zeroed calculator record reads as
+    # key 0, so it is never drawn
+    q = polyeval_modulus(16)
+
+    class Draws:
+        def __init__(self, values):
+            self.values = list(values)
+
+        def take_bits(self, nbits):
+            assert nbits == 16
+            return self.values.pop(0)
+
+    draws = Draws([0, q, 0xffff, 7])
+    assert make_seed(16, draws).value == 7 and draws.values == []
 
 
 def test_registration_polyeval_is_the_channel_hash():
@@ -483,39 +468,30 @@ def test_registration_polyeval_is_the_channel_hash():
     rng = SeededEntropy(b"one-hash")
     message = bytes(range(256)) * 2
     for n in (1, 30, 31, 32, 62, 63, 500):
-        seed = make_seed(MacScheme.POLYEVAL, 256, rng)
+        seed = make_seed(256, rng)
         assert recompute_tag(seed, message[:n]).value == \
             polyeval_hash_bytes(seed.value, message[:n], seed.q_u)
 
 
-def test_polyeval_needs_k_of_16_and_toeplitz_does_not():
+def test_polyeval_needs_k_of_16():
     for k in (2, 8, 15):
         with pytest.raises(ConfigurationError, match="k >= 16"):
-            make_seed(MacScheme.POLYEVAL, k, SeededEntropy(b"narrow"))
-    make_seed(MacScheme.TOEPLITZ, 8, SeededEntropy(b"narrow"), width_bits=72)
-    assert make_seed(MacScheme.POLYEVAL, 16, SeededEntropy(b"narrow")).k == 16
-    for scheme in MacScheme:
-        with pytest.raises(ConfigurationError, match="multiple of 8"):
-            make_seed(scheme, 20, SeededEntropy(b"narrow"), width_bits=72)
+            make_seed(k, SeededEntropy(b"narrow"))
+    assert make_seed(16, SeededEntropy(b"narrow")).k == 16
+    with pytest.raises(ConfigurationError, match="multiple of 8"):
+        make_seed(20, SeededEntropy(b"narrow"))
 
 
 def test_seed_serialization_roundtrip():
     rng = SeededEntropy(b"serialize")
-    pe = make_seed(MacScheme.POLYEVAL, 16, rng)
+    pe = make_seed(16, rng)
     raw = seed_to_bytes(pe)
     assert len(raw) == 2
-    back = seed_from_bytes(raw, MacScheme.POLYEVAL, 16)
+    back = seed_from_bytes(raw, 16)
     assert back.value == pe.value and back.q_u == pe.q_u
     assert back.consumed
-
-    tp = make_seed(MacScheme.TOEPLITZ, 16, rng, width_bits=64 + 32)
-    raw = seed_to_bytes(tp)
-    assert len(raw) == (16 + 96) // 8
-    back = seed_from_bytes(raw, MacScheme.TOEPLITZ, 16)
-    assert back.value == tp.value
-    assert back.width_bits == 96
     msg = b"\x01\x02\x03\x04"
-    assert recompute_tag(back, msg) == recompute_tag(tp, msg)
+    assert recompute_tag(back, msg) == recompute_tag(pe, msg)
 
 
 def test_mac_tag_bits_and_bytes():

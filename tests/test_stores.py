@@ -25,7 +25,6 @@ from itstore.errors import (
 from itstore.field import PrimeField
 from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork
 from itstore.mac import (
-    MacScheme,
     MacTag,
     au2_hash,
     cr_hash,
@@ -54,6 +53,8 @@ from itstore.stores import (
     holder_record_files,
     secure_erase,
 )
+
+from lossy_disk import lossy, materialize
 
 F2311 = PrimeField.mersenne(31)
 PARAMS_2311 = SpssParams(field=F2311)
@@ -194,8 +195,7 @@ def test_directory_scan(tmp_path):
 
 def make_record(i, t1, t2, k=64):
     message = b"datum %d" % i
-    seed = make_seed(MacScheme.TOEPLITZ, k, rng("vrec-%d" % i),
-                     width_bits=64 + len(message) * 8)
+    seed = make_seed(k, rng("vrec-%d" % i))
     tag = au2_hash(seed, message)
     return VerifierRecord(bytes([i]) * 16, t1, tag, t2)
 
@@ -250,34 +250,32 @@ def test_verifier_store_holds_long_digest_tags(tmp_path):
 
 # --------------------------------------------------------- calculator store
 
-def calc_seed(data: bytes, k=256):
-    # seed must cover the framed MAC input: 8-byte timestamp prefix + data
-    return make_seed(MacScheme.TOEPLITZ, k, rng("calc"),
-                     width_bits=64 + (8 + len(data)) * 8)
+def calc_seed(k=256):
+    return make_seed(k, rng("calc"))
 
 
 def test_calculator_store_round_trip(tmp_path):
     data = b"the payload under protection, kept well away from this store"
-    seed = calc_seed(data)
+    seed = calc_seed()
     tag = au2_hash(seed, struct.pack(">Q", 1234) + data)
-    store = CalculatorStore(tmp_path / "calc", MacScheme.TOEPLITZ, 256)
+    store = CalculatorStore(tmp_path / "calc", 256)
     sid = b"\x01" * 16
     store.put(sid, 1234, seed)
 
     reopened = CalculatorStore(tmp_path / "calc")
-    assert reopened.scheme is MacScheme.TOEPLITZ and reopened.k == 256
+    assert reopened.k == 256
     t1, restored = reopened.get(sid)
     assert t1 == 1234
-    assert restored == seed  # value, width and scheme all survive
+    assert restored == seed  # value, k and q_u all survive
     assert recompute_tag(restored, struct.pack(">Q", t1) + data) == tag
 
 
 def test_calculator_store_budget_is_exact(tmp_path):
-    store = CalculatorStore(tmp_path / "calc", MacScheme.TOEPLITZ, 256)
+    store = CalculatorStore(tmp_path / "calc", 256)
     for i in range(1, 4):
         data = b"x" * (10 * i)
         sid = bytes([i]) * 16
-        seed = calc_seed(data)
+        seed = calc_seed()
         store.put(sid, i, seed)
         assert store.record_bytes(sid) == 16 + 8 + seed.byte_count
     assert len(store.ids()) == 3
@@ -285,17 +283,17 @@ def test_calculator_store_budget_is_exact(tmp_path):
 
 def test_calculator_store_never_touches_data(tmp_path):
     data = bytes(rng("payload").take_bytes(300))
-    seed = calc_seed(data)
+    seed = calc_seed()
     tag = au2_hash(seed, struct.pack(">Q", 77) + data)
-    store = CalculatorStore(tmp_path / "calc", MacScheme.TOEPLITZ, 256)
+    store = CalculatorStore(tmp_path / "calc", 256)
     store.put(b"\x05" * 16, 77, seed)
     assert not directory_contains_window(tmp_path / "calc", data)
     assert not directory_contains_window(tmp_path / "calc", tag.to_bytes())
 
 
 def test_calculator_store_remove_erases(tmp_path):
-    store = CalculatorStore(tmp_path / "calc", MacScheme.TOEPLITZ, 256)
-    seed = calc_seed(b"abcdef")
+    store = CalculatorStore(tmp_path / "calc", 256)
+    seed = calc_seed()
     from itstore.mac import seed_to_bytes
     seed_bytes = seed_to_bytes(seed)
     store.put(b"\x09" * 16, 9, seed)
@@ -305,21 +303,52 @@ def test_calculator_store_remove_erases(tmp_path):
     assert not directory_contains_window(tmp_path / "calc", seed_bytes)
 
 
+def test_every_crash_state_of_a_calculator_remove_keeps_or_drops_the_record(
+        tmp_path):
+    # a crash during remove leaves the record as it was, or no record, or
+    # one get refuses; once remove returns, the name stays gone
+    base = tmp_path / "base"
+    base.mkdir()
+    store = CalculatorStore(base / "calc", 256)
+    sid, seed = b"\x09" * 16, calc_seed()
+    store.put(sid, 9, seed)
+    with lossy(base) as disk:
+        store.remove(sid)
+    done = materialize(disk.durable(), tmp_path / "done")
+    assert CalculatorStore(done / "calc").ids() == ()
+    assert len(disk.states) > 3
+    for i, state in enumerate(disk.states.values()):
+        reopened = CalculatorStore(
+            materialize(state, tmp_path / ("crash-%d" % i)) / "calc")
+        if sid not in reopened.ids():
+            continue
+        try:
+            t1, restored = reopened.get(sid)
+        except TamperDetectedError:
+            continue
+        assert (t1, restored.value) == (9, seed.value), "crash state %d" % i
+
+
+def test_an_unlinked_erasure_is_durable_when_it_returns(tmp_path):
+    (tmp_path / "a.rec").write_bytes(b"key bytes")
+    with lossy(tmp_path) as disk:
+        stores_mod.DISK.erase(tmp_path / "a.rec", unlink=True)
+    assert disk.durable() == {}
+
+
 def test_calculator_store_validation(tmp_path):
-    store = CalculatorStore(tmp_path / "calc", MacScheme.TOEPLITZ, 256)
-    seed = calc_seed(b"dup")
+    store = CalculatorStore(tmp_path / "calc", 256)
+    seed = calc_seed()
     store.put(b"\x01" * 16, 1, seed)
     with pytest.raises(ProtocolError):
-        store.put(b"\x01" * 16, 2, calc_seed(b"dup"))
+        store.put(b"\x01" * 16, 2, calc_seed())
     with pytest.raises(ProtocolError):
         store.get(b"\x02" * 16)
     with pytest.raises(ConfigurationError):
-        CalculatorStore(tmp_path / "calc", MacScheme.TOEPLITZ, 128)
-    with pytest.raises(ConfigurationError):
-        CalculatorStore(tmp_path / "calc", MacScheme.POLYEVAL, 256)
+        CalculatorStore(tmp_path / "calc", 128)
     with pytest.raises(ConfigurationError):
         CalculatorStore(tmp_path / "calc2")  # new store without parameters
-    wrong_k = make_seed(MacScheme.TOEPLITZ, 64, rng("wrongk"), width_bits=80)
+    wrong_k = make_seed(64, rng("wrongk"))
     with pytest.raises(ConfigurationError):
         store.put(b"\x03" * 16, 3, wrong_k)
 
@@ -328,13 +357,16 @@ def test_calculator_store_validation(tmp_path):
     lambda raw: raw[:-1],
     lambda raw: raw + b"\x00",
     lambda raw: raw[:8] + b"\xff" * 32,
-], ids=["short", "long", "key-above-q"])
+    lambda raw: bytes(len(raw)),
+], ids=["short", "long", "key-above-q", "zeroed"])
 def test_a_polyeval_record_that_is_not_one_key_is_tampering(tmp_path, edit):
     # a wrong key would only make every later check read "tag mismatch",
-    # blaming the data for what was done to the store
-    store = CalculatorStore(tmp_path / "calc", MacScheme.POLYEVAL, 256)
+    # blaming the data for what was done to the store; a zeroed record, as
+    # a lost unlink and truncation leave, would hold key 0, which tags
+    # every message 0
+    store = CalculatorStore(tmp_path / "calc", 256)
     sid = b"\x07" * 16
-    seed = make_seed(MacScheme.POLYEVAL, 256, rng("one-key"))
+    seed = make_seed(256, rng("one-key"))
     store.put(sid, 7, seed)
     assert store.get(sid)[1].value == seed.value
     path = tmp_path / "calc" / (sid.hex() + ".rec")
@@ -351,12 +383,12 @@ def test_a_calculator_store_of_split_block_polyeval_is_refused(tmp_path):
     directory.mkdir()
     (directory / "meta.bin").write_bytes(
         b"ITCS1\n" + bytes([1]) + struct.pack(">H", 256))
-    key = make_seed(MacScheme.POLYEVAL, 256, rng("split-blocks"))
+    key = make_seed(256, rng("split-blocks"))
     (directory / ("05" * 16 + ".rec")).write_bytes(
         struct.pack(">Q", 5) + seed_to_bytes(key))
-    for scheme, k in ((None, None), (MacScheme.POLYEVAL, 256)):
+    for k in (None, 256):
         with pytest.raises(ConfigurationError, match="length block"):
-            CalculatorStore(directory, scheme, k)
+            CalculatorStore(directory, k)
     # a scheme byte no version wrote is tampering
     (directory / "meta.bin").write_bytes(
         b"ITCS1\n" + bytes([3]) + struct.pack(">H", 256))
@@ -368,13 +400,13 @@ def test_calculator_records_without_meta_file_are_tampering(tmp_path):
     # the meta file is fsynced before the first record, so a directory
     # holding records without it has been tampered with, whatever
     # parameters the opener brings
-    store = CalculatorStore(tmp_path / "calc", MacScheme.TOEPLITZ, 256)
-    store.put(b"\x01" * 16, 1, calc_seed(b"meta"))
+    store = CalculatorStore(tmp_path / "calc", 256)
+    store.put(b"\x01" * 16, 1, calc_seed())
     (tmp_path / "calc" / "meta.bin").unlink()
     with pytest.raises(TamperDetectedError):
-        CalculatorStore(tmp_path / "calc", MacScheme.TOEPLITZ, 256)
+        CalculatorStore(tmp_path / "calc", 256)
     with pytest.raises(TamperDetectedError):
-        CalculatorStore(tmp_path / "calc", MacScheme.POLYEVAL, 128)
+        CalculatorStore(tmp_path / "calc", 128)
     with pytest.raises(TamperDetectedError):
         CalculatorStore(tmp_path / "calc")
 
@@ -1413,39 +1445,38 @@ def test_building_a_session_makes_no_fsync_and_meta_comes_with_register(
     session.register(b"the first secret of a new deployment", b"pw")
     reopened = CalculatorStore(tmp_path / "calculator")
     assert meta.exists() and len(reopened) == 1
-    assert (reopened.scheme, reopened.k) == (session.scheme, session.k)
+    assert reopened.k == session.k
 
 
 def test_crash_in_a_new_calculator_stores_first_put(tmp_path):
     """Crash at each fsync of a new store's first put: the store reopens
-    without parameters, with its scheme and k, and holds either no record
-    or exactly that one."""
-    seed = calc_seed(b"first")
+    without parameters, with its k, and holds either no record or exactly
+    that one."""
+    seed = calc_seed()
     sid = b"\x0c" * 16
     with fsyncs() as counter:
-        CalculatorStore(tmp_path / "ref", MacScheme.TOEPLITZ, 256).put(
+        CalculatorStore(tmp_path / "ref", 256).put(
             sid, 12, seed)
     # the new directory's entry in the root; the meta file, published;
     # then the record, published
     assert counter.calls == 5
     for k in range(1, counter.calls + 1):
         directory = tmp_path / ("crash-%d" % k)
-        store = CalculatorStore(directory, MacScheme.TOEPLITZ, 256)
+        store = CalculatorStore(directory, 256)
         with fsyncs(crash_at=k), pytest.raises(SimulatedCrash):
             store.put(sid, 12, seed)
         if k < 3:  # the meta file is renamed into place at fsync 3
             with pytest.raises(ConfigurationError):
                 CalculatorStore(directory)
-            reopened = CalculatorStore(directory, MacScheme.TOEPLITZ, 256)
+            reopened = CalculatorStore(directory, 256)
         else:
             reopened = CalculatorStore(directory)
-        assert (reopened.scheme, reopened.k) == (MacScheme.TOEPLITZ, 256)
+        assert reopened.k == 256
         assert reopened.ids() == (() if k < 5 else (sid,))
         assert not list(directory.glob("*.new"))
         if reopened.ids():
             t1, restored = reopened.get(sid)
-            assert (t1, restored.value, restored.width_bits) == (
-                12, seed.value, seed.width_bits)
+            assert (t1, restored.value, restored.k) == (12, seed.value, seed.k)
 
 
 def test_a_new_log_file_makes_its_directory_entry_durable(tmp_path):
@@ -1468,12 +1499,11 @@ def first_writes(directory):
     """The first write of each store kind opened at `directory`."""
     holders, _ = spss_register(b"first write", 5, PARAMS_2311, rng("dirs"))
     holder = HolderStore(directory / "holder", holder=1)
-    calculator = CalculatorStore(directory / "calculator",
-                                 MacScheme.TOEPLITZ, 256)
+    calculator = CalculatorStore(directory / "calculator", 256)
     verifier = VerifierStore(directory / "verifier")
     return {
         "holder": lambda: holder.put_secret(SID_A, holders[1]),
-        "calculator": lambda: calculator.put(SID_A, 7, calc_seed(b"x")),
+        "calculator": lambda: calculator.put(SID_A, 7, calc_seed()),
         "verifier": lambda: verifier.append(make_record(1, 2, 3)),
     }
 
@@ -1484,8 +1514,7 @@ def test_stores_create_no_directory_before_their_first_write(tmp_path):
     assert not root.exists()
     # a missing directory opens as an empty store, and still is not made
     assert HolderStore(root / "holder", holder=1).secret_ids() == ()
-    assert len(CalculatorStore(root / "calculator", MacScheme.TOEPLITZ,
-                               256)) == 0
+    assert len(CalculatorStore(root / "calculator", 256)) == 0
     assert len(VerifierStore(root / "verifier")) == 0
     assert not root.exists()
     for name, write in writes.items():
@@ -1504,8 +1533,8 @@ def test_pending_names_a_crash_left_are_erased_on_open(tmp_path):
     holders, _ = spss_register(b"pending", 5, PARAMS_2311, rng("pending"))
     holder_dir, calc_dir = tmp_path / "holder", tmp_path / "calculator"
     HolderStore(holder_dir, holder=1).put_secret(SID_A, holders[1])
-    CalculatorStore(calc_dir, MacScheme.TOEPLITZ, 256).put(
-        SID_A, 7, calc_seed(b"x"))
+    CalculatorStore(calc_dir, 256).put(
+        SID_A, 7, calc_seed())
     for pending in (holder_dir / "holder.new",
                     holder_dir / (SID_B.hex() + ".new"),
                     calc_dir / "meta.new", calc_dir / (SID_B.hex() + ".new")):

@@ -253,7 +253,7 @@ def _parse_field(value, path: str) -> PrimeField:
 def _parse_layout(section, path: str) -> SpssParams:
     sec = _as_mapping(section, path)
     _check_keys(sec, ("threshold", "holders", "field"), path)
-    t_sh = _as_int(sec.get("threshold"), path + ".threshold", default=3, minimum=2)
+    t_sh = _as_int(sec.get("threshold"), path + ".threshold", default=3)
     n_sh = _as_int(sec.get("holders"), path + ".holders", default=4, minimum=2)
     field = _parse_field(sec.get("field"), path + ".field")
     try:

@@ -32,8 +32,9 @@ class SingleUseError(ItstoreError):
     """A one-time seed, pad, or precomputed tuple was used twice."""
 
 
-class PrecomputationExhaustedError(ItstoreError):
-    """A holder has no unconsumed precomputed tuple left."""
+class PrecomputationExhaustedError(ProtocolError):
+    """A holder is asked to spend a masking round it does not hold live:
+    one never stocked, or one already spent or retired."""
 
 
 class ChannelIntegrityError(ItstoreError):

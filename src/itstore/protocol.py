@@ -90,6 +90,7 @@ from .spss import (
     MaskedResponse,
     SpssParams,
     SpssRequest,
+    check_subset,
     data_block_count,
     password_to_element,
     precompute_round,
@@ -669,7 +670,9 @@ class TpvSession:
         left aborts); holder_response_tamper maps holder index to a
         function rewriting its masked values (a cheating holder);
         owner_tamper rewrites the recovered payload before release (a
-        cheating owner). Password failure releases nothing.
+        cheating owner). Password failure releases nothing. A subset
+        that spss.check_subset refuses is refused before any message is
+        sent; a valid one is contacted in the caller's order.
         """
         if sid not in self.owner_receipts:
             raise ProtocolError("owner holds no receipt for %s" % sid.hex())
@@ -677,26 +680,21 @@ class TpvSession:
         params = self.params
         field = params.field
         tampers = holder_response_tamper or {}
+        chosen = None if subset is None else check_subset(subset, params)
 
         c_len, attempt = self._send(self.OWNER, self.CALCULATOR,
                                     "recon-request", (sid,), byte_length,
                                     password_attempt)
 
         live = [j for j in params.holder_indices if j not in set(offline)]
-        if subset is not None:
-            chosen = tuple(subset)
-            if (len(set(chosen)) != params.t_sh
-                    or any(j not in params.holder_indices for j in chosen)):
-                raise ProtocolError(
-                    "reconstruction needs %d distinct holder indices"
-                    % params.t_sh)
+        if chosen is None:
+            chosen = tuple(live[:params.t_sh])
+        else:
             missing = [j for j in chosen if j not in live]
             if missing:
                 return self._abort_reconstruction(
                     sid, _ABORT_THRESHOLD,
                     "requested holders offline: %s" % missing)
-        else:
-            chosen = tuple(live[:params.t_sh])
         if len(chosen) < params.t_sh:
             return self._abort_reconstruction(
                 sid, _ABORT_THRESHOLD,

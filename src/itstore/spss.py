@@ -24,7 +24,8 @@ for an unknown fresh R_i, and the authenticator equation
     F_{l+1}(0) == sum_i F_i(0) P'^i
 
 accepts with probability 1/q at most (one linear constraint on the fresh
-offsets). Each tuple is consumed by exactly one response.
+offsets). Each tuple is consumed by exactly one response: spend_rounds is
+the one way a tuple leaves a holder, for a response and for a retire.
 
 Masking tuples come from precomputation batches with randomness
 extraction (Damgard-Nielsen, CRYPTO 2007). In a batch every holder d
@@ -61,7 +62,8 @@ from .errors import (
     ProtocolError,
     ReconstructionAbortError,
 )
-from .field import PrimeField, random_polynomial, zero_coefficients
+from .field import PrimeField, zero_coefficients
+from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
 from .mac import split_blocks
 
 __all__ = [
@@ -79,8 +81,9 @@ __all__ = [
     "retired_rounds",
     "masking_columns",
     "extract",
+    "check_subset",
     "spss_request",
-    "spend_ids",
+    "spend_rounds",
     "holder_respond",
     "spss_recover",
     "reassemble_blocks",
@@ -99,14 +102,16 @@ class SpssParams:
         default_factory=lambda: PrimeField.mersenne(DEFAULT_FIELD_EXPONENT))
 
     def __post_init__(self):
-        if not 1 < self.t_sh <= self.n_sh:
-            raise ConfigurationError("need 1 < t_sh <= n_sh")
+        if self.t_sh > self.n_sh:
+            raise ConfigurationError("need t_sh <= n_sh")
         # The response F = (f_P - f_P')*R + Z + f_D has degree
         # 2*(t_sh - 2) in the password product term; t_sh points can only
         # interpolate it while that stays at or below t_sh - 1, so the
-        # masking algebra caps the threshold at 3.
-        if 2 * (self.t_sh - 2) > self.t_sh - 1:
-            raise ConfigurationError("masked reconstruction requires t_sh <= 3")
+        # masking algebra caps the threshold at 3. The password and R are
+        # shared at degree t_sh - 2, which at t_sh = 2 hands every holder
+        # the password itself, so secrecy needs at least 3.
+        if self.t_sh != 3:
+            raise ConfigurationError("masked reconstruction requires t_sh = 3")
         # Holder indices are the sharing nodes and the extraction's
         # Vandermonde columns: both need them distinct and nonzero mod q.
         if self.field.q <= self.n_sh:
@@ -203,7 +208,7 @@ class SpssRequest:
 
     subset: tuple
     password_share: int  # f_{P'}(j)
-    tuple_ids: "tuple | None" = None
+    tuple_ids: tuple  # the masking rounds to spend, one per block
 
 
 @dataclass(frozen=True)
@@ -396,85 +401,81 @@ def masking_columns(params: SpssParams, randomness, batches: int):
     return r_cols, z_cols
 
 
-def spss_request(password_attempt: int, subset, params: SpssParams,
-                 randomness, tuple_ids=None) -> dict:
-    """Start a reconstruction: share the password attempt toward the chosen
-    holders. Returns {holder j: SpssRequest} for j in the subset.
-
-    tuple_ids, when given, pins which masking tuples the holders must
-    spend (one distinct id per block, the same ids for every holder; a
-    holder refuses an id named twice); without
-    it each holder takes its oldest live rounds, which is only safe
-    while every reconstruction contacts the same subset.
-    """
-    asked = tuple(subset)
-    chosen = tuple(sorted(set(asked)))
-    if len(chosen) != params.t_sh or len(chosen) != len(asked):
+def check_subset(subset, params: SpssParams) -> tuple:
+    """The one subset rule of a reconstruction: exactly t_sh distinct
+    holder indices in 1..n_sh. Returns the subset as a tuple in the
+    caller's order; refuses any other with ImproperRequestError."""
+    chosen = tuple(subset)
+    if (len(chosen) != params.t_sh or len(set(chosen)) != len(chosen)
+            or any(j not in params.holder_indices for j in chosen)):
         raise ImproperRequestError(
-            "reconstruction needs exactly %d distinct holders" % params.t_sh)
-    if any(j not in params.holder_indices for j in chosen):
-        raise ImproperRequestError("holder index out of range")
+            "reconstruction needs exactly %d distinct holder indices in "
+            "1..%d" % (params.t_sh, params.n_sh))
+    return chosen
+
+
+def spss_request(password_attempt: int, subset, params: SpssParams,
+                 randomness, tuple_ids) -> dict:
+    """Start a reconstruction: share the password attempt toward the chosen
+    holders. Returns {holder j: SpssRequest} for j in the subset, each
+    naming the subset in index order.
+
+    The attempt is shared at the password degree with one random_ints
+    draw, as spss_register shares the password. tuple_ids pins which
+    masking tuples the holders must spend: one distinct id per block, the
+    same ids for every holder.
+    """
+    chosen = tuple(sorted(check_subset(subset, params)))
     field = params.field
-    attempt = password_attempt % field.q
-    f_pp = random_polynomial(params.password_degree, attempt, field,
-                             randomness)
-    ids = tuple(tuple_ids) if tuple_ids is not None else None
-    return {j: SpssRequest(chosen, f_pp.evaluate(j), ids) for j in chosen}
+    coeffs = [password_attempt % field.q,
+              *field.random_ints(randomness, params.password_degree)]
+    ids = tuple(tuple_ids)
+    return {j: SpssRequest(chosen, field.poly_eval_int(coeffs, j), ids)
+            for j in chosen}
 
 
-def spend_ids(share_set: HolderShareSet, request: SpssRequest) -> tuple:
-    """The round ids a request spends at this holder: the ids it pins, or
-    else the holder's oldest live ones, one per block.
+def spend_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
+                 ) -> list:
+    """The one way a masking tuple leaves a holder: drop the rounds `ids`
+    names from the share set and return their (r, z), in that order.
 
-    Refuses, in this order, a holder outside the subset
-    (ImproperRequestError), then too few live tuples for an unpinned
-    request (PrecomputationExhaustedError), or for pinned ids: an id
-    named twice (ImproperRequestError; one tuple masking two blocks would
-    hand a wrong-password requester D_i - D_j), an id that is not live
-    (PrecomputationExhaustedError), a count other than the block count
-    (ImproperRequestError).
+    Before anything changes it refuses, in this order, an id named twice
+    (ImproperRequestError; one tuple masking two blocks would hand a
+    wrong-password requester D_i - D_j), an id that is not live
+    (PrecomputationExhaustedError), and, when count is given, any other
+    number of ids (ImproperRequestError).
+    """
+    ids = tuple(ids)
+    if len(set(ids)) != len(ids):
+        raise ImproperRequestError("a masking round is named twice")
+    live = share_set.tuples
+    for rid in ids:
+        if rid not in live:
+            raise PrecomputationExhaustedError(
+                "holder %d cannot spend round %r" % (share_set.holder, rid))
+    if count is not None and len(ids) != count:
+        raise ImproperRequestError(
+            "request pins %d tuples, %d blocks to mask" % (len(ids), count))
+    return [(tup.r, tup.z) for tup in map(live.pop, ids)]
+
+
+def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedResponse:
+    """Build the masked response for one holder, spending the pinned
+    tuples, one per block (spend_rounds). A holder outside the subset is
+    refused first (ImproperRequestError). The password difference exists
+    only inside this call.
     """
     j = share_set.holder
     if j not in request.subset:
         raise ImproperRequestError("holder %d is not in the requested subset" % j)
-    needed = share_set.block_count
-    live = share_set.tuples
-    if request.tuple_ids is None:
-        ids = tuple(sorted(live)[:needed])
-        if len(ids) < needed:
-            raise PrecomputationExhaustedError(
-                "holder %d has %d unconsumed tuples, needs %d"
-                % (j, len(ids), needed))
-        return ids
-    ids = tuple(request.tuple_ids)
-    if len(set(ids)) != len(ids):
-        raise ImproperRequestError("request pins a masking round twice")
-    for rid in ids:
-        if rid not in live:
-            raise PrecomputationExhaustedError(
-                "holder %d cannot spend round %r" % (j, rid))
-    if len(ids) != needed:
-        raise ImproperRequestError(
-            "request pins %d tuples, %d blocks to mask" % (len(ids), needed))
-    return ids
-
-
-def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedResponse:
-    """Build the masked response for one holder, spending one precomputed
-    tuple per block (the ids spend_ids picks). The password difference
-    exists only inside this call; the spent tuples leave the share set.
-    """
-    ids = spend_ids(share_set, request)
-    tuples = share_set.tuples
+    spent = spend_rounds(share_set, request.tuple_ids, share_set.block_count)
     field = share_set.params.field
     diff = field.sub(share_set.password_share, request.password_share)
     q = field.q
-    values = tuple([(diff * tup.r + tup.z + data_share) % q
-                    for data_share, tup in zip(share_set.data_shares,
-                                               map(tuples.get, ids))])
-    for rid in ids:
-        del tuples[rid]
-    return MaskedResponse(share_set.holder, values)
+    values = tuple([(diff * r + z + data_share) % q
+                    for data_share, (r, z) in zip(share_set.data_shares,
+                                                  spent)])
+    return MaskedResponse(j, values)
 
 
 def spss_recover(responses, password_attempt: int, params: SpssParams,
@@ -518,16 +519,16 @@ def spss_recover(responses, password_attempt: int, params: SpssParams,
     blocks = tuple(blocks)
     if byte_length is None:
         return blocks
-    return reassemble_blocks(blocks, byte_length, params)
+    return reassemble_blocks(blocks, byte_length, params.block_bits)
 
 
-def reassemble_blocks(blocks_by_index, byte_length: int, params: SpssParams) -> bytes:
-    """Inverse of the register-time split: D_l..D_1 back to bytes.
+def reassemble_blocks(blocks_by_index, byte_length: int, width: int) -> bytes:
+    """Inverse of the register-time split at block width `width`:
+    D_l..D_1 back to bytes.
 
-    Linear time: each group of eight blocks is exactly block_bits bytes.
+    Linear time: each group of eight blocks is exactly `width` bytes.
     """
     wire = list(blocks_by_index)[::-1]  # wire order, D_l leftmost
-    width = params.block_bits
     if len(wire) * width < byte_length * 8:
         raise ConfigurationError("byte_length exceeds reconstructed payload")
     if any(b >> width for b in wire):

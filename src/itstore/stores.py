@@ -106,7 +106,7 @@ from .errors import ConfigurationError, ProtocolError, TamperDetectedError
 from .field import PrimeField
 from .mac import MacSeed, MacTag, seed_from_bytes, seed_to_bytes
 from .spss import (HolderShareSet, PrecomputedTuple, SpssParams,
-                   holder_respond)
+                   holder_respond, spend_rounds)
 from .wire import Cursor, column, encode_ids, encode_runs, expand_runs
 
 __all__ = [
@@ -629,13 +629,13 @@ class HolderStore:
     A secret's record holds every fact about it that changes together:
     its shares, its live masking tuples and the renewal rounds applied to
     it, and it is the only record of which tuples are spent. A tuple
-    leaves only by `respond` or `retire`, and the record save that drops
-    it is the spend: `respond` saves before it returns the response, so a
-    crash before the save is durable releases nothing, and the reopened
-    record's tuples masked no released value. A renewal is one record
-    rewrite, which destroys the old share values and notes the round
-    together, so a crash leaves the old shares with the old rounds or the
-    new shares with the new.
+    leaves only by `respond` or `retire`, both through spss.spend_rounds,
+    and the record save that drops it is the spend: `respond` saves
+    before it returns the response, so a crash before the save is durable
+    releases nothing, and the reopened record's tuples masked no released
+    value. A renewal is one record rewrite, which destroys the old share
+    values and notes the round together, so a crash leaves the old shares
+    with the old rounds or the new shares with the new.
 
     The constructor writes nothing to a new store: the directory and the
     holder index reach disk with the first save.
@@ -796,17 +796,10 @@ class HolderStore:
         return response
 
     def retire(self, secret_id: bytes, round_ids) -> None:
-        """Spend live rounds that will never be served: check that each is
-        live, then drop them. The caller's next save erases their values
-        from the record."""
-        ss = self.get_secret(secret_id)
-        ids = list(round_ids)
-        for rid in ids:
-            if rid not in ss.tuples:
-                raise ProtocolError("holder %d cannot retire round %d of %s"
-                                    % (self.holder, rid, secret_id.hex()))
-        for rid in ids:
-            del ss.tuples[rid]
+        """Spend live rounds that will never be served, by spend_rounds,
+        which refuses a repeated or dead id before anything changes. The
+        caller's next save erases their values from the record."""
+        spend_rounds(self.get_secret(secret_id), round_ids)
 
     # ------------------------------------------------------------ renewal
 

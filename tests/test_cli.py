@@ -310,6 +310,13 @@ def test_run_invalid_config_is_exit_3(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "run", str(tmp_path / "missing.yaml"))
     assert code == 3
 
+    # fails at the parent commit, which shared the password at degree 0:
+    # every holder's password share was the password itself
+    cfg = write_scenario(tmp_path, "t2", "layout: {threshold: 2}\n")
+    code, _out, err = run_cli(capsys, "run", cfg)
+    assert code == 3
+    assert "configuration error" in err and "layout" in err
+
 
 def test_bench_subcommand(tmp_path, capsys):
     cfg = write_scenario(tmp_path, "bench", """\

@@ -107,19 +107,19 @@ def test_field_unknown_alias_rejected():
 
 def test_layout_threshold_and_holders():
     cfg = parse_scenario({
-        "layout": {"threshold": 2, "holders": 5},
+        "layout": {"threshold": 3, "holders": 5},
         "placement": {"holders": [
             "Koganei-1", "Koganei-2", "Koganei-3", "Koganei-4",
             "Ohtemachi-1"]},
     })
-    assert (cfg.params.t_sh, cfg.params.n_sh) == (2, 5)
+    assert (cfg.params.t_sh, cfg.params.n_sh) == (3, 5)
     assert len(cfg.placement.holders) == 5
 
 
 def test_layout_without_default_holder_nodes_needs_placement():
     with pytest.raises(ConfigurationError,
                        match="placement.holders.*explicitly"):
-        parse_scenario({"layout": {"threshold": 2, "holders": 5}})
+        parse_scenario({"layout": {"threshold": 3, "holders": 5}})
 
 
 def test_layout_threshold_above_cap_rejected():

@@ -487,6 +487,28 @@ def test_oversized_password_is_refused_before_anything_is_sent(tmp_path):
     assert result.outcome is Outcome.SUCCESS and result.data == DATA
 
 
+def test_a_subset_naming_a_holder_twice_is_refused_before_any_send(
+        tmp_path):
+    # fails at the parent commit: (1, 1, 2, 3) passed the session's own
+    # subset check, the recon-request and avail messages went out, and
+    # spss_request then raised with no verdict recorded
+    session = make_session(tmp_path)
+    sid, _t1, _ = register_and_stock(session)
+    lines, verdicts = len(session.transcript), len(session.verdicts)
+    records = {j: live_record(store, sid)
+               for j, store in session.holder_stores.items()}
+    for bad in ((1, 1, 2, 3), (1, 1, 2), (1, 2), (0, 1, 2), (2, 3, 9)):
+        with pytest.raises(ProtocolError):
+            session.reconstruct_and_release(sid, PASSWORD, subset=bad)
+    assert len(session.transcript) == lines
+    assert len(session.verdicts) == verdicts
+    for j, store in session.holder_stores.items():
+        assert spent_rounds(store, sid) == ()
+        assert live_record(store, sid) == records[j]
+    result = session.reconstruct_and_release(sid, PASSWORD, subset=(3, 1, 2))
+    assert result.outcome is Outcome.SUCCESS and result.data == DATA
+
+
 def test_registration_aborts_before_any_share_leaves(tmp_path):
     # enough key for the owner's upload, not enough to fan the shares out
     session = make_session(tmp_path, advance_ms=1_500)

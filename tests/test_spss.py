@@ -66,11 +66,14 @@ def recording(carried):
 
 
 def reconstruct(holders, secret, params, attempt, subset, rng, pin=True):
-    """Full reconstruction path: precompute, request, respond, recover."""
+    """Full reconstruction path: precompute, request, respond, recover.
+    pin=False pins the first holder's oldest live rounds instead of the
+    new ones."""
     ids = [precompute_round(holders, rng)[0]
            for _ in range(secret.block_count + 1)]
-    requests = spss_request(attempt, subset, params, rng,
-                            tuple_ids=ids if pin else None)
+    if not pin:
+        ids = sorted(holders[subset[0]].tuples)[:len(ids)]
+    requests = spss_request(attempt, subset, params, rng, tuple_ids=ids)
     responses = [holder_respond(holders[j], requests[j]) for j in subset]
     return spss_recover(responses, attempt, params,
                         byte_length=secret.byte_length)
@@ -156,7 +159,8 @@ def test_block_count_and_reassembly():
     params = SpssParams()
     data = b"block reassembly check"
     holders, secret = spss_register(data, 9, params, SeededEntropy(b"asm"))
-    assert reassemble_blocks(secret.blocks, secret.byte_length, params) == data
+    assert reassemble_blocks(secret.blocks, secret.byte_length,
+                             params.block_bits) == data
 
 
 RAGGED_WIDTH_FIELDS = {1: PrimeField(3), 7: PrimeField(251), 8: PrimeField(257),
@@ -173,27 +177,26 @@ def reassemble_oracle(blocks_by_index, byte_length, width):
 
 @pytest.mark.parametrize("width", sorted(RAGGED_WIDTH_FIELDS))
 def test_reassemble_blocks_matches_bit_string_oracle(width):
-    params = SpssParams(2, 2, RAGGED_WIDTH_FIELDS[width])
-    assert params.block_bits == width
+    assert RAGGED_WIDTH_FIELDS[width].block_bits == width
     rng = random.Random(width)
     for n in list(range(41)) + [100 * 1024]:
         data = rng.randbytes(n)
         wire, _ = split_blocks(data, width)
         blocks = wire[::-1]  # index order, D_1 first
-        out = reassemble_blocks(blocks, n, params)
+        out = reassemble_blocks(blocks, n, width)
         assert out == data  # round trip
         assert out == reassemble_oracle(blocks, n, width)
         # random in-range blocks, not only ones that came from a split
         noise = [rng.getrandbits(width) for _ in blocks]
-        assert (reassemble_blocks(noise, n, params)
+        assert (reassemble_blocks(noise, n, width)
                 == reassemble_oracle(noise, n, width))
 
 
 def test_reassemble_blocks_rejects_bad_input():
     with pytest.raises(ConfigurationError):
-        reassemble_blocks([1, 2], 9, F31_PARAMS)  # 8 bits hold no 9 bytes
+        reassemble_blocks([1, 2], 9, F31.block_bits)  # 8 bits hold no 9 bytes
     with pytest.raises(ConfigurationError):
-        reassemble_blocks([1, 1 << F31_PARAMS.block_bits], 1, F31_PARAMS)
+        reassemble_blocks([1, 1 << F31.block_bits], 1, F31.block_bits)
 
 
 def register_oracle(data, password, params, rnd):
@@ -211,9 +214,9 @@ def register_oracle(data, password, params, rnd):
 
 
 @pytest.mark.parametrize("params", [
-    F31_PARAMS, SpssParams(), SpssParams(t_sh=2, n_sh=3),
+    F31_PARAMS, SpssParams(),
     SpssParams(field=PrimeField((1 << 127) + 29))],
-    ids=["f31", "mersenne127", "t2", "2^127+29"])
+    ids=["f31", "mersenne127", "2^127+29"])
 def test_register_and_precompute_draw_like_one_polynomial_per_block(params):
     field = params.field
     data = bytes(range(256)) * 3
@@ -244,6 +247,13 @@ def test_register_and_precompute_draw_like_one_polynomial_per_block(params):
                                           field.q)
         assert tup.z == extraction_oracle([z[0] for _, z in held[j]], 0,
                                           field.q)
+    assert new.bits_drawn == old.bits_drawn
+
+    # a request shares the attempt as one password-degree polynomial
+    requests = spss_request(29, (3, 1, 2), params, new, tuple_ids=(0,))
+    f_pp = random_polynomial(params.password_degree, 29, field, old)
+    assert {j: r.password_share for j, r in requests.items()} == {
+        j: f_pp.evaluate(j) for j in (1, 2, 3)}
     assert new.bits_drawn == old.bits_drawn
 
 
@@ -651,8 +661,8 @@ def test_request_validation():
     rng = SeededEntropy(b"req")
     for bad in ((1, 2), (1, 2, 3, 4), (1, 2, 2), (0, 1, 2), (2, 3, 9)):
         with pytest.raises(ImproperRequestError):
-            spss_request(5, bad, params, rng)
-    requests = spss_request(5, (3, 1, 2), params, rng)
+            spss_request(5, bad, params, rng, tuple_ids=(0, 1, 2))
+    requests = spss_request(5, (3, 1, 2), params, rng, tuple_ids=(0, 1, 2))
     assert set(requests) == {1, 2, 3}
     assert requests[1].subset == (1, 2, 3)
 
@@ -661,7 +671,9 @@ def test_respond_validation_and_exhaustion():
     params = SpssParams(field=F31)
     rng = SeededEntropy(b"exhaust")
     holders, secret = spss_register(b"\xc0", 5, params, rng)
-    requests = spss_request(5, (1, 2, 3), params, rng)
+    # the oldest rounds the holders will stock
+    requests = spss_request(5, (1, 2, 3), params, rng,
+                            tuple_ids=range(secret.block_count + 1))
     # no precomputation at all
     with pytest.raises(PrecomputationExhaustedError):
         holder_respond(holders[1], requests[1])
@@ -711,6 +723,8 @@ def test_tuples_are_single_use():
 
 
 def test_fifo_tuple_choice_without_pinning():
+    # every request pins its rounds; pinning the oldest live ones spends
+    # what an unpinned request once did
     params = SpssParams(field=F31)
     rng = SeededEntropy(b"fifo")
     holders, secret = spss_register(b"\xc0", 5, params, rng)
@@ -756,6 +770,10 @@ def test_params_validation():
     # no longer be interpolated from t responses
     with pytest.raises(ConfigurationError):
         SpssParams(t_sh=4, n_sh=6)
+    # the password and R sharings have degree t-2: at t = 2 every holder
+    # would hold the password itself
+    with pytest.raises(ConfigurationError, match="t_sh = 3"):
+        SpssParams(t_sh=2, n_sh=3)
     p = SpssParams(t_sh=3, n_sh=6, field=F31)
     assert p.data_degree == 2 and p.password_degree == 1
     assert list(p.holder_indices) == [1, 2, 3, 4, 5, 6]

@@ -452,9 +452,20 @@ def spent_rounds(store, sid) -> tuple:
                  if rid not in share_set.tuples)
 
 
+def oldest_ids(share_set) -> tuple:
+    """The rounds a request pins to spend a holder's oldest live tuples,
+    one per block; past its live stock, the rounds it has not stocked yet,
+    which the holder refuses as not live."""
+    need, stocked = share_set.block_count, share_set.next_round
+    return tuple((sorted(share_set.tuples)
+                  + list(range(stocked, stocked + need)))[:need])
+
+
 def respond_to(store, sid, password, tuple_ids=None, params=PARAMS_2311):
     """The store's answer to a reconstruction by holders 1-3, pinned to
-    tuple_ids when they are given."""
+    tuple_ids, or else to the store's oldest live rounds."""
+    if tuple_ids is None:
+        tuple_ids = oldest_ids(store.get_secret(sid))
     request = spss_request(password, (1, 2, 3), params, rng("pinned"),
                            tuple_ids=tuple_ids)
     return store.respond(sid, request[store.holder])
@@ -765,8 +776,9 @@ def test_spends_and_stocks_past_max_ids_reopen(tmp_path, monkeypatch):
     precompute_round(live, rng("max-ids"), rounds=3 * need)
     for j in (1, 2, 3):
         stores[j].save(sid)
-        stores[j].respond(sid, spss_request(password, (1, 2, 3), PARAMS_2311,
-                                            rng("max-ids"))[j])
+        stores[j].respond(sid, spss_request(
+            password, (1, 2, 3), PARAMS_2311, rng("max-ids"),
+            tuple_ids=oldest_ids(stores[j].get_secret(sid)))[j])
     for j in (1, 2, 3):
         reopened = HolderStore(tmp_path / ("holder-%d" % j))
         assert spent_rounds(reopened, sid) == tuple(range(need))
@@ -787,7 +799,8 @@ def spend_cycles(tmp_path, cycles):
     for j, share_set in holders.items():
         stores[j].put_secret(SID_A, share_set)
     for cycle in range(cycles):
-        requests = spss_request(31337, (1, 2, 3), CRASH_PARAMS, source)
+        requests = spss_request(31337, (1, 2, 3), CRASH_PARAMS, source,
+                                oldest_ids(stores[1].get_secret(SID_A)))
         for j in (1, 2, 3):
             stores[j].respond(SID_A, requests[j])
         sets = {j: stores[j].get_secret(SID_A)
@@ -826,7 +839,8 @@ def test_reopened_stores_keep_spent_rounds_and_never_reuse_an_id(tmp_path):
     assert consumed[1] == tuple(range(2 * need)) and consumed[4] == ()
     # spend every tuple holders 1-3 have left
     for _ in range(2):
-        requests = spss_request(31337, (1, 2, 3), CRASH_PARAMS, rng("all"))
+        requests = spss_request(31337, (1, 2, 3), CRASH_PARAMS, rng("all"),
+                                oldest_ids(stores[1].get_secret(SID_A)))
         for j in (1, 2, 3):
             stores[j].respond(SID_A, requests[j])
     for j in (1, 2, 3):
@@ -881,6 +895,26 @@ def test_retire_journals_chunks_of_one_spend_and_refuses_a_dead_round(
     reopened = HolderStore(tmp_path / "holder-4")
     assert reopened.get_secret(sid).unconsumed_rounds() == [3 * limit]
     assert spent_rounds(reopened, sid) == tuple(range(3 * limit))
+
+
+def test_retire_refuses_a_round_named_twice_before_dropping_any(tmp_path):
+    # fails at the parent commit: retire dropped round 1, then raised a
+    # bare KeyError on its second mention
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid = secrets[0][0]
+    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
+    precompute_round(live, rng("retire-twice"), rounds=3)
+    store = stores[4]
+    store.save(sid)
+    record = live_record_path(tmp_path / "holder-4", sid).read_bytes()
+    with pytest.raises(ImproperRequestError, match="twice"):
+        store.retire(sid, (1, 1))
+    assert live[4].unconsumed_rounds() == [0, 1, 2]
+    assert live_record_path(tmp_path / "holder-4", sid).read_bytes() == record
+    store.save(sid)  # a later save still writes every round live
+    reopened = HolderStore(tmp_path / "holder-4")
+    assert reopened.get_secret(sid).unconsumed_rounds() == [0, 1, 2]
+    assert spent_rounds(reopened, sid) == ()
 
 
 def test_reconstruction_through_stores(tmp_path):
@@ -962,7 +996,8 @@ def test_a_spent_round_is_absent_in_memory_and_after_reopening(tmp_path):
         stores[j].save(sid)
     store = stores[1]
     store.respond(sid, spss_request(password, (1, 2, 3), PARAMS_2311,
-                                    rng("absent"))[1])
+                                    rng("absent"),
+                                    oldest_ids(store.get_secret(sid)))[1])
     assert spend_one(store, sid).round_id == need
     share_set = store.get_secret(sid)
     assert sorted(share_set.tuples) == [need + 1]
@@ -1229,7 +1264,8 @@ def crash_case(directory, op):
             store.save(SID_A)
         return store, precompute
     if op == "respond":
-        request = spss_request(777, (1, 2, 3), CRASH_PARAMS, source)[1]
+        request = spss_request(777, (1, 2, 3), CRASH_PARAMS, source,
+                               oldest_ids(holders[1]))[1]
         return store, lambda: store.respond(SID_A, request)
     if op == "retire":
         stranded = holders[1].unconsumed_rounds()

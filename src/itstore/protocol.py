@@ -83,6 +83,7 @@ from .renewal import (
     apply_renewal,
     gen_renewal,
     subgroup_members,
+    summed_packet,
     verify_renewal_share,
 )
 from .spss import (
@@ -283,21 +284,30 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
 
     shares maps each holder index to its tuple of track shares in F_q and
     sources maps it to the holder's randomness. Holder by holder, in index
-    order, sender d generates one packet per track and hands the packets
-    to deliver(d, packets) -> {j: (commitments per track, pair per
-    track)}, which returns what every other holder j received; without
-    deliver they arrive unchanged. Then every holder checks every other
-    holder's pair on every track against its commitments. A holder does
-    not check its own packet: nothing can alter it on the way. A failed
-    check, or a pair that is None (never received), rejects the round
-    with accusations and no new shares; otherwise every holder folds all
-    pairs into its shares. Before any pair is checked, subgroup_members
-    settles once per round the subgroup membership of every distinct
-    commitment any holder received from another, as received: one power
-    each for up to 96 of them, else one random-subset batch whose bits
-    come from check_source(received commitments), by default the lowest
-    holder's source after the round's draws. The source must be private
-    to the checkers.
+    order, sender d deals all its tracks with one gen_renewal call and
+    hands the packets, one per track, to deliver(d, packets) -> {j:
+    (commitments per track, pair per track)}, which returns what every
+    other holder j received; without deliver they arrive unchanged.
+    Before any pair is checked, subgroup_members settles once per round
+    the subgroup membership of every distinct commitment any holder
+    received from another, as received: one power each for up to 96 of
+    them, else one random-subset batch whose bits come from
+    check_source(received commitments), by default the lowest holder's
+    source after the round's draws. The source must be private to the
+    checkers.
+
+    Then every holder checks each track once: the pairs the other
+    holders sent it, summed, against the products of their commitments
+    (renewal.summed_packet, checked by verify_renewal_share). A holder
+    does not check its own packet: nothing can alter it on the way. If
+    the sum fails, a pair is None (never received) or a commitment is
+    not a member, the holder checks that track's packets one by one,
+    and every packet that fails accuses its sender. Any accusation
+    rejects the round with no new shares; otherwise every holder folds
+    its own pair and the summed pair into its shares. Errors of two or
+    more senders that cancel at one holder pass the sum, and that
+    holder's renewed share is then still correct (see renewal's module
+    docstring for why the sum is sound).
     """
     holders = sorted(shares)
     if not set(holders) <= set(sources):
@@ -310,8 +320,8 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
     # received[j][d] = (commitments, pairs) per track, as j got them from d
     received = {j: {} for j in holders}
     for d in holders:
-        packets = [gen_renewal(d, holders, degree, config, sources[d],
-                               round_no) for _ in shares[d]]
+        packets = gen_renewal(d, holders, degree, config, sources[d],
+                              len(shares[d]), round_no)
         others = [j for j in holders if j != d]
         got = (deliver(d, packets) if deliver is not None
                else {j: as_sent(packets, j) for j in others})
@@ -329,14 +339,21 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
     accusations = []
     new_shares = {}
     for j in holders:
+        dealers = [d for d in holders if d != j]
         renewed = []
         for track, share in enumerate(shares[j]):
-            packets = [RenewalPacket(d, round_no, received[j][d][0][track],
-                                     {j: received[j][d][1][track]})
-                       for d in holders]
+            own = RenewalPacket(j, round_no, received[j][j][0][track],
+                                {j: received[j][j][1][track]})
+            commitments = [received[j][d][0][track] for d in dealers]
+            pairs = [received[j][d][1][track] for d in dealers]
+            summed = summed_packet(j, commitments, pairs, config, members)
+            if summed is not None and verify_renewal_share(
+                    j, summed, summed.share_pairs[j], config, members):
+                renewed.append(apply_renewal(share, j, (own, summed), config))
+                continue
+            packets = [RenewalPacket(d, round_no, eps, {j: pair})
+                       for d, eps, pair in zip(dealers, commitments, pairs)]
             for packet in packets:
-                if packet.sender == j:
-                    continue
                 pair = packet.share_pairs[j]
                 if pair is None or not verify_renewal_share(
                         j, packet, pair, config, members):
@@ -344,7 +361,8 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
                         j, packet.sender,
                         "commitment check failed on track %d" % track))
             if not accusations:
-                renewed.append(apply_renewal(share, j, packets, config))
+                renewed.append(apply_renewal(share, j, [own] + packets,
+                                             config))
         new_shares[j] = tuple(renewed)
     if accusations:
         return RenewalOutcome(accepted=False, accusations=tuple(accusations))

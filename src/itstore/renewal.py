@@ -51,20 +51,47 @@ members, and hence every accusation, are the ones the exact check gives.
 The batch costs 64 powers, 8 bucket mulmods per value and 4,080 mulmods
 to fold the buckets, against one power per value.
 A round (protocol.renewal_round, which TpvSession.renew runs over its
-transport) has every holder check every other holder's packet; its own
-cannot be altered on the way. With n holders, degree t and T tracks, so
-K = n*T*t commitments, it costs K commitments to generate and
-n*(n - 1)*T pair checks, all from the tables, plus
-n*(n - 1)*T*t calls of mod_exp for the right-hand-side powers, whose
+transport) works in columns. Each dealer deals all T of its tracks with
+one gen_renewal call: one random_ints draw of 2*t*T coefficients and one
+eval_columns pass per recipient. Each holder c then checks each track
+once, against the pairs the other dealers d sent it, summed:
+
+    g^{sum_d s1_d} h^{sum_d s2_d} == prod_j (prod_d eps_dj)^{c^j}.
+
+Its own packet cannot be altered on the way and is not checked. The
+check is sound for what renewal needs: by binding, a passing sum equals
+the sum of the committed polynomials' values at c, and that sum is all
+apply_renewal adds. One wrong pair fails it. Errors of two or more
+dealers that cancel at one recipient pass it, and the renewed share is
+then still the right one; one check per dealer would have aborted that
+round. A failed sum, a missing pair or a commitment outside the round's
+members sends the track back to one check per dealer, which accuses
+whoever fails. A product of members is a member, so summed_packet adds
+the products to the members and they cost no full-width power.
+Cost of an honest round with n holders, degree t and T tracks, so
+K = n*T*t commitments: K commitments to deal and n*T to check, all from
+the tables; n*T*t calls of mod_exp for the right-hand-side powers, whose
 exponents are the recipient's index powers c^j (at most 16 in a (3,4)
-layout), and the membership check: K full-width powers when K <= 96,
-else 64.
+layout); and the membership check: K full-width powers when K <= 96,
+else 64. At n = 4, t = 2, T = 652 that is 7,824 commitments and 5,216
+right-hand-side powers, against 13,040 and 15,648 with one check per
+dealer.
+
+Both checks rest on the commitments being a broadcast: every holder
+must get the same eps_dj from dealer d. Holders never compare the
+commitments a dealer sent each of them, so a dealer that sent each
+holder commitments to a different polynomial could pass every check
+with pairs that lie on no one zero-rooted polynomial, and the renewed
+shares would stop interpolating to the secret. TpvSession.renew encodes
+one renew-commits message per dealer and sends its bytes to every
+holder, so the simulation never does this, but nothing checks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
 from .errors import ConfigurationError, ProtocolError
 from .field import PrimeField, is_probable_prime, mod_exp
@@ -78,6 +105,7 @@ __all__ = [
     "derive_subgroup_element",
     "gen_renewal",
     "verify_renewal_share",
+    "summed_packet",
     "subgroup_members",
     "subset_products",
     "SUBSET_TESTS",
@@ -242,19 +270,35 @@ class RenewalOutcome:
 
 
 def gen_renewal(sender: int, recipients, degree: int,
-                config: RenewalGroupConfig, randomness,
-                round_no: int = 0) -> RenewalPacket:
-    """Build one holder's packet: two zero-rooted polynomials, coefficient
-    commitments, and an evaluation pair per recipient."""
+                config: RenewalGroupConfig, randomness, tracks: int,
+                round_no: int = 0) -> list:
+    """Build one holder's packets, one per track: two zero-rooted
+    polynomials, coefficient commitments, and an evaluation pair per
+    recipient.
+
+    Track by track, P1's coefficients a_1..a_degree then P2's
+    b_1..b_degree come from one random_ints draw of 2 * degree * tracks
+    values, the same values and bits as one draw per track; a source
+    that cannot pay for the whole draw raises before any bit is taken.
+    Every recipient's pairs come from one eval_columns pass over all
+    tracks.
+    """
     if degree < 1:
         raise ConfigurationError("renewal needs polynomial degree >= 1")
     field = config.share_field()
-    # P1's coefficients a_1..a_degree, then P2's b_1..b_degree, in one draw
-    drawn = field.random_ints(randomness, 2 * degree)
-    columns = [[0, 0]] + [[a, b] for a, b in zip(drawn, drawn[degree:])]
-    commitments = tuple(config.commit(a, b) for a, b in columns[1:])
-    pairs = {c: tuple(field.eval_columns(columns, c)) for c in recipients}
-    return RenewalPacket(sender, round_no, commitments, pairs)
+    stride = 2 * degree
+    drawn = field.random_ints(randomness, stride * tracks)
+    commitments = [tuple(map(config.commit, drawn[k:k + degree],
+                             drawn[k + degree:k + stride]))
+                   for k in range(0, stride * tracks, stride)]
+    # column i: every track's a_i, then every track's b_i
+    columns = [[0] * (2 * tracks)] + [
+        drawn[i::stride] + drawn[degree + i::stride] for i in range(degree)]
+    values = {c: field.eval_columns(columns, c) for c in recipients}
+    return [RenewalPacket(sender, round_no, commitments[k],
+                          {c: (v[k], v[tracks + k])
+                           for c, v in values.items()})
+            for k in range(tracks)]
 
 
 def verify_renewal_share(recipient: int, packet: RenewalPacket,
@@ -284,6 +328,31 @@ def verify_renewal_share(recipient: int, packet: RenewalPacket,
         exponent = exponent * recipient % config.q
         rhs = rhs * mod_exp(eps, exponent, config.p) % config.p
     return lhs == rhs
+
+
+def summed_packet(recipient: int, commitments, pairs,
+                  config: RenewalGroupConfig, members: set):
+    """One packet standing for every dealer of a track at recipient:
+    commitments[d] and pairs[d] are what dealer d sent it, and the
+    packet (sender 0) commits to the products of the dealers'
+    commitments, column by column, and carries the summed pair. A
+    product of members is a member, so the products join members.
+
+    None when a pair is missing, a commitment is not in members or the
+    dealers' commitment counts differ: then only the dealers' own
+    packets can be checked.
+    """
+    if None in pairs or len({len(eps) for eps in commitments}) > 1:
+        return None
+    p, q = config.p, config.q
+    products = []
+    for column in zip(*commitments):
+        if not members.issuperset(column):
+            return None
+        products.append(prod(column) % p)
+    members.update(products)
+    pair = (sum(s1 for s1, _ in pairs) % q, sum(s2 for _, s2 in pairs) % q)
+    return RenewalPacket(0, 0, tuple(products), {recipient: pair})
 
 
 # Subset tests in one membership batch: a round holding a non-member

@@ -52,7 +52,7 @@ combination of sharings of zero, so it still shares zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     ConfigurationError,
@@ -370,14 +370,21 @@ def extract(params: SpssParams, contributions) -> list:
     """Apply rows k = 0..w-1 of V[k][d] = d^k to one holder's received
     values: contributions[d-1] lists contributor d's value per batch, and
     the result lists sum_d d^k * contributions[d-1][b] mod q in the order
-    (b, k), batch-major."""
+    (b, k), batch-major.
+
+    Each row runs one list pass per contributor over all batches, adding
+    weight-1 terms plainly, and reduces each sum once at the end."""
     q = params.field.q
     w = params.extraction_width
-    per_batch = list(zip(*contributions))
-    out = [0] * (len(per_batch) * w)
+    batches = min(map(len, contributions), default=0)
+    out = [0] * (batches * w)
     for k in range(w):
-        row = [pow(d, k, q) for d in params.holder_indices]
-        out[k::w] = [sum(map(mul, row, vals)) % q for vals in per_batch]
+        acc = [0] * batches
+        for d, values in zip(params.holder_indices, contributions):
+            weight = pow(d, k, q)
+            acc = (list(map(add, acc, values)) if weight == 1 else
+                   [a + weight * v for a, v in zip(acc, values)])
+        out[k::w] = [a % q for a in acc]
     return out
 
 

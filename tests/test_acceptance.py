@@ -246,7 +246,8 @@ def test_renewal_preserves_the_secret_and_rejects_every_perturbation():
     assert interpolate_at_zero(pts, field) == secret
 
     toy = TOY_GROUP.validate()
-    packet = gen_renewal(1, (1, 2, 3), 2, toy, SeededEntropy(b"toy-packet"))
+    (packet,) = gen_renewal(1, (1, 2, 3), 2, toy,
+                            SeededEntropy(b"toy-packet"), 1)
     for recipient in (1, 2, 3):
         assert verify_renewal_share(recipient, packet,
                                     packet.share_pairs[recipient], toy)

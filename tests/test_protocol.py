@@ -629,14 +629,15 @@ def test_session_renewal_checks_each_packet_of_another_holder_once(
                                 itstore.protocol.verify_renewal_share))
     monkeypatch.setattr(itstore.renewal, "mod_exp", counting_mod_exp)
     assert session.renew(sid).accepted
-    # a holder never checks its own packet: n(n - 1) checks per track and
-    # n(n - 1) t right-hand-side powers. The n T t commitments are more
-    # than EXACT_CHECKS, so one batch of SUBSET_TESTS powers proves them
-    # all members
-    assert calls == {"gen": n * tracks, "verify": n * (n - 1) * tracks}
+    # each holder deals every track in one call; it never checks its own
+    # packet, and checks the other holders' summed pair once per track:
+    # n checks per track and n t right-hand-side powers. The n T t
+    # commitments are more than EXACT_CHECKS, so one batch of
+    # SUBSET_TESTS powers proves them all members
+    assert calls == {"gen": n, "verify": n * tracks}
     assert n * tracks * degree > EXACT_CHECKS
     assert exponents.count(group.q) == SUBSET_TESTS
-    assert len(exponents) == SUBSET_TESTS + n * (n - 1) * tracks * degree
+    assert len(exponents) == SUBSET_TESTS + n * tracks * degree
 
 
 def test_renewal_corruption_is_accused_and_changes_nothing(tmp_path):

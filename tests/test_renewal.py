@@ -11,10 +11,12 @@ import random
 
 import pytest
 
+import itstore.protocol
 import itstore.renewal
 from itstore.entropy import SeededEntropy
-from itstore.errors import ConfigurationError, ProtocolError
+from itstore.errors import ConfigurationError, KeySupplyError, ProtocolError
 from itstore.field import PrimeField, interpolate_at_zero, random_polynomial
+from itstore.keynet import KsaSource, NodeSpec
 from itstore.protocol import renewal_round
 from itstore.renewal import (
     EXACT_CHECKS,
@@ -234,10 +236,11 @@ def test_round_checks_each_commitment_once(monkeypatch):
     outcome = renewal_round({j: (0,) for j in holders}, 2, group,
                             one_source(SeededEntropy(b"check-once")))
     assert outcome.accepted
-    # 4 packets x 2 commitments checked once each; 4 x 3 recipients x 2
-    # right-hand-side powers with exponents c^j <= 16
+    # 4 packets x 2 commitments checked once each; each of 4 recipients
+    # checks the dealers' summed pair once, 2 right-hand-side powers with
+    # exponents c^j <= 16
     assert exponents.count(group.q) == 8
-    assert len(exponents) == 8 + 24
+    assert len(exponents) == 8 + 8
     assert max(e for e in exponents if e != group.q) == 16
 
 
@@ -324,7 +327,7 @@ def test_an_honest_batched_round_makes_subset_tests_powers_of_q(
                             one_source(SeededEntropy(b"batched")))
     assert outcome.accepted
     assert exponents.count(group.q) == SUBSET_TESTS
-    assert len(exponents) == SUBSET_TESTS + 4 * 3 * tracks * 2
+    assert len(exponents) == SUBSET_TESTS + 4 * tracks * 2
 
 
 @pytest.mark.parametrize("group", [MERSENNE127_GROUP, RFC5114_GROUP],
@@ -377,7 +380,7 @@ def test_single_coordinate_perturbations_all_rejected():
     # every (s1 + d, s2) and (s1, s2 + d) with d != 0 fails, for every
     # recipient: exhaustive at toy scale
     rng = SeededEntropy(b"perturb")
-    packet = gen_renewal(1, (1, 2, 3, 4), 2, TOY_GROUP, rng)
+    (packet,) = gen_renewal(1, (1, 2, 3, 4), 2, TOY_GROUP, rng, 1)
     for c in (1, 2, 3, 4):
         s1, s2 = packet.share_pairs[c]
         assert verify_renewal_share(c, packet, (s1, s2), TOY_GROUP)
@@ -394,7 +397,7 @@ def test_collinear_equivocation_is_the_known_binding_limit():
     # accepting it is the Pedersen algebra working as designed; binding
     # comes from that log being unknown in the real groups.
     rng = SeededEntropy(b"collinear")
-    packet = gen_renewal(1, (2,), 1, TOY_GROUP, rng)
+    (packet,) = gen_renewal(1, (2,), 1, TOY_GROUP, rng, 1)
     s1, s2 = packet.share_pairs[2]
     forged = ((s1 + 3) % 11, (s2 - 1) % 11)
     assert verify_renewal_share(2, packet, forged, TOY_GROUP)
@@ -406,7 +409,7 @@ def test_gen_renewal_shape_and_completeness():
     rng = SeededEntropy(b"shape")
     for group in (TOY_GROUP, MERSENNE127_GROUP):
         for degree in (1, 2):
-            packet = gen_renewal(7, (1, 2, 3, 4), degree, group, rng)
+            (packet,) = gen_renewal(7, (1, 2, 3, 4), degree, group, rng, 1)
             assert packet.sender == 7
             assert len(packet.commitments) == degree
             assert set(packet.share_pairs) == {1, 2, 3, 4}
@@ -414,13 +417,13 @@ def test_gen_renewal_shape_and_completeness():
                 assert verify_renewal_share(
                     c, packet, packet.share_pairs[c], group)
     with pytest.raises(ConfigurationError):
-        gen_renewal(1, (1, 2), 0, TOY_GROUP, rng)
+        gen_renewal(1, (1, 2), 0, TOY_GROUP, rng, 1)
 
 
 def test_gen_renewal_is_zero_rooted():
     # the contribution polynomials interpolate to 0 at x = 0
     rng = SeededEntropy(b"zero-root")
-    packet = gen_renewal(1, (1, 2, 3), 2, TOY_GROUP, rng)
+    (packet,) = gen_renewal(1, (1, 2, 3), 2, TOY_GROUP, rng, 1)
     for part in (0, 1):
         pts = [(c, packet.share_pairs[c][part]) for c in (1, 2, 3)]
         assert interpolate_at_zero(pts, F11) == 0
@@ -428,10 +431,69 @@ def test_gen_renewal_is_zero_rooted():
 
 def test_rfc_group_verify_completeness():
     rng = SeededEntropy(b"rfc-run")
-    packet = gen_renewal(1, (1, 2, 3), 2, RFC5114_GROUP, rng)
+    (packet,) = gen_renewal(1, (1, 2, 3), 2, RFC5114_GROUP, rng, 1)
     for c in (1, 2, 3):
         assert verify_renewal_share(
             c, packet, packet.share_pairs[c], RFC5114_GROUP)
+
+
+def dealings_one_track_at_a_time(recipients, degree, group, randomness,
+                                 tracks):
+    """(commitments, pairs) per track, each track dealt on its own: one
+    random_int per coefficient, a_1..a_degree then b_1..b_degree;
+    commitments by pow, pairs by Horner."""
+    field = group.share_field()
+    out = []
+    for _ in range(tracks):
+        drawn = [field.random_int(randomness) for _ in range(2 * degree)]
+        a, b = [0] + drawn[:degree], [0] + drawn[degree:]
+        commitments = tuple(pow(group.g, x, group.p) * pow(group.h, y, group.p)
+                            % group.p for x, y in zip(a[1:], b[1:]))
+        pairs = {c: (field.poly_eval_int(a, c), field.poly_eval_int(b, c))
+                 for c in recipients}
+        out.append((commitments, pairs))
+    return out
+
+
+def bits_taken(source):
+    return (source.bits_drawn if isinstance(source, SeededEntropy)
+            else source.consumed)
+
+
+@pytest.mark.parametrize("pool", ["seeded", "ksa"])
+@pytest.mark.parametrize("group", [TOY_GROUP, MERSENNE127_GROUP],
+                         ids=lambda g: g.name)
+def test_columnar_dealing_equals_one_dealing_per_track(group, pool):
+    # the toy field's 4-bit draws reject 5 of 16 values, so the one draw
+    # of every track's coefficients also crosses rejections
+    def source():
+        if pool == "seeded":
+            return SeededEntropy(b"columns")
+        return KsaSource(NodeSpec("A"), b"columns")
+
+    recipients = (1, 2, 3, 4)
+    for degree, tracks in ((1, 1), (2, 1), (2, 7), (3, 40)):
+        dealt_from, oracle_from = source(), source()
+        packets = gen_renewal(3, recipients, degree, group, dealt_from,
+                              tracks, round_no=5)
+        assert [(packet.commitments, packet.share_pairs)
+                for packet in packets] == dealings_one_track_at_a_time(
+                    recipients, degree, group, oracle_from, tracks)
+        assert all(packet.sender == 3 and packet.round_no == 5
+                   for packet in packets)
+        assert bits_taken(dealt_from) == bits_taken(oracle_from)
+        assert dealt_from.take_bits(64) == oracle_from.take_bits(64)
+
+
+def test_a_pool_short_of_the_whole_dealing_refuses_before_taking_a_bit():
+    # 5 tracks at degree 2 draw 20 values of 127 bits in one pass: a pool
+    # one bit short refuses, though it holds enough for four tracks
+    needed = 5 * 2 * 2 * 127
+    pool = KsaSource(NodeSpec("A", initial_entropy_bits=needed - 1),
+                     b"short")
+    with pytest.raises(KeySupplyError):
+        gen_renewal(1, (1, 2, 3, 4), 2, MERSENNE127_GROUP, pool, 5)
+    assert pool.consumed == 0 and pool.available == needed - 1
 
 
 # -------------------------------------------------------------------- rounds
@@ -573,8 +635,97 @@ def test_multi_track_round_renews_every_track_and_names_a_failed_one():
         Accusation(1, 3, "commitment check failed on track 2"),)
 
 
+def recording_checks(monkeypatch):
+    """Route renewal_round's checks through a recorder: (recipient,
+    sender, passed) per call, sender 0 for a dealers' summed packet."""
+    checks = []
+
+    def recording(recipient, packet, pair, config, members=None):
+        passed = verify_renewal_share(recipient, packet, pair, config,
+                                      members)
+        checks.append((recipient, packet.sender, passed))
+        return passed
+
+    monkeypatch.setattr(itstore.protocol, "verify_renewal_share", recording)
+    return checks
+
+
+def test_every_wrong_pair_fails_the_summed_check_and_names_its_dealer(
+        monkeypatch):
+    # Exhaustive over every dealer, recipient and nonzero shift (d1, d2)
+    # of the pair sent. The toy group's log_g h = 3 is public, so a shift
+    # with d1 + 3 d2 = 0 mod 11 opens the same commitment (the binding
+    # limit above): the dealer's own check passes it too. Every other
+    # shift fails the summed check, and the fallback accuses that dealer
+    # and no one else.
+    group = TOY_GROUP
+    holders = (1, 2, 3, 4)
+    assert group.h == pow(group.g, 3, group.p)
+    checks = recording_checks(monkeypatch)
+    rng = SeededEntropy(b"every-shift")
+    for dealer, recipient in itertools.permutations(holders, 2):
+        for d1, d2 in itertools.product(range(11), repeat=2):
+            if d1 == d2 == 0:
+                continue
+
+            def shift(d, packets):
+                got = forward(d, packets)
+                if d == dealer:
+                    s1, s2 = got[recipient][1][0]
+                    got[recipient][1][0] = ((s1 + d1) % 11, (s2 + d2) % 11)
+                return got
+
+            checks.clear()
+            outcome = renewal_round(make_shares(5, 2, F11, rng), 2, group,
+                                    one_source(rng), deliver=shift)
+            summed = [(c, passed) for c, sender, passed in checks
+                      if sender == 0]
+            if (d1 + 3 * d2) % 11 == 0:
+                assert summed == [(c, True) for c in holders]
+                assert outcome.accepted
+                continue
+            assert summed == [(c, c != recipient) for c in holders]
+            assert not outcome.accepted and outcome.new_shares is None
+            assert outcome.accusations == (Accusation(
+                recipient, dealer, "commitment check failed on track 0"),)
+
+
+def test_errors_that_cancel_at_one_recipient_pass_and_keep_the_secret():
+    # Dealers 1 and 2 shift their pairs to holder 4 by opposite amounts.
+    # Each wrong pair fails its own dealer's check, but their sum is the
+    # honest sum, which is all holder 4 adds to its share.
+    group = MERSENNE127_GROUP
+    field = group.share_field()
+    q = field.q
+    holders = (1, 2, 3, 4)
+    rng = SeededEntropy(b"cancel")
+    secret = field.random_int(rng)
+    shares = make_shares(secret, 2, field, rng)
+    wrong = {}
+
+    def cancel(d, packets):
+        got = forward(d, packets)
+        if d in (1, 2):
+            sign = 1 if d == 1 else -1
+            s1, s2 = got[4][1][0]
+            got[4][1][0] = ((s1 + sign * 5) % q, (s2 - sign * 9) % q)
+            wrong[d] = RenewalPacket(d, 0, got[4][0][0], {4: got[4][1][0]})
+        return got
+
+    outcome = renewal_round(shares, 2, group, one_source(rng),
+                            deliver=cancel)
+    for packet in wrong.values():
+        assert not verify_renewal_share(4, packet, packet.share_pairs[4],
+                                        group)
+    assert outcome.accepted and not outcome.accusations
+    assert all(outcome.new_shares[j] != shares[j] for j in holders)
+    for subset in itertools.combinations(holders, 3):
+        pts = [(j, outcome.new_shares[j][0]) for j in subset]
+        assert interpolate_at_zero(pts, field) == secret
+
+
 def test_apply_renewal_missing_recipient():
     rng = SeededEntropy(b"apply-miss")
-    packet = gen_renewal(1, (1, 2), 1, TOY_GROUP, rng)
+    (packet,) = gen_renewal(1, (1, 2), 1, TOY_GROUP, rng, 1)
     with pytest.raises(ProtocolError):
         apply_renewal(5, 3, [packet], TOY_GROUP)

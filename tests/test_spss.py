@@ -479,6 +479,23 @@ def test_extraction_is_a_bijection_for_every_corrupt_pair(corrupt):
                                             extraction_oracle(values, 1, q)]
 
 
+@pytest.mark.parametrize("n_sh", [3, 4, 5, 6])
+def test_extract_equals_the_vandermonde_rows_batch_by_batch(n_sh):
+    # random batches plus one of all q - 1 and one of all 0, in fields
+    # from 5 to 127 bits
+    for field in (F31, F2311, PrimeField.mersenne(127)):
+        params = SpssParams(n_sh=n_sh, field=field)
+        q = field.q
+        rng = random.Random(n_sh * q)
+        contributions = [[rng.randrange(q) for _ in range(30)] + [q - 1, 0]
+                         for _ in range(n_sh)]
+        assert extract(params, contributions) == [
+            extraction_oracle(values, k, q)
+            for values in zip(*contributions)
+            for k in range(params.extraction_width)]
+        assert extract(params, [[] for _ in range(n_sh)]) == []
+
+
 def test_extraction_commutes_with_sharing_on_z_coefficients():
     # the extracted Z held by the holders is the zero sharing whose
     # coefficients are the extraction of the contributors' coefficients,

@@ -28,8 +28,8 @@ import os
 import sys
 from pathlib import Path
 
-from .config import (ScenarioConfig, derive_payload, parse_scenario,
-                     read_scenario)
+from .config import (DEFAULT_PASSWORD, ScenarioConfig, derive_payload,
+                     parse_scenario, read_scenario)
 from .errors import (ConfigurationError, ItstoreError, ProtocolError,
                      TamperDetectedError)
 from .harness import (COMPARE_EXPONENT, EXIT_ABORT, EXIT_CONFIG, EXIT_FAIL,
@@ -577,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="payload file")
     p.add_argument("--text", help="payload string")
     p.add_argument("--size-kb", type=int, help="seed-derived payload size")
-    p.add_argument("--password", default="correct horse battery staple")
+    p.add_argument("--password", default=DEFAULT_PASSWORD)
     p.add_argument("--computational", action="store_true",
                    help="also register a computational-security digest")
     p.set_defaults(func=_cmd_register)
@@ -586,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reconstruct a secret and release it")
     _add_workspace_options(p, with_config=False)
     p.add_argument("--sid", help="secret id (hex); optional when only one")
-    p.add_argument("--password", default="correct horse battery staple")
+    p.add_argument("--password", default=DEFAULT_PASSWORD)
     p.add_argument("--subset", help="holder indices, e.g. 1,2,4")
     p.add_argument("--offline", help="holders to treat as unreachable")
     p.add_argument("--out", help="write the released payload to this file")

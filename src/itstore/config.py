@@ -65,8 +65,8 @@ from .entropy import PrfBits, derive_key
 from .errors import ConfigurationError
 from .field import PrimeField
 from .keynet import DEFAULT_TOPOLOGY, LinkSpec, NetworkTopology, NodeSpec
-from .mac import DEFAULT_K, MacScheme, check_k
-from .protocol import RolePlacement
+from .mac import DEFAULT_K, MacScheme, check_digest_bits, check_k
+from .protocol import RolePlacement, role_endpoints
 from .renewal import RenewalGroupConfig, group_by_name
 from .spss import SpssParams
 
@@ -95,8 +95,6 @@ ATTACK_KINDS = (
 EXPECT_PHASES = ("registration", "reconstruction", "integrity-check",
                  "refutation", "renewal")
 EXPECT_OUTCOMES = ("success", "fail", "abort")
-
-_ROLE_KEYS = ("owner", "end-user", "calculator", "verifier")
 
 DEFAULT_PASSWORD = "correct horse battery staple"
 DEFAULT_WARMUP_MS = 3_600_000  # one simulated hour of key accrual
@@ -277,12 +275,11 @@ def _parse_mac(section, path: str):
     except ConfigurationError as exc:
         _fail(path + ".k", str(exc))
     cs_tag_bits = _as_int(sec.get("cs_tag_bits"), path + ".cs_tag_bits",
-                          default=512, minimum=8, maximum=512)
-    if cs_tag_bits % 8:
-        _fail(path + ".cs_tag_bits", "must be a multiple of 8")
-    if cs_tag_bits == k:
-        _fail(path + ".cs_tag_bits", "must differ from k = %d: the verifier "
-              "tells a digest row from a tag row by width" % k)
+                          default=512)
+    try:
+        check_digest_bits(cs_tag_bits, k)
+    except ConfigurationError as exc:
+        _fail(path + ".cs_tag_bits", str(exc))
     return scheme, k, cs_tag_bits
 
 
@@ -453,7 +450,7 @@ def _parse_placement(section, path: str, topology: NetworkTopology,
 
 def _parse_skews(section, path: str, n_sh: int) -> dict:
     sec = _as_mapping(section, path)
-    valid = set(_ROLE_KEYS) | {"holder-%d" % j for j in range(1, n_sh + 1)}
+    valid = set(role_endpoints(n_sh))
     out = {}
     for key, value in sec.items():
         p = "%s.%s" % (path, key)

@@ -51,6 +51,7 @@ __all__ = [
     "MacSeed",
     "MIN_POLYEVAL_K",
     "check_k",
+    "check_digest_bits",
     "polyeval_modulus",
     "polyeval_powers",
     "polyeval_tag_blocks",
@@ -95,6 +96,19 @@ def check_k(k: int) -> None:
     if k % 8:
         raise ConfigurationError(
             "tags are whole bytes, so k must be a multiple of 8, got %d" % k)
+
+
+def check_digest_bits(bits: int, k: int) -> None:
+    """Refuse a computational-mode digest width: whole bytes of cr_hash's
+    512, and not k, since the verifier tells a digest row from a k-bit
+    tag row by width alone. Callers name the setting in the message."""
+    if bits % 8 or not 8 <= bits <= 512:
+        raise ConfigurationError(
+            "must be a multiple of 8 in [8, 512], got %d" % bits)
+    if bits == k:
+        raise ConfigurationError(
+            "must differ from k = %d: the verifier tells a digest row from "
+            "a tag row by width" % k)
 
 
 def polyeval_modulus(k: int) -> int:

@@ -69,6 +69,7 @@ from .mac import (
     MacScheme,
     MacTag,
     au2_hash,
+    check_digest_bits,
     check_k,
     cr_hash,
     make_seed,
@@ -79,11 +80,10 @@ from .renewal import (
     Accusation,
     RenewalGroupConfig,
     RenewalOutcome,
-    RenewalPacket,
     apply_renewal,
     gen_renewal,
     subgroup_members,
-    summed_packet,
+    summed_dealing,
     verify_renewal_share,
 )
 from .spss import (
@@ -113,6 +113,7 @@ __all__ = [
     "Transport",
     "TpvSession",
     "renewal_round",
+    "role_endpoints",
 ]
 
 
@@ -278,14 +279,14 @@ class Transport:
 
 
 def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
-                  sources: dict, round_no: int = 0,
-                  deliver=None, check_source=None) -> RenewalOutcome:
+                  sources: dict, deliver=None,
+                  check_source=None) -> RenewalOutcome:
     """One verified renewal round over every share track.
 
     shares maps each holder index to its tuple of track shares in F_q and
     sources maps it to the holder's randomness. Holder by holder, in index
-    order, sender d deals all its tracks with one gen_renewal call and
-    hands the packets, one per track, to deliver(d, packets) -> {j:
+    order, dealer d deals all its tracks with one gen_renewal call and
+    hands the columns to deliver(d, commitments, pairs) -> {j:
     (commitments per track, pair per track)}, which returns what every
     other holder j received; without deliver they arrive unchanged.
     Before any pair is checked, subgroup_members settles once per round
@@ -298,36 +299,33 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
 
     Then every holder checks each track once: the pairs the other
     holders sent it, summed, against the products of their commitments
-    (renewal.summed_packet, checked by verify_renewal_share). A holder
-    does not check its own packet: nothing can alter it on the way. If
+    (renewal.summed_dealing, checked by verify_renewal_share). A holder
+    does not check its own pairs: nothing can alter them on the way. If
     the sum fails, a pair is None (never received) or a commitment is
-    not a member, the holder checks that track's packets one by one,
-    and every packet that fails accuses its sender. Any accusation
-    rejects the round with no new shares; otherwise every holder folds
-    its own pair and the summed pair into its shares. Errors of two or
-    more senders that cancel at one holder pass the sum, and that
-    holder's renewed share is then still correct (see renewal's module
-    docstring for why the sum is sound).
+    not a member, the holder checks that track dealer by dealer, and
+    every dealer that fails is accused. Any accusation rejects the round
+    with no new shares; otherwise every holder folds its own pair and the
+    summed pair into its shares. Errors of two or more dealers that
+    cancel at one holder pass the sum, and that holder's renewed share is
+    then still correct (see renewal's module docstring for why the sum
+    is sound).
     """
     holders = sorted(shares)
     if not set(holders) <= set(sources):
         raise ConfigurationError("renewal needs every holder's randomness")
 
-    def as_sent(packets, j):
-        return ([packet.commitments for packet in packets],
-                [packet.share_pairs.get(j) for packet in packets])
-
     # received[j][d] = (commitments, pairs) per track, as j got them from d
     received = {j: {} for j in holders}
+    own = {}  # own[d]: d's pairs to itself, per track
     for d in holders:
-        packets = gen_renewal(d, holders, degree, config, sources[d],
-                              len(shares[d]), round_no)
+        commitments, pairs = gen_renewal(holders, degree, config, sources[d],
+                                         len(shares[d]))
         others = [j for j in holders if j != d]
-        got = (deliver(d, packets) if deliver is not None
-               else {j: as_sent(packets, j) for j in others})
+        got = (deliver(d, commitments, pairs) if deliver is not None
+               else {j: (commitments, pairs[j]) for j in others})
         for j in others:
             received[j][d] = got[j]
-        received[d][d] = as_sent(packets, d)
+        own[d] = pairs[d]
 
     received_commitments = [eps for j in holders for d in holders if d != j
                             for track in received[j][d][0] for eps in track]
@@ -342,31 +340,35 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
         dealers = [d for d in holders if d != j]
         renewed = []
         for track, share in enumerate(shares[j]):
-            own = RenewalPacket(j, round_no, received[j][j][0][track],
-                                {j: received[j][j][1][track]})
             commitments = [received[j][d][0][track] for d in dealers]
             pairs = [received[j][d][1][track] for d in dealers]
-            summed = summed_packet(j, commitments, pairs, config, members)
+            summed = summed_dealing(commitments, pairs, config, members)
             if summed is not None and verify_renewal_share(
-                    j, summed, summed.share_pairs[j], config, members):
-                renewed.append(apply_renewal(share, j, (own, summed), config))
+                    j, *summed, config, members):
+                renewed.append(apply_renewal(
+                    share, (own[j][track], summed[1]), config))
                 continue
-            packets = [RenewalPacket(d, round_no, eps, {j: pair})
-                       for d, eps, pair in zip(dealers, commitments, pairs)]
-            for packet in packets:
-                pair = packet.share_pairs[j]
+            for d, eps, pair in zip(dealers, commitments, pairs):
                 if pair is None or not verify_renewal_share(
-                        j, packet, pair, config, members):
+                        j, eps, pair, config, members):
                     accusations.append(Accusation(
-                        j, packet.sender,
-                        "commitment check failed on track %d" % track))
+                        j, d, "commitment check failed on track %d" % track))
             if not accusations:
-                renewed.append(apply_renewal(share, j, [own] + packets,
-                                             config))
+                renewed.append(apply_renewal(
+                    share, [own[j][track]] + pairs, config))
         new_shares[j] = tuple(renewed)
     if accusations:
         return RenewalOutcome(accepted=False, accusations=tuple(accusations))
     return RenewalOutcome(accepted=True, new_shares=new_shares)
+
+
+def role_endpoints(n_sh: int) -> tuple:
+    """The role endpoints of a deployment of n_sh holders, the names clock
+    skews are keyed by: owner, end-user, calculator, verifier, then
+    holder-1 .. holder-n_sh."""
+    return ((TpvSession.OWNER, TpvSession.END_USER, TpvSession.CALCULATOR,
+             TpvSession.VERIFIER)
+            + tuple(TpvSession._holder_ep(j) for j in range(1, n_sh + 1)))
 
 
 class TpvSession:
@@ -399,13 +401,14 @@ class TpvSession:
         check_k(self.k)
         self.placement = placement if placement is not None else RolePlacement()
         self.skews = dict(clock_skews or {})
-        if cs_tag_bits % 8 or not 8 <= cs_tag_bits <= 512:
-            raise ConfigurationError(
-                "cs_tag_bits must be a multiple of 8 in [8, 512]")
-        if cs_tag_bits == self.k:
-            raise ConfigurationError(
-                "cs_tag_bits must differ from k = %d: the verifier tells a "
-                "digest row from a tag row by width" % self.k)
+        unknown = set(self.skews) - set(role_endpoints(self.params.n_sh))
+        if unknown:
+            raise ConfigurationError("clock_skews names no role: %s"
+                                     % ", ".join(sorted(unknown)))
+        try:
+            check_digest_bits(cs_tag_bits, self.k)
+        except ConfigurationError as exc:
+            raise ConfigurationError("cs_tag_bits %s" % exc) from None
         self.cs_tag_bits = cs_tag_bits
 
         if renewal_group is None and self.params.field.q == (1 << 127) - 1:
@@ -936,11 +939,11 @@ class TpvSession:
         history = histories.pop()
         round_no = history[-1][1] if history else 0  # one past the last
 
-        def deliver(d, packets):
+        def deliver(d, commitments, pairs):
             header = (sid, round_no, d, n_tracks)
             commit_msg = self.codec.encode(
                 "renew-commits", *header,
-                [eps for packet in packets for eps in packet.commitments])
+                [eps for track in commitments for eps in track])
             received = {}
             for j in holders:
                 if j == d:
@@ -950,13 +953,13 @@ class TpvSession:
                     "renew-commits", commit_msg, header)
                 commits = [flat[i:i + degree]
                            for i in range(0, len(flat), degree)]
-                pairs = [packet.share_pairs[j] for packet in packets]
+                sent = pairs[j]
                 if pair_tamper is not None:
-                    pairs = [pair_tamper(d, j, track, pair)
-                             for track, pair in enumerate(pairs)]
+                    sent = [pair_tamper(d, j, track, pair)
+                            for track, pair in enumerate(sent)]
                 (flat,) = self._send(
                     self._holder_ep(d), self._holder_ep(j), "renew-pairs",
-                    header, [v for pair in pairs for v in pair])
+                    header, [v for pair in sent for v in pair])
                 received[j] = (commits, list(zip(flat[0::2], flat[1::2])))
             return received
 
@@ -974,7 +977,7 @@ class TpvSession:
         sources = {j: self.net.entropy_source(self._holder_ep(j))
                    for j in holders}
         outcome = renewal_round({j: sets[j].data_shares for j in holders},
-                                degree, group, sources, round_no, deliver,
+                                degree, group, sources, deliver,
                                 check_source)
         if not outcome.accepted:
             self.transcript.append(

@@ -51,14 +51,16 @@ members, and hence every accusation, are the ones the exact check gives.
 The batch costs 64 powers, 8 bucket mulmods per value and 4,080 mulmods
 to fold the buckets, against one power per value.
 A round (protocol.renewal_round, which TpvSession.renew runs over its
-transport) works in columns. Each dealer deals all T of its tracks with
-one gen_renewal call: one random_ints draw of 2*t*T coefficients and one
-eval_columns pass per recipient. Each holder c then checks each track
-once, against the pairs the other dealers d sent it, summed:
+transport) works in columns from the dealer to apply_renewal. Each
+dealer deals all T of its tracks with one gen_renewal call: one
+random_ints draw of 2*t*T coefficients and one eval_columns pass per
+recipient, giving a column of T commitment tuples and, per recipient, a
+column of T pairs. Each holder c then checks each track once, against
+the pairs the other dealers d sent it, summed:
 
     g^{sum_d s1_d} h^{sum_d s2_d} == prod_j (prod_d eps_dj)^{c^j}.
 
-Its own packet cannot be altered on the way and is not checked. The
+Its own pairs cannot be altered on the way and are not checked. The
 check is sound for what renewal needs: by binding, a passing sum equals
 the sum of the committed polynomials' values at c, and that sum is all
 apply_renewal adds. One wrong pair fails it. Errors of two or more
@@ -66,7 +68,7 @@ dealers that cancel at one recipient pass it, and the renewed share is
 then still the right one; one check per dealer would have aborted that
 round. A failed sum, a missing pair or a commitment outside the round's
 members sends the track back to one check per dealer, which accuses
-whoever fails. A product of members is a member, so summed_packet adds
+whoever fails. A product of members is a member, so summed_dealing adds
 the products to the members and they cost no full-width power.
 Cost of an honest round with n holders, degree t and T tracks, so
 K = n*T*t commitments: K commitments to deal and n*T to check, all from
@@ -93,19 +95,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError
 from .field import PrimeField, is_probable_prime, mod_exp
 from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
 
 __all__ = [
     "RenewalGroupConfig",
-    "RenewalPacket",
     "RenewalOutcome",
     "Accusation",
     "derive_subgroup_element",
     "gen_renewal",
     "verify_renewal_share",
-    "summed_packet",
+    "summed_dealing",
     "subgroup_members",
     "subset_products",
     "SUBSET_TESTS",
@@ -245,16 +246,6 @@ def group_by_name(name: str) -> RenewalGroupConfig:
                                  % (name, ", ".join(sorted(_GROUPS))))
 
 
-@dataclass
-class RenewalPacket:
-    """One holder's contribution to a renewal round for one share track."""
-
-    sender: int
-    round_no: int
-    commitments: tuple  # eps_{sender,1} .. eps_{sender,degree}
-    share_pairs: dict  # recipient -> (P_1(recipient), P_2(recipient))
-
-
 @dataclass(frozen=True)
 class Accusation:
     accuser: int
@@ -269,14 +260,14 @@ class RenewalOutcome:
     new_shares: "dict | None" = None
 
 
-def gen_renewal(sender: int, recipients, degree: int,
-                config: RenewalGroupConfig, randomness, tracks: int,
-                round_no: int = 0) -> list:
-    """Build one holder's packets, one per track: two zero-rooted
-    polynomials, coefficient commitments, and an evaluation pair per
-    recipient.
+def gen_renewal(recipients, degree: int, config: RenewalGroupConfig,
+                randomness, tracks: int) -> tuple:
+    """Deal one holder's tracks: per track two zero-rooted polynomials,
+    their coefficient commitments and an evaluation pair per recipient.
 
-    Track by track, P1's coefficients a_1..a_degree then P2's
+    Returns (commitments, pairs): commitments[k] is track k's tuple of
+    degree commitments and pairs[c][k] recipient c's (P_1(c), P_2(c)) on
+    track k. Track by track, P1's coefficients a_1..a_degree then P2's
     b_1..b_degree come from one random_ints draw of 2 * degree * tracks
     values, the same values and bits as one draw per track; a source
     that cannot pay for the whole draw raises before any bit is taken.
@@ -294,17 +285,18 @@ def gen_renewal(sender: int, recipients, degree: int,
     # column i: every track's a_i, then every track's b_i
     columns = [[0] * (2 * tracks)] + [
         drawn[i::stride] + drawn[degree + i::stride] for i in range(degree)]
-    values = {c: field.eval_columns(columns, c) for c in recipients}
-    return [RenewalPacket(sender, round_no, commitments[k],
-                          {c: (v[k], v[tracks + k])
-                           for c, v in values.items()})
-            for k in range(tracks)]
+    pairs = {}
+    for c in recipients:
+        values = field.eval_columns(columns, c)
+        pairs[c] = list(zip(values[:tracks], values[tracks:]))
+    return commitments, pairs
 
 
-def verify_renewal_share(recipient: int, packet: RenewalPacket,
-                         pair, config: RenewalGroupConfig,
+def verify_renewal_share(recipient: int, commitments, pair,
+                         config: RenewalGroupConfig,
                          members: "set | None" = None) -> bool:
-    """Check one evaluation pair against the sender's commitments.
+    """Check one evaluation pair against a dealer's commitments on one
+    track.
 
     members holds commitments already proven to lie in the order-q
     subgroup this round; their check is skipped, and every commitment
@@ -315,7 +307,7 @@ def verify_renewal_share(recipient: int, packet: RenewalPacket,
     if members is None:
         members = set()
     s1, s2 = pair
-    for eps in packet.commitments:
+    for eps in commitments:
         if eps in members:
             continue
         if not 0 < eps < config.p or mod_exp(eps, config.q, config.p) != 1:
@@ -324,23 +316,23 @@ def verify_renewal_share(recipient: int, packet: RenewalPacket,
     lhs = config.commit(s1, s2)
     rhs = 1
     exponent = 1
-    for eps in packet.commitments:
+    for eps in commitments:
         exponent = exponent * recipient % config.q
         rhs = rhs * mod_exp(eps, exponent, config.p) % config.p
     return lhs == rhs
 
 
-def summed_packet(recipient: int, commitments, pairs,
-                  config: RenewalGroupConfig, members: set):
-    """One packet standing for every dealer of a track at recipient:
-    commitments[d] and pairs[d] are what dealer d sent it, and the
-    packet (sender 0) commits to the products of the dealers'
-    commitments, column by column, and carries the summed pair. A
-    product of members is a member, so the products join members.
+def summed_dealing(commitments, pairs, config: RenewalGroupConfig,
+                   members: set):
+    """(products, pair): one dealing standing for every dealer of a track
+    at one recipient, where commitments[d] and pairs[d] are what dealer d
+    sent it. products are the dealers' commitments multiplied column by
+    column, and pair is the sum of their pairs. A product of members is
+    a member, so the products join members.
 
     None when a pair is missing, a commitment is not in members or the
-    dealers' commitment counts differ: then only the dealers' own
-    packets can be checked.
+    dealers' commitment counts differ: then only each dealer's own
+    commitments and pair can be checked.
     """
     if None in pairs or len({len(eps) for eps in commitments}) > 1:
         return None
@@ -351,8 +343,8 @@ def summed_packet(recipient: int, commitments, pairs,
             return None
         products.append(prod(column) % p)
     members.update(products)
-    pair = (sum(s1 for s1, _ in pairs) % q, sum(s2 for _, s2 in pairs) % q)
-    return RenewalPacket(0, 0, tuple(products), {recipient: pair})
+    return tuple(products), (sum(s1 for s1, _ in pairs) % q,
+                             sum(s2 for _, s2 in pairs) % q)
 
 
 # Subset tests in one membership batch: a round holding a non-member
@@ -419,16 +411,7 @@ def subgroup_members(values, config: RenewalGroupConfig,
     return {eps for eps in candidates if mod_exp(eps, q, p) == 1}
 
 
-def apply_renewal(share: int, holder: int, packets,
-                  config: RenewalGroupConfig) -> int:
-    """new(i) = old(i) + sum over packets of (P_1(i) + P_2(i)) mod q."""
-    total = share % config.q
-    for packet in packets:
-        try:
-            s1, s2 = packet.share_pairs[holder]
-        except KeyError:
-            raise ProtocolError("packet from %d carries no pair for holder %d"
-                                % (packet.sender, holder))
-        total = (total + s1 + s2) % config.q
-    return total
-
+def apply_renewal(share: int, pairs, config: RenewalGroupConfig) -> int:
+    """new(i) = old(i) + sum over pairs (P_1(i), P_2(i)) of P_1(i) + P_2(i)
+    mod q."""
+    return (share + sum(s1 + s2 for s1, s2 in pairs)) % config.q

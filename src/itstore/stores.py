@@ -804,8 +804,7 @@ class HolderStore:
     # ------------------------------------------------------------ renewal
 
     def apply_renewal(self, secret_id: bytes, new_data_shares,
-                      round_no: int,
-                      new_password_share: "int | None" = None) -> None:
+                      round_no: int) -> None:
         """Swap in renewed shares and note the round, in one record
         rewrite that also destroys the old share values. Rounds must
         increase, and a run of them must keep a u32 count."""
@@ -823,8 +822,6 @@ class HolderStore:
                                 "least %d, or its run would pass a u32 count"
                                 % (round_no, secret_id.hex(), end))
         ss.data_shares = shares
-        if new_password_share is not None:
-            ss.password_share = new_password_share
         if first < round_no:
             runs[-1] = (first, round_no + 1)
         else:

@@ -223,7 +223,7 @@ def test_any_two_data_shares_are_jointly_uniform():
 # ---------------------------------------------------------------------------
 # 5. Verifiable renewal: a hundred honest rounds leave the reconstructed
 #    secret untouched, and in the toy commitment group every single-value
-#    perturbation of a packet -- any commitment coefficient over the whole
+#    perturbation of a dealing -- any commitment coefficient over the whole
 #    ambient group, any share component over the share field -- is
 #    rejected by the verification equation, exhaustively.
 
@@ -236,9 +236,8 @@ def test_renewal_preserves_the_secret_and_rejects_every_perturbation():
     poly = random_polynomial(2, secret, field, rng)
     shares = {j: (poly.evaluate(j),) for j in (1, 2, 3, 4)}
     initial = dict(shares)
-    for round_no in range(100):
-        outcome = renewal_round(shares, 2, group, {j: rng for j in shares},
-                                round_no=round_no)
+    for _ in range(100):
+        outcome = renewal_round(shares, 2, group, {j: rng for j in shares})
         assert outcome.accepted and not outcome.accusations
         shares = outcome.new_shares
     assert shares != initial  # the shares themselves must have moved
@@ -246,29 +245,27 @@ def test_renewal_preserves_the_secret_and_rejects_every_perturbation():
     assert interpolate_at_zero(pts, field) == secret
 
     toy = TOY_GROUP.validate()
-    (packet,) = gen_renewal(1, (1, 2, 3), 2, toy,
-                            SeededEntropy(b"toy-packet"), 1)
+    (eps,), pairs = gen_renewal((1, 2, 3), 2, toy,
+                                SeededEntropy(b"toy-packet"), 1)
     for recipient in (1, 2, 3):
-        assert verify_renewal_share(recipient, packet,
-                                    packet.share_pairs[recipient], toy)
-    for idx in range(len(packet.commitments)):
+        assert verify_renewal_share(recipient, eps, pairs[recipient][0], toy)
+    for idx in range(len(eps)):
         for wrong in range(1, toy.p):
-            if wrong == packet.commitments[idx]:
+            if wrong == eps[idx]:
                 continue
-            mutated = list(packet.commitments)
+            mutated = list(eps)
             mutated[idx] = wrong
-            bad = dataclasses.replace(packet, commitments=tuple(mutated))
             for recipient in (1, 2, 3):
                 assert not verify_renewal_share(
-                    recipient, bad, packet.share_pairs[recipient], toy)
+                    recipient, tuple(mutated), pairs[recipient][0], toy)
     for recipient in (1, 2, 3):
-        s1, s2 = packet.share_pairs[recipient]
+        ((s1, s2),) = pairs[recipient]
         for wrong in range(toy.q):
             if wrong != s1:
-                assert not verify_renewal_share(recipient, packet,
+                assert not verify_renewal_share(recipient, eps,
                                                 (wrong, s2), toy)
             if wrong != s2:
-                assert not verify_renewal_share(recipient, packet,
+                assert not verify_renewal_share(recipient, eps,
                                                 (s1, wrong), toy)
 
 

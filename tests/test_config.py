@@ -22,6 +22,7 @@ from itstore.errors import ConfigurationError
 from itstore.field import is_probable_prime
 from itstore.keynet import DEFAULT_TOPOLOGY
 from itstore.mac import MacScheme
+from itstore.protocol import TpvSession
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -310,6 +311,19 @@ def test_clock_skews_unknown_role_rejected():
 def test_clock_skews_holder_index_bounded_by_layout():
     with pytest.raises(ConfigurationError, match="clock_skews.holder-5"):
         parse_scenario({"clock_skews": {"holder-5": 10}})
+
+
+def test_session_refuses_the_skews_a_scenario_refuses(tmp_path):
+    # one list of roles: a misspelt role no longer leaves its clock unskewed
+    for key in ("verifer", "holder-5", "banker"):
+        with pytest.raises(ConfigurationError, match="clock_skews.*" + key):
+            TpvSession(tmp_path / key, clock_skews={key: -10_000})
+        with pytest.raises(ConfigurationError, match="clock_skews." + key):
+            parse_scenario({"clock_skews": {key: -10_000}})
+    session = TpvSession(tmp_path / "ok", clock_skews={"verifier": -10_000,
+                                                       "holder-4": 7})
+    assert session.clock("verifier") == session.net.now_ms - 10_000
+    assert session.clock("holder-4") == session.net.now_ms + 7
 
 
 # ------------------------------------------------------------------ payload

@@ -14,7 +14,7 @@ import pytest
 import itstore.protocol
 import itstore.renewal
 from itstore.entropy import SeededEntropy
-from itstore.errors import ConfigurationError, KeySupplyError, ProtocolError
+from itstore.errors import ConfigurationError, KeySupplyError
 from itstore.field import PrimeField, interpolate_at_zero, random_polynomial
 from itstore.keynet import KsaSource, NodeSpec
 from itstore.protocol import renewal_round
@@ -26,13 +26,12 @@ from itstore.renewal import (
     TOY_GROUP,
     RenewalGroupConfig,
     Accusation,
-    RenewalPacket,
-    apply_renewal,
     derive_subgroup_element,
     gen_renewal,
     group_by_name,
     subgroup_members,
     subset_products,
+    summed_dealing,
     verify_renewal_share,
 )
 
@@ -58,11 +57,10 @@ def one_source(rng, holders=(1, 2, 3, 4)):
     return {j: rng for j in holders}
 
 
-def forward(d, packets, holders=(1, 2, 3, 4)):
-    """What every holder other than d receives from d's packets when the
-    transport changes nothing; None for a pair a packet does not carry."""
-    return {j: ([packet.commitments for packet in packets],
-                [packet.share_pairs.get(j) for packet in packets])
+def forward(d, commitments, pairs, holders=(1, 2, 3, 4)):
+    """What every holder other than d receives from d's columns when the
+    transport changes nothing, in lists of its own."""
+    return {j: (list(commitments), list(pairs[j]))
             for j in holders if j != d}
 
 
@@ -137,36 +135,30 @@ def test_commit_tables_match_pow_oracle(group):
 def test_verify_frozen_toy():
     # sender polynomials P1 = 5x, P2 = 7x; recipient 3 gets (4, 10);
     # check: 2^4 * 8^10 = 2 = 16^3 mod 23
-    packet = RenewalPacket(sender=1, round_no=0, commitments=(16,),
-                           share_pairs={3: (4, 10)})
-    assert verify_renewal_share(3, packet, (4, 10), TOY_GROUP)
-    assert not verify_renewal_share(3, packet, (5, 10), TOY_GROUP)
-    assert not verify_renewal_share(3, packet, (4, 9), TOY_GROUP)
+    assert verify_renewal_share(3, (16,), (4, 10), TOY_GROUP)
+    assert not verify_renewal_share(3, (16,), (5, 10), TOY_GROUP)
+    assert not verify_renewal_share(3, (16,), (4, 9), TOY_GROUP)
 
 
 def test_verify_all_zero_polynomials():
-    packet = RenewalPacket(sender=2, round_no=0, commitments=(1, 1),
-                           share_pairs={1: (0, 0)})
-    assert verify_renewal_share(1, packet, (0, 0), TOY_GROUP)
+    assert verify_renewal_share(1, (1, 1), (0, 0), TOY_GROUP)
 
 
 def test_verify_rejects_elements_outside_subgroup():
     # 5 has order 22 mod 23, not 11
-    packet = RenewalPacket(sender=1, round_no=0, commitments=(5,),
-                           share_pairs={2: (0, 0)})
-    assert not verify_renewal_share(2, packet, (0, 0), TOY_GROUP)
+    assert not verify_renewal_share(2, (5,), (0, 0), TOY_GROUP)
 
 
-def accusations_without_shared_set(tracks, holders, group):
+def accusations_without_shared_set(sent, group):
     """What renewal_round must accuse, recipient by recipient, track by
-    track and sender by sender, each check made with no shared set;
-    tracks[k] holds every sender's packet on track k."""
-    return tuple(Accusation(c, packet.sender,
-                            "commitment check failed on track %d" % k)
-                 for c in holders for k, packets in enumerate(tracks)
-                 for packet in packets
-                 if c != packet.sender and not verify_renewal_share(
-                     c, packet, packet.share_pairs[c], group))
+    track and dealer by dealer, each check made with no shared set;
+    sent[d] holds dealer d's (commitments, pairs) columns."""
+    holders = sorted(sent)
+    tracks = len(sent[holders[0]][0])
+    return tuple(Accusation(c, d, "commitment check failed on track %d" % k)
+                 for c in holders for k in range(tracks) for d in holders
+                 if c != d and not verify_renewal_share(
+                     c, sent[d][0][k], sent[d][1][c][k], group))
 
 
 def test_non_member_commitments_are_accused_by_every_recipient():
@@ -178,48 +170,47 @@ def test_non_member_commitments_are_accused_by_every_recipient():
     holders = (1, 2, 3, 4)
     sent = {}
 
-    def corrupt(d, packets):
-        (packet,) = packets
+    def corrupt(d, commitments, pairs):
+        (eps,) = commitments
         if d == 1:
-            twisted = group.p - packet.commitments[0]
-            packet.commitments = (twisted,) + packet.commitments[1:]
+            twisted = group.p - eps[0]
+            commitments[0] = (twisted,) + eps[1:]
         if d == 3:
-            out_of_range = packet.commitments[1] + group.p
-            packet.commitments = packet.commitments[:1] + (out_of_range,)
-        sent[d] = packet
-        return forward(d, packets)
+            out_of_range = eps[1] + group.p
+            commitments[0] = eps[:1] + (out_of_range,)
+        sent[d] = (commitments, pairs)
+        return forward(d, commitments, pairs)
 
     shares = {j: (0,) for j in holders}
     outcome = renewal_round(shares, 2, group,
                             one_source(SeededEntropy(b"non-member")),
                             deliver=corrupt)
-    packets = [sent[d] for d in holders]
-    first, second = packets[0], packets[2]
-    twisted = first.commitments[0]
-    out_of_range = second.commitments[1]
+    (first,), first_pairs = sent[1]
+    (second,), _ = sent[3]
+    twisted = first[0]
+    out_of_range = second[1]
     for c in (2, 4):
-        rhs = pow(twisted, c, group.p) * pow(first.commitments[1], c * c,
+        rhs = pow(twisted, c, group.p) * pow(first[1], c * c,
                                              group.p) % group.p
-        assert rhs == group.commit(*first.share_pairs[c])
+        assert rhs == group.commit(*first_pairs[c][0])
 
-    expected = accusations_without_shared_set([packets], holders, group)
+    expected = accusations_without_shared_set(sent, group)
     assert {(a.accuser, a.accused) for a in expected} == {
         (2, 1), (3, 1), (4, 1), (1, 3), (2, 3), (4, 3)}
     assert not outcome.accepted and outcome.new_shares is None
     assert outcome.accusations == expected
 
     members = set()
-    for packet in packets:
+    for d in holders:
+        (eps,), pairs = sent[d]
         for c in holders:
-            verify_renewal_share(c, packet, packet.share_pairs[c], group,
-                                 members)
+            verify_renewal_share(c, eps, pairs[c][0], group, members)
     assert twisted not in members and out_of_range not in members
     assert all(0 < eps < group.p and pow(eps, group.q, group.p) == 1
                for eps in members)
-    assert {eps for packet in (packets[1], packets[3])
-            for eps in packet.commitments} <= members
+    assert {eps for d in (2, 4) for eps in sent[d][0][0]} <= members
     for c in (2, 4):
-        assert not verify_renewal_share(c, first, first.share_pairs[c],
+        assert not verify_renewal_share(c, first, first_pairs[c][0],
                                         group, members)
 
 
@@ -342,17 +333,15 @@ def test_a_batched_round_accuses_exactly_what_the_exact_checks_do(
     sent = {}
     powers_of_q = []
 
-    def corrupt(d, packets):
+    def corrupt(d, commitments, pairs):
         if d == 1:
-            packet = packets[4]
-            packet.commitments = ((group.p - packet.commitments[0],)
-                                  + packet.commitments[1:])
+            eps = commitments[4]
+            commitments[4] = (group.p - eps[0],) + eps[1:]
         if d == 3:
-            packet = packets[11]
-            packet.commitments = (packet.commitments[:1]
-                                  + (packet.commitments[1] + group.p,))
-        sent[d] = packets
-        return forward(d, packets)
+            eps = commitments[11]
+            commitments[11] = eps[:1] + (eps[1] + group.p,)
+        sent[d] = (commitments, pairs)
+        return forward(d, commitments, pairs)
 
     def counting_mod_exp(base, exponent, modulus):
         powers_of_q.append(exponent == group.q)
@@ -363,13 +352,11 @@ def test_a_batched_round_accuses_exactly_what_the_exact_checks_do(
                             one_source(SeededEntropy(b"batched-accusal")),
                             deliver=corrupt)
     monkeypatch.undo()
-    in_range = {eps for packets in sent.values() for packet in packets
-                for eps in packet.commitments if eps < group.p}
+    in_range = {eps for commitments, _ in sent.values()
+                for track in commitments for eps in track if eps < group.p}
     assert len(in_range) > EXACT_CHECKS
     assert sum(powers_of_q) > len(in_range)  # a batch ran, then the fallback
-    expected = accusations_without_shared_set(
-        [[sent[d][k] for d in holders] for k in range(tracks)], holders,
-        group)
+    expected = accusations_without_shared_set(sent, group)
     assert {(a.accuser, a.accused) for a in expected} == {
         (2, 1), (3, 1), (4, 1), (1, 3), (2, 3), (4, 3)}
     assert not outcome.accepted and outcome.new_shares is None
@@ -380,15 +367,15 @@ def test_single_coordinate_perturbations_all_rejected():
     # every (s1 + d, s2) and (s1, s2 + d) with d != 0 fails, for every
     # recipient: exhaustive at toy scale
     rng = SeededEntropy(b"perturb")
-    (packet,) = gen_renewal(1, (1, 2, 3, 4), 2, TOY_GROUP, rng, 1)
+    (eps,), pairs = gen_renewal((1, 2, 3, 4), 2, TOY_GROUP, rng, 1)
     for c in (1, 2, 3, 4):
-        s1, s2 = packet.share_pairs[c]
-        assert verify_renewal_share(c, packet, (s1, s2), TOY_GROUP)
+        ((s1, s2),) = pairs[c]
+        assert verify_renewal_share(c, eps, (s1, s2), TOY_GROUP)
         for d in range(1, 11):
             assert not verify_renewal_share(
-                c, packet, ((s1 + d) % 11, s2), TOY_GROUP)
+                c, eps, ((s1 + d) % 11, s2), TOY_GROUP)
             assert not verify_renewal_share(
-                c, packet, (s1, (s2 + d) % 11), TOY_GROUP)
+                c, eps, (s1, (s2 + d) % 11), TOY_GROUP)
 
 
 def test_collinear_equivocation_is_the_known_binding_limit():
@@ -397,44 +384,41 @@ def test_collinear_equivocation_is_the_known_binding_limit():
     # accepting it is the Pedersen algebra working as designed; binding
     # comes from that log being unknown in the real groups.
     rng = SeededEntropy(b"collinear")
-    (packet,) = gen_renewal(1, (2,), 1, TOY_GROUP, rng, 1)
-    s1, s2 = packet.share_pairs[2]
+    (eps,), pairs = gen_renewal((2,), 1, TOY_GROUP, rng, 1)
+    ((s1, s2),) = pairs[2]
     forged = ((s1 + 3) % 11, (s2 - 1) % 11)
-    assert verify_renewal_share(2, packet, forged, TOY_GROUP)
+    assert verify_renewal_share(2, eps, forged, TOY_GROUP)
 
 
-# ------------------------------------------------------------ packet shapes
+# ------------------------------------------------------------ dealing shapes
 
 def test_gen_renewal_shape_and_completeness():
     rng = SeededEntropy(b"shape")
     for group in (TOY_GROUP, MERSENNE127_GROUP):
         for degree in (1, 2):
-            (packet,) = gen_renewal(7, (1, 2, 3, 4), degree, group, rng, 1)
-            assert packet.sender == 7
-            assert len(packet.commitments) == degree
-            assert set(packet.share_pairs) == {1, 2, 3, 4}
+            (eps,), pairs = gen_renewal((1, 2, 3, 4), degree, group, rng, 1)
+            assert len(eps) == degree
+            assert set(pairs) == {1, 2, 3, 4}
             for c in (1, 2, 3, 4):
-                assert verify_renewal_share(
-                    c, packet, packet.share_pairs[c], group)
+                assert verify_renewal_share(c, eps, pairs[c][0], group)
     with pytest.raises(ConfigurationError):
-        gen_renewal(1, (1, 2), 0, TOY_GROUP, rng, 1)
+        gen_renewal((1, 2), 0, TOY_GROUP, rng, 1)
 
 
 def test_gen_renewal_is_zero_rooted():
     # the contribution polynomials interpolate to 0 at x = 0
     rng = SeededEntropy(b"zero-root")
-    (packet,) = gen_renewal(1, (1, 2, 3), 2, TOY_GROUP, rng, 1)
+    _, pairs = gen_renewal((1, 2, 3), 2, TOY_GROUP, rng, 1)
     for part in (0, 1):
-        pts = [(c, packet.share_pairs[c][part]) for c in (1, 2, 3)]
+        pts = [(c, pairs[c][0][part]) for c in (1, 2, 3)]
         assert interpolate_at_zero(pts, F11) == 0
 
 
 def test_rfc_group_verify_completeness():
     rng = SeededEntropy(b"rfc-run")
-    (packet,) = gen_renewal(1, (1, 2, 3), 2, RFC5114_GROUP, rng, 1)
+    (eps,), pairs = gen_renewal((1, 2, 3), 2, RFC5114_GROUP, rng, 1)
     for c in (1, 2, 3):
-        assert verify_renewal_share(
-            c, packet, packet.share_pairs[c], RFC5114_GROUP)
+        assert verify_renewal_share(c, eps, pairs[c][0], RFC5114_GROUP)
 
 
 def dealings_one_track_at_a_time(recipients, degree, group, randomness,
@@ -474,13 +458,12 @@ def test_columnar_dealing_equals_one_dealing_per_track(group, pool):
     recipients = (1, 2, 3, 4)
     for degree, tracks in ((1, 1), (2, 1), (2, 7), (3, 40)):
         dealt_from, oracle_from = source(), source()
-        packets = gen_renewal(3, recipients, degree, group, dealt_from,
-                              tracks, round_no=5)
-        assert [(packet.commitments, packet.share_pairs)
-                for packet in packets] == dealings_one_track_at_a_time(
+        commitments, pairs = gen_renewal(recipients, degree, group,
+                                         dealt_from, tracks)
+        assert set(pairs) == set(recipients)
+        assert [(commitments[k], {c: pairs[c][k] for c in recipients})
+                for k in range(tracks)] == dealings_one_track_at_a_time(
                     recipients, degree, group, oracle_from, tracks)
-        assert all(packet.sender == 3 and packet.round_no == 5
-                   for packet in packets)
         assert bits_taken(dealt_from) == bits_taken(oracle_from)
         assert dealt_from.take_bits(64) == oracle_from.take_bits(64)
 
@@ -492,7 +475,7 @@ def test_a_pool_short_of_the_whole_dealing_refuses_before_taking_a_bit():
     pool = KsaSource(NodeSpec("A", initial_entropy_bits=needed - 1),
                      b"short")
     with pytest.raises(KeySupplyError):
-        gen_renewal(1, (1, 2, 3, 4), 2, MERSENNE127_GROUP, pool, 5)
+        gen_renewal((1, 2, 3, 4), 2, MERSENNE127_GROUP, pool, 5)
     assert pool.consumed == 0 and pool.available == needed - 1
 
 
@@ -542,40 +525,34 @@ def test_mixed_old_new_shares_break_reconstruction():
 def test_tampered_pair_triggers_accusation_and_no_update():
     rng = SeededEntropy(b"tamper")
     shares = make_shares(9, 2, F11, rng)
-    sent = {}
 
-    def tamper(d, packets):
-        (packet,) = packets
-        sent[d] = packet
+    def tamper(d, commitments, pairs):
         if d == 2:
-            s1, s2 = packet.share_pairs[4]
-            packet.share_pairs[4] = ((s1 + 1) % 11, s2)
-        return forward(d, packets)
+            s1, s2 = pairs[4][0]
+            pairs[4][0] = ((s1 + 1) % 11, s2)
+        return forward(d, commitments, pairs)
 
     outcome = renewal_round(shares, 2, TOY_GROUP, one_source(rng),
                             deliver=tamper)
     assert not outcome.accepted
     assert outcome.new_shares is None
-    assert any(a.accuser == 4 and a.accused == sent[2].sender
+    assert any(a.accuser == 4 and a.accused == 2
                for a in outcome.accusations)
 
 
 def test_missing_pair_triggers_accusation():
     rng = SeededEntropy(b"missing-pair")
     shares = make_shares(3, 2, F11, rng)
-    sent = {}
 
-    def drop(d, packets):
-        (packet,) = packets
-        sent[d] = packet
+    def drop(d, commitments, pairs):
         if d == 1:
-            del packet.share_pairs[2]
-        return forward(d, packets)
+            pairs[2][0] = None  # never received
+        return forward(d, commitments, pairs)
 
     outcome = renewal_round(shares, 2, TOY_GROUP, one_source(rng),
                             deliver=drop)
     assert not outcome.accepted
-    assert any(a.accuser == 2 and a.accused == sent[1].sender
+    assert any(a.accuser == 2 and a.accused == 1
                for a in outcome.accusations)
 
 
@@ -607,9 +584,9 @@ def test_multi_track_round_renews_every_track_and_names_a_failed_one():
               for j in (1, 2, 3, 4)}
     senders = []
 
-    def deliver(d, packets):
-        senders.append((d, len(packets)))
-        return forward(d, packets)
+    def deliver(d, commitments, pairs):
+        senders.append((d, len(commitments)))
+        return forward(d, commitments, pairs)
 
     outcome = renewal_round(shares, 2, TOY_GROUP, one_source(rng),
                             deliver=deliver)
@@ -620,8 +597,8 @@ def test_multi_track_round_renews_every_track_and_names_a_failed_one():
             pts = [(j, outcome.new_shares[j][track]) for j in subset]
             assert interpolate_at_zero(pts, F11) == secret
 
-    def tamper(d, packets):
-        got = forward(d, packets)
+    def tamper(d, commitments, pairs):
+        got = forward(d, commitments, pairs)
         if d == 3:
             s1, s2 = got[1][1][2]
             got[1][1][2] = ((s1 + 1) % 11, s2)
@@ -629,7 +606,7 @@ def test_multi_track_round_renews_every_track_and_names_a_failed_one():
 
     renewed = outcome.new_shares
     outcome = renewal_round(renewed, 2, TOY_GROUP, one_source(rng),
-                            round_no=1, deliver=tamper)
+                            deliver=tamper)
     assert not outcome.accepted and outcome.new_shares is None
     assert outcome.accusations == (
         Accusation(1, 3, "commitment check failed on track 2"),)
@@ -637,15 +614,23 @@ def test_multi_track_round_renews_every_track_and_names_a_failed_one():
 
 def recording_checks(monkeypatch):
     """Route renewal_round's checks through a recorder: (recipient,
-    sender, passed) per call, sender 0 for a dealers' summed packet."""
+    summed, passed) per call, summed true for a check of the dealers'
+    summed dealing."""
     checks = []
+    latest = [None]  # the products of the last summed dealing
 
-    def recording(recipient, packet, pair, config, members=None):
-        passed = verify_renewal_share(recipient, packet, pair, config,
+    def summing(commitments, pairs, config, members):
+        dealing = summed_dealing(commitments, pairs, config, members)
+        latest[0] = dealing and dealing[0]
+        return dealing
+
+    def recording(recipient, commitments, pair, config, members=None):
+        passed = verify_renewal_share(recipient, commitments, pair, config,
                                       members)
-        checks.append((recipient, packet.sender, passed))
+        checks.append((recipient, commitments is latest[0], passed))
         return passed
 
+    monkeypatch.setattr(itstore.protocol, "summed_dealing", summing)
     monkeypatch.setattr(itstore.protocol, "verify_renewal_share", recording)
     return checks
 
@@ -668,8 +653,8 @@ def test_every_wrong_pair_fails_the_summed_check_and_names_its_dealer(
             if d1 == d2 == 0:
                 continue
 
-            def shift(d, packets):
-                got = forward(d, packets)
+            def shift(d, commitments, pairs):
+                got = forward(d, commitments, pairs)
                 if d == dealer:
                     s1, s2 = got[recipient][1][0]
                     got[recipient][1][0] = ((s1 + d1) % 11, (s2 + d2) % 11)
@@ -678,8 +663,8 @@ def test_every_wrong_pair_fails_the_summed_check_and_names_its_dealer(
             checks.clear()
             outcome = renewal_round(make_shares(5, 2, F11, rng), 2, group,
                                     one_source(rng), deliver=shift)
-            summed = [(c, passed) for c, sender, passed in checks
-                      if sender == 0]
+            summed = [(c, passed) for c, is_sum, passed in checks
+                      if is_sum]
             if (d1 + 3 * d2) % 11 == 0:
                 assert summed == [(c, True) for c in holders]
                 assert outcome.accepted
@@ -703,20 +688,19 @@ def test_errors_that_cancel_at_one_recipient_pass_and_keep_the_secret():
     shares = make_shares(secret, 2, field, rng)
     wrong = {}
 
-    def cancel(d, packets):
-        got = forward(d, packets)
+    def cancel(d, commitments, pairs):
+        got = forward(d, commitments, pairs)
         if d in (1, 2):
             sign = 1 if d == 1 else -1
             s1, s2 = got[4][1][0]
             got[4][1][0] = ((s1 + sign * 5) % q, (s2 - sign * 9) % q)
-            wrong[d] = RenewalPacket(d, 0, got[4][0][0], {4: got[4][1][0]})
+            wrong[d] = (got[4][0][0], got[4][1][0])
         return got
 
     outcome = renewal_round(shares, 2, group, one_source(rng),
                             deliver=cancel)
-    for packet in wrong.values():
-        assert not verify_renewal_share(4, packet, packet.share_pairs[4],
-                                        group)
+    for eps, pair in wrong.values():
+        assert not verify_renewal_share(4, eps, pair, group)
     assert outcome.accepted and not outcome.accusations
     assert all(outcome.new_shares[j] != shares[j] for j in holders)
     for subset in itertools.combinations(holders, 3):
@@ -724,8 +708,24 @@ def test_errors_that_cancel_at_one_recipient_pass_and_keep_the_secret():
         assert interpolate_at_zero(pts, field) == secret
 
 
-def test_apply_renewal_missing_recipient():
-    rng = SeededEntropy(b"apply-miss")
-    (packet,) = gen_renewal(1, (1, 2), 1, TOY_GROUP, rng, 1)
-    with pytest.raises(ProtocolError):
-        apply_renewal(5, 3, [packet], TOY_GROUP)
+@pytest.mark.parametrize("group", [TOY_GROUP, MERSENNE127_GROUP],
+                         ids=lambda g: g.name)
+def test_a_deliver_that_hands_on_its_columns_renews_as_no_deliver(group):
+    field = group.share_field()
+    holders = (1, 2, 3, 4)
+    rng = SeededEntropy(b"hand-on")
+    polys = [random_polynomial(2, field.random_int(rng), field, rng)
+             for _ in range(3)]
+    shares = {j: tuple(poly.evaluate(j) for poly in polys) for j in holders}
+
+    def unchanged(d, commitments, pairs):
+        return {j: (commitments, pairs[j]) for j in holders if j != d}
+
+    plain = renewal_round(shares, 2, group,
+                          one_source(SeededEntropy(b"columns-as-dealt")))
+    handed = renewal_round(shares, 2, group,
+                           one_source(SeededEntropy(b"columns-as-dealt")),
+                           deliver=unchanged)
+    assert plain.accepted and handed.accepted
+    assert plain.new_shares != shares
+    assert handed.new_shares == plain.new_shares

@@ -128,7 +128,6 @@ class Workspace:
         scenario = {key: data[key] for key in _DEPLOYMENT_KEYS if key in data}
         scenario["seed"] = config.seed
         session = build_session(config, root / "stores")
-        session.advance(config.warmup_ms)
         return cls(root, scenario, config, session, session.net.to_state())
 
     @classmethod

@@ -24,6 +24,7 @@ configuration errors with a precise dotted path.
       calculator: Koganei-1
       verifier: Koganei-2
       holders: [Koganei-1, Koganei-2, Koganei-3, Koganei-4]
+                                  # default Koganei-1..n, if all present
     clock_skews: {verifier: 0}    # per-role ms offsets, may be negative
     topology:
       rate_scale: 1.0             # multiplies every link/pool rate
@@ -65,10 +66,11 @@ from .entropy import PrfBits, derive_key
 from .errors import ConfigurationError
 from .field import PrimeField
 from .keynet import DEFAULT_TOPOLOGY, LinkSpec, NetworkTopology, NodeSpec
-from .mac import DEFAULT_K, MacScheme, check_digest_bits, check_k
+from .mac import (DEFAULT_DIGEST_BITS, DEFAULT_K, MacScheme,
+                  check_digest_bits, check_k)
 from .protocol import RolePlacement, role_endpoints
-from .renewal import RenewalGroupConfig, group_by_name
-from .spss import SpssParams
+from .renewal import RenewalGroupConfig, default_group, group_by_name
+from .spss import DEFAULT_FIELD_EXPONENT, SpssParams
 
 __all__ = [
     "AttackConfig",
@@ -234,7 +236,7 @@ _FIELD_ALIASES = {"mersenne127": 127, "mersenne31": 31, "mersenne61": 61}
 
 def _parse_field(value, path: str) -> PrimeField:
     if value is None:
-        return PrimeField.mersenne(127)
+        return PrimeField.mersenne(DEFAULT_FIELD_EXPONENT)
     if isinstance(value, str) and value in _FIELD_ALIASES:
         return PrimeField.mersenne(_FIELD_ALIASES[value])
     if isinstance(value, str) and value.isdigit():
@@ -251,8 +253,10 @@ def _parse_field(value, path: str) -> PrimeField:
 def _parse_layout(section, path: str) -> SpssParams:
     sec = _as_mapping(section, path)
     _check_keys(sec, ("threshold", "holders", "field"), path)
-    t_sh = _as_int(sec.get("threshold"), path + ".threshold", default=3)
-    n_sh = _as_int(sec.get("holders"), path + ".holders", default=4, minimum=2)
+    t_sh = _as_int(sec.get("threshold"), path + ".threshold",
+                   default=SpssParams.t_sh)
+    n_sh = _as_int(sec.get("holders"), path + ".holders",
+                   default=SpssParams.n_sh, minimum=2)
     field = _parse_field(sec.get("field"), path + ".field")
     try:
         return SpssParams(t_sh=t_sh, n_sh=n_sh, field=field)
@@ -275,7 +279,7 @@ def _parse_mac(section, path: str):
     except ConfigurationError as exc:
         _fail(path + ".k", str(exc))
     cs_tag_bits = _as_int(sec.get("cs_tag_bits"), path + ".cs_tag_bits",
-                          default=512)
+                          default=DEFAULT_DIGEST_BITS)
     try:
         check_digest_bits(cs_tag_bits, k)
     except ConfigurationError as exc:
@@ -296,8 +300,7 @@ def _parse_renewal(section, path: str, field: PrimeField):
         except ConfigurationError as exc:
             _fail(path + ".group", str(exc))
     if rounds > 0:
-        if group is None and field.q == (1 << 127) - 1:
-            group = group_by_name("mersenne127")
+        group = group or default_group(field.q)
         if group is None:
             _fail(path + ".group",
                   "renewal rounds requested but no group given and the "
@@ -340,15 +343,15 @@ def _parse_custom_nodes(rows, path: str) -> tuple:
                           "initial_entropy_bits"), p)
         nodes.append(NodeSpec(
             name=_as_str(row.get("name"), p + ".name"),
-            entropy_rate_bps=_as_int(row.get("entropy_rate_bps"),
-                                     p + ".entropy_rate_bps",
-                                     default=1_000_000, minimum=0),
-            entropy_capacity_bits=_as_int(row.get("entropy_capacity_bits"),
-                                          p + ".entropy_capacity_bits",
-                                          default=200_000_000, minimum=1),
-            initial_entropy_bits=_as_int(row.get("initial_entropy_bits"),
-                                         p + ".initial_entropy_bits",
-                                         default=100_000_000, minimum=0),
+            entropy_rate_bps=_as_int(
+                row.get("entropy_rate_bps"), p + ".entropy_rate_bps",
+                default=NodeSpec.entropy_rate_bps, minimum=0),
+            entropy_capacity_bits=_as_int(
+                row.get("entropy_capacity_bits"), p + ".entropy_capacity_bits",
+                default=NodeSpec.entropy_capacity_bits, minimum=1),
+            initial_entropy_bits=_as_int(
+                row.get("initial_entropy_bits"), p + ".initial_entropy_bits",
+                default=NodeSpec.initial_entropy_bits, minimum=0),
         ))
     return tuple(nodes)
 
@@ -360,18 +363,22 @@ def _parse_custom_links(rows, path: str) -> tuple:
         row = _as_mapping(row, p)
         _check_keys(row, ("name", "a", "b", "rate_bps", "length_km",
                           "loss_db", "capacity_bits"), p)
-        links.append(LinkSpec(
+        spec = dict(
             name=_as_str(row.get("name"), p + ".name"),
             a=_as_str(row.get("a"), p + ".a"),
             b=_as_str(row.get("b"), p + ".b"),
             rate_bps=_as_int(row.get("rate_bps"), p + ".rate_bps", minimum=0),
             length_km=_as_float(row.get("length_km"), p + ".length_km",
-                                default=0.0, minimum=0.0),
+                                default=LinkSpec.length_km, minimum=0.0),
             loss_db=_as_float(row.get("loss_db"), p + ".loss_db",
-                              default=0.0, minimum=0.0),
+                              default=LinkSpec.loss_db, minimum=0.0),
             capacity_bits=_as_int(row.get("capacity_bits"), p + ".capacity_bits",
-                                  default=10_000_000, minimum=1),
-        ))
+                                  default=LinkSpec.capacity_bits, minimum=1),
+        )
+        try:
+            links.append(LinkSpec(**spec))
+        except ConfigurationError as exc:
+            _fail(p, str(exc))
     return tuple(links)
 
 
@@ -409,30 +416,23 @@ def _parse_placement(section, path: str, topology: NetworkTopology,
     _check_keys(sec, ("owner", "end-user", "calculator", "verifier", "holders"),
                 path)
     known = set(topology.node_names())
-    defaults = {
-        "owner": "Ohtemachi-1",
-        "end-user": "Ohtemachi-1",
-        "calculator": "Koganei-1",
-        "verifier": "Koganei-2",
-    }
+    default = RolePlacement.for_holders(n_sh)
 
     def node(key):
         value = _as_str(sec.get(key), "%s.%s" % (path, key),
-                        default=defaults[key])
+                        default=getattr(default, key.replace("-", "_")))
         if value not in known:
             _fail("%s.%s" % (path, key),
                   "node %r is not in the topology (nodes: %s)"
                   % (value, ", ".join(sorted(known))))
         return value
 
-    default_holders = ["Koganei-%d" % (j + 1) for j in range(n_sh)] \
-        if all("Koganei-%d" % (j + 1) in known for j in range(n_sh)) else None
-    if sec.get("holders") is None and default_holders is None:
+    if sec.get("holders") is None and not known.issuperset(default.holders):
         _fail(path + ".holders",
               "no default placement covers %d holders on this topology; "
               "list the holder nodes explicitly" % n_sh)
     rows = _as_list(sec.get("holders"), path + ".holders",
-                    default=default_holders)
+                    default=default.holders)
     if len(rows) != n_sh:
         _fail(path + ".holders",
               "expected %d holder nodes, got %d" % (n_sh, len(rows)))
@@ -517,7 +517,8 @@ def _parse_attack(section, path: str, n_sh: int) -> AttackConfig:
 def _parse_bench(section, path: str) -> BenchConfig:
     sec = _as_mapping(section, path)
     _check_keys(sec, ("sizes_kb", "repetitions", "compare_general_prime"), path)
-    rows = _as_list(sec.get("sizes_kb"), path + ".sizes_kb", default=[1, 10, 100])
+    rows = _as_list(sec.get("sizes_kb"), path + ".sizes_kb",
+                    default=BenchConfig.sizes_kb)
     if not rows:
         _fail(path + ".sizes_kb", "expected a non-empty list")
     sizes = tuple(
@@ -525,9 +526,10 @@ def _parse_bench(section, path: str) -> BenchConfig:
                 maximum=_MAX_PAYLOAD_BYTES // 1024)
         for i, row in enumerate(rows))
     reps = _as_int(sec.get("repetitions"), path + ".repetitions",
-                   default=5, minimum=1)
+                   default=BenchConfig.repetitions, minimum=1)
     compare = _as_bool(sec.get("compare_general_prime"),
-                       path + ".compare_general_prime", default=True)
+                       path + ".compare_general_prime",
+                       default=BenchConfig.compare_general_prime)
     return BenchConfig(sizes_kb=sizes, repetitions=reps,
                        compare_general_prime=compare)
 

@@ -167,11 +167,11 @@ def _envelope_bit_flip(envelope):
 def build_session(config: ScenarioConfig, storage_root,
                   net: "KeyNetwork | None" = None) -> TpvSession:
     """A deployment as the scenario describes it, on net (a saved
-    workspace's restored key network) or else on a new key network seeded
-    by the scenario's seed (not yet warmed up)."""
-    seed = config.seed.encode("utf-8")
+    workspace's restored key network, as saved) or else on a new key
+    network seeded by the scenario's seed and warmed up for warmup_ms."""
     if net is None:
-        net = KeyNetwork(config.topology, master_seed=seed)
+        net = KeyNetwork(config.topology, master_seed=config.seed.encode("utf-8"))
+        net.advance(config.warmup_ms)
     return TpvSession(
         storage_root,
         net=net,
@@ -182,7 +182,6 @@ def build_session(config: ScenarioConfig, storage_root,
         clock_skews=config.clock_skews,
         renewal_group=config.renewal_group,
         cs_tag_bits=config.cs_tag_bits,
-        master_seed=seed,
         advance_on_exhaustion_ms=WAIT_STEP_MS,
     )
 
@@ -237,7 +236,6 @@ def _scenario_phases(run: _Run):
     """Execute the phase sequence, recording an outcome per phase."""
     config = run.config
     session = run.session
-    run.net.advance(config.warmup_ms)
 
     # registration
     try:
@@ -398,34 +396,33 @@ def _bench_one(config: ScenarioConfig, size_bytes: int, rep: int,
         config,
         payload=payload,
         seed="%s|bench|%d|%d" % (config.seed, size_bytes, rep))
-    run = _Run(rep_config, root)
-    run.net.advance(rep_config.warmup_ms)
+    session = build_session(rep_config, root)
 
     timings = []
     t0 = time.perf_counter()
-    sid, _t1 = run.session.register(payload, rep_config.password)
+    sid, _t1 = session.register(payload, rep_config.password)
     timings.append(("registration", time.perf_counter() - t0))
 
     tracks = data_block_count(size_bytes, rep_config.params) + 1
     t0 = time.perf_counter()
-    run.session.precompute(sid, rounds=tracks)
+    session.precompute(sid, rounds=tracks)
     timings.append(("communication", time.perf_counter() - t0))
 
     if rep_config.renewal_group is not None:
         t0 = time.perf_counter()
-        report = run.session.renew(sid)
+        report = session.renew(sid)
         if not report.accepted:
             raise ProtocolError("benchmark renewal round was rejected")
         timings.append(("renewal", time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    result = run.session.reconstruct_and_release(sid, rep_config.password)
+    result = session.reconstruct_and_release(sid, rep_config.password)
     timings.append(("reconstruction", time.perf_counter() - t0))
     if result.outcome is not Outcome.SUCCESS or result.data != payload:
         raise ProtocolError("benchmark reconstruction did not round-trip")
 
-    return timings, run.session.transcript_text(), _ledger_totals(
-        run.net.ledger())
+    return timings, session.transcript_text(), _ledger_totals(
+        session.net.ledger())
 
 
 @functools.cache

@@ -65,9 +65,11 @@ __all__ = [
     "seed_from_bytes",
     "cr_hash",
     "DEFAULT_K",
+    "DEFAULT_DIGEST_BITS",
 ]
 
 DEFAULT_K = 256
+DEFAULT_DIGEST_BITS = 512  # computational-mode digest: all of cr_hash
 
 POLY_CHUNK = 64  # blocks per dot product in polyeval_tag_blocks
 

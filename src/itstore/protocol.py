@@ -65,6 +65,7 @@ from .errors import (
 from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
 from .keynet import DEFAULT_TOPOLOGY, KeyNetwork
 from .mac import (
+    DEFAULT_DIGEST_BITS,
     DEFAULT_K,
     MacScheme,
     MacTag,
@@ -76,11 +77,11 @@ from .mac import (
     recompute_tag,
 )
 from .renewal import (
-    MERSENNE127_GROUP,
     Accusation,
     RenewalGroupConfig,
     RenewalOutcome,
     apply_renewal,
+    default_group,
     gen_renewal,
     subgroup_members,
     summed_dealing,
@@ -182,11 +183,16 @@ class RolePlacement:
     is one-time-padded. holder j lives at holders[j - 1].
     """
 
+    holders: tuple
     owner: str = "Ohtemachi-1"
     end_user: str = "Ohtemachi-1"
     calculator: str = "Koganei-1"
     verifier: str = "Koganei-2"
-    holders: tuple = ("Koganei-1", "Koganei-2", "Koganei-3", "Koganei-4")
+
+    @classmethod
+    def for_holders(cls, n_sh: int) -> "RolePlacement":
+        """The default placement of n_sh holders: holder j on Koganei-j."""
+        return cls(holders=tuple("Koganei-%d" % j for j in range(1, n_sh + 1)))
 
 
 def _stamped(t1: int, data: bytes) -> bytes:
@@ -391,7 +397,7 @@ class TpvSession:
                  placement: "RolePlacement | None" = None,
                  clock_skews: "dict | None" = None,
                  renewal_group: "RenewalGroupConfig | None" = None,
-                 cs_tag_bits: int = 512,
+                 cs_tag_bits: int = DEFAULT_DIGEST_BITS,
                  master_seed: bytes = b"tpv-session",
                  advance_on_exhaustion_ms: int = 0):
         self.params = params if params is not None else SpssParams()
@@ -399,7 +405,7 @@ class TpvSession:
         self.scheme = scheme
         self.k = int(k)
         check_k(self.k)
-        self.placement = placement if placement is not None else RolePlacement()
+        self.placement = placement or RolePlacement.for_holders(self.params.n_sh)
         self.skews = dict(clock_skews or {})
         unknown = set(self.skews) - set(role_endpoints(self.params.n_sh))
         if unknown:
@@ -411,8 +417,7 @@ class TpvSession:
             raise ConfigurationError("cs_tag_bits %s" % exc) from None
         self.cs_tag_bits = cs_tag_bits
 
-        if renewal_group is None and self.params.field.q == (1 << 127) - 1:
-            renewal_group = MERSENNE127_GROUP
+        renewal_group = renewal_group or default_group(self.params.field.q)
         self.renewal_group = renewal_group
         self._group_checked = False
         self.codec = Codec(

@@ -116,6 +116,7 @@ __all__ = [
     "MERSENNE127_GROUP",
     "RFC5114_GROUP",
     "group_by_name",
+    "default_group",
 ]
 
 
@@ -244,6 +245,11 @@ def group_by_name(name: str) -> RenewalGroupConfig:
     except KeyError:
         raise ConfigurationError("unknown renewal group %r (have: %s)"
                                  % (name, ", ".join(sorted(_GROUPS))))
+
+
+def default_group(q: int) -> "RenewalGroupConfig | None":
+    """The group that renews shares in F_q when none is named, if any."""
+    return MERSENNE127_GROUP if q == MERSENNE127_GROUP.q else None
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,25 @@ from itstore.config import (
 )
 from itstore.errors import ConfigurationError
 from itstore.field import is_probable_prime
-from itstore.keynet import DEFAULT_TOPOLOGY
+from itstore.harness import build_session
+from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork, LinkSpec, NodeSpec
 from itstore.mac import MacScheme
 from itstore.protocol import TpvSession
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+# five holders on a star around Ohtemachi-1; every row gives only its
+# required keys
+FIVE_HOLDERS = {
+    "layout": {"holders": 5},
+    "topology": {
+        "nodes": [{"name": "Ohtemachi-1"}]
+        + [{"name": "Koganei-%d" % j} for j in range(1, 6)],
+        "links": [{"name": "L%d" % j, "a": "Koganei-%d" % j,
+                   "b": "Ohtemachi-1", "rate_bps": 300_000}
+                  for j in range(1, 6)],
+    },
+}
 
 
 # ----------------------------------------------------------------- defaults
@@ -275,6 +289,16 @@ def test_custom_link_to_unknown_node_rejected():
         }})
 
 
+def test_custom_link_refused_by_its_spec_names_its_row():
+    with pytest.raises(ConfigurationError) as info:
+        parse_scenario({"topology": {
+            "nodes": [{"name": "A"}, {"name": "B"}],
+            "links": [{"name": "l", "a": "A", "b": "A", "rate_bps": 1}],
+        }})
+    assert str(info.value) == (
+        "topology.links[0]: link l joins a node to itself")
+
+
 # ---------------------------------------------------------------- placement
 
 
@@ -292,6 +316,48 @@ def test_placement_unknown_holder_node_rejected():
     with pytest.raises(ConfigurationError, match=r"placement.holders\[2\]"):
         parse_scenario({"placement": {"holders": [
             "Koganei-1", "Koganei-2", "Nowhere", "Koganei-4"]}})
+
+
+def test_a_session_without_placement_places_every_holder_of_the_layout(
+        tmp_path):
+    cfg = parse_scenario(FIVE_HOLDERS)
+    assert cfg.placement.holders == tuple(
+        "Koganei-%d" % j for j in range(1, 6))
+    session = TpvSession(tmp_path, params=cfg.params,
+                         net=KeyNetwork(cfg.topology))
+    assert session.placement == cfg.placement
+    session.advance(DEFAULT_WARMUP_MS)
+    data = b"five holders " + bytes(range(100))
+    sid, _t1 = session.register(data, cfg.password)
+    blocks = session.holder_stores[1].get_secret(sid).block_count
+    session.precompute(sid, rounds=2 * blocks)
+    result = session.reconstruct_and_release(sid, cfg.password,
+                                             subset=(5, 2, 4))
+    assert result.data == data
+    assert session.renew(sid).accepted
+    result = session.reconstruct_and_release(sid, cfg.password,
+                                             subset=(5, 2, 4))
+    assert result.data == data
+    assert session.net.conservation_holds()
+
+
+def test_scenario_and_session_defaults_agree(tmp_path):
+    def deployment(session):
+        return (session.placement, session.k, session.cs_tag_bits,
+                session.renewal_group)
+
+    for n_sh, mapping in ((4, {}), (5, FIVE_HOLDERS)):
+        cfg = parse_scenario(mapping)
+        assert cfg.params.n_sh == n_sh
+        built = build_session(cfg, tmp_path / ("built-%d" % n_sh))
+        plain = TpvSession(tmp_path / ("plain-%d" % n_sh), params=cfg.params,
+                           net=KeyNetwork(cfg.topology))
+        assert deployment(built) == deployment(plain)
+    assert cfg.topology.nodes == tuple(
+        NodeSpec(row["name"]) for row in FIVE_HOLDERS["topology"]["nodes"])
+    assert cfg.topology.links == tuple(
+        LinkSpec(row["name"], row["a"], row["b"], row["rate_bps"])
+        for row in FIVE_HOLDERS["topology"]["links"])
 
 
 # -------------------------------------------------------------- clock skews

@@ -554,3 +554,229 @@ def test_all_shipped_scenarios_parse():
             assert cfg.expect, \
                 "%s should state its expected verdicts" % path.name
     assert set(ATTACK_KINDS) <= kinds
+
+
+# ------------------------------------------------------------ exact messages
+
+# Two nodes and the link keys every link row needs; the message table
+# below adds one bad key to a row at a time.
+_AB = [{"name": "A"}, {"name": "B"}]
+
+
+def _link(**keys):
+    return {"topology": {"nodes": _AB, "links": [
+        dict({"name": "l", "a": "A", "b": "B", "rate_bps": 1}, **keys)]}}
+
+
+def _node(**keys):
+    return {"topology": {"nodes": [dict({"name": "A"}, **keys)],
+                         "links": []}}
+
+
+_ON_DEFAULT = ("(nodes: Koganei-1, Koganei-2, Koganei-3, Koganei-4, "
+               "Ohtemachi-1)")
+
+# (malformed mapping, the whole message it is refused with): at least one
+# row for every refusal the parser makes, one error per mapping.
+MESSAGES = [
+    ([1], "scenario: expected a mapping, got list"),
+    ({"layout": 3}, "layout: expected a mapping, got int"),
+    ({"clock_skews": [1]}, "clock_skews: expected a mapping, got list"),
+    ({"topology": {"nodes": ["A"], "links": []}},
+     "topology.nodes[0]: expected a mapping, got str"),
+    ({"expect": ["renewal"]}, "expect[0]: expected a mapping, got str"),
+    ({"bogus": 1},
+     "scenario: unknown key 'bogus' (allowed: attack, bench, clock_skews, "
+     "expect, layout, mac, name, outputs, password, payload, placement, "
+     "renewal, seed, topology, warmup_ms)"),
+    ({"layout": {"n": 4}},
+     "layout: unknown key 'n' (allowed: field, holders, threshold)"),
+    ({"payload": {"size_mb": 1}},
+     "payload: unknown key 'size_mb' (allowed: size_bytes, size_kb, text)"),
+    (_link(km=3),
+     "topology.links[0]: unknown key 'km' (allowed: a, b, capacity_bits, "
+     "length_km, loss_db, name, rate_bps)"),
+    ({"expect": [{"phase": "renewal", "outcome": "success", "why": "x"}]},
+     "expect[0]: unknown key 'why' (allowed: outcome, phase)"),
+    # strings
+    ({"name": ""}, "name: expected a non-empty string"),
+    ({"seed": 5}, "seed: expected a non-empty string"),
+    ({"password": 7}, "password: expected a non-empty string"),
+    ({"topology": {"nodes": [{}], "links": []}},
+     "topology.nodes[0].name: expected a non-empty string"),
+    ({"topology": {"nodes": [{"name": "A"}],
+                   "links": [{"name": "l", "a": "A", "rate_bps": 1}]}},
+     "topology.links[0].b: expected a non-empty string"),
+    ({"outputs": {"csv": 3}}, "outputs.csv: expected a non-empty string"),
+    ({"mac": {"scheme": 4}}, "mac.scheme: expected a non-empty string"),
+    ({"renewal": {"group": 4}}, "renewal.group: expected a non-empty string"),
+    ({"placement": {"owner": 1}},
+     "placement.owner: expected a non-empty string"),
+    ({"placement": {"holders": ["Koganei-1", 2, "Koganei-3", "Koganei-4"]}},
+     "placement.holders[1]: expected a non-empty string"),
+    ({"payload": {"text": ""}}, "payload.text: expected a non-empty string"),
+    ({"payload": {"text": None}}, "payload.text: expected a non-empty string"),
+    ({"attack": {"kind": 3}}, "attack.kind: expected a non-empty string"),
+    ({"expect": [{"outcome": "success"}]},
+     "expect[0].phase: expected a non-empty string"),
+    # integers
+    ({"warmup_ms": "x"}, "warmup_ms: expected an integer"),
+    ({"warmup_ms": True}, "warmup_ms: expected an integer"),
+    ({"warmup_ms": -1}, "warmup_ms: must be >= 0"),
+    ({"layout": {"threshold": 3.0}}, "layout.threshold: expected an integer"),
+    ({"layout": {"holders": 1}}, "layout.holders: must be >= 2"),
+    ({"mac": {"k": 0}}, "mac.k: must be >= 1"),
+    ({"mac": {"cs_tag_bits": "wide"}}, "mac.cs_tag_bits: expected an integer"),
+    ({"renewal": {"rounds": -1}}, "renewal.rounds: must be >= 0"),
+    (_node(entropy_rate_bps=-1),
+     "topology.nodes[0].entropy_rate_bps: must be >= 0"),
+    (_node(entropy_capacity_bits=0),
+     "topology.nodes[0].entropy_capacity_bits: must be >= 1"),
+    (_node(initial_entropy_bits=-5),
+     "topology.nodes[0].initial_entropy_bits: must be >= 0"),
+    (_link(rate_bps=None), "topology.links[0].rate_bps: expected an integer"),
+    (_link(rate_bps=-1), "topology.links[0].rate_bps: must be >= 0"),
+    (_link(capacity_bits=0), "topology.links[0].capacity_bits: must be >= 1"),
+    ({"payload": {"size_bytes": 0}}, "payload.size_bytes: must be >= 1"),
+    ({"payload": {"size_bytes": None}},
+     "payload.size_bytes: expected an integer"),
+    ({"payload": {"size_bytes": 10 * 1024 * 1024 + 1}},
+     "payload.size_bytes: must be <= 10485760"),
+    ({"payload": {"size_kb": 10241}}, "payload.size_kb: must be <= 10240"),
+    ({"attack": {"kind": "corrupt-holder"}},
+     "attack.holder: expected an integer"),
+    ({"attack": {"kind": "corrupt-holder", "holder": 5}},
+     "attack.holder: must be <= 4"),
+    ({"attack": {"kind": "drop-holder", "drop": [0]}},
+     "attack.drop[0]: must be >= 1"),
+    ({"bench": {"sizes_kb": [1, 10241]}}, "bench.sizes_kb[1]: must be <= 10240"),
+    ({"bench": {"repetitions": 0}}, "bench.repetitions: must be >= 1"),
+    # booleans and numbers
+    ({"bench": {"compare_general_prime": "yes"}},
+     "bench.compare_general_prime: expected true or false"),
+    ({"topology": {"rate_scale": "fast"}},
+     "topology.rate_scale: expected a number"),
+    ({"topology": {"capacity_scale": -1}},
+     "topology.capacity_scale: must be >= 0"),
+    (_link(length_km=-2.5), "topology.links[0].length_km: must be >= 0"),
+    (_link(loss_db=True), "topology.links[0].loss_db: expected a number"),
+    # lists
+    ({"expect": "all"}, "expect: expected a list"),
+    ({"topology": {"nodes": {"name": "A"}, "links": []}},
+     "topology.nodes: expected a list"),
+    ({"topology": {"nodes": [], "links": "l"}},
+     "topology.links: expected a list"),
+    ({"placement": {"holders": "Koganei-1"}},
+     "placement.holders: expected a list"),
+    ({"attack": {"kind": "drop-holder", "drop": 3}},
+     "attack.drop: expected a list"),
+    ({"bench": {"sizes_kb": 10}}, "bench.sizes_kb: expected a list"),
+    # layout
+    ({"layout": {"field": "mersenne7"}},
+     "layout.field: expected mersenne127|mersenne31|mersenne61 or a decimal "
+     "prime"),
+    ({"layout": {"field": 15}}, "layout.field: field modulus 15 is not prime"),
+    ({"layout": {"field": "21"}}, "layout.field: field modulus 21 is not prime"),
+    ({"layout": {"holders": 2}}, "layout: need t_sh <= n_sh"),
+    ({"layout": {"threshold": 2}},
+     "layout: masked reconstruction requires t_sh = 3"),
+    ({"layout": {"field": 3}},
+     "layout: holder indices 1..4 are not distinct and nonzero mod 3"),
+    # mac
+    ({"mac": {"scheme": "toeplitz"}}, "mac.scheme: expected one of: polyeval"),
+    ({"mac": {"k": 20}},
+     "mac.k: tags are whole bytes, so k must be a multiple of 8, got 20"),
+    ({"mac": {"k": 8}},
+     "mac.k: PolyEval needs k >= 16 for whole-byte blocks, got 8"),
+    ({"mac": {"cs_tag_bits": 256}},
+     "mac.cs_tag_bits: must differ from k = 256: the verifier tells a "
+     "digest row from a tag row by width"),
+    ({"mac": {"cs_tag_bits": 1024}},
+     "mac.cs_tag_bits: must be a multiple of 8 in [8, 512], got 1024"),
+    # renewal
+    ({"renewal": {"group": "nope"}},
+     "renewal.group: unknown renewal group 'nope' (have: mersenne127, "
+     "rfc5114, toy)"),
+    ({"layout": {"field": "mersenne61"}, "renewal": {"rounds": 1}},
+     "renewal.group: renewal rounds requested but no group given and the "
+     "field has no default group"),
+    ({"renewal": {"rounds": 1, "group": "toy"}},
+     "renewal.group: subgroup order 11 does not match the share field "
+     "modulus 170141183460469231731687303715884105727"),
+    # topology
+    (_link(b="A"), "topology.links[0]: link l joins a node to itself"),
+    ({"topology": {"nodes": [{"name": "A"}]}},
+     "topology: custom topologies need both nodes and links"),
+    ({"topology": {"links": []}},
+     "topology: custom topologies need both nodes and links"),
+    ({"topology": {"nodes": [{"name": "A"}],
+                   "links": [{"name": "l", "a": "A", "b": "Z", "rate_bps": 1}]}},
+     "topology: link l references an unknown node"),
+    ({"topology": {"nodes": [{"name": "A"}, {"name": "A"}], "links": []}},
+     "topology: duplicate node names"),
+    ({"topology": {"nodes": _AB, "links": []}},
+     "topology: topology is not connected"),
+    # present but null, nodes and links still select a custom topology
+    ({"topology": {"nodes": None, "links": None}},
+     "placement.holders: no default placement covers 4 holders on this "
+     "topology; list the holder nodes explicitly"),
+    # placement
+    ({"placement": {"owner": "Mars"}},
+     "placement.owner: node 'Mars' is not in the topology " + _ON_DEFAULT),
+    ({"placement": {"verifier": "Mars"}},
+     "placement.verifier: node 'Mars' is not in the topology " + _ON_DEFAULT),
+    (dict(_link(), placement={"holders": ["A", "B", "A", "B"]}),
+     "placement.owner: node 'Ohtemachi-1' is not in the topology (nodes: "
+     "A, B)"),
+    ({"layout": {"holders": 9}},
+     "placement.holders: no default placement covers 9 holders on this "
+     "topology; list the holder nodes explicitly"),
+    ({"placement": {"holders": ["Koganei-1"]}},
+     "placement.holders: expected 4 holder nodes, got 1"),
+    ({"placement": {"holders": ["Koganei-1", "Koganei-2", "Koganei-3",
+                                "Mars"]}},
+     "placement.holders[3]: node 'Mars' is not in the topology"),
+    # clock skews
+    ({"clock_skews": {"holder-5": 1}},
+     "clock_skews.holder-5: unknown role (valid: calculator, end-user, "
+     "holder-1, holder-2, holder-3, holder-4, owner, verifier)"),
+    ({"clock_skews": {"verifier": 1.5}},
+     "clock_skews.verifier: expected an integer millisecond offset"),
+    ({"clock_skews": {"owner": False}},
+     "clock_skews.owner: expected an integer millisecond offset"),
+    # payload: keys are chosen by presence, so null counts as given
+    ({"payload": {"size_kb": 1, "text": "x"}},
+     "payload: give exactly one of size_kb, size_bytes, text"),
+    ({"payload": {"size_kb": None, "text": None}},
+     "payload: give exactly one of size_kb, size_bytes, text"),
+    # attack
+    ({"attack": {"kind": "ddos"}},
+     "attack.kind: expected one of: none, tamper-owner, false-claim-user, "
+     "corrupt-holder, drop-holder, bit-flip-channel, wrong-password"),
+    ({"attack": {"kind": "none", "holder": 1}},
+     "attack.holder: only valid for kind corrupt-holder"),
+    ({"attack": {"kind": "drop-holder", "drop": []}},
+     "attack.drop: expected a non-empty list of holder indices"),
+    ({"attack": {"kind": "drop-holder"}},
+     "attack.drop: expected a non-empty list of holder indices"),
+    ({"attack": {"kind": "drop-holder", "drop": [2, 3, 2]}},
+     "attack.drop[2]: duplicate holder index 2"),
+    ({"attack": {"kind": "corrupt-holder", "holder": 1, "drop": [1]}},
+     "attack.drop: only valid for kind drop-holder"),
+    # bench and expect
+    ({"bench": {"sizes_kb": []}}, "bench.sizes_kb: expected a non-empty list"),
+    ({"expect": [{"phase": "audit", "outcome": "success"}]},
+     "expect[0].phase: expected one of: registration, reconstruction, "
+     "integrity-check, refutation, renewal"),
+    ({"expect": [{"phase": "renewal", "outcome": "maybe"}]},
+     "expect[0].outcome: expected one of: success, fail, abort"),
+]
+
+
+@pytest.mark.parametrize("mapping,message", MESSAGES, ids=[
+    "%d-%s" % (i, m.split(":")[0].split("[")[0])
+    for i, (_, m) in enumerate(MESSAGES)])
+def test_malformed_mapping_is_refused_with_its_exact_message(mapping, message):
+    with pytest.raises(ConfigurationError) as info:
+        parse_scenario(mapping)
+    assert str(info.value) == message

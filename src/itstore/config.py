@@ -10,7 +10,8 @@ configuration errors with a precise dotted path.
     layout:
       threshold: 3
       holders: 4
-      field: mersenne127          # mersenne127 | mersenne31 | decimal prime
+      field: mersenne127          # mersenne127 | mersenne61 | mersenne31 |
+                                  # decimal prime
     mac:
       scheme: polyeval            # the only registration MAC
       k: 256                      # tag bits, multiple of 8, >= 16
@@ -56,9 +57,9 @@ dotted path of the offending key (e.g. "attack.holder: ...").
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -166,6 +167,14 @@ def _fail(path: str, message: str):
     raise ConfigurationError("%s: %s" % (path, message))
 
 
+def _check(fn, path: str, *args):
+    """fn(*args), with the ConfigurationError it raises reported at path."""
+    try:
+        return fn(*args)
+    except ConfigurationError as exc:
+        _fail(path, str(exc))
+
+
 def _as_mapping(value, path: str) -> dict:
     if value is None:
         return {}
@@ -174,67 +183,68 @@ def _as_mapping(value, path: str) -> dict:
     return value
 
 
-def _check_keys(mapping: dict, allowed, path: str):
-    for key in mapping:
-        if key not in allowed:
-            _fail(path, "unknown key %r (allowed: %s)"
-                  % (key, ", ".join(sorted(allowed))))
-
-
-def _as_str(value, path: str, default=None) -> str:
-    if value is None and default is not None:
-        return default
-    if not isinstance(value, str) or not value:
-        _fail(path, "expected a non-empty string")
-    return value
-
-
-def _as_int(value, path: str, default=None, minimum=None, maximum=None) -> int:
-    if value is None and default is not None:
-        value = default
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, "expected an integer")
-    if minimum is not None and value < minimum:
-        _fail(path, "must be >= %d" % minimum)
-    if maximum is not None and value > maximum:
-        _fail(path, "must be <= %d" % maximum)
-    return value
-
-
-def _as_bool(value, path: str, default: bool) -> bool:
+def _as_list(value, path: str, key=None) -> list:
     if value is None:
-        return default
-    if not isinstance(value, bool):
-        _fail(path, "expected true or false")
-    return value
-
-
-def _as_float(value, path: str, default: float, minimum: float) -> float:
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, "expected a number")
-    value = float(value)
-    if value < minimum:
-        _fail(path, "must be >= %g" % minimum)
-    return value
-
-
-def _as_list(value, path: str, default=None) -> list:
-    if value is None:
-        return list(default) if default is not None else []
+        return []
     if not isinstance(value, list):
         _fail(path, "expected a list")
     return value
 
 
-# --------------------------------------------------------------- sections
+# ------------------------------------------------------------------ readers
+#
+# A reader takes (value, path, key): the value given, the dotted path that
+# names it, and the row of the key, whose minimum and maximum it enforces.
+
+
+def _raw(value, path: str, key=None):
+    return value
+
+
+def _str(value, path: str, key=None) -> str:
+    if not isinstance(value, str) or not value:
+        _fail(path, "expected a non-empty string")
+    return value
+
+
+def _int(value, path: str, key) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(path, "expected an integer")
+    if key.minimum is not None and value < key.minimum:
+        _fail(path, "must be >= %d" % key.minimum)
+    if key.maximum is not None and value > key.maximum:
+        _fail(path, "must be <= %d" % key.maximum)
+    return value
+
+
+def _float(value, path: str, key) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(path, "expected a number")
+    value = float(value)
+    if value < key.minimum:
+        _fail(path, "must be >= %g" % key.minimum)
+    return value
+
+
+def _bool(value, path: str, key=None) -> bool:
+    if not isinstance(value, bool):
+        _fail(path, "expected true or false")
+    return value
+
+
+def _ints(value, path: str, key) -> tuple:
+    """A non-empty list of integers, each within the row's bounds."""
+    rows = _as_list(value, path)
+    if not rows:
+        _fail(path, "expected a non-empty list")
+    return tuple(_int(row, "%s[%d]" % (path, i), key)
+                 for i, row in enumerate(rows))
 
 
 _FIELD_ALIASES = {"mersenne127": 127, "mersenne31": 31, "mersenne61": 61}
 
 
-def _parse_field(value, path: str) -> PrimeField:
+def _parse_field(value, path: str, key=None) -> PrimeField:
     if value is None:
         return PrimeField.mersenne(DEFAULT_FIELD_EXPONENT)
     if isinstance(value, str) and value in _FIELD_ALIASES:
@@ -244,61 +254,187 @@ def _parse_field(value, path: str) -> PrimeField:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, "expected %s or a decimal prime"
               % "|".join(sorted(_FIELD_ALIASES)))
-    try:
-        return PrimeField(value)
-    except ConfigurationError as exc:
-        _fail(path, str(exc))
+    return _check(PrimeField, path, value)
 
 
-def _parse_layout(section, path: str) -> SpssParams:
-    sec = _as_mapping(section, path)
-    _check_keys(sec, ("threshold", "holders", "field"), path)
-    t_sh = _as_int(sec.get("threshold"), path + ".threshold",
-                   default=SpssParams.t_sh)
-    n_sh = _as_int(sec.get("holders"), path + ".holders",
-                   default=SpssParams.n_sh, minimum=2)
-    field = _parse_field(sec.get("field"), path + ".field")
-    try:
-        return SpssParams(t_sh=t_sh, n_sh=n_sh, field=field)
-    except ConfigurationError as exc:
-        _fail(path, str(exc))
+def _one_of(choices):
+    """A check that refuses a value not among choices."""
+    def check(value):
+        if value not in choices:
+            raise ConfigurationError("expected one of: %s" % ", ".join(choices))
+    return check
 
 
-def _parse_mac(section, path: str):
-    sec = _as_mapping(section, path)
-    _check_keys(sec, ("scheme", "k", "cs_tag_bits"), path)
-    raw = _as_str(sec.get("scheme"), path + ".scheme", default="polyeval")
-    try:
-        scheme = MacScheme(raw)
-    except ValueError:
-        _fail(path + ".scheme", "expected one of: %s"
-              % ", ".join(s.value for s in MacScheme))
-    k = _as_int(sec.get("k"), path + ".k", default=DEFAULT_K, minimum=1)
-    try:
-        check_k(k)
-    except ConfigurationError as exc:
-        _fail(path + ".k", str(exc))
-    cs_tag_bits = _as_int(sec.get("cs_tag_bits"), path + ".cs_tag_bits",
-                          default=DEFAULT_DIGEST_BITS)
-    try:
-        check_digest_bits(cs_tag_bits, k)
-    except ConfigurationError as exc:
-        _fail(path + ".cs_tag_bits", str(exc))
-    return scheme, k, cs_tag_bits
+# --------------------------------------------------------------- sections
+
+
+_REQUIRED = object()  # the default of a key that must be given, not null
+
+
+class _Key(NamedTuple):
+    """One key of a section: its reader, the default of an absent or null
+    key, the bounds the reader enforces, a check of the value read (a
+    ConfigurationError it raises is reported at the key), and the topology
+    scale that multiplies it, if any."""
+
+    name: str
+    read: object
+    default: object = _REQUIRED
+    minimum: object = None
+    maximum: object = None
+    check: object = None
+    scale: "str | None" = None
+
+
+def _keys(value, path: str, rules) -> dict:
+    """The mapping at path; a key no row names is refused."""
+    sec = _as_mapping(value, path)
+    if sec:
+        names = [key.name for key in rules]
+        for name in sec:
+            if name not in names:
+                _fail(path, "unknown key %r (allowed: %s)"
+                      % (name, ", ".join(sorted(names))))
+    return sec
+
+
+def _values(sec: dict, path: str, rules, make=None):
+    """The value of each row's key in sec, in row order; make, if given, is
+    called with them and its refusal reported at path. The keys of the
+    top-level mapping (path "") are named bare."""
+    prefix = path + "." if path else ""
+    out = []
+    for key in rules:
+        value = sec.get(key.name)
+        if value is None and key.default is not _REQUIRED:
+            out.append(key.default)
+            continue
+        value = key.read(value, prefix + key.name, key)
+        if key.check is not None:
+            _check(key.check, prefix + key.name, value)
+        out.append(value)
+    return out if make is None else _check(make, path, *out)
+
+
+def _section(value, path: str, rules, make=None):
+    """Read the fixed-key section at path by its rows (see _values)."""
+    return _values(_keys(value, path, rules), path, rules, make)
+
+
+def _rows(value, path: str, rules, make) -> tuple:
+    """Read the list at path, each item a section of the same rows."""
+    return tuple(_section(row, "%s[%d]" % (path, i), rules, make)
+                 for i, row in enumerate(_as_list(value, path)))
+
+
+def _sub(rules, make=None):
+    """The reader of a nested section."""
+    return lambda value, path, key: _section(value, path, rules, make)
+
+
+def _list_of(rules, make):
+    """The reader of a nested list of sections."""
+    return lambda value, path, key: _rows(value, path, rules, make)
+
+
+# Rows are in the order of make's parameters.
+_LAYOUT = (
+    _Key("threshold", _int, SpssParams.t_sh),
+    _Key("holders", _int, SpssParams.n_sh, minimum=2),
+    _Key("field", _parse_field),
+)
+_MAC = (
+    _Key("scheme", _str, MacScheme.POLYEVAL.value,
+         check=_one_of([s.value for s in MacScheme])),
+    _Key("k", _int, DEFAULT_K, minimum=1, check=check_k),
+    _Key("cs_tag_bits", _int, DEFAULT_DIGEST_BITS),
+)
+_RENEWAL = (
+    _Key("rounds", _int, 0, minimum=0),
+    _Key("group", _str, None),
+)
+_NODE = (
+    _Key("name", _str),
+    _Key("entropy_rate_bps", _int, NodeSpec.entropy_rate_bps, minimum=0,
+         scale="rate_scale"),
+    _Key("entropy_capacity_bits", _int, NodeSpec.entropy_capacity_bits,
+         minimum=1, scale="capacity_scale"),
+    _Key("initial_entropy_bits", _int, NodeSpec.initial_entropy_bits,
+         minimum=0, scale="capacity_scale"),
+)
+_LINK = (
+    _Key("name", _str),
+    _Key("a", _str),
+    _Key("b", _str),
+    _Key("rate_bps", _int, minimum=0, scale="rate_scale"),
+    _Key("length_km", _float, LinkSpec.length_km, minimum=0.0),
+    _Key("loss_db", _float, LinkSpec.loss_db, minimum=0.0),
+    _Key("capacity_bits", _int, LinkSpec.capacity_bits, minimum=1,
+         scale="capacity_scale"),
+)
+_TOPOLOGY = (
+    _Key("rate_scale", _float, 1.0, minimum=0.0),
+    _Key("capacity_scale", _float, 1.0, minimum=0.0),
+    _Key("nodes", _list_of(_NODE, NodeSpec)),
+    _Key("links", _list_of(_LINK, LinkSpec)),
+)
+_PLACEMENT = (
+    _Key("owner", _str, RolePlacement.owner),
+    _Key("end-user", _str, RolePlacement.end_user),
+    _Key("calculator", _str, RolePlacement.calculator),
+    _Key("verifier", _str, RolePlacement.verifier),
+    _Key("holders", _as_list, None),
+)
+_PAYLOAD = (
+    _Key("size_kb", _int, 1, minimum=1, maximum=_MAX_PAYLOAD_BYTES // 1024),
+    _Key("size_bytes", _int, minimum=1, maximum=_MAX_PAYLOAD_BYTES),
+    _Key("text", _str),
+)
+_ATTACK = (
+    _Key("kind", _str, "none", check=_one_of(ATTACK_KINDS)),
+    _Key("holder", _raw, None),
+    _Key("drop", _raw, None),
+)
+_BENCH = (
+    _Key("sizes_kb", _ints, BenchConfig.sizes_kb, minimum=1,
+         maximum=_MAX_PAYLOAD_BYTES // 1024),
+    _Key("repetitions", _int, BenchConfig.repetitions, minimum=1),
+    _Key("compare_general_prime", _bool, BenchConfig.compare_general_prime),
+)
+_OUTPUTS = (
+    _Key("transcript", _str, None),
+    _Key("csv", _str, None),
+    _Key("gnuplot", _str, None),
+)
+_EXPECT = (
+    _Key("phase", _str, check=_one_of(EXPECT_PHASES)),
+    _Key("outcome", _str, check=_one_of(EXPECT_OUTCOMES)),
+)
+# The top-level keys after "name", whose default the caller gives. The
+# sections read raw here are read below by the rules that join them to
+# other sections.
+_SCENARIO = (
+    _Key("seed", _str, "itstore"),
+    _Key("warmup_ms", _int, DEFAULT_WARMUP_MS, minimum=0),
+    _Key("layout", _sub(_LAYOUT, SpssParams)),
+    _Key("mac", _sub(_MAC)),
+    _Key("renewal", _raw),
+    _Key("topology", _raw),
+    _Key("placement", _raw),
+    _Key("clock_skews", _raw),
+    _Key("payload", _raw),
+    _Key("password", _str, DEFAULT_PASSWORD),
+    _Key("attack", _raw),
+    _Key("bench", _sub(_BENCH, BenchConfig)),
+    _Key("outputs", _sub(_OUTPUTS, OutputConfig)),
+    _Key("expect", _list_of(_EXPECT, Expectation)),
+)
 
 
 def _parse_renewal(section, path: str, field: PrimeField):
-    sec = _as_mapping(section, path)
-    _check_keys(sec, ("group", "rounds"), path)
-    rounds = _as_int(sec.get("rounds"), path + ".rounds", default=0, minimum=0)
-    raw = sec.get("group")
-    group = None
-    if raw is not None:
-        name = _as_str(raw, path + ".group")
-        try:
-            group = group_by_name(name)
-        except ConfigurationError as exc:
-            _fail(path + ".group", str(exc))
+    rounds, name = _section(section, path, _RENEWAL)
+    group = None if name is None else _check(group_by_name, path + ".group",
+                                             name)
     if rounds > 0:
         group = group or default_group(field.q)
         if group is None:
@@ -312,140 +448,56 @@ def _parse_renewal(section, path: str, field: PrimeField):
     return group, rounds
 
 
-def _scaled_topology(base: NetworkTopology, rate_scale: float,
-                     capacity_scale: float) -> NetworkTopology:
-    if rate_scale == 1.0 and capacity_scale == 1.0:
-        return base
-    nodes = tuple(
-        dataclasses.replace(
-            n,
-            entropy_rate_bps=max(0, int(n.entropy_rate_bps * rate_scale)),
-            entropy_capacity_bits=max(1, int(n.entropy_capacity_bits * capacity_scale)),
-            initial_entropy_bits=max(0, int(n.initial_entropy_bits * capacity_scale)),
-        )
-        for n in base.nodes)
-    links = tuple(
-        dataclasses.replace(
-            l,
-            rate_bps=max(0, int(l.rate_bps * rate_scale)),
-            capacity_bits=max(1, int(l.capacity_bits * capacity_scale)),
-        )
-        for l in base.links)
-    return NetworkTopology(nodes=nodes, links=links)
-
-
-def _parse_custom_nodes(rows, path: str) -> tuple:
-    nodes = []
-    for i, row in enumerate(rows):
-        p = "%s[%d]" % (path, i)
-        row = _as_mapping(row, p)
-        _check_keys(row, ("name", "entropy_rate_bps", "entropy_capacity_bits",
-                          "initial_entropy_bits"), p)
-        nodes.append(NodeSpec(
-            name=_as_str(row.get("name"), p + ".name"),
-            entropy_rate_bps=_as_int(
-                row.get("entropy_rate_bps"), p + ".entropy_rate_bps",
-                default=NodeSpec.entropy_rate_bps, minimum=0),
-            entropy_capacity_bits=_as_int(
-                row.get("entropy_capacity_bits"), p + ".entropy_capacity_bits",
-                default=NodeSpec.entropy_capacity_bits, minimum=1),
-            initial_entropy_bits=_as_int(
-                row.get("initial_entropy_bits"), p + ".initial_entropy_bits",
-                default=NodeSpec.initial_entropy_bits, minimum=0),
-        ))
-    return tuple(nodes)
-
-
-def _parse_custom_links(rows, path: str) -> tuple:
-    links = []
-    for i, row in enumerate(rows):
-        p = "%s[%d]" % (path, i)
-        row = _as_mapping(row, p)
-        _check_keys(row, ("name", "a", "b", "rate_bps", "length_km",
-                          "loss_db", "capacity_bits"), p)
-        spec = dict(
-            name=_as_str(row.get("name"), p + ".name"),
-            a=_as_str(row.get("a"), p + ".a"),
-            b=_as_str(row.get("b"), p + ".b"),
-            rate_bps=_as_int(row.get("rate_bps"), p + ".rate_bps", minimum=0),
-            length_km=_as_float(row.get("length_km"), p + ".length_km",
-                                default=LinkSpec.length_km, minimum=0.0),
-            loss_db=_as_float(row.get("loss_db"), p + ".loss_db",
-                              default=LinkSpec.loss_db, minimum=0.0),
-            capacity_bits=_as_int(row.get("capacity_bits"), p + ".capacity_bits",
-                                  default=LinkSpec.capacity_bits, minimum=1),
-        )
-        try:
-            links.append(LinkSpec(**spec))
-        except ConfigurationError as exc:
-            _fail(p, str(exc))
-    return tuple(links)
+def _scaled(spec, rules, scales: dict):
+    """spec with each scaled key multiplied by its scale, floored at the
+    minimum its row enforces on a scenario's own value."""
+    return type(spec)(*[
+        getattr(spec, key.name) if key.scale is None
+        else max(key.minimum, int(getattr(spec, key.name) * scales[key.scale]))
+        for key in rules])
 
 
 def _parse_topology(section, path: str) -> NetworkTopology:
-    sec = _as_mapping(section, path)
-    _check_keys(sec, ("rate_scale", "capacity_scale", "nodes", "links"), path)
-    rate_scale = _as_float(sec.get("rate_scale"), path + ".rate_scale",
-                           default=1.0, minimum=0.0)
-    capacity_scale = _as_float(sec.get("capacity_scale"), path + ".capacity_scale",
-                               default=1.0, minimum=0.0)
-    has_nodes = "nodes" in sec
-    has_links = "links" in sec
-    if has_nodes != has_links:
+    sec = _keys(section, path, _TOPOLOGY)
+    # a key given as null still selects a custom topology
+    if ("nodes" in sec) != ("links" in sec):
         _fail(path, "custom topologies need both nodes and links")
-    if has_nodes:
-        nodes = _parse_custom_nodes(_as_list(sec.get("nodes"), path + ".nodes"),
-                                    path + ".nodes")
-        links = _parse_custom_links(_as_list(sec.get("links"), path + ".links"),
-                                    path + ".links")
-        try:
-            base = NetworkTopology(nodes=nodes, links=links)
-        except ConfigurationError as exc:
-            _fail(path, str(exc))
+    rate_scale, capacity_scale, nodes, links = _values(sec, path, _TOPOLOGY)
+    if "nodes" in sec:
+        base = _check(NetworkTopology, path, nodes, links)
     else:
         base = DEFAULT_TOPOLOGY
-    try:
-        return _scaled_topology(base, rate_scale, capacity_scale)
-    except ConfigurationError as exc:
-        _fail(path, str(exc))
+    if rate_scale == 1.0 and capacity_scale == 1.0:
+        return base
+    scales = {"rate_scale": rate_scale, "capacity_scale": capacity_scale}
+    return NetworkTopology(
+        nodes=tuple(_scaled(n, _NODE, scales) for n in base.nodes),
+        links=tuple(_scaled(l, _LINK, scales) for l in base.links))
 
 
 def _parse_placement(section, path: str, topology: NetworkTopology,
                      n_sh: int) -> RolePlacement:
-    sec = _as_mapping(section, path)
-    _check_keys(sec, ("owner", "end-user", "calculator", "verifier", "holders"),
-                path)
+    *roles, holders = _section(section, path, _PLACEMENT)
     known = set(topology.node_names())
-    default = RolePlacement.for_holders(n_sh)
-
-    def node(key):
-        value = _as_str(sec.get(key), "%s.%s" % (path, key),
-                        default=getattr(default, key.replace("-", "_")))
-        if value not in known:
-            _fail("%s.%s" % (path, key),
-                  "node %r is not in the topology (nodes: %s)"
-                  % (value, ", ".join(sorted(known))))
-        return value
-
-    if sec.get("holders") is None and not known.issuperset(default.holders):
+    if holders is None:
+        holders = RolePlacement.for_holders(n_sh).holders
+        if not known.issuperset(holders):
+            _fail(path + ".holders",
+                  "no default placement covers %d holders on this topology; "
+                  "list the holder nodes explicitly" % n_sh)
+    if len(holders) != n_sh:
         _fail(path + ".holders",
-              "no default placement covers %d holders on this topology; "
-              "list the holder nodes explicitly" % n_sh)
-    rows = _as_list(sec.get("holders"), path + ".holders",
-                    default=default.holders)
-    if len(rows) != n_sh:
-        _fail(path + ".holders",
-              "expected %d holder nodes, got %d" % (n_sh, len(rows)))
-    holders = []
-    for i, row in enumerate(rows):
+              "expected %d holder nodes, got %d" % (n_sh, len(holders)))
+    for i, name in enumerate(holders):
         p = "%s.holders[%d]" % (path, i)
-        name = _as_str(row, p)
-        if name not in known:
+        if _str(name, p) not in known:
             _fail(p, "node %r is not in the topology" % name)
-        holders.append(name)
-    return RolePlacement(owner=node("owner"), end_user=node("end-user"),
-                         calculator=node("calculator"), verifier=node("verifier"),
-                         holders=tuple(holders))
+    for key, name in zip(_PLACEMENT, roles):
+        if name not in known:
+            _fail("%s.%s" % (path, key.name),
+                  "node %r is not in the topology (nodes: %s)"
+                  % (name, ", ".join(sorted(known))))
+    return RolePlacement(tuple(holders), *roles)
 
 
 def _parse_skews(section, path: str, n_sh: int) -> dict:
@@ -468,136 +520,60 @@ def derive_payload(seed: str, size_bytes: int) -> bytes:
 
 
 def _parse_payload(section, path: str, seed: str) -> bytes:
-    sec = _as_mapping(section, path)
-    _check_keys(sec, ("size_kb", "size_bytes", "text"), path)
-    given = [k for k in ("size_kb", "size_bytes", "text") if k in sec]
+    sec = _keys(section, path, _PAYLOAD)
+    # a key given as null is still given
+    given = [key for key in _PAYLOAD if key.name in sec] or [_PAYLOAD[0]]
     if len(given) > 1:
         _fail(path, "give exactly one of size_kb, size_bytes, text")
-    if "text" in sec:
-        text = _as_str(sec.get("text"), path + ".text")
-        return text.encode("utf-8")
-    if "size_bytes" in sec:
-        size = _as_int(sec.get("size_bytes"), path + ".size_bytes",
-                       minimum=1, maximum=_MAX_PAYLOAD_BYTES)
-    else:
-        size = _as_int(sec.get("size_kb"), path + ".size_kb", default=1,
-                       minimum=1, maximum=_MAX_PAYLOAD_BYTES // 1024) * 1024
-    return derive_payload(seed, size)
+    (value,) = _values(sec, path, given)
+    if given[0].name == "text":
+        return value.encode("utf-8")
+    return derive_payload(seed, value * 1024 if given[0].name == "size_kb"
+                          else value)
 
 
 def _parse_attack(section, path: str, n_sh: int) -> AttackConfig:
-    sec = _as_mapping(section, path)
-    _check_keys(sec, ("kind", "holder", "drop"), path)
-    kind = _as_str(sec.get("kind"), path + ".kind", default="none")
-    if kind not in ATTACK_KINDS:
-        _fail(path + ".kind", "expected one of: %s" % ", ".join(ATTACK_KINDS))
-    holder = None
-    drop = ()
+    kind, holder, drop = _section(section, path, _ATTACK)
+    index = _Key("index", _int, minimum=1, maximum=n_sh)
     if kind == "corrupt-holder":
-        holder = _as_int(sec.get("holder"), path + ".holder",
-                         minimum=1, maximum=n_sh)
-    elif sec.get("holder") is not None:
+        holder = _int(holder, path + ".holder", index)
+    elif holder is not None:
         _fail(path + ".holder", "only valid for kind corrupt-holder")
     if kind == "drop-holder":
-        rows = _as_list(sec.get("drop"), path + ".drop")
-        if not rows:
+        drop = _as_list(drop, path + ".drop")
+        if not drop:
             _fail(path + ".drop", "expected a non-empty list of holder indices")
-        seen = []
-        for i, row in enumerate(rows):
-            v = _as_int(row, "%s.drop[%d]" % (path, i), minimum=1, maximum=n_sh)
-            if v in seen:
-                _fail("%s.drop[%d]" % (path, i), "duplicate holder index %d" % v)
-            seen.append(v)
-        drop = tuple(seen)
-    elif sec.get("drop") is not None:
+        for i, row in enumerate(drop):
+            p = "%s.drop[%d]" % (path, i)
+            if _int(row, p, index) in drop[:i]:
+                _fail(p, "duplicate holder index %d" % row)
+    elif drop is not None:
         _fail(path + ".drop", "only valid for kind drop-holder")
-    return AttackConfig(kind=kind, holder=holder, drop=drop)
-
-
-def _parse_bench(section, path: str) -> BenchConfig:
-    sec = _as_mapping(section, path)
-    _check_keys(sec, ("sizes_kb", "repetitions", "compare_general_prime"), path)
-    rows = _as_list(sec.get("sizes_kb"), path + ".sizes_kb",
-                    default=BenchConfig.sizes_kb)
-    if not rows:
-        _fail(path + ".sizes_kb", "expected a non-empty list")
-    sizes = tuple(
-        _as_int(row, "%s.sizes_kb[%d]" % (path, i), minimum=1,
-                maximum=_MAX_PAYLOAD_BYTES // 1024)
-        for i, row in enumerate(rows))
-    reps = _as_int(sec.get("repetitions"), path + ".repetitions",
-                   default=BenchConfig.repetitions, minimum=1)
-    compare = _as_bool(sec.get("compare_general_prime"),
-                       path + ".compare_general_prime",
-                       default=BenchConfig.compare_general_prime)
-    return BenchConfig(sizes_kb=sizes, repetitions=reps,
-                       compare_general_prime=compare)
-
-
-def _parse_outputs(section, path: str) -> OutputConfig:
-    sec = _as_mapping(section, path)
-    _check_keys(sec, ("transcript", "csv", "gnuplot"), path)
-    out = {}
-    for key in ("transcript", "csv", "gnuplot"):
-        value = sec.get(key)
-        out[key] = None if value is None else _as_str(value, "%s.%s" % (path, key))
-    return OutputConfig(**out)
-
-
-def _parse_expect(rows, path: str) -> tuple:
-    out = []
-    for i, row in enumerate(rows):
-        p = "%s[%d]" % (path, i)
-        row = _as_mapping(row, p)
-        _check_keys(row, ("phase", "outcome"), p)
-        phase = _as_str(row.get("phase"), p + ".phase")
-        if phase not in EXPECT_PHASES:
-            _fail(p + ".phase", "expected one of: %s" % ", ".join(EXPECT_PHASES))
-        outcome = _as_str(row.get("outcome"), p + ".outcome")
-        if outcome not in EXPECT_OUTCOMES:
-            _fail(p + ".outcome",
-                  "expected one of: %s" % ", ".join(EXPECT_OUTCOMES))
-        out.append(Expectation(phase=phase, outcome=outcome))
-    return tuple(out)
+    return AttackConfig(kind=kind, holder=holder, drop=tuple(drop or ()))
 
 
 # ------------------------------------------------------------- entry points
 
-_TOP_KEYS = ("name", "seed", "warmup_ms", "layout", "mac", "renewal",
-             "placement", "clock_skews", "topology", "payload", "password",
-             "attack", "bench", "outputs", "expect")
-
 
 def parse_scenario(mapping, name_default: str = "scenario") -> ScenarioConfig:
     """Validate a parsed YAML mapping into a ScenarioConfig."""
-    sec = _as_mapping(mapping, "scenario")
-    _check_keys(sec, _TOP_KEYS, "scenario")
-
-    name = _as_str(sec.get("name"), "name", default=name_default)
-    seed = _as_str(sec.get("seed"), "seed", default="itstore")
-    warmup_ms = _as_int(sec.get("warmup_ms"), "warmup_ms",
-                        default=DEFAULT_WARMUP_MS, minimum=0)
-
-    params = _parse_layout(sec.get("layout"), "layout")
-    scheme, k, cs_tag_bits = _parse_mac(sec.get("mac"), "mac")
-    group, rounds = _parse_renewal(sec.get("renewal"), "renewal", params.field)
-    topology = _parse_topology(sec.get("topology"), "topology")
-    placement = _parse_placement(sec.get("placement"), "placement",
-                                 topology, params.n_sh)
-    skews = _parse_skews(sec.get("clock_skews"), "clock_skews", params.n_sh)
-    payload = _parse_payload(sec.get("payload"), "payload", seed)
-    password = _as_str(sec.get("password"), "password",
-                       default=DEFAULT_PASSWORD).encode("utf-8")
-    attack = _parse_attack(sec.get("attack"), "attack", params.n_sh)
-    bench = _parse_bench(sec.get("bench"), "bench")
-    outputs = _parse_outputs(sec.get("outputs"), "outputs")
-    expect = _parse_expect(_as_list(sec.get("expect"), "expect"), "expect")
-
+    rules = (_Key("name", _str, name_default),) + _SCENARIO
+    (name, seed, warmup_ms, params, (scheme, k, cs_tag_bits), renewal,
+     topology, placement, skews, payload, password, attack, bench, outputs,
+     expect) = _values(_keys(mapping, "scenario", rules), "", rules)
+    _check(check_digest_bits, "mac.cs_tag_bits", cs_tag_bits, k)
+    group, rounds = _parse_renewal(renewal, "renewal", params.field)
+    topology = _parse_topology(topology, "topology")
     return ScenarioConfig(
         name=name, seed=seed, warmup_ms=warmup_ms, params=params,
-        scheme=scheme, k=k, cs_tag_bits=cs_tag_bits, renewal_group=group,
-        renewal_rounds=rounds, placement=placement, clock_skews=skews,
-        topology=topology, payload=payload, password=password, attack=attack,
+        scheme=MacScheme(scheme), k=k, cs_tag_bits=cs_tag_bits,
+        renewal_group=group, renewal_rounds=rounds,
+        placement=_parse_placement(placement, "placement", topology,
+                                   params.n_sh),
+        clock_skews=_parse_skews(skews, "clock_skews", params.n_sh),
+        topology=topology, payload=_parse_payload(payload, "payload", seed),
+        password=password.encode("utf-8"),
+        attack=_parse_attack(attack, "attack", params.n_sh),
         bench=bench, outputs=outputs, expect=expect)
 
 

@@ -103,6 +103,11 @@ class NetworkTopology:
         names = [n.name for n in self.nodes]
         if len(set(names)) != len(names):
             raise ConfigurationError("duplicate node names")
+        for name in names:
+            # pair-stream PRF labels and snapshot keys join two node names
+            # with "|", so a name holding one could alias another pair
+            if "|" in name:
+                raise ConfigurationError("node name %r contains '|'" % name)
         link_names = [l.name for l in self.links]
         if len(set(link_names)) != len(link_names):
             raise ConfigurationError("duplicate link names")

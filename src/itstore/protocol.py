@@ -581,6 +581,9 @@ class TpvSession:
         t1 = self.clock(self.CALCULATOR)
         sid = self.net.supply_randomness(self.CALCULATOR, SID_BYTES * 8)
         sid = sid.to_bytes(SID_BYTES, "big")
+        # encoded first, so a t1 outside its u64 field is refused before
+        # anything is tagged or sent
+        receipt_msg = self.codec.encode("receipt", sid, t1)
         entropy = self.net.entropy_source(self.CALCULATOR)
 
         pw_element = password_to_element(pw, field)
@@ -593,7 +596,6 @@ class TpvSession:
                                            ss.password_share)
                       for j, ss in holder_sets.items()}
         tag_msg = self.codec.encode("tag-report", sid, t1, tag.to_bytes())
-        receipt_msg = self.codec.encode("receipt", sid, t1)
 
         plan = [(self.CALCULATOR, self._holder_ep(j), len(share_msgs[j]))
                 for j in self.params.holder_indices]

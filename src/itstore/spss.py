@@ -112,6 +112,13 @@ class SpssParams:
         # the password itself, so secrecy needs at least 3.
         if self.t_sh != 3:
             raise ConfigurationError("masked reconstruction requires t_sh = 3")
+        # Holder indices travel in one byte (a precomp contributor, a
+        # renewal sender, a recon-ask subset) and the record header stores
+        # n_sh in one.
+        if self.n_sh > 255:
+            raise ConfigurationError(
+                "holder indices travel in one byte, so n_sh <= 255, got %d"
+                % self.n_sh)
         # Holder indices are the sharing nodes and the extraction's
         # Vandermonde columns: both need them distinct and nonzero mod q.
         if self.field.q <= self.n_sh:

@@ -28,8 +28,9 @@ SCHEMA lists for its kind, big-endian and without padding. Field types:
 
 The widths W, P, tag, digest and the renewal degree are the session's
 (Codec's constructor takes them); none is configured separately. A value
-too long for its length prefix (a password over 65,535 bytes, say) is
-refused with ConfigurationError before any byte is encoded.
+too long for its length prefix (a password over 65,535 bytes, say), or an
+integer outside its field's width (a negative t1, say), is refused with
+ConfigurationError before any byte is encoded.
 """
 
 from __future__ import annotations
@@ -258,7 +259,13 @@ class Codec:
                                                            strict=True):
             width = self.sizes[key]
             if category == "int":
-                out.append(value.to_bytes(width, "big"))
+                try:
+                    out.append(value.to_bytes(width, "big"))
+                except OverflowError:
+                    raise ConfigurationError(
+                        "%s field %s holds %d; its %d-byte width allows "
+                        "0..%d" % (kind, name, value, width,
+                                   (1 << (8 * width)) - 1)) from None
             elif category == "raw":
                 out.append(value)
             elif category == "bytes":

@@ -163,6 +163,25 @@ def test_bad_sid_arguments(tmp_path, capsys):
     assert code == 3 and "unknown secret id" in err
 
 
+@pytest.mark.parametrize("t1", ["-5", str(1 << 64)])
+def test_a_claimed_t1_outside_its_u64_field_is_refused(tmp_path, capsys, t1):
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    for command in ("refute", "verify"):
+        code, _out, err = run_cli(capsys, command, "--workspace", str(ws),
+                                  "--text", "a forged claim", "--t1", t1)
+        assert code == 3
+        assert "field t1 holds %s" % t1 in err
+    # nothing was sent: the workspace still reconstructs and refutes
+    code, out, _ = run_cli(capsys, "reconstruct", "--workspace", str(ws),
+                           "--password", PASSWORD)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "refute", "--workspace", str(ws),
+                           "--text", "a forged claim")
+    assert code == 0
+    assert "refutation success" in out
+
+
 def test_existing_workspace_rejects_config(tmp_path, capsys):
     ws = tmp_path / "ws"
     register(capsys, ws)

@@ -147,6 +147,27 @@ def test_layout_threshold_above_holder_count_rejected():
         parse_scenario({"layout": {"threshold": 3, "holders": 2}})
 
 
+def test_layout_holders_above_a_byte_rejected():
+    # holder indices travel in one byte; 255 holders still parse
+    star = {
+        "nodes": [{"name": "hub"}]
+        + [{"name": "h%d" % j} for j in range(1, 257)],
+        "links": [{"name": "l%d" % j, "a": "hub", "b": "h%d" % j,
+                   "rate_bps": 1} for j in range(1, 257)],
+    }
+    holders = ["h%d" % j for j in range(1, 257)]
+    cfg = parse_scenario({"layout": {"holders": 255}, "topology": star,
+                          "placement": {"owner": "hub", "end-user": "hub",
+                                        "calculator": "hub", "verifier": "hub",
+                                        "holders": holders[:255]}})
+    assert cfg.params.n_sh == 255
+    with pytest.raises(ConfigurationError) as info:
+        parse_scenario({"layout": {"holders": 256}, "topology": star,
+                        "placement": {"holders": holders}})
+    assert str(info.value) == (
+        "layout: holder indices travel in one byte, so n_sh <= 255, got 256")
+
+
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ConfigurationError, match="scenario.*unknown key"):
         parse_scenario({"paylod": {"size_kb": 1}})
@@ -297,6 +318,15 @@ def test_custom_link_refused_by_its_spec_names_its_row():
         }})
     assert str(info.value) == (
         "topology.links[0]: link l joins a node to itself")
+
+
+def test_custom_node_name_with_a_pair_separator_rejected():
+    with pytest.raises(ConfigurationError) as info:
+        parse_scenario({"topology": {
+            "nodes": [{"name": "A|B"}, {"name": "C"}],
+            "links": [{"name": "l", "a": "A|B", "b": "C", "rate_bps": 1}],
+        }})
+    assert str(info.value) == "topology: node name 'A|B' contains '|'"
 
 
 # ---------------------------------------------------------------- placement

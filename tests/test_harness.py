@@ -190,6 +190,20 @@ def test_transcript_never_mentions_the_storage_location(tmp_path):
     assert bytes.fromhex(result.secret_id) in holder_record_files(root / "holder-1")
 
 
+def test_a_calculator_clock_before_the_epoch_aborts_registration(tmp_path):
+    # t1 travels as a u64: a clock skewed below zero is refused before any
+    # share leaves the calculator
+    root = tmp_path / "run"
+    result = run_scenario(
+        scenario(clock_skews={"calculator": -100_000_000}), storage_root=root)
+    assert result.observed == {"registration": "abort"}
+    assert result.exit_code == EXIT_ABORT
+    assert "receipt field t1 holds -96400000" in result.transcript
+    assert "kind=shares" not in result.transcript
+    for j in range(1, 5):
+        assert holder_record_files(root / ("holder-%d" % j)) == {}
+
+
 def test_transcript_output_file(tmp_path):
     out = tmp_path / "sub" / "run.transcript"
     result = run_scenario(scenario(outputs={"transcript": str(out)}))

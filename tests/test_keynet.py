@@ -62,6 +62,17 @@ def test_topology_validation():
                    LinkSpec("cd", "C", "D", rate_bps=1)))
 
 
+def test_node_names_that_would_alias_a_pair_stream_are_refused():
+    # "A|B"-"C" and "A"-"B|C" would key their pair streams with one PRF
+    # label, so the first messages on the two pairs would share pad bits
+    nodes = (NodeSpec("A|B"), NodeSpec("C"), NodeSpec("A"), NodeSpec("B|C"))
+    links = (LinkSpec("l1", "A|B", "C", rate_bps=1),
+             LinkSpec("l2", "C", "A", rate_bps=1),
+             LinkSpec("l3", "A", "B|C", rate_bps=1))
+    with pytest.raises(ConfigurationError, match=r"node name 'A\|B'"):
+        NetworkTopology(nodes=nodes, links=links)
+
+
 def test_default_topology_shape_and_paths():
     topo = DEFAULT_TOPOLOGY
     assert len(topo.nodes) == 5 and len(topo.links) == 6

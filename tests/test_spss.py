@@ -144,6 +144,12 @@ def test_register_validation():
         spss_register(b"x", 31, F31_PARAMS, rng)
 
 
+def test_at_most_255_holders_since_indices_travel_in_one_byte():
+    assert SpssParams(3, 255).n_sh == 255
+    with pytest.raises(ConfigurationError, match="n_sh <= 255, got 256"):
+        SpssParams(3, 256)
+
+
 def test_password_mapping():
     assert password_to_element(b"\x05", F31) == 5
     assert password_to_element(b"\x20", F31) == 1  # 32 mod 31

@@ -84,6 +84,17 @@ def test_a_value_too_long_for_its_length_prefix_is_refused(prefix, kind,
         CODEC.encode(kind, *values)
 
 
+@pytest.mark.parametrize("value", [-1, 1 << 64])
+def test_an_integer_outside_its_field_width_is_refused(value):
+    values = list(sample_values("receipt"))
+    values[1] = value
+    with pytest.raises(ConfigurationError) as info:
+        CODEC.encode("receipt", *values)
+    assert str(info.value) == (
+        "receipt field t1 holds %d; its 8-byte width allows "
+        "0..18446744073709551615" % value)
+
+
 def test_codes_are_distinct():
     codes = [code for code, _fields in SCHEMA.values()]
     assert sorted(codes) == list(range(1, len(SCHEMA) + 1))

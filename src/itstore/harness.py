@@ -457,15 +457,16 @@ def _bench_compare(config: ScenarioConfig, reps: int):
     kind_rows = {kind: [] for kind in fields}
     times = {kind: [] for kind in fields}
     # the kinds alternate rep by rep, so drift in the host's speed during
-    # the comparison slows both of them alike
+    # the comparison slows both of them alike; they are timed in process
+    # CPU seconds, which a stall spent running other processes leaves out
     for rep in range(reps):
         for kind, fld in fields.items():
             rnd = SeededEntropy("%s|compare|%s|%d" % (config.seed, kind, rep),
                                 "bench-compare")
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             holders, secret = spss_register(payload, passwords[kind],
                                             params[kind], rnd, t1=rep + 1)
-            dt = time.perf_counter() - t0
+            dt = time.process_time() - t0
             text = ("compare-register kind=%s q_bits=%d rep=%d blocks=%d "
                     "holders=%d\n" % (kind, fld.q.bit_length(), rep,
                                       len(secret.blocks), len(holders)))

@@ -37,8 +37,10 @@ from itstore.spss import (
     spss_recover,
     spss_register,
     spss_request,
+    spend_rounds,
 )
 from itstore.mac import split_blocks
+from itstore.stores import _encode_share_set
 
 F31 = PrimeField.mersenne(5)
 F31_PARAMS = SpssParams(field=F31)
@@ -743,6 +745,36 @@ def test_tuples_are_single_use():
     resp2 = [holder_respond(holders[j], req2[j]) for j in (1, 2, 4)]
     assert spss_recover(resp2, 5, params, byte_length=1) == b"\xc0"
     assert set(first).isdisjoint(second)
+
+
+def test_spend_rounds_answers_in_named_order_and_refuses_before_any_change():
+    params = SpssParams()
+    rng = SeededEntropy(b"spend-rule")
+    holders, _ = spss_register(b"spend", 5, params, rng)
+    precompute_round(holders, rng, rounds=7)
+    values = {rid: (tup.r, tup.z) for rid, tup in holders[1].tuples.items()}
+    assert sorted(values) == list(range(7))
+    for j in (2, 3, 4):
+        assert {rid: (t.r, t.z) for rid, t in holders[j].tuples.items()
+                } != values  # each holder holds its own shares
+    # (r, z) come back in the order the ids are named
+    assert spend_rounds(holders[1], [4, 1]) == [values[4], values[1]]
+    assert holders[1].unconsumed_rounds() == [0, 2, 3, 5, 6]
+    # a scattered set leaves the others with their values
+    values = {rid: (tup.r, tup.z) for rid, tup in holders[2].tuples.items()}
+    assert spend_rounds(holders[2], (0, 2, 5)) == [values[0], values[2],
+                                                   values[5]]
+    assert {rid: (t.r, t.z) for rid, t in holders[2].tuples.items()} == {
+        rid: values[rid] for rid in (1, 3, 4, 6)}
+    # an id outside the u32 range or not an int is not live, alone or
+    # after a live id, and nothing changes before the refusal
+    before = _encode_share_set(holders[3])
+    for ids in ((-1,), (1 << 32,), ("x",), (0, -1), (0, 1 << 32),
+                (0, "x")):
+        with pytest.raises(PrecomputationExhaustedError):
+            spend_rounds(holders[3], ids)
+        assert _encode_share_set(holders[3]) == before
+    assert holders[3].unconsumed_rounds() == list(range(7))
 
 
 def test_fifo_tuple_choice_without_pinning():

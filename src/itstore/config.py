@@ -57,6 +57,7 @@ dotted path of the offending key (e.g. "attack.holder: ...").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -220,7 +221,12 @@ def _int(value, path: str, key) -> int:
 def _float(value, path: str, key) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "expected a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        _fail(path, "expected a finite number")
     if value < key.minimum:
         _fail(path, "must be >= %g" % key.minimum)
     return value
@@ -448,13 +454,21 @@ def _parse_renewal(section, path: str, field: PrimeField):
     return group, rounds
 
 
-def _scaled(spec, rules, scales: dict):
+def _scaled(spec, rules, scales: dict, path: str):
     """spec with each scaled key multiplied by its scale, floored at the
-    minimum its row enforces on a scenario's own value."""
-    return type(spec)(*[
-        getattr(spec, key.name) if key.scale is None
-        else max(key.minimum, int(getattr(spec, key.name) * scales[key.scale]))
-        for key in rules])
+    minimum its row enforces on a scenario's own value. A product past the
+    float range is refused at the scale's key."""
+    values = []
+    for key in rules:
+        value = getattr(spec, key.name)
+        if key.scale is not None:
+            value *= scales[key.scale]
+            if not math.isfinite(value):
+                _fail("%s.%s" % (path, key.scale),
+                      "scales %s past the float range" % key.name)
+            value = max(key.minimum, int(value))
+        values.append(value)
+    return type(spec)(*values)
 
 
 def _parse_topology(section, path: str) -> NetworkTopology:
@@ -471,8 +485,8 @@ def _parse_topology(section, path: str) -> NetworkTopology:
         return base
     scales = {"rate_scale": rate_scale, "capacity_scale": capacity_scale}
     return NetworkTopology(
-        nodes=tuple(_scaled(n, _NODE, scales) for n in base.nodes),
-        links=tuple(_scaled(l, _LINK, scales) for l in base.links))
+        nodes=tuple(_scaled(n, _NODE, scales, path) for n in base.nodes),
+        links=tuple(_scaled(l, _LINK, scales, path) for l in base.links))
 
 
 def _parse_placement(section, path: str, topology: NetworkTopology,

@@ -337,6 +337,21 @@ def test_run_invalid_config_is_exit_3(tmp_path, capsys):
     assert "configuration error" in err and "layout" in err
 
 
+def test_run_refuses_a_non_finite_number_in_a_scenario(tmp_path, capsys):
+    # YAML's .inf and .nan reached the topology scaling, which raised a
+    # raw OverflowError or ValueError
+    for name, body, key in (
+            ("inf", "topology: {rate_scale: .inf}\n", "topology.rate_scale"),
+            ("nan", "topology:\n  nodes: [{name: A}, {name: B}]\n"
+                    "  links: [{name: l, a: A, b: B, rate_bps: 1, "
+                    "length_km: .nan}]\n", "topology.links[0].length_km")):
+        cfg = write_scenario(tmp_path, name, body)
+        code, _out, err = run_cli(capsys, "run", cfg)
+        assert code == 3
+        assert "configuration error" in err
+        assert "%s: expected a finite number" % key in err
+
+
 def test_bench_subcommand(tmp_path, capsys):
     cfg = write_scenario(tmp_path, "bench", """\
 seed: cli-bench-suite

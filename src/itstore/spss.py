@@ -51,6 +51,9 @@ combination of sharings of zero, so it still shares zero.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from operator import add, mul
 
@@ -65,11 +68,13 @@ from .errors import (
 from .field import PrimeField, zero_coefficients
 from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
 from .mac import split_blocks
+from .wire import Cursor, column
 
 __all__ = [
     "SpssParams",
     "RegisteredSecret",
     "PrecomputedTuple",
+    "LiveTuples",
     "HolderShareSet",
     "SpssRequest",
     "MaskedResponse",
@@ -175,38 +180,93 @@ class RegisteredSecret:
 class PrecomputedTuple:
     """One holder's live masking tuple: its share r of an extracted random
     value R (degree t-2) and its share z of an extracted sharing Z of zero
-    (degree t-1). Spending it removes it from its share set."""
+    (degree t-1). LiveTuples builds one each time a tuple is read."""
 
     round_id: int
     r: int
     z: int
 
 
+class LiveTuples(Mapping):
+    """A holder's live masking tuples for one secret, in its record's form:
+    `ids`, the live round ids ascending as u32s, and `r` and `z`, byte
+    columns of `width`-byte big-endian values in id order. So a tuple is
+    one entry in each column, and no object per tuple is kept.
+
+    It reads as a mapping from round id to a PrecomputedTuple built on
+    access. precompute_round appends a stock to it and spend_rounds takes
+    tuples out; nothing else changes it."""
+
+    __slots__ = ("width", "ids", "r", "z")
+
+    def __init__(self, width: int, ids=(), r: bytes = b"", z: bytes = b""):
+        self.width = width
+        self.ids = array("I", ids)
+        self.r = r
+        self.z = z
+
+    def position(self, rid) -> "int | None":
+        """rid's index in ids, or None when rid is not a live round."""
+        ids = self.ids
+        try:
+            pos = bisect_left(ids, rid)
+        except TypeError:  # not comparable with an int, so not live
+            return None
+        return pos if pos < len(ids) and ids[pos] == rid else None
+
+    def __getitem__(self, rid) -> PrecomputedTuple:
+        pos = self.position(rid)
+        if pos is None:
+            raise KeyError(rid)
+        width = self.width
+        a, b = pos * width, (pos + 1) * width
+        return PrecomputedTuple(self.ids[pos],
+                                int.from_bytes(self.r[a:b], "big"),
+                                int.from_bytes(self.z[a:b], "big"))
+
+    def __contains__(self, rid) -> bool:
+        return self.position(rid) is not None
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return "LiveTuples(%r)" % dict(self.items())
+
+
 @dataclass
 class HolderShareSet:
     """Everything holder j keeps for one registered secret.
 
-    tuples holds the live masking tuples only. Round ids are stocked
-    contiguously from 0 and next_round is one past the highest ever
-    stocked, so a spent round is an id below next_round that is absent.
-    renewal_runs holds the renewal rounds applied to data_shares as
-    increasing, non-touching (first, end) ranges.
+    tuples holds the live masking tuples only, as LiveTuples columns (an
+    empty one when not given). Round ids are stocked contiguously from 0
+    and next_round is one past the highest ever stocked, so a spent round
+    is an id below next_round that is absent. renewal_runs holds the
+    renewal rounds applied to data_shares as increasing, non-touching
+    (first, end) ranges.
     """
 
     holder: int
     params: SpssParams
     data_shares: tuple  # f_{D_i}(j) for i = 1..l+1, index order
     password_share: int  # f_P(j)
-    tuples: dict = dc_field(default_factory=dict)  # round_id -> PrecomputedTuple
+    tuples: "LiveTuples | None" = None
     next_round: int = 0
     renewal_runs: list = dc_field(default_factory=list)
+
+    def __post_init__(self):
+        if self.tuples is None:
+            self.tuples = LiveTuples(self.params.field.byte_width)
 
     @property
     def block_count(self) -> int:
         return len(self.data_shares)
 
-    def unconsumed_rounds(self):
-        return sorted(self.tuples)
+    def unconsumed_rounds(self) -> list:
+        return self.tuples.ids.tolist()
 
 
 @dataclass(frozen=True)
@@ -293,7 +353,11 @@ def precompute_round(holders: dict, randomness, rounds: int = 1,
     The tuples come from params.batch_count(rounds) batches: per batch
     every holder contributes a random sharing and a zero sharing, and
     every holder extracts w = n - t + 1 tuples from the n contributions it
-    holds (see the module docstring), keeping the first `rounds`.
+    receives (see the module docstring), keeping the first `rounds`. It
+    folds each contribution into its w unreduced row sums per kind as the
+    contribution arrives, keeps none of them, and reduces mod q once at
+    the end; the new tuples are appended to each holder's LiveTuples
+    columns.
 
     randomness is either a single RandomSource or {holder: RandomSource},
     matching how the simulation gives each holder its own entropy pool.
@@ -329,8 +393,10 @@ def precompute_round(holders: dict, randomness, rounds: int = 1,
             % (rounds, start))
     batches = params.batch_count(rounds)
 
-    # received[j] lists (r values, z values) per contributor, index order
-    received = {j: [] for j in indices}
+    # rows[j] holds holder j's w unreduced row sums of each kind, and
+    # every contribution is folded in as it arrives
+    rows = {j: (_zero_rows(params, batches), _zero_rows(params, batches))
+            for j in indices}
     for d in indices:
         src = randomness[d] if isinstance(randomness, dict) else randomness
         r_cols, z_cols = masking_columns(params, src, batches)
@@ -344,16 +410,18 @@ def precompute_round(holders: dict, randomness, rounds: int = 1,
                         "holder %d got %s values from %d, expected %d each"
                         % (j, "/".join(str(len(v)) for v in vals), d,
                            batches))
-            received[j].append(vals)
+            for kind_rows, values in zip(rows[j], vals):
+                _fold(kind_rows, d, values, field.q)
 
-    new_ids = tuple(range(start, start + rounds))
+    width = field.byte_width
     for j in indices:
-        r_out = extract(params, [r for r, _ in received[j]])
-        z_out = extract(params, [z for _, z in received[j]])
-        for rid, r, z in zip(new_ids, r_out, z_out):
-            holders[j].tuples[rid] = PrecomputedTuple(rid, r, z)
+        r_rows, z_rows = rows.pop(j)
+        live = holders[j].tuples
+        live.r += column(_reduced(r_rows, field.q)[:rounds], width)
+        live.z += column(_reduced(z_rows, field.q)[:rounds], width)
+        live.ids.extend(range(start, start + rounds))
         holders[j].next_round = start + rounds
-    return new_ids
+    return tuple(range(start, start + rounds))
 
 
 def retired_rounds(live, reported) -> tuple:
@@ -377,21 +445,37 @@ def extract(params: SpssParams, contributions) -> list:
     """Apply rows k = 0..w-1 of V[k][d] = d^k to one holder's received
     values: contributions[d-1] lists contributor d's value per batch, and
     the result lists sum_d d^k * contributions[d-1][b] mod q in the order
-    (b, k), batch-major.
-
-    Each row runs one list pass per contributor over all batches, adding
-    weight-1 terms plainly, and reduces each sum once at the end."""
-    q = params.field.q
-    w = params.extraction_width
+    (b, k), batch-major. precompute_round runs the same fold, one
+    contribution at a time as each arrives."""
     batches = min(map(len, contributions), default=0)
-    out = [0] * (batches * w)
-    for k in range(w):
-        acc = [0] * batches
-        for d, values in zip(params.holder_indices, contributions):
-            weight = pow(d, k, q)
-            acc = (list(map(add, acc, values)) if weight == 1 else
+    rows = _zero_rows(params, batches)
+    for d, values in zip(params.holder_indices, contributions):
+        _fold(rows, d, values, params.field.q)
+    return _reduced(rows, params.field.q)
+
+
+def _zero_rows(params: SpssParams, batches: int) -> list:
+    """w row sums of `batches` values each, all zero."""
+    return [[0] * batches for _ in range(params.extraction_width)]
+
+
+def _fold(rows: list, d: int, values, q: int) -> None:
+    """Add contributor d's values to the row sums, row k weighted d^k mod q:
+    one list pass per row, weight-1 terms added plainly, nothing reduced."""
+    for k, acc in enumerate(rows):
+        weight = pow(d, k, q)
+        rows[k] = (list(map(add, acc, values)) if weight == 1 else
                    [a + weight * v for a, v in zip(acc, values)])
-        out[k::w] = [a % q for a in acc]
+
+
+def _reduced(rows: list, q: int) -> list:
+    """The row sums reduced mod q, batch-major: row k of batch b at
+    b * w + k. Each row is dropped once it is reduced."""
+    w = len(rows)
+    out = [0] * (w * len(rows[0]))
+    for k in range(w):
+        out[k::w] = [a % q for a in rows[k]]
+        rows[k] = None
     return out
 
 
@@ -458,19 +542,44 @@ def spend_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
     wrong-password requester D_i - D_j), an id that is not live
     (PrecomputationExhaustedError), and, when count is given, any other
     number of ids (ImproperRequestError).
+
+    A response usually names one run of consecutive live positions (the
+    lowest rounds every contacted holder holds); that case is checked with
+    one slice comparison and cut out of each column with slices. Any other
+    set is found id by id, and the columns are rebuilt once.
     """
     ids = tuple(ids)
     if len(set(ids)) != len(ids):
         raise ImproperRequestError("a masking round is named twice")
     live = share_set.tuples
-    for rid in ids:
-        if rid not in live:
+    n = len(ids)
+    first = live.position(ids[0]) if ids else None
+    run = first is not None and live.ids[first:first + n].tolist() == list(ids)
+    if not run:
+        positions = [live.position(rid) for rid in ids]
+        if None in positions:
             raise PrecomputationExhaustedError(
-                "holder %d cannot spend round %r" % (share_set.holder, rid))
-    if count is not None and len(ids) != count:
+                "holder %d cannot spend round %r"
+                % (share_set.holder, ids[positions.index(None)]))
+    if count is not None and n != count:
         raise ImproperRequestError(
-            "request pins %d tuples, %d blocks to mask" % (len(ids), count))
-    return [(tup.r, tup.z) for tup in map(live.pop, ids)]
+            "request pins %d tuples, %d blocks to mask" % (n, count))
+    w = live.width
+    if run:
+        spent = [col[first * w:(first + n) * w] for col in (live.r, live.z)]
+        kept = [(0, first), (first + n, len(live.ids))]
+    else:
+        spent = [b"".join([col[p * w:(p + 1) * w] for p in positions])
+                 for col in (live.r, live.z)]
+        bounds = [-1, *sorted(positions), len(live.ids)]
+        kept = [(a + 1, b) for a, b in zip(bounds, bounds[1:]) if b > a + 1]
+    r_vals, z_vals = (Cursor(raw).uints(n, w) for raw in spent)
+    live.r, live.z = (b"".join([col[a * w:b * w] for a, b in kept])
+                      for col in (live.r, live.z))
+    old_ids, live.ids = live.ids, array("I")
+    for a, b in kept:
+        live.ids += old_ids[a:b]
+    return list(zip(r_vals, z_vals))
 
 
 def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedResponse:

@@ -54,7 +54,11 @@ in the 127-bit field and nothing per spent one: round ids are stocked
 contiguously from 0, so an id below `next_round` that is not live is
 spent. Spent ids are never materialized, on disk or in memory: a share
 set holds its live tuples and `next_round`, nothing more, and its
-renewal rounds as runs, which are written back as runs too.
+renewal rounds as runs, which are written back as runs too. The live
+tuples stay in memory in the record's form (`spss.LiveTuples`: the ids
+as u32s, then the r and z byte columns), so a save writes the two
+columns as they are and opening takes them as they are stored, without
+decoding a value.
 
 A holder keeps no log. The spend journal of earlier versions is never
 opened: a spend that reached only that file was never released, because
@@ -100,13 +104,14 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
+from itertools import chain, starmap
 from pathlib import Path
 
 from .errors import ConfigurationError, ProtocolError, TamperDetectedError
 from .field import PrimeField
 from .mac import MacSeed, MacTag, seed_from_bytes, seed_to_bytes
-from .spss import (HolderShareSet, PrecomputedTuple, SpssParams,
-                   holder_respond, spend_rounds)
+from .spss import (HolderShareSet, LiveTuples, SpssParams, holder_respond,
+                   spend_rounds)
 from .wire import Cursor, column, encode_ids, encode_runs, expand_runs
 
 __all__ = [
@@ -548,8 +553,7 @@ def _encode_share_set(ss: HolderShareSet) -> bytes:
     Spent tuples leave no trace beyond next_round."""
     field = ss.params.field
     width = field.byte_width
-    tuples = ss.tuples
-    live = ss.unconsumed_rounds()
+    live = ss.tuples
     return b"".join((
         struct.pack(">BBH", ss.params.t_sh, ss.params.n_sh, width),
         field.q.to_bytes(width, "big"),
@@ -558,9 +562,9 @@ def _encode_share_set(ss: HolderShareSet) -> bytes:
         ss.password_share.to_bytes(width, "big"),
         encode_runs(ss.renewal_runs),
         struct.pack(">I", ss.next_round),
-        encode_ids(live),
-        column([tuples[rid].r for rid in live], width),
-        column([tuples[rid].z for rid in live], width),
+        encode_ids(live.ids),
+        live.r,
+        live.z,
     ))
 
 
@@ -578,17 +582,17 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
     renewal_runs = rd.runs(limit=1 << 32)
     next_round = rd.uint(4)
     # each live id has an r and a z after the runs, which bounds the runs
-    # before any is expanded
-    live = rd.ids(limit=(len(body) - rd.pos) // (2 * width))
-    r_column = rd.uints(len(live), width)
-    z_column = rd.uints(len(live), width)
+    # before any is expanded; the columns are kept as they are stored
+    live_runs = rd.runs(limit=(len(body) - rd.pos) // (2 * width))
+    count = sum(end - first for first, end in live_runs)
+    live = LiveTuples(width, chain.from_iterable(starmap(range, live_runs)),
+                      rd.take(count * width), rd.take(count * width))
     rd.done()
-    if live and live[-1] >= next_round:
+    if live_runs and live_runs[-1][1] > next_round:
         raise TamperDetectedError("%s: a live round id at or past next "
                                   "round %d" % (path, next_round))
-    tuples = dict(zip(live, map(PrecomputedTuple, live, r_column, z_column)))
     return HolderShareSet(holder, params, data_shares, password_share,
-                          tuples, next_round, renewal_runs)
+                          live, next_round, renewal_runs)
 
 
 def _record_digest(holder: int, secret_id: bytes, body: bytes) -> bytes:

@@ -10,6 +10,7 @@ computed by hand in F_31.
 import copy
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -563,6 +564,28 @@ def test_rounds_stock_exactly_that_many_tuples_from_ceil_rounds_over_w_draws(
     per_pair = (params.password_degree + 1 + params.data_degree) * 127
     for source in sources.values():
         assert source.bits_drawn == batches * per_pair
+
+
+def test_a_holder_keeps_its_live_tuples_as_columns_not_objects():
+    # a tuple is one u32 id and one value in each of two byte columns, so
+    # a holder keeps 4 + 2 * 16 bytes per live tuple in the 127-bit field;
+    # a round folds every contribution into its row sums as it arrives,
+    # and keeps no per-contributor values
+    params = SpssParams()
+    holders, _ = spss_register(b"mem", 5, params, SeededEntropy(b"mem-reg"))
+    src = SeededEntropy(b"mem-round")
+    rounds = 4000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        precompute_round(holders, src, rounds)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_tuple = rounds * params.n_sh
+    assert (live - base) / per_tuple <= 64
+    assert (peak - base) / per_tuple <= 320
+    assert all(len(s.tuples) == rounds for s in holders.values())
 
 
 def test_a_pinned_id_named_twice_is_refused_before_any_tuple_is_spent():

@@ -233,9 +233,6 @@ class LiveTuples(Mapping):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __repr__(self) -> str:
-        return "LiveTuples(%r)" % dict(self.items())
-
 
 @dataclass
 class HolderShareSet:

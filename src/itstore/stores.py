@@ -104,7 +104,6 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
-from itertools import chain, starmap
 from pathlib import Path
 
 from .errors import ConfigurationError, ProtocolError, TamperDetectedError
@@ -583,16 +582,15 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
     next_round = rd.uint(4)
     # each live id has an r and a z after the runs, which bounds the runs
     # before any is expanded; the columns are kept as they are stored
-    live_runs = rd.runs(limit=(len(body) - rd.pos) // (2 * width))
-    count = sum(end - first for first, end in live_runs)
-    live = LiveTuples(width, chain.from_iterable(starmap(range, live_runs)),
-                      rd.take(count * width), rd.take(count * width))
+    live = rd.ids(limit=(len(body) - rd.pos) // (2 * width))
+    tuples = LiveTuples(width, live, rd.take(len(live) * width),
+                        rd.take(len(live) * width))
     rd.done()
-    if live_runs and live_runs[-1][1] > next_round:
+    if live and live[-1] >= next_round:
         raise TamperDetectedError("%s: a live round id at or past next "
                                   "round %d" % (path, next_round))
     return HolderShareSet(holder, params, data_shares, password_share,
-                          live, next_round, renewal_runs)
+                          tuples, next_round, renewal_runs)
 
 
 def _record_digest(holder: int, secret_id: bytes, body: bytes) -> bytes:

@@ -690,27 +690,6 @@ MESSAGES = [
      "topology.capacity_scale: must be >= 0"),
     (_link(length_km=-2.5), "topology.links[0].length_km: must be >= 0"),
     (_link(loss_db=True), "topology.links[0].loss_db: expected a number"),
-    # a number past the float range, or not a number at all, has no scale
-    # and no length
-    ({"topology": {"rate_scale": float("inf")}},
-     "topology.rate_scale: expected a finite number"),
-    ({"topology": {"rate_scale": float("nan")}},
-     "topology.rate_scale: expected a finite number"),
-    ({"topology": {"capacity_scale": float("inf")}},
-     "topology.capacity_scale: expected a finite number"),
-    ({"topology": {"capacity_scale": float("nan")}},
-     "topology.capacity_scale: expected a finite number"),
-    ({"topology": {"rate_scale": 10 ** 400}},
-     "topology.rate_scale: expected a finite number"),
-    (_link(length_km=float("nan")),
-     "topology.links[0].length_km: expected a finite number"),
-    (_link(loss_db=float("inf")),
-     "topology.links[0].loss_db: expected a finite number"),
-    ({"topology": {"rate_scale": 1e308}},
-     "topology.rate_scale: scales entropy_rate_bps past the float range"),
-    ({"topology": {"capacity_scale": 1e308}},
-     "topology.capacity_scale: scales entropy_capacity_bits past the float "
-     "range"),
     # lists
     ({"expect": "all"}, "expect: expected a list"),
     ({"topology": {"nodes": {"name": "A"}, "links": []}},
@@ -821,6 +800,27 @@ MESSAGES = [
      "integrity-check, refutation, renewal"),
     ({"expect": [{"phase": "renewal", "outcome": "maybe"}]},
      "expect[0].outcome: expected one of: success, fail, abort"),
+    # a number past the float range, or not a number at all, has no scale
+    # and no length
+    ({"topology": {"rate_scale": float("inf")}},
+     "topology.rate_scale: expected a finite number"),
+    ({"topology": {"rate_scale": float("nan")}},
+     "topology.rate_scale: expected a finite number"),
+    ({"topology": {"capacity_scale": float("inf")}},
+     "topology.capacity_scale: expected a finite number"),
+    ({"topology": {"capacity_scale": float("nan")}},
+     "topology.capacity_scale: expected a finite number"),
+    ({"topology": {"rate_scale": 10 ** 400}},
+     "topology.rate_scale: expected a finite number"),
+    (_link(length_km=float("nan")),
+     "topology.links[0].length_km: expected a finite number"),
+    (_link(loss_db=float("inf")),
+     "topology.links[0].loss_db: expected a finite number"),
+    ({"topology": {"rate_scale": 1e308}},
+     "topology.rate_scale: scales entropy_rate_bps past the float range"),
+    ({"topology": {"capacity_scale": 1e308}},
+     "topology.capacity_scale: scales entropy_capacity_bits past the float "
+     "range"),
 ]
 
 

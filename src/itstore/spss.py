@@ -189,9 +189,9 @@ class PrecomputedTuple:
 
 class LiveTuples(Mapping):
     """A holder's live masking tuples for one secret, in its record's form:
-    `ids`, the live round ids ascending as u32s, and `r` and `z`, byte
-    columns of `width`-byte big-endian values in id order. So a tuple is
-    one entry in each column, and no object per tuple is kept.
+    `ids`, the live round ids ascending as u32s, and `r` and `z`,
+    bytearray columns of `width`-byte big-endian values in id order. So a
+    tuple is one entry in each column, and no object per tuple is kept.
 
     It reads as a mapping from round id to a PrecomputedTuple built on
     access. precompute_round appends a stock to it and spend_rounds takes
@@ -202,8 +202,8 @@ class LiveTuples(Mapping):
     def __init__(self, width: int, ids=(), r: bytes = b"", z: bytes = b""):
         self.width = width
         self.ids = array("I", ids)
-        self.r = r
-        self.z = z
+        self.r = bytearray(r)
+        self.z = bytearray(z)
 
     def position(self, rid) -> "int | None":
         """rid's index in ids, or None when rid is not a live round."""
@@ -540,42 +540,48 @@ def spend_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
     (PrecomputationExhaustedError), and, when count is given, any other
     number of ids (ImproperRequestError).
 
-    A response usually names one run of consecutive live positions (the
-    lowest rounds every contacted holder holds); that case is checked with
-    one slice comparison and cut out of each column with slices. Any other
-    set is found id by id, and the columns are rebuilt once.
+    The named ids are found as stretches: a stretch starts at one id's
+    position and grows while the next named id is the next live id, so
+    the lowest live rounds a response pins are one stretch, found with
+    one search. The spent values are read a stretch at a time, and the
+    kept tuples are moved down over the spent ones in place, one pass
+    over the three columns however scattered the ids are.
     """
     ids = tuple(ids)
     if len(set(ids)) != len(ids):
         raise ImproperRequestError("a masking round is named twice")
     live = share_set.tuples
-    n = len(ids)
-    first = live.position(ids[0]) if ids else None
-    run = first is not None and live.ids[first:first + n].tolist() == list(ids)
-    if not run:
-        positions = [live.position(rid) for rid in ids]
-        if None in positions:
+    stretches = []  # (first position, count), in the order named
+    k, n, stock = 0, len(ids), len(live)
+    while k < n:
+        first = live.position(ids[k])
+        if first is None:
             raise PrecomputationExhaustedError(
-                "holder %d cannot spend round %r"
-                % (share_set.holder, ids[positions.index(None)]))
+                "holder %d cannot spend round %r" % (share_set.holder, ids[k]))
+        m = 1
+        while (k + m < n and first + m < stock
+               and live.ids[first + m] == ids[k + m]):
+            m += 1
+        stretches.append((first, m))
+        k += m
     if count is not None and n != count:
         raise ImproperRequestError(
             "request pins %d tuples, %d blocks to mask" % (n, count))
     w = live.width
-    if run:
-        spent = [col[first * w:(first + n) * w] for col in (live.r, live.z)]
-        kept = [(0, first), (first + n, len(live.ids))]
-    else:
-        spent = [b"".join([col[p * w:(p + 1) * w] for p in positions])
-                 for col in (live.r, live.z)]
-        bounds = [-1, *sorted(positions), len(live.ids)]
-        kept = [(a + 1, b) for a, b in zip(bounds, bounds[1:]) if b > a + 1]
-    r_vals, z_vals = (Cursor(raw).uints(n, w) for raw in spent)
-    live.r, live.z = (b"".join([col[a * w:b * w] for a, b in kept])
-                      for col in (live.r, live.z))
-    old_ids, live.ids = live.ids, array("I")
-    for a, b in kept:
-        live.ids += old_ids[a:b]
+    r_vals, z_vals = (
+        Cursor(b"".join([col[a * w:(a + m) * w] for a, m in stretches]))
+        .uints(n, w) for col in (live.r, live.z))
+    # move each kept run of tuples down over the spent ones before it,
+    # then drop the columns' tails
+    cuts = sorted(stretches) + [(stock, 0)]
+    dst = cuts[0][0]
+    for (a, m), (end, _) in zip(cuts, cuts[1:]):
+        src = a + m
+        live.ids[dst:dst + end - src] = live.ids[src:end]
+        for col in (live.r, live.z):
+            col[dst * w:(dst + end - src) * w] = col[src * w:end * w]
+        dst += end - src
+    del live.ids[dst:], live.r[dst * w:], live.z[dst * w:]
     return list(zip(r_vals, z_vals))
 
 

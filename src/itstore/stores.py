@@ -574,6 +574,12 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
     t_sh, n_sh, width = rd.uint(1), rd.uint(1), rd.uint(2)
     q = rd.uint(width)
     params = SpssParams(t_sh, n_sh, PrimeField(q))
+    if width != params.field.byte_width:
+        # the live columns are kept as stored, while new tuples and every
+        # save use the field's width, so the two must agree
+        raise TamperDetectedError("%s: values %d bytes wide for a %d-byte "
+                                  "field" % (path, width,
+                                             params.field.byte_width))
     data_shares = rd.uints(rd.uint(4), width)
     password_share = rd.uint(width)
     # renewal rounds are never expanded, so only the u32 id space bounds

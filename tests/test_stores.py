@@ -659,14 +659,15 @@ def id_run_list(runs) -> bytes:
 
 
 def live_runs_body(share_set, seq, next_round, runs, r_column, z_column,
-                   renewals=()):
+                   renewals=(), width=None):
     """A record body in the current layout, from its parts: the header,
     the data and password shares, the renewal rounds' (first, count) runs,
     next_round, the live ids' runs, then the live tuples' r column and z
     column. With renewals=None, the earlier live-tuple-runs layout, which
-    kept no renewal rounds."""
+    kept no renewal rounds. Every value is `width` bytes wide, the field's
+    byte width unless given."""
     params = share_set.params
-    width = params.field.byte_width
+    width = width or params.field.byte_width
 
     def column(values):
         return b"".join(v.to_bytes(width, "big") for v in values)
@@ -719,6 +720,25 @@ def test_a_record_whose_runs_and_columns_disagree_fails_closed(tmp_path,
                           [1] * n_r, [2] * n_z)
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+        HolderStore(tmp_path / "holder-1")
+
+
+def test_a_record_wider_than_its_field_fails_closed(tmp_path):
+    # a width past the field's still holds every value, and an unkeyed
+    # digest is no bar to writing one; kept, its live columns would be
+    # out of step with the next stock, so it is refused at open
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[2])
+    sid = secrets[0][0]
+    share_set = stores[1].get_secret(sid)
+    tuples = share_set.tuples
+    path = live_record_path(tmp_path / "holder-1", sid)
+    body = live_runs_body(share_set, 2, 2, [(0, 2)],
+                          [tuples[rid].r for rid in (0, 1)],
+                          [tuples[rid].z for rid in (0, 1)],
+                          width=share_set.params.field.byte_width + 1)
+    path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    with pytest.raises(TamperDetectedError,
+                       match=re.escape(str(path)) + ".* bytes wide"):
         HolderStore(tmp_path / "holder-1")
 
 

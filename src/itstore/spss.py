@@ -551,6 +551,7 @@ def spend_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
     if len(set(ids)) != len(ids):
         raise ImproperRequestError("a masking round is named twice")
     live = share_set.tuples
+    live_ids = live.ids
     stretches = []  # (first position, count), in the order named
     k, n, stock = 0, len(ids), len(live)
     while k < n:
@@ -558,9 +559,8 @@ def spend_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
         if first is None:
             raise PrecomputationExhaustedError(
                 "holder %d cannot spend round %r" % (share_set.holder, ids[k]))
-        m = 1
-        while (k + m < n and first + m < stock
-               and live.ids[first + m] == ids[k + m]):
+        m, most = 1, min(n - k, stock - first)
+        while m < most and live_ids[first + m] == ids[k + m]:
             m += 1
         stretches.append((first, m))
         k += m
@@ -577,11 +577,11 @@ def spend_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
     dst = cuts[0][0]
     for (a, m), (end, _) in zip(cuts, cuts[1:]):
         src = a + m
-        live.ids[dst:dst + end - src] = live.ids[src:end]
+        live_ids[dst:dst + end - src] = live_ids[src:end]
         for col in (live.r, live.z):
             col[dst * w:(dst + end - src) * w] = col[src * w:end * w]
         dst += end - src
-    del live.ids[dst:], live.r[dst * w:], live.z[dst * w:]
+    del live_ids[dst:], live.r[dst * w:], live.z[dst * w:]
     return list(zip(r_vals, z_vals))
 
 

@@ -800,6 +800,31 @@ def test_spend_rounds_answers_in_named_order_and_refuses_before_any_change():
     assert holders[3].unconsumed_rounds() == list(range(7))
 
 
+def test_spend_rounds_matches_a_dict_of_tuples_on_random_spends():
+    # ids are found as stretches of consecutive live positions and the
+    # kept tuples are moved down over the spent ones; a plain dict from
+    # round id to (r, z) is the reference for any mix of stretches
+    params = SpssParams(field=F31)
+    rng = SeededEntropy(b"spend-model")
+    holders, _ = spss_register(b"\xc0", 5, params, rng)
+    precompute_round(holders, rng, rounds=40)
+    share_set = holders[1]
+    model = {rid: (t.r, t.z) for rid, t in share_set.tuples.items()}
+    pick = random.Random(7)
+    while model:
+        live = sorted(model)
+        start = pick.randrange(len(live))
+        ids = live[start:start + pick.randint(1, 6)]
+        ids += pick.sample(live, min(len(live), pick.randint(0, 3)))
+        ids = list(dict.fromkeys(ids))
+        if pick.random() < 0.3:
+            ids.reverse()
+        assert spend_rounds(share_set, ids) == [model.pop(r) for r in ids]
+        assert {rid: (t.r, t.z) for rid, t in share_set.tuples.items()
+                } == model
+        assert share_set.unconsumed_rounds() == sorted(model)
+
+
 def test_fifo_tuple_choice_without_pinning():
     # every request pins its rounds; pinning the oldest live ones spends
     # what an unpinned request once did

@@ -58,7 +58,8 @@ renewal rounds as runs, which are written back as runs too. The live
 tuples stay in memory in the record's form (`spss.LiveTuples`: the ids
 as u32s, then the r and z byte columns), so a save writes the two
 columns as they are and opening takes them as they are stored, without
-decoding a value.
+decoding a value. A record whose values are not its field's byte width
+is refused at open, since its columns would not match the next stock's.
 
 A holder keeps no log. The spend journal of earlier versions is never
 opened: a spend that reached only that file was never released, because

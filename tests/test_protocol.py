@@ -938,6 +938,45 @@ def test_a_recon_ask_that_repeats_a_round_id_spends_nothing(tmp_path):
     assert session.reconstruct_and_release(sid, PASSWORD).data == DATA
 
 
+def test_each_reconstruction_pins_the_lowest_rounds_its_subset_holds(
+        tmp_path):
+    # no precompute between the reconstructions, so the holders' live
+    # rounds diverge and holder 4's get a gap; each request pins the
+    # lowest rounds that every holder of its subset still holds
+    session = make_session(tmp_path)
+    sid, _t1 = session.register(DATA, PASSWORD)
+    b = session.holder_stores[1].get_secret(sid).block_count
+    session.precompute(sid, rounds=3 * b + 2)
+    holders = session.params.holder_indices
+    for subset, pinned in (((1, 2, 3), range(0, b)),
+                           ((2, 3, 4), range(b, 2 * b)),
+                           ((1, 2, 4), range(2 * b, 3 * b))):
+        before = {j: live_ids(session, sid, j) for j in holders}
+        result = session.reconstruct_and_release(sid, PASSWORD,
+                                                 subset=subset)
+        assert result.data == DATA
+        for j in holders:
+            assert live_ids(session, sid, j) == [
+                rid for rid in before[j] if j not in subset
+                or rid not in pinned]
+    tail = list(range(3 * b, 3 * b + 2))
+    assert live_ids(session, sid, 1) == list(range(b, 2 * b)) + tail
+    assert live_ids(session, sid, 3) == list(range(2 * b, 3 * b)) + tail
+    assert live_ids(session, sid, 4) == list(range(b)) + tail
+    # holders 1, 3 and 4 share only the two rounds past the third stock
+    records = {j: live_record(session.holder_stores[j], sid)
+               for j in holders}
+    result = session.reconstruct_and_release(sid, PASSWORD,
+                                             subset=(1, 3, 4))
+    detail = "2 masking rounds available, %d blocks to serve" % b
+    assert (result.outcome, result.detail) == (Outcome.ABORT, detail)
+    assert session.transcript[-1] == (
+        "verdict sid=%s phase=reconstruction outcome=abort detail=%s"
+        % (sid.hex(), detail))
+    for j in holders:
+        assert live_record(session.holder_stores[j], sid) == records[j]
+
+
 def run_every_phase(session):
     sid, _t1, _blocks = register_and_stock(session)
     session.cs_register(sid, DATA)

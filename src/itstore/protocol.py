@@ -102,7 +102,7 @@ from .spss import (
     spss_request,
 )
 from .stores import CalculatorStore, HolderStore, VerifierRecord, VerifierStore
-from .wire import SID_BYTES, Codec
+from .wire import SID_BYTES, Codec, expand_runs, head_runs, intersect_runs
 
 __all__ = [
     "Phase",
@@ -487,20 +487,21 @@ class TpvSession:
         return 1 + SID_BYTES + 8 + self.k // 8
 
     def _send(self, sender: str, receiver: str, kind: str, header,
-              *body) -> tuple:
+              *body, packed: bool = False) -> tuple:
         """Encode one message (header fields, then body fields), deliver
-        it, and return the body fields as the receiver decodes them."""
-        payload = self.codec.encode(kind, *header, *body)
-        return self._deliver(sender, receiver, kind, payload, header)
+        it, and return the body fields as the receiver decodes them;
+        packed: W* and ids fields in wire's packed form, on both sides."""
+        payload = self.codec.encode(kind, *header, *body, packed=packed)
+        return self._deliver(sender, receiver, kind, payload, header, packed)
 
     def _deliver(self, sender: str, receiver: str, kind: str,
-                 payload: bytes, header=()) -> tuple:
+                 payload: bytes, header=(), packed: bool = False) -> tuple:
         """Deliver encoded bytes; the receiver decodes them and checks
         that their leading fields equal header, the sid of the exchange
         first (register-data alone has no header and no sid)."""
         delivered = self.transport.send(sender, receiver, kind, payload,
                                         sid=header[0] if header else None)
-        return self.codec.decode(kind, delivered, header)
+        return self.codec.decode(kind, delivered, header, packed)
 
     def _verdict(self, sid: bytes, phase: Phase, outcome: Outcome,
                  detail: str = "") -> VerdictEvent:
@@ -592,8 +593,9 @@ class TpvSession:
         holder_sets, _secret = spss_register(body, pw_element, self.params,
                                              entropy, t1)
 
-        share_msgs = {j: self.codec.encode("shares", sid, ss.data_shares,
-                                           ss.password_share)
+        # the share columns travel and are stored as they are
+        share_msgs = {j: self.codec.encode("shares", sid, ss.shares,
+                                           ss.password_share, packed=True)
                       for j, ss in holder_sets.items()}
         tag_msg = self.codec.encode("tag-report", sid, t1, tag.to_bytes())
 
@@ -612,7 +614,7 @@ class TpvSession:
         for j in self.params.holder_indices:
             shares, pw_share = self._deliver(
                 self.CALCULATOR, self._holder_ep(j), "shares", share_msgs[j],
-                (sid,))
+                (sid,), packed=True)
             self.holder_stores[j].put_secret(
                 sid, HolderShareSet(j, self.params, shares, pw_share))
 
@@ -659,7 +661,7 @@ class TpvSession:
         # holder agrees on this id
         start = sets[1].next_round
         batches = self.params.batch_count(rounds)
-        live = {j: sets[j].unconsumed_rounds() for j in sets}
+        live = {j: sets[j].tuples.runs() for j in sets}
         reported = {j: [] for j in sets}  # live ids each holder was sent
 
         def deliver(d, j, r_vals, z_vals):
@@ -667,12 +669,12 @@ class TpvSession:
             flat[0::2], flat[1::2] = r_vals, z_vals
             held, flat = self._send(self._holder_ep(d), self._holder_ep(j),
                                     "precomp", (sid, start, batches, d),
-                                    live[d], flat)
-            if held and held[-1] >= start:
+                                    live[d], flat, packed=True)
+            if held and held[-1][1] > start:
                 raise ProtocolError(
                     "holder %d reports live round %d at or past first "
-                    "round %d" % (d, held[-1], start))
-            reported[j].append(held)
+                    "round %d" % (d, held[-1][1] - 1, start))
+            reported[j].append(expand_runs(held))
             return flat[0::2], flat[1::2]
 
         sources = {j: self.net.entropy_source(self._holder_ep(j))
@@ -680,7 +682,8 @@ class TpvSession:
         new_ids = precompute_round(sets, sources, rounds, deliver)
         for j in sets:
             store = self.holder_stores[j]
-            store.retire(sid, retired_rounds(live[j], reported[j]))
+            store.retire(sid, retired_rounds(expand_runs(live[j]),
+                                             reported[j]))
             store.save(sid)
         self.transcript.append("precompute sid=%s rounds=%d first=%d"
                                % (sid.hex(), rounds, start))
@@ -729,30 +732,32 @@ class TpvSession:
                 "only %d of %d holders reachable" % (len(chosen),
                                                      params.t_sh))
 
-        # phase 1: what can each chosen holder serve?
+        # phase 1: what can each chosen holder serve? Live ids travel and
+        # are intersected as runs; the lowest common ones are pinned.
         expected_blocks = data_block_count(c_len, params) + 1
-        id_sets = []
+        held = []
         for j in chosen:
             holder = self._holder_ep(j)
             self._send(self.CALCULATOR, holder, "avail-query", (sid,))
             share_set = self.holder_stores[j].get_secret(sid)
-            blocks, ids = self._send(holder, self.CALCULATOR, "avail-reply",
-                                     (sid,), share_set.block_count,
-                                     share_set.unconsumed_rounds())
+            blocks, runs = self._send(holder, self.CALCULATOR, "avail-reply",
+                                      (sid,), share_set.block_count,
+                                      share_set.tuples.runs(), packed=True)
             if blocks != expected_blocks:
                 return self._abort_reconstruction(
                     sid, _ABORT_THRESHOLD,
                     "holder %d stores %d blocks, expected %d"
                     % (j, blocks, expected_blocks))
-            id_sets.append(set(ids))
+            held.append(runs)
 
-        common = sorted(set.intersection(*id_sets))
-        if len(common) < expected_blocks:
+        common = intersect_runs(held)
+        available = sum(end - first for first, end in common)
+        if available < expected_blocks:
             return self._abort_reconstruction(
                 sid, _ABORT_PRECOMPUTATION,
                 "%d masking rounds available, %d blocks to serve"
-                % (len(common), expected_blocks))
-        tuple_ids = tuple(common[:expected_blocks])
+                % (available, expected_blocks))
+        pinned = head_runs(common, expected_blocks)
 
         # phase 2: masked responses
         try:
@@ -762,15 +767,16 @@ class TpvSession:
                 sid, _ABORT_AUTHENTICATOR, "unusable password attempt")
         requests = spss_request(pw_element, chosen, params,
                                 self.net.entropy_source(self.CALCULATOR),
-                                tuple_ids=tuple_ids)
+                                tuple_ids=expand_runs(pinned))
         responses = []
         for j in chosen:
             holder = self._holder_ep(j)
-            members, pw_share, ids = self._send(
+            members, pw_share, runs = self._send(
                 self.CALCULATOR, holder, "recon-ask", (sid,), bytes(chosen),
-                requests[j].password_share, tuple_ids)
+                requests[j].password_share, pinned, packed=True)
             response = self.holder_stores[j].respond(
-                sid, SpssRequest(tuple(members), pw_share, ids))
+                sid, SpssRequest(tuple(members), pw_share,
+                                 expand_runs(runs)))
             values = response.values
             if j in tampers:
                 values = tuple(tampers[j](values))

@@ -24,8 +24,9 @@ for an unknown fresh R_i, and the authenticator equation
     F_{l+1}(0) == sum_i F_i(0) P'^i
 
 accepts with probability 1/q at most (one linear constraint on the fresh
-offsets). Each tuple is consumed by exactly one response: spend_rounds is
-the one way a tuple leaves a holder, for a response and for a retire.
+offsets). Each tuple is consumed by exactly one response: cut_rounds is
+the one way a tuple leaves a holder, for a response (spend_rounds, which
+also decodes the spent values) and for a retire.
 
 Masking tuples come from precomputation batches with randomness
 extraction (Damgard-Nielsen, CRYPTO 2007). In a batch every holder d
@@ -68,7 +69,7 @@ from .errors import (
 from .field import PrimeField, zero_coefficients
 from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
 from .mac import split_blocks
-from .wire import Cursor, column
+from .wire import Cursor, column, id_ranges, intersect_runs
 
 __all__ = [
     "SpssParams",
@@ -88,6 +89,7 @@ __all__ = [
     "extract",
     "check_subset",
     "spss_request",
+    "cut_rounds",
     "spend_rounds",
     "holder_respond",
     "spss_recover",
@@ -194,7 +196,7 @@ class LiveTuples(Mapping):
     tuple is one entry in each column, and no object per tuple is kept.
 
     It reads as a mapping from round id to a PrecomputedTuple built on
-    access. precompute_round appends a stock to it and spend_rounds takes
+    access. precompute_round appends a stock to it and cut_rounds takes
     tuples out; nothing else changes it."""
 
     __slots__ = ("width", "ids", "r", "z")
@@ -227,6 +229,25 @@ class LiveTuples(Mapping):
     def __contains__(self, rid) -> bool:
         return self.position(rid) is not None
 
+    def runs(self) -> list:
+        """The live ids as canonical (first, end) ranges, found without a
+        list of the ids: positions a..b-1 hold one run exactly when
+        ids[b-1] - ids[a] == b-1-a, since the ids increase, so a span
+        that is not one run is halved until its parts are. One span, and
+        one comparison, when every live id is in one run."""
+        ids, out = self.ids, []
+        spans = [(0, len(ids))] if ids else []
+        while spans:
+            a, b = spans.pop()
+            if ids[b - 1] - ids[a] != b - 1 - a:
+                m = (a + b) // 2
+                spans += ((m, b), (a, m))  # the left half comes off first
+            elif out and out[-1][1] == ids[a]:  # halves of one run
+                out[-1] = (out[-1][0], ids[b - 1] + 1)
+            else:
+                out.append((ids[a], ids[b - 1] + 1))
+        return out
+
     def __iter__(self):
         return iter(self.ids)
 
@@ -236,19 +257,25 @@ class LiveTuples(Mapping):
 
 @dataclass
 class HolderShareSet:
-    """Everything holder j keeps for one registered secret.
+    """Everything holder j keeps for one registered secret, in its
+    record's form.
 
-    tuples holds the live masking tuples only, as LiveTuples columns (an
-    empty one when not given). Round ids are stocked contiguously from 0
-    and next_round is one past the highest ever stocked, so a spent round
-    is an id below next_round that is absent. renewal_runs holds the
-    renewal rounds applied to data_shares as increasing, non-touching
-    (first, end) ranges.
+    shares is the data-share column: f_{D_i}(j) for i = 1..l+1, in index
+    order, each the field's byte width big-endian, so a share costs its
+    16 bytes in the 127-bit field and no int is kept per share.
+    data_shares reads the column as a tuple of ints, decoded on each read,
+    and assigning it a sequence of ints writes the column. tuples holds
+    the live masking tuples only, as LiveTuples columns (an empty one when
+    not given). Round ids are stocked contiguously from 0 and next_round
+    is one past the highest ever stocked, so a spent round is an id below
+    next_round that is absent. renewal_runs holds the renewal rounds
+    applied to the data shares as increasing, non-touching (first, end)
+    ranges.
     """
 
     holder: int
     params: SpssParams
-    data_shares: tuple  # f_{D_i}(j) for i = 1..l+1, index order
+    shares: bytes
     password_share: int  # f_P(j)
     tuples: "LiveTuples | None" = None
     next_round: int = 0
@@ -259,8 +286,17 @@ class HolderShareSet:
             self.tuples = LiveTuples(self.params.field.byte_width)
 
     @property
+    def data_shares(self) -> tuple:
+        return Cursor(self.shares).uints(self.block_count,
+                                         self.params.field.byte_width)
+
+    @data_shares.setter
+    def data_shares(self, values) -> None:
+        self.shares = column(values, self.params.field.byte_width)
+
+    @property
     def block_count(self) -> int:
-        return len(self.data_shares)
+        return len(self.shares) // self.params.field.byte_width
 
     def unconsumed_rounds(self) -> list:
         return self.tuples.ids.tolist()
@@ -335,7 +371,9 @@ def spss_register(data: bytes, password: int, params: SpssParams,
     pw_coeffs = [password, *drawn[n_data:]]
 
     holders = {
-        j: HolderShareSet(j, params, tuple(field.eval_columns(columns, j)),
+        j: HolderShareSet(j, params,
+                          column(field.eval_columns(columns, j),
+                                 field.byte_width),
                           field.poly_eval_int(pw_coeffs, j))
         for j in params.holder_indices
     }
@@ -431,11 +469,19 @@ def retired_rounds(live, reported) -> tuple:
     t-subset may spend it again: the holders that served it no longer
     hold it, and a subset without them would reuse a mask that already
     hid one response. Retiring can only lose tuples, never revive one.
+    The rounds every holder holds are wire.intersect_runs of the lists'
+    runs, as a reconstruction finds the rounds its subset holds.
     """
-    keep = set(live)
-    for ids in reported:
-        keep.intersection_update(ids)
-    return tuple(rid for rid in live if rid not in keep)
+    live = tuple(live)
+    held = intersect_runs(
+        [id_ranges(live)] + [id_ranges(ids) for ids in reported])
+    out, k = [], 0
+    for rid in live:  # live and held both increase
+        while k < len(held) and held[k][1] <= rid:
+            k += 1
+        if k == len(held) or rid < held[k][0]:
+            out.append(rid)
+    return tuple(out)
 
 
 def extract(params: SpssParams, contributions) -> list:
@@ -529,10 +575,11 @@ def spss_request(password_attempt: int, subset, params: SpssParams,
             for j in chosen}
 
 
-def spend_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
-                 ) -> list:
+def cut_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
+               ) -> tuple:
     """The one way a masking tuple leaves a holder: drop the rounds `ids`
-    names from the share set and return their (r, z), in that order.
+    names from the share set and return their r and z columns, the
+    values in the order named, as bytes.
 
     Before anything changes it refuses, in this order, an id named twice
     (ImproperRequestError; one tuple masking two blocks would hand a
@@ -568,9 +615,8 @@ def spend_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
         raise ImproperRequestError(
             "request pins %d tuples, %d blocks to mask" % (n, count))
     w = live.width
-    r_vals, z_vals = (
-        Cursor(b"".join([col[a * w:(a + m) * w] for a, m in stretches]))
-        .uints(n, w) for col in (live.r, live.z))
+    spent = tuple(b"".join([col[a * w:(a + m) * w] for a, m in stretches])
+                  for col in (live.r, live.z))
     # move each kept run of tuples down over the spent ones before it,
     # then drop the columns' tails
     cuts = sorted(stretches) + [(stock, 0)]
@@ -582,7 +628,16 @@ def spend_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
             col[dst * w:(dst + end - src) * w] = col[src * w:end * w]
         dst += end - src
     del live_ids[dst:], live.r[dst * w:], live.z[dst * w:]
-    return list(zip(r_vals, z_vals))
+    return spent
+
+
+def spend_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
+                 ) -> list:
+    """cut_rounds, with the spent tuples decoded: their (r, z), in the
+    order `ids` names them."""
+    r_col, z_col = cut_rounds(share_set, ids, count)
+    n, w = len(r_col) // share_set.tuples.width, share_set.tuples.width
+    return list(zip(Cursor(r_col).uints(n, w), Cursor(z_col).uints(n, w)))
 
 
 def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedResponse:

@@ -54,12 +54,15 @@ in the 127-bit field and nothing per spent one: round ids are stocked
 contiguously from 0, so an id below `next_round` that is not live is
 spent. Spent ids are never materialized, on disk or in memory: a share
 set holds its live tuples and `next_round`, nothing more, and its
-renewal rounds as runs, which are written back as runs too. The live
-tuples stay in memory in the record's form (`spss.LiveTuples`: the ids
-as u32s, then the r and z byte columns), so a save writes the two
-columns as they are and opening takes them as they are stored, without
+renewal rounds as runs, which are written back as runs too. The data
+shares and the live tuples stay in memory in the record's form: the
+share column (`spss.HolderShareSet.shares`), and `spss.LiveTuples`, the
+ids as u32s, then the r and z byte columns. So a save writes the
+columns as they are, the live ids from their runs without listing
+them, and opening takes the columns as they are stored, without
 decoding a value. A record whose values are not its field's byte width
-is refused at open, since its columns would not match the next stock's.
+is refused at open, since its columns would not match the next stock's
+or a renewal's.
 
 A holder keeps no log. The spend journal of earlier versions is never
 opened: a spend that reached only that file was never released, because
@@ -110,9 +113,9 @@ from pathlib import Path
 from .errors import ConfigurationError, ProtocolError, TamperDetectedError
 from .field import PrimeField
 from .mac import MacSeed, MacTag, seed_from_bytes, seed_to_bytes
-from .spss import (HolderShareSet, LiveTuples, SpssParams, holder_respond,
-                   spend_rounds)
-from .wire import Cursor, column, encode_ids, encode_runs, expand_runs
+from .spss import (HolderShareSet, LiveTuples, SpssParams, cut_rounds,
+                   holder_respond)
+from .wire import Cursor, encode_runs, expand_runs
 
 __all__ = [
     "DISK", "FileLayer", "ChainedLog", "VerifierRecord", "VerifierStore",
@@ -557,12 +560,12 @@ def _encode_share_set(ss: HolderShareSet) -> bytes:
     return b"".join((
         struct.pack(">BBH", ss.params.t_sh, ss.params.n_sh, width),
         field.q.to_bytes(width, "big"),
-        struct.pack(">I", len(ss.data_shares)),
-        column(ss.data_shares, width),
+        struct.pack(">I", ss.block_count),
+        ss.shares,
         ss.password_share.to_bytes(width, "big"),
         encode_runs(ss.renewal_runs),
         struct.pack(">I", ss.next_round),
-        encode_ids(live.ids),
+        encode_runs(live.runs()),
         live.r,
         live.z,
     ))
@@ -576,12 +579,13 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
     q = rd.uint(width)
     params = SpssParams(t_sh, n_sh, PrimeField(q))
     if width != params.field.byte_width:
-        # the live columns are kept as stored, while new tuples and every
-        # save use the field's width, so the two must agree
+        # the share and live columns are kept as stored, while renewed
+        # shares, new tuples and every save use the field's width, so the
+        # two must agree
         raise TamperDetectedError("%s: values %d bytes wide for a %d-byte "
                                   "field" % (path, width,
                                              params.field.byte_width))
-    data_shares = rd.uints(rd.uint(4), width)
+    shares = rd.take(rd.uint(4) * width)
     password_share = rd.uint(width)
     # renewal rounds are never expanded, so only the u32 id space bounds
     # them; the record's length bounds how many runs it holds
@@ -596,8 +600,8 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
     if live and live[-1] >= next_round:
         raise TamperDetectedError("%s: a live round id at or past next "
                                   "round %d" % (path, next_round))
-    return HolderShareSet(holder, params, data_shares, password_share,
-                          tuples, next_round, renewal_runs)
+    return HolderShareSet(holder, params, shares, password_share, tuples,
+                          next_round, renewal_runs)
 
 
 def _record_digest(holder: int, secret_id: bytes, body: bytes) -> bytes:
@@ -638,7 +642,7 @@ class HolderStore:
     A secret's record holds every fact about it that changes together:
     its shares, its live masking tuples and the renewal rounds applied to
     it, and it is the only record of which tuples are spent. A tuple
-    leaves only by `respond` or `retire`, both through spss.spend_rounds,
+    leaves only by `respond` or `retire`, both through spss.cut_rounds,
     and the record save that drops it is the spend: `respond` saves
     before it returns the response, so a crash before the save is durable
     releases nothing, and the reopened record's tuples masked no released
@@ -805,10 +809,11 @@ class HolderStore:
         return response
 
     def retire(self, secret_id: bytes, round_ids) -> None:
-        """Spend live rounds that will never be served, by spend_rounds,
-        which refuses a repeated or dead id before anything changes. The
-        caller's next save erases their values from the record."""
-        spend_rounds(self.get_secret(secret_id), round_ids)
+        """Spend live rounds that will never be served, by cut_rounds,
+        which refuses a repeated or dead id before anything changes; their
+        values are dropped undecoded. The caller's next save erases them
+        from the record."""
+        cut_rounds(self.get_secret(secret_id), round_ids)
 
     # ------------------------------------------------------------ renewal
 
@@ -819,10 +824,10 @@ class HolderStore:
         increase, and a run of them must keep a u32 count."""
         ss = self.get_secret(secret_id)
         shares = tuple(new_data_shares)
-        if len(shares) != len(ss.data_shares):
+        if len(shares) != ss.block_count:
             raise ProtocolError(
                 "renewal carries %d shares, secret has %d"
-                % (len(shares), len(ss.data_shares)))
+                % (len(shares), ss.block_count))
         runs = ss.renewal_runs
         end = runs[-1][1] if runs else 0  # one past the last round
         first = runs[-1][0] if runs and end == round_no else round_no

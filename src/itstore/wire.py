@@ -26,6 +26,12 @@ SCHEMA lists for its kind, big-endian and without padding. Field types:
              group modulus width), where field names an earlier count
              field of the message and times is a number or "degree"
 
+Codec's packed form moves W* and ids fields without an int per element:
+a W* list as its byte column, W bytes big-endian per element, and an id
+list as its (first, end) ranges, as check_runs returns them. The bytes on
+the wire are the same in either form, so a sender and its receiver choose
+theirs apart; a holder keeps its data shares and live ids in these forms.
+
 The widths W, P, tag, digest and the renewal degree are the session's
 (Codec's constructor takes them); none is configured separately. A value
 too long for its length prefix (a password over 65,535 bytes, say), or an
@@ -42,7 +48,8 @@ from operator import sub
 from .errors import ConfigurationError, ImproperRequestError, ProtocolError
 
 __all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor", "check_runs", "column",
-           "encode_ids", "encode_runs", "expand_runs", "id_runs"]
+           "encode_ids", "encode_runs", "expand_runs", "head_runs", "id_ranges",
+           "id_runs", "intersect_runs"]
 
 SID_BYTES = 16
 # Most ids one decoded id list may name: a 12-byte run could otherwise
@@ -179,6 +186,14 @@ def id_runs(ids) -> list:
     return flat
 
 
+def id_ranges(ids) -> list:
+    """The canonical (first, end) ranges of a strictly increasing list of
+    u32 ids, as id_runs checks and finds them."""
+    flat = id_runs(ids)
+    return [(first, first + count)
+            for first, count in zip(flat[0::2], flat[1::2])]
+
+
 def check_runs(flat, limit: "int | None" = None) -> list:
     """The (first, end) ranges of a flat run list id_runs can produce.
     Refuses any other run list, and one naming more than `limit` ids
@@ -210,6 +225,37 @@ def expand_runs(ranges) -> tuple:
     return tuple(ids)
 
 
+def intersect_runs(run_lists) -> list:
+    """The (first, end) ranges of the ids that every list of canonical
+    ranges names, canonical too: one merge walk per list, nothing per
+    id. No lists name no ids."""
+    lists = iter(run_lists)
+    common = list(next(lists, ()))
+    for other in lists:
+        out, i, k = [], 0, 0
+        while i < len(common) and k < len(other):
+            (a, b), (c, d) = common[i], other[k]
+            if max(a, c) < min(b, d):
+                out.append((max(a, c), min(b, d)))
+            if b < d:
+                i += 1
+            else:
+                k += 1
+        common = out
+    return common
+
+
+def head_runs(ranges, n: int) -> list:
+    """The ranges of the first n ids of a list of (first, end) ranges."""
+    out = []
+    for first, end in ranges:
+        if n <= 0:
+            break
+        out.append((first, min(end, first + n)))
+        n -= end - first
+    return out
+
+
 def column(values, width: int) -> bytes:
     """Unsigned integers of one width, big-endian, back to back."""
     return b"".join(map(int.to_bytes, values, repeat(width), repeat("big")))
@@ -228,9 +274,7 @@ def encode_runs(ranges) -> bytes:
 def encode_ids(ids) -> bytes:
     """A strictly increasing list of u32 round ids as its id_runs runs,
     written by encode_runs."""
-    flat = id_runs(ids)
-    return encode_runs((first, first + count)
-                       for first, count in zip(flat[0::2], flat[1::2]))
+    return encode_runs(id_ranges(ids))
 
 
 def _length_prefix(kind: str, name: str, length: int, width: int) -> bytes:
@@ -251,8 +295,10 @@ class Codec:
                       "W": W, "P": P, "tag": tag, "digest": digest,
                       "degree": degree}
 
-    def encode(self, kind: str, *values) -> bytes:
-        """The message bytes: the kind's code, then each field in order."""
+    def encode(self, kind: str, *values, packed: bool = False) -> bytes:
+        """The message bytes: the kind's code, then each field in order.
+        packed: W* and ids fields are given in the packed form (module
+        docstring), and are written without expanding them."""
         code, fields = SCHEMA[kind]
         out = [bytes((code,))]
         for (name, (category, key, *_count)), value in zip(fields, values,
@@ -272,19 +318,30 @@ class Codec:
                 out.append(_length_prefix(kind, name, len(value), width))
                 out.append(value)
             elif category == "ids":
-                out.append(encode_ids(value))
+                out.append(encode_runs(value) if packed
+                           else encode_ids(value))
+            elif category == "list" and packed:
+                if len(value) % width:
+                    raise ConfigurationError(
+                        "%s field %s holds %d bytes, not whole %d-byte "
+                        "values" % (kind, name, len(value), width))
+                out.append(_length_prefix(kind, name, len(value) // width,
+                                          4))
+                out.append(value)
             else:
                 if category == "list":
                     out.append(_length_prefix(kind, name, len(value), 4))
                 out.append(column(value, width))
         return b"".join(out)
 
-    def decode(self, kind: str, raw: bytes, expect=()) -> tuple:
+    def decode(self, kind: str, raw: bytes, expect=(),
+               packed: bool = False) -> tuple:
         """Parse one message of this kind. Its leading fields must equal
         `expect` (the sid of the exchange first, then any header values the
-        receiver knows); the remaining fields are returned in order.
-        Another code, a short or long message, or a header naming anything
-        else raises ProtocolError."""
+        receiver knows); the remaining fields are returned in order, W*
+        and ids fields in the packed form when packed is set. Another
+        code, a short or long message, or a header naming anything else
+        raises ProtocolError."""
         code, fields = SCHEMA[kind]
         rd = Cursor(raw)
         got = rd.uint(1)
@@ -301,9 +358,11 @@ class Codec:
             elif category == "bytes":
                 values.append(rd.take(rd.uint(width)))
             elif category == "list":
-                values.append(rd.uints(rd.uint(4), width))
+                count = rd.uint(4)
+                values.append(rd.take(count * width) if packed
+                              else rd.uints(count, width))
             elif category == "ids":
-                values.append(rd.ids())
+                values.append(rd.runs() if packed else rd.ids())
             else:
                 count_field, times = count
                 n = values[[f[0] for f in fields].index(count_field)]

@@ -41,7 +41,8 @@ from itstore.spss import (
     spend_rounds,
 )
 from itstore.mac import split_blocks
-from itstore.stores import _encode_share_set
+from itstore.stores import HolderStore, _encode_share_set
+from itstore.wire import id_ranges
 
 F31 = PrimeField.mersenne(5)
 F31_PARAMS = SpssParams(field=F31)
@@ -586,6 +587,52 @@ def test_a_holder_keeps_its_live_tuples_as_columns_not_objects():
     assert (live - base) / per_tuple <= 64
     assert (peak - base) / per_tuple <= 320
     assert all(len(s.tuples) == rounds for s in holders.values())
+
+
+def test_a_holder_keeps_its_data_shares_as_one_column(tmp_path):
+    # a data share is its 16 bytes in the holder's share column, from
+    # registration on and again once its record is reopened; an int per
+    # share, in a tuple, took 52.6 bytes per share per holder
+    params = SpssParams()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        holders = spss_register(bytes(range(250)) * 256, 5, params,
+                                SeededEntropy(b"share-col"))[0]
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    blocks = holders[1].block_count
+    assert blocks == 4065
+    assert (live - base) / (blocks * params.n_sh) <= 24
+    HolderStore(tmp_path, holder=2).put_secret(b"sid", holders[2])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reopened = HolderStore(tmp_path)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (live - base) / blocks <= 24
+    assert reopened.get_secret(b"sid") == holders[2]
+
+
+def test_live_runs_are_the_canonical_runs_of_the_live_ids():
+    params = SpssParams(field=F31)
+    rng = SeededEntropy(b"live-runs")
+    holders, _ = spss_register(b"\xc0", 5, params, rng)
+    share_set = holders[1]
+    assert share_set.tuples.runs() == []
+    precompute_round(holders, rng, rounds=300)
+    assert share_set.tuples.runs() == [(0, 300)]
+    pick = random.Random(11)
+    while len(share_set.tuples):
+        live = share_set.unconsumed_rounds()
+        spend_rounds(share_set, pick.sample(live, min(len(live),
+                                                      pick.randint(1, 9))))
+        assert share_set.tuples.runs() == id_ranges(
+            share_set.unconsumed_rounds())
+    assert share_set.tuples.runs() == []
 
 
 def test_a_pinned_id_named_twice_is_refused_before_any_tuple_is_spent():

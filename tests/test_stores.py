@@ -937,6 +937,30 @@ def test_retire_refuses_a_round_named_twice_before_dropping_any(tmp_path):
     assert spent_rounds(reopened, sid) == ()
 
 
+def test_retire_drops_its_rounds_without_decoding_them(tmp_path,
+                                                      monkeypatch):
+    # only a response needs the spent (r, z) as ints; a retire cuts the
+    # columns and keeps every other tuple's bytes
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid = secrets[0][0]
+    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
+    precompute_round(live, rng("retire-raw"), rounds=6)
+    tuples = live[4].tuples
+    kept = {rid: tuples[rid] for rid in (0, 3, 5)}
+
+    def no_decoding(self, count, width):
+        raise AssertionError("a retire decoded %d values" % count)
+
+    monkeypatch.setattr(wire.Cursor, "uints", no_decoding)
+    stores[4].retire(sid, (4, 1, 2))
+    with pytest.raises(PrecomputationExhaustedError):
+        stores[4].retire(sid, (0, 1))
+    with pytest.raises(ImproperRequestError, match="twice"):
+        stores[4].retire(sid, (0, 0))
+    monkeypatch.undo()
+    assert {rid: tuples[rid] for rid in tuples} == kept
+
+
 def test_reconstruction_through_stores(tmp_path):
     source = rng("recon")
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])

@@ -207,3 +207,59 @@ def test_malformed_id_runs_fail_closed(runs):
 def test_an_id_list_that_is_not_a_u32_set_is_not_encoded(ids):
     with pytest.raises(ImproperRequestError):
         CODEC.encode("avail-reply", bytes(16), 1, ids)
+
+
+def random_runs(gen, top):
+    """Canonical (first, end) ranges below top: empty, single ids, long
+    runs, and gaps of one id so that runs of two lists touch."""
+    out, at = [], gen.randrange(3)
+    while at < top and gen.random() < 0.85:
+        end = min(top, at + gen.choice((1, 1, 2, 5, 17)))
+        out.append((at, end))
+        at = end + gen.choice((1, 1, 2, 9))
+    return out
+
+
+def test_intersect_runs_equals_the_sorted_set_intersection():
+    gen = random.Random("intersect")
+    cases = [
+        [[]], [[], [(0, 5)]], [[(3, 4)]],
+        [[(0, 10)], [(2, 4), (6, 7)]],          # nested
+        [[(0, 3)], [(3, 6)]],                   # touching, disjoint
+        [[(0, 3), (4, 8)], [(2, 5)], [(1, 9)]],
+        [[(5, 6)], [(5, 6)], [(5, 6)]],         # one id everywhere
+    ]
+    cases += [[random_runs(gen, 60) for _ in range(gen.randint(1, 4))]
+              for _ in range(300)]
+    for lists in cases:
+        want = sorted(set.intersection(*(set(expand_runs(r))
+                                         for r in lists)))
+        got = wire.intersect_runs(lists)
+        assert expand_runs(got) == tuple(want)
+        assert got == wire.id_ranges(want)  # canonical: none touch
+        for n in (0, 1, 3, len(want), len(want) + 2):
+            assert expand_runs(wire.head_runs(got, n)) == tuple(want[:n])
+    assert wire.intersect_runs([]) == []
+
+
+@pytest.mark.parametrize("kind,values,packed", [
+    ("shares", (bytes(range(16)), bytes(range(48)), 7),
+     (bytes(range(16)), tuple(int.from_bytes(bytes(range(48))[i:i + 16],
+                                             "big") for i in (0, 16, 32)),
+      7)),
+    ("shares", (bytes(16), b"", 7), (bytes(16), (), 7)),
+    ("avail-reply", (bytes(16), 3, [(0, 3), (7, 8)]),
+     (bytes(16), 3, (0, 1, 2, 7))),
+    ("recon-ask", (bytes(16), b"\x01\x02\x03", 5, []),
+     (bytes(16), b"\x01\x02\x03", 5, ())),
+])
+def test_the_packed_form_moves_the_same_bytes(kind, values, packed):
+    raw = CODEC.encode(kind, *values, packed=True)
+    assert raw == CODEC.encode(kind, *packed)
+    assert CODEC.decode(kind, raw, packed=True) == values
+    assert CODEC.decode(kind, raw) == packed
+
+
+def test_a_packed_list_of_part_values_is_refused():
+    with pytest.raises(ConfigurationError, match="not whole 16-byte"):
+        CODEC.encode("shares", bytes(16), bytes(17), 7, packed=True)

@@ -472,7 +472,6 @@ def retired_rounds(live, reported) -> tuple:
     The rounds every holder holds are wire.intersect_runs of the lists'
     runs, as a reconstruction finds the rounds its subset holds.
     """
-    live = tuple(live)
     held = intersect_runs(
         [id_ranges(live)] + [id_ranges(ids) for ids in reported])
     out, k = [], 0
@@ -590,7 +589,7 @@ def cut_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
     The named ids are found as stretches: a stretch starts at one id's
     position and grows while the next named id is the next live id, so
     the lowest live rounds a response pins are one stretch, found with
-    one search. The spent values are read a stretch at a time, and the
+    one search. The spent values are copied a stretch at a time, and the
     kept tuples are moved down over the spent ones in place, one pass
     over the three columns however scattered the ids are.
     """
@@ -635,8 +634,9 @@ def spend_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
                  ) -> list:
     """cut_rounds, with the spent tuples decoded: their (r, z), in the
     order `ids` names them."""
+    w = share_set.tuples.width
     r_col, z_col = cut_rounds(share_set, ids, count)
-    n, w = len(r_col) // share_set.tuples.width, share_set.tuples.width
+    n = len(r_col) // w
     return list(zip(Cursor(r_col).uints(n, w), Cursor(z_col).uints(n, w)))
 
 

@@ -28,6 +28,7 @@ from itstore.stores import (
     holder_record_files,
 )
 from itstore.wire import SCHEMA, SID
+from memtrace import memtrace
 
 DATA = b"Important archival payload: " + bytes(range(200))
 PASSWORD = b"correct horse battery staple"
@@ -638,6 +639,22 @@ def test_session_renewal_checks_each_packet_of_another_holder_once(
     assert n * tracks * degree > EXACT_CHECKS
     assert exponents.count(group.q) == SUBSET_TESTS
     assert len(exponents) == SUBSET_TESTS + n * tracks * degree
+
+
+def test_a_session_renewal_holds_at_most_4_5_kib_per_track(tmp_path):
+    # A warm renewal of a 10 KB secret: the group is validated and its
+    # window tables built before tracing. Decoding every received
+    # broadcast per recipient, and every holder's shares, at the round's
+    # start peaked at about 6.5 KiB per track above the start
+    session = make_session(tmp_path, advance_ms=36_000_000)
+    sid, _ = session.register(bytes(range(256)) * 40, PASSWORD)
+    assert session.renew(sid).accepted
+    tracks = session.holder_stores[1].get_secret(sid).block_count
+    assert tracks == 652
+    with memtrace() as usage:
+        assert session.renew(sid).accepted
+    base, _live, peak = usage
+    assert (peak - base) / tracks <= 4.5 * 1024
 
 
 def test_renewal_corruption_is_accused_and_changes_nothing(tmp_path):

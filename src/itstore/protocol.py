@@ -102,7 +102,16 @@ from .spss import (
     spss_request,
 )
 from .stores import CalculatorStore, HolderStore, VerifierRecord, VerifierStore
-from .wire import SID_BYTES, Codec, expand_runs, head_runs, intersect_runs
+from .wire import (
+    SID_BYTES,
+    Codec,
+    Cursor,
+    Packed,
+    column,
+    expand_runs,
+    head_runs,
+    intersect_runs,
+)
 
 __all__ = [
     "Phase",
@@ -289,40 +298,48 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
                   check_source=None) -> RenewalOutcome:
     """One verified renewal round over every share track.
 
-    shares maps each holder index to its tuple of track shares in F_q and
-    sources maps it to the holder's randomness. Holder by holder, in index
+    shares maps each holder index to its track shares in F_q, a sequence
+    of ints: a tuple, or a wire.Packed view of the holder's share column.
+    sources maps each holder to its randomness. Holder by holder, in index
     order, dealer d deals all its tracks with one gen_renewal call and
     hands the columns to deliver(d, commitments, pairs) -> {j:
     (commitments per track, pair per track)}, which returns what every
-    other holder j received; without deliver they arrive unchanged.
+    other holder j received, as sequences or as Packed views of the bytes
+    that arrived; without deliver they arrive unchanged. d keeps its own
+    pairs as their byte column.
+
     Before any pair is checked, subgroup_members settles once per round
     the subgroup membership of every distinct commitment any holder
-    received from another, as received: one power each for up to 96 of
-    them, else one random-subset batch whose bits come from
-    check_source(received commitments), by default the lowest holder's
-    source after the round's draws. The source must be private to the
-    checkers.
+    received from another, streamed out of what arrived: one power each
+    for up to 96 of them, else one random-subset batch whose bits come
+    from check_source(received), where received lists the commitment
+    sequences each holder received, recipient by recipient and dealer by
+    dealer; by default they come from the lowest holder's source after
+    the round's draws. The source must be private to the checkers.
 
-    Then every holder checks each track once: the pairs the other
-    holders sent it, summed, against the products of their commitments
+    Then holder by holder, with only that holder's inputs decoded, every
+    holder checks each track once: the pairs the other holders sent it,
+    summed, against the products of their commitments
     (renewal.summed_dealing, checked by verify_renewal_share). A holder
     does not check its own pairs: nothing can alter them on the way. If
     the sum fails, a pair is None (never received) or a commitment is
     not a member, the holder checks that track dealer by dealer, and
     every dealer that fails is accused. Any accusation rejects the round
     with no new shares; otherwise every holder folds its own pair and the
-    summed pair into its shares. Errors of two or more dealers that
-    cancel at one holder pass the sum, and that holder's renewed share is
-    then still correct (see renewal's module docstring for why the sum
-    is sound).
+    summed pair into its shares, and new_shares holds them in the form
+    its shares came in: a tuple, or a Packed view of the renewed column.
+    Errors of two or more dealers that cancel at one holder pass the sum,
+    and that holder's renewed share is then still correct (see renewal's
+    module docstring for why the sum is sound).
     """
     holders = sorted(shares)
     if not set(holders) <= set(sources):
         raise ConfigurationError("renewal needs every holder's randomness")
+    width = config.share_field().byte_width
 
     # received[j][d] = (commitments, pairs) per track, as j got them from d
     received = {j: {} for j in holders}
-    own = {}  # own[d]: d's pairs to itself, per track
+    own = {}  # own[d]: d's pairs to itself, per track, as their column
     for d in holders:
         commitments, pairs = gen_renewal(holders, degree, config, sources[d],
                                          len(shares[d]))
@@ -331,28 +348,37 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
                else {j: (commitments, pairs[j]) for j in others})
         for j in others:
             received[j][d] = got[j]
-        own[d] = pairs[d]
+        own[d] = Packed(column([v for pair in pairs[d] for v in pair],
+                               width), width, 2)
+        del commitments, pairs  # d's dealing, as dealt, is not kept
 
-    received_commitments = [eps for j in holders for d in holders if d != j
-                            for track in received[j][d][0] for eps in track]
+    received_commitments = [received[j][d][0] for j in holders
+                            for d in holders if d != j]
     if check_source is not None:
         randomness = check_source(received_commitments)
     else:  # a round of no holders receives nothing and draws nothing
         randomness = sources[holders[0]] if holders else None
-    members = subgroup_members(received_commitments, config, randomness)
+    members = subgroup_members((eps for sent in received_commitments
+                                for track in sent for eps in track),
+                               config, randomness)
+    del received_commitments  # so what j received goes once j is done
     accusations = []
     new_shares = {}
     for j in holders:
         dealers = [d for d in holders if d != j]
+        n = len(dealers)
+        got = received.pop(j)
         renewed = []
-        for track, share in enumerate(shares[j]):
-            commitments = [received[j][d][0][track] for d in dealers]
-            pairs = [received[j][d][1][track] for d in dealers]
+        # j's inputs are decoded here, and dropped once j has folded them
+        for track, (share, own_pair, *sent) in enumerate(zip(
+                shares[j], own.pop(j), *(got[d][0] for d in dealers),
+                *(got[d][1] for d in dealers), strict=True)):
+            commitments, pairs = sent[:n], sent[n:]
             summed = summed_dealing(commitments, pairs, config, members)
             if summed is not None and verify_renewal_share(
                     j, *summed, config, members):
                 renewed.append(apply_renewal(
-                    share, (own[j][track], summed[1]), config))
+                    share, (own_pair, summed[1]), config))
                 continue
             for d, eps, pair in zip(dealers, commitments, pairs):
                 if pair is None or not verify_renewal_share(
@@ -360,9 +386,10 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
                     accusations.append(Accusation(
                         j, d, "commitment check failed on track %d" % track))
             if not accusations:
-                renewed.append(apply_renewal(
-                    share, [own[j][track]] + pairs, config))
-        new_shares[j] = tuple(renewed)
+                renewed.append(apply_renewal(share, [own_pair] + pairs,
+                                             config))
+        new_shares[j] = (Packed(column(renewed, width), width)
+                         if isinstance(shares[j], Packed) else tuple(renewed))
     if accusations:
         return RenewalOutcome(accepted=False, accusations=tuple(accusations))
     return RenewalOutcome(accepted=True, new_shares=new_shares)
@@ -661,20 +688,23 @@ class TpvSession:
         # holder agrees on this id
         start = sets[1].next_round
         batches = self.params.batch_count(rounds)
+        width = self.params.field.byte_width
         live = {j: sets[j].tuples.runs() for j in sets}
         reported = {j: [] for j in sets}  # live ids each holder was sent
 
         def deliver(d, j, r_vals, z_vals):
             flat = [0] * (2 * batches)
             flat[0::2], flat[1::2] = r_vals, z_vals
-            held, flat = self._send(self._holder_ep(d), self._holder_ep(j),
-                                    "precomp", (sid, start, batches, d),
-                                    live[d], flat, packed=True)
+            held, pairs = self._send(self._holder_ep(d), self._holder_ep(j),
+                                     "precomp", (sid, start, batches, d),
+                                     live[d], column(flat, width),
+                                     packed=True)
             if held and held[-1][1] > start:
                 raise ProtocolError(
                     "holder %d reports live round %d at or past first "
                     "round %d" % (d, held[-1][1] - 1, start))
             reported[j].append(expand_runs(held))
+            flat = Cursor(pairs).uints(2 * batches, width)
             return flat[0::2], flat[1::2]
 
         sources = {j: self.net.entropy_source(self._holder_ep(j))
@@ -939,6 +969,7 @@ class TpvSession:
             self._group_checked = True
         params = self.params
         degree = params.data_degree
+        width = params.field.byte_width
         holders = list(params.holder_indices)
 
         sets = {j: self.holder_stores[j].get_secret(sid) for j in holders}
@@ -953,6 +984,7 @@ class TpvSession:
         round_no = history[-1][1] if history else 0  # one past the last
 
         def deliver(d, commitments, pairs):
+            # each holder keeps the bytes it received, as Packed views
             header = (sid, round_no, d, n_tracks)
             commit_msg = self.codec.encode(
                 "renew-commits", *header,
@@ -961,35 +993,35 @@ class TpvSession:
             for j in holders:
                 if j == d:
                     continue
-                (flat,) = self._deliver(
+                (commits,) = self._deliver(
                     self._holder_ep(d), self._holder_ep(j),
-                    "renew-commits", commit_msg, header)
-                commits = [flat[i:i + degree]
-                           for i in range(0, len(flat), degree)]
+                    "renew-commits", commit_msg, header, packed=True)
                 sent = pairs[j]
                 if pair_tamper is not None:
                     sent = [pair_tamper(d, j, track, pair)
                             for track, pair in enumerate(sent)]
-                (flat,) = self._send(
+                (got,) = self._send(
                     self._holder_ep(d), self._holder_ep(j), "renew-pairs",
-                    header, [v for pair in sent for v in pair])
-                received[j] = (commits, list(zip(flat[0::2], flat[1::2])))
+                    header, column([v for pair in sent for v in pair], width),
+                    packed=True)
+                received[j] = (Packed(commits, self.codec.sizes["P"], degree),
+                               Packed(got, width, 2))
             return received
 
-        def check_source(commitments):
+        def check_source(received):
             # Bits no node's pool pays for and no message carries, drawn
             # once everything has arrived: a retried round that received
             # other commitments gets other bits.
-            width = self.codec.sizes["P"]
             digest = hashlib.sha256()
-            for eps in commitments:  # one at a time: no 15,000-value copy
-                digest.update(eps.to_bytes(width, "big"))
+            for commits in received:
+                digest.update(commits.raw)
             return SeededEntropy(self.net.master, "renewal-check|%s|%d|%s"
                                  % (sid.hex(), round_no, digest.hexdigest()))
 
         sources = {j: self.net.entropy_source(self._holder_ep(j))
                    for j in holders}
-        outcome = renewal_round({j: sets[j].data_shares for j in holders},
+        outcome = renewal_round({j: Packed(sets[j].shares, width)
+                                 for j in holders},
                                 degree, group, sources, deliver,
                                 check_source)
         if not outcome.accepted:

@@ -55,7 +55,13 @@ transport) works in columns from the dealer to apply_renewal. Each
 dealer deals all T of its tracks with one gen_renewal call: one
 random_ints draw of 2*t*T coefficients and one eval_columns pass per
 recipient, giving a column of T commitment tuples and, per recipient, a
-column of T pairs. Each holder c then checks each track once, against
+column of T pairs. In a session each holder keeps the commitment and
+pair columns it received as the bytes that arrived, its own pairs and
+its shares as byte columns too (wire.Packed views), and the round
+decodes one holder's at a time: membership streams the distinct values
+out of every received column, and a holder's inputs are decoded only
+while it checks and folds its tracks, into the renewed column that
+apply_renewal stores. Each holder c checks each track once, against
 the pairs the other dealers d sent it, summed:
 
     g^{sum_d s1_d} h^{sum_d s2_d} == prod_j (prod_d eps_dj)^{c^j}.
@@ -407,13 +413,13 @@ def subgroup_members(values, config: RenewalGroupConfig,
     2^-SUBSET_TESTS when a non-member is present.
     """
     p, q = config.p, config.q
-    candidates = sorted({eps for eps in values if 0 < eps < p})
+    candidates = {eps for eps in values if 0 < eps < p}
     if len(candidates) > EXACT_CHECKS:
         selectors = randomness.take_bytes(SUBSET_TESTS // 8
                                           * len(candidates))
-        if all(mod_exp(product, q, p) == 1
-               for product in subset_products(candidates, selectors, p)):
-            return set(candidates)
+        products = subset_products(sorted(candidates), selectors, p)
+        if all(mod_exp(product, q, p) == 1 for product in products):
+            return candidates
     return {eps for eps in candidates if mod_exp(eps, q, p) == 1}
 
 

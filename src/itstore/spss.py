@@ -69,7 +69,7 @@ from .errors import (
 from .field import PrimeField, zero_coefficients
 from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
 from .mac import split_blocks
-from .wire import Cursor, column, id_ranges, intersect_runs
+from .wire import Cursor, Packed, column, id_ranges, intersect_runs
 
 __all__ = [
     "SpssParams",
@@ -264,7 +264,8 @@ class HolderShareSet:
     order, each the field's byte width big-endian, so a share costs its
     16 bytes in the 127-bit field and no int is kept per share.
     data_shares reads the column as a tuple of ints, decoded on each read,
-    and assigning it a sequence of ints writes the column. tuples holds
+    and assigning it a sequence of ints writes the column; a wire.Packed
+    view of a column of this width is kept as its bytes. tuples holds
     the live masking tuples only, as LiveTuples columns (an empty one when
     not given). Round ids are stocked contiguously from 0 and next_round
     is one past the highest ever stocked, so a spent round is an id below
@@ -292,7 +293,12 @@ class HolderShareSet:
 
     @data_shares.setter
     def data_shares(self, values) -> None:
-        self.shares = column(values, self.params.field.byte_width)
+        width = self.params.field.byte_width
+        if isinstance(values, Packed) and (values.width, values.group) == (
+                width, 1):
+            self.shares = values.raw  # already the column
+        else:
+            self.shares = column(values, width)
 
     @property
     def block_count(self) -> int:

@@ -819,15 +819,15 @@ class HolderStore:
 
     def apply_renewal(self, secret_id: bytes, new_data_shares,
                       round_no: int) -> None:
-        """Swap in renewed shares and note the round, in one record
-        rewrite that also destroys the old share values. Rounds must
-        increase, and a run of them must keep a u32 count."""
+        """Swap in renewed shares, a sequence of ints or a wire.Packed view
+        of their column, and note the round, in one record rewrite that
+        also destroys the old share values. Rounds must increase, and a
+        run of them must keep a u32 count."""
         ss = self.get_secret(secret_id)
-        shares = tuple(new_data_shares)
-        if len(shares) != ss.block_count:
+        if len(new_data_shares) != ss.block_count:
             raise ProtocolError(
                 "renewal carries %d shares, secret has %d"
-                % (len(shares), ss.block_count))
+                % (len(new_data_shares), ss.block_count))
         runs = ss.renewal_runs
         end = runs[-1][1] if runs else 0  # one past the last round
         first = runs[-1][0] if runs and end == round_no else round_no
@@ -835,7 +835,7 @@ class HolderStore:
             raise ProtocolError("renewal round %d of %s is not a u32 of at "
                                 "least %d, or its run would pass a u32 count"
                                 % (round_no, secret_id.hex(), end))
-        ss.data_shares = shares
+        ss.data_shares = new_data_shares
         if first < round_no:
             runs[-1] = (first, round_no + 1)
         else:

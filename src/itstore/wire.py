@@ -26,11 +26,16 @@ SCHEMA lists for its kind, big-endian and without padding. Field types:
              group modulus width), where field names an earlier count
              field of the message and times is a number or "degree"
 
-Codec's packed form moves W* and ids fields without an int per element:
-a W* list as its byte column, W bytes big-endian per element, and an id
+Codec's packed form moves W*, run and ids fields without an int per
+element: a W* list or a run as its byte column, the width's bytes
+big-endian per element back to back as they are on the wire, and an id
 list as its (first, end) ranges, as check_runs returns them. The bytes on
 the wire are the same in either form, so a sender and its receiver choose
-theirs apart; a holder keeps its data shares and live ids in these forms.
+theirs apart. A packed run must hold exactly its count times `times`
+values. A holder keeps its data shares and live ids in these forms, and a
+renewal round reads the commitment and pair columns each holder received
+through Packed, a sequence view that decodes a column only when it is
+read.
 
 The widths W, P, tag, digest and the renewal degree are the session's
 (Codec's constructor takes them); none is configured separately. A value
@@ -42,13 +47,14 @@ ConfigurationError before any byte is encoded.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from itertools import repeat
 from operator import sub
 
 from .errors import ConfigurationError, ImproperRequestError, ProtocolError
 
-__all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor", "check_runs", "column",
-           "encode_ids", "encode_runs", "expand_runs", "head_runs", "id_ranges",
+__all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor", "Packed", "check_runs",
+           "column", "encode_ids", "encode_runs", "expand_runs", "head_runs", "id_ranges",
            "id_runs", "intersect_runs"]
 
 SID_BYTES = 16
@@ -109,6 +115,45 @@ class Cursor:
     def done(self) -> None:
         if self.pos != len(self.raw):
             raise self.error("trailing bytes in %s" % self.what)
+
+
+class Packed(Sequence):
+    """A byte column of `width`-byte big-endian values read as a sequence
+    of items of `group` values each: item k is the int at k when group is
+    1, else the tuple of values k*group .. k*group + group - 1. Iterating
+    decodes the whole column once; indexing decodes one item. raw holds
+    the column as it is; its length must be a whole number of items."""
+
+    __slots__ = ("raw", "width", "group")
+
+    def __init__(self, raw: bytes, width: int, group: int = 1):
+        if len(raw) % (width * group):
+            raise ConfigurationError(
+                "a column of %d bytes is not whole items of %d %d-byte "
+                "values" % (len(raw), group, width))
+        self.raw = raw
+        self.width = width
+        self.group = group
+
+    def __len__(self) -> int:
+        return len(self.raw) // (self.width * self.group)
+
+    def __getitem__(self, k: int):
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError("column item %d of %d" % (k, n))
+        size = self.width * self.group
+        start = k % n * size
+        item = Cursor(self.raw[start:start + size]).uints(self.group,
+                                                          self.width)
+        return item[0] if self.group == 1 else item
+
+    def __iter__(self):
+        values = Cursor(self.raw).uints(len(self.raw) // self.width,
+                                        self.width)
+        if self.group == 1:
+            return iter(values)
+        return zip(*[iter(values)] * self.group)
 
 
 # A field type is (category, size key[, count field, times]); the size key
@@ -295,14 +340,21 @@ class Codec:
                       "W": W, "P": P, "tag": tag, "digest": digest,
                       "degree": degree}
 
+    def _run_values(self, fields, values, count) -> int:
+        """How many values a run field holds: its count field's value, in
+        the values of the fields before it, times its times."""
+        count_field, times = count
+        n = values[[f[0] for f in fields].index(count_field)]
+        return n * (self.sizes[times] if isinstance(times, str) else times)
+
     def encode(self, kind: str, *values, packed: bool = False) -> bytes:
         """The message bytes: the kind's code, then each field in order.
-        packed: W* and ids fields are given in the packed form (module
+        packed: W*, run and ids fields are given in the packed form (module
         docstring), and are written without expanding them."""
         code, fields = SCHEMA[kind]
         out = [bytes((code,))]
-        for (name, (category, key, *_count)), value in zip(fields, values,
-                                                           strict=True):
+        for (name, (category, key, *count)), value in zip(fields, values,
+                                                          strict=True):
             width = self.sizes[key]
             if category == "int":
                 try:
@@ -328,6 +380,13 @@ class Codec:
                 out.append(_length_prefix(kind, name, len(value) // width,
                                           4))
                 out.append(value)
+            elif category == "run" and packed:
+                n = self._run_values(fields, values, count)
+                if len(value) != n * width:
+                    raise ConfigurationError(
+                        "%s field %s holds %d bytes, not %d %d-byte values"
+                        % (kind, name, len(value), n, width))
+                out.append(value)
             else:
                 if category == "list":
                     out.append(_length_prefix(kind, name, len(value), 4))
@@ -338,8 +397,8 @@ class Codec:
                packed: bool = False) -> tuple:
         """Parse one message of this kind. Its leading fields must equal
         `expect` (the sid of the exchange first, then any header values the
-        receiver knows); the remaining fields are returned in order, W*
-        and ids fields in the packed form when packed is set. Another
+        receiver knows); the remaining fields are returned in order, W*,
+        run and ids fields in the packed form when packed is set. Another
         code, a short or long message, or a header naming anything else
         raises ProtocolError."""
         code, fields = SCHEMA[kind]
@@ -364,11 +423,9 @@ class Codec:
             elif category == "ids":
                 values.append(rd.runs() if packed else rd.ids())
             else:
-                count_field, times = count
-                n = values[[f[0] for f in fields].index(count_field)]
-                values.append(rd.uints(
-                    n * (self.sizes[times] if isinstance(times, str) else times),
-                    width))
+                n = self._run_values(fields, values, count)
+                values.append(rd.take(n * width) if packed
+                              else rd.uints(n, width))
         rd.done()
         header = tuple(values[:len(expect)])
         if header != tuple(expect):

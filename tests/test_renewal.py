@@ -34,6 +34,7 @@ from itstore.renewal import (
     summed_dealing,
     verify_renewal_share,
 )
+from itstore.wire import Packed, column
 
 
 def commit_oracle(group, a, b):
@@ -729,3 +730,57 @@ def test_a_deliver_that_hands_on_its_columns_renews_as_no_deliver(group):
     assert plain.accepted and handed.accepted
     assert plain.new_shares != shares
     assert handed.new_shares == plain.new_shares
+
+
+@pytest.mark.parametrize("fault", ["honest", "shifted", "dropped"])
+def test_a_round_fed_byte_columns_renews_as_one_fed_tuples(fault):
+    # The same sources fed twice: once as tuples and the lists a deliver
+    # hands on, once as Packed views of share, commitment and pair
+    # columns. A dropped pair cannot be a column entry, so the pairs
+    # holding it stay a list.
+    group = MERSENNE127_GROUP
+    field = group.share_field()
+    q, width = field.q, field.byte_width
+    p_width = (group.p.bit_length() + 7) // 8
+    holders = (1, 2, 3, 4)
+    rng = SeededEntropy(b"fed-columns")
+    polys = [random_polynomial(2, field.random_int(rng), field, rng)
+             for _ in range(3)]
+    shares = {j: tuple(poly.evaluate(j) for poly in polys) for j in holders}
+
+    def faulty(d, commitments, pairs):
+        got = forward(d, commitments, pairs)
+        if d == 2:
+            s1, s2 = got[3][1][1]
+            got[3][1][1] = {"honest": (s1, s2), "shifted": ((s1 + 1) % q, s2),
+                            "dropped": None}[fault]
+        return got
+
+    def as_columns(d, commitments, pairs):
+        return {j: (Packed(column([eps for track in eps_list
+                                   for eps in track], p_width), p_width, 2),
+                        sent if None in sent else Packed(
+                            column([v for pair in sent for v in pair],
+                                   width), width, 2))
+                for j, (eps_list, sent) in faulty(d, commitments,
+                                                  pairs).items()}
+
+    fed_tuples = renewal_round(shares, 2, group,
+                               one_source(SeededEntropy(b"same-sources")),
+                               deliver=faulty)
+    fed_columns = renewal_round(
+        {j: Packed(column(shares[j], width), width) for j in holders}, 2,
+        group, one_source(SeededEntropy(b"same-sources")),
+        deliver=as_columns)
+    assert fed_columns.accepted == fed_tuples.accepted == (fault == "honest")
+    assert fed_columns.accusations == fed_tuples.accusations
+    if fault == "honest":
+        assert {j: tuple(view) for j, view
+                in fed_columns.new_shares.items()} == fed_tuples.new_shares
+        assert all(isinstance(view, Packed)
+                   for view in fed_columns.new_shares.values())
+        assert fed_tuples.new_shares != shares
+    else:
+        assert fed_columns.new_shares is fed_tuples.new_shares is None
+        assert fed_tuples.accusations == (Accusation(
+            3, 2, "commitment check failed on track 1"),)

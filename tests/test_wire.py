@@ -263,3 +263,42 @@ def test_the_packed_form_moves_the_same_bytes(kind, values, packed):
 def test_a_packed_list_of_part_values_is_refused():
     with pytest.raises(ConfigurationError, match="not whole 16-byte"):
         CODEC.encode("shares", bytes(16), bytes(17), 7, packed=True)
+
+
+@pytest.mark.parametrize("kind,header", [
+    ("precomp", (bytes(16), 9, 3, 2, [(0, 4)])),
+    ("renew-commits", (bytes(16), 1, 2, 3)),
+    ("renew-pairs", (bytes(16), 1, 2, 3)),
+])
+def test_a_run_moves_the_same_bytes_as_its_packed_column(kind, header):
+    # three batches or tracks: 2 values each, or degree 3 commitments
+    width, times = {"precomp": (16, 2), "renew-commits": (33, 3),
+                    "renew-pairs": (16, 2)}[kind]
+    gen = random.Random(kind)
+    values = tuple(gen.getrandbits(8 * width) for _ in range(3 * times))
+    run = wire.column(values, width)
+    raw = CODEC.encode(kind, *header, run, packed=True)
+    unpacked = [expand_runs(v) if isinstance(v, list) else v for v in header]
+    assert raw == CODEC.encode(kind, *unpacked, values)
+    assert CODEC.decode(kind, raw, packed=True) == (*header, run)
+    assert CODEC.decode(kind, raw) == (*unpacked, values)
+    for wrong in (run[:-1], run + bytes(width), b""):
+        with pytest.raises(ConfigurationError,
+                           match="not %d %d-byte" % (3 * times, width)):
+            CODEC.encode(kind, *header, wrong, packed=True)
+
+
+def test_a_packed_view_reads_its_column_as_items():
+    values = tuple(range(1000, 1012))
+    raw = wire.column(values, 3)
+    for group in (1, 2, 3):
+        view = wire.Packed(raw, 3, group)
+        items = (values if group == 1 else
+                 tuple(zip(*[iter(values)] * group)))
+        assert len(view) == len(items) and tuple(view) == items
+        assert [view[k] for k in range(-len(items), len(items))] == [
+            *items, *items]
+        with pytest.raises(IndexError):
+            view[len(items)]
+    with pytest.raises(ConfigurationError):
+        wire.Packed(raw[:-3], 3, 2)

@@ -705,6 +705,7 @@ class TpvSession:
                     "round %d" % (d, held[-1][1] - 1, start))
             reported[j].append(expand_runs(held))
             flat = Cursor(pairs).uints(2 * batches, width)
+            del pairs  # the column goes before the halves are cut
             return flat[0::2], flat[1::2]
 
         sources = {j: self.net.entropy_source(self._holder_ep(j))
@@ -1000,12 +1001,12 @@ class TpvSession:
                 if pair_tamper is not None:
                     sent = [pair_tamper(d, j, track, pair)
                             for track, pair in enumerate(sent)]
-                (got,) = self._send(
+                (arrived,) = self._send(
                     self._holder_ep(d), self._holder_ep(j), "renew-pairs",
                     header, column([v for pair in sent for v in pair], width),
                     packed=True)
                 received[j] = (Packed(commits, self.codec.sizes["P"], degree),
-                               Packed(got, width, 2))
+                               Packed(arrived, width, 2))
             return received
 
         def check_source(received):

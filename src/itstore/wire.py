@@ -54,8 +54,8 @@ from operator import sub
 from .errors import ConfigurationError, ImproperRequestError, ProtocolError
 
 __all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor", "Packed", "check_runs",
-           "column", "encode_ids", "encode_runs", "expand_runs", "head_runs", "id_ranges",
-           "id_runs", "intersect_runs"]
+           "column", "encode_ids", "encode_runs", "expand_runs", "head_runs",
+           "id_ranges", "id_runs", "intersect_runs"]
 
 SID_BYTES = 16
 # Most ids one decoded id list may name: a 12-byte run could otherwise

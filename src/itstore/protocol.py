@@ -105,7 +105,6 @@ from .stores import CalculatorStore, HolderStore, VerifierRecord, VerifierStore
 from .wire import (
     SID_BYTES,
     Codec,
-    Cursor,
     Packed,
     column,
     expand_runs,
@@ -693,19 +692,21 @@ class TpvSession:
         reported = {j: [] for j in sets}  # live ids each holder was sent
 
         def deliver(d, j, r_vals, z_vals):
+            # sent packed, from the live runs and the value column, and
+            # read unpacked: the receiver needs each id and value anyway
+            header = (sid, start, batches, d)
             flat = [0] * (2 * batches)
             flat[0::2], flat[1::2] = r_vals, z_vals
-            held, pairs = self._send(self._holder_ep(d), self._holder_ep(j),
-                                     "precomp", (sid, start, batches, d),
-                                     live[d], column(flat, width),
-                                     packed=True)
-            if held and held[-1][1] > start:
+            payload = self.codec.encode("precomp", *header, live[d],
+                                        column(flat, width), packed=True)
+            held, flat = self._deliver(self._holder_ep(d),
+                                       self._holder_ep(j), "precomp",
+                                       payload, header)
+            if held and held[-1] >= start:
                 raise ProtocolError(
                     "holder %d reports live round %d at or past first "
-                    "round %d" % (d, held[-1][1] - 1, start))
-            reported[j].append(expand_runs(held))
-            flat = Cursor(pairs).uints(2 * batches, width)
-            del pairs  # the column goes before the halves are cut
+                    "round %d" % (d, held[-1], start))
+            reported[j].append(held)
             return flat[0::2], flat[1::2]
 
         sources = {j: self.net.entropy_source(self._holder_ep(j))

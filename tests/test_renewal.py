@@ -613,6 +613,51 @@ def test_multi_track_round_renews_every_track_and_names_a_failed_one():
         Accusation(1, 3, "commitment check failed on track 2"),)
 
 
+def test_a_dealing_of_the_wrong_degree_is_accused_on_every_track():
+    # Dealer 1 hands holders 2-4 a consistent degree-3 dealing: each pair
+    # lies on the committed polynomials, so the per-dealer check alone
+    # passes it, but folded in it lifts the shares off every degree-2
+    # sharing of the secret. The commitment count is what refuses it.
+    group = MERSENNE127_GROUP
+    field = group.share_field()
+    holders = (1, 2, 3, 4)
+    rng = SeededEntropy(b"wrong-degree")
+    polys = [random_polynomial(2, field.random_int(rng), field, rng)
+             for _ in range(2)]
+    shares = {j: tuple(poly.evaluate(j) for poly in polys) for j in holders}
+    dealt = {}
+
+    def degree_three(d, commitments, pairs):
+        if d == 1:
+            commitments, pairs = gen_renewal(
+                holders, 3, group, SeededEntropy(b"degree-three"), 2)
+            dealt.update(commitments=commitments, pairs=pairs)
+        return forward(d, commitments, pairs)
+
+    outcome = renewal_round(shares, 2, group,
+                            one_source(SeededEntropy(b"round")),
+                            deliver=degree_three)
+    assert all(len(eps) == 3 for eps in dealt["commitments"])
+    assert all(verify_renewal_share(c, eps, pair, group)
+               for c in (2, 3, 4) for eps, pair in zip(
+                   dealt["commitments"], dealt["pairs"][c]))
+    assert not outcome.accepted and outcome.new_shares is None
+    assert outcome.accusations == tuple(
+        Accusation(c, 1, "commitment check failed on track %d" % track)
+        for c in (2, 3, 4) for track in range(2))
+
+    honest = renewal_round(shares, 2, group,
+                           one_source(SeededEntropy(b"round")),
+                           deliver=forward)
+    assert honest.accepted and not honest.accusations
+    assert {j: len(renewed) for j, renewed in honest.new_shares.items()} == {
+        j: 2 for j in holders}
+    for track, poly in enumerate(polys):
+        for subset in itertools.combinations(holders, 3):
+            pts = [(j, honest.new_shares[j][track]) for j in subset]
+            assert interpolate_at_zero(pts, field) == poly.evaluate(0)
+
+
 def recording_checks(monkeypatch):
     """Route renewal_round's checks through a recorder: (recipient,
     summed, passed) per call, summed true for a check of the dealers'

@@ -320,13 +320,18 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
     holder checks each track once: the pairs the other holders sent it,
     summed, against the products of their commitments
     (renewal.summed_dealing, checked by verify_renewal_share). A holder
-    does not check its own pairs: nothing can alter them on the way. If
-    the sum fails, a pair is None (never received) or a commitment is
-    not a member, the holder checks that track dealer by dealer, and
-    every dealer that fails is accused. Any accusation rejects the round
-    with no new shares; otherwise every holder folds its own pair and the
-    summed pair into its shares, and new_shares holds them in the form
-    its shares came in: a tuple, or a Packed view of the renewed column.
+    does not check its own pairs: nothing can alter them on the way. A
+    dealer whose commitments on a track are not exactly `degree` long is
+    accused on that track: a dealing of another degree can pass its own
+    check, and folded in it would lift the shares off every sharing of
+    the secret of this degree. If the sum fails, a pair is None (never
+    received) or a commitment is not a member, the holder checks that
+    track dealer by dealer, and every dealer that fails is accused. So a
+    track whose summed check fails always accuses someone. Any
+    accusation rejects the round with no new shares; otherwise every
+    holder folds its own pair and the summed pair into its shares, and
+    new_shares holds them in the form its shares came in: a tuple, or a
+    Packed view of the renewed column.
     Errors of two or more dealers that cancel at one holder pass the sum,
     and that holder's renewed share is then still correct (see renewal's
     module docstring for why the sum is sound).
@@ -373,20 +378,19 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
                 shares[j], own.pop(j), *(got[d][0] for d in dealers),
                 *(got[d][1] for d in dealers), strict=True)):
             commitments, pairs = sent[:n], sent[n:]
-            summed = summed_dealing(commitments, pairs, config, members)
-            if summed is not None and verify_renewal_share(
-                    j, *summed, config, members):
+            counted = [len(eps) == degree for eps in commitments]
+            summed = all(counted) and summed_dealing(commitments, pairs,
+                                                     config, members)
+            if summed and verify_renewal_share(j, *summed, config, members):
                 renewed.append(apply_renewal(
                     share, (own_pair, summed[1]), config))
                 continue
-            for d, eps, pair in zip(dealers, commitments, pairs):
-                if pair is None or not verify_renewal_share(
+            for d, eps, pair, ok in zip(dealers, commitments, pairs,
+                                        counted):
+                if not ok or pair is None or not verify_renewal_share(
                         j, eps, pair, config, members):
                     accusations.append(Accusation(
                         j, d, "commitment check failed on track %d" % track))
-            if not accusations:
-                renewed.append(apply_renewal(share, [own_pair] + pairs,
-                                             config))
         new_shares[j] = (Packed(column(renewed, width), width)
                          if isinstance(shares[j], Packed) else tuple(renewed))
     if accusations:

@@ -72,10 +72,15 @@ the sum of the committed polynomials' values at c, and that sum is all
 apply_renewal adds. One wrong pair fails it. Errors of two or more
 dealers that cancel at one recipient pass it, and the renewed share is
 then still the right one; one check per dealer would have aborted that
-round. A failed sum, a missing pair or a commitment outside the round's
-members sends the track back to one check per dealer, which accuses
-whoever fails. A product of members is a member, so summed_dealing adds
-the products to the members and they cost no full-width power.
+round. A dealer that sent a track other than exactly t commitments is
+accused on it, since a consistent dealing of another degree passes its
+own check. A failed sum, a missing pair or a commitment outside the
+round's members sends the track back to one check per dealer, which
+accuses whoever fails. The summed check is the product of the dealers'
+own checks, so a failed sum has at least one dealer that fails, and no
+track is folded without passing its summed check. A product of members
+is a member, so summed_dealing adds the products to the members and they
+cost no full-width power.
 Cost of an honest round with n holders, degree t and T tracks, so
 K = n*T*t commitments: K commitments to deal and n*T to check, all from
 the tables; n*T*t calls of mod_exp for the right-hand-side powers, whose
@@ -342,11 +347,11 @@ def summed_dealing(commitments, pairs, config: RenewalGroupConfig,
     column, and pair is the sum of their pairs. A product of members is
     a member, so the products join members.
 
-    None when a pair is missing, a commitment is not in members or the
-    dealers' commitment counts differ: then only each dealer's own
-    commitments and pair can be checked.
+    Every dealer must have sent the same number of commitments. None
+    when a pair is missing or a commitment is not in members: then only
+    each dealer's own commitments and pair can be checked.
     """
-    if None in pairs or len({len(eps) for eps in commitments}) > 1:
+    if None in pairs:
         return None
     p, q = config.p, config.q
     products = []

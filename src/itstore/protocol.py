@@ -517,21 +517,20 @@ class TpvSession:
         return 1 + SID_BYTES + 8 + self.k // 8
 
     def _send(self, sender: str, receiver: str, kind: str, header,
-              *body, packed: bool = False) -> tuple:
+              *body) -> tuple:
         """Encode one message (header fields, then body fields), deliver
-        it, and return the body fields as the receiver decodes them;
-        packed: W* and ids fields in wire's packed form, on both sides."""
-        payload = self.codec.encode(kind, *header, *body, packed=packed)
-        return self._deliver(sender, receiver, kind, payload, header, packed)
+        it, and return the body fields as the receiver decodes them."""
+        payload = self.codec.encode(kind, *header, *body)
+        return self._deliver(sender, receiver, kind, payload, header)
 
     def _deliver(self, sender: str, receiver: str, kind: str,
-                 payload: bytes, header=(), packed: bool = False) -> tuple:
+                 payload: bytes, header=()) -> tuple:
         """Deliver encoded bytes; the receiver decodes them and checks
         that their leading fields equal header, the sid of the exchange
         first (register-data alone has no header and no sid)."""
         delivered = self.transport.send(sender, receiver, kind, payload,
                                         sid=header[0] if header else None)
-        return self.codec.decode(kind, delivered, header, packed)
+        return self.codec.decode(kind, delivered, header)
 
     def _verdict(self, sid: bytes, phase: Phase, outcome: Outcome,
                  detail: str = "") -> VerdictEvent:
@@ -625,7 +624,7 @@ class TpvSession:
 
         # the share columns travel and are stored as they are
         share_msgs = {j: self.codec.encode("shares", sid, ss.shares,
-                                           ss.password_share, packed=True)
+                                           ss.password_share)
                       for j, ss in holder_sets.items()}
         tag_msg = self.codec.encode("tag-report", sid, t1, tag.to_bytes())
 
@@ -644,7 +643,7 @@ class TpvSession:
         for j in self.params.holder_indices:
             shares, pw_share = self._deliver(
                 self.CALCULATOR, self._holder_ep(j), "shares", share_msgs[j],
-                (sid,), packed=True)
+                (sid,))
             self.holder_stores[j].put_secret(
                 sid, HolderShareSet(j, self.params, shares, pw_share))
 
@@ -693,33 +692,29 @@ class TpvSession:
         batches = self.params.batch_count(rounds)
         width = self.params.field.byte_width
         live = {j: sets[j].tuples.runs() for j in sets}
-        reported = {j: [] for j in sets}  # live ids each holder was sent
+        reported = {j: [] for j in sets}  # live runs each holder was sent
 
         def deliver(d, j, r_vals, z_vals):
-            # sent packed, from the live runs and the value column, and
-            # read unpacked: the receiver needs each id and value anyway
             header = (sid, start, batches, d)
             flat = [0] * (2 * batches)
             flat[0::2], flat[1::2] = r_vals, z_vals
-            payload = self.codec.encode("precomp", *header, live[d],
-                                        column(flat, width), packed=True)
-            held, flat = self._deliver(self._holder_ep(d),
-                                       self._holder_ep(j), "precomp",
-                                       payload, header)
-            if held and held[-1] >= start:
+            held, values = self._send(self._holder_ep(d), self._holder_ep(j),
+                                      "precomp", header, live[d],
+                                      column(flat, width))
+            if held and held[-1][1] > start:
                 raise ProtocolError(
                     "holder %d reports live round %d at or past first "
-                    "round %d" % (d, held[-1], start))
+                    "round %d" % (d, held[-1][1] - 1, start))
             reported[j].append(held)
-            return flat[0::2], flat[1::2]
+            values = tuple(Packed(values, width))
+            return values[0::2], values[1::2]
 
         sources = {j: self.net.entropy_source(self._holder_ep(j))
                    for j in sets}
         new_ids = precompute_round(sets, sources, rounds, deliver)
         for j in sets:
             store = self.holder_stores[j]
-            store.retire(sid, retired_rounds(expand_runs(live[j]),
-                                             reported[j]))
+            store.retire(sid, retired_rounds(live[j], reported[j]))
             store.save(sid)
         self.transcript.append("precompute sid=%s rounds=%d first=%d"
                                % (sid.hex(), rounds, start))
@@ -778,7 +773,7 @@ class TpvSession:
             share_set = self.holder_stores[j].get_secret(sid)
             blocks, runs = self._send(holder, self.CALCULATOR, "avail-reply",
                                       (sid,), share_set.block_count,
-                                      share_set.tuples.runs(), packed=True)
+                                      share_set.tuples.runs())
             if blocks != expected_blocks:
                 return self._abort_reconstruction(
                     sid, _ABORT_THRESHOLD,
@@ -804,12 +799,13 @@ class TpvSession:
         requests = spss_request(pw_element, chosen, params,
                                 self.net.entropy_source(self.CALCULATOR),
                                 tuple_ids=expand_runs(pinned))
+        width = field.byte_width
         responses = []
         for j in chosen:
             holder = self._holder_ep(j)
             members, pw_share, runs = self._send(
                 self.CALCULATOR, holder, "recon-ask", (sid,), bytes(chosen),
-                requests[j].password_share, pinned, packed=True)
+                requests[j].password_share, pinned)
             response = self.holder_stores[j].respond(
                 sid, SpssRequest(tuple(members), pw_share,
                                  expand_runs(runs)))
@@ -817,8 +813,8 @@ class TpvSession:
             if j in tampers:
                 values = tuple(tampers[j](values))
             (got,) = self._send(holder, self.CALCULATOR, "recon-response",
-                                (sid,), values)
-            responses.append(MaskedResponse(j, got))
+                                (sid,), column(values, width))
+            responses.append(MaskedResponse(j, tuple(Packed(got, width))))
 
         try:
             recovered = spss_recover(responses, pw_element, params,
@@ -975,7 +971,7 @@ class TpvSession:
             self._group_checked = True
         params = self.params
         degree = params.data_degree
-        width = params.field.byte_width
+        width, p_width = params.field.byte_width, self.codec.sizes["P"]
         holders = list(params.holder_indices)
 
         sets = {j: self.holder_stores[j].get_secret(sid) for j in holders}
@@ -994,23 +990,23 @@ class TpvSession:
             header = (sid, round_no, d, n_tracks)
             commit_msg = self.codec.encode(
                 "renew-commits", *header,
-                [eps for track in commitments for eps in track])
+                column([eps for track in commitments for eps in track],
+                       p_width))
             received = {}
             for j in holders:
                 if j == d:
                     continue
                 (commits,) = self._deliver(
                     self._holder_ep(d), self._holder_ep(j),
-                    "renew-commits", commit_msg, header, packed=True)
+                    "renew-commits", commit_msg, header)
                 sent = pairs[j]
                 if pair_tamper is not None:
                     sent = [pair_tamper(d, j, track, pair)
                             for track, pair in enumerate(sent)]
                 (arrived,) = self._send(
                     self._holder_ep(d), self._holder_ep(j), "renew-pairs",
-                    header, column([v for pair in sent for v in pair], width),
-                    packed=True)
-                received[j] = (Packed(commits, self.codec.sizes["P"], degree),
+                    header, column([v for pair in sent for v in pair], width))
+                received[j] = (Packed(commits, p_width, degree),
                                Packed(arrived, width, 2))
             return received
 

@@ -69,7 +69,7 @@ from .errors import (
 from .field import PrimeField, zero_coefficients
 from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
 from .mac import split_blocks
-from .wire import Cursor, Packed, column, id_ranges, intersect_runs
+from .wire import Cursor, Packed, column, intersect_runs
 
 __all__ = [
     "SpssParams",
@@ -467,25 +467,26 @@ def precompute_round(holders: dict, randomness, rounds: int = 1,
 
 def retired_rounds(live, reported) -> tuple:
     """The rounds a holder retires at a precompute: each id of `live`, its
-    live rounds before the precompute in increasing order, that some other
-    holder does not hold. reported lists every other holder's live ids,
-    as each sent them with its precomp contribution.
+    live rounds before the precompute as canonical (first, end) ranges,
+    that some other holder does not hold, in increasing order. reported
+    lists every other holder's live ranges, as each sent them with its
+    precomp contribution.
 
     A round spent at any holder masked a released response, so no
     t-subset may spend it again: the holders that served it no longer
     hold it, and a subset without them would reuse a mask that already
     hid one response. Retiring can only lose tuples, never revive one.
-    The rounds every holder holds are wire.intersect_runs of the lists'
-    runs, as a reconstruction finds the rounds its subset holds.
+    The rounds every holder holds are wire.intersect_runs of the lists,
+    as a reconstruction finds the rounds its subset holds.
     """
-    held = intersect_runs(
-        [id_ranges(live)] + [id_ranges(ids) for ids in reported])
+    held = intersect_runs([live, *reported])
     out, k = [], 0
-    for rid in live:  # live and held both increase
-        while k < len(held) and held[k][1] <= rid:
+    for first, end in live:  # held lies inside live, and both increase
+        while k < len(held) and held[k][0] < end:
+            out += range(first, held[k][0])
+            first = held[k][1]
             k += 1
-        if k == len(held) or rid < held[k][0]:
-            out.append(rid)
+        out += range(first, end)
     return tuple(out)
 
 

@@ -17,25 +17,25 @@ SCHEMA lists for its kind, big-endian and without padding. Field types:
              run count and then (first, count) u32 pairs: canonical runs,
              each nonempty and starting past the end of the one before
              plus one, so that touching runs are merged and one id list
-             has one encoding. An encoder given ids that do not increase,
-             and a decoder given runs that are empty, out of order,
+             has one encoding. Runs that are empty, out of order,
              overlapping, touching, past 2^32 - 1 or naming more than
-             MAX_IDS ids, raise ImproperRequestError (a ProtocolError)
+             MAX_IDS ids raise ImproperRequestError (a ProtocolError),
+             at encode and at decode
     run(X, field, times)
              field * times values of width X (W, or P, the commitment
              group modulus width), where field names an earlier count
              field of the message and times is a number or "degree"
 
-Codec's packed form moves W*, run and ids fields without an int per
-element: a W* list or a run as its byte column, the width's bytes
-big-endian per element back to back as they are on the wire, and an id
-list as its (first, end) ranges, as check_runs returns them. The bytes on
-the wire are the same in either form, so a sender and its receiver choose
-theirs apart. A packed run must hold exactly its count times `times`
-values. A holder keeps its data shares and live ids in these forms, and a
-renewal round reads the commitment and pair columns each holder received
-through Packed, a sequence view that decodes a column only when it is
-read.
+A W* list or a run is given to Codec and returned by it as its byte
+column: the width's bytes big-endian per element, back to back as they
+are on the wire. An id list is given and returned as its canonical
+(first, end) ranges, as check_runs returns them. A column must hold
+whole values, and a run's exactly its count times `times` values. The
+bytes are the ones an int per element would give. A holder keeps its
+data shares and live ids in these forms, readers that want ints decode
+where they use them, and a renewal round reads the commitment and pair
+columns each holder received through Packed, a sequence view that
+decodes a column only when it is read.
 
 The widths W, P, tag, digest and the renewal degree are the session's
 (Codec's constructor takes them); none is configured separately. A value
@@ -54,7 +54,7 @@ from operator import sub
 from .errors import ConfigurationError, ImproperRequestError, ProtocolError
 
 __all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor", "Packed", "check_runs",
-           "column", "encode_ids", "encode_runs", "expand_runs", "head_runs",
+           "column", "encode_runs", "expand_runs", "head_runs",
            "id_ranges", "id_runs", "intersect_runs"]
 
 SID_BYTES = 16
@@ -246,7 +246,7 @@ def check_runs(flat, limit: "int | None" = None) -> list:
     firsts, counts = flat[0::2], flat[1::2]
     after = -1  # the next run must start above this id
     for first, count in zip(firsts, counts):
-        if not count:
+        if count <= 0:
             raise ImproperRequestError("empty round-id run")
         if first <= after:
             raise ImproperRequestError(
@@ -316,12 +316,6 @@ def encode_runs(ranges) -> bytes:
     return (len(flat) // 2).to_bytes(4, "big") + column(flat, 4)
 
 
-def encode_ids(ids) -> bytes:
-    """A strictly increasing list of u32 round ids as its id_runs runs,
-    written by encode_runs."""
-    return encode_runs(id_ranges(ids))
-
-
 def _length_prefix(kind: str, name: str, length: int, width: int) -> bytes:
     if length >> (8 * width):
         raise ConfigurationError(
@@ -347,10 +341,9 @@ class Codec:
         n = values[[f[0] for f in fields].index(count_field)]
         return n * (self.sizes[times] if isinstance(times, str) else times)
 
-    def encode(self, kind: str, *values, packed: bool = False) -> bytes:
-        """The message bytes: the kind's code, then each field in order.
-        packed: W*, run and ids fields are given in the packed form (module
-        docstring), and are written without expanding them."""
+    def encode(self, kind: str, *values) -> bytes:
+        """The message bytes: the kind's code, then each field in order,
+        W*, run and ids fields given as the module docstring says."""
         code, fields = SCHEMA[kind]
         out = [bytes((code,))]
         for (name, (category, key, *count)), value in zip(fields, values,
@@ -369,10 +362,11 @@ class Codec:
             elif category == "bytes":
                 out.append(_length_prefix(kind, name, len(value), width))
                 out.append(value)
-            elif category == "ids":
-                out.append(encode_runs(value) if packed
-                           else encode_ids(value))
-            elif category == "list" and packed:
+            elif category == "ids":  # refused here as at decode
+                check_runs([v for first, end in value
+                            for v in (first, end - first)])
+                out.append(encode_runs(value))
+            elif category == "list":
                 if len(value) % width:
                     raise ConfigurationError(
                         "%s field %s holds %d bytes, not whole %d-byte "
@@ -380,27 +374,22 @@ class Codec:
                 out.append(_length_prefix(kind, name, len(value) // width,
                                           4))
                 out.append(value)
-            elif category == "run" and packed:
+            else:
                 n = self._run_values(fields, values, count)
                 if len(value) != n * width:
                     raise ConfigurationError(
                         "%s field %s holds %d bytes, not %d %d-byte values"
                         % (kind, name, len(value), n, width))
                 out.append(value)
-            else:
-                if category == "list":
-                    out.append(_length_prefix(kind, name, len(value), 4))
-                out.append(column(value, width))
         return b"".join(out)
 
-    def decode(self, kind: str, raw: bytes, expect=(),
-               packed: bool = False) -> tuple:
+    def decode(self, kind: str, raw: bytes, expect=()) -> tuple:
         """Parse one message of this kind. Its leading fields must equal
         `expect` (the sid of the exchange first, then any header values the
         receiver knows); the remaining fields are returned in order, W*,
-        run and ids fields in the packed form when packed is set. Another
-        code, a short or long message, or a header naming anything else
-        raises ProtocolError."""
+        run and ids fields as the module docstring says. Another code, a
+        short or long message, or a header naming anything else raises
+        ProtocolError."""
         code, fields = SCHEMA[kind]
         rd = Cursor(raw)
         got = rd.uint(1)
@@ -417,15 +406,12 @@ class Codec:
             elif category == "bytes":
                 values.append(rd.take(rd.uint(width)))
             elif category == "list":
-                count = rd.uint(4)
-                values.append(rd.take(count * width) if packed
-                              else rd.uints(count, width))
+                values.append(rd.take(rd.uint(4) * width))
             elif category == "ids":
-                values.append(rd.runs() if packed else rd.ids())
+                values.append(rd.runs())
             else:
-                n = self._run_values(fields, values, count)
-                values.append(rd.take(n * width) if packed
-                              else rd.uints(n, width))
+                values.append(rd.take(self._run_values(fields, values, count)
+                                      * width))
         rd.done()
         header = tuple(values[:len(expect)])
         if header != tuple(expect):

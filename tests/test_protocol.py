@@ -941,7 +941,7 @@ def test_a_recon_ask_that_repeats_a_round_id_spends_nothing(tmp_path):
     # the calculator cannot even encode such a list
     with pytest.raises(ImproperRequestError):
         session._send(calculator, holder, "recon-ask", (sid,),
-                      bytes((1, 2, 3)), 5, (0,) * blocks)
+                      bytes((1, 2, 3)), 5, [(0, 1)] * blocks)
     assert len(session.transcript) == lines
     # and runs that name an id twice are refused when the holder decodes
     head = session.codec.encode("recon-ask", sid, bytes((1, 2, 3)), 5, ())

@@ -301,9 +301,11 @@ def test_retired_rounds_are_those_some_other_holder_lacks():
     live = [0, 1, 2, 3, 5, 8]
     # one holder spent 0-1, another also 8; 9 is not held here at all
     reported = [(0, 1, 2, 3, 5, 8, 9), (2, 3, 5, 8), (2, 3, 5)]
-    assert retired_rounds(live, reported) == (0, 1, 8)
-    assert retired_rounds(live, [tuple(live)] * 3) == ()
-    assert retired_rounds(live, [()]) == tuple(live)
+    runs = id_ranges(live)
+    reported = [id_ranges(ids) for ids in reported]
+    assert retired_rounds(runs, reported) == (0, 1, 8)
+    assert retired_rounds(runs, [runs] * 3) == ()
+    assert retired_rounds(runs, [[]]) == tuple(live)
     assert retired_rounds([], reported) == ()
 
 

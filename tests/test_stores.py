@@ -544,7 +544,7 @@ def test_a_journal_left_by_an_earlier_version_is_never_read_or_written(
     journal = holder_dir / "journal.log"
     # the earlier versions' consume record: "C", the sid, then id runs
     ChainedLog.open(journal)[0].append(
-        b"C" + bytes([len(sid)]) + sid + wire.encode_ids((0,)))
+        b"C" + bytes([len(sid)]) + sid + wire.encode_runs([(0, 1)]))
     left = journal.read_bytes()
     seen = []
 

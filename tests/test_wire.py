@@ -19,7 +19,8 @@ CODEC = Codec(W=16, P=33, tag=8, digest=64, degree=3)
 
 def sample_values(kind):
     """One value per field of the kind, each at the top of its width; a
-    field that counts a run holds 2."""
+    field that counts a run holds 2. W* and run values are given as
+    their columns, ids as their ranges."""
     fields = SCHEMA[kind][1]
     counts = {ftype[2] for _name, ftype in fields if ftype[0] == "run"}
     values = []
@@ -33,13 +34,13 @@ def sample_values(kind):
         elif category == "bytes":
             values.append(b"payload " * 5)
         elif category == "list":
-            values.append(tuple(top - i for i in range(5)))
+            values.append(oracle_uints((top - i for i in range(5)), width))
         elif category == "ids":  # three runs, the last ending at the top
-            values.append((0, 1, 2, 9, top - 1, top))
+            values.append([(0, 3), (9, 10), (top - 1, top + 1)])
         else:
             _count_field, times = count
             n = 2 * (CODEC.sizes[times] if isinstance(times, str) else times)
-            values.append(tuple(top - i for i in range(n)))
+            values.append(oracle_uints((top - i for i in range(n)), width))
     return tuple(values)
 
 
@@ -128,15 +129,17 @@ def test_lists_and_runs_match_a_per_element_oracle(width, count):
         int.from_bytes(body[i:i + width], "big")
         for i in range(0, len(body), width))
 
-    raw = codec.encode("recon-response", sid, values)
+    raw = codec.encode("recon-response", sid, wire.column(values, width))
     assert raw == b"\x0a" + sid + count.to_bytes(4, "big") + body
-    assert codec.decode("recon-response", raw) == (sid, values)
+    assert codec.decode("recon-response", raw) == (sid, body)
 
     pairs = values + values
-    ran = codec.encode("renew-pairs", sid, 7, 2, count, pairs)
+    ran = codec.encode("renew-pairs", sid, 7, 2, count,
+                       wire.column(pairs, width))
     assert ran == (b"\x16" + sid + (7).to_bytes(4, "big") + b"\x02"
                    + count.to_bytes(4, "big") + oracle_uints(pairs, width))
-    assert codec.decode("renew-pairs", ran) == (sid, 7, 2, count, pairs)
+    assert codec.decode("renew-pairs", ran) == (
+        sid, 7, 2, count, oracle_uints(pairs, width))
 
     for kind, message in (("recon-response", raw), ("renew-pairs", ran)):
         with pytest.raises(ProtocolError):
@@ -165,9 +168,10 @@ def test_round_ids_travel_as_canonical_runs(ids, runs):
     flat = [v for run in runs for v in run]
     assert id_runs(ids) == flat
     assert expand_runs(check_runs(flat)) == ids
-    raw = CODEC.encode("avail-reply", bytes(16), 3, ids)
+    ranges = wire.id_ranges(ids)
+    raw = CODEC.encode("avail-reply", bytes(16), 3, ranges)
     assert raw == runs_message(runs)
-    assert CODEC.decode("avail-reply", raw) == (bytes(16), 3, ids)
+    assert CODEC.decode("avail-reply", raw) == (bytes(16), 3, ranges)
 
 
 def test_an_id_list_expands_to_at_most_max_ids(monkeypatch):
@@ -182,11 +186,12 @@ def test_non_contiguous_id_sets_round_trip():
     gen = random.Random("runs")
     for _ in range(200):
         ids = tuple(sorted(gen.sample(range(300), gen.randrange(60))))
-        raw = CODEC.encode("recon-ask", bytes(16), b"\x01\x02\x03", 7, ids)
-        assert CODEC.decode("recon-ask", raw)[-1] == ids
+        raw = CODEC.encode("recon-ask", bytes(16), b"\x01\x02\x03", 7,
+                           wire.id_ranges(ids))
+        assert expand_runs(CODEC.decode("recon-ask", raw)[-1]) == ids
 
 
-@pytest.mark.parametrize("runs", [
+MALFORMED_RUNS = [
     [(4, 0)],                       # an empty run
     [(9, 2), (1, 2)],               # out of order
     [(1, 3), (2, 4)],               # overlapping
@@ -195,15 +200,24 @@ def test_non_contiguous_id_sets_round_trip():
     [((1 << 32) - 1, 2)],           # past 2^32 - 1
     [(0, 1 << 31), (1 << 31, 0)],   # empty after a long run
     [(0, 1 << 22), (5 << 22, 1)],   # more ids than a list may expand to
-], ids=["empty", "unsorted", "overlap", "repeat", "touching", "overflow",
-        "empty-after", "too-many"])
+]
+
+
+@pytest.mark.parametrize("runs", MALFORMED_RUNS, ids=[
+    "empty", "unsorted", "overlap", "repeat", "touching", "overflow",
+    "empty-after", "too-many"])
 def test_malformed_id_runs_fail_closed(runs):
     with pytest.raises(ImproperRequestError):
         CODEC.decode("avail-reply", runs_message(runs))
 
 
-@pytest.mark.parametrize("ids", [(3, 3), (4, 2), (0, 5, 1), (1 << 32,),
-                                 (-1, 0)])
+# the id lists (3, 3), (4, 2), (0, 5, 1), (2^32,) and (-1, 0) as ranges,
+# then every malformed run list above as (first, end) ranges
+@pytest.mark.parametrize("ids", [
+    [(3, 4), (3, 4)], [(4, 5), (2, 3)], [(0, 1), (5, 6), (1, 2)],
+    [(1 << 32, (1 << 32) + 1)], [(-1, 1)],
+    *[[(first, first + count) for first, count in runs]
+      for runs in MALFORMED_RUNS]])
 def test_an_id_list_that_is_not_a_u32_set_is_not_encoded(ids):
     with pytest.raises(ImproperRequestError):
         CODEC.encode("avail-reply", bytes(16), 1, ids)
@@ -242,6 +256,45 @@ def test_intersect_runs_equals_the_sorted_set_intersection():
     assert wire.intersect_runs([]) == []
 
 
+def oracle_message(kind, values):
+    """The message bytes built by hand from an int per element: a W* or
+    run field as oracle_uints of its values, an ids field as its
+    (first, count) u32 runs."""
+    code, fields = SCHEMA[kind]
+    out = bytes((code,))
+    for (_name, (category, key, *_count)), value in zip(fields, values,
+                                                       strict=True):
+        width = CODEC.sizes[key]
+        if category == "int":
+            out += value.to_bytes(width, "big")
+        elif category == "raw":
+            out += value
+        elif category == "bytes":
+            out += len(value).to_bytes(width, "big") + value
+        elif category == "ids":
+            flat = id_runs(value)
+            out += (len(flat) // 2).to_bytes(4, "big") + oracle_uints(flat, 4)
+        elif category == "list":
+            out += len(value).to_bytes(4, "big") + oracle_uints(value, width)
+        else:
+            out += oracle_uints(value, width)
+    return out
+
+
+def per_element(kind, decoded):
+    """Decoded fields of kind an int per element: a W* or run column as
+    its values, ranges as their ids."""
+    out = []
+    for (_name, (category, key, *_count)), value in zip(SCHEMA[kind][1],
+                                                       decoded):
+        if category == "ids":
+            value = expand_runs(value)
+        elif category in ("list", "run"):
+            value = tuple(wire.Packed(value, CODEC.sizes[key]))
+        out.append(value)
+    return tuple(out)
+
+
 @pytest.mark.parametrize("kind,values,packed", [
     ("shares", (bytes(range(16)), bytes(range(48)), 7),
      (bytes(range(16)), tuple(int.from_bytes(bytes(range(48))[i:i + 16],
@@ -254,15 +307,16 @@ def test_intersect_runs_equals_the_sorted_set_intersection():
      (bytes(16), b"\x01\x02\x03", 5, ())),
 ])
 def test_the_packed_form_moves_the_same_bytes(kind, values, packed):
-    raw = CODEC.encode(kind, *values, packed=True)
-    assert raw == CODEC.encode(kind, *packed)
-    assert CODEC.decode(kind, raw, packed=True) == values
-    assert CODEC.decode(kind, raw) == packed
+    # packed holds the same fields an int per element
+    raw = CODEC.encode(kind, *values)
+    assert raw == oracle_message(kind, packed)
+    assert CODEC.decode(kind, raw) == values
+    assert per_element(kind, CODEC.decode(kind, raw)) == packed
 
 
 def test_a_packed_list_of_part_values_is_refused():
     with pytest.raises(ConfigurationError, match="not whole 16-byte"):
-        CODEC.encode("shares", bytes(16), bytes(17), 7, packed=True)
+        CODEC.encode("shares", bytes(16), bytes(17), 7)
 
 
 @pytest.mark.parametrize("kind,header", [
@@ -277,15 +331,15 @@ def test_a_run_moves_the_same_bytes_as_its_packed_column(kind, header):
     gen = random.Random(kind)
     values = tuple(gen.getrandbits(8 * width) for _ in range(3 * times))
     run = wire.column(values, width)
-    raw = CODEC.encode(kind, *header, run, packed=True)
+    raw = CODEC.encode(kind, *header, run)
     unpacked = [expand_runs(v) if isinstance(v, list) else v for v in header]
-    assert raw == CODEC.encode(kind, *unpacked, values)
-    assert CODEC.decode(kind, raw, packed=True) == (*header, run)
-    assert CODEC.decode(kind, raw) == (*unpacked, values)
+    assert raw == oracle_message(kind, (*unpacked, values))
+    assert CODEC.decode(kind, raw) == (*header, run)
+    assert per_element(kind, CODEC.decode(kind, raw)) == (*unpacked, values)
     for wrong in (run[:-1], run + bytes(width), b""):
         with pytest.raises(ConfigurationError,
                            match="not %d %d-byte" % (3 * times, width)):
-            CODEC.encode(kind, *header, wrong, packed=True)
+            CODEC.encode(kind, *header, wrong)
 
 
 def test_a_packed_view_reads_its_column_as_items():

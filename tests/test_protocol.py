@@ -20,8 +20,16 @@ from itstore.errors import (
     ProtocolError,
 )
 from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork
-from itstore.protocol import Outcome, Phase, RolePlacement, TpvSession
-from itstore.renewal import EXACT_CHECKS, SUBSET_TESTS
+from itstore.field import PrimeField
+from itstore.protocol import (
+    Outcome,
+    Phase,
+    RolePlacement,
+    TpvSession,
+    VerdictEvent,
+)
+from itstore.renewal import EXACT_CHECKS, SUBSET_TESTS, TOY_GROUP
+from itstore.spss import SpssParams
 from itstore.stores import (
     HolderStore,
     directory_contains_window,
@@ -272,6 +280,69 @@ def test_wrong_password_releases_nothing_and_spends_masks(tmp_path):
     session.precompute(sid, rounds=blocks)
     final = session.reconstruct_and_release(sid, PASSWORD)
     assert final.data == DATA
+
+
+@pytest.mark.parametrize("case", ["subset-offline", "block-count",
+                                  "zero-password", "dropped-value"])
+def test_a_reconstruction_that_cannot_go_on_releases_nothing(tmp_path, case):
+    session = make_session(tmp_path)
+    sid, _t1, blocks = register_and_stock(session)
+    records = {j: live_record(store, sid)
+               for j, store in session.holder_stores.items()}
+    password, kwargs = PASSWORD, {}
+    if case == "subset-offline":
+        kwargs = {"subset": (1, 2, 3), "offline": {2}}
+        detail = "requested holders offline: [2]"
+    elif case == "block-count":
+        # avail-reply: code u8, sid16, then the u32 block count
+        relabel_on_send(
+            session, lambda s, r, kind: (kind, s) == ("avail-reply",
+                                                      "holder-1"),
+            lambda payload: (payload[:17] + (blocks + 1).to_bytes(4, "big")
+                             + payload[21:]))
+        detail = "holder 1 stores %d blocks, expected %d" % (blocks + 1,
+                                                            blocks)
+    elif case == "zero-password":
+        password = session.params.field.q.to_bytes(16, "big")
+        detail = "unusable password attempt"
+    else:  # spss_recover's ReconstructionAbortError
+        kwargs = {"holder_response_tamper": {2: lambda values: values[:-1]}}
+        detail = "holders disagree on block count"
+
+    result = session.reconstruct_and_release(sid, password, **kwargs)
+    assert (result.outcome, result.detail, result.data) == (
+        Outcome.ABORT, detail, None)
+    assert session.verdicts[-1] == VerdictEvent(
+        sid, Phase.RECONSTRUCTION, Outcome.ABORT, detail)
+    assert sid not in session.end_user_received
+    assert session.received_bytes(session.END_USER, sid=sid) == 0
+    asked = [line for line in session.transcript if "kind=recon-ask" in line]
+    if case == "dropped-value":  # the asks went out and spent the masks
+        assert len(asked) == 3
+        for j in (1, 2, 3):
+            assert len(spent_rounds(session.holder_stores[j], sid)) == blocks
+        return
+    assert asked == []
+    for j, store in session.holder_stores.items():
+        assert spent_rounds(store, sid) == ()
+        assert live_record(store, sid) == records[j]
+
+
+def test_an_owner_without_a_receipt_sends_nothing(tmp_path):
+    session = make_session(tmp_path)
+    sid, _t1, _blocks = register_and_stock(session)
+    del session.owner_receipts[sid]
+    lines, verdicts = len(session.transcript), list(session.verdicts)
+    records = {j: live_record(store, sid)
+               for j, store in session.holder_stores.items()}
+    with pytest.raises(ProtocolError,
+                       match="owner holds no receipt for %s" % sid.hex()):
+        session.reconstruct_and_release(sid, PASSWORD)
+    assert len(session.transcript) == lines and session.verdicts == verdicts
+    assert sid not in session.end_user_received
+    for j, store in session.holder_stores.items():
+        assert spent_rounds(store, sid) == ()
+        assert live_record(store, sid) == records[j]
 
 
 # ----------------------------------------------------- timestamps and clocks
@@ -599,6 +670,46 @@ def test_renewal_destroys_previous_share_bytes(tmp_path):
     holder_dir = session.holder_stores[1].directory
     for raw in old_encoded:
         assert not directory_contains_window(holder_dir, raw, window=16)
+
+
+def drop_last_track(session, sid):
+    share_set = session.holder_stores[4].get_secret(sid)
+    share_set.shares = share_set.shares[:-share_set.params.field.byte_width]
+
+
+def note_a_renewal(session, sid):
+    session.holder_stores[4].get_secret(sid).renewal_runs = [(0, 1)]
+
+
+@pytest.mark.parametrize("kwargs,split,error,message", [
+    ({"params": SpssParams(field=PrimeField.mersenne(61))}, None,
+     ConfigurationError, "no renewal group configured"),
+    ({"renewal_group": TOY_GROUP}, None, ConfigurationError,
+     "renewal group order 11 does not match the share field"),
+    ({}, drop_last_track, ProtocolError,
+     "holders disagree on the track count"),
+    ({}, note_a_renewal, ProtocolError, "holders disagree on renewal history"),
+], ids=["no-group", "group-order", "track-count", "history"])
+def test_a_renewal_the_holders_cannot_run_sends_nothing(tmp_path, kwargs,
+                                                        split, error,
+                                                        message):
+    session = make_session(tmp_path, **kwargs)
+    sid, _t1, _blocks = register_and_stock(session)
+    if split is not None:
+        split(session, sid)
+    sets = {j: store.get_secret(sid)
+            for j, store in session.holder_stores.items()}
+    before = {j: (s.shares, list(s.renewal_runs)) for j, s in sets.items()}
+    records = {j: live_record(store, sid)
+               for j, store in session.holder_stores.items()}
+    lines = list(session.transcript)
+    with pytest.raises(error) as info:
+        session.renew(sid)
+    assert str(info.value) == message
+    assert session.transcript == lines
+    assert {j: (s.shares, s.renewal_runs) for j, s in sets.items()} == before
+    assert {j: live_record(store, sid)
+            for j, store in session.holder_stores.items()} == records
 
 
 def test_session_renewal_checks_each_packet_of_another_holder_once(

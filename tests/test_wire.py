@@ -212,12 +212,14 @@ def test_malformed_id_runs_fail_closed(runs):
 
 
 # the id lists (3, 3), (4, 2), (0, 5, 1), (2^32,) and (-1, 0) as ranges,
-# then every malformed run list above as (first, end) ranges
+# then every malformed run list above as (first, end) ranges, then a
+# range that ends before it starts
 @pytest.mark.parametrize("ids", [
     [(3, 4), (3, 4)], [(4, 5), (2, 3)], [(0, 1), (5, 6), (1, 2)],
     [(1 << 32, (1 << 32) + 1)], [(-1, 1)],
     *[[(first, first + count) for first, count in runs]
-      for runs in MALFORMED_RUNS]])
+      for runs in MALFORMED_RUNS],
+    [(5, 3)]])
 def test_an_id_list_that_is_not_a_u32_set_is_not_encoded(ids):
     with pytest.raises(ImproperRequestError):
         CODEC.encode("avail-reply", bytes(16), 1, ids)

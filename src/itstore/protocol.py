@@ -814,7 +814,7 @@ class TpvSession:
                 values = tuple(tampers[j](values))
             (got,) = self._send(holder, self.CALCULATOR, "recon-response",
                                 (sid,), column(values, width))
-            responses.append(MaskedResponse(j, tuple(Packed(got, width))))
+            responses.append(MaskedResponse(j, Packed(got, width)))
 
         try:
             recovered = spss_recover(responses, pw_element, params,

@@ -320,7 +320,7 @@ class SpssRequest:
 @dataclass(frozen=True)
 class MaskedResponse:
     holder: int
-    values: tuple  # F_{j,1}..F_{j,l+1}
+    values: tuple  # F_{j,1}..F_{j,l+1}, or a wire.Packed view of them
 
 
 def password_to_element(raw: bytes, field: PrimeField) -> int:

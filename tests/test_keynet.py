@@ -779,3 +779,52 @@ def test_check_sendable_counts_seed_growth_once_per_channel():
         net.ensure_pair_key("A", "C", net.message_key_cost("alice", "carol", n))
         net.secure_recv(net.secure_send("alice", "carol", bytes(n)))
     assert net.conservation_holds()
+
+
+# ------------------------------------------------------------- tied routes
+
+TIED_LINKS = (("N0", "N1"), ("N0", "N3"), ("N0", "N5"), ("N0", "N6"),
+              ("N1", "N2"), ("N1", "N3"), ("N1", "N6"), ("N2", "N4"),
+              ("N4", "N5"))
+
+
+def tied_topology(starved=None):
+    """Seven nodes where some pairs have two shortest routes of equal
+    length, and the route from a to b is not the one from b to a. Every
+    link runs at 10 Mbit/s except `starved`, which makes no key."""
+    return NetworkTopology(
+        nodes=tuple(NodeSpec("N%d" % i) for i in range(7)),
+        links=tuple(
+            LinkSpec("L%d" % i, a, b, capacity_bits=10**9,
+                     rate_bps=0 if "L%d" % i == starved else 10_000_000)
+            for i, (a, b) in enumerate(TIED_LINKS)))
+
+
+def test_the_tied_topology_routes_each_direction_its_own_way():
+    topo = tied_topology()
+    assert [l.name for l in topo.shortest_path("N4", "N3")] == ["L7", "L4", "L5"]
+    assert [l.name for l in topo.shortest_path("N3", "N4")] == ["L1", "L2", "L8"]
+
+
+@pytest.mark.parametrize("starved", ["L%d" % i for i in range(len(TIED_LINKS))])
+def test_check_sendable_refuses_exactly_the_sends_that_cannot_be_paid(starved):
+    for x, y in itertools.permutations(["N%d" % i for i in range(7)], 2):
+        net = KeyNetwork(tied_topology(starved), master_seed=b"tied")
+        net.register_endpoint("from", x)
+        net.register_endpoint("to", y)
+        net.advance(60_000)
+        before = net.ledger()
+        try:
+            net.check_sendable([("from", "to", 100)])
+            planned = True
+        except KeySupplyError:
+            planned = False
+        assert net.ledger() == before
+        try:
+            net.ensure_pair_key(x, y, net.message_key_cost("from", "to", 100))
+            net.secure_send("from", "to", bytes(100))
+            paid = True
+        except KeySupplyError:
+            paid = False
+        assert planned == paid, (starved, x, y)
+        assert net.conservation_holds()

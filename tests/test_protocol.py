@@ -1266,3 +1266,42 @@ def test_placement_must_cover_every_holder(tmp_path):
     with pytest.raises(ConfigurationError):
         make_session(tmp_path, placement=RolePlacement(
             holders=("Koganei-1", "Koganei-2")))
+
+
+# ----------------------------------------------------------- tied routes
+
+def tied_session(tmp_path, starved):
+    """The calculator at N4 sends holder 2 at N3 its shares over L7, L4,
+    L5, while the route from N3 to N4 is L1, L2, L8."""
+    from test_keynet import tied_topology
+    net = KeyNetwork(tied_topology(starved), master_seed=b"tied")
+    net.advance(60_000)
+    placement = RolePlacement(holders=("N4", "N3", "N5", "N0"), owner="N0",
+                              end_user="N0", calculator="N4", verifier="N5")
+    return TpvSession(tmp_path / "run", net=net, placement=placement)
+
+
+def test_a_registration_whose_send_route_is_starved_aborts_before_any_share(
+        tmp_path):
+    session = tied_session(tmp_path, "L4")
+    with pytest.raises(KeySupplyError):
+        session.register(bytes(100), PASSWORD)
+    verdict = session.verdicts[-1]
+    assert verdict.phase is Phase.REGISTRATION
+    assert verdict.outcome is Outcome.ABORT
+    assert verdict.detail.startswith(
+        "key supply exhausted: cannot deliver 165 bytes calculator->holder-2: ")
+    assert "L4" in verdict.detail
+    for store in session.holder_stores.values():
+        assert store.secret_ids() == ()
+    assert len(session.calculator_store) == 0
+    assert session.net.conservation_holds()
+
+
+def test_a_registration_is_not_refused_for_a_link_no_send_uses(tmp_path):
+    session = tied_session(tmp_path, "L1")
+    sid, _ = session.register(bytes(100), PASSWORD)
+    assert session.verdicts[-1].outcome is Outcome.SUCCESS
+    for store in session.holder_stores.values():
+        assert store.secret_ids() == (sid,)
+    assert session.net.conservation_holds()

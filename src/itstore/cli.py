@@ -38,6 +38,7 @@ from .keynet import KeyNetwork
 from .protocol import Outcome, TpvSession
 from .spss import data_block_count
 from .stores import DISK
+from .wire import intersect_runs
 
 _STATE_FILE = "state.json"
 _STATE_KEYS = ("scenario", "network", "receipts", "end_user")
@@ -339,12 +340,13 @@ def _cmd_reconstruct(args) -> int:
         sid = _sid_from_args(ws, args)
         _t1, byte_length = session.owner_receipts[sid]
         tracks = data_block_count(byte_length, session.params) + 1
-        # count the rounds live at every holder: a round an earlier
-        # reconstruction spent stays live at the holders it did not contact
-        # until the next precompute, which retires it there
-        have = len(set.intersection(*(
-            set(store.get_secret(sid).tuples)
-            for store in session.holder_stores.values())))
+        # count the rounds live at every holder, intersected as a
+        # reconstruction pins them: a round an earlier reconstruction spent
+        # stays live at the holders it did not contact until the next
+        # precompute, which retires it there
+        have = sum(end - first for first, end in intersect_runs(
+            store.get_secret(sid).tuples.runs()
+            for store in session.holder_stores.values()))
         if have < tracks:
             session.precompute(sid, rounds=tracks - have)
         result = session.reconstruct_and_release(

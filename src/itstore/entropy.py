@@ -77,6 +77,8 @@ class PrfBits:
 class RandomSource:
     """Uniform bits on demand. Subclasses implement take_bits."""
 
+    __slots__ = ()
+
     def take_bits(self, nbits: int) -> int:
         raise NotImplementedError
 

@@ -40,10 +40,11 @@ measurements.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 
-from .entropy import PrfBits, derive_key
+from .entropy import PrfBits, RandomSource, derive_key
 from .errors import (
     ChannelIntegrityError,
     ConfigurationError,
@@ -284,8 +285,8 @@ class _PairStream:
         self._kept = ()
 
 
-class KsaSource:
-    """Node-local randomness tap; RandomSource-compatible (take_bits)."""
+class KsaSource(RandomSource):
+    """Node-local randomness tap: a RandomSource over the node's pool."""
 
     __slots__ = ("node", "prf", "available", "consumed", "capacity", "rate_bps",
                  "_cursor", "_carry")
@@ -320,8 +321,13 @@ class KsaSource:
         self.consumed += nbits
         return value
 
-    def take_bytes(self, nbytes: int) -> bytes:
-        return self.take_bits(nbytes * 8).to_bytes(nbytes, "big")
+
+def _copied(state):
+    """A copy of one slotted counter object, for a plan to spend from."""
+    copied = object.__new__(type(state))
+    for name in state.__slots__:
+        setattr(copied, name, getattr(state, name))
+    return copied
 
 
 class _ChannelState:
@@ -396,13 +402,17 @@ class KeyNetwork:
         return self.streams[pair]
 
     def relay_keys(self, a: str, b: str, amount: int, path=None):
-        """Mint `amount` shared bits for (a, b), spending every hop.
-
-        Checks the whole path first: a short hop fails the relay with no
-        partial debit anywhere.
-        """
+        """Mint `amount` shared bits for (a, b), spending every hop of the
+        route from a to b, or of `path`. This is the only entry a real
+        relay takes; its route, per-hop check and debits are _relay's,
+        which check_sendable runs on scratch counters to plan sends."""
         if amount <= 0:
             raise ConfigurationError("relay amount must be positive")
+        self._relay(a, b, amount, path)
+
+    def _relay(self, a: str, b: str, amount: int, path=None):
+        """Check the whole route first, so a short hop fails the relay with
+        no partial debit anywhere; then debit every hop and credit (a, b)."""
         stream = self.pair_stream(a, b)
         hops = path if path is not None else self.topology.shortest_path(a, b)
         if not hops:
@@ -463,11 +473,6 @@ class KeyNetwork:
             self.channels[key] = _ChannelState()
         return self.channels[key]
 
-    def _key_cost(self, keyed: bool, nbytes: int) -> int:
-        """Pair-stream bits one send spends: the hash key on a channel's
-        first send, then the body pad and the tag pad."""
-        return (0 if keyed else self.tag_bits) + nbytes * 8 + self.tag_bits
-
     def _tag(self, chan: _ChannelState, seq: int, ciphertext: bytes,
              tag_pad: int) -> int:
         message = seq.to_bytes(_SEQ_FIELD_BITS // 8, "big") + ciphertext
@@ -475,51 +480,45 @@ class KeyNetwork:
                                     chan.powers) + tag_pad) % self.modulus
 
     def message_key_cost(self, sender: str, receiver: str, nbytes: int) -> int:
-        """Bits a send of nbytes will consume: pad + tag pad, plus the hash
-        key on the channel's first send."""
+        """Pair-stream bits a send of nbytes will consume: the hash key on
+        the channel's first send, then the body pad and the tag pad."""
         chan = self.channels.get((sender, receiver))
-        return self._key_cost(chan is not None and chan.seed_width > 0, nbytes)
+        keyed = chan is not None and chan.seed_width > 0
+        return (0 if keyed else self.tag_bits) + nbytes * 8 + self.tag_bits
 
     def check_sendable(self, messages) -> None:
         """Raise KeySupplyError unless the whole message sequence could be
-        paid for, assuming on-demand relays along shortest paths.
+        paid for, each send relaying its shortfall first as ensure_pair_key
+        does, over the route from the sender's node to the receiver's.
 
-        Pure simulation -- no channel, stream or link state changes. Used
-        by protocol phases that must refuse atomically before the first
-        message leaves. messages: iterable of (sender, receiver, nbytes).
+        The plan runs the sends' own accounting -- message_key_cost,
+        pair_stream and _relay -- on scratch copies of the link, stream and
+        channel counters, then spends each message's cost and marks its
+        channel keyed, so it refuses exactly the sequences whose sends
+        would fail, and no live state changes. Used by protocol phases
+        that must refuse atomically before the first message leaves.
+        messages: iterable of (sender, receiver, nbytes).
         """
-        keyed = {}
-        avail = {}
-        buffered = {name: st.buffered for name, st in self.links.items()}
+        plan = copy.copy(self)
+        for table in ("links", "streams", "channels"):
+            setattr(plan, table, {key: _copied(state) for key, state
+                                  in getattr(self, table).items()})
         for sender, receiver, nbytes in messages:
             node_s = self._endpoint_node(sender)
             node_r = self._endpoint_node(receiver)
             if node_s == node_r:
                 continue  # local handoff, no key spent
-            ck = (sender, receiver)
-            if ck not in keyed:
-                chan = self.channels.get(ck)
-                keyed[ck] = chan is not None and chan.seed_width > 0
-            pair = self._pair(node_s, node_r)
-            if pair not in avail:
-                stream = self.streams.get(pair)
-                avail[pair] = stream.available if stream else 0
-            cost = self._key_cost(keyed[ck], nbytes)
-            if avail[pair] < cost:
-                shortfall = cost - avail[pair]
-                path = self.topology.shortest_path(*pair)
-                for link in path:
-                    if buffered[link.name] < shortfall:
-                        raise KeySupplyError(
-                            "cannot deliver %d bytes %s->%s: link %s holds "
-                            "%d bits, the relay needs %d"
-                            % (nbytes, sender, receiver, link.name,
-                               buffered[link.name], shortfall))
-                for link in path:
-                    buffered[link.name] -= shortfall
-                avail[pair] += shortfall
-            avail[pair] -= cost
-            keyed[ck] = True
+            cost = plan.message_key_cost(sender, receiver, nbytes)
+            stream = plan.pair_stream(node_s, node_r)
+            if stream.available < cost:
+                try:
+                    plan._relay(node_s, node_r, cost - stream.available)
+                except KeySupplyError as exc:
+                    raise KeySupplyError(
+                        "cannot deliver %d bytes %s->%s: %s"
+                        % (nbytes, sender, receiver, exc)) from exc
+            stream.cursor += cost
+            plan._channel(sender, receiver).seed_width = 1
 
     def secure_send(self, sender: str, receiver: str, plaintext: bytes) -> SecureEnvelope:
         """Encrypt, tag and sequence one message. Key cost: one pad bit per
@@ -534,7 +533,7 @@ class KeyNetwork:
         stream = self.pair_stream(node_s, node_r)
         chan = self._channel(sender, receiver)
 
-        total = self._key_cost(chan.seed_width > 0, len(plaintext))
+        total = self.message_key_cost(sender, receiver, len(plaintext))
         if stream.available < total:
             raise KeySupplyError(
                 "send needs %d key bits, pair %s|%s has %d"

@@ -38,11 +38,12 @@ compared: a k-bit tag, or a cs_tag_bits digest, so the two widths differ.
   seed or no row; success (refuted) when the tag differs; else fail.
 
 Key exhaustion during registration aborts before any share leaves the
-calculator: the full outgoing message list is checked against simulated
-channel, stream and relay budgets first. A reconstruction that cannot
-gather the threshold number of holders, or spends its precomputed masks,
-aborts the session without releasing anything; registration records are
-untouched by such aborts.
+calculator: the full outgoing message list is planned first by
+KeyNetwork.check_sendable, which runs the sends' own relay accounting,
+route included, on scratch copies of the key counters. A reconstruction
+that cannot gather the threshold number of holders, or spends its
+precomputed masks, aborts the session without releasing anything;
+registration records are untouched by such aborts.
 """
 
 from __future__ import annotations

@@ -831,3 +831,13 @@ def test_malformed_mapping_is_refused_with_its_exact_message(mapping, message):
     with pytest.raises(ConfigurationError) as info:
         parse_scenario(mapping)
     assert str(info.value) == message
+
+
+def test_a_scenario_naming_two_links_alike_is_refused():
+    mapping = {"topology": {
+        "nodes": [{"name": "A"}, {"name": "B"}, {"name": "C"}],
+        "links": [{"name": "l", "a": "A", "b": "B", "rate_bps": 1},
+                  {"name": "l", "a": "B", "b": "C", "rate_bps": 1}]}}
+    with pytest.raises(ConfigurationError) as info:
+        parse_scenario(mapping)
+    assert str(info.value) == "topology: duplicate link names"

@@ -828,3 +828,34 @@ def test_check_sendable_refuses_exactly_the_sends_that_cannot_be_paid(starved):
             paid = False
         assert planned == paid, (starved, x, y)
         assert net.conservation_holds()
+
+
+# --------------------------------------------------------------- refusals
+
+def test_a_link_with_a_negative_rate_or_no_capacity_is_refused():
+    with pytest.raises(ConfigurationError, match="^link x has a bad rate or capacity$"):
+        LinkSpec("x", "A", "B", rate_bps=-1)
+    with pytest.raises(ConfigurationError, match="^link x has a bad rate or capacity$"):
+        LinkSpec("x", "A", "B", rate_bps=1, capacity_bits=0)
+
+
+def test_a_topology_naming_two_links_alike_is_refused():
+    with pytest.raises(ConfigurationError, match="^duplicate link names$"):
+        NetworkTopology(
+            nodes=(NodeSpec("A"), NodeSpec("B"), NodeSpec("C")),
+            links=(LinkSpec("x", "A", "B", rate_bps=1),
+                   LinkSpec("x", "B", "C", rate_bps=1)))
+
+
+def test_a_negative_draw_or_time_step_is_refused_and_changes_nothing():
+    net = fresh_net()
+    pool = net.entropy_source("A")
+    before = net.ledger()
+    with pytest.raises(ConfigurationError, match="^cannot draw a negative bit count$"):
+        pool.take_bits(-1)
+    with pytest.raises(ConfigurationError, match="^time only moves forward$"):
+        net.advance(-1)
+    assert net.ledger() == before
+    # the pool's cursor did not move either: the next draw is the first
+    assert pool.take_bits(64) == KeyNetwork(
+        line_topology(), master_seed=b"test-net").entropy_source("A").take_bits(64)

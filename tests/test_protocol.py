@@ -1305,3 +1305,39 @@ def test_a_registration_is_not_refused_for_a_link_no_send_uses(tmp_path):
     for store in session.holder_stores.values():
         assert store.secret_ids() == (sid,)
     assert session.net.conservation_holds()
+
+
+def test_a_registration_waits_whole_steps_for_the_key_its_plan_needs(
+        tmp_path):
+    # as in the abort test above, the upload is paid for and the fan-out
+    # is not; here the session waits for key instead of aborting
+    step = 1_000
+    session = make_session(tmp_path, advance_ms=1_500,
+                           advance_on_exhaustion_ms=step)
+    net = session.net
+    plan = net.check_sendable
+    attempts = []  # (simulated time, whether the plan passed)
+
+    def watched(messages):
+        try:
+            plan(messages)
+        except KeySupplyError:
+            attempts.append((net.now_ms, False))
+            raise
+        attempts.append((net.now_ms, True))
+
+    net.check_sendable = watched
+    start = net.now_ms
+    sid, _ = session.register(bytes(range(256)) * 16, PASSWORD)
+
+    assert len(attempts) > 1
+    assert [ok for _, ok in attempts] == [False] * (len(attempts) - 1) + [True]
+    first = attempts[0][0]
+    assert [t - first for t, _ in attempts] == [
+        step * i for i in range(len(attempts))]
+    assert (net.now_ms - start) % step == 0 and net.now_ms > start
+    assert session.verdicts[-1].outcome is Outcome.SUCCESS
+    assert sid in session.calculator_store.ids()
+    for store in session.holder_stores.values():
+        assert store.secret_ids() == (sid,)
+    assert net.conservation_holds()

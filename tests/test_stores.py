@@ -1640,3 +1640,143 @@ def test_a_directory_made_at_the_first_write_costs_one_root_fsync(tmp_path):
             calls[label, name] = counter.calls
     for name in ("holder", "calculator", "verifier"):
         assert calls["lazy", name] == calls["made", name] + 1 > 1
+
+
+# ------------------------------------------------ refusals that change nothing
+
+def tree(directory) -> "dict | None":
+    """Every file's bytes under a store directory, None if there is none."""
+    return file_bytes(directory) if directory.exists() else None
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("secret_id", b"", "secret id must be 1..255 bytes"),
+    ("secret_id", bytes(256), "secret id must be 1..255 bytes"),
+    ("t1", -1, "t1 out of 64-bit range"),
+    ("t2", 1 << 64, "t2 out of 64-bit range"),
+], ids=["empty-id", "long-id", "negative-t1", "wide-t2"])
+def test_a_verifier_record_outside_its_fields_is_refused(tmp_path, field,
+                                                         value, message):
+    store = VerifierStore(tmp_path / "verifier")
+    store.append(make_record(1, 100, 105))
+    before = tree(tmp_path / "verifier")
+    rec = make_record(2, 200, 205)
+    with pytest.raises(ConfigurationError) as info:
+        VerifierRecord(**{**vars(rec), field: value})
+    assert str(info.value) == message
+    assert tree(tmp_path / "verifier") == before and len(store) == 1
+
+
+def test_a_verifier_record_whose_tag_is_not_whole_bytes_is_tampering(
+        tmp_path):
+    directory = tmp_path / "verifier"
+    directory.mkdir()
+    log, _ = ChainedLog.open(directory / "verifier.log")
+    log.append(struct.pack(">B", 16) + b"\x01" * 16
+               + struct.pack(">QQH", 100, 105, 61) + bytes(8))
+    before = tree(directory)
+    with pytest.raises(TamperDetectedError) as info:
+        VerifierStore(directory)
+    assert str(info.value) == "malformed verifier record"
+    assert tree(directory) == before
+
+
+@pytest.mark.parametrize("meta", [
+    b"ITCS1\n" + bytes([2]) + struct.pack(">H", 256) + b"\x00",
+    b"ITCS1\n" + bytes([2]),
+    b"ITCS9\n" + bytes([2]) + struct.pack(">H", 256),
+], ids=["long", "short", "magic"])
+def test_a_calculator_meta_file_of_the_wrong_length_or_magic_is_tampering(
+        tmp_path, meta):
+    store = CalculatorStore(tmp_path / "calc", 256)
+    store.put(b"\x01" * 16, 1, calc_seed())
+    (tmp_path / "calc" / "meta.bin").write_bytes(meta)
+    before = tree(tmp_path / "calc")
+    for k in (None, 256):
+        with pytest.raises(TamperDetectedError) as info:
+            CalculatorStore(tmp_path / "calc", k)
+        assert str(info.value) == "calculator meta file is malformed"
+    assert tree(tmp_path / "calc") == before
+
+
+@pytest.mark.parametrize("sid,t1,message", [
+    (b"", 1, "secret id must be 1..64 bytes"),
+    (bytes(65), 1, "secret id must be 1..64 bytes"),
+    (b"\x02" * 16, -1, "t1 out of 64-bit range"),
+    (b"\x02" * 16, 1 << 64, "t1 out of 64-bit range"),
+], ids=["empty-id", "long-id", "negative-t1", "wide-t1"])
+def test_a_calculator_record_outside_its_fields_is_refused(tmp_path, sid, t1,
+                                                           message):
+    for stocked in (False, True):
+        directory = tmp_path / ("calc-%d" % stocked)
+        store = CalculatorStore(directory, 256)
+        if stocked:
+            store.put(b"\x01" * 16, 1, calc_seed())
+        before = tree(directory)
+        with pytest.raises(ConfigurationError) as info:
+            store.put(sid, t1, calc_seed())
+        assert str(info.value) == message
+        assert tree(directory) == before
+        assert len(store) == int(stocked)
+
+
+def test_removing_a_calculator_record_that_is_not_there_is_refused(tmp_path):
+    store = CalculatorStore(tmp_path / "calc", 256)
+    store.put(b"\x01" * 16, 1, calc_seed())
+    before = tree(tmp_path / "calc")
+    with pytest.raises(ProtocolError) as info:
+        store.remove(b"\x02" * 16)
+    assert str(info.value) == "no record for secret " + "02" * 16
+    assert tree(tmp_path / "calc") == before
+    assert store.ids() == (b"\x01" * 16,)
+
+
+@pytest.mark.parametrize("name,content,error,message", [
+    ("notes.a", b"x", TamperDetectedError, "{dir}: unexpected file notes.a"),
+    ("state.bin", b"", ConfigurationError,
+     "{dir} holds a single-snapshot state.bin, a layout this version no "
+     "longer reads"),
+    ("holder.bin", b"ITHS2\n\x00", TamperDetectedError,
+     "{dir}/holder.bin is malformed"),
+    ("holder.bin", b"ITHS1\n\x00\x01", TamperDetectedError,
+     "{dir}/holder.bin is malformed"),
+    ("holder.bin", None, TamperDetectedError,
+     "{dir}: records without the holder index"),
+], ids=["unexpected-name", "state-bin", "short-index", "index-magic",
+        "no-index"])
+def test_a_holder_directory_holding_what_no_save_writes_is_refused(
+        tmp_path, name, content, error, message):
+    stores, _secrets = registered_stores(tmp_path)
+    directory = tmp_path / "holder-1"
+    if content is None:
+        (directory / name).unlink()
+    else:
+        (directory / name).write_bytes(content)
+    before = tree(directory)
+    for holder in (1, None):
+        if content is None and holder is None:
+            continue  # no index on disk or given: a new store's refusal
+        with pytest.raises(error) as info:
+            HolderStore(directory, holder=holder)
+        assert str(info.value) == message.format(dir=directory)
+    assert tree(directory) == before
+
+
+@pytest.mark.parametrize("holder", [-1, 1 << 16])
+def test_a_holder_index_outside_16_bits_is_refused(tmp_path, holder):
+    with pytest.raises(ConfigurationError) as info:
+        HolderStore(tmp_path / "holder", holder=holder)
+    assert str(info.value) == "holder index out of range"
+    assert tree(tmp_path / "holder") is None
+
+
+@pytest.mark.parametrize("sid", [b"", bytes(65)], ids=["empty", "65-bytes"])
+def test_a_holder_secret_id_outside_1_to_64_bytes_is_refused(tmp_path, sid):
+    stores, secrets = registered_stores(tmp_path)
+    store, kept = stores[1], secrets[0][0]
+    before = tree(tmp_path / "holder-1")
+    with pytest.raises(ConfigurationError) as info:
+        store.put_secret(sid, store.get_secret(kept))
+    assert str(info.value) == "secret id must be 1..64 bytes"
+    assert tree(tmp_path / "holder-1") == before
+    assert store.secret_ids() == (kept,)

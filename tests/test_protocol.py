@@ -1341,3 +1341,38 @@ def test_a_registration_waits_whole_steps_for_the_key_its_plan_needs(
     for store in session.holder_stores.values():
         assert store.secret_ids() == (sid,)
     assert net.conservation_holds()
+
+
+def test_verdicts_sent_before_the_first_release_do_not_block_it(tmp_path):
+    # every verdict goes to the end user too, so a check or refutation run
+    # before the first release leaves verdict bytes there, never payload
+    session = make_session(tmp_path)
+    sid, t1, blocks = register_and_stock(session)
+    session.precompute(sid, rounds=blocks)  # stock for two reconstructions
+    end_user = session.END_USER
+
+    checked = session.integrity_check(sid, claim_data=DATA, claim_t1=t1)
+    assert checked.outcome is Outcome.SUCCESS
+    refuted = session.refute(sid, claim_data=DATA, claim_t1=t1)
+    assert (refuted.outcome, refuted.detail) == (Outcome.FAIL,
+                                                 "claim is authentic")
+    session.cs_register(sid, DATA)
+    assert session.cs_check(sid, DATA, claim_t1=t1).outcome is Outcome.SUCCESS
+
+    assert session.received_bytes(end_user, sid=sid, kind="release") == 0
+    seen = session.received_bytes(end_user, sid=sid)
+    assert seen == session.received_bytes(end_user, sid=sid,
+                                          kind="verdict") > 0
+    assert sid not in session.end_user_received
+
+    result = session.reconstruct_and_release(sid, PASSWORD)
+    assert (result.outcome, result.data) == (Outcome.SUCCESS, DATA)
+    assert session.end_user_received[sid] == (DATA, t1)
+    assert session.received_bytes(end_user, sid=sid, kind="release") > 0
+    assert session.verdicts[-1].phase is Phase.RECONSTRUCTION
+    # the default subset spent one reconstruction's tuples, holder 4 none
+    for j in (1, 2, 3):
+        assert len(spent_rounds(session.holder_stores[j], sid)) == blocks
+        assert len(session.holder_stores[j].get_secret(sid).tuples) == blocks
+    assert spent_rounds(session.holder_stores[4], sid) == ()
+    assert session.net.conservation_holds()

@@ -205,15 +205,10 @@ def _payload_from_args(args, seed: str) -> bytes:
         raise ConfigurationError(
             "give exactly one of --data, --text, --size-kb (got: %s)"
             % (", ".join(given) or "none"))
-    if args.data is not None:
-        try:
-            return Path(args.data).read_bytes()
-        except OSError as exc:
-            raise ConfigurationError("cannot read --data file: %s" % exc)
-    if args.text is not None:
-        if not args.text:
-            raise ConfigurationError("--text must not be empty")
-        return args.text.encode("utf-8")
+    if args.text == "":
+        raise ConfigurationError("--text must not be empty")
+    if args.size_kb is None:
+        return _data_or_text(args)
     if args.size_kb <= 0:
         raise ConfigurationError("--size-kb must be positive")
     return derive_payload(seed + "|cli-payload", args.size_kb * 1024)
@@ -222,6 +217,11 @@ def _payload_from_args(args, seed: str) -> bytes:
 def _claim_from_args(args) -> "bytes | None":
     if args.data is not None and args.text is not None:
         raise ConfigurationError("give at most one of --data, --text")
+    return _data_or_text(args)
+
+
+def _data_or_text(args) -> "bytes | None":
+    """The bytes of the --data file, else of --text, else None."""
     if args.data is not None:
         try:
             return Path(args.data).read_bytes()
@@ -335,6 +335,8 @@ def _cmd_register(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    # read before the workspace opens, so a malformed list spends nothing
+    subset, offline = _indices(args.subset), _indices(args.offline) or ()
     with _workspace_for(args, allow_init=False) as ws:
         session = ws.session
         sid = _sid_from_args(ws, args)
@@ -350,8 +352,7 @@ def _cmd_reconstruct(args) -> int:
         if have < tracks:
             session.precompute(sid, rounds=tracks - have)
         result = session.reconstruct_and_release(
-            sid, args.password.encode("utf-8"),
-            subset=_indices(args.subset), offline=_indices(args.offline) or ())
+            sid, args.password.encode("utf-8"), subset=subset, offline=offline)
     print("reconstruction %s: %s" % (result.outcome.value, result.detail))
     if result.data is not None and args.out:
         Path(args.out).write_bytes(result.data)

@@ -14,7 +14,7 @@ configuration errors with a precise dotted path.
                                   # decimal prime
     mac:
       scheme: polyeval            # the only registration MAC
-      k: 256                      # tag bits, multiple of 8, >= 16
+      k: 256                      # tag bits, multiple of 8 in [16, 512]
       cs_tag_bits: 512            # computational-mode digest width
     renewal:
       group: mersenne127          # toy | mersenne127 | rfc5114

@@ -51,8 +51,7 @@ class PrfBits:
         return h.digest()
 
     def read_bytes(self, byte_offset: int, nbytes: int) -> bytes:
-        if nbytes <= 0:
-            return b""
+        """Stream bytes [byte_offset, byte_offset + nbytes), nbytes >= 1."""
         first = byte_offset // _BLOCK_BYTES
         last = (byte_offset + nbytes - 1) // _BLOCK_BYTES
         kept, kept_block = self._last
@@ -78,9 +77,6 @@ class RandomSource:
     """Uniform bits on demand. Subclasses implement take_bits."""
 
     __slots__ = ()
-
-    def take_bits(self, nbits: int) -> int:
-        raise NotImplementedError
 
     def take_bytes(self, nbytes: int) -> bytes:
         return self.take_bits(nbytes * 8).to_bytes(nbytes, "big") if nbytes else b""

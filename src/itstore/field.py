@@ -79,17 +79,14 @@ def is_probable_prime(n: int, rounds: int = _MR_ROUNDS) -> bool:
 
 
 def largest_prime_at_most(n: int) -> int:
-    """Largest prime <= n, by downward scan."""
-    if n < 2:
-        raise ConfigurationError("no prime <= %d" % n)
+    """Largest odd prime <= n, by downward scan over the odd numbers; the
+    scan ends by 3 at the latest, so n must be at least 3."""
+    if n < 3:
+        raise ConfigurationError("no odd prime <= %d" % n)
     c = n if n % 2 else n - 1
-    if n == 2:
-        return 2
-    while c >= 3:
-        if is_probable_prime(c):
-            return c
+    while not is_probable_prime(c):
         c -= 2
-    return 2
+    return c
 
 
 def mod_exp(base: int, exponent: int, modulus: int) -> int:
@@ -123,8 +120,6 @@ class PrimeField:
     __slots__ = ("q", "mersenne_exponent", "block_bits", "byte_width", "_mask")
 
     def __init__(self, q: int):
-        if q < 2:
-            raise ConfigurationError("field modulus must be >= 2, got %d" % q)
         if not is_probable_prime(q):
             raise ConfigurationError("field modulus %d is not prime" % q)
         self.q = q

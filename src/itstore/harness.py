@@ -40,7 +40,7 @@ from pathlib import Path
 
 from .config import ScenarioConfig, derive_payload
 from .entropy import SeededEntropy
-from .errors import ConfigurationError, ItstoreError, ProtocolError
+from .errors import ItstoreError, ProtocolError
 from .field import PrimeField
 from .keynet import KeyNetwork
 from .protocol import Outcome, Phase, ReleaseResult, TpvSession
@@ -233,66 +233,54 @@ def _attack_hooks(run: _Run):
 
 
 def _scenario_phases(run: _Run):
-    """Execute the phase sequence, recording an outcome per phase."""
+    """Execute the phase sequence, recording an outcome per phase. The
+    first ItstoreError records the phase it arose in as aborted and ends
+    the sequence."""
     config = run.config
     session = run.session
-
-    # registration
+    phase = Phase.REGISTRATION.value
     try:
         run.sid, run.t1 = session.register(config.payload, config.password)
-    except ItstoreError as exc:
-        run.abort(Phase.REGISTRATION.value, exc)
-        return
-    run.note(Phase.REGISTRATION.value, Outcome.SUCCESS.value)
+        run.note(phase, Outcome.SUCCESS.value)
 
-    # masking precomputation: one tuple per track for one reconstruction
-    tracks = data_block_count(len(config.payload), config.params) + 1
-    try:
+        # masking precomputation: one tuple per track for one reconstruction
+        phase = "precompute"
+        tracks = data_block_count(len(config.payload), config.params) + 1
         session.precompute(run.sid, rounds=tracks)
-    except ItstoreError as exc:
-        run.abort("precompute", exc)
-        return
 
-    # proactive renewal
-    if config.renewal_rounds:
-        try:
+        # proactive renewal
+        if config.renewal_rounds:
+            phase = "renewal"
             for _ in range(config.renewal_rounds):
-                report = session.renew(run.sid)
-                run.renewal_reports.append(report)
-        except ItstoreError as exc:
-            run.abort("renewal", exc)
-            return
-        ok = all(r.accepted for r in run.renewal_reports)
-        run.note("renewal",
-                 Outcome.SUCCESS.value if ok else Outcome.FAIL.value)
+                run.renewal_reports.append(session.renew(run.sid))
+            ok = all(r.accepted for r in run.renewal_reports)
+            run.note(phase,
+                     Outcome.SUCCESS.value if ok else Outcome.FAIL.value)
 
-    # reconstruction and release (with the configured injection)
-    kwargs = _attack_hooks(run)
-    try:
+        # reconstruction and release (with the configured injection)
+        phase = Phase.RECONSTRUCTION.value
         result: ReleaseResult = session.reconstruct_and_release(
-            run.sid, **kwargs)
-    except ItstoreError as exc:
-        run.abort(Phase.RECONSTRUCTION.value, exc)
-        return
-    run.note(Phase.RECONSTRUCTION.value, result.outcome.value)
-    run.released = result.data
+            run.sid, **_attack_hooks(run))
+        run.note(phase, result.outcome.value)
+        run.released = result.data
 
-    # third-party integrity verification over whatever the end user holds
-    if run.sid in session.end_user_received:
-        try:
-            if config.attack.kind == "false-claim-user":
-                claim = _flip_first_bit(run.released)
-                verdict = session.integrity_check(run.sid, claim_data=claim,
-                                                  claim_t1=run.t1)
-                run.note(verdict.phase.value, verdict.outcome.value)
-                refutation = session.refute(run.sid, claim_data=claim,
-                                            claim_t1=run.t1)
-                run.note(refutation.phase.value, refutation.outcome.value)
-            else:
-                verdict = session.integrity_check(run.sid)
-                run.note(verdict.phase.value, verdict.outcome.value)
-        except ItstoreError as exc:
-            run.abort(Phase.INTEGRITY_CHECK.value, exc)
+        # third-party integrity verification over whatever the end user holds
+        if run.sid not in session.end_user_received:
+            return
+        phase = Phase.INTEGRITY_CHECK.value
+        if config.attack.kind == "false-claim-user":
+            claim = _flip_first_bit(run.released)
+            verdict = session.integrity_check(run.sid, claim_data=claim,
+                                              claim_t1=run.t1)
+            run.note(verdict.phase.value, verdict.outcome.value)
+            refutation = session.refute(run.sid, claim_data=claim,
+                                        claim_t1=run.t1)
+            run.note(refutation.phase.value, refutation.outcome.value)
+        else:
+            verdict = session.integrity_check(run.sid)
+            run.note(verdict.phase.value, verdict.outcome.value)
+    except ItstoreError as exc:
+        run.abort(phase, exc)
 
 
 def _exit_code(observed: dict, failures: tuple) -> int:
@@ -429,11 +417,8 @@ def _bench_one(config: ScenarioConfig, size_bytes: int, rep: int,
 def _compare_field_pair() -> tuple:
     """The two comparison fields. Their 2203-bit moduli are constants, so
     the primality checks run once per process."""
-    mersenne = PrimeField.mersenne(COMPARE_EXPONENT)
-    general = PrimeField(COMPARE_GENERAL_Q)  # primality re-checked here
-    if general.q.bit_length() != mersenne.q.bit_length():
-        raise ConfigurationError("comparison primes must match in width")
-    return mersenne, general
+    return (PrimeField.mersenne(COMPARE_EXPONENT),
+            PrimeField(COMPARE_GENERAL_Q))  # primality re-checked here
 
 
 def _bench_compare(config: ScenarioConfig, reps: int):

@@ -52,7 +52,8 @@ from .errors import (
     ProtocolError,
     ReplayError,
 )
-from .mac import polyeval_hash_bytes, polyeval_modulus, polyeval_powers
+from .mac import (check_k, polyeval_hash_bytes, polyeval_modulus,
+                  polyeval_powers)
 from .mac import toeplitz_tag_bits  # noqa: F401 -- perfbench's tracer hooks this name
 
 __all__ = [
@@ -359,9 +360,7 @@ class KeyNetwork:
     def __init__(self, topology: NetworkTopology = DEFAULT_TOPOLOGY,
                  master_seed: bytes = b"\x00" * 32,
                  tag_bits: int = CHANNEL_TAG_BITS):
-        if tag_bits < 16 or tag_bits % 8:
-            raise ConfigurationError(
-                "tag width must be a byte multiple of at least 16 bits")
+        check_k(tag_bits)  # channel tags are PolyEval tags
         self.topology = topology
         self.master = derive_key(master_seed, "keynet")
         self.tag_bits = tag_bits

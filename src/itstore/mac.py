@@ -50,6 +50,7 @@ __all__ = [
     "MacTag",
     "MacSeed",
     "MIN_POLYEVAL_K",
+    "MAX_POLYEVAL_K",
     "check_k",
     "check_digest_bits",
     "polyeval_modulus",
@@ -76,6 +77,9 @@ POLY_CHUNK = 64  # blocks per dot product in polyeval_tag_blocks
 # polyeval_hash_bytes cuts whole-byte blocks, which needs q_u >= 2^10; with
 # whole-byte tags 16 is the least such k
 MIN_POLYEVAL_K = 16
+# polyeval_modulus scans down from 2^k for a prime, which takes a fraction of
+# a second at k = 512 and about 10 s at k = 2048 in CPython
+MAX_POLYEVAL_K = 512
 
 
 class MacScheme(Enum):
@@ -90,11 +94,16 @@ _POLYEVAL_MODULI: dict = {}
 
 def check_k(k: int) -> None:
     """Refuse a tag width PolyEval cannot key: tags and keys are stored in
-    whole bytes, so k % 8 == 0, and byte blocks need k >= MIN_POLYEVAL_K."""
+    whole bytes, so k % 8 == 0, byte blocks need k >= MIN_POLYEVAL_K, and
+    the modulus search needs k <= MAX_POLYEVAL_K to end promptly."""
     if k < MIN_POLYEVAL_K:
         raise ConfigurationError(
             "PolyEval needs k >= %d for whole-byte blocks, got %d"
             % (MIN_POLYEVAL_K, k))
+    if k > MAX_POLYEVAL_K:
+        raise ConfigurationError(
+            "PolyEval needs k <= %d for a prompt modulus search, got %d"
+            % (MAX_POLYEVAL_K, k))
     if k % 8:
         raise ConfigurationError(
             "tags are whole bytes, so k must be a multiple of 8, got %d" % k)
@@ -165,11 +174,6 @@ class MacSeed:
     def byte_count(self) -> int:
         return self.k // 8
 
-    def consume(self):
-        if self.consumed:
-            raise SingleUseError("MAC seed already bound to a registered datum")
-        self.consumed = True
-
 
 def make_seed(k: int, randomness) -> MacSeed:
     """Draw a fresh key, uniform on [1, q_u): k-bit draws are redrawn until
@@ -190,8 +194,6 @@ def split_blocks(message: bytes, block_bits: int):
     Linear time: eight blocks fill exactly block_bits bytes, so each run
     of block_bits bytes is read as one integer and cut into eight blocks.
     """
-    if block_bits < 1:
-        raise ConfigurationError("block_bits must be >= 1")
     nbits = len(message) * 8
     if nbits == 0:
         return [], 0
@@ -307,7 +309,7 @@ def au2_hash(seed: MacSeed, message: bytes) -> MacTag:
     if seed.consumed:
         raise SingleUseError("MAC seed already used for a registration")
     tag = recompute_tag(seed, message)
-    seed.consume()
+    seed.consumed = True
     return tag
 
 
@@ -319,8 +321,6 @@ def recompute_tag(seed: MacSeed, message: bytes) -> MacTag:
 
 
 def seed_to_bytes(seed: MacSeed) -> bytes:
-    if seed.k % 8:
-        raise ConfigurationError("seed serialization needs k % 8 == 0")
     return seed.value.to_bytes(seed.byte_count, "big")
 
 

@@ -651,9 +651,6 @@ class TpvSession:
         self._file(self.CALCULATOR, "tag-report", tag_msg, sid)
 
         self.calculator_store.put(sid, t1, seed)
-        budget = len(sid) + 8 + seed.byte_count
-        if self.calculator_store.record_bytes(sid) != budget:
-            raise ProtocolError("calculator record exceeds its byte budget")
 
         (o_t1,) = self._deliver(self.CALCULATOR, self.OWNER, "receipt",
                                 receipt_msg, (sid,))
@@ -834,11 +831,6 @@ class TpvSession:
         if owner_tamper is not None:
             released = bytes(owner_tamper(released))
 
-        if (sid not in self.end_user_received
-                and self.transport.received_bytes(self.END_USER, sid=sid)):
-            raise ProtocolError(
-                "end user already saw bytes for %s before release"
-                % sid.hex())
         e_t1, e_data = self._send(self.OWNER, self.END_USER, "release",
                                   (sid,), t1, released)
         self.end_user_received[sid] = (e_data, e_t1)

@@ -112,7 +112,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError, ProtocolError, TamperDetectedError
 from .field import PrimeField
-from .mac import MacSeed, MacTag, seed_from_bytes, seed_to_bytes
+from .mac import MacSeed, MacTag, check_k, seed_from_bytes, seed_to_bytes
 from .spss import (HolderShareSet, LiveTuples, SpssParams, cut_rounds,
                    holder_respond)
 from .wire import Cursor, encode_runs, expand_runs
@@ -451,13 +451,16 @@ class CalculatorStore:
     The tag width is store-wide configuration, because every registration
     in a run shares it: a new store keeps it in memory and writes it to
     `meta.bin` with its first record, after the scheme byte, so building a
-    deployment writes nothing here, not even the directory.
+    deployment writes nothing here, not even the directory. A k passed in
+    must pass mac.check_k; a stored k that does not is tampering.
     """
 
     _META = "meta.bin"
 
     def __init__(self, directory, k: "int | None" = None):
         self.directory = Path(directory)
+        if k is not None:
+            check_k(k)
         names = DISK.listing(self.directory)
         for name in names:
             if name.endswith(".new"):  # a publish a crash interrupted
@@ -476,6 +479,11 @@ class CalculatorStore:
             if code != _CALC_POLYEVAL:
                 raise TamperDetectedError("calculator meta file is malformed")
             (stored_k,) = struct.unpack_from(">H", raw, len(_CALC_MAGIC) + 1)
+            try:
+                check_k(stored_k)
+            except ConfigurationError as exc:
+                raise TamperDetectedError("calculator meta file %s: %s"
+                                          % (self._META, exc)) from None
             if k is not None and k != stored_k:
                 raise ConfigurationError("store created with k = %d" % stored_k)
             self.k = stored_k

@@ -7,13 +7,19 @@ error, 4 expectation mismatch).  Workspace tests intentionally span
 several invocations: all state must round-trip through the directory.
 """
 
+import dataclasses
 import json
 import re
+import runpy
+import struct
+import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from itstore import cli, harness
 from itstore.cli import Workspace, main
 from itstore.config import load_scenario
 from itstore.errors import ConfigurationError
@@ -696,3 +702,285 @@ def test_a_shipped_scenario_workspace_reopens_as_saved(tmp_path, capsys,
     assert config.payload.hex() not in raw
     assert "payload" not in state["scenario"]
     assert "password" not in state["scenario"]
+
+
+# ------------------------------------------- refusals and the last exit paths
+
+
+def workspace_files(ws) -> dict:
+    """Every file's bytes under a workspace: the stores, state.json with
+    its key counters, and the transcript and verdict logs."""
+    return {str(p.relative_to(ws)): p.read_bytes()
+            for p in sorted(ws.rglob("*")) if p.is_file()}
+
+
+def test_a_state_file_missing_a_key_is_refused(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    state_path = ws / "state.json"
+    state = json.loads(state_path.read_text(encoding="utf-8"))
+    del state["receipts"], state["end_user"]
+    state_path.write_text(json.dumps(state), encoding="utf-8")
+    before = workspace_files(ws)
+    for argv in (["verify", "--workspace", str(ws)], ["inspect", str(ws)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == ("configuration error: workspace state %s lacks "
+                       "receipts, end_user\n" % state_path)
+    assert workspace_files(ws) == before
+
+
+@pytest.mark.parametrize("command", ["register", "verify", "refute"])
+def test_an_unreadable_data_file_is_refused(tmp_path, capsys, command):
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    before = workspace_files(ws)
+    missing = tmp_path / "no-such-file"
+    code, out, err = run_cli(capsys, command, "--workspace", str(ws),
+                             "--data", str(missing))
+    assert (code, out) == (3, "")
+    assert err.startswith("configuration error: cannot read --data file: ")
+    assert str(missing) in err
+    assert workspace_files(ws) == before
+
+
+def test_a_first_register_of_an_unreadable_data_file_saves_nothing(tmp_path,
+                                                                   capsys):
+    ws = tmp_path / "ws"
+    code, _out, err = run_cli(capsys, "register", "--workspace", str(ws),
+                              "--data", str(tmp_path / "no-such-file"))
+    assert code == 3 and "cannot read --data file" in err
+    assert workspace_files(ws) == {}
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_a_payload_size_below_one_kb_is_refused(tmp_path, capsys, size):
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    before = workspace_files(ws)
+    code, out, err = run_cli(capsys, "register", "--workspace", str(ws),
+                             "--size-kb", size)
+    assert (code, out) == (3, "")
+    assert err == "configuration error: --size-kb must be positive\n"
+    assert workspace_files(ws) == before
+
+
+@pytest.mark.parametrize("command", ["verify", "refute"])
+def test_a_claim_takes_at_most_one_of_data_and_text(tmp_path, capsys,
+                                                    command):
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    claim = tmp_path / "claim.bin"
+    claim.write_text(SECRET_TEXT, encoding="utf-8")
+    before = workspace_files(ws)
+    code, out, err = run_cli(capsys, command, "--workspace", str(ws),
+                             "--data", str(claim), "--text", SECRET_TEXT)
+    assert (code, out) == (3, "")
+    assert err == "configuration error: give at most one of --data, --text\n"
+    assert workspace_files(ws) == before
+
+
+@pytest.mark.parametrize("flag", ["--subset", "--offline"])
+def test_a_malformed_holder_list_is_refused_before_any_key_is_spent(
+        tmp_path, capsys, flag):
+    # fails at the parent commit, which stocked the masking tuples a first
+    # reconstruction needs before it read the list
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    before = workspace_files(ws)
+    code, out, err = run_cli(capsys, "reconstruct", "--workspace", str(ws),
+                             "--password", PASSWORD, flag, "1,x")
+    assert (code, out) == (3, "")
+    assert err == ("configuration error: expected comma-separated holder "
+                   "indices\n")
+    assert workspace_files(ws) == before
+
+
+@pytest.mark.parametrize("rounds", ["0", "-2"])
+def test_renew_needs_a_positive_round_count(tmp_path, capsys, rounds):
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    before = workspace_files(ws)
+    code, out, err = run_cli(capsys, "renew", "--workspace", str(ws),
+                             "--rounds", rounds)
+    assert (code, out) == (3, "")
+    assert err == "configuration error: --rounds must be positive\n"
+    assert workspace_files(ws) == before
+
+
+def test_a_rejected_renewal_prints_its_accusations_and_exits_1(
+        tmp_path, capsys, monkeypatch):
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    holders = {name: data for name, data in workspace_files(ws).items()
+               if name.startswith("stores/holder-")}
+
+    def skew(sender, _recipient, track, pair):
+        s1, s2 = pair
+        return (s1 + 1, s2) if (sender, track) == (1, 0) else (s1, s2)
+
+    real = TpvSession.renew
+    monkeypatch.setattr(TpvSession, "renew",
+                        lambda self, sid: real(self, sid, pair_tamper=skew))
+    code, out, _err = run_cli(capsys, "renew", "--workspace", str(ws),
+                              "--rounds", "2")
+    assert code == 1
+    assert out == "renewal round 0: REJECTED (3 tracks)\n" + "".join(
+        "  accusation: Accusation(accuser=%d, accused=1, reason='commitment "
+        "check failed on track 0')\n" % j for j in (2, 3, 4))
+    after = workspace_files(ws)
+    assert {name: after[name] for name in holders} == holders
+
+
+def test_inspect_refuses_a_directory_that_is_no_store(tmp_path, capsys):
+    other = tmp_path / "photos"
+    other.mkdir()
+    (other / "cat.jpg").write_bytes(b"\xff\xd8")
+    code, out, err = run_cli(capsys, "inspect", str(other))
+    assert (code, out) == (3, "")
+    assert err == ("configuration error: %s does not look like an itstore "
+                   "store\n" % other)
+    assert workspace_files(other) == {"cat.jpg": b"\xff\xd8"}
+
+
+def test_a_tampered_holder_record_stops_a_command_at_exit_1(tmp_path,
+                                                            capsys):
+    ws = tmp_path / "ws"
+    sid = register(capsys, ws)
+    holder = ws / "stores" / "holder-2"
+    (record,) = [p for p in holder.glob(sid + ".*") if p.stat().st_size]
+    raw = bytearray(record.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    record.write_bytes(bytes(raw))
+    before = workspace_files(ws)
+    for argv in (["verify", "--text", SECRET_TEXT], ["reconstruct"],
+                 ["renew"]):
+        code, out, err = run_cli(capsys, argv[0], "--workspace", str(ws),
+                                 *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == ("tamper detected: no valid record for secret %s in "
+                       "%s\n" % (sid, record))
+    assert workspace_files(ws) == before
+
+
+def test_a_key_supply_error_is_an_abort_at_exit_2(tmp_path, capsys,
+                                                  monkeypatch):
+    # no key accrues on this deployment; with no waiting for key, the first
+    # send is refused at once instead of after the session's 100,000 waits
+    monkeypatch.setattr(harness, "WAIT_STEP_MS", 0)
+    cfg = write_scenario(tmp_path, "dry",
+                         "warmup_ms: 0\ntopology: {rate_scale: 0.0}\n")
+    ws = tmp_path / "ws"
+    code, out, err = run_cli(capsys, "register", "--workspace", str(ws),
+                             "--config", cfg, "--text", SECRET_TEXT)
+    assert (code, out) == (2, "")
+    assert err == "aborted: link Toshiba holds 0 bits, relay needs 1032\n"
+    # no store file or log; state.json is saved only for the owner's pair
+    # stream, which the refused relay opened, and every key counter in it
+    # is where a new deployment starts
+    assert sorted(workspace_files(ws)) == ["state.json"]
+    saved = json.loads((ws / "state.json").read_text(encoding="utf-8"))
+    assert saved["network"].pop("streams") == {"Koganei-1|Ohtemachi-1": [0, 0]}
+    fresh = Workspace.initialize(tmp_path / "fresh", {
+        "warmup_ms": 0, "topology": {"rate_scale": 0.0}})
+    want = json.loads(json.dumps(fresh.session.net.to_state()))
+    del want["streams"]
+    assert saved["network"] == want
+    assert saved["receipts"] == saved["end_user"] == {}
+
+
+def test_bench_prints_the_modulus_comparison(tmp_path, capsys):
+    cfg = write_scenario(tmp_path, "compare", """\
+seed: cli-bench-compare
+bench: {sizes_kb: [1], repetitions: 1, compare_general_prime: true}
+""")
+    code, out, _err = run_cli(capsys, "bench", cfg)
+    assert code == 0
+    assert re.search(r"^  modulus comparison \(2203-bit registration\): "
+                     r"mersenne=\d+\.\d{6}s general=\d+\.\d{6}s -> "
+                     r"(mersenne|general) faster$", out, re.M)
+
+
+@pytest.mark.parametrize("mersenne,general,faster", [
+    (1.0, 2.0, "mersenne"), (2.0, 1.0, "general")])
+def test_bench_names_the_faster_modulus(tmp_path, capsys, monkeypatch,
+                                        mersenne, general, faster):
+    # the comparison's medians are set here, so either verdict is printed
+    real = cli.run_bench
+
+    def compared(config, storage_root=None):
+        return dataclasses.replace(
+            real(config, storage_root),
+            compare_medians={"mersenne": mersenne, "general": general},
+            mersenne_faster=mersenne < general)
+
+    monkeypatch.setattr(cli, "run_bench", compared)
+    cfg = write_scenario(tmp_path, "compared", """\
+seed: cli-bench-compared
+bench: {sizes_kb: [1], repetitions: 1, compare_general_prime: false}
+""")
+    code, out, _err = run_cli(capsys, "bench", cfg)
+    assert code == 0
+    assert ("  modulus comparison (2203-bit registration): mersenne=%.6fs "
+            "general=%.6fs -> %s faster\n" % (mersenne, general, faster)
+            in out)
+
+
+def test_the_module_runs_as_a_script(tmp_path, capsys, monkeypatch):
+    # run in this process, so a line tracer sees the script line run
+    monkeypatch.setattr(sys, "argv",
+                        ["itstore", "inspect", str(tmp_path / "ghost")])
+    monkeypatch.delitem(sys.modules, "itstore.cli")  # as python -m does
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("itstore.cli", run_name="__main__")
+    assert info.value.code == 3
+    assert capsys.readouterr().err == (
+        "configuration error: %s does not exist\n" % (tmp_path / "ghost"))
+
+
+@pytest.mark.parametrize("stored_k,why", [
+    (0, "PolyEval needs k >= 16 for whole-byte blocks, got 0"),
+    (65535, "PolyEval needs k <= 512 for a prompt modulus search, got 65535"),
+], ids=["zero", "wide"])
+def test_a_calculator_meta_file_with_an_unusable_k_is_tampering(
+        tmp_path, capsys, stored_k, why):
+    # fails at the parent commit: k = 0 exited 3, "PolyEval needs k >= 2",
+    # and k = 65535 searched for a 65535-bit prime for hours
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    calculator = ws / "stores" / "calculator"
+    meta = calculator / "meta.bin"
+    meta.write_bytes(meta.read_bytes()[:7] + struct.pack(">H", stored_k))
+    before = workspace_files(ws)
+    started = time.process_time()
+    code, out, err = run_cli(capsys, "inspect", str(calculator))
+    assert (code, err) == (1, "")
+    assert out == ("TAMPER DETECTED in %s: calculator meta file meta.bin: "
+                   "%s\n" % (calculator, why))
+    code, out, err = run_cli(capsys, "verify", "--workspace", str(ws),
+                             "--text", SECRET_TEXT)
+    assert (code, out) == (1, "")
+    assert err == "tamper detected: calculator meta file meta.bin: %s\n" % why
+    assert time.process_time() - started < 1.0
+    assert workspace_files(ws) == before
+
+
+@pytest.mark.parametrize("bits,why", [
+    (20, "tags are whole bytes, so k must be a multiple of 8, got 20"),
+    (65536, "PolyEval needs k <= 512 for a prompt modulus search, got 65536"),
+], ids=["not-whole-bytes", "wide"])
+def test_a_state_file_with_an_unusable_channel_tag_width_is_refused(
+        tmp_path, capsys, bits, why):
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    state_path = ws / "state.json"
+    state = json.loads(state_path.read_text(encoding="utf-8"))
+    state["network"]["tag_bits"] = bits
+    state_path.write_text(json.dumps(state), encoding="utf-8")
+    before = workspace_files(ws)
+    started = time.process_time()
+    code, out, err = run_cli(capsys, "verify", "--workspace", str(ws))
+    assert time.process_time() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err == "configuration error: %s\n" % why
+    assert workspace_files(ws) == before

@@ -5,6 +5,7 @@ checks either the resulting ScenarioConfig or the dotted-path error
 message that pinpoints the offending key.
 """
 
+import time
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,18 @@ def test_mac_polyeval_needs_k_of_16():
     with pytest.raises(ConfigurationError,
                        match=r"^mac\.k: .*multiple of 8, got 20"):
         parse_scenario({"mac": {"scheme": "polyeval", "k": 20}})
+
+
+def test_mac_k_has_an_upper_bound():
+    # mac.k keys a modulus search that takes minutes past k = 2048
+    started = time.process_time()
+    with pytest.raises(ConfigurationError) as info:
+        parse_scenario({"mac": {"k": 4096}})
+    assert str(info.value) == (
+        "mac.k: PolyEval needs k <= 512 for a prompt modulus search, "
+        "got 4096")
+    assert time.process_time() - started < 1.0
+    assert parse_scenario({"mac": {"k": 512, "cs_tag_bits": 256}}).k == 512
 
 
 def test_mac_bad_scheme_rejected():

@@ -403,3 +403,56 @@ def test_element_encode_decode_round_trip():
         assert f.decode(f.encode(v)) == v
     with pytest.raises(ProtocolError):
         f.decode(f.q.to_bytes(4, "big"))
+
+
+# ------------------------------------------------------------ refusals
+
+
+def test_a_field_modulus_below_two_is_refused_as_not_prime():
+    for q in (1, 0, -7):
+        with pytest.raises(ConfigurationError) as info:
+            PrimeField(q)
+        assert str(info.value) == "field modulus %d is not prime" % q
+
+
+def test_the_prime_scan_needs_an_odd_prime_below_its_bound():
+    assert largest_prime_at_most(3) == 3
+    for n in (2, 1, 0):
+        with pytest.raises(ConfigurationError) as info:
+            largest_prime_at_most(n)
+        assert str(info.value) == "no odd prime <= %d" % n
+
+
+def test_zero_has_no_inverse():
+    f = PrimeField(31)
+    for zero in (0, 31, -62):
+        with pytest.raises(ZeroDivisionError) as info:
+            f.inv(zero)
+        assert str(info.value) == "inverse of zero in F_31"
+
+
+def test_fields_hash_and_print_by_their_modulus():
+    assert {PrimeField(31), PrimeField.mersenne(5), PrimeField(13)} == {
+        PrimeField(31), PrimeField(13)}
+    assert hash(PrimeField(31)) == hash(PrimeField.mersenne(5))
+    assert repr(PrimeField.mersenne(5)) == "PrimeField(2^5 - 1)"
+    assert repr(PrimeField(13)) == "PrimeField(13)"
+
+
+def test_a_polynomial_needs_a_constant_term_and_field_coefficients():
+    f = PrimeField(13)
+    with pytest.raises(ConfigurationError) as info:
+        Polynomial((), f)
+    assert str(info.value) == "polynomial needs at least the constant term"
+    for c in (13, -1):
+        with pytest.raises(ConfigurationError) as info:
+            Polynomial((1, c), f)
+        assert str(info.value) == "coefficient %d out of field range" % c
+
+
+def test_a_random_polynomial_of_negative_degree_draws_nothing():
+    rng = SeededEntropy(b"negative-degree")
+    with pytest.raises(ConfigurationError) as info:
+        random_polynomial(-1, 0, PrimeField(13), rng)
+    assert str(info.value) == "degree must be >= 0"
+    assert rng.bits_drawn == 0

@@ -14,6 +14,7 @@ import pytest
 
 from itstore import field, harness
 from itstore.config import load_scenario, parse_scenario
+from itstore.errors import KeySupplyError, ProtocolError
 from itstore.harness import (
     EXIT_ABORT,
     EXIT_EXPECTATION,
@@ -22,6 +23,7 @@ from itstore.harness import (
     run_bench,
     run_scenario,
 )
+from itstore.protocol import TpvSession
 from itstore.stores import holder_record_files
 
 PAYLOAD_TEXT = "forty-two bytes of archival payload text.."
@@ -204,6 +206,26 @@ def test_a_calculator_clock_before_the_epoch_aborts_registration(tmp_path):
         assert holder_record_files(root / ("holder-%d" % j)) == {}
 
 
+@pytest.mark.parametrize("method,phase,observed", [
+    ("precompute", "precompute", {"registration": "success"}),
+    ("renew", "renewal", {"registration": "success"}),
+    ("integrity_check", "integrity-check",
+     {"registration": "success", "renewal": "success",
+      "reconstruction": "success"}),
+], ids=["precompute", "renewal", "integrity-check"])
+def test_an_error_in_a_later_phase_aborts_that_phase_and_ends_the_run(
+        monkeypatch, method, phase, observed):
+    def dry(*_args, **_kwargs):
+        raise KeySupplyError("the %s key ran dry" % method)
+
+    monkeypatch.setattr(TpvSession, method, dry)
+    result = run_scenario(scenario(renewal={"rounds": 1}))
+    assert result.observed == dict(observed, **{phase: "abort"})
+    assert result.exit_code == EXIT_ABORT
+    assert result.transcript.endswith(
+        "harness %s aborted: the %s key ran dry\n" % (phase, method))
+
+
 def test_transcript_output_file(tmp_path):
     out = tmp_path / "sub" / "run.transcript"
     result = run_scenario(scenario(outputs={"transcript": str(out)}))
@@ -336,6 +358,46 @@ def test_comparison_moduli_are_checked_once_per_process(monkeypatch):
     assert sorted(checked) == sorted([harness.COMPARE_GENERAL_Q,
                                       (1 << harness.COMPARE_EXPONENT) - 1])
     assert first[1] == second[1]  # same rows, same transcripts
+
+
+def test_the_comparison_moduli_have_one_width():
+    mersenne, general = harness._compare_field_pair()
+    assert mersenne.q.bit_length() == general.q.bit_length() == (
+        harness.COMPARE_EXPONENT)
+    assert mersenne.mersenne_exponent == harness.COMPARE_EXPONENT
+    assert general.mersenne_exponent is None
+
+
+def _bench_with(monkeypatch, method, **forced):
+    """run_bench with TpvSession.method always called with forced keyword
+    arguments: a way to make a bench pass fail its own checks."""
+    real = getattr(TpvSession, method)
+    monkeypatch.setattr(TpvSession, method,
+                        lambda self, *args, **kwargs: real(
+                            self, *args, **dict(kwargs, **forced)))
+    return run_bench(parse_scenario({
+        "seed": "bench-gates",
+        "renewal": {"rounds": 1},
+        "bench": {"sizes_kb": [1], "repetitions": 1,
+                  "compare_general_prime": False},
+    }))
+
+
+def test_a_bench_pass_whose_renewal_is_rejected_is_refused(monkeypatch):
+    def skew(sender, recipient, track, pair):
+        s1, s2 = pair
+        return (s1 + 1, s2) if (sender, track) == (1, 0) else (s1, s2)
+
+    with pytest.raises(ProtocolError) as info:
+        _bench_with(monkeypatch, "renew", pair_tamper=skew)
+    assert str(info.value) == "benchmark renewal round was rejected"
+
+
+def test_a_bench_pass_that_releases_other_bytes_is_refused(monkeypatch):
+    with pytest.raises(ProtocolError) as info:
+        _bench_with(monkeypatch, "reconstruct_and_release",
+                    owner_tamper=flip_first)
+    assert str(info.value) == "benchmark reconstruction did not round-trip"
 
 
 # ------------------------------------------------------------- wire bytes

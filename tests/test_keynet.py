@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -720,6 +721,22 @@ def test_snapshot_with_a_toeplitz_seed_is_refused():
     state["channels"]["alice|carol"] = ["%x" % (1 << 300), 64 + 8 * 15, 1, -1]
     with pytest.raises(ConfigurationError):
         KeyNetwork.from_state(state, line_topology(), b"test-net")
+
+
+@pytest.mark.parametrize("bits,message", [
+    (12, "PolyEval needs k >= 16 for whole-byte blocks, got 12"),
+    (20, "tags are whole bytes, so k must be a multiple of 8, got 20"),
+    (65536, "PolyEval needs k <= 512 for a prompt modulus search, got 65536"),
+], ids=["narrow", "not-whole-bytes", "wide"])
+def test_a_snapshot_with_an_unusable_tag_width_is_refused(bits, message):
+    # channel tags are PolyEval tags, so the snapshot's width follows
+    # mac.check_k; a wide one would stall the load in the modulus search
+    state = dict(fresh_net().to_state(), tag_bits=bits)
+    started = time.process_time()
+    with pytest.raises(ConfigurationError) as info:
+        KeyNetwork.from_state(state, line_topology(), b"test-net")
+    assert str(info.value) == message
+    assert time.process_time() - started < 1.0
 
 
 def test_conservation_through_busy_schedule():

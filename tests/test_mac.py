@@ -8,6 +8,7 @@ implementation.
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from itstore.errors import ConfigurationError, SingleUseError
 from itstore.mac import (
     MacTag,
     au2_hash,
+    check_k,
     cr_hash,
     make_seed,
     polyeval_hash_bytes,
@@ -480,6 +482,21 @@ def test_polyeval_needs_k_of_16():
     assert make_seed(16, SeededEntropy(b"narrow")).k == 16
     with pytest.raises(ConfigurationError, match="multiple of 8"):
         make_seed(20, SeededEntropy(b"narrow"))
+
+
+@pytest.mark.parametrize("k", [520, 4096, 1 << 16])
+def test_polyeval_refuses_k_above_512_before_any_modulus_search(k):
+    # the modulus search scans down from 2^k: 0.16 s at k = 512, 10.7 s at
+    # 2,048 and 103 s at 4,096, so a wider k would stall the first tag
+    rng = SeededEntropy(b"wide")
+    started = time.process_time()
+    with pytest.raises(ConfigurationError) as info:
+        make_seed(k, rng)
+    assert str(info.value) == (
+        "PolyEval needs k <= 512 for a prompt modulus search, got %d" % k)
+    assert time.process_time() - started < 1.0
+    assert rng.bits_drawn == 0
+    check_k(512)
 
 
 def test_seed_serialization_roundtrip():

@@ -1343,6 +1343,18 @@ def test_a_registration_waits_whole_steps_for_the_key_its_plan_needs(
     assert net.conservation_holds()
 
 
+# ------------------------------------ verdicts before release; idle refusals
+
+
+def session_state(session) -> tuple:
+    """Every store file's bytes, the key network's counters and the
+    transcript: what a refused call must leave as it found them."""
+    root = session.calculator_store.directory.parent
+    files = {str(p.relative_to(root)): p.read_bytes()
+             for p in sorted(root.rglob("*")) if p.is_file()}
+    return files, session.net.to_state(), list(session.transcript)
+
+
 def test_verdicts_sent_before_the_first_release_do_not_block_it(tmp_path):
     # every verdict goes to the end user too, so a check or refutation run
     # before the first release leaves verdict bytes there, never payload
@@ -1376,3 +1388,25 @@ def test_verdicts_sent_before_the_first_release_do_not_block_it(tmp_path):
         assert len(session.holder_stores[j].get_secret(sid).tuples) == blocks
     assert spent_rounds(session.holder_stores[4], sid) == ()
     assert session.net.conservation_holds()
+
+
+def test_registering_empty_data_is_refused_before_any_key_is_spent(tmp_path):
+    session = make_session(tmp_path)
+    before = session_state(session)
+    with pytest.raises(ConfigurationError) as info:
+        session.register(b"", PASSWORD)
+    assert str(info.value) == "cannot register empty data"
+    assert session_state(session) == before
+    assert session.verdicts == [] and session.owner_receipts == {}
+
+
+def test_a_computational_digest_needs_the_owners_receipt(tmp_path):
+    session = make_session(tmp_path)
+    sid, _t1 = session.register(DATA, PASSWORD)
+    del session.owner_receipts[sid]
+    before, verdicts = session_state(session), list(session.verdicts)
+    with pytest.raises(ProtocolError) as info:
+        session.cs_register(sid, DATA)
+    assert str(info.value) == "owner holds no receipt for %s" % sid.hex()
+    assert session_state(session) == before
+    assert session.verdicts == verdicts

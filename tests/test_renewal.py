@@ -829,3 +829,24 @@ def test_a_round_fed_byte_columns_renews_as_one_fed_tuples(fault):
         assert fed_columns.new_shares is fed_tuples.new_shares is None
         assert fed_tuples.accusations == (Accusation(
             3, 2, "commitment check failed on track 1"),)
+
+
+# ------------------------------------------------------------ refusals
+
+
+def test_a_group_of_composite_moduli_is_refused():
+    # 45 - 1 and 19 - 1 are multiples of 11 and of 9, so only primality
+    # fails; 45 = 5 * 9 and 9 = 3 * 3
+    for p, q, message in ((45, 11, "commitment modulus p is not prime"),
+                          (19, 9, "share modulus q is not prime")):
+        with pytest.raises(ConfigurationError) as info:
+            RenewalGroupConfig(p=p, q=q, g=2, h=3).validate()
+        assert str(info.value) == message
+
+
+def test_a_share_for_recipient_zero_is_refused_unchecked():
+    members = set()
+    with pytest.raises(ConfigurationError) as info:
+        verify_renewal_share(0, [4], (1, 2), TOY_GROUP, members)
+    assert str(info.value) == "recipient index must be >= 1"
+    assert members == set()

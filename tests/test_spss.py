@@ -946,3 +946,50 @@ def test_round_trip_wider_holder_pool():
     assert got == b"wider quorum"
     with pytest.raises(PasswordFailureError):
         reconstruct(holders, secret, params, password ^ 1, (1, 3, 4), rng)
+
+
+# ------------------------------------------------------------ refusals
+
+
+def records(holders) -> dict:
+    """Each holder's share set in its stored form."""
+    return {j: _encode_share_set(s) for j, s in holders.items()}
+
+
+def test_a_precompute_round_over_no_holders_draws_nothing():
+    rng = SeededEntropy(b"no-holders")
+    with pytest.raises(ConfigurationError) as info:
+        precompute_round({}, rng)
+    assert str(info.value) == "no holders to run a round over"
+    assert rng.bits_drawn == 0
+
+
+def test_a_precompute_round_over_mislabelled_holders_changes_nothing():
+    holders, _ = spss_register(b"ab", 3, F31_PARAMS, SeededEntropy(b"keys"))
+    before = records(holders)
+    swapped = {1: holders[2], 2: holders[1], 3: holders[3], 4: holders[4]}
+    rng = SeededEntropy(b"keys-round")
+    with pytest.raises(ProtocolError) as info:
+        precompute_round(swapped, rng)
+    assert str(info.value) == "holder map keys must equal holder indices"
+    assert rng.bits_drawn == 0
+    assert records(holders) == before
+
+
+def test_a_precompute_round_over_holders_at_other_rounds_changes_nothing():
+    holders, _ = spss_register(b"ab", 3, F31_PARAMS, SeededEntropy(b"skew"))
+    holders[4].next_round = 1
+    before = records(holders)
+    rng = SeededEntropy(b"skew-round")
+    with pytest.raises(ProtocolError) as info:
+        precompute_round(holders, rng)
+    assert str(info.value) == "holders disagree on the next round id"
+    assert rng.bits_drawn == 0
+    assert records(holders) == before
+
+
+def test_responses_without_an_authenticator_block_abort_recovery():
+    responses = [MaskedResponse(j, (7,)) for j in (1, 2, 3)]
+    with pytest.raises(ReconstructionAbortError) as info:
+        spss_recover(responses, 5, F31_PARAMS)
+    assert str(info.value) == "responses lack an authenticator block"

@@ -5,6 +5,7 @@ import hashlib
 import os
 import re
 import struct
+import time
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
@@ -1697,6 +1698,50 @@ def test_a_calculator_meta_file_of_the_wrong_length_or_magic_is_tampering(
             CalculatorStore(tmp_path / "calc", k)
         assert str(info.value) == "calculator meta file is malformed"
     assert tree(tmp_path / "calc") == before
+
+
+@pytest.mark.parametrize("stored_k,message", [
+    (0, "PolyEval needs k >= 16 for whole-byte blocks, got 0"),
+    (20, "tags are whole bytes, so k must be a multiple of 8, got 20"),
+    (65535, "PolyEval needs k <= 512 for a prompt modulus search, got 65535"),
+], ids=["zero", "not-whole-bytes", "wide"])
+def test_a_calculator_meta_file_holding_an_unusable_k_is_tampering(
+        tmp_path, stored_k, message):
+    # a stored k the store could not have written would key a hopeless or
+    # hours-long modulus search at the first record read
+    store = CalculatorStore(tmp_path / "calc", 256)
+    store.put(b"\x01" * 16, 1, calc_seed())
+    (tmp_path / "calc" / "meta.bin").write_bytes(
+        b"ITCS1\n" + bytes([2]) + struct.pack(">H", stored_k))
+    before = tree(tmp_path / "calc")
+    started = time.process_time()
+    for k in (None, 256):
+        with pytest.raises(TamperDetectedError) as info:
+            CalculatorStore(tmp_path / "calc", k)
+        assert str(info.value) == "calculator meta file meta.bin: " + message
+    assert time.process_time() - started < 1.0
+    assert tree(tmp_path / "calc") == before
+
+
+@pytest.mark.parametrize("k,message", [
+    (8, "PolyEval needs k >= 16 for whole-byte blocks, got 8"),
+    (100, "tags are whole bytes, so k must be a multiple of 8, got 100"),
+    (4096, "PolyEval needs k <= 512 for a prompt modulus search, got 4096"),
+], ids=["narrow", "not-whole-bytes", "wide"])
+def test_a_calculator_store_refuses_an_unusable_k_before_it_reads_the_disk(
+        tmp_path, k, message):
+    stocked = CalculatorStore(tmp_path / "stocked", 256)
+    stocked.put(b"\x01" * 16, 1, calc_seed())
+    # a publish a crash interrupted, which an accepted open erases
+    (tmp_path / "stocked" / "meta.bin.new").write_bytes(b"half")
+    for directory in (tmp_path / "new", tmp_path / "stocked"):
+        before = tree(directory)
+        started = time.process_time()
+        with pytest.raises(ConfigurationError) as info:
+            CalculatorStore(directory, k)
+        assert str(info.value) == message
+        assert time.process_time() - started < 1.0
+        assert tree(directory) == before
 
 
 @pytest.mark.parametrize("sid,t1,message", [

@@ -358,3 +358,15 @@ def test_a_packed_view_reads_its_column_as_items():
             view[len(items)]
     with pytest.raises(ConfigurationError):
         wire.Packed(raw[:-3], 3, 2)
+
+
+@pytest.mark.parametrize("ids,message", [
+    ([3, 3], "round ids must strictly increase"),
+    ([5, 4], "round ids must strictly increase"),
+    ([-1, 0], "round id outside the u32 range"),
+    ([7, 1 << 32], "round id outside the u32 range"),
+], ids=["repeated", "decreasing", "negative", "past-u32"])
+def test_id_runs_refuses_ids_no_run_can_carry(ids, message):
+    with pytest.raises(ImproperRequestError) as info:
+        id_runs(ids)
+    assert str(info.value) == message

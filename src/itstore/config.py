@@ -572,9 +572,13 @@ def _parse_attack(section, path: str, n_sh: int) -> AttackConfig:
 def parse_scenario(mapping, name_default: str = "scenario") -> ScenarioConfig:
     """Validate a parsed YAML mapping into a ScenarioConfig."""
     rules = (_Key("name", _str, name_default),) + _SCENARIO
+    sec = _keys(mapping, "scenario", rules)
     (name, seed, warmup_ms, params, (scheme, k, cs_tag_bits), renewal,
      topology, placement, skews, payload, password, attack, bench, outputs,
-     expect) = _values(_keys(mapping, "scenario", rules), "", rules)
+     expect) = _values(sec, "", rules)
+    if cs_tag_bits == k and (sec.get("mac") or {}).get("cs_tag_bits") is None:
+        _fail("mac.cs_tag_bits", "unset, and its default of %d equals k = %d;"
+              " set it to another width" % (DEFAULT_DIGEST_BITS, k))
     _check(check_digest_bits, "mac.cs_tag_bits", cs_tag_bits, k)
     group, rounds = _parse_renewal(renewal, "renewal", params.field)
     topology = _parse_topology(topology, "topology")

@@ -33,6 +33,16 @@ tag pad sits right after the body pad, and a receiver refuses an envelope
 that places them otherwise, so the authenticated tag pad also fixes where
 the body pad is read from.
 
+A body that needs integrity but no secrecy can cross in the clear beside
+one ordinary envelope whose plaintext is its digest (send_digest,
+check_digest): h_r(DIGEST_LABEL || seq || body) in tag_bits / 8 bytes,
+under the channel's own hash key r and bound to that envelope's seq. The
+label sets the digest's input apart from the seq || ciphertext a tag
+hashes. r stays hidden, since every tag carries a fresh pad and the
+digest travels padded, so an altered body passes with probability at most
+L / p, L its block count. Such a body costs 2 * tag_bits bits, not
+8 * nbytes + tag_bits.
+
 Rates, lengths and losses in the default topology are simulation
 parameters chosen to look like the published link classes, not
 measurements.
@@ -65,10 +75,12 @@ __all__ = [
     "KsaSource",
     "DEFAULT_TOPOLOGY",
     "CHANNEL_TAG_BITS",
+    "DIGEST_LABEL",
 ]
 
 CHANNEL_TAG_BITS = 256
 _SEQ_FIELD_BITS = 64
+DIGEST_LABEL = b"itstore clear body"
 
 
 @dataclass(frozen=True)
@@ -478,12 +490,18 @@ class KeyNetwork:
         return (polyeval_hash_bytes(chan.hash_key, message, self.modulus,
                                     chan.powers) + tag_pad) % self.modulus
 
+    def keyed(self, sender: str, receiver: str) -> bool:
+        """Whether the directed channel has drawn its hash key."""
+        chan = self.channels.get((sender, receiver))
+        return chan is not None and chan.seed_width > 0
+
     def message_key_cost(self, sender: str, receiver: str, nbytes: int) -> int:
         """Pair-stream bits a send of nbytes will consume: the hash key on
-        the channel's first send, then the body pad and the tag pad."""
-        chan = self.channels.get((sender, receiver))
-        keyed = chan is not None and chan.seed_width > 0
-        return (0 if keyed else self.tag_bits) + nbytes * 8 + self.tag_bits
+        the channel's first send, then the body pad and the tag pad. A body
+        sent in the clear costs its digest envelope's send, of
+        tag_bits / 8 bytes: 2 * tag_bits bits."""
+        return ((0 if self.keyed(sender, receiver) else self.tag_bits)
+                + nbytes * 8 + self.tag_bits)
 
     def check_sendable(self, messages) -> None:
         """Raise KeySupplyError unless the whole message sequence could be
@@ -550,6 +568,36 @@ class KeyNetwork:
         self.messages_sent += 1
         return SecureEnvelope(sender, receiver, seq, ciphertext, tag,
                               pad_offset, tag_pad_offset)
+
+    def _digest(self, sender: str, receiver: str, seq: int,
+                body: bytes) -> bytes:
+        chan = self.channels[(sender, receiver)]
+        message = (DIGEST_LABEL + seq.to_bytes(_SEQ_FIELD_BITS // 8, "big")
+                   + body)
+        return polyeval_hash_bytes(chan.hash_key, message, self.modulus,
+                                   chan.powers).to_bytes(self.tag_bits // 8,
+                                                         "big")
+
+    def send_digest(self, sender: str, receiver: str,
+                    body: bytes) -> SecureEnvelope:
+        """The envelope that lets body cross in the clear: one secure_send
+        whose plaintext is h_r(DIGEST_LABEL || seq || body), r the keyed
+        channel's hash key and seq the envelope's own."""
+        seq = self.channels[(sender, receiver)].next_seq
+        return self.secure_send(sender, receiver,
+                                self._digest(sender, receiver, seq, body))
+
+    def check_digest(self, envelope: SecureEnvelope, body: bytes) -> bytes:
+        """Receive a digest envelope and return the clear body that came
+        with it, or raise ChannelIntegrityError if the body is not the one
+        digested."""
+        digest = self.secure_recv(envelope)
+        if digest != self._digest(envelope.sender, envelope.receiver,
+                                  envelope.seq, body):
+            raise ChannelIntegrityError(
+                "clear body does not match its digest on %s->%s seq %d"
+                % (envelope.sender, envelope.receiver, envelope.seq))
+        return body
 
     def secure_recv(self, envelope: SecureEnvelope) -> bytes:
         """Verify sequence and tag, then decrypt. Replay and integrity

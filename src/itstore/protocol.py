@@ -19,10 +19,12 @@ Roles and their duties:
 
 Every cross-node exchange rides the key network's one-time-pad channels;
 endpoints sharing a node hand bytes over locally (same trust domain, no
-key spent). Message payloads are length-checked binary with a one-byte
-type code; the layout of every kind is in itstore.wire.SCHEMA, and each
-receiver checks that a message names the secret id of its exchange (and
-for precomp and renewal messages the round, sender and count it expects).
+key spent). The renewal commitments, which are public, cross in the clear
+beside a padded digest that keeps them whole (Transport.send). Message
+payloads are length-checked binary with a one-byte type code; the layout
+of every kind is in itstore.wire.SCHEMA, and each receiver checks that a
+message names the secret id of its exchange (and for precomp and renewal
+messages the round, sender and count it expects).
 A precomp message also carries its sender's live round ids, which must
 all lie below the round it starts; each holder retires the rounds it
 holds that another holder has spent (TpvSession.precompute).
@@ -104,6 +106,7 @@ from .spss import (
 )
 from .stores import CalculatorStore, HolderStore, VerifierRecord, VerifierStore
 from .wire import (
+    INTEGRITY_ONLY,
     SID_BYTES,
     Codec,
     Packed,
@@ -213,9 +216,13 @@ class Transport:
     """Moves one payload between two role endpoints and keeps the books.
 
     Cross-node payloads are encrypted/authenticated by the key network;
-    co-located endpoints hand bytes over directly. Every delivery appends
-    one transcript line and bumps a (receiver, secret, kind) byte counter,
-    which is what the leakage budgets are asserted against.
+    co-located endpoints hand bytes over directly. A payload of a
+    wire.INTEGRITY_ONLY kind crosses in the clear beside its digest
+    envelope (KeyNetwork.send_digest) once the channel has its hash key,
+    and its transcript line is marked body=clear; the first message of a
+    channel with no hash key yet is padded as any other. Every delivery
+    appends one transcript line and bumps a (receiver, secret, kind) byte
+    counter, which is what the leakage budgets are asserted against.
 
     advance_on_exhaustion_ms > 0 lets a send wait for key material by
     advancing simulated time instead of failing, up to MAX_KEY_WAITS steps.
@@ -229,6 +236,7 @@ class Transport:
         # receiver -> sid hex -> kind -> delivered bytes
         self.counts = defaultdict(lambda: defaultdict(Counter))
         self.tamper = None  # one-shot hook: SecureEnvelope -> SecureEnvelope
+        self.clear_tamper = None  # one-shot hook: clear body -> bytes
 
     # -- byte accounting ----------------------------------------------------
 
@@ -271,24 +279,36 @@ class Transport:
                 "local %s->%s kind=%s bytes=%d sha=%s sid=%s"
                 % (sender, receiver, kind, len(payload), digest, sid_hex))
         else:
-            cost = self.net.message_key_cost(sender, receiver, len(payload))
+            clear = (kind in INTEGRITY_ONLY
+                     and self.net.keyed(sender, receiver))
+            cost = self.net.message_key_cost(
+                sender, receiver,
+                self.net.tag_bits // 8 if clear else len(payload))
             self.wait_for_key(self.net.ensure_pair_key, node_s, node_r,
                               cost)
-            envelope = self.net.secure_send(sender, receiver, payload)
+            if clear:
+                envelope = self.net.send_digest(sender, receiver, payload)
+            else:
+                envelope = self.net.secure_send(sender, receiver, payload)
             if self.tamper is not None:
                 hook, self.tamper = self.tamper, None
                 envelope = hook(envelope)
+            body = payload
+            if clear and self.clear_tamper is not None:
+                hook, self.clear_tamper = self.clear_tamper, None
+                body = hook(body)
             try:
-                delivered = self.net.secure_recv(envelope)
+                delivered = (self.net.check_digest(envelope, body) if clear
+                             else self.net.secure_recv(envelope))
             except ChannelIntegrityError:
                 self.transcript.append(
                     "drop %s->%s kind=%s bytes=%d sid=%s reason=channel-integrity"
                     % (sender, receiver, kind, len(payload), sid_hex))
                 raise
             self.transcript.append(
-                "otp %s->%s kind=%s bytes=%d sha=%s sid=%s seq=%d cost=%d"
+                "otp %s->%s kind=%s bytes=%d sha=%s sid=%s seq=%d%s cost=%d"
                 % (sender, receiver, kind, len(payload), digest, sid_hex,
-                   envelope.seq, cost))
+                   envelope.seq, " body=clear" if clear else "", cost))
         self._count(receiver, sid_hex, kind, len(delivered))
         return delivered
 
@@ -945,7 +965,12 @@ class TpvSession:
         renewal_round runs the round. Each holder sends every other holder
         its coefficient commitments and an evaluation pair per track;
         every holder verifies everything it received, and a single
-        accusation aborts the round with no share changed anywhere.
+        accusation aborts the round with no share changed anywhere. The
+        pairs go padded. The renew-commits body, being Pedersen
+        commitments, crosses in the clear beside a digest envelope of
+        2 * tag_bits key bits, 512 by default (Transport.send); a body
+        that does not match its digest raises ChannelIntegrityError with
+        no share changed.
         pair_tamper(sender, recipient, track, (s1, s2)) -> (s1, s2) lets
         tests model a corrupted contribution. A message whose header names
         another secret, round, sender or track count raises ProtocolError

@@ -21,9 +21,11 @@ share changed.
 Shares live in F_q and q must divide p - 1 so the commitments sit in the
 order-q subgroup mod p. Binding rests on nobody knowing log_g h, which is
 why the shipped groups derive g and h from tiny public constants by
-cofactor exponentiation. Transport concerns (one-time-pad wrapping of the
-evaluation pairs, tags on broadcasts) belong to the protocol layer; this
-module works on the cleartext values.
+cofactor exponentiation. Transport concerns belong to the protocol layer:
+the evaluation pairs travel one-time padded, and the commitments, which
+are perfectly hiding and so may be public, travel in the clear under a
+padded Wegman-Carter digest that keeps them whole. This module works on
+the cleartext values.
 
 Cost model. g and h are fixed, so commit() reads g^a h^b off fixed-base
 window tables (Brickell-Gordon-McCurley-Wilson, EUROCRYPT 1992): one row

@@ -53,9 +53,9 @@ from operator import sub
 
 from .errors import ConfigurationError, ImproperRequestError, ProtocolError
 
-__all__ = ["SID_BYTES", "SCHEMA", "Codec", "Cursor", "Packed", "check_runs",
-           "column", "encode_runs", "expand_runs", "head_runs",
-           "id_ranges", "id_runs", "intersect_runs"]
+__all__ = ["SID_BYTES", "SCHEMA", "INTEGRITY_ONLY", "Codec", "Cursor",
+           "Packed", "check_runs", "column", "encode_runs", "expand_runs",
+           "head_runs", "id_ranges", "id_runs", "intersect_runs"]
 
 SID_BYTES = 16
 # Most ids one decoded id list may name: a 12-byte run could otherwise
@@ -211,6 +211,14 @@ SCHEMA = {
                            ("n_tracks", U32),
                            ("s1_s2_pairs", run("W", "n_tracks", 2)))),
 }
+
+# Kinds whose body crosses nodes in the clear beside a digest envelope
+# (protocol.Transport.send), so that it is kept whole but not secret. A
+# renew-commits body is Pedersen commitments, which are perfectly hiding:
+# with one holder's pair they say nothing more than the pair does, and
+# Pedersen's VSS broadcasts them in public. Every other kind carries
+# shares, masks, passwords, tags or data, and is padded.
+INTEGRITY_ONLY = frozenset({"renew-commits"})
 
 
 def id_runs(ids) -> list:

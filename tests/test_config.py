@@ -234,6 +234,17 @@ def test_mac_cs_tag_bits_must_differ_from_k():
         parse_scenario({"mac": {"k": 64, "cs_tag_bits": 64}})
 
 
+@pytest.mark.parametrize("mac", [{"k": 512}, {"k": 512, "cs_tag_bits": None}],
+                         ids=["absent", "null"])
+def test_k_512_alone_asks_for_cs_tag_bits_to_be_set(mac):
+    # cs_tag_bits was refused as if the scenario had set it to k
+    with pytest.raises(ConfigurationError) as info:
+        parse_scenario({"mac": mac})
+    assert str(info.value) == (
+        "mac.cs_tag_bits: unset, and its default of 512 equals k = 512; set"
+        " it to another width")
+
+
 # ------------------------------------------------------------------ renewal
 
 

@@ -25,6 +25,7 @@ from itstore.harness import (
 )
 from itstore.protocol import TpvSession
 from itstore.stores import holder_record_files
+from test_protocol import assert_no_pad_bit_reused, recorded_allocations
 
 PAYLOAD_TEXT = "forty-two bytes of archival payload text.."
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -121,6 +122,19 @@ def test_renewal_rounds_run_before_reconstruction():
     assert result.exit_code == EXIT_SUCCESS
     assert len(result.renewal_reports) == 2
     assert all(r.accepted for r in result.renewal_reports)
+
+
+def test_every_renewal_scenario_commitment_body_crosses_in_the_clear(
+        monkeypatch):
+    drawn = recorded_allocations(monkeypatch)
+    result = run_scenario(load_scenario(SCENARIO_DIR / "renewal.yaml"))
+    lines = [line for line in result.transcript.splitlines()
+             if " kind=renew-commits " in line]
+    # 2 rounds, 4 dealers, 3 recipients each, every channel keyed by precomp
+    assert len(lines) == 24
+    assert all(line.endswith(" body=clear cost=512") for line in lines)
+    assert result.conservation_ok and result.failures == ()
+    assert_no_pad_bit_reused(drawn)
 
 
 def test_key_conservation_holds_across_the_matrix():

@@ -18,6 +18,7 @@ from itstore.errors import (
 )
 from itstore.keynet import (
     DEFAULT_TOPOLOGY,
+    DIGEST_LABEL,
     KeyNetwork,
     LinkSpec,
     NetworkTopology,
@@ -560,6 +561,42 @@ def test_growing_sends_cost_one_key_then_pads():
         net.secure_recv(net.secure_send("alice", "carol", bytes(n)))
     assert stream.cursor == net.tag_bits + sum(8 * n + net.tag_bits
                                                for n in sizes)
+
+
+def test_a_clear_body_is_checked_against_its_seq_bound_digest():
+    net = fresh_net()
+    net.relay_keys("A", "C", 9000)
+    stream = net.pair_stream("A", "C")
+    assert not net.keyed("alice", "carol")
+    net.secure_recv(net.secure_send("alice", "carol", b"first"))
+    assert net.keyed("alice", "carol") and not net.keyed("carol", "alice")
+    chan = net.channels[("alice", "carol")]
+    body = b"public commitments" * 5
+    cursor = stream.cursor
+    env = net.send_digest("alice", "carol", body)
+    # one ordinary envelope of tag_bits / 8 bytes carries the digest
+    assert stream.cursor - cursor == 2 * net.tag_bits \
+        == net.message_key_cost("alice", "carol", net.tag_bits // 8)
+    assert env.seq == 1 and len(env.ciphertext) == net.tag_bits // 8
+    pad = stream.read(env.pad_offset, 8 * len(env.ciphertext))
+    digest = polyeval_hash_bytes(chan.hash_key,
+                                 DIGEST_LABEL + (1).to_bytes(8, "big") + body,
+                                 net.modulus)
+    assert int.from_bytes(env.ciphertext, "big") ^ pad == digest
+    assert net.check_digest(env, body) == body
+    for altered in (body[:-1], body + b"\x00",
+                    bytes([body[0] ^ 0x80]) + body[1:]):
+        env = net.send_digest("alice", "carol", body)
+        with pytest.raises(ChannelIntegrityError, match="does not match"):
+            net.check_digest(env, altered)
+    # each envelope digests the same body under its own seq
+    envs = [net.send_digest("alice", "carol", body) for _ in range(2)]
+    digests = {int.from_bytes(e.ciphertext, "big")
+               ^ stream.read(e.pad_offset, 8 * len(e.ciphertext))
+               for e in envs}
+    assert len(digests) == 2
+    assert [net.check_digest(e, body) for e in envs] == [body, body]
+    assert net.conservation_holds()
 
 
 def test_tag_width_floor():

@@ -6,6 +6,7 @@ persistent state lives in its own on-disk store.
 """
 
 import dataclasses
+from collections import defaultdict
 
 import pytest
 
@@ -19,7 +20,7 @@ from itstore.errors import (
     KeySupplyError,
     ProtocolError,
 )
-from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork
+from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork, _PairStream
 from itstore.field import PrimeField
 from itstore.protocol import (
     Outcome,
@@ -826,6 +827,170 @@ def test_renewal_mislabelled_header_fails_closed(tmp_path, kind, offset,
 
     session.transport.send = send
     assert session.renew(sid).accepted
+
+
+# ------------------------------------------- commitments in the clear
+
+
+def holder_state(session, sid) -> dict:
+    """Each holder's shares, renewal runs and saved record for sid."""
+    return {j: (store.get_secret(sid).shares,
+                tuple(store.get_secret(sid).renewal_runs),
+                live_record(store, sid))
+            for j, store in session.holder_stores.items()}
+
+
+def assert_renewal_fails_closed(session, sid, before, link):
+    """A renew of sid is refused at link's renew-commits with the drop
+    line written and no holder changed."""
+    with pytest.raises(ChannelIntegrityError):
+        session.renew(sid)
+    assert session.transcript[-1].startswith(
+        "drop %s kind=renew-commits " % link)
+    assert holder_state(session, sid) == before
+
+
+def recorded_commitment_bodies(session) -> dict:
+    """{(sender, receiver): [renew-commits payloads sent, in order]}, kept
+    as the session sends them."""
+    send = session.transport.send
+    bodies = defaultdict(list)
+
+    def recording(sender, receiver, kind, payload, sid=None):
+        if kind == "renew-commits":
+            bodies[(sender, receiver)].append(payload)
+        return send(sender, receiver, kind, payload, sid=sid)
+
+    session.transport.send = recording
+    return bodies
+
+
+def flip_bit(raw: bytes, bit: int) -> bytes:
+    flipped = bytearray(raw)
+    flipped[bit // 8] ^= 0x80 >> bit % 8
+    return bytes(flipped)
+
+
+def test_every_bit_flip_of_a_clear_commitment_body_fails_closed(tmp_path):
+    session = make_session(tmp_path)
+    sid, _t1, _blocks = register_and_stock(session, data=b"x")
+    bodies = recorded_commitment_bodies(session)
+    assert session.renew(sid).accepted
+    (size,) = {len(body) for sent in bodies.values() for body in sent}
+    before = holder_state(session, sid)
+    for bit in range(8 * size):
+        session.transport.clear_tamper = lambda body, bit=bit: flip_bit(
+            body, bit)
+        assert_renewal_fails_closed(session, sid, before,
+                                    "holder-1->holder-2")
+    assert session.renew(sid).accepted
+    assert session.net.conservation_holds()
+
+
+def test_a_commitment_body_swapped_between_dealers_fails_closed(tmp_path):
+    session = make_session(tmp_path)
+    sid, _t1, _blocks = register_and_stock(session, data=b"x")
+    bodies = recorded_commitment_bodies(session)
+    send = session.transport.send
+
+    def swap(sender, receiver, kind, payload, sid=None):
+        if (kind, sender) == ("renew-commits", "holder-2"):
+            # holder 1's body of this round, sent on as holder 2's
+            (dealt,) = bodies[("holder-1", "holder-2")]
+            session.transport.clear_tamper = lambda body: dealt
+        return send(sender, receiver, kind, payload, sid=sid)
+
+    session.transport.send = swap
+    assert_renewal_fails_closed(session, sid,
+                                holder_state(session, sid),
+                                "holder-2->holder-1")
+
+
+def test_a_commitment_body_replayed_from_an_earlier_round_fails_closed(
+        tmp_path):
+    session = make_session(tmp_path)
+    sid, _t1, _blocks = register_and_stock(session, data=b"x")
+    bodies = recorded_commitment_bodies(session)
+    assert session.renew(sid).accepted
+    (earlier,) = bodies[("holder-1", "holder-2")]
+    session.transport.clear_tamper = lambda body: earlier
+    assert_renewal_fails_closed(session, sid, holder_state(session, sid),
+                                "holder-1->holder-2")
+    assert session.renew(sid).round_no == 1
+
+
+def test_every_bit_flip_of_a_digest_envelope_fails_closed(tmp_path):
+    session = make_session(tmp_path)
+    sid, _t1, _blocks = register_and_stock(session, data=b"x")
+    before = holder_state(session, sid)
+    width = session.net.tag_bits
+    edits = ([lambda env, bit=bit: dataclasses.replace(
+                 env, ciphertext=flip_bit(env.ciphertext, bit))
+              for bit in range(width)]
+             + [lambda env, bit=bit: dataclasses.replace(
+                    env, tag=env.tag ^ 1 << bit) for bit in range(width)])
+    for edit in edits:
+        session.transport.tamper = edit
+        assert_renewal_fails_closed(session, sid, before,
+                                    "holder-1->holder-2")
+    assert session.renew(sid).accepted
+
+
+def recorded_allocations(monkeypatch) -> list:
+    """Every pair-stream allocation from now on, as (pair, offset, bits)."""
+    original = _PairStream.allocate
+    drawn = []
+
+    def recording(self, nbits):
+        offset, value = original(self, nbits)
+        drawn.append((self.pair, offset, nbits))
+        return offset, value
+
+    monkeypatch.setattr(_PairStream, "allocate", recording)
+    return drawn
+
+
+def assert_no_pad_bit_reused(drawn):
+    spans = defaultdict(list)
+    for pair, start, bits in drawn:
+        spans[pair].append((start, start + bits))
+    for pair, ranges in spans.items():
+        ranges.sort()
+        for (_, end_a), (start_b, _) in zip(ranges, ranges[1:]):
+            assert end_a <= start_b, pair
+
+
+def commitment_lines(transcript) -> list:
+    """(bytes, cost, sent in the clear) of each renew-commits line."""
+    return [(int(line.split(" bytes=")[1].split()[0]),
+             int(line.rsplit(" cost=", 1)[1]), " body=clear " in line)
+            for line in transcript if " kind=renew-commits " in line]
+
+
+def test_a_renewal_before_any_precompute_pads_each_first_commitment_body(
+        tmp_path, monkeypatch):
+    # no holder channel has a hash key yet, so each first body goes padded
+    # and its send draws the key; the next round's bodies go in the clear
+    session = make_session(tmp_path)
+    sid, _t1 = session.register(DATA, PASSWORD)
+    drawn = recorded_allocations(monkeypatch)
+    width = session.net.tag_bits
+    assert session.renew(sid).accepted
+    first = commitment_lines(session.transcript)
+    assert len(first) == 12
+    assert all(cost == 8 * size + 2 * width and not clear
+               for size, cost, clear in first)
+    assert session.renew(sid).accepted
+    second = commitment_lines(session.transcript)[12:]
+    assert len(second) == 12
+    assert {(cost, clear) for _size, cost, clear in second} \
+        == {(2 * width, True)} == {(512, True)}
+    session.precompute(sid,
+                       rounds=session.holder_stores[1].get_secret(sid)
+                       .block_count)
+    assert session.reconstruct_and_release(sid, PASSWORD).data == DATA
+    assert session.net.conservation_holds()
+    assert_no_pad_bit_reused(drawn)
 
 
 # ------------------------------------------------------ relabelled messages

@@ -5,6 +5,7 @@ The commitment oracle multiplies out g^a h^b by repeated multiplication,
 independent of mod_exp.
 """
 
+import collections
 import functools
 import itertools
 import random
@@ -413,6 +414,52 @@ def test_gen_renewal_is_zero_rooted():
     for part in (0, 1):
         pts = [(c, pairs[c][0][part]) for c in (1, 2, 3)]
         assert interpolate_at_zero(pts, F11) == 0
+
+
+class FixedBits:
+    """A source that hands out one fixed integer's bits, once."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def take_bits(self, nbits):
+        value, self.value = self.value, None
+        assert value is not None and value >> nbits == 0
+        return value
+
+
+def toy_view(recipient, a, b):
+    """What one recipient sees of the toy one-track degree-2 dealing with
+    P1 coefficients a and P2 coefficients b: (commitments, its pair), as
+    gen_renewal deals it. Every value is below 11, so the field's 4-bit
+    draws keep each in order."""
+    bits = 0
+    for v in a + b:
+        bits = bits << 4 | v
+    (eps,), pairs = gen_renewal((recipient,), 2, TOY_GROUP, FixedBits(bits),
+                                1)
+    return eps, pairs[recipient][0]
+
+
+def test_commitments_beside_one_pair_reveal_nothing_more_than_the_pair():
+    # Over all 121 blinding vectors (b1, b2), two dealings whose P1 agree
+    # at c give c the same multiset of (commitments, pair). So a holder
+    # that sees a dealer's commitments in the clear learns no more of the
+    # dealer's P1 than its own pair tells it, which is why renew-commits
+    # bodies may travel unpadded.
+    vectors = list(itertools.product(range(11), repeat=2))
+    for c in (1, 2, 3, 4):
+        views = collections.defaultdict(list)
+        for a in vectors:
+            at_c = (a[0] * c + a[1] * c * c) % 11
+            views[at_c].append(collections.Counter(
+                toy_view(c, a, b) for b in vectors))
+        assert sorted(views) == list(range(11))
+        for same in views.values():
+            assert len(same) == 11
+            assert all(view == same[0] for view in same), c
+        # the pair does show P1(c): dealings that differ there differ
+        assert views[0][0] != views[1][0]
 
 
 def test_rfc_group_verify_completeness():

@@ -236,7 +236,6 @@ class Transport:
         # receiver -> sid hex -> kind -> delivered bytes
         self.counts = defaultdict(lambda: defaultdict(Counter))
         self.tamper = None  # one-shot hook: SecureEnvelope -> SecureEnvelope
-        self.clear_tamper = None  # one-shot hook: clear body -> bytes
 
     # -- byte accounting ----------------------------------------------------
 
@@ -293,13 +292,9 @@ class Transport:
             if self.tamper is not None:
                 hook, self.tamper = self.tamper, None
                 envelope = hook(envelope)
-            body = payload
-            if clear and self.clear_tamper is not None:
-                hook, self.clear_tamper = self.clear_tamper, None
-                body = hook(body)
             try:
-                delivered = (self.net.check_digest(envelope, body) if clear
-                             else self.net.secure_recv(envelope))
+                delivered = (self.net.check_digest(envelope, payload)
+                             if clear else self.net.secure_recv(envelope))
             except ChannelIntegrityError:
                 self.transcript.append(
                     "drop %s->%s kind=%s bytes=%d sid=%s reason=channel-integrity"

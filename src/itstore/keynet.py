@@ -12,11 +12,11 @@ transfer with no overhead.
 Pair-stream content is a keyed PRF over the simulation master seed, so
 any byte range can be re-read by offset. Allocation is a monotone cursor:
 a bit index is handed out at most once ever, which is the entire one-time
--pad discipline; envelopes carry the offsets their pads came from the way
-deployed key-management interfaces carry key ids, and receivers re-read
-those ranges instead of allocating. A stream keeps its last two
-allocations, a send's body pad and tag pad, until the receiver has read
-them, so the receiver's reads are a shift and a mask, not PRF blocks.
+-pad discipline. A send takes all its key as one allocation; its envelope
+carries the offset its pads came from the way deployed key-management
+interfaces carry key ids, and the receiver re-reads that range instead of
+allocating. A stream keeps its last allocation until the receiver has
+read it, so the receiver's read is a shift and a mask, not PRF blocks.
 
 Channels between registered endpoints encrypt with fresh pad bits and
 carry a Wegman-Carter tag. Each directed channel draws one tag_bits-bit
@@ -29,9 +29,9 @@ powers r, ..., r^64 mod p beside r, so h_r runs as 64-block dot products.
 A channel thus spends tag_bits bits once, then 8 * nbytes + tag_bits bits
 per message. Sequence numbers are strictly increasing per directed pair; a
 replayed or reordered envelope is rejected before any pad is touched. The
-tag pad sits right after the body pad, and a receiver refuses an envelope
-that places them otherwise, so the authenticated tag pad also fixes where
-the body pad is read from.
+envelope names one offset: the body pad starts there and the tag pad
+follows it, so the authenticated tag pad also fixes where the body pad is
+read from, and a moved offset fails the tag check or the range check.
 
 A body that needs integrity but no secrecy can cross in the clear beside
 one ordinary envelope whose plaintext is its digest (send_digest,
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .entropy import PrfBits, RandomSource, derive_key
 from .errors import (
@@ -130,9 +130,9 @@ class NetworkTopology:
             if link.a not in known or link.b not in known:
                 raise ConfigurationError(
                     "link %s references an unknown node" % link.name)
-        if names and len(self._reachable(names[0])) != len(names):
+        object.__setattr__(self, "_trees", {})  # source -> BFS tree, on use
+        if names and len(self._tree(names[0])) != len(names):
             raise ConfigurationError("topology is not connected")
-        object.__setattr__(self, "_paths", {})  # (a, b) -> path, filled on use
 
     def _neighbours(self, node):
         out = []
@@ -143,49 +143,34 @@ class NetworkTopology:
                 out.append((link.a, link))
         return sorted(out, key=lambda t: (t[0], t[1].name))
 
-    def _reachable(self, start):
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            here = queue.popleft()
-            for nxt, _ in self._neighbours(here):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
+    def _tree(self, start):
+        """Breadth-first search from start, neighbours in name order: each
+        reached node -> (parent node, link), or None for start. The
+        topology is frozen, so each source's tree is searched once."""
+        tree = self._trees.get(start)
+        if tree is None:
+            tree = self._trees[start] = {start: None}
+            queue = deque([start])
+            while queue:
+                here = queue.popleft()
+                for nxt, link in self._neighbours(here):
+                    if nxt not in tree:
+                        tree[nxt] = (here, link)
+                        queue.append(nxt)
+        return tree
 
     def node_names(self):
         return [n.name for n in self.nodes]
 
     def shortest_path(self, a: str, b: str):
         """Minimum-hop link path from a to b, ties broken by node name so
-        replays pick the same route. The topology is frozen, so each
-        pair's path is searched once and kept."""
-        path = self._paths.get((a, b))
-        if path is None:
-            path = self._paths[(a, b)] = tuple(self._bfs_path(a, b))
-        return list(path)
-
-    def _bfs_path(self, a: str, b: str):
-        if a == b:
-            return []
-        parents = {a: None}
-        queue = deque([a])
-        while queue:
-            here = queue.popleft()
-            for nxt, link in self._neighbours(here):
-                if nxt not in parents:
-                    parents[nxt] = (here, link)
-                    if nxt == b:
-                        path = []
-                        cur = b
-                        while parents[cur]:
-                            prev, hop = parents[cur]
-                            path.append(hop)
-                            cur = prev
-                        return list(reversed(path))
-                    queue.append(nxt)
-        raise KeySupplyError("no path between %s and %s" % (a, b))
+        replays pick the same route."""
+        tree = self._tree(a)
+        path = []
+        while tree[b]:
+            b, hop = tree[b]
+            path.append(hop)
+        return path[::-1]
 
 
 # Default five-node, six-link layout. Connected: every node reaches the
@@ -217,15 +202,18 @@ DEFAULT_TOPOLOGY = NetworkTopology(
 
 @dataclass(frozen=True)
 class SecureEnvelope:
-    """One encrypted, tagged, sequenced message between two endpoints."""
+    """One encrypted, tagged, sequenced message between two endpoints.
+
+    It names one pair-stream offset, pad_offset: the body pad is the
+    8 * len(ciphertext) bits there, and the tag pad the tag_bits after it.
+    """
 
     sender: str
     receiver: str
     seq: int
     ciphertext: bytes
     tag: int  # below the channel modulus p < 2^tag_bits
-    pad_offset: int  # bit offset of the body pad in the pair stream
-    tag_pad_offset: int  # bit offset of the tag pad
+    pad_offset: int  # bit offset of the body pad; the tag pad follows it
 
 
 class _LinkState:
@@ -253,9 +241,10 @@ class _LinkState:
 class _PairStream:
     """Application key between one node pair: PRF content, monotone cursor.
 
-    The last two allocations are kept as (offset, nbits, value), so a
-    receiver re-reading the body pad and tag pad a sender just drew gets
-    them by shift and mask instead of re-deriving them from the PRF.
+    take is the one check that the stream can pay and the one place its
+    cursor moves. The last allocation is kept as (offset, nbits, value), so
+    a receiver re-reading the pads a sender just drew gets them by shift
+    and mask instead of re-deriving them from the PRF.
     """
 
     __slots__ = ("pair", "prf", "credited", "cursor", "_kept")
@@ -265,37 +254,46 @@ class _PairStream:
         self.prf = PrfBits(derive_key(master, "pair|%s|%s" % pair))
         self.credited = 0  # total bits ever relayed in
         self.cursor = 0  # total bits ever allocated out
-        self._kept = ()  # (offset, nbits, value) of the last two allocations
+        self._kept = None  # (offset, nbits, value) of the last allocation
 
     @property
     def available(self) -> int:
         return self.credited - self.cursor
 
-    def allocate(self, nbits: int):
-        """Hand out the next nbits as (offset, value); never re-issues."""
+    def take(self, nbits: int) -> int:
+        """Hand out the next nbits by their offset; never re-issues."""
         if nbits > self.available:
             raise KeySupplyError(
                 "pair %s|%s holds %d bits, need %d"
                 % (self.pair + (self.available, nbits)))
         offset = self.cursor
         self.cursor += nbits
+        return offset
+
+    def allocate(self, nbits: int):
+        """take the next nbits and read them: (offset, value)."""
+        offset = self.take(nbits)
         value = self.prf.read_bits(offset, nbits)
-        self._kept = self._kept[-1:] + ((offset, nbits, value),)
+        self._kept = (offset, nbits, value)
         return offset, value
 
     def read(self, offset: int, nbits: int) -> int:
-        """Re-read an already-allocated range (receiver side)."""
+        """Re-read an already-allocated range (receiver side). The range
+        comes from an envelope, so one outside the allocation fails the
+        channel's integrity, as a moved offset or a lengthened ciphertext
+        would."""
         if offset < 0 or offset + nbits > self.cursor:
-            raise ProtocolError("read outside the allocated key range")
-        for start, width, value in self._kept:
+            raise ChannelIntegrityError("read outside the allocated key range")
+        if self._kept:
+            start, width, value = self._kept
             below = start + width - offset - nbits  # kept bits after the range
             if offset >= start and below >= 0:
                 return (value >> below) & ((1 << nbits) - 1)
         return self.prf.read_bits(offset, nbits)
 
     def release(self):
-        """Drop the kept allocations once their receiver has read them."""
-        self._kept = ()
+        """Drop the kept allocation once its receiver has read it."""
+        self._kept = None
 
 
 class KsaSource(RandomSource):
@@ -399,14 +397,15 @@ class KeyNetwork:
             pool.advance(ms)
 
     def _pair(self, a: str, b: str):
-        return (a, b) if a <= b else (b, a)
-
-    def pair_stream(self, a: str, b: str) -> _PairStream:
+        """The streams key of two distinct known nodes."""
         if a == b:
             raise ConfigurationError("a node needs no key stream with itself")
         for n in (a, b):
             if n not in self.pools:
                 raise ConfigurationError("unknown node %r" % n)
+        return (a, b) if a <= b else (b, a)
+
+    def pair_stream(self, a: str, b: str) -> _PairStream:
         pair = self._pair(a, b)
         if pair not in self.streams:
             self.streams[pair] = _PairStream(pair, self.master)
@@ -423,8 +422,9 @@ class KeyNetwork:
 
     def _relay(self, a: str, b: str, amount: int, path=None):
         """Check the whole route first, so a short hop fails the relay with
-        no partial debit anywhere; then debit every hop and credit (a, b)."""
-        stream = self.pair_stream(a, b)
+        no partial debit anywhere and no new stream; then debit every hop
+        and credit (a, b)."""
+        self._pair(a, b)
         hops = path if path is not None else self.topology.shortest_path(a, b)
         if not hops:
             raise KeySupplyError("no relay path between %s and %s" % (a, b))
@@ -438,13 +438,13 @@ class KeyNetwork:
         for st in states:
             st.buffered -= amount
             st.relayed_out += amount
-        stream.credited += amount
+        self.pair_stream(a, b).credited += amount
         self.relay_overhead += amount * (len(states) - 1)
 
     def ensure_pair_key(self, a: str, b: str, bits: int):
         """Top the (a, b) stream up to at least `bits` available."""
-        stream = self.pair_stream(a, b)
-        shortfall = bits - stream.available
+        stream = self.streams.get(self._pair(a, b))
+        shortfall = bits - (stream.available if stream else 0)
         if shortfall > 0:
             self.relay_keys(a, b, shortfall)
 
@@ -534,14 +534,14 @@ class KeyNetwork:
                     raise KeySupplyError(
                         "cannot deliver %d bytes %s->%s: %s"
                         % (nbytes, sender, receiver, exc)) from exc
-            stream.cursor += cost
+            stream.take(cost)
             plan._channel(sender, receiver).seed_width = 1
 
     def secure_send(self, sender: str, receiver: str, plaintext: bytes) -> SecureEnvelope:
-        """Encrypt, tag and sequence one message. Key cost: one pad bit per
-        plaintext bit and tag_bits of tag pad, plus the hash key on the
-        channel's first send. A short stream refuses the send atomically:
-        no bit is allocated."""
+        """Encrypt, tag and sequence one message. Its key is one allocation
+        of message_key_cost bits, cut in order into the hash key (the
+        channel's first send only), the body pad and the tag pad. A short
+        stream refuses the send atomically: no bit is allocated."""
         node_s = self._endpoint_node(sender)
         node_r = self._endpoint_node(receiver)
         if node_s == node_r:
@@ -550,15 +550,14 @@ class KeyNetwork:
         stream = self.pair_stream(node_s, node_r)
         chan = self._channel(sender, receiver)
 
-        total = self.message_key_cost(sender, receiver, len(plaintext))
-        if stream.available < total:
-            raise KeySupplyError(
-                "send needs %d key bits, pair %s|%s has %d"
-                % (total, stream.pair[0], stream.pair[1], stream.available))
+        nbits = len(plaintext) * 8
+        offset, key = stream.allocate(
+            self.message_key_cost(sender, receiver, len(plaintext)))
         if not chan.seed_width:
-            chan.set_hash_key(stream.allocate(self.tag_bits)[1], self.modulus)
-        pad_offset, pad = stream.allocate(len(plaintext) * 8)
-        tag_pad_offset, tag_pad = stream.allocate(self.tag_bits)
+            offset += self.tag_bits
+            chan.set_hash_key(key >> (nbits + self.tag_bits), self.modulus)
+        pad = (key >> self.tag_bits) & ((1 << nbits) - 1)
+        tag_pad = key & ((1 << self.tag_bits) - 1)
 
         seq = chan.next_seq
         chan.next_seq += 1
@@ -566,8 +565,7 @@ class KeyNetwork:
             len(plaintext), "big")
         tag = self._tag(chan, seq, ciphertext, tag_pad)
         self.messages_sent += 1
-        return SecureEnvelope(sender, receiver, seq, ciphertext, tag,
-                              pad_offset, tag_pad_offset)
+        return SecureEnvelope(sender, receiver, seq, ciphertext, tag, offset)
 
     def _digest(self, sender: str, receiver: str, seq: int,
                 body: bytes) -> bytes:
@@ -616,24 +614,18 @@ class KeyNetwork:
             raise ChannelIntegrityError("no hash key drawn on this channel")
         if envelope.seq >> _SEQ_FIELD_BITS:
             raise ChannelIntegrityError("sequence number wider than its field")
-        tag_pad = stream.read(envelope.tag_pad_offset, self.tag_bits)
+        pads = stream.read(envelope.pad_offset,
+                           len(envelope.ciphertext) * 8 + self.tag_bits)
         if self._tag(chan, envelope.seq, envelope.ciphertext,
-                     tag_pad) != envelope.tag:
+                     pads & ((1 << self.tag_bits) - 1)) != envelope.tag:
             raise ChannelIntegrityError(
                 "tag mismatch on %s->%s seq %d"
                 % (envelope.sender, envelope.receiver, envelope.seq))
-        pad = stream.read(envelope.pad_offset, len(envelope.ciphertext) * 8)
-        # secure_send allocates the tag pad right after the body pad, so the
-        # authenticated tag pad pins where the body pad is read from
-        if envelope.tag_pad_offset != (envelope.pad_offset
-                                       + 8 * len(envelope.ciphertext)):
-            raise ChannelIntegrityError(
-                "body pad at bit %d does not end where the tag pad at bit %d"
-                " starts" % (envelope.pad_offset, envelope.tag_pad_offset))
         chan.last_recv_seq = envelope.seq
         stream.release()
-        return (int.from_bytes(envelope.ciphertext, "big") ^ pad).to_bytes(
-            len(envelope.ciphertext), "big")
+        return (int.from_bytes(envelope.ciphertext, "big")
+                ^ (pads >> self.tag_bits)).to_bytes(
+                    len(envelope.ciphertext), "big")
 
     # --------------------------------------------------------------- ledger
 

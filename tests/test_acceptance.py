@@ -16,6 +16,7 @@ import itertools
 import math
 import random
 import time
+from collections import defaultdict
 
 import pytest
 
@@ -288,7 +289,8 @@ def test_shipped_scenarios_conserve_keys_and_never_reuse_pad_bits(
                              self._endpoint_node(receiver))))
         allocations.append((pair, envelope.pad_offset,
                             len(envelope.ciphertext) * 8))
-        allocations.append((pair, envelope.tag_pad_offset, self.tag_bits))
+        allocations.append((pair, envelope.pad_offset
+                            + len(envelope.ciphertext) * 8, self.tag_bits))
         return envelope
 
     monkeypatch.setattr(KeyNetwork, "secure_send", recording_send)
@@ -321,8 +323,8 @@ def test_shipped_scenarios_conserve_keys_and_never_reuse_pad_bits(
             for (_, end_a), (start_b, _) in zip(spans, spans[1:]):
                 assert end_a <= start_b, (path.name, pair)
         # every allocation, hash-key draws included, is disjoint from all
-        # others on its pair, and the envelopes' pads are among them
-        assert len(drawn) > len(allocations), path.name  # keys were drawn
+        # others on its pair, and holds one envelope's body and tag pads,
+        # after its channel's hash key on the channel's first send
         all_spans = {}
         for pair, start, bits in drawn:
             all_spans.setdefault(pair, []).append((start, start + bits))
@@ -330,7 +332,57 @@ def test_shipped_scenarios_conserve_keys_and_never_reuse_pad_bits(
             spans.sort()
             for (_, end_a), (start_b, _) in zip(spans, spans[1:]):
                 assert end_a <= start_b, (path.name, pair)
-            assert set(by_pair.get(pair, [])) <= set(spans), (path.name, pair)
+        sent = {(pair, start, tag + bits) for (pair, start, _), (_, tag, bits)
+                in zip(allocations[0::2], allocations[1::2])}
+        width = allocations[1][2]  # the scenario's channel tag_bits
+        keys = 0
+        for pair, start, bits in drawn:
+            key = (pair, start, start + bits) not in sent
+            assert (pair, start + key * width, start + bits) in sent, (
+                path.name, pair)
+            keys += key
+        assert keys, path.name  # hash keys were drawn
+
+
+def test_every_shipped_scenario_allocates_once_per_envelope(monkeypatch):
+    # a send takes its channel's hash key (first send only), body pad and
+    # tag pad as one allocation, and nothing else allocates: a plan moves
+    # the cursors of scratch copies only
+    original_send = KeyNetwork.secure_send
+    original_allocate = _PairStream.allocate
+    drawn, per_send = [], []
+
+    def recording_allocate(self, nbits):
+        offset, value = original_allocate(self, nbits)
+        drawn.append((self.pair, offset, nbits))
+        return offset, value
+
+    def counting_send(self, sender, receiver, payload):
+        before = len(drawn)
+        envelope = original_send(self, sender, receiver, payload)
+        per_send.append(len(drawn) - before)
+        return envelope
+
+    monkeypatch.setattr(_PairStream, "allocate", recording_allocate)
+    monkeypatch.setattr(KeyNetwork, "secure_send", counting_send)
+    scenario_files = sorted(p for p in SCENARIO_DIR.glob("*.yaml")
+                            if p.stem != "bench")
+    assert len(scenario_files) == 8
+    for path in scenario_files:
+        drawn.clear()
+        per_send.clear()
+        result = run_scenario(load_scenario(path))
+        assert result.conservation_ok, path.name
+        assert result.failures == (), path.name
+        assert per_send and set(per_send) == {1}, path.name
+        assert len(drawn) == len(per_send), path.name
+        spans = defaultdict(list)
+        for pair, start, bits in drawn:
+            spans[pair].append((start, start + bits))
+        for pair, ranges in spans.items():
+            ranges.sort()
+            for (_, end_a), (start_b, _) in zip(ranges, ranges[1:]):
+                assert end_a <= start_b, (path.name, pair)
 
 
 # ---------------------------------------------------------------------------

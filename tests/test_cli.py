@@ -875,18 +875,27 @@ def test_a_key_supply_error_is_an_abort_at_exit_2(tmp_path, capsys,
                              "--config", cfg, "--text", SECRET_TEXT)
     assert (code, out) == (2, "")
     assert err == "aborted: link Toshiba holds 0 bits, relay needs 1032\n"
-    # no store file or log; state.json is saved only for the owner's pair
-    # stream, which the refused relay opened, and every key counter in it
-    # is where a new deployment starts
-    assert sorted(workspace_files(ws)) == ["state.json"]
-    saved = json.loads((ws / "state.json").read_text(encoding="utf-8"))
-    assert saved["network"].pop("streams") == {"Koganei-1|Ohtemachi-1": [0, 0]}
-    fresh = Workspace.initialize(tmp_path / "fresh", {
-        "warmup_ms": 0, "topology": {"rate_scale": 0.0}})
-    want = json.loads(json.dumps(fresh.session.net.to_state()))
-    del want["streams"]
-    assert saved["network"] == want
-    assert saved["receipts"] == saved["end_user"] == {}
+    # the refused relay checked its route before opening the owner's pair
+    # stream, so no key counter moved and no file is written: no store,
+    # no log and no state.json
+    assert workspace_files(ws) == {}
+
+
+def test_a_register_refused_for_want_of_key_may_be_retried_elsewhere(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "WAIT_STEP_MS", 0)
+    dry = write_scenario(tmp_path, "dry",
+                         "warmup_ms: 0\ntopology: {rate_scale: 0.0}\n")
+    ws = tmp_path / "ws"
+    code, _out, err = run_cli(capsys, "register", "--workspace", str(ws),
+                              "--config", dry, "--text", SECRET_TEXT)
+    assert code == 2 and "relay needs" in err
+    code, out, _ = run_cli(capsys, "inspect", str(ws))
+    assert code == 0 and "no state.json" in out
+    narrow = write_scenario(tmp_path, "narrow", "mac: {k: 128}\n")
+    register(capsys, ws, SECRET_TEXT, "--config", narrow)
+    code, out, _ = run_cli(capsys, "inspect", str(ws))
+    assert code == 0 and "mac=polyeval k=128" in out
 
 
 def test_bench_prints_the_modulus_comparison(tmp_path, capsys):

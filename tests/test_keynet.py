@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import time
+from collections import deque
 
 import pytest
 
@@ -37,6 +38,11 @@ def line_topology(rate=1000, capacity=1_000_000):
         links=(LinkSpec("ab", "A", "B", rate_bps=rate, capacity_bits=capacity),
                LinkSpec("bc", "B", "C", rate_bps=rate, capacity_bits=capacity)),
     )
+
+
+def tag_pad_offset(env):
+    """Where an envelope's tag pad starts: right after its body pad."""
+    return env.pad_offset + 8 * len(env.ciphertext)
 
 
 def fresh_net(**kw):
@@ -87,21 +93,51 @@ def test_default_topology_shape_and_paths():
         "SeQureNet", "Toshiba"]
 
 
+def plain_bfs_path(topo, a, b):
+    """Minimum-hop links from a to b by a breadth-first search from a that
+    visits each node's neighbours in (node name, link name) order."""
+    parents = {a: None}
+    queue = deque([a])
+    while queue:
+        here = queue.popleft()
+        for nxt, _name, link in sorted(
+                (l.b if l.a == here else l.a, l.name, l)
+                for l in topo.links if here in (l.a, l.b)):
+            if nxt not in parents:
+                parents[nxt] = (here, link)
+                queue.append(nxt)
+    path = []
+    while parents[b]:
+        b, link = parents[b]
+        path.append(link)
+    return path[::-1]
+
+
 def test_memoized_paths_equal_fresh_bfs_paths_for_every_pair(monkeypatch):
-    topo = DEFAULT_TOPOLOGY
-    fresh = NetworkTopology(topo.nodes, topo.links)  # an empty path memo
-    pairs = list(itertools.product(topo.node_names(), repeat=2))
-    searched = {pair: fresh._bfs_path(*pair) for pair in pairs}
-    for pair in pairs:
-        assert topo.shortest_path(*pair) == searched[pair], pair
-    topo.shortest_path(*pairs[1]).append("scribble")  # callers get a copy
+    # the square has two two-hop routes from A to D, and parallel links
+    # between A and B: ties go to the lower node name, then link name
+    square = NetworkTopology(
+        nodes=tuple(NodeSpec(n) for n in "DCBA"),
+        links=(LinkSpec("ab2", "A", "B", rate_bps=1),
+               LinkSpec("ab1", "B", "A", rate_bps=1),
+               LinkSpec("cd", "C", "D", rate_bps=1),
+               LinkSpec("ac", "A", "C", rate_bps=1),
+               LinkSpec("bd", "D", "B", rate_bps=1)))
+    assert [l.name for l in square.shortest_path("A", "D")] == ["ab1", "bd"]
+    for topo in (DEFAULT_TOPOLOGY, square):
+        pairs = list(itertools.product(topo.node_names(), repeat=2))
+        searched = {pair: plain_bfs_path(topo, *pair) for pair in pairs}
+        for pair in pairs:
+            assert topo.shortest_path(*pair) == searched[pair], pair
+        topo.shortest_path(*pairs[1]).append("scribble")  # callers get a copy
 
-    def no_search(self, a, b):
-        raise AssertionError("searched %s-%s again" % (a, b))
+        def no_search(self, node):
+            raise AssertionError("searched from %s again" % node)
 
-    monkeypatch.setattr(NetworkTopology, "_bfs_path", no_search)
-    for pair in pairs:
-        assert topo.shortest_path(*pair) == searched[pair], pair
+        with monkeypatch.context() as patched:
+            patched.setattr(NetworkTopology, "_neighbours", no_search)
+            for pair in pairs:
+                assert topo.shortest_path(*pair) == searched[pair], pair
 
 
 # --------------------------------------------------------------- generation
@@ -208,7 +244,7 @@ def test_channel_sequences_and_pad_disjointness():
     ranges = []
     for e in envs:
         ranges.append((e.pad_offset, e.pad_offset + len(e.ciphertext) * 8))
-        ranges.append((e.tag_pad_offset, e.tag_pad_offset + net.tag_bits))
+        ranges.append((tag_pad_offset(e), tag_pad_offset(e) + net.tag_bits))
     ranges.sort()
     for (s1, e1), (s2, e2) in zip(ranges, ranges[1:]):
         assert e1 <= s2  # no two pads share a bit
@@ -243,7 +279,7 @@ def test_tampered_envelope_rejected():
     env = net.secure_send("alice", "carol", b"integrity matters")
     flipped = bytes([env.ciphertext[0] ^ 0x80]) + env.ciphertext[1:]
     bad = SecureEnvelope(env.sender, env.receiver, env.seq, flipped,
-                         env.tag, env.pad_offset, env.tag_pad_offset)
+                         env.tag, env.pad_offset)
     with pytest.raises(ChannelIntegrityError):
         net.secure_recv(bad)
     assert net.secure_recv(env) == b"integrity matters"
@@ -264,7 +300,7 @@ def test_forgery_rate_statistical_small_tag():
         tampered = (int.from_bytes(env.ciphertext, "big") ^
                     (1 << bit)).to_bytes(len(env.ciphertext), "big")
         bad = SecureEnvelope(env.sender, env.receiver, env.seq, tampered,
-                             env.tag, env.pad_offset, env.tag_pad_offset)
+                             env.tag, env.pad_offset)
         try:
             net.secure_recv(bad)
             accepted += 1
@@ -301,7 +337,7 @@ def test_channel_tag_round_trip_and_verify_never_consumes():
     assert stream.cursor == cursor  # receiving allocates no key
     # every message is tagged under a fresh tag pad, never a reused one
     again = net.secure_send("alice", "carol", b"12345678")
-    assert again.tag_pad_offset >= env.tag_pad_offset + net.tag_bits
+    assert tag_pad_offset(again) >= tag_pad_offset(env) + net.tag_bits
     assert net.secure_recv(again) == b"12345678"
 
 
@@ -309,7 +345,7 @@ def test_channel_tag_of_empty_payload_is_sequence_hash_plus_pad():
     net = small_tag_net()
     net.relay_keys("A", "C", 6000)
     env = net.secure_send("alice", "carol", b"")
-    pad = net.pair_stream("A", "C").read(env.tag_pad_offset, net.tag_bits)
+    pad = net.pair_stream("A", "C").read(tag_pad_offset(env), net.tag_bits)
     r = net.channels[("alice", "carol")].hash_key
     assert env.tag == (polyeval_hash_bytes(r, bytes(8), net.modulus)
                        + pad) % net.modulus
@@ -326,19 +362,15 @@ def test_channel_pad_hides_hash():
     env = net.secure_send("alice", "carol", bytes(8))
     other = net.secure_send("alice", "carol", bytes(8))
     p = net.modulus
-    s1 = stream.read(env.tag_pad_offset, net.tag_bits) % p
-    s2 = stream.read(other.tag_pad_offset, net.tag_bits) % p
+    s1 = stream.read(tag_pad_offset(env), net.tag_bits) % p
+    s2 = stream.read(tag_pad_offset(other), net.tag_bits) % p
     assert s1 != s2
-    moved = dataclasses.replace(env, tag_pad_offset=other.tag_pad_offset)
+    moved = dataclasses.replace(env, pad_offset=other.pad_offset)
     with pytest.raises(ChannelIntegrityError):
         net.secure_recv(moved)
     r = net.channels[("alice", "carol")].hash_key
     h = polyeval_hash_bytes(r, env.seq.to_bytes(8, "big") + env.ciphertext, p)
     assert (h + s2) % p == (env.tag - s1 + s2) % p
-    # that tag passes the tag check, but the tag pad no longer starts where
-    # env's body pad ends, so the receiver still refuses the envelope
-    with pytest.raises(ChannelIntegrityError, match="does not end where"):
-        net.secure_recv(dataclasses.replace(moved, tag=(env.tag - s1 + s2) % p))
     assert net.secure_recv(env) == bytes(8)
 
 
@@ -382,7 +414,7 @@ def test_receive_on_a_channel_without_a_hash_key_fails_closed():
     net = small_tag_net(receivers=("carol", "dave"))
     net.relay_keys("A", "C", 6000)
     env = net.secure_send("alice", "carol", b"addressed to carol")
-    pad = net.pair_stream("A", "C").read(env.tag_pad_offset, net.tag_bits)
+    pad = net.pair_stream("A", "C").read(tag_pad_offset(env), net.tag_bits)
     # alice->dave has no key: its unset r = 0 would hash anything to 0
     for tag in (env.tag, pad % net.modulus):
         with pytest.raises(ChannelIntegrityError):
@@ -432,27 +464,31 @@ def test_bogus_offsets_rejected():
     net.relay_keys("A", "C", 5000)
     env = net.secure_send("alice", "carol", b"offset games")
     outside = SecureEnvelope(env.sender, env.receiver, env.seq, env.ciphertext,
-                             env.tag, 10 ** 9, env.tag_pad_offset)
-    with pytest.raises(ProtocolError):
+                             env.tag, 10 ** 9)
+    with pytest.raises(ChannelIntegrityError, match="outside the allocated"):
         net.secure_recv(outside)
+    # the tag pad moved to where the body pad starts
     shifted = SecureEnvelope(env.sender, env.receiver, env.seq, env.ciphertext,
-                             env.tag, env.pad_offset, env.pad_offset)
+                             env.tag, 2 * env.pad_offset - tag_pad_offset(env))
     with pytest.raises(ChannelIntegrityError):
         net.secure_recv(shifted)
 
 
 def test_body_pad_must_end_where_the_tag_pad_starts():
-    # The tag covers seq || ciphertext, not the offsets; an envelope whose
-    # body pad is pointed at an earlier message's pad still carries a valid
-    # tag, and would decrypt to garbage if it were accepted.
+    # The tag covers seq || ciphertext, not the offset; an envelope whose
+    # body pad is pointed at an earlier message's pad would decrypt to
+    # garbage if it were accepted. Its tag pad moves with it, so the
+    # earlier message's tag pad fails the tag.
     net = fresh_net()
     net.relay_keys("A", "C", 5000)
     first = net.secure_send("alice", "carol", b"first message, 18B")
     second = net.secure_send("alice", "carol", b"other message, 18B")
-    assert second.tag_pad_offset == second.pad_offset + 8 * 18
+    # one allocation: the body pad, then the tag pad, which ends it
+    assert net.pair_stream("A", "C").cursor == \
+        second.pad_offset + 8 * 18 + net.tag_bits
     assert net.secure_recv(first) == b"first message, 18B"
     moved = dataclasses.replace(second, pad_offset=first.pad_offset)
-    with pytest.raises(ChannelIntegrityError):
+    with pytest.raises(ChannelIntegrityError, match="tag mismatch"):
         net.secure_recv(moved)
     assert net.secure_recv(second) == b"other message, 18B"  # nothing spent
 
@@ -467,12 +503,11 @@ def test_pads_and_tag_are_prf_reads_of_adjacent_allocations(tag_bits):
     for payload in (b"", b"x", bytes(range(70))):
         env = net.secure_send("alice", "carol", payload)
         nbits = 8 * len(payload)
-        assert env.tag_pad_offset == env.pad_offset + nbits
-        assert stream.cursor == env.tag_pad_offset + tag_bits
+        assert stream.cursor == tag_pad_offset(env) + tag_bits
         pad = stream.prf.read_bits(env.pad_offset, nbits)
         assert int.from_bytes(env.ciphertext, "big") == \
             int.from_bytes(payload, "big") ^ pad
-        tag_pad = stream.prf.read_bits(env.tag_pad_offset, tag_bits)
+        tag_pad = stream.prf.read_bits(tag_pad_offset(env), tag_bits)
         message = env.seq.to_bytes(8, "big") + env.ciphertext
         assert env.tag == (polyeval_hash_bytes(r, message, p) + tag_pad) % p
         assert net.secure_recv(env) == payload
@@ -484,16 +519,14 @@ def test_every_sub_range_read_of_the_kept_allocations_equals_the_prf(
     net = fresh_net()
     net.relay_keys("A", "C", 1000)
     stream = net.pair_stream("A", "C")
-    stream.allocate(5)  # not kept: two allocations follow it
-    kept = [stream.allocate(13), stream.allocate(90)]  # off byte edges
+    stream.allocate(5)
+    stream.allocate(13)  # not kept: an allocation follows it
+    kept = stream.allocate(90)  # off byte edges
     end = stream.cursor
-    assert all(value == stream.prf.read_bits(offset, nbits)
-               for (offset, value), nbits in zip(kept, (13, 90)))
+    assert kept[1] == stream.prf.read_bits(kept[0], 90)
     want = {(a, b): stream.prf.read_bits(a, b - a)
             for a in range(end + 1) for b in range(a, end + 1)}
-    inside = [(a, b) for a, b in want
-              if any(o <= a and b <= o + n
-                     for (o, _), n in zip(kept, (13, 90)))]
+    inside = [(a, b) for a, b in want if kept[0] <= a]
     hashed = []
     block = PrfBits._block
     monkeypatch.setattr(PrfBits, "_block",
@@ -504,29 +537,29 @@ def test_every_sub_range_read_of_the_kept_allocations_equals_the_prf(
     for (a, b), bits in want.items():  # the rest reads the PRF
         assert stream.read(a, b - a) == bits, (a, b)
     stream.release()
-    assert stream.read(kept[1][0], 90) == kept[1][1]
+    assert stream.read(kept[0], 90) == kept[1]
 
 
 def test_moved_or_out_of_range_pad_offsets_fail_as_before():
-    # The receiver reads the tag pad, checks the tag, reads the body pad and
-    # checks adjacency, in that order; each moved offset fails at its step.
+    # The receiver reads both pads as one range, then checks the tag; a
+    # moved offset moves both pads and fails at one of the two steps.
     net = fresh_net()
     net.relay_keys("A", "C", 5000)
     env = net.secure_send("alice", "carol", b"eighteen byte body")
     end = net.pair_stream("A", "C").cursor
-    cases = [
-        (dict(tag_pad_offset=end - 8), ProtocolError, "outside the allocated"),
-        (dict(tag_pad_offset=-1), ProtocolError, "outside the allocated"),
-        (dict(tag_pad_offset=env.tag_pad_offset - 1), ChannelIntegrityError,
-         "tag mismatch"),
-        (dict(pad_offset=end), ProtocolError, "outside the allocated"),
-        (dict(pad_offset=-8), ProtocolError, "outside the allocated"),
-        (dict(pad_offset=env.pad_offset + 8), ChannelIntegrityError,
-         "does not end where"),
-        (dict(pad_offset=0), ChannelIntegrityError, "does not end where"),
+    body_bits = tag_pad_offset(env) - env.pad_offset
+    cases = [  # the first three move the tag pad to end - 8, -1 and one
+        # bit early, as an envelope naming its tag pad apart could
+        (dict(pad_offset=end - 8 - body_bits), "outside the allocated"),
+        (dict(pad_offset=-1 - body_bits), "outside the allocated"),
+        (dict(pad_offset=env.pad_offset - 1), "tag mismatch"),
+        (dict(pad_offset=end), "outside the allocated"),
+        (dict(pad_offset=-8), "outside the allocated"),
+        (dict(pad_offset=env.pad_offset + 8), "outside the allocated"),
+        (dict(pad_offset=0), "tag mismatch"),
     ]
-    for change, error, match in cases:
-        with pytest.raises(error, match=match):
+    for change, match in cases:
+        with pytest.raises(ChannelIntegrityError, match=match):
             net.secure_recv(dataclasses.replace(env, **change))
     assert net.secure_recv(env) == b"eighteen byte body"
 

@@ -89,10 +89,6 @@ class SeededEntropy(RandomSource):
         self._prf = PrfBits(derive_key(master, label))
         self._cursor = 0
 
-    @property
-    def bits_drawn(self) -> int:
-        return self._cursor
-
     def take_bits(self, nbits: int) -> int:
         v = self._prf.read_bits(self._cursor, nbits)
         self._cursor += nbits

@@ -5,12 +5,11 @@ Provides:
   PrimeField      -- field configuration plus int-level modular ops, and
                      the column kernels random_ints and eval_columns
   Polynomial      -- coefficient vector (constant term first) over a field
-  random_polynomial, zero_coefficients, interpolate_at_zero, mod_exp
+  random_polynomial, zero_coefficients, mod_exp
   is_probable_prime, largest_prime_at_most
 
 Elements are plain ints in [0, q); zero_coefficients holds the one
-Lagrange-at-zero implementation, and interpolate_at_zero is its weighted
-sum.
+Lagrange-at-zero implementation.
 
 On moduli of the form 2^m - 1, `mul` reduces by folding ((x & q) +
 (x >> m), congruence-preserving for any x), which is measurably faster
@@ -32,7 +31,6 @@ __all__ = [
     "Polynomial",
     "random_polynomial",
     "zero_coefficients",
-    "interpolate_at_zero",
     "mod_exp",
     "is_probable_prime",
     "largest_prime_at_most",
@@ -166,26 +164,17 @@ class PrimeField:
             acc = (acc * x + c) % q
         return acc
 
-    def random_int(self, randomness) -> int:
-        """Uniform element of [0, q) by rejection sampling from a bit source.
-
-        randomness must provide take_bits(n) -> int. For Mersenne moduli the
-        only rejected draw is q itself; in general the acceptance rate is
-        q / 2^bit_length >= 1/2.
-        """
-        n = self.q.bit_length()
-        while True:
-            v = randomness.take_bits(n)
-            if v < self.q:
-                return v
-
     def random_ints(self, randomness, count: int) -> list:
-        """count uniform elements: the values, in order, and the bits of
-        count sequential random_int calls.
+        """count uniform elements of [0, q) by rejection sampling from a
+        bit source, which must provide take_bits(n) -> int: the values and
+        the bits of count draws, one after another, of n = bit_length(q)
+        bits each, every draw >= q dropped and drawn again. For Mersenne
+        moduli the only rejected draw is q itself; in general the
+        acceptance rate is q / 2^n >= 1/2.
 
-        Each pass draws the missing elements' n = bit_length(q) bits with
-        one take_bits call and cuts them into n-bit chunks, each read from
-        a short slice of one byte string. Chunks >= q are dropped in order
+        Each pass draws the missing elements' n bits each with one
+        take_bits call and cuts them into n-bit chunks, each read from a
+        short slice of one byte string. Chunks >= q are dropped in order
         and only the shortfall is drawn again, which is sequential
         rejection sampling. A pass the source cannot supply raises (a
         KsaSource's KeySupplyError) before any bit of that pass is taken.
@@ -222,17 +211,6 @@ class PrimeField:
         for col in columns[-2:0:-1]:
             acc = [a * x + c for a, c in zip(acc, col)]
         return [(a * x + c) % q for a, c in zip(acc, columns[0])]
-
-    # -- serialization --
-
-    def encode(self, value: int) -> bytes:
-        return value.to_bytes(self.byte_width, "big")
-
-    def decode(self, raw: bytes) -> int:
-        v = int.from_bytes(raw, "big")
-        if v >= self.q:
-            raise ProtocolError("encoded element %d out of range for F_%d" % (v, self.q))
-        return v
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q
@@ -279,15 +257,14 @@ def random_polynomial(degree: int, constant: int, field: PrimeField,
     constant term, which must already lie in [0, q).
 
     The degree non-constant coefficients are uniform (so the effective
-    degree may be lower; the declared bound is what matters to callers).
-    Raises KeySupplyError if the randomness source runs dry mid-draw.
+    degree may be lower; the declared bound is what matters to callers),
+    drawn with one random_ints call. Raises KeySupplyError if the
+    randomness source cannot supply them.
     """
     if degree < 0:
         raise ConfigurationError("degree must be >= 0")
-    coeffs = [constant]
-    for _ in range(degree):
-        coeffs.append(field.random_int(randomness))
-    return Polynomial(tuple(coeffs), field)
+    return Polynomial((constant, *field.random_ints(randomness, degree)),
+                      field)
 
 
 def zero_coefficients(indices: Sequence[int], field: PrimeField) -> list:
@@ -313,9 +290,3 @@ def zero_coefficients(indices: Sequence[int], field: PrimeField) -> list:
         out.append(field.mul(num, field.inv(den)))
     return out
 
-
-def interpolate_at_zero(pairs: Sequence, field: PrimeField) -> int:
-    """f(0) from [(x, y), ...]: the zero_coefficients-weighted sum of the
-    y values."""
-    weights = zero_coefficients([x for x, _ in pairs], field)
-    return sum(w * y for w, (_, y) in zip(weights, pairs)) % field.q

@@ -151,10 +151,6 @@ class MacTag:
     def from_bytes(cls, raw: bytes) -> "MacTag":
         return cls(int.from_bytes(raw, "big"), len(raw) * 8)
 
-    def bit(self, i: int) -> int:
-        """Tag bit i (i = 0 is the first, most significant, bit)."""
-        return (self.value >> (self.k - 1 - i)) & 1
-
 
 @dataclass
 class MacSeed:

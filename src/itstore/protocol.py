@@ -51,7 +51,6 @@ registration records are untouched by such aborts.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -221,8 +220,9 @@ class Transport:
     envelope (KeyNetwork.send_digest) once the channel has its hash key,
     and its transcript line is marked body=clear; the first message of a
     channel with no hash key yet is padded as any other. Every delivery
-    appends one transcript line and bumps a (receiver, secret, kind) byte
-    counter, which is what the leakage budgets are asserted against.
+    appends one transcript line, which names the sender, the receiver,
+    the kind, the byte count and the secret: that line is the record of
+    what each endpoint received.
 
     advance_on_exhaustion_ms > 0 lets a send wait for key material by
     advancing simulated time instead of failing, up to MAX_KEY_WAITS steps.
@@ -233,26 +233,7 @@ class Transport:
         self.net = net
         self.transcript = transcript
         self.advance_on_exhaustion_ms = advance_on_exhaustion_ms
-        # receiver -> sid hex -> kind -> delivered bytes
-        self.counts = defaultdict(lambda: defaultdict(Counter))
         self.tamper = None  # one-shot hook: SecureEnvelope -> SecureEnvelope
-
-    # -- byte accounting ----------------------------------------------------
-
-    def _count(self, receiver: str, sid_hex: str, kind: str, n: int):
-        self.counts[receiver][sid_hex][kind] += n
-
-    def received_bytes(self, receiver: str, sid: "bytes | None" = None,
-                       kind: "str | None" = None) -> int:
-        """Total payload bytes delivered to an endpoint, optionally
-        filtered by secret and message kind."""
-        by_sid = self.counts.get(receiver, {})
-        groups = by_sid.values() if sid is None else [by_sid.get(sid.hex(), {})]
-        if kind is None:
-            return sum(sum(kinds.values()) for kinds in groups)
-        return sum(kinds.get(kind, 0) for kinds in groups)
-
-    # -- delivery -----------------------------------------------------------
 
     def wait_for_key(self, attempt, *args):
         """Return attempt(*args). While it raises KeySupplyError and
@@ -304,24 +285,21 @@ class Transport:
                 "otp %s->%s kind=%s bytes=%d sha=%s sid=%s seq=%d%s cost=%d"
                 % (sender, receiver, kind, len(payload), digest, sid_hex,
                    envelope.seq, " body=clear" if clear else "", cost))
-        self._count(receiver, sid_hex, kind, len(delivered))
         return delivered
 
 
 def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
-                  sources: dict, deliver=None,
-                  check_source=None) -> RenewalOutcome:
+                  sources: dict, deliver, check_source) -> RenewalOutcome:
     """One verified renewal round over every share track.
 
-    shares maps each holder index to its track shares in F_q, a sequence
-    of ints: a tuple, or a wire.Packed view of the holder's share column.
-    sources maps each holder to its randomness. Holder by holder, in index
-    order, dealer d deals all its tracks with one gen_renewal call and
-    hands the columns to deliver(d, commitments, pairs) -> {j:
-    (commitments per track, pair per track)}, which returns what every
-    other holder j received, as sequences or as Packed views of the bytes
-    that arrived; without deliver they arrive unchanged. d keeps its own
-    pairs as their byte column.
+    shares maps each holder index to a wire.Packed view of its share
+    column, one share in F_q per track. sources maps each holder to its
+    randomness. Holder by holder, in index order, dealer d deals all its
+    tracks with one gen_renewal call and hands the columns to deliver(d,
+    commitments, pairs) -> {j: (commitments per track, pair per track)},
+    which returns what every other holder j received, as sequences or as
+    Packed views of the bytes that arrived. d keeps its own pairs as
+    their byte column.
 
     Before any pair is checked, subgroup_members settles once per round
     the subgroup membership of every distinct commitment any holder
@@ -329,8 +307,7 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
     for up to 96 of them, else one random-subset batch whose bits come
     from check_source(received), where received lists the commitment
     sequences each holder received, recipient by recipient and dealer by
-    dealer; by default they come from the lowest holder's source after
-    the round's draws. The source must be private to the checkers.
+    dealer. The source must be private to the checkers.
 
     Then holder by holder, with only that holder's inputs decoded, every
     holder checks each track once: the pairs the other holders sent it,
@@ -346,8 +323,7 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
     track whose summed check fails always accuses someone. Any
     accusation rejects the round with no new shares; otherwise every
     holder folds its own pair and the summed pair into its shares, and
-    new_shares holds them in the form its shares came in: a tuple, or a
-    Packed view of the renewed column.
+    new_shares holds a Packed view of each holder's renewed column.
     Errors of two or more dealers that cancel at one holder pass the sum,
     and that holder's renewed share is then still correct (see renewal's
     module docstring for why the sum is sound).
@@ -364,8 +340,7 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
         commitments, pairs = gen_renewal(holders, degree, config, sources[d],
                                          len(shares[d]))
         others = [j for j in holders if j != d]
-        got = (deliver(d, commitments, pairs) if deliver is not None
-               else {j: (commitments, pairs[j]) for j in others})
+        got = deliver(d, commitments, pairs)
         for j in others:
             received[j][d] = got[j]
         own[d] = Packed(column([v for pair in pairs[d] for v in pair],
@@ -374,13 +349,9 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
 
     received_commitments = [received[j][d][0] for j in holders
                             for d in holders if d != j]
-    if check_source is not None:
-        randomness = check_source(received_commitments)
-    else:  # a round of no holders receives nothing and draws nothing
-        randomness = sources[holders[0]] if holders else None
     members = subgroup_members((eps for sent in received_commitments
                                 for track in sent for eps in track),
-                               config, randomness)
+                               config, check_source(received_commitments))
     del received_commitments  # so what j received goes once j is done
     accusations = []
     new_shares = {}
@@ -407,8 +378,7 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
                         j, eps, pair, config, members):
                     accusations.append(Accusation(
                         j, d, "commitment check failed on track %d" % track))
-        new_shares[j] = (Packed(column(renewed, width), width)
-                         if isinstance(shares[j], Packed) else tuple(renewed))
+        new_shares[j] = Packed(column(renewed, width), width)
     if accusations:
         return RenewalOutcome(accepted=False, accusations=tuple(accusations))
     return RenewalOutcome(accepted=True, new_shares=new_shares)
@@ -517,20 +487,8 @@ class TpvSession:
         """Role-local logical time: network time plus configured skew."""
         return self.net.now_ms + self.skews.get(role, 0)
 
-    def advance(self, ms: int):
-        self.net.advance(ms)
-
     def transcript_text(self) -> str:
         return "\n".join(self.transcript) + "\n"
-
-    def received_bytes(self, endpoint: str, sid: "bytes | None" = None,
-                       kind: "str | None" = None) -> int:
-        return self.transport.received_bytes(endpoint, sid, kind)
-
-    def verifier_registration_budget(self) -> int:
-        """Exact bytes the verifier receives per registration: one code
-        byte, the secret id, the timestamp and the tag."""
-        return 1 + SID_BYTES + 8 + self.k // 8
 
     def _send(self, sender: str, receiver: str, kind: str, header,
               *body) -> tuple:
@@ -954,7 +912,7 @@ class TpvSession:
 
     # --------------------------------------------------------------- renewal
 
-    def renew(self, sid: bytes, pair_tamper=None) -> RenewalReport:
+    def renew(self, sid: bytes) -> RenewalReport:
         """One verifiable renewal round over every data-share track.
 
         renewal_round runs the round. Each holder sends every other holder
@@ -965,12 +923,10 @@ class TpvSession:
         commitments, crosses in the clear beside a digest envelope of
         2 * tag_bits key bits, 512 by default (Transport.send); a body
         that does not match its digest raises ChannelIntegrityError with
-        no share changed.
-        pair_tamper(sender, recipient, track, (s1, s2)) -> (s1, s2) lets
-        tests model a corrupted contribution. A message whose header names
-        another secret, round, sender or track count raises ProtocolError
-        with no share changed. The password shares are untouched: renewal
-        re-randomizes the stored payload sharings only.
+        no share changed. A message whose header names another secret,
+        round, sender or track count raises ProtocolError with no share
+        changed. The password shares are untouched: renewal re-randomizes
+        the stored payload sharings only.
         """
         group = self.renewal_group
         if group is None:
@@ -1012,13 +968,10 @@ class TpvSession:
                 (commits,) = self._deliver(
                     self._holder_ep(d), self._holder_ep(j),
                     "renew-commits", commit_msg, header)
-                sent = pairs[j]
-                if pair_tamper is not None:
-                    sent = [pair_tamper(d, j, track, pair)
-                            for track, pair in enumerate(sent)]
                 (arrived,) = self._send(
                     self._holder_ep(d), self._holder_ep(j), "renew-pairs",
-                    header, column([v for pair in sent for v in pair], width))
+                    header, column([v for pair in pairs[j] for v in pair],
+                                   width))
                 received[j] = (Packed(commits, p_width, degree),
                                Packed(arrived, width, 2))
             return received

@@ -116,7 +116,6 @@ __all__ = [
     "RenewalGroupConfig",
     "RenewalOutcome",
     "Accusation",
-    "derive_subgroup_element",
     "gen_renewal",
     "verify_renewal_share",
     "summed_dealing",
@@ -191,11 +190,6 @@ class RenewalGroupConfig:
 
     def share_field(self) -> PrimeField:
         return PrimeField(self.q)
-
-
-def derive_subgroup_element(x: int, p: int, q: int) -> int:
-    """x^((p-1)/q) mod p: lands in the order-q subgroup, log unknown."""
-    return mod_exp(x, (p - 1) // q, p)
 
 
 # Toy group for exhaustive correctness tests; logs here are trivially

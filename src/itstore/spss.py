@@ -86,7 +86,6 @@ __all__ = [
     "precompute_round",
     "retired_rounds",
     "masking_columns",
-    "extract",
     "check_subset",
     "spss_request",
     "cut_rounds",
@@ -172,10 +171,6 @@ class RegisteredSecret:
     mac_block: int
     t1: int
     byte_length: int
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
 
 
 @dataclass(slots=True)
@@ -304,9 +299,6 @@ class HolderShareSet:
     def block_count(self) -> int:
         return len(self.shares) // self.params.field.byte_width
 
-    def unconsumed_rounds(self) -> list:
-        return self.tuples.ids.tolist()
-
 
 @dataclass(frozen=True)
 class SpssRequest:
@@ -387,8 +379,8 @@ def spss_register(data: bytes, password: int, params: SpssParams,
     return holders, secret
 
 
-def precompute_round(holders: dict, randomness, rounds: int = 1,
-                     deliver=None) -> tuple:
+def precompute_round(holders: dict, randomness: dict, rounds: int,
+                     deliver) -> tuple:
     """Stock `rounds` masking tuples at every holder.
 
     The tuples come from params.batch_count(rounds) batches: per batch
@@ -400,13 +392,12 @@ def precompute_round(holders: dict, randomness, rounds: int = 1,
     the end; the new tuples are appended to each holder's LiveTuples
     columns.
 
-    randomness is either a single RandomSource or {holder: RandomSource},
-    matching how the simulation gives each holder its own entropy pool.
-    Contributors go in index order; each draws all its batches with one
-    masking_columns call and hands every other holder j, in index order,
-    its values (one per batch) through deliver(d, j, r_vals, z_vals) ->
-    (r_vals, z_vals), which returns them as j received them. Without
-    deliver they are handed over directly. A round whose next_round
+    randomness maps each holder to its RandomSource, as the simulation
+    gives each holder its own entropy pool. Contributors go in index
+    order; each draws all its batches with one masking_columns call and
+    hands every other holder j, in index order, its values (one per
+    batch) through deliver(d, j, r_vals, z_vals) -> (r_vals, z_vals),
+    which returns them as j received them. A round whose next_round
     would pass 2^32 - 1 is refused with ProtocolError before any draw or
     send, and no share set changes before every contribution has arrived.
     Returns the new round ids, which are the same at every holder by
@@ -439,12 +430,11 @@ def precompute_round(holders: dict, randomness, rounds: int = 1,
     rows = {j: (_zero_rows(params, batches), _zero_rows(params, batches))
             for j in indices}
     for d in indices:
-        src = randomness[d] if isinstance(randomness, dict) else randomness
-        r_cols, z_cols = masking_columns(params, src, batches)
+        r_cols, z_cols = masking_columns(params, randomness[d], batches)
         for j in indices:
             vals = (field.eval_columns(r_cols, j),
                     field.eval_columns(z_cols, j))
-            if j != d and deliver is not None:
+            if j != d:
                 vals = deliver(d, j, *vals)
                 if any(len(v) != batches for v in vals):
                     raise ProtocolError(
@@ -488,19 +478,6 @@ def retired_rounds(live, reported) -> tuple:
             k += 1
         out += range(first, end)
     return tuple(out)
-
-
-def extract(params: SpssParams, contributions) -> list:
-    """Apply rows k = 0..w-1 of V[k][d] = d^k to one holder's received
-    values: contributions[d-1] lists contributor d's value per batch, and
-    the result lists sum_d d^k * contributions[d-1][b] mod q in the order
-    (b, k), batch-major. precompute_round runs the same fold, one
-    contribution at a time as each arrives."""
-    batches = min(map(len, contributions), default=0)
-    rows = _zero_rows(params, batches)
-    for d, values in zip(params.holder_indices, contributions):
-        _fold(rows, d, values, params.field.q)
-    return _reduced(rows, params.field.q)
 
 
 def _zero_rows(params: SpssParams, batches: int) -> list:

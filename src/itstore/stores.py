@@ -13,7 +13,9 @@ as an empty store, so building a deployment creates no directory:
   CalculatorStore  -- deliberately tiny records: per secret exactly the
                       16-byte id (as the file name), the 8-byte receipt
                       time, and the raw MAC seed. Nothing derived from the
-                      payload data ever touches this directory.
+                      payload data ever touches this directory. A record
+                      is written once and never removed: no phase or
+                      command deletes a secret.
 
 Disk. `DISK`, a `FileLayer`, is the only code that reads or changes a
 store or workspace file. It offers three durable writes and an erasure:
@@ -24,9 +26,10 @@ store or workspace file. It offers three durable writes and an erasure:
   overwrite  -- an idle file in place: erase it, write, fsync.
   append     -- bytes at the end of a file, fsync.
   erase      -- zero the bytes and fsync, then truncate (not fsynced) and
-                unlink when asked, fsyncing the directory, so dropped
-                share values and seeds do not linger and an unlinked name
-                stays gone; a lost truncation leaves zeros.
+                unlink when asked (a pending `.new` that opening finds),
+                fsyncing the directory, so dropped share values and seeds
+                do not linger and an unlinked name stays gone; a lost
+                truncation leaves zeros.
 
 A write that creates a name fsyncs its directory before it returns, and
 a store's first write, which creates its directory, fsyncs the storage
@@ -119,8 +122,7 @@ from .wire import Cursor, encode_runs, expand_runs
 
 __all__ = [
     "DISK", "FileLayer", "ChainedLog", "VerifierRecord", "VerifierStore",
-    "CalculatorStore", "HolderStore", "contains_window",
-    "holder_record_files", "directory_contains_window", "secure_erase",
+    "CalculatorStore", "HolderStore", "holder_record_files", "secure_erase",
     "erase_and_rewrite",
 ]
 
@@ -278,29 +280,6 @@ def erase_and_rewrite(path, content: bytes) -> None:
     DISK.publish(path, content)
 
 
-def contains_window(haystack: bytes, needle: bytes, window: int = 8) -> bool:
-    """True when any window-byte substring of needle occurs in haystack.
-
-    The erasure checks scan store files with this: finding even one window
-    of a supposedly destroyed value counts as a leak. Needles shorter than
-    the window are searched for whole.
-    """
-    w = min(window, len(needle))
-    targets = {needle[i:i + w] for i in range(len(needle) - w + 1)}
-    return bool(needle) and any(haystack[i:i + w] in targets
-                                for i in range(len(haystack) - w + 1))
-
-
-def directory_contains_window(directory, needle: bytes, window: int = 8) -> bool:
-    """Scan every regular file under a directory for windows of needle."""
-    for name, size in sorted(DISK.listing(directory).items()):
-        path = Path(directory, name)
-        if (directory_contains_window(path, needle, window) if size is None
-                else contains_window(DISK.read(path), needle, window)):
-            return True
-    return False
-
-
 # ----------------------------------------------------------- chained log
 
 def _starts_with_record(rest: bytes, tail: bytes) -> bool:
@@ -436,9 +415,6 @@ class VerifierStore:
                 return rec
         return None
 
-    def __len__(self) -> int:
-        return len(self._records)
-
 
 # ------------------------------------------------------ calculator store
 
@@ -532,18 +508,6 @@ class CalculatorStore:
         (t1,) = struct.unpack_from(">Q", raw)
         return t1, seed
 
-    def remove(self, secret_id: bytes) -> None:
-        """Erase the key and drop the record. The record first takes its
-        pending name under a directory fsync, so a crash leaves it whole
-        or under a name the next open erases, never half zeroed."""
-        path = self._record_path(secret_id)
-        if DISK.size(path) is None:
-            raise ProtocolError("no record for secret %s" % secret_id.hex())
-        pending = path.with_suffix(".new")
-        DISK.rename(path, pending)
-        DISK.sync_directory(self.directory)
-        secure_erase(pending)
-
     def ids(self) -> tuple:
         return tuple(sorted(bytes.fromhex(name[:-4])
                             for name in DISK.listing(self.directory)
@@ -552,9 +516,6 @@ class CalculatorStore:
     def record_bytes(self, secret_id: bytes) -> int:
         """Persistent bytes attributable to one secret: id + file content."""
         return len(secret_id) + DISK.size(self._record_path(secret_id))
-
-    def __len__(self) -> int:
-        return len(self.ids())
 
 
 # ---------------------------------------------------------- holder store

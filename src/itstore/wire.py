@@ -49,13 +49,12 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from itertools import repeat
-from operator import sub
 
 from .errors import ConfigurationError, ImproperRequestError, ProtocolError
 
 __all__ = ["SID_BYTES", "SCHEMA", "INTEGRITY_ONLY", "Codec", "Cursor",
            "Packed", "check_runs", "column", "encode_runs", "expand_runs",
-           "head_runs", "id_ranges", "id_runs", "intersect_runs"]
+           "head_runs", "intersect_runs"]
 
 SID_BYTES = 16
 # Most ids one decoded id list may name: a 12-byte run could otherwise
@@ -96,8 +95,8 @@ class Cursor:
 
     def runs(self, limit: "int | None" = None) -> list:
         """A list of round ids sent as encode_runs writes it, as its
-        (first, end) ranges, unexpanded. Runs id_runs cannot produce, or
-        naming more than `limit` ids (MAX_IDS by default), are refused:
+        (first, end) ranges, unexpanded. Runs that are not canonical, or
+        name more than `limit` ids (MAX_IDS by default), are refused:
         with ImproperRequestError, or with this cursor's error naming what
         it reads when that error is not a ProtocolError."""
         flat = self.uints(2 * self.uint(4), 4)
@@ -221,34 +220,9 @@ SCHEMA = {
 INTEGRITY_ONLY = frozenset({"renew-commits"})
 
 
-def id_runs(ids) -> list:
-    """The canonical (first, count) runs of a strictly increasing list of
-    u32 ids, flattened: [first, count, first, count, ...]."""
-    ids = list(ids)
-    if not ids:
-        return []
-    steps = list(map(sub, ids[1:], ids))
-    if any(step <= 0 for step in steps):
-        raise ImproperRequestError("round ids must strictly increase")
-    if ids[0] < 0 or ids[-1] >> 32:
-        raise ImproperRequestError("round id outside the u32 range")
-    starts = [0] + [k for k, step in enumerate(steps, 1) if step != 1]
-    flat = []
-    for a, b in zip(starts, starts[1:] + [len(ids)]):
-        flat += (ids[a], b - a)
-    return flat
-
-
-def id_ranges(ids) -> list:
-    """The canonical (first, end) ranges of a strictly increasing list of
-    u32 ids, as id_runs checks and finds them."""
-    flat = id_runs(ids)
-    return [(first, first + count)
-            for first, count in zip(flat[0::2], flat[1::2])]
-
-
 def check_runs(flat, limit: "int | None" = None) -> list:
-    """The (first, end) ranges of a flat run list id_runs can produce.
+    """The (first, end) ranges of a flat [first, count, first, count, ...]
+    run list that is canonical (the module docstring's `ids` rule).
     Refuses any other run list, and one naming more than `limit` ids
     (MAX_IDS by default)."""
     firsts, counts = flat[0::2], flat[1::2]

@@ -23,7 +23,7 @@ import pytest
 from itstore.config import derive_payload, load_scenario, parse_scenario
 from itstore.entropy import SeededEntropy
 from itstore.errors import PasswordFailureError
-from itstore.field import PrimeField, interpolate_at_zero, random_polynomial
+from itstore.field import PrimeField, random_polynomial
 from itstore.harness import run_bench, run_scenario
 from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork, _PairStream
 from itstore.mac import (
@@ -32,7 +32,7 @@ from itstore.mac import (
     polyeval_tag_blocks,
     recompute_tag,
 )
-from itstore.protocol import TpvSession, renewal_round
+from itstore.protocol import TpvSession
 from itstore.renewal import (
     MERSENNE127_GROUP,
     TOY_GROUP,
@@ -43,18 +43,17 @@ from itstore.spss import (
     SpssParams,
     data_block_count,
     holder_respond,
-    precompute_round,
     spss_recover,
     spss_register,
     spss_request,
 )
-from itstore.stores import directory_contains_window
+from oracles import (directory_contains_window, interpolate_at_zero, renew,
+                     stock)
 from tests.test_config import SCENARIO_DIR
 
 
 def reconstruct_once(holders, secret, params, attempt, subset, rng):
-    ids = [precompute_round(holders, rng)[0]
-           for _ in range(secret.block_count + 1)]
+    ids = [stock(holders, rng)[0] for _ in range(len(secret.blocks) + 1)]
     requests = spss_request(attempt, subset, params, rng, tuple_ids=ids)
     responses = [holder_respond(holders[j], requests[j]) for j in subset]
     return spss_recover(responses, attempt, params,
@@ -238,7 +237,7 @@ def test_renewal_preserves_the_secret_and_rejects_every_perturbation():
     shares = {j: (poly.evaluate(j),) for j in (1, 2, 3, 4)}
     initial = dict(shares)
     for _ in range(100):
-        outcome = renewal_round(shares, 2, group, {j: rng for j in shares})
+        outcome = renew(shares, 2, group, {j: rng for j in shares})
         assert outcome.accepted and not outcome.accusations
         shares = outcome.new_shares
     assert shares != initial  # the shares themselves must have moved

@@ -28,6 +28,7 @@ from itstore.keynet import _PairStream
 from itstore.protocol import TpvSession
 from itstore.stores import DISK, HolderStore
 from itstore.wire import MAX_IDS
+from oracles import tamper_pairs
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -819,9 +820,7 @@ def test_a_rejected_renewal_prints_its_accusations_and_exits_1(
         s1, s2 = pair
         return (s1 + 1, s2) if (sender, track) == (1, 0) else (s1, s2)
 
-    real = TpvSession.renew
-    monkeypatch.setattr(TpvSession, "renew",
-                        lambda self, sid: real(self, sid, pair_tamper=skew))
+    tamper_pairs(monkeypatch, skew)
     code, out, _err = run_cli(capsys, "renew", "--workspace", str(ws),
                               "--rounds", "2")
     assert code == 1

@@ -380,7 +380,7 @@ def test_a_session_without_placement_places_every_holder_of_the_layout(
     session = TpvSession(tmp_path, params=cfg.params,
                          net=KeyNetwork(cfg.topology))
     assert session.placement == cfg.placement
-    session.advance(DEFAULT_WARMUP_MS)
+    session.net.advance(DEFAULT_WARMUP_MS)
     data = b"five holders " + bytes(range(100))
     sid, _t1 = session.register(data, cfg.password)
     blocks = session.holder_stores[1].get_secret(sid).block_count

@@ -12,10 +12,10 @@ import pytest
 
 from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork
 from itstore.protocol import Outcome, TpvSession
-from itstore.stores import (HolderStore, directory_contains_window,
-                            holder_record_files)
+from itstore.stores import HolderStore, holder_record_files
 
 from lossy_disk import lossy, materialize
+from oracles import directory_contains_window
 from test_stores import CRASH_PARAMS, SID_A, crash_case, share_values
 
 DATA = bytes(range(256)) + bytes(44)  # 300 bytes
@@ -35,9 +35,10 @@ def check_holder(directory, old, new, dropped, where):
         assert "new" not in sizes, where
         assert sum(1 for size in sizes.values() if size) == 1, (where, sizes)
     if state == new:
+        width = CRASH_PARAMS.field.byte_width
         for v in dropped:
             assert not directory_contains_window(
-                directory, CRASH_PARAMS.field.encode(v), window=16), \
+                directory, v.to_bytes(width, "big"), window=16), \
                 "%s left a dropped share on disk" % where
     return state
 

@@ -25,6 +25,7 @@ from itstore.harness import (
 )
 from itstore.protocol import TpvSession
 from itstore.stores import holder_record_files
+from oracles import tamper_pairs
 from test_protocol import assert_no_pad_bit_reused, recorded_allocations
 
 PAYLOAD_TEXT = "forty-two bytes of archival payload text.."
@@ -382,13 +383,8 @@ def test_the_comparison_moduli_have_one_width():
     assert general.mersenne_exponent is None
 
 
-def _bench_with(monkeypatch, method, **forced):
-    """run_bench with TpvSession.method always called with forced keyword
-    arguments: a way to make a bench pass fail its own checks."""
-    real = getattr(TpvSession, method)
-    monkeypatch.setattr(TpvSession, method,
-                        lambda self, *args, **kwargs: real(
-                            self, *args, **dict(kwargs, **forced)))
+def _bench():
+    """One small bench pass with a renewal round."""
     return run_bench(parse_scenario({
         "seed": "bench-gates",
         "renewal": {"rounds": 1},
@@ -397,13 +393,24 @@ def _bench_with(monkeypatch, method, **forced):
     }))
 
 
+def _bench_with(monkeypatch, method, **forced):
+    """_bench with TpvSession.method always called with forced keyword
+    arguments: a way to make a bench pass fail its own checks."""
+    real = getattr(TpvSession, method)
+    monkeypatch.setattr(TpvSession, method,
+                        lambda self, *args, **kwargs: real(
+                            self, *args, **dict(kwargs, **forced)))
+    return _bench()
+
+
 def test_a_bench_pass_whose_renewal_is_rejected_is_refused(monkeypatch):
     def skew(sender, recipient, track, pair):
         s1, s2 = pair
         return (s1 + 1, s2) if (sender, track) == (1, 0) else (s1, s2)
 
+    tamper_pairs(monkeypatch, skew)
     with pytest.raises(ProtocolError) as info:
-        _bench_with(monkeypatch, "renew", pair_tamper=skew)
+        _bench()
     assert str(info.value) == "benchmark renewal round was rejected"
 
 

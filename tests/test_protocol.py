@@ -31,13 +31,10 @@ from itstore.protocol import (
 )
 from itstore.renewal import EXACT_CHECKS, SUBSET_TESTS, TOY_GROUP
 from itstore.spss import SpssParams
-from itstore.stores import (
-    HolderStore,
-    directory_contains_window,
-    holder_record_files,
-)
+from itstore.stores import HolderStore, holder_record_files, secure_erase
 from itstore.wire import SCHEMA, SID
 from memtrace import memtrace
+from oracles import directory_contains_window, received_bytes, tamper_pairs
 from test_keynet import tied_topology
 
 DATA = b"Important archival payload: " + bytes(range(200))
@@ -113,7 +110,7 @@ def test_every_threshold_subset_reconstructs(tmp_path):
 def test_identical_payloads_get_independent_tags(tmp_path):
     session = make_session(tmp_path)
     sid_a, t1_a = session.register(DATA, PASSWORD)
-    session.advance(1000)
+    session.net.advance(1000)
     sid_b, t1_b = session.register(DATA, PASSWORD)
     assert sid_a != sid_b
     rec_a = session.verifier_store.find(sid_a, t1_a, session.k)
@@ -149,47 +146,20 @@ def test_calculator_persists_only_fixed_record(tmp_path):
 def test_verifier_registration_byte_budget(tmp_path):
     session = make_session(tmp_path)
     sid, _ = session.register(DATA, PASSWORD)
-    got = session.received_bytes(session.VERIFIER, sid=sid)
-    assert got == session.verifier_registration_budget()
+    got = received_bytes(session, session.VERIFIER, sid=sid)
     # one code byte + 16-byte id + 8-byte timestamp + k/8-byte tag
-    assert session.verifier_registration_budget() == 1 + 16 + 8 + session.k // 8
+    assert got == 1 + 16 + 8 + session.k // 8
 
 
 def test_end_user_sees_nothing_before_release(tmp_path):
     session = make_session(tmp_path)
     sid, _, _ = register_and_stock(session)
-    assert session.received_bytes(session.END_USER, sid=sid) == 0
-    assert session.received_bytes(session.END_USER) == 0
+    assert received_bytes(session, session.END_USER, sid=sid) == 0
+    assert received_bytes(session, session.END_USER) == 0
     result = session.reconstruct_and_release(sid, PASSWORD)
     assert result.outcome is Outcome.SUCCESS
-    assert session.received_bytes(session.END_USER, sid=sid, kind="release") > 0
-
-
-def test_received_bytes_equals_a_transcript_sum_for_every_filter(tmp_path):
-    session = make_session(tmp_path)
-    sids = [register_and_stock(session, data=data)[0]
-            for data in (DATA, DATA[::-1])]
-    assert session.reconstruct_and_release(sids[0], PASSWORD).data == DATA
-    delivered = []  # (receiver, sid hex, kind, bytes) of every delivery
-    for line in session.transcript_text().splitlines():
-        words = line.split()
-        if words[0] in ("otp", "local"):
-            fields = dict(w.split("=", 1) for w in words[2:])
-            delivered.append((words[1].split("->")[1], fields["sid"],
-                              fields["kind"], int(fields["bytes"])))
-    receivers = {row[0] for row in delivered} | {"nobody"}
-    kinds = {row[2] for row in delivered} | {None, "no-such-kind"}
-    for receiver in receivers:
-        for sid in (None, *sids, bytes(16)):
-            for kind in kinds:
-                want = sum(n for rcv, s, k, n in delivered
-                           if rcv == receiver
-                           and (sid is None or s == sid.hex())
-                           and (kind is None or k == kind))
-                assert session.received_bytes(receiver, sid, kind) == want, \
-                    (receiver, sid, kind)
-    assert session.received_bytes(session.END_USER, sids[0]) > 0
-    assert session.received_bytes(session.END_USER, sids[1]) == 0
+    assert received_bytes(session, session.END_USER, sid=sid,
+                          kind="release") > 0
 
 
 # ------------------------------------------------------------ dispute paths
@@ -317,7 +287,7 @@ def test_a_reconstruction_that_cannot_go_on_releases_nothing(tmp_path, case):
     assert session.verdicts[-1] == VerdictEvent(
         sid, Phase.RECONSTRUCTION, Outcome.ABORT, detail)
     assert sid not in session.end_user_received
-    assert session.received_bytes(session.END_USER, sid=sid) == 0
+    assert received_bytes(session, session.END_USER, sid=sid) == 0
     asked = [line for line in session.transcript if "kind=recon-ask" in line]
     if case == "dropped-value":  # the asks went out and spent the masks
         assert len(asked) == 3
@@ -374,7 +344,7 @@ def test_missing_verifier_record_is_a_plain_fail(tmp_path):
     # re-key the calculator's record to a timestamp the verifier never saw:
     # the calculator then answers, but the verifier has nothing to compare
     _t1, seed = session.calculator_store.get(sid)
-    session.calculator_store.remove(sid)
+    secure_erase(session.calculator_store.directory / (sid.hex() + ".rec"))
     session.calculator_store.put(sid, t1 + 5, seed)
     event = session.integrity_check(sid, claim_t1=t1 + 5)
     assert event.outcome is Outcome.FAIL
@@ -405,7 +375,7 @@ FORGED = DATA[:-3] + b"abc"
 def check_unfiled_t1(session, sid, t1):
     # re-key the calculator's record to a t1 the verifier never filed
     _t1, seed = session.calculator_store.get(sid)
-    session.calculator_store.remove(sid)
+    secure_erase(session.calculator_store.directory / (sid.hex() + ".rec"))
     session.calculator_store.put(sid, t1 + 5, seed)
     return session.integrity_check(sid, claim_t1=t1 + 5)
 
@@ -593,8 +563,8 @@ def test_registration_aborts_before_any_share_leaves(tmp_path):
     assert session.verdicts[-1].phase is Phase.REGISTRATION
     assert session.verdicts[-1].outcome is Outcome.ABORT
     # nothing persisted anywhere, nothing fanned out
-    assert len(session.calculator_store) == 0
-    assert len(session.verifier_store) == 0
+    assert len(session.calculator_store.ids()) == 0
+    assert len(session.verifier_store.records()) == 0
     for store in session.holder_stores.values():
         assert store.secret_ids() == ()
     kinds = [line.split(" kind=")[1].split(" ")[0]
@@ -603,7 +573,7 @@ def test_registration_aborts_before_any_share_leaves(tmp_path):
     assert "shares" not in kinds
 
     # with supply restored the same registration succeeds
-    session.advance(3_600_000)
+    session.net.advance(3_600_000)
     sid, _ = session.register(data, PASSWORD)
     assert sid in session.calculator_store.ids()
 
@@ -666,7 +636,7 @@ def test_renewal_destroys_previous_share_bytes(tmp_path):
     session = make_session(tmp_path)
     sid, _, _ = register_and_stock(session)
     field = session.params.field
-    old_encoded = [field.encode(v)
+    old_encoded = [v.to_bytes(field.byte_width, "big")
                    for v in session.holder_stores[1].get_secret(sid).data_shares]
     assert session.renew(sid).accepted
     holder_dir = session.holder_stores[1].directory
@@ -770,7 +740,8 @@ def test_a_session_renewal_holds_at_most_4_5_kib_per_track(tmp_path):
     assert (peak - base) / tracks <= 4.5 * 1024
 
 
-def test_renewal_corruption_is_accused_and_changes_nothing(tmp_path):
+def test_renewal_corruption_is_accused_and_changes_nothing(tmp_path,
+                                                           monkeypatch):
     session = make_session(tmp_path)
     sid, _, _ = register_and_stock(session)
     before = {j: session.holder_stores[j].get_secret(sid).data_shares
@@ -781,7 +752,8 @@ def test_renewal_corruption_is_accused_and_changes_nothing(tmp_path):
             return (pair[0] ^ 1, pair[1])
         return pair
 
-    report = session.renew(sid, pair_tamper=poison)
+    tamper_pairs(monkeypatch, poison)
+    report = session.renew(sid)
     assert not report.accepted
     assert any(a.accuser == 3 and a.accused == 2 for a in report.accusations)
     for j in session.params.holder_indices:
@@ -789,6 +761,7 @@ def test_renewal_corruption_is_accused_and_changes_nothing(tmp_path):
         assert session.holder_stores[j].renewal_rounds(sid) == ()
 
     # the next honest round goes through
+    monkeypatch.undo()
     assert session.renew(sid).accepted
 
 
@@ -1074,7 +1047,7 @@ def test_precompute_sends_one_pair_per_batch_and_checks_the_first_round(
 
 
 def live_ids(session, sid, j):
-    return session.holder_stores[j].get_secret(sid).unconsumed_rounds()
+    return list(session.holder_stores[j].get_secret(sid).tuples)
 
 
 def tuple_values(session, sid, j, ids):
@@ -1163,10 +1136,10 @@ def test_a_crash_before_the_idle_holders_save_keeps_its_old_record(
                 for j in session.params.holder_indices}
     assert live_record(reopened[4], sid) == before
     assert reopened[4].get_secret(sid) == old
-    assert old.unconsumed_rounds() == list(range(blocks))  # stranded too
+    assert list(old.tuples) == list(range(blocks))  # stranded too
     for j in (1, 2, 3):
         share_set = reopened[j].get_secret(sid)
-        assert share_set.unconsumed_rounds() == list(range(blocks, 2 * blocks))
+        assert list(share_set.tuples) == list(range(blocks, 2 * blocks))
         assert share_set.next_round == 2 * blocks
 
 
@@ -1215,7 +1188,7 @@ def test_stranded_stock_wider_than_one_spend_retires_in_chunks(tmp_path):
     reopened = {j: HolderStore(tmp_path / "run" / ("holder-%d" % j))
                 for j in session.params.holder_indices}
     for j, store in reopened.items():
-        assert store.get_secret(sid).unconsumed_rounds() == list(
+        assert list(store.get_secret(sid).tuples) == list(
             range(3 * blocks, 4 * blocks))
 
 
@@ -1239,7 +1212,7 @@ def test_a_recon_ask_that_repeats_a_round_id_spends_nothing(tmp_path):
     with pytest.raises(ImproperRequestError):
         session._deliver(calculator, holder, "recon-ask", raw, (sid,))
     assert live_record(store, sid) == record
-    assert store.get_secret(sid).unconsumed_rounds() == list(range(blocks))
+    assert list(store.get_secret(sid).tuples) == list(range(blocks))
     assert session.reconstruct_and_release(sid, PASSWORD).data == DATA
 
 
@@ -1470,7 +1443,7 @@ def test_a_registration_whose_send_route_is_starved_aborts_before_any_share(
         " link L4 holds 0 bits, relay needs 1832")
     for store in session.holder_stores.values():
         assert store.secret_ids() == ()
-    assert len(session.calculator_store) == 0
+    assert len(session.calculator_store.ids()) == 0
     assert session.net.conservation_holds()
 
 
@@ -1547,16 +1520,16 @@ def test_verdicts_sent_before_the_first_release_do_not_block_it(tmp_path):
     session.cs_register(sid, DATA)
     assert session.cs_check(sid, DATA, claim_t1=t1).outcome is Outcome.SUCCESS
 
-    assert session.received_bytes(end_user, sid=sid, kind="release") == 0
-    seen = session.received_bytes(end_user, sid=sid)
-    assert seen == session.received_bytes(end_user, sid=sid,
-                                          kind="verdict") > 0
+    assert received_bytes(session, end_user, sid=sid, kind="release") == 0
+    seen = received_bytes(session, end_user, sid=sid)
+    assert seen == received_bytes(session, end_user, sid=sid,
+                                  kind="verdict") > 0
     assert sid not in session.end_user_received
 
     result = session.reconstruct_and_release(sid, PASSWORD)
     assert (result.outcome, result.data) == (Outcome.SUCCESS, DATA)
     assert session.end_user_received[sid] == (DATA, t1)
-    assert session.received_bytes(end_user, sid=sid, kind="release") > 0
+    assert received_bytes(session, end_user, sid=sid, kind="release") > 0
     assert session.verdicts[-1].phase is Phase.RECONSTRUCTION
     # the default subset spent one reconstruction's tuples, holder 4 none
     for j in (1, 2, 3):

@@ -16,7 +16,7 @@ import itstore.protocol
 import itstore.renewal
 from itstore.entropy import SeededEntropy
 from itstore.errors import ConfigurationError, KeySupplyError
-from itstore.field import PrimeField, interpolate_at_zero, random_polynomial
+from itstore.field import PrimeField, random_polynomial
 from itstore.keynet import KsaSource, NodeSpec
 from itstore.protocol import renewal_round
 from itstore.renewal import (
@@ -27,7 +27,6 @@ from itstore.renewal import (
     TOY_GROUP,
     RenewalGroupConfig,
     Accusation,
-    derive_subgroup_element,
     gen_renewal,
     group_by_name,
     subgroup_members,
@@ -36,6 +35,13 @@ from itstore.renewal import (
     verify_renewal_share,
 )
 from itstore.wire import Packed, column
+from oracles import (
+    bits_drawn,
+    derive_subgroup_element,
+    interpolate_at_zero,
+    random_int,
+    renew,
+)
 
 
 def commit_oracle(group, a, b):
@@ -184,9 +190,9 @@ def test_non_member_commitments_are_accused_by_every_recipient():
         return forward(d, commitments, pairs)
 
     shares = {j: (0,) for j in holders}
-    outcome = renewal_round(shares, 2, group,
-                            one_source(SeededEntropy(b"non-member")),
-                            deliver=corrupt)
+    outcome = renew(shares, 2, group,
+                    one_source(SeededEntropy(b"non-member")),
+                    deliver=corrupt)
     (first,), first_pairs = sent[1]
     (second,), _ = sent[3]
     twisted = first[0]
@@ -226,8 +232,8 @@ def test_round_checks_each_commitment_once(monkeypatch):
         return pow(base, exponent, modulus)
 
     monkeypatch.setattr(itstore.renewal, "mod_exp", counting_mod_exp)
-    outcome = renewal_round({j: (0,) for j in holders}, 2, group,
-                            one_source(SeededEntropy(b"check-once")))
+    outcome = renew({j: (0,) for j in holders}, 2, group,
+                    one_source(SeededEntropy(b"check-once")))
     assert outcome.accepted
     # 4 packets x 2 commitments checked once each; each of 4 recipients
     # checks the dealers' summed pair once, 2 right-hand-side powers with
@@ -297,7 +303,7 @@ def test_subgroup_members_is_exact_either_side_of_the_batch():
         source = SeededEntropy(b"members-%d" % len(values))
         assert subgroup_members(values, group, source) == set(values)
         batched = len(values) > EXACT_CHECKS
-        assert source.bits_drawn == batched * SUBSET_TESTS * len(values)
+        assert bits_drawn(source) == batched * SUBSET_TESTS * len(values)
         tainted = values[:-1] + [group.p - values[-1], values[0] + group.p]
         assert (subgroup_members(tainted, group, source)
                 == set(values[:-1]))
@@ -316,8 +322,8 @@ def test_an_honest_batched_round_makes_subset_tests_powers_of_q(
         return pow(base, exponent, modulus)
 
     monkeypatch.setattr(itstore.renewal, "mod_exp", counting_mod_exp)
-    outcome = renewal_round({j: (0,) * tracks for j in holders}, 2, group,
-                            one_source(SeededEntropy(b"batched")))
+    outcome = renew({j: (0,) * tracks for j in holders}, 2, group,
+                    one_source(SeededEntropy(b"batched")))
     assert outcome.accepted
     assert exponents.count(group.q) == SUBSET_TESTS
     assert len(exponents) == SUBSET_TESTS + 4 * tracks * 2
@@ -350,9 +356,9 @@ def test_a_batched_round_accuses_exactly_what_the_exact_checks_do(
         return pow(base, exponent, modulus)
 
     monkeypatch.setattr(itstore.renewal, "mod_exp", counting_mod_exp)
-    outcome = renewal_round({j: (0,) * tracks for j in holders}, 2, group,
-                            one_source(SeededEntropy(b"batched-accusal")),
-                            deliver=corrupt)
+    outcome = renew({j: (0,) * tracks for j in holders}, 2, group,
+                    one_source(SeededEntropy(b"batched-accusal")),
+                    deliver=corrupt)
     monkeypatch.undo()
     in_range = {eps for commitments, _ in sent.values()
                 for track in commitments for eps in track if eps < group.p}
@@ -477,7 +483,7 @@ def dealings_one_track_at_a_time(recipients, degree, group, randomness,
     field = group.share_field()
     out = []
     for _ in range(tracks):
-        drawn = [field.random_int(randomness) for _ in range(2 * degree)]
+        drawn = [random_int(field, randomness) for _ in range(2 * degree)]
         a, b = [0] + drawn[:degree], [0] + drawn[degree:]
         commitments = tuple(pow(group.g, x, group.p) * pow(group.h, y, group.p)
                             % group.p for x, y in zip(a[1:], b[1:]))
@@ -488,7 +494,7 @@ def dealings_one_track_at_a_time(recipients, degree, group, randomness,
 
 
 def bits_taken(source):
-    return (source.bits_drawn if isinstance(source, SeededEntropy)
+    return (bits_drawn(source) if isinstance(source, SeededEntropy)
             else source.consumed)
 
 
@@ -535,7 +541,7 @@ def test_honest_round_preserves_secret_randomized():
     for _ in range(100):
         secret = picks.randrange(11)
         shares = make_shares(secret, 2, F11, rng)
-        outcome = renewal_round(shares, 2, TOY_GROUP, one_source(rng))
+        outcome = renew(shares, 2, TOY_GROUP, one_source(rng))
         assert outcome.accepted and not outcome.accusations
         for subset in itertools.combinations((1, 2, 3, 4), 3):
             pts = [(j, outcome.new_shares[j][0]) for j in subset]
@@ -546,9 +552,9 @@ def test_honest_round_large_group():
     group = MERSENNE127_GROUP
     field = group.share_field()
     rng = SeededEntropy(b"large-round")
-    secret = field.random_int(rng)
+    secret = random_int(field, rng)
     shares = make_shares(secret, 2, field, rng)
-    outcome = renewal_round(shares, 2, group, one_source(rng))
+    outcome = renew(shares, 2, group, one_source(rng))
     assert outcome.accepted
     pts = [(j, outcome.new_shares[j][0]) for j in (1, 3, 4)]
     assert interpolate_at_zero(pts, field) == secret
@@ -561,7 +567,7 @@ def test_mixed_old_new_shares_break_reconstruction():
     trials = 200
     for _ in range(trials):
         shares = make_shares(6, 2, F11, rng)
-        outcome = renewal_round(shares, 2, TOY_GROUP, one_source(rng))
+        outcome = renew(shares, 2, TOY_GROUP, one_source(rng))
         pts = [(1, shares[1][0]), (2, outcome.new_shares[2][0]),
                (3, outcome.new_shares[3][0])]
         mismatches += interpolate_at_zero(pts, F11) != 6
@@ -580,8 +586,8 @@ def test_tampered_pair_triggers_accusation_and_no_update():
             pairs[4][0] = ((s1 + 1) % 11, s2)
         return forward(d, commitments, pairs)
 
-    outcome = renewal_round(shares, 2, TOY_GROUP, one_source(rng),
-                            deliver=tamper)
+    outcome = renew(shares, 2, TOY_GROUP, one_source(rng),
+                    deliver=tamper)
     assert not outcome.accepted
     assert outcome.new_shares is None
     assert any(a.accuser == 4 and a.accused == 2
@@ -597,28 +603,28 @@ def test_missing_pair_triggers_accusation():
             pairs[2][0] = None  # never received
         return forward(d, commitments, pairs)
 
-    outcome = renewal_round(shares, 2, TOY_GROUP, one_source(rng),
-                            deliver=drop)
+    outcome = renew(shares, 2, TOY_GROUP, one_source(rng),
+                    deliver=drop)
     assert not outcome.accepted
     assert any(a.accuser == 2 and a.accused == 1
                for a in outcome.accusations)
 
 
 def test_zero_participant_round_is_noop():
-    outcome = renewal_round({}, 2, TOY_GROUP, {})
+    outcome = renew({}, 2, TOY_GROUP, {})
     assert outcome.accepted and outcome.new_shares == {}
 
 
 def test_round_needs_randomness_or_packets():
     with pytest.raises(ConfigurationError):
-        renewal_round({1: (4,), 2: (5,), 3: (6,)}, 2, TOY_GROUP,
-                      {1: SeededEntropy(b"one-source")})
+        renew({1: (4,), 2: (5,), 3: (6,)}, 2, TOY_GROUP,
+              {1: SeededEntropy(b"one-source")})
 
 
 def test_round_with_per_holder_randomness():
     shares = make_shares(2, 2, F11, SeededEntropy(b"per-holder-setup"))
     sources = {j: SeededEntropy(b"holder-rng-%d" % j) for j in shares}
-    outcome = renewal_round(shares, 2, TOY_GROUP, sources)
+    outcome = renew(shares, 2, TOY_GROUP, sources)
     assert outcome.accepted
     pts = [(j, outcome.new_shares[j][0]) for j in (1, 2, 4)]
     assert interpolate_at_zero(pts, F11) == 2
@@ -636,8 +642,8 @@ def test_multi_track_round_renews_every_track_and_names_a_failed_one():
         senders.append((d, len(commitments)))
         return forward(d, commitments, pairs)
 
-    outcome = renewal_round(shares, 2, TOY_GROUP, one_source(rng),
-                            deliver=deliver)
+    outcome = renew(shares, 2, TOY_GROUP, one_source(rng),
+                    deliver=deliver)
     assert senders == [(d, 3) for d in (1, 2, 3, 4)]
     assert outcome.accepted
     for track, secret in enumerate(secrets):
@@ -653,8 +659,8 @@ def test_multi_track_round_renews_every_track_and_names_a_failed_one():
         return got
 
     renewed = outcome.new_shares
-    outcome = renewal_round(renewed, 2, TOY_GROUP, one_source(rng),
-                            deliver=tamper)
+    outcome = renew(renewed, 2, TOY_GROUP, one_source(rng),
+                    deliver=tamper)
     assert not outcome.accepted and outcome.new_shares is None
     assert outcome.accusations == (
         Accusation(1, 3, "commitment check failed on track 2"),)
@@ -669,7 +675,7 @@ def test_a_dealing_of_the_wrong_degree_is_accused_on_every_track():
     field = group.share_field()
     holders = (1, 2, 3, 4)
     rng = SeededEntropy(b"wrong-degree")
-    polys = [random_polynomial(2, field.random_int(rng), field, rng)
+    polys = [random_polynomial(2, random_int(field, rng), field, rng)
              for _ in range(2)]
     shares = {j: tuple(poly.evaluate(j) for poly in polys) for j in holders}
     dealt = {}
@@ -681,9 +687,9 @@ def test_a_dealing_of_the_wrong_degree_is_accused_on_every_track():
             dealt.update(commitments=commitments, pairs=pairs)
         return forward(d, commitments, pairs)
 
-    outcome = renewal_round(shares, 2, group,
-                            one_source(SeededEntropy(b"round")),
-                            deliver=degree_three)
+    outcome = renew(shares, 2, group,
+                    one_source(SeededEntropy(b"round")),
+                    deliver=degree_three)
     assert all(len(eps) == 3 for eps in dealt["commitments"])
     assert all(verify_renewal_share(c, eps, pair, group)
                for c in (2, 3, 4) for eps, pair in zip(
@@ -693,9 +699,9 @@ def test_a_dealing_of_the_wrong_degree_is_accused_on_every_track():
         Accusation(c, 1, "commitment check failed on track %d" % track)
         for c in (2, 3, 4) for track in range(2))
 
-    honest = renewal_round(shares, 2, group,
-                           one_source(SeededEntropy(b"round")),
-                           deliver=forward)
+    honest = renew(shares, 2, group,
+                   one_source(SeededEntropy(b"round")),
+                   deliver=forward)
     assert honest.accepted and not honest.accusations
     assert {j: len(renewed) for j, renewed in honest.new_shares.items()} == {
         j: 2 for j in holders}
@@ -754,8 +760,8 @@ def test_every_wrong_pair_fails_the_summed_check_and_names_its_dealer(
                 return got
 
             checks.clear()
-            outcome = renewal_round(make_shares(5, 2, F11, rng), 2, group,
-                                    one_source(rng), deliver=shift)
+            outcome = renew(make_shares(5, 2, F11, rng), 2, group,
+                            one_source(rng), deliver=shift)
             summed = [(c, passed) for c, is_sum, passed in checks
                       if is_sum]
             if (d1 + 3 * d2) % 11 == 0:
@@ -777,7 +783,7 @@ def test_errors_that_cancel_at_one_recipient_pass_and_keep_the_secret():
     q = field.q
     holders = (1, 2, 3, 4)
     rng = SeededEntropy(b"cancel")
-    secret = field.random_int(rng)
+    secret = random_int(field, rng)
     shares = make_shares(secret, 2, field, rng)
     wrong = {}
 
@@ -790,8 +796,8 @@ def test_errors_that_cancel_at_one_recipient_pass_and_keep_the_secret():
             wrong[d] = (got[4][0][0], got[4][1][0])
         return got
 
-    outcome = renewal_round(shares, 2, group, one_source(rng),
-                            deliver=cancel)
+    outcome = renew(shares, 2, group, one_source(rng),
+                    deliver=cancel)
     for eps, pair in wrong.values():
         assert not verify_renewal_share(4, eps, pair, group)
     assert outcome.accepted and not outcome.accusations
@@ -801,42 +807,19 @@ def test_errors_that_cancel_at_one_recipient_pass_and_keep_the_secret():
         assert interpolate_at_zero(pts, field) == secret
 
 
-@pytest.mark.parametrize("group", [TOY_GROUP, MERSENNE127_GROUP],
-                         ids=lambda g: g.name)
-def test_a_deliver_that_hands_on_its_columns_renews_as_no_deliver(group):
-    field = group.share_field()
-    holders = (1, 2, 3, 4)
-    rng = SeededEntropy(b"hand-on")
-    polys = [random_polynomial(2, field.random_int(rng), field, rng)
-             for _ in range(3)]
-    shares = {j: tuple(poly.evaluate(j) for poly in polys) for j in holders}
-
-    def unchanged(d, commitments, pairs):
-        return {j: (commitments, pairs[j]) for j in holders if j != d}
-
-    plain = renewal_round(shares, 2, group,
-                          one_source(SeededEntropy(b"columns-as-dealt")))
-    handed = renewal_round(shares, 2, group,
-                           one_source(SeededEntropy(b"columns-as-dealt")),
-                           deliver=unchanged)
-    assert plain.accepted and handed.accepted
-    assert plain.new_shares != shares
-    assert handed.new_shares == plain.new_shares
-
-
 @pytest.mark.parametrize("fault", ["honest", "shifted", "dropped"])
 def test_a_round_fed_byte_columns_renews_as_one_fed_tuples(fault):
-    # The same sources fed twice: once as tuples and the lists a deliver
-    # hands on, once as Packed views of share, commitment and pair
-    # columns. A dropped pair cannot be a column entry, so the pairs
-    # holding it stay a list.
+    # The same sources fed twice: once as tuples (the shares, through
+    # oracles.renew) and the lists a deliver hands on, once as Packed
+    # views of share, commitment and pair columns. A dropped pair cannot
+    # be a column entry, so the pairs holding it stay a list.
     group = MERSENNE127_GROUP
     field = group.share_field()
     q, width = field.q, field.byte_width
     p_width = (group.p.bit_length() + 7) // 8
     holders = (1, 2, 3, 4)
     rng = SeededEntropy(b"fed-columns")
-    polys = [random_polynomial(2, field.random_int(rng), field, rng)
+    polys = [random_polynomial(2, random_int(field, rng), field, rng)
              for _ in range(3)]
     shares = {j: tuple(poly.evaluate(j) for poly in polys) for j in holders}
 
@@ -857,13 +840,13 @@ def test_a_round_fed_byte_columns_renews_as_one_fed_tuples(fault):
                 for j, (eps_list, sent) in faulty(d, commitments,
                                                   pairs).items()}
 
-    fed_tuples = renewal_round(shares, 2, group,
-                               one_source(SeededEntropy(b"same-sources")),
-                               deliver=faulty)
+    fed_tuples = renew(shares, 2, group,
+                       one_source(SeededEntropy(b"same-sources")),
+                       deliver=faulty)
+    sources = one_source(SeededEntropy(b"same-sources"))
     fed_columns = renewal_round(
         {j: Packed(column(shares[j], width), width) for j in holders}, 2,
-        group, one_source(SeededEntropy(b"same-sources")),
-        deliver=as_columns)
+        group, sources, as_columns, lambda _: sources[1])
     assert fed_columns.accepted == fed_tuples.accepted == (fault == "honest")
     assert fed_columns.accusations == fed_tuples.accusations
     if fault == "honest":

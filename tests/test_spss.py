@@ -1,10 +1,10 @@
 """Tests for password-authenticated secret sharing.
 
-The interpolation oracle is interpolate_at_zero from the field layer, itself
-pinned against a brute-force fit in test_field. The draw-order oracles
-build one random_polynomial per block, and the extraction oracle sums
-d^k times contributor d's value term by term. Frozen values here were
-computed by hand in F_31.
+The interpolation oracle is interpolate_at_zero from tests/oracles.py,
+itself pinned against a brute-force fit in test_field. The draw-order
+oracles build one random_polynomial per block, and the extraction oracle
+sums d^k times contributor d's value term by term. Frozen values here
+were computed by hand in F_31.
 """
 
 import copy
@@ -23,12 +23,11 @@ from itstore.errors import (
     ProtocolError,
     ReconstructionAbortError,
 )
-from itstore.field import PrimeField, interpolate_at_zero, random_polynomial
+from itstore.field import PrimeField, random_polynomial
 from itstore.spss import (
     MaskedResponse,
     SpssParams,
     data_block_count,
-    extract,
     holder_respond,
     mac_block_value,
     password_to_element,
@@ -42,7 +41,16 @@ from itstore.spss import (
 )
 from itstore.mac import split_blocks
 from itstore.stores import HolderStore, _encode_share_set
-from itstore.wire import id_ranges
+from itstore.wire import check_runs
+from oracles import (
+    bits_drawn,
+    extract,
+    handover,
+    id_runs,
+    interpolate_at_zero,
+    random_int,
+    stock,
+)
 
 F31 = PrimeField.mersenne(5)
 F31_PARAMS = SpssParams(field=F31)
@@ -73,8 +81,8 @@ def reconstruct(holders, secret, params, attempt, subset, rng, pin=True):
     """Full reconstruction path: precompute, request, respond, recover.
     pin=False pins the first holder's oldest live rounds instead of the
     new ones."""
-    ids = [precompute_round(holders, rng)[0]
-           for _ in range(secret.block_count + 1)]
+    ids = [stock(holders, rng)[0]
+           for _ in range(len(secret.blocks) + 1)]
     if not pin:
         ids = sorted(holders[subset[0]].tuples)[:len(ids)]
     requests = spss_request(attempt, subset, params, rng, tuple_ids=ids)
@@ -236,15 +244,16 @@ def test_register_and_precompute_draw_like_one_polynomial_per_block(params):
     for j, (shares, pw_share) in expect.items():
         assert holders[j].data_shares == shares
         assert holders[j].password_share == pw_share
-    assert new.bits_drawn == old.bits_drawn
+    assert bits_drawn(new) == bits_drawn(old)
 
     carried = {}
-    precompute_round(holders, new, deliver=recording(carried))
+    precompute_round(holders, dict.fromkeys(holders, new), 1,
+                     recording(carried))
     # j's values from every contributor, own ones from the oracle
     held = {j: [] for j in params.holder_indices}
     for contributor in params.holder_indices:
         r_poly = random_polynomial(params.password_degree,
-                                   field.random_int(old), field, old)
+                                   random_int(field, old), field, old)
         z_poly = random_polynomial(params.data_degree, 0, field, old)
         for j in params.holder_indices:
             want = ([r_poly.evaluate(j)], [z_poly.evaluate(j)])
@@ -257,14 +266,14 @@ def test_register_and_precompute_draw_like_one_polynomial_per_block(params):
                                           field.q)
         assert tup.z == extraction_oracle([z[0] for _, z in held[j]], 0,
                                           field.q)
-    assert new.bits_drawn == old.bits_drawn
+    assert bits_drawn(new) == bits_drawn(old)
 
     # a request shares the attempt as one password-degree polynomial
     requests = spss_request(29, (3, 1, 2), params, new, tuple_ids=(0,))
     f_pp = random_polynomial(params.password_degree, 29, field, old)
     assert {j: r.password_share for j, r in requests.items()} == {
         j: f_pp.evaluate(j) for j in (1, 2, 3)}
-    assert new.bits_drawn == old.bits_drawn
+    assert bits_drawn(new) == bits_drawn(old)
 
 
 def test_registration_is_replayable():
@@ -283,8 +292,9 @@ def test_precompute_round_accounting():
     holders, _ = spss_register(b"ab", 3, params, SeededEntropy(b"acct"))
     rng = SeededEntropy(b"acct-rounds")
     carried = {}
-    assert precompute_round(holders, rng, deliver=recording(carried)) == (0,)
-    assert precompute_round(holders, rng) == (1,)
+    assert precompute_round(holders, dict.fromkeys(holders, rng), 1,
+                            recording(carried)) == (0,)
+    assert stock(holders, rng) == (1,)
     # every other holder gets one R and one Z value per batch from each
     # contributor, and every holder keeps one folded r and z per tuple
     assert sorted(carried) == [(d, j) for d in range(1, 5)
@@ -292,7 +302,7 @@ def test_precompute_round_accounting():
     for r_vals, z_vals in carried.values():
         assert len(r_vals) == 1 and len(z_vals) == 1
     for share_set in holders.values():
-        assert share_set.unconsumed_rounds() == [0, 1]
+        assert list(share_set.tuples) == [0, 1]
         for tup in share_set.tuples.values():
             assert isinstance(tup.r, int) and isinstance(tup.z, int)
 
@@ -301,8 +311,8 @@ def test_retired_rounds_are_those_some_other_holder_lacks():
     live = [0, 1, 2, 3, 5, 8]
     # one holder spent 0-1, another also 8; 9 is not held here at all
     reported = [(0, 1, 2, 3, 5, 8, 9), (2, 3, 5, 8), (2, 3, 5)]
-    runs = id_ranges(live)
-    reported = [id_ranges(ids) for ids in reported]
+    runs = check_runs(id_runs(live))
+    reported = [check_runs(id_runs(ids)) for ids in reported]
     assert retired_rounds(runs, reported) == (0, 1, 8)
     assert retired_rounds(runs, [runs] * 3) == ()
     assert retired_rounds(runs, [[]]) == tuple(live)
@@ -313,8 +323,9 @@ def test_precompute_zero_shares_interpolate_to_zero():
     params = SpssParams()
     holders, _ = spss_register(b"zz", 5, params, SeededEntropy(b"z-shares"))
     carried = {}
-    precompute_round(holders, SeededEntropy(b"z-round"),
-                     deliver=recording(carried))
+    precompute_round(holders,
+                     dict.fromkeys(holders, SeededEntropy(b"z-round")), 1,
+                     recording(carried))
     for d in range(1, 5):  # each contributor's zero sharing, as carried
         pts = [(j, carried[d, j][1][0]) for j in range(1, 5) if j != d]
         assert interpolate_at_zero(pts, params.field) == 0
@@ -329,8 +340,9 @@ def test_precompute_random_shares_have_low_degree():
     params = SpssParams()
     holders, _ = spss_register(b"rr", 5, params, SeededEntropy(b"r-shares"))
     carried = {}
-    precompute_round(holders, SeededEntropy(b"r-round"),
-                     deliver=recording(carried))
+    precompute_round(holders,
+                     dict.fromkeys(holders, SeededEntropy(b"r-round")), 1,
+                     recording(carried))
     for d in range(1, 5):  # each contributor's random sharing, as carried
         others = [j for j in range(1, 5) if j != d]
         constants = set()
@@ -349,7 +361,7 @@ def test_precompute_per_holder_randomness():
     params = SpssParams(field=F31)
     holders, _ = spss_register(b"ph", 3, params, SeededEntropy(b"per-holder"))
     sources = {j: SeededEntropy(b"holder-%d" % j) for j in holders}
-    precompute_round(holders, sources)
+    precompute_round(holders, sources, 1, handover)
     assert all(0 in s.tuples for s in holders.values())
 
 
@@ -362,14 +374,14 @@ def test_rounds_draw_like_one_polynomial_pair_per_round():
     holders, _ = spss_register(b"rounds", 5, params, SeededEntropy(b"reg"))
     new, old = SeededEntropy(b"rounds"), SeededEntropy(b"rounds")
     carried = {}
-    assert precompute_round(holders, new, rounds=3,
-                            deliver=recording(carried)) == (0, 1, 2)
+    assert precompute_round(holders, dict.fromkeys(holders, new), 3,
+                            recording(carried)) == (0, 1, 2)
     held = {j: [] for j in params.holder_indices}
     for contributor in params.holder_indices:
         sent = {j: ([], []) for j in params.holder_indices}
         for _batch in range(2):
             r_poly = random_polynomial(params.password_degree,
-                                       field.random_int(old), field, old)
+                                       random_int(field, old), field, old)
             z_poly = random_polynomial(params.data_degree, 0, field, old)
             for j in params.holder_indices:
                 sent[j][0].append(r_poly.evaluate(j))
@@ -386,10 +398,10 @@ def test_rounds_draw_like_one_polynomial_pair_per_round():
                 [r[batch] for r, _ in held[j]], k, field.q)
             assert tup.z == extraction_oracle(
                 [z[batch] for _, z in held[j]], k, field.q)
-    assert new.bits_drawn == old.bits_drawn
-    assert precompute_round(holders, new, rounds=2) == (3, 4)
+    assert bits_drawn(new) == bits_drawn(old)
+    assert stock(holders, new, rounds=2) == (3, 4)
     with pytest.raises(ConfigurationError):
-        precompute_round(holders, new, rounds=0)
+        stock(holders, new, rounds=0)
 
 
 def test_precompute_delivers_every_other_holders_values_in_order():
@@ -403,9 +415,10 @@ def test_precompute_delivers_every_other_holders_values_in_order():
         # what j receives: d's values plus d, so every routed value shows
         return ([(r + d) % 31 for r in r_vals], [(z + d) % 31 for z in z_vals])
 
-    assert precompute_round(direct, SeededEntropy(b"dv-round"), 2) == (0, 1)
-    assert precompute_round(routed, SeededEntropy(b"dv-round"), 2,
-                            deliver) == (0, 1)
+    assert stock(direct, SeededEntropy(b"dv-round"), 2) == (0, 1)
+    assert precompute_round(routed,
+                            dict.fromkeys(routed, SeededEntropy(b"dv-round")),
+                            2, deliver) == (0, 1)
     # two rounds are one batch of w = 2: one value of each kind per message
     assert calls == [(d, j, 1, 1) for d in (1, 2, 3, 4)
                      for j in (1, 2, 3, 4) if j != d]
@@ -429,7 +442,9 @@ def test_a_failed_delivery_changes_no_share_set():
         return r_vals, z_vals
 
     with pytest.raises(ProtocolError):
-        precompute_round(holders, SeededEntropy(b"fail-round"), 2, deliver)
+        precompute_round(holders,
+                         dict.fromkeys(holders, SeededEntropy(b"fail-round")),
+                         2, deliver)
     assert all(not s.tuples for s in holders.values())
 
 
@@ -437,7 +452,9 @@ def test_a_failed_delivery_changes_no_share_set():
         return (r_vals[:-1], z_vals) if (d, j) == (2, 1) else (r_vals, z_vals)
 
     with pytest.raises(ProtocolError, match="expected 2 each"):
-        precompute_round(holders, SeededEntropy(b"fail-round"), 3, short)
+        precompute_round(holders,
+                         dict.fromkeys(holders, SeededEntropy(b"fail-round")),
+                         3, short)
     assert all(not s.tuples for s in holders.values())
 
 
@@ -456,11 +473,13 @@ def test_a_round_past_the_u32_round_ids_is_refused_before_any_send():
         return r_vals, z_vals
 
     with pytest.raises(ProtocolError, match="u32"):
-        precompute_round(holders, SeededEntropy(b"top-round"), 3, deliver)
+        precompute_round(holders,
+                         dict.fromkeys(holders, SeededEntropy(b"top-round")),
+                         3, deliver)
     assert calls == [] and holders == before
     # the last round id that leaves next_round a u32 is still stocked
-    assert precompute_round(holders, SeededEntropy(b"top-round"), 1,
-                            deliver) == (top - 1,)
+    again = dict.fromkeys(holders, SeededEntropy(b"top-round"))
+    assert precompute_round(holders, again, 1, deliver) == (top - 1,)
     assert all(s.next_round == top for s in holders.values())
 
 
@@ -533,7 +552,7 @@ def test_extracted_tuples_share_zero_and_a_low_degree_value():
     params = SpssParams()
     field = params.field
     holders, _ = spss_register(b"xt", 5, params, SeededEntropy(b"x-reg"))
-    ids = precompute_round(holders, SeededEntropy(b"x-round"), rounds=7)
+    ids = stock(holders, SeededEntropy(b"x-round"), rounds=7)
     for rid in ids:
         for subset in itertools.combinations((1, 2, 3, 4), 3):
             pts = [(j, holders[j].tuples[rid].z) for j in subset]
@@ -566,7 +585,7 @@ def test_rounds_stock_exactly_that_many_tuples_from_ceil_rounds_over_w_draws(
     # a 127-bit Mersenne draw is rejected with probability 2^-127
     per_pair = (params.password_degree + 1 + params.data_degree) * 127
     for source in sources.values():
-        assert source.bits_drawn == batches * per_pair
+        assert bits_drawn(source) == batches * per_pair
 
 
 def test_a_holder_keeps_its_live_tuples_as_columns_not_objects():
@@ -581,7 +600,7 @@ def test_a_holder_keeps_its_live_tuples_as_columns_not_objects():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        precompute_round(holders, src, rounds)
+        stock(holders, src, rounds)
         live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -625,15 +644,15 @@ def test_live_runs_are_the_canonical_runs_of_the_live_ids():
     holders, _ = spss_register(b"\xc0", 5, params, rng)
     share_set = holders[1]
     assert share_set.tuples.runs() == []
-    precompute_round(holders, rng, rounds=300)
+    stock(holders, rng, rounds=300)
     assert share_set.tuples.runs() == [(0, 300)]
     pick = random.Random(11)
     while len(share_set.tuples):
-        live = share_set.unconsumed_rounds()
+        live = list(share_set.tuples)
         spend_rounds(share_set, pick.sample(live, min(len(live),
                                                       pick.randint(1, 9))))
-        assert share_set.tuples.runs() == id_ranges(
-            share_set.unconsumed_rounds())
+        assert share_set.tuples.runs() == check_runs(id_runs(
+            list(share_set.tuples)))
     assert share_set.tuples.runs() == []
 
 
@@ -643,13 +662,13 @@ def test_a_pinned_id_named_twice_is_refused_before_any_tuple_is_spent():
     params = SpssParams(field=F31)
     rng = SeededEntropy(b"twice")
     holders, secret = spss_register(b"\xc0", 5, params, rng)
-    need = secret.block_count + 1  # the data blocks and the authenticator
-    precompute_round(holders, rng, rounds=need)
+    need = len(secret.blocks) + 1  # the data blocks and the authenticator
+    stock(holders, rng, rounds=need)
     for ids in ((0,) * need, (0, 1, 0), (2, 1, 1)):
         request = spss_request(9, (1, 2, 3), params, rng, tuple_ids=ids)
         with pytest.raises(ImproperRequestError, match="twice"):
             holder_respond(holders[1], request[1])
-        assert holders[1].unconsumed_rounds() == list(range(need))
+        assert list(holders[1].tuples) == list(range(need))
 
 
 def test_precompute_requires_all_holders():
@@ -657,7 +676,7 @@ def test_precompute_requires_all_holders():
     holders, _ = spss_register(b"mh", 3, params, SeededEntropy(b"missing"))
     del holders[2]
     with pytest.raises(ProtocolError):
-        precompute_round(holders, SeededEntropy(b"missing-round"))
+        stock(holders, SeededEntropy(b"missing-round"))
 
 
 # ------------------------------------------------------------- reconstruction
@@ -724,8 +743,8 @@ def test_wrong_password_offsets_are_uniform():
     counts = [0] * 31
     trials = 1000
     for _ in range(trials):
-        ids = [precompute_round(holders, rng)[0]
-               for _ in range(secret.block_count + 1)]
+        ids = [stock(holders, rng)[0]
+               for _ in range(len(secret.blocks) + 1)]
         requests = spss_request(17, (1, 2, 3), params, rng, tuple_ids=ids)
         responses = [holder_respond(holders[j], requests[j]) for j in (1, 2, 3)]
         pts = [(r.holder, r.values[0]) for r in responses]
@@ -770,17 +789,17 @@ def test_respond_validation_and_exhaustion():
     holders, secret = spss_register(b"\xc0", 5, params, rng)
     # the oldest rounds the holders will stock
     requests = spss_request(5, (1, 2, 3), params, rng,
-                            tuple_ids=range(secret.block_count + 1))
+                            tuple_ids=range(len(secret.blocks) + 1))
     # no precomputation at all
     with pytest.raises(PrecomputationExhaustedError):
         holder_respond(holders[1], requests[1])
     # l rounds when l + 1 are needed
-    for _ in range(secret.block_count):
-        precompute_round(holders, rng)
+    for _ in range(len(secret.blocks)):
+        stock(holders, rng)
     with pytest.raises(PrecomputationExhaustedError):
         holder_respond(holders[1], requests[1])
     # holder outside the subset
-    precompute_round(holders, rng)
+    stock(holders, rng)
     with pytest.raises(ImproperRequestError):
         holder_respond(holders[4], requests[1])
     # pinned ids of the wrong arity
@@ -797,15 +816,15 @@ def test_tuples_are_single_use():
     params = SpssParams(field=F31)
     rng = SeededEntropy(b"single")
     holders, secret = spss_register(b"\xc0", 5, params, rng)
-    need = secret.block_count + 1
-    first = [precompute_round(holders, rng)[0] for _ in range(need)]
-    second = [precompute_round(holders, rng)[0] for _ in range(need)]
+    need = len(secret.blocks) + 1
+    first = [stock(holders, rng)[0] for _ in range(need)]
+    second = [stock(holders, rng)[0] for _ in range(need)]
 
     req1 = spss_request(5, (1, 2, 3), params, rng, tuple_ids=first)
     resp1 = [holder_respond(holders[j], req1[j]) for j in (1, 2, 3)]
     assert spss_recover(resp1, 5, params, byte_length=1) == b"\xc0"
     for j in (1, 2, 3):
-        assert holders[j].unconsumed_rounds() == second
+        assert list(holders[j].tuples) == second
         assert first[0] not in holders[j].tuples
 
     # replaying the spent ids fails; the fresh ids still work, and the two
@@ -823,7 +842,7 @@ def test_spend_rounds_answers_in_named_order_and_refuses_before_any_change():
     params = SpssParams()
     rng = SeededEntropy(b"spend-rule")
     holders, _ = spss_register(b"spend", 5, params, rng)
-    precompute_round(holders, rng, rounds=7)
+    stock(holders, rng, rounds=7)
     values = {rid: (tup.r, tup.z) for rid, tup in holders[1].tuples.items()}
     assert sorted(values) == list(range(7))
     for j in (2, 3, 4):
@@ -831,7 +850,7 @@ def test_spend_rounds_answers_in_named_order_and_refuses_before_any_change():
                 } != values  # each holder holds its own shares
     # (r, z) come back in the order the ids are named
     assert spend_rounds(holders[1], [4, 1]) == [values[4], values[1]]
-    assert holders[1].unconsumed_rounds() == [0, 2, 3, 5, 6]
+    assert list(holders[1].tuples) == [0, 2, 3, 5, 6]
     # a scattered set leaves the others with their values
     values = {rid: (tup.r, tup.z) for rid, tup in holders[2].tuples.items()}
     assert spend_rounds(holders[2], (0, 2, 5)) == [values[0], values[2],
@@ -846,7 +865,7 @@ def test_spend_rounds_answers_in_named_order_and_refuses_before_any_change():
         with pytest.raises(PrecomputationExhaustedError):
             spend_rounds(holders[3], ids)
         assert _encode_share_set(holders[3]) == before
-    assert holders[3].unconsumed_rounds() == list(range(7))
+    assert list(holders[3].tuples) == list(range(7))
 
 
 def test_spend_rounds_matches_a_dict_of_tuples_on_random_spends():
@@ -856,7 +875,7 @@ def test_spend_rounds_matches_a_dict_of_tuples_on_random_spends():
     params = SpssParams(field=F31)
     rng = SeededEntropy(b"spend-model")
     holders, _ = spss_register(b"\xc0", 5, params, rng)
-    precompute_round(holders, rng, rounds=40)
+    stock(holders, rng, rounds=40)
     share_set = holders[1]
     model = {rid: (t.r, t.z) for rid, t in share_set.tuples.items()}
     pick = random.Random(7)
@@ -871,7 +890,7 @@ def test_spend_rounds_matches_a_dict_of_tuples_on_random_spends():
         assert spend_rounds(share_set, ids) == [model.pop(r) for r in ids]
         assert {rid: (t.r, t.z) for rid, t in share_set.tuples.items()
                 } == model
-        assert share_set.unconsumed_rounds() == sorted(model)
+        assert list(share_set.tuples) == sorted(model)
 
 
 def test_fifo_tuple_choice_without_pinning():
@@ -883,16 +902,16 @@ def test_fifo_tuple_choice_without_pinning():
     got = reconstruct(holders, secret, params, 5, (1, 2, 3), rng, pin=False)
     assert got == b"\xc0"
     for j in (1, 2, 3):
-        assert holders[j].unconsumed_rounds() == []
-    assert holders[4].unconsumed_rounds() == [0, 1, 2]
+        assert list(holders[j].tuples) == []
+    assert list(holders[4].tuples) == [0, 1, 2]
 
 
 def test_recover_validation():
     params = SpssParams(field=F31)
     rng = SeededEntropy(b"recover")
     holders, secret = spss_register(b"\xc0", 5, params, rng)
-    ids = [precompute_round(holders, rng)[0]
-           for _ in range(secret.block_count + 1)]
+    ids = [stock(holders, rng)[0]
+           for _ in range(len(secret.blocks) + 1)]
     requests = spss_request(5, (1, 2, 3), params, rng, tuple_ids=ids)
     responses = [holder_respond(holders[j], requests[j]) for j in (1, 2, 3)]
     with pytest.raises(ReconstructionAbortError):
@@ -959,9 +978,9 @@ def records(holders) -> dict:
 def test_a_precompute_round_over_no_holders_draws_nothing():
     rng = SeededEntropy(b"no-holders")
     with pytest.raises(ConfigurationError) as info:
-        precompute_round({}, rng)
+        stock({}, rng)
     assert str(info.value) == "no holders to run a round over"
-    assert rng.bits_drawn == 0
+    assert bits_drawn(rng) == 0
 
 
 def test_a_precompute_round_over_mislabelled_holders_changes_nothing():
@@ -970,9 +989,9 @@ def test_a_precompute_round_over_mislabelled_holders_changes_nothing():
     swapped = {1: holders[2], 2: holders[1], 3: holders[3], 4: holders[4]}
     rng = SeededEntropy(b"keys-round")
     with pytest.raises(ProtocolError) as info:
-        precompute_round(swapped, rng)
+        stock(swapped, rng)
     assert str(info.value) == "holder map keys must equal holder indices"
-    assert rng.bits_drawn == 0
+    assert bits_drawn(rng) == 0
     assert records(holders) == before
 
 
@@ -982,9 +1001,9 @@ def test_a_precompute_round_over_holders_at_other_rounds_changes_nothing():
     before = records(holders)
     rng = SeededEntropy(b"skew-round")
     with pytest.raises(ProtocolError) as info:
-        precompute_round(holders, rng)
+        stock(holders, rng)
     assert str(info.value) == "holders disagree on the next round id"
-    assert rng.bits_drawn == 0
+    assert bits_drawn(rng) == 0
     assert records(holders) == before
 
 

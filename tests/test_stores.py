@@ -37,7 +37,6 @@ from itstore.protocol import TpvSession
 from itstore.spss import (
     SpssParams,
     holder_respond,
-    precompute_round,
     spss_recover,
     spss_register,
     spss_request,
@@ -48,14 +47,13 @@ from itstore.stores import (
     HolderStore,
     VerifierRecord,
     VerifierStore,
-    contains_window,
-    directory_contains_window,
     erase_and_rewrite,
     holder_record_files,
     secure_erase,
 )
 
 from lossy_disk import lossy, materialize
+from oracles import contains_window, directory_contains_window, stock
 
 F2311 = PrimeField.mersenne(31)
 PARAMS_2311 = SpssParams(field=F2311)
@@ -224,7 +222,7 @@ def test_verifier_store_t2_monotonic(tmp_path):
     with pytest.raises(ProtocolError):
         store.append(make_record(2, 90, 104))
     store.append(make_record(2, 90, 105))  # equal t2 is fine
-    assert len(store) == 2
+    assert len(store.records()) == 2
 
 
 def test_verifier_store_detects_tamper(tmp_path):
@@ -290,44 +288,6 @@ def test_calculator_store_never_touches_data(tmp_path):
     store.put(b"\x05" * 16, 77, seed)
     assert not directory_contains_window(tmp_path / "calc", data)
     assert not directory_contains_window(tmp_path / "calc", tag.to_bytes())
-
-
-def test_calculator_store_remove_erases(tmp_path):
-    store = CalculatorStore(tmp_path / "calc", 256)
-    seed = calc_seed()
-    from itstore.mac import seed_to_bytes
-    seed_bytes = seed_to_bytes(seed)
-    store.put(b"\x09" * 16, 9, seed)
-    store.remove(b"\x09" * 16)
-    with pytest.raises(ProtocolError):
-        store.get(b"\x09" * 16)
-    assert not directory_contains_window(tmp_path / "calc", seed_bytes)
-
-
-def test_every_crash_state_of_a_calculator_remove_keeps_or_drops_the_record(
-        tmp_path):
-    # a crash during remove leaves the record as it was, or no record, or
-    # one get refuses; once remove returns, the name stays gone
-    base = tmp_path / "base"
-    base.mkdir()
-    store = CalculatorStore(base / "calc", 256)
-    sid, seed = b"\x09" * 16, calc_seed()
-    store.put(sid, 9, seed)
-    with lossy(base) as disk:
-        store.remove(sid)
-    done = materialize(disk.durable(), tmp_path / "done")
-    assert CalculatorStore(done / "calc").ids() == ()
-    assert len(disk.states) > 3
-    for i, state in enumerate(disk.states.values()):
-        reopened = CalculatorStore(
-            materialize(state, tmp_path / ("crash-%d" % i)) / "calc")
-        if sid not in reopened.ids():
-            continue
-        try:
-            t1, restored = reopened.get(sid)
-        except TamperDetectedError:
-            continue
-        assert (t1, restored.value) == (9, seed.value), "crash state %d" % i
 
 
 def test_an_unlinked_erasure_is_durable_when_it_returns(tmp_path):
@@ -427,7 +387,7 @@ def registered_stores(tmp_path, n_secrets=1, rounds_per_secret=None,
         holders, secret = spss_register(data, password, params, source)
         sid = bytes([0x20 + s]) * 16
         for r in range((rounds_per_secret or [0] * n_secrets)[s]):
-            precompute_round(holders, source)
+            stock(holders, source)
         for j, share_set in holders.items():
             stores[j].put_secret(sid, share_set)
         secrets.append((sid, data, password, secret))
@@ -488,7 +448,7 @@ def test_holder_store_round_trip_with_consumption(tmp_path):
     assert again.secret_ids() == store.secret_ids()
     for sid in again.secret_ids():
         assert again.get_secret(sid) == store.get_secret(sid)
-    assert again.get_secret(sid_a).unconsumed_rounds() == [1, 2]
+    assert list(again.get_secret(sid_a).tuples) == [1, 2]
     assert spent_rounds(again, sid_a) == (0,)
     assert spent_rounds(again, sid_b) == (1,)
 
@@ -559,12 +519,12 @@ def test_a_journal_left_by_an_earlier_version_is_never_read_or_written(
     monkeypatch.setattr(Path, "open", spy(Path.open))
     monkeypatch.setattr(Path, "stat", spy(Path.stat))
     reopened = HolderStore(holder_dir)
-    assert reopened.get_secret(sid).unconsumed_rounds() == [0, 1]
+    assert list(reopened.get_secret(sid).tuples) == [0, 1]
     assert spend_one(reopened, sid).round_id == 0
     assert seen and "journal.log" not in seen
     monkeypatch.undo()
     assert journal.read_bytes() == left
-    assert HolderStore(holder_dir).get_secret(sid).unconsumed_rounds() == [1]
+    assert list(HolderStore(holder_dir).get_secret(sid).tuples) == [1]
 
 
 @pytest.mark.parametrize("edit", [lambda body: body[:-1],
@@ -781,7 +741,7 @@ def test_a_record_claiming_four_billion_spent_rounds_fails_closed_at_once(
     for share_set in sets.values():
         share_set.next_round = top
     with pytest.raises(ProtocolError, match="u32"):
-        precompute_round(sets, rng("u32"))
+        stock(sets, rng("u32"))
     assert sets[1].next_round == top and sets[1].tuples == {}
 
 
@@ -794,7 +754,7 @@ def test_spends_and_stocks_past_max_ids_reopen(tmp_path, monkeypatch):
     need = stores[1].get_secret(sid).block_count
     assert need > 2
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    precompute_round(live, rng("max-ids"), rounds=3 * need)
+    stock(live, rng("max-ids"), rounds=3 * need)
     for j in (1, 2, 3):
         stores[j].save(sid)
         stores[j].respond(sid, spss_request(
@@ -815,8 +775,8 @@ def spend_cycles(tmp_path, cycles):
               for j in CRASH_PARAMS.holder_indices}
     holders, secret = spss_register(bytes(source.take_bytes(100)), 31337,
                                     CRASH_PARAMS, source)
-    need = secret.block_count + 1
-    precompute_round(holders, source, rounds=2 * need)
+    need = len(secret.blocks) + 1
+    stock(holders, source, rounds=2 * need)
     for j, share_set in holders.items():
         stores[j].put_secret(SID_A, share_set)
     for cycle in range(cycles):
@@ -826,7 +786,7 @@ def spend_cycles(tmp_path, cycles):
             stores[j].respond(SID_A, requests[j])
         sets = {j: stores[j].get_secret(SID_A)
                 for j in CRASH_PARAMS.holder_indices}
-        precompute_round(sets, source, rounds=need)
+        stock(sets, source, rounds=need)
         for j in CRASH_PARAMS.holder_indices:
             stores[j].save(SID_A)
         yield stores, need, cycle
@@ -838,7 +798,7 @@ def test_a_responders_record_holds_32_bytes_per_live_tuple_and_stops_growing(
     sizes = []
     for stores, need, cycle in spend_cycles(tmp_path, 10):
         share_set = stores[1].get_secret(SID_A)
-        assert share_set.unconsumed_rounds() == list(
+        assert list(share_set.tuples) == list(
             range((cycle + 1) * need, (cycle + 3) * need))
         assert spent_rounds(stores[1], SID_A) == tuple(
             range((cycle + 1) * need))
@@ -865,7 +825,7 @@ def test_reopened_stores_keep_spent_rounds_and_never_reuse_an_id(tmp_path):
         for j in (1, 2, 3):
             stores[j].respond(SID_A, requests[j])
     for j in (1, 2, 3):
-        assert stores[j].get_secret(SID_A).unconsumed_rounds() == []
+        assert list(stores[j].get_secret(SID_A).tuples) == []
     reopened = {j: HolderStore(tmp_path / ("holder-%d" % j))
                 for j in CRASH_PARAMS.holder_indices}
     for j in (1, 2, 3):
@@ -874,7 +834,7 @@ def test_reopened_stores_keep_spent_rounds_and_never_reuse_an_id(tmp_path):
     for j in reopened:
         assert reopened[j].get_secret(SID_A) == stores[j].get_secret(SID_A)
     sets = {j: reopened[j].get_secret(SID_A) for j in reopened}
-    assert precompute_round(sets, rng("next"), rounds=2) == (
+    assert stock(sets, rng("next"), rounds=2) == (
         4 * need, 4 * need + 1)
 
 
@@ -882,8 +842,8 @@ def test_respond_refuses_a_round_id_named_twice_before_journaling(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
     sid, data, password, secret = secrets[0]
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    need = secret.block_count + 1
-    ids = precompute_round(live, rng("twice"), rounds=need)
+    need = len(secret.blocks) + 1
+    ids = stock(live, rng("twice"), rounds=need)
     for j in PARAMS_2311.holder_indices:
         stores[j].save(sid)
     record = live_record_path(tmp_path / "holder-1", sid).read_bytes()
@@ -894,7 +854,7 @@ def test_respond_refuses_a_round_id_named_twice_before_journaling(tmp_path):
         stores[1].respond(sid, request[1])
     assert live_record_path(tmp_path / "holder-1", sid).read_bytes() == record
     reopened = HolderStore(tmp_path / "holder-1")
-    assert reopened.get_secret(sid).unconsumed_rounds() == list(ids)
+    assert list(reopened.get_secret(sid).tuples) == list(ids)
     assert spent_rounds(reopened, sid) == ()
 
 
@@ -904,17 +864,17 @@ def test_retire_journals_chunks_of_one_spend_and_refuses_a_dead_round(
     sid = secrets[0][0]
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
     limit = live[4].block_count
-    precompute_round(live, rng("retire"), rounds=3 * limit + 1)
+    stock(live, rng("retire"), rounds=3 * limit + 1)
     store = stores[4]
     store.save(sid)
     with pytest.raises(ProtocolError):
         store.retire(sid, (0, 3 * limit + 1))
-    assert live[4].unconsumed_rounds() == list(range(3 * limit + 1))
+    assert list(live[4].tuples) == list(range(3 * limit + 1))
     store.retire(sid, range(3 * limit))
-    assert live[4].unconsumed_rounds() == [3 * limit]
+    assert list(live[4].tuples) == [3 * limit]
     store.save(sid)
     reopened = HolderStore(tmp_path / "holder-4")
-    assert reopened.get_secret(sid).unconsumed_rounds() == [3 * limit]
+    assert list(reopened.get_secret(sid).tuples) == [3 * limit]
     assert spent_rounds(reopened, sid) == tuple(range(3 * limit))
 
 
@@ -924,17 +884,17 @@ def test_retire_refuses_a_round_named_twice_before_dropping_any(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
     sid = secrets[0][0]
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    precompute_round(live, rng("retire-twice"), rounds=3)
+    stock(live, rng("retire-twice"), rounds=3)
     store = stores[4]
     store.save(sid)
     record = live_record_path(tmp_path / "holder-4", sid).read_bytes()
     with pytest.raises(ImproperRequestError, match="twice"):
         store.retire(sid, (1, 1))
-    assert live[4].unconsumed_rounds() == [0, 1, 2]
+    assert list(live[4].tuples) == [0, 1, 2]
     assert live_record_path(tmp_path / "holder-4", sid).read_bytes() == record
     store.save(sid)  # a later save still writes every round live
     reopened = HolderStore(tmp_path / "holder-4")
-    assert reopened.get_secret(sid).unconsumed_rounds() == [0, 1, 2]
+    assert list(reopened.get_secret(sid).tuples) == [0, 1, 2]
     assert spent_rounds(reopened, sid) == ()
 
 
@@ -945,7 +905,7 @@ def test_retire_drops_its_rounds_without_decoding_them(tmp_path,
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
     sid = secrets[0][0]
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    precompute_round(live, rng("retire-raw"), rounds=6)
+    stock(live, rng("retire-raw"), rounds=6)
     tuples = live[4].tuples
     kept = {rid: tuples[rid] for rid in (0, 3, 5)}
 
@@ -967,8 +927,8 @@ def test_reconstruction_through_stores(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
     sid, data, password, secret = secrets[0]
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    ids = [precompute_round(live, source)[0]
-           for _ in range(secret.block_count + 1)]
+    ids = [stock(live, source)[0]
+           for _ in range(len(secret.blocks) + 1)]
     for j in PARAMS_2311.holder_indices:
         stores[j].save(sid)
 
@@ -995,8 +955,8 @@ def test_respond_failure_leaves_journal_clean(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
     sid, data, password, secret = secrets[0]
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    ids = [precompute_round(live, source)[0]
-           for _ in range(secret.block_count + 1)]
+    ids = [stock(live, source)[0]
+           for _ in range(len(secret.blocks) + 1)]
     for j in PARAMS_2311.holder_indices:
         stores[j].save(sid)
 
@@ -1010,14 +970,14 @@ def test_respond_failure_leaves_journal_clean(tmp_path):
     with pytest.raises(PrecomputationExhaustedError):
         stores[4].respond(sid, missing[4])
     assert live_record_path(tmp_path / "holder-4", sid).read_bytes() == record
-    assert stores[4].get_secret(sid).unconsumed_rounds() == sorted(ids)
+    assert list(stores[4].get_secret(sid).tuples) == sorted(ids)
 
 
 def test_a_pinned_request_one_id_short_is_improper_at_the_store_too(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
     sid, data, password, secret = secrets[0]
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    ids = precompute_round(live, rng("short"), rounds=secret.block_count + 1)
+    ids = stock(live, rng("short"), rounds=len(secret.blocks) + 1)
     for j in PARAMS_2311.holder_indices:
         stores[j].save(sid)
     request = spss_request(password, (1, 2, 3), PARAMS_2311, rng("short"),
@@ -1028,15 +988,15 @@ def test_a_pinned_request_one_id_short_is_improper_at_the_store_too(tmp_path):
     assert live_record_path(tmp_path / "holder-1", sid).read_bytes() == record
     with pytest.raises(ImproperRequestError):
         holder_respond(stores[1].get_secret(sid), request)
-    assert stores[1].get_secret(sid).unconsumed_rounds() == list(ids)
+    assert list(stores[1].get_secret(sid).tuples) == list(ids)
 
 
 def test_a_spent_round_is_absent_in_memory_and_after_reopening(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
     sid, data, password, secret = secrets[0]
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    need = secret.block_count + 1
-    precompute_round(live, rng("absent"), rounds=need + 2)
+    need = len(secret.blocks) + 1
+    stock(live, rng("absent"), rounds=need + 2)
     for j in PARAMS_2311.holder_indices:
         stores[j].save(sid)
     store = stores[1]
@@ -1062,7 +1022,7 @@ def test_renewal_destroys_old_share_bytes(tmp_path):
     sid = b"\x44" * 16
     store.put_secret(sid, holders[1])
     old_shares = list(holders[1].data_shares)
-    old_bytes = [field.encode(v) for v in old_shares]
+    old_bytes = [v.to_bytes(field.byte_width, "big") for v in old_shares]
     holder_dir = tmp_path / "holder-1"
     for raw in old_bytes:
         assert directory_contains_window(holder_dir, raw, window=16)
@@ -1073,7 +1033,7 @@ def test_renewal_destroys_old_share_bytes(tmp_path):
         assert not directory_contains_window(holder_dir, raw, window=16)
     state = live_record_path(holder_dir, sid).read_bytes()
     for v in new_shares:
-        assert field.encode(v) in state
+        assert v.to_bytes(field.byte_width, "big") in state
     assert store.renewal_rounds(sid) == (1,)
 
     reloaded = HolderStore(tmp_path / "holder-1")
@@ -1293,8 +1253,8 @@ def crash_case(directory, op):
     source = rng("crash-" + op)
     holders, secret = spss_register(bytes(source.take_bytes(40)), 777,
                                     CRASH_PARAMS, source)
-    for _ in range(secret.block_count + 1):
-        precompute_round(holders, source)
+    for _ in range(len(secret.blocks) + 1):
+        stock(holders, source)
     other, _ = spss_register(bytes(source.take_bytes(30)), 778,
                              CRASH_PARAMS, source)
     store = HolderStore(directory, holder=1)
@@ -1305,7 +1265,7 @@ def crash_case(directory, op):
         return store, lambda: store.put_secret(SID_B, other[1])
     if op == "precompute":
         def precompute():
-            precompute_round(holders, source)
+            stock(holders, source)
             store.save(SID_A)
         return store, precompute
     if op == "respond":
@@ -1313,7 +1273,7 @@ def crash_case(directory, op):
                                oldest_ids(holders[1]))[1]
         return store, lambda: store.respond(SID_A, request)
     if op == "retire":
-        stranded = holders[1].unconsumed_rounds()
+        stranded = list(holders[1].tuples)
 
         def retire():
             store.retire(SID_A, stranded)
@@ -1400,7 +1360,8 @@ def test_crash_at_every_fsync_leaves_an_openable_consistent_store(tmp_path, op):
         if state == new:
             for v in dropped:
                 assert not directory_contains_window(
-                    directory, field.encode(v), window=16), \
+                    directory, v.to_bytes(field.byte_width, "big"),
+                    window=16), \
                     "crash at fsync %d left a dropped share on disk" % k
 
 
@@ -1446,8 +1407,8 @@ def test_an_old_slot_zeroed_but_never_truncated_is_emptied_on_open(tmp_path):
     assert old_path.stat().st_size == 0
     field = CRASH_PARAMS.field
     for v in dropped:
-        assert not directory_contains_window(directory, field.encode(v),
-                                             window=16)
+        assert not directory_contains_window(
+            directory, v.to_bytes(field.byte_width, "big"), window=16)
 
 
 class CountingFile:
@@ -1525,7 +1486,7 @@ def test_building_a_session_makes_no_fsync_and_meta_comes_with_register(
     assert not meta.exists()
     session.register(b"the first secret of a new deployment", b"pw")
     reopened = CalculatorStore(tmp_path / "calculator")
-    assert meta.exists() and len(reopened) == 1
+    assert meta.exists() and len(reopened.ids()) == 1
     assert reopened.k == session.k
 
 
@@ -1595,15 +1556,15 @@ def test_stores_create_no_directory_before_their_first_write(tmp_path):
     assert not root.exists()
     # a missing directory opens as an empty store, and still is not made
     assert HolderStore(root / "holder", holder=1).secret_ids() == ()
-    assert len(CalculatorStore(root / "calculator", 256)) == 0
-    assert len(VerifierStore(root / "verifier")) == 0
+    assert len(CalculatorStore(root / "calculator", 256).ids()) == 0
+    assert len(VerifierStore(root / "verifier").records()) == 0
     assert not root.exists()
     for name, write in writes.items():
         write()
         assert (root / name).is_dir()
     assert HolderStore(root / "holder").secret_ids() == (SID_A,)
     assert CalculatorStore(root / "calculator").ids() == (SID_A,)
-    assert len(VerifierStore(root / "verifier")) == 1
+    assert len(VerifierStore(root / "verifier").records()) == 1
 
     net = KeyNetwork(DEFAULT_TOPOLOGY, master_seed=b"store-suite")
     TpvSession(tmp_path / "session", net=net)
@@ -1665,7 +1626,8 @@ def test_a_verifier_record_outside_its_fields_is_refused(tmp_path, field,
     with pytest.raises(ConfigurationError) as info:
         VerifierRecord(**{**vars(rec), field: value})
     assert str(info.value) == message
-    assert tree(tmp_path / "verifier") == before and len(store) == 1
+    assert tree(tmp_path / "verifier") == before
+    assert len(store.records()) == 1
 
 
 def test_a_verifier_record_whose_tag_is_not_whole_bytes_is_tampering(
@@ -1762,18 +1724,7 @@ def test_a_calculator_record_outside_its_fields_is_refused(tmp_path, sid, t1,
             store.put(sid, t1, calc_seed())
         assert str(info.value) == message
         assert tree(directory) == before
-        assert len(store) == int(stocked)
-
-
-def test_removing_a_calculator_record_that_is_not_there_is_refused(tmp_path):
-    store = CalculatorStore(tmp_path / "calc", 256)
-    store.put(b"\x01" * 16, 1, calc_seed())
-    before = tree(tmp_path / "calc")
-    with pytest.raises(ProtocolError) as info:
-        store.remove(b"\x02" * 16)
-    assert str(info.value) == "no record for secret " + "02" * 16
-    assert tree(tmp_path / "calc") == before
-    assert store.ids() == (b"\x01" * 16,)
+        assert len(store.ids()) == int(stocked)
 
 
 @pytest.mark.parametrize("name,content,error,message", [

@@ -11,8 +11,8 @@ from itstore.errors import (
     TamperDetectedError,
 )
 import itstore.wire as wire
-from itstore.wire import (SCHEMA, Codec, Cursor, check_runs, expand_runs,
-                          id_runs)
+from itstore.wire import SCHEMA, Codec, Cursor, check_runs, expand_runs
+from oracles import id_runs
 
 CODEC = Codec(W=16, P=33, tag=8, digest=64, degree=3)
 
@@ -168,7 +168,7 @@ def test_round_ids_travel_as_canonical_runs(ids, runs):
     flat = [v for run in runs for v in run]
     assert id_runs(ids) == flat
     assert expand_runs(check_runs(flat)) == ids
-    ranges = wire.id_ranges(ids)
+    ranges = check_runs(id_runs(ids))
     raw = CODEC.encode("avail-reply", bytes(16), 3, ranges)
     assert raw == runs_message(runs)
     assert CODEC.decode("avail-reply", raw) == (bytes(16), 3, ranges)
@@ -187,7 +187,7 @@ def test_non_contiguous_id_sets_round_trip():
     for _ in range(200):
         ids = tuple(sorted(gen.sample(range(300), gen.randrange(60))))
         raw = CODEC.encode("recon-ask", bytes(16), b"\x01\x02\x03", 7,
-                           wire.id_ranges(ids))
+                           check_runs(id_runs(ids)))
         assert expand_runs(CODEC.decode("recon-ask", raw)[-1]) == ids
 
 
@@ -252,9 +252,9 @@ def test_intersect_runs_equals_the_sorted_set_intersection():
                                          for r in lists)))
         got = wire.intersect_runs(lists)
         assert expand_runs(got) == tuple(want)
-        assert got == wire.id_ranges(want)  # canonical: none touch
+        assert got == check_runs(id_runs(want))  # canonical: none touch
         for n in (0, 1, 3, len(want), len(want) + 2):
-            assert wire.head_runs(got, n) == wire.id_ranges(want[:n])
+            assert wire.head_runs(got, n) == check_runs(id_runs(want[:n]))
     assert wire.intersect_runs([]) == []
 
 

@@ -22,10 +22,12 @@ four times as long traced as untraced. The exit status is pytest's.
 --system traces what the system runs instead of the test suite: every
 shipped scenario but bench.yaml through harness.run_scenario, the CLI
 tests (tests/test_cli.py), and perfbench's three workloads at the cycle
-counts of its smoke test. It prints every function and method of the
-package that none of them enters, as path:line and its qualified name,
-then their count and the count of unrun lines. A function a test alone
-calls shows up there. The exit status is the CLI tests'.
+counts of its smoke test. It prints every unrun line as path:line and
+its source, as the first form does, then every function and method of
+the package that none of them enters, as path:line and its qualified
+name, then their count and the count of unrun lines. A line or a
+function that a test alone reaches shows up there. The exit status is
+the CLI tests'.
 """
 
 import inspect
@@ -148,17 +150,25 @@ def run_system() -> int:
 
 
 def system_report(hits: dict, entered: set) -> None:
-    """Print the functions never entered and the count of unrun lines."""
+    """Print the unrun lines, the functions never entered, and the counts
+    of both."""
     never = total = unrun = 0
-    for path in sorted(PACKAGE.glob("*.py")):
+    paths = sorted(PACKAGE.glob("*.py"))
+    for path in paths:
+        rel = str(path.relative_to(ROOT))
+        lines = executable_lines(path)
+        source = path.read_text().splitlines()
+        missed = sorted(lines - hits.get(str(path), set()))
+        for line in missed:
+            print("%s:%d  %s" % (rel, line, source[line - 1].strip()))
+        total += len(lines)
+        unrun += len(missed)
+    for path in paths:
         rel = str(path.relative_to(ROOT))
         for line, name in functions(path):
             if (str(path), line) not in entered:
                 never += 1
                 print("%s:%d  %s" % (rel, line, name))
-        lines = executable_lines(path)
-        total += len(lines)
-        unrun += len(lines - hits.get(str(path), set()))
     print("# src/itstore: %d functions never entered by the system" % never)
     print("# src/itstore: %d of %d executable lines unrun by the system"
           % (unrun, total))

@@ -797,6 +797,23 @@ def test_a_malformed_holder_list_is_refused_before_any_key_is_spent(
     assert workspace_files(ws) == before
 
 
+@pytest.mark.parametrize("flag, holders", [("--subset", "1,2,9"),
+                                           ("--offline", "9,0")])
+def test_a_holder_list_outside_the_holders_is_refused_before_the_top_up(
+        tmp_path, capsys, flag, holders):
+    # fails at the parent commit: --subset 1,2,9 first ran the top-up
+    # precompute, which rewrote state.json and every holder record, and
+    # --offline 9,0 was ignored and the data released
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    before = workspace_files(ws)
+    code, out, err = run_cli(capsys, "reconstruct", "--workspace", str(ws),
+                             "--password", PASSWORD, flag, holders)
+    assert (code, out) == (2, "")
+    assert err.startswith("protocol error: ")
+    assert workspace_files(ws) == before
+
+
 @pytest.mark.parametrize("rounds", ["0", "-2"])
 def test_renew_needs_a_positive_round_count(tmp_path, capsys, rounds):
     ws = tmp_path / "ws"

@@ -553,6 +553,23 @@ def test_a_subset_naming_a_holder_twice_is_refused_before_any_send(
     assert result.outcome is Outcome.SUCCESS and result.data == DATA
 
 
+def test_an_offline_index_outside_the_holders_is_refused_before_any_send(
+        tmp_path):
+    # fails at the parent commit: offline {5} was ignored, holders 1-3
+    # were asked and the data was released
+    session = make_session(tmp_path)
+    sid, _t1, _ = register_and_stock(session)
+    lines, verdicts = len(session.transcript), len(session.verdicts)
+    records = {j: live_record(store, sid)
+               for j, store in session.holder_stores.items()}
+    with pytest.raises(ImproperRequestError):
+        session.reconstruct_and_release(sid, PASSWORD, offline={5})
+    assert len(session.transcript) == lines
+    assert len(session.verdicts) == verdicts
+    for j, store in session.holder_stores.items():
+        assert live_record(store, sid) == records[j]
+
+
 def test_registration_aborts_before_any_share_leaves(tmp_path):
     # enough key for the owner's upload, not enough to fan the shares out
     session = make_session(tmp_path, advance_ms=1_500)

@@ -36,7 +36,7 @@ from .harness import (COMPARE_EXPONENT, EXIT_ABORT, EXIT_CONFIG, EXIT_FAIL,
                       EXIT_SUCCESS, build_session, run_bench, run_scenario)
 from .keynet import KeyNetwork
 from .protocol import Outcome, TpvSession
-from .spss import data_block_count
+from .spss import check_offline, check_subset, data_block_count
 from .stores import DISK
 from .wire import intersect_runs
 
@@ -339,6 +339,10 @@ def _cmd_reconstruct(args) -> int:
     subset, offline = _indices(args.subset), _indices(args.offline) or ()
     with _workspace_for(args, allow_init=False) as ws:
         session = ws.session
+        # the holder-list rules refuse before the top-up spends anything
+        if subset is not None:
+            check_subset(subset, session.params)
+        check_offline(offline, session.params)
         sid = _sid_from_args(ws, args)
         _t1, byte_length = session.owner_receipts[sid]
         tracks = data_block_count(byte_length, session.params) + 1

@@ -94,6 +94,7 @@ from .spss import (
     MaskedResponse,
     SpssParams,
     SpssRequest,
+    check_offline,
     check_subset,
     data_block_count,
     password_to_element,
@@ -704,8 +705,9 @@ class TpvSession:
         function rewriting its masked values (a cheating holder);
         owner_tamper rewrites the recovered payload before release (a
         cheating owner). Password failure releases nothing. A subset
-        that spss.check_subset refuses is refused before any message is
-        sent; a valid one is contacted in the caller's order.
+        that spss.check_subset refuses, or an offline list that
+        spss.check_offline refuses, is refused before any message is
+        sent; a valid subset is contacted in the caller's order.
         """
         if sid not in self.owner_receipts:
             raise ProtocolError("owner holds no receipt for %s" % sid.hex())
@@ -714,12 +716,13 @@ class TpvSession:
         field = params.field
         tampers = holder_response_tamper or {}
         chosen = None if subset is None else check_subset(subset, params)
+        down = check_offline(offline, params)
 
         c_len, attempt = self._send(self.OWNER, self.CALCULATOR,
                                     "recon-request", (sid,), byte_length,
                                     password_attempt)
 
-        live = [j for j in params.holder_indices if j not in set(offline)]
+        live = [j for j in params.holder_indices if j not in down]
         if chosen is None:
             chosen = tuple(live[:params.t_sh])
         else:

@@ -87,6 +87,7 @@ __all__ = [
     "retired_rounds",
     "masking_columns",
     "check_subset",
+    "check_offline",
     "spss_request",
     "cut_rounds",
     "spend_rounds",
@@ -536,6 +537,17 @@ def check_subset(subset, params: SpssParams) -> tuple:
             "reconstruction needs exactly %d distinct holder indices in "
             "1..%d" % (params.t_sh, params.n_sh))
     return chosen
+
+
+def check_offline(offline, params: SpssParams) -> frozenset:
+    """The one offline rule of a reconstruction: every index names a
+    holder, 1..n_sh. Returns the indices as a set; refuses any other with
+    ImproperRequestError."""
+    down = frozenset(offline)
+    if not down.issubset(params.holder_indices):
+        raise ImproperRequestError(
+            "offline holders must be holder indices in 1..%d" % params.n_sh)
+    return down
 
 
 def spss_request(password_attempt: int, subset, params: SpssParams,

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError
 
 __all__ = [
     "PrimeField",
@@ -268,16 +268,13 @@ def random_polynomial(degree: int, constant: int, field: PrimeField,
 
 
 def zero_coefficients(indices: Sequence[int], field: PrimeField) -> list:
-    """Lagrange-at-zero weights for the given x coordinates.
+    """Lagrange-at-zero weights for the given x coordinates, distinct and
+    nonzero, as spss.check_subset makes a subset's.
 
     Returns c_i with f(0) = sum c_i * y_i; lets hot loops interpolate many
     polynomials over the same index set without re-deriving the weights.
     """
     xs = list(indices)
-    if 0 in xs:
-        raise ProtocolError("interpolation index 0 is the secret position")
-    if len(set(xs)) != len(xs):
-        raise ProtocolError("duplicate interpolation indices")
     out = []
     for i, xi in enumerate(xs):
         num = 1

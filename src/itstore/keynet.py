@@ -541,13 +541,11 @@ class KeyNetwork:
         """Encrypt, tag and sequence one message. Its key is one allocation
         of message_key_cost bits, cut in order into the hash key (the
         channel's first send only), the body pad and the tag pad. A short
-        stream refuses the send atomically: no bit is allocated."""
-        node_s = self._endpoint_node(sender)
-        node_r = self._endpoint_node(receiver)
-        if node_s == node_r:
-            raise ProtocolError(
-                "co-located endpoints exchange data locally, not by envelope")
-        stream = self.pair_stream(node_s, node_r)
+        stream refuses the send atomically: no bit is allocated.
+        Co-located endpoints share no stream (_pair refuses one), so
+        Transport.send hands their bytes over locally instead."""
+        stream = self.pair_stream(self._endpoint_node(sender),
+                                  self._endpoint_node(receiver))
         chan = self._channel(sender, receiver)
 
         nbits = len(plaintext) * 8

@@ -124,8 +124,6 @@ def check_digest_bits(bits: int, k: int) -> None:
 
 def polyeval_modulus(k: int) -> int:
     """Largest prime <= 2^k; Bertrand guarantees it is >= 2^k / k for k >= 2."""
-    if k < 2:
-        raise ConfigurationError("PolyEval needs k >= 2")
     if k not in _POLYEVAL_MODULI:
         _POLYEVAL_MODULI[k] = largest_prime_at_most(1 << k)
     return _POLYEVAL_MODULI[k]
@@ -191,8 +189,6 @@ def split_blocks(message: bytes, block_bits: int):
     of block_bits bytes is read as one integer and cut into eight blocks.
     """
     nbits = len(message) * 8
-    if nbits == 0:
-        return [], 0
     nblocks = -(-nbits // block_bits)
     step = block_bits  # bytes per group of eight blocks
     padded = message + bytes(-len(message) % step)

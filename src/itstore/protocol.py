@@ -318,8 +318,9 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
     dealer whose commitments on a track are not exactly `degree` long is
     accused on that track: a dealing of another degree can pass its own
     check, and folded in it would lift the shares off every sharing of
-    the secret of this degree. If the sum fails, a pair is None (never
-    received) or a commitment is not a member, the holder checks that
+    the secret of this degree. deliver hands on a pair for every track
+    (in a session each message's header fixes the track count). If the
+    sum fails or a commitment is not a member, the holder checks that
     track dealer by dealer, and every dealer that fails is accused. So a
     track whose summed check fails always accuses someone. Any
     accusation rejects the round with no new shares; otherwise every
@@ -330,8 +331,6 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
     module docstring for why the sum is sound).
     """
     holders = sorted(shares)
-    if not set(holders) <= set(sources):
-        raise ConfigurationError("renewal needs every holder's randomness")
     width = config.share_field().byte_width
 
     # received[j][d] = (commitments, pairs) per track, as j got them from d
@@ -375,7 +374,7 @@ def renewal_round(shares: dict, degree: int, config: RenewalGroupConfig,
                 continue
             for d, eps, pair, ok in zip(dealers, commitments, pairs,
                                         counted):
-                if not ok or pair is None or not verify_renewal_share(
+                if not ok or not verify_renewal_share(
                         j, eps, pair, config, members):
                     accusations.append(Accusation(
                         j, d, "commitment check failed on track %d" % track))

@@ -35,8 +35,8 @@ exponentiations. The tables are built on a group's first commit and kept
 on the group object (mersenne127: 32 rows, about 8,000 mulmods and 0.5 MB).
 A commitment's subgroup membership (0 < eps < p and eps^q == 1) is
 settled once per round for every distinct value received, by
-subgroup_members before any pair is checked; verify_renewal_share skips
-the values it proved. Up to EXACT_CHECKS = 96 distinct values are
+subgroup_members before any pair is checked; verify_renewal_share fails
+any commitment outside the members it proved and powers none. Up to EXACT_CHECKS = 96 distinct values are
 checked one full-width power each. Above that, one random-subset batch
 (Bellare-Garay-Rabin, EUROCRYPT 1998) checks them all: each value gets
 64 private random bits, bit r putting it in subset r, and each of the 64
@@ -76,9 +76,9 @@ dealers that cancel at one recipient pass it, and the renewed share is
 then still the right one; one check per dealer would have aborted that
 round. A dealer that sent a track other than exactly t commitments is
 accused on it, since a consistent dealing of another degree passes its
-own check. A failed sum, a missing pair or a commitment outside the
-round's members sends the track back to one check per dealer, which
-accuses whoever fails. The summed check is the product of the dealers'
+own check. A failed sum or a commitment outside the round's members
+sends the track back to one check per dealer, which accuses whoever
+fails. The summed check is the product of the dealers'
 own checks, so a failed sum has at least one dealer that fails, and no
 track is folded without passing its summed check. A product of members
 is a member, so summed_dealing adds the products to the members and they
@@ -287,8 +287,6 @@ def gen_renewal(recipients, degree: int, config: RenewalGroupConfig,
     Every recipient's pairs come from one eval_columns pass over all
     tracks.
     """
-    if degree < 1:
-        raise ConfigurationError("renewal needs polynomial degree >= 1")
     field = config.share_field()
     stride = 2 * degree
     drawn = field.random_ints(randomness, stride * tracks)
@@ -306,26 +304,17 @@ def gen_renewal(recipients, degree: int, config: RenewalGroupConfig,
 
 
 def verify_renewal_share(recipient: int, commitments, pair,
-                         config: RenewalGroupConfig,
-                         members: "set | None" = None) -> bool:
+                         config: RenewalGroupConfig, members: set) -> bool:
     """Check one evaluation pair against a dealer's commitments on one
-    track.
+    track, at a recipient index of at least 1.
 
-    members holds commitments already proven to lie in the order-q
-    subgroup this round; their check is skipped, and every commitment
-    that passes its check is added. Pass one set per round and group.
+    members holds the values proven to lie in the order-q subgroup this
+    round (subgroup_members, and the products summed_dealing adds); a
+    commitment outside it fails the check, and no power is spent on it.
     """
-    if recipient < 1:
-        raise ConfigurationError("recipient index must be >= 1")
-    if members is None:
-        members = set()
+    if not members.issuperset(commitments):
+        return False
     s1, s2 = pair
-    for eps in commitments:
-        if eps in members:
-            continue
-        if not 0 < eps < config.p or mod_exp(eps, config.q, config.p) != 1:
-            return False
-        members.add(eps)
     lhs = config.commit(s1, s2)
     rhs = 1
     exponent = 1
@@ -343,12 +332,10 @@ def summed_dealing(commitments, pairs, config: RenewalGroupConfig,
     column, and pair is the sum of their pairs. A product of members is
     a member, so the products join members.
 
-    Every dealer must have sent the same number of commitments. None
-    when a pair is missing or a commitment is not in members: then only
-    each dealer's own commitments and pair can be checked.
+    Every dealer must have sent the same number of commitments and a
+    pair. None when a commitment is not in members: then only each
+    dealer's own commitments and pair can be checked.
     """
-    if None in pairs:
-        return None
     p, q = config.p, config.q
     products = []
     for column in zip(*commitments):

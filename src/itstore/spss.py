@@ -69,7 +69,7 @@ from .errors import (
 from .field import PrimeField, zero_coefficients
 from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
 from .mac import split_blocks
-from .wire import Cursor, Packed, column, intersect_runs
+from .wire import Cursor, column, intersect_runs
 
 __all__ = [
     "SpssParams",
@@ -259,9 +259,9 @@ class HolderShareSet:
     shares is the data-share column: f_{D_i}(j) for i = 1..l+1, in index
     order, each the field's byte width big-endian, so a share costs its
     16 bytes in the 127-bit field and no int is kept per share.
-    data_shares reads the column as a tuple of ints, decoded on each read,
-    and assigning it a sequence of ints writes the column; a wire.Packed
-    view of a column of this width is kept as its bytes. tuples holds
+    data_shares reads the column as a tuple of ints, decoded on each read;
+    a renewal replaces the column's bytes (HolderStore.apply_renewal).
+    tuples holds
     the live masking tuples only, as LiveTuples columns (an empty one when
     not given). Round ids are stocked contiguously from 0 and next_round
     is one past the highest ever stocked, so a spent round is an id below
@@ -286,15 +286,6 @@ class HolderShareSet:
     def data_shares(self) -> tuple:
         return Cursor(self.shares).uints(self.block_count,
                                          self.params.field.byte_width)
-
-    @data_shares.setter
-    def data_shares(self, values) -> None:
-        width = self.params.field.byte_width
-        if isinstance(values, Packed) and (values.width, values.group) == (
-                width, 1):
-            self.shares = values.raw  # already the column
-        else:
-            self.shares = column(values, width)
 
     @property
     def block_count(self) -> int:
@@ -348,14 +339,11 @@ def spss_register(data: bytes, password: int, params: SpssParams,
     Returns ({holder j: HolderShareSet}, RegisteredSecret). The share sets
     start with no precomputed tuples: precompute_round, which
     TpvSession.precompute runs over its transport, stocks them before a
-    reconstruction.
+    reconstruction. data must be non-empty and password a nonzero element
+    of the field, as TpvSession.register and password_to_element make
+    them.
     """
-    if not data:
-        raise ConfigurationError("cannot register empty data")
     field = params.field
-    if not 0 < password < field.q:
-        raise ConfigurationError("password must be a nonzero field element")
-
     wire_blocks, _ = split_blocks(data, params.block_bits)
     blocks = list(reversed(wire_blocks))  # blocks[i-1] = D_i
     mac_block = mac_block_value(blocks, password, field)
@@ -406,17 +394,10 @@ def precompute_round(holders: dict, randomness: dict, rounds: int,
     """
     if rounds < 1:
         raise ConfigurationError("need at least one precompute round")
-    if not holders:
-        raise ConfigurationError("no holders to run a round over")
-    sets = sorted(holders.values(), key=lambda s: s.holder)
-    params = sets[0].params
+    params = holders[1].params
     field = params.field
     indices = list(params.holder_indices)
-    if [s.holder for s in sets] != indices:
-        raise ProtocolError("precomputation requires every holder present")
-    if any(k != s.holder for k, s in holders.items()):
-        raise ProtocolError("holder map keys must equal holder indices")
-    starts = {s.next_round for s in sets}
+    starts = {s.next_round for s in holders.values()}
     if len(starts) != 1:
         raise ProtocolError("holders disagree on the next round id")
     start = starts.pop()
@@ -437,11 +418,6 @@ def precompute_round(holders: dict, randomness: dict, rounds: int,
                     field.eval_columns(z_cols, j))
             if j != d:
                 vals = deliver(d, j, *vals)
-                if any(len(v) != batches for v in vals):
-                    raise ProtocolError(
-                        "holder %d got %s values from %d, expected %d each"
-                        % (j, "/".join(str(len(v)) for v in vals), d,
-                           batches))
             for kind_rows, values in zip(rows[j], vals):
                 _fold(kind_rows, d, values, field.q)
 
@@ -656,18 +632,16 @@ def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedRes
 
 
 def spss_recover(responses, password_attempt: int, params: SpssParams,
-                 byte_length: "int | None" = None):
+                 byte_length: int) -> bytes:
     """Interpolate the masked responses and run the authenticator check.
 
-    Returns the data blocks in index order, or the original bytes when
-    byte_length is given. Raises PasswordFailureError when the check
-    fails; no block values leave this function in that case.
+    The responses come from the t_sh distinct holders of a subset that
+    check_subset passed. Returns the original byte_length bytes. Raises
+    PasswordFailureError when the check fails; no block values leave
+    this function in that case.
     """
     resp = list(responses)
     indices = [r.holder for r in resp]
-    if len(resp) != params.t_sh or len(set(indices)) != len(indices):
-        raise ReconstructionAbortError(
-            "need %d responses from distinct holders" % params.t_sh)
     lengths = {len(r.values) for r in resp}
     if len(lengths) != 1:
         raise ReconstructionAbortError("holders disagree on block count")
@@ -693,9 +667,6 @@ def spss_recover(responses, password_attempt: int, params: SpssParams,
         raise PasswordFailureError("recovered blocks exceed the payload "
                                    "alphabet: wrong password or corrupted "
                                    "responses")
-    blocks = tuple(blocks)
-    if byte_length is None:
-        return blocks
     return reassemble_blocks(blocks, byte_length, params.block_bits)
 
 

@@ -788,10 +788,10 @@ class HolderStore:
 
     def apply_renewal(self, secret_id: bytes, new_data_shares,
                       round_no: int) -> None:
-        """Swap in renewed shares, a sequence of ints or a wire.Packed view
-        of their column, and note the round, in one record rewrite that
-        also destroys the old share values. Rounds must increase, and a
-        run of them must keep a u32 count."""
+        """Swap in renewed shares, the wire.Packed share column that
+        renewal_round returns, and note the round, in one record rewrite
+        that also destroys the old share values. Rounds must increase,
+        and a run of them must keep a u32 count."""
         ss = self.get_secret(secret_id)
         if len(new_data_shares) != ss.block_count:
             raise ProtocolError(
@@ -804,7 +804,7 @@ class HolderStore:
             raise ProtocolError("renewal round %d of %s is not a u32 of at "
                                 "least %d, or its run would pass a u32 count"
                                 % (round_no, secret_id.hex(), end))
-        ss.data_shares = new_data_shares
+        ss.shares = new_data_shares.raw
         if first < round_no:
             runs[-1] = (first, round_no + 1)
         else:

@@ -40,6 +40,14 @@ def interpolate_at_zero(pairs, field) -> int:
     return sum(w * y for w, (_, y) in zip(weights, pairs)) % field.q
 
 
+def members_of(commitments, config) -> set:
+    """The commitments that lie in config's order-q subgroup, each found
+    by one power: the members that a round's subgroup_members proves for
+    them, as verify_renewal_share takes them."""
+    return {eps for eps in commitments
+            if 0 < eps < config.p and pow(eps, config.q, config.p) == 1}
+
+
 def derive_subgroup_element(x: int, p: int, q: int) -> int:
     """x^((p-1)/q) mod p: lands in the order-q subgroup, log unknown."""
     return mod_exp(x, (p - 1) // q, p)

@@ -47,8 +47,8 @@ from itstore.spss import (
     spss_register,
     spss_request,
 )
-from oracles import (directory_contains_window, interpolate_at_zero, renew,
-                     stock)
+from oracles import (directory_contains_window, interpolate_at_zero,
+                     members_of, renew, stock)
 from tests.test_config import SCENARIO_DIR
 
 
@@ -247,8 +247,10 @@ def test_renewal_preserves_the_secret_and_rejects_every_perturbation():
     toy = TOY_GROUP.validate()
     (eps,), pairs = gen_renewal((1, 2, 3), 2, toy,
                                 SeededEntropy(b"toy-packet"), 1)
+    members = members_of(eps, toy)
     for recipient in (1, 2, 3):
-        assert verify_renewal_share(recipient, eps, pairs[recipient][0], toy)
+        assert verify_renewal_share(recipient, eps, pairs[recipient][0], toy,
+                                    members)
     for idx in range(len(eps)):
         for wrong in range(1, toy.p):
             if wrong == eps[idx]:
@@ -257,16 +259,17 @@ def test_renewal_preserves_the_secret_and_rejects_every_perturbation():
             mutated[idx] = wrong
             for recipient in (1, 2, 3):
                 assert not verify_renewal_share(
-                    recipient, tuple(mutated), pairs[recipient][0], toy)
+                    recipient, tuple(mutated), pairs[recipient][0], toy,
+                    members_of(mutated, toy))
     for recipient in (1, 2, 3):
         ((s1, s2),) = pairs[recipient]
         for wrong in range(toy.q):
             if wrong != s1:
                 assert not verify_renewal_share(recipient, eps,
-                                                (wrong, s2), toy)
+                                                (wrong, s2), toy, members)
             if wrong != s2:
                 assert not verify_renewal_share(recipient, eps,
-                                                (s1, wrong), toy)
+                                                (s1, wrong), toy, members)
 
 
 # ---------------------------------------------------------------------------

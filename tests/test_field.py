@@ -11,7 +11,7 @@ import random
 import pytest
 
 from itstore.entropy import SeededEntropy
-from itstore.errors import ConfigurationError, KeySupplyError, ProtocolError
+from itstore.errors import ConfigurationError, KeySupplyError
 from itstore.field import (
     Polynomial,
     PrimeField,
@@ -138,16 +138,6 @@ def test_lagrange_single_point():
 def test_lagrange_zero_polynomial():
     pts = [(x, 0) for x in (1, 2, 3)]
     assert interpolate_at_zero(pts, PrimeField(31)) == 0
-
-
-def test_lagrange_rejects_duplicate_indices():
-    with pytest.raises(ProtocolError):
-        interpolate_at_zero([(1, 4), (1, 9)], PrimeField(31))
-
-
-def test_lagrange_rejects_zero_index():
-    with pytest.raises(ProtocolError):
-        interpolate_at_zero([(0, 4), (2, 9)], PrimeField(31))
 
 
 def test_lagrange_round_trip_small_and_mersenne():

@@ -658,7 +658,8 @@ def test_endpoint_rules():
     with pytest.raises(ProtocolError):
         net.secure_send("ghost", "carol", b"x")
     net.register_endpoint("aide", "A")
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ConfigurationError,
+                       match="a node needs no key stream with itself"):
         net.secure_send("alice", "aide", b"co-located")
 
 

@@ -39,6 +39,7 @@ from oracles import (
     bits_drawn,
     derive_subgroup_element,
     interpolate_at_zero,
+    members_of,
     random_int,
     renew,
 )
@@ -143,18 +144,21 @@ def test_commit_tables_match_pow_oracle(group):
 def test_verify_frozen_toy():
     # sender polynomials P1 = 5x, P2 = 7x; recipient 3 gets (4, 10);
     # check: 2^4 * 8^10 = 2 = 16^3 mod 23
-    assert verify_renewal_share(3, (16,), (4, 10), TOY_GROUP)
-    assert not verify_renewal_share(3, (16,), (5, 10), TOY_GROUP)
-    assert not verify_renewal_share(3, (16,), (4, 9), TOY_GROUP)
+    members = members_of((16,), TOY_GROUP)
+    assert verify_renewal_share(3, (16,), (4, 10), TOY_GROUP, members)
+    assert not verify_renewal_share(3, (16,), (5, 10), TOY_GROUP, members)
+    assert not verify_renewal_share(3, (16,), (4, 9), TOY_GROUP, members)
 
 
 def test_verify_all_zero_polynomials():
-    assert verify_renewal_share(1, (1, 1), (0, 0), TOY_GROUP)
+    assert verify_renewal_share(1, (1, 1), (0, 0), TOY_GROUP,
+                                members_of((1, 1), TOY_GROUP))
 
 
 def test_verify_rejects_elements_outside_subgroup():
     # 5 has order 22 mod 23, not 11
-    assert not verify_renewal_share(2, (5,), (0, 0), TOY_GROUP)
+    assert not verify_renewal_share(2, (5,), (0, 0), TOY_GROUP,
+                                    members_of((5,), TOY_GROUP))
 
 
 def accusations_without_shared_set(sent, group):
@@ -166,7 +170,8 @@ def accusations_without_shared_set(sent, group):
     return tuple(Accusation(c, d, "commitment check failed on track %d" % k)
                  for c in holders for k in range(tracks) for d in holders
                  if c != d and not verify_renewal_share(
-                     c, sent[d][0][k], sent[d][1][c][k], group))
+                     c, sent[d][0][k], sent[d][1][c][k], group,
+                     members_of(sent[d][0][k], group)))
 
 
 def test_non_member_commitments_are_accused_by_every_recipient():
@@ -208,11 +213,8 @@ def test_non_member_commitments_are_accused_by_every_recipient():
     assert not outcome.accepted and outcome.new_shares is None
     assert outcome.accusations == expected
 
-    members = set()
-    for d in holders:
-        (eps,), pairs = sent[d]
-        for c in holders:
-            verify_renewal_share(c, eps, pairs[c][0], group, members)
+    members = subgroup_members(
+        (eps for d in holders for eps in sent[d][0][0]), group, None)
     assert twisted not in members and out_of_range not in members
     assert all(0 < eps < group.p and pow(eps, group.q, group.p) == 1
                for eps in members)
@@ -241,6 +243,39 @@ def test_round_checks_each_commitment_once(monkeypatch):
     assert exponents.count(group.q) == 8
     assert len(exponents) == 8 + 8
     assert max(e for e in exponents if e != group.q) == 16
+
+
+def test_a_non_member_commitment_costs_no_power_past_the_membership_check(
+        monkeypatch):
+    # fails at the parent commit: its per-dealer fallback powered p - 1
+    # again at each of the three recipients that dealer 1 dealt to
+    group = MERSENNE127_GROUP
+    holders = (1, 2, 3, 4)
+    exponents = []
+
+    def twist(d, commitments, pairs):
+        if d == 1:  # p - 1 is in range, and its q-th power is -1
+            (eps,) = commitments
+            commitments[0] = (group.p - 1,) + eps[1:]
+        return forward(d, commitments, pairs)
+
+    def counting_mod_exp(base, exponent, modulus):
+        exponents.append(exponent)
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(itstore.renewal, "mod_exp", counting_mod_exp)
+    outcome = renew({j: (0,) for j in holders}, 2, group,
+                    one_source(SeededEntropy(b"twisted")), deliver=twist)
+    # subgroup_members powers the 8 distinct commitments once each;
+    # holder 1 checks the summed pair with 2 right-hand-side powers, and
+    # holders 2-4 check dealer by dealer: 2 powers for each of their two
+    # honest dealers, none for dealer 1
+    assert exponents.count(group.q) == 8
+    assert len(exponents) == 8 + 2 + 3 * 2 * 2
+    assert not outcome.accepted and outcome.new_shares is None
+    assert outcome.accusations == tuple(
+        Accusation(c, 1, "commitment check failed on track 0")
+        for c in (2, 3, 4))
 
 
 def in_subgroup(group, x):
@@ -378,12 +413,13 @@ def test_single_coordinate_perturbations_all_rejected():
     (eps,), pairs = gen_renewal((1, 2, 3, 4), 2, TOY_GROUP, rng, 1)
     for c in (1, 2, 3, 4):
         ((s1, s2),) = pairs[c]
-        assert verify_renewal_share(c, eps, (s1, s2), TOY_GROUP)
+        members = members_of(eps, TOY_GROUP)
+        assert verify_renewal_share(c, eps, (s1, s2), TOY_GROUP, members)
         for d in range(1, 11):
             assert not verify_renewal_share(
-                c, eps, ((s1 + d) % 11, s2), TOY_GROUP)
+                c, eps, ((s1 + d) % 11, s2), TOY_GROUP, members)
             assert not verify_renewal_share(
-                c, eps, (s1, (s2 + d) % 11), TOY_GROUP)
+                c, eps, (s1, (s2 + d) % 11), TOY_GROUP, members)
 
 
 def test_collinear_equivocation_is_the_known_binding_limit():
@@ -395,7 +431,8 @@ def test_collinear_equivocation_is_the_known_binding_limit():
     (eps,), pairs = gen_renewal((2,), 1, TOY_GROUP, rng, 1)
     ((s1, s2),) = pairs[2]
     forged = ((s1 + 3) % 11, (s2 - 1) % 11)
-    assert verify_renewal_share(2, eps, forged, TOY_GROUP)
+    assert verify_renewal_share(2, eps, forged, TOY_GROUP,
+                                members_of(eps, TOY_GROUP))
 
 
 # ------------------------------------------------------------ dealing shapes
@@ -408,9 +445,8 @@ def test_gen_renewal_shape_and_completeness():
             assert len(eps) == degree
             assert set(pairs) == {1, 2, 3, 4}
             for c in (1, 2, 3, 4):
-                assert verify_renewal_share(c, eps, pairs[c][0], group)
-    with pytest.raises(ConfigurationError):
-        gen_renewal((1, 2), 0, TOY_GROUP, rng, 1)
+                assert verify_renewal_share(c, eps, pairs[c][0], group,
+                                            members_of(eps, group))
 
 
 def test_gen_renewal_is_zero_rooted():
@@ -472,7 +508,8 @@ def test_rfc_group_verify_completeness():
     rng = SeededEntropy(b"rfc-run")
     (eps,), pairs = gen_renewal((1, 2, 3), 2, RFC5114_GROUP, rng, 1)
     for c in (1, 2, 3):
-        assert verify_renewal_share(c, eps, pairs[c][0], RFC5114_GROUP)
+        assert verify_renewal_share(c, eps, pairs[c][0], RFC5114_GROUP,
+                                    members_of(eps, RFC5114_GROUP))
 
 
 def dealings_one_track_at_a_time(recipients, degree, group, randomness,
@@ -594,31 +631,9 @@ def test_tampered_pair_triggers_accusation_and_no_update():
                for a in outcome.accusations)
 
 
-def test_missing_pair_triggers_accusation():
-    rng = SeededEntropy(b"missing-pair")
-    shares = make_shares(3, 2, F11, rng)
-
-    def drop(d, commitments, pairs):
-        if d == 1:
-            pairs[2][0] = None  # never received
-        return forward(d, commitments, pairs)
-
-    outcome = renew(shares, 2, TOY_GROUP, one_source(rng),
-                    deliver=drop)
-    assert not outcome.accepted
-    assert any(a.accuser == 2 and a.accused == 1
-               for a in outcome.accusations)
-
-
 def test_zero_participant_round_is_noop():
     outcome = renew({}, 2, TOY_GROUP, {})
     assert outcome.accepted and outcome.new_shares == {}
-
-
-def test_round_needs_randomness_or_packets():
-    with pytest.raises(ConfigurationError):
-        renew({1: (4,), 2: (5,), 3: (6,)}, 2, TOY_GROUP,
-              {1: SeededEntropy(b"one-source")})
 
 
 def test_round_with_per_holder_randomness():
@@ -691,7 +706,8 @@ def test_a_dealing_of_the_wrong_degree_is_accused_on_every_track():
                     one_source(SeededEntropy(b"round")),
                     deliver=degree_three)
     assert all(len(eps) == 3 for eps in dealt["commitments"])
-    assert all(verify_renewal_share(c, eps, pair, group)
+    assert all(verify_renewal_share(c, eps, pair, group,
+                                    members_of(eps, group))
                for c in (2, 3, 4) for eps, pair in zip(
                    dealt["commitments"], dealt["pairs"][c]))
     assert not outcome.accepted and outcome.new_shares is None
@@ -723,7 +739,7 @@ def recording_checks(monkeypatch):
         latest[0] = dealing and dealing[0]
         return dealing
 
-    def recording(recipient, commitments, pair, config, members=None):
+    def recording(recipient, commitments, pair, config, members):
         passed = verify_renewal_share(recipient, commitments, pair, config,
                                       members)
         checks.append((recipient, commitments is latest[0], passed))
@@ -799,7 +815,8 @@ def test_errors_that_cancel_at_one_recipient_pass_and_keep_the_secret():
     outcome = renew(shares, 2, group, one_source(rng),
                     deliver=cancel)
     for eps, pair in wrong.values():
-        assert not verify_renewal_share(4, eps, pair, group)
+        assert not verify_renewal_share(4, eps, pair, group,
+                                        members_of(eps, group))
     assert outcome.accepted and not outcome.accusations
     assert all(outcome.new_shares[j] != shares[j] for j in holders)
     for subset in itertools.combinations(holders, 3):
@@ -807,12 +824,12 @@ def test_errors_that_cancel_at_one_recipient_pass_and_keep_the_secret():
         assert interpolate_at_zero(pts, field) == secret
 
 
-@pytest.mark.parametrize("fault", ["honest", "shifted", "dropped"])
+@pytest.mark.parametrize("fault", ["honest", "shifted", "twisted"])
 def test_a_round_fed_byte_columns_renews_as_one_fed_tuples(fault):
     # The same sources fed twice: once as tuples (the shares, through
     # oracles.renew) and the lists a deliver hands on, once as Packed
-    # views of share, commitment and pair columns. A dropped pair cannot
-    # be a column entry, so the pairs holding it stay a list.
+    # views of share, commitment and pair columns. A twisted commitment,
+    # p - 1, is in range but outside the subgroup.
     group = MERSENNE127_GROUP
     field = group.share_field()
     q, width = field.q, field.byte_width
@@ -825,18 +842,18 @@ def test_a_round_fed_byte_columns_renews_as_one_fed_tuples(fault):
 
     def faulty(d, commitments, pairs):
         got = forward(d, commitments, pairs)
-        if d == 2:
+        if d == 2 and fault == "shifted":
             s1, s2 = got[3][1][1]
-            got[3][1][1] = {"honest": (s1, s2), "shifted": ((s1 + 1) % q, s2),
-                            "dropped": None}[fault]
+            got[3][1][1] = ((s1 + 1) % q, s2)
+        if d == 2 and fault == "twisted":
+            got[3][0][1] = (group.p - 1,) + got[3][0][1][1:]
         return got
 
     def as_columns(d, commitments, pairs):
         return {j: (Packed(column([eps for track in eps_list
                                    for eps in track], p_width), p_width, 2),
-                        sent if None in sent else Packed(
-                            column([v for pair in sent for v in pair],
-                                   width), width, 2))
+                        Packed(column([v for pair in sent for v in pair],
+                                      width), width, 2))
                 for j, (eps_list, sent) in faulty(d, commitments,
                                                   pairs).items()}
 
@@ -872,11 +889,3 @@ def test_a_group_of_composite_moduli_is_refused():
         with pytest.raises(ConfigurationError) as info:
             RenewalGroupConfig(p=p, q=q, g=2, h=3).validate()
         assert str(info.value) == message
-
-
-def test_a_share_for_recipient_zero_is_refused_unchecked():
-    members = set()
-    with pytest.raises(ConfigurationError) as info:
-        verify_renewal_share(0, [4], (1, 2), TOY_GROUP, members)
-    assert str(info.value) == "recipient index must be >= 1"
-    assert members == set()

@@ -1012,6 +1012,13 @@ def test_a_spent_round_is_absent_in_memory_and_after_reopening(tmp_path):
     assert spent_rounds(store, sid) == tuple(range(need + 1))
 
 
+def share_column(values, field) -> wire.Packed:
+    """values as the Packed share column that renewal_round returns and
+    apply_renewal takes."""
+    return wire.Packed(wire.column(values, field.byte_width),
+                       field.byte_width)
+
+
 def test_renewal_destroys_old_share_bytes(tmp_path):
     params = SpssParams()  # 127-bit field: 16-byte share encodings
     field = params.field
@@ -1028,7 +1035,7 @@ def test_renewal_destroys_old_share_bytes(tmp_path):
         assert directory_contains_window(holder_dir, raw, window=16)
 
     new_shares = [field.add(v, 1 + i) for i, v in enumerate(old_shares)]
-    store.apply_renewal(sid, new_shares, round_no=1)
+    store.apply_renewal(sid, share_column(new_shares, field), round_no=1)
     for raw in old_bytes:
         assert not directory_contains_window(holder_dir, raw, window=16)
     state = live_record_path(holder_dir, sid).read_bytes()
@@ -1046,7 +1053,8 @@ def test_renewal_rounds_live_in_the_record_and_read_no_file(tmp_path,
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
     sid = secrets[0][0]
     store = stores[1]
-    shares = store.get_secret(sid).data_shares
+    shares = share_column(store.get_secret(sid).data_shares,
+                          PARAMS_2311.field)
     for round_no in (0, 1, 3):
         store.apply_renewal(sid, shares, round_no)
     with pytest.raises(ProtocolError):
@@ -1113,7 +1121,8 @@ def test_a_renewal_history_past_max_ids_reopens_after_its_save(tmp_path):
                           renewals=[(0, wire.MAX_IDS)])
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
     store = HolderStore(holder_dir)
-    shares = store.get_secret(sid).data_shares
+    shares = share_column(store.get_secret(sid).data_shares,
+                          PARAMS_2311.field)
     store.apply_renewal(sid, shares, wire.MAX_IDS)
     reopened = HolderStore(holder_dir)
     assert reopened.get_secret(sid).renewal_runs == [(0, wire.MAX_IDS + 1)]
@@ -1132,7 +1141,8 @@ def test_renewal_runs_span_the_u32_round_ids(tmp_path):
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
     store = HolderStore(holder_dir)
     before = store.get_secret(sid)
-    shares = tuple(v + 1 for v in before.data_shares)
+    shares = share_column((v + 1 for v in before.data_shares),
+                          PARAMS_2311.field)
     with pytest.raises(ProtocolError):
         store.apply_renewal(sid, shares, 0xFFFFFFFF)
     assert store.get_secret(sid).renewal_runs == full
@@ -1195,7 +1205,8 @@ def test_holder_store_validation(tmp_path):
     with pytest.raises(ConfigurationError):
         HolderStore(tmp_path / "fresh")  # new store needs an index
     with pytest.raises(ProtocolError):
-        stores[1].apply_renewal(sid, (1, 2, 3, 4, 5, 6, 7), round_no=0)
+        stores[1].apply_renewal(
+            sid, share_column(range(1, 8), PARAMS_2311.field), round_no=0)
 
 
 def test_empty_holder_store_round_trip(tmp_path):
@@ -1282,7 +1293,8 @@ def crash_case(directory, op):
     field = CRASH_PARAMS.field
     renewed = [field.add(v, 1 + i)
                for i, v in enumerate(holders[1].data_shares)]
-    return store, lambda: store.apply_renewal(SID_A, renewed, round_no=1)
+    return store, lambda: store.apply_renewal(
+        SID_A, share_column(renewed, field), round_no=1)
 
 
 def disk_state(directory) -> dict:

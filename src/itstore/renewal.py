@@ -36,8 +36,9 @@ on the group object (mersenne127: 32 rows, about 8,000 mulmods and 0.5 MB).
 A commitment's subgroup membership (0 < eps < p and eps^q == 1) is
 settled once per round for every distinct value received, by
 subgroup_members before any pair is checked; verify_renewal_share fails
-any commitment outside the members it proved and powers none. Up to EXACT_CHECKS = 96 distinct values are
-checked one full-width power each. Above that, one random-subset batch
+any commitment outside the members it proved, and powers none. Up to
+EXACT_CHECKS = 96 distinct values are checked one full-width power
+each. Above that, one random-subset batch
 (Bellare-Garay-Rabin, EUROCRYPT 1998) checks them all: each value gets
 64 private random bits, bit r putting it in subset r, and each of the 64
 subset products must have a q-th power of 1. The members form a
@@ -78,11 +79,11 @@ round. A dealer that sent a track other than exactly t commitments is
 accused on it, since a consistent dealing of another degree passes its
 own check. A failed sum or a commitment outside the round's members
 sends the track back to one check per dealer, which accuses whoever
-fails. The summed check is the product of the dealers'
-own checks, so a failed sum has at least one dealer that fails, and no
-track is folded without passing its summed check. A product of members
-is a member, so summed_dealing adds the products to the members and they
-cost no full-width power.
+fails. The summed check is the product of the dealers' own checks, so
+a failed sum has at least one dealer that fails, and no track is folded
+without passing its summed check. A product of members is a member, so
+summed_dealing adds the products to the members and they cost no
+full-width power.
 Cost of an honest round with n holders, degree t and T tracks, so
 K = n*T*t commitments: K commitments to deal and n*T to check, all from
 the tables; n*T*t calls of mod_exp for the right-hand-side powers, whose

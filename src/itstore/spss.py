@@ -261,13 +261,12 @@ class HolderShareSet:
     16 bytes in the 127-bit field and no int is kept per share.
     data_shares reads the column as a tuple of ints, decoded on each read;
     a renewal replaces the column's bytes (HolderStore.apply_renewal).
-    tuples holds
-    the live masking tuples only, as LiveTuples columns (an empty one when
-    not given). Round ids are stocked contiguously from 0 and next_round
-    is one past the highest ever stocked, so a spent round is an id below
-    next_round that is absent. renewal_runs holds the renewal rounds
-    applied to the data shares as increasing, non-touching (first, end)
-    ranges.
+    tuples holds the live masking tuples only, as LiveTuples columns (an
+    empty one when not given). Round ids are stocked contiguously from 0
+    and next_round is one past the highest ever stocked, so a spent round
+    is an id below next_round that is absent. renewal_runs holds the
+    renewal rounds applied to the data shares as increasing, non-touching
+    (first, end) ranges.
     """
 
     holder: int
@@ -381,14 +380,17 @@ def precompute_round(holders: dict, randomness: dict, rounds: int,
     the end; the new tuples are appended to each holder's LiveTuples
     columns.
 
-    randomness maps each holder to its RandomSource, as the simulation
-    gives each holder its own entropy pool. Contributors go in index
-    order; each draws all its batches with one masking_columns call and
-    hands every other holder j, in index order, its values (one per
-    batch) through deliver(d, j, r_vals, z_vals) -> (r_vals, z_vals),
-    which returns them as j received them. A round whose next_round
-    would pass 2^32 - 1 is refused with ProtocolError before any draw or
-    send, and no share set changes before every contribution has arrived.
+    holders maps each of params.holder_indices to its share set, and
+    randomness each holder to its RandomSource, as TpvSession.precompute
+    builds them: the simulation gives each holder its own entropy pool.
+    Contributors go in index order; each draws all its batches with one
+    masking_columns call and hands every other holder j, in index order,
+    its values (one per batch) through deliver(d, j, r_vals, z_vals) ->
+    (r_vals, z_vals), which returns them as j received them, one value
+    per batch each (the precomp header and run length fix the count). A
+    round whose next_round would pass 2^32 - 1 is refused with
+    ProtocolError before any draw or send, and no share set changes
+    before every contribution has arrived.
     Returns the new round ids, which are the same at every holder by
     construction; round id start + b*w + k is row k of batch b.
     """

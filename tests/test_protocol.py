@@ -757,6 +757,29 @@ def test_a_session_renewal_holds_at_most_4_5_kib_per_track(tmp_path):
     assert (peak - base) / tracks <= 4.5 * 1024
 
 
+def test_a_session_does_not_grow_with_the_secrets_its_holders_store(
+        tmp_path):
+    # Ten more 16 KB secrets, each registered, stocked and released. With
+    # every secret's share column and live tuples kept by every holder, a
+    # session grew by about 8.1 B per payload byte; the end user's
+    # released copy and the transcript lines are what may stay
+    session = make_session(tmp_path)
+    size = 16 * 1024
+
+    def store_and_release(i):
+        session.net.advance(36_000_000)
+        payload = bytes((i + b) % 251 for b in range(size))
+        sid, _, _ = register_and_stock(session, data=payload)
+        assert session.reconstruct_and_release(sid, PASSWORD).data == payload
+
+    store_and_release(0)
+    with memtrace() as usage:
+        for i in range(1, 11):
+            store_and_release(i)
+    base, live, _peak = usage
+    assert (live - base) / (10 * size) <= 3
+
+
 def test_renewal_corruption_is_accused_and_changes_nothing(tmp_path,
                                                            monkeypatch):
     session = make_session(tmp_path)

@@ -1,6 +1,7 @@
 """Tests for durable stores: hash-chained logs, erasure, crash consistency."""
 
 import copy
+import gc
 import hashlib
 import os
 import re
@@ -35,6 +36,7 @@ from itstore.mac import (
 )
 from itstore.protocol import TpvSession
 from itstore.spss import (
+    HolderShareSet,
     SpssParams,
     holder_respond,
     spss_recover,
@@ -493,6 +495,26 @@ def test_holder_store_detects_tampering(tmp_path):
     state_path.write_bytes(bytes(corrupt))
     with pytest.raises(TamperDetectedError):
         HolderStore(tmp_path / "holder-1")
+
+
+def share_sets_alive() -> int:
+    gc.collect()
+    return sum(isinstance(o, HolderShareSet) for o in gc.get_objects())
+
+
+def test_reopening_a_store_of_12_secrets_keeps_at_most_one_share_set(
+        tmp_path):
+    # opening reads and checks every record but keeps none of the share
+    # sets it parses, and a use of a secret replaces the one in hand
+    _stores, secrets = registered_stores(tmp_path, n_secrets=12)
+    del _stores
+    before = share_sets_alive()
+    store = HolderStore(tmp_path / "holder-1")
+    assert len(store.secret_ids()) == 12
+    assert share_sets_alive() - before <= 1
+    for sid, *_ in secrets:
+        store.get_secret(sid)
+        assert share_sets_alive() - before <= 1
 
 
 def test_a_journal_left_by_an_earlier_version_is_never_read_or_written(

@@ -91,12 +91,9 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
     """base**exponent mod modulus via square-and-multiply.
 
     Delegates to the built-in three-argument pow, which is the same
-    left-to-right binary ladder in C. modulus must exceed 1.
+    left-to-right binary ladder in C. Every caller passes a validated
+    group's p and a non-negative exponent reduced mod its q.
     """
-    if modulus <= 1:
-        raise ConfigurationError("mod_exp: modulus must be > 1")
-    if exponent < 0:
-        raise ConfigurationError("mod_exp: negative exponent")
     return pow(base, exponent, modulus)
 
 

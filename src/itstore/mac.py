@@ -141,8 +141,8 @@ class MacTag:
             raise ConfigurationError("tag value out of k-bit range")
 
     def to_bytes(self) -> bytes:
-        if self.k % 8:
-            raise ConfigurationError("byte serialization needs k % 8 == 0")
+        """k / 8 big-endian bytes: every tag takes its k from a check_k'd
+        seed, or from whole bytes (from_bytes)."""
         return self.value.to_bytes(self.k // 8, "big")
 
     @classmethod
@@ -254,11 +254,10 @@ def polyeval_hash_bytes(r: int, message: bytes, q: int, powers=None) -> int:
 
     The full blocks are cut by one regular-expression split and their
     markers enter as polyeval_tag_blocks' marker term, 2^(8 * step) per
-    block; only a short last block is built with its own marker.
+    block; only a short last block is built with its own marker. q is
+    the polyeval_modulus of a check_k'd k, so a block holds a byte or more.
     """
     step = (q.bit_length() - 2) // 8
-    if step < 1:
-        raise ConfigurationError("modulus too small for byte blocks")
     blocks = list(map(int.from_bytes, re.findall(b".{%d}" % step, message, re.S),
                       repeat("big")))
     marker = 1 << (8 * step)

@@ -57,28 +57,25 @@ in the 127-bit field and nothing per spent one: round ids are stocked
 contiguously from 0, so an id below `next_round` that is not live is
 spent. Spent ids are never materialized, on disk or in memory: a share
 set holds its live tuples and `next_round`, nothing more, and its
-renewal rounds as runs, which are written back as runs too. The data
-shares and the live tuples stay in memory in the record's form: the
-share column (`spss.HolderShareSet.shares`), and `spss.LiveTuples`, the
-ids as u32s, then the r and z byte columns. So a save writes the
-columns as they are, the live ids from their runs without listing
-them, and opening takes the columns as they are stored, without
-decoding a value. A record whose values are not its field's byte width
-is refused at open, since its columns would not match the next stock's
-or a renewal's.
+renewal rounds as runs, which are written back as runs too. A holder
+holds one share set only, the secret in hand (the one it last read or
+wrote), in the record's form: the share column
+(`spss.HolderShareSet.shares`), and `spss.LiveTuples`, the ids as u32s,
+then the r and z byte columns. Of every other secret it keeps the live
+slot and its sequence number. So a save writes the columns as they are,
+and reading a record takes them as stored, decoding no value. A record
+whose values are not its field's byte width is refused, since its
+columns would not match the next stock's or a renewal's.
 
 A holder keeps no log. The spend journal of earlier versions is never
-opened: a spend that reached only that file was never released, because
-its response waited for the record save.
-
-Records of earlier layouts, which kept the renewal rounds in the
-journal, a round id and a spent flag per tuple, or every contributor's r
-and z, fail the digest and are refused as tampered; so is a record whose
-runs are malformed, name an id at or past `next_round`, or disagree with
-its column lengths. Opening builds nothing per spent id, so what it holds
-in memory is bounded by what the record files describe. A `next_round`
-near 2^32 opens; `spss.precompute_round` refuses to stock past the u32
-range before anything changes.
+opened: a spend that reached only it was never released, since its
+response waited for the record save. Records of earlier layouts, which
+kept the renewal rounds in the journal, a round id and a spent flag per
+tuple, or every contributor's r and z, fail the digest and are refused
+as tampered; so is a record whose runs are malformed, name an id at or
+past `next_round`, or disagree with its column lengths. Reading a record
+builds nothing per spent id, and a `next_round` near 2^32 opens;
+`spss.precompute_round` refuses to stock past the u32 range first.
 
 A save rewrites only the secret that changed, with 2 fsyncs: it
 overwrites the idle slot with the record and its next sequence number,
@@ -93,7 +90,11 @@ interrupted; a leftover `.new` is erased, and a secret whose slots are all
 empty was never saved. So a crash at any point leaves the store openable
 with each secret's old or new record, never a mix, and once a new record
 is durable no superseded share bytes survive the next open. A secret with
-non-empty slots but no valid record raises TamperDetectedError.
+non-empty slots but no valid record raises TamperDetectedError. Opening
+still reads and checks every record, and keeps none of the share sets;
+a secret's next use reads its live slot again, and a slot that fails its
+digest or layout, or holds another sequence number (an older valid
+record copied back), raises TamperDetectedError naming the path.
 
 A reconstruction spends rounds only at the t holders it contacts. The
 others retire those rounds at the secret's next precompute
@@ -101,8 +102,7 @@ others retire those rounds at the secret's next precompute
 every round it holds that another holder no longer does, and the save
 that follows, which also writes the new stock, erases their values. So
 after a precompute every holder's record holds the same live tuples. A
-crash before that save leaves the holder with its record from before the
-precompute, retired rounds included, as with any unsaved change.
+crash before that save leaves the record from before the precompute.
 """
 
 from __future__ import annotations
@@ -619,6 +619,14 @@ class HolderStore:
     values and notes the round together, so a crash leaves the old shares
     with the old rounds or the new shares with the new.
 
+    In memory a store holds the secret in hand only: the share set it last
+    read or wrote. Of every other secret it keeps the live slot and its
+    sequence number, and `get_secret` reads and checks that record at the
+    secret's next use. `save` writes the share set in hand and refuses any
+    other secret, so a change left unsaved when another secret is read is
+    dropped, as a crash drops it. Opening reads and checks every record
+    and keeps none.
+
     The constructor writes nothing to a new store: the directory and the
     holder index reach disk with the first save.
     """
@@ -626,7 +634,7 @@ class HolderStore:
     def __init__(self, directory, holder: "int | None" = None):
         self.directory = Path(directory)
         self._meta_path = self.directory / _HOLDER_META
-        self._secrets = {}
+        self._held = (None, None)  # (secret id, share set) in hand
         self._live = {}  # secret id -> (slot suffix of the live record, seq)
         # a new store's directory is missing or empty, and then nothing
         # more is read
@@ -673,13 +681,13 @@ class HolderStore:
         for sid, sizes in sorted(files.items()):
             if "new" in sizes:  # a first record that was never published
                 secure_erase(self._record_path(sid, "new"))
-            valid = []  # (seq, suffix, share set)
+            valid = []  # (seq, suffix); the parsed share sets are dropped
             for suffix in _SLOTS:
                 if sizes.get(suffix):
                     path = self._record_path(sid, suffix)
                     record = self._parse_record(sid, DISK.read(path), path)
                     if record is not None:
-                        valid.append((record[0], suffix, record[1]))
+                        valid.append((record[0], suffix))
             if not valid:
                 filled = [str(self._record_path(sid, suffix))
                           for suffix in _SLOTS if sizes.get(suffix)]
@@ -696,11 +704,10 @@ class HolderStore:
                 raise TamperDetectedError(
                     "%s: two records for secret %s share sequence number %d"
                     % (self.directory, sid.hex(), valid[0][0]))
-            seq, suffix, share_set = valid[-1]
+            seq, suffix = valid[-1]
             for other in _SLOTS:
                 if other != suffix and sizes.get(other):
                     DISK.erase(self._record_path(sid, other))
-            self._secrets[sid] = share_set
             self._live[sid] = (suffix, seq)
 
     def _parse_record(self, secret_id: bytes, raw: bytes, path):
@@ -723,24 +730,38 @@ class HolderStore:
         if not 1 <= len(secret_id) <= _MAX_SID_BYTES:
             raise ConfigurationError(
                 "secret id must be 1..%d bytes" % _MAX_SID_BYTES)
-        if secret_id in self._secrets:
+        if secret_id in self._live:
             raise ProtocolError("secret %s already stored" % secret_id.hex())
-        self._secrets[secret_id] = share_set
+        self._held = (secret_id, share_set)
         self.save(secret_id)
 
     def get_secret(self, secret_id: bytes) -> HolderShareSet:
-        try:
-            return self._secrets[secret_id]
-        except KeyError:
+        """The secret's share set: the one in hand, or else its live record,
+        read and checked, which then replaces the one in hand."""
+        if self._held[0] == secret_id:
+            return self._held[1]
+        if secret_id not in self._live:
             raise ProtocolError("no shares for secret %s" % secret_id.hex())
+        suffix, seq = self._live[secret_id]
+        path = self._record_path(secret_id, suffix)
+        record = self._parse_record(secret_id, DISK.read(path) or b"", path)
+        if record is None or record[0] != seq:
+            # a changed record, or an older valid one copied back
+            raise TamperDetectedError(
+                "%s no longer holds record %d of secret %s"
+                % (path, seq, secret_id.hex()))
+        self._held = (secret_id, record[1])
+        return record[1]
 
     def secret_ids(self) -> tuple:
-        return tuple(sorted(self._secrets))
+        return tuple(sorted(self._live))
 
     def save(self, secret_id: bytes) -> None:
-        """Persist one secret's share set. Other secrets' records are not
-        touched."""
-        self.get_secret(secret_id)
+        """Persist the share set in hand, which must be this secret's.
+        Other secrets' records are not touched, and no record is read."""
+        if self._held[0] != secret_id:
+            raise ProtocolError("secret %s is not the one in hand"
+                                % secret_id.hex())
         if not self._meta_durable:
             DISK.publish(self._meta_path,
                          _HOLDER_MAGIC + struct.pack(">H", self.holder))
@@ -753,7 +774,7 @@ class HolderStore:
         so later saves never add a directory entry."""
         live = self._live.get(secret_id)
         seq = live[1] + 1 if live else 1
-        body = _SEQ.pack(seq) + _encode_share_set(self._secrets[secret_id])
+        body = _SEQ.pack(seq) + _encode_share_set(self._held[1])
         record = body + _record_digest(self.holder, secret_id, body)
         if live is None:
             DISK.publish(self._record_path(secret_id, "a"), record,
@@ -790,13 +811,10 @@ class HolderStore:
                       round_no: int) -> None:
         """Swap in renewed shares, the wire.Packed share column that
         renewal_round returns, and note the round, in one record rewrite
-        that also destroys the old share values. Rounds must increase,
+        that also destroys the old share values; renewal_round's strict
+        zip over the share column fixes its length. Rounds must increase,
         and a run of them must keep a u32 count."""
         ss = self.get_secret(secret_id)
-        if len(new_data_shares) != ss.block_count:
-            raise ProtocolError(
-                "renewal carries %d shares, secret has %d"
-                % (len(new_data_shares), ss.block_count))
         runs = ss.renewal_runs
         end = runs[-1][1] if runs else 0  # one past the last round
         first = runs[-1][0] if runs and end == round_no else round_no

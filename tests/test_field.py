@@ -177,13 +177,6 @@ def test_mod_exp_subgroup_examples():
     assert mod_exp(2, 26, 23) == 16
 
 
-def test_mod_exp_rejects_bad_modulus():
-    with pytest.raises(ConfigurationError):
-        mod_exp(2, 3, 1)
-    with pytest.raises(ConfigurationError):
-        mod_exp(2, -1, 23)
-
-
 # ---------------------------------------------------------------- randomness
 
 def test_random_polynomial_forced_constant():

@@ -387,8 +387,6 @@ def test_byte_hash_blocks_are_marked_slices():
         assert polyeval_hash_bytes(r, message, q) == \
             polyeval_oracle(r, blocks, q)
     assert polyeval_hash_bytes(5, b"", q) == 0
-    with pytest.raises(ConfigurationError):
-        polyeval_hash_bytes(1, b"x", polyeval_modulus(8))
 
 
 def test_byte_hash_difference_bound_exhaustive():
@@ -513,13 +511,11 @@ def test_seed_serialization_roundtrip():
 
 
 def test_mac_tag_bits_and_bytes():
-    tag = MacTag(0b1011, 4)
+    assert MacTag(0b1011, 4).value == 0b1011
     with pytest.raises(ConfigurationError):
         MacTag(16, 4)
     t16 = MacTag(0xbeef, 16)
     assert MacTag.from_bytes(t16.to_bytes()) == t16
-    with pytest.raises(ConfigurationError):
-        tag.to_bytes()
 
 
 # ------------------------------------------------------------ Wegman-Carter

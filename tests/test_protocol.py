@@ -7,11 +7,13 @@ persistent state lives in its own on-disk store.
 
 import dataclasses
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
 import itstore.protocol
 import itstore.renewal
+import itstore.stores
 
 from itstore.errors import (
     ChannelIntegrityError,
@@ -1304,6 +1306,29 @@ def run_every_phase(session):
     session.refute(sid)
     session.renew(sid)
     session.reconstruct_and_release(sid, PASSWORD, offline=(1, 2))
+    return sid
+
+
+def test_a_secrets_phases_read_no_holder_record(tmp_path, monkeypatch):
+    # every phase works on one secret, the one each holder has in hand,
+    # so a holder reads its record only to open or to change secrets
+    session = make_session(tmp_path)
+    read = itstore.stores.DISK.read
+    paths = []
+
+    def spy(path):
+        paths.append(Path(path))
+        return read(path)
+
+    monkeypatch.setattr(itstore.stores.DISK, "read", spy)
+    sid = run_every_phase(session)
+    holder_dirs = {store.directory
+                   for store in session.holder_stores.values()}
+    assert paths and not [p for p in paths if p.parent in holder_dirs]
+    session.register(DATA, PASSWORD)  # a second secret: the first leaves
+    assert session.holder_stores[1].get_secret(sid).block_count
+    assert [p.parent for p in paths if p.parent in holder_dirs] == [
+        session.holder_stores[1].directory]
 
 
 SID_KINDS = sorted(kind for kind, (_code, fields) in SCHEMA.items()

@@ -506,8 +506,7 @@ def test_reopening_a_store_of_12_secrets_keeps_at_most_one_share_set(
         tmp_path):
     # opening reads and checks every record but keeps none of the share
     # sets it parses, and a use of a secret replaces the one in hand
-    _stores, secrets = registered_stores(tmp_path, n_secrets=12)
-    del _stores
+    secrets = registered_stores(tmp_path, n_secrets=12)[1]
     before = share_sets_alive()
     store = HolderStore(tmp_path / "holder-1")
     assert len(store.secret_ids()) == 12
@@ -536,12 +535,11 @@ def test_a_record_changed_after_its_secret_left_memory_fails_at_its_use(
     spend_one(store, sid)  # the live record moves to the other slot
     store.get_secret(secrets[2][0])  # and the secret leaves memory
     path = live_record_path(holder_dir, sid)
-    raw = path.read_bytes()
     if fault == "bit-flip":
-        raw = raw[:len(raw) // 2] + bytes([raw[len(raw) // 2] ^ 0x08]) \
-            + raw[len(raw) // 2 + 1:]
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0x08
     elif fault == "layout":  # a body one byte short, digested anew
-        body = raw[:-33]
+        body = path.read_bytes()[:-33]
         raw = body + stores_mod._record_digest(1, sid, body)
     else:  # the valid record the spend replaced, copied back
         raw = older

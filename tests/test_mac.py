@@ -134,6 +134,29 @@ def test_chunked_byte_hash_equals_horner_oracle_at_every_length(tag_bits):
         assert polyeval_hash_bytes(r, message[:n], q, powers) == want, n
 
 
+@pytest.mark.parametrize("tag_bits", [16, 256])
+def test_the_byte_hash_read_a_chunk_at_a_time_equals_the_whole_block_list(
+        tag_bits):
+    # polyeval_hash_bytes cuts and folds POLY_CHUNK blocks at a time, last
+    # chunk first; its value is polyeval_tag_blocks over every marked
+    # block at once, at the edges of a block, of a chunk and past several
+    # chunks with a short last block
+    q = polyeval_modulus(tag_bits)
+    step = (q.bit_length() - 2) // 8
+    chunk = POLY_CHUNK * step
+    rng = random.Random(0xB10C + tag_bits)
+    lengths = (0, 1, step - 1, step, chunk - 1, chunk, chunk + 1,
+               5 * chunk + 3 * step + step // 2 + 1)
+    for n in lengths:
+        message = rng.randbytes(n)
+        blocks = marked_blocks(message, step)
+        for r in (0, 1, q - 1, rng.randrange(q)):
+            want = polyeval_tag_blocks(r, blocks, q)
+            assert polyeval_hash_bytes(r, message, q) == want, n
+            assert polyeval_hash_bytes(r, message, q,
+                                       polyeval_powers(r, q)) == want, n
+
+
 def test_chunked_evaluator_equals_horner_oracle_around_chunk_edges():
     q = polyeval_modulus(256)
     rng = random.Random(0xC4)

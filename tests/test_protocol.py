@@ -759,6 +759,59 @@ def test_a_session_renewal_holds_at_most_4_5_kib_per_track(tmp_path):
     assert (peak - base) / tracks <= 4.5 * 1024
 
 
+def warm_100_kb_session(tmp_path):
+    """A session that has registered, stocked and released one 100 KB
+    secret, so every channel has its hash key and every cache is built,
+    and a second 100 KB payload, with the key to store and release it."""
+    session = make_session(tmp_path, advance_ms=360_000_000)
+    first, second = (bytes((i + b) % 251 for b in range(100 * 1024))
+                     for i in (0, 1))
+    sid, _, _ = register_and_stock(session, data=first)
+    assert session.reconstruct_and_release(sid, PASSWORD).data == first
+    session.net.advance(360_000_000)
+    return session, second
+
+
+def test_a_100_kb_registration_peaks_at_most_22_bytes_per_payload_byte(
+        tmp_path):
+    # Drawing every coefficient and evaluating every block at once peaked
+    # at about 29 B per payload byte above the phase's start
+    session, payload = warm_100_kb_session(tmp_path)
+    with memtrace() as usage:
+        sid, _ = session.register(payload, PASSWORD)
+    base, _live, peak = usage
+    assert (peak - base) / len(payload) <= 22
+    assert session.holder_stores[1].get_secret(sid).block_count == 6503
+
+
+def test_a_100_kb_precompute_peaks_at_most_22_bytes_per_payload_byte(
+        tmp_path):
+    # Every contributor's batches drawn at once and every holder's
+    # unreduced int row sums of the whole stock peaked at about 53 B per
+    # payload byte above the phase's start
+    session, payload = warm_100_kb_session(tmp_path)
+    sid, _ = session.register(payload, PASSWORD)
+    blocks = session.holder_stores[1].get_secret(sid).block_count
+    with memtrace() as usage:
+        session.precompute(sid, rounds=blocks)
+    base, _live, peak = usage
+    assert (peak - base) / len(payload) <= 22
+    assert len(session.holder_stores[1].get_secret(sid).tuples) == blocks
+
+
+def test_a_100_kb_reconstruction_peaks_at_most_16_bytes_per_payload_byte(
+        tmp_path):
+    # Every response and the recovery decoding whole columns into ints
+    # peaked at about 27 B per payload byte above the phase's start
+    session, payload = warm_100_kb_session(tmp_path)
+    sid, _, _ = register_and_stock(session, data=payload)
+    with memtrace() as usage:
+        result = session.reconstruct_and_release(sid, PASSWORD)
+    base, _live, peak = usage
+    assert result.data == payload
+    assert (peak - base) / len(payload) <= 16
+
+
 def test_a_session_does_not_grow_with_the_secrets_its_holders_store(
         tmp_path):
     # Ten more 16 KB secrets, each registered, stocked and released. With

@@ -30,7 +30,8 @@ works as Poly1305 implementations do (Bernstein, FSE 2005): a chunk of
 POLY_CHUNK blocks is one dot product with the precomputed powers
 [r, ..., r^POLY_CHUNK] mod q, and the chunks are joined by Horner's rule in
 r^POLY_CHUNK with one reduction per chunk. The value is the same sum of
-D_i * r^i the block-by-block Horner rule gives, so tags are unchanged.
+D_i * r^i the block-by-block Horner rule gives, so tags are unchanged. The
+byte hash hands it blocks that are cut from the message a chunk at a time.
 """
 
 from __future__ import annotations
@@ -221,7 +222,9 @@ def polyeval_tag_blocks(r: int, blocks, q: int, powers=None,
     powers is polyeval_powers(r, q); it is built here when not passed. Each
     chunk of POLY_CHUNK blocks is one dot product with powers, plus marker
     times the sum of the powers it used; chunks are joined by Horner's rule
-    in r^POLY_CHUNK, last chunk first, with one reduction each.
+    in r^POLY_CHUNK, last chunk first, with one reduction each. blocks
+    need only a length and slices, so they may be decoded a chunk at a
+    time (_MarkedBlocks).
     """
     n = len(blocks)
     if not n:
@@ -229,7 +232,7 @@ def polyeval_tag_blocks(r: int, blocks, q: int, powers=None,
     if powers is None:
         powers = polyeval_powers(r, q, min(n, POLY_CHUNK))
     start = (n - 1) // POLY_CHUNK * POLY_CHUNK  # first block of the last chunk
-    last = blocks[start:]
+    last = blocks[start:n]
     acc = (sum(map(mul, last, powers))
            + marker * sum(powers[:len(last)])) % q
     if start:
@@ -239,6 +242,38 @@ def polyeval_tag_blocks(r: int, blocks, q: int, powers=None,
             acc = (acc * step + sum(map(mul, blocks[i:i + POLY_CHUNK], powers))
                    + chunk_marker) % q
     return acc
+
+
+class _MarkedBlocks:
+    """The blocks polyeval_hash_bytes cuts from a message, less the marker
+    polyeval_tag_blocks adds to each, decoded one slice at a time: a
+    slice of blocks is one regular-expression split of its bytes, and
+    only a short last block is built with its own marker."""
+
+    __slots__ = ("message", "step", "marker")
+
+    def __init__(self, message: bytes, step: int):
+        self.message = message
+        self.step = step
+        self.marker = 1 << (8 * step)
+
+    def __len__(self) -> int:
+        return -(-len(self.message) // self.step)
+
+    def __getitem__(self, cut: slice) -> list:
+        step = self.step
+        part = self.message[cut.start * step:cut.stop * step]
+        blocks = list(map(int.from_bytes,
+                          re.findall(b".{%d}" % step, part, re.S),
+                          repeat("big")))
+        tail = part[len(blocks) * step:]
+        if tail:
+            # the short block carries its own, narrower marker, so it
+            # enters less the full-width one the evaluator adds to every
+            # block
+            blocks.append(int.from_bytes(b"\x01" + tail, "big")
+                          - self.marker)
+        return blocks
 
 
 def polyeval_hash_bytes(r: int, message: bytes, q: int, powers=None) -> int:
@@ -252,21 +287,15 @@ def polyeval_hash_bytes(r: int, message: bytes, q: int, powers=None) -> int:
     changes the hash. For distinct messages of at most L blocks,
     h_r(m) - h_r(m') takes any one value for at most L of the q keys r.
 
-    The full blocks are cut by one regular-expression split and their
-    markers enter as polyeval_tag_blocks' marker term, 2^(8 * step) per
-    block; only a short last block is built with its own marker. q is
-    the polyeval_modulus of a check_k'd k, so a block holds a byte or more.
+    The full blocks are cut by a regular-expression split, one chunk of
+    POLY_CHUNK blocks at a time as polyeval_tag_blocks reads them
+    (_MarkedBlocks), so no list of every block is built. Their markers
+    enter as polyeval_tag_blocks' marker term, 2^(8 * step) per block;
+    only a short last block is built with its own marker. q is the
+    polyeval_modulus of a check_k'd k, so a block holds a byte or more.
     """
-    step = (q.bit_length() - 2) // 8
-    blocks = list(map(int.from_bytes, re.findall(b".{%d}" % step, message, re.S),
-                      repeat("big")))
-    marker = 1 << (8 * step)
-    tail = message[len(blocks) * step:]
-    if tail:
-        # the short block carries its own, narrower marker, so it enters
-        # less the full-width one the evaluator adds to every block
-        blocks.append(int.from_bytes(b"\x01" + tail, "big") - marker)
-    return polyeval_tag_blocks(r, blocks, q, powers, marker)
+    blocks = _MarkedBlocks(message, (q.bit_length() - 2) // 8)
+    return polyeval_tag_blocks(r, blocks, q, powers, blocks.marker)
 
 
 def toeplitz_tag_bits(seed: int, message: int, message_bits: int, k: int) -> int:

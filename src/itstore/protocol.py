@@ -641,7 +641,8 @@ class TpvSession:
 
         spss.precompute_round runs the round over params.batch_count(rounds)
         extraction batches; each holder sends every other holder its
-        contributions, one pair per batch, in a single precomp message.
+        contributions, one pair per batch, in a single precomp message
+        whose run is the byte column precompute_round built, as it is.
         The message also carries the sender's live round ids (all below
         the first new round) in its live_rounds field. The receiver checks
         the header (first round, batch count, contributor) and that
@@ -665,20 +666,16 @@ class TpvSession:
         live = {j: sets[j].tuples.runs() for j in sets}
         reported = {j: [] for j in sets}  # live runs each holder was sent
 
-        def deliver(d, j, r_vals, z_vals):
+        def deliver(d, j, body):
             header = (sid, start, batches, d)
-            flat = [0] * (2 * batches)
-            flat[0::2], flat[1::2] = r_vals, z_vals
             held, values = self._send(self._holder_ep(d), self._holder_ep(j),
-                                      "precomp", header, live[d],
-                                      column(flat, width))
+                                      "precomp", header, live[d], body.raw)
             if held and held[-1][1] > start:
                 raise ProtocolError(
                     "holder %d reports live round %d at or past first "
                     "round %d" % (d, held[-1][1] - 1, start))
             reported[j].append(held)
-            values = tuple(Packed(values, width))
-            return values[0::2], values[1::2]
+            return Packed(values, width, 2)
 
         sources = {j: self.net.entropy_source(self._holder_ep(j))
                    for j in sets}
@@ -782,11 +779,11 @@ class TpvSession:
             response = self.holder_stores[j].respond(
                 sid, SpssRequest(tuple(members), pw_share,
                                  expand_runs(runs)))
-            values = response.values
+            values = response.values.raw
             if j in tampers:
-                values = tuple(tampers[j](values))
+                values = column(tampers[j](tuple(response.values)), width)
             (got,) = self._send(holder, self.CALCULATOR, "recon-response",
-                                (sid,), column(values, width))
+                                (sid,), values)
             responses.append(MaskedResponse(j, Packed(got, width)))
 
         try:

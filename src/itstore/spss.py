@@ -25,8 +25,8 @@ for an unknown fresh R_i, and the authenticator equation
 
 accepts with probability 1/q at most (one linear constraint on the fresh
 offsets). Each tuple is consumed by exactly one response: cut_rounds is
-the one way a tuple leaves a holder, for a response (spend_rounds, which
-also decodes the spent values) and for a retire.
+the one way a tuple leaves a holder, for a response (holder_respond reads
+the spent columns it returns) and for a retire.
 
 Masking tuples come from precomputation batches with randomness
 extraction (Damgard-Nielsen, CRYPTO 2007). In a batch every holder d
@@ -48,6 +48,14 @@ other batch and of everything the adversary holds; the same holds for
 Z's coefficients. Every extracted R is a linear combination of degree
 t-2 sharings, so it keeps degree t-2, and every extracted Z is a
 combination of sharings of zero, so it still shares zero.
+
+Every sharing phase works slice by slice, SLICE blocks or batches at a
+time: registration, each precompute contributor, each response and the
+recovery build the ints of one slice, append its bytes to the byte
+column the phase moves, and drop them before the next. Messages stay
+whole, and the draws stay in the order of one draw for the whole
+secret: PrimeField.random_ints returns what sequential draws return, so
+drawing slice by slice takes the same values and the same bits.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
-from operator import add, mul
+from operator import mul
 
 from .errors import (
     ConfigurationError,
@@ -69,7 +77,7 @@ from .errors import (
 from .field import PrimeField, zero_coefficients
 from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
 from .mac import split_blocks
-from .wire import Cursor, column, intersect_runs
+from .wire import Cursor, Packed, column, intersect_runs
 
 __all__ = [
     "SpssParams",
@@ -90,13 +98,17 @@ __all__ = [
     "check_offline",
     "spss_request",
     "cut_rounds",
-    "spend_rounds",
     "holder_respond",
     "spss_recover",
     "reassemble_blocks",
 ]
 
 DEFAULT_FIELD_EXPONENT = 127
+
+# Blocks, or precompute batches, per slice: each sharing phase builds the
+# ints of one slice at a time. A multiple of 8, so a slice of blocks is
+# whole groups of block_bits bytes (split_blocks, reassemble_blocks).
+SLICE = 1024
 
 
 @dataclass(frozen=True)
@@ -163,15 +175,25 @@ class SpssParams:
 class RegisteredSecret:
     """Owner-side registration record.
 
-    blocks[i-1] holds D_i; blocks and mac_block are secret material and are
-    returned to the registering caller only, never to a holder. byte_length
-    is cleartext metadata needed to strip block padding on recovery.
+    data is the registered payload and mac_block its authenticator block;
+    both are secret material and are returned to the registering caller
+    only, never to a holder. blocks reads D_1..D_l from data on each read
+    (blocks[i-1] holds D_i), so no int per block is kept. byte_length is
+    cleartext metadata needed to strip block padding on recovery.
     """
 
-    blocks: tuple
+    data: bytes
     mac_block: int
     t1: int
-    byte_length: int
+    block_bits: int
+
+    @property
+    def blocks(self) -> tuple:
+        return tuple(reversed(split_blocks(self.data, self.block_bits)[0]))
+
+    @property
+    def byte_length(self) -> int:
+        return len(self.data)
 
 
 @dataclass(slots=True)
@@ -303,7 +325,7 @@ class SpssRequest:
 @dataclass(frozen=True)
 class MaskedResponse:
     holder: int
-    values: tuple  # F_{j,1}..F_{j,l+1}, or a wire.Packed view of them
+    values: Packed  # F_{j,1}..F_{j,l+1} as a byte column
 
 
 def password_to_element(raw: bytes, field: PrimeField) -> int:
@@ -323,12 +345,22 @@ def data_block_count(byte_length: int, params: SpssParams) -> int:
     return -(-byte_length * 8 // params.block_bits)
 
 
-def mac_block_value(blocks_by_index, password: int, field: PrimeField) -> int:
-    """D_{l+1} = sum_{i=1..l} D_i P^i, blocks given in index order."""
-    acc = 0
+def mac_block_value(blocks_by_index, password: int, field: PrimeField,
+                    acc: int = 0) -> int:
+    """D_{l+1} = sum_{i=1..l} D_i P^i, blocks given in index order.
+
+    acc continues Horner's rule from blocks above these: passing the value
+    of D_l..D_{m+1} as acc and then D_1..D_m gives the value of all l, so
+    a slice loop can feed the blocks a slice at a time, highest first.
+    """
     for b in reversed(blocks_by_index):  # D_l first: ((D_l P + D_{l-1}) P + ...) P
         acc = field.mul(field.add(acc, b), password)
     return acc
+
+
+def _ints(col: bytes, first: int, end: int, width: int) -> tuple:
+    """Values first..end-1 of a column of width-byte values."""
+    return Cursor(col[first * width:end * width]).uints(end - first, width)
 
 
 def spss_register(data: bytes, password: int, params: SpssParams,
@@ -341,30 +373,45 @@ def spss_register(data: bytes, password: int, params: SpssParams,
     reconstruction. data must be non-empty and password a nonzero element
     of the field, as TpvSession.register and password_to_element make
     them.
+
+    The blocks are read from data SLICE at a time, twice: highest index
+    first for the authenticator, then lowest first for the sharing. Each
+    slice draws its blocks' coefficients with one random_ints call, in
+    the order one polynomial per block takes them, and appends its
+    shares to every holder's column; the authenticator ends the last
+    slice, and the password polynomial is drawn after every block.
     """
     field = params.field
-    wire_blocks, _ = split_blocks(data, params.block_bits)
-    blocks = list(reversed(wire_blocks))  # blocks[i-1] = D_i
-    mac_block = mac_block_value(blocks, password, field)
-
-    # one draw for every coefficient, in the order one polynomial per
-    # block and then the password polynomial would take them
-    values = [*blocks, mac_block]
+    bits = params.block_bits
     degree = params.data_degree
-    n_data = len(values) * degree
-    drawn = field.random_ints(randomness, n_data + params.password_degree)
-    columns = [values] + [drawn[i:n_data:degree] for i in range(degree)]
-    pw_coeffs = [password, *drawn[n_data:]]
+    width = field.byte_width
+    # a slice's SLICE blocks are SLICE / 8 groups of `bits` bytes, so wire
+    # block p, the first of its slice, starts at byte p / 8 * bits
+    starts = range(0, data_block_count(len(data), params), SLICE)
 
-    holders = {
-        j: HolderShareSet(j, params,
-                          column(field.eval_columns(columns, j),
-                                 field.byte_width),
-                          field.poly_eval_int(pw_coeffs, j))
-        for j in params.holder_indices
-    }
-    secret = RegisteredSecret(tuple(blocks), mac_block, t1, len(data))
-    return holders, secret
+    def blocks_at(p: int) -> list:
+        """The blocks of the slice at wire block p, in index order."""
+        return split_blocks(data[p // 8 * bits:(p + SLICE) // 8 * bits],
+                            bits)[0][::-1]
+
+    mac_block = 0
+    for p in starts:  # wire order is D_l first
+        mac_block = mac_block_value(blocks_at(p), password, field, mac_block)
+
+    parts = {j: [] for j in params.holder_indices}
+    for p in reversed(starts):  # D_1 first
+        values = blocks_at(p) + ([mac_block] if p == 0 else [])
+        drawn = field.random_ints(randomness, len(values) * degree)
+        columns = [values] + [drawn[i::degree] for i in range(degree)]
+        for j, out in parts.items():
+            out.append(column(field.eval_columns(columns, j), width))
+    pw_coeffs = [password,
+                 *field.random_ints(randomness, params.password_degree)]
+
+    holders = {j: HolderShareSet(j, params, b"".join(parts.pop(j)),
+                                 field.poly_eval_int(pw_coeffs, j))
+               for j in params.holder_indices}
+    return holders, RegisteredSecret(data, mac_block, t1, bits)
 
 
 def precompute_round(holders: dict, randomness: dict, rounds: int,
@@ -374,23 +421,25 @@ def precompute_round(holders: dict, randomness: dict, rounds: int,
     The tuples come from params.batch_count(rounds) batches: per batch
     every holder contributes a random sharing and a zero sharing, and
     every holder extracts w = n - t + 1 tuples from the n contributions it
-    receives (see the module docstring), keeping the first `rounds`. It
-    folds each contribution into its w unreduced row sums per kind as the
-    contribution arrives, keeps none of them, and reduces mod q once at
-    the end; the new tuples are appended to each holder's LiveTuples
-    columns.
+    receives (see the module docstring), keeping the first `rounds`.
 
     holders maps each of params.holder_indices to its share set, and
     randomness each holder to its RandomSource, as TpvSession.precompute
     builds them: the simulation gives each holder its own entropy pool.
-    Contributors go in index order; each draws all its batches with one
-    masking_columns call and hands every other holder j, in index order,
-    its values (one per batch) through deliver(d, j, r_vals, z_vals) ->
-    (r_vals, z_vals), which returns them as j received them, one value
-    per batch each (the precomp header and run length fix the count). A
-    round whose next_round would pass 2^32 - 1 is refused with
-    ProtocolError before any draw or send, and no share set changes
-    before every contribution has arrived.
+    Contributors go in index order. Each draws and evaluates its batches
+    SLICE at a time (one masking_columns call per slice, so its draws are
+    those of one call for every batch) and appends each holder's (r, z)
+    values, interleaved batch by batch, to that holder's column. It then
+    hands every other holder j, in index order, its column through
+    deliver(d, j, body) -> body, body a wire.Packed view of the column in
+    (r, z) items, which returns the column as j received it (the precomp
+    header and run length fix its length). Each holder folds every
+    column into its w packed row sums as the column arrives (_fold) and
+    keeps no column; once every contribution has arrived, the row sums
+    are reduced mod q a slice at a time and appended to each holder's
+    LiveTuples columns. A round whose next_round would pass 2^32 - 1 is
+    refused with ProtocolError before any draw or send, and no share set
+    changes before every contribution has arrived.
     Returns the new round ids, which are the same at every holder by
     construction; round id start + b*w + k is row k of batch b.
     """
@@ -398,6 +447,7 @@ def precompute_round(holders: dict, randomness: dict, rounds: int,
         raise ConfigurationError("need at least one precompute round")
     params = holders[1].params
     field = params.field
+    width = field.byte_width
     indices = list(params.holder_indices)
     starts = {s.next_round for s in holders.values()}
     if len(starts) != 1:
@@ -408,27 +458,38 @@ def precompute_round(holders: dict, randomness: dict, rounds: int,
             "%d rounds from round %d pass the u32 round ids"
             % (rounds, start))
     batches = params.batch_count(rounds)
+    w = params.extraction_width
+    slot = _slot_bytes(params)
 
-    # rows[j] holds holder j's w unreduced row sums of each kind, and
-    # every contribution is folded in as it arrives
-    rows = {j: (_zero_rows(params, batches), _zero_rows(params, batches))
-            for j in indices}
+    rows = {j: [0] * w for j in indices}
     for d in indices:
-        r_cols, z_cols = masking_columns(params, randomness[d], batches)
+        parts = {j: [] for j in indices}
+        for first in range(0, batches, SLICE):
+            count = min(SLICE, batches - first)
+            r_cols, z_cols = masking_columns(params, randomness[d], count)
+            for j, out in parts.items():
+                flat = [0] * (2 * count)
+                flat[0::2] = field.eval_columns(r_cols, j)
+                flat[1::2] = field.eval_columns(z_cols, j)
+                out.append(column(flat, width))
         for j in indices:
-            vals = (field.eval_columns(r_cols, j),
-                    field.eval_columns(z_cols, j))
+            body = b"".join(parts.pop(j))
             if j != d:
-                vals = deliver(d, j, *vals)
-            for kind_rows, values in zip(rows[j], vals):
-                _fold(kind_rows, d, values, field.q)
+                body = deliver(d, j, Packed(body, width, 2)).raw
+            _fold(rows[j], d, body, width, slot, field.q)
 
-    width = field.byte_width
     for j in indices:
-        r_rows, z_rows = rows.pop(j)
+        raws = [row.to_bytes(2 * batches * slot, "big") for row in rows.pop(j)]
+        new = ([], [])
+        for first in range(0, batches, SLICE):
+            end = min(batches, first + SLICE)
+            keep = min(end * w, rounds) - first * w
+            for out, vals in zip(new, _reduced(raws, first, end, slot,
+                                               field.q)):
+                out.append(column(vals[:keep], width))
         live = holders[j].tuples
-        live.r += column(_reduced(r_rows, field.q)[:rounds], width)
-        live.z += column(_reduced(z_rows, field.q)[:rounds], width)
+        live.r += b"".join(new[0])
+        live.z += b"".join(new[1])
         live.ids.extend(range(start, start + rounds))
         holders[j].next_round = start + rounds
     return tuple(range(start, start + rounds))
@@ -459,28 +520,46 @@ def retired_rounds(live, reported) -> tuple:
     return tuple(out)
 
 
-def _zero_rows(params: SpssParams, batches: int) -> list:
-    """w row sums of `batches` values each, all zero."""
-    return [[0] * batches for _ in range(params.extraction_width)]
+def _slot_bytes(params: SpssParams) -> int:
+    """Bytes per value of a packed row sum: room for the sum of n values
+    below q, each weighted d^k mod q for a contributor d and a row k."""
+    q = params.field.q
+    weight = max(pow(d, k, q) for d in params.holder_indices
+                 for k in range(params.extraction_width))
+    return -(-(params.n_sh * weight * (q - 1)).bit_length() // 8)
 
 
-def _fold(rows: list, d: int, values, q: int) -> None:
-    """Add contributor d's values to the row sums, row k weighted d^k mod q:
-    one list pass per row, weight-1 terms added plainly, nothing reduced."""
-    for k, acc in enumerate(rows):
-        weight = pow(d, k, q)
-        rows[k] = (list(map(add, acc, values)) if weight == 1 else
-                   [a + weight * v for a, v in zip(acc, values)])
+def _fold(rows: list, d: int, col: bytes, width: int, slot: int,
+          q: int) -> None:
+    """Add contributor d's column of width-byte values to the packed row
+    sums, row k weighted d^k mod q.
+
+    A packed row sum is one int holding value i of every contribution's
+    sum in its i-th slot of `slot` bytes, with no reduction: the column is
+    spread into the same slots, and slot bytes leave room for every term
+    (_slot_bytes), so adding weight * spread adds slot by slot with no
+    carry between slots. One multiply-add per row, and no int per value.
+    """
+    slots = bytearray(len(col) // width * slot)
+    for i in range(width):  # byte i of each value, to the slot's low bytes
+        slots[slot - width + i::slot] = col[i::width]
+    spread = int.from_bytes(slots, "big")
+    del slots
+    for k in range(len(rows)):
+        rows[k] += pow(d, k, q) * spread
 
 
-def _reduced(rows: list, q: int) -> list:
-    """The row sums reduced mod q, batch-major: row k of batch b at
-    b * w + k. Each row is dropped once it is reduced."""
-    w = len(rows)
-    out = [0] * (w * len(rows[0]))
-    for k in range(w):
-        out[k::w] = [a % q for a in rows[k]]
-        rows[k] = None
+def _reduced(raws: list, first: int, end: int, slot: int, q: int,
+             kinds: int = 2) -> list:
+    """Batches first..end-1 of packed row sums given as bytes, each batch
+    `kinds` slots, reduced mod q: a list per kind, row k of batch b at
+    (b - first) * w + k."""
+    w = len(raws)
+    out = [[0] * ((end - first) * w) for _ in range(kinds)]
+    for k, raw in enumerate(raws):
+        values = _ints(raw, first * kinds, end * kinds, slot)
+        for kind, vals in enumerate(out):
+            vals[k::w] = [v % q for v in values[kind::kinds]]
     return out
 
 
@@ -604,33 +683,29 @@ def cut_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
     return spent
 
 
-def spend_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
-                 ) -> list:
-    """cut_rounds, with the spent tuples decoded: their (r, z), in the
-    order `ids` names them."""
-    w = share_set.tuples.width
-    r_col, z_col = cut_rounds(share_set, ids, count)
-    n = len(r_col) // w
-    return list(zip(Cursor(r_col).uints(n, w), Cursor(z_col).uints(n, w)))
-
-
 def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedResponse:
     """Build the masked response for one holder, spending the pinned
-    tuples, one per block (spend_rounds). A holder outside the subset is
-    refused first (ImproperRequestError). The password difference exists
-    only inside this call.
+    tuples, one per block (cut_rounds). A holder outside the subset is
+    refused first (ImproperRequestError). The response is computed SLICE
+    blocks at a time from the spent r and z columns and the share column,
+    and returned as one byte column. The password difference exists only
+    inside this call.
     """
     j = share_set.holder
     if j not in request.subset:
         raise ImproperRequestError("holder %d is not in the requested subset" % j)
-    spent = spend_rounds(share_set, request.tuple_ids, share_set.block_count)
+    blocks = share_set.block_count
+    r_col, z_col = cut_rounds(share_set, request.tuple_ids, blocks)
     field = share_set.params.field
     diff = field.sub(share_set.password_share, request.password_share)
-    q = field.q
-    values = tuple([(diff * r + z + data_share) % q
-                    for data_share, (r, z) in zip(share_set.data_shares,
-                                                  spent)])
-    return MaskedResponse(j, values)
+    q, width = field.q, field.byte_width
+    out = []
+    for first in range(0, blocks, SLICE):
+        end = min(blocks, first + SLICE)
+        out.append(column([(diff * r + z + share) % q for r, z, share in zip(
+            *(_ints(col, first, end, width)
+              for col in (r_col, z_col, share_set.shares)))], width))
+    return MaskedResponse(j, Packed(b"".join(out), width))
 
 
 def spss_recover(responses, password_attempt: int, params: SpssParams,
@@ -641,9 +716,13 @@ def spss_recover(responses, password_attempt: int, params: SpssParams,
     check_subset passed. Returns the original byte_length bytes. Raises
     PasswordFailureError when the check fails; no block values leave
     this function in that case.
+
+    The blocks are interpolated SLICE at a time from the responses' byte
+    columns, highest index first: each slice is folded into the
+    authenticator and turned into its bytes before the next, and the
+    authenticator block is interpolated last.
     """
     resp = list(responses)
-    indices = [r.holder for r in resp]
     lengths = {len(r.values) for r in resp}
     if len(lengths) != 1:
         raise ReconstructionAbortError("holders disagree on block count")
@@ -652,24 +731,38 @@ def spss_recover(responses, password_attempt: int, params: SpssParams,
         raise ReconstructionAbortError("responses lack an authenticator block")
 
     field = params.field
-    weights = zero_coefficients(indices, field)
-    q = field.q
-    recovered = [sum(map(mul, weights, column)) % q
-                 for column in zip(*(r.values for r in resp))]
+    weights = zero_coefficients([r.holder for r in resp], field)
+    q, width, bits = field.q, field.byte_width, params.block_bits
+    raws = [r.values.raw for r in resp]
 
-    blocks, mac = recovered[:-1], recovered[-1]
-    attempt = password_attempt % field.q
-    if mac_block_value(blocks, attempt, field) != mac:
+    def recovered(first: int, end: int) -> list:
+        """Blocks first+1..end, interpolated at zero, in index order."""
+        return [sum(map(mul, weights, ys)) % q for ys in zip(
+            *(_ints(raw, first, end, width) for raw in raws))]
+
+    attempt = password_attempt % q
+    blocks = total - 1
+    mac, wide, out = 0, False, []
+    for p in range(0, blocks, SLICE):  # wire block p is D_{l-p}
+        part = recovered(max(0, blocks - p - SLICE), blocks - p)
+        mac = mac_block_value(part, attempt, field, mac)
+        # Registered blocks are always narrower than the field, so an
+        # out-of-range value proves the recovery is garbage even when it
+        # slipped past the authenticator.
+        wide = wide or any(b >> bits for b in part)
+        if not wide:
+            out.append(reassemble_blocks(part, len(part) * bits // 8, bits))
+    if mac != recovered(blocks, total)[0]:
         raise PasswordFailureError("authenticator mismatch: wrong password "
                                    "or corrupted responses")
-    # Registered blocks are always narrower than the field, so an
-    # out-of-range value proves the recovery is garbage even when it
-    # slipped past the authenticator.
-    if any(b >> params.block_bits for b in blocks):
+    if wide:
         raise PasswordFailureError("recovered blocks exceed the payload "
                                    "alphabet: wrong password or corrupted "
                                    "responses")
-    return reassemble_blocks(blocks, byte_length, params.block_bits)
+    payload = b"".join(out)
+    if len(payload) < byte_length:
+        raise ConfigurationError("byte_length exceeds reconstructed payload")
+    return payload[:byte_length]
 
 
 def reassemble_blocks(blocks_by_index, byte_length: int, width: int) -> bytes:

@@ -15,9 +15,10 @@ from pathlib import Path
 from itstore.errors import ImproperRequestError
 from itstore.field import mod_exp, zero_coefficients
 from itstore.protocol import TpvSession, renewal_round
-from itstore.spss import _fold, _reduced, _zero_rows, precompute_round
+from itstore.spss import (_fold, _reduced, _slot_bytes, cut_rounds,
+                          precompute_round)
 from itstore.stores import DISK
-from itstore.wire import Packed, column
+from itstore.wire import Cursor, Packed, column
 
 
 # ----------------------------------------------------------------- fields
@@ -66,17 +67,22 @@ def extract(params, contributions) -> list:
     values: contributions[d-1] lists contributor d's value per batch, and
     the result lists sum_d d^k * contributions[d-1][b] mod q in the order
     (b, k), batch-major. It runs precompute_round's fold and reduction
-    over every contribution at once."""
+    over every contribution at once, one value per batch."""
+    field = params.field
     batches = min(map(len, contributions), default=0)
-    rows = _zero_rows(params, batches)
+    slot = _slot_bytes(params)
+    rows = [0] * params.extraction_width
     for d, values in zip(params.holder_indices, contributions):
-        _fold(rows, d, values, params.field.q)
-    return _reduced(rows, params.field.q)
+        _fold(rows, d, column(values[:batches], field.byte_width),
+              field.byte_width, slot, field.q)
+    (out,) = _reduced([row.to_bytes(batches * slot, "big") for row in rows],
+                      0, batches, slot, field.q, kinds=1)
+    return out
 
 
-def handover(_dealer, _receiver, r_vals, z_vals) -> tuple:
-    """A precompute_round deliver that hands each value over as dealt."""
-    return r_vals, z_vals
+def handover(_dealer, _receiver, body):
+    """A precompute_round deliver that hands each column over as dealt."""
+    return body
 
 
 def stock(holders: dict, source, rounds: int = 1) -> tuple:
@@ -85,6 +91,15 @@ def stock(holders: dict, source, rounds: int = 1) -> tuple:
     dict.fromkeys(holders, source) draws exactly what one source drew."""
     return precompute_round(holders, dict.fromkeys(holders, source), rounds,
                             handover)
+
+
+def spend_rounds(share_set, ids, count: "int | None" = None) -> list:
+    """cut_rounds, with the spent tuples decoded: their (r, z), in the
+    order `ids` names them."""
+    w = share_set.tuples.width
+    r_col, z_col = cut_rounds(share_set, ids, count)
+    n = len(r_col) // w
+    return list(zip(Cursor(r_col).uints(n, w), Cursor(z_col).uints(n, w)))
 
 
 # --------------------------------------------------------------- renewal

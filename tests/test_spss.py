@@ -25,6 +25,7 @@ from itstore.errors import (
 )
 from itstore.field import PrimeField, random_polynomial
 from itstore.spss import (
+    SLICE,
     MaskedResponse,
     SpssParams,
     data_block_count,
@@ -37,11 +38,10 @@ from itstore.spss import (
     spss_recover,
     spss_register,
     spss_request,
-    spend_rounds,
 )
 from itstore.mac import split_blocks
 from itstore.stores import HolderStore, _encode_share_set
-from itstore.wire import check_runs
+from itstore.wire import Packed, check_runs, column
 from oracles import (
     bits_drawn,
     extract,
@@ -49,6 +49,7 @@ from oracles import (
     id_runs,
     interpolate_at_zero,
     random_int,
+    spend_rounds,
     stock,
 )
 
@@ -71,9 +72,10 @@ def extraction_oracle(values_by_contributor, k, q):
 def recording(carried):
     """A deliver callback that records what each (d, j) message carries
     and hands it over unchanged."""
-    def deliver(d, j, r_vals, z_vals):
+    def deliver(d, j, body):
+        r_vals, z_vals = zip(*body)
         carried[d, j] = (list(r_vals), list(z_vals))
-        return r_vals, z_vals
+        return body
     return deliver
 
 
@@ -266,6 +268,69 @@ def test_register_and_precompute_draw_like_one_polynomial_per_block(params):
     assert bits_drawn(new) == bits_drawn(old)
 
 
+def test_two_slices_and_a_ragged_rest_draw_stock_and_answer_like_the_oracles():
+    # 2 * SLICE + 7 blocks, the last one short, so every phase crosses two
+    # slice boundaries and ends on a part slice: register against one
+    # polynomial per block, the stock's 1,028 batches (a full slice and 4)
+    # against an R and a Z polynomial per batch and the extraction oracle,
+    # and every response against diff * r + z + share
+    params = SpssParams()
+    field, q = params.field, params.field.q
+    data = random.Random(0x511CE).randbytes(2 * SLICE * 126 // 8 + 100)
+    assert data_block_count(len(data), params) == 2 * SLICE + 7
+    new, old = SeededEntropy(b"slices"), SeededEntropy(b"slices")
+    holders, secret = spss_register(data, 29, params, new)
+    expect = register_oracle(data, 29, params, old)
+    for j, (shares, pw_share) in expect.items():
+        assert holders[j].data_shares == shares
+        assert holders[j].password_share == pw_share
+    assert bits_drawn(new) == bits_drawn(old)
+    assert secret.blocks == tuple(reversed(split_blocks(data, 126)[0]))
+
+    rounds = 2 * SLICE + 8  # every block and the authenticator
+    carried = {}
+    ids = precompute_round(holders, dict.fromkeys(holders, new), rounds,
+                           recording(carried))
+    assert ids == tuple(range(rounds))
+    held = {j: ([], []) for j in params.holder_indices}
+    for contributor in params.holder_indices:
+        sent = {j: ([], []) for j in params.holder_indices}
+        for _batch in range(rounds // 2):
+            r_poly = random_polynomial(params.password_degree,
+                                       random_int(field, old), field, old)
+            z_poly = random_polynomial(params.data_degree, 0, field, old)
+            for j in params.holder_indices:
+                sent[j][0].append(r_poly.evaluate(j))
+                sent[j][1].append(z_poly.evaluate(j))
+        for j in params.holder_indices:
+            if j != contributor:
+                assert carried[contributor, j] == sent[j]
+            for kind in (0, 1):
+                held[j][kind].append(sent[j][kind])
+    assert bits_drawn(new) == bits_drawn(old)
+    tuples = {j: {rid: (t.r, t.z) for rid, t in holders[j].tuples.items()}
+              for j in params.holder_indices}
+    for j, (r_held, z_held) in held.items():
+        for rid in ids:
+            batch, k = divmod(rid, 2)
+            assert tuples[j][rid] == (
+                extraction_oracle([r[batch] for r in r_held], k, q),
+                extraction_oracle([z[batch] for z in z_held], k, q))
+
+    requests = spss_request(29, (1, 2, 3), params, new, tuple_ids=ids)
+    responses = [holder_respond(holders[j], requests[j]) for j in (1, 2, 3)]
+    for response in responses:
+        j = response.holder
+        diff = field.sub(expect[j][1], requests[j].password_share)
+        assert tuple(response.values) == tuple(
+            (diff * r + z + share) % q
+            for share, (r, z) in zip(expect[j][0], tuples[j].values()))
+    assert spss_recover(responses, 29, params,
+                        byte_length=len(data)) == data
+    with pytest.raises(PasswordFailureError):
+        spss_recover(responses, 30, params, byte_length=len(data))
+
+
 def test_registration_is_replayable():
     a = spss_register(b"replay", 11, F31_PARAMS, SeededEntropy(b"rep"))
     b = spss_register(b"replay", 11, F31_PARAMS, SeededEntropy(b"rep"))
@@ -400,10 +465,12 @@ def test_precompute_delivers_every_other_holders_values_in_order():
     routed, _ = spss_register(b"dv", 3, params, SeededEntropy(b"deliver"))
     calls = []
 
-    def deliver(d, j, r_vals, z_vals):
+    def deliver(d, j, body):
+        r_vals, z_vals = zip(*body)
         calls.append((d, j, len(r_vals), len(z_vals)))
         # what j receives: d's values plus d, so every routed value shows
-        return ([(r + d) % 31 for r in r_vals], [(z + d) % 31 for z in z_vals])
+        return Packed(column([(v + d) % 31 for pair in body for v in pair],
+                             body.width), body.width, 2)
 
     assert stock(direct, SeededEntropy(b"dv-round"), 2) == (0, 1)
     assert precompute_round(routed,
@@ -426,10 +493,10 @@ def test_a_failed_delivery_changes_no_share_set():
     params = SpssParams(field=F31)
     holders, _ = spss_register(b"fd", 3, params, SeededEntropy(b"fail"))
 
-    def deliver(d, j, r_vals, z_vals):
+    def deliver(d, j, body):
         if (d, j) == (4, 3):  # the last but one message
             raise ProtocolError("dropped")
-        return r_vals, z_vals
+        return body
 
     with pytest.raises(ProtocolError):
         precompute_round(holders,
@@ -448,9 +515,9 @@ def test_a_round_past_the_u32_round_ids_is_refused_before_any_send():
     before = copy.deepcopy(holders)
     calls = []
 
-    def deliver(d, j, r_vals, z_vals):
+    def deliver(d, j, body):
         calls.append((d, j))
-        return r_vals, z_vals
+        return body
 
     with pytest.raises(ProtocolError, match="u32"):
         precompute_round(holders,
@@ -698,7 +765,8 @@ def test_out_of_range_blocks_rejected_even_past_authenticator():
     polys = [random_polynomial(2, t, F31, rng)  # one per track
              for t in blocks + [mac]]
     responses = [
-        MaskedResponse(holder=j, values=tuple(p.evaluate(j) for p in polys))
+        MaskedResponse(holder=j, values=Packed(
+            column([p.evaluate(j) for p in polys], 1), 1))
         for j in (1, 2, 3)
     ]
     with pytest.raises(PasswordFailureError, match="payload alphabet"):
@@ -886,11 +954,15 @@ def test_recover_validation():
            for _ in range(len(secret.blocks) + 1)]
     requests = spss_request(5, (1, 2, 3), params, rng, tuple_ids=ids)
     responses = [holder_respond(holders[j], requests[j]) for j in (1, 2, 3)]
-    short = responses[0].__class__(responses[0].holder, responses[0].values[:-1])
+    short = responses[0].__class__(responses[0].holder,
+                                   Packed(responses[0].values.raw[:-1], 1))
     with pytest.raises(ReconstructionAbortError):
         spss_recover([short, responses[1], responses[2]], 5, params,
                      byte_length=1)
     assert spss_recover(responses, 5, params, byte_length=1) == b"\xc0"
+    # two 4-bit blocks hold one byte, not two
+    with pytest.raises(ConfigurationError, match="exceeds"):
+        spss_recover(responses, 5, params, byte_length=2)
 
 
 def test_recover_returns_blocks_without_length():
@@ -957,7 +1029,7 @@ def test_a_precompute_round_over_holders_at_other_rounds_changes_nothing():
 
 
 def test_responses_without_an_authenticator_block_abort_recovery():
-    responses = [MaskedResponse(j, (7,)) for j in (1, 2, 3)]
+    responses = [MaskedResponse(j, Packed(b"\x07", 1)) for j in (1, 2, 3)]
     with pytest.raises(ReconstructionAbortError) as info:
         spss_recover(responses, 5, F31_PARAMS, byte_length=1)
     assert str(info.value) == "responses lack an authenticator block"

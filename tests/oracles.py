@@ -12,7 +12,7 @@ from dataclasses import replace
 from operator import sub
 from pathlib import Path
 
-from itstore.errors import ImproperRequestError
+from itstore.errors import ImproperRequestError, PrecomputationExhaustedError
 from itstore.field import mod_exp, zero_coefficients
 from itstore.protocol import TpvSession, renewal_round
 from itstore.spss import (_fold, _reduced, _slot_bytes, cut_rounds,
@@ -100,6 +100,50 @@ def spend_rounds(share_set, ids, count: "int | None" = None) -> list:
     r_col, z_col = cut_rounds(share_set, ids, count)
     n = len(r_col) // w
     return list(zip(Cursor(r_col).uints(n, w), Cursor(z_col).uints(n, w)))
+
+
+# ------------------------------------------------------- holder share sets
+
+def data_shares(share_set) -> tuple:
+    """A holder's data-share column as ints, f_{D_i}(j) for i = 1..l+1."""
+    return Cursor(share_set.shares).uints(share_set.block_count,
+                                          share_set.params.field.byte_width)
+
+
+def live_ids(share_set) -> list:
+    """A holder's live round ids, ascending."""
+    return list(share_set.tuples.ids)
+
+
+def live_tuples(share_set) -> dict:
+    """A holder's live masking tuples as {round id: (r, z)}, decoded from
+    its LiveTuples columns."""
+    live = share_set.tuples
+    n, w = len(live.ids), live.width
+    return dict(zip(live.ids, zip(Cursor(bytes(live.r)).uints(n, w),
+                                  Cursor(bytes(live.z)).uints(n, w))))
+
+
+def live_columns(share_set) -> tuple:
+    """A holder's live tuples as stored: the ids and the r and z bytes."""
+    live = share_set.tuples
+    return list(live.ids), bytes(live.r), bytes(live.z)
+
+
+def refused_runs(n: int) -> dict:
+    """Requests for n rounds that a holder whose live rounds are 0..n+1
+    must refuse before anything changes, each named for its fault, as
+    {fault: (runs, error)}. The "gap" request meets a holder that has
+    spent round n - 1, and only "wrong total" names other than n rounds."""
+    return {
+        "empty": ([(0, n), (n + 1, n + 1)], ImproperRequestError),
+        "overlapping": ([(0, n - 1), (n - 2, n - 1)], ImproperRequestError),
+        "touching": ([(0, n - 1), (n - 1, n)], ImproperRequestError),
+        "out of order": ([(n - 1, n), (0, n - 1)], ImproperRequestError),
+        "gap": ([(0, n)], PrecomputationExhaustedError),
+        "past the stock": ([(3, n + 3)], PrecomputationExhaustedError),
+        "wrong total": ([(0, n - 1)], ImproperRequestError),
+    }
 
 
 # --------------------------------------------------------------- renewal

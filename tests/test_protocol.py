@@ -812,6 +812,33 @@ def test_a_100_kb_reconstruction_peaks_at_most_16_bytes_per_payload_byte(
     assert (peak - base) / len(payload) <= 16
 
 
+def test_a_reconstruction_hands_each_holder_its_pinned_runs(tmp_path,
+                                                           monkeypatch):
+    # The pinned rounds reach each holder as the one run the recon-ask
+    # carries. Expanding them into one int per round, once for the
+    # request and once per holder, peaked at about 14.5 B per payload
+    # byte above the phase's start
+    session, payload = warm_100_kb_session(tmp_path)
+    sid, _, blocks = register_and_stock(session, data=payload,
+                                        extra_rounds=5)
+    ((first, end),) = session.holder_stores[1].get_secret(sid).tuples.runs()
+    assert end - first == blocks + 5
+    pinned = {}
+    respond = HolderStore.respond
+
+    def recording(store, secret_id, request):
+        pinned[store.holder] = request.rounds
+        return respond(store, secret_id, request)
+
+    monkeypatch.setattr(HolderStore, "respond", recording)
+    with memtrace() as usage:
+        result = session.reconstruct_and_release(sid, PASSWORD)
+    base, _live, peak = usage
+    assert result.data == payload
+    assert pinned == {j: [(first, first + blocks)] for j in (1, 2, 3)}
+    assert (peak - base) / len(payload) <= 12.5
+
+
 def test_a_session_does_not_grow_with_the_secrets_its_holders_store(
         tmp_path):
     # Ten more 16 KB secrets, each registered, stocked and released. With

@@ -28,6 +28,7 @@ from itstore.spss import (
     SLICE,
     MaskedResponse,
     SpssParams,
+    cut_rounds,
     data_block_count,
     holder_respond,
     mac_block_value,
@@ -48,7 +49,10 @@ from oracles import (
     handover,
     id_runs,
     interpolate_at_zero,
+    live_columns,
+    live_tuples,
     random_int,
+    refused_runs,
     spend_rounds,
     stock,
 )
@@ -716,6 +720,37 @@ def test_a_pinned_id_named_twice_is_refused_before_any_tuple_is_spent():
         with pytest.raises(ImproperRequestError, match="twice"):
             holder_respond(holders[1], request[1])
         assert list(holders[1].tuples) == list(range(need))
+
+
+@pytest.mark.parametrize("fault", sorted(refused_runs(3)))
+def test_cut_rounds_refuses_each_faulty_request_before_any_column_changes(
+        fault):
+    # a round named twice, out of order or not live, or the wrong number
+    # of rounds, spends nothing, through cut_rounds and holder_respond
+    rng = SeededEntropy(b"refused-runs", fault)
+    holders, secret = spss_register(b"\xc0", 5, F31_PARAMS, rng)
+    need = len(secret.blocks) + 1
+    assert need == 3
+    stock(holders, rng, rounds=need + 2)
+    share_set = holders[1]
+    if fault == "gap":
+        spend_rounds(share_set, [(need - 1, need)])
+    kept = live_tuples(share_set)
+    before = live_columns(share_set)
+    runs, error = refused_runs(need)[fault]
+    request = spss_request(9, (1, 2, 3), F31_PARAMS, rng, rounds=runs)[1]
+    assert request.rounds == runs
+    for spend in (lambda: cut_rounds(share_set, runs, need),
+                  lambda: holder_respond(share_set, request)):
+        with pytest.raises(error):
+            spend()
+        assert live_columns(share_set) == before
+    # the same live rounds, named as canonical runs, are spent
+    good = [(0, 2), (3, 4)] if fault == "gap" else [(0, 3)]
+    spent = [rid for first, end in good for rid in range(first, end)]
+    assert spend_rounds(share_set, good, need) == [kept[rid] for rid in spent]
+    assert live_tuples(share_set) == {rid: kept[rid] for rid in kept
+                                      if rid not in spent}
 
 
 # ------------------------------------------------------------- reconstruction

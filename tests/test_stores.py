@@ -55,7 +55,14 @@ from itstore.stores import (
 )
 
 from lossy_disk import lossy, materialize
-from oracles import contains_window, directory_contains_window, stock
+from oracles import (
+    contains_window,
+    directory_contains_window,
+    live_columns,
+    live_ids,
+    refused_runs,
+    stock,
+)
 
 F2311 = PrimeField.mersenne(31)
 PARAMS_2311 = SpssParams(field=F2311)
@@ -970,6 +977,45 @@ def test_retire_refuses_a_round_named_twice_before_dropping_any(tmp_path):
     reopened = HolderStore(tmp_path / "holder-4")
     assert list(reopened.get_secret(sid).tuples) == [0, 1, 2]
     assert spent_rounds(reopened, sid) == ()
+
+
+@pytest.mark.parametrize("fault", sorted(refused_runs(4)))
+def test_respond_and_retire_refuse_each_faulty_request_before_any_change(
+        tmp_path, fault):
+    # respond and retire both spend through cut_rounds, whose refusals
+    # leave the holder's columns and its record as they were; a retire
+    # names no total, so only respond meets the wrong one
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+    sid, _data, password, _secret = secrets[0]
+    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
+    need = live[1].block_count
+    stock(live, rng("refused-runs"), rounds=need + 2)
+    store = stores[1]
+    if fault == "gap":
+        store.retire(sid, [(need - 1, need)])
+    for j in PARAMS_2311.holder_indices:
+        stores[j].save(sid)
+    path = live_record_path(tmp_path / "holder-1", sid)
+    record = path.read_bytes()
+    before = live_columns(store.get_secret(sid))
+    runs, error = refused_runs(need)[fault]
+    request = spss_request(password, (1, 2, 3), PARAMS_2311,
+                           rng("refused"), rounds=runs)[1]
+    spends = [lambda: store.respond(sid, request)]
+    if fault != "wrong total":
+        spends.append(lambda: store.retire(sid, runs))
+    for spend in spends:
+        with pytest.raises(error):
+            spend()
+        assert live_columns(store.get_secret(sid)) == before
+        assert path.read_bytes() == record
+    # the same live rounds, named as canonical runs, are served
+    good = ([(0, need - 1), (need, need + 1)] if fault == "gap"
+            else [(0, need)])
+    store.respond(sid, spss_request(password, (1, 2, 3), PARAMS_2311,
+                                    rng("refused"), rounds=good)[1])
+    assert live_ids(HolderStore(tmp_path / "holder-1").get_secret(sid)) == (
+        [need + 1] if fault == "gap" else [need, need + 1])
 
 
 def test_retire_drops_its_rounds_without_decoding_them(tmp_path,

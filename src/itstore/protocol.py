@@ -111,7 +111,6 @@ from .wire import (
     Codec,
     Packed,
     column,
-    expand_runs,
     head_runs,
     intersect_runs,
 )
@@ -768,7 +767,7 @@ class TpvSession:
                 sid, _ABORT_AUTHENTICATOR, "unusable password attempt")
         requests = spss_request(pw_element, chosen, params,
                                 self.net.entropy_source(self.CALCULATOR),
-                                tuple_ids=expand_runs(pinned))
+                                rounds=pinned)
         width = field.byte_width
         responses = []
         for j in chosen:
@@ -777,8 +776,7 @@ class TpvSession:
                 self.CALCULATOR, holder, "recon-ask", (sid,), bytes(chosen),
                 requests[j].password_share, pinned)
             response = self.holder_stores[j].respond(
-                sid, SpssRequest(tuple(members), pw_share,
-                                 expand_runs(runs)))
+                sid, SpssRequest(tuple(members), pw_share, runs))
             values = response.values.raw
             if j in tampers:
                 values = column(tampers[j](tuple(response.values)), width)

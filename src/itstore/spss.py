@@ -26,7 +26,10 @@ for an unknown fresh R_i, and the authenticator equation
 accepts with probability 1/q at most (one linear constraint on the fresh
 offsets). Each tuple is consumed by exactly one response: cut_rounds is
 the one way a tuple leaves a holder, for a response (holder_respond reads
-the spent columns it returns) and for a retire.
+the spent columns it returns) and for a retire. Round ids are named as
+canonical (first, end) runs throughout, as a recon-ask carries them and a
+holder record stores them, and cut_rounds refuses any other runs before
+it drops a tuple.
 
 Masking tuples come from precomputation batches with randomness
 extraction (Damgard-Nielsen, CRYPTO 2007). In a batch every holder d
@@ -62,7 +65,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from operator import mul
 
@@ -82,7 +84,6 @@ from .wire import Cursor, Packed, column, intersect_runs
 __all__ = [
     "SpssParams",
     "RegisteredSecret",
-    "PrecomputedTuple",
     "LiveTuples",
     "HolderShareSet",
     "SpssRequest",
@@ -178,8 +179,7 @@ class RegisteredSecret:
     data is the registered payload and mac_block its authenticator block;
     both are secret material and are returned to the registering caller
     only, never to a holder. blocks reads D_1..D_l from data on each read
-    (blocks[i-1] holds D_i), so no int per block is kept. byte_length is
-    cleartext metadata needed to strip block padding on recovery.
+    (blocks[i-1] holds D_i), so no int per block is kept.
     """
 
     data: bytes
@@ -191,61 +191,38 @@ class RegisteredSecret:
     def blocks(self) -> tuple:
         return tuple(reversed(split_blocks(self.data, self.block_bits)[0]))
 
-    @property
-    def byte_length(self) -> int:
-        return len(self.data)
 
-
-@dataclass(slots=True)
-class PrecomputedTuple:
-    """One holder's live masking tuple: its share r of an extracted random
-    value R (degree t-2) and its share z of an extracted sharing Z of zero
-    (degree t-1). LiveTuples builds one each time a tuple is read."""
-
-    round_id: int
-    r: int
-    z: int
-
-
-class LiveTuples(Mapping):
+@dataclass(init=False, slots=True)
+class LiveTuples:
     """A holder's live masking tuples for one secret, in its record's form:
     `ids`, the live round ids ascending as u32s, and `r` and `z`,
     bytearray columns of `width`-byte big-endian values in id order. So a
     tuple is one entry in each column, and no object per tuple is kept.
 
-    It reads as a mapping from round id to a PrecomputedTuple built on
-    access. precompute_round appends a stock to it and cut_rounds takes
-    tuples out; nothing else changes it."""
+    It is built from canonical (first, end) runs of round ids, as a record
+    stores them, and gives them back as runs; ids is the one place a round
+    id is kept one by one, as the positions cut_rounds searches.
+    precompute_round appends a stock to it and cut_rounds takes tuples
+    out; nothing else changes it."""
 
-    __slots__ = ("width", "ids", "r", "z")
+    width: int
+    ids: array
+    r: bytearray
+    z: bytearray
 
-    def __init__(self, width: int, ids=(), r: bytes = b"", z: bytes = b""):
+    def __init__(self, width: int, runs=(), r: bytes = b"", z: bytes = b""):
         self.width = width
-        self.ids = array("I", ids)
+        self.ids = array("I")
+        for first, end in runs:
+            self.ids.extend(range(first, end))
         self.r = bytearray(r)
         self.z = bytearray(z)
 
-    def position(self, rid) -> "int | None":
+    def position(self, rid: int) -> "int | None":
         """rid's index in ids, or None when rid is not a live round."""
         ids = self.ids
-        try:
-            pos = bisect_left(ids, rid)
-        except TypeError:  # not comparable with an int, so not live
-            return None
+        pos = bisect_left(ids, rid)
         return pos if pos < len(ids) and ids[pos] == rid else None
-
-    def __getitem__(self, rid) -> PrecomputedTuple:
-        pos = self.position(rid)
-        if pos is None:
-            raise KeyError(rid)
-        width = self.width
-        a, b = pos * width, (pos + 1) * width
-        return PrecomputedTuple(self.ids[pos],
-                                int.from_bytes(self.r[a:b], "big"),
-                                int.from_bytes(self.z[a:b], "big"))
-
-    def __contains__(self, rid) -> bool:
-        return self.position(rid) is not None
 
     def runs(self) -> list:
         """The live ids as canonical (first, end) ranges, found without a
@@ -266,9 +243,6 @@ class LiveTuples(Mapping):
                 out.append((ids[a], ids[b - 1] + 1))
         return out
 
-    def __iter__(self):
-        return iter(self.ids)
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -280,9 +254,9 @@ class HolderShareSet:
 
     shares is the data-share column: f_{D_i}(j) for i = 1..l+1, in index
     order, each the field's byte width big-endian, so a share costs its
-    16 bytes in the 127-bit field and no int is kept per share.
-    data_shares reads the column as a tuple of ints, decoded on each read;
-    a renewal replaces the column's bytes (HolderStore.apply_renewal).
+    16 bytes in the 127-bit field and no int is kept per share. A
+    response reads it a slice at a time, and a renewal replaces its bytes
+    (HolderStore.apply_renewal).
     tuples holds the live masking tuples only, as LiveTuples columns (an
     empty one when not given). Round ids are stocked contiguously from 0
     and next_round is one past the highest ever stocked, so a spent round
@@ -304,11 +278,6 @@ class HolderShareSet:
             self.tuples = LiveTuples(self.params.field.byte_width)
 
     @property
-    def data_shares(self) -> tuple:
-        return Cursor(self.shares).uints(self.block_count,
-                                         self.params.field.byte_width)
-
-    @property
     def block_count(self) -> int:
         return len(self.shares) // self.params.field.byte_width
 
@@ -319,7 +288,7 @@ class SpssRequest:
 
     subset: tuple
     password_share: int  # f_{P'}(j)
-    tuple_ids: tuple  # the masking rounds to spend, one per block
+    rounds: list  # the masking rounds to spend, one per block, as runs
 
 
 @dataclass(frozen=True)
@@ -495,12 +464,12 @@ def precompute_round(holders: dict, randomness: dict, rounds: int,
     return tuple(range(start, start + rounds))
 
 
-def retired_rounds(live, reported) -> tuple:
-    """The rounds a holder retires at a precompute: each id of `live`, its
-    live rounds before the precompute as canonical (first, end) ranges,
-    that some other holder does not hold, in increasing order. reported
-    lists every other holder's live ranges, as each sent them with its
-    precomp contribution.
+def retired_rounds(live, reported) -> list:
+    """The rounds a holder retires at a precompute, as canonical (first,
+    end) runs: the gaps in `live`, its live rounds before the precompute
+    as canonical runs, where some other holder does not hold the round.
+    reported lists every other holder's live runs, as each sent them with
+    its precomp contribution.
 
     A round spent at any holder masked a released response, so no
     t-subset may spend it again: the holders that served it no longer
@@ -513,11 +482,13 @@ def retired_rounds(live, reported) -> tuple:
     out, k = [], 0
     for first, end in live:  # held lies inside live, and both increase
         while k < len(held) and held[k][0] < end:
-            out += range(first, held[k][0])
+            if first < held[k][0]:
+                out.append((first, held[k][0]))
             first = held[k][1]
             k += 1
-        out += range(first, end)
-    return tuple(out)
+        if first < end:
+            out.append((first, end))
+    return out
 
 
 def _slot_bytes(params: SpssParams) -> int:
@@ -608,84 +579,86 @@ def check_offline(offline, params: SpssParams) -> frozenset:
 
 
 def spss_request(password_attempt: int, subset, params: SpssParams,
-                 randomness, tuple_ids) -> dict:
+                 randomness, rounds) -> dict:
     """Start a reconstruction: share the password attempt toward the chosen
     holders. Returns {holder j: SpssRequest} for j in the subset, each
     naming the subset in index order.
 
     The attempt is shared at the password degree with one random_ints
-    draw, as spss_register shares the password. tuple_ids pins which
-    masking tuples the holders must spend: one distinct id per block, the
-    same ids for every holder.
+    draw, as spss_register shares the password. rounds pins which masking
+    tuples the holders must spend, one round per block, as the canonical
+    (first, end) runs a recon-ask carries: the same runs for every holder.
     """
     chosen = tuple(sorted(check_subset(subset, params)))
     field = params.field
     coeffs = [password_attempt % field.q,
               *field.random_ints(randomness, params.password_degree)]
-    ids = tuple(tuple_ids)
-    return {j: SpssRequest(chosen, field.poly_eval_int(coeffs, j), ids)
+    return {j: SpssRequest(chosen, field.poly_eval_int(coeffs, j), rounds)
             for j in chosen}
 
 
-def cut_rounds(share_set: HolderShareSet, ids, count: "int | None" = None
+def cut_rounds(share_set: HolderShareSet, runs, count: "int | None" = None
                ) -> tuple:
-    """The one way a masking tuple leaves a holder: drop the rounds `ids`
-    names from the share set and return their r and z columns, the
-    values in the order named, as bytes.
+    """The one way a masking tuple leaves a holder: drop the rounds that
+    `runs`, a list of (first, end) ranges, names from the share set and
+    return their r and z columns, in round order, as bytes.
 
-    Before anything changes it refuses, in this order, an id named twice
-    (ImproperRequestError; one tuple masking two blocks would hand a
-    wrong-password requester D_i - D_j), an id that is not live
-    (PrecomputationExhaustedError), and, when count is given, any other
-    number of ids (ImproperRequestError).
+    It checks the whole request before anything changes, and refuses, in
+    this order, a run that is not canonical: empty, or not starting past
+    the end of the run before it, which names a round twice or out of
+    order (ImproperRequestError; one tuple masking two blocks would hand
+    a wrong-password requester D_i - D_j); a run whose rounds are not all
+    live (PrecomputationExhaustedError); and, when count is given, any
+    other number of rounds (ImproperRequestError).
 
-    The named ids are found as stretches: a stretch starts at one id's
-    position and grows while the next named id is the next live id, so
-    the lowest live rounds a response pins are one stretch, found with
-    one search. The spent values are copied a stretch at a time, and the
-    kept tuples are moved down over the spent ones in place, one pass
-    over the three columns however scattered the ids are.
+    A run costs one search: the end - first positions from its first
+    round's hold exactly its rounds when the last of them holds end - 1,
+    since the live ids strictly increase. The spent values are copied a
+    run at a time, and the kept tuples are moved down over the spent ones
+    in place, one pass over the three columns however many runs there
+    are.
     """
-    ids = tuple(ids)
-    if len(set(ids)) != len(ids):
-        raise ImproperRequestError("a masking round is named twice")
+    after = -1  # a run must start above this round
+    for first, end in runs:
+        if not after < first < end:
+            raise ImproperRequestError(
+                "masking round run (%d, %d) is empty, or names a round "
+                "twice or out of order" % (first, end))
+        after = end
     live = share_set.tuples
-    live_ids = live.ids
-    stretches = []  # (first position, count), in the order named
-    k, n, stock = 0, len(ids), len(live)
-    while k < n:
-        first = live.position(ids[k])
-        if first is None:
+    ids, stock = live.ids, len(live)
+    spans = []  # (first position, count), ascending
+    for first, end in runs:
+        pos, m = live.position(first), end - first
+        if pos is None or pos + m > stock or ids[pos + m - 1] != end - 1:
             raise PrecomputationExhaustedError(
-                "holder %d cannot spend round %r" % (share_set.holder, ids[k]))
-        m, most = 1, min(n - k, stock - first)
-        while m < most and live_ids[first + m] == ids[k + m]:
-            m += 1
-        stretches.append((first, m))
-        k += m
+                "holder %d cannot spend rounds %d..%d"
+                % (share_set.holder, first, end - 1))
+        spans.append((pos, m))
+    n = sum(m for _pos, m in spans)
     if count is not None and n != count:
         raise ImproperRequestError(
             "request pins %d tuples, %d blocks to mask" % (n, count))
     w = live.width
-    spent = tuple(b"".join([col[a * w:(a + m) * w] for a, m in stretches])
+    spent = tuple(b"".join([col[a * w:(a + m) * w] for a, m in spans])
                   for col in (live.r, live.z))
     # move each kept run of tuples down over the spent ones before it,
     # then drop the columns' tails
-    cuts = sorted(stretches) + [(stock, 0)]
+    cuts = spans + [(stock, 0)]
     dst = cuts[0][0]
     for (a, m), (end, _) in zip(cuts, cuts[1:]):
         src = a + m
-        live_ids[dst:dst + end - src] = live_ids[src:end]
+        ids[dst:dst + end - src] = ids[src:end]
         for col in (live.r, live.z):
             col[dst * w:(dst + end - src) * w] = col[src * w:end * w]
         dst += end - src
-    del live_ids[dst:], live.r[dst * w:], live.z[dst * w:]
+    del ids[dst:], live.r[dst * w:], live.z[dst * w:]
     return spent
 
 
 def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedResponse:
     """Build the masked response for one holder, spending the pinned
-    tuples, one per block (cut_rounds). A holder outside the subset is
+    rounds, one per block (cut_rounds). A holder outside the subset is
     refused first (ImproperRequestError). The response is computed SLICE
     blocks at a time from the spent r and z columns and the share column,
     and returned as one byte column. The password difference exists only
@@ -695,7 +668,7 @@ def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedRes
     if j not in request.subset:
         raise ImproperRequestError("holder %d is not in the requested subset" % j)
     blocks = share_set.block_count
-    r_col, z_col = cut_rounds(share_set, request.tuple_ids, blocks)
+    r_col, z_col = cut_rounds(share_set, request.rounds, blocks)
     field = share_set.params.field
     diff = field.sub(share_set.password_share, request.password_share)
     q, width = field.q, field.byte_width

@@ -59,9 +59,9 @@ spent. Spent ids are never materialized, on disk or in memory: a share
 set holds its live tuples and `next_round`, nothing more, and its
 renewal rounds as runs, which are written back as runs too. A holder
 holds one share set only, the secret in hand (the one it last read or
-wrote), in the record's form: the share column
-(`spss.HolderShareSet.shares`), and `spss.LiveTuples`, the ids as u32s,
-then the r and z byte columns. Of every other secret it keeps the live
+wrote), in the record's form: the share column, and `spss.LiveTuples`,
+built from the record's runs: the ids as u32s (the one per-id form), and
+the r and z byte columns. Of every other secret it keeps the live
 slot and its sequence number. So a save writes the columns as they are,
 and reading a record takes them as stored, decoding no value. A record
 whose values are not its field's byte width is refused, since its
@@ -98,7 +98,7 @@ record copied back), raises TamperDetectedError naming the path.
 
 A reconstruction spends rounds only at the t holders it contacts. The
 others retire those rounds at the secret's next precompute
-(`HolderStore.retire`, called by `TpvSession.precompute`): a holder drops
+(`HolderStore.retire`, given `spss.retired_rounds`' runs): a holder drops
 every round it holds that another holder no longer does, and the save
 that follows, which also writes the new stock, erases their values. So
 after a precompute every holder's record holds the same live tuples. A
@@ -118,7 +118,7 @@ from .field import PrimeField
 from .mac import MacSeed, MacTag, check_k, seed_from_bytes, seed_to_bytes
 from .spss import (HolderShareSet, LiveTuples, SpssParams, cut_rounds,
                    holder_respond)
-from .wire import Cursor, encode_runs, expand_runs
+from .wire import Cursor, encode_runs
 
 __all__ = [
     "DISK", "FileLayer", "ChainedLog", "VerifierRecord", "VerifierStore",
@@ -562,11 +562,11 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
     next_round = rd.uint(4)
     # each live id has an r and a z after the runs, which bounds the runs
     # before any is expanded; the columns are kept as they are stored
-    live = rd.ids(limit=(len(body) - rd.pos) // (2 * width))
-    tuples = LiveTuples(width, live, rd.take(len(live) * width),
-                        rd.take(len(live) * width))
+    runs = rd.runs(limit=(len(body) - rd.pos) // (2 * width))
+    n = sum(end - first for first, end in runs)
+    tuples = LiveTuples(width, runs, rd.take(n * width), rd.take(n * width))
     rd.done()
-    if live and live[-1] >= next_round:
+    if runs and runs[-1][1] > next_round:
         raise TamperDetectedError("%s: a live round id at or past next "
                                   "round %d" % (path, next_round))
     return HolderShareSet(holder, params, shares, password_share, tuples,
@@ -611,11 +611,12 @@ class HolderStore:
     A secret's record holds every fact about it that changes together:
     its shares, its live masking tuples and the renewal rounds applied to
     it, and it is the only record of which tuples are spent. A tuple
-    leaves only by `respond` or `retire`, both through spss.cut_rounds,
-    and the record save that drops it is the spend: `respond` saves
-    before it returns the response, so a crash before the save is durable
-    releases nothing, and the reopened record's tuples masked no released
-    value. A renewal is one record rewrite, which destroys the old share
+    leaves only by `respond` or `retire`, both naming its round in
+    canonical (first, end) runs that spss.cut_rounds checks before it
+    drops any, and the record save that drops it is the spend: `respond`
+    saves before it returns the response, so a crash before the save is
+    durable releases nothing, and the reopened record's tuples masked no
+    released value. A renewal is one record rewrite, which destroys the old share
     values and notes the round together, so a crash leaves the old shares
     with the old rounds or the new shares with the new.
 
@@ -798,12 +799,13 @@ class HolderStore:
         self.save(secret_id)
         return response
 
-    def retire(self, secret_id: bytes, round_ids) -> None:
-        """Spend live rounds that will never be served, by cut_rounds,
-        which refuses a repeated or dead id before anything changes; their
-        values are dropped undecoded. The caller's next save erases them
-        from the record."""
-        cut_rounds(self.get_secret(secret_id), round_ids)
+    def retire(self, secret_id: bytes, runs) -> None:
+        """Spend live rounds that will never be served, given as canonical
+        (first, end) runs (spss.retired_rounds), by cut_rounds, which
+        refuses a round named twice or out of order, or one not live,
+        before anything changes; their values are dropped undecoded. The
+        caller's next save erases them from the record."""
+        cut_rounds(self.get_secret(secret_id), runs)
 
     # ------------------------------------------------------------ renewal
 
@@ -831,4 +833,5 @@ class HolderStore:
 
     def renewal_rounds(self, secret_id: bytes) -> tuple:
         """The renewal rounds applied to a secret, oldest first."""
-        return expand_runs(self.get_secret(secret_id).renewal_runs)
+        return tuple(rid for first, end in self.get_secret(
+            secret_id).renewal_runs for rid in range(first, end))

@@ -53,8 +53,8 @@ from itertools import repeat
 from .errors import ConfigurationError, ImproperRequestError, ProtocolError
 
 __all__ = ["SID_BYTES", "SCHEMA", "INTEGRITY_ONLY", "Codec", "Cursor",
-           "Packed", "check_runs", "column", "encode_runs", "expand_runs",
-           "head_runs", "intersect_runs"]
+           "Packed", "check_runs", "column", "encode_runs", "head_runs",
+           "intersect_runs"]
 
 SID_BYTES = 16
 # Most ids one decoded id list may name: a 12-byte run could otherwise
@@ -106,10 +106,6 @@ class Cursor:
             if isinstance(exc, self.error):
                 raise
             raise self.error("%s: %s" % (self.what, exc)) from None
-
-    def ids(self, limit: "int | None" = None) -> tuple:
-        """The ids of self.runs(limit), expanded once they are checked."""
-        return expand_runs(self.runs(limit))
 
     def done(self) -> None:
         if self.pos != len(self.raw):
@@ -242,14 +238,6 @@ def check_runs(flat, limit: "int | None" = None) -> list:
         raise ImproperRequestError("round-id runs name more than %d ids"
                                    % limit)
     return [(first, first + count) for first, count in zip(firsts, counts)]
-
-
-def expand_runs(ranges) -> tuple:
-    """Every id of a list of (first, end) ranges, in order."""
-    ids = []
-    for first, end in ranges:
-        ids += range(first, end)
-    return tuple(ids)
 
 
 def intersect_runs(run_lists) -> list:

@@ -8,6 +8,7 @@ round functions of itstore.spss and itstore.protocol what a session
 would, with every value arriving as it was dealt.
 """
 
+from collections import namedtuple
 from dataclasses import replace
 from operator import sub
 from pathlib import Path
@@ -93,11 +94,11 @@ def stock(holders: dict, source, rounds: int = 1) -> tuple:
                             handover)
 
 
-def spend_rounds(share_set, ids, count: "int | None" = None) -> list:
-    """cut_rounds, with the spent tuples decoded: their (r, z), in the
-    order `ids` names them."""
+def spend_rounds(share_set, runs, count: "int | None" = None) -> list:
+    """cut_rounds, with the spent tuples decoded: their (r, z), in round
+    order."""
     w = share_set.tuples.width
-    r_col, z_col = cut_rounds(share_set, ids, count)
+    r_col, z_col = cut_rounds(share_set, runs, count)
     n = len(r_col) // w
     return list(zip(Cursor(r_col).uints(n, w), Cursor(z_col).uints(n, w)))
 
@@ -110,17 +111,34 @@ def data_shares(share_set) -> tuple:
                                           share_set.params.field.byte_width)
 
 
+def runs_of(ids) -> list:
+    """(first, end) runs that name ids in the order given, each stretch of
+    consecutive ids one run. Nothing is checked, so ids named twice or out
+    of order give runs that cut_rounds refuses."""
+    out = []
+    for rid in ids:
+        if out and out[-1][1] == rid:
+            out[-1] = (out[-1][0], rid + 1)
+        else:
+            out.append((rid, rid + 1))
+    return out
+
+
 def live_ids(share_set) -> list:
     """A holder's live round ids, ascending."""
     return list(share_set.tuples.ids)
 
 
+MaskingTuple = namedtuple("MaskingTuple", "r z")
+
+
 def live_tuples(share_set) -> dict:
-    """A holder's live masking tuples as {round id: (r, z)}, decoded from
-    its LiveTuples columns."""
+    """A holder's live masking tuples as {round id: MaskingTuple(r, z)},
+    decoded from its LiveTuples columns."""
     live = share_set.tuples
     n, w = len(live.ids), live.width
-    return dict(zip(live.ids, zip(Cursor(bytes(live.r)).uints(n, w),
+    return dict(zip(live.ids, map(MaskingTuple,
+                                  Cursor(bytes(live.r)).uints(n, w),
                                   Cursor(bytes(live.z)).uints(n, w))))
 
 
@@ -192,6 +210,14 @@ def tamper_pairs(monkeypatch, pair_tamper) -> None:
 
 
 # ------------------------------------------------------------------- wire
+
+def expand_runs(ranges) -> tuple:
+    """Every id of a list of (first, end) ranges, in order."""
+    ids = []
+    for first, end in ranges:
+        ids += range(first, end)
+    return tuple(ids)
+
 
 def id_runs(ids) -> list:
     """The canonical (first, count) runs of a strictly increasing list of

@@ -47,17 +47,17 @@ from itstore.spss import (
     spss_register,
     spss_request,
 )
-from oracles import (directory_contains_window, interpolate_at_zero,
-                     members_of, renew, stock)
+from oracles import (data_shares, directory_contains_window,
+                     interpolate_at_zero, members_of, renew, runs_of, stock)
 from tests.test_config import SCENARIO_DIR
 
 
 def reconstruct_once(holders, secret, params, attempt, subset, rng):
     ids = [stock(holders, rng)[0] for _ in range(len(secret.blocks) + 1)]
-    requests = spss_request(attempt, subset, params, rng, tuple_ids=ids)
+    requests = spss_request(attempt, subset, params, rng, rounds=runs_of(ids))
     responses = [holder_respond(holders[j], requests[j]) for j in subset]
     return spss_recover(responses, attempt, params,
-                        byte_length=secret.byte_length)
+                        byte_length=len(secret.data))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_any_two_data_shares_are_jointly_uniform():
     samples = []
     for _ in range(registrations):
         holders, _secret = spss_register(b"\x5a", 7, params, rng)
-        samples.append({j: holders[j].data_shares[0] for j in (1, 2, 3, 4)})
+        samples.append({j: data_shares(holders[j])[0] for j in (1, 2, 3, 4)})
 
     cells = q * q
     expected = registrations / cells

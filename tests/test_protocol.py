@@ -36,7 +36,14 @@ from itstore.spss import SpssParams
 from itstore.stores import HolderStore, holder_record_files, secure_erase
 from itstore.wire import SCHEMA, SID
 from memtrace import memtrace
-from oracles import directory_contains_window, received_bytes, tamper_pairs
+from oracles import (
+    data_shares,
+    directory_contains_window,
+    live_ids,
+    live_tuples,
+    received_bytes,
+    tamper_pairs,
+)
 from test_keynet import tied_topology
 
 DATA = b"Important archival payload: " + bytes(range(200))
@@ -61,7 +68,7 @@ def spent_rounds(store, sid) -> tuple:
     """The ids below a secret's next_round that are not live."""
     share_set = store.get_secret(sid)
     return tuple(rid for rid in range(share_set.next_round)
-                 if rid not in share_set.tuples)
+                 if rid not in live_ids(share_set))
 
 
 def live_record(store, sid) -> bytes:
@@ -603,7 +610,7 @@ def test_registration_aborts_before_any_share_leaves(tmp_path):
 def test_renewal_preserves_payload_and_rerandomizes_shares(tmp_path):
     session = make_session(tmp_path)
     sid, _, blocks = register_and_stock(session)
-    before = {j: session.holder_stores[j].get_secret(sid).data_shares
+    before = {j: data_shares(session.holder_stores[j].get_secret(sid))
               for j in session.params.holder_indices}
     before_pw = {j: session.holder_stores[j].get_secret(sid).password_share
                  for j in session.params.holder_indices}
@@ -613,7 +620,7 @@ def test_renewal_preserves_payload_and_rerandomizes_shares(tmp_path):
     assert report.tracks == blocks
     for j in session.params.holder_indices:
         share_set = session.holder_stores[j].get_secret(sid)
-        assert share_set.data_shares != before[j]
+        assert data_shares(share_set) != before[j]
         assert share_set.password_share == before_pw[j]
         assert session.holder_stores[j].renewal_rounds(sid) == (0,)
 
@@ -656,7 +663,7 @@ def test_renewal_destroys_previous_share_bytes(tmp_path):
     sid, _, _ = register_and_stock(session)
     field = session.params.field
     old_encoded = [v.to_bytes(field.byte_width, "big")
-                   for v in session.holder_stores[1].get_secret(sid).data_shares]
+                   for v in data_shares(session.holder_stores[1].get_secret(sid))]
     assert session.renew(sid).accepted
     holder_dir = session.holder_stores[1].directory
     for raw in old_encoded:
@@ -866,7 +873,7 @@ def test_renewal_corruption_is_accused_and_changes_nothing(tmp_path,
                                                            monkeypatch):
     session = make_session(tmp_path)
     sid, _, _ = register_and_stock(session)
-    before = {j: session.holder_stores[j].get_secret(sid).data_shares
+    before = {j: data_shares(session.holder_stores[j].get_secret(sid))
               for j in session.params.holder_indices}
 
     def poison(sender, recipient, track, pair):
@@ -879,7 +886,7 @@ def test_renewal_corruption_is_accused_and_changes_nothing(tmp_path,
     assert not report.accepted
     assert any(a.accuser == 3 and a.accused == 2 for a in report.accusations)
     for j in session.params.holder_indices:
-        assert session.holder_stores[j].get_secret(sid).data_shares == before[j]
+        assert data_shares(session.holder_stores[j].get_secret(sid)) == before[j]
         assert session.holder_stores[j].renewal_rounds(sid) == ()
 
     # the next honest round goes through
@@ -903,7 +910,7 @@ def test_renewal_mislabelled_header_fails_closed(tmp_path, kind, offset,
                                                  field_bytes):
     session = make_session(tmp_path)
     sid, _, _ = register_and_stock(session)
-    before = {j: session.holder_stores[j].get_secret(sid).data_shares
+    before = {j: data_shares(session.holder_stores[j].get_secret(sid))
               for j in session.params.holder_indices}
     send = session.transport.send
 
@@ -917,7 +924,7 @@ def test_renewal_mislabelled_header_fails_closed(tmp_path, kind, offset,
     with pytest.raises(ProtocolError):
         session.renew(sid)
     for j in session.params.holder_indices:
-        assert session.holder_stores[j].get_secret(sid).data_shares == before[j]
+        assert data_shares(session.holder_stores[j].get_secret(sid)) == before[j]
         assert session.holder_stores[j].renewal_rounds(sid) == ()
 
     session.transport.send = send
@@ -1131,12 +1138,12 @@ def test_precompute_mislabelled_contributor_fails_closed(tmp_path):
         session.precompute(sid, rounds=2)
     assert fired == ["precomp"]
     for j in session.params.holder_indices:
-        assert session.holder_stores[j].get_secret(sid).tuples == {}
+        assert live_tuples(session.holder_stores[j].get_secret(sid)) == {}
 
     session.transport.send = send
     assert session.precompute(sid, rounds=2) == (0, 1)
     for j in session.params.holder_indices:
-        assert sorted(session.holder_stores[j].get_secret(sid).tuples) == [0, 1]
+        assert live_ids(session.holder_stores[j].get_secret(sid)) == [0, 1]
 
 
 def test_precompute_sends_one_pair_per_batch_and_checks_the_first_round(
@@ -1161,20 +1168,20 @@ def test_precompute_sends_one_pair_per_batch_and_checks_the_first_round(
         session.precompute(sid, rounds=2)
     assert fired == ["precomp"]
     for j in session.params.holder_indices:
-        assert sorted(session.holder_stores[j].get_secret(sid).tuples) == [
+        assert live_ids(session.holder_stores[j].get_secret(sid)) == [
             0, 1, 2, 3, 4]
 
 
 # ------------------------------------------------ retiring spent rounds
 
 
-def live_ids(session, sid, j):
-    return list(session.holder_stores[j].get_secret(sid).tuples)
+def held_ids(session, sid, j):
+    return live_ids(session.holder_stores[j].get_secret(sid))
 
 
 def tuple_values(session, sid, j, ids):
     """Holder j's r and z values of the given rounds, as stored bytes."""
-    tuples = session.holder_stores[j].get_secret(sid).tuples
+    tuples = live_tuples(session.holder_stores[j].get_secret(sid))
     width = session.params.field.byte_width
     return [v.to_bytes(width, "big")
             for rid in ids for v in (tuples[rid].r, tuples[rid].z)]
@@ -1188,15 +1195,15 @@ def test_the_next_precompute_retires_rounds_spent_elsewhere(tmp_path, idle,
                                                             kwargs):
     session = make_session(tmp_path)
     sid, _t1, blocks = register_and_stock(session)
-    stocked = live_ids(session, sid, idle)
+    stocked = held_ids(session, sid, idle)
     values = tuple_values(session, sid, idle, stocked)
     result = session.reconstruct_and_release(sid, PASSWORD, **kwargs)
     assert result.data == DATA
-    assert live_ids(session, sid, idle) == stocked  # not asked, nothing spent
+    assert held_ids(session, sid, idle) == stocked  # not asked, nothing spent
     session.precompute(sid, rounds=blocks)
     fresh = list(range(blocks, 2 * blocks))
     for j in session.params.holder_indices:
-        assert live_ids(session, sid, j) == fresh
+        assert held_ids(session, sid, j) == fresh
     holder_dir = tmp_path / "run" / ("holder-%d" % idle)
     for value in values:
         assert not directory_contains_window(holder_dir, value, len(value))
@@ -1223,14 +1230,14 @@ def test_a_live_rounds_header_past_the_first_round_fails_closed(tmp_path):
     assert fired == ["precomp"]
     for j, store in session.holder_stores.items():
         share_set = store.get_secret(sid)
-        assert sorted(share_set.tuples) == [0, 1]
+        assert live_ids(share_set) == [0, 1]
         assert share_set.next_round == 2
         assert live_record(store, sid) == records[j]
 
     session.transport.send = send
     assert session.precompute(sid, rounds=2) == (2, 3)
     for j in session.params.holder_indices:
-        assert live_ids(session, sid, j) == [0, 1, 2, 3]
+        assert held_ids(session, sid, j) == [0, 1, 2, 3]
 
 
 def test_a_crash_before_the_idle_holders_save_keeps_its_old_record(
@@ -1258,10 +1265,10 @@ def test_a_crash_before_the_idle_holders_save_keeps_its_old_record(
                 for j in session.params.holder_indices}
     assert live_record(reopened[4], sid) == before
     assert reopened[4].get_secret(sid) == old
-    assert list(old.tuples) == list(range(blocks))  # stranded too
+    assert live_ids(old) == list(range(blocks))  # stranded too
     for j in (1, 2, 3):
         share_set = reopened[j].get_secret(sid)
-        assert list(share_set.tuples) == list(range(blocks, 2 * blocks))
+        assert live_ids(share_set) == list(range(blocks, 2 * blocks))
         assert share_set.next_round == 2 * blocks
 
 
@@ -1305,12 +1312,12 @@ def test_stranded_stock_wider_than_one_spend_retires_in_chunks(tmp_path):
         result = session.reconstruct_and_release(sid, PASSWORD,
                                                  subset=(1, 2, 3))
         assert result.data == DATA
-    assert len(live_ids(session, sid, 4)) == 3 * blocks
+    assert len(held_ids(session, sid, 4)) == 3 * blocks
     session.precompute(sid, rounds=blocks)
     reopened = {j: HolderStore(tmp_path / "run" / ("holder-%d" % j))
                 for j in session.params.holder_indices}
     for j, store in reopened.items():
-        assert list(store.get_secret(sid).tuples) == list(
+        assert live_ids(store.get_secret(sid)) == list(
             range(3 * blocks, 4 * blocks))
 
 
@@ -1334,7 +1341,7 @@ def test_a_recon_ask_that_repeats_a_round_id_spends_nothing(tmp_path):
     with pytest.raises(ImproperRequestError):
         session._deliver(calculator, holder, "recon-ask", raw, (sid,))
     assert live_record(store, sid) == record
-    assert list(store.get_secret(sid).tuples) == list(range(blocks))
+    assert live_ids(store.get_secret(sid)) == list(range(blocks))
     assert session.reconstruct_and_release(sid, PASSWORD).data == DATA
 
 
@@ -1351,18 +1358,18 @@ def test_each_reconstruction_pins_the_lowest_rounds_its_subset_holds(
     for subset, pinned in (((1, 2, 3), range(0, b)),
                            ((2, 3, 4), range(b, 2 * b)),
                            ((1, 2, 4), range(2 * b, 3 * b))):
-        before = {j: live_ids(session, sid, j) for j in holders}
+        before = {j: held_ids(session, sid, j) for j in holders}
         result = session.reconstruct_and_release(sid, PASSWORD,
                                                  subset=subset)
         assert result.data == DATA
         for j in holders:
-            assert live_ids(session, sid, j) == [
+            assert held_ids(session, sid, j) == [
                 rid for rid in before[j] if j not in subset
                 or rid not in pinned]
     tail = list(range(3 * b, 3 * b + 2))
-    assert live_ids(session, sid, 1) == list(range(b, 2 * b)) + tail
-    assert live_ids(session, sid, 3) == list(range(2 * b, 3 * b)) + tail
-    assert live_ids(session, sid, 4) == list(range(b)) + tail
+    assert held_ids(session, sid, 1) == list(range(b, 2 * b)) + tail
+    assert held_ids(session, sid, 3) == list(range(2 * b, 3 * b)) + tail
+    assert held_ids(session, sid, 4) == list(range(b)) + tail
     # holders 1, 3 and 4 share only the two rounds past the third stock
     records = {j: live_record(session.holder_stores[j], sid)
                for j in holders}

@@ -45,14 +45,17 @@ from itstore.stores import HolderStore, _encode_share_set
 from itstore.wire import Packed, check_runs, column
 from oracles import (
     bits_drawn,
+    data_shares,
     extract,
     handover,
     id_runs,
     interpolate_at_zero,
     live_columns,
+    live_ids,
     live_tuples,
     random_int,
     refused_runs,
+    runs_of,
     spend_rounds,
     stock,
 )
@@ -90,11 +93,11 @@ def reconstruct(holders, secret, params, attempt, subset, rng, pin=True):
     ids = [stock(holders, rng)[0]
            for _ in range(len(secret.blocks) + 1)]
     if not pin:
-        ids = sorted(holders[subset[0]].tuples)[:len(ids)]
-    requests = spss_request(attempt, subset, params, rng, tuple_ids=ids)
+        ids = live_ids(holders[subset[0]])[:len(ids)]
+    requests = spss_request(attempt, subset, params, rng, rounds=runs_of(ids))
     responses = [holder_respond(holders[j], requests[j]) for j in subset]
     return spss_recover(responses, attempt, params,
-                        byte_length=secret.byte_length)
+                        byte_length=len(secret.data))
 
 
 # -------------------------------------------------------------- registration
@@ -135,7 +138,7 @@ def test_register_shares_interpolate_to_blocks():
     targets = (*secret.blocks, secret.mac_block)
     for subset in itertools.combinations((1, 2, 3, 4), 3):
         for i, want in enumerate(targets):
-            pts = [(j, holders[j].data_shares[i]) for j in subset]
+            pts = [(j, data_shares(holders[j])[i]) for j in subset]
             assert interpolate_at_zero(pts, params.field) == want
     # password shares sit on a degree-1 polynomial through (0, P)
     for pair in itertools.combinations((1, 2, 3, 4), 2):
@@ -148,7 +151,7 @@ def test_register_toy_end_to_end_frozen():
     # 0xc0 in 4-bit blocks, leftmost chunk is D_2: D_2 = 12, D_1 = 0
     assert secret.blocks == (0, 12)
     assert secret.mac_block == 21
-    pts = [(j, holders[j].data_shares[2]) for j in (1, 2, 4)]
+    pts = [(j, data_shares(holders[j])[2]) for j in (1, 2, 4)]
     assert interpolate_at_zero(pts, F31) == 21
 
 
@@ -173,7 +176,7 @@ def test_block_count_and_reassembly():
     params = SpssParams()
     data = b"block reassembly check"
     holders, secret = spss_register(data, 9, params, SeededEntropy(b"asm"))
-    assert reassemble_blocks(secret.blocks, secret.byte_length,
+    assert reassemble_blocks(secret.blocks, len(secret.data),
                              params.block_bits) == data
 
 
@@ -238,7 +241,7 @@ def test_register_and_precompute_draw_like_one_polynomial_per_block(params):
     holders, _ = spss_register(data, 29, params, new)
     expect = register_oracle(data, 29, params, old)
     for j, (shares, pw_share) in expect.items():
-        assert holders[j].data_shares == shares
+        assert data_shares(holders[j]) == shares
         assert holders[j].password_share == pw_share
     assert bits_drawn(new) == bits_drawn(old)
 
@@ -257,7 +260,7 @@ def test_register_and_precompute_draw_like_one_polynomial_per_block(params):
                 assert carried[contributor, j] == want
             held[j].append(want)
     for j in params.holder_indices:
-        tup = holders[j].tuples[0]  # row k = 0 of the one batch
+        tup = live_tuples(holders[j])[0]  # row k = 0 of the one batch
         assert tup.r == extraction_oracle([r[0] for r, _ in held[j]], 0,
                                           field.q)
         assert tup.z == extraction_oracle([z[0] for _, z in held[j]], 0,
@@ -265,7 +268,7 @@ def test_register_and_precompute_draw_like_one_polynomial_per_block(params):
     assert bits_drawn(new) == bits_drawn(old)
 
     # a request shares the attempt as one password-degree polynomial
-    requests = spss_request(29, (3, 1, 2), params, new, tuple_ids=(0,))
+    requests = spss_request(29, (3, 1, 2), params, new, rounds=[(0, 1)])
     f_pp = random_polynomial(params.password_degree, 29, field, old)
     assert {j: r.password_share for j, r in requests.items()} == {
         j: f_pp.evaluate(j) for j in (1, 2, 3)}
@@ -286,7 +289,7 @@ def test_two_slices_and_a_ragged_rest_draw_stock_and_answer_like_the_oracles():
     holders, secret = spss_register(data, 29, params, new)
     expect = register_oracle(data, 29, params, old)
     for j, (shares, pw_share) in expect.items():
-        assert holders[j].data_shares == shares
+        assert data_shares(holders[j]) == shares
         assert holders[j].password_share == pw_share
     assert bits_drawn(new) == bits_drawn(old)
     assert secret.blocks == tuple(reversed(split_blocks(data, 126)[0]))
@@ -312,8 +315,7 @@ def test_two_slices_and_a_ragged_rest_draw_stock_and_answer_like_the_oracles():
             for kind in (0, 1):
                 held[j][kind].append(sent[j][kind])
     assert bits_drawn(new) == bits_drawn(old)
-    tuples = {j: {rid: (t.r, t.z) for rid, t in holders[j].tuples.items()}
-              for j in params.holder_indices}
+    tuples = {j: live_tuples(holders[j]) for j in params.holder_indices}
     for j, (r_held, z_held) in held.items():
         for rid in ids:
             batch, k = divmod(rid, 2)
@@ -321,7 +323,8 @@ def test_two_slices_and_a_ragged_rest_draw_stock_and_answer_like_the_oracles():
                 extraction_oracle([r[batch] for r in r_held], k, q),
                 extraction_oracle([z[batch] for z in z_held], k, q))
 
-    requests = spss_request(29, (1, 2, 3), params, new, tuple_ids=ids)
+    requests = spss_request(29, (1, 2, 3), params, new,
+                            rounds=[(0, rounds)])
     responses = [holder_respond(holders[j], requests[j]) for j in (1, 2, 3)]
     for response in responses:
         j = response.holder
@@ -340,7 +343,7 @@ def test_registration_is_replayable():
     b = spss_register(b"replay", 11, F31_PARAMS, SeededEntropy(b"rep"))
     assert a[1] == b[1]
     for j in (1, 2, 3, 4):
-        assert a[0][j].data_shares == b[0][j].data_shares
+        assert data_shares(a[0][j]) == data_shares(b[0][j])
         assert a[0][j].password_share == b[0][j].password_share
 
 
@@ -361,8 +364,8 @@ def test_precompute_round_accounting():
     for r_vals, z_vals in carried.values():
         assert len(r_vals) == 1 and len(z_vals) == 1
     for share_set in holders.values():
-        assert list(share_set.tuples) == [0, 1]
-        for tup in share_set.tuples.values():
+        assert live_ids(share_set) == [0, 1]
+        for tup in live_tuples(share_set).values():
             assert isinstance(tup.r, int) and isinstance(tup.z, int)
 
 
@@ -372,10 +375,10 @@ def test_retired_rounds_are_those_some_other_holder_lacks():
     reported = [(0, 1, 2, 3, 5, 8, 9), (2, 3, 5, 8), (2, 3, 5)]
     runs = check_runs(id_runs(live))
     reported = [check_runs(id_runs(ids)) for ids in reported]
-    assert retired_rounds(runs, reported) == (0, 1, 8)
-    assert retired_rounds(runs, [runs] * 3) == ()
-    assert retired_rounds(runs, [[]]) == tuple(live)
-    assert retired_rounds([], reported) == ()
+    assert retired_rounds(runs, reported) == [(0, 2), (8, 9)]
+    assert retired_rounds(runs, [runs] * 3) == []
+    assert retired_rounds(runs, [[]]) == runs
+    assert retired_rounds([], reported) == []
 
 
 def test_precompute_zero_shares_interpolate_to_zero():
@@ -389,7 +392,7 @@ def test_precompute_zero_shares_interpolate_to_zero():
         pts = [(j, carried[d, j][1][0]) for j in range(1, 5) if j != d]
         assert interpolate_at_zero(pts, params.field) == 0
     for subset in itertools.combinations((1, 2, 3, 4), 3):
-        pts = [(j, holders[j].tuples[0].z) for j in subset]
+        pts = [(j, live_tuples(holders[j])[0].z) for j in subset]
         assert interpolate_at_zero(pts, params.field) == 0
 
 
@@ -411,7 +414,7 @@ def test_precompute_random_shares_have_low_degree():
         assert len(constants) == 1
     constants = set()
     for pair in itertools.combinations((1, 2, 3, 4), 2):
-        pts = [(j, holders[j].tuples[0].r) for j in pair]
+        pts = [(j, live_tuples(holders[j])[0].r) for j in pair]
         constants.add(interpolate_at_zero(pts, params.field))
     assert len(constants) == 1
 
@@ -421,7 +424,7 @@ def test_precompute_per_holder_randomness():
     holders, _ = spss_register(b"ph", 3, params, SeededEntropy(b"per-holder"))
     sources = {j: SeededEntropy(b"holder-%d" % j) for j in holders}
     precompute_round(holders, sources, 1, handover)
-    assert all(0 in s.tuples for s in holders.values())
+    assert all(0 in live_ids(s) for s in holders.values())
 
 
 def test_rounds_draw_like_one_polynomial_pair_per_round():
@@ -452,7 +455,7 @@ def test_rounds_draw_like_one_polynomial_pair_per_round():
     for j in params.holder_indices:
         for rid in range(3):
             batch, k = divmod(rid, 2)
-            tup = holders[j].tuples[rid]
+            tup = live_tuples(holders[j])[rid]
             assert tup.r == extraction_oracle(
                 [r[batch] for r, _ in held[j]], k, field.q)
             assert tup.z == extraction_oracle(
@@ -485,7 +488,7 @@ def test_precompute_delivers_every_other_holders_values_in_order():
                      for j in (1, 2, 3, 4) if j != d]
     for j in (1, 2, 3, 4):
         for rid in (0, 1):
-            want, got = direct[j].tuples[rid], routed[j].tuples[rid]
+            want, got = live_tuples(direct[j])[rid], live_tuples(routed[j])[rid]
             # row k = rid of the batch: each routed value adds d^k * d
             shift = extraction_oracle([0 if d == j else d
                                        for d in (1, 2, 3, 4)], rid, 31)
@@ -606,15 +609,15 @@ def test_extracted_tuples_share_zero_and_a_low_degree_value():
     ids = stock(holders, SeededEntropy(b"x-round"), rounds=7)
     for rid in ids:
         for subset in itertools.combinations((1, 2, 3, 4), 3):
-            pts = [(j, holders[j].tuples[rid].z) for j in subset]
+            pts = [(j, live_tuples(holders[j])[rid].z) for j in subset]
             assert interpolate_at_zero(pts, field) == 0
         # degree <= t - 2 = 1: every pair of r shares names one constant
         constants = {interpolate_at_zero(
-            [(j, holders[j].tuples[rid].r) for j in pair], field)
+            [(j, live_tuples(holders[j])[rid].r) for j in pair], field)
             for pair in itertools.combinations((1, 2, 3, 4), 2)}
         assert len(constants) == 1
     # the tuples of one batch and of two batches are distinct values
-    assert len({holders[1].tuples[rid].r for rid in ids}) == len(ids)
+    assert len({live_tuples(holders[1])[rid].r for rid in ids}) == len(ids)
 
 
 @pytest.mark.parametrize("rounds", [1, 3, 67, 6503])
@@ -629,7 +632,7 @@ def test_rounds_stock_exactly_that_many_tuples_from_ceil_rounds_over_w_draws(
     batches = -(-rounds // 2)
     assert params.batch_count(rounds) == batches
     for share_set in holders.values():
-        assert sorted(share_set.tuples) == list(ids)
+        assert live_ids(share_set) == list(ids)
     for r_vals, z_vals in carried.values():
         assert len(r_vals) == len(z_vals) == batches
     # one R (degree 1) and one Z (two nonzero coefficients) per batch;
@@ -699,11 +702,11 @@ def test_live_runs_are_the_canonical_runs_of_the_live_ids():
     assert share_set.tuples.runs() == [(0, 300)]
     pick = random.Random(11)
     while len(share_set.tuples):
-        live = list(share_set.tuples)
-        spend_rounds(share_set, pick.sample(live, min(len(live),
-                                                      pick.randint(1, 9))))
+        live = live_ids(share_set)
+        spend_rounds(share_set, runs_of(sorted(pick.sample(
+            live, min(len(live), pick.randint(1, 9))))))
         assert share_set.tuples.runs() == check_runs(id_runs(
-            list(share_set.tuples)))
+            live_ids(share_set)))
     assert share_set.tuples.runs() == []
 
 
@@ -716,10 +719,10 @@ def test_a_pinned_id_named_twice_is_refused_before_any_tuple_is_spent():
     need = len(secret.blocks) + 1  # the data blocks and the authenticator
     stock(holders, rng, rounds=need)
     for ids in ((0,) * need, (0, 1, 0), (2, 1, 1)):
-        request = spss_request(9, (1, 2, 3), params, rng, tuple_ids=ids)
+        request = spss_request(9, (1, 2, 3), params, rng, rounds=runs_of(ids))
         with pytest.raises(ImproperRequestError, match="twice"):
             holder_respond(holders[1], request[1])
-        assert list(holders[1].tuples) == list(range(need))
+        assert live_ids(holders[1]) == list(range(need))
 
 
 @pytest.mark.parametrize("fault", sorted(refused_runs(3)))
@@ -820,7 +823,7 @@ def test_wrong_password_offsets_are_uniform():
     for _ in range(trials):
         ids = [stock(holders, rng)[0]
                for _ in range(len(secret.blocks) + 1)]
-        requests = spss_request(17, (1, 2, 3), params, rng, tuple_ids=ids)
+        requests = spss_request(17, (1, 2, 3), params, rng, rounds=runs_of(ids))
         responses = [holder_respond(holders[j], requests[j]) for j in (1, 2, 3)]
         pts = [(r.holder, r.values[0]) for r in responses]
         recovered = interpolate_at_zero(pts, F31)
@@ -841,7 +844,7 @@ def test_share_marginal_uniformity():
     trials = 2000
     for _ in range(trials):
         holders, _ = spss_register(b"\xc0", 5, params, rng)
-        counts[holders[1].data_shares[0]] += 1
+        counts[data_shares(holders[1])[0]] += 1
     expected = trials / 31
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     assert chi2 < 30 + 4 * 60 ** 0.5
@@ -852,8 +855,8 @@ def test_request_validation():
     rng = SeededEntropy(b"req")
     for bad in ((1, 2), (1, 2, 3, 4), (1, 2, 2), (0, 1, 2), (2, 3, 9)):
         with pytest.raises(ImproperRequestError):
-            spss_request(5, bad, params, rng, tuple_ids=(0, 1, 2))
-    requests = spss_request(5, (3, 1, 2), params, rng, tuple_ids=(0, 1, 2))
+            spss_request(5, bad, params, rng, rounds=[(0, 3)])
+    requests = spss_request(5, (3, 1, 2), params, rng, rounds=[(0, 3)])
     assert set(requests) == {1, 2, 3}
     assert requests[1].subset == (1, 2, 3)
 
@@ -864,7 +867,7 @@ def test_respond_validation_and_exhaustion():
     holders, secret = spss_register(b"\xc0", 5, params, rng)
     # the oldest rounds the holders will stock
     requests = spss_request(5, (1, 2, 3), params, rng,
-                            tuple_ids=range(len(secret.blocks) + 1))
+                            rounds=[(0, len(secret.blocks) + 1)])
     # no precomputation at all
     with pytest.raises(PrecomputationExhaustedError):
         holder_respond(holders[1], requests[1])
@@ -878,11 +881,11 @@ def test_respond_validation_and_exhaustion():
     with pytest.raises(ImproperRequestError):
         holder_respond(holders[4], requests[1])
     # pinned ids of the wrong arity
-    bad = spss_request(5, (1, 2, 3), params, rng, tuple_ids=(0,))
+    bad = spss_request(5, (1, 2, 3), params, rng, rounds=[(0, 1)])
     with pytest.raises(ImproperRequestError):
         holder_respond(holders[1], bad[1])
     # pinned unknown round
-    bad = spss_request(5, (1, 2, 3), params, rng, tuple_ids=(7, 8, 9))
+    bad = spss_request(5, (1, 2, 3), params, rng, rounds=[(7, 10)])
     with pytest.raises(PrecomputationExhaustedError):
         holder_respond(holders[1], bad[1])
 
@@ -895,19 +898,19 @@ def test_tuples_are_single_use():
     first = [stock(holders, rng)[0] for _ in range(need)]
     second = [stock(holders, rng)[0] for _ in range(need)]
 
-    req1 = spss_request(5, (1, 2, 3), params, rng, tuple_ids=first)
+    req1 = spss_request(5, (1, 2, 3), params, rng, rounds=runs_of(first))
     resp1 = [holder_respond(holders[j], req1[j]) for j in (1, 2, 3)]
     assert spss_recover(resp1, 5, params, byte_length=1) == b"\xc0"
     for j in (1, 2, 3):
-        assert list(holders[j].tuples) == second
-        assert first[0] not in holders[j].tuples
+        assert live_ids(holders[j]) == second
+        assert first[0] not in live_ids(holders[j])
 
     # replaying the spent ids fails; the fresh ids still work, and the two
     # reconstructions trivially share no tuple
-    replay = spss_request(5, (1, 2, 3), params, rng, tuple_ids=first)
+    replay = spss_request(5, (1, 2, 3), params, rng, rounds=runs_of(first))
     with pytest.raises(PrecomputationExhaustedError):
         holder_respond(holders[1], replay[1])
-    req2 = spss_request(5, (1, 2, 4), params, rng, tuple_ids=second)
+    req2 = spss_request(5, (1, 2, 4), params, rng, rounds=runs_of(second))
     resp2 = [holder_respond(holders[j], req2[j]) for j in (1, 2, 4)]
     assert spss_recover(resp2, 5, params, byte_length=1) == b"\xc0"
     assert set(first).isdisjoint(second)
@@ -918,54 +921,57 @@ def test_spend_rounds_answers_in_named_order_and_refuses_before_any_change():
     rng = SeededEntropy(b"spend-rule")
     holders, _ = spss_register(b"spend", 5, params, rng)
     stock(holders, rng, rounds=7)
-    values = {rid: (tup.r, tup.z) for rid, tup in holders[1].tuples.items()}
+    values = live_tuples(holders[1])
     assert sorted(values) == list(range(7))
     for j in (2, 3, 4):
-        assert {rid: (t.r, t.z) for rid, t in holders[j].tuples.items()
-                } != values  # each holder holds its own shares
-    # (r, z) come back in the order the ids are named
-    assert spend_rounds(holders[1], [4, 1]) == [values[4], values[1]]
-    assert list(holders[1].tuples) == [0, 2, 3, 5, 6]
+        assert live_tuples(holders[j]) != values  # each its own shares
+    # (r, z) come back in the order the runs name the rounds
+    assert spend_rounds(holders[1], [(1, 2), (4, 5)]) == [values[1],
+                                                          values[4]]
+    assert live_ids(holders[1]) == [0, 2, 3, 5, 6]
     # a scattered set leaves the others with their values
-    values = {rid: (tup.r, tup.z) for rid, tup in holders[2].tuples.items()}
-    assert spend_rounds(holders[2], (0, 2, 5)) == [values[0], values[2],
-                                                   values[5]]
-    assert {rid: (t.r, t.z) for rid, t in holders[2].tuples.items()} == {
+    values = live_tuples(holders[2])
+    assert spend_rounds(holders[2], [(0, 1), (2, 3), (5, 6)]) == [
+        values[0], values[2], values[5]]
+    assert live_tuples(holders[2]) == {
         rid: values[rid] for rid in (1, 3, 4, 6)}
-    # an id outside the u32 range or not an int is not live, alone or
-    # after a live id, and nothing changes before the refusal
+    # a round outside the u32 range is not live, alone or after a live
+    # round; a run below round 0 is not canonical; and nothing changes
+    # before the refusal
     before = _encode_share_set(holders[3])
-    for ids in ((-1,), (1 << 32,), ("x",), (0, -1), (0, 1 << 32),
-                (0, "x")):
-        with pytest.raises(PrecomputationExhaustedError):
-            spend_rounds(holders[3], ids)
+    top = 1 << 32
+    for runs, error in (([(top, top + 1)], PrecomputationExhaustedError),
+                        ([(0, 1), (top, top + 1)],
+                         PrecomputationExhaustedError),
+                        ([(-1, 0)], ImproperRequestError),
+                        ([(0, 1), (-1, 0)], ImproperRequestError)):
+        with pytest.raises(error):
+            spend_rounds(holders[3], runs)
         assert _encode_share_set(holders[3]) == before
-    assert list(holders[3].tuples) == list(range(7))
+    assert live_ids(holders[3]) == list(range(7))
 
 
 def test_spend_rounds_matches_a_dict_of_tuples_on_random_spends():
-    # ids are found as stretches of consecutive live positions and the
-    # kept tuples are moved down over the spent ones; a plain dict from
-    # round id to (r, z) is the reference for any mix of stretches
+    # each run is found with one search and the kept tuples are moved
+    # down over the spent ones; a plain dict from round id to (r, z) is
+    # the reference for any mix of runs
     params = SpssParams(field=F31)
     rng = SeededEntropy(b"spend-model")
     holders, _ = spss_register(b"\xc0", 5, params, rng)
     stock(holders, rng, rounds=40)
     share_set = holders[1]
-    model = {rid: (t.r, t.z) for rid, t in share_set.tuples.items()}
+    model = live_tuples(share_set)
     pick = random.Random(7)
     while model:
         live = sorted(model)
         start = pick.randrange(len(live))
         ids = live[start:start + pick.randint(1, 6)]
         ids += pick.sample(live, min(len(live), pick.randint(0, 3)))
-        ids = list(dict.fromkeys(ids))
-        if pick.random() < 0.3:
-            ids.reverse()
-        assert spend_rounds(share_set, ids) == [model.pop(r) for r in ids]
-        assert {rid: (t.r, t.z) for rid, t in share_set.tuples.items()
-                } == model
-        assert list(share_set.tuples) == sorted(model)
+        ids = sorted(set(ids))
+        assert spend_rounds(share_set, runs_of(ids)) == [model.pop(r)
+                                                         for r in ids]
+        assert live_tuples(share_set) == model
+        assert live_ids(share_set) == sorted(model)
 
 
 def test_fifo_tuple_choice_without_pinning():
@@ -977,8 +983,8 @@ def test_fifo_tuple_choice_without_pinning():
     got = reconstruct(holders, secret, params, 5, (1, 2, 3), rng, pin=False)
     assert got == b"\xc0"
     for j in (1, 2, 3):
-        assert list(holders[j].tuples) == []
-    assert list(holders[4].tuples) == [0, 1, 2]
+        assert live_ids(holders[j]) == []
+    assert live_ids(holders[4]) == [0, 1, 2]
 
 
 def test_recover_validation():
@@ -987,7 +993,7 @@ def test_recover_validation():
     holders, secret = spss_register(b"\xc0", 5, params, rng)
     ids = [stock(holders, rng)[0]
            for _ in range(len(secret.blocks) + 1)]
-    requests = spss_request(5, (1, 2, 3), params, rng, tuple_ids=ids)
+    requests = spss_request(5, (1, 2, 3), params, rng, rounds=runs_of(ids))
     responses = [holder_respond(holders[j], requests[j]) for j in (1, 2, 3)]
     short = responses[0].__class__(responses[0].holder,
                                    Packed(responses[0].values.raw[:-1], 1))

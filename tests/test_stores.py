@@ -8,6 +8,7 @@ import re
 import struct
 import time
 import tracemalloc
+from collections import namedtuple
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -57,10 +58,13 @@ from itstore.stores import (
 from lossy_disk import lossy, materialize
 from oracles import (
     contains_window,
+    data_shares,
     directory_contains_window,
     live_columns,
     live_ids,
+    live_tuples,
     refused_runs,
+    runs_of,
     stock,
 )
 
@@ -403,14 +407,18 @@ def registered_stores(tmp_path, n_secrets=1, rounds_per_secret=None,
     return stores, secrets
 
 
+SpentTuple = namedtuple("SpentTuple", "round_id r z")
+
+
 def spend_one(store, sid, round_id=None):
     """Spend one live tuple, the oldest unless pinned, as a holder that
-    no reconstruction asked does: retire it, then save. Returns it."""
-    tuples = store.get_secret(sid).tuples
+    no reconstruction asked does: retire it, then save. Returns it as a
+    SpentTuple."""
+    share_set = store.get_secret(sid)
     if round_id is None:
-        round_id = min(tuples)
-    tup = tuples[round_id]
-    store.retire(sid, (round_id,))
+        round_id = live_ids(share_set)[0]
+    tup = SpentTuple(round_id, *live_tuples(share_set)[round_id])
+    store.retire(sid, [(round_id, round_id + 1)])
     store.save(sid)
     return tup
 
@@ -419,25 +427,25 @@ def spent_rounds(store, sid) -> tuple:
     """The ids below a secret's next_round that are not live."""
     share_set = store.get_secret(sid)
     return tuple(rid for rid in range(share_set.next_round)
-                 if rid not in share_set.tuples)
+                 if rid not in live_ids(share_set))
 
 
-def oldest_ids(share_set) -> tuple:
-    """The rounds a request pins to spend a holder's oldest live tuples,
-    one per block; past its live stock, the rounds it has not stocked yet,
-    which the holder refuses as not live."""
+def oldest_runs(share_set) -> list:
+    """The runs a request pins to spend a holder's oldest live tuples,
+    one round per block; past its live stock, the rounds it has not
+    stocked yet, which the holder refuses as not live."""
     need, stocked = share_set.block_count, share_set.next_round
-    return tuple((sorted(share_set.tuples)
-                  + list(range(stocked, stocked + need)))[:need])
+    return runs_of((live_ids(share_set)
+                    + list(range(stocked, stocked + need)))[:need])
 
 
-def respond_to(store, sid, password, tuple_ids=None, params=PARAMS_2311):
+def respond_to(store, sid, password, rounds=None, params=PARAMS_2311):
     """The store's answer to a reconstruction by holders 1-3, pinned to
-    tuple_ids, or else to the store's oldest live rounds."""
-    if tuple_ids is None:
-        tuple_ids = oldest_ids(store.get_secret(sid))
+    rounds, or else to the store's oldest live rounds."""
+    if rounds is None:
+        rounds = oldest_runs(store.get_secret(sid))
     request = spss_request(password, (1, 2, 3), params, rng("pinned"),
-                           tuple_ids=tuple_ids)
+                           rounds=rounds)
     return store.respond(sid, request[store.holder])
 
 
@@ -457,7 +465,7 @@ def test_holder_store_round_trip_with_consumption(tmp_path):
     assert again.secret_ids() == store.secret_ids()
     for sid in again.secret_ids():
         assert again.get_secret(sid) == store.get_secret(sid)
-    assert list(again.get_secret(sid_a).tuples) == [1, 2]
+    assert live_ids(again.get_secret(sid_a)) == [1, 2]
     assert spent_rounds(again, sid_a) == (0,)
     assert spent_rounds(again, sid_b) == (1,)
 
@@ -473,7 +481,7 @@ def test_spends_take_the_oldest_round_and_then_exhaust(tmp_path):
     with pytest.raises(PrecomputationExhaustedError):
         respond_to(store, sid, password)
     with pytest.raises(PrecomputationExhaustedError):
-        respond_to(store, sid, password, (0,))  # already spent
+        respond_to(store, sid, password, [(0, 1)])  # already spent
 
 
 def test_journal_replay_is_idempotent(tmp_path):
@@ -600,12 +608,12 @@ def test_a_journal_left_by_an_earlier_version_is_never_read_or_written(
     monkeypatch.setattr(Path, "open", spy(Path.open))
     monkeypatch.setattr(Path, "stat", spy(Path.stat))
     reopened = HolderStore(holder_dir)
-    assert list(reopened.get_secret(sid).tuples) == [0, 1]
+    assert live_ids(reopened.get_secret(sid)) == [0, 1]
     assert spend_one(reopened, sid).round_id == 0
     assert seen and "journal.log" not in seen
     monkeypatch.undo()
     assert journal.read_bytes() == left
-    assert list(HolderStore(holder_dir).get_secret(sid).tuples) == [1]
+    assert live_ids(HolderStore(holder_dir).get_secret(sid)) == [1]
 
 
 @pytest.mark.parametrize("edit", [lambda body: body[:-1],
@@ -629,12 +637,12 @@ def per_contributor_body(share_set, seq):
     out = bytearray(struct.pack(">IBBH", seq, share_set.params.t_sh,
                                 share_set.params.n_sh, width))
     out += field.q.to_bytes(width, "big")
-    out += struct.pack(">I", len(share_set.data_shares))
-    for v in share_set.data_shares + (share_set.password_share,):
+    out += struct.pack(">I", len(data_shares(share_set)))
+    for v in data_shares(share_set) + (share_set.password_share,):
         out += v.to_bytes(width, "big")
     out += struct.pack(">I", len(share_set.tuples))
     n = share_set.params.n_sh
-    for rid, tup in sorted(share_set.tuples.items()):
+    for rid, tup in sorted(live_tuples(share_set).items()):
         out += struct.pack(">IBB", rid, 0, n)
         for v in [tup.r] * n + [tup.z] * n:
             out += v.to_bytes(width, "big")
@@ -665,12 +673,13 @@ def folded_tuple_body(share_set, seq):
     out = bytearray(struct.pack(">IBBH", seq, share_set.params.t_sh,
                                 share_set.params.n_sh, width))
     out += field.q.to_bytes(width, "big")
-    out += struct.pack(">I", len(share_set.data_shares))
-    for v in share_set.data_shares + (share_set.password_share,):
+    out += struct.pack(">I", len(data_shares(share_set)))
+    for v in data_shares(share_set) + (share_set.password_share,):
         out += v.to_bytes(width, "big")
     out += struct.pack(">I", share_set.next_round)
+    tuples = live_tuples(share_set)
     for rid in range(share_set.next_round):
-        tup = share_set.tuples.get(rid)
+        tup = tuples.get(rid)
         out += struct.pack(">IB", rid, tup is None)
         if tup is not None:
             out += tup.r.to_bytes(width, "big") + tup.z.to_bytes(width, "big")
@@ -717,8 +726,8 @@ def live_runs_body(share_set, seq, next_round, runs, r_column, z_column,
     return b"".join((
         struct.pack(">IBBH", seq, params.t_sh, params.n_sh, width),
         params.field.q.to_bytes(width, "big"),
-        struct.pack(">I", len(share_set.data_shares)),
-        column(share_set.data_shares + (share_set.password_share,)),
+        struct.pack(">I", len(data_shares(share_set))),
+        column(data_shares(share_set) + (share_set.password_share,)),
         b"" if renewals is None else id_run_list(renewals),
         struct.pack(">I", next_round), id_run_list(runs),
         column(r_column), column(z_column),
@@ -730,7 +739,7 @@ def test_a_record_is_its_parts_and_nothing_per_spent_tuple(tmp_path):
     sid = secrets[0][0]
     for rid in (0, 1, 4):
         spend_one(stores[1], sid, round_id=rid)
-    tuples = stores[1].get_secret(sid).tuples
+    tuples = live_tuples(stores[1].get_secret(sid))
     path = live_record_path(tmp_path / "holder-1", sid)
     body = live_runs_body(stores[1].get_secret(sid), 4, 6, [(2, 2), (5, 1)],
                           [tuples[rid].r for rid in (2, 3, 5)],
@@ -772,7 +781,7 @@ def test_a_record_wider_than_its_field_fails_closed(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[2])
     sid = secrets[0][0]
     share_set = stores[1].get_secret(sid)
-    tuples = share_set.tuples
+    tuples = live_tuples(share_set)
     path = live_record_path(tmp_path / "holder-1", sid)
     body = live_runs_body(share_set, 2, 2, [(0, 2)],
                           [tuples[rid].r for rid in (0, 1)],
@@ -788,7 +797,7 @@ def rewrite_record(holder_dir, sid, share_set, next_round, runs):
     """Replace a secret's live record by one with the given next_round and
     live runs, taking the shares and the live tuples' values from
     `share_set`."""
-    tuples = share_set.tuples
+    tuples = live_tuples(share_set)
     live = [rid for first, count in runs for rid in range(first, first + count)]
     path = live_record_path(holder_dir, sid)
     body = live_runs_body(share_set, 9, next_round, runs,
@@ -818,12 +827,12 @@ def test_a_record_claiming_four_billion_spent_rounds_fails_closed_at_once(
     assert peak < 1 << 20
     sets = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
     sets[1] = reopened.get_secret(sid)
-    assert sets[1].next_round == top and sets[1].tuples == {}
+    assert sets[1].next_round == top and live_tuples(sets[1]) == {}
     for share_set in sets.values():
         share_set.next_round = top
     with pytest.raises(ProtocolError, match="u32"):
         stock(sets, rng("u32"))
-    assert sets[1].next_round == top and sets[1].tuples == {}
+    assert sets[1].next_round == top and live_tuples(sets[1]) == {}
 
 
 def test_spends_and_stocks_past_max_ids_reopen(tmp_path, monkeypatch):
@@ -840,7 +849,7 @@ def test_spends_and_stocks_past_max_ids_reopen(tmp_path, monkeypatch):
         stores[j].save(sid)
         stores[j].respond(sid, spss_request(
             password, (1, 2, 3), PARAMS_2311, rng("max-ids"),
-            tuple_ids=oldest_ids(stores[j].get_secret(sid)))[j])
+            rounds=oldest_runs(stores[j].get_secret(sid)))[j])
     for j in (1, 2, 3):
         reopened = HolderStore(tmp_path / ("holder-%d" % j))
         assert spent_rounds(reopened, sid) == tuple(range(need))
@@ -862,7 +871,7 @@ def spend_cycles(tmp_path, cycles):
         stores[j].put_secret(SID_A, share_set)
     for cycle in range(cycles):
         requests = spss_request(31337, (1, 2, 3), CRASH_PARAMS, source,
-                                oldest_ids(stores[1].get_secret(SID_A)))
+                                oldest_runs(stores[1].get_secret(SID_A)))
         for j in (1, 2, 3):
             stores[j].respond(SID_A, requests[j])
         sets = {j: stores[j].get_secret(SID_A)
@@ -879,7 +888,7 @@ def test_a_responders_record_holds_32_bytes_per_live_tuple_and_stops_growing(
     sizes = []
     for stores, need, cycle in spend_cycles(tmp_path, 10):
         share_set = stores[1].get_secret(SID_A)
-        assert list(share_set.tuples) == list(
+        assert live_ids(share_set) == list(
             range((cycle + 1) * need, (cycle + 3) * need))
         assert spent_rounds(stores[1], SID_A) == tuple(
             range((cycle + 1) * need))
@@ -902,11 +911,11 @@ def test_reopened_stores_keep_spent_rounds_and_never_reuse_an_id(tmp_path):
     # spend every tuple holders 1-3 have left
     for _ in range(2):
         requests = spss_request(31337, (1, 2, 3), CRASH_PARAMS, rng("all"),
-                                oldest_ids(stores[1].get_secret(SID_A)))
+                                oldest_runs(stores[1].get_secret(SID_A)))
         for j in (1, 2, 3):
             stores[j].respond(SID_A, requests[j])
     for j in (1, 2, 3):
-        assert list(stores[j].get_secret(SID_A).tuples) == []
+        assert live_ids(stores[j].get_secret(SID_A)) == []
     reopened = {j: HolderStore(tmp_path / ("holder-%d" % j))
                 for j in CRASH_PARAMS.holder_indices}
     for j in (1, 2, 3):
@@ -930,12 +939,12 @@ def test_respond_refuses_a_round_id_named_twice_before_journaling(tmp_path):
     record = live_record_path(tmp_path / "holder-1", sid).read_bytes()
     twice = (ids[0],) * need
     request = spss_request(password, (1, 2, 3), PARAMS_2311, rng("twice"),
-                           tuple_ids=twice)
+                           rounds=runs_of(twice))
     with pytest.raises(ImproperRequestError):
         stores[1].respond(sid, request[1])
     assert live_record_path(tmp_path / "holder-1", sid).read_bytes() == record
     reopened = HolderStore(tmp_path / "holder-1")
-    assert list(reopened.get_secret(sid).tuples) == list(ids)
+    assert live_ids(reopened.get_secret(sid)) == list(ids)
     assert spent_rounds(reopened, sid) == ()
 
 
@@ -949,13 +958,13 @@ def test_retire_journals_chunks_of_one_spend_and_refuses_a_dead_round(
     store = stores[4]
     store.save(sid)
     with pytest.raises(ProtocolError):
-        store.retire(sid, (0, 3 * limit + 1))
-    assert list(live[4].tuples) == list(range(3 * limit + 1))
-    store.retire(sid, range(3 * limit))
-    assert list(live[4].tuples) == [3 * limit]
+        store.retire(sid, [(0, 1), (3 * limit + 1, 3 * limit + 2)])
+    assert live_ids(live[4]) == list(range(3 * limit + 1))
+    store.retire(sid, [(0, 3 * limit)])
+    assert live_ids(live[4]) == [3 * limit]
     store.save(sid)
     reopened = HolderStore(tmp_path / "holder-4")
-    assert list(reopened.get_secret(sid).tuples) == [3 * limit]
+    assert live_ids(reopened.get_secret(sid)) == [3 * limit]
     assert spent_rounds(reopened, sid) == tuple(range(3 * limit))
 
 
@@ -970,12 +979,12 @@ def test_retire_refuses_a_round_named_twice_before_dropping_any(tmp_path):
     store.save(sid)
     record = live_record_path(tmp_path / "holder-4", sid).read_bytes()
     with pytest.raises(ImproperRequestError, match="twice"):
-        store.retire(sid, (1, 1))
-    assert list(live[4].tuples) == [0, 1, 2]
+        store.retire(sid, [(1, 2), (1, 2)])
+    assert live_ids(live[4]) == [0, 1, 2]
     assert live_record_path(tmp_path / "holder-4", sid).read_bytes() == record
     store.save(sid)  # a later save still writes every round live
     reopened = HolderStore(tmp_path / "holder-4")
-    assert list(reopened.get_secret(sid).tuples) == [0, 1, 2]
+    assert live_ids(reopened.get_secret(sid)) == [0, 1, 2]
     assert spent_rounds(reopened, sid) == ()
 
 
@@ -1026,20 +1035,20 @@ def test_retire_drops_its_rounds_without_decoding_them(tmp_path,
     sid = secrets[0][0]
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
     stock(live, rng("retire-raw"), rounds=6)
-    tuples = live[4].tuples
+    tuples = live_tuples(live[4])
     kept = {rid: tuples[rid] for rid in (0, 3, 5)}
 
     def no_decoding(self, count, width):
         raise AssertionError("a retire decoded %d values" % count)
 
     monkeypatch.setattr(wire.Cursor, "uints", no_decoding)
-    stores[4].retire(sid, (4, 1, 2))
+    stores[4].retire(sid, [(1, 3), (4, 5)])
     with pytest.raises(PrecomputationExhaustedError):
-        stores[4].retire(sid, (0, 1))
+        stores[4].retire(sid, [(0, 2)])
     with pytest.raises(ImproperRequestError, match="twice"):
-        stores[4].retire(sid, (0, 0))
+        stores[4].retire(sid, [(0, 1), (0, 1)])
     monkeypatch.undo()
-    assert {rid: tuples[rid] for rid in tuples} == kept
+    assert live_tuples(live[4]) == kept
 
 
 def test_reconstruction_through_stores(tmp_path):
@@ -1054,7 +1063,7 @@ def test_reconstruction_through_stores(tmp_path):
 
     subset = (1, 3, 4)
     requests = spss_request(password, subset, PARAMS_2311, source,
-                            tuple_ids=tuple(ids))
+                            rounds=runs_of(ids))
     responses = []
     for j in subset:
         # reload holder 3 from disk mid-flight: persisted masks must serve
@@ -1081,16 +1090,16 @@ def test_respond_failure_leaves_journal_clean(tmp_path):
         stores[j].save(sid)
 
     requests = spss_request(password, (1, 2, 3), PARAMS_2311, source,
-                            tuple_ids=tuple(ids))
+                            rounds=runs_of(ids))
     record = live_record_path(tmp_path / "holder-4", sid).read_bytes()
     with pytest.raises(ProtocolError):
         stores[4].respond(sid, requests[1])  # holder 4 is outside the subset
     missing = spss_request(password, (1, 2, 4), PARAMS_2311, source,
-                           tuple_ids=tuple(ids) + (99,))
+                           rounds=runs_of(tuple(ids) + (99,)))
     with pytest.raises(PrecomputationExhaustedError):
         stores[4].respond(sid, missing[4])
     assert live_record_path(tmp_path / "holder-4", sid).read_bytes() == record
-    assert list(stores[4].get_secret(sid).tuples) == sorted(ids)
+    assert live_ids(stores[4].get_secret(sid)) == sorted(ids)
 
 
 def test_a_pinned_request_one_id_short_is_improper_at_the_store_too(tmp_path):
@@ -1101,14 +1110,14 @@ def test_a_pinned_request_one_id_short_is_improper_at_the_store_too(tmp_path):
     for j in PARAMS_2311.holder_indices:
         stores[j].save(sid)
     request = spss_request(password, (1, 2, 3), PARAMS_2311, rng("short"),
-                           tuple_ids=ids[:-1])[1]
+                           rounds=runs_of(ids[:-1]))[1]
     record = live_record_path(tmp_path / "holder-1", sid).read_bytes()
     with pytest.raises(ImproperRequestError):
         stores[1].respond(sid, request)
     assert live_record_path(tmp_path / "holder-1", sid).read_bytes() == record
     with pytest.raises(ImproperRequestError):
         holder_respond(stores[1].get_secret(sid), request)
-    assert list(stores[1].get_secret(sid).tuples) == list(ids)
+    assert live_ids(stores[1].get_secret(sid)) == list(ids)
 
 
 def test_a_spent_round_is_absent_in_memory_and_after_reopening(tmp_path):
@@ -1122,10 +1131,10 @@ def test_a_spent_round_is_absent_in_memory_and_after_reopening(tmp_path):
     store = stores[1]
     store.respond(sid, spss_request(password, (1, 2, 3), PARAMS_2311,
                                     rng("absent"),
-                                    oldest_ids(store.get_secret(sid)))[1])
+                                    oldest_runs(store.get_secret(sid)))[1])
     assert spend_one(store, sid).round_id == need
     share_set = store.get_secret(sid)
-    assert sorted(share_set.tuples) == [need + 1]
+    assert live_ids(share_set) == [need + 1]
     assert share_set.next_round == need + 2
     reopened = HolderStore(tmp_path / "holder-1").get_secret(sid)
     assert reopened == share_set and reopened.next_round == need + 2
@@ -1148,7 +1157,7 @@ def test_renewal_destroys_old_share_bytes(tmp_path):
     store = HolderStore(tmp_path / "holder-1", holder=1)
     sid = b"\x44" * 16
     store.put_secret(sid, holders[1])
-    old_shares = list(holders[1].data_shares)
+    old_shares = list(data_shares(holders[1]))
     old_bytes = [v.to_bytes(field.byte_width, "big") for v in old_shares]
     holder_dir = tmp_path / "holder-1"
     for raw in old_bytes:
@@ -1164,7 +1173,7 @@ def test_renewal_destroys_old_share_bytes(tmp_path):
     assert store.renewal_rounds(sid) == (1,)
 
     reloaded = HolderStore(tmp_path / "holder-1")
-    assert reloaded.get_secret(sid).data_shares == tuple(new_shares)
+    assert data_shares(reloaded.get_secret(sid)) == tuple(new_shares)
     assert reloaded.renewal_rounds(sid) == (1,)
 
 
@@ -1173,7 +1182,7 @@ def test_renewal_rounds_live_in_the_record_and_read_no_file(tmp_path,
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
     sid = secrets[0][0]
     store = stores[1]
-    shares = share_column(store.get_secret(sid).data_shares,
+    shares = share_column(data_shares(store.get_secret(sid)),
                           PARAMS_2311.field)
     for round_no in (0, 1, 3):
         store.apply_renewal(sid, shares, round_no)
@@ -1204,7 +1213,7 @@ def test_a_record_of_the_live_tuple_runs_layout_fails_closed(tmp_path):
     sid = secrets[0][0]
     spend_one(stores[1], sid)
     share_set = stores[1].get_secret(sid)
-    tuples = share_set.tuples
+    tuples = live_tuples(share_set)
     path = live_record_path(tmp_path / "holder-1", sid)
     # the layout before renewal rounds moved into the record, as that
     # version wrote it: no renewal runs, under its own layout label
@@ -1248,7 +1257,7 @@ def test_a_renewal_history_past_max_ids_reopens_after_its_save(tmp_path):
                           renewals=[(0, wire.MAX_IDS)])
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
     store = HolderStore(holder_dir)
-    shares = share_column(store.get_secret(sid).data_shares,
+    shares = share_column(data_shares(store.get_secret(sid)),
                           PARAMS_2311.field)
     store.apply_renewal(sid, shares, wire.MAX_IDS)
     reopened = HolderStore(holder_dir)
@@ -1268,12 +1277,12 @@ def test_renewal_runs_span_the_u32_round_ids(tmp_path):
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
     store = HolderStore(holder_dir)
     before = store.get_secret(sid)
-    shares = share_column((v + 1 for v in before.data_shares),
+    shares = share_column((v + 1 for v in data_shares(before)),
                           PARAMS_2311.field)
     with pytest.raises(ProtocolError):
         store.apply_renewal(sid, shares, 0xFFFFFFFF)
     assert store.get_secret(sid).renewal_runs == full
-    assert store.get_secret(sid).data_shares == before.data_shares
+    assert data_shares(store.get_secret(sid)) == data_shares(before)
     assert path.read_bytes()[:len(body)] == body
     assert HolderStore(holder_dir).get_secret(sid) == store.get_secret(sid)
 
@@ -1406,10 +1415,10 @@ def crash_case(directory, op):
         return store, precompute
     if op == "respond":
         request = spss_request(777, (1, 2, 3), CRASH_PARAMS, source,
-                               oldest_ids(holders[1]))[1]
+                               oldest_runs(holders[1]))[1]
         return store, lambda: store.respond(SID_A, request)
     if op == "retire":
-        stranded = list(holders[1].tuples)
+        stranded = holders[1].tuples.runs()
 
         def retire():
             store.retire(SID_A, stranded)
@@ -1417,7 +1426,7 @@ def crash_case(directory, op):
         return store, retire
     field = CRASH_PARAMS.field
     renewed = [field.add(v, 1 + i)
-               for i, v in enumerate(holders[1].data_shares)]
+               for i, v in enumerate(data_shares(holders[1]))]
     return store, lambda: store.apply_renewal(
         SID_A, share_column(renewed, field), round_no=1)
 
@@ -1436,8 +1445,8 @@ def slot_records(directory) -> set:
 
 
 def share_values(share_set) -> set:
-    values = set(share_set.data_shares) | {share_set.password_share}
-    for tup in share_set.tuples.values():
+    values = set(data_shares(share_set)) | {share_set.password_share}
+    for tup in live_tuples(share_set).values():
         values.update((tup.r, tup.z))
     return values
 
@@ -1488,8 +1497,8 @@ def test_crash_at_every_fsync_leaves_an_openable_consistent_store(tmp_path, op):
             assert state == new, "crash at fsync %d revived old shares" % k
         if op == "renew":
             # the renewal round is noted with the shares it installed
-            assert (state[SID_A].data_shares, again.renewal_rounds(SID_A)) in (
-                (old[SID_A].data_shares, ()), (new[SID_A].data_shares, (1,))
+            assert (data_shares(state[SID_A]), again.renewal_rounds(SID_A)) in (
+                (data_shares(old[SID_A]), ()), (data_shares(new[SID_A]), (1,))
             ), "crash at fsync %d split shares from renewal rounds" % k
         for sid, sizes in holder_record_files(directory).items():
             assert "new" not in sizes

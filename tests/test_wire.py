@@ -11,8 +11,8 @@ from itstore.errors import (
     TamperDetectedError,
 )
 import itstore.wire as wire
-from itstore.wire import SCHEMA, Codec, Cursor, check_runs, expand_runs
-from oracles import id_runs
+from itstore.wire import SCHEMA, Codec, Cursor, check_runs
+from oracles import expand_runs, id_runs
 
 CODEC = Codec(W=16, P=33, tag=8, digest=64, degree=3)
 

@@ -152,15 +152,15 @@ def refused_runs(n: int) -> dict:
     """Requests for n rounds that a holder whose live rounds are 0..n+1
     must refuse before anything changes, each named for its fault, as
     {fault: (runs, error)}. The "gap" request meets a holder that has
-    spent round n - 1, and only "wrong total" names other than n rounds."""
+    spent round n - 1, and only "wrong-total" names other than n rounds."""
     return {
         "empty": ([(0, n), (n + 1, n + 1)], ImproperRequestError),
         "overlapping": ([(0, n - 1), (n - 2, n - 1)], ImproperRequestError),
         "touching": ([(0, n - 1), (n - 1, n)], ImproperRequestError),
-        "out of order": ([(n - 1, n), (0, n - 1)], ImproperRequestError),
+        "out-of-order": ([(n - 1, n), (0, n - 1)], ImproperRequestError),
         "gap": ([(0, n)], PrecomputationExhaustedError),
-        "past the stock": ([(3, n + 3)], PrecomputationExhaustedError),
-        "wrong total": ([(0, n - 1)], ImproperRequestError),
+        "past-the-stock": ([(3, n + 3)], PrecomputationExhaustedError),
+        "wrong-total": ([(0, n - 1)], ImproperRequestError),
     }
 
 

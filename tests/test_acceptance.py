@@ -54,7 +54,8 @@ from tests.test_config import SCENARIO_DIR
 
 def reconstruct_once(holders, secret, params, attempt, subset, rng):
     ids = [stock(holders, rng)[0] for _ in range(len(secret.blocks) + 1)]
-    requests = spss_request(attempt, subset, params, rng, rounds=runs_of(ids))
+    requests = spss_request(attempt, subset, params, rng,
+                            rounds=runs_of(ids))
     responses = [holder_respond(holders[j], requests[j]) for j in subset]
     return spss_recover(responses, attempt, params,
                         byte_length=len(secret.data))

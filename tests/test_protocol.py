@@ -662,8 +662,8 @@ def test_renewal_destroys_previous_share_bytes(tmp_path):
     session = make_session(tmp_path)
     sid, _, _ = register_and_stock(session)
     field = session.params.field
-    old_encoded = [v.to_bytes(field.byte_width, "big")
-                   for v in data_shares(session.holder_stores[1].get_secret(sid))]
+    old_encoded = [v.to_bytes(field.byte_width, "big") for v in
+                   data_shares(session.holder_stores[1].get_secret(sid))]
     assert session.renew(sid).accepted
     holder_dir = session.holder_stores[1].directory
     for raw in old_encoded:
@@ -886,7 +886,8 @@ def test_renewal_corruption_is_accused_and_changes_nothing(tmp_path,
     assert not report.accepted
     assert any(a.accuser == 3 and a.accused == 2 for a in report.accusations)
     for j in session.params.holder_indices:
-        assert data_shares(session.holder_stores[j].get_secret(sid)) == before[j]
+        assert data_shares(
+            session.holder_stores[j].get_secret(sid)) == before[j]
         assert session.holder_stores[j].renewal_rounds(sid) == ()
 
     # the next honest round goes through
@@ -924,7 +925,8 @@ def test_renewal_mislabelled_header_fails_closed(tmp_path, kind, offset,
     with pytest.raises(ProtocolError):
         session.renew(sid)
     for j in session.params.holder_indices:
-        assert data_shares(session.holder_stores[j].get_secret(sid)) == before[j]
+        assert data_shares(
+            session.holder_stores[j].get_secret(sid)) == before[j]
         assert session.holder_stores[j].renewal_rounds(sid) == ()
 
     session.transport.send = send

@@ -94,7 +94,8 @@ def reconstruct(holders, secret, params, attempt, subset, rng, pin=True):
            for _ in range(len(secret.blocks) + 1)]
     if not pin:
         ids = live_ids(holders[subset[0]])[:len(ids)]
-    requests = spss_request(attempt, subset, params, rng, rounds=runs_of(ids))
+    requests = spss_request(attempt, subset, params, rng,
+                            rounds=runs_of(ids))
     responses = [holder_respond(holders[j], requests[j]) for j in subset]
     return spss_recover(responses, attempt, params,
                         byte_length=len(secret.data))
@@ -488,7 +489,8 @@ def test_precompute_delivers_every_other_holders_values_in_order():
                      for j in (1, 2, 3, 4) if j != d]
     for j in (1, 2, 3, 4):
         for rid in (0, 1):
-            want, got = live_tuples(direct[j])[rid], live_tuples(routed[j])[rid]
+            want = live_tuples(direct[j])[rid]
+            got = live_tuples(routed[j])[rid]
             # row k = rid of the batch: each routed value adds d^k * d
             shift = extraction_oracle([0 if d == j else d
                                        for d in (1, 2, 3, 4)], rid, 31)
@@ -719,7 +721,8 @@ def test_a_pinned_id_named_twice_is_refused_before_any_tuple_is_spent():
     need = len(secret.blocks) + 1  # the data blocks and the authenticator
     stock(holders, rng, rounds=need)
     for ids in ((0,) * need, (0, 1, 0), (2, 1, 1)):
-        request = spss_request(9, (1, 2, 3), params, rng, rounds=runs_of(ids))
+        request = spss_request(9, (1, 2, 3), params, rng,
+                               rounds=runs_of(ids))
         with pytest.raises(ImproperRequestError, match="twice"):
             holder_respond(holders[1], request[1])
         assert live_ids(holders[1]) == list(range(need))
@@ -823,7 +826,8 @@ def test_wrong_password_offsets_are_uniform():
     for _ in range(trials):
         ids = [stock(holders, rng)[0]
                for _ in range(len(secret.blocks) + 1)]
-        requests = spss_request(17, (1, 2, 3), params, rng, rounds=runs_of(ids))
+        requests = spss_request(17, (1, 2, 3), params, rng,
+                                rounds=runs_of(ids))
         responses = [holder_respond(holders[j], requests[j]) for j in (1, 2, 3)]
         pts = [(r.holder, r.values[0]) for r in responses]
         recovered = interpolate_at_zero(pts, F31)

@@ -1011,7 +1011,7 @@ def test_respond_and_retire_refuse_each_faulty_request_before_any_change(
     request = spss_request(password, (1, 2, 3), PARAMS_2311,
                            rng("refused"), rounds=runs)[1]
     spends = [lambda: store.respond(sid, request)]
-    if fault != "wrong total":
+    if fault != "wrong-total":
         spends.append(lambda: store.retire(sid, runs))
     for spend in spends:
         with pytest.raises(error):
@@ -1497,8 +1497,10 @@ def test_crash_at_every_fsync_leaves_an_openable_consistent_store(tmp_path, op):
             assert state == new, "crash at fsync %d revived old shares" % k
         if op == "renew":
             # the renewal round is noted with the shares it installed
-            assert (data_shares(state[SID_A]), again.renewal_rounds(SID_A)) in (
-                (data_shares(old[SID_A]), ()), (data_shares(new[SID_A]), (1,))
+            assert (data_shares(state[SID_A]),
+                    again.renewal_rounds(SID_A)) in (
+                (data_shares(old[SID_A]), ()),
+                (data_shares(new[SID_A]), (1,)),
             ), "crash at fsync %d split shares from renewal rounds" % k
         for sid, sizes in holder_record_files(directory).items():
             assert "new" not in sizes

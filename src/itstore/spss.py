@@ -743,12 +743,10 @@ def reassemble_blocks(blocks_by_index, byte_length: int, width: int) -> bytes:
     D_l..D_1 back to bytes.
 
     Linear time: each group of eight blocks is exactly `width` bytes.
+    spss_recover passes only blocks narrower than `width` bits, and a
+    byte_length they fill.
     """
     wire = list(blocks_by_index)[::-1]  # wire order, D_l leftmost
-    if len(wire) * width < byte_length * 8:
-        raise ConfigurationError("byte_length exceeds reconstructed payload")
-    if any(b >> width for b in wire):
-        raise ConfigurationError("a block is wider than %d bits" % width)
     wire += [0] * (-len(wire) % 8)
     out = []
     for i in range(0, len(wire), 8):

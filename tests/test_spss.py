@@ -210,13 +210,6 @@ def test_reassemble_blocks_matches_bit_string_oracle(width):
                 == reassemble_oracle(noise, n, width))
 
 
-def test_reassemble_blocks_rejects_bad_input():
-    with pytest.raises(ConfigurationError):
-        reassemble_blocks([1, 2], 9, F31.block_bits)  # 8 bits hold no 9 bytes
-    with pytest.raises(ConfigurationError):
-        reassemble_blocks([1, 1 << F31.block_bits], 1, F31.block_bits)
-
-
 def register_oracle(data, password, params, rnd):
     """spss_register with one random_polynomial per block, evaluated at
     every holder, then the password polynomial."""

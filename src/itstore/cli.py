@@ -326,8 +326,6 @@ def _cmd_register(args) -> int:
     with _workspace_for(args, allow_init=True) as ws:
         payload = _payload_from_args(args, ws.config.seed)
         sid, t1 = ws.session.register(payload, args.password.encode("utf-8"))
-        if args.computational:
-            ws.session.cs_register(sid, payload)
     print("registered %d bytes" % len(payload))
     print("  secret id: %s" % sid.hex())
     print("  owner timestamp t1: %d" % t1)
@@ -370,11 +368,8 @@ def _cmd_verify(args) -> int:
     with _workspace_for(args, allow_init=False) as ws:
         sid = _sid_from_args(ws, args)
         claim = _claim_from_args(args)
-        if args.computational:
-            verdict = ws.session.cs_check(sid, claim, claim_t1=args.t1)
-        else:
-            verdict = ws.session.integrity_check(sid, claim_data=claim,
-                                                 claim_t1=args.t1)
+        verdict = ws.session.integrity_check(sid, claim_data=claim,
+                                             claim_t1=args.t1)
     print("integrity check %s: %s" % (verdict.outcome.value, verdict.detail))
     return _outcome_exit(verdict.outcome)
 
@@ -584,8 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", help="payload string")
     p.add_argument("--size-kb", type=int, help="seed-derived payload size")
     p.add_argument("--password", default=DEFAULT_PASSWORD)
-    p.add_argument("--computational", action="store_true",
-                   help="also register a computational-security digest")
     p.set_defaults(func=_cmd_register)
 
     p = sub.add_parser("reconstruct",
@@ -604,8 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="claimed payload file")
     p.add_argument("--text", help="claimed payload string")
     p.add_argument("--t1", type=int, help="claimed registration timestamp")
-    p.add_argument("--computational", action="store_true",
-                   help="check against the computational digest instead")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("refute", help="adjudicate a disputed claim")

@@ -15,7 +15,6 @@ configuration errors with a precise dotted path.
     mac:
       scheme: polyeval            # the only registration MAC
       k: 256                      # tag bits, multiple of 8 in [16, 512]
-      cs_tag_bits: 512            # computational-mode digest width
     renewal:
       group: mersenne127          # toy | mersenne127 | rfc5114
       rounds: 0                   # proactive renewal rounds to run
@@ -68,8 +67,7 @@ from .entropy import PrfBits, derive_key
 from .errors import ConfigurationError
 from .field import PrimeField
 from .keynet import DEFAULT_TOPOLOGY, LinkSpec, NetworkTopology, NodeSpec
-from .mac import (DEFAULT_DIGEST_BITS, DEFAULT_K, MacScheme,
-                  check_digest_bits, check_k)
+from .mac import DEFAULT_K, MacScheme, check_k
 from .protocol import RolePlacement, role_endpoints
 from .renewal import RenewalGroupConfig, default_group, group_by_name
 from .spss import DEFAULT_FIELD_EXPONENT, SpssParams
@@ -147,7 +145,6 @@ class ScenarioConfig:
     params: SpssParams
     scheme: MacScheme  # one member; perfbench passes it to TpvSession
     k: int
-    cs_tag_bits: int
     renewal_group: "RenewalGroupConfig | None"
     renewal_rounds: int
     placement: RolePlacement
@@ -159,6 +156,8 @@ class ScenarioConfig:
     bench: BenchConfig
     outputs: OutputConfig
     expect: tuple
+    # not a field and not parsed: perfbench passes it to TpvSession
+    cs_tag_bits = None
 
 
 # ------------------------------------------------------------ path helpers
@@ -353,7 +352,6 @@ _MAC = (
     _Key("scheme", _str, MacScheme.POLYEVAL.value,
          check=_one_of([s.value for s in MacScheme])),
     _Key("k", _int, DEFAULT_K, minimum=1, check=check_k),
-    _Key("cs_tag_bits", _int, DEFAULT_DIGEST_BITS),
 )
 _RENEWAL = (
     _Key("rounds", _int, 0, minimum=0),
@@ -573,18 +571,14 @@ def parse_scenario(mapping, name_default: str = "scenario") -> ScenarioConfig:
     """Validate a parsed YAML mapping into a ScenarioConfig."""
     rules = (_Key("name", _str, name_default),) + _SCENARIO
     sec = _keys(mapping, "scenario", rules)
-    (name, seed, warmup_ms, params, (scheme, k, cs_tag_bits), renewal,
-     topology, placement, skews, payload, password, attack, bench, outputs,
+    (name, seed, warmup_ms, params, (scheme, k), renewal, topology,
+     placement, skews, payload, password, attack, bench, outputs,
      expect) = _values(sec, "", rules)
-    if cs_tag_bits == k and (sec.get("mac") or {}).get("cs_tag_bits") is None:
-        _fail("mac.cs_tag_bits", "unset, and its default of %d equals k = %d;"
-              " set it to another width" % (DEFAULT_DIGEST_BITS, k))
-    _check(check_digest_bits, "mac.cs_tag_bits", cs_tag_bits, k)
     group, rounds = _parse_renewal(renewal, "renewal", params.field)
     topology = _parse_topology(topology, "topology")
     return ScenarioConfig(
         name=name, seed=seed, warmup_ms=warmup_ms, params=params,
-        scheme=MacScheme(scheme), k=k, cs_tag_bits=cs_tag_bits,
+        scheme=MacScheme(scheme), k=k,
         renewal_group=group, renewal_rounds=rounds,
         placement=_parse_placement(placement, "placement", topology,
                                    params.n_sh),

@@ -181,7 +181,6 @@ def build_session(config: ScenarioConfig, storage_root,
         placement=config.placement,
         clock_skews=config.clock_skews,
         renewal_group=config.renewal_group,
-        cs_tag_bits=config.cs_tag_bits,
         advance_on_exhaustion_ms=WAIT_STEP_MS,
     )
 

@@ -36,7 +36,6 @@ byte hash hands it blocks that are cut from the message a chunk at a time.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
@@ -53,7 +52,6 @@ __all__ = [
     "MIN_POLYEVAL_K",
     "MAX_POLYEVAL_K",
     "check_k",
-    "check_digest_bits",
     "polyeval_modulus",
     "polyeval_powers",
     "polyeval_tag_blocks",
@@ -65,13 +63,10 @@ __all__ = [
     "make_seed",
     "seed_to_bytes",
     "seed_from_bytes",
-    "cr_hash",
     "DEFAULT_K",
-    "DEFAULT_DIGEST_BITS",
 ]
 
 DEFAULT_K = 256
-DEFAULT_DIGEST_BITS = 512  # computational-mode digest: all of cr_hash
 
 POLY_CHUNK = 64  # blocks per dot product in polyeval_tag_blocks
 
@@ -108,19 +103,6 @@ def check_k(k: int) -> None:
     if k % 8:
         raise ConfigurationError(
             "tags are whole bytes, so k must be a multiple of 8, got %d" % k)
-
-
-def check_digest_bits(bits: int, k: int) -> None:
-    """Refuse a computational-mode digest width: whole bytes of cr_hash's
-    512, and not k, since the verifier tells a digest row from a k-bit
-    tag row by width alone. Callers name the setting in the message."""
-    if bits % 8 or not 8 <= bits <= 512:
-        raise ConfigurationError(
-            "must be a multiple of 8 in [8, 512], got %d" % bits)
-    if bits == k:
-        raise ConfigurationError(
-            "must differ from k = %d: the verifier tells a digest row from "
-            "a tag row by width" % k)
 
 
 def polyeval_modulus(k: int) -> int:
@@ -349,7 +331,3 @@ def seed_from_bytes(raw: bytes, k: int) -> MacSeed:
     return MacSeed(k, int.from_bytes(raw, "big"), polyeval_modulus(k),
                    consumed=True)
 
-
-def cr_hash(message: bytes) -> bytes:
-    """Collision-resistant 512-bit digest (the computational-security mode)."""
-    return hashlib.sha512(message).digest()

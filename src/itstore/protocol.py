@@ -32,10 +32,9 @@ holds that another holder has spent (TpvSession.precompute).
 Timestamps are per-role logical clocks (network time plus a configurable
 per-role skew); t1 is stamped by the calculator at registration, t2 by the
 verifier when it files a row. Every verdict is taken on the verifier's
-row for the claim's (id, t1) whose tag has the width of the value
-compared: a k-bit tag, or a cs_tag_bits digest, so the two widths differ.
-* Integrity rule (integrity_check, cs_check): fail with no row, with a
-  differing tag or digest, or with t1 > t2; otherwise success.
+first row for the claim's (id, t1), the one its registration filed.
+* Integrity rule (integrity_check): fail with no row, with a differing
+  tag, or with t1 > t2; otherwise success.
 * Refutation (refute) has no t1 <= t2 condition: abort with no calculator
   seed or no row; success (refuted) when the tag differs; else fail.
 
@@ -67,14 +66,11 @@ from .errors import (
 from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
 from .keynet import DEFAULT_TOPOLOGY, KeyNetwork
 from .mac import (
-    DEFAULT_DIGEST_BITS,
     DEFAULT_K,
     MacScheme,
     MacTag,
     au2_hash,
-    check_digest_bits,
     check_k,
-    cr_hash,
     make_seed,
     recompute_tag,
 )
@@ -207,7 +203,7 @@ class RolePlacement:
 
 
 def _stamped(t1: int, data: bytes) -> bytes:
-    """What a tag or digest covers: the 8-byte time t1, then the data."""
+    """What a tag covers: the 8-byte time t1, then the data."""
     return t1.to_bytes(8, "big") + data
 
 
@@ -412,7 +408,7 @@ class TpvSession:
                  placement: "RolePlacement | None" = None,
                  clock_skews: "dict | None" = None,
                  renewal_group: "RenewalGroupConfig | None" = None,
-                 cs_tag_bits: int = DEFAULT_DIGEST_BITS,
+                 cs_tag_bits=None,  # unused; perfbench's workloads pass it
                  master_seed: bytes = b"tpv-session",
                  advance_on_exhaustion_ms: int = 0):
         self.params = params if params is not None else SpssParams()
@@ -426,11 +422,6 @@ class TpvSession:
         if unknown:
             raise ConfigurationError("clock_skews names no role: %s"
                                      % ", ".join(sorted(unknown)))
-        try:
-            check_digest_bits(cs_tag_bits, self.k)
-        except ConfigurationError as exc:
-            raise ConfigurationError("cs_tag_bits %s" % exc) from None
-        self.cs_tag_bits = cs_tag_bits
 
         renewal_group = renewal_group or default_group(self.params.field.q)
         self.renewal_group = renewal_group
@@ -438,8 +429,7 @@ class TpvSession:
         self.codec = Codec(
             W=self.params.field.byte_width,
             P=(renewal_group.p.bit_length() + 7) // 8 if renewal_group else 0,
-            tag=self.k // 8, digest=cs_tag_bits // 8,
-            degree=self.params.data_degree)
+            tag=self.k // 8, degree=self.params.data_degree)
 
         self.net = net if net is not None else KeyNetwork(
             DEFAULT_TOPOLOGY, master_seed=master_seed)
@@ -534,36 +524,12 @@ class TpvSession:
             t1 = got_t1 if t1 is None else t1
         return data, t1
 
-    def _file(self, sender: str, kind: str, payload: bytes,
-              sid: bytes) -> None:
-        """sender files an encoded (sid, t1, tag) with the verifier, which
-        appends the row stamped t2 on its own clock."""
-        v_t1, v_tag = self._deliver(sender, self.VERIFIER, kind, payload,
-                                    (sid,))
-        t2 = self.clock(self.VERIFIER)
-        self.verifier_store.append(
-            VerifierRecord(sid, v_t1, MacTag.from_bytes(v_tag), t2))
-
     def _compare(self, sender: str, kind: str, sid: bytes, t1: int,
                  tag: bytes) -> tuple:
-        """Send (t1, tag) to the verifier; return its row for (sid, t1)
-        of the tag's width, or None, and the tag as it arrived."""
+        """Send (t1, tag) to the verifier; return its row for (sid, t1),
+        or None, and the tag as it arrived."""
         v_t1, v_tag = self._send(sender, self.VERIFIER, kind, (sid,), t1, tag)
-        v_tag = MacTag.from_bytes(v_tag)
-        return self.verifier_store.find(sid, v_t1, v_tag.k), v_tag
-
-    def _integrity(self, sender: str, kind: str, sid: bytes, t1: int,
-                   tag: bytes, what: str) -> tuple:
-        """The integrity rule over a comparison: (outcome, detail), where
-        what names the compared value in the detail."""
-        row, v_tag = self._compare(sender, kind, sid, t1, tag)
-        if row is None:
-            return Outcome.FAIL, "no verifier record"
-        if row.tag != v_tag:
-            return Outcome.FAIL, what + " mismatch"
-        if row.t1 > row.t2:
-            return Outcome.FAIL, "claimed time is after the recorded time"
-        return Outcome.SUCCESS, what + " match and t1 <= t2"
+        return self.verifier_store.find(sid, v_t1), MacTag.from_bytes(v_tag)
 
     # ---------------------------------------------------------- registration
 
@@ -620,7 +586,11 @@ class TpvSession:
             self.holder_stores[j].put_secret(
                 sid, HolderShareSet(j, self.params, shares, pw_share))
 
-        self._file(self.CALCULATOR, "tag-report", tag_msg, sid)
+        # the verifier files the row stamped t2 on its own clock
+        v_t1, v_tag = self._deliver(self.CALCULATOR, self.VERIFIER,
+                                    "tag-report", tag_msg, (sid,))
+        self.verifier_store.append(VerifierRecord(
+            sid, v_t1, MacTag.from_bytes(v_tag), self.clock(self.VERIFIER)))
 
         self.calculator_store.put(sid, t1, seed)
 
@@ -842,8 +812,17 @@ class TpvSession:
                 "calculator has no tag record for (%s, t1=%d)"
                 % (sid.hex(), c_t1))
         tag2 = recompute_tag(seed, _stamped(c_t1, c_data))
-        outcome, detail = self._integrity(self.CALCULATOR, "check-tag", sid,
-                                          c_t1, tag2.to_bytes(), "tag")
+        row, v_tag = self._compare(self.CALCULATOR, "check-tag", sid, c_t1,
+                                   tag2.to_bytes())
+        if row is None:
+            outcome, detail = Outcome.FAIL, "no verifier record"
+        elif row.tag != v_tag:
+            outcome, detail = Outcome.FAIL, "tag mismatch"
+        elif row.t1 > row.t2:
+            outcome, detail = (Outcome.FAIL,
+                               "claimed time is after the recorded time")
+        else:
+            outcome, detail = Outcome.SUCCESS, "tag match and t1 <= t2"
         return self._announce(sid, Phase.INTEGRITY_CHECK, outcome, detail)
 
     # ------------------------------------------------------------ refutation
@@ -875,37 +854,6 @@ class TpvSession:
         else:
             outcome, detail = Outcome.FAIL, "claim is authentic"
         return self._announce(sid, Phase.REFUTATION, outcome, detail)
-
-    # ------------------------------------------------- computational option
-
-    def _cs_digest(self, t1: int, data: bytes) -> bytes:
-        return cr_hash(_stamped(t1, data))[:self.cs_tag_bits // 8]
-
-    def cs_register(self, sid: bytes, data: bytes) -> None:
-        """Computationally-secure option: the owner hashes (t1 | data)
-        itself and files the (possibly truncated) digest with the
-        verifier; the calculator keeps nothing extra."""
-        if sid not in self.owner_receipts:
-            raise ProtocolError("owner holds no receipt for %s" % sid.hex())
-        t1, _length = self.owner_receipts[sid]
-        digest = self._cs_digest(t1, data)
-        self._file(self.OWNER, "cs-tag",
-                   self.codec.encode("cs-tag", sid, t1, digest), sid)
-        self._verdict(sid, Phase.REGISTRATION, Outcome.SUCCESS,
-                      "computational digest filed")
-
-    def cs_check(self, sid: bytes, data: "bytes | None" = None,
-                 claim_t1: "int | None" = None) -> VerdictEvent:
-        """End user's integrity check in the computational option: it
-        hashes its copy and the verifier applies the integrity rule to
-        the digests directly."""
-        data, claim_t1 = self._claim(sid, data, claim_t1)
-        outcome, detail = self._integrity(self.END_USER, "cs-check", sid,
-                                          claim_t1,
-                                          self._cs_digest(claim_t1, data),
-                                          "digest")
-        return self._announce(sid, Phase.INTEGRITY_CHECK, outcome,
-                              "computational: " + detail)
 
     # --------------------------------------------------------------- renewal
 

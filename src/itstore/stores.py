@@ -405,13 +405,11 @@ class VerifierStore:
     def records(self) -> tuple:
         return tuple(self._records)
 
-    def find(self, secret_id: bytes, t1: int,
-             width: int) -> "VerifierRecord | None":
-        """The row for (secret_id, t1) whose tag is width bits wide: a
-        registration tag and a computational digest differ in width."""
+    def find(self, secret_id: bytes, t1: int) -> "VerifierRecord | None":
+        """The first row for (secret_id, t1): the one its registration
+        filed, whatever a later append for the same pair holds."""
         for rec in self._records:
-            if (rec.secret_id == secret_id and rec.t1 == t1
-                    and rec.tag.k == width):
+            if rec.secret_id == secret_id and rec.t1 == t1:
                 return rec
         return None
 

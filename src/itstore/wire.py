@@ -9,7 +9,6 @@ SCHEMA lists for its kind, big-endian and without padding. Field types:
              unsigned integers
     W        one share-field element, W bytes
     tag      a k/8-byte MAC tag
-    digest   a cs_tag_bits/8-byte computational digest
     bytes8, bytes16, bytes32
              bytes after a u8, u16 or u32 length
     W*       a u32 count, then that many W elements
@@ -37,7 +36,7 @@ where they use them, and a renewal round reads the commitment and pair
 columns each holder received through Packed, a sequence view that
 decodes a column only when it is read.
 
-The widths W, P, tag, digest and the renewal degree are the session's
+The widths W, P, tag and the renewal degree are the session's
 (Codec's constructor takes them); none is configured separately. A value
 too long for its length prefix (a password over 65,535 bytes, say), or an
 integer outside its field's width (a negative t1, say), is refused with
@@ -159,7 +158,6 @@ def run(width: str, count_field: str, times) -> tuple:
 
 SID = ("raw", "sid")
 TAG = ("raw", "tag")
-DIGEST = ("raw", "digest")
 U8 = ("int", "u8")
 U32 = ("int", "u32")
 U64 = ("int", "u64")
@@ -196,8 +194,7 @@ SCHEMA = {
     "verdict": (0x0F, (("sid", SID), ("phase", U8), ("outcome", U8))),
     "refute-request": (0x10, (("sid", SID), ("t1", U64), ("data", BYTES32))),
     "refute-tag": (0x11, (("sid", SID), ("t1", U64), ("tag", TAG))),
-    "cs-tag": (0x12, (("sid", SID), ("t1", U64), ("digest", DIGEST))),
-    "cs-check": (0x13, (("sid", SID), ("t1", U64), ("digest", DIGEST))),
+    # 0x12 and 0x13 are retired codes: the kinds after them keep theirs
     "abort-notice": (0x14, (("sid", SID), ("reason", U8))),
     "renew-commits": (0x15, (("sid", SID), ("round", U32), ("sender", U8),
                              ("n_tracks", U32),
@@ -296,13 +293,12 @@ def _length_prefix(kind: str, name: str, length: int, width: int) -> bytes:
 
 class Codec:
     """Encoder and decoder for the SCHEMA kinds under one session's widths:
-    W share-field bytes, P commitment-modulus bytes, the tag and digest
-    byte lengths, and the renewal polynomial degree."""
+    W share-field bytes, P commitment-modulus bytes, the tag byte length,
+    and the renewal polynomial degree."""
 
-    def __init__(self, W: int, P: int, tag: int, digest: int, degree: int):
+    def __init__(self, W: int, P: int, tag: int, degree: int):
         self.sizes = {"sid": SID_BYTES, "u8": 1, "u16": 2, "u32": 4, "u64": 8,
-                      "W": W, "P": P, "tag": tag, "digest": digest,
-                      "degree": degree}
+                      "W": W, "P": P, "tag": tag, "degree": degree}
 
     def _run_values(self, fields, values, count) -> int:
         """How many values a run field holds: its count field's value, in

@@ -60,7 +60,7 @@ def register(capsys, ws, text=SECRET_TEXT, *extra):
 
 def test_workspace_lifecycle(tmp_path, capsys):
     ws = tmp_path / "ws"
-    sid = register(capsys, ws, SECRET_TEXT, "--computational")
+    sid = register(capsys, ws, SECRET_TEXT)
 
     # reconstruct to a file; the released bytes must match exactly
     out_file = tmp_path / "released.bin"
@@ -92,12 +92,6 @@ def test_workspace_lifecycle(tmp_path, capsys):
                            "--text", "a forged claim", "--sid", sid)
     assert code == 0
     assert "refutation success" in out
-
-    # computational-security digest agrees with the released data
-    code, out, _ = run_cli(capsys, "verify", "--workspace", str(ws),
-                           "--computational")
-    assert code == 0
-    assert "digest match" in out
 
     # verifying a wrong claim fails with exit 1
     code, out, _ = run_cli(capsys, "verify", "--workspace", str(ws),
@@ -672,6 +666,26 @@ def test_a_workspace_whose_scenario_names_toeplitz_is_refused(tmp_path,
         assert "success" not in out
 
 
+def test_a_workspace_whose_scenario_sets_cs_tag_bits_is_refused(tmp_path,
+                                                                capsys):
+    # the computational digest option is retired: a workspace saved with
+    # its width set is refused on load, before any store is opened
+    ws = tmp_path / "ws"
+    register(capsys, ws)
+    state_path = ws / "state.json"
+    state = json.loads(state_path.read_text(encoding="utf-8"))
+    state["scenario"]["mac"] = {"cs_tag_bits": 512}
+    state_path.write_text(json.dumps(state), encoding="utf-8")
+    with pytest.raises(ConfigurationError) as info:
+        Workspace.load(ws)
+    assert str(info.value) == (
+        "workspace state %s: mac: unknown key 'cs_tag_bits' (allowed: k, "
+        "scheme)" % state_path)
+    code, out, err = run_cli(capsys, "verify", "--workspace", str(ws))
+    assert code == 3 and "unknown key 'cs_tag_bits'" in err
+    assert "success" not in out
+
+
 def test_existing_workspace_rejects_seed(tmp_path, capsys):
     ws = tmp_path / "ws"
     register(capsys, ws, SECRET_TEXT, "--seed", "one")
@@ -690,8 +704,8 @@ def test_a_shipped_scenario_workspace_reopens_as_saved(tmp_path, capsys,
     config = load_scenario(path)
     want = build_session(config, tmp_path / "fresh")
     got = Workspace.load(ws).session
-    assert (got.params, got.scheme, got.k, got.cs_tag_bits) == (
-        want.params, want.scheme, want.k, want.cs_tag_bits)
+    assert (got.params, got.scheme, got.k) == (
+        want.params, want.scheme, want.k)
     assert got.renewal_group == want.renewal_group
     assert got.placement == want.placement
     assert got.skews == want.skews

@@ -24,7 +24,7 @@ from itstore.field import is_probable_prime
 from itstore.harness import build_session
 from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork, LinkSpec, NodeSpec
 from itstore.mac import MacScheme
-from itstore.protocol import TpvSession
+from itstore.protocol import Outcome, TpvSession
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -54,7 +54,6 @@ def test_empty_mapping_yields_full_defaults():
     assert cfg.params.field.q == (1 << 127) - 1
     assert cfg.scheme is MacScheme.POLYEVAL
     assert cfg.k == 256
-    assert cfg.cs_tag_bits == 512
     assert cfg.renewal_group is None and cfg.renewal_rounds == 0
     assert cfg.placement.owner == "Ohtemachi-1"
     assert cfg.placement.end_user == "Ohtemachi-1"
@@ -183,11 +182,9 @@ def test_unknown_nested_key_rejected():
 
 
 def test_mac_section():
-    cfg = parse_scenario({
-        "mac": {"scheme": "polyeval", "k": 64, "cs_tag_bits": 256}})
+    cfg = parse_scenario({"mac": {"scheme": "polyeval", "k": 64}})
     assert cfg.scheme is MacScheme.POLYEVAL
     assert cfg.k == 64
-    assert cfg.cs_tag_bits == 256
 
 
 def test_mac_polyeval_needs_k_of_16():
@@ -209,7 +206,7 @@ def test_mac_k_has_an_upper_bound():
         "mac.k: PolyEval needs k <= 512 for a prompt modulus search, "
         "got 4096")
     assert time.process_time() - started < 1.0
-    assert parse_scenario({"mac": {"k": 512, "cs_tag_bits": 256}}).k == 512
+    assert parse_scenario({"mac": {"k": 512}}).k == 512
 
 
 def test_mac_bad_scheme_rejected():
@@ -220,29 +217,18 @@ def test_mac_bad_scheme_rejected():
             parse_scenario({"mac": {"scheme": scheme}})
 
 
-def test_mac_tag_bits_must_be_byte_aligned():
-    with pytest.raises(ConfigurationError, match="mac.cs_tag_bits"):
-        parse_scenario({"mac": {"cs_tag_bits": 100}})
-
-
-def test_mac_cs_tag_bits_must_differ_from_k():
-    # the verifier tells a digest row from a tag row by width alone
-    with pytest.raises(ConfigurationError,
-                       match=r"^mac\.cs_tag_bits: must differ from k = 256"):
-        parse_scenario({"mac": {"cs_tag_bits": 256}})
-    with pytest.raises(ConfigurationError, match=r"^mac\.cs_tag_bits: "):
-        parse_scenario({"mac": {"k": 64, "cs_tag_bits": 64}})
-
-
-@pytest.mark.parametrize("mac", [{"k": 512}, {"k": 512, "cs_tag_bits": None}],
-                         ids=["absent", "null"])
-def test_k_512_alone_asks_for_cs_tag_bits_to_be_set(mac):
-    # cs_tag_bits was refused as if the scenario had set it to k
-    with pytest.raises(ConfigurationError) as info:
-        parse_scenario({"mac": mac})
-    assert str(info.value) == (
-        "mac.cs_tag_bits: unset, and its default of 512 equals k = 512; set"
-        " it to another width")
+def test_k_512_alone_registers_checks_and_refutes(tmp_path):
+    # the widest tag needs no other mac key
+    cfg = parse_scenario({"mac": {"k": 512}})
+    session = build_session(cfg, tmp_path)
+    data = b"a secret tagged at the widest k"
+    sid, t1 = session.register(data, cfg.password)
+    assert session.verifier_store.find(sid, t1).tag.k == 512
+    checked = session.integrity_check(sid, claim_data=data, claim_t1=t1)
+    assert checked.outcome is Outcome.SUCCESS
+    refuted = session.refute(sid, claim_data=data[:-1] + b"!", claim_t1=t1)
+    assert (refuted.outcome, refuted.detail) == (
+        Outcome.SUCCESS, "claim refuted: tag differs")
 
 
 # ------------------------------------------------------------------ renewal
@@ -397,8 +383,7 @@ def test_a_session_without_placement_places_every_holder_of_the_layout(
 
 def test_scenario_and_session_defaults_agree(tmp_path):
     def deployment(session):
-        return (session.placement, session.k, session.cs_tag_bits,
-                session.renewal_group)
+        return session.placement, session.k, session.renewal_group
 
     for n_sh, mapping in ((4, {}), (5, FIVE_HOLDERS)):
         cfg = parse_scenario(mapping)
@@ -627,6 +612,7 @@ def _node(**keys):
                          "links": []}}
 
 
+_NO_CS_TAG_BITS = "mac: unknown key 'cs_tag_bits' (allowed: k, scheme)"
 _ON_DEFAULT = ("(nodes: Koganei-1, Koganei-2, Koganei-3, Koganei-4, "
                "Ohtemachi-1)")
 
@@ -680,7 +666,7 @@ MESSAGES = [
     ({"layout": {"threshold": 3.0}}, "layout.threshold: expected an integer"),
     ({"layout": {"holders": 1}}, "layout.holders: must be >= 2"),
     ({"mac": {"k": 0}}, "mac.k: must be >= 1"),
-    ({"mac": {"cs_tag_bits": "wide"}}, "mac.cs_tag_bits: expected an integer"),
+    ({"mac": {"k": "wide"}}, "mac.k: expected an integer"),
     ({"renewal": {"rounds": -1}}, "renewal.rounds: must be >= 0"),
     (_node(entropy_rate_bps=-1),
      "topology.nodes[0].entropy_rate_bps: must be >= 0"),
@@ -742,11 +728,9 @@ MESSAGES = [
      "mac.k: tags are whole bytes, so k must be a multiple of 8, got 20"),
     ({"mac": {"k": 8}},
      "mac.k: PolyEval needs k >= 16 for whole-byte blocks, got 8"),
-    ({"mac": {"cs_tag_bits": 256}},
-     "mac.cs_tag_bits: must differ from k = 256: the verifier tells a "
-     "digest row from a tag row by width"),
-    ({"mac": {"cs_tag_bits": 1024}},
-     "mac.cs_tag_bits: must be a multiple of 8 in [8, 512], got 1024"),
+    # the computational digest's width is no longer a key, whatever its value
+    ({"mac": {"cs_tag_bits": 512}}, _NO_CS_TAG_BITS),
+    ({"mac": {"k": 512, "cs_tag_bits": 256}}, _NO_CS_TAG_BITS),
     # renewal
     ({"renewal": {"group": "nope"}},
      "renewal.group: unknown renewal group 'nope' (have: mersenne127, "
@@ -845,6 +829,7 @@ MESSAGES = [
     ({"topology": {"capacity_scale": 1e308}},
      "topology.capacity_scale: scales entropy_capacity_bits past the float "
      "range"),
+    ({"mac": {"k": 512, "cs_tag_bits": None}}, _NO_CS_TAG_BITS),
 ]
 
 

@@ -18,7 +18,6 @@ from itstore.mac import (
     MacTag,
     au2_hash,
     check_k,
-    cr_hash,
     make_seed,
     polyeval_hash_bytes,
     POLY_CHUNK,
@@ -579,23 +578,3 @@ def test_wc_polyeval_scheme_round_trip():
     tag = wc_tag_value(r, pad, b"12345678", q)
     assert wc_tag_value(r, pad, b"12345678", q) == tag
     assert wc_tag_value(r, pad, b"12345679", q) != tag
-
-
-# ------------------------------------------------------- collision-resistant
-
-def test_cr_hash_frozen_vectors():
-    assert cr_hash(b"").hex() == (
-        "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
-        "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e")
-    assert cr_hash(b"abc").hex() == (
-        "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
-        "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f")
-
-
-def test_cr_hash_avalanche_and_determinism():
-    base = cr_hash(b"renewal epoch 7")
-    assert base == cr_hash(b"renewal epoch 7")
-    other = cr_hash(b"renewal epoch 6")
-    diff = int.from_bytes(base, "big") ^ int.from_bytes(other, "big")
-    assert diff.bit_count() >= 160
-    assert len(base) == 64

@@ -6,6 +6,7 @@ persistent state lives in its own on-disk store.
 """
 
 import dataclasses
+import hashlib
 from collections import defaultdict
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from itstore.errors import (
 )
 from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork, _PairStream
 from itstore.field import PrimeField
+from itstore.mac import MacTag
 from itstore.protocol import (
     Outcome,
     Phase,
@@ -33,7 +35,13 @@ from itstore.protocol import (
 )
 from itstore.renewal import EXACT_CHECKS, SUBSET_TESTS, TOY_GROUP
 from itstore.spss import SpssParams
-from itstore.stores import HolderStore, holder_record_files, secure_erase
+from itstore.stores import (
+    HolderStore,
+    VerifierRecord,
+    VerifierStore,
+    holder_record_files,
+    secure_erase,
+)
 from itstore.wire import SCHEMA, SID
 from memtrace import memtrace
 from oracles import (
@@ -122,8 +130,8 @@ def test_identical_payloads_get_independent_tags(tmp_path):
     session.net.advance(1000)
     sid_b, t1_b = session.register(DATA, PASSWORD)
     assert sid_a != sid_b
-    rec_a = session.verifier_store.find(sid_a, t1_a, session.k)
-    rec_b = session.verifier_store.find(sid_b, t1_b, session.k)
+    rec_a = session.verifier_store.find(sid_a, t1_a)
+    rec_b = session.verifier_store.find(sid_b, t1_b)
     assert rec_a is not None and rec_b is not None
     # same payload, fresh one-time seed: the filed tags differ
     assert rec_a.tag != rec_b.tag
@@ -233,7 +241,7 @@ def test_threshold_abort_keeps_registration_intact(tmp_path):
 
     # abort terminated the reconstruction only: records all survive
     assert session.calculator_store.get(sid)[0] == t1
-    assert session.verifier_store.find(sid, t1, session.k) is not None
+    assert session.verifier_store.find(sid, t1) is not None
     for store in session.holder_stores.values():
         assert sid in store.secret_ids()
         assert spent_rounds(store, sid) == ()
@@ -389,13 +397,6 @@ def check_unfiled_t1(session, sid, t1):
     return session.integrity_check(sid, claim_t1=t1 + 5)
 
 
-def cs_register_then_check(data):
-    def act(session, sid, _t1):
-        session.cs_register(sid, DATA)
-        return session.cs_check(sid, data)
-    return act
-
-
 CHECK, REFUTE = Phase.INTEGRITY_CHECK, Phase.REFUTATION
 VERDICTS = [
     pytest.param({}, lambda s, sid, t1: s.integrity_check(sid),
@@ -421,15 +422,6 @@ VERDICTS = [
     pytest.param({}, lambda s, sid, t1: s.refute(bytes(16), DATA, t1),
                  REFUTE, Outcome.ABORT, "calculator holds no tag seed",
                  id="refute-no-seed"),
-    pytest.param({}, lambda s, sid, t1: s.cs_check(sid, DATA),
-                 CHECK, Outcome.FAIL, "computational: no verifier record",
-                 id="cs-no-row"),
-    pytest.param({}, cs_register_then_check(DATA),
-                 CHECK, Outcome.SUCCESS,
-                 "computational: digest match and t1 <= t2", id="cs-honest"),
-    pytest.param({}, cs_register_then_check(FORGED),
-                 CHECK, Outcome.FAIL, "computational: digest mismatch",
-                 id="cs-altered"),
 ]
 
 
@@ -442,6 +434,30 @@ def test_verdict_table(tmp_path, kwargs, act, phase, outcome, detail):
     assert (event.phase, event.outcome, event.detail) == (phase, outcome,
                                                           detail)
     assert session.verdicts[-1] == event
+
+
+def test_a_digest_row_left_by_the_retired_computational_option_changes_no_verdict(
+        tmp_path):
+    # the retired option appended its 512-bit SHA-512 digest of (t1, data)
+    # after the registration's tag row; the first row is the one compared
+    session = make_session(tmp_path)
+    sid, t1, _ = register_and_stock(session)
+    session.reconstruct_and_release(sid, PASSWORD)
+    digest = hashlib.sha512(t1.to_bytes(8, "big") + DATA).digest()
+    session.verifier_store.append(VerifierRecord(
+        sid, t1, MacTag.from_bytes(digest), session.clock(session.VERIFIER)))
+    session.verifier_store = VerifierStore(session.verifier_store.directory)
+    rows = session.verifier_store.records()
+    assert [row.tag.k for row in rows] == [session.k, 512]
+    assert session.verifier_store.find(sid, t1) == rows[0]
+    got = [(e.phase, e.outcome, e.detail) for e in (
+        session.integrity_check(sid), session.integrity_check(sid, FORGED),
+        session.refute(sid), session.refute(sid, FORGED))]
+    assert got == [
+        (CHECK, Outcome.SUCCESS, "tag match and t1 <= t2"),
+        (CHECK, Outcome.FAIL, "tag mismatch"),
+        (REFUTE, Outcome.FAIL, "claim is authentic"),
+        (REFUTE, Outcome.SUCCESS, "claim refuted: tag differs")]
 
 
 # ------------------------------------------------------- registration MAC
@@ -480,7 +496,7 @@ def test_the_registered_tag_reaches_the_verifier_only(tmp_path):
             is Outcome.FAIL
         assert session.refute(sid, claim_data=claim).outcome \
             is Outcome.SUCCESS
-    tag = session.verifier_store.find(sid, t1, session.k).tag.to_bytes()
+    tag = session.verifier_store.find(sid, t1).tag.to_bytes()
     carriers = [(s, r, k) for s, r, k, raw in log if tag in raw]
     assert {k for _s, _r, k in carriers} == {"tag-report", "check-tag",
                                              "refute-tag"}
@@ -1388,10 +1404,8 @@ def test_each_reconstruction_pins_the_lowest_rounds_its_subset_holds(
 
 def run_every_phase(session):
     sid, _t1, _blocks = register_and_stock(session)
-    session.cs_register(sid, DATA)
     session.reconstruct_and_release(sid, PASSWORD)
     session.integrity_check(sid)
-    session.cs_check(sid, DATA)
     session.refute(sid)
     session.renew(sid)
     session.reconstruct_and_release(sid, PASSWORD, offline=(1, 2))
@@ -1458,48 +1472,6 @@ def test_abort_notice_with_unknown_reason_is_refused(tmp_path, reason):
     with pytest.raises(ProtocolError):
         session.reconstruct_and_release(sid, PASSWORD, offline=(1, 2))
     assert fired == ["abort-notice"]
-
-
-# ------------------------------------------------- computational alternative
-
-
-def test_cs_mode_round_trip_and_truncation(tmp_path):
-    session = make_session(tmp_path, cs_tag_bits=64)
-    sid, t1, _ = register_and_stock(session)
-    session.cs_register(sid, DATA)
-    session.reconstruct_and_release(sid, PASSWORD)
-
-    event = session.cs_check(sid, DATA)
-    assert event.outcome is Outcome.SUCCESS
-
-    event = session.cs_check(sid, DATA[:-1] + b"!")
-    assert event.outcome is Outcome.FAIL
-    assert "digest mismatch" in event.detail
-
-    # the verifier row really is the truncated digest
-    rows = [r for r in session.verifier_store.records()
-            if r.secret_id == sid and r.tag.k == 64]
-    assert len(rows) == 1 and rows[0].t1 == t1
-
-    # never cs-registered id: plain fail, nothing to compare
-    other = make_session(tmp_path, subdir="other", cs_tag_bits=64)
-    sid2, _, _ = register_and_stock(other)
-    other.reconstruct_and_release(sid2, PASSWORD)
-    event = other.cs_check(sid2, DATA)
-    assert event.outcome is Outcome.FAIL
-    assert "no verifier record" in event.detail
-
-
-def test_cs_tag_width_validation(tmp_path):
-    with pytest.raises(ConfigurationError):
-        make_session(tmp_path, cs_tag_bits=12)
-    with pytest.raises(ConfigurationError):
-        make_session(tmp_path, subdir="b", cs_tag_bits=1024)
-    # the verifier tells a digest row from a tag row by width alone: at
-    # equal widths an honest cs_check met the registration tag's row
-    for k in (256, 64):
-        with pytest.raises(ConfigurationError, match="differ from k"):
-            make_session(tmp_path, subdir="k%d" % k, k=k, cs_tag_bits=k)
 
 
 # ---------------------------------------------------------- bookkeeping
@@ -1671,8 +1643,6 @@ def test_verdicts_sent_before_the_first_release_do_not_block_it(tmp_path):
     refuted = session.refute(sid, claim_data=DATA, claim_t1=t1)
     assert (refuted.outcome, refuted.detail) == (Outcome.FAIL,
                                                  "claim is authentic")
-    session.cs_register(sid, DATA)
-    assert session.cs_check(sid, DATA, claim_t1=t1).outcome is Outcome.SUCCESS
 
     assert received_bytes(session, end_user, sid=sid, kind="release") == 0
     seen = received_bytes(session, end_user, sid=sid)
@@ -1701,15 +1671,3 @@ def test_registering_empty_data_is_refused_before_any_key_is_spent(tmp_path):
     assert str(info.value) == "cannot register empty data"
     assert session_state(session) == before
     assert session.verdicts == [] and session.owner_receipts == {}
-
-
-def test_a_computational_digest_needs_the_owners_receipt(tmp_path):
-    session = make_session(tmp_path)
-    sid, _t1 = session.register(DATA, PASSWORD)
-    del session.owner_receipts[sid]
-    before, verdicts = session_state(session), list(session.verdicts)
-    with pytest.raises(ProtocolError) as info:
-        session.cs_register(sid, DATA)
-    assert str(info.value) == "owner holds no receipt for %s" % sid.hex()
-    assert session_state(session) == before
-    assert session.verdicts == verdicts

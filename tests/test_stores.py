@@ -28,9 +28,7 @@ from itstore.errors import (
 from itstore.field import PrimeField
 from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork
 from itstore.mac import (
-    MacTag,
     au2_hash,
-    cr_hash,
     make_seed,
     recompute_tag,
     seed_to_bytes,
@@ -221,12 +219,16 @@ def test_verifier_store_round_trip(tmp_path):
         store.append(rec)
     again = VerifierStore(tmp_path / "verifier")
     assert again.records() == tuple(recs)
-    width = recs[1].tag.k
-    assert again.find(recs[1].secret_id, 200, width) == recs[1]
-    assert again.find(recs[1].secret_id, 201, width) is None
-    assert again.find(b"\x99" * 16, 200, width) is None
-    # a row is found by the width of its tag too
-    assert again.find(recs[1].secret_id, 200, width + 8) is None
+    assert again.find(recs[1].secret_id, 200) == recs[1]
+    assert again.find(recs[1].secret_id, 201) is None
+    assert again.find(b"\x99" * 16, 200) is None
+    # a later row for the same (id, t1), of any width, leaves the first
+    # one found
+    later = make_record(2, 200, 210, k=512)
+    assert later.tag != recs[1].tag
+    again.append(later)
+    assert VerifierStore(tmp_path / "verifier").find(
+        recs[1].secret_id, 200) == recs[1]
 
 
 def test_verifier_store_t2_monotonic(tmp_path):
@@ -251,13 +253,15 @@ def test_verifier_store_detects_tamper(tmp_path):
         VerifierStore(tmp_path / "verifier")
 
 
-def test_verifier_store_holds_long_digest_tags(tmp_path):
-    digest = cr_hash(struct.pack(">Q", 42) + b"computational-mode payload")
-    rec = VerifierRecord(b"\x07" * 16, 42, MacTag.from_bytes(digest), 50)
+def test_verifier_store_holds_k_512_tags(tmp_path):
+    tag = au2_hash(make_seed(512, rng("vrec-512")),
+                   struct.pack(">Q", 42) + b"a payload tagged at k = 512")
+    assert len(tag.to_bytes()) == 64
+    rec = VerifierRecord(b"\x07" * 16, 42, tag, 50)
     store = VerifierStore(tmp_path / "verifier")
     store.append(rec)
     loaded = VerifierStore(tmp_path / "verifier").records()[0]
-    assert loaded.tag.k == 512 and loaded.tag.to_bytes() == digest
+    assert loaded.tag.k == 512 and loaded.tag.to_bytes() == tag.to_bytes()
 
 
 # --------------------------------------------------------- calculator store

@@ -14,7 +14,7 @@ import itstore.wire as wire
 from itstore.wire import SCHEMA, Codec, Cursor, check_runs
 from oracles import expand_runs, id_runs
 
-CODEC = Codec(W=16, P=33, tag=8, digest=64, degree=3)
+CODEC = Codec(W=16, P=33, tag=8, degree=3)
 
 
 def sample_values(kind):
@@ -98,7 +98,9 @@ def test_an_integer_outside_its_field_width_is_refused(value):
 
 def test_codes_are_distinct():
     codes = [code for code, _fields in SCHEMA.values()]
-    assert sorted(codes) == list(range(1, len(SCHEMA) + 1))
+    assert len(set(codes)) == len(codes)
+    # the retired codes stay unused, so no later kind reads as one of them
+    assert not {0x12, 0x13} & set(codes)
 
 
 def test_cursor_reports_its_error_and_subject():
@@ -118,7 +120,7 @@ def oracle_uints(values, width):
 @pytest.mark.parametrize("count", [0, 1, 1000])
 @pytest.mark.parametrize("width", [1, 4, 16, 33])
 def test_lists_and_runs_match_a_per_element_oracle(width, count):
-    codec = Codec(W=width, P=width, tag=8, digest=64, degree=3)
+    codec = Codec(W=width, P=width, tag=8, degree=3)
     gen = random.Random("wire-%d-%d" % (width, count))
     values = tuple(gen.getrandbits(8 * width) for _ in range(count))
     if count:

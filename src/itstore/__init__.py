@@ -27,7 +27,6 @@ from .errors import (
     KeySupplyError,
     PasswordFailureError,
     ProtocolError,
-    ReconstructionAbortError,
     ReplayError,
     SingleUseError,
     TamperDetectedError,
@@ -58,7 +57,6 @@ __all__ = [
     "Phase",
     "PrimeField",
     "ProtocolError",
-    "ReconstructionAbortError",
     "RenewalGroupConfig",
     "ReplayError",
     "RolePlacement",

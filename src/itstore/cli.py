@@ -349,7 +349,7 @@ def _cmd_reconstruct(args) -> int:
         # stays live at the holders it did not contact until the next
         # precompute, which retires it there
         have = sum(end - first for first, end in intersect_runs(
-            store.get_secret(sid).tuples.runs()
+            store.get_secret(sid).live
             for store in session.holder_stores.values()))
         if have < tracks:
             session.precompute(sid, rounds=tracks - have)
@@ -452,7 +452,7 @@ def _inspect_holder(path: Path) -> None:
                   % (sid.hex(), "+".join(filled)))
     for sid in ids:
         share_set = store.get_secret(sid)
-        live = len(share_set.tuples)
+        live = sum(end - first for first, end in share_set.live)
         # as runs: a renewal history may name up to 2^32 - 1 rounds
         renewed = ", ".join(str(first) if end == first + 1
                             else "%d-%d" % (first, end - 1)

@@ -51,7 +51,3 @@ class TamperDetectedError(ItstoreError):
 
 class PasswordFailureError(ItstoreError):
     """Reconstruction MAC check failed: wrong password or corrupt shares."""
-
-
-class ReconstructionAbortError(ItstoreError):
-    """Fewer live holders than the threshold; the whole scheme aborts."""

@@ -61,7 +61,6 @@ from .errors import (
     KeySupplyError,
     PasswordFailureError,
     ProtocolError,
-    ReconstructionAbortError,
 )
 from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
 from .keynet import DEFAULT_TOPOLOGY, KeyNetwork
@@ -604,7 +603,7 @@ class TpvSession:
 
     # ---------------------------------------------------------- precompute
 
-    def precompute(self, sid: bytes, rounds: int = 1) -> tuple:
+    def precompute(self, sid: bytes, rounds: int = 1) -> range:
         """Holders jointly stock `rounds` masking tuples for one secret,
         and retire the rounds some holder has spent.
 
@@ -623,7 +622,7 @@ class TpvSession:
         then saves. That one save erases the retired rounds and writes the
         new stock; a holder that crashes before it reopens with its record
         from before the precompute. So after a precompute every holder
-        holds the same live rounds. Returns the new round ids.
+        holds the same live rounds. Returns the new round ids, a range.
         """
         sets = {j: self.holder_stores[j].get_secret(sid)
                 for j in self.params.holder_indices}
@@ -632,7 +631,7 @@ class TpvSession:
         start = sets[1].next_round
         batches = self.params.batch_count(rounds)
         width = self.params.field.byte_width
-        live = {j: sets[j].tuples.runs() for j in sets}
+        live = {j: sets[j].live for j in sets}
         reported = {j: [] for j in sets}  # live runs each holder was sent
 
         def deliver(d, j, body):
@@ -669,7 +668,9 @@ class TpvSession:
         left aborts); holder_response_tamper maps holder index to a
         function rewriting its masked values (a cheating holder);
         owner_tamper rewrites the recovered payload before release (a
-        cheating owner). Password failure releases nothing. A subset
+        cheating owner). Password failure releases nothing, and a
+        recon-response holding other than the expected block count aborts
+        once every response is in, releasing nothing either. A subset
         that spss.check_subset refuses, or an offline list that
         spss.check_offline refuses, is refused before any message is
         sent; a valid subset is contacted in the caller's order.
@@ -712,7 +713,7 @@ class TpvSession:
             share_set = self.holder_stores[j].get_secret(sid)
             blocks, runs = self._send(holder, self.CALCULATOR, "avail-reply",
                                       (sid,), share_set.block_count,
-                                      share_set.tuples.runs())
+                                      share_set.live)
             if blocks != expected_blocks:
                 return self._abort_reconstruction(
                     sid, _ABORT_THRESHOLD,
@@ -753,6 +754,13 @@ class TpvSession:
             (got,) = self._send(holder, self.CALCULATOR, "recon-response",
                                 (sid,), values)
             responses.append(MaskedResponse(j, Packed(got, width)))
+        for response in responses:  # spss_recover takes this count as given
+            if len(response.values) != expected_blocks:
+                return self._abort_reconstruction(
+                    sid, _ABORT_THRESHOLD,
+                    "holder %d returned %d values, expected %d"
+                    % (response.holder, len(response.values),
+                       expected_blocks))
 
         try:
             recovered = spss_recover(responses, pw_element, params,
@@ -763,8 +771,6 @@ class TpvSession:
                           "authenticator mismatch, nothing released")
             return ReleaseResult(sid, Outcome.FAIL,
                                  "authenticator mismatch", None)
-        except ReconstructionAbortError as exc:
-            return self._abort_reconstruction(sid, _ABORT_THRESHOLD, str(exc))
 
         (released,) = self._send(self.CALCULATOR, self.OWNER, "recon-result",
                                  (sid,), recovered)

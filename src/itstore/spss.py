@@ -63,9 +63,9 @@ drawing slice by slice takes the same values and the same bits.
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 from operator import mul
 
 from .errors import (
@@ -74,17 +74,15 @@ from .errors import (
     PasswordFailureError,
     PrecomputationExhaustedError,
     ProtocolError,
-    ReconstructionAbortError,
 )
 from .field import PrimeField, zero_coefficients
 from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
 from .mac import split_blocks
-from .wire import Cursor, Packed, column, intersect_runs
+from .wire import Cursor, Packed, column, intersect_runs, subtract_runs
 
 __all__ = [
     "SpssParams",
     "RegisteredSecret",
-    "LiveTuples",
     "HolderShareSet",
     "SpssRequest",
     "MaskedResponse",
@@ -192,61 +190,6 @@ class RegisteredSecret:
         return tuple(reversed(split_blocks(self.data, self.block_bits)[0]))
 
 
-@dataclass(init=False, slots=True)
-class LiveTuples:
-    """A holder's live masking tuples for one secret, in its record's form:
-    `ids`, the live round ids ascending as u32s, and `r` and `z`,
-    bytearray columns of `width`-byte big-endian values in id order. So a
-    tuple is one entry in each column, and no object per tuple is kept.
-
-    It is built from canonical (first, end) runs of round ids, as a record
-    stores them, and gives them back as runs; ids is the one place a round
-    id is kept one by one, as the positions cut_rounds searches.
-    precompute_round appends a stock to it and cut_rounds takes tuples
-    out; nothing else changes it."""
-
-    width: int
-    ids: array
-    r: bytearray
-    z: bytearray
-
-    def __init__(self, width: int, runs=(), r: bytes = b"", z: bytes = b""):
-        self.width = width
-        self.ids = array("I")
-        for first, end in runs:
-            self.ids.extend(range(first, end))
-        self.r = bytearray(r)
-        self.z = bytearray(z)
-
-    def position(self, rid: int) -> "int | None":
-        """rid's index in ids, or None when rid is not a live round."""
-        ids = self.ids
-        pos = bisect_left(ids, rid)
-        return pos if pos < len(ids) and ids[pos] == rid else None
-
-    def runs(self) -> list:
-        """The live ids as canonical (first, end) ranges, found without a
-        list of the ids: positions a..b-1 hold one run exactly when
-        ids[b-1] - ids[a] == b-1-a, since the ids increase, so a span
-        that is not one run is halved until its parts are. One span, and
-        one comparison, when every live id is in one run."""
-        ids, out = self.ids, []
-        spans = [(0, len(ids))] if ids else []
-        while spans:
-            a, b = spans.pop()
-            if ids[b - 1] - ids[a] != b - 1 - a:
-                m = (a + b) // 2
-                spans += ((m, b), (a, m))  # the left half comes off first
-            elif out and out[-1][1] == ids[a]:  # halves of one run
-                out[-1] = (out[-1][0], ids[b - 1] + 1)
-            else:
-                out.append((ids[a], ids[b - 1] + 1))
-        return out
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
 @dataclass
 class HolderShareSet:
     """Everything holder j keeps for one registered secret, in its
@@ -257,25 +200,28 @@ class HolderShareSet:
     16 bytes in the 127-bit field and no int is kept per share. A
     response reads it a slice at a time, and a renewal replaces its bytes
     (HolderStore.apply_renewal).
-    tuples holds the live masking tuples only, as LiveTuples columns (an
-    empty one when not given). Round ids are stocked contiguously from 0
-    and next_round is one past the highest ever stocked, so a spent round
-    is an id below next_round that is absent. renewal_runs holds the
-    renewal rounds applied to the data shares as increasing, non-touching
-    (first, end) ranges.
+    The live masking tuples are kept the same way: live names their
+    round ids as canonical (first, end) runs, the form a record and a
+    recon-ask use, and r and z are bytearray columns of the field's byte
+    width holding one value per live id, in id order. So no round id is
+    kept one by one, and no object per tuple. precompute_round stocks
+    tuples and cut_rounds takes them out; each assigns live a new list,
+    so a runs list read earlier is never changed under its reader.
+    Round ids are stocked contiguously from 0 and next_round is one past
+    the highest ever stocked, so a spent round is an id below next_round
+    that is not live. renewal_runs holds the renewal rounds applied to
+    the data shares as increasing, non-touching (first, end) ranges.
     """
 
     holder: int
     params: SpssParams
     shares: bytes
     password_share: int  # f_P(j)
-    tuples: "LiveTuples | None" = None
+    live: list = dc_field(default_factory=list)
+    r: bytearray = dc_field(default_factory=bytearray)
+    z: bytearray = dc_field(default_factory=bytearray)
     next_round: int = 0
     renewal_runs: list = dc_field(default_factory=list)
-
-    def __post_init__(self):
-        if self.tuples is None:
-            self.tuples = LiveTuples(self.params.field.byte_width)
 
     @property
     def block_count(self) -> int:
@@ -384,7 +330,7 @@ def spss_register(data: bytes, password: int, params: SpssParams,
 
 
 def precompute_round(holders: dict, randomness: dict, rounds: int,
-                     deliver) -> tuple:
+                     deliver) -> range:
     """Stock `rounds` masking tuples at every holder.
 
     The tuples come from params.batch_count(rounds) batches: per batch
@@ -405,12 +351,13 @@ def precompute_round(holders: dict, randomness: dict, rounds: int,
     header and run length fix its length). Each holder folds every
     column into its w packed row sums as the column arrives (_fold) and
     keeps no column; once every contribution has arrived, the row sums
-    are reduced mod q a slice at a time and appended to each holder's
-    LiveTuples columns. A round whose next_round would pass 2^32 - 1 is
-    refused with ProtocolError before any draw or send, and no share set
-    changes before every contribution has arrived.
-    Returns the new round ids, which are the same at every holder by
-    construction; round id start + b*w + k is row k of batch b.
+    are reduced mod q a slice at a time and appended to each holder's r
+    and z columns, and the new rounds join its live runs, in a new list.
+    A round whose next_round would pass 2^32 - 1 is refused with
+    ProtocolError before any draw or send, and no share set changes
+    before every contribution has arrived.
+    Returns the new round ids as a range, which are the same at every
+    holder by construction; round id start + b*w + k is row k of batch b.
     """
     if rounds < 1:
         raise ConfigurationError("need at least one precompute round")
@@ -456,12 +403,16 @@ def precompute_round(holders: dict, randomness: dict, rounds: int,
             for out, vals in zip(new, _reduced(raws, first, end, slot,
                                                field.q)):
                 out.append(column(vals[:keep], width))
-        live = holders[j].tuples
-        live.r += b"".join(new[0])
-        live.z += b"".join(new[1])
-        live.ids.extend(range(start, start + rounds))
-        holders[j].next_round = start + rounds
-    return tuple(range(start, start + rounds))
+        share_set, end = holders[j], start + rounds
+        share_set.r += b"".join(new[0])
+        share_set.z += b"".join(new[1])
+        live = share_set.live
+        if live and live[-1][1] == start:  # the stock extends the last run
+            share_set.live = live[:-1] + [(live[-1][0], end)]
+        else:
+            share_set.live = live + [(start, end)]
+        share_set.next_round = end
+    return range(start, start + rounds)
 
 
 def retired_rounds(live, reported) -> list:
@@ -476,19 +427,11 @@ def retired_rounds(live, reported) -> list:
     hold it, and a subset without them would reuse a mask that already
     hid one response. Retiring can only lose tuples, never revive one.
     The rounds every holder holds are wire.intersect_runs of the lists,
-    as a reconstruction finds the rounds its subset holds.
+    as a reconstruction finds the rounds its subset holds, and the rest
+    of live is wire.subtract_runs, the run subtraction a spend makes too
+    (cut_rounds).
     """
-    held = intersect_runs([live, *reported])
-    out, k = [], 0
-    for first, end in live:  # held lies inside live, and both increase
-        while k < len(held) and held[k][0] < end:
-            if first < held[k][0]:
-                out.append((first, held[k][0]))
-            first = held[k][1]
-            k += 1
-        if first < end:
-            out.append((first, end))
-    return out
+    return subtract_runs(live, intersect_runs([live, *reported]))
 
 
 def _slot_bytes(params: SpssParams) -> int:
@@ -611,12 +554,13 @@ def cut_rounds(share_set: HolderShareSet, runs, count: "int | None" = None
     live (PrecomputationExhaustedError); and, when count is given, any
     other number of rounds (ImproperRequestError).
 
-    A run costs one search: the end - first positions from its first
-    round's hold exactly its rounds when the last of them holds end - 1,
-    since the live ids strictly increase. The spent values are copied a
-    run at a time, and the kept tuples are moved down over the spent ones
-    in place, one pass over the three columns however many runs there
-    are.
+    A run costs one search: a bisect over the live runs' first ids finds
+    the one live run that could hold it, and that run's offset in the
+    columns, the live rounds before it, gives its position. The spent
+    values are copied a run at a time, the kept tuples are moved down
+    over the spent ones in place, one pass over the two columns however
+    many runs there are, and the live runs become wire.subtract_runs of
+    the spent ones, a new list.
     """
     after = -1  # a run must start above this round
     for first, end in runs:
@@ -625,34 +569,37 @@ def cut_rounds(share_set: HolderShareSet, runs, count: "int | None" = None
                 "masking round run (%d, %d) is empty, or names a round "
                 "twice or out of order" % (first, end))
         after = end
-    live = share_set.tuples
-    ids, stock = live.ids, len(live)
+    live = share_set.live
+    firsts = [first for first, _end in live]
+    # offsets[i]: the live rounds before run i, so offsets[-1] is them all
+    offsets = list(accumulate((end - first for first, end in live),
+                              initial=0))
     spans = []  # (first position, count), ascending
     for first, end in runs:
-        pos, m = live.position(first), end - first
-        if pos is None or pos + m > stock or ids[pos + m - 1] != end - 1:
+        i = bisect_right(firsts, first) - 1
+        if i < 0 or end > live[i][1]:
             raise PrecomputationExhaustedError(
                 "holder %d cannot spend rounds %d..%d"
                 % (share_set.holder, first, end - 1))
-        spans.append((pos, m))
+        spans.append((offsets[i] + first - firsts[i], end - first))
     n = sum(m for _pos, m in spans)
     if count is not None and n != count:
         raise ImproperRequestError(
             "request pins %d tuples, %d blocks to mask" % (n, count))
-    w = live.width
+    w, cols = share_set.params.field.byte_width, (share_set.r, share_set.z)
     spent = tuple(b"".join([col[a * w:(a + m) * w] for a, m in spans])
-                  for col in (live.r, live.z))
+                  for col in cols)
     # move each kept run of tuples down over the spent ones before it,
     # then drop the columns' tails
-    cuts = spans + [(stock, 0)]
+    cuts = spans + [(offsets[-1], 0)]
     dst = cuts[0][0]
     for (a, m), (end, _) in zip(cuts, cuts[1:]):
         src = a + m
-        ids[dst:dst + end - src] = ids[src:end]
-        for col in (live.r, live.z):
+        for col in cols:
             col[dst * w:(dst + end - src) * w] = col[src * w:end * w]
         dst += end - src
-    del ids[dst:], live.r[dst * w:], live.z[dst * w:]
+    del share_set.r[dst * w:], share_set.z[dst * w:]
+    share_set.live = subtract_runs(live, runs)
     return spent
 
 
@@ -686,9 +633,11 @@ def spss_recover(responses, password_attempt: int, params: SpssParams,
     """Interpolate the masked responses and run the authenticator check.
 
     The responses come from the t_sh distinct holders of a subset that
-    check_subset passed. Returns the original byte_length bytes. Raises
-    PasswordFailureError when the check fails; no block values leave
-    this function in that case.
+    check_subset passed, each holding the data_block_count(byte_length)
+    + 1 values that TpvSession.reconstruct_and_release checks it for.
+    Returns the original byte_length bytes. Raises PasswordFailureError
+    when the check fails; no block values leave this function in that
+    case.
 
     The blocks are interpolated SLICE at a time from the responses' byte
     columns, highest index first: each slice is folded into the
@@ -696,13 +645,7 @@ def spss_recover(responses, password_attempt: int, params: SpssParams,
     authenticator block is interpolated last.
     """
     resp = list(responses)
-    lengths = {len(r.values) for r in resp}
-    if len(lengths) != 1:
-        raise ReconstructionAbortError("holders disagree on block count")
-    total = lengths.pop()
-    if total < 2:
-        raise ReconstructionAbortError("responses lack an authenticator block")
-
+    total = len(resp[0].values)
     field = params.field
     weights = zero_coefficients([r.holder for r in resp], field)
     q, width, bits = field.q, field.byte_width, params.block_bits
@@ -732,10 +675,7 @@ def spss_recover(responses, password_attempt: int, params: SpssParams,
         raise PasswordFailureError("recovered blocks exceed the payload "
                                    "alphabet: wrong password or corrupted "
                                    "responses")
-    payload = b"".join(out)
-    if len(payload) < byte_length:
-        raise ConfigurationError("byte_length exceeds reconstructed payload")
-    return payload[:byte_length]
+    return b"".join(out)[:byte_length]
 
 
 def reassemble_blocks(blocks_by_index, byte_length: int, width: int) -> bytes:

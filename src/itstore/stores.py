@@ -59,13 +59,13 @@ spent. Spent ids are never materialized, on disk or in memory: a share
 set holds its live tuples and `next_round`, nothing more, and its
 renewal rounds as runs, which are written back as runs too. A holder
 holds one share set only, the secret in hand (the one it last read or
-wrote), in the record's form: the share column, and `spss.LiveTuples`,
-built from the record's runs: the ids as u32s (the one per-id form), and
-the r and z byte columns. Of every other secret it keeps the live
-slot and its sequence number. So a save writes the columns as they are,
-and reading a record takes them as stored, decoding no value. A record
-whose values are not its field's byte width is refused, since its
-columns would not match the next stock's or a renewal's.
+wrote), in the record's form: the share column, the live runs as the
+record stores them, and the r and z byte columns, so no round id is
+held one by one. Of every other secret it keeps the live slot and its
+sequence number. So a save writes the columns as they are, and reading
+a record takes them as stored, decoding no value. A record whose values
+are not its field's byte width is refused, since its columns would not
+match the next stock's or a renewal's.
 
 A holder keeps no log. The spend journal of earlier versions is never
 opened: a spend that reached only it was never released, since its
@@ -116,8 +116,7 @@ from pathlib import Path
 from .errors import ConfigurationError, ProtocolError, TamperDetectedError
 from .field import PrimeField
 from .mac import MacSeed, MacTag, check_k, seed_from_bytes, seed_to_bytes
-from .spss import (HolderShareSet, LiveTuples, SpssParams, cut_rounds,
-                   holder_respond)
+from .spss import HolderShareSet, SpssParams, cut_rounds, holder_respond
 from .wire import Cursor, encode_runs
 
 __all__ = [
@@ -523,7 +522,6 @@ def _encode_share_set(ss: HolderShareSet) -> bytes:
     Spent tuples leave no trace beyond next_round."""
     field = ss.params.field
     width = field.byte_width
-    live = ss.tuples
     return b"".join((
         struct.pack(">BBH", ss.params.t_sh, ss.params.n_sh, width),
         field.q.to_bytes(width, "big"),
@@ -532,9 +530,9 @@ def _encode_share_set(ss: HolderShareSet) -> bytes:
         ss.password_share.to_bytes(width, "big"),
         encode_runs(ss.renewal_runs),
         struct.pack(">I", ss.next_round),
-        encode_runs(live.runs()),
-        live.r,
-        live.z,
+        encode_runs(ss.live),
+        ss.r,
+        ss.z,
     ))
 
 
@@ -562,13 +560,13 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
     # before any is expanded; the columns are kept as they are stored
     runs = rd.runs(limit=(len(body) - rd.pos) // (2 * width))
     n = sum(end - first for first, end in runs)
-    tuples = LiveTuples(width, runs, rd.take(n * width), rd.take(n * width))
+    r, z = bytearray(rd.take(n * width)), bytearray(rd.take(n * width))
     rd.done()
     if runs and runs[-1][1] > next_round:
         raise TamperDetectedError("%s: a live round id at or past next "
                                   "round %d" % (path, next_round))
-    return HolderShareSet(holder, params, shares, password_share, tuples,
-                          next_round, renewal_runs)
+    return HolderShareSet(holder, params, shares, password_share, runs, r,
+                          z, next_round, renewal_runs)
 
 
 def _record_digest(holder: int, secret_id: bytes, body: bytes) -> bytes:

@@ -53,7 +53,7 @@ from .errors import ConfigurationError, ImproperRequestError, ProtocolError
 
 __all__ = ["SID_BYTES", "SCHEMA", "INTEGRITY_ONLY", "Codec", "Cursor",
            "Packed", "check_runs", "column", "encode_runs", "head_runs",
-           "intersect_runs"]
+           "intersect_runs", "subtract_runs"]
 
 SID_BYTES = 16
 # Most ids one decoded id list may name: a 12-byte run could otherwise
@@ -255,6 +255,25 @@ def intersect_runs(run_lists) -> list:
                 k += 1
         common = out
     return common
+
+
+def subtract_runs(ranges, cut) -> list:
+    """The (first, end) ranges of the ids that canonical `ranges` names
+    and canonical `cut` does not, canonical too: one merge walk, nothing
+    per id."""
+    out, k = [], 0
+    for first, end in ranges:
+        while k < len(cut) and cut[k][0] < end:
+            a, b = cut[k]
+            if first < a:
+                out.append((first, a))
+            first = max(first, b)
+            if b > end:  # cut[k] may reach into the next range too
+                break
+            k += 1
+        if first < end:
+            out.append((first, end))
+    return out
 
 
 def head_runs(ranges, n: int) -> list:

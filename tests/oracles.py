@@ -97,7 +97,7 @@ def stock(holders: dict, source, rounds: int = 1) -> tuple:
 def spend_rounds(share_set, runs, count: "int | None" = None) -> list:
     """cut_rounds, with the spent tuples decoded: their (r, z), in round
     order."""
-    w = share_set.tuples.width
+    w = share_set.params.field.byte_width
     r_col, z_col = cut_rounds(share_set, runs, count)
     n = len(r_col) // w
     return list(zip(Cursor(r_col).uints(n, w), Cursor(z_col).uints(n, w)))
@@ -125,8 +125,8 @@ def runs_of(ids) -> list:
 
 
 def live_ids(share_set) -> list:
-    """A holder's live round ids, ascending."""
-    return list(share_set.tuples.ids)
+    """A holder's live round ids, ascending, one int each."""
+    return list(expand_runs(share_set.live))
 
 
 MaskingTuple = namedtuple("MaskingTuple", "r z")
@@ -134,18 +134,33 @@ MaskingTuple = namedtuple("MaskingTuple", "r z")
 
 def live_tuples(share_set) -> dict:
     """A holder's live masking tuples as {round id: MaskingTuple(r, z)},
-    decoded from its LiveTuples columns."""
-    live = share_set.tuples
-    n, w = len(live.ids), live.width
-    return dict(zip(live.ids, map(MaskingTuple,
-                                  Cursor(bytes(live.r)).uints(n, w),
-                                  Cursor(bytes(live.z)).uints(n, w))))
+    decoded from its r and z columns."""
+    ids, w = live_ids(share_set), share_set.params.field.byte_width
+    return dict(zip(ids, map(MaskingTuple,
+                             Cursor(bytes(share_set.r)).uints(len(ids), w),
+                             Cursor(bytes(share_set.z)).uints(len(ids), w))))
 
 
 def live_columns(share_set) -> tuple:
     """A holder's live tuples as stored: the ids and the r and z bytes."""
-    live = share_set.tuples
-    return list(live.ids), bytes(live.r), bytes(live.z)
+    return live_ids(share_set), bytes(share_set.r), bytes(share_set.z)
+
+
+def cut_model(model: dict, runs, count: "int | None" = None) -> list:
+    """cut_rounds' rule one round id at a time, over a model of a
+    holder's live tuples, {round id: MaskingTuple}: refuses what
+    cut_rounds refuses, in its order and with its error types, and
+    otherwise pops the named tuples and returns them in round order."""
+    ids = expand_runs(runs)
+    if (any(first >= end for first, end in runs)
+            or list(ids) != sorted(set(ids))
+            or any(a[1] == b[0] for a, b in zip(runs, runs[1:]))):
+        raise ImproperRequestError("runs are not canonical")
+    if not set(ids) <= model.keys():
+        raise PrecomputationExhaustedError("a named round is not live")
+    if count is not None and len(ids) != count:
+        raise ImproperRequestError("runs name %d rounds" % len(ids))
+    return [model.pop(rid) for rid in ids]
 
 
 def refused_runs(n: int) -> dict:

@@ -294,9 +294,10 @@ def test_a_reconstruction_that_cannot_go_on_releases_nothing(tmp_path, case):
     elif case == "zero-password":
         password = session.params.field.q.to_bytes(16, "big")
         detail = "unusable password attempt"
-    else:  # spss_recover's ReconstructionAbortError
+    else:  # a recon-response one value short
         kwargs = {"holder_response_tamper": {2: lambda values: values[:-1]}}
-        detail = "holders disagree on block count"
+        detail = "holder 2 returned %d values, expected %d" % (blocks - 1,
+                                                               blocks)
 
     result = session.reconstruct_and_release(sid, password, **kwargs)
     assert (result.outcome, result.detail, result.data) == (
@@ -315,6 +316,26 @@ def test_a_reconstruction_that_cannot_go_on_releases_nothing(tmp_path, case):
     for j, store in session.holder_stores.items():
         assert spent_rounds(store, sid) == ()
         assert live_record(store, sid) == records[j]
+
+
+def test_equally_short_recon_responses_abort_and_release_nothing(tmp_path):
+    # Three responses of the same two values passed spss_recover's count
+    # refusals, and its byte_length refusal then raised a bare
+    # ConfigurationError with no reconstruction verdict
+    session = make_session(tmp_path)
+    sid, _t1, blocks = register_and_stock(session, data=bytes(range(100)))
+    short = dict.fromkeys((1, 2, 3), lambda values: (0, 0))
+    result = session.reconstruct_and_release(sid, PASSWORD,
+                                             holder_response_tamper=short)
+    detail = "holder 1 returned 2 values, expected %d" % blocks
+    assert (result.outcome, result.detail, result.data) == (
+        Outcome.ABORT, detail, None)
+    assert session.verdicts[-1] == VerdictEvent(
+        sid, Phase.RECONSTRUCTION, Outcome.ABORT, detail)
+    assert received_bytes(session, session.OWNER, sid=sid,
+                          kind="abort-notice") > 0
+    assert sid not in session.end_user_received
+    assert received_bytes(session, session.END_USER, sid=sid) == 0
 
 
 def test_an_owner_without_a_receipt_sends_nothing(tmp_path):
@@ -819,7 +840,7 @@ def test_a_100_kb_precompute_peaks_at_most_22_bytes_per_payload_byte(
         session.precompute(sid, rounds=blocks)
     base, _live, peak = usage
     assert (peak - base) / len(payload) <= 22
-    assert len(session.holder_stores[1].get_secret(sid).tuples) == blocks
+    assert len(live_ids(session.holder_stores[1].get_secret(sid))) == blocks
 
 
 def test_a_100_kb_reconstruction_peaks_at_most_16_bytes_per_payload_byte(
@@ -844,7 +865,7 @@ def test_a_reconstruction_hands_each_holder_its_pinned_runs(tmp_path,
     session, payload = warm_100_kb_session(tmp_path)
     sid, _, blocks = register_and_stock(session, data=payload,
                                         extra_rounds=5)
-    ((first, end),) = session.holder_stores[1].get_secret(sid).tuples.runs()
+    ((first, end),) = session.holder_stores[1].get_secret(sid).live
     assert end - first == blocks + 5
     pinned = {}
     respond = HolderStore.respond
@@ -1159,7 +1180,7 @@ def test_precompute_mislabelled_contributor_fails_closed(tmp_path):
         assert live_tuples(session.holder_stores[j].get_secret(sid)) == {}
 
     session.transport.send = send
-    assert session.precompute(sid, rounds=2) == (0, 1)
+    assert tuple(session.precompute(sid, rounds=2)) == (0, 1)
     for j in session.params.holder_indices:
         assert live_ids(session.holder_stores[j].get_secret(sid)) == [0, 1]
 
@@ -1169,7 +1190,7 @@ def test_precompute_sends_one_pair_per_batch_and_checks_the_first_round(
     session = make_session(tmp_path)
     sid, _t1 = session.register(DATA, PASSWORD)
     lines = len(session.transcript)
-    assert session.precompute(sid, rounds=5) == (0, 1, 2, 3, 4)
+    assert tuple(session.precompute(sid, rounds=5)) == (0, 1, 2, 3, 4)
     # 5 tuples from 3 batches of w = 2: code, header (sid, first round,
     # batch count, contributor), no live round (a u32 run count of 0) and
     # 3 pairs of 16-byte values
@@ -1232,7 +1253,7 @@ def test_the_next_precompute_retires_rounds_spent_elsewhere(tmp_path, idle,
 def test_a_live_rounds_header_past_the_first_round_fails_closed(tmp_path):
     session = make_session(tmp_path)
     sid, _t1 = session.register(DATA, PASSWORD)
-    assert session.precompute(sid, rounds=2) == (0, 1)
+    assert tuple(session.precompute(sid, rounds=2)) == (0, 1)
     records = {j: live_record(store, sid)
                for j, store in session.holder_stores.items()}
     send = session.transport.send
@@ -1253,7 +1274,7 @@ def test_a_live_rounds_header_past_the_first_round_fails_closed(tmp_path):
         assert live_record(store, sid) == records[j]
 
     session.transport.send = send
-    assert session.precompute(sid, rounds=2) == (2, 3)
+    assert tuple(session.precompute(sid, rounds=2)) == (2, 3)
     for j in session.params.holder_indices:
         assert held_ids(session, sid, j) == [0, 1, 2, 3]
 
@@ -1482,8 +1503,8 @@ def test_precompute_round_ids_stay_synchronized(tmp_path):
     sid, _ = session.register(DATA, PASSWORD)
     first = session.precompute(sid, rounds=3)
     second = session.precompute(sid, rounds=2)
-    assert first == (0, 1, 2)
-    assert second == (3, 4)
+    assert tuple(first) == (0, 1, 2)
+    assert tuple(second) == (3, 4)
     blocks = session.holder_stores[1].get_secret(sid).block_count
     session.precompute(sid, rounds=blocks)
     result = session.reconstruct_and_release(sid, PASSWORD, subset=(1, 2, 4))
@@ -1658,7 +1679,7 @@ def test_verdicts_sent_before_the_first_release_do_not_block_it(tmp_path):
     # the default subset spent one reconstruction's tuples, holder 4 none
     for j in (1, 2, 3):
         assert len(spent_rounds(session.holder_stores[j], sid)) == blocks
-        assert len(session.holder_stores[j].get_secret(sid).tuples) == blocks
+        assert len(live_ids(session.holder_stores[j].get_secret(sid))) == blocks
     assert spent_rounds(session.holder_stores[4], sid) == ()
     assert session.net.conservation_holds()
 

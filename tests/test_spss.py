@@ -21,7 +21,6 @@ from itstore.errors import (
     PasswordFailureError,
     PrecomputationExhaustedError,
     ProtocolError,
-    ReconstructionAbortError,
 )
 from itstore.field import PrimeField, random_polynomial
 from itstore.spss import (
@@ -45,7 +44,9 @@ from itstore.stores import HolderStore, _encode_share_set
 from itstore.wire import Packed, check_runs, column
 from oracles import (
     bits_drawn,
+    cut_model,
     data_shares,
+    expand_runs,
     extract,
     handover,
     id_runs,
@@ -292,7 +293,7 @@ def test_two_slices_and_a_ragged_rest_draw_stock_and_answer_like_the_oracles():
     carried = {}
     ids = precompute_round(holders, dict.fromkeys(holders, new), rounds,
                            recording(carried))
-    assert ids == tuple(range(rounds))
+    assert tuple(ids) == tuple(range(rounds))
     held = {j: ([], []) for j in params.holder_indices}
     for contributor in params.holder_indices:
         sent = {j: ([], []) for j in params.holder_indices}
@@ -348,9 +349,9 @@ def test_precompute_round_accounting():
     holders, _ = spss_register(b"ab", 3, params, SeededEntropy(b"acct"))
     rng = SeededEntropy(b"acct-rounds")
     carried = {}
-    assert precompute_round(holders, dict.fromkeys(holders, rng), 1,
-                            recording(carried)) == (0,)
-    assert stock(holders, rng) == (1,)
+    assert tuple(precompute_round(holders, dict.fromkeys(holders, rng), 1,
+                                  recording(carried))) == (0,)
+    assert tuple(stock(holders, rng)) == (1,)
     # every other holder gets one R and one Z value per batch from each
     # contributor, and every holder keeps one folded r and z per tuple
     assert sorted(carried) == [(d, j) for d in range(1, 5)
@@ -430,8 +431,8 @@ def test_rounds_draw_like_one_polynomial_pair_per_round():
     holders, _ = spss_register(b"rounds", 5, params, SeededEntropy(b"reg"))
     new, old = SeededEntropy(b"rounds"), SeededEntropy(b"rounds")
     carried = {}
-    assert precompute_round(holders, dict.fromkeys(holders, new), 3,
-                            recording(carried)) == (0, 1, 2)
+    assert tuple(precompute_round(holders, dict.fromkeys(holders, new), 3,
+                                  recording(carried))) == (0, 1, 2)
     held = {j: [] for j in params.holder_indices}
     for contributor in params.holder_indices:
         sent = {j: ([], []) for j in params.holder_indices}
@@ -455,7 +456,7 @@ def test_rounds_draw_like_one_polynomial_pair_per_round():
             assert tup.z == extraction_oracle(
                 [z[batch] for _, z in held[j]], k, field.q)
     assert bits_drawn(new) == bits_drawn(old)
-    assert stock(holders, new, rounds=2) == (3, 4)
+    assert tuple(stock(holders, new, rounds=2)) == (3, 4)
     with pytest.raises(ConfigurationError):
         stock(holders, new, rounds=0)
 
@@ -473,10 +474,10 @@ def test_precompute_delivers_every_other_holders_values_in_order():
         return Packed(column([(v + d) % 31 for pair in body for v in pair],
                              body.width), body.width, 2)
 
-    assert stock(direct, SeededEntropy(b"dv-round"), 2) == (0, 1)
-    assert precompute_round(routed,
-                            dict.fromkeys(routed, SeededEntropy(b"dv-round")),
-                            2, deliver) == (0, 1)
+    assert tuple(stock(direct, SeededEntropy(b"dv-round"), 2)) == (0, 1)
+    assert tuple(precompute_round(
+        routed, dict.fromkeys(routed, SeededEntropy(b"dv-round")), 2,
+        deliver)) == (0, 1)
     # two rounds are one batch of w = 2: one value of each kind per message
     assert calls == [(d, j, 1, 1) for d in (1, 2, 3, 4)
                      for j in (1, 2, 3, 4) if j != d]
@@ -504,7 +505,7 @@ def test_a_failed_delivery_changes_no_share_set():
         precompute_round(holders,
                          dict.fromkeys(holders, SeededEntropy(b"fail-round")),
                          2, deliver)
-    assert all(not s.tuples for s in holders.values())
+    assert all(not s.live for s in holders.values())
 
 
 def test_a_round_past_the_u32_round_ids_is_refused_before_any_send():
@@ -528,7 +529,7 @@ def test_a_round_past_the_u32_round_ids_is_refused_before_any_send():
     assert calls == [] and holders == before
     # the last round id that leaves next_round a u32 is still stocked
     again = dict.fromkeys(holders, SeededEntropy(b"top-round"))
-    assert precompute_round(holders, again, 1, deliver) == (top - 1,)
+    assert tuple(precompute_round(holders, again, 1, deliver)) == (top - 1,)
     assert all(s.next_round == top for s in holders.values())
 
 
@@ -623,7 +624,7 @@ def test_rounds_stock_exactly_that_many_tuples_from_ceil_rounds_over_w_draws(
     sources = {j: SeededEntropy(b"c-%d" % j) for j in holders}
     carried = {}
     ids = precompute_round(holders, sources, rounds, recording(carried))
-    assert ids == tuple(range(rounds))
+    assert tuple(ids) == tuple(range(rounds))
     batches = -(-rounds // 2)
     assert params.batch_count(rounds) == batches
     for share_set in holders.values():
@@ -638,8 +639,9 @@ def test_rounds_stock_exactly_that_many_tuples_from_ceil_rounds_over_w_draws(
 
 
 def test_a_holder_keeps_its_live_tuples_as_columns_not_objects():
-    # a tuple is one u32 id and one value in each of two byte columns, so
-    # a holder keeps 4 + 2 * 16 bytes per live tuple in the 127-bit field;
+    # a tuple is one value in each of two byte columns and its round id
+    # lies in a run, so a holder keeps 2 * 16 bytes per live tuple in the
+    # 127-bit field;
     # a round folds every contribution into its row sums as it arrives,
     # and keeps no per-contributor values
     params = SpssParams()
@@ -656,7 +658,7 @@ def test_a_holder_keeps_its_live_tuples_as_columns_not_objects():
     per_tuple = rounds * params.n_sh
     assert (live - base) / per_tuple <= 64
     assert (peak - base) / per_tuple <= 320
-    assert all(len(s.tuples) == rounds for s in holders.values())
+    assert all(len(live_ids(s)) == rounds for s in holders.values())
 
 
 def test_a_holder_keeps_its_data_shares_as_one_column(tmp_path):
@@ -692,17 +694,17 @@ def test_live_runs_are_the_canonical_runs_of_the_live_ids():
     rng = SeededEntropy(b"live-runs")
     holders, _ = spss_register(b"\xc0", 5, params, rng)
     share_set = holders[1]
-    assert share_set.tuples.runs() == []
+    assert share_set.live == []
     stock(holders, rng, rounds=300)
-    assert share_set.tuples.runs() == [(0, 300)]
+    assert share_set.live == [(0, 300)]
     pick = random.Random(11)
-    while len(share_set.tuples):
+    while share_set.live:
         live = live_ids(share_set)
         spend_rounds(share_set, runs_of(sorted(pick.sample(
             live, min(len(live), pick.randint(1, 9))))))
-        assert share_set.tuples.runs() == check_runs(id_runs(
+        assert share_set.live == check_runs(id_runs(
             live_ids(share_set)))
-    assert share_set.tuples.runs() == []
+    assert share_set.live == []
 
 
 def test_a_pinned_id_named_twice_is_refused_before_any_tuple_is_spent():
@@ -971,6 +973,78 @@ def test_spend_rounds_matches_a_dict_of_tuples_on_random_spends():
         assert live_ids(share_set) == sorted(model)
 
 
+def test_stock_respond_and_retire_match_a_per_id_model():
+    # a seeded mix of stocks, responses, retires and refused requests on
+    # one share set, each step checked against cut_model's one id at a
+    # time rendering of the spend rule: the live ids, the r and z
+    # columns, and live as the canonical runs of the ids
+    rng = SeededEntropy(b"per-id-model")
+    holders, secret = spss_register(b"\xc0", 5, F31_PARAMS, rng)
+    need = len(secret.blocks) + 1
+    share_set, model = holders[1], {}
+    pick = random.Random(47)
+    steps = ["stock"] * 20 + ["respond"] * 15 + ["retire"] * 15
+    steps += [fault for fault in refused_runs(need) for _ in range(3)]
+    pick.shuffle(steps)
+    for step in ["stock"] + steps:
+        live = sorted(model)
+        if step == "stock":
+            ids = stock(holders, rng, pick.randint(1, 9))
+            stocked = live_tuples(share_set)
+            model.update((rid, stocked[rid]) for rid in ids)
+        elif step == "retire":
+            # the rounds another holder, which spent some, still holds
+            reported = [runs_of(sorted(pick.sample(live, pick.randint(
+                len(live) // 2, len(live)))))]
+            runs = retired_rounds(share_set.live, reported)
+            gone = set(live) - set(expand_runs(reported[0]))
+            assert expand_runs(runs) == tuple(sorted(gone))
+            assert spend_rounds(share_set, runs) == cut_model(model, runs)
+        else:
+            if step == "respond" and len(live) >= need:
+                runs = runs_of(sorted(pick.sample(live, need)))
+            else:  # a fault, moved to the oldest live round
+                base = live[0] if live else 0
+                runs = [(first + base, end + base) for first, end in
+                        refused_runs(need).get(step, ([(0, need)],))[0]]
+            request = spss_request(9, (1, 2, 3), F31_PARAMS, rng,
+                                   rounds=runs)[1]
+            diff = (share_set.password_share - request.password_share) % 31
+            try:
+                want = cut_model(model, runs, need)
+            except (ImproperRequestError,
+                    PrecomputationExhaustedError) as exc:
+                with pytest.raises(type(exc)):
+                    holder_respond(share_set, request)
+            else:
+                got = holder_respond(share_set, request)
+                assert tuple(got.values) == tuple(
+                    (diff * t.r + t.z + share) % 31
+                    for t, share in zip(want, data_shares(share_set)))
+        assert live_tuples(share_set) == model
+        assert share_set.live == check_runs(id_runs(sorted(model)))
+        assert len(share_set.r) == len(share_set.z) == len(model)
+
+
+def test_a_runs_list_read_before_a_precompute_round_is_not_changed_by_it():
+    # TpvSession.precompute reads every holder's live runs before the
+    # round and retires against them after it, so a stock joined to that
+    # list in place would retire itself
+    rng = SeededEntropy(b"live-snapshot")
+    holders, _ = spss_register(b"\xc0", 5, F31_PARAMS, rng)
+    stock(holders, rng, rounds=2)
+    before = holders[1].live
+    stock(holders, rng, rounds=3)  # joins the last run
+    assert before == [(0, 2)] and holders[1].live == [(0, 5)]
+    cut_rounds(holders[1], [(4, 5)])
+    before = holders[1].live
+    stock(holders, rng, rounds=1)  # a new run past the spent round
+    assert before == [(0, 4)] and holders[1].live == [(0, 4), (5, 6)]
+    before = holders[1].live
+    cut_rounds(holders[1], [(1, 2)])
+    assert before == [(0, 4), (5, 6)]
+
+
 def test_fifo_tuple_choice_without_pinning():
     # every request pins its rounds; pinning the oldest live ones spends
     # what an unpinned request once did
@@ -982,25 +1056,6 @@ def test_fifo_tuple_choice_without_pinning():
     for j in (1, 2, 3):
         assert live_ids(holders[j]) == []
     assert live_ids(holders[4]) == [0, 1, 2]
-
-
-def test_recover_validation():
-    params = SpssParams(field=F31)
-    rng = SeededEntropy(b"recover")
-    holders, secret = spss_register(b"\xc0", 5, params, rng)
-    ids = [stock(holders, rng)[0]
-           for _ in range(len(secret.blocks) + 1)]
-    requests = spss_request(5, (1, 2, 3), params, rng, rounds=runs_of(ids))
-    responses = [holder_respond(holders[j], requests[j]) for j in (1, 2, 3)]
-    short = responses[0].__class__(responses[0].holder,
-                                   Packed(responses[0].values.raw[:-1], 1))
-    with pytest.raises(ReconstructionAbortError):
-        spss_recover([short, responses[1], responses[2]], 5, params,
-                     byte_length=1)
-    assert spss_recover(responses, 5, params, byte_length=1) == b"\xc0"
-    # two 4-bit blocks hold one byte, not two
-    with pytest.raises(ConfigurationError, match="exceeds"):
-        spss_recover(responses, 5, params, byte_length=2)
 
 
 def test_recover_returns_blocks_without_length():
@@ -1065,9 +1120,3 @@ def test_a_precompute_round_over_holders_at_other_rounds_changes_nothing():
     assert bits_drawn(rng) == 0
     assert records(holders) == before
 
-
-def test_responses_without_an_authenticator_block_abort_recovery():
-    responses = [MaskedResponse(j, Packed(b"\x07", 1)) for j in (1, 2, 3)]
-    with pytest.raises(ReconstructionAbortError) as info:
-        spss_recover(responses, 5, F31_PARAMS, byte_length=1)
-    assert str(info.value) == "responses lack an authenticator block"

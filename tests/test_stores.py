@@ -644,7 +644,7 @@ def per_contributor_body(share_set, seq):
     out += struct.pack(">I", len(data_shares(share_set)))
     for v in data_shares(share_set) + (share_set.password_share,):
         out += v.to_bytes(width, "big")
-    out += struct.pack(">I", len(share_set.tuples))
+    out += struct.pack(">I", len(live_ids(share_set)))
     n = share_set.params.n_sh
     for rid, tup in sorted(live_tuples(share_set).items()):
         out += struct.pack(">IBB", rid, 0, n)
@@ -928,7 +928,7 @@ def test_reopened_stores_keep_spent_rounds_and_never_reuse_an_id(tmp_path):
     for j in reopened:
         assert reopened[j].get_secret(SID_A) == stores[j].get_secret(SID_A)
     sets = {j: reopened[j].get_secret(SID_A) for j in reopened}
-    assert stock(sets, rng("next"), rounds=2) == (
+    assert tuple(stock(sets, rng("next"), rounds=2)) == (
         4 * need, 4 * need + 1)
 
 
@@ -1422,7 +1422,7 @@ def crash_case(directory, op):
                                oldest_runs(holders[1]))[1]
         return store, lambda: store.respond(SID_A, request)
     if op == "retire":
-        stranded = holders[1].tuples.runs()
+        stranded = holders[1].live
 
         def retire():
             store.retire(SID_A, stranded)

@@ -260,6 +260,31 @@ def test_intersect_runs_equals_the_sorted_set_intersection():
     assert wire.intersect_runs([]) == []
 
 
+def test_subtract_runs_equals_the_sorted_set_difference():
+    gen = random.Random("subtract")
+    cases = [
+        ([], []), ([], [(0, 5)]), ([(0, 5)], []),
+        ([(0, 5)], [(0, 5)]),                   # the whole range
+        ([(0, 5)], [(0, 1)]), ([(0, 5)], [(4, 5)]),  # either end
+        ([(0, 3)], [(3, 6)]), ([(3, 6)], [(0, 3)]),  # touching
+        ([(2, 4), (6, 9)], [(0, 12)]),          # cut spans every range
+        ([(0, 4), (6, 9)], [(3, 7)]),           # one cut, two ranges
+        ([(0, 10)], [(1, 2), (4, 6), (9, 10)]),
+    ]
+    cases += [(random_runs(gen, 60), random_runs(gen, 60))
+              for _ in range(300)]
+    # cuts inside the ranges, as a spend names them
+    for _ in range(100):
+        ranges = random_runs(gen, 60)
+        ids = expand_runs(ranges)
+        cases.append((ranges, check_runs(id_runs(sorted(gen.sample(
+            ids, gen.randint(0, len(ids))))))))
+    for ranges, cut in cases:
+        want = sorted(set(expand_runs(ranges)) - set(expand_runs(cut)))
+        got = wire.subtract_runs(ranges, cut)
+        assert got == check_runs(id_runs(want))  # canonical: none touch
+
+
 def oracle_message(kind, values):
     """The message bytes built by hand from an int per element: a W* or
     run field as oracle_uints of its values, an ids field as its

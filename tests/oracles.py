@@ -86,7 +86,7 @@ def handover(_dealer, _receiver, body):
     return body
 
 
-def stock(holders: dict, source, rounds: int = 1) -> tuple:
+def stock(holders: dict, source, rounds: int = 1) -> range:
     """precompute_round with every holder drawing from one shared source,
     in index order, and the values handed over as dealt:
     dict.fromkeys(holders, source) draws exactly what one source drew."""

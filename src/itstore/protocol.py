@@ -673,7 +673,8 @@ class TpvSession:
         once every response is in, releasing nothing either. A subset
         that spss.check_subset refuses, or an offline list that
         spss.check_offline refuses, is refused before any message is
-        sent; a valid subset is contacted in the caller's order.
+        sent, as is a record that a reachable chosen holder fails to read;
+        a valid subset is contacted in the caller's order.
         """
         if sid not in self.owner_receipts:
             raise ProtocolError("owner holds no receipt for %s" % sid.hex())
@@ -683,20 +684,23 @@ class TpvSession:
         tampers = holder_response_tamper or {}
         chosen = None if subset is None else check_subset(subset, params)
         down = check_offline(offline, params)
+        live = [j for j in params.holder_indices if j not in down]
+        if chosen is None:
+            chosen = tuple(live[:params.t_sh])
+        missing = [j for j in chosen if j not in live]
+        # the chosen holders that are reachable read their records before
+        # any send, so a record that fails its check sends nothing
+        sets = {j: self.holder_stores[j].get_secret(sid)
+                for j in chosen if j in live}
 
         c_len, attempt = self._send(self.OWNER, self.CALCULATOR,
                                     "recon-request", (sid,), byte_length,
                                     password_attempt)
 
-        live = [j for j in params.holder_indices if j not in down]
-        if chosen is None:
-            chosen = tuple(live[:params.t_sh])
-        else:
-            missing = [j for j in chosen if j not in live]
-            if missing:
-                return self._abort_reconstruction(
-                    sid, _ABORT_THRESHOLD,
-                    "requested holders offline: %s" % missing)
+        if missing:
+            return self._abort_reconstruction(
+                sid, _ABORT_THRESHOLD,
+                "requested holders offline: %s" % missing)
         if len(chosen) < params.t_sh:
             return self._abort_reconstruction(
                 sid, _ABORT_THRESHOLD,
@@ -710,10 +714,9 @@ class TpvSession:
         for j in chosen:
             holder = self._holder_ep(j)
             self._send(self.CALCULATOR, holder, "avail-query", (sid,))
-            share_set = self.holder_stores[j].get_secret(sid)
             blocks, runs = self._send(holder, self.CALCULATOR, "avail-reply",
-                                      (sid,), share_set.block_count,
-                                      share_set.live)
+                                      (sid,), sets[j].block_count,
+                                      sets[j].live)
             if blocks != expected_blocks:
                 return self._abort_reconstruction(
                     sid, _ABORT_THRESHOLD,

@@ -74,7 +74,7 @@ kept the renewal rounds in the journal, a round id and a spent flag per
 tuple, or every contributor's r and z, fail the digest and are refused
 as tampered; so is a record whose runs are malformed, name an id at or
 past `next_round`, or disagree with its column lengths. Reading a record
-builds nothing per spent id, and a `next_round` near 2^32 opens;
+builds nothing per spent id, even with a `next_round` near 2^32;
 `spss.precompute_round` refuses to stock past the u32 range first.
 
 A save rewrites only the secret that changed, with 2 fsyncs: it
@@ -84,17 +84,17 @@ beside a new empty slot b, so no crash leaves a torn record as the only
 copy. A holder's masked response leaves the store only once the save
 that drops its tuples is fsynced; a crash before that releases nothing.
 
-Opening keeps, per secret, the valid slot with the higher sequence number
-and zeroes every other non-empty slot, which finishes any erasure a crash
-interrupted; a leftover `.new` is erased, and a secret whose slots are all
-empty was never saved. So a crash at any point leaves the store openable
-with each secret's old or new record, never a mix, and once a new record
-is durable no superseded share bytes survive the next open. A secret with
-non-empty slots but no valid record raises TamperDetectedError. Opening
-still reads and checks every record, and keeps none of the share sets;
-a secret's next use reads its live slot again, and a slot that fails its
-digest or layout, or holds another sequence number (an older valid
-record copied back), raises TamperDetectedError naming the path.
+Opening lists the directory and reads no record of a secret with one
+filled slot: it notes that slot, whose sequence number is known from the
+secret's first read. A secret that a crash left with two filled slots is
+read at open: the valid slot with the higher sequence number is kept and
+the other zeroed, which finishes the erasure the crash interrupted, so no
+superseded share bytes survive an open. A leftover `.new` is erased, and
+a secret whose slots are all empty was never saved. So a crash at any
+point leaves each secret its old or its new record, never a mix. A read
+that finds no valid record, two with one sequence number, or another
+sequence number than the store read before (an older valid record copied
+back) raises TamperDetectedError naming the path, for that secret only.
 
 A reconstruction spends rounds only at the t holders it contacts. The
 others retire those rounds at the secret's next precompute
@@ -617,12 +617,12 @@ class HolderStore:
     with the old rounds or the new shares with the new.
 
     In memory a store holds the secret in hand only: the share set it last
-    read or wrote. Of every other secret it keeps the live slot and its
-    sequence number, and `get_secret` reads and checks that record at the
-    secret's next use. `save` writes the share set in hand and refuses any
-    other secret, so a change left unsaved when another secret is read is
-    dropped, as a crash drops it. Opening reads and checks every record
-    and keeps none.
+    read or wrote. Of every other secret it keeps the live slot, and the
+    sequence number from the secret's first read; `get_secret` reads and
+    checks that record at the secret's next use. `save` writes the share
+    set in hand and refuses any other secret, so a change left unsaved
+    when another secret is read is dropped, as a crash drops it. Opening
+    lists the directory and reads only a secret left with two records.
 
     The constructor writes nothing to a new store: the directory and the
     holder index reach disk with the first save.
@@ -632,7 +632,9 @@ class HolderStore:
         self.directory = Path(directory)
         self._meta_path = self.directory / _HOLDER_META
         self._held = (None, None)  # (secret id, share set) in hand
-        self._live = {}  # secret id -> (slot suffix of the live record, seq)
+        # secret id -> (slot suffix of the live record, seq); the seq is
+        # None until the secret's first read
+        self._live = {}
         # a new store's directory is missing or empty, and then nothing
         # more is read
         names = DISK.listing(self.directory)
@@ -653,8 +655,26 @@ class HolderStore:
         if not 0 <= self.holder < (1 << 16):
             raise ConfigurationError("holder index out of range")
         self._meta_durable = stored is not None
-        if existing:
-            self._load_records(names)
+        # the open lists the records: a secret's one filled slot is read at
+        # its first use, and a secret that a crash left with two filled
+        # slots is read now, which keeps the newer record and erases the
+        # other
+        files = holder_record_files(self.directory, names)
+        if files and not self._meta_durable:
+            raise TamperDetectedError(
+                "%s: records without the holder index" % self.directory)
+        for sid, sizes in sorted(files.items()):
+            if "new" in sizes:  # a first record that was never published
+                secure_erase(self._record_path(sid, "new"))
+            filled = tuple(suffix for suffix in _SLOTS if sizes.get(suffix))
+            if not filled:
+                # only empty slots: the first save never completed
+                for suffix in set(_SLOTS) & set(sizes):
+                    DISK.erase(self._record_path(sid, suffix), unlink=True)
+            elif len(filled) == 1:
+                self._live[sid] = (filled[0], None)
+            else:
+                self._read(sid, filled)
 
     def _read_meta(self) -> "int | None":
         raw = DISK.read(self._meta_path)
@@ -668,54 +688,46 @@ class HolderStore:
     def _record_path(self, secret_id: bytes, suffix: str) -> Path:
         return self.directory / ("%s.%s" % (secret_id.hex(), suffix))
 
-    def _load_records(self, names: dict) -> None:
-        """Take each secret's valid slot with the higher sequence number and
-        erase every other slot, which finishes a save a crash interrupted."""
-        files = holder_record_files(self.directory, names)
-        if files and not self._meta_durable:
+    def _read(self, secret_id: bytes, slots) -> HolderShareSet:
+        """Parse the secret's given record slots, keep the valid record with
+        the higher sequence number as the share set in hand, and erase the
+        other slot. Refused: no valid record, two valid records with one
+        sequence number, and a sequence number other than the one this
+        store read before (an older valid record copied back)."""
+        known = self._live.get(secret_id, (None, None))[1]
+        valid = []  # (seq, suffix, share set)
+        for suffix in slots:
+            path = self._record_path(secret_id, suffix)
+            raw = DISK.read(path) or b""
+            body, digest = raw[:-_DIGEST_BYTES], raw[-_DIGEST_BYTES:]
+            if (len(raw) >= _SEQ.size + _DIGEST_BYTES and digest
+                    == _record_digest(self.holder, secret_id, body)):
+                valid.append((_SEQ.unpack_from(body)[0], suffix,
+                              _decode_share_set(body[_SEQ.size:],
+                                                self.holder, path)))
+        if not valid:
             raise TamperDetectedError(
-                "%s: records without the holder index" % self.directory)
-        for sid, sizes in sorted(files.items()):
-            if "new" in sizes:  # a first record that was never published
-                secure_erase(self._record_path(sid, "new"))
-            valid = []  # (seq, suffix); the parsed share sets are dropped
-            for suffix in _SLOTS:
-                if sizes.get(suffix):
-                    path = self._record_path(sid, suffix)
-                    record = self._parse_record(sid, DISK.read(path), path)
-                    if record is not None:
-                        valid.append((record[0], suffix))
-            if not valid:
-                filled = [str(self._record_path(sid, suffix))
-                          for suffix in _SLOTS if sizes.get(suffix)]
-                if filled:
-                    raise TamperDetectedError(
-                        "no valid record for secret %s in %s"
-                        % (sid.hex(), " or ".join(filled)))
-                # only empty slots: the first save never completed
-                for suffix in set(_SLOTS) & set(sizes):
-                    DISK.erase(self._record_path(sid, suffix), unlink=True)
-                continue
-            valid.sort(key=lambda record: record[0])
-            if len(valid) == 2 and valid[0][0] == valid[1][0]:
-                raise TamperDetectedError(
-                    "%s: two records for secret %s share sequence number %d"
-                    % (self.directory, sid.hex(), valid[0][0]))
-            seq, suffix = valid[-1]
-            for other in _SLOTS:
-                if other != suffix and sizes.get(other):
-                    DISK.erase(self._record_path(sid, other))
-            self._live[sid] = (suffix, seq)
-
-    def _parse_record(self, secret_id: bytes, raw: bytes, path):
-        """(seq, share set), or None when the digest does not match."""
-        if len(raw) < _SEQ.size + _DIGEST_BYTES:
-            return None
-        body, digest = raw[:-_DIGEST_BYTES], raw[-_DIGEST_BYTES:]
-        if _record_digest(self.holder, secret_id, body) != digest:
-            return None
-        (seq,) = _SEQ.unpack_from(body)
-        return seq, _decode_share_set(body[_SEQ.size:], self.holder, path)
+                "no valid record for secret %s in %s"
+                % (secret_id.hex(), " or ".join(
+                    str(self._record_path(secret_id, suffix))
+                    for suffix in slots)))
+        valid.sort(key=lambda record: record[0])
+        if len(valid) == 2 and valid[0][0] == valid[1][0]:
+            raise TamperDetectedError(
+                "%s: two records for secret %s share sequence number %d"
+                % (self.directory, secret_id.hex(), valid[0][0]))
+        seq, suffix, share_set = valid[-1]
+        if known is not None and seq != known:
+            raise TamperDetectedError(
+                "%s no longer holds record %d of secret %s"
+                % (self._record_path(secret_id, suffix), known,
+                   secret_id.hex()))
+        for other in slots:
+            if other != suffix:
+                DISK.erase(self._record_path(secret_id, other))
+        self._live[secret_id] = (suffix, seq)
+        self._held = (secret_id, share_set)
+        return share_set
 
     # ------------------------------------------------------------ content
 
@@ -734,21 +746,14 @@ class HolderStore:
 
     def get_secret(self, secret_id: bytes) -> HolderShareSet:
         """The secret's share set: the one in hand, or else its live record,
-        read and checked, which then replaces the one in hand."""
+        read and checked, which then replaces the one in hand. The first
+        read learns the record's sequence number, and every later read of
+        the secret must find it."""
         if self._held[0] == secret_id:
             return self._held[1]
         if secret_id not in self._live:
             raise ProtocolError("no shares for secret %s" % secret_id.hex())
-        suffix, seq = self._live[secret_id]
-        path = self._record_path(secret_id, suffix)
-        record = self._parse_record(secret_id, DISK.read(path) or b"", path)
-        if record is None or record[0] != seq:
-            # a changed record, or an older valid one copied back
-            raise TamperDetectedError(
-                "%s no longer holds record %d of secret %s"
-                % (path, seq, secret_id.hex()))
-        self._held = (secret_id, record[1])
-        return record[1]
+        return self._read(secret_id, (self._live[secret_id][0],))
 
     def secret_ids(self) -> tuple:
         return tuple(sorted(self._live))

@@ -883,14 +883,43 @@ def test_a_tampered_holder_record_stops_a_command_at_exit_1(tmp_path,
     raw[len(raw) // 2] ^= 0xFF
     record.write_bytes(bytes(raw))
     before = workspace_files(ws)
-    for argv in (["verify", "--text", SECRET_TEXT], ["reconstruct"],
-                 ["renew"]):
+    for argv in (["reconstruct"], ["renew"]):
         code, out, err = run_cli(capsys, argv[0], "--workspace", str(ws),
                                  *argv[1:])
         assert (code, out) == (1, "")
         assert err == ("tamper detected: no valid record for secret %s in "
                        "%s\n" % (sid, record))
     assert workspace_files(ws) == before
+    # verify reads no holder record, so the bad one does not stop it
+    state = json.loads((ws / "state.json").read_text(encoding="utf-8"))
+    t1 = state["receipts"][sid][0]
+    code, out, _err = run_cli(capsys, "verify", "--workspace", str(ws),
+                              "--text", SECRET_TEXT, "--t1", str(t1))
+    assert code == 0 and "integrity check success" in out
+    assert record.read_bytes() == bytes(raw)
+
+
+def test_a_reconstruct_reads_each_holder_record_it_uses_once(
+        tmp_path, capsys, monkeypatch):
+    # fails at the parent commit: opening a holder store read every
+    # secret's record, and the command read its own secret's again
+    ws = tmp_path / "ws"
+    sids = [register(capsys, ws, SECRET_TEXT + str(i)) for i in range(3)]
+    read, reads = DISK.read, []
+
+    def counting_read(path):
+        reads.append(Path(path))
+        return read(path)
+
+    monkeypatch.setattr(DISK, "read", counting_read)
+    code, out, _err = run_cli(capsys, "reconstruct", "--workspace", str(ws),
+                              "--password", PASSWORD, "--sid", sids[1])
+    assert code == 0 and "reconstruction success" in out
+    holders = sorted(p.name for p in (ws / "stores").glob("holder-*"))
+    assert len(holders) == 4
+    assert sorted((p.parent.name, p.name) for p in reads
+                  if p.suffix in (".a", ".b")) == [
+        (holder, sids[1] + ".a") for holder in holders]
 
 
 def test_a_key_supply_error_is_an_abort_at_exit_2(tmp_path, capsys,

@@ -7,6 +7,7 @@ persistent state lives in its own on-disk store.
 
 import dataclasses
 import hashlib
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from itstore.errors import (
     ImproperRequestError,
     KeySupplyError,
     ProtocolError,
+    TamperDetectedError,
 )
 from itstore.keynet import DEFAULT_TOPOLOGY, KeyNetwork, _PairStream
 from itstore.field import PrimeField
@@ -597,6 +599,37 @@ def test_a_subset_naming_a_holder_twice_is_refused_before_any_send(
         assert live_record(store, sid) == records[j]
     result = session.reconstruct_and_release(sid, PASSWORD, subset=(3, 1, 2))
     assert result.outcome is Outcome.SUCCESS and result.data == DATA
+
+
+def test_a_tampered_holder_record_stops_each_phase_before_any_send(
+        tmp_path):
+    # a reopened session reads a holder record at its secret's first use;
+    # a reconstruction that read it after the recon-request had sent that
+    # and the avail-queries before the bad record refused
+    session = make_session(tmp_path)
+    sid, _t1, _ = register_and_stock(session)
+    other, _t1, _ = register_and_stock(session, data=DATA[::-1])
+    store = session.holder_stores[2]
+    (suffix,) = [suffix for suffix, size
+                 in holder_record_files(store.directory)[sid].items() if size]
+    path = store.directory / ("%s.%s" % (sid.hex(), suffix))
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0x08
+    path.write_bytes(bytes(raw))
+    reopened = TpvSession(tmp_path / "run", net=session.net)
+    reopened.owner_receipts.update(session.owner_receipts)
+    lines, ledger = list(reopened.transcript), reopened.net.ledger()
+    for phase in (lambda: reopened.precompute(sid),
+                  lambda: reopened.renew(sid),
+                  lambda: reopened.reconstruct_and_release(sid, PASSWORD)):
+        with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+            phase()
+        assert reopened.transcript == lines
+        assert reopened.net.ledger() == ledger
+    assert path.read_bytes() == bytes(raw)
+    result = reopened.reconstruct_and_release(other, PASSWORD,
+                                              subset=(1, 2, 3))
+    assert result.outcome is Outcome.SUCCESS and result.data == DATA[::-1]
 
 
 def test_an_offline_index_outside_the_holders_is_refused_before_any_send(

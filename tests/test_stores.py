@@ -512,8 +512,32 @@ def test_holder_store_detects_tampering(tmp_path):
     corrupt = bytearray(state_path.read_bytes())
     corrupt[len(corrupt) // 2] ^= 0x10
     state_path.write_bytes(bytes(corrupt))
+    store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError):
-        HolderStore(tmp_path / "holder-1")
+        store.get_secret(secrets[0][0])
+
+
+def test_opening_a_store_reads_no_record_of_a_secret_with_one_slot(
+        tmp_path, monkeypatch):
+    # fails at the parent commit: opening read and checked every record,
+    # and a secret's first use read its record again
+    stores, secrets = registered_stores(tmp_path, n_secrets=3,
+                                        rounds_per_secret=[2, 2, 2])
+    sid = secrets[1][0]
+    spend_one(stores[1], sid)  # its live record moves to slot b
+    read, reads = stores_mod.DISK.read, []
+
+    def counting_read(path):
+        reads.append(Path(path).name)
+        return read(path)
+
+    monkeypatch.setattr(stores_mod.DISK, "read", counting_read)
+    store = HolderStore(tmp_path / "holder-1")
+    assert store.secret_ids() == tuple(sorted(s[0] for s in secrets))
+    assert reads == ["holder.bin"]
+    assert store.get_secret(sid) == stores[1].get_secret(sid)
+    store.get_secret(sid)
+    assert reads == ["holder.bin", sid.hex() + ".b"]
 
 
 def share_sets_alive() -> int:
@@ -523,8 +547,8 @@ def share_sets_alive() -> int:
 
 def test_reopening_a_store_of_12_secrets_keeps_at_most_one_share_set(
         tmp_path):
-    # opening reads and checks every record but keeps none of the share
-    # sets it parses, and a use of a secret replaces the one in hand
+    # opening lists the records and parses none, and a use of a secret
+    # replaces the share set in hand
     secrets = registered_stores(tmp_path, n_secrets=12)[1]
     before = share_sets_alive()
     store = HolderStore(tmp_path / "holder-1")
@@ -543,9 +567,17 @@ def recover_through(stores, secret, subset=(1, 2, 3)) -> bytes:
                         byte_length=len(data))
 
 
-@pytest.mark.parametrize("fault", ["bit-flip", "layout", "rollback"])
+@pytest.mark.parametrize("fault,reopened", [
+    pytest.param("bit-flip", False, id="bit-flip"),
+    pytest.param("layout", False, id="layout"),
+    pytest.param("rollback", False, id="rollback"),
+    pytest.param("bit-flip", True, id="bit-flip-reopened"),
+    pytest.param("layout", True, id="layout-reopened"),
+])
 def test_a_record_changed_after_its_secret_left_memory_fails_at_its_use(
-        tmp_path, fault):
+        tmp_path, fault, reopened):
+    # reopened: the fault is written before the store opens, which reads
+    # no record, so the open succeeds and the secret fails at its use
     stores, secrets = registered_stores(tmp_path, n_secrets=3,
                                         rounds_per_secret=[12, 12, 12])
     store, sid = stores[1], secrets[0][0]
@@ -563,6 +595,8 @@ def test_a_record_changed_after_its_secret_left_memory_fails_at_its_use(
     else:  # the valid record the spend replaced, copied back
         raw = older
     path.write_bytes(raw)
+    if reopened:
+        store = stores[1] = HolderStore(holder_dir)
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
         store.get_secret(sid)
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
@@ -629,8 +663,9 @@ def test_holder_record_of_the_wrong_length_names_its_path(tmp_path, edit):
     path = live_record_path(tmp_path / "holder-1", sid)
     body = edit(path.read_bytes()[:-32])
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
-        HolderStore(tmp_path / "holder-1")
+        store.get_secret(sid)
 
 
 def per_contributor_body(share_set, seq):
@@ -661,12 +696,14 @@ def test_a_record_of_the_per_contributor_layout_fails_closed(tmp_path):
     # as the earlier version wrote it: a digest without the layout label
     old = hashlib.sha256(struct.pack(">HB", 1, len(sid)) + sid + body)
     path.write_bytes(body + old.digest())
+    store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
-        HolderStore(tmp_path / "holder-1")
+        store.get_secret(sid)
     # and its tuples would not parse under the current digest either
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
-        HolderStore(tmp_path / "holder-1")
+        store.get_secret(sid)
 
 
 def folded_tuple_body(share_set, seq):
@@ -700,12 +737,14 @@ def test_a_record_of_the_folded_tuple_layout_fails_closed(tmp_path):
     old = hashlib.sha256(b"ITHR folded-tuples\n"
                          + struct.pack(">HB", 1, len(sid)) + sid + body)
     path.write_bytes(body + old.digest())
+    store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
-        HolderStore(tmp_path / "holder-1")
+        store.get_secret(sid)
     # and its tuples would not parse under the current digest either
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
-        HolderStore(tmp_path / "holder-1")
+        store.get_secret(sid)
 
 
 def id_run_list(runs) -> bytes:
@@ -774,8 +813,9 @@ def test_a_record_whose_runs_and_columns_disagree_fails_closed(tmp_path,
     body = live_runs_body(stores[1].get_secret(sid), 2, next_round, runs,
                           [1] * n_r, [2] * n_z)
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
-        HolderStore(tmp_path / "holder-1")
+        store.get_secret(sid)
 
 
 def test_a_record_wider_than_its_field_fails_closed(tmp_path):
@@ -792,9 +832,10 @@ def test_a_record_wider_than_its_field_fails_closed(tmp_path):
                           [tuples[rid].z for rid in (0, 1)],
                           width=share_set.params.field.byte_width + 1)
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError,
                        match=re.escape(str(path)) + ".* bytes wide"):
-        HolderStore(tmp_path / "holder-1")
+        store.get_secret(sid)
 
 
 def rewrite_record(holder_dir, sid, share_set, next_round, runs):
@@ -837,6 +878,27 @@ def test_a_record_claiming_four_billion_spent_rounds_fails_closed_at_once(
     with pytest.raises(ProtocolError, match="u32"):
         stock(sets, rng("u32"))
     assert sets[1].next_round == top and live_tuples(sets[1]) == {}
+
+
+def test_a_first_read_of_four_billion_spent_rounds_builds_nothing_per_id(
+        tmp_path):
+    # the open reads no record now, so the traced window above holds only
+    # the listing; the record is read here, at the secret's first use
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
+    sid = secrets[0][0]
+    spend_one(stores[1], sid)
+    holder_dir = tmp_path / "holder-1"
+    top = (1 << 32) - 1
+    rewrite_record(holder_dir, sid, stores[1].get_secret(sid), top, [])
+    reopened = HolderStore(holder_dir)
+    tracemalloc.start()
+    try:
+        share_set = reopened.get_secret(sid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert share_set.next_round == top and live_tuples(share_set) == {}
 
 
 def test_spends_and_stocks_past_max_ids_reopen(tmp_path, monkeypatch):
@@ -1227,13 +1289,15 @@ def test_a_record_of_the_live_tuple_runs_layout_fails_closed(tmp_path):
     old = hashlib.sha256(b"ITHR live-tuple-runs\n"
                          + struct.pack(">HB", 1, len(sid)) + sid + body)
     path.write_bytes(body + old.digest())
+    store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
-        HolderStore(tmp_path / "holder-1")
+        store.get_secret(sid)
     # and its next_round would be read as an empty renewal run list, and
     # its runs as next_round, under the current digest
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
-        HolderStore(tmp_path / "holder-1")
+        store.get_secret(sid)
 
 
 @pytest.mark.parametrize("renewals", [[(0, 0)], [(2, 1), (0, 1)],
@@ -1246,8 +1310,9 @@ def test_malformed_renewal_runs_fail_closed(tmp_path, renewals):
     body = live_runs_body(stores[1].get_secret(sid), 2, 0, [], [], [],
                           renewals=renewals)
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
+    store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
-        HolderStore(tmp_path / "holder-1")
+        store.get_secret(sid)
 
 
 def test_a_renewal_history_past_max_ids_reopens_after_its_save(tmp_path):
@@ -1493,6 +1558,9 @@ def test_crash_at_every_fsync_leaves_an_openable_consistent_store(tmp_path, op):
                     continue
         else:
             pytest.fail("recovery after a crash at fsync %d never ends" % k)
+        # the open itself leaves no secret with two filled slots
+        for sizes in holder_record_files(directory).values():
+            assert sum(1 for size in sizes.values() if size) <= 1, sizes
 
         again = HolderStore(directory, holder=1)
         state = {sid: again.get_secret(sid) for sid in again.secret_ids()}
@@ -1555,8 +1623,8 @@ def test_an_old_slot_zeroed_but_never_truncated_is_emptied_on_open(tmp_path):
     # the old slot's zeroes reached disk but its truncation was lost
     old_path.write_bytes(b"\x00" * old_size)
     reopened = HolderStore(directory)
-    assert reopened.get_secret(SID_A) == new
     assert old_path.stat().st_size == 0
+    assert reopened.get_secret(SID_A) == new
     field = CRASH_PARAMS.field
     for v in dropped:
         assert not directory_contains_window(

@@ -61,11 +61,11 @@ renewal rounds as runs, which are written back as runs too. A holder
 holds one share set only, the secret in hand (the one it last read or
 wrote), in the record's form: the share column, the live runs as the
 record stores them, and the r and z byte columns, so no round id is
-held one by one. Of every other secret it keeps the live slot and its
-sequence number. So a save writes the columns as they are, and reading
-a record takes them as stored, decoding no value. A record whose values
-are not its field's byte width is refused, since its columns would not
-match the next stock's or a renewal's.
+held one by one. Of every other secret it keeps the live slot, and its
+sequence number once read. So a save writes the columns as they are,
+and reading a record takes them as stored, decoding no value. A record
+whose values are not its field's byte width is refused, since its
+columns would not match the next stock's or a renewal's.
 
 A holder keeps no log. The spend journal of earlier versions is never
 opened: a spend that reached only it was never released, since its

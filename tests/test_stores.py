@@ -882,8 +882,8 @@ def test_a_record_claiming_four_billion_spent_rounds_fails_closed_at_once(
 
 def test_a_first_read_of_four_billion_spent_rounds_builds_nothing_per_id(
         tmp_path):
-    # the open reads no record now, so the traced window above holds only
-    # the listing; the record is read here, at the secret's first use
+    # the open reads no record: the secret's first use is the read that
+    # must build nothing per spent id
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
     sid = secrets[0][0]
     spend_one(stores[1], sid)

@@ -453,14 +453,10 @@ def _inspect_holder(path: Path) -> None:
     for sid in ids:
         share_set = store.get_secret(sid)
         live = sum(end - first for first, end in share_set.live)
-        # as runs: a renewal history may name up to 2^32 - 1 rounds
-        renewed = ", ".join(str(first) if end == first + 1
-                            else "%d-%d" % (first, end - 1)
-                            for first, end in share_set.renewal_runs)
         print("  sid=%s tracks=%d masking(unconsumed=%d consumed=%d) "
-              "renewal_rounds=[%s]"
+              "renewals=%d"
               % (sid.hex(), share_set.block_count, live,
-                 share_set.next_round - live, renewed))
+                 share_set.next_round - live, share_set.renewals))
 
 
 def _inspect_workspace(root: Path) -> None:

@@ -56,7 +56,6 @@ __all__ = [
     "polyeval_powers",
     "polyeval_tag_blocks",
     "polyeval_hash_bytes",
-    "split_blocks",
     "toeplitz_tag_bits",
     "au2_hash",
     "recompute_tag",
@@ -162,28 +161,6 @@ def make_seed(k: int, randomness) -> MacSeed:
         v = randomness.take_bits(k)
         if 0 < v < q_u:
             return MacSeed(k, v, q_u)
-
-
-def split_blocks(message: bytes, block_bits: int):
-    """Message bits into block_bits-wide integers, final block zero-padded.
-
-    Returns (blocks, original bit length). Bits are consumed MSB-first.
-    Linear time: eight blocks fill exactly block_bits bytes, so each run
-    of block_bits bytes is read as one integer and cut into eight blocks.
-    """
-    nbits = len(message) * 8
-    nblocks = -(-nbits // block_bits)
-    step = block_bits  # bytes per group of eight blocks
-    padded = message + bytes(-len(message) % step)
-    mask = (1 << block_bits) - 1
-    shifts = [block_bits * (7 - i) for i in range(8)]
-    from_bytes = int.from_bytes
-    blocks = [(group >> s) & mask
-              for group in [from_bytes(padded[i:i + step], "big")
-                            for i in range(0, len(padded), step)]
-              for s in shifts]
-    del blocks[nblocks:]
-    return blocks, nbits
 
 
 def polyeval_powers(r: int, q: int, count: int = POLY_CHUNK) -> list:

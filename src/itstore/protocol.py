@@ -673,8 +673,9 @@ class TpvSession:
         once every response is in, releasing nothing either. A subset
         that spss.check_subset refuses, or an offline list that
         spss.check_offline refuses, is refused before any message is
-        sent, as is a record that a reachable chosen holder fails to read;
-        a valid subset is contacted in the caller's order.
+        sent, as is a record that a reachable chosen holder fails to read,
+        or renewal counts on which the reachable chosen holders differ; a
+        valid subset is contacted in the caller's order.
         """
         if sid not in self.owner_receipts:
             raise ProtocolError("owner holds no receipt for %s" % sid.hex())
@@ -689,9 +690,12 @@ class TpvSession:
             chosen = tuple(live[:params.t_sh])
         missing = [j for j in chosen if j not in live]
         # the chosen holders that are reachable read their records before
-        # any send, so a record that fails its check sends nothing
+        # any send, so a record that fails its check sends nothing, and
+        # shares of two renewal epochs never mix in one reconstruction
         sets = {j: self.holder_stores[j].get_secret(sid)
                 for j in chosen if j in live}
+        if len({s.renewals for s in sets.values()}) > 1:
+            raise ProtocolError("holders disagree on renewal history")
 
         c_len, attempt = self._send(self.OWNER, self.CALCULATOR,
                                     "recon-request", (sid,), byte_length,
@@ -902,11 +906,10 @@ class TpvSession:
         if len(tracks) != 1:
             raise ProtocolError("holders disagree on the track count")
         n_tracks = tracks.pop()
-        histories = {tuple(sets[j].renewal_runs) for j in holders}
-        if len(histories) != 1:
+        counts = {sets[j].renewals for j in holders}
+        if len(counts) != 1:
             raise ProtocolError("holders disagree on renewal history")
-        history = histories.pop()
-        round_no = history[-1][1] if history else 0  # one past the last
+        round_no = counts.pop()  # rounds are numbered 0, 1, ... in turn
 
         def deliver(d, commitments, pairs):
             # each holder keeps the bytes it received, as Packed views
@@ -954,8 +957,7 @@ class TpvSession:
                                  n_tracks)
 
         for j in holders:
-            self.holder_stores[j].apply_renewal(sid, outcome.new_shares[j],
-                                                round_no)
+            self.holder_stores[j].apply_renewal(sid, outcome.new_shares[j])
         self.transcript.append("renewal sid=%s round=%d accepted tracks=%d"
                                % (sid.hex(), round_no, n_tracks))
         return RenewalReport(sid, round_no, True, (), n_tracks)

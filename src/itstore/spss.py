@@ -77,7 +77,6 @@ from .errors import (
 )
 from .field import PrimeField, zero_coefficients
 from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
-from .mac import split_blocks
 from .wire import Cursor, Packed, column, intersect_runs, subtract_runs
 
 __all__ = [
@@ -99,6 +98,7 @@ __all__ = [
     "cut_rounds",
     "holder_respond",
     "spss_recover",
+    "split_blocks",
     "reassemble_blocks",
 ]
 
@@ -209,8 +209,9 @@ class HolderShareSet:
     so a runs list read earlier is never changed under its reader.
     Round ids are stocked contiguously from 0 and next_round is one past
     the highest ever stocked, so a spent round is an id below next_round
-    that is not live. renewal_runs holds the renewal rounds applied to
-    the data shares as increasing, non-touching (first, end) ranges.
+    that is not live. renewals counts the renewal rounds applied to the
+    data shares: they are numbered 0, 1, ... in turn, so the next round
+    is round `renewals`.
     """
 
     holder: int
@@ -221,7 +222,7 @@ class HolderShareSet:
     r: bytearray = dc_field(default_factory=bytearray)
     z: bytearray = dc_field(default_factory=bytearray)
     next_round: int = 0
-    renewal_runs: list = dc_field(default_factory=list)
+    renewals: int = 0
 
     @property
     def block_count(self) -> int:
@@ -678,9 +679,33 @@ def spss_recover(responses, password_attempt: int, params: SpssParams,
     return b"".join(out)[:byte_length]
 
 
+def split_blocks(message: bytes, block_bits: int):
+    """Message bits into block_bits-wide integers, final block zero-padded:
+    the payload's blocks in wire order, D_l first, as registration shares
+    them and reassemble_blocks joins them back.
+
+    Returns (blocks, original bit length). Bits are consumed MSB-first.
+    Linear time: eight blocks fill exactly block_bits bytes, so each run
+    of block_bits bytes is read as one integer and cut into eight blocks.
+    """
+    nbits = len(message) * 8
+    nblocks = -(-nbits // block_bits)
+    step = block_bits  # bytes per group of eight blocks
+    padded = message + bytes(-len(message) % step)
+    mask = (1 << block_bits) - 1
+    shifts = [block_bits * (7 - i) for i in range(8)]
+    from_bytes = int.from_bytes
+    blocks = [(group >> s) & mask
+              for group in [from_bytes(padded[i:i + step], "big")
+                            for i in range(0, len(padded), step)]
+              for s in shifts]
+    del blocks[nblocks:]
+    return blocks, nbits
+
+
 def reassemble_blocks(blocks_by_index, byte_length: int, width: int) -> bytes:
-    """Inverse of the register-time split at block width `width`:
-    D_l..D_1 back to bytes.
+    """Inverse of split_blocks at block width `width`: D_l..D_1 back to
+    bytes.
 
     Linear time: each group of eight blocks is exactly `width` bytes.
     spss_recover passes only blocks narrower than `width` bits, and a

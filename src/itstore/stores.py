@@ -48,16 +48,16 @@ first save, never by the constructor. Each secret has two record slots,
 empty. A record is a 4-byte sequence number, the share set, and SHA-256
 over a record-layout label, the holder index, the secret id and those
 bytes; the id itself is only the file name. The share set is the layout
-(t, n, the field), the data shares and the password share, the renewal
-rounds applied to the data shares as canonical (first, count) runs
-(`wire.encode_runs`), then `next_round` (a u32 one past the highest round
-id ever stocked), the live round ids as runs too, and the live tuples' r
-column and z column, in the runs' order. That is 32 bytes per live tuple
-in the 127-bit field and nothing per spent one: round ids are stocked
-contiguously from 0, so an id below `next_round` that is not live is
-spent. Spent ids are never materialized, on disk or in memory: a share
-set holds its live tuples and `next_round`, nothing more, and its
-renewal rounds as runs, which are written back as runs too. A holder
+(t, n, the field), the data shares and the password share, the count of
+renewal rounds applied to the data shares (a u32: rounds are numbered
+0, 1, ... in turn), then `next_round` (a u32 one past the highest round
+id ever stocked), the live round ids as canonical (first, count) runs
+(`wire.encode_runs`), and the live tuples' r column and z column, in the
+runs' order. That is 32 bytes per live tuple in the 127-bit field and
+nothing per spent one: round ids are stocked contiguously from 0, so an
+id below `next_round` that is not live is spent. Spent ids are never
+materialized, on disk or in memory: a share set holds its live tuples
+and `next_round`, nothing more. A holder
 holds one share set only, the secret in hand (the one it last read or
 wrote), in the record's form: the share column, the live runs as the
 record stores them, and the r and z byte columns, so no round id is
@@ -70,12 +70,12 @@ columns would not match the next stock's or a renewal's.
 A holder keeps no log. The spend journal of earlier versions is never
 opened: a spend that reached only it was never released, since its
 response waited for the record save. Records of earlier layouts, which
-kept the renewal rounds in the journal, a round id and a spent flag per
-tuple, or every contributor's r and z, fail the digest and are refused
-as tampered; so is a record whose runs are malformed, name an id at or
-past `next_round`, or disagree with its column lengths. Reading a record
-builds nothing per spent id, even with a `next_round` near 2^32;
-`spss.precompute_round` refuses to stock past the u32 range first.
+kept the renewal rounds as runs or in the journal, a round id and a spent
+flag per tuple, or every contributor's r and z, fail the digest and are
+refused as tampered; so is a record whose runs are malformed, name an
+id at or past `next_round`, or disagree with its column lengths. Reading
+a record builds nothing per spent id, even with a `next_round` near
+2^32; `spss.precompute_round` refuses to stock past the u32 range first.
 
 A save rewrites only the secret that changed, with 2 fsyncs: it
 overwrites the idle slot with the record and its next sequence number,
@@ -129,7 +129,7 @@ _CHAIN_GENESIS = b"\x00" * 32
 _CHAIN_BYTES = 32
 _HOLDER_MAGIC = b"ITHS2\n"
 # bound into every record digest: records of another layout never verify
-_RECORD_LAYOUT = b"ITHR renewal-rounds\n"
+_RECORD_LAYOUT = b"ITHR renewal-count\n"
 _HOLDER_META = "holder.bin"
 _HOLDER_PENDING = "holder.new"  # holder.bin's name until it is published
 _SLOTS = ("a", "b")
@@ -528,8 +528,7 @@ def _encode_share_set(ss: HolderShareSet) -> bytes:
         struct.pack(">I", ss.block_count),
         ss.shares,
         ss.password_share.to_bytes(width, "big"),
-        encode_runs(ss.renewal_runs),
-        struct.pack(">I", ss.next_round),
+        struct.pack(">II", ss.renewals, ss.next_round),
         encode_runs(ss.live),
         ss.r,
         ss.z,
@@ -538,7 +537,7 @@ def _encode_share_set(ss: HolderShareSet) -> bytes:
 
 def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
     """The share set a record body holds: its live tuples, next_round and
-    renewal runs. Spent ids are never materialized."""
+    renewal count. Spent ids are never materialized."""
     rd = Cursor(body, TamperDetectedError, "%s record" % path)
     t_sh, n_sh, width = rd.uint(1), rd.uint(1), rd.uint(2)
     q = rd.uint(width)
@@ -552,10 +551,7 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
                                              params.field.byte_width))
     shares = rd.take(rd.uint(4) * width)
     password_share = rd.uint(width)
-    # renewal rounds are never expanded, so only the u32 id space bounds
-    # them; the record's length bounds how many runs it holds
-    renewal_runs = rd.runs(limit=1 << 32)
-    next_round = rd.uint(4)
+    renewals, next_round = rd.uint(4), rd.uint(4)
     # each live id has an r and a z after the runs, which bounds the runs
     # before any is expanded; the columns are kept as they are stored
     runs = rd.runs(limit=(len(body) - rd.pos) // (2 * width))
@@ -566,7 +562,7 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
         raise TamperDetectedError("%s: a live round id at or past next "
                                   "round %d" % (path, next_round))
     return HolderShareSet(holder, params, shares, password_share, runs, r,
-                          z, next_round, renewal_runs)
+                          z, next_round, renewals)
 
 
 def _record_digest(holder: int, secret_id: bytes, body: bytes) -> bytes:
@@ -605,16 +601,16 @@ class HolderStore:
     """One holder's durable state: one record per secret.
 
     A secret's record holds every fact about it that changes together:
-    its shares, its live masking tuples and the renewal rounds applied to
-    it, and it is the only record of which tuples are spent. A tuple
+    its shares, its live masking tuples and the count of renewal rounds
+    applied to it, and it is the only record of which tuples are spent. A tuple
     leaves only by `respond` or `retire`, both naming its round in
     canonical (first, end) runs that spss.cut_rounds checks before it
     drops any, and the record save that drops it is the spend: `respond`
     saves before it returns the response, so a crash before the save is
     durable releases nothing, and the reopened record's tuples masked no
     released value. A renewal is one record rewrite, which destroys the old share
-    values and notes the round together, so a crash leaves the old shares
-    with the old rounds or the new shares with the new.
+    values and counts the round together, so a crash leaves the old
+    shares with the old count or the new shares with the new.
 
     In memory a store holds the secret in hand only: the share set it last
     read or wrote. Of every other secret it keeps the live slot, and the
@@ -810,29 +806,23 @@ class HolderStore:
 
     # ------------------------------------------------------------ renewal
 
-    def apply_renewal(self, secret_id: bytes, new_data_shares,
-                      round_no: int) -> None:
+    def apply_renewal(self, secret_id: bytes, new_data_shares) -> None:
         """Swap in renewed shares, the wire.Packed share column that
-        renewal_round returns, and note the round, in one record rewrite
+        renewal_round returns, and count the round, in one record rewrite
         that also destroys the old share values; renewal_round's strict
-        zip over the share column fixes its length. Rounds must increase,
-        and a run of them must keep a u32 count."""
+        zip over the share column fixes its length. A count the record's
+        u32 cannot hold is refused before anything changes."""
         ss = self.get_secret(secret_id)
-        runs = ss.renewal_runs
-        end = runs[-1][1] if runs else 0  # one past the last round
-        first = runs[-1][0] if runs and end == round_no else round_no
-        if not end <= round_no < 1 << 32 or (round_no + 1 - first) >> 32:
-            raise ProtocolError("renewal round %d of %s is not a u32 of at "
-                                "least %d, or its run would pass a u32 count"
-                                % (round_no, secret_id.hex(), end))
+        if ss.renewals >= 0xFFFFFFFF:
+            raise ProtocolError("%s has had %d renewal rounds, the most a "
+                                "record counts" % (secret_id.hex(),
+                                                   ss.renewals))
         ss.shares = new_data_shares.raw
-        if first < round_no:
-            runs[-1] = (first, round_no + 1)
-        else:
-            runs.append((round_no, round_no + 1))
+        ss.renewals += 1
         self.save(secret_id)
 
     def renewal_rounds(self, secret_id: bytes) -> tuple:
-        """The renewal rounds applied to a secret, oldest first."""
-        return tuple(rid for first, end in self.get_secret(
-            secret_id).renewal_runs for rid in range(first, end))
+        """The renewal rounds applied to a secret, 0 to its count - 1.
+        Nothing in the package calls it: perfbench's tracer hooks the
+        name."""
+        return tuple(range(self.get_secret(secret_id).renewals))

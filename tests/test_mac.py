@@ -27,9 +27,9 @@ from itstore.mac import (
     recompute_tag,
     seed_from_bytes,
     seed_to_bytes,
-    split_blocks,
     toeplitz_tag_bits,
 )
+from itstore.spss import split_blocks
 from oracles import bits_drawn
 
 

@@ -728,6 +728,38 @@ def test_a_crash_after_the_last_holders_renewal_save_keeps_holders_in_step(
     assert reopened.reconstruct_and_release(sid, PASSWORD).data == DATA
 
 
+def test_a_reconstruction_across_renewal_epochs_sends_nothing(tmp_path):
+    # fails at the parent commit: holders 1-3 spent all 21 rounds and the
+    # mixed shares failed as "authenticator mismatch", blaming the password
+    session = make_session(tmp_path)
+    data = bytes(range(150)) * 2
+    sid, _t1, blocks = register_and_stock(session, data=data)
+    assert blocks == 21
+    dirs = {j: session.holder_stores[j].directory for j in (3, 4)}
+    saved = {j: {p.name: p.read_bytes() for p in d.iterdir()}
+             for j, d in dirs.items()}
+    assert session.renew(sid).accepted
+    for j, files in saved.items():  # a renew that reached holders 1 and 2
+        for name, raw in files.items():
+            (dirs[j] / name).write_bytes(raw)
+    reopened = TpvSession(tmp_path / "run", net=session.net)
+    reopened.owner_receipts.update(session.owner_receipts)
+    stores = reopened.holder_stores
+    assert [stores[j].get_secret(sid).renewals for j in stores] == [1, 1, 0, 0]
+    live = {j: store.get_secret(sid).live for j, store in stores.items()}
+    records = {j: live_record(store, sid) for j, store in stores.items()}
+    lines, ledger = list(reopened.transcript), reopened.net.ledger()
+    with pytest.raises(ProtocolError,
+                       match="holders disagree on renewal history"):
+        reopened.reconstruct_and_release(sid, PASSWORD, subset=(1, 2, 3))
+    assert reopened.transcript == lines
+    assert reopened.net.ledger() == ledger
+    assert {j: store.get_secret(sid).live
+            for j, store in stores.items()} == live
+    assert {j: live_record(store, sid)
+            for j, store in stores.items()} == records
+
+
 def test_renewal_destroys_previous_share_bytes(tmp_path):
     session = make_session(tmp_path)
     sid, _, _ = register_and_stock(session)
@@ -746,7 +778,7 @@ def drop_last_track(session, sid):
 
 
 def note_a_renewal(session, sid):
-    session.holder_stores[4].get_secret(sid).renewal_runs = [(0, 1)]
+    session.holder_stores[4].get_secret(sid).renewals = 1
 
 
 @pytest.mark.parametrize("kwargs,split,error,message", [
@@ -767,7 +799,7 @@ def test_a_renewal_the_holders_cannot_run_sends_nothing(tmp_path, kwargs,
         split(session, sid)
     sets = {j: store.get_secret(sid)
             for j, store in session.holder_stores.items()}
-    before = {j: (s.shares, list(s.renewal_runs)) for j, s in sets.items()}
+    before = {j: (s.shares, s.renewals) for j, s in sets.items()}
     records = {j: live_record(store, sid)
                for j, store in session.holder_stores.items()}
     lines = list(session.transcript)
@@ -775,7 +807,7 @@ def test_a_renewal_the_holders_cannot_run_sends_nothing(tmp_path, kwargs,
         session.renew(sid)
     assert str(info.value) == message
     assert session.transcript == lines
-    assert {j: (s.shares, s.renewal_runs) for j, s in sets.items()} == before
+    assert {j: (s.shares, s.renewals) for j, s in sets.items()} == before
     assert {j: live_record(store, sid)
             for j, store in session.holder_stores.items()} == records
 
@@ -1007,9 +1039,9 @@ def test_renewal_mislabelled_header_fails_closed(tmp_path, kind, offset,
 
 
 def holder_state(session, sid) -> dict:
-    """Each holder's shares, renewal runs and saved record for sid."""
+    """Each holder's shares, renewal count and saved record for sid."""
     return {j: (store.get_secret(sid).shares,
-                tuple(store.get_secret(sid).renewal_runs),
+                store.get_secret(sid).renewals,
                 live_record(store, sid))
             for j, store in session.holder_stores.items()}
 

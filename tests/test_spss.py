@@ -38,8 +38,8 @@ from itstore.spss import (
     spss_recover,
     spss_register,
     spss_request,
+    split_blocks,
 )
-from itstore.mac import split_blocks
 from itstore.stores import HolderStore, _encode_share_set
 from itstore.wire import Packed, check_runs, column
 from oracles import (

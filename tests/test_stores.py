@@ -753,13 +753,14 @@ def id_run_list(runs) -> bytes:
 
 
 def live_runs_body(share_set, seq, next_round, runs, r_column, z_column,
-                   renewals=(), width=None):
+                   renewals=0, width=None):
     """A record body in the current layout, from its parts: the header,
-    the data and password shares, the renewal rounds' (first, count) runs,
-    next_round, the live ids' runs, then the live tuples' r column and z
-    column. With renewals=None, the earlier live-tuple-runs layout, which
-    kept no renewal rounds. Every value is `width` bytes wide, the field's
-    byte width unless given."""
+    the data and password shares, the renewal count, next_round, the live
+    ids' runs, then the live tuples' r column and z column. renewals
+    builds an earlier layout when it is None, the live-tuple-runs layout,
+    which kept no renewal rounds, or a list of (first, count) runs, the
+    renewal-runs layout, which kept them as runs. Every value is `width`
+    bytes wide, the field's byte width unless given."""
     params = share_set.params
     width = width or params.field.byte_width
 
@@ -771,7 +772,8 @@ def live_runs_body(share_set, seq, next_round, runs, r_column, z_column,
         params.field.q.to_bytes(width, "big"),
         struct.pack(">I", len(data_shares(share_set))),
         column(data_shares(share_set) + (share_set.password_share,)),
-        b"" if renewals is None else id_run_list(renewals),
+        b"" if renewals is None else id_run_list(renewals)
+        if isinstance(renewals, list) else struct.pack(">I", renewals),
         struct.pack(">I", next_round), id_run_list(runs),
         column(r_column), column(z_column),
     ))
@@ -1230,17 +1232,17 @@ def test_renewal_destroys_old_share_bytes(tmp_path):
         assert directory_contains_window(holder_dir, raw, window=16)
 
     new_shares = [field.add(v, 1 + i) for i, v in enumerate(old_shares)]
-    store.apply_renewal(sid, share_column(new_shares, field), round_no=1)
+    store.apply_renewal(sid, share_column(new_shares, field))
     for raw in old_bytes:
         assert not directory_contains_window(holder_dir, raw, window=16)
     state = live_record_path(holder_dir, sid).read_bytes()
     for v in new_shares:
         assert v.to_bytes(field.byte_width, "big") in state
-    assert store.renewal_rounds(sid) == (1,)
+    assert store.renewal_rounds(sid) == (0,)
 
     reloaded = HolderStore(tmp_path / "holder-1")
     assert data_shares(reloaded.get_secret(sid)) == tuple(new_shares)
-    assert reloaded.renewal_rounds(sid) == (1,)
+    assert reloaded.renewal_rounds(sid) == (0,)
 
 
 def test_renewal_rounds_live_in_the_record_and_read_no_file(tmp_path,
@@ -1250,13 +1252,9 @@ def test_renewal_rounds_live_in_the_record_and_read_no_file(tmp_path,
     store = stores[1]
     shares = share_column(data_shares(store.get_secret(sid)),
                           PARAMS_2311.field)
-    for round_no in (0, 1, 3):
-        store.apply_renewal(sid, shares, round_no)
-    with pytest.raises(ProtocolError):
-        store.apply_renewal(sid, shares, 3)  # rounds must increase
-    with pytest.raises(ProtocolError):
-        store.apply_renewal(sid, shares, 1 << 32)
-    assert store.get_secret(sid).renewal_runs == [(0, 2), (3, 4)]
+    for _ in range(3):
+        store.apply_renewal(sid, shares)
+    assert store.get_secret(sid).renewals == 3
     reopened = HolderStore(tmp_path / "holder-1")
     record = live_record_path(tmp_path / "holder-1", sid).name
     opened = []
@@ -1268,8 +1266,8 @@ def test_renewal_rounds_live_in_the_record_and_read_no_file(tmp_path,
     monkeypatch.setattr(stores_mod, "open", spy, raising=False)
     # the reopened store reads the secret's live record at its first use
     # and no other file; a secret in hand reads none
-    assert reopened.renewal_rounds(sid) == (0, 1, 3)
-    assert reopened.renewal_rounds(sid) == (0, 1, 3)
+    assert reopened.renewal_rounds(sid) == (0, 1, 2)
+    assert reopened.renewal_rounds(sid) == (0, 1, 2)
     assert stores[2].renewal_rounds(sid) == ()
     assert opened == [record]
 
@@ -1300,59 +1298,60 @@ def test_a_record_of_the_live_tuple_runs_layout_fails_closed(tmp_path):
         store.get_secret(sid)
 
 
-@pytest.mark.parametrize("renewals", [[(0, 0)], [(2, 1), (0, 1)],
-                                      [(0, 1), (1, 1)], [(0xFFFFFFFF, 2)]],
-                         ids=["empty", "out-of-order", "touching", "past-u32"])
-def test_malformed_renewal_runs_fail_closed(tmp_path, renewals):
-    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+def test_a_record_of_the_renewal_runs_layout_fails_closed(tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[3])
     sid = secrets[0][0]
+    spend_one(stores[1], sid)
+    share_set = stores[1].get_secret(sid)
+    tuples = live_tuples(share_set)
     path = live_record_path(tmp_path / "holder-1", sid)
-    body = live_runs_body(stores[1].get_secret(sid), 2, 0, [], [], [],
-                          renewals=renewals)
+    # the layout before the renewal count, as that version wrote it after
+    # two renewal rounds: their one (first, count) run, under its own
+    # layout label (with no rounds it differs from a count by that label)
+    body = live_runs_body(share_set, 3, 3, [(1, 2)],
+                          [tuples[rid].r for rid in (1, 2)],
+                          [tuples[rid].z for rid in (1, 2)],
+                          renewals=[(0, 2)])
+    old = hashlib.sha256(b"ITHR renewal-rounds\n"
+                         + struct.pack(">HB", 1, len(sid)) + sid + body)
+    path.write_bytes(body + old.digest())
+    store = HolderStore(tmp_path / "holder-1")
+    with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+        store.get_secret(sid)
+    # and its run count would be read as the renewal count, and its run
+    # as next_round and live runs out of order, under the current digest
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
     store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
         store.get_secret(sid)
 
 
-def test_a_renewal_history_past_max_ids_reopens_after_its_save(tmp_path):
-    # fails at the parent commit: apply_renewal saved the run of 2^22 + 1
-    # rounds, and the reopen refused it as naming more than MAX_IDS ids
+def test_a_renewal_count_at_the_u32_limit_refuses_the_next_round(tmp_path):
+    # the record counts renewal rounds in a u32: the round that brings the
+    # count to 2^32 - 1 is saved, and the one after it is refused before
+    # any change
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
     sid = secrets[0][0]
     holder_dir = tmp_path / "holder-1"
     path = live_record_path(holder_dir, sid)
     body = live_runs_body(stores[1].get_secret(sid), 2, 0, [], [], [],
-                          renewals=[(0, wire.MAX_IDS)])
+                          renewals=0xFFFFFFFE)
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
     store = HolderStore(holder_dir)
-    shares = share_column(data_shares(store.get_secret(sid)),
+    shares = share_column((v + 1 for v in data_shares(store.get_secret(sid))),
                           PARAMS_2311.field)
-    store.apply_renewal(sid, shares, wire.MAX_IDS)
-    reopened = HolderStore(holder_dir)
-    assert reopened.get_secret(sid).renewal_runs == [(0, wire.MAX_IDS + 1)]
-
-
-def test_renewal_runs_span_the_u32_round_ids(tmp_path):
-    # one run holds at most 2^32 - 1 rounds (its count is a u32), so a
-    # round that would lengthen such a run is refused before any change
-    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
-    sid = secrets[0][0]
-    holder_dir = tmp_path / "holder-1"
+    store.apply_renewal(sid, shares)
+    before = HolderStore(holder_dir).get_secret(sid)
+    assert before == store.get_secret(sid) and before.renewals == 0xFFFFFFFF
     path = live_record_path(holder_dir, sid)
-    full = [(0, 0xFFFFFFFF)]
-    body = live_runs_body(stores[1].get_secret(sid), 2, 0, [], [], [],
-                          renewals=full)
-    path.write_bytes(body + stores_mod._record_digest(1, sid, body))
-    store = HolderStore(holder_dir)
-    before = store.get_secret(sid)
+    body = path.read_bytes()
     shares = share_column((v + 1 for v in data_shares(before)),
                           PARAMS_2311.field)
     with pytest.raises(ProtocolError):
-        store.apply_renewal(sid, shares, 0xFFFFFFFF)
-    assert store.get_secret(sid).renewal_runs == full
+        store.apply_renewal(sid, shares)
+    assert store.get_secret(sid).renewals == 0xFFFFFFFF
     assert data_shares(store.get_secret(sid)) == data_shares(before)
-    assert path.read_bytes()[:len(body)] == body
+    assert path.read_bytes() == body
     assert HolderStore(holder_dir).get_secret(sid) == store.get_secret(sid)
 
 
@@ -1361,27 +1360,26 @@ def test_a_long_renewal_history_opens_without_being_expanded(tmp_path):
     sid = secrets[0][0]
     path = live_record_path(tmp_path / "holder-1", sid)
     body = live_runs_body(stores[1].get_secret(sid), 2, 0, [], [], [],
-                          renewals=[(0, wire.MAX_IDS)])
+                          renewals=0xFFFFFFFF)
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
     tracemalloc.start()
     try:
         reopened = HolderStore(tmp_path / "holder-1")
+        share_set = reopened.get_secret(sid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert reopened.get_secret(sid).renewal_runs == [(0, wire.MAX_IDS)]
+    assert share_set.renewals == 0xFFFFFFFF
 
 
 def test_a_long_renewal_history_is_saved_without_being_expanded(tmp_path):
-    # fails at the parent commit: a save wrote the renewal rounds through
-    # encode_ids of every round, 2^22 ints for this one run
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
     sid = secrets[0][0]
     holder_dir = tmp_path / "holder-1"
     path = live_record_path(holder_dir, sid)
     body = live_runs_body(stores[1].get_secret(sid), 2, 0, [], [], [],
-                          renewals=[(0, wire.MAX_IDS)])
+                          renewals=0xFFFFFFFF)
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
     store = HolderStore(holder_dir)
     store.get_secret(sid)  # a save writes the share set in hand
@@ -1394,7 +1392,7 @@ def test_a_long_renewal_history_is_saved_without_being_expanded(tmp_path):
     assert peak < 1 << 20
     reopened = HolderStore(holder_dir)
     assert reopened.get_secret(sid) == store.get_secret(sid)
-    assert reopened.get_secret(sid).renewal_runs == [(0, wire.MAX_IDS)]
+    assert reopened.get_secret(sid).renewals == 0xFFFFFFFF
 
 
 def test_holder_store_validation(tmp_path):
@@ -1497,7 +1495,7 @@ def crash_case(directory, op):
     renewed = [field.add(v, 1 + i)
                for i, v in enumerate(data_shares(holders[1]))]
     return store, lambda: store.apply_renewal(
-        SID_A, share_column(renewed, field), round_no=1)
+        SID_A, share_column(renewed, field))
 
 
 def disk_state(directory) -> dict:
@@ -1572,7 +1570,7 @@ def test_crash_at_every_fsync_leaves_an_openable_consistent_store(tmp_path, op):
             assert (data_shares(state[SID_A]),
                     again.renewal_rounds(SID_A)) in (
                 (data_shares(old[SID_A]), ()),
-                (data_shares(new[SID_A]), (1,)),
+                (data_shares(new[SID_A]), (0,)),
             ), "crash at fsync %d split shares from renewal rounds" % k
         for sid, sizes in holder_record_files(directory).items():
             assert "new" not in sizes

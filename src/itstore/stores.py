@@ -814,9 +814,8 @@ class HolderStore:
         u32 cannot hold is refused before anything changes."""
         ss = self.get_secret(secret_id)
         if ss.renewals >= 0xFFFFFFFF:
-            raise ProtocolError("%s has had %d renewal rounds, the most a "
-                                "record counts" % (secret_id.hex(),
-                                                   ss.renewals))
+            raise ProtocolError("%s has had the most renewal rounds a "
+                                "record counts" % secret_id.hex())
         ss.shares = new_data_shares.raw
         ss.renewals += 1
         self.save(secret_id)

@@ -38,7 +38,6 @@ from .keynet import KeyNetwork
 from .protocol import Outcome, TpvSession
 from .spss import check_offline, check_subset, data_block_count
 from .stores import DISK
-from .wire import intersect_runs
 
 _STATE_FILE = "state.json"
 _STATE_KEYS = ("scenario", "network", "receipts", "end_user")
@@ -344,13 +343,14 @@ def _cmd_reconstruct(args) -> int:
         sid = _sid_from_args(ws, args)
         _t1, byte_length = session.owner_receipts[sid]
         tracks = data_block_count(byte_length, session.params) + 1
-        # count the rounds live at every holder, intersected as a
-        # reconstruction pins them: a round an earlier reconstruction spent
-        # stays live at the holders it did not contact until the next
-        # precompute, which retires it there
-        have = sum(end - first for first, end in intersect_runs(
-            store.get_secret(sid).live
-            for store in session.holder_stores.values()))
+        # count the rounds live at every holder, as a reconstruction pins
+        # them: a round an earlier reconstruction spent stays live at the
+        # holders it did not contact until the next precompute, which
+        # retires it there
+        sets = [store.get_secret(sid)
+                for store in session.holder_stores.values()]
+        have = (min(s.next_round for s in sets)
+                - max(s.first for s in sets))
         if have < tracks:
             session.precompute(sid, rounds=tracks - have)
         result = session.reconstruct_and_release(
@@ -452,11 +452,11 @@ def _inspect_holder(path: Path) -> None:
                   % (sid.hex(), "+".join(filled)))
     for sid in ids:
         share_set = store.get_secret(sid)
-        live = sum(end - first for first, end in share_set.live)
         print("  sid=%s tracks=%d masking(unconsumed=%d consumed=%d) "
               "renewals=%d"
-              % (sid.hex(), share_set.block_count, live,
-                 share_set.next_round - live, share_set.renewals))
+              % (sid.hex(), share_set.block_count,
+                 share_set.next_round - share_set.first, share_set.first,
+                 share_set.renewals))
 
 
 def _inspect_workspace(root: Path) -> None:

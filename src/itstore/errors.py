@@ -20,8 +20,7 @@ class ProtocolError(ItstoreError):
 
 class ImproperRequestError(ProtocolError):
     """Malformed reconstruction request: a holder subset of the wrong size,
-    or a round-id list that names an id twice or is not in canonical
-    runs."""
+    or a round-id list that is not one nonempty run."""
 
 
 class KeySupplyError(ItstoreError):

@@ -25,9 +25,9 @@ payloads are length-checked binary with a one-byte type code; the layout
 of every kind is in itstore.wire.SCHEMA, and each receiver checks that a
 message names the secret id of its exchange (and for precomp and renewal
 messages the round, sender and count it expects).
-A precomp message also carries its sender's live round ids, which must
-all lie below the round it starts; each holder retires the rounds it
-holds that another holder has spent (TpvSession.precompute).
+A precomp message also carries its sender's live round ids, one run
+that must lie below the round it starts; each holder retires the rounds
+it holds that another holder has spent (TpvSession.precompute).
 
 Timestamps are per-role logical clocks (network time plus a configurable
 per-role skew); t1 is stamped by the calculator at registration, t2 by the
@@ -106,8 +106,6 @@ from .wire import (
     Codec,
     Packed,
     column,
-    head_runs,
-    intersect_runs,
 )
 
 __all__ = [
@@ -204,6 +202,14 @@ class RolePlacement:
 def _stamped(t1: int, data: bytes) -> bytes:
     """What a tag covers: the 8-byte time t1, then the data."""
     return t1.to_bytes(8, "big") + data
+
+
+def _live_run(share_set: HolderShareSet) -> list:
+    """A holder's live rounds as an id list: [(first, next_round)], or []
+    when its stock is empty."""
+    if share_set.first == share_set.next_round:
+        return []
+    return [(share_set.first, share_set.next_round)]
 
 
 class Transport:
@@ -537,11 +543,14 @@ class TpvSession:
 
         Returns (secret_id, t1). Raises KeySupplyError after recording an
         abort verdict if the outgoing shares cannot all be paid for; in
-        that case nothing has left the calculator.
+        that case nothing has left the calculator. Empty data, and a
+        password that reduces to zero in the field, which the owner knows,
+        are refused before anything is sent.
         """
         if not data:
             raise ConfigurationError("cannot register empty data")
         field = self.params.field
+        password_to_element(password, field)
         pw, body = self._send(self.OWNER, self.CALCULATOR, "register-data",
                               (), password, data)
 
@@ -611,17 +620,17 @@ class TpvSession:
         extraction batches; each holder sends every other holder its
         contributions, one pair per batch, in a single precomp message
         whose run is the byte column precompute_round built, as it is.
-        The message also carries the sender's live round ids (all below
-        the first new round) in its live_rounds field. The receiver checks
-        the header (first round, batch count, contributor) and that
-        live_rounds names no id at or past the first round, before any
-        holder changes. Once every contribution has arrived, each holder
-        retires the rounds it holds that some other holder does not
+        The message also carries the sender's live round ids, the one run
+        [first, first new round) or none, in its live_rounds field. The
+        receiver checks the header (first round, batch count, contributor)
+        and that live_rounds names no id at or past the first round,
+        before any holder changes. Once every contribution has arrived,
+        each holder retires every round below the highest first live round
         (spss.retired_rounds; a reconstruction spends rounds at the t
-        holders it contacts only) and drops them with HolderStore.retire,
-        then saves. That one save erases the retired rounds and writes the
-        new stock; a holder that crashes before it reopens with its record
-        from before the precompute. So after a precompute every holder
+        holders it contacts only) with HolderStore.retire, then saves.
+        That one save erases the retired rounds and writes the new stock;
+        a holder that crashes before it reopens with its record from
+        before the precompute. So after a precompute every holder
         holds the same live rounds. Returns the new round ids, a range.
         """
         sets = {j: self.holder_stores[j].get_secret(sid)
@@ -631,7 +640,7 @@ class TpvSession:
         start = sets[1].next_round
         batches = self.params.batch_count(rounds)
         width = self.params.field.byte_width
-        live = {j: sets[j].live for j in sets}
+        live = {j: _live_run(sets[j]) for j in sets}
         reported = {j: [] for j in sets}  # live runs each holder was sent
 
         def deliver(d, j, body):
@@ -650,7 +659,8 @@ class TpvSession:
         new_ids = precompute_round(sets, sources, rounds, deliver)
         for j in sets:
             store = self.holder_stores[j]
-            store.retire(sid, retired_rounds(live[j], reported[j]))
+            store.retire(sid, retired_rounds(sets[j].first, reported[j],
+                                             start))
             store.save(sid)
         self.transcript.append("precompute sid=%s rounds=%d first=%d"
                                % (sid.hex(), rounds, start))
@@ -711,31 +721,31 @@ class TpvSession:
                 "only %d of %d holders reachable" % (len(chosen),
                                                      params.t_sh))
 
-        # phase 1: what can each chosen holder serve? Live ids travel and
-        # are intersected as runs; the lowest common ones are pinned.
+        # phase 1: what can each chosen holder serve? Each live run
+        # travels, and the head of the rounds all of them hold is pinned.
         expected_blocks = data_block_count(c_len, params) + 1
-        held = []
+        held = []  # each holder's live run, (0, 0) for none
         for j in chosen:
             holder = self._holder_ep(j)
             self._send(self.CALCULATOR, holder, "avail-query", (sid,))
             blocks, runs = self._send(holder, self.CALCULATOR, "avail-reply",
                                       (sid,), sets[j].block_count,
-                                      sets[j].live)
+                                      _live_run(sets[j]))
             if blocks != expected_blocks:
                 return self._abort_reconstruction(
                     sid, _ABORT_THRESHOLD,
                     "holder %d stores %d blocks, expected %d"
                     % (j, blocks, expected_blocks))
-            held.append(runs)
+            held.append(runs[0] if runs else (0, 0))
 
-        common = intersect_runs(held)
-        available = sum(end - first for first, end in common)
+        first = max(a for a, _ in held)
+        available = max(0, min(b for _, b in held) - first)
         if available < expected_blocks:
             return self._abort_reconstruction(
                 sid, _ABORT_PRECOMPUTATION,
                 "%d masking rounds available, %d blocks to serve"
                 % (available, expected_blocks))
-        pinned = head_runs(common, expected_blocks)
+        pinned = [(first, first + expected_blocks)]
 
         # phase 2: masked responses
         try:
@@ -884,7 +894,9 @@ class TpvSession:
         no share changed. A message whose header names another secret,
         round, sender or track count raises ProtocolError with no share
         changed. The password shares are untouched: renewal re-randomizes
-        the stored payload sharings only.
+        the stored payload sharings only. Holders that disagree on the
+        track count or on the renewal count, and a renewal count the
+        records' u32 cannot advance, are refused before anything is sent.
         """
         group = self.renewal_group
         if group is None:
@@ -910,6 +922,9 @@ class TpvSession:
         if len(counts) != 1:
             raise ProtocolError("holders disagree on renewal history")
         round_no = counts.pop()  # rounds are numbered 0, 1, ... in turn
+        if round_no >= 0xFFFFFFFF:  # the count is stored as a u32
+            raise ProtocolError("%s has had the most renewal rounds a "
+                                "record counts" % sid.hex())
 
         def deliver(d, commitments, pairs):
             # each holder keeps the bytes it received, as Packed views

@@ -26,10 +26,14 @@ for an unknown fresh R_i, and the authenticator equation
 accepts with probability 1/q at most (one linear constraint on the fresh
 offsets). Each tuple is consumed by exactly one response: cut_rounds is
 the one way a tuple leaves a holder, for a response (holder_respond reads
-the spent columns it returns) and for a retire. Round ids are named as
-canonical (first, end) runs throughout, as a recon-ask carries them and a
-holder record stores them, and cut_rounds refuses any other runs before
-it drops a tuple.
+the spent columns it returns) and for a retire. A holder's live rounds
+are one run, [first, next_round), and every spend is a head cut: it drops
+each live round below the end of the run it serves. A round below a pin
+is one that some holder of that reconstruction has already spent, so no
+t-subset may spend it again (retired_rounds), and dropping it loses
+nothing a later reconstruction may use. A recon-ask names its pinned
+rounds as one (first, end) run, and cut_rounds refuses a run the holder
+does not hold before it drops a tuple.
 
 Masking tuples come from precomputation batches with randomness
 extraction (Damgard-Nielsen, CRYPTO 2007). In a batch every holder d
@@ -63,9 +67,7 @@ drawing slice by slice takes the same values and the same bits.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from itertools import accumulate
 from operator import mul
 
 from .errors import (
@@ -77,7 +79,7 @@ from .errors import (
 )
 from .field import PrimeField, zero_coefficients
 from .field import random_polynomial  # noqa: F401 -- perfbench's tracer hooks this name
-from .wire import Cursor, Packed, column, intersect_runs, subtract_runs
+from .wire import Cursor, Packed, column
 
 __all__ = [
     "SpssParams",
@@ -200,25 +202,23 @@ class HolderShareSet:
     16 bytes in the 127-bit field and no int is kept per share. A
     response reads it a slice at a time, and a renewal replaces its bytes
     (HolderStore.apply_renewal).
-    The live masking tuples are kept the same way: live names their
-    round ids as canonical (first, end) runs, the form a record and a
-    recon-ask use, and r and z are bytearray columns of the field's byte
-    width holding one value per live id, in id order. So no round id is
-    kept one by one, and no object per tuple. precompute_round stocks
-    tuples and cut_rounds takes them out; each assigns live a new list,
-    so a runs list read earlier is never changed under its reader.
-    Round ids are stocked contiguously from 0 and next_round is one past
-    the highest ever stocked, so a spent round is an id below next_round
-    that is not live. renewals counts the renewal rounds applied to the
-    data shares: they are numbered 0, 1, ... in turn, so the next round
-    is round `renewals`.
+    The live masking tuples are kept the same way: they are the one run
+    of round ids [first, next_round), and r and z are bytearray columns
+    of the field's byte width holding one value per live id, in id order.
+    So no round id is kept one by one, and no object per tuple. Round
+    ids are stocked contiguously from 0 and next_round is one past the
+    highest ever stocked; precompute_round stocks tuples at next_round,
+    and cut_rounds spends from the head, so every id below first is
+    spent. renewals counts the renewal rounds applied to the data
+    shares: they are numbered 0, 1, ... in turn, so the next round is
+    round `renewals`.
     """
 
     holder: int
     params: SpssParams
     shares: bytes
     password_share: int  # f_P(j)
-    live: list = dc_field(default_factory=list)
+    first: int = 0
     r: bytearray = dc_field(default_factory=bytearray)
     z: bytearray = dc_field(default_factory=bytearray)
     next_round: int = 0
@@ -235,7 +235,7 @@ class SpssRequest:
 
     subset: tuple
     password_share: int  # f_{P'}(j)
-    rounds: list  # the masking rounds to spend, one per block, as runs
+    rounds: list  # the masking rounds to spend, one per block: one run
 
 
 @dataclass(frozen=True)
@@ -353,7 +353,7 @@ def precompute_round(holders: dict, randomness: dict, rounds: int,
     column into its w packed row sums as the column arrives (_fold) and
     keeps no column; once every contribution has arrived, the row sums
     are reduced mod q a slice at a time and appended to each holder's r
-    and z columns, and the new rounds join its live runs, in a new list.
+    and z columns, and next_round moves past the new rounds.
     A round whose next_round would pass 2^32 - 1 is refused with
     ProtocolError before any draw or send, and no share set changes
     before every contribution has arrived.
@@ -404,35 +404,30 @@ def precompute_round(holders: dict, randomness: dict, rounds: int,
             for out, vals in zip(new, _reduced(raws, first, end, slot,
                                                field.q)):
                 out.append(column(vals[:keep], width))
-        share_set, end = holders[j], start + rounds
+        share_set = holders[j]
         share_set.r += b"".join(new[0])
         share_set.z += b"".join(new[1])
-        live = share_set.live
-        if live and live[-1][1] == start:  # the stock extends the last run
-            share_set.live = live[:-1] + [(live[-1][0], end)]
-        else:
-            share_set.live = live + [(start, end)]
-        share_set.next_round = end
+        share_set.next_round = start + rounds
     return range(start, start + rounds)
 
 
-def retired_rounds(live, reported) -> list:
-    """The rounds a holder retires at a precompute, as canonical (first,
-    end) runs: the gaps in `live`, its live rounds before the precompute
-    as canonical runs, where some other holder does not hold the round.
-    reported lists every other holder's live runs, as each sent them with
-    its precomp contribution.
+def retired_rounds(first: int, reported, start: int) -> int:
+    """The round below which a holder retires its stock at a precompute:
+    the highest of its own first live round and the first live rounds
+    the other holders reported with their precomp contributions, each
+    one run, where an empty report counts as start, the precompute's
+    first new round.
 
     A round spent at any holder masked a released response, so no
     t-subset may spend it again: the holders that served it no longer
     hold it, and a subset without them would reuse a mask that already
-    hid one response. Retiring can only lose tuples, never revive one.
-    The rounds every holder holds are wire.intersect_runs of the lists,
-    as a reconstruction finds the rounds its subset holds, and the rest
-    of live is wire.subtract_runs, the run subtraction a spend makes too
-    (cut_rounds).
+    hid one response. Each holder spends from its head, so every round
+    below the highest first is spent somewhere, and HolderStore.retire
+    drops it with the head cut a spend makes (cut_rounds). Retiring can
+    only lose tuples, never revive one.
     """
-    return subtract_runs(live, intersect_runs([live, *reported]))
+    return max([first] + [runs[0][0] if runs else start
+                          for runs in reported])
 
 
 def _slot_bytes(params: SpssParams) -> int:
@@ -530,8 +525,8 @@ def spss_request(password_attempt: int, subset, params: SpssParams,
 
     The attempt is shared at the password degree with one random_ints
     draw, as spss_register shares the password. rounds pins which masking
-    tuples the holders must spend, one round per block, as the canonical
-    (first, end) runs a recon-ask carries: the same runs for every holder.
+    tuples the holders must spend, one round per block, as the one
+    (first, end) run a recon-ask carries: the same run for every holder.
     """
     chosen = tuple(sorted(check_subset(subset, params)))
     field = params.field
@@ -541,72 +536,52 @@ def spss_request(password_attempt: int, subset, params: SpssParams,
             for j in chosen}
 
 
-def cut_rounds(share_set: HolderShareSet, runs, count: "int | None" = None
-               ) -> tuple:
-    """The one way a masking tuple leaves a holder: drop the rounds that
-    `runs`, a list of (first, end) ranges, names from the share set and
-    return their r and z columns, in round order, as bytes.
+def cut_rounds(share_set: HolderShareSet, upto: int, runs=(),
+               count: "int | None" = None) -> tuple:
+    """The one way a masking tuple leaves a holder: drop every live round
+    below `upto` from the share set, and return the r and z columns of
+    the rounds that `runs`, at most one (first, end) range, names, as
+    bytes.
 
     It checks the whole request before anything changes, and refuses, in
-    this order, a run that is not canonical: empty, or not starting past
-    the end of the run before it, which names a round twice or out of
-    order (ImproperRequestError; one tuple masking two blocks would hand
-    a wrong-password requester D_i - D_j); a run whose rounds are not all
-    live (PrecomputationExhaustedError); and, when count is given, any
-    other number of rounds (ImproperRequestError).
-
-    A run costs one search: a bisect over the live runs' first ids finds
-    the one live run that could hold it, and that run's offset in the
-    columns, the live rounds before it, gives its position. The spent
-    values are copied a run at a time, the kept tuples are moved down
-    over the spent ones in place, one pass over the two columns however
-    many runs there are, and the live runs become wire.subtract_runs of
-    the spent ones, a new list.
+    this order, more than one run (ImproperRequestError: one run names no
+    round twice, so no tuple masks two blocks, which would hand a
+    wrong-password requester D_i - D_j); an upto past next_round and a
+    run that is not inside the live rounds below upto
+    (PrecomputationExhaustedError); and, when count is given, any other
+    number of rounds (ImproperRequestError). The spent values are copied
+    out, and the dropped head is cut from the two columns in place.
     """
-    after = -1  # a run must start above this round
-    for first, end in runs:
-        if not after < first < end:
-            raise ImproperRequestError(
-                "masking round run (%d, %d) is empty, or names a round "
-                "twice or out of order" % (first, end))
-        after = end
-    live = share_set.live
-    firsts = [first for first, _end in live]
-    # offsets[i]: the live rounds before run i, so offsets[-1] is them all
-    offsets = list(accumulate((end - first for first, end in live),
-                              initial=0))
-    spans = []  # (first position, count), ascending
-    for first, end in runs:
-        i = bisect_right(firsts, first) - 1
-        if i < 0 or end > live[i][1]:
+    first, width = share_set.first, share_set.params.field.byte_width
+    if len(runs) > 1:
+        raise ImproperRequestError("masking rounds in more than one run "
+                                   "may name a round twice")
+    if upto > share_set.next_round:
+        raise PrecomputationExhaustedError(
+            "holder %d holds no round %d" % (share_set.holder, upto - 1))
+    for a, b in runs:
+        if not first <= a < b <= upto:
             raise PrecomputationExhaustedError(
                 "holder %d cannot spend rounds %d..%d"
-                % (share_set.holder, first, end - 1))
-        spans.append((offsets[i] + first - firsts[i], end - first))
-    n = sum(m for _pos, m in spans)
+                % (share_set.holder, a, b - 1))
+    n = sum(b - a for a, b in runs)
     if count is not None and n != count:
         raise ImproperRequestError(
             "request pins %d tuples, %d blocks to mask" % (n, count))
-    w, cols = share_set.params.field.byte_width, (share_set.r, share_set.z)
-    spent = tuple(b"".join([col[a * w:(a + m) * w] for a, m in spans])
-                  for col in cols)
-    # move each kept run of tuples down over the spent ones before it,
-    # then drop the columns' tails
-    cuts = spans + [(offsets[-1], 0)]
-    dst = cuts[0][0]
-    for (a, m), (end, _) in zip(cuts, cuts[1:]):
-        src = a + m
-        for col in cols:
-            col[dst * w:(dst + end - src) * w] = col[src * w:end * w]
-        dst += end - src
-    del share_set.r[dst * w:], share_set.z[dst * w:]
-    share_set.live = subtract_runs(live, runs)
+    cols = (share_set.r, share_set.z)
+    spent = tuple(b"".join(col[(a - first) * width:(b - first) * width]
+                           for a, b in runs) for col in cols)
+    cut = max(0, upto - first)
+    for col in cols:
+        del col[:cut * width]
+    share_set.first = first + cut
     return spent
 
 
 def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedResponse:
     """Build the masked response for one holder, spending the pinned
-    rounds, one per block (cut_rounds). A holder outside the subset is
+    rounds, one per block, and every live round below them (cut_rounds,
+    given the pin's end). A holder outside the subset is
     refused first (ImproperRequestError). The response is computed SLICE
     blocks at a time from the spent r and z columns and the share column,
     and returned as one byte column. The password difference exists only
@@ -616,7 +591,9 @@ def holder_respond(share_set: HolderShareSet, request: SpssRequest) -> MaskedRes
     if j not in request.subset:
         raise ImproperRequestError("holder %d is not in the requested subset" % j)
     blocks = share_set.block_count
-    r_col, z_col = cut_rounds(share_set, request.rounds, blocks)
+    runs = request.rounds
+    r_col, z_col = cut_rounds(share_set, runs[-1][1] if runs else 0, runs,
+                              blocks)
     field = share_set.params.field
     diff = field.sub(share_set.password_share, request.password_share)
     q, width = field.q, field.byte_width

@@ -51,31 +51,32 @@ bytes; the id itself is only the file name. The share set is the layout
 (t, n, the field), the data shares and the password share, the count of
 renewal rounds applied to the data shares (a u32: rounds are numbered
 0, 1, ... in turn), then `next_round` (a u32 one past the highest round
-id ever stocked), the live round ids as canonical (first, count) runs
-(`wire.encode_runs`), and the live tuples' r column and z column, in the
-runs' order. That is 32 bytes per live tuple in the 127-bit field and
-nothing per spent one: round ids are stocked contiguously from 0, so an
-id below `next_round` that is not live is spent. Spent ids are never
-materialized, on disk or in memory: a share set holds its live tuples
-and `next_round`, nothing more. A holder
-holds one share set only, the secret in hand (the one it last read or
-wrote), in the record's form: the share column, the live runs as the
-record stores them, and the r and z byte columns, so no round id is
-held one by one. Of every other secret it keeps the live slot, and its
-sequence number once read. So a save writes the columns as they are,
-and reading a record takes them as stored, decoding no value. A record
+id ever stocked), `first` (a u32, the lowest live round id: the live
+rounds are the one run [first, next_round)), and the live tuples' r
+column and z column, in round order. That is 32 bytes per live tuple in
+the 127-bit field and nothing per spent one: round ids are stocked
+contiguously from 0 and spent from the head, so every id below `first`
+is spent. Spent ids are never materialized, on disk or in memory: a
+share set holds its live tuples, `first` and `next_round`, nothing
+more. A holder holds one share set only, the secret in hand (the one it
+last read or wrote), in the record's form: the share column, `first`,
+and the r and z byte columns, so no round id is held one by one. Of
+every other secret it keeps the live slot, and its sequence number once
+read. So a save writes the columns as they are, and reading a record
+takes them as stored, decoding no value. A record
 whose values are not its field's byte width is refused, since its
 columns would not match the next stock's or a renewal's.
 
 A holder keeps no log. The spend journal of earlier versions is never
 opened: a spend that reached only it was never released, since its
 response waited for the record save. Records of earlier layouts, which
-kept the renewal rounds as runs or in the journal, a round id and a spent
-flag per tuple, or every contributor's r and z, fail the digest and are
-refused as tampered; so is a record whose runs are malformed, name an
-id at or past `next_round`, or disagree with its column lengths. Reading
-a record builds nothing per spent id, even with a `next_round` near
-2^32; `spss.precompute_round` refuses to stock past the u32 range first.
+kept the live rounds as runs, the renewal rounds as runs or in the
+journal, a round id and a spent flag per tuple, or every contributor's r
+and z, fail the digest and are refused as tampered; so is a record whose
+`first` is past `next_round`, or whose columns do not hold one r and
+one z per live round. Reading a record builds nothing per spent id, even
+with a `next_round` near 2^32; `spss.precompute_round` refuses to stock
+past the u32 range first.
 
 A save rewrites only the secret that changed, with 2 fsyncs: it
 overwrites the idle slot with the record and its next sequence number,
@@ -98,10 +99,10 @@ back) raises TamperDetectedError naming the path, for that secret only.
 
 A reconstruction spends rounds only at the t holders it contacts. The
 others retire those rounds at the secret's next precompute
-(`HolderStore.retire`, given `spss.retired_rounds`' runs): a holder drops
-every round it holds that another holder no longer does, and the save
-that follows, which also writes the new stock, erases their values. So
-after a precompute every holder's record holds the same live tuples. A
+(`HolderStore.retire`, given `spss.retired_rounds`): a holder drops every
+round below the highest first live round any holder reports, and the
+save that follows, which also writes the new stock, erases their values.
+So after a precompute every holder's record holds the same live tuples. A
 crash before that save leaves the record from before the precompute.
 """
 
@@ -117,7 +118,7 @@ from .errors import ConfigurationError, ProtocolError, TamperDetectedError
 from .field import PrimeField
 from .mac import MacSeed, MacTag, check_k, seed_from_bytes, seed_to_bytes
 from .spss import HolderShareSet, SpssParams, cut_rounds, holder_respond
-from .wire import Cursor, encode_runs
+from .wire import Cursor
 
 __all__ = [
     "DISK", "FileLayer", "ChainedLog", "VerifierRecord", "VerifierStore",
@@ -129,7 +130,7 @@ _CHAIN_GENESIS = b"\x00" * 32
 _CHAIN_BYTES = 32
 _HOLDER_MAGIC = b"ITHS2\n"
 # bound into every record digest: records of another layout never verify
-_RECORD_LAYOUT = b"ITHR renewal-count\n"
+_RECORD_LAYOUT = b"ITHR first-round\n"
 _HOLDER_META = "holder.bin"
 _HOLDER_PENDING = "holder.new"  # holder.bin's name until it is published
 _SLOTS = ("a", "b")
@@ -528,8 +529,7 @@ def _encode_share_set(ss: HolderShareSet) -> bytes:
         struct.pack(">I", ss.block_count),
         ss.shares,
         ss.password_share.to_bytes(width, "big"),
-        struct.pack(">II", ss.renewals, ss.next_round),
-        encode_runs(ss.live),
+        struct.pack(">III", ss.renewals, ss.next_round, ss.first),
         ss.r,
         ss.z,
     ))
@@ -551,17 +551,15 @@ def _decode_share_set(body: bytes, holder: int, path) -> HolderShareSet:
                                              params.field.byte_width))
     shares = rd.take(rd.uint(4) * width)
     password_share = rd.uint(width)
-    renewals, next_round = rd.uint(4), rd.uint(4)
-    # each live id has an r and a z after the runs, which bounds the runs
-    # before any is expanded; the columns are kept as they are stored
-    runs = rd.runs(limit=(len(body) - rd.pos) // (2 * width))
-    n = sum(end - first for first, end in runs)
+    renewals, next_round, first = rd.uint(4), rd.uint(4), rd.uint(4)
+    if first > next_round:
+        raise TamperDetectedError("%s: first live round %d is past next "
+                                  "round %d" % (path, first, next_round))
+    # the columns are kept as they are stored
+    n = next_round - first
     r, z = bytearray(rd.take(n * width)), bytearray(rd.take(n * width))
     rd.done()
-    if runs and runs[-1][1] > next_round:
-        raise TamperDetectedError("%s: a live round id at or past next "
-                                  "round %d" % (path, next_round))
-    return HolderShareSet(holder, params, shares, password_share, runs, r,
+    return HolderShareSet(holder, params, shares, password_share, first, r,
                           z, next_round, renewals)
 
 
@@ -603,9 +601,9 @@ class HolderStore:
     A secret's record holds every fact about it that changes together:
     its shares, its live masking tuples and the count of renewal rounds
     applied to it, and it is the only record of which tuples are spent. A tuple
-    leaves only by `respond` or `retire`, both naming its round in
-    canonical (first, end) runs that spss.cut_rounds checks before it
-    drops any, and the record save that drops it is the spend: `respond`
+    leaves only by `respond` or `retire`, both spss.cut_rounds' head cuts,
+    which check the request before they drop any, and the record save
+    that drops it is the spend: `respond`
     saves before it returns the response, so a crash before the save is
     durable releases nothing, and the reopened record's tuples masked no
     released value. A renewal is one record rewrite, which destroys the old share
@@ -796,13 +794,12 @@ class HolderStore:
         self.save(secret_id)
         return response
 
-    def retire(self, secret_id: bytes, runs) -> None:
-        """Spend live rounds that will never be served, given as canonical
-        (first, end) runs (spss.retired_rounds), by cut_rounds, which
-        refuses a round named twice or out of order, or one not live,
-        before anything changes; their values are dropped undecoded. The
-        caller's next save erases them from the record."""
-        cut_rounds(self.get_secret(secret_id), runs)
+    def retire(self, secret_id: bytes, upto: int) -> None:
+        """Spend the live rounds below upto (spss.retired_rounds), which
+        will never be served, by cut_rounds, which refuses an upto past
+        next_round before anything changes; their values are dropped
+        undecoded. The caller's next save erases them from the record."""
+        cut_rounds(self.get_secret(secret_id), upto)
 
     # ------------------------------------------------------------ renewal
 
@@ -810,12 +807,10 @@ class HolderStore:
         """Swap in renewed shares, the wire.Packed share column that
         renewal_round returns, and count the round, in one record rewrite
         that also destroys the old share values; renewal_round's strict
-        zip over the share column fixes its length. A count the record's
-        u32 cannot hold is refused before anything changes."""
+        zip over the share column fixes its length, and TpvSession.renew
+        refuses a round past the count the record's u32 holds before it
+        sends anything."""
         ss = self.get_secret(secret_id)
-        if ss.renewals >= 0xFFFFFFFF:
-            raise ProtocolError("%s has had the most renewal rounds a "
-                                "record counts" % secret_id.hex())
         ss.shares = new_data_shares.raw
         ss.renewals += 1
         self.save(secret_id)

@@ -12,14 +12,11 @@ SCHEMA lists for its kind, big-endian and without padding. Field types:
     bytes8, bytes16, bytes32
              bytes after a u8, u16 or u32 length
     W*       a u32 count, then that many W elements
-    ids      a strictly increasing list of u32 round ids, sent as a u32
-             run count and then (first, count) u32 pairs: canonical runs,
-             each nonempty and starting past the end of the one before
-             plus one, so that touching runs are merged and one id list
-             has one encoding. Runs that are empty, out of order,
-             overlapping, touching, past 2^32 - 1 or naming more than
-             MAX_IDS ids raise ImproperRequestError (a ProtocolError),
-             at encode and at decode
+    ids      one run of consecutive u32 round ids, or none, sent as a u32
+             run count and then a (first, count) u32 pair per run, so
+             that one id list has one encoding. A second run, an empty
+             run or one past 2^32 - 1 raises ImproperRequestError (a
+             ProtocolError), at encode and at decode
     run(X, field, times)
              field * times values of width X (W, or P, the commitment
              group modulus width), where field names an earlier count
@@ -27,8 +24,8 @@ SCHEMA lists for its kind, big-endian and without padding. Field types:
 
 A W* list or a run is given to Codec and returned by it as its byte
 column: the width's bytes big-endian per element, back to back as they
-are on the wire. An id list is given and returned as its canonical
-(first, end) ranges, as check_runs returns them. A column must hold
+are on the wire. An id list is given and returned as a list of at most
+one (first, end) range, as check_runs returns it. A column must hold
 whole values, and a run's exactly its count times `times` values. The
 bytes are the ones an int per element would give. A holder keeps its
 data shares and live ids in these forms, readers that want ints decode
@@ -52,14 +49,9 @@ from itertools import repeat
 from .errors import ConfigurationError, ImproperRequestError, ProtocolError
 
 __all__ = ["SID_BYTES", "SCHEMA", "INTEGRITY_ONLY", "Codec", "Cursor",
-           "Packed", "check_runs", "column", "encode_runs", "head_runs",
-           "intersect_runs", "subtract_runs"]
+           "Packed", "check_runs", "column", "encode_runs"]
 
 SID_BYTES = 16
-# Most ids one decoded id list may name: a 12-byte run could otherwise
-# make the receiver build billions of ints. 2^22 masking tuples cover a
-# payload of 66 MB in 126-bit blocks.
-MAX_IDS = 1 << 22
 
 
 class Cursor:
@@ -91,20 +83,6 @@ class Cursor:
         raw = self.take(count * width)
         return tuple(map(int.from_bytes, re.findall(b".{%d}" % width, raw, re.S),
                          repeat("big")))
-
-    def runs(self, limit: "int | None" = None) -> list:
-        """A list of round ids sent as encode_runs writes it, as its
-        (first, end) ranges, unexpanded. Runs that are not canonical, or
-        name more than `limit` ids (MAX_IDS by default), are refused:
-        with ImproperRequestError, or with this cursor's error naming what
-        it reads when that error is not a ProtocolError."""
-        flat = self.uints(2 * self.uint(4), 4)
-        try:
-            return check_runs(flat, limit)
-        except ImproperRequestError as exc:
-            if isinstance(exc, self.error):
-                raise
-            raise self.error("%s: %s" % (self.what, exc)) from None
 
     def done(self) -> None:
         if self.pos != len(self.raw):
@@ -213,78 +191,21 @@ SCHEMA = {
 INTEGRITY_ONLY = frozenset({"renew-commits"})
 
 
-def check_runs(flat, limit: "int | None" = None) -> list:
-    """The (first, end) ranges of a flat [first, count, first, count, ...]
-    run list that is canonical (the module docstring's `ids` rule).
-    Refuses any other run list, and one naming more than `limit` ids
-    (MAX_IDS by default)."""
-    firsts, counts = flat[0::2], flat[1::2]
-    after = -1  # the next run must start above this id
-    for first, count in zip(firsts, counts):
-        if count <= 0:
-            raise ImproperRequestError("empty round-id run")
-        if first <= after:
-            raise ImproperRequestError(
-                "round-id run at %d overlaps, touches or precedes the one "
-                "before" % first)
-        after = first + count
-    if after > 1 << 32:
+def check_runs(flat) -> list:
+    """The (first, end) ranges of a flat [first, count] run list of at most
+    one run (the module docstring's `ids` rule). Refuses a second run, an
+    empty or negative run and one past 2^32 - 1."""
+    if len(flat) > 2:
+        raise ImproperRequestError("round ids in more than one run")
+    if not flat:
+        return []
+    first, count = flat
+    if first < 0 or count <= 0:
+        raise ImproperRequestError("round-id run from %d is empty or "
+                                   "negative" % first)
+    if first + count > 1 << 32:
         raise ImproperRequestError("round-id run passes 2^32 - 1")
-    limit = MAX_IDS if limit is None else limit
-    if sum(counts) > limit:
-        raise ImproperRequestError("round-id runs name more than %d ids"
-                                   % limit)
-    return [(first, first + count) for first, count in zip(firsts, counts)]
-
-
-def intersect_runs(run_lists) -> list:
-    """The (first, end) ranges of the ids that every list of canonical
-    ranges names, canonical too: one merge walk per list, nothing per
-    id. No lists name no ids."""
-    lists = iter(run_lists)
-    common = list(next(lists, ()))
-    for other in lists:
-        out, i, k = [], 0, 0
-        while i < len(common) and k < len(other):
-            (a, b), (c, d) = common[i], other[k]
-            if max(a, c) < min(b, d):
-                out.append((max(a, c), min(b, d)))
-            if b < d:
-                i += 1
-            else:
-                k += 1
-        common = out
-    return common
-
-
-def subtract_runs(ranges, cut) -> list:
-    """The (first, end) ranges of the ids that canonical `ranges` names
-    and canonical `cut` does not, canonical too: one merge walk, nothing
-    per id."""
-    out, k = [], 0
-    for first, end in ranges:
-        while k < len(cut) and cut[k][0] < end:
-            a, b = cut[k]
-            if first < a:
-                out.append((first, a))
-            first = max(first, b)
-            if b > end:  # cut[k] may reach into the next range too
-                break
-            k += 1
-        if first < end:
-            out.append((first, end))
-    return out
-
-
-def head_runs(ranges, n: int) -> list:
-    """The ranges of the first n ids of a list of (first, end) ranges."""
-    out = []
-    for first, end in ranges:
-        if n <= 0:
-            break
-        out.append((first, min(end, first + n)))
-        n -= end - first
-    return out
+    return [(first, first + count)]
 
 
 def column(values, width: int) -> bytes:
@@ -293,9 +214,9 @@ def column(values, width: int) -> bytes:
 
 
 def encode_runs(ranges) -> bytes:
-    """Canonical (first, end) ranges, as check_runs returns them, written
+    """(first, end) ranges, as check_runs returns them, written
     without expanding them: a u32 run count, then the (first, count) u32
-    pairs. Cursor.runs reads them back."""
+    pairs. Codec.decode reads them back with check_runs."""
     flat = []
     for first, end in ranges:
         flat += (first, end - first)
@@ -393,7 +314,7 @@ class Codec:
             elif category == "list":
                 values.append(rd.take(rd.uint(4) * width))
             elif category == "ids":
-                values.append(rd.runs())
+                values.append(check_runs(rd.uints(2 * rd.uint(4), 4)))
             else:
                 values.append(rd.take(self._run_values(fields, values, count)
                                       * width))

@@ -95,10 +95,11 @@ def stock(holders: dict, source, rounds: int = 1) -> range:
 
 
 def spend_rounds(share_set, runs, count: "int | None" = None) -> list:
-    """cut_rounds, with the spent tuples decoded: their (r, z), in round
-    order."""
+    """cut_rounds as holder_respond calls it, up to the end of the run it
+    serves, with the spent tuples decoded: their (r, z), in round order."""
     w = share_set.params.field.byte_width
-    r_col, z_col = cut_rounds(share_set, runs, count)
+    upto = runs[-1][1] if runs else share_set.first
+    r_col, z_col = cut_rounds(share_set, upto, runs, count)
     n = len(r_col) // w
     return list(zip(Cursor(r_col).uints(n, w), Cursor(z_col).uints(n, w)))
 
@@ -126,7 +127,7 @@ def runs_of(ids) -> list:
 
 def live_ids(share_set) -> list:
     """A holder's live round ids, ascending, one int each."""
-    return list(expand_runs(share_set.live))
+    return list(range(share_set.first, share_set.next_round))
 
 
 MaskingTuple = namedtuple("MaskingTuple", "r z")
@@ -146,28 +147,33 @@ def live_columns(share_set) -> tuple:
     return live_ids(share_set), bytes(share_set.r), bytes(share_set.z)
 
 
-def cut_model(model: dict, runs, count: "int | None" = None) -> list:
+def cut_model(model: dict, next_round: int, upto: int, runs=(),
+              count: "int | None" = None) -> list:
     """cut_rounds' rule one round id at a time, over a model of a
-    holder's live tuples, {round id: MaskingTuple}: refuses what
-    cut_rounds refuses, in its order and with its error types, and
-    otherwise pops the named tuples and returns them in round order."""
+    holder's live tuples, {round id: MaskingTuple}, and its next_round:
+    refuses what cut_rounds refuses, in its order and with its error
+    types, and otherwise pops every tuple below upto and returns the
+    named ones in round order."""
     ids = expand_runs(runs)
-    if (any(first >= end for first, end in runs)
-            or list(ids) != sorted(set(ids))
-            or any(a[1] == b[0] for a, b in zip(runs, runs[1:]))):
-        raise ImproperRequestError("runs are not canonical")
-    if not set(ids) <= model.keys():
+    if len(runs) > 1:
+        raise ImproperRequestError("more than one run")
+    if (upto > next_round or any(first >= end for first, end in runs)
+            or not set(ids) <= {rid for rid in model if rid < upto}):
         raise PrecomputationExhaustedError("a named round is not live")
     if count is not None and len(ids) != count:
         raise ImproperRequestError("runs name %d rounds" % len(ids))
-    return [model.pop(rid) for rid in ids]
+    spent = [model[rid] for rid in ids]
+    for rid in [rid for rid in model if rid < upto]:
+        del model[rid]
+    return spent
 
 
 def refused_runs(n: int) -> dict:
     """Requests for n rounds that a holder whose live rounds are 0..n+1
     must refuse before anything changes, each named for its fault, as
-    {fault: (runs, error)}. The "gap" request meets a holder that has
-    spent round n - 1, and only "wrong-total" names other than n rounds."""
+    {fault: (runs, error)}. A request of more than one run is refused
+    whatever its runs name. The "gap" request meets a holder that has
+    spent round 0, and only "wrong-total" names other than n rounds."""
     return {
         "empty": ([(0, n), (n + 1, n + 1)], ImproperRequestError),
         "overlapping": ([(0, n - 1), (n - 2, n - 1)], ImproperRequestError),
@@ -237,7 +243,7 @@ def expand_runs(ranges) -> tuple:
 def id_runs(ids) -> list:
     """The canonical (first, count) runs of a strictly increasing list of
     u32 ids, flattened: [first, count, first, count, ...]. wire.check_runs
-    turns them into (first, end) ranges."""
+    turns one run into its (first, end) range and refuses more."""
     ids = list(ids)
     if not ids:
         return []

@@ -568,13 +568,19 @@ def test_failed_verify_runs_never_reuse_pad_bits(tmp_path, capsys, drawn):
     assert transcript.count("kind=check-request") == 3
 
 
-def test_a_failed_first_register_keeps_what_it_sent(tmp_path, capsys, drawn):
-    # an empty password is refused after register-data has left, so the
-    # retry must open the saved deployment, not rebuild it from the seed
+def test_a_failed_first_register_keeps_what_it_sent(tmp_path, capsys, drawn,
+                                                    monkeypatch):
+    # shares the key cannot pay for are refused after register-data has
+    # left, so the retry must open the saved deployment, not rebuild it
+    # from the seed
     ws = tmp_path / "ws"
-    code, _out, err = run_cli(capsys, "register", "--workspace", str(ws),
-                              "--text", SECRET_TEXT, "--password", "")
-    assert code == 3 and "password" in err
+    slow = write_scenario(tmp_path, "slow",
+                          "warmup_ms: 100\ntopology: {rate_scale: 0.1}\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "WAIT_STEP_MS", 0)
+        code, _out, err = run_cli(capsys, "register", "--workspace", str(ws),
+                                  "--config", slow, "--text", SECRET_TEXT)
+    assert code == 2 and "calculator->holder" in err
     sent = len(drawn)
     assert sent
     register(capsys, ws)

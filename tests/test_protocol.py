@@ -746,7 +746,8 @@ def test_a_reconstruction_across_renewal_epochs_sends_nothing(tmp_path):
     reopened.owner_receipts.update(session.owner_receipts)
     stores = reopened.holder_stores
     assert [stores[j].get_secret(sid).renewals for j in stores] == [1, 1, 0, 0]
-    live = {j: store.get_secret(sid).live for j, store in stores.items()}
+    live = {j: live_ids(store.get_secret(sid))
+            for j, store in stores.items()}
     records = {j: live_record(store, sid) for j, store in stores.items()}
     lines, ledger = list(reopened.transcript), reopened.net.ledger()
     with pytest.raises(ProtocolError,
@@ -754,7 +755,7 @@ def test_a_reconstruction_across_renewal_epochs_sends_nothing(tmp_path):
         reopened.reconstruct_and_release(sid, PASSWORD, subset=(1, 2, 3))
     assert reopened.transcript == lines
     assert reopened.net.ledger() == ledger
-    assert {j: store.get_secret(sid).live
+    assert {j: live_ids(store.get_secret(sid))
             for j, store in stores.items()} == live
     assert {j: live_record(store, sid)
             for j, store in stores.items()} == records
@@ -930,8 +931,9 @@ def test_a_reconstruction_hands_each_holder_its_pinned_runs(tmp_path,
     session, payload = warm_100_kb_session(tmp_path)
     sid, _, blocks = register_and_stock(session, data=payload,
                                         extra_rounds=5)
-    ((first, end),) = session.holder_stores[1].get_secret(sid).live
-    assert end - first == blocks + 5
+    share_set = session.holder_stores[1].get_secret(sid)
+    first = share_set.first
+    assert share_set.next_round - first == blocks + 5
     pinned = {}
     respond = HolderStore.respond
 
@@ -1452,8 +1454,9 @@ def test_a_recon_ask_that_repeats_a_round_id_spends_nothing(tmp_path):
 def test_each_reconstruction_pins_the_lowest_rounds_its_subset_holds(
         tmp_path):
     # no precompute between the reconstructions, so the holders' live
-    # rounds diverge and holder 4's get a gap; each request pins the
-    # lowest rounds that every holder of its subset still holds
+    # rounds diverge; each request pins the lowest rounds that every
+    # holder of its subset still holds, and each of those holders drops
+    # every round below the pin's end
     session = make_session(tmp_path)
     sid, _t1 = session.register(DATA, PASSWORD)
     b = session.holder_stores[1].get_secret(sid).block_count
@@ -1469,11 +1472,11 @@ def test_each_reconstruction_pins_the_lowest_rounds_its_subset_holds(
         for j in holders:
             assert held_ids(session, sid, j) == [
                 rid for rid in before[j] if j not in subset
-                or rid not in pinned]
+                or rid >= pinned.stop]
     tail = list(range(3 * b, 3 * b + 2))
-    assert held_ids(session, sid, 1) == list(range(b, 2 * b)) + tail
+    assert held_ids(session, sid, 1) == tail
     assert held_ids(session, sid, 3) == list(range(2 * b, 3 * b)) + tail
-    assert held_ids(session, sid, 4) == list(range(b)) + tail
+    assert held_ids(session, sid, 4) == tail
     # holders 1, 3 and 4 share only the two rounds past the third stock
     records = {j: live_record(session.holder_stores[j], sid)
                for j in holders}
@@ -1486,6 +1489,67 @@ def test_each_reconstruction_pins_the_lowest_rounds_its_subset_holds(
         % (sid.hex(), detail))
     for j in holders:
         assert live_record(session.holder_stores[j], sid) == records[j]
+
+
+def test_a_spend_drops_every_round_below_its_pin(tmp_path):
+    # (1, 2, 3) spend rounds 0-13, so (1, 2, 4) pin 14-27, the lowest
+    # rounds all three hold. No 3-subset can pin 0-13 again, since holders
+    # 1-3 spent them, so holder 4 drops them with its spend; at the parent
+    # commit it kept them, as [(0, 14), (28, 42)] in 464 more record bytes
+    session = make_session(tmp_path)
+    data = bytes(range(200))
+    sid, _t1 = session.register(data, PASSWORD)
+    blocks = session.holder_stores[1].get_secret(sid).block_count
+    assert blocks == 14
+    session.precompute(sid, rounds=3 * blocks)
+    for subset in ((1, 2, 3), (1, 2, 4)):
+        result = session.reconstruct_and_release(sid, PASSWORD,
+                                                 subset=subset)
+        assert result.data == data
+    for j in (1, 2, 4):
+        assert held_ids(session, sid, j) == list(range(28, 42))
+    assert held_ids(session, sid, 3) == list(range(14, 42))
+    sizes = {j: len(live_record(store, sid))
+             for j, store in session.holder_stores.items()}
+    # a live tuple's r and z are 32 bytes in the 127-bit field
+    assert sizes[4] == sizes[1] == sizes[2] == sizes[3] - 14 * 32
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 31: at n >= 6 two disjoint subsets pin the same masking "
+    "rounds until the calculator keeps a spent-round watermark"))
+def test_two_disjoint_subsets_never_pin_the_same_masking_rounds(
+        tmp_path, monkeypatch):
+    # a (3, 6) deployment, holders 5 and 6 on Koganei-1 and Koganei-2. Two
+    # failed attempts on disjoint subsets that share masks give whoever
+    # interpolates the responses every mask, and with them an offline
+    # test of any password guess
+    placement = RolePlacement(holders=("Koganei-1", "Koganei-2",
+                                       "Koganei-3", "Koganei-4",
+                                       "Koganei-1", "Koganei-2"))
+    session = make_session(tmp_path, params=SpssParams(n_sh=6),
+                           placement=placement)
+    sid, _t1 = session.register(bytes(range(200)), PASSWORD)
+    blocks = session.holder_stores[1].get_secret(sid).block_count
+    assert blocks == 14
+    session.precompute(sid, rounds=2 * blocks)
+    pinned = defaultdict(list)
+    respond = HolderStore.respond
+
+    def recording(store, secret_id, request):
+        pinned[request.subset].append(request.rounds)
+        return respond(store, secret_id, request)
+
+    monkeypatch.setattr(HolderStore, "respond", recording)
+    for subset in ((1, 2, 3), (4, 5, 6)):
+        result = session.reconstruct_and_release(sid, b"a wrong guess",
+                                                 subset=subset)
+        assert result.outcome is Outcome.FAIL
+    rounds = {subset: {rid for runs in asked for first, end in runs
+                       for rid in range(first, end)}
+              for subset, asked in pinned.items()}
+    assert len(rounds[1, 2, 3]) == len(rounds[4, 5, 6]) == blocks
+    assert rounds[1, 2, 3].isdisjoint(rounds[4, 5, 6])
 
 
 def run_every_phase(session):
@@ -1714,6 +1778,46 @@ def session_state(session) -> tuple:
     files = {str(p.relative_to(root)): p.read_bytes()
              for p in sorted(root.rglob("*")) if p.is_file()}
     return files, session.net.to_state(), list(session.transcript)
+
+
+def test_a_register_whose_password_reduces_to_zero_sends_nothing(tmp_path):
+    # the owner knows the field, so it refuses the password before
+    # register-data leaves; at the parent commit register-data crossed,
+    # spending its key, and the calculator refused it then
+    session = make_session(tmp_path)
+    register_and_stock(session)
+    before, ledger = session_state(session), session.net.ledger()
+    with pytest.raises(ConfigurationError, match="reduces to zero"):
+        session.register(b"data", session.params.field.q.to_bytes(16, "big"))
+    assert session_state(session) == before
+    assert session.net.ledger() == ledger
+
+
+def test_a_renewal_count_at_the_u32_limit_refuses_the_next_round(tmp_path):
+    # the records count renewal rounds in a u32: the round that brings the
+    # count to 2^32 - 1 is saved, and the one after it is refused before
+    # anything is sent; at the parent commit every renew-commits and
+    # renew-pairs crossed, spending key, before the first holder refused
+    session = make_session(tmp_path)
+    sid, _t1, _blocks = register_and_stock(session)
+    for store in session.holder_stores.values():
+        store.get_secret(sid).renewals = 0xFFFFFFFE
+        store.save(sid)
+    report = session.renew(sid)
+    assert report.accepted and report.round_no == 0xFFFFFFFE
+    reopened = TpvSession(tmp_path / "run", net=session.net)
+    assert [store.get_secret(sid).renewals
+            for store in reopened.holder_stores.values()] == [0xFFFFFFFF] * 4
+    shares = {j: store.get_secret(sid).shares
+              for j, store in session.holder_stores.items()}
+    before, ledger = session_state(session), session.net.ledger()
+    with pytest.raises(ProtocolError, match="most renewal rounds"):
+        session.renew(sid)
+    assert session_state(session) == before
+    assert session.net.ledger() == ledger
+    assert {j: (store.get_secret(sid).shares, store.get_secret(sid).renewals)
+            for j, store in session.holder_stores.items()} == {
+                j: (shares[j], 0xFFFFFFFF) for j in shares}
 
 
 def test_verdicts_sent_before_the_first_release_do_not_block_it(tmp_path):

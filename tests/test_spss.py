@@ -41,7 +41,7 @@ from itstore.spss import (
     split_blocks,
 )
 from itstore.stores import HolderStore, _encode_share_set
-from itstore.wire import Packed, check_runs, column
+from itstore.wire import Packed, column
 from oracles import (
     bits_drawn,
     cut_model,
@@ -49,7 +49,6 @@ from oracles import (
     expand_runs,
     extract,
     handover,
-    id_runs,
     interpolate_at_zero,
     live_columns,
     live_ids,
@@ -365,15 +364,13 @@ def test_precompute_round_accounting():
 
 
 def test_retired_rounds_are_those_some_other_holder_lacks():
-    live = [0, 1, 2, 3, 5, 8]
-    # one holder spent 0-1, another also 8; 9 is not held here at all
-    reported = [(0, 1, 2, 3, 5, 8, 9), (2, 3, 5, 8), (2, 3, 5)]
-    runs = check_runs(id_runs(live))
-    reported = [check_runs(id_runs(ids)) for ids in reported]
-    assert retired_rounds(runs, reported) == [(0, 2), (8, 9)]
-    assert retired_rounds(runs, [runs] * 3) == []
-    assert retired_rounds(runs, [[]]) == runs
-    assert retired_rounds([], reported) == []
+    # each holder's stock is one run ending at the precompute's start, 9:
+    # one holder spent 0-1 and another 0-4, so rounds 0-4 go
+    assert retired_rounds(0, [[(2, 9)], [(5, 9)], [(0, 9)]], 9) == 5
+    assert retired_rounds(0, [[(0, 9)]] * 3, 9) == 0
+    assert retired_rounds(3, [[(0, 9)]] * 3, 9) == 3  # its own spends
+    assert retired_rounds(0, [[(2, 9)], []], 9) == 9  # one spent them all
+    assert retired_rounds(9, [[(2, 9)]], 9) == 9  # an empty stock
 
 
 def test_precompute_zero_shares_interpolate_to_zero():
@@ -505,7 +502,7 @@ def test_a_failed_delivery_changes_no_share_set():
         precompute_round(holders,
                          dict.fromkeys(holders, SeededEntropy(b"fail-round")),
                          2, deliver)
-    assert all(not s.live for s in holders.values())
+    assert all(s.next_round == 0 and not s.r for s in holders.values())
 
 
 def test_a_round_past_the_u32_round_ids_is_refused_before_any_send():
@@ -689,24 +686,6 @@ def test_a_holder_keeps_its_data_shares_as_one_column(tmp_path):
     assert reopened.get_secret(b"sid") == holders[2]
 
 
-def test_live_runs_are_the_canonical_runs_of_the_live_ids():
-    params = SpssParams(field=F31)
-    rng = SeededEntropy(b"live-runs")
-    holders, _ = spss_register(b"\xc0", 5, params, rng)
-    share_set = holders[1]
-    assert share_set.live == []
-    stock(holders, rng, rounds=300)
-    assert share_set.live == [(0, 300)]
-    pick = random.Random(11)
-    while share_set.live:
-        live = live_ids(share_set)
-        spend_rounds(share_set, runs_of(sorted(pick.sample(
-            live, min(len(live), pick.randint(1, 9))))))
-        assert share_set.live == check_runs(id_runs(
-            live_ids(share_set)))
-    assert share_set.live == []
-
-
 def test_a_pinned_id_named_twice_is_refused_before_any_tuple_is_spent():
     # one tuple masking two blocks would give a wrong-password requester
     # the difference of the two blocks
@@ -735,23 +714,23 @@ def test_cut_rounds_refuses_each_faulty_request_before_any_column_changes(
     stock(holders, rng, rounds=need + 2)
     share_set = holders[1]
     if fault == "gap":
-        spend_rounds(share_set, [(need - 1, need)])
+        spend_rounds(share_set, [(0, 1)])
     kept = live_tuples(share_set)
     before = live_columns(share_set)
     runs, error = refused_runs(need)[fault]
     request = spss_request(9, (1, 2, 3), F31_PARAMS, rng, rounds=runs)[1]
     assert request.rounds == runs
-    for spend in (lambda: cut_rounds(share_set, runs, need),
+    for spend in (lambda: cut_rounds(share_set, runs[-1][1], runs, need),
                   lambda: holder_respond(share_set, request)):
         with pytest.raises(error):
             spend()
         assert live_columns(share_set) == before
-    # the same live rounds, named as canonical runs, are spent
-    good = [(0, 2), (3, 4)] if fault == "gap" else [(0, 3)]
-    spent = [rid for first, end in good for rid in range(first, end)]
-    assert spend_rounds(share_set, good, need) == [kept[rid] for rid in spent]
+    # the live rounds, named as one run, are spent
+    first, end = (1, 4) if fault == "gap" else (0, 3)
+    assert spend_rounds(share_set, [(first, end)], need) == [
+        kept[rid] for rid in range(first, end)]
     assert live_tuples(share_set) == {rid: kept[rid] for rid in kept
-                                      if rid not in spent}
+                                      if rid >= end}
 
 
 # ------------------------------------------------------------- reconstruction
@@ -924,25 +903,21 @@ def test_spend_rounds_answers_in_named_order_and_refuses_before_any_change():
     assert sorted(values) == list(range(7))
     for j in (2, 3, 4):
         assert live_tuples(holders[j]) != values  # each its own shares
-    # (r, z) come back in the order the runs name the rounds
-    assert spend_rounds(holders[1], [(1, 2), (4, 5)]) == [values[1],
-                                                          values[4]]
-    assert live_ids(holders[1]) == [0, 2, 3, 5, 6]
-    # a scattered set leaves the others with their values
+    # (r, z) come back in round order, and the rounds below the run go
+    assert spend_rounds(holders[1], [(1, 3)]) == [values[1], values[2]]
+    assert live_ids(holders[1]) == [3, 4, 5, 6]
+    # the others keep their values
     values = live_tuples(holders[2])
-    assert spend_rounds(holders[2], [(0, 1), (2, 3), (5, 6)]) == [
-        values[0], values[2], values[5]]
-    assert live_tuples(holders[2]) == {
-        rid: values[rid] for rid in (1, 3, 4, 6)}
-    # a round outside the u32 range is not live, alone or after a live
-    # round; a run below round 0 is not canonical; and nothing changes
-    # before the refusal
+    assert spend_rounds(holders[2], [(5, 6)]) == [values[5]]
+    assert live_tuples(holders[2]) == {6: values[6]}
+    # a round outside the u32 range is not live, and neither is a round
+    # below round 0; two runs are refused whatever they name; and nothing
+    # changes before the refusal
     before = _encode_share_set(holders[3])
     top = 1 << 32
     for runs, error in (([(top, top + 1)], PrecomputationExhaustedError),
-                        ([(0, 1), (top, top + 1)],
-                         PrecomputationExhaustedError),
-                        ([(-1, 0)], ImproperRequestError),
+                        ([(0, 1), (top, top + 1)], ImproperRequestError),
+                        ([(-1, 0)], PrecomputationExhaustedError),
                         ([(0, 1), (-1, 0)], ImproperRequestError)):
         with pytest.raises(error):
             spend_rounds(holders[3], runs)
@@ -951,9 +926,9 @@ def test_spend_rounds_answers_in_named_order_and_refuses_before_any_change():
 
 
 def test_spend_rounds_matches_a_dict_of_tuples_on_random_spends():
-    # each run is found with one search and the kept tuples are moved
-    # down over the spent ones; a plain dict from round id to (r, z) is
-    # the reference for any mix of runs
+    # a spend copies its run out and cuts the head below its end from the
+    # columns; a plain dict from round id to (r, z) is the reference for
+    # any run
     params = SpssParams(field=F31)
     rng = SeededEntropy(b"spend-model")
     holders, _ = spss_register(b"\xc0", 5, params, rng)
@@ -963,12 +938,11 @@ def test_spend_rounds_matches_a_dict_of_tuples_on_random_spends():
     pick = random.Random(7)
     while model:
         live = sorted(model)
-        start = pick.randrange(len(live))
-        ids = live[start:start + pick.randint(1, 6)]
-        ids += pick.sample(live, min(len(live), pick.randint(0, 3)))
-        ids = sorted(set(ids))
-        assert spend_rounds(share_set, runs_of(ids)) == [model.pop(r)
-                                                         for r in ids]
+        first = pick.choice(live)
+        end = min(first + pick.randint(1, 6), live[-1] + 1)
+        want = [model[rid] for rid in range(first, end)]
+        model = {rid: t for rid, t in model.items() if rid >= end}
+        assert spend_rounds(share_set, [(first, end)]) == want
         assert live_tuples(share_set) == model
         assert live_ids(share_set) == sorted(model)
 
@@ -977,7 +951,7 @@ def test_stock_respond_and_retire_match_a_per_id_model():
     # a seeded mix of stocks, responses, retires and refused requests on
     # one share set, each step checked against cut_model's one id at a
     # time rendering of the spend rule: the live ids, the r and z
-    # columns, and live as the canonical runs of the ids
+    # columns, and first as the lowest live id
     rng = SeededEntropy(b"per-id-model")
     holders, secret = spss_register(b"\xc0", 5, F31_PARAMS, rng)
     need = len(secret.blocks) + 1
@@ -994,15 +968,18 @@ def test_stock_respond_and_retire_match_a_per_id_model():
             model.update((rid, stocked[rid]) for rid in ids)
         elif step == "retire":
             # the rounds another holder, which spent some, still holds
-            reported = [runs_of(sorted(pick.sample(live, pick.randint(
-                len(live) // 2, len(live)))))]
-            runs = retired_rounds(share_set.live, reported)
+            end = share_set.next_round
+            first = pick.randint(share_set.first, end)
+            reported = [[(first, end)] if first < end else []]
+            upto = retired_rounds(share_set.first, reported, end)
             gone = set(live) - set(expand_runs(reported[0]))
-            assert expand_runs(runs) == tuple(sorted(gone))
-            assert spend_rounds(share_set, runs) == cut_model(model, runs)
+            assert set(range(share_set.first, upto)) == gone
+            cut_rounds(share_set, upto)
+            assert cut_model(model, end, upto) == []
         else:
             if step == "respond" and len(live) >= need:
-                runs = runs_of(sorted(pick.sample(live, need)))
+                first = pick.randint(live[0], live[-1] + 1 - need)
+                runs = [(first, first + need)]
             else:  # a fault, moved to the oldest live round
                 base = live[0] if live else 0
                 runs = [(first + base, end + base) for first, end in
@@ -1011,7 +988,8 @@ def test_stock_respond_and_retire_match_a_per_id_model():
                                    rounds=runs)[1]
             diff = (share_set.password_share - request.password_share) % 31
             try:
-                want = cut_model(model, runs, need)
+                want = cut_model(model, share_set.next_round,
+                                 runs[-1][1] if runs else 0, runs, need)
             except (ImproperRequestError,
                     PrecomputationExhaustedError) as exc:
                 with pytest.raises(type(exc)):
@@ -1022,27 +1000,8 @@ def test_stock_respond_and_retire_match_a_per_id_model():
                     (diff * t.r + t.z + share) % 31
                     for t, share in zip(want, data_shares(share_set)))
         assert live_tuples(share_set) == model
-        assert share_set.live == check_runs(id_runs(sorted(model)))
+        assert share_set.first == min(model, default=share_set.next_round)
         assert len(share_set.r) == len(share_set.z) == len(model)
-
-
-def test_a_runs_list_read_before_a_precompute_round_is_not_changed_by_it():
-    # TpvSession.precompute reads every holder's live runs before the
-    # round and retires against them after it, so a stock joined to that
-    # list in place would retire itself
-    rng = SeededEntropy(b"live-snapshot")
-    holders, _ = spss_register(b"\xc0", 5, F31_PARAMS, rng)
-    stock(holders, rng, rounds=2)
-    before = holders[1].live
-    stock(holders, rng, rounds=3)  # joins the last run
-    assert before == [(0, 2)] and holders[1].live == [(0, 5)]
-    cut_rounds(holders[1], [(4, 5)])
-    before = holders[1].live
-    stock(holders, rng, rounds=1)  # a new run past the spent round
-    assert before == [(0, 4)] and holders[1].live == [(0, 4), (5, 6)]
-    before = holders[1].live
-    cut_rounds(holders[1], [(1, 2)])
-    assert before == [(0, 4), (5, 6)]
 
 
 def test_fifo_tuple_choice_without_pinning():

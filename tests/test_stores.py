@@ -415,14 +415,14 @@ SpentTuple = namedtuple("SpentTuple", "round_id r z")
 
 
 def spend_one(store, sid, round_id=None):
-    """Spend one live tuple, the oldest unless pinned, as a holder that
-    no reconstruction asked does: retire it, then save. Returns it as a
-    SpentTuple."""
+    """Spend the live tuples up to one round, the oldest unless pinned, as
+    a holder that no reconstruction asked does: retire them, then save.
+    Returns that round's tuple as a SpentTuple."""
     share_set = store.get_secret(sid)
     if round_id is None:
         round_id = live_ids(share_set)[0]
     tup = SpentTuple(round_id, *live_tuples(share_set)[round_id])
-    store.retire(sid, [(round_id, round_id + 1)])
+    store.retire(sid, round_id + 1)
     store.save(sid)
     return tup
 
@@ -471,7 +471,7 @@ def test_holder_store_round_trip_with_consumption(tmp_path):
         assert again.get_secret(sid) == store.get_secret(sid)
     assert live_ids(again.get_secret(sid_a)) == [1, 2]
     assert spent_rounds(again, sid_a) == (0,)
-    assert spent_rounds(again, sid_b) == (1,)
+    assert spent_rounds(again, sid_b) == (0, 1)
 
 
 def test_spends_take_the_oldest_round_and_then_exhaust(tmp_path):
@@ -752,15 +752,17 @@ def id_run_list(runs) -> bytes:
         struct.pack(">II", first, count) for first, count in runs)
 
 
-def live_runs_body(share_set, seq, next_round, runs, r_column, z_column,
+def live_runs_body(share_set, seq, next_round, live, r_column, z_column,
                    renewals=0, width=None):
     """A record body in the current layout, from its parts: the header,
-    the data and password shares, the renewal count, next_round, the live
-    ids' runs, then the live tuples' r column and z column. renewals
-    builds an earlier layout when it is None, the live-tuple-runs layout,
-    which kept no renewal rounds, or a list of (first, count) runs, the
-    renewal-runs layout, which kept them as runs. Every value is `width`
-    bytes wide, the field's byte width unless given."""
+    the data and password shares, the renewal count, next_round, first
+    (live, an int), then the live tuples' r column and z column. live
+    builds an earlier layout when it is a list of the live ids' (first,
+    count) runs: the renewal-count layout with renewals a count, the
+    live-tuple-runs layout, which kept no renewal rounds, with renewals
+    None, or the renewal-runs layout, which kept them as runs, with
+    renewals a list of (first, count) runs. Every value is `width` bytes
+    wide, the field's byte width unless given."""
     params = share_set.params
     width = width or params.field.byte_width
 
@@ -774,7 +776,9 @@ def live_runs_body(share_set, seq, next_round, runs, r_column, z_column,
         column(data_shares(share_set) + (share_set.password_share,)),
         b"" if renewals is None else id_run_list(renewals)
         if isinstance(renewals, list) else struct.pack(">I", renewals),
-        struct.pack(">I", next_round), id_run_list(runs),
+        struct.pack(">I", next_round),
+        id_run_list(live) if isinstance(live, list)
+        else struct.pack(">I", live),
         column(r_column), column(z_column),
     ))
 
@@ -782,26 +786,25 @@ def live_runs_body(share_set, seq, next_round, runs, r_column, z_column,
 def test_a_record_is_its_parts_and_nothing_per_spent_tuple(tmp_path):
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[6])
     sid = secrets[0][0]
-    for rid in (0, 1, 4):
+    for rid in (0, 2):
         spend_one(stores[1], sid, round_id=rid)
     tuples = live_tuples(stores[1].get_secret(sid))
     path = live_record_path(tmp_path / "holder-1", sid)
-    body = live_runs_body(stores[1].get_secret(sid), 4, 6, [(2, 2), (5, 1)],
-                          [tuples[rid].r for rid in (2, 3, 5)],
-                          [tuples[rid].z for rid in (2, 3, 5)])
+    body = live_runs_body(stores[1].get_secret(sid), 3, 6, 3,
+                          [tuples[rid].r for rid in (3, 4, 5)],
+                          [tuples[rid].z for rid in (3, 4, 5)])
     assert path.read_bytes() == body + stores_mod._record_digest(1, sid, body)
 
 
+# (next_round, first, r values, z values): the live run is
+# [first, next_round)
 RECORD_FAULTS = {
-    "runs-name-more-ids-than-the-columns": (6, [(0, 3)], 2, 2),
-    "r-column-longer": (6, [(0, 2)], 3, 2),
-    "z-column-shorter": (6, [(0, 2)], 2, 1),
-    "live-id-at-next-round": (2, [(0, 3)], 3, 3),
-    "live-id-past-next-round": (3, [(0, 1), (3, 1)], 2, 2),
-    "touching-runs": (6, [(0, 1), (1, 1)], 2, 2),
-    "overlapping-runs": (6, [(0, 2), (1, 1)], 3, 3),
-    "runs-out-of-order": (6, [(3, 1), (0, 1)], 2, 2),
-    "empty-run": (6, [(0, 0)], 0, 0),
+    "runs-name-more-ids-than-the-columns": (6, 3, 2, 2),
+    "r-column-longer": (6, 4, 3, 2),
+    "z-column-shorter": (6, 4, 2, 1),
+    "live-id-at-next-round": (2, 3, 0, 0),
+    "live-id-past-next-round": (3, 5, 0, 0),
+    "empty-run": (6, 6, 1, 1),
 }
 
 
@@ -811,8 +814,8 @@ def test_a_record_whose_runs_and_columns_disagree_fails_closed(tmp_path,
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[1])
     sid = secrets[0][0]
     path = live_record_path(tmp_path / "holder-1", sid)
-    next_round, runs, n_r, n_z = RECORD_FAULTS[fault]
-    body = live_runs_body(stores[1].get_secret(sid), 2, next_round, runs,
+    next_round, first, n_r, n_z = RECORD_FAULTS[fault]
+    body = live_runs_body(stores[1].get_secret(sid), 2, next_round, first,
                           [1] * n_r, [2] * n_z)
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
     store = HolderStore(tmp_path / "holder-1")
@@ -829,7 +832,7 @@ def test_a_record_wider_than_its_field_fails_closed(tmp_path):
     share_set = stores[1].get_secret(sid)
     tuples = live_tuples(share_set)
     path = live_record_path(tmp_path / "holder-1", sid)
-    body = live_runs_body(share_set, 2, 2, [(0, 2)],
+    body = live_runs_body(share_set, 2, 2, 0,
                           [tuples[rid].r for rid in (0, 1)],
                           [tuples[rid].z for rid in (0, 1)],
                           width=share_set.params.field.byte_width + 1)
@@ -840,14 +843,14 @@ def test_a_record_wider_than_its_field_fails_closed(tmp_path):
         store.get_secret(sid)
 
 
-def rewrite_record(holder_dir, sid, share_set, next_round, runs):
+def rewrite_record(holder_dir, sid, share_set, next_round, first):
     """Replace a secret's live record by one with the given next_round and
-    live runs, taking the shares and the live tuples' values from
+    first live round, taking the shares and the live tuples' values from
     `share_set`."""
     tuples = live_tuples(share_set)
-    live = [rid for first, count in runs for rid in range(first, first + count)]
+    live = range(first, next_round)
     path = live_record_path(holder_dir, sid)
-    body = live_runs_body(share_set, 9, next_round, runs,
+    body = live_runs_body(share_set, 9, next_round, first,
                           [tuples[rid].r for rid in live],
                           [tuples[rid].z for rid in live])
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
@@ -863,7 +866,8 @@ def test_a_record_claiming_four_billion_spent_rounds_fails_closed_at_once(
     spend_one(stores[1], sid)
     holder_dir = tmp_path / "holder-1"
     top = (1 << 32) - 1
-    path = rewrite_record(holder_dir, sid, stores[1].get_secret(sid), top, [])
+    path = rewrite_record(holder_dir, sid, stores[1].get_secret(sid), top,
+                          top)
     assert path.stat().st_size < 100
     tracemalloc.start()
     try:
@@ -891,7 +895,7 @@ def test_a_first_read_of_four_billion_spent_rounds_builds_nothing_per_id(
     spend_one(stores[1], sid)
     holder_dir = tmp_path / "holder-1"
     top = (1 << 32) - 1
-    rewrite_record(holder_dir, sid, stores[1].get_secret(sid), top, [])
+    rewrite_record(holder_dir, sid, stores[1].get_secret(sid), top, top)
     reopened = HolderStore(holder_dir)
     tracemalloc.start()
     try:
@@ -901,27 +905,6 @@ def test_a_first_read_of_four_billion_spent_rounds_builds_nothing_per_id(
         tracemalloc.stop()
     assert peak < 1 << 20
     assert share_set.next_round == top and live_tuples(share_set) == {}
-
-
-def test_spends_and_stocks_past_max_ids_reopen(tmp_path, monkeypatch):
-    # MAX_IDS bounds id lists on the wire; a store names as many rounds as
-    # its own records and spends hold
-    monkeypatch.setattr(wire, "MAX_IDS", 2)
-    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
-    sid, data, password, secret = secrets[0]
-    need = stores[1].get_secret(sid).block_count
-    assert need > 2
-    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    stock(live, rng("max-ids"), rounds=3 * need)
-    for j in (1, 2, 3):
-        stores[j].save(sid)
-        stores[j].respond(sid, spss_request(
-            password, (1, 2, 3), PARAMS_2311, rng("max-ids"),
-            rounds=oldest_runs(stores[j].get_secret(sid)))[j])
-    for j in (1, 2, 3):
-        reopened = HolderStore(tmp_path / ("holder-%d" % j))
-        assert spent_rounds(reopened, sid) == tuple(range(need))
-        assert reopened.get_secret(sid) == stores[j].get_secret(sid)
 
 
 def spend_cycles(tmp_path, cycles):
@@ -963,8 +946,8 @@ def test_a_responders_record_holds_32_bytes_per_live_tuple_and_stops_growing(
         size = live_record_path(holder_dir, SID_A).stat().st_size
         fixed = (4 + 4 + 16  # sequence number, layout, q
                  + 4 + 16 * (need + 1)  # data shares and password share
-                 + 4  # no renewal round: an empty run list
-                 + 4 + 4 + 8  # next_round and one (first, count) run
+                 + 4  # the renewal count
+                 + 4 + 4  # next_round and first
                  + 32)  # digest
         assert size == fixed + 32 * 2 * need
         sizes.append(size)
@@ -1026,9 +1009,9 @@ def test_retire_journals_chunks_of_one_spend_and_refuses_a_dead_round(
     store = stores[4]
     store.save(sid)
     with pytest.raises(ProtocolError):
-        store.retire(sid, [(0, 1), (3 * limit + 1, 3 * limit + 2)])
+        store.retire(sid, 3 * limit + 2)
     assert live_ids(live[4]) == list(range(3 * limit + 1))
-    store.retire(sid, [(0, 3 * limit)])
+    store.retire(sid, 3 * limit)
     assert live_ids(live[4]) == [3 * limit]
     store.save(sid)
     reopened = HolderStore(tmp_path / "holder-4")
@@ -1036,32 +1019,13 @@ def test_retire_journals_chunks_of_one_spend_and_refuses_a_dead_round(
     assert spent_rounds(reopened, sid) == tuple(range(3 * limit))
 
 
-def test_retire_refuses_a_round_named_twice_before_dropping_any(tmp_path):
-    # fails at the parent commit: retire dropped round 1, then raised a
-    # bare KeyError on its second mention
-    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
-    sid = secrets[0][0]
-    live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
-    stock(live, rng("retire-twice"), rounds=3)
-    store = stores[4]
-    store.save(sid)
-    record = live_record_path(tmp_path / "holder-4", sid).read_bytes()
-    with pytest.raises(ImproperRequestError, match="twice"):
-        store.retire(sid, [(1, 2), (1, 2)])
-    assert live_ids(live[4]) == [0, 1, 2]
-    assert live_record_path(tmp_path / "holder-4", sid).read_bytes() == record
-    store.save(sid)  # a later save still writes every round live
-    reopened = HolderStore(tmp_path / "holder-4")
-    assert live_ids(reopened.get_secret(sid)) == [0, 1, 2]
-    assert spent_rounds(reopened, sid) == ()
-
-
 @pytest.mark.parametrize("fault", sorted(refused_runs(4)))
 def test_respond_and_retire_refuse_each_faulty_request_before_any_change(
         tmp_path, fault):
     # respond and retire both spend through cut_rounds, whose refusals
     # leave the holder's columns and its record as they were; a retire
-    # names no total, so only respond meets the wrong one
+    # names only the round it cuts below, so it meets the stock's end
+    # alone
     stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
     sid, _data, password, _secret = secrets[0]
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
@@ -1069,7 +1033,7 @@ def test_respond_and_retire_refuse_each_faulty_request_before_any_change(
     stock(live, rng("refused-runs"), rounds=need + 2)
     store = stores[1]
     if fault == "gap":
-        store.retire(sid, [(need - 1, need)])
+        store.retire(sid, 1)
     for j in PARAMS_2311.holder_indices:
         stores[j].save(sid)
     path = live_record_path(tmp_path / "holder-1", sid)
@@ -1079,16 +1043,15 @@ def test_respond_and_retire_refuse_each_faulty_request_before_any_change(
     request = spss_request(password, (1, 2, 3), PARAMS_2311,
                            rng("refused"), rounds=runs)[1]
     spends = [lambda: store.respond(sid, request)]
-    if fault != "wrong-total":
-        spends.append(lambda: store.retire(sid, runs))
+    if fault == "past-the-stock":
+        spends.append(lambda: store.retire(sid, runs[-1][1]))
     for spend in spends:
         with pytest.raises(error):
             spend()
         assert live_columns(store.get_secret(sid)) == before
         assert path.read_bytes() == record
-    # the same live rounds, named as canonical runs, are served
-    good = ([(0, need - 1), (need, need + 1)] if fault == "gap"
-            else [(0, need)])
+    # the live rounds, named as one run, are served
+    good = [(1, need + 1)] if fault == "gap" else [(0, need)]
     store.respond(sid, spss_request(password, (1, 2, 3), PARAMS_2311,
                                     rng("refused"), rounds=good)[1])
     assert live_ids(HolderStore(tmp_path / "holder-1").get_secret(sid)) == (
@@ -1104,17 +1067,16 @@ def test_retire_drops_its_rounds_without_decoding_them(tmp_path,
     live = {j: stores[j].get_secret(sid) for j in PARAMS_2311.holder_indices}
     stock(live, rng("retire-raw"), rounds=6)
     tuples = live_tuples(live[4])
-    kept = {rid: tuples[rid] for rid in (0, 3, 5)}
+    kept = {rid: tuples[rid] for rid in (3, 4, 5)}
 
     def no_decoding(self, count, width):
         raise AssertionError("a retire decoded %d values" % count)
 
     monkeypatch.setattr(wire.Cursor, "uints", no_decoding)
-    stores[4].retire(sid, [(1, 3), (4, 5)])
+    stores[4].retire(sid, 3)
     with pytest.raises(PrecomputationExhaustedError):
-        stores[4].retire(sid, [(0, 2)])
-    with pytest.raises(ImproperRequestError, match="twice"):
-        stores[4].retire(sid, [(0, 1), (0, 1)])
+        stores[4].retire(sid, 7)
+    stores[4].retire(sid, 2)  # nothing left below 3
     monkeypatch.undo()
     assert live_tuples(live[4]) == kept
 
@@ -1163,7 +1125,7 @@ def test_respond_failure_leaves_journal_clean(tmp_path):
     with pytest.raises(ProtocolError):
         stores[4].respond(sid, requests[1])  # holder 4 is outside the subset
     missing = spss_request(password, (1, 2, 4), PARAMS_2311, source,
-                           rounds=runs_of(tuple(ids) + (99,)))
+                           rounds=[(ids[0], ids[-1] + 2)])  # one past
     with pytest.raises(PrecomputationExhaustedError):
         stores[4].respond(sid, missing[4])
     assert live_record_path(tmp_path / "holder-4", sid).read_bytes() == record
@@ -1290,8 +1252,9 @@ def test_a_record_of_the_live_tuple_runs_layout_fails_closed(tmp_path):
     store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
         store.get_secret(sid)
-    # and its next_round would be read as an empty renewal run list, and
-    # its runs as next_round, under the current digest
+    # and under the current digest its next_round would be read as the
+    # renewal count, and every field after it one place off, leaving
+    # bytes unread
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
     store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
@@ -1318,41 +1281,39 @@ def test_a_record_of_the_renewal_runs_layout_fails_closed(tmp_path):
     store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
         store.get_secret(sid)
-    # and its run count would be read as the renewal count, and its run
-    # as next_round and live runs out of order, under the current digest
+    # and under the current digest its run count would be read as the
+    # renewal count, and its run as a next_round of 0 and a first of 2
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
     store = HolderStore(tmp_path / "holder-1")
     with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
         store.get_secret(sid)
 
 
-def test_a_renewal_count_at_the_u32_limit_refuses_the_next_round(tmp_path):
-    # the record counts renewal rounds in a u32: the round that brings the
-    # count to 2^32 - 1 is saved, and the one after it is refused before
-    # any change
-    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[0])
+def test_a_record_of_the_renewal_count_layout_fails_closed(tmp_path):
+    stores, secrets = registered_stores(tmp_path, rounds_per_secret=[3])
     sid = secrets[0][0]
-    holder_dir = tmp_path / "holder-1"
-    path = live_record_path(holder_dir, sid)
-    body = live_runs_body(stores[1].get_secret(sid), 2, 0, [], [], [],
-                          renewals=0xFFFFFFFE)
+    spend_one(stores[1], sid)
+    share_set = stores[1].get_secret(sid)
+    tuples = live_tuples(share_set)
+    path = live_record_path(tmp_path / "holder-1", sid)
+    # the layout before the live rounds became one first round, as that
+    # version wrote it: the live ids as (first, count) runs, under its own
+    # layout label
+    body = live_runs_body(share_set, 3, 3, [(1, 2)],
+                          [tuples[rid].r for rid in (1, 2)],
+                          [tuples[rid].z for rid in (1, 2)])
+    old = hashlib.sha256(b"ITHR renewal-count\n"
+                         + struct.pack(">HB", 1, len(sid)) + sid + body)
+    path.write_bytes(body + old.digest())
+    store = HolderStore(tmp_path / "holder-1")
+    with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+        store.get_secret(sid)
+    # and under the current digest its run count would be read as first,
+    # and its run as tuple values, leaving bytes unread
     path.write_bytes(body + stores_mod._record_digest(1, sid, body))
-    store = HolderStore(holder_dir)
-    shares = share_column((v + 1 for v in data_shares(store.get_secret(sid))),
-                          PARAMS_2311.field)
-    store.apply_renewal(sid, shares)
-    before = HolderStore(holder_dir).get_secret(sid)
-    assert before == store.get_secret(sid) and before.renewals == 0xFFFFFFFF
-    path = live_record_path(holder_dir, sid)
-    body = path.read_bytes()
-    shares = share_column((v + 1 for v in data_shares(before)),
-                          PARAMS_2311.field)
-    with pytest.raises(ProtocolError):
-        store.apply_renewal(sid, shares)
-    assert store.get_secret(sid).renewals == 0xFFFFFFFF
-    assert data_shares(store.get_secret(sid)) == data_shares(before)
-    assert path.read_bytes() == body
-    assert HolderStore(holder_dir).get_secret(sid) == store.get_secret(sid)
+    store = HolderStore(tmp_path / "holder-1")
+    with pytest.raises(TamperDetectedError, match=re.escape(str(path))):
+        store.get_secret(sid)
 
 
 def test_a_long_renewal_history_opens_without_being_expanded(tmp_path):
@@ -1485,7 +1446,7 @@ def crash_case(directory, op):
                                oldest_runs(holders[1]))[1]
         return store, lambda: store.respond(SID_A, request)
     if op == "retire":
-        stranded = holders[1].live
+        stranded = holders[1].next_round
 
         def retire():
             store.retire(SID_A, stranded)

@@ -35,8 +35,8 @@ def sample_values(kind):
             values.append(b"payload " * 5)
         elif category == "list":
             values.append(oracle_uints((top - i for i in range(5)), width))
-        elif category == "ids":  # three runs, the last ending at the top
-            values.append([(0, 3), (9, 10), (top - 1, top + 1)])
+        elif category == "ids":  # one run, ending at the top
+            values.append([(top - 1, top + 1)])
         else:
             _count_field, times = count
             n = 2 * (CODEC.sizes[times] if isinstance(times, str) else times)
@@ -162,9 +162,8 @@ def runs_message(runs, sid=bytes(16)):
     ((), []),
     ((5,), [(5, 1)]),
     (tuple(range(6503)), [(0, 6503)]),
-    ((0, 2, 4), [(0, 1), (2, 1), (4, 1)]),
-    ((1, 2, 3, 7, 8, 100, (1 << 32) - 1), [(1, 3), (7, 2), (100, 1),
-                                          ((1 << 32) - 1, 1)]),
+    (((1 << 32) - 1,), [((1 << 32) - 1, 1)]),
+    (tuple(range(7, 100)), [(7, 93)]),
 ])
 def test_round_ids_travel_as_canonical_runs(ids, runs):
     flat = [v for run in runs for v in run]
@@ -176,23 +175,6 @@ def test_round_ids_travel_as_canonical_runs(ids, runs):
     assert CODEC.decode("avail-reply", raw) == (bytes(16), 3, ranges)
 
 
-def test_an_id_list_expands_to_at_most_max_ids(monkeypatch):
-    monkeypatch.setattr(wire, "MAX_IDS", 10)
-    assert expand_runs(check_runs([3, 4, 9, 6])) == (
-        3, 4, 5, 6, 9, 10, 11, 12, 13, 14)
-    with pytest.raises(ImproperRequestError, match="more than 10"):
-        check_runs([3, 4, 9, 7])
-
-
-def test_non_contiguous_id_sets_round_trip():
-    gen = random.Random("runs")
-    for _ in range(200):
-        ids = tuple(sorted(gen.sample(range(300), gen.randrange(60))))
-        raw = CODEC.encode("recon-ask", bytes(16), b"\x01\x02\x03", 7,
-                           check_runs(id_runs(ids)))
-        assert expand_runs(CODEC.decode("recon-ask", raw)[-1]) == ids
-
-
 MALFORMED_RUNS = [
     [(4, 0)],                       # an empty run
     [(9, 2), (1, 2)],               # out of order
@@ -201,7 +183,7 @@ MALFORMED_RUNS = [
     [(1, 3), (4, 2)],               # touching: one run written as two
     [((1 << 32) - 1, 2)],           # past 2^32 - 1
     [(0, 1 << 31), (1 << 31, 0)],   # empty after a long run
-    [(0, 1 << 22), (5 << 22, 1)],   # more ids than a list may expand to
+    [(0, 1 << 22), (5 << 22, 1)],   # two canonical runs: one too many
 ]
 
 
@@ -225,64 +207,6 @@ def test_malformed_id_runs_fail_closed(runs):
 def test_an_id_list_that_is_not_a_u32_set_is_not_encoded(ids):
     with pytest.raises(ImproperRequestError):
         CODEC.encode("avail-reply", bytes(16), 1, ids)
-
-
-def random_runs(gen, top):
-    """Canonical (first, end) ranges below top: empty, single ids, long
-    runs, and gaps of one id so that runs of two lists touch."""
-    out, at = [], gen.randrange(3)
-    while at < top and gen.random() < 0.85:
-        end = min(top, at + gen.choice((1, 1, 2, 5, 17)))
-        out.append((at, end))
-        at = end + gen.choice((1, 1, 2, 9))
-    return out
-
-
-def test_intersect_runs_equals_the_sorted_set_intersection():
-    gen = random.Random("intersect")
-    cases = [
-        [[]], [[], [(0, 5)]], [[(3, 4)]],
-        [[(0, 10)], [(2, 4), (6, 7)]],          # nested
-        [[(0, 3)], [(3, 6)]],                   # touching, disjoint
-        [[(0, 3), (4, 8)], [(2, 5)], [(1, 9)]],
-        [[(5, 6)], [(5, 6)], [(5, 6)]],         # one id everywhere
-    ]
-    cases += [[random_runs(gen, 60) for _ in range(gen.randint(1, 4))]
-              for _ in range(300)]
-    for lists in cases:
-        want = sorted(set.intersection(*(set(expand_runs(r))
-                                         for r in lists)))
-        got = wire.intersect_runs(lists)
-        assert expand_runs(got) == tuple(want)
-        assert got == check_runs(id_runs(want))  # canonical: none touch
-        for n in (0, 1, 3, len(want), len(want) + 2):
-            assert wire.head_runs(got, n) == check_runs(id_runs(want[:n]))
-    assert wire.intersect_runs([]) == []
-
-
-def test_subtract_runs_equals_the_sorted_set_difference():
-    gen = random.Random("subtract")
-    cases = [
-        ([], []), ([], [(0, 5)]), ([(0, 5)], []),
-        ([(0, 5)], [(0, 5)]),                   # the whole range
-        ([(0, 5)], [(0, 1)]), ([(0, 5)], [(4, 5)]),  # either end
-        ([(0, 3)], [(3, 6)]), ([(3, 6)], [(0, 3)]),  # touching
-        ([(2, 4), (6, 9)], [(0, 12)]),          # cut spans every range
-        ([(0, 4), (6, 9)], [(3, 7)]),           # one cut, two ranges
-        ([(0, 10)], [(1, 2), (4, 6), (9, 10)]),
-    ]
-    cases += [(random_runs(gen, 60), random_runs(gen, 60))
-              for _ in range(300)]
-    # cuts inside the ranges, as a spend names them
-    for _ in range(100):
-        ranges = random_runs(gen, 60)
-        ids = expand_runs(ranges)
-        cases.append((ranges, check_runs(id_runs(sorted(gen.sample(
-            ids, gen.randint(0, len(ids))))))))
-    for ranges, cut in cases:
-        want = sorted(set(expand_runs(ranges)) - set(expand_runs(cut)))
-        got = wire.subtract_runs(ranges, cut)
-        assert got == check_runs(id_runs(want))  # canonical: none touch
 
 
 def oracle_message(kind, values):
@@ -330,8 +254,8 @@ def per_element(kind, decoded):
                                              "big") for i in (0, 16, 32)),
       7)),
     ("shares", (bytes(16), b"", 7), (bytes(16), (), 7)),
-    ("avail-reply", (bytes(16), 3, [(0, 3), (7, 8)]),
-     (bytes(16), 3, (0, 1, 2, 7))),
+    ("avail-reply", (bytes(16), 3, [(0, 3)]),
+     (bytes(16), 3, (0, 1, 2))),
     ("recon-ask", (bytes(16), b"\x01\x02\x03", 5, []),
      (bytes(16), b"\x01\x02\x03", 5, ())),
 ])
